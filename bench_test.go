@@ -378,6 +378,32 @@ func BenchmarkPlanExec(b *testing.B) {
 	}
 }
 
+// TestPlanWarmAllocs is the allocation budget of the warm small-table
+// path as a test rather than a benchmark column: answer-only execution
+// of a precompiled plan on the 2048-row workload table costs at most 2
+// allocations (the Result and its one detached slice), whatever the
+// executor does for big tables.
+func TestPlanWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tab := sharedWorkloadBenchTable()
+	for _, c := range planWarmCases {
+		compiled, err := dcs.Compile(dcs.MustParse(c.query), tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := compiled.ExecuteWith(tab, plan.Noop{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s (%s): %.1f allocs/op, want <= 2", c.name, c.query, allocs)
+		}
+	}
+}
+
 // BenchmarkPlanExecCold times compile + answer-only execution (a plan
 // cache miss) on the Figure 7 growth table — the shape the pre-arena
 // BenchmarkPlanExec measured.

@@ -83,7 +83,12 @@ func zoneTestPlans() map[string]Node {
 		"mixed_nan_le": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 2, Op: "<=", V: num(math.NaN())}},
 		"mixed_nan_lt": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 2, Op: "<", V: num(math.NaN())}},
 		"compare_ge":   &Compare{Col: 0, Cmp: ">=", V: num(117_000)},
-		"superlative":  &Superlative{Col: 0, Max: true, Input: &Scan{}},
+		// Mixed holds NaN cells, so it has no sorted index: the range
+		// scans rows. A NaN literal makes key identity and Value.Equal
+		// disagree, so the inequality scans with Equal semantics.
+		"compare_mixed":  &Compare{Col: 2, Cmp: ">", V: num(500)},
+		"compare_ne_nan": &Compare{Col: 2, Cmp: "!=", V: num(math.NaN())},
+		"superlative":    &Superlative{Col: 0, Max: true, Input: &Scan{}},
 	}
 }
 
