@@ -1,9 +1,30 @@
 package dcs
 
 import (
+	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 
 	"nlexplain/internal/table"
+)
+
+// fractionsTable is the multi-morsel fixture of the differential
+// corpus: n rows of three-decimal fractions, whose sum rounds
+// differently under every association of the additions — so any fold
+// that is not the interpreter's left fold shows up as a changed bit.
+func fractionsTable(n int) *table.Table {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), strconv.FormatFloat(rng.Float64()*1000, 'f', 3, 64)}
+	}
+	return table.MustNew("fractions", []string{"Id", "Score"}, rows)
+}
+
+var (
+	corpusFractionsOnce sync.Once
+	corpusFractions     *table.Table
 )
 
 // olympicsTable is the running example of Figure 1.

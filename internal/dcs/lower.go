@@ -42,9 +42,9 @@ func (c *Compiled) ExecuteWith(t *table.Table, tr plan.Tracer) (*Result, error) 
 }
 
 // ExecuteWithCtx is ExecuteWith with cooperative cancellation: the
-// executor polls ctx at morsel boundaries (and every few thousand rows
-// on serial scans), so a caller that gave up does not pay for a full
-// million-row scan. A nil ctx disables the checks.
+// executor polls ctx at every morsel boundary, so a caller that gave up
+// does not pay for a full million-row scan. A nil ctx disables the
+// checks.
 func (c *Compiled) ExecuteWithCtx(ctx context.Context, t *table.Table, tr plan.Tracer) (*Result, error) {
 	// The plan value lives on the stack; RunIntoCtx detaches the
 	// execution arena's buffers into it, and resultFromVal moves the

@@ -197,16 +197,17 @@ func FuzzPlanDifferential(f *testing.F) {
 	f.Add("max(R[Year].Country.Atlantis)")
 	f.Add("count(Year>=1900)")
 	f.Add("(Year>1896 u Year<=2008)")
+	f.Add("avg(R[Score].Year>1896)")
 	tab := table.MustNew("olympics",
-		[]string{"Year", "Country", "City"},
+		[]string{"Year", "Country", "City", "Score"},
 		[][]string{
-			{"1896", "Greece", "Athens"},
-			{"1900", "France", "Paris"},
-			{"2004", "Greece", "Athens"},
-			{"2008", "China", "Beijing"},
-			{"2012", "UK", "London"},
-			{"nan", "ſ", "Straße"}, // NaN + Unicode folds: the fast-path guards
-			{"", "", ""},           // empty cells: the zone EmptyCount edge
+			{"1896", "Greece", "Athens", "0.1"},
+			{"1900", "France", "Paris", "0.2"},
+			{"2004", "Greece", "Athens", "0.3"},
+			{"2008", "China", "Beijing", "1e16"},
+			{"2012", "UK", "London", "-1e16"},
+			{"nan", "ſ", "Straße", "0.7"}, // NaN + Unicode folds: the fast-path guards
+			{"", "", "", ""},              // empty cells: the zone EmptyCount edge
 		})
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)

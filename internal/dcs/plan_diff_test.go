@@ -1,6 +1,7 @@
 package dcs
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -73,6 +74,11 @@ var diffCorpus = []struct {
 	{"medals", "R[Nation].argmax(Record, Silver)"},
 	{"medals", "Total>100"},
 	{"medals", "count(Total>100)"},
+	// Aggregates over fractional values spanning three morsels: the one
+	// place where the order of the additions is visible in the answer.
+	{"fractions", "sum(R[Score].Record)"},
+	{"fractions", "avg(R[Score].Record)"},
+	{"fractions", "min(R[Score].Id>35000)"},
 }
 
 func fixtureByName(t testing.TB, name string) *table.Table {
@@ -86,6 +92,9 @@ func fixtureByName(t testing.TB, name string) *table.Table {
 		return uslTable(t)
 	case "medals":
 		return medalsTable(t)
+	case "fractions":
+		corpusFractionsOnce.Do(func() { corpusFractions = fractionsTable(70_000) })
+		return corpusFractions
 	}
 	t.Fatalf("unknown fixture table %q", name)
 	return nil
@@ -346,6 +355,35 @@ func TestPlanDifferentialParallel(t *testing.T) {
 			}
 			assertSameResult(t, want, got, true)
 		})
+	}
+}
+
+// TestPlanDifferentialParallelFractions pins the aggregate fold to the
+// interpreter's bit for bit, at any worker count: sum and avg over
+// 200 000 fractional values (past the default parallel threshold, so
+// eight workers fork at the shipped configuration) must return the
+// same float64 with one worker, with eight, and from the reference
+// interpreter.
+func TestPlanDifferentialParallelFractions(t *testing.T) {
+	tab := fractionsTable(200_000)
+	defer plan.SetExecWorkers(plan.SetExecWorkers(1))
+	for _, src := range []string{"sum(R[Score].Record)", "avg(R[Score].Record)"} {
+		e := MustParse(src)
+		want, err := ExecuteInterpreted(e, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			plan.SetExecWorkers(workers)
+			got, err := Execute(e, tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, g := want.Values[0].Num, got.Values[0].Num
+			if math.Float64bits(w) != math.Float64bits(g) {
+				t.Errorf("%s with %d workers = %v, interpreter = %v", src, workers, g, w)
+			}
+		}
 	}
 }
 

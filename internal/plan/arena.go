@@ -37,17 +37,21 @@ type arena struct {
 	// bitset word blocks.
 	n int
 
-	ints  bufs[int]
-	words bufs[uint64]
-	vals  bufs[table.Value]
-	cells bufs[table.CellRef]
-	strs  bufs[string]
-	data  bufs[[]table.Value]
+	ints   bufs[int]
+	floats bufs[float64]
+	words  bufs[uint64]
+	vals   bufs[table.Value]
+	cells  bufs[table.CellRef]
+	strs   bufs[string]
+	data   bufs[[]table.Value]
 
 	valNodes []*Val
 	valUsed  int
 
 	ded dedup
+	// local holds one dedup table per morsel worker for the grouping
+	// kernel; worker w owns local[w] for the duration of a drive.
+	local []dedup
 
 	// ident is the cached identity row set 0..cap-1 every Scan shares.
 	ident []int
@@ -71,6 +75,7 @@ func (a *arena) release() {
 	}
 	a.valUsed = 0
 	a.ints.reset()
+	a.floats.reset()
 	a.words.reset()
 	a.vals.reset()
 	a.cells.reset()
@@ -97,6 +102,15 @@ func (a *arena) rowSet(n int) RowSet {
 	w := a.words.get(nw)[:nw]
 	clear(w)
 	return RowSet{words: w, n: n}
+}
+
+// locals returns the per-worker dedup tables for a drive with up to
+// the given number of workers.
+func (a *arena) locals(workers int) []dedup {
+	for len(a.local) < workers {
+		a.local = append(a.local, dedup{})
+	}
+	return a.local[:workers]
 }
 
 // identity returns the shared ascending row set 0..n-1. Callers treat

@@ -60,11 +60,11 @@ func RunInto(out *Val, n Node, t *table.Table, tr Tracer) error {
 	return RunIntoCtx(nil, out, n, t, tr)
 }
 
-// RunIntoCtx is RunInto with cooperative cancellation: the executor
-// polls ctx at morsel boundaries on the parallel path and every
-// ctxCheckRows rows on serial scans, returning ctx.Err() once it
-// fires — so a caller whose deadline expired never burns a full
-// million-row scan. A nil ctx disables the checks.
+// RunIntoCtx is RunInto with cooperative cancellation: the morsel
+// driver polls ctx at every morsel boundary, forked or inline,
+// returning ctx.Err() once it fires — so a caller whose deadline
+// expired never burns a full million-row scan. A nil ctx disables the
+// checks.
 func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer) error {
 	if tr == nil {
 		tr = Noop{}
@@ -73,6 +73,7 @@ func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer
 	defer ar.release()
 	ex := &ar.ex
 	ex.t, ex.tr, ex.trace, ex.ar, ex.ctx = t, tr, tr.Active(), ar, ctx
+	ex.cfg = resolveConfig(t.NumRows())
 	v, err := ex.run(n)
 	if ex.usedParallel {
 		statParallelRuns.Add(1)
@@ -140,12 +141,23 @@ type executor struct {
 	trace bool
 	ar    *arena
 
-	// ctx, when non-nil, is polled by long scans (serial ticks and
-	// morsel boundaries) so abandoned executions stop early.
+	// ctx, when non-nil, is polled at morsel boundaries so abandoned
+	// executions stop early.
 	ctx context.Context
-	// usedParallel records whether any kernel took the morsel path,
+	cfg execConfig
+	// usedParallel records whether the driver forked for any kernel,
 	// feeding the parallel/serial run counters.
 	usedParallel bool
+
+	// Kernel state. It lives here, in the pooled arena, rather than in
+	// closures: a kernel handed to a driver that can start goroutines
+	// escapes at the call site whichever way the driver then runs it.
+	// One of each suffices — an operator finishes its drive before the
+	// next one starts, and nested executions own another arena.
+	filt rowFilter
+	ext  extremeScan
+	grp  groupScan
+	agg  aggFold
 }
 
 func (ex *executor) run(n Node) (*Val, error) {
@@ -286,78 +298,25 @@ func (ex *executor) lookupValues(col int, vals []table.Value) (*Val, error) {
 func (ex *executor) compare(x *Compare) (*Val, error) {
 	t := ex.t
 	var rows []int
+	var err error
 	switch x.Cmp {
 	case "=", "!=":
-		want := x.Cmp == "="
-		if !t.KeyEqualConsistent(x.Col, x.V) {
+		switch {
+		case !t.KeyEqualConsistent(x.Col, x.V):
 			// Key identity and Value.Equal disagree here (NaN literal,
 			// or Unicode case folds outside ASCII): scan with the
 			// interpreter's Equal semantics.
-			if ex.goParallel(t.NumRows()) {
-				pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-					for r := lo; r < hi; r++ {
-						if t.Value(r, x.Col).Equal(x.V) == want {
-							dst = append(dst, r)
-						}
-					}
-					return dst
-				})
-				if err != nil {
-					return nil, err
-				}
-				rows = pr
-				break
-			}
-			buf := ex.ar.ints.get(t.NumRows())
-			for r := 0; r < t.NumRows(); r++ {
-				if err := ex.pollCtx(r); err != nil {
-					return nil, err
-				}
-				if t.Value(r, x.Col).Equal(x.V) == want {
-					buf = append(buf, r)
-				}
-			}
-			rows = buf
-			break
-		}
-		if want {
+			rows, err = ex.scanPred(x.pred(), nil)
+		case x.Cmp == "=":
 			rows = t.RowsForKey(x.Col, x.canonicalKey())
-			break
+		default:
+			// Entity inequality: complement of the KB posting list, walked
+			// with two pointers so no per-row string comparison happens.
+			rows, err = ex.filterRows(rowFilter{
+				rows:   ex.ar.identity(t.NumRows()),
+				except: t.RowsForKey(x.Col, x.canonicalKey()),
+			}, true)
 		}
-		// Entity inequality: complement of the KB posting list, walked
-		// with two pointers so no per-row string comparison happens.
-		eq := t.RowsForKey(x.Col, x.canonicalKey())
-		if ex.goParallel(t.NumRows()) {
-			pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-				j := sort.SearchInts(eq, lo)
-				for r := lo; r < hi; r++ {
-					if j < len(eq) && eq[j] == r {
-						j++
-						continue
-					}
-					dst = append(dst, r)
-				}
-				return dst
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = pr
-			break
-		}
-		buf := ex.ar.ints.get(t.NumRows() - len(eq))
-		j := 0
-		for r := 0; r < t.NumRows(); r++ {
-			if err := ex.pollCtx(r); err != nil {
-				return nil, err
-			}
-			if j < len(eq) && eq[j] == r {
-				j++
-				continue
-			}
-			buf = append(buf, r)
-		}
-		rows = buf
 	default:
 		lit, ok := x.V.Float()
 		if !ok {
@@ -374,51 +333,21 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			// Zone maps can beat the sorted index only before the index
 			// exists (they cost one column walk vs an O(n log n) sort);
 			// once the index is resident its sublinear search always wins.
-			zs = ex.zonePred(&CmpPred{Col: x.Col, Op: x.Cmp, V: x.V})
+			zs = ex.zonePred(x.pred())
 		}
-		switch {
-		case zs != nil && (!useIndex || 2*zs.none >= len(zs.verdicts)):
-			// The zones prune (or the column cannot be indexed at all):
-			// scan only the morsels the predicate cannot decide. On an
-			// indexable column the zone path is taken only when at least
-			// half the morsels are provably empty — otherwise building
-			// the sorted index amortises better across queries.
-			pred, err := ex.compilePred(&CmpPred{Col: x.Col, Op: x.Cmp, V: x.V})
-			if err != nil {
-				return nil, err
-			}
-			zr, err := ex.zoneFilterScan(t.NumRows(), zs, pred)
-			if err != nil {
-				return nil, err
-			}
-			rows = zr
-		case useIndex:
+		if useIndex && (zs == nil || 2*zs.none < len(zs.verdicts)) {
 			// Binary search on the cached sorted index + bitset replay is
-			// sublinear in the table size — it beats any parallel direct
-			// scan at every scale, so indexable ranges never take the
-			// morsel path.
+			// sublinear in the table size — it beats any direct scan at
+			// every scale. An indexable column leaves it for the zones
+			// only when at least half the morsels are provably empty;
+			// otherwise building the index amortises better across queries.
 			rows = ex.rangeFromIndex(x.Col, x.Cmp, lit)
-		case ex.goParallel(t.NumRows()):
-			pr, err := ex.parallelRows(t.NumRows(), func(dst []int, lo, hi int) []int {
-				for r := lo; r < hi; r++ {
-					v := t.Value(r, x.Col)
-					if v.IsNumeric() && cmpMatch(x.Cmp, v.Compare(x.V)) {
-						dst = append(dst, r)
-					}
-				}
-				return dst
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = pr
-		default:
-			sr, err := ex.rangeScan(ex.ar.ints.get(t.NumRows()), x.Col, x.Cmp, x.V)
-			if err != nil {
-				return nil, err
-			}
-			rows = sr
+		} else {
+			rows, err = ex.scanPred(x.pred(), zs)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
@@ -426,6 +355,21 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 		v.Cells = ex.cellsAt(rows, x.Col)
 	}
 	return v, nil
+}
+
+// pred is the comparison as a predicate leaf, built only on the paths
+// that evaluate it per row or per zone (the index paths allocate
+// nothing).
+func (x *Compare) pred() *CmpPred { return &CmpPred{Col: x.Col, Op: x.Cmp, V: x.V} }
+
+// scanPred evaluates a predicate without FuncPreds over the whole row
+// space, under the zone verdicts zs when there are any.
+func (ex *executor) scanPred(p Pred, zs *zoneScan) ([]int, error) {
+	keep, err := ex.compilePred(p)
+	if err != nil {
+		return nil, err
+	}
+	return ex.filterRows(rowFilter{rows: ex.ar.identity(ex.t.NumRows()), zones: zs, keep: keep}, true)
 }
 
 // rangeFromIndex answers a numeric range predicate from the sorted
@@ -453,51 +397,15 @@ func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int {
 	return set.AppendRows(ex.ar.ints.get(len(part)))
 }
 
-// rangeScan is the fallback comparison scan for columns the index
-// cannot represent (NaN cells), mirroring Value.Compare semantics.
-// Matches are appended onto dst.
-func (ex *executor) rangeScan(dst []int, col int, op string, lit table.Value) ([]int, error) {
-	t := ex.t
-	for r := 0; r < t.NumRows(); r++ {
-		if err := ex.pollCtx(r); err != nil {
-			return nil, err
-		}
-		v := t.Value(r, col)
-		if !v.IsNumeric() {
-			continue
-		}
-		if cmpMatch(op, v.Compare(lit)) {
-			dst = append(dst, r)
-		}
-	}
-	return dst, nil
-}
-
-// cmpMatch applies a range operator to a three-way comparison result.
-func cmpMatch(op string, cmp int) bool {
-	switch op {
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
-}
-
 func (ex *executor) filter(x *Filter) (*Val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := ex.compilePred(x.Pred)
+	keep, err := ex.compilePred(x.Pred)
 	if err != nil {
 		return nil, err
 	}
-	var rows []int
 	var zs *zoneScan
 	if _, isScan := x.Input.(*Scan); isScan {
 		// A filter directly over the scan covers the whole row space, so
@@ -505,33 +413,12 @@ func (ex *executor) filter(x *Filter) (*Val, error) {
 		// evaluating a single row.
 		zs = ex.zonePred(x.Pred)
 	}
-	if zs != nil {
-		rows, err = ex.zoneFilterScan(len(in.Rows), zs, pred)
-		if err != nil {
-			return nil, err
-		}
-	} else if ex.goParallel(len(in.Rows)) && !predHasFunc(x.Pred) {
-		// Compiled non-FuncPred closures are pure column reads, safe to
-		// evaluate from worker goroutines; opaque FuncPreds may run
-		// nested executions and stay serial.
-		rows, err = ex.parallelFilter(in.Rows, pred)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rows = ex.ar.ints.get(len(in.Rows))
-		for i, r := range in.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			ok, err := pred(r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				rows = append(rows, r)
-			}
-		}
+	// Compiled non-FuncPred closures are pure column reads, safe to
+	// evaluate from worker goroutines; opaque FuncPreds may run nested
+	// executions and never fork.
+	rows, err := ex.filterRows(rowFilter{rows: in.Rows, zones: zs, keep: keep}, !predHasFunc(x.Pred))
+	if err != nil {
+		return nil, err
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
@@ -694,28 +581,14 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The bitset is written before the drive and only read inside it.
 	inR := ex.ar.rowSet(ex.t.NumRows())
 	inR.AddRows(r.Rows)
-	var rows []int
-	if ex.goParallel(len(l.Rows)) {
-		// The bitset is written before the fork and only read inside it.
-		pr, err := ex.parallelFilter(l.Rows, func(rec int) (bool, error) {
-			return inR.Contains(rec), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = pr
-	} else {
-		rows = ex.ar.ints.get(min(len(l.Rows), len(r.Rows)))
-		for i, rec := range l.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			if inR.Contains(rec) {
-				rows = append(rows, rec)
-			}
-		}
+	rows, err := ex.filterRows(rowFilter{rows: l.Rows, keep: func(rec int) (bool, error) {
+		return inR.Contains(rec), nil
+	}}, true)
+	if err != nil {
+		return nil, err
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
@@ -824,58 +697,42 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 				}
 				out = idx[:i]
 			}
-		} else if ex.goParallel(len(rows)) {
-			// Subset superlative, morsel-parallel: per-morsel partial
-			// extremes merge exactly (no NaN on an indexable all-numeric
-			// column), then a parallel pass keeps the achieving rows.
-			pr, err := ex.parallelSuperNum(rows, nums, x.Max)
+		} else {
+			// Subset superlative: two passes over the float column, no
+			// Value boxing — the extreme, then the rows achieving it.
+			best, err := ex.extreme(rows, nums, x.Max)
 			if err != nil {
 				return nil, err
 			}
-			out = pr
-		} else {
-			// Subset superlative: one vectorized pass over the float
-			// column, no Value boxing.
-			best := nums[rows[0]]
-			for i, r := range rows[1:] {
-				if err := ex.pollCtx(i); err != nil {
-					return nil, err
-				}
-				if (x.Max && nums[r] > best) || (!x.Max && nums[r] < best) {
-					best = nums[r]
-				}
+			out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) (bool, error) {
+				return nums[r] == best, nil
+			}}, true)
+			if err != nil {
+				return nil, err
 			}
-			buf := ex.ar.ints.get(len(rows))
-			for _, r := range rows {
-				if nums[r] == best {
-					buf = append(buf, r)
-				}
-			}
-			out = buf
 		}
 	} else {
 		// Value.Compare is not guaranteed transitive across mixed-kind
-		// or NaN cells, so this fold is order-sensitive and stays serial.
+		// or NaN cells, so this fold is order-sensitive and never forks.
 		best := t.Value(rows[0], x.Col)
-		for i, r := range rows[1:] {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
+		err := ex.eachMorsel(len(rows), func(_, lo, hi int) error {
+			for _, r := range rows[lo:hi] {
+				v := t.Value(r, x.Col)
+				if (x.Max && v.Compare(best) > 0) || (!x.Max && v.Compare(best) < 0) {
+					best = v
+				}
 			}
-			v := t.Value(r, x.Col)
-			if (x.Max && v.Compare(best) > 0) || (!x.Max && v.Compare(best) < 0) {
-				best = v
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		buf := ex.ar.ints.get(len(rows))
-		for i, r := range rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			if t.Value(r, x.Col).Compare(best) == 0 {
-				buf = append(buf, r)
-			}
+		out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) (bool, error) {
+			return t.Value(r, x.Col).Compare(best) == 0, nil
+		}}, false)
+		if err != nil {
+			return nil, err
 		}
-		out = buf
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = out
@@ -892,34 +749,15 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := ex.t
-	var vals []table.Value
-	if ex.goParallel(len(in.Rows)) {
-		pv, err := ex.parallelProject(in.Rows, x.Col)
-		if err != nil {
-			return nil, err
-		}
-		vals = pv
-	} else {
-		keys := t.ColumnKeys(x.Col)
-		d := &ex.ar.ded
-		d.init(len(in.Rows))
-		vals = ex.ar.vals.get(len(in.Rows))
-		var k string
-		// Payloads are row indices; column keys are canonical already, so
-		// candidate confirmation is plain (interned) string equality.
-		eq := func(j int32) bool { return keys[j] == k }
-		for i, r := range in.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			k = keys[r]
-			h := table.HashString(table.FNVOffset, k)
-			if _, found := d.lookup(h, eq); !found {
-				d.insert(h, int32(r))
-				vals = append(vals, t.Value(r, x.Col))
-			}
-		}
+	// The distinct values, in first-appearance order, are the values at
+	// the first row of each key group.
+	reps, _, err := ex.groupByKey(in.Rows, ex.t.ColumnKeys(x.Col), false)
+	if err != nil {
+		return nil, err
+	}
+	vals := ex.ar.vals.get(len(reps))
+	for _, r := range reps {
+		vals = append(vals, ex.t.Value(r, x.Col))
 	}
 	v := ex.ar.val(ValuesKind)
 	v.Values = vals
@@ -1009,14 +847,17 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 		return ex.ar.val(ValuesKind), nil
 	}
 	best := t.Value(pool[0], x.KeyCol)
-	for i, r := range pool[1:] {
-		if err := ex.pollCtx(i); err != nil {
-			return nil, err
+	err = ex.eachMorsel(len(pool), func(_, lo, hi int) error {
+		for _, r := range pool[lo:hi] {
+			k := t.Value(r, x.KeyCol)
+			if (x.Max && k.Compare(best) > 0) || (!x.Max && k.Compare(best) < 0) {
+				best = k
+			}
 		}
-		k := t.Value(r, x.KeyCol)
-		if (x.Max && k.Compare(best) > 0) || (!x.Max && k.Compare(best) < 0) {
-			best = k
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := ex.ar.vals.get(len(pool))
 	var achieved RowSet
@@ -1063,58 +904,15 @@ func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
 	if len(in.Values) == 0 {
 		return nil, fmt.Errorf("%s over an empty set", x.Fn)
 	}
-	if ex.goParallel(len(in.Values)) {
-		out, err := ex.parallelAggFold(x.Fn, in.Values)
-		if err != nil {
-			return nil, err
-		}
-		v := ex.ar.val(ScalarKind)
-		v.Values = append(ex.ar.vals.get(1), out)
-		v.Aggr = x.Fn
-		v.Cells = in.Cells
-		return v, nil
-	}
-	var sum float64
-	var extreme table.Value
-	for i, v := range in.Values {
-		f, ok := v.Float()
-		if !ok {
-			return nil, aggTypeError(x.Fn, v)
-		}
-		sum += f
-		switch x.Fn {
-		case "min":
-			if i == 0 || v.Compare(extreme) < 0 {
-				extreme = v
-			}
-		case "max":
-			if i == 0 || v.Compare(extreme) > 0 {
-				extreme = v
-			}
-		}
-	}
-	var out table.Value
-	switch x.Fn {
-	case "min", "max":
-		out = extreme
-	case "sum":
-		out = table.NumberValue(sum)
-	case "avg":
-		out = table.NumberValue(sum / float64(len(in.Values)))
-	default:
-		return nil, fmt.Errorf("unknown aggregate %q", x.Fn)
+	out, err := ex.foldValues(x.Fn, in.Values)
+	if err != nil {
+		return nil, err
 	}
 	v := ex.ar.val(ScalarKind)
 	v.Values = append(ex.ar.vals.get(1), out)
 	v.Aggr = x.Fn
 	v.Cells = in.Cells
 	return v, nil
-}
-
-// aggTypeError is the shared non-numeric aggregate error, so the
-// serial and morsel-parallel folds surface byte-identical messages.
-func aggTypeError(fn string, v table.Value) error {
-	return fmt.Errorf("%s over non-numeric value %q", fn, v)
 }
 
 func (ex *executor) arith(x *Arith) (*Val, error) {
@@ -1188,44 +986,47 @@ func (ex *executor) sqlProject(x *SQLProject) (*Val, error) {
 	if x.Order != nil {
 		sortKeys = ex.ar.vals.get(nrows)
 	}
-	for ri, r := range in.Rows {
-		if err := ex.pollCtx(ri); err != nil {
-			return nil, err
-		}
-		base := len(flat)
-		for i := range x.Items {
-			it := &x.Items[i]
-			switch {
-			case it.Col >= 0:
-				flat = append(flat, t.Value(r, it.Col))
-			case it.Index:
-				flat = append(flat, table.NumberValue(float64(r)))
-			default:
-				v, err := it.Fn(r)
-				if err != nil {
-					return nil, err
+	err = ex.eachMorsel(nrows, func(_, lo, hi int) error {
+		for _, r := range in.Rows[lo:hi] {
+			base := len(flat)
+			for i := range x.Items {
+				it := &x.Items[i]
+				switch {
+				case it.Col >= 0:
+					flat = append(flat, t.Value(r, it.Col))
+				case it.Index:
+					flat = append(flat, table.NumberValue(float64(r)))
+				default:
+					v, err := it.Fn(r)
+					if err != nil {
+						return err
+					}
+					flat = append(flat, v)
 				}
-				flat = append(flat, v)
+			}
+			data = append(data, flat[base:len(flat):len(flat)])
+			src = append(src, r)
+			if x.Order != nil {
+				var k table.Value
+				switch {
+				case x.Order.Col >= 0:
+					k = t.Value(r, x.Order.Col)
+				case x.Order.Index:
+					k = table.NumberValue(float64(r))
+				default:
+					v, err := x.Order.Fn(r)
+					if err != nil {
+						return err
+					}
+					k = v
+				}
+				sortKeys = append(sortKeys, k)
 			}
 		}
-		data = append(data, flat[base:len(flat):len(flat)])
-		src = append(src, r)
-		if x.Order != nil {
-			var k table.Value
-			switch {
-			case x.Order.Col >= 0:
-				k = t.Value(r, x.Order.Col)
-			case x.Order.Index:
-				k = table.NumberValue(float64(r))
-			default:
-				v, err := x.Order.Fn(r)
-				if err != nil {
-					return nil, err
-				}
-				k = v
-			}
-			sortKeys = append(sortKeys, k)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if x.Order != nil {
 		data, src = ex.sortTable(data, src, sortKeys, x.Order.Desc)
@@ -1273,37 +1074,17 @@ func (ex *executor) sqlAggregate(x *SQLAggregate) (*Val, error) {
 	if x.GroupCol < 0 {
 		ngroups = 1
 		groupRows = func(int) []int { return in.Rows }
-	} else if ex.goParallel(len(in.Rows)) {
-		groupRows, ngroups, err = ex.parallelGroup(in.Rows, ex.t.ColumnKeys(x.GroupCol))
+	} else {
+		reps, gids, err := ex.groupByKey(in.Rows, ex.t.ColumnKeys(x.GroupCol), true)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		keys := ex.t.ColumnKeys(x.GroupCol)
-		d := &ex.ar.ded
-		d.init(len(in.Rows))
-		gids := ex.ar.ints.get(len(in.Rows))
-		reps := ex.ar.ints.get(len(in.Rows))   // first row of each group
-		counts := ex.ar.ints.get(len(in.Rows)) // rows per group
-		var k string
-		eq := func(g int32) bool { return keys[reps[g]] == k }
-		for i, r := range in.Rows {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
-			}
-			k = keys[r]
-			h := table.HashString(table.FNVOffset, k)
-			id, found := d.lookup(h, eq)
-			if !found {
-				id = int32(len(reps))
-				d.insert(h, id)
-				reps = append(reps, r)
-				counts = append(counts, 0)
-			}
-			gids = append(gids, int(id))
-			counts[id]++
-		}
 		ngroups = len(reps)
+		counts := ex.ar.ints.get(ngroups)[:ngroups] // rows per group
+		clear(counts)
+		for _, g := range gids {
+			counts[g]++
+		}
 		flat := ex.ar.ints.get(len(in.Rows))[:len(in.Rows)]
 		starts := ex.ar.ints.get(ngroups)
 		cursor := ex.ar.ints.get(ngroups)
@@ -1407,18 +1188,21 @@ func (ex *executor) distinct(x *Distinct) (*Val, error) {
 	src := ex.ar.ints.get(len(in.Data))
 	var cur []table.Value
 	eq := func(j int32) bool { return rowsKeyEqual(in.Data[j], cur) }
-	for i := range in.Data {
-		if err := ex.pollCtx(i); err != nil {
-			return nil, err
+	err = ex.eachMorsel(len(in.Data), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			cur = in.Data[i]
+			h := hashTableRow(cur)
+			if _, found := d.lookup(h, eq); found {
+				continue
+			}
+			d.insert(h, int32(i))
+			data = append(data, in.Data[i])
+			src = append(src, in.Src[i])
 		}
-		cur = in.Data[i]
-		h := hashTableRow(cur)
-		if _, found := d.lookup(h, eq); found {
-			continue
-		}
-		d.insert(h, int32(i))
-		data = append(data, in.Data[i])
-		src = append(src, in.Src[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out.Data = data
 	out.Src = src
@@ -1467,18 +1251,21 @@ func (ex *executor) sqlUnion(x *SQLUnion) (*Val, error) {
 	// Payloads index the deduplicated output, which spans both inputs.
 	eq := func(j int32) bool { return rowsKeyEqual(data[j], cur) }
 	for _, side := range [2]*Val{l, r} {
-		for i := range side.Data {
-			if err := ex.pollCtx(i); err != nil {
-				return nil, err
+		err := ex.eachMorsel(len(side.Data), func(_, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				cur = side.Data[i]
+				h := hashTableRow(cur)
+				if _, found := d.lookup(h, eq); found {
+					continue
+				}
+				d.insert(h, int32(len(data)))
+				data = append(data, side.Data[i])
+				src = append(src, side.Src[i])
 			}
-			cur = side.Data[i]
-			h := hashTableRow(cur)
-			if _, found := d.lookup(h, eq); found {
-				continue
-			}
-			d.insert(h, int32(len(data)))
-			data = append(data, side.Data[i])
-			src = append(src, side.Src[i])
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	out.Data = data

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,44 +11,45 @@ import (
 	"nlexplain/internal/table"
 )
 
-// Morsel-driven intra-query parallelism.
+// Morsel-driven execution.
 //
-// Big scans split the row space into fixed-size morsels and dispatch
-// them to a shared bounded worker pool: the calling goroutine is
-// always worker 0, and up to ExecWorkers()-1 extra goroutines join if
-// the process-wide pool has free slots (if it is saturated the caller
-// simply drains every morsel itself — the parallel path degrades to
-// serial, never blocks). Morsels are claimed dynamically off an atomic
-// counter, so stragglers do not idle the pool.
+// Every scan-shaped operator is written once, as a kernel — its work on
+// one morsel (a fixed-size run of input positions) — plus an ordered
+// merge of the per-morsel outputs, and one driver runs the kernel over
+// the input. The driver forks when the input reaches the parallel
+// threshold and more than one worker is configured: the calling
+// goroutine is always worker 0, and up to workers-1 extra goroutines
+// join if the process-wide pool has free slots (if it is saturated the
+// caller simply drains every morsel itself, never blocks). Morsels are
+// claimed dynamically off an atomic counter, so stragglers do not idle
+// the pool. Otherwise the same kernel runs inline on the caller over
+// the same morsel bounds: serial execution is the driver with one
+// worker, and a small table is one morsel.
 //
-// Merging is deterministic: every kernel collects a per-morsel partial
-// (matching rows, a partial extreme, local groups) indexed by morsel,
-// and the caller folds the partials in morsel-index order after the
-// join. Because input row sets are ascending (the Val invariant) and
-// morsels tile them in order, concatenating per-morsel row matches
-// reproduces the serial output exactly, and first-appearance dedup
-// orders (value projection, GROUP BY) are preserved by merging
-// locally-first representatives morsel by morsel.
+// Merging is deterministic: a kernel writes morsel m's output only to
+// slot m of its partials, and the operator folds the slots in morsel
+// order after the driver returns. Because input row sets are ascending
+// (the Val invariant) and morsels tile them in order, concatenating
+// per-morsel row matches yields one ascending row set whichever worker
+// ran which morsel, and first-appearance dedup orders (value
+// projection, GROUP BY) are preserved by merging locally-first
+// representatives morsel by morsel.
 //
-// Partials live in pooled scratch buffers sliced into disjoint
-// per-morsel windows (morsel m writes only [lo:hi), each window's
-// capacity bounds its morsel's output), so workers allocate nothing
-// per morsel and two workers never share a byte. Workers never touch
-// the caller's arena — pooled arena memory stays single-owner — and
-// scratch is released before the kernel returns, never retained past
-// the join.
+// Partials live in arena buffers the operator draws before the driver
+// starts and slices into disjoint per-morsel windows (morsel m writes
+// only [lo:hi), each window's capacity bounds its morsel's output), so
+// workers allocate nothing per morsel, never call into the arena, and
+// never share a byte. Kernel state itself sits in the pooled executor,
+// so handing a kernel to the driver allocates nothing either — the
+// warm small-table path stays at its two result allocations.
 const (
 	// morselRows is the fixed morsel size. A multiple of 64 keeps
 	// morsels aligned to RowSet word boundaries; 32K rows is large
 	// enough to amortize dispatch and small enough to load-balance.
 	morselRows = 32768
 
-	// ctxCheckRows is how often serial scan loops poll the execution
-	// context (power of two; checked with a mask).
-	ctxCheckRows = 4096
-
-	// DefaultParallelThreshold is the input-size floor below which
-	// execution always stays on the serial flat-2-allocs path.
+	// DefaultParallelThreshold is the input-size floor below which the
+	// driver never forks.
 	DefaultParallelThreshold = 1 << 16
 )
 
@@ -175,46 +177,23 @@ func predHasFunc(p Pred) bool {
 	return false
 }
 
-// goParallel is the per-kernel gate: true when the input is past the
-// threshold and more than one worker is configured.
-func (ex *executor) goParallel(n int) bool {
-	return n >= ParallelThreshold() && ExecWorkers() > 1
+// execConfig is the process-wide executor configuration as one
+// execution sees it: resolved once, when the run starts, and carried
+// on the executor, so a setter landing mid-run never leaves per-worker
+// state sized for one worker count and goroutines spawned for another.
+type execConfig struct {
+	workers   int  // morsel workers a forked kernel may use (>= 1)
+	threshold int  // input size from which the driver forks
+	zones     bool // whether scans over this table consult zone maps
 }
 
-// pollCtx is the serial-path cancellation check: index-driven loops
-// call it every iteration and it touches the context once per
-// ctxCheckRows rows.
-func (ex *executor) pollCtx(i int) error {
-	if i&(ctxCheckRows-1) == 0 && ex.ctx != nil {
-		return ex.ctx.Err()
+func resolveConfig(tableRows int) execConfig {
+	return execConfig{
+		workers:   ExecWorkers(),
+		threshold: ParallelThreshold(),
+		zones:     ZoneSkipping() && tableRows > 0 && tableRows >= ZoneSkipThreshold(),
 	}
-	return nil
 }
-
-// scratchPool recycles the flat buffers parallel kernels tile into
-// per-morsel windows. Entries are surrendered to the GC on memory
-// pressure like any sync.Pool; a pooled Value buffer may briefly keep
-// table-interned strings reachable between runs, which only extends
-// the owning table's lifetime, never a query result's.
-type scratchPool[T any] struct{ p sync.Pool }
-
-func (s *scratchPool[T]) get(n int) *[]T {
-	p, _ := s.p.Get().(*[]T)
-	if p == nil || cap(*p) < n {
-		buf := make([]T, n)
-		return &buf
-	}
-	*p = (*p)[:cap(*p)]
-	return p
-}
-
-func (s *scratchPool[T]) put(p *[]T) { s.p.Put(p) }
-
-var (
-	intScratch   scratchPool[int]
-	int32Scratch scratchPool[int32]
-	valScratch   scratchPool[table.Value]
-)
 
 func morselCount(n int) int { return (n + morselRows - 1) / morselRows }
 
@@ -224,21 +203,67 @@ func morselBounds(m, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// forkJoin executes body(w, m) for every morsel index m in [0, nm),
+// kernel is one scan-shaped operator's work on one morsel: input
+// positions [lo, hi), morsel index m, running on worker w. A kernel
+// writes only morsel m's slot of its partials and worker w's slot of
+// any per-worker scratch, and otherwise reads shared inputs; it must
+// not touch the arena.
+type kernel interface {
+	morsel(w, m, lo, hi int) error
+}
+
+// goParallel is the fork gate: true when the input is past the
+// threshold and more than one worker is configured.
+func (ex *executor) goParallel(n int) bool {
+	return n >= ex.cfg.threshold && ex.cfg.workers > 1
+}
+
+// drive runs k over every morsel of an n-element input — forked when
+// mayFork and goParallel(n) hold, inline on the caller otherwise. It
+// returns once every morsel it handed out has finished; the kernel's
+// partials are then the operator's to merge.
+func (ex *executor) drive(n int, k kernel, mayFork bool) error {
+	if mayFork && ex.goParallel(n) {
+		return ex.forkJoin(n, k)
+	}
+	return ex.eachMorsel(n, func(m, lo, hi int) error { return k.morsel(0, m, lo, hi) })
+}
+
+// eachMorsel is the inline driver: body runs on the caller for every
+// morsel of [0, n) in order, with the context polled at each boundary.
+// Order-sensitive folds that can never fork call it directly; body does
+// not escape, so their closures stay on the stack.
+func (ex *executor) eachMorsel(n int, body func(m, lo, hi int) error) error {
+	for m, nm := 0, morselCount(n); m < nm; m++ {
+		if err := ex.ctxErr(); err != nil {
+			return err
+		}
+		lo, hi := morselBounds(m, n)
+		if err := body(m, lo, hi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ex *executor) ctxErr() error {
+	if ex.ctx == nil {
+		return nil
+	}
+	return ex.ctx.Err()
+}
+
+// forkJoin is the forked driver: k runs for every morsel of [0, n)
 // from the calling goroutine (worker 0) plus up to workers-1 extra
 // goroutines admitted by extraSem. It returns after every claimed
 // morsel finished. The context is polled at morsel boundaries; worker
 // panics are captured and re-raised on the caller after the join, so
-// the engine's panic containment sees them exactly as serial panics.
-//
-// body must confine itself to its own worker state (index w), its
-// morsel's partial slot (index m), and read-only shared inputs; the
-// caller's arena is off-limits until forkJoin returns.
-func (ex *executor) forkJoin(nm int, body func(w, m int) error) error {
-	workers := ExecWorkers()
-	if workers > nm {
-		workers = nm
-	}
+// the engine's panic containment sees them exactly as inline panics.
+// Every morsel handed out is booked in the morsel counter and timed
+// for the observer, whatever the kernel decided to do with it.
+func (ex *executor) forkJoin(n int, k kernel) error {
+	nm := morselCount(n)
+	workers := min(ex.cfg.workers, nm)
 	var (
 		next     atomic.Int64
 		bodyErr  atomic.Pointer[error]
@@ -260,17 +285,16 @@ func (ex *executor) forkJoin(nm int, body func(w, m int) error) error {
 			if m >= nm {
 				return
 			}
-			if ex.ctx != nil {
-				if err := ex.ctx.Err(); err != nil {
-					bodyErr.CompareAndSwap(nil, &err)
-					return
-				}
+			if err := ex.ctxErr(); err != nil {
+				bodyErr.CompareAndSwap(nil, &err)
+				return
 			}
 			var start time.Time
 			if obs != nil {
 				start = time.Now()
 			}
-			if err := body(w, m); err != nil {
+			lo, hi := morselBounds(m, n)
+			if err := k.morsel(w, m, lo, hi); err != nil {
 				bodyErr.CompareAndSwap(nil, &err)
 				return
 			}
@@ -309,40 +333,53 @@ func (ex *executor) forkJoin(nm int, body func(w, m int) error) error {
 	return nil
 }
 
-// parallelRows scans the row space [0, n) in parallel: match appends
-// onto dst the matching rows of [lo, hi) in ascending order, and the
-// per-morsel partials concatenate (in morsel order, so ascending
-// overall) into one arena row buffer.
-func (ex *executor) parallelRows(n int, match func(dst []int, lo, hi int) []int) ([]int, error) {
-	nm := morselCount(n)
-	parts := make([][]int, nm)
-	buf := intScratch.get(n)
-	defer intScratch.put(buf)
-	err := ex.forkJoin(nm, func(_, m int) error {
-		lo, hi := morselBounds(m, n)
-		parts[m] = match((*buf)[lo:lo:hi], lo, hi)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ex.concatParts(parts), nil
+// ---- kernels ----
+
+// rowFilter is the kernel behind every operator that narrows a row
+// set: it keeps the rows of an ascending input that a matcher accepts.
+// A scan of the whole row space is the same kernel over the identity
+// row set; there its morsels line up with the table's zones, and a
+// verdict can settle a morsel without reading it — none skips it, all
+// bulk-fills its row range, maybe runs the matcher. With no verdicts
+// every morsel is a maybe.
+type rowFilter struct {
+	rows  []int     // ascending input row set
+	zones *zoneScan // per-morsel verdicts; nil when nothing is provable
+
+	// keep decides one row; compiled predicates and the operators' own
+	// matchers never error, opaque FuncPreds may. When keep is nil the
+	// kernel keeps the rows absent from except (ascending) instead,
+	// walking both lists with two pointers.
+	keep   func(row int) (bool, error)
+	except []int
+
+	out  []int // morsel m appends its matches to out[lo:lo:hi]
+	lens []int // matches per morsel
 }
 
-// parallelFilter keeps the rows of an ascending row set that satisfy
-// keep, preserving order. keep must be goroutine-safe; per-row errors
-// abort the scan (first error observed wins — the compiled predicates
-// routed here never error).
-func (ex *executor) parallelFilter(rows []int, keep func(r int) (bool, error)) ([]int, error) {
-	nm := morselCount(len(rows))
-	parts := make([][]int, nm)
-	buf := intScratch.get(len(rows))
-	defer intScratch.put(buf)
-	err := ex.forkJoin(nm, func(_, m int) error {
-		lo, hi := morselBounds(m, len(rows))
-		dst := (*buf)[lo:lo:hi]
-		for _, r := range rows[lo:hi] {
-			ok, err := keep(r)
+func (k *rowFilter) morsel(_, m, lo, hi int) error {
+	rows, dst := k.rows[lo:hi], k.out[lo:lo:hi]
+	verdict := zoneMaybe
+	if k.zones != nil {
+		verdict = k.zones.verdicts[m]
+	}
+	switch {
+	case verdict == zoneNone:
+	case verdict == zoneAll:
+		dst = append(dst, rows...)
+	case k.keep == nil:
+		j := sort.SearchInts(k.except, rows[0])
+		for _, r := range rows {
+			for j < len(k.except) && k.except[j] < r {
+				j++
+			}
+			if j == len(k.except) || k.except[j] != r {
+				dst = append(dst, r)
+			}
+		}
+	default:
+		for _, r := range rows {
+			ok, err := k.keep(r)
 			if err != nil {
 				return err
 			}
@@ -350,296 +387,252 @@ func (ex *executor) parallelFilter(rows []int, keep func(r int) (bool, error)) (
 				dst = append(dst, r)
 			}
 		}
-		parts[m] = dst
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return ex.concatParts(parts), nil
+	k.lens[m] = len(dst)
+	return nil
 }
 
-func (ex *executor) concatParts(parts [][]int) []int {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := ex.ar.ints.get(total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// parallelSuperNum is the subset superlative over a clean numeric
-// column: per-morsel partial extremes merged (exact — an indexable
-// all-numeric column has no NaN, so float max/min is associative),
-// then a parallel filter for the achieving rows.
-func (ex *executor) parallelSuperNum(rows []int, nums []float64, wantMax bool) ([]int, error) {
-	nm := morselCount(len(rows))
-	bests := make([]float64, nm)
-	err := ex.forkJoin(nm, func(_, m int) error {
-		lo, hi := morselBounds(m, len(rows))
-		best := nums[rows[lo]]
-		for _, r := range rows[lo+1 : hi] {
-			if (wantMax && nums[r] > best) || (!wantMax && nums[r] < best) {
-				best = nums[r]
-			}
-		}
-		bests[m] = best
-		return nil
-	})
-	if err != nil {
+// filterRows runs a rowFilter and merges it: the per-morsel windows
+// compact, in morsel order, to the front of the output buffer — one
+// ascending row set. Decided morsels are booked in the skip counters.
+func (ex *executor) filterRows(k rowFilter, mayFork bool) ([]int, error) {
+	n := len(k.rows)
+	nm := morselCount(n)
+	k.out = ex.ar.ints.get(n)
+	k.lens = ex.ar.ints.get(nm)[:nm]
+	ex.filt = k
+	if err := ex.drive(n, &ex.filt, mayFork); err != nil {
 		return nil, err
 	}
-	best := bests[0]
-	for _, b := range bests[1:] {
-		if (wantMax && b > best) || (!wantMax && b < best) {
-			best = b
-		}
+	if k.zones != nil {
+		statMorselsSkipped.Add(uint64(k.zones.none))
+		statMorselsShortcut.Add(uint64(k.zones.all))
 	}
-	return ex.parallelFilter(rows, func(r int) (bool, error) { return nums[r] == best, nil })
-}
-
-// parallelProject dedups the column values of an ascending row set:
-// each morsel collects its locally-distinct values (local
-// first-appearance order, per-worker heap dedup scratch), and the
-// caller merges the partials in morsel order through the arena dedup —
-// which is exactly global first-appearance order.
-func (ex *executor) parallelProject(rows []int, col int) ([]table.Value, error) {
-	t := ex.t
-	keys := t.ColumnKeys(col)
-	nm := morselCount(len(rows))
-	parts := make([][]table.Value, nm)
-	type wstate struct {
-		d    dedup
-		reps []int
-	}
-	ws := make([]wstate, ExecWorkers())
-	buf := valScratch.get(len(rows))
-	defer valScratch.put(buf)
-	err := ex.forkJoin(nm, func(w, m int) error {
-		st := &ws[w]
-		lo, hi := morselBounds(m, len(rows))
-		st.d.init(hi - lo)
-		st.reps = st.reps[:0]
-		vals := (*buf)[lo:lo:hi]
-		var k string
-		eq := func(j int32) bool { return keys[st.reps[j]] == k }
-		for _, r := range rows[lo:hi] {
-			k = keys[r]
-			h := table.HashString(table.FNVOffset, k)
-			if _, found := st.d.lookup(h, eq); !found {
-				st.d.insert(h, int32(len(st.reps)))
-				st.reps = append(st.reps, r)
-				vals = append(vals, t.Value(r, col))
-			}
-		}
-		parts[m] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := ex.ar.vals.get(total)
-	d := &ex.ar.ded
-	d.init(total)
-	var cand table.Value
-	eq := func(j int32) bool { return table.KeyEqual(out[j], cand) }
-	for _, p := range parts {
-		for _, v := range p {
-			cand = v
-			h := v.HashKey(table.FNVOffset)
-			if _, found := d.lookup(h, eq); found {
-				continue
-			}
-			d.insert(h, int32(len(out)))
-			out = append(out, v)
-		}
+	out := k.out
+	for m, c := range k.lens {
+		lo := m * morselRows
+		out = append(out, k.out[lo:lo+c]...)
 	}
 	return out, nil
 }
 
-// aggPartial is one morsel's contribution to a value-set aggregate.
-type aggPartial struct {
-	sum     float64
-	extreme table.Value
-	has     bool
-	err     error
+// extremeScan is the first pass of a subset superlative over a clean
+// numeric column: each morsel's extreme of nums over its rows. The
+// column is indexable and all-numeric, so it holds no NaN and float
+// max/min recombine exactly.
+type extremeScan struct {
+	rows  []int
+	nums  []float64
+	max   bool
+	bests []float64 // per-morsel extreme
 }
 
-// parallelAggFold recombines sum/avg/min/max over a large value set
-// from per-morsel partials folded in morsel order. count never reaches
-// here (it is O(1) on the serial path). min/max and the first
-// non-numeric error recombine exactly; sum/avg partials fold left in
-// morsel order, which is bit-identical to the serial left fold for the
-// integer-valued corpus data and guarded by the parallel differential
-// tests.
-func (ex *executor) parallelAggFold(fn string, vals []table.Value) (table.Value, error) {
-	nm := morselCount(len(vals))
-	parts := make([]aggPartial, nm)
-	if err := ex.forkJoin(nm, func(_, m int) error {
-		lo, hi := morselBounds(m, len(vals))
-		p := &parts[m]
-		for _, v := range vals[lo:hi] {
-			f, ok := v.Float()
-			if !ok {
-				p.err = aggTypeError(fn, v)
-				return nil
+func (k *extremeScan) morsel(_, m, lo, hi int) error {
+	best := k.nums[k.rows[lo]]
+	for _, r := range k.rows[lo+1 : hi] {
+		if v := k.nums[r]; (k.max && v > best) || (!k.max && v < best) {
+			best = v
+		}
+	}
+	k.bests[m] = best
+	return nil
+}
+
+// extreme returns the max (or min) of nums over a non-empty row set.
+func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, error) {
+	nm := morselCount(len(rows))
+	ex.ext = extremeScan{rows: rows, nums: nums, max: wantMax, bests: ex.ar.floats.get(nm)[:nm]}
+	if err := ex.drive(len(rows), &ex.ext, true); err != nil {
+		return 0, err
+	}
+	best := ex.ext.bests[0]
+	for _, b := range ex.ext.bests[1:] {
+		if (wantMax && b > best) || (!wantMax && b < best) {
+			best = b
+		}
+	}
+	return best, nil
+}
+
+// groupScan is the kernel behind value projection and GROUP BY: each
+// morsel groups its rows by canonical column key, collecting one
+// representative row per locally-distinct key in local first-appearance
+// order and, for GROUP BY, every position's local group id.
+type groupScan struct {
+	rows  []int
+	keys  []string // the column's canonical keys, by row
+	local []dedup  // per-worker hash scratch, re-initialized per morsel
+
+	reps  []int // morsel m's representatives land in reps[lo:lo+nreps[m]]
+	nreps []int
+	gids  []int // local group id per input position; nil for projections
+}
+
+func (k *groupScan) morsel(w, m, lo, hi int) error {
+	d := &k.local[w]
+	d.init(hi - lo)
+	reps := k.reps[lo:lo:hi]
+	var key string
+	// Payloads are local group ids; column keys are canonical already,
+	// so candidate confirmation is plain (interned) string equality.
+	eq := func(g int32) bool { return k.keys[reps[g]] == key }
+	for i := lo; i < hi; i++ {
+		r := k.rows[i]
+		key = k.keys[r]
+		h := table.HashString(table.FNVOffset, key)
+		g, found := d.lookup(h, eq)
+		if !found {
+			g = int32(len(reps))
+			d.insert(h, g)
+			reps = append(reps, r)
+		}
+		if k.gids != nil {
+			k.gids[i] = int(g)
+		}
+	}
+	k.nreps[m] = len(reps)
+	return nil
+}
+
+// groupByKey groups an ascending row set by a column's canonical keys.
+// It returns one representative row per distinct key in global
+// first-appearance order and, when wantIDs is set, the global group id
+// of every input position. The merge walks the morsels in order,
+// deduplicating their local representatives into global groups — the
+// earliest morsel holding a key is the one holding its first row — and
+// remaps local ids to global ones; a lone morsel's local groups are
+// global already.
+func (ex *executor) groupByKey(rows []int, keys []string, wantIDs bool) (reps, gids []int, err error) {
+	n := len(rows)
+	nm := morselCount(n)
+	k := &ex.grp
+	*k = groupScan{rows: rows, keys: keys, local: ex.ar.locals(ex.cfg.workers),
+		reps: ex.ar.ints.get(n), nreps: ex.ar.ints.get(nm)[:nm]}
+	if wantIDs {
+		k.gids = ex.ar.ints.get(n)[:n]
+	}
+	if err := ex.drive(n, k, true); err != nil {
+		return nil, nil, err
+	}
+	if nm == 1 {
+		return k.reps[:k.nreps[0]], k.gids, nil
+	}
+	total := 0
+	for _, c := range k.nreps {
+		total += c
+	}
+	d := &ex.ar.ded
+	d.init(total)
+	reps = ex.ar.ints.get(total)
+	var key string
+	eq := func(g int32) bool { return keys[reps[g]] == key }
+	for m, c := range k.nreps {
+		lo, hi := morselBounds(m, n)
+		local := k.reps[lo : lo+c] // representative rows in, global ids out
+		for j, rep := range local {
+			key = keys[rep]
+			h := table.HashString(table.FNVOffset, key)
+			g, found := d.lookup(h, eq)
+			if !found {
+				g = int32(len(reps))
+				d.insert(h, g)
+				reps = append(reps, rep)
 			}
-			p.sum += f
-			switch fn {
-			case "min":
-				if !p.has || v.Compare(p.extreme) < 0 {
-					p.extreme, p.has = v, true
-				}
-			case "max":
-				if !p.has || v.Compare(p.extreme) > 0 {
-					p.extreme, p.has = v, true
-				}
+			local[j] = int(g)
+		}
+		if wantIDs {
+			for i := lo; i < hi; i++ {
+				k.gids[i] = local[k.gids[i]]
 			}
 		}
-		return nil
-	}); err != nil {
+	}
+	return reps, k.gids, nil
+}
+
+// aggFold is the kernel behind sum/avg/min/max over a value set: each
+// morsel validates its values and takes its min/max partial. The
+// reference semantics is the interpreter's left fold, where a NaN
+// compares equal to everything and so is never displaced and never
+// displaces: partials let any value displace a NaN, which recombines
+// exactly, and foldValues restores the one case the reference keeps
+// one — a NaN in first position.
+type aggFold struct {
+	vals []table.Value
+	sign int           // -1 min, +1 max, 0 when no extreme is wanted
+	ext  []table.Value // per-morsel extreme
+	bad  []int         // per-morsel position of the first non-numeric value, or -1
+}
+
+func (k *aggFold) morsel(_, m, lo, hi int) error {
+	k.bad[m] = -1
+	best := k.vals[lo]
+	for i := lo; i < hi; i++ {
+		v := k.vals[i]
+		if _, ok := v.Float(); !ok {
+			// Recorded, not returned: the merge reports the earliest
+			// morsel's, which is the first in input order.
+			k.bad[m] = i
+			return nil
+		}
+		if k.sign != 0 && displaces(k.sign, v, best) {
+			best = v
+		}
+	}
+	k.ext[m] = best
+	return nil
+}
+
+func displaces(sign int, v, cur table.Value) bool {
+	if c, _ := cur.Float(); c != c {
+		return true
+	}
+	return v.Compare(cur)*sign > 0
+}
+
+// foldValues aggregates a non-empty value set, bit-identical to the
+// interpreter at any worker count: min/max partials recombine exactly,
+// and the additions of sum/avg happen here, once, left to right in
+// input order — per-morsel partial sums would round differently.
+func (ex *executor) foldValues(fn string, vals []table.Value) (table.Value, error) {
+	nm := morselCount(len(vals))
+	k := &ex.agg
+	*k = aggFold{vals: vals, ext: ex.ar.vals.get(nm)[:nm], bad: ex.ar.ints.get(nm)[:nm]}
+	switch fn {
+	case "min":
+		k.sign = -1
+	case "max":
+		k.sign = 1
+	}
+	if err := ex.drive(len(vals), k, true); err != nil {
 		return table.Value{}, err
 	}
-	var sum float64
-	var extreme table.Value
-	n, has := 0, false
-	for m := range parts {
-		p := &parts[m]
-		if p.err != nil {
-			// The earliest morsel's first non-numeric value is the
-			// globally first one — same error as the serial scan.
-			return table.Value{}, p.err
-		}
-		lo, hi := morselBounds(m, len(vals))
-		n += hi - lo
-		sum += p.sum
-		if p.has {
-			switch fn {
-			case "min":
-				if !has || p.extreme.Compare(extreme) < 0 {
-					extreme, has = p.extreme, true
-				}
-			case "max":
-				if !has || p.extreme.Compare(extreme) > 0 {
-					extreme, has = p.extreme, true
-				}
-			}
+	for _, i := range k.bad {
+		if i >= 0 {
+			return table.Value{}, fmt.Errorf("%s over non-numeric value %q", fn, vals[i])
 		}
 	}
 	switch fn {
 	case "min", "max":
-		return extreme, nil
-	case "sum":
+		best := k.ext[0]
+		for _, p := range k.ext[1:] {
+			if displaces(k.sign, p, best) {
+				best = p
+			}
+		}
+		if f, _ := vals[0].Float(); f != f {
+			best = vals[0]
+		}
+		return best, nil
+	case "sum", "avg":
+		var sum float64
+		for _, v := range vals {
+			f, _ := v.Float()
+			sum += f
+		}
+		if fn == "avg" {
+			sum /= float64(len(vals))
+		}
 		return table.NumberValue(sum), nil
-	case "avg":
-		return table.NumberValue(sum / float64(n)), nil
 	}
 	return table.Value{}, fmt.Errorf("unknown aggregate %q", fn)
-}
-
-// parallelGroup is the sharded hash-merge behind a big GROUP BY: each
-// morsel builds local groups (per-worker dedup scratch, local reps in
-// first-appearance order), the caller merges local groups into global
-// ids in morsel order (= global first-appearance order) and counting-
-// sorts every row into its group's contiguous segment — identical
-// output to the serial stable grouping.
-func (ex *executor) parallelGroup(rows []int, keys []string) (groupRows func(g int) []int, ngroups int, err error) {
-	nm := morselCount(len(rows))
-	type part struct {
-		reps []int   // local group representative rows, first-appearance order
-		gids []int32 // local group id per row position in this morsel
-	}
-	parts := make([]part, nm)
-	type wstate struct{ d dedup }
-	ws := make([]wstate, ExecWorkers())
-	gbuf := int32Scratch.get(len(rows))
-	defer int32Scratch.put(gbuf)
-	err = ex.forkJoin(nm, func(w, m int) error {
-		st := &ws[w]
-		lo, hi := morselBounds(m, len(rows))
-		st.d.init(hi - lo)
-		p := &parts[m]
-		p.reps = make([]int, 0, 32)
-		p.gids = (*gbuf)[lo:lo:hi]
-		var k string
-		eq := func(j int32) bool { return keys[p.reps[j]] == k }
-		for _, r := range rows[lo:hi] {
-			k = keys[r]
-			h := table.HashString(table.FNVOffset, k)
-			id, found := st.d.lookup(h, eq)
-			if !found {
-				id = int32(len(p.reps))
-				st.d.insert(h, id)
-				p.reps = append(p.reps, r)
-			}
-			p.gids = append(p.gids, id)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-
-	totalLocal := 0
-	for m := range parts {
-		totalLocal += len(parts[m].reps)
-	}
-	d := &ex.ar.ded
-	d.init(totalLocal)
-	reps := ex.ar.ints.get(totalLocal)   // global representative rows
-	counts := ex.ar.ints.get(totalLocal) // rows per global group
-	gmaps := make([][]int32, nm)         // local gid -> global gid
-	var k string
-	eq := func(j int32) bool { return keys[reps[j]] == k }
-	for m := range parts {
-		p := &parts[m]
-		gm := make([]int32, len(p.reps))
-		for j, rep := range p.reps {
-			k = keys[rep]
-			h := table.HashString(table.FNVOffset, k)
-			id, found := d.lookup(h, eq)
-			if !found {
-				id = int32(len(reps))
-				d.insert(h, id)
-				reps = append(reps, rep)
-				counts = append(counts, 0)
-			}
-			gm[j] = id
-		}
-		gmaps[m] = gm
-	}
-	for m := range parts {
-		gm := gmaps[m]
-		for _, lg := range parts[m].gids {
-			counts[gm[lg]]++
-		}
-	}
-	ngroups = len(reps)
-
-	flat := ex.ar.ints.get(len(rows))[:len(rows)]
-	starts := ex.ar.ints.get(ngroups)
-	cursor := ex.ar.ints.get(ngroups)
-	off := 0
-	for _, c := range counts {
-		starts = append(starts, off)
-		cursor = append(cursor, off)
-		off += c
-	}
-	for m := range parts {
-		gm := gmaps[m]
-		lo, _ := morselBounds(m, len(rows))
-		for i, lg := range parts[m].gids {
-			g := gm[lg]
-			flat[cursor[g]] = rows[lo+i]
-			cursor[g]++
-		}
-	}
-	return func(g int) []int { return flat[starts[g] : starts[g]+counts[g]] }, ngroups, nil
 }

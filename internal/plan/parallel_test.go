@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,6 +194,93 @@ func TestBigTableNaNAndTies(t *testing.T) {
 	if len(nan.Rows) != 0 {
 		t.Fatalf("NaN range matched %d rows, want 0", len(nan.Rows))
 	}
+}
+
+// TestBigTableAggregateNaN pins min/max to the reference left fold
+// where it is not associative: a NaN compares equal to everything, so
+// it is never displaced and never displaces. One opening a later morsel
+// must not mask that morsel's real extreme, and one in first position
+// is the answer.
+func TestBigTableAggregateNaN(t *testing.T) {
+	tab := bigTestTable(t, 8)
+	nan := table.NumberValue(math.NaN())
+	mid := make([]table.Value, 70_000)
+	for i := range mid {
+		mid[i] = table.NumberValue(float64(1000 + i))
+	}
+	mid[morselRows], mid[morselRows+1], mid[morselRows+2] = nan, table.NumberValue(1), table.NumberValue(1e9)
+	first := append([]table.Value{nan}, mid...)
+	for _, force := range []func(testing.TB){forceSerial, forceParallel} {
+		force(t)
+		for _, tc := range []struct {
+			fn   string
+			vals []table.Value
+			want float64
+		}{
+			{"min", mid, 1}, {"max", mid, 1e9},
+			{"min", first, math.NaN()}, {"max", first, math.NaN()},
+		} {
+			got, errs := runPlan(t, &Aggregate{Fn: tc.fn, Input: &Const{Values: tc.vals}}, tab)
+			if errs != "" {
+				t.Fatal(errs)
+			}
+			if g := got.Values[0].Num; g != tc.want && !(math.IsNaN(g) && math.IsNaN(tc.want)) {
+				t.Errorf("%s with %d workers = %v, want %v", tc.fn, ExecWorkers(), g, tc.want)
+			}
+		}
+	}
+}
+
+// TestBigTableWorkerCountFlips races executions against a goroutine
+// flipping the process-wide worker count. Each execution resolves the
+// count once and sizes its per-worker state from the value its driver
+// spawns with, so a flip landing mid-run can neither index that state
+// out of range nor change the result.
+func TestBigTableWorkerCountFlips(t *testing.T) {
+	tab := bigTestTable(t, 70_000)
+	plans := []Node{bigTestPlans()["project_wide"], bigTestPlans()["group_by"]}
+	forceSerial(t)
+	want := make([]*Val, len(plans))
+	for i, n := range plans {
+		var err error
+		if want[i], err = Run(n, tab, Noop{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forceParallel(t)
+	stop := make(chan struct{})
+	var flipper, runners sync.WaitGroup
+	flipper.Add(1)
+	go func() {
+		defer flipper.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				SetExecWorkers(2 + 6*(i&1))
+				runtime.Gosched()
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		runners.Add(1)
+		go func(g int) {
+			defer runners.Done()
+			for i := 0; i < 16; i++ {
+				p := (g + i) % len(plans)
+				got, err := Run(plans[p], tab, Noop{})
+				if err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(want[p], got) {
+					t.Errorf("plan %d differs from the one-worker result", p)
+				}
+			}
+		}(g)
+	}
+	runners.Wait()
+	close(stop)
+	flipper.Wait()
 }
 
 // TestBigTableCtxCancel verifies both cancellation surfaces: a

@@ -185,12 +185,17 @@ func TestCompareUsesIndexAndMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Cross-check against a straight scan fallback.
-		ex := &executor{t: tab}
-		want, err := ex.rangeScan(nil, 0, op, lit("2004"))
+		// Cross-check against a straight scan with an opaque predicate,
+		// which neither the index nor the zone maps can shortcut.
+		scan, err := Run(&Filter{Input: &Scan{}, Pred: &FuncPred{Fn: func(r int) (bool, error) {
+			c := tab.Value(r, 0).Compare(lit("2004"))
+			return tab.Value(r, 0).IsNumeric() &&
+				(c < 0 && op[0] == '<' || c > 0 && op[0] == '>' || c == 0 && len(op) == 2), nil
+		}}}, tab, Noop{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := scan.Rows
 		if len(v.Rows) != len(want) {
 			t.Fatalf("%s: rows = %v, want %v", op, v.Rows, want)
 		}

@@ -10,14 +10,14 @@ import (
 // Zone-map data skipping.
 //
 // Zone maps (table.ColumnZones) summarise each column in morsel-sized
-// blocks. Before a scan kernel touches a morsel it asks the predicate
-// for a three-valued verdict over the block summary: zoneNone proves no
-// row of the morsel can match, so the morsel is skipped without
-// claiming a single row; zoneAll proves every row matches, so the
-// morsel short-circuits into a bulk range fill with no per-row
-// evaluation; zoneMaybe falls through to the ordinary per-row kernel.
-// Verdicts are conservative by construction, so the produced row sets
-// are bitwise identical to the full-scan path — skipping is invisible
+// blocks. A scan of the whole row space hands the rowFilter kernel a
+// three-valued verdict per morsel, computed from the block summaries
+// before the driver starts: zoneNone proves no row of the morsel can
+// match, so the kernel skips it without reading a row; zoneAll proves
+// every row matches, so the kernel bulk-fills the morsel's row range
+// with no per-row evaluation; zoneMaybe runs the matcher. Verdicts are
+// conservative by construction, so the produced row sets are bitwise
+// identical to a scan under no verdicts at all — skipping is invisible
 // except in the exec counters.
 //
 // Zone maps only pay off past a size floor (building them walks the
@@ -99,18 +99,13 @@ type zoneScan struct {
 	none, all int
 }
 
-// zoneEnabled is the per-execution consultation gate.
-func (ex *executor) zoneEnabled() bool {
-	return ZoneSkipping() && ex.t.NumRows() > 0 && ex.t.NumRows() >= ZoneSkipThreshold()
-}
-
 // zonePred compiles a predicate tree into a materialized zone verdict
 // vector over the executor's table. It returns nil when consultation
 // is gated off, when the tree contains an opaque FuncPred (skipping
 // rows would change which rows the closure observes), or when no zone
-// can be proven either way — callers then run the ordinary kernels.
+// can be proven either way — the scan then runs under no verdicts.
 func (ex *executor) zonePred(p Pred) *zoneScan {
-	if !ex.zoneEnabled() || predHasFunc(p) {
+	if !ex.cfg.zones || predHasFunc(p) {
 		return nil
 	}
 	f, useful := ex.compileZonePred(p)
@@ -120,8 +115,9 @@ func (ex *executor) zonePred(p Pred) *zoneScan {
 	return ex.materializeZones(f)
 }
 
-// materializeZones evaluates the compiled verdict function over every
-// zone once, so scan kernels do a single slice load per morsel.
+// materializeZones evaluates a verdict function over every zone once,
+// so the kernel does a single slice load per morsel. It returns nil
+// when no zone is decided.
 func (ex *executor) materializeZones(f func(z int) zoneVerdict) *zoneScan {
 	nz := morselCount(ex.t.NumRows())
 	zs := &zoneScan{verdicts: make([]zoneVerdict, nz)}
@@ -290,82 +286,18 @@ func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zon
 	}
 }
 
-// zoneFilterScan evaluates a compiled row predicate over the full row
-// space [0, n), morsel by morsel under zone verdicts: zoneNone morsels
-// contribute nothing without being read, zoneAll morsels bulk-fill
-// their whole row range, zoneMaybe morsels run the per-row predicate.
-// Output is identical to the plain scan — ascending, duplicate-free.
-// pred must be a compiled non-FuncPred closure (those never error).
-func (ex *executor) zoneFilterScan(n int, zs *zoneScan, pred func(int) (bool, error)) ([]int, error) {
-	if ex.goParallel(n) {
-		var skipped, shortcut atomic.Uint64
-		rows, err := ex.parallelRows(n, func(dst []int, lo, hi int) []int {
-			switch zs.verdicts[lo/morselRows] {
-			case zoneNone:
-				skipped.Add(1)
-				return dst
-			case zoneAll:
-				shortcut.Add(1)
-				for r := lo; r < hi; r++ {
-					dst = append(dst, r)
-				}
-				return dst
-			}
-			for r := lo; r < hi; r++ {
-				if ok, _ := pred(r); ok {
-					dst = append(dst, r)
-				}
-			}
-			return dst
-		})
-		statMorselsSkipped.Add(skipped.Load())
-		statMorselsShortcut.Add(shortcut.Load())
-		return rows, err
-	}
-	var skipped, shortcut uint64
-	buf := ex.ar.ints.get(n)
-	nm := morselCount(n)
-	for m := 0; m < nm; m++ {
-		if err := ex.pollCtx(m * morselRows); err != nil {
-			return nil, err
-		}
-		lo, hi := morselBounds(m, n)
-		switch zs.verdicts[m] {
-		case zoneNone:
-			skipped++
-			continue
-		case zoneAll:
-			shortcut++
-			for r := lo; r < hi; r++ {
-				buf = append(buf, r)
-			}
-			continue
-		}
-		for r := lo; r < hi; r++ {
-			ok, err := pred(r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				buf = append(buf, r)
-			}
-		}
-	}
-	statMorselsSkipped.Add(skipped)
-	statMorselsShortcut.Add(shortcut)
-	return buf, nil
-}
-
 // zoneSuperlative answers a full-table superlative over a clean
 // all-numeric column from its zone maps, without building the sorted
-// index: the global extreme is the extreme of the zone bounds, and
-// only zones whose bound achieves it are read to collect the tie
-// group (in ascending record order, exactly the index path's output).
-// Returns ok=false when consultation is gated off or the sorted index
-// is already resident (then the sublinear index path wins).
+// index: the global extreme is the extreme of the zone bounds, a zone
+// whose bound misses it holds no achieving row, and a constant zone
+// that achieves it holds nothing else — so only the remaining zones
+// are read to collect the tie group (in ascending record order,
+// exactly the index path's output). Returns ok=false when consultation
+// is gated off or the sorted index is already resident (then the
+// sublinear index path wins).
 func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]int, bool, error) {
 	t := ex.t
-	if !ex.zoneEnabled() || t.NumericIndexBuilt(col) {
+	if !ex.cfg.zones || t.NumericIndexBuilt(col) {
 		return nil, false, nil
 	}
 	zones := t.ColumnZones(col)
@@ -374,75 +306,31 @@ func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]in
 	}
 	// An indexable all-numeric column has no NaN and no text cells, so
 	// every zone's Min/Max summarise all of its rows.
-	best := zones[0].Max
-	if !wantMax {
-		best = zones[0].Min
+	bound := func(z int) float64 {
+		if wantMax {
+			return zones[z].Max
+		}
+		return zones[z].Min
 	}
+	best := bound(0)
 	for z := 1; z < len(zones); z++ {
 		if wantMax {
-			best = max(best, zones[z].Max)
+			best = max(best, bound(z))
 		} else {
-			best = min(best, zones[z].Min)
+			best = min(best, bound(z))
 		}
 	}
-	n := t.NumRows()
-	collect := func(dst []int, lo, hi int) ([]int, bool, bool) {
-		zn := &zones[lo/morselRows]
-		bound := zn.Max
-		if !wantMax {
-			bound = zn.Min
+	zs := ex.materializeZones(func(z int) zoneVerdict {
+		switch {
+		case bound(z) != best:
+			return zoneNone
+		case zones[z].Min == zones[z].Max:
+			return zoneAll
 		}
-		if bound != best {
-			return dst, true, false
-		}
-		if zn.Min == zn.Max {
-			for r := lo; r < hi; r++ {
-				dst = append(dst, r)
-			}
-			return dst, false, true
-		}
-		for r := lo; r < hi; r++ {
-			if nums[r] == best {
-				dst = append(dst, r)
-			}
-		}
-		return dst, false, false
-	}
-	if ex.goParallel(n) {
-		var skipped, shortcut atomic.Uint64
-		rows, err := ex.parallelRows(n, func(dst []int, lo, hi int) []int {
-			out, skip, bulk := collect(dst, lo, hi)
-			if skip {
-				skipped.Add(1)
-			} else if bulk {
-				shortcut.Add(1)
-			}
-			return out
-		})
-		statMorselsSkipped.Add(skipped.Load())
-		statMorselsShortcut.Add(shortcut.Load())
-		if err != nil {
-			return nil, false, err
-		}
-		return rows, true, nil
-	}
-	var skipped, shortcut uint64
-	buf := ex.ar.ints.get(n)
-	nm := morselCount(n)
-	for m := 0; m < nm; m++ {
-		if err := ex.pollCtx(m * morselRows); err != nil {
-			return nil, false, err
-		}
-		lo, hi := morselBounds(m, n)
-		var skip, bulk bool
-		buf, skip, bulk = collect(buf, lo, hi)
-		if skip {
-			skipped++
-		} else if bulk {
-			shortcut++
-		}
-	}
-	statMorselsSkipped.Add(skipped)
-	statMorselsShortcut.Add(shortcut)
-	return buf, true, nil
+		return zoneMaybe
+	})
+	rows, err := ex.filterRows(rowFilter{rows: ex.ar.identity(t.NumRows()), zones: zs, keep: func(r int) (bool, error) {
+		return nums[r] == best, nil
+	}}, true)
+	return rows, err == nil, err
 }

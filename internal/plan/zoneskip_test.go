@@ -196,8 +196,7 @@ func TestZoneConfigRoundTrip(t *testing.T) {
 // their allocation profile is untouched by the zone layer).
 func TestZoneDisabledBelowThreshold(t *testing.T) {
 	tab := table.MustNew("small", []string{"A"}, [][]string{{"1"}, {"2"}, {"3"}})
-	ex := &executor{t: tab}
-	if ex.zoneEnabled() {
+	if resolveConfig(tab.NumRows()).zones {
 		t.Fatalf("zone consultation enabled for a %d-row table at default threshold %d",
 			tab.NumRows(), ZoneSkipThreshold())
 	}
