@@ -34,7 +34,7 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test vet fmt cover bench baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal speedup skipgain serve ci
+.PHONY: all build test vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal fuzz-plan speedup skipgain serve ci
 
 all: build
 
@@ -81,6 +81,15 @@ bench:
 	@cat bench.out
 	@echo "benchstat-friendly output written to $$(pwd)/bench.out"
 
+# bench-compile vets and short-tests the repo benchmark, a module of
+# its own (benchmark/go.mod, replace ../) that `go build ./...` and
+# `go test ./...` never descend into: it compiles against internal/,
+# so a refactor that breaks the names it imports fails here instead of
+# at the benchmark gate.
+bench-compile:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test -short .
+
 # store-stress reruns the versioned-store concurrency suite (snapshot
 # isolation, churn, eviction) plus the zone-map property tests and the
 # segment footer round-trips under the race detector, twice, exactly
@@ -88,11 +97,11 @@ bench:
 store-stress:
 	$(GO) test -race -run 'Store|Zone|Segment' -count=2 ./internal/store/... ./internal/engine/... ./internal/table/... ./internal/segment/...
 
-# bigtable-stress is the data-race gate for the morsel-parallel
-# executor: the forced-parallel differential suites, the NaN/tie and
-# cancellation tests, and the engine-level hammer (8 query goroutines
-# racing a store mutator over a pinned snapshot) all rerun under the
-# race detector.
+# bigtable-stress is the data-race gate for the morsel driver: the
+# forced-parallel differential suites, the NaN/tie and cancellation
+# tests, the worker-count-flip hammer (executions racing SetExecWorkers)
+# and the engine-level hammer (8 query goroutines racing a store
+# mutator over a pinned snapshot) all rerun under the race detector.
 bigtable-stress:
 	$(GO) test -race -run BigTable -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel|TestSQLPlanDifferentialParallel' -count=1 ./internal/dcs/... ./internal/minisql/...
@@ -126,6 +135,13 @@ fault-stress:
 # locally when touching the framing code.
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
+
+# fuzz-plan runs the plan-vs-interpreter differential fuzzer for a
+# bounded window: any parseable query must denote the same answer and
+# witness cells on the plan path as on the reference interpreter, with
+# zone-map consultation forced.
+fuzz-plan:
+	$(GO) test -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 30s ./internal/dcs/
 
 # baseline regenerates the checked-in perf-gate baseline with the
 # CI-canonical workload (seed 1, mixed traffic, op-count bound).
@@ -186,4 +202,4 @@ metrics-lint:
 serve:
 	$(GO) run ./cmd/wtq-server -demo
 
-ci: build vet fmt cover bench metrics-lint bigtable-stress perf-gate
+ci: build vet fmt cover bench bench-compile metrics-lint bigtable-stress perf-gate

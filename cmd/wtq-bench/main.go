@@ -282,14 +282,135 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
+// offOn is the harness behind speedup and skipgain: both time the same
+// queries under two executor configurations — a feature off, then on —
+// and refuse to report a ratio unless the two answers are identical.
+type offOn struct {
+	what    string // report name: "speedup", "skipgain"
+	header  string // first line of the report
+	off, on string // what the two configurations are called in errors
+	set     func(on bool)
+	// counters are read around the timed on-phase; line gets their
+	// deltas as proof the feature engaged.
+	counters func() [2]uint64
+	// line renders one case's report line, or fails the run.
+	line     func(c offOnCase, offD, onD time.Duration, ratio float64, delta [2]uint64) (string, error)
+	iters    int
+	summary  string  // file to append the report to, if any
+	floor    float64 // minimum ratio over the gated cases; 0 = report only
+	floorMsg string
+}
+
+type offOnCase struct {
+	name   string
+	detail string // extra text for the report line
+	gated  bool   // counts towards the floor
+	exec   func() (any, error)
+}
+
+// run measures every case: warm both configurations (lazy column
+// indexes and zone maps, pool growth), settle the heap before each
+// timed phase so neither absorbs the other's GC debt, take the best of
+// iters runs per side, and require reflect.DeepEqual results.
+func (h *offOn) run(cases []offOnCase, stdout, stderr io.Writer) int {
+	best := func(c offOnCase) (any, time.Duration, error) {
+		res, err := c.exec()
+		if err != nil {
+			return nil, 0, err
+		}
+		bestD := time.Duration(math.MaxInt64)
+		for i := 0; i < h.iters; i++ {
+			start := time.Now()
+			if res, err = c.exec(); err != nil {
+				return nil, 0, err
+			}
+			bestD = min(bestD, time.Since(start))
+		}
+		return res, bestD, nil
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "wtq-bench: "+format+"\n", args...)
+		return 1
+	}
+
+	var b strings.Builder
+	b.WriteString(h.header)
+	worst := math.Inf(1)
+	for _, c := range cases {
+		for _, on := range []bool{false, true} {
+			h.set(on)
+			if _, err := c.exec(); err != nil {
+				return fail("warming %s: %v", c.name, err)
+			}
+		}
+		runtime.GC()
+		h.set(false)
+		offRes, offD, err := best(c)
+		if err != nil {
+			return fail("%s %s run: %v", h.off, c.name, err)
+		}
+		runtime.GC()
+		h.set(true)
+		before := h.counters()
+		onRes, onD, err := best(c)
+		after := h.counters()
+		if err != nil {
+			return fail("%s %s run: %v", h.on, c.name, err)
+		}
+		if !reflect.DeepEqual(offRes, onRes) {
+			return fail("%s: %s result differs from %s", c.name, h.on, h.off)
+		}
+		ratio := float64(offD) / float64(onD)
+		line, err := h.line(c, offD, onD, ratio, [2]uint64{after[0] - before[0], after[1] - before[1]})
+		if err != nil {
+			return fail("%s: %v", c.name, err)
+		}
+		if c.gated {
+			worst = min(worst, ratio)
+		}
+		b.WriteString(line)
+	}
+
+	fmt.Fprint(stdout, b.String())
+	if h.summary != "" {
+		f, err := os.OpenFile(h.summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err == nil {
+			_, err = f.WriteString("\n" + b.String())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fail("writing summary: %v", err)
+		}
+		fmt.Fprintf(stdout, "%s report appended to %s\n", h.what, h.summary)
+	}
+	if h.floor > 0 && worst < h.floor {
+		fmt.Fprintf(stdout, "FAIL: %s %.2fx below required %.2fx\n", h.floorMsg, worst, h.floor)
+		return 1
+	}
+	return 0
+}
+
+// bigTable builds the seeded corpus at the given size and returns its
+// big table.
+func bigTable(seed int64, rows int, stderr io.Writer) (*table.Table, bool) {
+	tab, ok := workload.NewCorpusSized(seed, rows).Table(workload.TableBig)
+	if !ok {
+		fmt.Fprintln(stderr, "wtq-bench: sized corpus has no big table")
+	}
+	return tab, ok
+}
+
 // cmdSpeedup times identical compiled queries over a generated big
-// table twice — once with the morsel-parallel executor pinned to one
-// worker (serial) and once with -exec-workers workers — verifies the
-// two runs produce bitwise-identical answers and witness cells, and
-// reports the per-family speedup. The numbers are honest about the
-// host: GOMAXPROCS is recorded alongside, and on a single-CPU machine
-// the expected speedup is ~1x (the parallel path still runs, it just
-// timeslices). CI appends the output to perf_summary.txt.
+// table twice — once with the morsel driver pinned to one worker
+// (inline) and once with -exec-workers workers — verifies the two runs
+// produce bitwise-identical answers and witness cells, and reports the
+// per-family speedup. The numbers are honest about the host:
+// GOMAXPROCS is recorded alongside, and on a single-CPU machine the
+// expected speedup is ~1x (the forked driver still runs, it just
+// timeslices) — so a floor is refused there. CI appends the output to
+// perf_summary.txt.
 func cmdSpeedup(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("speedup", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -299,15 +420,16 @@ func cmdSpeedup(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 3, "timed iterations per configuration (best-of)")
 	summary := fs.String("summary", "", "append the speedup report to this file")
 	minSpeedup := fs.Float64("min-speedup", 0,
-		"fail unless every family reaches this speedup (0 = report only; >1 is only meaningful on multi-CPU hosts)")
+		"fail unless every family reaches this speedup (0 = report only; needs GOMAXPROCS >= 2)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	corpus := workload.NewCorpusSized(*seed, *rows)
-	tab, ok := corpus.Table(workload.TableBig)
+	if *minSpeedup > 0 && runtime.GOMAXPROCS(0) < 2 {
+		fmt.Fprintf(stderr, "wtq-bench: -min-speedup needs GOMAXPROCS >= 2 (have %d): one CPU cannot show a parallel speedup\n", runtime.GOMAXPROCS(0))
+		return 2
+	}
+	tab, ok := bigTable(*seed, *rows, stderr)
 	if !ok {
-		fmt.Fprintln(stderr, "wtq-bench: sized corpus has no big table")
 		return 1
 	}
 
@@ -318,8 +440,8 @@ func cmdSpeedup(args []string, stdout, stderr io.Writer) int {
 		expr dcs.Expr
 	}{
 		// != takes the posting-list complement scan — an O(rows) kernel
-		// on both paths. Ordered comparisons would answer from the
-		// sorted column index (sublinear, never parallel) and measure
+		// at any worker count. Ordered comparisons would answer from the
+		// sorted column index (sublinear, never forked) and measure
 		// nothing.
 		{"filter", &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Compare{Column: "Games", Op: dcs.Ne, V: table.NumberValue(500_000)}}},
 		// The record set is restricted to roughly half the table so the
@@ -332,105 +454,46 @@ func cmdSpeedup(args []string, stdout, stderr io.Writer) int {
 		// Two cardinality regimes: Year projects to ~40 distinct values
 		// (the dedup shrinks in the morsels, the merge is trivial);
 		// Games projects to ~n distinct (the serial dedup-merge
-		// dominates — the parallel path's worst case).
+		// dominates — the forked driver's worst case).
 		{"agg_narrow", &dcs.Aggregate{Fn: dcs.Sum, Arg: &dcs.ColumnValues{Column: "Year", Records: &dcs.AllRecords{}}}},
 		{"agg_wide", &dcs.Aggregate{Fn: dcs.Sum, Arg: &dcs.ColumnValues{Column: "Games", Records: &dcs.AllRecords{}}}},
 	}
-
-	// best runs a compiled query iters times (plus one warm-up) under
-	// the current executor configuration and returns the last result
-	// with the best wall time.
-	best := func(c *dcs.Compiled) (*dcs.Result, time.Duration, error) {
-		res, err := c.ExecuteWith(tab, plan.Capture{})
-		if err != nil {
-			return nil, 0, err
-		}
-		bestD := time.Duration(math.MaxInt64)
-		for i := 0; i < *iters; i++ {
-			start := time.Now()
-			res, err = c.ExecuteWith(tab, plan.Capture{})
-			if err != nil {
-				return nil, 0, err
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return res, bestD, nil
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "speedup: rows=%d exec-workers=%d gomaxprocs=%d iters=%d\n",
-		tab.NumRows(), *execWorkers, runtime.GOMAXPROCS(0), *iters)
-
-	prevWorkers := plan.SetExecWorkers(1)
-	defer plan.SetExecWorkers(prevWorkers)
-	worst := math.Inf(1)
-	for _, fam := range families {
+	cases := make([]offOnCase, len(families))
+	for i, fam := range families {
 		c, err := dcs.Compile(fam.expr, tab)
 		if err != nil {
 			fmt.Fprintf(stderr, "wtq-bench: compiling %s query: %v\n", fam.name, err)
 			return 1
 		}
-		// Warm both configurations first (lazy column indexes, pool
-		// growth), then settle the heap before each timed phase so the
-		// first phase doesn't absorb the corpus-construction GC debt.
-		for _, w := range []int{1, *execWorkers} {
-			plan.SetExecWorkers(w)
-			if _, err := c.ExecuteWith(tab, plan.Capture{}); err != nil {
-				fmt.Fprintf(stderr, "wtq-bench: warming %s query: %v\n", fam.name, err)
-				return 1
-			}
-		}
-		runtime.GC()
-		plan.SetExecWorkers(1)
-		serialRes, serialD, err := best(c)
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: serial %s run: %v\n", fam.name, err)
-			return 1
-		}
-		runtime.GC()
-		plan.SetExecWorkers(*execWorkers)
-		_, _, morselsBefore := plan.ExecStats()
-		parRes, parD, err := best(c)
-		_, _, morselsAfter := plan.ExecStats()
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: parallel %s run: %v\n", fam.name, err)
-			return 1
-		}
-		if !reflect.DeepEqual(serialRes, parRes) {
-			fmt.Fprintf(stderr, "wtq-bench: %s: parallel result differs from serial (answers or witness cells)\n", fam.name)
-			return 1
-		}
-		sp := float64(serialD) / float64(parD)
-		if sp < worst {
-			worst = sp
-		}
-		fmt.Fprintf(&b, "  %-12s serial=%-10s parallel=%-10s speedup=%.2fx rows/sec=%.0f morsels=%d identical=true\n",
-			fam.name, serialD.Round(time.Microsecond), parD.Round(time.Microsecond),
-			sp, float64(tab.NumRows())/parD.Seconds(), morselsAfter-morselsBefore)
+		cases[i] = offOnCase{name: fam.name, gated: true, exec: func() (any, error) {
+			return c.ExecuteWith(tab, plan.Capture{})
+		}}
 	}
 
-	fmt.Fprint(stdout, b.String())
-	if *summary != "" {
-		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, err = f.WriteString("\n" + b.String())
-			if cerr := f.Close(); err == nil {
-				err = cerr
+	defer plan.SetExecWorkers(plan.SetExecWorkers(1))
+	h := offOn{
+		what: "speedup", off: "serial", on: "parallel",
+		header: fmt.Sprintf("speedup: rows=%d exec-workers=%d gomaxprocs=%d iters=%d\n",
+			tab.NumRows(), *execWorkers, runtime.GOMAXPROCS(0), *iters),
+		set: func(on bool) {
+			if on {
+				plan.SetExecWorkers(*execWorkers)
+			} else {
+				plan.SetExecWorkers(1)
 			}
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: writing summary: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "speedup report appended to %s\n", *summary)
+		},
+		counters: func() [2]uint64 {
+			_, _, morsels := plan.ExecStats()
+			return [2]uint64{morsels}
+		},
+		line: func(c offOnCase, offD, onD time.Duration, ratio float64, delta [2]uint64) (string, error) {
+			return fmt.Sprintf("  %-12s serial=%-10s parallel=%-10s speedup=%.2fx rows/sec=%.0f morsels=%d identical=true\n",
+				c.name, offD.Round(time.Microsecond), onD.Round(time.Microsecond),
+				ratio, float64(tab.NumRows())/onD.Seconds(), delta[0]), nil
+		},
+		iters: *iters, summary: *summary, floor: *minSpeedup, floorMsg: "worst-family speedup",
 	}
-	if *minSpeedup > 0 && worst < *minSpeedup {
-		fmt.Fprintf(stdout, "FAIL: worst-family speedup %.2fx below required %.2fx\n", worst, *minSpeedup)
-		return 1
-	}
-	return 0
+	return h.run(cases, stdout, stderr)
 }
 
 // cmdSkipgain measures what the zone-map layer is for: identical fused
@@ -457,18 +520,12 @@ func cmdSkipgain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	corpus := workload.NewCorpusSized(*seed, *rows)
-	tab, ok := corpus.Table(workload.TableBig)
+	tab, ok := bigTable(*seed, *rows, stderr)
 	if !ok {
-		fmt.Fprintln(stderr, "wtq-bench: sized corpus has no big table")
 		return 1
 	}
 	n := tab.NumRows()
-	span := int(*selectivity * float64(n))
-	if span < 1 {
-		span = 1
-	}
+	span := max(1, int(*selectivity*float64(n)))
 
 	probes := []struct {
 		name   string
@@ -479,103 +536,38 @@ func cmdSkipgain(args []string, stdout, stderr io.Writer) int {
 		{"point", n / 2, n / 2, true},
 		{"wide", 0, n - span - 1, false},
 	}
-
-	prevZones := plan.SetZoneSkipping(true)
-	defer plan.SetZoneSkipping(prevZones)
-
-	best := func(q minisql.Query) (*minisql.Rows, time.Duration, error) {
-		res, err := minisql.Exec(q, tab)
-		if err != nil {
-			return nil, 0, err
-		}
-		bestD := time.Duration(math.MaxInt64)
-		for i := 0; i < *iters; i++ {
-			start := time.Now()
-			res, err = minisql.Exec(q, tab)
-			if err != nil {
-				return nil, 0, err
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return res, bestD, nil
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "skipgain: rows=%d selectivity=%g zone-rows=%d iters=%d\n",
-		n, *selectivity, table.ZoneRows, *iters)
-
-	worst := math.Inf(1)
-	for _, p := range probes {
-		src := fmt.Sprintf("SELECT COUNT(Index) FROM T WHERE Seq >= %d AND Seq <= %d", p.lo, p.hi)
-		q, err := minisql.Parse(src)
+	cases := make([]offOnCase, len(probes))
+	for i, p := range probes {
+		q, err := minisql.Parse(fmt.Sprintf("SELECT COUNT(Index) FROM T WHERE Seq >= %d AND Seq <= %d", p.lo, p.hi))
 		if err != nil {
 			fmt.Fprintf(stderr, "wtq-bench: parsing %s probe: %v\n", p.name, err)
 			return 1
 		}
-		// Warm both configurations (the zone-map build is lazy), then
-		// settle the heap so neither timed phase absorbs GC debt.
-		for _, on := range []bool{false, true} {
-			plan.SetZoneSkipping(on)
-			if _, err := minisql.Exec(q, tab); err != nil {
-				fmt.Fprintf(stderr, "wtq-bench: warming %s probe: %v\n", p.name, err)
-				return 1
-			}
-		}
-		runtime.GC()
-		plan.SetZoneSkipping(false)
-		offRes, offD, err := best(q)
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: zones-off %s run: %v\n", p.name, err)
-			return 1
-		}
-		runtime.GC()
-		plan.SetZoneSkipping(true)
-		skipBefore, cutBefore := plan.SkipStats()
-		onRes, onD, err := best(q)
-		skipAfter, cutAfter := plan.SkipStats()
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: zones-on %s run: %v\n", p.name, err)
-			return 1
-		}
-		if !reflect.DeepEqual(offRes, onRes) {
-			fmt.Fprintf(stderr, "wtq-bench: %s: zones-on answer differs from zones-off\n", p.name)
-			return 1
-		}
-		if p.gated && skipAfter == skipBefore {
-			fmt.Fprintf(stderr, "wtq-bench: %s: zone skipping never engaged (skipped-morsel counter did not move)\n", p.name)
-			return 1
-		}
-		gain := float64(offD) / float64(onD)
-		if p.gated && gain < worst {
-			worst = gain
-		}
-		fmt.Fprintf(&b, "  %-8s rows=[%d,%d] zones-off=%-10s zones-on=%-10s gain=%.2fx skipped=%d bulk=%d identical=true\n",
-			p.name, p.lo, p.hi, offD.Round(time.Microsecond), onD.Round(time.Microsecond),
-			gain, skipAfter-skipBefore, cutAfter-cutBefore)
+		cases[i] = offOnCase{name: p.name, detail: fmt.Sprintf("rows=[%d,%d]", p.lo, p.hi), gated: p.gated,
+			exec: func() (any, error) { return minisql.Exec(q, tab) }}
 	}
 
-	fmt.Fprint(stdout, b.String())
-	if *summary != "" {
-		f, err := os.OpenFile(*summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, err = f.WriteString("\n" + b.String())
-			if cerr := f.Close(); err == nil {
-				err = cerr
+	defer plan.SetZoneSkipping(plan.SetZoneSkipping(true))
+	h := offOn{
+		what: "skipgain", off: "zones-off", on: "zones-on",
+		header: fmt.Sprintf("skipgain: rows=%d selectivity=%g zone-rows=%d iters=%d\n",
+			n, *selectivity, table.ZoneRows, *iters),
+		set: func(on bool) { plan.SetZoneSkipping(on) },
+		counters: func() [2]uint64 {
+			skipped, shortcut := plan.SkipStats()
+			return [2]uint64{skipped, shortcut}
+		},
+		line: func(c offOnCase, offD, onD time.Duration, ratio float64, delta [2]uint64) (string, error) {
+			if c.gated && delta[0] == 0 {
+				return "", fmt.Errorf("zone skipping never engaged (skipped-morsel counter did not move)")
 			}
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "wtq-bench: writing summary: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "skipgain report appended to %s\n", *summary)
+			return fmt.Sprintf("  %-8s %s zones-off=%-10s zones-on=%-10s gain=%.2fx skipped=%d bulk=%d identical=true\n",
+				c.name, c.detail, offD.Round(time.Microsecond), onD.Round(time.Microsecond),
+				ratio, delta[0], delta[1]), nil
+		},
+		iters: *iters, summary: *summary, floor: *minGain, floorMsg: "worst high-selectivity gain",
 	}
-	if *minGain > 0 && worst < *minGain {
-		fmt.Fprintf(stdout, "FAIL: worst high-selectivity gain %.2fx below required %.2fx\n", worst, *minGain)
-		return 1
-	}
-	return 0
+	return h.run(cases, stdout, stderr)
 }
 
 func cmdChaos(args []string, stdout, stderr io.Writer) int {

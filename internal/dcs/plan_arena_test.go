@@ -198,6 +198,7 @@ func FuzzPlanDifferential(f *testing.F) {
 	f.Add("count(Year>=1900)")
 	f.Add("(Year>1896 u Year<=2008)")
 	f.Add("avg(R[Score].Year>1896)")
+	f.Add(`"nan"`) // a NaN answer: equal on both paths, unequal to itself
 	tab := table.MustNew("olympics",
 		[]string{"Year", "Country", "City", "Score"},
 		[][]string{
