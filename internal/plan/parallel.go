@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -582,8 +583,11 @@ func (k *aggFold) morsel(_, m, lo, hi int) error {
 	return nil
 }
 
+// displaces reports whether v takes over from cur as the running
+// minimum (sign -1) or maximum (sign +1) of numeric values; anything
+// takes over from a NaN.
 func displaces(sign int, v, cur table.Value) bool {
-	if c, _ := cur.Float(); c != c {
+	if c, _ := cur.Float(); math.IsNaN(c) {
 		return true
 	}
 	return v.Compare(cur)*sign > 0
@@ -619,7 +623,7 @@ func (ex *executor) foldValues(fn string, vals []table.Value) (table.Value, erro
 				best = p
 			}
 		}
-		if f, _ := vals[0].Float(); f != f {
+		if f, _ := vals[0].Float(); math.IsNaN(f) {
 			best = vals[0]
 		}
 		return best, nil

@@ -188,6 +188,8 @@ func TestCompareUsesIndexAndMatchesScan(t *testing.T) {
 		// Cross-check against a straight scan with an opaque predicate,
 		// which neither the index nor the zone maps can shortcut.
 		scan, err := Run(&Filter{Input: &Scan{}, Pred: &FuncPred{Fn: func(r int) (bool, error) {
+			// "<" and "<=" accept c < 0, ">" and ">=" accept c > 0, and
+			// the two-character operators accept equality.
 			c := tab.Value(r, 0).Compare(lit("2004"))
 			return tab.Value(r, 0).IsNumeric() &&
 				(c < 0 && op[0] == '<' || c > 0 && op[0] == '>' || c == 0 && len(op) == 2), nil
