@@ -7,6 +7,7 @@ package nlexplain
 // the paper's numbers alongside Go's timing columns.
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -400,6 +401,42 @@ func TestPlanWarmAllocs(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Errorf("%s (%s): %.1f allocs/op, want <= 2", c.name, c.query, allocs)
+		}
+	}
+}
+
+// TestEngineHitAllocs is the allocation budget of the engine's warm
+// path — all that explain_hot traffic runs below the HTTP layer: a
+// cached ExplainCached or ExplainAnswer costs at most 2 allocations
+// (the figure on record as engine.hit_allocs_per_op).
+func TestEngineHitAllocs(t *testing.T) {
+	e := NewEngine(EngineOptions{})
+	if _, err := e.RegisterTable(sharedWorkloadBenchTable()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	query := planWarmCases[0].query
+	calls := map[string]func() (bool, error){
+		"ExplainCached": func() (bool, error) {
+			_, hit, err := e.ExplainCached(ctx, workload.TableHuge, query)
+			return hit, err
+		},
+		"ExplainAnswer": func() (bool, error) {
+			_, hit, err := e.ExplainAnswer(ctx, workload.TableHuge, query)
+			return hit, err
+		},
+	}
+	for name, call := range calls {
+		if _, err := call(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if hit, err := call(); err != nil || !hit {
+				t.Fatalf("%s: hit = %v, err = %v", name, hit, err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s on a cached key: %.1f allocs/op, want <= 2", name, allocs)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command wtq-server serves query explanations over HTTP/JSON — the
 // deployment interface of Section 6.3 as a service, backed by the
-// concurrent explanation engine (table registry, AST/result caches,
+// concurrent explanation engine (table registry, result caches,
 // bounded worker pool).
 //
 // Endpoints:
@@ -257,47 +257,27 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// errStatus maps a pipeline error to an HTTP status: missing tables
-// are 404, deadline hits are 504, client disconnects are 499 (the
-// nginx convention; the client is gone and will not read it anyway),
-// everything else is the client's 400 (bad query, bad table payload).
-func errStatus(err error) int {
+// classify maps a pipeline error to its HTTP status and its stable
+// envelope code: missing tables are 404, deadline hits are 504, client
+// disconnects are 499 (the nginx convention; the client is gone and
+// will not read it anyway), everything unrecognised is the client's
+// 400 (bad query, bad table payload).
+func classify(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout, codeDeadlineExceeded
 	case errors.Is(err, context.Canceled):
-		return 499
+		return 499, codeCanceled
 	case errors.Is(err, nlexplain.ErrUnknownTable):
-		return http.StatusNotFound
+		return http.StatusNotFound, codeUnknownTable
 	case errors.Is(err, nlexplain.ErrUnavailable):
-		return http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, codeUnavailable
 	case errors.Is(err, nlexplain.ErrInternal):
-		return http.StatusInternalServerError
+		return http.StatusInternalServerError, codeInternal
 	case errors.Is(err, nlexplain.ErrOverloaded):
-		return http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, codeOverloaded
 	default:
-		return http.StatusBadRequest
-	}
-}
-
-// errCode maps a pipeline error to its stable envelope code, the
-// machine-readable twin of errStatus.
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return codeDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return codeCanceled
-	case errors.Is(err, nlexplain.ErrUnknownTable):
-		return codeUnknownTable
-	case errors.Is(err, nlexplain.ErrUnavailable):
-		return codeUnavailable
-	case errors.Is(err, nlexplain.ErrInternal):
-		return codeInternal
-	case errors.Is(err, nlexplain.ErrOverloaded):
-		return codeOverloaded
-	default:
-		return codeBadRequest
+		return http.StatusBadRequest, codeBadRequest
 	}
 }
 
@@ -313,14 +293,15 @@ func errMessage(err error) string {
 }
 
 // writePipelineError books a pipeline failure onto the wire with its
-// mapped status, stable code and sanitized message. Unavailable
-// rejections (degraded store) carry a Retry-After so well-behaved
-// clients and load balancers pace their retries.
+// mapped status, stable code and sanitized message. Every 503 — a
+// degraded store's rejection or a shed request — carries a Retry-After
+// so well-behaved clients and load balancers pace their retries.
 func writePipelineError(w http.ResponseWriter, err error) {
-	if errors.Is(err, nlexplain.ErrUnavailable) {
+	status, code := classify(err)
+	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeError(w, errStatus(err), errCode(err), "%s", errMessage(err))
+	writeError(w, status, code, "%s", errMessage(err))
 }
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -377,15 +358,9 @@ func (s *server) handleRegisterTable(w http.ResponseWriter, r *http.Request) {
 		info, err = s.engine.RegisterRaw(req.Name, req.Columns, req.Rows)
 	}
 	if err != nil {
-		// A WAL write failure or degraded-mode rejection is a server
-		// fault, not a payload problem: route it through the pipeline
-		// mapping (503/unavailable or 500/internal) instead of blaming
-		// the client with a 400.
-		if errors.Is(err, nlexplain.ErrInternal) || errors.Is(err, nlexplain.ErrUnavailable) {
-			writePipelineError(w, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "registering table: %v", err)
+		// A degraded-mode rejection is a server fault (503), not a payload
+		// problem; everything unclassified is the client's 400.
+		writePipelineError(w, fmt.Errorf("registering table: %w", err))
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -430,10 +405,7 @@ func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.engine.AppendRows(name, req.Rows)
 	if err != nil {
-		if errors.Is(err, nlexplain.ErrUnavailable) {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, errStatus(err), errCode(err), "appending to table: %s", errMessage(err))
+		writePipelineError(w, fmt.Errorf("appending to table: %w", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -521,7 +493,7 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 		item := batchItem{Explanation: res.Explanation, Cached: res.Cached}
 		if res.Err != nil {
 			item.Error = errMessage(res.Err)
-			item.ErrorCode = errCode(res.Err)
+			_, item.ErrorCode = classify(res.Err)
 			resp.Errors++
 		}
 		resp.Results[i] = item

@@ -3,7 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -38,9 +41,11 @@ func driveTraffic(t *testing.T, ts *httptest.Server) {
 
 // TestStatsShimKeys locks GET /v1/stats to the PR-5 wire shape modulo
 // the documented changes: store_tables collapsed into tables (they
-// always carried the same value), plus the additive zone-map skipping
-// counters morsels_skipped/morsels_shortcut. testdata/stats_pr5.json
-// is a real response captured from the pre-registry server.
+// always carried the same value), the six ast_*/plan_* keys went with
+// the AST and plan caches they counted, plus the additive zone-map
+// skipping counters morsels_skipped/morsels_shortcut.
+// testdata/stats_pr5.json is a real response captured from the
+// pre-registry server.
 func TestStatsShimKeys(t *testing.T) {
 	recorded, err := os.ReadFile(filepath.Join("testdata", "stats_pr5.json"))
 	if err != nil {
@@ -62,7 +67,7 @@ func TestStatsShimKeys(t *testing.T) {
 	}
 	want := make([]string, 0, len(old))
 	for k := range old {
-		if k != "store_tables" {
+		if k != "store_tables" && !strings.HasPrefix(k, "ast_") && !strings.HasPrefix(k, "plan_") {
 			want = append(want, k)
 		}
 	}
@@ -179,6 +184,42 @@ func TestErrorEnvelope(t *testing.T) {
 			if _, ok := raw["error_string"]; ok {
 				t.Errorf("%s: removed error_string field present: %s", tc.name, body)
 			}
+		}
+	}
+}
+
+// TestPipelineErrorClasses drives every pipeline error class through
+// writePipelineError: one status and one stable code per class, and a
+// Retry-After on both 503s — a shed request is told to back off just
+// like a mutation against a degraded store.
+func TestPipelineErrorClasses(t *testing.T) {
+	cases := []struct {
+		err        error
+		status     int
+		code       string
+		retryAfter bool
+	}{
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded", false},
+		{context.Canceled, 499, "canceled", false},
+		{nlexplain.ErrUnknownTable, http.StatusNotFound, "unknown_table", false},
+		{nlexplain.ErrUnavailable, http.StatusServiceUnavailable, "unavailable", true},
+		{nlexplain.ErrInternal, http.StatusInternalServerError, "internal", false},
+		{nlexplain.ErrOverloaded, http.StatusServiceUnavailable, "overloaded", true},
+		{errors.New("parsing \"max((((\""), http.StatusBadRequest, "bad_request", false},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		writePipelineError(rec, fmt.Errorf("explaining q on t: %w", tc.err))
+		var env errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Errorf("%v: %v: %s", tc.err, err, rec.Body)
+			continue
+		}
+		if rec.Code != tc.status || env.Error.Code != tc.code {
+			t.Errorf("%v: status %d code %q, want %d %q", tc.err, rec.Code, env.Error.Code, tc.status, tc.code)
+		}
+		if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
+			t.Errorf("%v: Retry-After present = %v, want %v", tc.err, got, tc.retryAfter)
 		}
 	}
 }

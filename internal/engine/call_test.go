@@ -157,9 +157,6 @@ func TestCallPathContract(t *testing.T) {
 		})
 
 		t.Run(op.name+"/hit beats expired ctx", func(t *testing.T) {
-			if op.name == "parse" {
-				t.Skip("ParseQuestion checks the deadline before its cache")
-			}
 			e := newCallEngine(t, 2, 0)
 			if err := op.run(context.Background(), e, op.good); err != nil {
 				t.Fatal(err)

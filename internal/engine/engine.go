@@ -1,10 +1,10 @@
 // Package engine is the reusable explanation pipeline behind the
 // wtq-server service: it unifies parse → typecheck → execute →
 // provenance → highlight → utterance behind one Engine type with a
-// named-table registry, LRU caches for parsed ASTs and full explanation
-// results (keyed on table version + query string), a bounded worker
-// pool for concurrent batch execution with per-query timeouts, and
-// scrape-ready counters.
+// named-table registry, three result-level LRU caches (explanations,
+// answers, candidate pools, keyed on table version + request text)
+// behind one cached-call path, a bounded worker pool for concurrent
+// batch execution with per-query timeouts, and scrape-ready counters.
 //
 // The pipeline itself reproduces the deployment flow of Section 6.3 of
 // "Explaining Queries over Web Tables to Non-Experts" (ICDE 2019); the
@@ -39,8 +39,8 @@ import (
 // Options configures an Engine. The zero value selects sensible
 // defaults for every field.
 type Options struct {
-	// CacheSize caps each LRU cache (ASTs, explanation results).
-	// Default 1024 entries.
+	// CacheSize caps each LRU cache (explanations, answers, candidate
+	// pools). Default 1024 entries.
 	CacheSize int
 	// Workers bounds the concurrent pipeline executions of batch
 	// requests. Default GOMAXPROCS.
@@ -146,21 +146,16 @@ var ErrUnavailable = errors.New("store unavailable, retry later")
 // request pins an immutable snapshot, so registrations, appends and
 // drops never tear an execution in flight, and each mutation's
 // invalidation hook synchronously purges the displaced version's
-// entries from the result/plan/answer/parse LRUs.
+// entries from the three caches.
 type Engine struct {
 	opts  Options
 	store *store.Store
 
-	asts       *lruCache // query string -> dcs.Expr
-	plans      *lruCache // table version + query -> *dcs.Compiled
-	results    *lruCache // table version + query -> *Explanation
-	answers    *lruCache // table version + query -> *Answer
-	parseCache *lruCache // table version + question -> []*semparse.Candidate
-
-	// inflight deduplicates concurrent computations of the same cache
-	// key (singleflight): duplicate queries in one batch execute once.
-	inflightMu sync.Mutex
-	inflight   map[string]*inflightCall
+	// One cache per kind of result, each keyed on table version +
+	// request text; see cached.go.
+	results *cached[*Explanation]
+	answers *cached[*Answer]
+	parses  *cached[[]*semparse.Candidate] // whole candidate pools, cut to topK per request
 
 	sem   chan struct{} // worker pool: bounds running pipeline computations
 	admit chan struct{} // admission queue: bounds running + queued computations
@@ -214,18 +209,12 @@ func Open(opts Options) (*Engine, error) {
 		st = store.New(sopts)
 	}
 	e := &Engine{
-		opts:       opts,
-		store:      st,
-		asts:       newLRU(opts.CacheSize),
-		plans:      newLRU(opts.CacheSize),
-		results:    newLRU(opts.CacheSize),
-		answers:    newLRU(opts.CacheSize),
-		parseCache: newLRU(opts.CacheSize),
-		inflight:   make(map[string]*inflightCall),
-		sem:        make(chan struct{}, opts.Workers),
-		admit:      make(chan struct{}, opts.MaxPending),
+		opts:  opts,
+		store: st,
+		sem:   make(chan struct{}, opts.Workers),
+		admit: make(chan struct{}, opts.MaxPending),
 	}
-	e.initMetrics()
+	e.initMetrics() // builds the three caches alongside their series
 	// Version-scoped invalidation: the store delivers every replace and
 	// drop synchronously, so by the time a mutation returns, no cache
 	// can serve the displaced version. (A computation already in flight
@@ -235,13 +224,12 @@ func Open(opts Options) (*Engine, error) {
 	// identical content keeps its version, so an idempotent re-POST
 	// must not wipe the still-valid entries.
 	e.store.OnEvent(func(ev store.Event) {
-		if ev.Old == nil {
+		if ev.Old == nil || (ev.New != nil && ev.New.Version() == ev.Old.Version()) {
 			return
 		}
-		if ev.New != nil && ev.New.Version() == ev.Old.Version() {
-			return
-		}
-		e.purgeVersion(ev.Old.Version())
+		e.results.lru.purgeVersion(ev.Old.Version())
+		e.answers.lru.purgeVersion(ev.Old.Version())
+		e.parses.lru.purgeVersion(ev.Old.Version())
 	})
 	return e, nil
 }
@@ -258,15 +246,6 @@ func (e *Engine) Checkpoint() error { return e.store.Checkpoint() }
 // Store exposes the engine's versioned table store (stats, direct
 // snapshot access for tests and embedders).
 func (e *Engine) Store() *store.Store { return e.store }
-
-// purgeVersion eagerly removes every cache entry scoped to a displaced
-// table version from the result, plan, answer and parse LRUs.
-func (e *Engine) purgeVersion(version string) {
-	e.results.purgePrefix(version + "\x00")
-	e.plans.purgePrefix("plan\x00" + version + "\x00")
-	e.answers.purgePrefix("answer\x00" + version + "\x00")
-	e.parseCache.purgePrefix("parse\x00" + version + "\x00")
-}
 
 // TableInfo describes one registered table.
 type TableInfo struct {
@@ -482,73 +461,50 @@ type Explanation struct {
 	Provenance ProvJSON    `json:"provenance"`
 }
 
-// parseQuery resolves a query string through the AST cache.
-func (e *Engine) parseQuery(src string) (dcs.Expr, error) {
-	if v, ok := e.asts.get(src); ok {
-		e.met.astHits.Inc()
-		return v.(dcs.Expr), nil
-	}
-	e.met.astMisses.Inc()
-	q, err := dcs.Parse(src)
+// prepare is the front of every uncached query computation: parse,
+// compile against the pinned snapshot, and the pprof labels execution
+// runs under. Nothing is cached on the way: a plan is bound to the
+// same (version, query) pair the result and answer caches key on, so
+// a request that gets here has already missed the only cache that
+// could have saved this work.
+func prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
+	q, err := dcs.Parse(query)
 	if err != nil {
-		return nil, err
+		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %q: %w", query, err)
 	}
-	e.asts.put(src, q)
-	return q, nil
-}
-
-// compiledPlan resolves a query's compiled relational plan through
-// the plan LRU, keyed on snapshot version so a mutated table can
-// never serve a stale plan. Compiled plans are table-bound, immutable
-// and safe to share across concurrent executions.
-func (e *Engine) compiledPlan(snap *store.Snapshot, q dcs.Expr, query string) (*dcs.Compiled, error) {
-	key := "plan\x00" + snap.Version() + "\x00" + query
-	if v, ok := e.plans.get(key); ok {
-		e.met.planHits.Inc()
-		return v.(*dcs.Compiled), nil
-	}
-	e.met.planMisses.Inc()
 	c, err := dcs.Compile(q, snap.Table())
 	if err != nil {
-		return nil, err
+		return nil, pprof.LabelSet{}, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
 	}
-	e.plans.put(key, c)
-	return c, nil
+	return c, pprof.Labels(
+		"query_family", plan.FamilyOf(c.Root),
+		"table", tableName,
+		"parallel", strconv.FormatBool(plan.ParallelEligible(snap.Table().NumRows())),
+	), nil
 }
 
-// compute runs the uncached pipeline: parse through the AST cache,
-// compile through the plan cache, then the shared export pipeline
-// (execute, provenance+highlight, sample, utter, translate), then the
-// engine's extra provenance projection. The leader's request ctx is
-// threaded into plan execution, so a caller that gave up stops the
-// scan at the next morsel/row-batch boundary instead of burning it
-// to completion.
+// compute is the uncached explain pipeline: prepare, then the shared
+// export pipeline (execute, provenance+highlight, sample, utter,
+// translate), then the engine's extra provenance projection. The whole
+// of it reads the one pinned snapshot. Morsel workers inherit the
+// pprof labels (goroutines inherit their creator's), so -pprof
+// profiles attribute CPU to query families even for fanned-out scans.
 func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
 	start := time.Now()
-	q, err := e.parseQuery(query)
+	c, labels, err := prepare(snap, tableName, query)
 	if err != nil {
-		return nil, fmt.Errorf("parsing %q: %w", query, err)
+		return nil, err
 	}
-	c, err := e.compiledPlan(snap, q, query)
-	if err != nil {
-		return nil, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
-	}
-	// Resolve the table through the snapshot handle once; the whole
-	// export pipeline (execute, provenance, sample) reads this one
-	// pinned state.
-	tab := snap.PlanTable()
+	tab := snap.Table()
 	var (
 		doc *export.ExplanationJSON
 		h   *provenance.Highlights
 	)
-	// Morsel workers inherit these labels (goroutines inherit their
-	// creator's pprof labels), so -pprof profiles attribute CPU to
-	// query families even for fanned-out scans.
-	pprof.Do(ctx, execLabels(c, tab, tableName), func(ctx context.Context) {
+	pprof.Do(ctx, labels, func(ctx context.Context) {
 		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, e.opts.SampleThreshold)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("explaining %s on %s: %w", q, tableName, err)
+		return nil, fmt.Errorf("explaining %s on %s: %w", c.Expr, tableName, err)
 	}
 	ex := &Explanation{
 		Table:      tableName,
@@ -563,17 +519,6 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 	e.met.executions.Inc()
 	e.met.explainLatency.RecordDuration(time.Since(start))
 	return ex, nil
-}
-
-// execLabels builds the pprof label set attached around plan
-// execution: the plan's query family, the table name, and whether the
-// table is large enough for the morsel-parallel path.
-func execLabels(c *dcs.Compiled, tab *table.Table, tableName string) pprof.LabelSet {
-	return pprof.Labels(
-		"query_family", plan.FamilyOf(c.Root),
-		"table", tableName,
-		"parallel", strconv.FormatBool(plan.ParallelEligible(tab.NumRows())),
-	)
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline
@@ -605,69 +550,15 @@ func (e *Engine) countCtxErr(err error) {
 // Explain runs the full pipeline for one query over a registered table,
 // honoring ctx for cancellation and deadlines.
 func (e *Engine) Explain(ctx context.Context, tableName, query string) (*Explanation, error) {
-	ex, _, err := e.explain(ctx, tableName, query)
+	ex, _, err := e.ExplainCached(ctx, tableName, query)
 	return ex, err
 }
 
 // ExplainCached is Explain plus whether the result was served from the
 // explanation cache.
 func (e *Engine) ExplainCached(ctx context.Context, tableName, query string) (*Explanation, bool, error) {
-	return e.explain(ctx, tableName, query)
-}
-
-// explain is Explain plus a cache-hit indicator. It pins the table's
-// current snapshot up front: the whole computation (compile, execute,
-// provenance) reads that one consistent state even if mutations
-// install newer generations meanwhile.
-func (e *Engine) explain(ctx context.Context, tableName, query string) (*Explanation, bool, error) {
-	snap, ok := e.store.Get(tableName)
-	if !ok {
-		e.met.errors.Inc()
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownTable, tableName)
-	}
-	key := snap.Version() + "\x00" + query
-	if v, ok := e.results.get(key); ok {
-		e.met.resultHits.Inc()
-		return v.(*Explanation), true, nil
-	}
-	e.met.resultMisses.Inc()
-	ctx, cancel := e.withDefaultDeadline(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		e.countCtxErr(err)
-		return nil, false, err
-	}
-
-	// The pipeline runs in its own goroutine under the leader's request
-	// context: the executor polls it, so an abandoned scan stops at the
-	// next morsel/row-batch boundary instead of running to completion.
-	// Concurrent requests for the same key join one in-flight
-	// computation rather than duplicating it; a follower whose own
-	// budget is still live when the leader's context dies retakes the
-	// key and becomes the new leader.
-	for {
-		call, leader := e.joinInflight(key)
-		if leader {
-			e.startPipeline(key, call,
-				func() (any, error) { return e.compute(ctx, snap, tableName, query) },
-				func(v any) { e.results.put(key, v) })
-		}
-		select {
-		case <-ctx.Done():
-			e.countCtxErr(ctx.Err())
-			return nil, false, ctx.Err()
-		case <-call.done:
-			if call.err != nil {
-				if !leader && isCtxErr(call.err) && ctx.Err() == nil {
-					continue
-				}
-				e.met.errors.Inc()
-				e.countCtxErr(call.err)
-				return nil, false, call.err
-			}
-			return call.val.(*Explanation), false, nil
-		}
-	}
+	ex, _, hit, err := e.results.call(ctx, tableName, query)
+	return ex, hit, err
 }
 
 // Answer is the answer-only pipeline output for one query on one
@@ -682,150 +573,35 @@ type Answer struct {
 }
 
 // ExplainAnswer runs the answer-only fast path for one query over a
-// registered table: parse through the AST cache, compile through the
-// plan cache, then execute under an inactive tracer, skipping every
+// registered table: execution under an inactive tracer, skipping every
 // witness-cell, provenance and utterance computation. It shares the
-// engine's worker pool, admission queue (ErrOverloaded applies) and
-// in-flight deduplication with Explain, plus its own result LRU. The
-// second return reports whether the answer came from that cache.
+// engine's worker pool and admission queue (ErrOverloaded applies)
+// with Explain and has a cache of its own. The second return reports
+// whether the answer came from that cache.
 func (e *Engine) ExplainAnswer(ctx context.Context, tableName, query string) (*Answer, bool, error) {
-	snap, ok := e.store.Get(tableName)
-	if !ok {
-		e.met.errors.Inc()
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownTable, tableName)
-	}
-	key := "answer\x00" + snap.Version() + "\x00" + query
-	if v, ok := e.answers.get(key); ok {
-		e.met.answerHits.Inc()
-		return v.(*Answer), true, nil
-	}
-	e.met.answerMisses.Inc()
-	ctx, cancel := e.withDefaultDeadline(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		e.countCtxErr(err)
-		return nil, false, err
-	}
-	for {
-		call, leader := e.joinInflight(key)
-		if leader {
-			e.startPipeline(key, call,
-				func() (any, error) { return e.computeAnswer(ctx, snap, tableName, query) },
-				func(v any) { e.answers.put(key, v) })
-		}
-		select {
-		case <-ctx.Done():
-			e.countCtxErr(ctx.Err())
-			return nil, false, ctx.Err()
-		case <-call.done:
-			if call.err != nil {
-				// A ctx-class failure means the leader's caller gave up,
-				// not that the query is bad; a follower with remaining
-				// budget retakes the key and recomputes under its own ctx.
-				if !leader && isCtxErr(call.err) && ctx.Err() == nil {
-					continue
-				}
-				e.met.errors.Inc()
-				e.countCtxErr(call.err)
-				return nil, false, call.err
-			}
-			return call.val.(*Answer), false, nil
-		}
-	}
+	ans, _, hit, err := e.answers.call(ctx, tableName, query)
+	return ans, hit, err
 }
 
-// computeAnswer runs the uncached answer-only path: shared AST and
-// plan caches, then execution with witness capture off, under the
-// leader's request ctx and pprof execution labels.
+// computeAnswer is the uncached answer-only path: prepare, then
+// execution with witness capture off under the leader's request ctx.
 func (e *Engine) computeAnswer(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Answer, error) {
 	start := time.Now()
-	q, err := e.parseQuery(query)
+	c, labels, err := prepare(snap, tableName, query)
 	if err != nil {
-		return nil, fmt.Errorf("parsing %q: %w", query, err)
-	}
-	c, err := e.compiledPlan(snap, q, query)
-	if err != nil {
-		return nil, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
+		return nil, err
 	}
 	var res *dcs.Result
-	pprof.Do(ctx, execLabels(c, snap.PlanTable(), tableName), func(ctx context.Context) {
+	pprof.Do(ctx, labels, func(ctx context.Context) {
 		res, err = c.ExecuteSourceCtx(ctx, snap, plan.Noop{})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("answering %s on %s: %w", q, tableName, err)
+		return nil, fmt.Errorf("answering %s on %s: %w", c.Expr, tableName, err)
 	}
 	ans := &Answer{Table: tableName, Version: snap.Version(), Query: query, Result: res.String()}
 	e.met.answersComputed.Inc()
 	e.met.answerLatency.RecordDuration(time.Since(start))
 	return ans, nil
-}
-
-// inflightCall is one deduplicated computation; followers block on done.
-type inflightCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// joinInflight returns the in-flight call for key, creating it (and
-// reporting leadership) when absent.
-func (e *Engine) joinInflight(key string) (*inflightCall, bool) {
-	e.inflightMu.Lock()
-	defer e.inflightMu.Unlock()
-	if call, ok := e.inflight[key]; ok {
-		return call, false
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	e.inflight[key] = call
-	return call, true
-}
-
-// finishInflight publishes a completed call's outcome and releases its
-// key for future computations.
-func (e *Engine) finishInflight(key string, call *inflightCall, val any, err error) {
-	call.val, call.err = val, err
-	e.inflightMu.Lock()
-	delete(e.inflight, key)
-	e.inflightMu.Unlock()
-	close(call.done)
-}
-
-// startPipeline launches a leader computation for an inflight call:
-// detached from any request context (so an abandoned computation still
-// completes and warms the cache), bounded by the admission queue (a
-// full queue sheds the call with ErrOverloaded instead of parking yet
-// another goroutine), and taking a worker-pool slot while it runs. A
-// panic in work is contained as ErrInternal; on success publish (if
-// non-nil) stores the value before waiters are released.
-func (e *Engine) startPipeline(key string, call *inflightCall, work func() (any, error), publish func(any)) {
-	select {
-	case e.admit <- struct{}{}:
-	default:
-		e.met.sheds.Inc()
-		e.finishInflight(key, call, nil, ErrOverloaded)
-		return
-	}
-	admitted := time.Now()
-	go func() {
-		defer func() { <-e.admit }()
-		e.sem <- struct{}{}
-		// Queue wait: admitted past the shed check, parked until a
-		// worker slot freed up — the depth signal admission tuning needs.
-		e.met.admitWait.RecordDuration(time.Since(admitted))
-		var val any
-		var err error
-		defer func() {
-			<-e.sem
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: pipeline panic: %v", ErrInternal, r)
-			}
-			if err == nil && publish != nil {
-				publish(val)
-			}
-			e.finishInflight(key, call, val, err)
-		}()
-		val, err = work()
-	}()
 }
 
 // Request is one query of a batch.
@@ -884,8 +660,8 @@ func (e *Engine) ExplainBatch(ctx context.Context, reqs []Request) []BatchResult
 // deadline (the request's own, clamped to the engine cap). The
 // deadline starts immediately, so time a computation spends queued for
 // a worker slot counts against the query's budget; cache hits are
-// served by explain before any deadline check, so a warmed batch
-// succeeds even with a tiny budget.
+// served before any deadline check, so a warmed batch succeeds even
+// with a tiny budget.
 func (e *Engine) runBatchRequest(ctx context.Context, r Request) BatchResult {
 	timeout := r.Timeout
 	if timeout <= 0 || timeout > e.opts.QueryTimeout {
@@ -893,7 +669,7 @@ func (e *Engine) runBatchRequest(ctx context.Context, r Request) BatchResult {
 	}
 	qctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	ex, cached, err := e.explain(qctx, r.Table, r.Query)
+	ex, cached, err := e.ExplainCached(qctx, r.Table, r.Query)
 	return BatchResult{Explanation: ex, Cached: cached, Err: err}
 }
 
@@ -911,56 +687,10 @@ type RankedCandidate struct {
 // candidate queries via the log-linear semantic parser (Figure 2's
 // deployment flow). topK <= 0 uses the parser's default (7).
 func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, topK int) ([]RankedCandidate, error) {
-	snap, ok := e.store.Get(tableName)
-	if !ok {
-		e.met.errors.Inc()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, tableName)
-	}
-	ctx, cancel := e.withDefaultDeadline(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		e.countCtxErr(err)
-		return nil, err
-	}
 	e.met.parses.Inc()
-
-	// Candidate generation is the service's most expensive step; like
-	// explain, it runs detached so ctx deadlines hold, takes a slot in
-	// the engine-wide worker pool, is deduplicated so timeout+retry
-	// loops on a slow question join one generation instead of stacking
-	// new ones, and lands in a bounded LRU keyed by table version.
-	// ParseAll (not Parse) so a topK above the parser's display
-	// default is honored; the pools are read-only once published, safe
-	// to share across waiters.
-	key := "parse\x00" + snap.Version() + "\x00" + question
-	var cands []*semparse.Candidate
-	if v, ok := e.parseCache.get(key); ok {
-		e.met.parseHits.Inc()
-		cands = v.([]*semparse.Candidate)
-	} else {
-		e.met.parseMisses.Inc()
-		call, leader := e.joinInflight(key)
-		if leader {
-			e.startPipeline(key, call,
-				func() (any, error) {
-					start := time.Now()
-					cands := snap.Parser().ParseAll(question, snap.Table())
-					e.met.parseLatency.RecordDuration(time.Since(start))
-					return cands, nil
-				},
-				func(v any) { e.parseCache.put(key, v) })
-		}
-		select {
-		case <-ctx.Done():
-			e.countCtxErr(ctx.Err())
-			return nil, ctx.Err()
-		case <-call.done:
-			if call.err != nil {
-				e.met.errors.Inc()
-				return nil, call.err
-			}
-			cands = call.val.([]*semparse.Candidate)
-		}
+	cands, snap, _, err := e.parses.call(ctx, tableName, question)
+	if err != nil {
+		return nil, err
 	}
 	if topK <= 0 {
 		topK = snap.Parser().TopK
@@ -982,4 +712,17 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 		out[i] = rc
 	}
 	return out, nil
+}
+
+// computeParse generates a question's candidate pool — the service's
+// most expensive step, which is why timeout+retry loops on a slow
+// question must join one generation instead of stacking new ones.
+// ParseAll (not Parse) so a topK above the parser's display default is
+// honored; the pool is read-only once published, safe to share across
+// waiters. Generation does not poll a context.
+func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) ([]*semparse.Candidate, error) {
+	start := time.Now()
+	cands := snap.Parser().ParseAll(question, snap.Table())
+	e.met.parseLatency.RecordDuration(time.Since(start))
+	return cands, nil
 }

@@ -102,35 +102,9 @@ func TestCacheHitMiss(t *testing.T) {
 	if s.Executions != 1 {
 		t.Errorf("Executions = %d, want 1 (cached result must not re-execute)", s.Executions)
 	}
-	ex2, _, _ := e.explain(ctx, "olympics", q)
+	ex2, _, _ := e.ExplainCached(ctx, "olympics", q)
 	if ex1 != ex2 {
 		t.Error("cache should return the shared explanation instance")
-	}
-}
-
-func TestASTCacheSharedAcrossTables(t *testing.T) {
-	e := newTestEngine(t)
-	second, err := table.New("olympics2",
-		[]string{"Year", "City", "Country", "Nations"},
-		[][]string{{"1896", "Athens", "Greece", "14"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RegisterTable(second)
-	ctx := context.Background()
-	const q = "min(R[Year].Country.Greece)"
-	if _, err := e.Explain(ctx, "olympics", q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Explain(ctx, "olympics2", q); err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.ASTMisses != 1 || s.ASTHits != 1 {
-		t.Errorf("AST hits=%d misses=%d, want 1/1 (same query on two tables parses once)", s.ASTHits, s.ASTMisses)
-	}
-	if s.ResultMisses != 2 {
-		t.Errorf("ResultMisses = %d, want 2 (different table versions)", s.ResultMisses)
 	}
 }
 
@@ -472,31 +446,37 @@ func TestParseQuestionInvalidatedByReRegister(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
+	a, b, k := cacheKey{"v", "a"}, cacheKey{"v", "b"}, cacheKey{"v", "c"}
+	c := newLRU[int](2)
+	c.put(a, 1)
+	c.put(b, 2)
+	if _, ok := c.get(a); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", 3)
-	if _, ok := c.get("b"); ok {
+	c.put(k, 3)
+	if _, ok := c.get(b); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(a); !ok {
 		t.Error("a should have survived")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get(k); !ok {
 		t.Error("c should be present")
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	c.put("c", 4) // overwrite keeps size
-	if v, _ := c.get("c"); v != 4 {
+	c.put(k, 4) // overwrite keeps size
+	if v, _ := c.get(k); v != 4 {
 		t.Errorf("c = %v, want 4", v)
 	}
 	if c.len() != 2 {
 		t.Errorf("len after overwrite = %d, want 2", c.len())
+	}
+	c.put(cacheKey{"w", "a"}, 5) // evicts a, the least recently used
+	c.purgeVersion("v")
+	if _, ok := c.get(cacheKey{"w", "a"}); !ok || c.len() != 1 {
+		t.Errorf("purging version v left %d entries, want only w's", c.len())
 	}
 }
 

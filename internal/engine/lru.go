@@ -1,82 +1,96 @@
 package engine
 
-import (
-	"container/list"
-	"strings"
-	"sync"
-)
+import "sync"
 
-// lruCache is a synchronized fixed-capacity LRU map. Values are stored
-// as any; callers own the type discipline per cache instance.
-type lruCache struct {
+// cacheKey scopes a cached value to one table version: the snapshot's
+// content-hash version plus the request text (a query or a question).
+type cacheKey struct {
+	version, text string
+}
+
+// lru is a synchronized fixed-capacity LRU map from cacheKey to V.
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[cacheKey]*lruEntry[V]
+	// ring is the sentinel of the recency ring: ring.next is the most
+	// recently used entry, ring.prev the least.
+	ring lruEntry[V]
 }
 
-type lruEntry struct {
-	key string
-	val any
+type lruEntry[V any] struct {
+	key        cacheKey
+	val        V
+	prev, next *lruEntry[V]
 }
 
-func newLRU(capacity int) *lruCache {
-	return &lruCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
+func newLRU[V any](capacity int) *lru[V] {
+	c := &lru[V]{cap: capacity, items: make(map[cacheKey]*lruEntry[V], capacity)}
+	c.ring.prev, c.ring.next = &c.ring, &c.ring
+	return c
+}
+
+func (c *lru[V]) unlink(e *lruEntry[V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *lru[V]) pushFront(e *lruEntry[V]) {
+	e.prev, e.next = &c.ring, c.ring.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // get returns the cached value and refreshes its recency.
-func (c *lruCache) get(key string) (any, bool) {
+func (c *lru[V]) get(key cacheKey) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	c.unlink(e)
+	c.pushFront(e)
+	return e.val, true
 }
 
 // put inserts or refreshes a value, evicting the least recently used
 // entry when over capacity.
-func (c *lruCache) put(key string, val any) {
+func (c *lru[V]) put(key cacheKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		c.order.MoveToFront(el)
+	if e, ok := c.items[key]; ok {
+		e.val = val
+		c.unlink(e)
+		c.pushFront(e)
 		return
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.items, back.Value.(*lruEntry).key)
+	e := &lruEntry[V]{key: key, val: val}
+	c.items[key] = e
+	c.pushFront(e)
+	for len(c.items) > c.cap {
+		last := c.ring.prev
+		c.unlink(last)
+		delete(c.items, last.key)
 	}
 }
 
-// purgePrefix removes every entry whose key starts with prefix — the
-// version-scoped invalidation primitive: cache keys embed the table
-// version right after their kind tag, so one prefix sweep evicts
-// exactly the displaced version's entries. O(n) over the cache, which
-// is bounded by cap.
-func (c *lruCache) purgePrefix(prefix string) {
+// purgeVersion removes every entry of one table version — the
+// version-scoped invalidation primitive. O(n) over the cache, which is
+// bounded by cap.
+func (c *lru[V]) purgeVersion(version string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.items {
-		if strings.HasPrefix(key, prefix) {
-			c.order.Remove(el)
+	for key, e := range c.items {
+		if key.version == version {
+			c.unlink(e)
 			delete(c.items, key)
 		}
 	}
 }
 
 // len reports the current number of entries.
-func (c *lruCache) len() int {
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.items)
 }

@@ -12,20 +12,11 @@ import (
 // is registered under the "engine." namespace of the engine's root
 // registry (the store's gauges land under "store."); wtq-server adds
 // its "server.http." series to the same root and serves the whole tree
-// on GET /metrics. Recording any of these is allocation-free.
+// on GET /metrics. Recording any of these is allocation-free. The
+// cache.<name>.{hits,misses,size} series belong to the caches
+// themselves (cached.go).
 type metrics struct {
 	root *metric.Registry
-
-	astHits      *metric.Counter
-	astMisses    *metric.Counter
-	planHits     *metric.Counter
-	planMisses   *metric.Counter
-	resultHits   *metric.Counter
-	resultMisses *metric.Counter
-	answerHits   *metric.Counter
-	answerMisses *metric.Counter
-	parseHits    *metric.Counter
-	parseMisses  *metric.Counter
 
 	executions      *metric.Counter
 	answersComputed *metric.Counter
@@ -43,24 +34,12 @@ type metrics struct {
 }
 
 // initMetrics wires the engine's namespace into a fresh root registry
-// and registers the scrape-time cache-size gauges, which read the LRUs
-// directly.
+// and builds the three caches, which register their own series on it.
 func (e *Engine) initMetrics() {
 	root := metric.NewRegistry()
 	r := root.Sub("engine")
 	m := &metrics{
 		root: root,
-
-		astHits:      r.Counter("cache.ast.hits", "parsed-AST cache hits"),
-		astMisses:    r.Counter("cache.ast.misses", "parsed-AST cache misses"),
-		planHits:     r.Counter("cache.plan.hits", "compiled-plan cache hits"),
-		planMisses:   r.Counter("cache.plan.misses", "compiled-plan cache misses"),
-		resultHits:   r.Counter("cache.result.hits", "explanation result cache hits"),
-		resultMisses: r.Counter("cache.result.misses", "explanation result cache misses"),
-		answerHits:   r.Counter("cache.answer.hits", "answer-only result cache hits"),
-		answerMisses: r.Counter("cache.answer.misses", "answer-only result cache misses"),
-		parseHits:    r.Counter("cache.parse.hits", "semantic-parse candidate cache hits"),
-		parseMisses:  r.Counter("cache.parse.misses", "semantic-parse candidate cache misses"),
 
 		executions:      r.Counter("executions", "uncached full explanation pipeline computations"),
 		answersComputed: r.Counter("answers", "uncached answer-only computations"),
@@ -99,11 +78,9 @@ func (e *Engine) initMetrics() {
 	morselLatency := r.LatencyHistogram("exec.morsel.latency.seconds", "per-morsel execution latency in the parallel path")
 	plan.SetMorselObserver(morselLatency.RecordDuration)
 
-	r.GaugeFunc("cache.ast.size", "parsed-AST cache entries", func() int64 { return int64(e.asts.len()) })
-	r.GaugeFunc("cache.plan.size", "compiled-plan cache entries", func() int64 { return int64(e.plans.len()) })
-	r.GaugeFunc("cache.result.size", "explanation result cache entries", func() int64 { return int64(e.results.len()) })
-	r.GaugeFunc("cache.answer.size", "answer-only result cache entries", func() int64 { return int64(e.answers.len()) })
-	r.GaugeFunc("cache.parse.size", "semantic-parse candidate cache entries", func() int64 { return int64(e.parseCache.len()) })
+	e.results = newCached(e, r, "result", "explanation result", e.compute)
+	e.answers = newCached(e, r, "answer", "answer-only result", e.computeAnswer)
+	e.parses = newCached(e, r, "parse", "semantic-parse candidate", e.computeParse)
 	e.met = m
 	e.store.RegisterMetrics(root.Sub("store"))
 }

@@ -11,6 +11,9 @@ import "nlexplain/internal/plan"
 // Deprecation notes for /v1/stats consumers:
 //   - the former "store_tables" field duplicated "tables" (both read
 //     the store catalog size); it has been collapsed into "tables".
+//   - "ast_hits", "ast_misses", "ast_cache_size", "plan_hits",
+//     "plan_misses" and "plan_cache_size" went with the AST and plan
+//     caches they counted.
 //   - new code should scrape GET /metrics, which adds the latency
 //     histograms and per-endpoint HTTP series this flat shape cannot
 //     carry.
@@ -18,15 +21,9 @@ type Stats struct {
 	// Tables is the store catalog size (formerly duplicated as
 	// "store_tables").
 	Tables          int     `json:"tables"`
-	ASTCacheSize    int     `json:"ast_cache_size"`
-	PlanCacheSize   int     `json:"plan_cache_size"`
 	ResultCache     int     `json:"result_cache_size"`
 	AnswerCacheSize int     `json:"answer_cache_size"`
 	ParseCacheSize  int     `json:"parse_cache_size"`
-	ASTHits         uint64  `json:"ast_hits"`
-	ASTMisses       uint64  `json:"ast_misses"`
-	PlanHits        uint64  `json:"plan_hits"`
-	PlanMisses      uint64  `json:"plan_misses"`
 	ResultHits      uint64  `json:"result_hits"`
 	ResultMisses    uint64  `json:"result_misses"`
 	AnswerHits      uint64  `json:"answer_hits"`
@@ -69,21 +66,15 @@ func (e *Engine) Stats() Stats {
 	nanos := m.explainLatency.Sum() + m.answerLatency.Sum()
 	s := Stats{
 		Tables:          st.Tables,
-		ASTCacheSize:    e.asts.len(),
-		PlanCacheSize:   e.plans.len(),
-		ResultCache:     e.results.len(),
-		AnswerCacheSize: e.answers.len(),
-		ParseCacheSize:  e.parseCache.len(),
-		ASTHits:         m.astHits.Count(),
-		ASTMisses:       m.astMisses.Count(),
-		PlanHits:        m.planHits.Count(),
-		PlanMisses:      m.planMisses.Count(),
-		ResultHits:      m.resultHits.Count(),
-		ResultMisses:    m.resultMisses.Count(),
-		AnswerHits:      m.answerHits.Count(),
-		AnswerMisses:    m.answerMisses.Count(),
-		ParseHits:       m.parseHits.Count(),
-		ParseMisses:     m.parseMisses.Count(),
+		ResultCache:     e.results.lru.len(),
+		AnswerCacheSize: e.answers.lru.len(),
+		ParseCacheSize:  e.parses.lru.len(),
+		ResultHits:      e.results.hits.Count(),
+		ResultMisses:    e.results.misses.Count(),
+		AnswerHits:      e.answers.hits.Count(),
+		AnswerMisses:    e.answers.misses.Count(),
+		ParseHits:       e.parses.hits.Count(),
+		ParseMisses:     e.parses.misses.Count(),
 		Executions:      execs,
 		Answers:         answers,
 		Errors:          m.errors.Count(),

@@ -13,7 +13,7 @@ import (
 
 // TestStoreReplacePurgesStaleEntries is the regression test for the
 // replace-leaves-stale-entries bug: before the versioned store,
-// re-registering a name left the old version's result/plan/answer/parse
+// re-registering a name left the old version's result/answer/parse
 // entries in the LRUs until natural eviction. The store's invalidation
 // hook must purge them synchronously.
 func TestStoreReplacePurgesStaleEntries(t *testing.T) {
@@ -30,10 +30,9 @@ func TestStoreReplacePurgesStaleEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.ResultCache != 1 || s.PlanCacheSize != 2 || s.AnswerCacheSize != 1 || s.ParseCacheSize != 1 {
+	if s.ResultCache != 1 || s.AnswerCacheSize != 1 || s.ParseCacheSize != 1 {
 		t.Fatalf("unexpected warm cache sizes: %+v", s)
 	}
-	astBefore := s.ASTCacheSize
 
 	// Replace the table under the same name: every version-scoped
 	// entry must be gone immediately, before any new query runs.
@@ -49,19 +48,11 @@ func TestStoreReplacePurgesStaleEntries(t *testing.T) {
 	if s.ResultCache != 0 {
 		t.Errorf("result cache holds %d stale entries after replace, want 0", s.ResultCache)
 	}
-	if s.PlanCacheSize != 0 {
-		t.Errorf("plan cache holds %d stale entries after replace, want 0", s.PlanCacheSize)
-	}
 	if s.AnswerCacheSize != 0 {
 		t.Errorf("answer cache holds %d stale entries after replace, want 0", s.AnswerCacheSize)
 	}
 	if s.ParseCacheSize != 0 {
 		t.Errorf("parse cache holds %d stale entries after replace, want 0", s.ParseCacheSize)
-	}
-	// The AST cache is keyed on query text alone (not version-scoped)
-	// and must survive the purge.
-	if s.ASTCacheSize != astBefore {
-		t.Errorf("AST cache size changed from %d to %d on replace", astBefore, s.ASTCacheSize)
 	}
 }
 
@@ -81,7 +72,7 @@ func TestStoreIdempotentReRegisterKeepsCaches(t *testing.T) {
 		t.Fatalf("RegisterTable: %v", err)
 	}
 	s := e.Stats()
-	if s.ResultCache != 1 || s.PlanCacheSize != 1 {
+	if s.ResultCache != 1 {
 		t.Fatalf("idempotent re-register purged caches: %+v", s)
 	}
 	_, cached, err := e.ExplainCached(ctx, "olympics", q)

@@ -48,21 +48,15 @@ func Build(q dcs.Expr, t *table.Table, threshold int) (*ExplanationJSON, *proven
 	if err != nil {
 		return nil, nil, err
 	}
-	return BuildCompiled(c, t, threshold)
-}
-
-// BuildCompiled is Build for an already-compiled query, letting
-// callers that cache compiled plans (the engine's plan LRU) skip the
-// lowering and rewriting work. The source expression is read off the
-// plan, so the document and the executed plan can never disagree; the
-// result string and the highlights both come from the single traced
-// execution the provenance pipeline performs.
-func BuildCompiled(c *dcs.Compiled, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
 	return BuildCompiledCtx(nil, c, t, threshold)
 }
 
-// BuildCompiledCtx is BuildCompiled with cooperative cancellation
-// threaded into the traced execution; a nil ctx disables the checks.
+// BuildCompiledCtx is Build for an already-compiled query, with
+// cooperative cancellation threaded into the traced execution; a nil
+// ctx disables the checks. The source expression is read off the plan,
+// so the document and the executed plan can never disagree; the result
+// string and the highlights both come from the single traced execution
+// the provenance pipeline performs.
 func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
 	q := c.Expr
 	if threshold <= 0 {

@@ -1,7 +1,7 @@
 // Package metric is the observability core of the serving stack: a
 // hierarchical registry of typed metrics (Counter, Gauge, GaugeFunc,
 // Rate, Histogram) in the style of cockroach's util/metric. Each
-// metric is registered under a dotted name ("engine.cache.plan.hits",
+// metric is registered under a dotted name ("engine.cache.result.hits",
 // "store.bytes", "server.http.explain.requests"); per-subsystem
 // sub-registries share one root namespace, so a duplicate or malformed
 // name fails loudly at wiring time instead of silently shadowing a

@@ -8,8 +8,8 @@ import (
 )
 
 // promName maps a dotted metric name to its Prometheus series name:
-// dots become underscores ("engine.cache.plan.hits" ->
-// "engine_cache_plan_hits"). Registered names only contain
+// dots become underscores ("engine.cache.result.hits" ->
+// "engine_cache_result_hits"). Registered names only contain
 // [a-z0-9_.], so no further escaping is needed.
 func promName(name string) string {
 	return strings.ReplaceAll(name, ".", "_")

@@ -32,15 +32,9 @@ var wantNames = []string{
 	"engine.cache.answer.hits",
 	"engine.cache.answer.misses",
 	"engine.cache.answer.size",
-	"engine.cache.ast.hits",
-	"engine.cache.ast.misses",
-	"engine.cache.ast.size",
 	"engine.cache.parse.hits",
 	"engine.cache.parse.misses",
 	"engine.cache.parse.size",
-	"engine.cache.plan.hits",
-	"engine.cache.plan.misses",
-	"engine.cache.plan.size",
 	"engine.cache.result.hits",
 	"engine.cache.result.misses",
 	"engine.cache.result.size",

@@ -60,16 +60,11 @@ func Highlight(q dcs.Expr, t *table.Table) (*Highlights, error) {
 	return markProv(p), nil
 }
 
-// HighlightCompiled is Highlight for an already-compiled query,
-// skipping the recompilation for callers holding a cached plan. The
-// top-level execution Result is returned alongside the highlights so
-// the explanation pipeline gets both from one traced execution.
-func HighlightCompiled(c *dcs.Compiled, t *table.Table) (*Highlights, *dcs.Result, error) {
-	return HighlightCompiledCtx(nil, c, t)
-}
-
-// HighlightCompiledCtx is HighlightCompiled with cooperative
-// cancellation threaded into the traced execution.
+// HighlightCompiledCtx is Highlight for an already-compiled query, with
+// cooperative cancellation threaded into the traced execution (a nil
+// ctx disables the checks). The top-level execution Result is returned
+// alongside the highlights so the explanation pipeline gets both from
+// one traced execution.
 func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*Highlights, *dcs.Result, error) {
 	p, res, err := ComputeCompiledCtx(ctx, c, t)
 	if err != nil {

@@ -57,22 +57,16 @@ func Compute(q dcs.Expr, t *table.Table) (*Prov, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := ComputeCompiled(c, t)
+	p, _, err := ComputeCompiledCtx(nil, c, t)
 	return p, err
 }
 
-// ComputeCompiled is Compute for an already-compiled query, letting
-// callers that cache compiled plans (the engine's plan LRU) skip the
-// recompilation; the source expression is read off the plan. The
-// traced execution's own Result is returned alongside the provenance
-// so callers needing both (the explanation pipeline) pay for exactly
-// one execution.
-func ComputeCompiled(c *dcs.Compiled, t *table.Table) (*Prov, *dcs.Result, error) {
-	return ComputeCompiledCtx(nil, c, t)
-}
-
-// ComputeCompiledCtx is ComputeCompiled with cooperative cancellation
-// threaded into the traced execution; a nil ctx disables the checks.
+// ComputeCompiledCtx is Compute for an already-compiled query, with
+// cooperative cancellation threaded into the traced execution; a nil
+// ctx disables the checks. The source expression is read off the plan.
+// The traced execution's own Result is returned alongside the
+// provenance so callers needing both (the explanation pipeline) pay
+// for exactly one execution.
 func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*Prov, *dcs.Result, error) {
 	q := c.Expr
 	p := &Prov{

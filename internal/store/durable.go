@@ -621,7 +621,7 @@ func (st *Store) restore(name string, columns []string, rows [][]string, zones [
 	if zones != nil {
 		t.InstallZoneMaps(zones)
 	}
-	snap := &Snapshot{t: t, version: version, gen: gen, parser: st.opts.NewParser()}
+	snap := snapshotOf(t, version, gen)
 	sh := st.shardFor(name)
 	sh.mutMu.Lock()
 	st.install(sh, name, snap)
@@ -714,7 +714,7 @@ func (st *Store) applyWALRecord(rec wal.Record) error {
 		if v := contentVersion(nt); v != r.version {
 			return fmt.Errorf("replayed append to %q content hash %s does not match recorded version %s", r.name, v, r.version)
 		}
-		snap := &Snapshot{t: nt, version: r.version, gen: r.gen, parser: st.opts.NewParser()}
+		snap := snapshotOf(nt, r.version, r.gen)
 		sh := st.shardFor(r.name)
 		sh.mutMu.Lock()
 		st.install(sh, r.name, snap)

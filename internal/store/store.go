@@ -52,18 +52,11 @@ type Options struct {
 	// exceeds it, cold tables' derived indexes are evicted. 0 means no
 	// budget (never evict).
 	ByteBudget int64
-	// NewParser builds the dedicated semantic parser each snapshot
-	// owns. Default semparse.NewUncachedParser (candidate pools are
-	// memoized outside the store, keyed by snapshot version).
-	NewParser func() *semparse.Parser
 }
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.NewParser == nil {
-		o.NewParser = semparse.NewUncachedParser
 	}
 	return o
 }
@@ -249,12 +242,14 @@ func (st *Store) Snapshots() []*Snapshot {
 // newSnapshot wraps a table into an installable snapshot, assigning
 // the next generation.
 func (st *Store) newSnapshot(t *table.Table) *Snapshot {
-	return &Snapshot{
-		t:       t,
-		version: contentVersion(t),
-		gen:     st.gen.Add(1),
-		parser:  st.opts.NewParser(),
-	}
+	return snapshotOf(t, contentVersion(t), st.gen.Add(1))
+}
+
+// snapshotOf builds a snapshot around its own semantic parser, an
+// uncached one: candidate pools are memoized outside the store, keyed
+// by snapshot version.
+func snapshotOf(t *table.Table, version string, gen uint64) *Snapshot {
+	return &Snapshot{t: t, version: version, gen: gen, parser: semparse.NewUncachedParser()}
 }
 
 // install publishes snap under name, returning the snapshot it

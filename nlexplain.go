@@ -189,7 +189,7 @@ func NewParser() *Parser { return semparse.NewParser() }
 // services embed the same machinery wtq-server runs on.
 type (
 	// Engine is the concurrent explanation pipeline: versioned table
-	// store, AST/result LRU caches, bounded worker pool and counters.
+	// store, three result LRU caches, bounded worker pool and counters.
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine; the zero value picks
 	// defaults (GOMAXPROCS workers, 1024-entry caches, 10s timeout,
