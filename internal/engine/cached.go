@@ -88,26 +88,26 @@ func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store
 		return zero, nil, false, err
 	}
 	for {
-		call, leader := c.joinInflight(key)
+		fl, leader := c.joinInflight(key)
 		if leader {
-			c.startPipeline(ctx, key, call, snap, tableName)
+			c.startPipeline(ctx, key, fl, snap, tableName)
 		}
 		select {
 		case <-ctx.Done():
 			e.countCtxErr(ctx.Err())
 			return zero, nil, false, ctx.Err()
-		case <-call.done:
-			if call.err == nil {
-				return call.val, snap, false, nil
+		case <-fl.done:
+			if fl.err == nil {
+				return fl.val, snap, false, nil
 			}
 			// A ctx-class failure means the leader's caller gave up, not
 			// that the request is bad.
-			if !leader && isCtxErr(call.err) && ctx.Err() == nil {
+			if !leader && isCtxErr(fl.err) && ctx.Err() == nil {
 				continue
 			}
 			e.met.errors.Inc()
-			e.countCtxErr(call.err)
-			return zero, nil, false, call.err
+			e.countCtxErr(fl.err)
+			return zero, nil, false, fl.err
 		}
 	}
 }

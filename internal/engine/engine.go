@@ -214,7 +214,10 @@ func Open(opts Options) (*Engine, error) {
 		sem:   make(chan struct{}, opts.Workers),
 		admit: make(chan struct{}, opts.MaxPending),
 	}
-	e.initMetrics() // builds the three caches alongside their series
+	r := e.initMetrics()
+	e.results = newCached(e, r, "result", "explanation result", e.compute)
+	e.answers = newCached(e, r, "answer", "answer-only result", e.computeAnswer)
+	e.parses = newCached(e, r, "parse", "semantic-parse candidate", e.computeParse)
 	// Version-scoped invalidation: the store delivers every replace and
 	// drop synchronously, so by the time a mutation returns, no cache
 	// can serve the displaced version. (A computation already in flight

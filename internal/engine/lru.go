@@ -40,13 +40,12 @@ func (c *lru[V]) pushFront(e *lruEntry[V]) {
 }
 
 // get returns the cached value and refreshes its recency.
-func (c *lru[V]) get(key cacheKey) (V, bool) {
+func (c *lru[V]) get(key cacheKey) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		var zero V
-		return zero, false
+		return val, false
 	}
 	c.unlink(e)
 	c.pushFront(e)

@@ -34,11 +34,12 @@ type metrics struct {
 }
 
 // initMetrics wires the engine's namespace into a fresh root registry
-// and builds the three caches, which register their own series on it.
-func (e *Engine) initMetrics() {
+// and returns the "engine." sub-registry, on which the three caches
+// register their own series.
+func (e *Engine) initMetrics() *metric.Registry {
 	root := metric.NewRegistry()
 	r := root.Sub("engine")
-	m := &metrics{
+	e.met = &metrics{
 		root: root,
 
 		executions:      r.Counter("executions", "uncached full explanation pipeline computations"),
@@ -78,11 +79,8 @@ func (e *Engine) initMetrics() {
 	morselLatency := r.LatencyHistogram("exec.morsel.latency.seconds", "per-morsel execution latency in the parallel path")
 	plan.SetMorselObserver(morselLatency.RecordDuration)
 
-	e.results = newCached(e, r, "result", "explanation result", e.compute)
-	e.answers = newCached(e, r, "answer", "answer-only result", e.computeAnswer)
-	e.parses = newCached(e, r, "parse", "semantic-parse candidate", e.computeParse)
-	e.met = m
 	e.store.RegisterMetrics(root.Sub("store"))
+	return r
 }
 
 // Metrics exposes the engine's root metric registry — the tree behind
