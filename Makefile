@@ -34,7 +34,7 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz-wal fuzz-plan speedup skipgain serve ci
+.PHONY: all build test vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table speedup skipgain serve ci
 
 all: build
 
@@ -142,6 +142,17 @@ fuzz-wal:
 # zone-map consultation forced.
 fuzz-plan:
 	$(GO) test -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 30s ./internal/dcs/
+
+# fuzz-table runs the cell-typing differential fuzzer for a bounded
+# window: ParseValue skips the number and date parsers on text that
+# cannot be either, and must still type every input exactly as the
+# reference that tries them all (CSV / JSON ingest).
+fuzz-table:
+	$(GO) test -run '^$$' -fuzz FuzzParseValue -fuzztime 30s ./internal/table/
+
+# fuzz is every time-boxed fuzz target in turn, as the CI fuzz job
+# runs them.
+fuzz: fuzz-wal fuzz-plan fuzz-table
 
 # baseline regenerates the checked-in perf-gate baseline with the
 # CI-canonical workload (seed 1, mixed traffic, op-count bound).

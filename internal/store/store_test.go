@@ -100,6 +100,17 @@ func TestStoreAppendCopyOnWriteIsolation(t *testing.T) {
 	if snap.Gen() <= before.Gen() {
 		t.Fatal("append did not bump the generation")
 	}
+	// The version is a hash of content alone: the grown table carries
+	// the version a one-shot registration of the same rows would.
+	base := mustTable(t, "a", 3)
+	allRows := append(append([][]string(nil), base.RawRows()...), []string{"fiji", "2024", "9"})
+	whole, err := New(Options{}).Register(table.MustNew("a", base.Columns(), allRows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version() != whole.Version() {
+		t.Fatalf("appended version %s, want %s as registered whole", snap.Version(), whole.Version())
+	}
 	if got, _ := st.Get("a"); got != snap {
 		t.Fatal("Get does not serve the appended snapshot")
 	}

@@ -1,0 +1,259 @@
+package table
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// contractCells is the cell vocabulary of the storage contract tests:
+// every number spelling ParseValue accepts (NaN, infinities, negative
+// zero, currency and thousands separators, hex floats), all six date
+// layouts on both sides of 1970, Unicode and padded strings, and the
+// empty cell. Several spellings share a canonical key, so posting lists
+// longer than one row and mixed-kind groups occur.
+var contractCells = []string{
+	"0", "-0", "+0", "7", "-7", " 42 ", "3.14", ".5", "-.5e-3", "1e3", "1E3", "1000",
+	"1,234", "$1,234", "$150,000", "1234", "1e15", "1e16", "123456789012345678", "0x1p-2",
+	"NaN", "nan", "nAn", "inf", "Inf", "-Inf", "+inf", "infinity", "-INFINITY",
+	"2013-06-08", "1896-04-06", "0001-01-01", "9999-12-31", "1969-12-31", "1970-01-01",
+	"June 8, 2013", "April 6, 1896", "June 8 2013", "Jun 8, 2013", "Apr 6, 1896",
+	"8 June 2013", "6 April 1896", "06/08/2013", "04/06/1896", " 2013-06-08\t",
+	"Greece", "greece", "GREECE", "  Greece  ", "\tAthens\n", "Rio de Janeiro",
+	"4th Round", "Did not qualify", "n/a", "-", ".", "$", ",", "1,2,3x", "12 monkeys",
+	"Ünïcode", "ünïcode", "Straße", "ſ", "S", "İstanbul", "東京", " padded ",
+	"", " ", "\t",
+}
+
+// contractRows draws n rows of width cols from contractCells, with one
+// sequential column so most tables also have an all-numeric column
+// without NaN.
+func contractRows(rng *rand.Rand, n, cols int) [][]string {
+	rows := make([][]string, n)
+	for r := range rows {
+		row := make([]string, cols)
+		for c := range row {
+			row[c] = contractCells[rng.Intn(len(contractCells))]
+		}
+		row[cols-1] = strconv.Itoa(rng.Intn(50))
+		rows[r] = row
+	}
+	return rows
+}
+
+func contractColumns(cols int) []string {
+	out := make([]string, cols)
+	for c := range out {
+		out[c] = "C" + strconv.Itoa(c)
+	}
+	return out
+}
+
+// sameValue is field-for-field identity: Num bitwise (NaN payloads and
+// the sign of zero count), Time both as an instant and as a struct.
+func sameValue(a, b Value) bool {
+	return a.Kind == b.Kind && a.Str == b.Str &&
+		math.Float64bits(a.Num) == math.Float64bits(b.Num) &&
+		a.Time.Equal(b.Time) && a.Time == b.Time
+}
+
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// TestValueMatchesParse pins what a stored cell reads back as: exactly
+// what ParseValue makes of its raw text, whatever the table keeps
+// between New and Value.
+func TestValueMatchesParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 20; trial++ {
+		cols := 1 + rng.Intn(5)
+		rows := contractRows(rng, rng.Intn(120), cols)
+		if trial == 0 {
+			// Every vocabulary entry at least once.
+			rows = nil
+			for _, cell := range contractCells {
+				rows = append(rows, []string{cell, "1"})
+			}
+			cols = 2
+		}
+		tab := MustNew("t", contractColumns(cols), rows)
+		for r := range rows {
+			for c := 0; c < cols; c++ {
+				raw := tab.Raw(r, c)
+				if raw != rows[r][c] {
+					t.Fatalf("Raw(%d,%d) = %q, want %q", r, c, raw, rows[r][c])
+				}
+				got, want := tab.Value(r, c), ParseValue(raw)
+				if !sameValue(got, want) {
+					t.Fatalf("Value(%d,%d) of %q = %#v, want %#v", r, c, raw, got, want)
+				}
+				if cv := tab.CellValue(CellRef{Row: r, Col: c}); !sameValue(cv, want) {
+					t.Fatalf("CellValue(%d,%d) of %q = %#v, want %#v", r, c, raw, cv, want)
+				}
+				if got.Key() != want.Key() || got.Key() != tab.ColumnKeys(c)[r] {
+					t.Fatalf("keys of %q: Value %q, parse %q, column %q", raw, got.Key(), want.Key(), tab.ColumnKeys(c)[r])
+				}
+				if got.HashKey(FNVOffset) != want.HashKey(FNVOffset) {
+					t.Fatalf("HashKey of %q diverges", raw)
+				}
+				gf, gok := got.Float()
+				wf, wok := want.Float()
+				if gok != wok || math.Float64bits(gf) != math.Float64bits(wf) {
+					t.Fatalf("Float of %q = %v,%v, want %v,%v", raw, gf, gok, wf, wok)
+				}
+				nums, isNum := tab.ColumnNums(c)
+				if isNum[r] != wok || math.Float64bits(nums[r]) != math.Float64bits(wf) {
+					t.Fatalf("ColumnNums of %q = %v,%v, want %v,%v", raw, nums[r], isNum[r], wf, wok)
+				}
+			}
+		}
+	}
+}
+
+// assertSameTable compares every accessor of two tables that should
+// hold the same relation.
+func assertSameTable(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() || got.Name() != want.Name() {
+		t.Fatalf("%s: shape %q %dx%d, want %q %dx%d", label, got.Name(), got.NumRows(), got.NumCols(), want.Name(), want.NumRows(), want.NumCols())
+	}
+	if !slices.Equal(got.Columns(), want.Columns()) {
+		t.Fatalf("%s: columns %v, want %v", label, got.Columns(), want.Columns())
+	}
+	if !slices.EqualFunc(got.RawRows(), want.RawRows(), func(a, b []string) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("%s: RawRows diverge", label)
+	}
+	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
+	missing := StringValue("no such cell anywhere")
+	for c := 0; c < want.NumCols(); c++ {
+		for r := 0; r < want.NumRows(); r++ {
+			if got.Raw(r, c) != want.Raw(r, c) {
+				t.Fatalf("%s: Raw(%d,%d) = %q, want %q", label, r, c, got.Raw(r, c), want.Raw(r, c))
+			}
+			v := want.Value(r, c)
+			if !sameValue(got.Value(r, c), v) {
+				t.Fatalf("%s: Value(%d,%d) = %#v, want %#v", label, r, c, got.Value(r, c), v)
+			}
+			if g, w := got.RecordsWhere(c, v), want.RecordsWhere(c, v); !slices.Equal(g, w) || !slices.Contains(g, r) {
+				t.Fatalf("%s: RecordsWhere(%d, %v) = %v, want %v containing %d", label, c, v, g, w, r)
+			}
+			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
+				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)
+			}
+		}
+		if !slices.Equal(got.ColumnKeys(c), want.ColumnKeys(c)) {
+			t.Fatalf("%s: ColumnKeys(%d) diverge", label, c)
+		}
+		gn, gi := got.ColumnNums(c)
+		wn, wi := want.ColumnNums(c)
+		if !sameFloats(gn, wn) || !slices.Equal(gi, wi) {
+			t.Fatalf("%s: ColumnNums(%d) diverge", label, c)
+		}
+		if got.ColumnAllNumeric(c) != want.ColumnAllNumeric(c) || got.ColumnIndexable(c) != want.ColumnIndexable(c) {
+			t.Fatalf("%s: column %d flags: allNumeric %v/%v indexable %v/%v", label, c,
+				got.ColumnAllNumeric(c), want.ColumnAllNumeric(c), got.ColumnIndexable(c), want.ColumnIndexable(c))
+		}
+		for _, k := range want.ColumnKeys(c) {
+			if g, w := got.RowsForKey(c, k), want.RowsForKey(c, k); !slices.Equal(g, w) || len(g) == 0 {
+				t.Fatalf("%s: RowsForKey(%d, %q) = %v, want %v", label, c, k, g, w)
+			}
+		}
+		if g := got.RowsForKey(c, missing.Key()); len(g) != 0 {
+			t.Fatalf("%s: RowsForKey of a missing key = %v", label, g)
+		}
+		if g := got.RecordsWhere(c, missing); len(g) != 0 {
+			t.Fatalf("%s: RecordsWhere of a missing value = %v", label, g)
+		}
+		if g, w := got.DistinctColumnValues(c), want.DistinctColumnValues(c); !slices.EqualFunc(g, w, sameValue) {
+			t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", label, c, g, w)
+		}
+		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
+			t.Fatalf("%s: NumericSortedRows(%d) = %v, want %v", label, c, g, w)
+		}
+		if !sameZones(gz[c], wz[c]) {
+			t.Fatalf("%s: ZoneSnapshot col %d diverges\ngot:  %+v\nwant: %+v", label, c, gz[c], wz[c])
+		}
+	}
+}
+
+// TestAppendMatchesNew is the copy-on-write property of the cell
+// storage, the sibling of TestZoneBuildMatchesAppend: a table grown by
+// Append is indistinguishable from one built from all the rows at once,
+// the parent is untouched, and two successors of one parent never see
+// each other's rows.
+func TestAppendMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 12; trial++ {
+		cols := 1 + rng.Intn(4)
+		columns := contractColumns(cols)
+		a := contractRows(rng, rng.Intn(80), cols)
+		b1 := contractRows(rng, 1+rng.Intn(40), cols)
+		b2 := contractRows(rng, 1+rng.Intn(40), cols)
+		concat := func(x, y [][]string) [][]string { return append(slices.Clone(x), y...) }
+
+		parent := MustNew("t", columns, a)
+		first, err := parent.Append(b1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := parent.Append(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chained, err := first.Append(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTable(t, "first successor", first, MustNew("t", columns, concat(a, b1)))
+		assertSameTable(t, "second successor", second, MustNew("t", columns, concat(a, b2)))
+		assertSameTable(t, "chained", chained, MustNew("t", columns, concat(concat(a, b1), b2)))
+		assertSameTable(t, "parent after appends", parent, MustNew("t", columns, a))
+	}
+}
+
+// parseValueReference is ParseValue as first written: every cell goes
+// through strconv.ParseFloat and then through each date layout in turn.
+// It stays as the oracle FuzzParseValue compares ParseValue against.
+func parseValueReference(raw string) Value {
+	s := strings.TrimSpace(raw)
+	if s == "" {
+		return StringValue("")
+	}
+	cleaned := strings.ReplaceAll(strings.TrimPrefix(s, "$"), ",", "")
+	if cleaned != "" {
+		if n, err := strconv.ParseFloat(cleaned, 64); err == nil {
+			return NumberValue(n)
+		}
+	}
+	for _, layout := range dateLayouts {
+		if t, err := time.Parse(layout, s); err == nil {
+			return Value{Kind: Date, Time: t}
+		}
+	}
+	return StringValue(s)
+}
+
+// FuzzParseValue is the differential fuzzer of cell typing (CSV / JSON
+// ingest): whatever shortcuts ParseValue takes, it must type every
+// input exactly as the reference does.
+func FuzzParseValue(f *testing.F) {
+	for _, cell := range contractCells {
+		f.Add(cell)
+	}
+	for _, cell := range []string{"$", "$,", "$-1", "-$1", "+.5", "i", "N", "1_000", "0x_1p4", "Infinit", "nane",
+		"May 5, 2005", "5 May 2005", "Sept 5, 2005", "2005-5-5", "13/01/2005", "February 30, 2005", "١٢٣", "２００４-０１-０２"} {
+		f.Add(cell)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		if got, want := ParseValue(raw), parseValueReference(raw); !sameValue(got, want) {
+			t.Fatalf("ParseValue(%q) = %#v, reference %#v", raw, got, want)
+		}
+	})
+}
