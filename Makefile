@@ -102,9 +102,13 @@ store-stress:
 # tests, the worker-count-flip hammer (executions racing SetExecWorkers)
 # and the engine-level hammer (8 query goroutines racing a store
 # mutator over a pinned snapshot) all rerun under the race detector.
+# The last line is the big table's footprint gate, a measurement and so
+# run without the detector: live heap per cell of a 131072 x 6 table,
+# which a second copy of the cells in any form does not fit under.
 bigtable-stress:
 	$(GO) test -race -run BigTable -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel|TestSQLPlanDifferentialParallel' -count=1 ./internal/dcs/... ./internal/minisql/...
+	$(GO) test -run TestTableHeapPerCell -count=1 ./internal/table/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data

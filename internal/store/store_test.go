@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -382,5 +384,31 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodeRegisterSizedOnce pins the register payload: it decodes
+// back to what went in, and is built in the one allocation its length
+// pass sized — cells of every prefix width included.
+func TestEncodeRegisterSizedOnce(t *testing.T) {
+	columns := []string{"A", "B", "C"}
+	rows := [][]string{
+		{"", "x", strings.Repeat("y", 127)},
+		{strings.Repeat("z", 128), strings.Repeat("w", 16384), "\x00\xff"},
+	}
+	var payload []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		payload = encodeRegister("name", 1<<40, "00ff", columns, rows)
+	})
+	if allocs != 1 {
+		t.Errorf("encodeRegister made %v allocations, want 1", allocs)
+	}
+	rec, err := decodeRegister(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.name != "name" || rec.gen != 1<<40 || rec.version != "00ff" ||
+		!slices.Equal(rec.columns, columns) || !slices.EqualFunc(rec.rows, rows, slices.Equal[[]string]) {
+		t.Fatalf("round trip changed the record: %+v", rec)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // WAL record tags. The write-ahead log frames every catalog mutation
@@ -56,8 +57,20 @@ type dropRec struct {
 	gen  uint64
 }
 
+// encodeRegister frames a whole table. The payload of a big table runs
+// to megabytes and is built at the peak-memory moment of a registration,
+// so its length is worked out first and the buffer made once.
 func encodeRegister(name string, gen uint64, version string, columns []string, rows [][]string) []byte {
-	b := recString(nil, name)
+	size := recStringLen(name) + binary.MaxVarintLen64 + recStringLen(version) + 2*binary.MaxVarintLen64
+	for _, c := range columns {
+		size += recStringLen(c)
+	}
+	for _, row := range rows {
+		for _, cell := range row {
+			size += recStringLen(cell)
+		}
+	}
+	b := recString(make([]byte, 0, size), name)
 	b = binary.AppendUvarint(b, gen)
 	b = recString(b, version)
 	b = binary.AppendUvarint(b, uint64(len(columns)))
@@ -217,6 +230,12 @@ func (d *recDecoder) string() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
+}
+
+// recStringLen is the encoded size of s: its uvarint length prefix and
+// its bytes.
+func recStringLen(s string) int {
+	return (bits.Len64(uint64(len(s))|1)+6)/7 + len(s)
 }
 
 func recString(b []byte, s string) []byte {

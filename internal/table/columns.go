@@ -3,26 +3,29 @@ package table
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync/atomic"
 )
 
-// columnData is the eagerly built columnar view of one column: the
-// canonical key and the numeric interpretation of every cell, stored as
-// flat typed vectors so executors can scan a column without touching
-// the boxed Value structs. It is built once in New alongside the KB
-// index (the keys are shared with the kb map build) and never mutated.
+// columnData is the typed storage of one column: the kind, numeric
+// reading and canonical key of every cell as flat vectors, and the KB
+// index over the keys. Together with the cell's raw text these vectors
+// are the cell — Table.Value reads them back — and executors scan them
+// directly. They are built once, in New or Append, and never mutated.
 //
-// Immutability-after-New is what makes the morsel-parallel executor
-// safe: worker goroutines read disjoint [lo,hi) windows of these
-// vectors with no synchronization at all. The only lazily built
-// structure a parallel scan can touch is the sorted numeric index,
-// whose publication is a CAS on atomicIndex below — concurrent
-// builders may do duplicate work but always observe either nil or a
-// fully built, immutable index, never a partial one.
+// That immutability is what makes the morsel-parallel executor safe:
+// worker goroutines read disjoint [lo,hi) windows of these vectors with
+// no synchronization at all. The only lazily built structure a parallel
+// scan can touch is the sorted numeric index, whose publication is a
+// CAS on atomicIndex below — concurrent builders may do duplicate work
+// but always observe either nil or a fully built, immutable index,
+// never a partial one.
 type columnData struct {
-	keys  []string  // Value.Key() per record
+	kinds []uint8   // Kind per record
+	keys  []string  // Value.Key() per record; equal keys share one string
 	nums  []float64 // Value.Float() per record (0 when !isNum[r])
 	isNum []bool    // whether the cell has a numeric interpretation
+	kb    postings
 	// allNum reports that every cell of the column is numeric (numbers
 	// or dates), so ordering by nums agrees with Value.Compare and the
 	// sorted index can answer superlatives.
@@ -37,6 +40,80 @@ type columnData struct {
 	// simple folds ('ſ' vs 'S') make them diverge, so equality fast
 	// paths require this flag.
 	asciiKeys bool
+}
+
+// postings is the KB view of one column (Section 3.1): the binary
+// relation from a cell value's canonical key to the records holding
+// it, stored flat. Records with one key form a group; groups are
+// numbered in order of first appearance, so walking them visits the
+// column's distinct values in table order.
+type postings struct {
+	rows    []int             // record ids, group after group, ascending inside a group
+	offsets []uint32          // group g is rows[offsets[g]:offsets[g+1]]; 2^32 rows of cells do not fit in memory
+	group   map[string]uint32 // canonical key -> group
+}
+
+func (p *postings) numGroups() int { return len(p.offsets) - 1 }
+
+// groupRows returns the records of group g, capped so that appending
+// to the window cannot reach the next group.
+func (p *postings) groupRows(g int) []int {
+	lo, hi := p.offsets[g], p.offsets[g+1]
+	return p.rows[lo:hi:hi]
+}
+
+// kbBuilder groups the records of one column by canonical key as the
+// keys arrive in record order. The per-record and per-group scratch is
+// reused from column to column.
+type kbBuilder struct {
+	group map[string]uint32
+	first []uint32 // first record of each group
+	size  []uint32 // records in each group
+	gids  []uint32 // group of each record
+}
+
+// start readies the builder for a column of n records expected to form
+// about groups groups.
+func (b *kbBuilder) start(n, groups int) {
+	b.group = make(map[string]uint32, groups)
+	b.first, b.size = b.first[:0], b.size[:0]
+	if cap(b.gids) < n {
+		b.gids = make([]uint32, n)
+	}
+	b.gids = b.gids[:n]
+}
+
+// open starts a new group under key with record r, which the caller
+// then puts into it.
+func (b *kbBuilder) open(r int, key string) uint32 {
+	g := uint32(len(b.first))
+	b.group[key] = g
+	b.first = append(b.first, uint32(r))
+	b.size = append(b.size, 0)
+	return g
+}
+
+// put adds record r, the next in order, to group g.
+func (b *kbBuilder) put(r int, g uint32) {
+	b.size[g]++
+	b.gids[r] = g
+}
+
+// finish lays the groups out as postings: a counting sort of the
+// records by group, which keeps record order inside each group.
+func (b *kbBuilder) finish() postings {
+	offsets := make([]uint32, len(b.size)+1)
+	for g, n := range b.size {
+		offsets[g+1] = offsets[g] + n
+	}
+	rows := make([]int, len(b.gids))
+	next := b.size // each group's write cursor; the sizes are spent
+	copy(next, offsets)
+	for r, g := range b.gids {
+		rows[next[g]] = r
+		next[g]++
+	}
+	return postings{rows: rows, offsets: offsets, group: b.group}
 }
 
 // numericIndex is the lazily built sorted index of one column: the
@@ -54,39 +131,98 @@ type numericIndex struct {
 // consistent with what is resident.
 type atomicIndex = atomic.Pointer[numericIndex]
 
-// buildColumns builds the columnar view, interning each canonical key
-// through the build dictionary so duplicate keys (and, transitively,
-// the KB posting-list keys) share one backing string.
-func (t *Table) buildColumns(in *interner) {
+// buildColumns builds the typed vectors and KB index of every column
+// over t.raw and seals the byte account. With a parent (Append) the
+// leading records are the parent's: their vectors are copied and their
+// keys regrouped, and only the cells beyond them are parsed.
+//
+// Strings are shared as the cells are grouped: every record of a group
+// carries the key string of the group's first record, that key string
+// is the cell's own text when the text already is canonical ("1896",
+// "athens"), and a cell spelled like the first of its group drops its
+// own string for that one.
+func (t *Table) buildColumns(parent *Table) {
+	n, n0 := len(t.raw), 0
+	if parent != nil {
+		n0 = len(parent.raw)
+		t.mem.text, t.mem.dict = parent.mem.text, parent.mem.dict
+	}
 	t.cols = make([]columnData, len(t.columns))
 	t.numIdx = make([]atomicIndex, len(t.columns))
 	t.zones = make([]atomicZones, len(t.columns))
+	var b kbBuilder
+	var buf []byte
 	for c := range t.columns {
 		cd := &t.cols[c]
-		cd.keys = make([]string, len(t.rows))
-		cd.nums = make([]float64, len(t.rows))
-		cd.isNum = make([]bool, len(t.rows))
-		cd.allNum = true
+		cd.kinds = make([]uint8, n)
+		cd.keys = make([]string, n)
+		cd.nums = make([]float64, n)
+		cd.isNum = make([]bool, n)
+		cd.allNum = n > 0
 		cd.asciiKeys = true
-		for r := range t.rows {
-			v := t.rows[r][c]
-			cd.keys[r] = in.intern(v.Key())
-			if !isASCII(cd.keys[r]) {
-				cd.asciiKeys = false
+		if n0 > 0 {
+			pd := &parent.cols[c]
+			copy(cd.kinds, pd.kinds)
+			copy(cd.keys, pd.keys)
+			copy(cd.nums, pd.nums)
+			copy(cd.isNum, pd.isNum)
+			cd.allNum, cd.hasNaN, cd.asciiKeys = pd.allNum, pd.hasNaN, pd.asciiKeys
+			b.start(n, pd.kb.numGroups())
+		} else {
+			b.start(n, 0)
+		}
+		for r, key := range cd.keys[:n0] {
+			g, ok := b.group[key]
+			if !ok {
+				g = b.open(r, key)
 			}
-			if f, ok := v.Float(); ok {
-				cd.nums[r] = f
-				cd.isNum[r] = true
-				if math.IsNaN(f) {
-					cd.hasNaN = true
+			b.put(r, g)
+		}
+		for r := n0; r < n; r++ {
+			cell := t.raw[r][c]
+			v := ParseValue(cell)
+			cd.set(r, v)
+			buf = appendKey(buf[:0], v)
+			g, ok := b.group[string(buf)]
+			if ok {
+				first := b.first[g]
+				cd.keys[r] = cd.keys[first]
+				if shared := t.raw[first][c]; shared == cell {
+					t.raw[r][c] = shared
+				} else {
+					t.mem.addText(cell)
 				}
 			} else {
-				cd.allNum = false
+				t.mem.addText(cell)
+				if s := strings.TrimSpace(cell); s == string(buf) {
+					cd.keys[r] = s
+				} else {
+					cd.keys[r] = string(buf)
+					t.mem.addText(cd.keys[r])
+				}
+				if !isASCII(cd.keys[r]) {
+					cd.asciiKeys = false
+				}
+				g = b.open(r, cd.keys[r])
 			}
+			b.put(r, g)
 		}
-		if len(t.rows) == 0 {
-			cd.allNum = false
+		cd.kb = b.finish()
+	}
+	t.sealBaseBytes()
+}
+
+// set stores the typed reading of record r; its key is the caller's.
+func (cd *columnData) set(r int, v Value) {
+	cd.kinds[r] = uint8(v.Kind)
+	if f, ok := v.Float(); ok {
+		cd.nums[r] = f
+		cd.isNum[r] = true
+		if math.IsNaN(f) {
+			cd.hasNaN = true
 		}
+	} else {
+		cd.allNum = false
 	}
 }
 
@@ -151,8 +287,8 @@ func (t *Table) NumericSortedRows(c int) []int {
 		return idx.rows
 	}
 	cd := &t.cols[c]
-	rows := make([]int, 0, len(t.rows))
-	for r := range t.rows {
+	rows := make([]int, 0, len(cd.isNum))
+	for r := range cd.isNum {
 		if cd.isNum[r] {
 			rows = append(rows, r)
 		}

@@ -1,0 +1,127 @@
+package table
+
+import (
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+)
+
+// bigFixtureRows generates the shape of table the service's scan
+// traffic runs on: two sequence columns, two low-cardinality text
+// columns and two numeric columns of middling cardinality.
+func bigFixtureRows(n int) [][]string {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{
+			strconv.Itoa(i), strconv.Itoa(i),
+			"Nation" + strconv.Itoa(rng.Intn(40)), "City" + strconv.Itoa(rng.Intn(24)),
+			strconv.Itoa(rng.Intn(1_000_000)), strconv.Itoa(rng.Intn(10_000)),
+		}
+	}
+	return rows
+}
+
+var bigFixtureCols = []string{"Seq", "Tick", "Nation", "City", "Games", "Score"}
+
+// webFixtureRows is a 60-row web table: a year, a repeating nation, a
+// distinct city with a capital letter (its key is a second string), a
+// date and a count.
+func webFixtureRows() [][]string {
+	rows := make([][]string, 60)
+	for i := range rows {
+		rows[i] = []string{
+			strconv.Itoa(1896 + 4*i), "Nation" + strconv.Itoa(i%9), "City " + strconv.Itoa(i),
+			"June " + strconv.Itoa(1+i%28) + ", " + strconv.Itoa(1950+i), strconv.Itoa(i * 37 % 101),
+		}
+	}
+	return rows
+}
+
+var webFixtureCols = []string{"Year", "Nation", "City", "Opened", "Medals"}
+
+// liveHeap reports the heap bytes still live after build has returned
+// and a collection has run: what the tables keep, cell text included,
+// and none of what building them threw away.
+func liveHeap(build func() []*Table) ([]*Table, int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tabs := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return tabs, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+func bigFixture() []*Table {
+	return []*Table{MustNew("big", bigFixtureCols, bigFixtureRows(131072))}
+}
+
+// TestTableHeapPerCell is the footprint gate that does not read the
+// clock: the big table costs at most 110 live heap bytes per cell. One
+// text copy, the typed vectors and flat postings measure 87; a second
+// copy of the cells in any form (boxed values were 56 bytes a cell, a
+// map entry and slice per distinct key 60) does not fit under the gate.
+func TestTableHeapPerCell(t *testing.T) {
+	tabs, heap := liveHeap(bigFixture)
+	perCell := float64(heap) / float64(tabs[0].NumRows()*tabs[0].NumCols())
+	t.Logf("%d live heap bytes, %.1f per cell", heap, perCell)
+	if perCell > 110 {
+		t.Errorf("big table keeps %.1f heap bytes per cell, want at most 110", perCell)
+	}
+	runtime.KeepAlive(tabs)
+}
+
+// TestBaseBytesTracksHeap holds the estimate the store budgets with to
+// the heap: within a fifth of what the tables measurably keep, for the
+// big table and for web tables (many, so that the measurement is not a
+// few kilobytes).
+func TestBaseBytesTracksHeap(t *testing.T) {
+	webFixture := func() []*Table {
+		tabs := make([]*Table, 64)
+		for i := range tabs {
+			tabs[i] = MustNew("web", webFixtureCols, webFixtureRows())
+		}
+		return tabs
+	}
+	for name, build := range map[string]func() []*Table{"big": bigFixture, "web": webFixture} {
+		tabs, heap := liveHeap(build)
+		var est int64
+		for _, tab := range tabs {
+			est += tab.BaseBytes()
+		}
+		t.Logf("%s: BaseBytes %d, live heap %d (%.2f)", name, est, heap, float64(est)/float64(heap))
+		if est < heap*8/10 || est > heap*12/10 {
+			t.Errorf("%s: BaseBytes %d is not within 20%% of the %d live heap bytes", name, est, heap)
+		}
+		runtime.KeepAlive(tabs)
+	}
+}
+
+// TestAppendParsesOnlyNewCells bounds Append's work on the rows it
+// inherits: their cells are not parsed again. Parsing a cell with a
+// capital letter or a date allocates its key, so an Append that parsed
+// the parent would allocate in proportion to it; one that copies the
+// typed vectors allocates the same few slices whatever the parent's
+// size.
+func TestAppendParsesOnlyNewCells(t *testing.T) {
+	extra := [][]string{{"Nation3", "June 8, 2013", "12"}, {"Atlantis", "n/a", "1e3"}}
+	allocs := func(parentRows int) float64 {
+		rows := make([][]string, parentRows)
+		for i := range rows {
+			rows[i] = []string{"Nation" + strconv.Itoa(i%8), "June " + strconv.Itoa(1+i%28) + ", 2013", strconv.Itoa(i % 16)}
+		}
+		parent := MustNew("t", []string{"Nation", "Opened", "Games"}, rows)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := parent.Append(extra); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(64_000)
+	t.Logf("Append allocations: %v onto 1000 rows, %v onto 64000", small, large)
+	if large > small+8 {
+		t.Errorf("Append onto 64000 rows made %v allocations against %v onto 1000: it scales with the parent", large, small)
+	}
+}

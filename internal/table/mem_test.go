@@ -73,9 +73,9 @@ func TestAppendCopyOnWrite(t *testing.T) {
 	if grown.NumRows() != 3 || grown.Raw(2, 0) != "China" {
 		t.Fatalf("grown = %d rows, last %q", grown.NumRows(), grown.Raw(2, 0))
 	}
-	// Shared prefix: the appended table reuses the base rows' storage.
-	if &base.rows[0][0] != &grown.rows[0][0] {
-		t.Error("appended table copied the shared row values")
+	// Shared prefix: the appended table reuses the base rows' cell text.
+	if &base.raw[0][0] != &grown.raw[0][0] {
+		t.Error("appended table copied the shared rows")
 	}
 	// Derived structures are rebuilt for the full relation.
 	col, _ := grown.ColumnIndex("Nation")

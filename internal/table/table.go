@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"time"
 )
 
 // CellRef identifies one cell by record index (row) and column index.
@@ -29,21 +30,23 @@ func (c CellRef) Less(o CellRef) bool {
 // Table is a single web table: an ordered relation whose records carry a
 // unique Index (0,1,2,…) and an implicit Prev pointer to the record above
 // (Section 3.1). Tables are immutable after construction; Append builds a
-// new table sharing the existing rows rather than mutating in place, which
-// is what lets the versioned store hand out consistent snapshots while
-// mutations land.
+// new table rather than mutating in place, which is what lets the
+// versioned store hand out consistent snapshots while mutations land.
+//
+// Every cell is held once: its original text in raw, its typed reading
+// (kind, number, canonical key) in the column vectors of cols. A Value
+// is not stored; Value and CellValue put one together from those two on
+// the way out.
 type Table struct {
 	name    string
 	columns []string
-	rows    [][]Value
-	raw     [][]string
-	// kb indexes each column as a binary relation: value key -> record
-	// indices where the column holds that value (the KB view of 3.1).
-	kb []map[string][]int
+	// raw is the original text of every cell, row-major.
+	raw [][]string
 	// colIndex resolves a (case-insensitive) header to a column index.
 	colIndex map[string]int
-	// cols is the eagerly built columnar view (keys and numeric
-	// vectors) the plan executor scans instead of the boxed rows.
+	// cols is the typed, columnar half of the storage, built eagerly:
+	// per column the kind, numeric reading and canonical key of every
+	// cell, and the KB index over those keys.
 	cols []columnData
 	// numIdx holds the lazily built per-column sorted numeric indexes.
 	// Entries are droppable under memory pressure (DropDerivedIndexes)
@@ -59,10 +62,9 @@ type Table struct {
 }
 
 // New builds a table from a name, header row and raw cell text. Every row
-// must have exactly len(columns) cells. Cell text is dictionary-interned:
-// duplicate strings (raw text and canonical keys) share one backing copy,
-// which both shrinks the resident footprint and makes the byte estimate
-// in BaseBytes honest about that sharing.
+// must have exactly len(columns) cells. The rows are copied; the cell
+// strings themselves are kept, and a cell that repeats the text of the
+// first cell with its key in the column shares that cell's string.
 func New(name string, columns []string, rows [][]string) (*Table, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("table %q: no columns", name)
@@ -79,78 +81,51 @@ func New(name string, columns []string, rows [][]string) (*Table, error) {
 		}
 		t.colIndex[key] = i
 	}
-	in := newInterner()
-	t.rows = make([][]Value, len(rows))
-	t.raw = make([][]string, len(rows))
 	for r, row := range rows {
 		if len(row) != len(columns) {
 			return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, r, len(row), len(columns))
 		}
-		vals := make([]Value, len(row))
-		rawRow := make([]string, len(row))
-		for c, cell := range row {
-			cell = in.intern(cell)
-			vals[c] = ParseValue(cell)
-			rawRow[c] = cell
-		}
-		t.rows[r] = vals
-		t.raw[r] = rawRow
 	}
-	t.finish(in)
+	t.raw = appendRows(nil, rows, len(columns))
+	t.buildColumns(nil)
 	return t, nil
 }
 
 // Append returns a new table holding this table's records followed by
-// extra — copy-on-write: the existing rows' parsed values and raw text
-// are shared with the receiver (never re-parsed or copied), only the new
-// rows are parsed, and the derived structures (KB index, columnar view)
-// are rebuilt for the combined relation. The receiver is not modified, so
-// snapshots pinned on it stay consistent.
+// extra — copy-on-write: the receiver's row slices and cell strings are
+// shared, its typed vectors are copied rather than parsed again, only
+// the cells of extra are parsed, and the KB index is regrouped over the
+// combined keys. The receiver is not modified, so snapshots pinned on it
+// stay consistent.
 func (t *Table) Append(extra [][]string) (*Table, error) {
-	nt := &Table{
-		name:     t.name,
-		columns:  t.columns, // immutable, shared
-		colIndex: t.colIndex,
-		rows:     make([][]Value, 0, len(t.rows)+len(extra)),
-		raw:      make([][]string, 0, len(t.raw)+len(extra)),
-	}
-	nt.rows = append(nt.rows, t.rows...)
-	nt.raw = append(nt.raw, t.raw...)
-	in := newInterner()
-	// Shared rows are already interned by the receiver's build; observe
-	// measures their string bytes for the new table's accounting without
-	// touching the shared slices.
-	for _, row := range t.raw {
-		for _, cell := range row {
-			in.observe(cell)
-		}
-	}
 	for i, row := range extra {
 		if len(row) != len(t.columns) {
 			return nil, fmt.Errorf("table %q: appended row %d has %d cells, want %d", t.name, i, len(row), len(t.columns))
 		}
-		vals := make([]Value, len(row))
-		rawRow := make([]string, len(row))
-		for c, cell := range row {
-			cell = in.intern(cell)
-			vals[c] = ParseValue(cell)
-			rawRow[c] = cell
-		}
-		nt.rows = append(nt.rows, vals)
-		nt.raw = append(nt.raw, rawRow)
 	}
-	nt.finish(in)
+	nt := &Table{
+		name:     t.name,
+		columns:  t.columns, // immutable, shared
+		colIndex: t.colIndex,
+		raw:      appendRows(t.raw, extra, len(t.columns)),
+	}
+	nt.buildColumns(t)
 	nt.inheritZones(t)
 	return nt, nil
 }
 
-// finish builds the derived structures (columnar view first, so the KB
-// index can reuse its interned canonical keys) and seals the base byte
-// estimate.
-func (t *Table) finish(in *interner) {
-	t.buildColumns(in)
-	t.buildKB()
-	t.sealBaseBytes(in)
+// appendRows returns a fresh outer slice holding the row slices of old
+// followed by copies of extra, the copies cut from one block of cells.
+func appendRows(old, extra [][]string, width int) [][]string {
+	out := make([][]string, len(old), len(old)+len(extra))
+	copy(out, old)
+	cells := make([]string, len(extra)*width)
+	for _, row := range extra {
+		out = append(out, cells[:width:width])
+		copy(cells, row)
+		cells = cells[width:]
+	}
+	return out
 }
 
 // MustNew is New, panicking on error; intended for fixtures and examples.
@@ -187,26 +162,11 @@ func FromCSV(name string, r io.Reader) (*Table, error) {
 	return New(name, header, body)
 }
 
-// buildKB runs after buildColumns so the posting-list keys are the
-// columnar view's interned canonical keys rather than fresh
-// per-cell strings.
-func (t *Table) buildKB() {
-	t.kb = make([]map[string][]int, len(t.columns))
-	for c := range t.columns {
-		m := make(map[string][]int)
-		keys := t.cols[c].keys
-		for r := range t.rows {
-			m[keys[r]] = append(m[keys[r]], r)
-		}
-		t.kb[c] = m
-	}
-}
-
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
 // NumRows returns the number of records.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return len(t.raw) }
 
 // NumCols returns the number of columns.
 func (t *Table) NumCols() int { return len(t.columns) }
@@ -223,8 +183,21 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// Value returns the typed value at (row, col).
-func (t *Table) Value(row, col int) Value { return t.rows[row][col] }
+// Value returns the typed value at (row, col) — what ParseValue makes of
+// the cell's text, put together from the stored kind and number. The
+// six date layouts are date-only, so a date is a whole number of days
+// and converts back exactly.
+func (t *Table) Value(row, col int) Value {
+	cd := &t.cols[col]
+	switch Kind(cd.kinds[row]) {
+	case Number:
+		return Value{Kind: Number, Num: cd.nums[row]}
+	case Date:
+		return Value{Kind: Date, Time: time.Unix(int64(cd.nums[row]*86400), 0).UTC()}
+	default:
+		return Value{Kind: String, Str: strings.TrimSpace(t.raw[row][col])}
+	}
+}
 
 // Raw returns the original cell text at (row, col).
 func (t *Table) Raw(row, col int) string { return t.raw[row][col] }
@@ -236,11 +209,11 @@ func (t *Table) Raw(row, col int) string { return t.raw[row][col] }
 func (t *Table) RawRows() [][]string { return t.raw }
 
 // CellValue returns the typed value a CellRef points at.
-func (t *Table) CellValue(c CellRef) Value { return t.rows[c.Row][c.Col] }
+func (t *Table) CellValue(c CellRef) Value { return t.Value(c.Row, c.Col) }
 
 // Records returns all record indices, in table order.
 func (t *Table) Records() []int {
-	out := make([]int, len(t.rows))
+	out := make([]int, len(t.raw))
 	for i := range out {
 		out[i] = i
 	}
@@ -251,22 +224,27 @@ func (t *Table) Records() []int {
 // col holds a value equal to v — the binary-relation lookup C.v of the KB
 // view (e.g. Country.Greece).
 func (t *Table) RecordsWhere(col int, v Value) []int {
-	rows := t.kb[col][v.Key()]
-	return append([]int(nil), rows...)
+	return append([]int(nil), t.RowsForKey(col, v.Key())...)
 }
 
 // RowsForKey returns the KB posting list of a canonical key (Value.Key)
 // in column col, in record order. Unlike RecordsWhere it does not copy:
-// the slice is shared with the table and must not be modified.
+// the slice is a window of the column's postings and must not be
+// modified.
 func (t *Table) RowsForKey(col int, key string) []int {
-	return t.kb[col][key]
+	kb := &t.cols[col].kb
+	g, ok := kb.group[key]
+	if !ok {
+		return nil
+	}
+	return kb.groupRows(int(g))
 }
 
 // ColumnCells returns the cell references of every cell in column col,
 // in record order. This is the PC provenance primitive.
 func (t *Table) ColumnCells(col int) []CellRef {
-	out := make([]CellRef, len(t.rows))
-	for r := range t.rows {
+	out := make([]CellRef, len(t.raw))
+	for r := range out {
 		out[r] = CellRef{Row: r, Col: col}
 	}
 	return out
@@ -276,14 +254,10 @@ func (t *Table) ColumnCells(col int) []CellRef {
 // appearance order; used by candidate generation and the most-frequent
 // operator.
 func (t *Table) DistinctColumnValues(col int) []Value {
-	seen := make(map[string]bool)
-	var out []Value
-	for r := range t.rows {
-		v := t.rows[r][col]
-		if k := v.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, v)
-		}
+	kb := &t.cols[col].kb
+	out := make([]Value, kb.numGroups())
+	for g := range out {
+		out[g] = t.Value(kb.groupRows(g)[0], col)
 	}
 	return out
 }
@@ -335,9 +309,9 @@ func (t *Table) String() string {
 	for c, h := range t.columns {
 		widths[c] = len(h)
 	}
-	for r := range t.rows {
-		for c := range t.columns {
-			if n := len(t.raw[r][c]); n > widths[c] {
+	for _, row := range t.raw {
+		for c, cell := range row {
+			if n := len(cell); n > widths[c] {
 				widths[c] = n
 			}
 		}
@@ -352,8 +326,8 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.columns)
-	for r := range t.rows {
-		writeRow(t.raw[r])
+	for _, row := range t.raw {
+		writeRow(row)
 	}
 	return b.String()
 }

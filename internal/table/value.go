@@ -71,6 +71,11 @@ var dateLayouts = []string{
 // thousands separators and a leading currency sign), then the common date
 // layouts, and falls back to a trimmed string. This mirrors the value
 // typing used by WikiTableQuestions-style table extraction.
+//
+// Most cells of a web table are plain text, and a parser that fails
+// pays for an error value, so text that cannot be a number or a date is
+// never handed to one: every date layout carries a year, so a date
+// holds a digit.
 func ParseValue(raw string) Value {
 	s := strings.TrimSpace(raw)
 	if s == "" {
@@ -79,19 +84,24 @@ func ParseValue(raw string) Value {
 	if n, ok := parseNumber(s); ok {
 		return NumberValue(n)
 	}
-	for _, layout := range dateLayouts {
-		if t, err := time.Parse(layout, s); err == nil {
-			return Value{Kind: Date, Time: t}
+	if strings.ContainsAny(s, "0123456789") {
+		for _, layout := range dateLayouts {
+			if t, err := time.Parse(layout, s); err == nil {
+				return Value{Kind: Date, Time: t}
+			}
 		}
 	}
 	return StringValue(s)
 }
 
+// parseNumber parses trimmed cell text as a number. strconv.ParseFloat
+// accepts only text that opens with a digit, a sign, a point, or the
+// first letter of "inf", "infinity" or "nan" in either case; anything
+// else is rejected here, before it costs a *strconv.NumError.
 func parseNumber(s string) (float64, bool) {
-	t := strings.TrimSpace(s)
-	t = strings.TrimPrefix(t, "$")
+	t := strings.TrimPrefix(s, "$")
 	t = strings.ReplaceAll(t, ",", "")
-	if t == "" {
+	if t == "" || strings.IndexByte("0123456789+-.iInN", t[0]) < 0 {
 		return 0, false
 	}
 	n, err := strconv.ParseFloat(t, 64)

@@ -136,7 +136,7 @@ func (t *Table) ColumnZones(c int) []Zone {
 	if zm := t.zones[c].Load(); zm != nil {
 		return zm.zones
 	}
-	return t.publishZones(c, computeZones(&t.cols[c], len(t.rows)))
+	return t.publishZones(c, computeZones(&t.cols[c], len(t.raw)))
 }
 
 // ZonesBuilt reports whether column c currently has a published zone
@@ -150,8 +150,8 @@ func (t *Table) ZonesBuilt(c int) bool { return t.zones[c].Load() != nil }
 // filled or new blocks are recomputed. Columns the parent never
 // summarised stay lazy in the child too.
 func (nt *Table) inheritZones(t *Table) {
-	full := len(t.rows) / ZoneRows // parent zones below this index cover full blocks
-	n := len(nt.rows)
+	full := len(t.raw) / ZoneRows // parent zones below this index cover full blocks
+	n := len(nt.raw)
 	for c := range nt.columns {
 		pz := t.zones[c].Load()
 		if pz == nil {
@@ -178,7 +178,7 @@ func (t *Table) ZoneSnapshot() [][]Zone {
 		if zm := t.zones[c].Load(); zm != nil {
 			out[c] = zm.zones
 		} else {
-			out[c] = computeZones(&t.cols[c], len(t.rows))
+			out[c] = computeZones(&t.cols[c], len(t.raw))
 		}
 	}
 	return out
@@ -193,7 +193,7 @@ func (t *Table) InstallZoneMaps(zones [][]Zone) {
 	if len(zones) != len(t.columns) {
 		return
 	}
-	want := ZoneCount(len(t.rows))
+	want := ZoneCount(len(t.raw))
 	for _, zs := range zones {
 		if len(zs) != want {
 			return
