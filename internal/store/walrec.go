@@ -61,7 +61,7 @@ type dropRec struct {
 // to megabytes and is built at the peak-memory moment of a registration,
 // so its length is worked out first and the buffer made once.
 func encodeRegister(name string, gen uint64, version string, columns []string, rows [][]string) []byte {
-	size := recStringLen(name) + binary.MaxVarintLen64 + recStringLen(version) + 2*binary.MaxVarintLen64
+	size := recStringLen(name) + recStringLen(version) + 3*binary.MaxVarintLen64 // gen and the two counts
 	for _, c := range columns {
 		size += recStringLen(c)
 	}
