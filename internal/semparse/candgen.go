@@ -1,6 +1,7 @@
 package semparse
 
 import (
+	"iter"
 	"sort"
 
 	"nlexplain/internal/dcs"
@@ -12,8 +13,31 @@ import (
 type Candidate struct {
 	Query    dcs.Expr
 	Result   *dcs.Result // nil when execution failed
-	Features map[string]float64
+	Features Features
 	Score    float64
+}
+
+// Features is the feature vector φ(x, T, z) of one candidate, read by
+// name.
+type Features map[string]float64
+
+// Get returns the value of the named feature, 0 when it is absent.
+func (f Features) Get(name string) float64 { return f[name] }
+
+// All iterates the features present, in name order.
+func (f Features) All() iter.Seq2[string, float64] {
+	return func(yield func(string, float64) bool) {
+		names := make([]string, 0, len(f))
+		for name := range f {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if !yield(name, f[name]) {
+				return
+			}
+		}
+	}
 }
 
 // Key returns the canonical identity of the candidate's query.

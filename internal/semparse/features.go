@@ -11,8 +11,8 @@ import (
 // Featurize extracts the feature vector φ(x, T, z) of Eq. 4: indicator
 // and density features relating the question's lexical cues to the
 // query's operators, columns, entities and result.
-func Featurize(q *Question, t *table.Table, z dcs.Expr, res *dcs.Result) map[string]float64 {
-	f := make(map[string]float64, 24)
+func Featurize(q *Question, t *table.Table, z dcs.Expr, res *dcs.Result) Features {
+	f := make(Features, 24)
 	f["bias"] = 1
 
 	// Root operator identity.

@@ -160,7 +160,7 @@ func (p *Parser) Clone() *Parser {
 // score computes θ·φ. Terms are added in sorted feature order: float
 // addition is not associative, and map-order summation would make
 // near-tied candidates rank non-deterministically across runs.
-func (p *Parser) score(features map[string]float64) float64 {
+func (p *Parser) score(features Features) float64 {
 	keys := make([]string, 0, len(features))
 	for k := range features {
 		if p.Weights[k] != 0 {

@@ -198,11 +198,11 @@ func TestFeaturesTriggersAgreement(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("how many games were in Athens?", tab)
 	goldFeatures := Featurize(q, tab, dcs.MustParse("count(City.Athens)"), nil)
-	if goldFeatures["agree:count"] != 1 {
+	if goldFeatures.Get("agree:count") != 1 {
 		t.Errorf("count agreement feature missing: %v", goldFeatures)
 	}
 	badFeatures := Featurize(q, tab, dcs.MustParse("R[Year].City.Athens"), nil)
-	if badFeatures["miss:count"] != 1 {
+	if badFeatures.Get("miss:count") != 1 {
 		t.Errorf("count miss feature missing: %v", badFeatures)
 	}
 }
@@ -211,11 +211,11 @@ func TestFeaturesSuperlativeFlip(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("which country has the highest year?", tab)
 	flipped := Featurize(q, tab, dcs.MustParse("R[Country].argmin(Record, Year)"), nil)
-	if flipped["flip:superlative"] != 1 {
+	if flipped.Get("flip:superlative") != 1 {
 		t.Errorf("flip feature missing: %v", flipped)
 	}
 	right := Featurize(q, tab, dcs.MustParse("R[Country].argmax(Record, Year)"), nil)
-	if right["agree:argmax"] != 1 {
+	if right.Get("agree:argmax") != 1 {
 		t.Errorf("agree feature missing: %v", right)
 	}
 }
