@@ -101,12 +101,14 @@ type ValueLit struct {
 
 // String renders the literal, quoting strings that contain syntax
 // characters so parsing round-trips.
-func (e *ValueLit) String() string {
-	s := e.V.String()
-	if e.V.Kind == table.String && strings.ContainsAny(s, " .()[],<>=!\"") {
+func (e *ValueLit) String() string { return quoteLit(e.V) }
+
+func quoteLit(v table.Value) string {
+	s := v.String()
+	if v.Kind == table.String && strings.ContainsAny(s, " .()[],<>=!\"") {
 		return `"` + s + `"`
 	}
-	if e.V.Kind == table.Date {
+	if v.Kind == table.Date {
 		return `"` + s + `"`
 	}
 	return s
@@ -139,7 +141,7 @@ type Join struct {
 }
 
 // String renders Column.Arg.
-func (e *Join) String() string { return quoteCol(e.Column) + "." + e.Arg.String() }
+func (e *Join) String() string { return Render(e, e.Arg.String()) }
 
 // Type of a join is a record set.
 func (e *Join) Type() Type { return RecordsType }
@@ -155,9 +157,7 @@ type ColumnValues struct {
 }
 
 // String renders R[Column].Records.
-func (e *ColumnValues) String() string {
-	return "R[" + quoteCol(e.Column) + "]." + e.Records.String()
-}
+func (e *ColumnValues) String() string { return Render(e, e.Records.String()) }
 
 // Type of a reverse join is a value set.
 func (e *ColumnValues) Type() Type { return ValuesType }
@@ -173,7 +173,7 @@ type Prev struct {
 }
 
 // String renders Prev.Records.
-func (e *Prev) String() string { return "Prev." + e.Records.String() }
+func (e *Prev) String() string { return Render(e, e.Records.String()) }
 
 // Type of Prev is a record set.
 func (e *Prev) Type() Type { return RecordsType }
@@ -187,7 +187,7 @@ type Next struct {
 }
 
 // String renders R[Prev].Records.
-func (e *Next) String() string { return "R[Prev]." + e.Records.String() }
+func (e *Next) String() string { return Render(e, e.Records.String()) }
 
 // Type of Next is a record set.
 func (e *Next) Type() Type { return RecordsType }
@@ -202,9 +202,7 @@ type Intersect struct {
 }
 
 // String renders (L u R) using the paper's ⊓ spelled "u".
-func (e *Intersect) String() string {
-	return "(" + e.L.String() + " u " + e.R.String() + ")"
-}
+func (e *Intersect) String() string { return Render(e, e.L.String(), e.R.String()) }
 
 // Type of an intersection is a record set.
 func (e *Intersect) Type() Type { return RecordsType }
@@ -220,9 +218,7 @@ type Union struct {
 }
 
 // String renders (L or R).
-func (e *Union) String() string {
-	return "(" + e.L.String() + " or " + e.R.String() + ")"
-}
+func (e *Union) String() string { return Render(e, e.L.String(), e.R.String()) }
 
 // Type of a union follows its operands (checked by Check).
 func (e *Union) Type() Type { return e.L.Type() }
@@ -238,9 +234,7 @@ type Aggregate struct {
 }
 
 // String renders fn(arg).
-func (e *Aggregate) String() string {
-	return string(e.Fn) + "(" + e.Arg.String() + ")"
-}
+func (e *Aggregate) String() string { return Render(e, e.Arg.String()) }
 
 // Type of an aggregate is scalar.
 func (e *Aggregate) Type() Type { return ScalarType }
@@ -255,9 +249,7 @@ type Sub struct {
 }
 
 // String renders sub(L, R).
-func (e *Sub) String() string {
-	return "sub(" + e.L.String() + ", " + e.R.String() + ")"
-}
+func (e *Sub) String() string { return Render(e, e.L.String(), e.R.String()) }
 
 // Type of a difference is scalar.
 func (e *Sub) Type() Type { return ScalarType }
@@ -276,13 +268,7 @@ type ArgRecords struct {
 }
 
 // String renders argmax(records, Column) / argmin(…).
-func (e *ArgRecords) String() string {
-	fn := "argmin"
-	if e.Max {
-		fn = "argmax"
-	}
-	return fn + "(" + e.Records.String() + ", " + quoteCol(e.Column) + ")"
-}
+func (e *ArgRecords) String() string { return Render(e, e.Records.String()) }
 
 // Type of a records superlative is a record set.
 func (e *ArgRecords) Type() Type { return RecordsType }
@@ -301,13 +287,7 @@ type IndexSuperlative struct {
 }
 
 // String renders R[Column].argmax(records, Index) (or argmin for First).
-func (e *IndexSuperlative) String() string {
-	fn := "argmax"
-	if e.First {
-		fn = "argmin"
-	}
-	return "R[" + quoteCol(e.Column) + "]." + fn + "(" + e.Records.String() + ", Index)"
-}
+func (e *IndexSuperlative) String() string { return Render(e, e.Records.String()) }
 
 // Type of an index superlative is a value set.
 func (e *IndexSuperlative) Type() Type { return ValuesType }
@@ -326,11 +306,10 @@ type MostFrequent struct {
 
 // String renders argmax(vals, R[λx.count(Column.x)]).
 func (e *MostFrequent) String() string {
-	vals := "Values[" + quoteCol(e.Column) + "]"
-	if e.Vals != nil {
-		vals = e.Vals.String()
+	if e.Vals == nil {
+		return Render(e)
 	}
-	return "argmax(" + vals + ", R[λx.count(" + quoteCol(e.Column) + ".x)])"
+	return Render(e, e.Vals.String())
 }
 
 // Type of a most-frequent superlative is a value set.
@@ -356,13 +335,7 @@ type CompareValues struct {
 }
 
 // String renders argmax(vals, R[λx.R[KeyCol].ValCol.x]).
-func (e *CompareValues) String() string {
-	fn := "argmin"
-	if e.Max {
-		fn = "argmax"
-	}
-	return fn + "(" + e.Vals.String() + ", R[λx.R[" + quoteCol(e.KeyCol) + "]." + quoteCol(e.ValCol) + ".x])"
-}
+func (e *CompareValues) String() string { return Render(e, e.Vals.String()) }
 
 // Type of a comparing superlative is a value set.
 func (e *CompareValues) Type() Type { return ValuesType }
@@ -380,15 +353,65 @@ type Compare struct {
 }
 
 // String renders Column op literal.
-func (e *Compare) String() string {
-	return quoteCol(e.Column) + string(e.Op) + (&ValueLit{V: e.V}).String()
-}
+func (e *Compare) String() string { return Render(e) }
 
 // Type of a comparison join is a record set.
 func (e *Compare) Type() Type { return RecordsType }
 
 // Children of a comparison is empty: it is atomic.
 func (e *Compare) Children() []Expr { return nil }
+
+// Render writes the node e in the paper's surface syntax around the
+// texts of its children, given in Children order. Every String above is
+// Render over the children's own String; a caller that has rendered a
+// shared sub-expression once hands that text to each of its parents
+// instead of rendering it again under every one.
+func Render(e Expr, children ...string) string {
+	extreme := func(max bool) string {
+		if max {
+			return "argmax"
+		}
+		return "argmin"
+	}
+	switch x := e.(type) {
+	case *ValueLit:
+		return quoteLit(x.V)
+	case *AllRecords:
+		return "Record"
+	case *Join:
+		return quoteCol(x.Column) + "." + children[0]
+	case *ColumnValues:
+		return "R[" + quoteCol(x.Column) + "]." + children[0]
+	case *Prev:
+		return "Prev." + children[0]
+	case *Next:
+		return "R[Prev]." + children[0]
+	case *Intersect:
+		return "(" + children[0] + " u " + children[1] + ")"
+	case *Union:
+		return "(" + children[0] + " or " + children[1] + ")"
+	case *Aggregate:
+		return string(x.Fn) + "(" + children[0] + ")"
+	case *Sub:
+		return "sub(" + children[0] + ", " + children[1] + ")"
+	case *ArgRecords:
+		return extreme(x.Max) + "(" + children[0] + ", " + quoteCol(x.Column) + ")"
+	case *IndexSuperlative:
+		return "R[" + quoteCol(x.Column) + "]." + extreme(!x.First) + "(" + children[0] + ", Index)"
+	case *MostFrequent:
+		vals := "Values[" + quoteCol(x.Column) + "]"
+		if x.Vals != nil {
+			vals = children[0]
+		}
+		return "argmax(" + vals + ", R[λx.count(" + quoteCol(x.Column) + ".x)])"
+	case *CompareValues:
+		return extreme(x.Max) + "(" + children[0] + ", R[λx.R[" + quoteCol(x.KeyCol) + "]." + quoteCol(x.ValCol) + ".x])"
+	case *Compare:
+		return quoteCol(x.Column) + string(x.Op) + quoteLit(x.V)
+	default:
+		return e.String()
+	}
+}
 
 // Columns returns, in first-mention order, the distinct column names an
 // expression projects or aggregates on — the set C ∈ Q of Definition 4.1
@@ -440,8 +463,8 @@ func Subqueries(e Expr) []Expr {
 	return out
 }
 
-// Size returns the number of AST nodes, a simple complexity measure used
-// as a feature by the semantic parser.
+// Size returns the number of AST nodes, a simple complexity measure (the
+// semantic parser's size feature counts the same nodes).
 func Size(e Expr) int { return len(Subqueries(e)) }
 
 // Aggregates returns the aggregate functions appearing anywhere in e,

@@ -30,7 +30,6 @@ import (
 	"nlexplain/internal/provenance"
 	"nlexplain/internal/render"
 	"nlexplain/internal/retry"
-	"nlexplain/internal/semparse"
 	"nlexplain/internal/store"
 	"nlexplain/internal/table"
 	"nlexplain/internal/utterance"
@@ -155,7 +154,7 @@ type Engine struct {
 	// request text; see cached.go.
 	results *cached[*Explanation]
 	answers *cached[*Answer]
-	parses  *cached[[]*semparse.Candidate] // whole candidate pools, cut to topK per request
+	parses  *cached[[]rankedQuery] // whole ranked pools, cut to topK per request
 
 	sem   chan struct{} // worker pool: bounds running pipeline computations
 	admit chan struct{} // admission queue: bounds running + queued computations
@@ -705,16 +704,25 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 	for i, c := range cands {
 		rc := RankedCandidate{
 			Rank:      i + 1,
-			Query:     c.Query.String(),
-			Utterance: utterance.Utter(c.Query),
-			Score:     c.Score,
+			Query:     c.query.String(),
+			Utterance: utterance.Utter(c.query),
+			Score:     c.score,
 		}
-		if c.Result != nil {
-			rc.Result = c.Result.String()
+		if c.result != nil {
+			rc.Result = c.result.String()
 		}
 		out[i] = rc
 	}
 	return out, nil
+}
+
+// rankedQuery is what the parse cache keeps of a candidate: the three
+// things ParseQuestion reads. The feature vectors, two thirds of a
+// pool's bytes, have done their work once the pool is ranked.
+type rankedQuery struct {
+	query  dcs.Expr
+	score  float64
+	result *dcs.Result
 }
 
 // computeParse generates a question's candidate pool — the service's
@@ -723,9 +731,13 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 // ParseAll (not Parse) so a topK above the parser's display default is
 // honored; the pool is read-only once published, safe to share across
 // waiters. Generation does not poll a context.
-func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) ([]*semparse.Candidate, error) {
+func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) ([]rankedQuery, error) {
 	start := time.Now()
 	cands := snap.Parser().ParseAll(question, snap.Table())
+	ranked := make([]rankedQuery, len(cands))
+	for i, c := range cands {
+		ranked[i] = rankedQuery{query: c.Query, score: c.Score, result: c.Result}
+	}
 	e.met.parseLatency.RecordDuration(time.Since(start))
-	return cands, nil
+	return ranked, nil
 }

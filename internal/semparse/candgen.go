@@ -1,8 +1,8 @@
 package semparse
 
 import (
-	"iter"
-	"sort"
+	"slices"
+	"strings"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
@@ -15,33 +15,19 @@ type Candidate struct {
 	Result   *dcs.Result // nil when execution failed
 	Features Features
 	Score    float64
+	// text is Query in the surface syntax, rendered when the candidate
+	// was generated.
+	text string
 }
 
-// Features is the feature vector φ(x, T, z) of one candidate, read by
-// name.
-type Features map[string]float64
-
-// Get returns the value of the named feature, 0 when it is absent.
-func (f Features) Get(name string) float64 { return f[name] }
-
-// All iterates the features present, in name order.
-func (f Features) All() iter.Seq2[string, float64] {
-	return func(yield func(string, float64) bool) {
-		names := make([]string, 0, len(f))
-		for name := range f {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if !yield(name, f[name]) {
-				return
-			}
-		}
+// Key returns the canonical identity of the candidate's query: its text
+// in the surface syntax.
+func (c *Candidate) Key() string {
+	if c.text == "" {
+		return c.Query.String()
 	}
+	return c.text
 }
-
-// Key returns the canonical identity of the candidate's query.
-func (c *Candidate) Key() string { return c.Query.String() }
 
 // generation caps keep the enumeration bounded on wide tables.
 const (
@@ -56,19 +42,23 @@ const (
 // driven by the table and anchors, triggers only add features (the model
 // learns to use them), so mis-triggered compositions exist in the pool —
 // exactly the realistic error profile the paper's user study corrects.
+//
+// A sub-expression that several queries are built on is one node under
+// all of them, so that what the features ask of it is worked out once.
 func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
-	recs := recordsCandidates(q, t)
+	numCols := numericColumns(t)
+	recs, joins := recordsCandidates(q, t, numCols)
 	projCols := projectionColumns(q, t)
-
-	var queries []dcs.Expr
+	joinish := make([]bool, len(recs))
+	for i, r := range recs {
+		joinish[i] = isJoinish(r)
+	}
 
 	// Records-level queries are rarely final answers but keep the pool
 	// honest (the model learns to dis-prefer them via type features).
-	for _, r := range recs {
-		queries = append(queries, r)
-	}
+	queries := slices.Clone(recs)
 
-	// Values: projections of every records candidate.
+	// Values: projections of every records candidate, records-major.
 	var valueQueries []dcs.Expr
 	for _, r := range recs {
 		for _, pc := range projCols {
@@ -77,30 +67,32 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 	}
 
 	// Prev/Next around join-based records.
-	for _, r := range recs {
-		if isJoinish(r) {
+	for i, r := range recs {
+		if joinish[i] {
+			prev, next := &dcs.Prev{Records: r}, &dcs.Next{Records: r}
 			for _, pc := range projCols {
 				valueQueries = append(valueQueries,
-					&dcs.ColumnValues{Column: t.Column(pc), Records: &dcs.Prev{Records: r}},
-					&dcs.ColumnValues{Column: t.Column(pc), Records: &dcs.Next{Records: r}})
+					&dcs.ColumnValues{Column: t.Column(pc), Records: prev},
+					&dcs.ColumnValues{Column: t.Column(pc), Records: next})
 			}
 		}
 	}
 
 	// Superlatives.
-	numCols := numericColumns(t)
-	for _, r := range recs {
+	for i, r := range recs {
 		for _, nc := range numCols {
+			highest := &dcs.ArgRecords{Max: true, Records: r, Column: t.Column(nc)}
+			lowest := &dcs.ArgRecords{Max: false, Records: r, Column: t.Column(nc)}
 			for _, pc := range projCols {
 				if pc == nc {
 					continue
 				}
 				valueQueries = append(valueQueries,
-					&dcs.ColumnValues{Column: t.Column(pc), Records: &dcs.ArgRecords{Max: true, Records: r, Column: t.Column(nc)}},
-					&dcs.ColumnValues{Column: t.Column(pc), Records: &dcs.ArgRecords{Max: false, Records: r, Column: t.Column(nc)}})
+					&dcs.ColumnValues{Column: t.Column(pc), Records: highest},
+					&dcs.ColumnValues{Column: t.Column(pc), Records: lowest})
 			}
 		}
-		if isJoinish(r) {
+		if joinish[i] {
 			for _, pc := range projCols {
 				valueQueries = append(valueQueries,
 					&dcs.IndexSuperlative{Column: t.Column(pc), Records: r, First: false},
@@ -115,58 +107,73 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 	}
 	pairs := sameColumnAnchorPairs(q)
 	for _, p := range pairs {
-		vals := &dcs.Union{L: &dcs.ValueLit{V: p.a.Val}, R: &dcs.ValueLit{V: p.b.Val}}
-		valueQueries = append(valueQueries, &dcs.MostFrequent{Vals: vals, Column: t.Column(p.a.Col)})
+		col := q.EntityAnchors[p.a].Col
+		vals := &dcs.Union{L: joins[p.a].Arg, R: joins[p.b].Arg}
+		valueQueries = append(valueQueries, &dcs.MostFrequent{Vals: vals, Column: t.Column(col)})
 		for _, nc := range numCols {
-			if nc == p.a.Col {
+			if nc == col {
 				continue
 			}
 			valueQueries = append(valueQueries,
-				&dcs.CompareValues{Max: true, Vals: vals, KeyCol: t.Column(nc), ValCol: t.Column(p.a.Col)},
-				&dcs.CompareValues{Max: false, Vals: vals, KeyCol: t.Column(nc), ValCol: t.Column(p.a.Col)})
+				&dcs.CompareValues{Max: true, Vals: vals, KeyCol: t.Column(nc), ValCol: t.Column(col)},
+				&dcs.CompareValues{Max: false, Vals: vals, KeyCol: t.Column(nc), ValCol: t.Column(col)})
 		}
 	}
 	queries = append(queries, valueQueries...)
 
-	// Scalars: counts, aggregates, differences.
+	// Scalars: counts, aggregates of the numeric projections of
+	// join-based records, differences.
 	for _, r := range recs {
 		queries = append(queries, &dcs.Aggregate{Fn: dcs.Count, Arg: r})
 	}
-	for _, vq := range valueQueries {
-		if cv, ok := vq.(*dcs.ColumnValues); ok && isNumericColumn(t, cv.Column) && isJoinish(cv.Records) {
-			for _, fn := range []dcs.AggrFn{dcs.Max, dcs.Min, dcs.Sum, dcs.Avg, dcs.Count} {
-				queries = append(queries, &dcs.Aggregate{Fn: fn, Arg: cv})
+	// The header decides whether a projection is numeric, as it decides
+	// which column the query reads: two columns under one header both
+	// name the same one.
+	numericProj := make([]bool, len(projCols))
+	for j, pc := range projCols {
+		c, ok := t.ColumnIndex(t.Column(pc))
+		numericProj[j] = ok && slices.Contains(numCols, c)
+	}
+	for i := range recs {
+		for j := range projCols {
+			if joinish[i] && numericProj[j] {
+				projection := valueQueries[i*len(projCols)+j]
+				for _, fn := range []dcs.AggrFn{dcs.Max, dcs.Min, dcs.Sum, dcs.Avg, dcs.Count} {
+					queries = append(queries, &dcs.Aggregate{Fn: fn, Arg: projection})
+				}
 			}
 		}
 	}
 	for _, p := range pairs {
-		joinCol := t.Column(p.a.Col)
+		col := q.EntityAnchors[p.a].Col
 		// Occurrence difference.
 		queries = append(queries, &dcs.Sub{
-			L: &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Join{Column: joinCol, Arg: &dcs.ValueLit{V: p.a.Val}}},
-			R: &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Join{Column: joinCol, Arg: &dcs.ValueLit{V: p.b.Val}}},
+			L: &dcs.Aggregate{Fn: dcs.Count, Arg: joins[p.a]},
+			R: &dcs.Aggregate{Fn: dcs.Count, Arg: joins[p.b]},
 		})
 		// Value difference on each numeric column.
 		for _, nc := range numCols {
-			if nc == p.a.Col {
+			if nc == col {
 				continue
 			}
 			queries = append(queries, &dcs.Sub{
-				L: &dcs.ColumnValues{Column: t.Column(nc), Records: &dcs.Join{Column: joinCol, Arg: &dcs.ValueLit{V: p.a.Val}}},
-				R: &dcs.ColumnValues{Column: t.Column(nc), Records: &dcs.Join{Column: joinCol, Arg: &dcs.ValueLit{V: p.b.Val}}},
+				L: &dcs.ColumnValues{Column: t.Column(nc), Records: joins[p.a]},
+				R: &dcs.ColumnValues{Column: t.Column(nc), Records: joins[p.b]},
 			})
 		}
 	}
 
-	// Execute, dedupe, featurize.
-	seen := make(map[string]bool, len(queries))
-	var out []*Candidate
+	// Dedupe, execute, featurize.
+	f := newFeaturizer(q, len(queries))
+	seen := make(map[string]struct{}, len(queries))
+	pool := make([]Candidate, 0, min(len(queries), maxCandidates))
+	out := make([]*Candidate, 0, cap(pool))
 	for _, e := range queries {
-		key := e.String()
-		if seen[key] {
+		n := f.describe(e)
+		if _, dup := seen[n.text]; dup {
 			continue
 		}
-		seen[key] = true
+		seen[n.text] = struct{}{}
 		if dcs.Check(e, t) != nil {
 			continue
 		}
@@ -177,7 +184,8 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 		if err != nil {
 			continue // dynamic type errors: not a viable candidate
 		}
-		out = append(out, &Candidate{Query: e, Result: res, Features: Featurize(q, t, e, res)})
+		pool = append(pool, Candidate{Query: e, Result: res, Features: f.features(n, res), text: n.text})
+		out = append(out, &pool[len(pool)-1])
 		if len(out) >= maxCandidates {
 			break
 		}
@@ -185,21 +193,19 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 	return out
 }
 
-type anchorPair struct{ a, b EntityAnchor }
+// anchorPair is a pair of entity anchors, by their place in
+// Question.EntityAnchors.
+type anchorPair struct{ a, b int }
 
 // sameColumnAnchorPairs returns ordered pairs of distinct entity anchors
 // grounded in the same column (the shape behind "between X and Y"
 // questions).
 func sameColumnAnchorPairs(q *Question) []anchorPair {
 	var out []anchorPair
-	for i := 0; i < len(q.EntityAnchors); i++ {
-		for j := 0; j < len(q.EntityAnchors); j++ {
-			if i == j {
-				continue
-			}
-			a, b := q.EntityAnchors[i], q.EntityAnchors[j]
-			if a.Col == b.Col && !a.Val.Equal(b.Val) {
-				out = append(out, anchorPair{a: a, b: b})
+	for i, a := range q.EntityAnchors {
+		for j, b := range q.EntityAnchors {
+			if i != j && a.Col == b.Col && !a.Val.Equal(b.Val) {
+				out = append(out, anchorPair{a: i, b: j})
 			}
 		}
 	}
@@ -208,43 +214,41 @@ func sameColumnAnchorPairs(q *Question) []anchorPair {
 
 // recordsCandidates builds the record-set building blocks: joins on
 // anchored entities, comparisons on question numbers, and their
-// intersections/unions.
-func recordsCandidates(q *Question, t *table.Table) []dcs.Expr {
-	var out []dcs.Expr
-	out = append(out, &dcs.AllRecords{})
+// intersections/unions. It also returns the joins alone, one per entity
+// anchor in the question's order.
+func recordsCandidates(q *Question, t *table.Table, numCols []int) (recs []dcs.Expr, joins []*dcs.Join) {
+	recs = append(recs, &dcs.AllRecords{})
 
-	var joins []dcs.Expr
 	for _, a := range q.EntityAnchors {
-		joins = append(joins, &dcs.Join{Column: t.Column(a.Col), Arg: &dcs.ValueLit{V: a.Val}})
+		j := &dcs.Join{Column: t.Column(a.Col), Arg: &dcs.ValueLit{V: a.Val}}
+		joins = append(joins, j)
+		recs = append(recs, j)
 	}
-	out = append(out, joins...)
 
 	// Comparisons: question numbers against numeric columns.
 	for _, n := range q.Numbers {
-		for _, nc := range numericColumns(t) {
+		for _, nc := range numCols {
 			for _, op := range []dcs.CmpOp{dcs.Gt, dcs.Ge, dcs.Lt, dcs.Le} {
-				out = append(out, &dcs.Compare{Column: t.Column(nc), Op: op, V: table.NumberValue(n)})
+				recs = append(recs, &dcs.Compare{Column: t.Column(nc), Op: op, V: table.NumberValue(n)})
 			}
 		}
 	}
 
 	// Intersections of joins on different columns; unions on the same.
-	for i := 0; i < len(joins); i++ {
-		for j := i + 1; j < len(joins); j++ {
-			ji := joins[i].(*dcs.Join)
-			jj := joins[j].(*dcs.Join)
+	for i, ji := range joins {
+		for _, jj := range joins[i+1:] {
 			if ji.Column == jj.Column {
-				out = append(out, &dcs.Union{L: ji, R: jj})
+				recs = append(recs, &dcs.Union{L: ji, R: jj})
 			} else {
-				out = append(out, &dcs.Intersect{L: ji, R: jj})
+				recs = append(recs, &dcs.Intersect{L: ji, R: jj})
 			}
 		}
 	}
 
-	if len(out) > maxRecordsCands {
-		out = out[:maxRecordsCands]
+	if len(recs) > maxRecordsCands {
+		recs = recs[:maxRecordsCands]
 	}
-	return out
+	return recs, joins
 }
 
 // projectionColumns picks columns worth projecting: anchored columns
@@ -272,9 +276,10 @@ func projectionColumns(q *Question, t *table.Table) []int {
 func numericColumns(t *table.Table) []int {
 	var out []int
 	for c := 0; c < t.NumCols(); c++ {
+		_, isNum := t.ColumnNums(c)
 		numeric := 0
-		for r := 0; r < t.NumRows(); r++ {
-			if t.Value(r, c).IsNumeric() {
+		for _, ok := range isNum {
+			if ok {
 				numeric++
 			}
 		}
@@ -283,19 +288,6 @@ func numericColumns(t *table.Table) []int {
 		}
 	}
 	return out
-}
-
-func isNumericColumn(t *table.Table, name string) bool {
-	c, ok := t.ColumnIndex(name)
-	if !ok {
-		return false
-	}
-	for _, nc := range numericColumns(t) {
-		if nc == c {
-			return true
-		}
-	}
-	return false
 }
 
 // isJoinish reports whether a records expression is anchored in cell
@@ -314,12 +306,15 @@ func isJoinish(e dcs.Expr) bool {
 }
 
 // sortCandidates orders by score descending, breaking ties by query
-// string for determinism.
+// text for determinism.
 func sortCandidates(cands []*Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	slices.SortStableFunc(cands, func(a, b *Candidate) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return cands[i].Key() < cands[j].Key()
+		return strings.Compare(a.text, b.text)
 	})
 }

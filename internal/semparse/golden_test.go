@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"nlexplain/internal/dcs"
@@ -135,5 +136,73 @@ func TestGoldenTrainedWeights(t *testing.T) {
 	t.Logf("%d weights hashed", len(names))
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenWeightsHash {
 		t.Errorf("trained weights hash to %s, pinned %s", got, goldenWeightsHash)
+	}
+}
+
+// poolSignature is writePool's rendering of one ranked pool, hashed.
+func poolSignature(t *testing.T, question string, cands []*semparse.Candidate) string {
+	h := sha256.New()
+	writePool(t, h, question, cands)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestParseAllConcurrent has eight goroutines parse the same and
+// different questions through one parser, with and without the pool
+// memo, and holds every result to a serial run's. The feature table is
+// built at start-up and only read after; under -race this also proves
+// that nothing shared crept into a question's state.
+func TestParseAllConcurrent(t *testing.T) {
+	wide := wideTable()
+	serial := semparse.NewUncachedParser()
+	want := make([]string, len(wideQuestions))
+	for i, q := range wideQuestions {
+		want[i] = poolSignature(t, q, serial.ParseAll(q, wide))
+	}
+	for name, p := range map[string]*semparse.Parser{"cached": semparse.NewParser(), "uncached": semparse.NewUncachedParser()} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Even goroutines walk the questions together, odd ones
+				// start apart: same and different questions at once.
+				for round := 0; round < 2; round++ {
+					for k := range wideQuestions {
+						i := (k + g%2*g) % len(wideQuestions)
+						if got := poolSignature(t, wideQuestions[i], p.ParseAll(wideQuestions[i], wide)); got != want[i] {
+							t.Errorf("%s parser, goroutine %d: pool of %q differs from the serial run's", name, g, wideQuestions[i])
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestCachedParserSeesAppendedRows: a table and its Append share a
+// name, not their content, and a parser that memoizes pools must not
+// serve the one's pool for the other.
+func TestCachedParserSeesAppendedRows(t *testing.T) {
+	before := table.MustNew("games", []string{"Year", "City"}, [][]string{{"1896", "Athens"}, {"1900", "Paris"}})
+	after, err := before.Append([][]string{{"2004", "Athens"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(p *semparse.Parser, tab *table.Table) string {
+		for _, c := range p.ParseAll("how many times athens", tab) {
+			if c.Key() == "count(City.Athens)" {
+				return c.Result.AnswerKey()
+			}
+		}
+		t.Fatal("count(City.Athens) is not in the pool")
+		return ""
+	}
+	p := semparse.NewParser()
+	if got := count(p, before); got != "1" {
+		t.Fatalf("count(City.Athens) = %s on the two-row table, want 1", got)
+	}
+	if got, fresh := count(p, after), count(semparse.NewParser(), after); got != fresh || got != "2" {
+		t.Errorf("count(City.Athens) = %s after appending an Athens row, a fresh parser says %s, want 2", got, fresh)
 	}
 }

@@ -5,24 +5,8 @@ import (
 	"sort"
 	"sync"
 
-	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
 )
-
-// entityLiterals collects the value literals appearing in a query,
-// including comparison constants.
-func entityLiterals(z dcs.Expr) []table.Value {
-	var out []table.Value
-	for _, sub := range dcs.Subqueries(z) {
-		switch x := sub.(type) {
-		case *dcs.ValueLit:
-			out = append(out, x.V)
-		case *dcs.Compare:
-			out = append(out, x.V)
-		}
-	}
-	return out
-}
 
 // Parser is the log-linear semantic parser of Eq. 4:
 // pθ(z|x,T) ∝ exp(φ(x,T,z)·θ).
@@ -50,10 +34,18 @@ type Parser struct {
 // parser variants (candidates are θ-independent).
 type candCache struct {
 	mu sync.Mutex
-	m  map[string][]*Candidate
+	m  map[poolKey][]*Candidate
 }
 
-func (c *candCache) get(key string) ([]*Candidate, bool) {
+// poolKey names a memoized pool. Tables are immutable, so the table's
+// identity stands for its content; its name does not — an Append keeps
+// the name.
+type poolKey struct {
+	table    *table.Table
+	question string
+}
+
+func (c *candCache) get(key poolKey) ([]*Candidate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cands, ok := c.m[key]
@@ -62,21 +54,17 @@ func (c *candCache) get(key string) ([]*Candidate, bool) {
 
 // putIfAbsent stores cands under key unless another goroutine won the
 // generation race, and returns the pool that ends up cached.
-func (c *candCache) putIfAbsent(key string, cands []*Candidate) []*Candidate {
+func (c *candCache) putIfAbsent(key poolKey, cands []*Candidate) []*Candidate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.m[key]; ok {
 		return prev
 	}
 	if c.m == nil {
-		c.m = make(map[string][]*Candidate)
+		c.m = make(map[poolKey][]*Candidate)
 	}
 	c.m[key] = cands
 	return cands
-}
-
-func (p *Parser) cacheKey(question string, t *table.Table) string {
-	return t.Name() + "\x00" + question
 }
 
 // ShareCandidateCache makes p reuse another parser's memoized candidate
@@ -87,29 +75,34 @@ func (p *Parser) cacheKey(question string, t *table.Table) string {
 // synchronization, so call it before any concurrent parsing starts.
 func (p *Parser) ShareCandidateCache(o *Parser) {
 	if o.candCache == nil {
-		o.candCache = &candCache{m: make(map[string][]*Candidate)}
+		o.candCache = &candCache{m: make(map[poolKey][]*Candidate)}
 	}
 	p.candCache = o.candCache
 }
 
-// candidates fetches or generates the unscored candidate pool.
-// Generation runs outside the cache lock; when two goroutines race on
-// the same key, one pool wins and both use it. A parser built by hand
-// rather than NewParser has no cache: it regenerates every call
-// (lazily installing one here would be an unsynchronized write,
-// breaking the type's concurrency guarantee).
+// candidates returns the unscored candidate pool as candidates the
+// caller owns: freshly generated ones, or copies of the memoized pool,
+// which scoring must never write to. Generation runs outside the cache
+// lock; when two goroutines race on the same key, one pool wins and
+// both use it. A parser built by hand rather than NewParser has no
+// cache: it regenerates every call (lazily installing one here would be
+// an unsynchronized write, breaking the type's concurrency guarantee).
 func (p *Parser) candidates(question string, t *table.Table) []*Candidate {
 	if p.candCache == nil {
-		q := Analyze(question, t)
-		return GenerateCandidates(q, t)
+		return GenerateCandidates(Analyze(question, t), t)
 	}
-	key := p.cacheKey(question, t)
-	if cached, ok := p.candCache.get(key); ok {
-		return cached
+	key := poolKey{t, question}
+	pool, ok := p.candCache.get(key)
+	if !ok {
+		pool = p.candCache.putIfAbsent(key, GenerateCandidates(Analyze(question, t), t))
 	}
-	q := Analyze(question, t)
-	cands := GenerateCandidates(q, t)
-	return p.candCache.putIfAbsent(key, cands)
+	copies := make([]Candidate, len(pool))
+	cands := make([]*Candidate, len(pool))
+	for i, c := range pool {
+		copies[i] = *c
+		cands[i] = &copies[i]
+	}
+	return cands
 }
 
 // NewParser returns a parser with heuristic initial weights: enough
@@ -128,7 +121,7 @@ func NewParser() *Parser {
 		},
 		TopK:      7,
 		sumSq:     make(map[string]float64),
-		candCache: &candCache{m: make(map[string][]*Candidate)},
+		candCache: &candCache{m: make(map[poolKey][]*Candidate)},
 	}
 }
 
@@ -157,20 +150,28 @@ func (p *Parser) Clone() *Parser {
 	return q
 }
 
-// score computes θ·φ. Terms are added in sorted feature order: float
-// addition is not associative, and map-order summation would make
-// near-tied candidates rank non-deterministically across runs.
-func (p *Parser) score(features Features) float64 {
-	keys := make([]string, 0, len(features))
-	for k := range features {
-		if p.Weights[k] != 0 {
-			keys = append(keys, k)
+// denseWeights lays Weights out by feature id. A weight under a name
+// no feature has never met a feature, and is left out.
+func (p *Parser) denseWeights() []float64 {
+	w := make([]float64, len(featureNames))
+	for name, v := range p.Weights {
+		if id, ok := featureIDs[name]; ok {
+			w[id] = v
 		}
 	}
-	sort.Strings(keys)
+	return w
+}
+
+// score computes θ·φ over the weighted features. Terms are added in
+// feature-name order — the vector's own: float addition is not
+// associative, and any other order would rank near-tied candidates
+// differently.
+func score(weights []float64, features Features) float64 {
 	s := 0.0
-	for _, k := range keys {
-		s += p.Weights[k] * features[k]
+	for _, f := range features {
+		if w := weights[f.ID]; w != 0 {
+			s += w * f.Value
+		}
 	}
 	return s
 }
@@ -187,15 +188,13 @@ func (p *Parser) Parse(question string, t *table.Table) []*Candidate {
 
 // ParseAll is Parse without the top-K truncation, for training (the
 // distributions of Eq. 5/7 range over the full candidate set Zx).
-// The returned candidates are per-call copies: scoring never mutates
-// the shared memoized pool, so concurrent ParseAll calls do not race.
+// The returned candidates are the caller's: scoring never mutates the
+// shared memoized pool, so concurrent ParseAll calls do not race.
 func (p *Parser) ParseAll(question string, t *table.Table) []*Candidate {
-	pool := p.candidates(question, t)
-	cands := make([]*Candidate, len(pool))
-	for i, c := range pool {
-		cp := *c
-		cp.Score = p.score(c.Features)
-		cands[i] = &cp
+	cands := p.candidates(question, t)
+	weights := p.denseWeights()
+	for _, c := range cands {
+		c.Score = score(weights, c.Features)
 	}
 	sortCandidates(cands)
 	return cands

@@ -89,7 +89,7 @@ func (p *Parser) step(ex *Example, opt TrainOptions) {
 	if zc == 0 {
 		return
 	}
-	grad := make(map[string]float64)
+	grad := make([]float64, len(featureNames))
 	for i, c := range cands {
 		w := -probs[i]
 		if correct[i] {
@@ -98,16 +98,17 @@ func (p *Parser) step(ex *Example, opt TrainOptions) {
 		if w == 0 {
 			continue
 		}
-		for k, v := range c.Features {
-			grad[k] += w * v
+		for _, f := range c.Features {
+			grad[f.ID] += w * f.Value
 		}
 	}
 
 	// AdaGrad with an ℓ1 proximal (soft-threshold) step.
-	for k, g := range grad {
+	for id, g := range grad {
 		if g == 0 {
 			continue
 		}
+		k := featureNames[id]
 		p.sumSq[k] += g * g
 		lr := opt.LearningRate / math.Sqrt(p.sumSq[k]+1e-8)
 		w := p.Weights[k] + lr*g
