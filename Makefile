@@ -34,15 +34,24 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table speedup skipgain serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table speedup skipgain serve ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
-test:
+test: parse-footprint
 	$(GO) test -race ./...
+
+# parse-footprint runs the two gates on the NL-parse path that do not
+# read the clock — live heap per published parse-cache entry and
+# allocations per parsed question, over the corpus semparse's golden
+# hashes pin. They are measurements, which the race detector distorts
+# (the tests skip themselves under it), so test and cover, both -race,
+# run them first without it.
+parse-footprint:
+	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion' -count=1 ./internal/engine/
 
 vet:
 	$(GO) vet ./...
@@ -59,7 +68,7 @@ fmt:
 # the COVERAGE_FLOOR on total statement coverage. It runs under the
 # race detector, so `make ci` gets race checking and coverage from one
 # test-suite execution instead of two.
-cover:
+cover: parse-footprint
 	$(GO) test -race -count=1 -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \

@@ -1,0 +1,118 @@
+package engine
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"nlexplain/internal/semparse"
+	"nlexplain/internal/table"
+	"nlexplain/internal/wikitables"
+)
+
+// parseCorpus registers the tables of the default generated dataset —
+// the corpus semparse's golden hashes pin — and returns its questions.
+func parseCorpus(t *testing.T, e *Engine) []*semparse.Example {
+	t.Helper()
+	ds := wikitables.Generate(wikitables.DefaultOptions())
+	for _, tabs := range [][]*table.Table{ds.TrainTables, ds.TestTables} {
+		for _, tab := range tabs {
+			if _, err := e.RegisterTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return append(ds.Train, ds.Test...)
+}
+
+// publishAll computes what the parse cache would publish for every
+// question of the corpus.
+func publishAll(t *testing.T, e *Engine, corpus []*semparse.Example) [][]rankedQuery {
+	t.Helper()
+	entries := make([][]rankedQuery, len(corpus))
+	for i, ex := range corpus {
+		snap, ok := e.store.Get(ex.Table.Name())
+		if !ok {
+			t.Fatalf("table %q not registered", ex.Table.Name())
+		}
+		entry, err := e.computeParse(context.Background(), snap, ex.Table.Name(), ex.Question)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[i] = entry
+	}
+	return entries
+}
+
+// liveHeap reports the heap bytes live after two collections.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestParseHeapPerQuestion is the parse cache's footprint gate, and it
+// does not read the clock: what one cached question keeps alive. A
+// ranked pool of queries, scores and results measures 29 KB on this
+// corpus (104 candidates a question); with a name-keyed feature map per
+// candidate it was 139 KB, and per-candidate feature data in any form
+// does not fit under the bound. The log splits the entry into its parts
+// and sets beside it what the feature vectors would add.
+func TestParseHeapPerQuestion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurement under the race detector")
+	}
+	const bound = 33_000 // measured 28 916, + 15 %
+	e := New(Options{CacheSize: 64, Workers: 2})
+	corpus := parseCorpus(t, e)
+	n := int64(len(corpus))
+
+	base := liveHeap()
+	entries := publishAll(t, e, corpus)
+	entry := (liveHeap() - base) / n
+	if entry > bound {
+		t.Errorf("a published parse keeps %d heap bytes, want at most %d", entry, bound)
+	}
+
+	candidates := 0
+	for _, entry := range entries {
+		candidates += len(entry)
+		for i := range entry {
+			entry[i].result = nil
+		}
+	}
+	queries := (liveHeap() - base) / n
+	runtime.KeepAlive(entries)
+	entries = nil
+
+	base = liveHeap()
+	pools := make([][]*semparse.Candidate, len(corpus))
+	for i, ex := range corpus {
+		snap, _ := e.store.Get(ex.Table.Name())
+		pools[i] = snap.Parser().ParseAll(ex.Question, snap.Table())
+	}
+	pool := (liveHeap() - base) / n
+	runtime.KeepAlive(pools)
+	t.Logf("%d questions, %d candidates: a published entry keeps %d heap bytes — results %d, queries and scores %d; "+
+		"the pool as the parser returns it keeps %d, the %d more being feature vectors and query texts",
+		n, candidates, entry, entry-queries, queries, pool, pool-entry)
+}
+
+// TestParseAllocsPerQuestion bounds the garbage of a parse-cache miss:
+// heap allocations per question from analysis to the published pool.
+func TestParseAllocsPerQuestion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	const bound = 3_300 // measured 2 883, + 15 %; 10 668 with feature maps and a walk of every candidate's whole tree
+	e := New(Options{CacheSize: 64, Workers: 2})
+	corpus := parseCorpus(t, e)
+	publishAll(t, e, corpus) // warm the executor's pools and the tables' lazy indexes
+	perQuestion := testing.AllocsPerRun(1, func() { publishAll(t, e, corpus) }) / float64(len(corpus))
+	t.Logf("%d questions, %.0f allocations per question", len(corpus), perQuestion)
+	if perQuestion > bound {
+		t.Errorf("a parse makes %.0f allocations, want at most %d", perQuestion, bound)
+	}
+}
