@@ -85,6 +85,7 @@ func BenchmarkTable6Correctness(b *testing.B) {
 func BenchmarkTable7CandidateGen(b *testing.B) {
 	env := sharedBenchEnv(b)
 	questions := env.Dataset.Test
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := questions[i%len(questions)]

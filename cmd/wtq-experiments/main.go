@@ -7,6 +7,7 @@
 //	wtq-experiments                 # all tables + figures, reduced scale
 //	wtq-experiments -full           # paper-scale counts (slow)
 //	wtq-experiments -table 6        # one table
+//	wtq-experiments -table 7        # generation times, and what each candidate family contributes
 //	wtq-experiments -figure 9       # one figure
 package main
 
@@ -60,6 +61,7 @@ func main() {
 	}
 	if runAll || *tableN == 7 {
 		fmt.Println(env.RunTable7())
+		fmt.Println(env.RunCandidateFamilies(7))
 	}
 	if runAll || *tableN == 8 {
 		fmt.Println(experiments.FormatTable8(env.RunTable8(6)))

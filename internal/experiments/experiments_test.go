@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nlexplain/internal/dcs"
 )
 
 // sharedEnv is built once: Env construction trains the baseline parser.
@@ -78,6 +80,38 @@ func TestTable7Shape(t *testing.T) {
 	if r.UtteranceSec >= r.HighlightsSec {
 		t.Errorf("utterance generation (%.5fs) should be cheaper than highlight generation (%.5fs)",
 			r.UtteranceSec, r.HighlightsSec)
+	}
+}
+
+func TestCandidateFamilies(t *testing.T) {
+	e := env(t)
+	r := e.RunCandidateFamilies(7)
+	if len(r.Rows) != len(candidateFamilies) {
+		t.Errorf("%d families reported, the generator builds %d:\n%s", len(r.Rows), len(candidateFamilies), r)
+	}
+	candidates, shown := 0, 0
+	for _, row := range r.Rows {
+		candidates += row.Candidates
+		shown += row.Shown
+		if row.Shown > row.Candidates || row.QuestionsShown > row.Questions || row.Questions > r.Questions {
+			t.Errorf("inconsistent row: %+v", row)
+		}
+	}
+	if candidates != r.Candidates || shown > r.Questions*r.K || shown == 0 {
+		t.Errorf("rows hold %d candidates and %d shown, report says %d candidates over %d questions", candidates, shown, r.Candidates, r.Questions)
+	}
+	for query, family := range map[string]string{
+		"City.Athens":                                 "records",
+		"R[Year].City.Athens":                         "projection",
+		"R[City].R[Prev].City.Beijing":                "prev-next",
+		"R[Country].argmax(Record, Year)":             "superlative",
+		"R[Year].argmax(Country.Greece, Index)":       "index-superlative",
+		"count(City.Athens)":                          "aggregate",
+		"sub(count(City.Athens), count(City.London))": "difference",
+	} {
+		if got := candidateFamily(dcs.MustParse(query)); got != family {
+			t.Errorf("candidateFamily(%s) = %s, want %s", query, got, family)
+		}
 	}
 }
 
