@@ -717,8 +717,9 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 }
 
 // rankedQuery is what the parse cache keeps of a candidate: the three
-// things ParseQuestion reads. The feature vectors, two thirds of a
-// pool's bytes, have done their work once the pool is ranked.
+// things ParseQuestion reads. The feature vectors and query texts, half
+// the bytes of the parser's pool, have done their work once it is
+// ranked.
 type rankedQuery struct {
 	query  dcs.Expr
 	score  float64

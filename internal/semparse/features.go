@@ -3,6 +3,7 @@ package semparse
 import (
 	"iter"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,8 +30,7 @@ func (f Features) Get(name string) float64 {
 	if !ok {
 		return 0
 	}
-	i := sort.Search(len(f), func(i int) bool { return int(f[i].ID) >= id })
-	if i < len(f) && int(f[i].ID) == id {
+	if i, ok := slices.BinarySearchFunc(f, id, func(e Feature, id int) int { return int(e.ID) - id }); ok {
 		return f[i].Value
 	}
 	return 0
@@ -80,6 +80,13 @@ func ops(os ...op) opSet {
 	}
 	return s
 }
+
+// The operator sets the superlative features test for.
+var (
+	superlativeOps = ops(opArgmax, opArgmin, opMax, opMin, opLast, opFirst)
+	lastOps        = ops(opLast, opMax)
+	firstOps       = ops(opFirst, opMin)
+)
 
 // aggrOps is the operator class of each aggregate function.
 var aggrOps = map[dcs.AggrFn]op{dcs.Count: opCount, dcs.Sum: opSum, dcs.Avg: opAvg, dcs.Max: opMax, dcs.Min: opMin}
@@ -187,11 +194,12 @@ var (
 		}
 		return out
 	}()
-	// fTrigger is the agree, miss and spur feature of each triggerOps row.
-	fTrigger = func() [][3]int {
-		out := make([][3]int, len(triggerOps))
+	// fTrigger is, per triggerOps row, the operator and its agree, miss
+	// and spur features.
+	fTrigger = func() []triggerFeatures {
+		out := make([]triggerFeatures, len(triggerOps))
 		for i, to := range triggerOps {
-			out[i] = [3]int{featureID("agree:" + to.name), featureID("miss:" + to.name), featureID("spur:" + to.name)}
+			out[i] = triggerFeatures{to.op, featureID("agree:" + to.name), featureID("miss:" + to.name), featureID("spur:" + to.name)}
 		}
 		return out
 	}()
@@ -206,6 +214,11 @@ var (
 		return out
 	}()
 )
+
+type triggerFeatures struct {
+	op                op
+	agree, miss, spur int
+}
 
 // node is what the features ask of one AST node, computed once from its
 // children's: canonical text, operator classes anywhere in it, distinct
@@ -299,7 +312,7 @@ func carve[T any](slab *[]T, n, chunk int) []T {
 // and density features relating the question's lexical cues to the
 // query's operators, columns, entities and result. A root operator or
 // wh-word outside the closed feature set contributes no feature.
-func Featurize(q *Question, _ *table.Table, z dcs.Expr, res *dcs.Result) Features {
+func Featurize(q *Question, z dcs.Expr, res *dcs.Result) Features {
 	f := newFeaturizer(q, 0)
 	return f.features(f.describe(z), res)
 }
@@ -333,14 +346,14 @@ func (f *featurizer) features(n *node, res *dcs.Result) Features {
 	}
 
 	// Trigger ↔ operator agreement.
-	for i, to := range triggerOps {
-		switch trig, has := f.trig.has(to.op), n.ops.has(to.op); {
+	for _, tf := range fTrigger {
+		switch trig, has := f.trig.has(tf.op), n.ops.has(tf.op); {
 		case trig && has:
-			f.set(fTrigger[i][0], 1)
+			f.set(tf.agree, 1)
 		case trig:
-			f.set(fTrigger[i][1], 1)
+			f.set(tf.miss, 1)
 		case has:
-			f.set(fTrigger[i][2], 1)
+			f.set(tf.spur, 1)
 		}
 	}
 
@@ -353,15 +366,15 @@ func (f *featurizer) features(n *node, res *dcs.Result) Features {
 		f.set(fAgreeArgmin, 1)
 	case f.maxish && argmin, f.minish && argmax:
 		f.set(fFlipSuperlative, 1)
-	case (f.maxish || f.minish) && n.ops&ops(opArgmax, opArgmin, opMax, opMin, opLast, opFirst) == 0:
+	case (f.maxish || f.minish) && n.ops&superlativeOps == 0:
 		f.set(fMissSuperlative, 1)
 	case !(f.maxish || f.minish) && (argmax || argmin):
 		f.set(fSpurSuperlative, 1)
 	}
-	if f.last && n.ops&ops(opLast, opMax) != 0 {
+	if f.last && n.ops&lastOps != 0 {
 		f.set(fAgreeLast, 1)
 	}
-	if f.first && n.ops&ops(opFirst, opMin) != 0 {
+	if f.first && n.ops&firstOps != 0 {
 		f.set(fAgreeFirst, 1)
 	}
 

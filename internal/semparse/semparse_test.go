@@ -197,11 +197,11 @@ func TestCandidatesAllExecutable(t *testing.T) {
 func TestFeaturesTriggersAgreement(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("how many games were in Athens?", tab)
-	goldFeatures := Featurize(q, tab, dcs.MustParse("count(City.Athens)"), nil)
+	goldFeatures := Featurize(q, dcs.MustParse("count(City.Athens)"), nil)
 	if goldFeatures.Get("agree:count") != 1 {
 		t.Errorf("count agreement feature missing: %v", goldFeatures)
 	}
-	badFeatures := Featurize(q, tab, dcs.MustParse("R[Year].City.Athens"), nil)
+	badFeatures := Featurize(q, dcs.MustParse("R[Year].City.Athens"), nil)
 	if badFeatures.Get("miss:count") != 1 {
 		t.Errorf("count miss feature missing: %v", badFeatures)
 	}
@@ -210,11 +210,11 @@ func TestFeaturesTriggersAgreement(t *testing.T) {
 func TestFeaturesSuperlativeFlip(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("which country has the highest year?", tab)
-	flipped := Featurize(q, tab, dcs.MustParse("R[Country].argmin(Record, Year)"), nil)
+	flipped := Featurize(q, dcs.MustParse("R[Country].argmin(Record, Year)"), nil)
 	if flipped.Get("flip:superlative") != 1 {
 		t.Errorf("flip feature missing: %v", flipped)
 	}
-	right := Featurize(q, tab, dcs.MustParse("R[Country].argmax(Record, Year)"), nil)
+	right := Featurize(q, dcs.MustParse("R[Country].argmax(Record, Year)"), nil)
 	if right.Get("agree:argmax") != 1 {
 		t.Errorf("agree feature missing: %v", right)
 	}
