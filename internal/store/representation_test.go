@@ -1,0 +1,422 @@
+package store
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/csv"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"testing"
+
+	"nlexplain/internal/segment"
+	"nlexplain/internal/table"
+	"nlexplain/internal/wal"
+)
+
+// The representation fixtures: one logical table cut into a base and
+// two batches of appended rows. The cells are chosen for what a
+// storage layout could get wrong — a key group with three spellings
+// (" Athens", "athens", "ATHENS") and one with a trailing pad, two date
+// layouts of one day, padded and re-punctuated numbers sharing a key,
+// empty and blank cells, NaN in two cases, the non-ASCII fold pair
+// 'ſ'/'S', a cell with a comma, a quote and a newline.
+var (
+	reprColumns = []string{"City", "Opened", "Games", "Note"}
+	reprBase    = [][]string{
+		{" Athens", "June 8, 2013", " 42 ", ""},
+		{"athens", "2013-06-08", "42", "NaN"},
+		{"Paris", "1896-04-06", "1,234", "ſ"},
+		{"ATHENS", "June 8 2013", "$1,234", "S"},
+		{"", "n/a", "1234", "s"},
+	}
+	reprFirst = [][]string{
+		{"paris ", "", "-0", "nan"},
+		{"Ünïcode", "06/08/2013", "0", " "},
+		{"Athens", "April 6, 1896", "1e3", "a,b \"c\"\nd"},
+	}
+	reprSecond = [][]string{
+		{"ünïcode", "8 June 2013", "1000", "\t"},
+		{" Athens", "1896", "42", "Straße"},
+		{"Rio de Janeiro", "Jun 8, 2013", "inf", ""},
+	}
+)
+
+func concatRows(parts ...[][]string) [][]string {
+	var out [][]string
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// bigReprRows is the 131072 x 6 shape the scan traffic runs on: two
+// sequence columns, two low-cardinality text columns and two numeric
+// columns of middling cardinality.
+func bigReprRows() ([]string, [][]string) {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]string, 131072)
+	for i := range rows {
+		rows[i] = []string{
+			strconv.Itoa(i), strconv.Itoa(i),
+			"Nation" + strconv.Itoa(rng.Intn(40)), "City" + strconv.Itoa(rng.Intn(24)),
+			strconv.Itoa(rng.Intn(1_000_000)), strconv.Itoa(rng.Intn(10_000)),
+		}
+	}
+	return []string{"Seq", "Tick", "Nation", "City", "Games", "Score"}, rows
+}
+
+func mustNew(t *testing.T, name string, columns []string, rows [][]string) *table.Table {
+	t.Helper()
+	tab, err := table.New(name, columns, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func mustAppend(t *testing.T, tab *table.Table, rows [][]string) *table.Table {
+	t.Helper()
+	next, err := tab.Append(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+func sameCellValue(a, b table.Value) bool {
+	return a.Kind == b.Kind && a.Str == b.Str &&
+		math.Float64bits(a.Num) == math.Float64bits(b.Num) && a.Time.Equal(b.Time)
+}
+
+func sameZoneMaps(a, b []table.Zone) bool {
+	return slices.EqualFunc(a, b, func(x, y table.Zone) bool {
+		return math.Float64bits(x.Min) == math.Float64bits(y.Min) && math.Float64bits(x.Max) == math.Float64bits(y.Max) &&
+			x.KeyMin == y.KeyMin && x.KeyMax == y.KeyMax &&
+			x.NumCount == y.NumCount && x.NaNCount == y.NaNCount && x.EmptyCount == y.EmptyCount
+	})
+}
+
+// assertSameRelation compares two tables that should hold one relation
+// on every accessor the executors, the parser and the durability layer
+// read, and on the content hash cache keys embed.
+func assertSameRelation(t *testing.T, label string, got, want *table.Table) {
+	t.Helper()
+	if got.Name() != want.Name() || got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
+		t.Fatalf("%s: %q %dx%d, want %q %dx%d", label, got.Name(), got.NumRows(), got.NumCols(), want.Name(), want.NumRows(), want.NumCols())
+	}
+	if !slices.Equal(got.Columns(), want.Columns()) {
+		t.Fatalf("%s: columns %q, want %q", label, got.Columns(), want.Columns())
+	}
+	if g, w := contentVersion(got), contentVersion(want); g != w {
+		t.Fatalf("%s: contentVersion %s, want %s", label, g, w)
+	}
+	absent := table.StringValue("no such cell anywhere")
+	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
+	for c := 0; c < want.NumCols(); c++ {
+		if i, ok := got.ColumnIndex(want.Column(c)); !ok || i != c {
+			t.Fatalf("%s: ColumnIndex(%q) = %d, %v", label, want.Column(c), i, ok)
+		}
+		for r := 0; r < want.NumRows(); r++ {
+			if got.Raw(r, c) != want.Raw(r, c) {
+				t.Fatalf("%s: Raw(%d,%d) = %q, want %q", label, r, c, got.Raw(r, c), want.Raw(r, c))
+			}
+			v := want.Value(r, c)
+			if !sameCellValue(got.Value(r, c), v) {
+				t.Fatalf("%s: Value(%d,%d) = %#v, want %#v", label, r, c, got.Value(r, c), v)
+			}
+			g, w := got.RowsForKey(c, v.Key()), want.RowsForKey(c, v.Key())
+			if !slices.Equal(g, w) || !slices.Contains(g, r) {
+				t.Fatalf("%s: RowsForKey(%d, %q) = %v, want %v holding %d", label, c, v.Key(), g, w, r)
+			}
+			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
+				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)
+			}
+		}
+		if g := got.RowsForKey(c, absent.Key()); len(g) != 0 {
+			t.Fatalf("%s: RowsForKey of an absent key = %v", label, g)
+		}
+		if got.KeyEqualConsistent(c, absent) != want.KeyEqualConsistent(c, absent) {
+			t.Fatalf("%s: KeyEqualConsistent(%d, absent) diverges", label, c)
+		}
+		gn, gi := got.ColumnNums(c)
+		wn, wi := want.ColumnNums(c)
+		sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		if !slices.EqualFunc(gn, wn, sameBits) || !slices.Equal(gi, wi) {
+			t.Fatalf("%s: ColumnNums(%d) diverge", label, c)
+		}
+		if got.ColumnAllNumeric(c) != want.ColumnAllNumeric(c) || got.ColumnIndexable(c) != want.ColumnIndexable(c) {
+			t.Fatalf("%s: column %d flags diverge", label, c)
+		}
+		if g, w := got.DistinctColumnValues(c), want.DistinctColumnValues(c); !slices.EqualFunc(g, w, sameCellValue) {
+			t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", label, c, g, w)
+		}
+		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
+			t.Fatalf("%s: NumericSortedRows(%d) = %v, want %v", label, c, g, w)
+		}
+		if !sameZoneMaps(gz[c], wz[c]) {
+			t.Fatalf("%s: zones of column %d\n got %+v\nwant %+v", label, c, gz[c], wz[c])
+		}
+	}
+}
+
+func csvOf(t *testing.T, columns []string, rows [][]string) *bytes.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	if err := w.WriteAll(append([][]string{columns}, rows...)); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewReader(buf.Bytes())
+}
+
+// registerRecords registers tab in a fresh durable store under dir and
+// returns the store with the payloads of the register records its log
+// now holds.
+func registerRecords(t *testing.T, dir string, tab *table.Table) (*Store, [][]byte) {
+	t.Helper()
+	st := openDurable(t, dir)
+	if _, err := st.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("wal files %v, %v", logs, err)
+	}
+	res, err := wal.Scan(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, rec := range res.Records {
+		if rec.Tag == tagRegister {
+			payloads = append(payloads, rec.Data)
+		}
+	}
+	return st, payloads
+}
+
+// throughWAL registers tab, then recovers it in a second store from a
+// copy of the log alone: the register record's round trip.
+func throughWAL(t *testing.T, tab *table.Table) *table.Table {
+	t.Helper()
+	dir := t.TempDir()
+	st, _ := registerRecords(t, dir, tab)
+	defer st.Close()
+	replayDir := t.TempDir()
+	logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	data, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(replayDir, filepath.Base(logs[0])), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openDurable(t, replayDir)
+	defer st2.Close()
+	if n := st2.dur.replayedRecords.Load(); n != 1 {
+		t.Fatalf("replayed %d records, want 1", n)
+	}
+	snap, ok := st2.Get(tab.Name())
+	if !ok {
+		t.Fatalf("table %q not replayed", tab.Name())
+	}
+	return snap.Table()
+}
+
+// throughSegment registers tab, checkpoints it into a segment and
+// recovers it in a second store from manifest and segment.
+func throughSegment(t *testing.T, tab *table.Table) *table.Table {
+	t.Helper()
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	if _, err := st.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openDurable(t, dir)
+	defer st2.Close()
+	if n := st2.dur.replayedRecords.Load(); n != 0 {
+		t.Fatalf("replayed %d records after a clean close, want 0", n)
+	}
+	snap, ok := st2.Get(tab.Name())
+	if !ok {
+		t.Fatalf("table %q not restored", tab.Name())
+	}
+	return snap.Table()
+}
+
+// TestTableRepresentationIndependentOfStorePath is the one-table
+// property: however a relation reached memory — built whole, read from
+// CSV, grown by chained appends, replayed from its register record,
+// restored from its segment — every accessor and the content hash
+// agree, and two successors of one parent never see each other's rows.
+func TestTableRepresentationIndependentOfStorePath(t *testing.T) {
+	all := concatRows(reprBase, reprFirst, reprSecond)
+	want := mustNew(t, "repr", reprColumns, all)
+
+	fromCSV, err := table.FromCSV("repr", csvOf(t, reprColumns, all))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelation(t, "FromCSV", fromCSV, want)
+
+	parent := mustNew(t, "repr", reprColumns, reprBase)
+	first := mustAppend(t, parent, reprFirst)
+	second := mustAppend(t, parent, reprSecond)
+	chained := mustAppend(t, first, reprSecond)
+	assertSameRelation(t, "chained appends", chained, want)
+	assertSameRelation(t, "first successor", first, mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst)))
+	assertSameRelation(t, "second successor", second, mustNew(t, "repr", reprColumns, concatRows(reprBase, reprSecond)))
+	assertSameRelation(t, "parent after its successors", parent, mustNew(t, "repr", reprColumns, reprBase))
+
+	for label, tab := range map[string]*table.Table{"built whole": want, "read from CSV": fromCSV, "grown by appends": chained} {
+		assertSameRelation(t, label+", register record round trip", throughWAL(t, tab), want)
+		assertSameRelation(t, label+", segment round trip", throughSegment(t, tab), want)
+	}
+
+	empty := mustNew(t, "empty", reprColumns, nil)
+	emptyCSV, err := table.FromCSV("empty", csvOf(t, reprColumns, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelation(t, "header-only FromCSV", emptyCSV, empty)
+	assertSameRelation(t, "header-only Append of nothing", mustAppend(t, empty, nil), empty)
+	assertSameRelation(t, "header-only register record round trip", throughWAL(t, empty), empty)
+	assertSameRelation(t, "header-only segment round trip", throughSegment(t, empty), empty)
+	grown := mustAppend(t, empty, all)
+	assertSameRelation(t, "header-only grown to the full table", grown, mustNew(t, "empty", reprColumns, all))
+}
+
+// goldenFixtures are the tables whose on-disk bytes are pinned: the
+// representation fixture built whole, the same relation grown by two
+// appends (generation 3), a header-only table, and the 131072 x 6 scan
+// table (skipped with -short). register is the SHA-256 of the register
+// record's payload, segment that of the checkpointed segment file.
+var goldenFixtures = []struct {
+	name              string
+	build             func(t *testing.T) (base *table.Table, appends [][][]string)
+	big               bool
+	register, segment string
+}{
+	{
+		name: "repr",
+		build: func(t *testing.T) (*table.Table, [][][]string) {
+			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
+		},
+		register: "782ae6ad03c1b90128ef1b1e3a16481a15a3799a975c852c7c0e9bfd89782ff0",
+		segment:  "ffed462182842f1f712b3e7165a9e965dd6e993486fbbec46ac8a0b411e64749",
+	},
+	{
+		name: "repr-appended",
+		build: func(t *testing.T) (*table.Table, [][][]string) {
+			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
+		},
+		register: "718609a8c3c646604f2a0291bddc07b8309f0bca4cf1e9ef2a00577f699340a9",
+		segment:  "f4f35be91523349eea5ba1e125f58b60c06ec0698afb116212404ab0906d1afe",
+	},
+	{
+		name: "header-only",
+		build: func(t *testing.T) (*table.Table, [][][]string) {
+			return mustNew(t, "empty", reprColumns, nil), nil
+		},
+		register: "2ec500a34778505ea137d6f6591289bb6ea1cef482c70455202650a25776af9c",
+		segment:  "6695ea48db74d48df1dde8960944fd1b42f0f5cbbd793506435ed9ac9d7a0e7d",
+	},
+	{
+		name: "big",
+		big:  true,
+		build: func(t *testing.T) (*table.Table, [][][]string) {
+			columns, rows := bigReprRows()
+			return mustNew(t, "big", columns, rows), nil
+		},
+		register: "2e1594f40140acd366a29f18270f70f02b8e413d6e2841dfd12d80a909ff9626",
+		segment:  "2f36ae6a12dae32a2375c843430d13aa6dd8a058a1f0e8130644f1d19321b2bb",
+	},
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestRegisterRecordBytesGolden pins the WAL register record byte for
+// byte: the payload a registration logs hashes to the recorded value,
+// whatever form the table holds its cells in.
+func TestRegisterRecordBytesGolden(t *testing.T) {
+	for _, fx := range goldenFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			if fx.big && testing.Short() {
+				t.Skip("131072-row fixture")
+			}
+			base, _ := fx.build(t)
+			st, payloads := registerRecords(t, t.TempDir(), base)
+			defer st.Close()
+			if len(payloads) != 1 {
+				t.Fatalf("%d register records, want 1", len(payloads))
+			}
+			if got := sha256Hex(payloads[0]); got != fx.register {
+				t.Errorf("register record of %s hashes to %s, want %s", fx.name, got, fx.register)
+			}
+		})
+	}
+}
+
+// TestSegmentBytesGolden pins the segment file byte for byte: what a
+// checkpoint writes for each fixture hashes to the recorded value, and
+// segment.Write fed the same snapshot's rows writes the same bytes.
+func TestSegmentBytesGolden(t *testing.T) {
+	for _, fx := range goldenFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			if fx.big && testing.Short() {
+				t.Skip("131072-row fixture")
+			}
+			base, appends := fx.build(t)
+			dir := t.TempDir()
+			st := openDurable(t, dir)
+			defer st.Close()
+			snap, err := st.Register(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rows := range appends {
+				if snap, err = st.Append(base.Name(), rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("segment files %v, %v", segs, err)
+			}
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256Hex(data); got != fx.segment {
+				t.Errorf("segment of %s hashes to %s, want %s", fx.name, got, fx.segment)
+			}
+			tab := snap.Table()
+			meta := segment.Meta{Name: tab.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: tab.Columns(), Rows: tab.NumRows()}
+			direct := filepath.Join(t.TempDir(), "direct.seg")
+			if err := segment.Write(direct, meta, tab.RawRows(), tab.ZoneSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+			again, err := os.ReadFile(direct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Errorf("segment.Write over the snapshot's rows differs from the checkpointed file (%d vs %d bytes)", len(again), len(data))
+			}
+		})
+	}
+}
