@@ -34,7 +34,7 @@ BIG_ROWS          = 100000
 SKIP_MIN_GAIN     = 3
 PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
 
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table speedup skipgain serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment speedup skipgain serve ci
 
 all: build
 
@@ -163,9 +163,19 @@ fuzz-plan:
 fuzz-table:
 	$(GO) test -run '^$$' -fuzz FuzzParseValue -fuzztime 30s ./internal/table/
 
+# fuzz-segment runs the segment decoder fuzzer for a bounded window:
+# restore builds tables straight from segment bodies, so any body the
+# checksum lets through must come back as a table or as ErrCorrupt —
+# never a panic, never an allocation out of proportion to its length.
+# The target reads the allocator's counters around every decode, which
+# makes minimising a find slow; that is capped so the window goes to
+# new inputs.
+fuzz-segment:
+	$(GO) test -run '^$$' -fuzz FuzzSegmentRead -fuzztime 30s -fuzzminimizetime 5s ./internal/segment/
+
 # fuzz is every time-boxed fuzz target in turn, as the CI fuzz job
 # runs them.
-fuzz: fuzz-wal fuzz-plan fuzz-table
+fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment
 
 # baseline regenerates the checked-in perf-gate baseline with the
 # CI-canonical workload (seed 1, mixed traffic, op-count bound).

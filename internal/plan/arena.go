@@ -26,7 +26,7 @@ import (
 //   - Buffers are handed out empty (len 0) and never handed back
 //     individually; release simply rewinds the high-water marks.
 //     Stale contents past a buffer's returned length are never read.
-//   - Pooled buffers may pin table values (interned strings) until the
+//   - Pooled buffers may pin table values (dictionary windows) until the
 //     next GC empties the pool; used Vals are zeroed on release so the
 //     pool itself never keeps a dropped snapshot alive through them.
 type arena struct {
@@ -49,9 +49,11 @@ type arena struct {
 	valUsed  int
 
 	ded dedup
-	// local holds one dedup table per morsel worker for the grouping
-	// kernel; worker w owns local[w] for the duration of a drive.
-	local []dedup
+	// local holds one code map per morsel worker for the grouping
+	// kernel — worker w owns local[w] for the duration of a drive —
+	// and global the one its merge uses.
+	local  []codeMap
+	global codeMap
 
 	// ident is the cached identity row set 0..cap-1 every Scan shares.
 	ident []int
@@ -104,13 +106,40 @@ func (a *arena) rowSet(n int) RowSet {
 	return RowSet{words: w, n: n}
 }
 
-// locals returns the per-worker dedup tables for a drive with up to
-// the given number of workers.
-func (a *arena) locals(workers int) []dedup {
+// locals returns the per-worker code maps for a drive with up to the
+// given number of workers over a column of nkeys distinct keys.
+func (a *arena) locals(workers, nkeys int) []codeMap {
 	for len(a.local) < workers {
-		a.local = append(a.local, dedup{})
+		a.local = append(a.local, nil)
+	}
+	for w := range a.local[:workers] {
+		a.local[w].sized(nkeys)
 	}
 	return a.local[:workers]
+}
+
+// codeMap is the grouping kernel's key code -> group scratch: an array
+// indexed by a column's dense key codes. Every slot reads -1 between
+// uses — whoever sets slots forgets exactly those before handing the
+// map back — so a use costs its distinct keys, not the column's.
+type codeMap []int32
+
+// sized returns the map with a slot for each of n codes.
+func (m *codeMap) sized(n int) codeMap {
+	if old := len(*m); old < n {
+		*m = append(*m, make([]int32, n-old)...)
+		for i := old; i < n; i++ {
+			(*m)[i] = -1
+		}
+	}
+	return *m
+}
+
+// forget resets the slots of the codes at rows.
+func (m codeMap) forget(codes []uint32, rows []int) {
+	for _, r := range rows {
+		m[codes[r]] = -1
+	}
 }
 
 // identity returns the shared ascending row set 0..n-1. Callers treat
@@ -149,7 +178,7 @@ func (p *bufs[T]) get(capHint int) []T {
 func (p *bufs[T]) reset() { p.used = 0 }
 
 // dedup is the arena's open-addressing hash-set scratch, shared by
-// every hash-dedup path (Distinct, SQLUnion, grouping, value dedup).
+// every hash-dedup path (Distinct, SQLUnion, value dedup).
 // Slots hold caller payloads (a row or output index); the caller
 // confirms hash matches with its own equality check, so FNV collisions
 // are harmless. Sessions must not overlap: each operator finishes its

@@ -445,24 +445,19 @@ func (ex *executor) compilePred(p Pred) (func(row int) (bool, error), error) {
 				col, v, want := x.Col, x.V, x.Op == "="
 				return func(r int) (bool, error) { return t.Value(r, col).Equal(v) == want, nil }, nil
 			}
-			keys := t.ColumnKeys(x.Col)
-			lit := x.V.Key()
-			// Resolve the literal against the table's build dictionary
-			// once: when the key occurs in the column, swapping the
-			// literal for the interned copy makes the per-row comparison
-			// hit the pointer-equality string fast path; when it does
-			// not occur anywhere, the predicate is a constant.
-			if occ := t.RowsForKey(x.Col, lit); len(occ) > 0 {
-				lit = keys[occ[0]]
-			} else if x.Op == "=" {
-				return func(int) (bool, error) { return false, nil }, nil
-			} else {
-				return func(int) (bool, error) { return true, nil }, nil
+			// Resolve the literal to its key code once: the per-row test
+			// is then one integer comparison, and a key no cell of the
+			// column holds makes the predicate a constant.
+			codes := t.ColumnKeyCodes(x.Col)
+			code, ok := t.KeyCode(x.Col, x.V.Key())
+			switch {
+			case !ok:
+				absent := x.Op == "!="
+				return func(int) (bool, error) { return absent, nil }, nil
+			case x.Op == "=":
+				return func(r int) (bool, error) { return codes[r] == code, nil }, nil
 			}
-			if x.Op == "=" {
-				return func(r int) (bool, error) { return keys[r] == lit, nil }, nil
-			}
-			return func(r int) (bool, error) { return keys[r] != lit, nil }, nil
+			return func(r int) (bool, error) { return codes[r] != code, nil }, nil
 		case "<", "<=", ">", ">=":
 			lit, ok := x.V.Float()
 			if !ok {
@@ -751,7 +746,7 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 	}
 	// The distinct values, in first-appearance order, are the values at
 	// the first row of each key group.
-	reps, _, err := ex.groupByKey(in.Rows, ex.t.ColumnKeys(x.Col), false)
+	reps, _, err := ex.groupByKey(in.Rows, x.Col, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1075,7 +1070,7 @@ func (ex *executor) sqlAggregate(x *SQLAggregate) (*Val, error) {
 		ngroups = 1
 		groupRows = func(int) []int { return in.Rows }
 	} else {
-		reps, gids, err := ex.groupByKey(in.Rows, ex.t.ColumnKeys(x.GroupCol), true)
+		reps, gids, err := ex.groupByKey(in.Rows, x.GroupCol, true)
 		if err != nil {
 			return nil, err
 		}

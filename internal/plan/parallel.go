@@ -456,13 +456,14 @@ func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, 
 }
 
 // groupScan is the kernel behind value projection and GROUP BY: each
-// morsel groups its rows by canonical column key, collecting one
+// morsel groups its rows by the column's key codes, collecting one
 // representative row per locally-distinct key in local first-appearance
-// order and, for GROUP BY, every position's local group id.
+// order and, for GROUP BY, every position's local group id. Codes are
+// dense, so the key -> group map is an array indexed by code.
 type groupScan struct {
 	rows  []int
-	keys  []string // the column's canonical keys, by row
-	local []dedup  // per-worker hash scratch, re-initialized per morsel
+	codes []uint32  // the column's key codes, by row
+	local []codeMap // per-worker code -> local group scratch
 
 	reps  []int // morsel m's representatives land in reps[lo:lo+nreps[m]]
 	nreps []int
@@ -470,44 +471,39 @@ type groupScan struct {
 }
 
 func (k *groupScan) morsel(w, m, lo, hi int) error {
-	d := &k.local[w]
-	d.init(hi - lo)
+	local := k.local[w]
 	reps := k.reps[lo:lo:hi]
-	var key string
-	// Payloads are local group ids; column keys are canonical already,
-	// so candidate confirmation is plain (interned) string equality.
-	eq := func(g int32) bool { return k.keys[reps[g]] == key }
 	for i := lo; i < hi; i++ {
 		r := k.rows[i]
-		key = k.keys[r]
-		h := table.HashString(table.FNVOffset, key)
-		g, found := d.lookup(h, eq)
-		if !found {
+		g := local[k.codes[r]]
+		if g < 0 {
 			g = int32(len(reps))
-			d.insert(h, g)
+			local[k.codes[r]] = g
 			reps = append(reps, r)
 		}
 		if k.gids != nil {
 			k.gids[i] = int(g)
 		}
 	}
+	local.forget(k.codes, reps)
 	k.nreps[m] = len(reps)
 	return nil
 }
 
-// groupByKey groups an ascending row set by a column's canonical keys.
-// It returns one representative row per distinct key in global
-// first-appearance order and, when wantIDs is set, the global group id
-// of every input position. The merge walks the morsels in order,
-// deduplicating their local representatives into global groups — the
-// earliest morsel holding a key is the one holding its first row — and
-// remaps local ids to global ones; a lone morsel's local groups are
-// global already.
-func (ex *executor) groupByKey(rows []int, keys []string, wantIDs bool) (reps, gids []int, err error) {
+// groupByKey groups an ascending row set by the canonical keys of
+// column col. It returns one representative row per distinct key in
+// global first-appearance order and, when wantIDs is set, the global
+// group id of every input position. The merge walks the morsels in
+// order, deduplicating their local representatives into global groups
+// — the earliest morsel holding a key is the one holding its first row
+// — and remaps local ids to global ones; a lone morsel's local groups
+// are global already.
+func (ex *executor) groupByKey(rows []int, col int, wantIDs bool) (reps, gids []int, err error) {
 	n := len(rows)
 	nm := morselCount(n)
+	codes, nkeys := ex.t.ColumnKeyCodes(col), ex.t.NumKeys(col)
 	k := &ex.grp
-	*k = groupScan{rows: rows, keys: keys, local: ex.ar.locals(ex.cfg.workers),
+	*k = groupScan{rows: rows, codes: codes, local: ex.ar.locals(ex.cfg.workers, nkeys),
 		reps: ex.ar.ints.get(n), nreps: ex.ar.ints.get(nm)[:nm]}
 	if wantIDs {
 		k.gids = ex.ar.ints.get(n)[:n]
@@ -522,21 +518,16 @@ func (ex *executor) groupByKey(rows []int, keys []string, wantIDs bool) (reps, g
 	for _, c := range k.nreps {
 		total += c
 	}
-	d := &ex.ar.ded
-	d.init(total)
+	global := ex.ar.global.sized(nkeys)
 	reps = ex.ar.ints.get(total)
-	var key string
-	eq := func(g int32) bool { return keys[reps[g]] == key }
 	for m, c := range k.nreps {
 		lo, hi := morselBounds(m, n)
 		local := k.reps[lo : lo+c] // representative rows in, global ids out
 		for j, rep := range local {
-			key = keys[rep]
-			h := table.HashString(table.FNVOffset, key)
-			g, found := d.lookup(h, eq)
-			if !found {
+			g := global[codes[rep]]
+			if g < 0 {
 				g = int32(len(reps))
-				d.insert(h, g)
+				global[codes[rep]] = g
 				reps = append(reps, rep)
 			}
 			local[j] = int(g)
@@ -547,6 +538,7 @@ func (ex *executor) groupByKey(rows []int, keys []string, wantIDs bool) (reps, g
 			}
 		}
 	}
+	global.forget(codes, reps)
 	return reps, k.gids, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,6 +128,90 @@ func TestBigTableParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("parallel result differs from serial\nserial:   %+v\nparallel: %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestBigTableKeyCodesGroupSpellings runs the kernels that read key
+// codes — value projection, GROUP BY and the entity predicates — over a
+// column whose keys each have several spellings ("Fiji", "fiji",
+// " FIJI "), so that the key codes are not the dictionary codes, and a
+// column of as many spellings as rows: serial and forced-parallel must
+// agree, and both must agree with grouping the cells by Value.Key.
+func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
+	const n = 70_000
+	rng := rand.New(rand.NewSource(11))
+	nations := []string{"Greece", "France", "China", "Fiji", "Tonga"}
+	spell := []func(string) string{
+		func(s string) string { return s },
+		func(s string) string { return " " + s },
+		func(s string) string { return strings.ToLower(s) },
+		func(s string) string { return strings.ToUpper(s) + " " },
+	}
+	rows := make([][]string, n)
+	var firstSeen []string
+	counts := map[string]int{}
+	for i := range rows {
+		cell := spell[rng.Intn(len(spell))](nations[rng.Intn(len(nations))])
+		rows[i] = []string{cell, "id" + strconv.Itoa(i)}
+		key := table.ParseValue(cell).Key()
+		if counts[key] == 0 {
+			firstSeen = append(firstSeen, key)
+		}
+		counts[key]++
+	}
+	tab := table.MustNew("spellings", []string{"Nation", "ID"}, rows)
+	if tab.NumKeys(0) != len(nations) || tab.NumKeys(1) != n {
+		t.Fatalf("NumKeys = %d and %d, want %d and %d", tab.NumKeys(0), tab.NumKeys(1), len(nations), n)
+	}
+	countGroup := GroupItem{Label: "COUNT(*)", Fn: func(rows []int) (table.Value, error) {
+		return table.NumberValue(float64(len(rows))), nil
+	}}
+	plans := map[string]Node{
+		"project":      &ProjectCol{Col: 0, Input: &Scan{}},
+		"project_wide": &ProjectCol{Col: 1, Input: &Scan{}},
+		"group_by":     &SQLAggregate{Input: &Scan{}, GroupCol: 0, Items: []GroupItem{countGroup}},
+		"filter_eq":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("FIJI")}},
+		"filter_ne":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "!=", V: table.ParseValue("fiji")}},
+		"filter_none":  &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("Samoa")}},
+	}
+	results := map[string]*Val{}
+	for name, plan := range plans {
+		forceSerial(t)
+		want, wantErr := runPlan(t, plan, tab)
+		forceParallel(t)
+		got, gotErr := runPlan(t, plan, tab)
+		if wantErr != "" || gotErr != "" {
+			t.Fatalf("%s: serial error %q, parallel error %q", name, wantErr, gotErr)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: parallel result differs from serial", name)
+		}
+		results[name] = got
+	}
+	var projected []string
+	for _, v := range results["project"].Values {
+		projected = append(projected, v.Key())
+	}
+	if !reflect.DeepEqual(projected, firstSeen) {
+		t.Fatalf("projection keys %q, want first-appearance order %q", projected, firstSeen)
+	}
+	if got := len(results["project_wide"].Values); got != n {
+		t.Fatalf("projection of the all-distinct column has %d values, want %d", got, n)
+	}
+	grouped := results["group_by"]
+	if len(grouped.Data) != len(firstSeen) {
+		t.Fatalf("GROUP BY made %d groups, want %d", len(grouped.Data), len(firstSeen))
+	}
+	for g, key := range firstSeen {
+		if c := grouped.Data[g][0]; c.Num != float64(counts[key]) {
+			t.Fatalf("group %d (%s) counts %v, want %d", g, key, c.Num, counts[key])
+		}
+	}
+	if eq, ne := len(results["filter_eq"].Rows), len(results["filter_ne"].Rows); eq != counts["fiji"] || ne != n-counts["fiji"] {
+		t.Fatalf("= fiji keeps %d rows and != fiji %d, want %d and %d", eq, ne, counts["fiji"], n-counts["fiji"])
+	}
+	if none := len(results["filter_none"].Rows); none != 0 {
+		t.Fatalf("= an absent key keeps %d rows", none)
 	}
 }
 

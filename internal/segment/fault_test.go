@@ -25,7 +25,8 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			dir := t.TempDir()
 			fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan(plan)...)
 			path := filepath.Join(dir, "seg-001.seg")
-			err := WriteFS(fs, path, testMeta, testRows, nil)
+			tb := table.MustNew(testMeta.Name, testMeta.Columns, testRows)
+			err := WriteTable(fs, path, testMeta, tb, nil)
 			if !errors.Is(err, syscall.ENOSPC) && !errors.Is(err, syscall.EIO) {
 				t.Fatalf("faulted write err = %v, want the injected errno", err)
 			}
@@ -41,12 +42,12 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			}
 			// The one-shot rule is exhausted: a retry on the same injector
 			// succeeds and reads back intact.
-			if err := WriteFS(fs, path, testMeta, testRows, nil); err != nil {
+			if err := WriteTable(fs, path, testMeta, tb, nil); err != nil {
 				t.Fatalf("retry after one-shot fault: %v", err)
 			}
-			_, rows, _, rerr := ReadFS(fs, path)
-			if rerr != nil || len(rows) != len(testRows) {
-				t.Fatalf("retried segment: rows=%d err=%v", len(rows), rerr)
+			_, got, _, rerr := ReadTable(fs, path)
+			if rerr != nil || got.NumRows() != len(testRows) {
+				t.Fatalf("retried segment: err=%v", rerr)
 			}
 		})
 	}
@@ -62,13 +63,13 @@ func TestSegmentZonesSurviveFaultRetry(t *testing.T) {
 	zones := tb.ZoneSnapshot()
 	fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan("write:err=EIO:short")...)
 	path := filepath.Join(t.TempDir(), "seg-002.seg")
-	if err := WriteFS(fs, path, testMeta, testRows, zones); err == nil {
+	if err := WriteTable(fs, path, testMeta, tb, zones); err == nil {
 		t.Fatal("faulted zone write succeeded")
 	}
-	if err := WriteFS(fs, path, testMeta, testRows, zones); err != nil {
+	if err := WriteTable(fs, path, testMeta, tb, zones); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	_, _, gotZones, err := ReadFS(fs, path)
+	_, _, gotZones, err := ReadTable(fs, path)
 	if err != nil || len(gotZones) != len(zones) {
 		t.Fatalf("zone footer after retry: %d columns, err=%v", len(gotZones), err)
 	}

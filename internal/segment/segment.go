@@ -1,11 +1,11 @@
 // Package segment implements the immutable columnar segment files and
 // the manifest that the store's checkpointer compacts its write-ahead
-// log into. One segment file holds one table snapshot: raw cell text
-// stored column-major behind a per-column dictionary (first-appearance
-// order), so decoding hands back row slices whose repeated cells share
-// one backing string — the same interning the in-memory table build
-// performs — and deserializes straight into the typed column vectors
-// via table.New.
+// log into. One segment file holds one table snapshot in the form the
+// table itself holds its cells: per column a dictionary of the distinct
+// raw spellings in first-appearance order, then one dictionary code per
+// record. The writer copies both straight out of the table; the reader
+// feeds them to the table builder, which parses a spelling once
+// however many records hold it.
 //
 // Layout:
 //
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"path/filepath"
 
 	"nlexplain/internal/fault"
@@ -67,24 +68,31 @@ type Meta struct {
 	Rows    int
 }
 
-// Write encodes one table snapshot into path atomically. rows is raw
-// cell text, row-major, each row len(m.Columns) wide; zones, when
-// non-nil, is the snapshot's per-column zone maps (len(m.Columns)
-// columns wide) persisted in the checksummed footer. The slices are
-// read, never retained.
+// Write encodes rows — raw cell text, row-major, each row
+// len(m.Columns) wide — as one table snapshot into path: WriteTable
+// over the table the rows build.
 func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
-	return WriteFS(fault.OS, path, m, rows, zones)
+	t, err := table.New(m.Name, m.Columns, rows)
+	if err != nil {
+		return err
+	}
+	return WriteTable(fault.OS, path, m, t, zones)
 }
 
-// WriteFS is Write performing all I/O through fsys (nil means the OS
-// passthrough).
-func WriteFS(fsys fault.FS, path string, m Meta, rows [][]string, zones [][]table.Zone) error {
+// WriteTable encodes one table snapshot into path atomically, all I/O
+// through fsys (nil means the OS passthrough). A column goes out as the
+// table holds it: its dictionary, then its codes. zones, when non-nil,
+// is the snapshot's per-column zone maps (len(m.Columns) columns wide)
+// persisted in the checksummed footer. Nothing is retained.
+func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]table.Zone) error {
+	if len(m.Columns) != t.NumCols() {
+		return fmt.Errorf("segment: %s: meta names %d columns, table has %d", path, len(m.Columns), t.NumCols())
+	}
 	fsys = fault.Or(fsys)
-	body := appendBody(nil, m, rows, zones)
-	buf := make([]byte, 0, len(magic)+4+len(body))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-	buf = append(buf, body...)
+	buf := make([]byte, len(magic)+4, len(magic)+4+bodyBound(m, t))
+	copy(buf, magic)
+	buf = appendBody(buf, m, t, zones)
+	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.Checksum(buf[len(magic)+4:], castagnoli))
 
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -109,7 +117,20 @@ func WriteFS(fsys fault.FS, path string, m Meta, rows [][]string, zones [][]tabl
 	return fsys.SyncDir(dir)
 }
 
-func appendBody(b []byte, m Meta, rows [][]string, zones [][]table.Zone) []byte {
+// bodyBound is an upper bound on the encoded body up to the zone
+// footer, so that the buffer of a big table is allocated once.
+func bodyBound(m Meta, t *table.Table) int {
+	const lenPrefix = binary.MaxVarintLen32
+	n := 64 + len(m.Name) + len(m.Version)
+	for c, name := range m.Columns {
+		dict, codes := t.ColumnDictionary(c)
+		codeLen := (bits.Len(uint(dict.Len())|1) + 6) / 7
+		n += lenPrefix + len(name) + lenPrefix + dict.TextLen() + lenPrefix*dict.Len() + codeLen*len(codes)
+	}
+	return n
+}
+
+func appendBody(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
 	b = binary.AppendUvarint(b, schemaSeg)
 	b = appendString(b, m.Name)
 	b = binary.AppendUvarint(b, m.Gen)
@@ -118,29 +139,15 @@ func appendBody(b []byte, m Meta, rows [][]string, zones [][]table.Zone) []byte 
 	for _, c := range m.Columns {
 		b = appendString(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	// Column-major with a per-column first-appearance dictionary.
-	idx := make([]uint64, len(rows))
-	dictIdx := make(map[string]uint64)
+	b = binary.AppendUvarint(b, uint64(t.NumRows()))
 	for c := range m.Columns {
-		clear(dictIdx)
-		var dict []string
-		for r, row := range rows {
-			cell := row[c]
-			di, ok := dictIdx[cell]
-			if !ok {
-				di = uint64(len(dict))
-				dict = append(dict, cell)
-				dictIdx[cell] = di
-			}
-			idx[r] = di
+		dict, codes := t.ColumnDictionary(c)
+		b = binary.AppendUvarint(b, uint64(dict.Len()))
+		for i := 0; i < dict.Len(); i++ {
+			b = appendString(b, dict.Entry(i))
 		}
-		b = binary.AppendUvarint(b, uint64(len(dict)))
-		for _, s := range dict {
-			b = appendString(b, s)
-		}
-		for _, di := range idx {
-			b = binary.AppendUvarint(b, di)
+		for _, code := range codes {
+			b = binary.AppendUvarint(b, uint64(code))
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(zones)))
@@ -160,69 +167,92 @@ func appendBody(b []byte, m Meta, rows [][]string, zones [][]table.Zone) []byte 
 	return b
 }
 
-// Read decodes the segment file at path, verifying the checksum. The
-// returned rows are row-major raw cell text; cells repeating a value
-// within a column share one backing string (the dictionary entry).
-// zones is the decoded per-column zone footer — nil for schema-1
-// segments or a schema-2 footer written without zones.
+// Read decodes the segment file at path into row-major raw cell text:
+// ReadTable, and the rows of the table it returns.
 func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
-	return ReadFS(fault.OS, path)
-}
-
-// ReadFS is Read performing all I/O through fsys (nil means the OS
-// passthrough).
-func ReadFS(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error) {
-	var m Meta
-	data, err := fault.Or(fsys).ReadFile(path)
+	m, t, zones, err := ReadTable(fault.OS, path)
 	if err != nil {
 		return m, nil, nil, err
 	}
+	return m, t.RawRows(), zones, nil
+}
+
+// ReadTable decodes the segment file at path, all I/O through fsys
+// (nil means the OS passthrough), verifying the checksum, and builds
+// the table it holds: each column's dictionary and codes go to the
+// table builder as they are read, so a spelling is parsed once however
+// many records hold it. zones is the decoded per-column zone footer —
+// nil for schema-1 segments or a schema-2 footer written without
+// zones.
+func ReadTable(fsys fault.FS, path string) (Meta, *table.Table, [][]table.Zone, error) {
+	data, err := fault.Or(fsys).ReadFile(path)
+	if err != nil {
+		return Meta{}, nil, nil, err
+	}
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return m, nil, nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
+		return Meta{}, nil, nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
 	}
 	sum := binary.LittleEndian.Uint32(data[len(magic):])
 	body := data[len(magic)+4:]
 	if crc32.Checksum(body, castagnoli) != sum {
-		return m, nil, nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
+		return Meta{}, nil, nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
 	}
+	return decodeBody(body, path)
+}
+
+// decodeBody decodes a checksummed body. A file the writer did not
+// produce is still read for what it says: dictionary entries that
+// repeat or that no record refers to, and codes out of first-appearance
+// order, build the same table as the canonical file — the builder
+// numbers spellings as the records bring them — at one dictionary
+// lookup per entry, not per record. What it allocates is bounded by
+// the length of the body.
+func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, error) {
+	var m Meta
 	d := decoder{buf: body, path: path}
 	schema := d.uvarint()
-	if schema != schemaV1 && schema != schemaSeg {
+	if d.err == nil && schema != schemaV1 && schema != schemaSeg {
 		return m, nil, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, path, schema)
 	}
 	m.Name = d.string()
 	m.Gen = d.uvarint()
 	m.Version = d.string()
-	ncols := int(d.count())
+	ncols := int(d.count(1))
 	m.Columns = make([]string, 0, ncols)
 	for i := 0; i < ncols && d.err == nil; i++ {
 		m.Columns = append(m.Columns, d.string())
 	}
-	nrows := int(d.count())
+	nrows := int(d.count(ncols)) // every cell costs a byte at least: its code
 	m.Rows = nrows
 	if d.err != nil {
 		return m, nil, nil, d.fail()
 	}
-	rows := make([][]string, nrows)
-	cells := make([]string, nrows*ncols)
-	for r := range rows {
-		rows[r] = cells[r*ncols : (r+1)*ncols : (r+1)*ncols]
+	b, err := table.NewBuilder(m.Name, m.Columns, nrows)
+	if err != nil {
+		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
+	var entries [][]byte // the file's dictionary of the column being read
+	var codes []uint32   // what the builder calls each entry, once a record has held it
 	for c := 0; c < ncols; c++ {
-		dictLen := int(d.count())
-		dict := make([]string, 0, dictLen)
+		dictLen := int(d.count(1))
+		entries, codes = entries[:0], codes[:0]
 		for i := 0; i < dictLen && d.err == nil; i++ {
-			dict = append(dict, d.string())
+			entries = append(entries, d.bytes())
+			codes = append(codes, unseen)
 		}
 		for r := 0; r < nrows; r++ {
 			di := d.uvarint()
 			if d.err != nil {
 				break
 			}
-			if di >= uint64(len(dict)) {
+			if di >= uint64(len(entries)) {
 				return m, nil, nil, fmt.Errorf("%w: %s: dictionary index %d out of range", ErrCorrupt, path, di)
 			}
-			rows[r][c] = dict[di]
+			if codes[di] == unseen {
+				codes[di] = b.CellBytes(c, entries[di])
+			} else {
+				b.Repeat(c, codes[di])
+			}
 		}
 		if d.err != nil {
 			return m, nil, nil, d.fail()
@@ -230,14 +260,14 @@ func ReadFS(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error
 	}
 	var zones [][]table.Zone
 	if schema >= schemaSeg {
-		nzcols := int(d.count())
+		nzcols := int(d.count(1))
 		if d.err == nil && nzcols != 0 && nzcols != ncols {
 			return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, path, nzcols, ncols)
 		}
 		if nzcols != 0 {
 			zones = make([][]table.Zone, nzcols)
 			for c := 0; c < nzcols && d.err == nil; c++ {
-				nz := int(d.count())
+				nz := int(d.count(minZoneBytes))
 				zs := make([]table.Zone, 0, nz)
 				for i := 0; i < nz && d.err == nil; i++ {
 					var z table.Zone
@@ -245,9 +275,9 @@ func ReadFS(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error
 					z.Max = d.float64()
 					z.KeyMin = d.string()
 					z.KeyMax = d.string()
-					z.NumCount = int32(d.count())
-					z.NaNCount = int32(d.count())
-					z.EmptyCount = int32(d.count())
+					z.NumCount = int32(d.count(0))
+					z.NaNCount = int32(d.count(0))
+					z.EmptyCount = int32(d.count(0))
 					zs = append(zs, z)
 				}
 				zones[c] = zs
@@ -260,8 +290,19 @@ func ReadFS(fsys fault.FS, path string) (Meta, [][]string, [][]table.Zone, error
 	if len(d.buf) != 0 {
 		return m, nil, nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, path, len(d.buf))
 	}
-	return m, rows, zones, nil
+	t, err := b.Table()
+	if err != nil {
+		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	}
+	return m, t, zones, nil
 }
+
+// unseen marks a file dictionary entry no record has referred to yet.
+const unseen = ^uint32(0)
+
+// minZoneBytes is the least an encoded zone takes: two float64s, two
+// empty strings and three counts.
+const minZoneBytes = 8 + 8 + 1 + 1 + 3
 
 // decoder walks a segment body, latching the first framing error.
 type decoder struct {
@@ -287,10 +328,12 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// count reads a uvarint that sizes an allocation, bounding it.
-func (d *decoder) count() uint64 {
+// count reads a uvarint that counts elements still to come, each at
+// least each bytes long: one that the rest of the body could not hold
+// is framing damage, and is refused before it sizes an allocation.
+func (d *decoder) count(each int) uint64 {
 	v := d.uvarint()
-	if d.err == nil && v > maxStrings {
+	if d.err == nil && (v > maxStrings || v*uint64(each) > uint64(len(d.buf))) {
 		d.err = fmt.Errorf("implausible count %d", v)
 		return 0
 	}
@@ -311,19 +354,22 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// bytes reads a length-prefixed string as a window of the body.
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.err = fmt.Errorf("string of %d bytes exceeds remaining %d", n, len(d.buf))
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	s := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return s
 }
+
+func (d *decoder) string() string { return string(d.bytes()) }
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nlexplain/internal/table"
@@ -253,4 +254,163 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, _, err := LoadManifest(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn manifest: err=%v, want ErrCorrupt", err)
 	}
+}
+
+// frame wraps a body in the magic and its checksum.
+func frame(body []byte) []byte {
+	buf := append([]byte(magic), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.Checksum(body, castagnoli))
+	return append(buf, body...)
+}
+
+// TestSegmentNonCanonicalDictionaryRestoresCanonical: a dictionary the
+// writer would not have produced — an entry twice, an entry no record
+// refers to, entries numbered out of first-appearance order — restores
+// to the very table the canonical file holds, and checkpoints back out
+// as the canonical bytes.
+func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
+	rows := [][]string{{"b", "1"}, {"a", "2"}, {"b", "1"}, {"c", "3"}, {"a", "2"}}
+	meta := Meta{Name: "t", Gen: 3, Version: "v", Columns: []string{"K", "N"}, Rows: len(rows)}
+	dir := t.TempDir()
+	canonical := filepath.Join(dir, "canonical.seg")
+	if err := Write(canonical, meta, rows, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var body []byte
+	body = binary.AppendUvarint(body, schemaSeg)
+	body = appendString(body, meta.Name)
+	body = binary.AppendUvarint(body, meta.Gen)
+	body = appendString(body, meta.Version)
+	body = binary.AppendUvarint(body, 2)
+	body = appendString(body, "K")
+	body = appendString(body, "N")
+	body = binary.AppendUvarint(body, uint64(len(rows)))
+	// K: "a" before "b" though "b" appears first, "b" a second time,
+	// "zzz" never referred to.
+	body = binary.AppendUvarint(body, 5)
+	for _, s := range []string{"a", "b", "zzz", "c", "b"} {
+		body = appendString(body, s)
+	}
+	for _, di := range []uint64{1, 0, 4, 3, 0} {
+		body = binary.AppendUvarint(body, di)
+	}
+	// N: canonical.
+	body = binary.AppendUvarint(body, 3)
+	for _, s := range []string{"1", "2", "3"} {
+		body = appendString(body, s)
+	}
+	for _, di := range []uint64{0, 1, 0, 2, 1} {
+		body = binary.AppendUvarint(body, di)
+	}
+	body = binary.AppendUvarint(body, 0) // no zone footer columns
+	odd := filepath.Join(dir, "odd.seg")
+	if err := os.WriteFile(odd, frame(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, tab, _, err := ReadTable(nil, odd)
+	if err != nil {
+		t.Fatalf("non-canonical dictionary: %v", err)
+	}
+	for r := range rows {
+		for c := range rows[r] {
+			if tab.Raw(r, c) != rows[r][c] {
+				t.Fatalf("cell (%d,%d) = %q, want %q", r, c, tab.Raw(r, c), rows[r][c])
+			}
+		}
+	}
+	if dict, _ := tab.ColumnDictionary(0); dict.Len() != 3 || dict.Entry(0) != "b" || dict.Entry(1) != "a" || dict.Entry(2) != "c" {
+		t.Fatalf("restored dictionary has %d entries starting %q: not the canonical b, a, c", dict.Len(), dict.Entry(0))
+	}
+	rewritten := filepath.Join(dir, "rewritten.seg")
+	if err := WriteTable(nil, rewritten, m, tab, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("the restored table checkpoints to %d bytes that differ from the canonical %d", len(got), len(want))
+	}
+
+	// A code past the dictionary stays corruption.
+	bad := append([]byte(nil), body...)
+	bad[len(bad)-2] = 3 // N's last code: 1 -> 3, dictionary of 3
+	if err := os.WriteFile(odd, frame(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ReadTable(nil, odd); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("code past the dictionary: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// fuzzSeedTables are the relations FuzzSegmentRead starts from: the
+// shapes of the store's golden fixtures — several spellings of one key,
+// dates, NaN, blanks, non-ASCII folds, a header-only table — plus one
+// long enough to have a second zone.
+func fuzzSeedTables() []*table.Table {
+	long := make([][]string, table.ZoneRows+3)
+	for i := range long {
+		long[i] = []string{"n" + string(rune('a'+i%5)), string(rune('0' + i%10))}
+	}
+	return []*table.Table{
+		table.MustNew(testMeta.Name, testMeta.Columns, testRows),
+		table.MustNew("repr", []string{"City", "Opened", "Games", "Note"}, [][]string{
+			{" Athens", "June 8, 2013", " 42 ", ""},
+			{"athens", "2013-06-08", "42", "NaN"},
+			{"ATHENS", "June 8 2013", "$1,234", "ſ"},
+			{"", "n/a", "1234", "S"},
+			{"Ünïcode", "", "-0", "a,b \"c\"\nd"},
+		}),
+		table.MustNew("empty", []string{"A", "B"}, nil),
+		table.MustNew("long", []string{"K", "D"}, long),
+	}
+}
+
+// FuzzSegmentRead feeds the decoder bodies the checksum would have let
+// through — the fuzzer mutates the body, the frame is implied — and
+// holds it to the recovery contract: a table or ErrCorrupt, never a
+// panic, never memory out of proportion to the input; and a table that
+// decodes re-encodes to a body that decodes to the same table.
+func FuzzSegmentRead(f *testing.F) {
+	for i, tab := range fuzzSeedTables() {
+		m := Meta{Name: tab.Name(), Gen: uint64(i + 1), Version: "v", Columns: tab.Columns(), Rows: tab.NumRows()}
+		f.Add(appendBody(nil, m, tab, nil))
+		f.Add(appendBody(nil, m, tab, tab.ZoneSnapshot()))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, tab, zones, err := decodeBody(body, "fuzz")
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(body)); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(body), grew, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if tab.NumRows() != m.Rows || tab.NumCols() != len(m.Columns) {
+			t.Fatalf("decoded a %dx%d table under a %dx%d header", tab.NumRows(), tab.NumCols(), m.Rows, len(m.Columns))
+		}
+		_, again, _, err := decodeBody(appendBody(nil, m, tab, zones), "fuzz")
+		if err != nil {
+			t.Fatalf("re-encoded body does not decode: %v", err)
+		}
+		for c := 0; c < tab.NumCols(); c++ {
+			for r := 0; r < tab.NumRows(); r++ {
+				if again.Raw(r, c) != tab.Raw(r, c) {
+					t.Fatalf("cell (%d,%d) = %q after a round trip, was %q", r, c, again.Raw(r, c), tab.Raw(r, c))
+				}
+			}
+		}
+	})
 }

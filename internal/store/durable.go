@@ -347,7 +347,7 @@ func (d *durability) recover() error {
 	startSeq := uint64(1)
 	if ok {
 		for _, ref := range man.Tables {
-			meta, rows, zones, err := segment.ReadFS(d.fs, filepath.Join(d.dir, ref.File))
+			meta, t, zones, err := segment.ReadTable(d.fs, filepath.Join(d.dir, ref.File))
 			if err != nil {
 				return err
 			}
@@ -356,7 +356,7 @@ func (d *durability) recover() error {
 				return fmt.Errorf("%w: %s does not match its manifest entry for %q",
 					segment.ErrCorrupt, ref.File, ref.Name)
 			}
-			if err := d.st.restore(meta.Name, meta.Columns, rows, zones, meta.Gen, meta.Version); err != nil {
+			if err := d.st.restore(t, zones, meta.Gen, meta.Version); err != nil {
 				return err
 			}
 		}
@@ -525,7 +525,7 @@ func (d *durability) checkpointLocked() error {
 				Columns: t.Columns(),
 				Rows:    ref.Rows,
 			}
-			if err := segment.WriteFS(d.fs, filepath.Join(d.dir, ref.File), m, t.RawRows(), t.ZoneSnapshot()); err != nil {
+			if err := segment.WriteTable(d.fs, filepath.Join(d.dir, ref.File), m, t, t.ZoneSnapshot()); err != nil {
 				return err
 			}
 		}
@@ -602,19 +602,16 @@ func (d *durability) walStats() wal.Stats {
 	}
 }
 
-// restore installs a recovered snapshot under an explicit generation
-// and version, re-verifying the content hash so a damaged or
-// mismatched segment/record fails recovery instead of serving wrong
+// restore installs a recovered table as a snapshot under an explicit
+// generation and version, re-verifying the content hash so a damaged
+// or mismatched segment/record fails recovery instead of serving wrong
 // rows. zones, when non-nil, is the segment footer's zone maps,
 // installed after the content hash verifies so restored tables skip
 // the lazy rebuild scan (a shape mismatch is ignored and the maps
 // rebuild lazily instead). Recovery-only: no WAL logging, no hooks
 // fire.
-func (st *Store) restore(name string, columns []string, rows [][]string, zones [][]table.Zone, gen uint64, version string) error {
-	t, err := table.New(name, columns, rows)
-	if err != nil {
-		return fmt.Errorf("rebuilding table %q: %w", name, err)
-	}
+func (st *Store) restore(t *table.Table, zones [][]table.Zone, gen uint64, version string) error {
+	name := t.Name()
 	if v := contentVersion(t); v != version {
 		return fmt.Errorf("recovered table %q content hash %s does not match recorded version %s", name, v, version)
 	}
@@ -687,9 +684,13 @@ func (st *Store) applyWALRecord(rec wal.Record) error {
 			st.raiseGen(r.gen)
 			return nil
 		}
+		t, err := r.buildTable()
+		if err != nil {
+			return fmt.Errorf("rebuilding table %q: %w", r.name, err)
+		}
 		// WAL records carry no zone footer; replayed tables rebuild
 		// their zone maps lazily.
-		return st.restore(r.name, r.columns, r.rows, nil, r.gen, r.version)
+		return st.restore(t, nil, r.gen, r.version)
 	case tagAppend:
 		r, err := decodeAppend(rec.Data)
 		if err != nil {

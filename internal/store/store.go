@@ -18,9 +18,9 @@
 // an execution that acquired a snapshot keeps reading a consistent
 // table while newer generations install around it.
 //
-// Memory accounting tracks, per table, the base footprint (cells,
-// dictionary-interned strings, KB index) plus the lazily built sorted
-// numeric indexes. When the resident estimate exceeds Options.ByteBudget
+// Memory accounting tracks, per table, the base footprint (code and
+// typed vectors, dictionaries, KB index) plus the lazily built sorted
+// numeric indexes and zone maps. When the resident estimate exceeds Options.ByteBudget
 // the store evicts cold tables' derived indexes — never base data — in
 // least-recently-used order.
 package store
@@ -304,7 +304,7 @@ func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 	defer sh.mutMu.Unlock()
 	snap := st.newSnapshot(t)
 	if st.dur != nil {
-		payload := encodeRegister(name, snap.gen, snap.version, t.Columns(), t.RawRows())
+		payload := encodeRegister(name, snap.gen, snap.version, t)
 		release, err := st.dur.log(tagRegister, payload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)

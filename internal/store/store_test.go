@@ -396,9 +396,13 @@ func TestEncodeRegisterSizedOnce(t *testing.T) {
 		{"", "x", strings.Repeat("y", 127)},
 		{strings.Repeat("z", 128), strings.Repeat("w", 16384), "\x00\xff"},
 	}
+	tab, err := table.New("name", columns, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var payload []byte
 	allocs := testing.AllocsPerRun(10, func() {
-		payload = encodeRegister("name", 1<<40, "00ff", columns, rows)
+		payload = encodeRegister("name", 1<<40, "00ff", tab)
 	})
 	if allocs != 1 {
 		t.Errorf("encodeRegister made %v allocations, want 1", allocs)
@@ -407,8 +411,12 @@ func TestEncodeRegisterSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := rec.buildTable()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rec.name != "name" || rec.gen != 1<<40 || rec.version != "00ff" ||
-		!slices.Equal(rec.columns, columns) || !slices.EqualFunc(rec.rows, rows, slices.Equal[[]string]) {
+		!slices.Equal(rec.columns, columns) || !slices.EqualFunc(got.RawRows(), rows, slices.Equal[[]string]) {
 		t.Fatalf("round trip changed the record: %+v", rec)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"nlexplain/internal/table"
 )
 
 // WAL record tags. The write-ahead log frames every catalog mutation
@@ -33,13 +35,16 @@ const (
 
 var errRecTruncated = errors.New("store: truncated wal record payload")
 
-// registerRec is the decoded form of a tagRegister payload.
+// registerRec is the decoded head of a tagRegister payload: everything
+// but the cells, which buildTable streams into a table once replay has
+// decided, from the head, that the record still applies.
 type registerRec struct {
 	name    string
 	gen     uint64
 	version string
 	columns []string
-	rows    [][]string
+	nrows   int
+	cells   recDecoder // positioned at the first cell
 }
 
 // appendRec is the decoded form of a tagAppend payload.
@@ -57,30 +62,31 @@ type dropRec struct {
 	gen  uint64
 }
 
-// encodeRegister frames a whole table. The payload of a big table runs
-// to megabytes and is built at the peak-memory moment of a registration,
-// so its length is worked out first and the buffer made once.
-func encodeRegister(name string, gen uint64, version string, columns []string, rows [][]string) []byte {
+// encodeRegister frames a whole table, its cells row-major as the
+// table spells them. The payload of a big table runs to megabytes and
+// is built at the peak-memory moment of a registration, so its length
+// is worked out first and the buffer made once.
+func encodeRegister(name string, gen uint64, version string, t *table.Table) []byte {
+	nrows, ncols := t.NumRows(), t.NumCols()
 	size := recStringLen(name) + recStringLen(version) + 3*binary.MaxVarintLen64 // gen and the two counts
-	for _, c := range columns {
-		size += recStringLen(c)
-	}
-	for _, row := range rows {
-		for _, cell := range row {
-			size += recStringLen(cell)
+	for c := 0; c < ncols; c++ {
+		size += recStringLen(t.Column(c))
+		dict, codes := t.ColumnDictionary(c)
+		for _, code := range codes {
+			size += recStringLen(dict.Entry(int(code)))
 		}
 	}
 	b := recString(make([]byte, 0, size), name)
 	b = binary.AppendUvarint(b, gen)
 	b = recString(b, version)
-	b = binary.AppendUvarint(b, uint64(len(columns)))
-	for _, c := range columns {
-		b = recString(b, c)
+	b = binary.AppendUvarint(b, uint64(ncols))
+	for c := 0; c < ncols; c++ {
+		b = recString(b, t.Column(c))
 	}
-	b = binary.AppendUvarint(b, uint64(len(rows)))
-	for _, row := range rows {
-		for _, cell := range row {
-			b = recString(b, cell)
+	b = binary.AppendUvarint(b, uint64(nrows))
+	for r := 0; r < nrows; r++ {
+		for c := 0; c < ncols; c++ {
+			b = recString(b, t.Raw(r, c))
 		}
 	}
 	return b
@@ -100,12 +106,31 @@ func decodeRegister(data []byte) (registerRec, error) {
 	for i := 0; i < ncols && d.err == nil; i++ {
 		r.columns = append(r.columns, d.string())
 	}
-	nrows := int(d.count())
-	if d.err != nil {
-		return r, d.err
+	r.nrows = int(d.count())
+	if d.err == nil && r.nrows > 0 {
+		d.checkCells(r.nrows, ncols)
 	}
-	r.rows = decodeRows(&d, nrows, ncols)
-	return r, d.finish()
+	r.cells = d
+	return r, d.err
+}
+
+// buildTable streams the record's cells into a table: no row is
+// materialised, and a spelling a column has seen is not parsed again.
+func (r *registerRec) buildTable() (*table.Table, error) {
+	b, err := table.NewBuilder(r.name, r.columns, r.nrows)
+	if err != nil {
+		return nil, err
+	}
+	d := r.cells
+	for row := 0; row < r.nrows && d.err == nil; row++ {
+		for c := range r.columns {
+			b.CellBytes(c, d.bytes())
+		}
+	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return b.Table()
 }
 
 func encodeAppend(name string, gen uint64, version string, width int, rows [][]string) []byte {
@@ -154,14 +179,7 @@ func decodeRows(d *recDecoder, nrows, ncols int) [][]string {
 	if d.err != nil || nrows == 0 {
 		return nil
 	}
-	if ncols <= 0 {
-		d.err = fmt.Errorf("store: wal record with %d rows but %d columns", nrows, ncols)
-		return nil
-	}
-	// Every encoded cell costs at least one byte, so a cell count
-	// beyond the remaining payload is framing damage, not a big table.
-	if int64(nrows)*int64(ncols) > int64(len(d.buf)) {
-		d.err = fmt.Errorf("store: implausible %dx%d cell block in wal record", nrows, ncols)
+	if d.checkCells(nrows, ncols); d.err != nil {
 		return nil
 	}
 	rows := make([][]string, nrows)
@@ -182,6 +200,20 @@ func decodeRows(d *recDecoder, nrows, ncols int) [][]string {
 type recDecoder struct {
 	buf []byte
 	err error
+}
+
+// checkCells refuses a block of nrows x ncols cells, nrows > 0, that
+// the rest of the payload could not hold.
+func (d *recDecoder) checkCells(nrows, ncols int) {
+	if ncols <= 0 {
+		d.err = fmt.Errorf("store: wal record with %d rows but %d columns", nrows, ncols)
+		return
+	}
+	// Every encoded cell costs at least one byte, so a cell count
+	// beyond the remaining payload is framing damage, not a big table.
+	if int64(nrows)*int64(ncols) > int64(len(d.buf)) {
+		d.err = fmt.Errorf("store: implausible %dx%d cell block in wal record", nrows, ncols)
+	}
 }
 
 func (d *recDecoder) finish() error {
@@ -218,19 +250,22 @@ func (d *recDecoder) count() uint64 {
 	return v
 }
 
-func (d *recDecoder) string() string {
+// bytes reads a length-prefixed string as a window of the payload.
+func (d *recDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.err = errRecTruncated
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	s := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return s
 }
+
+func (d *recDecoder) string() string { return string(d.bytes()) }
 
 // recStringLen is the encoded size of s: its uvarint length prefix and
 // its bytes.

@@ -1,0 +1,267 @@
+package table
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// Builder assembles a table cell by cell, for the callers that have
+// its cells as a stream rather than as rows: the CSV reader, WAL replay
+// and the segment decoder. Cells go to their column in record order —
+// a record at a time, a column at a time, or any mix — and Table seals
+// the result once every column holds the same number of them. New and
+// Append build through the same columns, so a relation is stored the
+// same way however it arrived.
+type Builder struct {
+	t    *Table
+	cols []columnBuilder
+}
+
+// NewBuilder starts a table with the given name and header. rows is
+// how many records to make room for; zero when unknown.
+func NewBuilder(name string, columns []string, rows int) (*Builder, error) {
+	t, err := newTable(name, columns)
+	if err != nil {
+		return nil, err
+	}
+	b := &Builder{t: t, cols: make([]columnBuilder, len(columns))}
+	for c := range b.cols {
+		b.cols[c].cd.reserve(rows)
+	}
+	return b, nil
+}
+
+// Cell appends the next cell of column col and returns its code: the
+// number of its spelling in the column's dictionary.
+func (b *Builder) Cell(col int, text string) uint32 { return addCell(&b.cols[col], text) }
+
+// CellBytes is Cell for text held in a byte slice, which is copied.
+func (b *Builder) CellBytes(col int, text []byte) uint32 { return addCell(&b.cols[col], text) }
+
+// Repeat appends to column col a cell spelled like an earlier one, by
+// the code Cell returned for it; neither hashed nor parsed again.
+func (b *Builder) Repeat(col int, code uint32) { b.cols[col].put(code) }
+
+// Table seals the builder into its table. The builder must not be
+// used afterwards.
+func (b *Builder) Table() (*Table, error) {
+	t := b.t
+	n := len(b.cols[0].cd.codes)
+	for c := range b.cols {
+		cb := &b.cols[c]
+		if cb.err != nil {
+			return nil, fmt.Errorf("table %q: column %q: %w", t.name, t.columns[c], cb.err)
+		}
+		if got := len(cb.cd.codes); got != n {
+			return nil, fmt.Errorf("table %q: column %q has %d cells, want %d", t.name, t.columns[c], got, n)
+		}
+	}
+	t.rows = n
+	t.cols = make([]columnData, len(b.cols))
+	for c := range b.cols {
+		t.cols[c] = b.cols[c].seal()
+	}
+	t.numIdx = make([]atomicIndex, len(t.columns))
+	t.zones = make([]atomicZones, len(t.columns))
+	t.sealBaseBytes()
+	return t, nil
+}
+
+// probes sums the dictionary and key lookups the build has made,
+// entries hashed again by a growing index included.
+func (b *Builder) probes() int {
+	n := 0
+	for c := range b.cols {
+		n += b.cols[c].probes
+	}
+	return n
+}
+
+// columnBuilder grows one column. A cell's text is looked up in the
+// dictionary; only a spelling not seen before is parsed, keyed and
+// grouped, and every later cell spelled that way copies its reading.
+type columnBuilder struct {
+	cd columnData // under construction; its dictionaries' text is in the buffers below until seal
+
+	text    []byte // the dictionary's text
+	keyText []byte // the key dictionary's, once cd.ownKeys
+
+	// The typed reading of each dictionary entry, which put copies to
+	// the records that hold it.
+	ekinds []uint8
+	enums  []float64
+
+	nonNumeric bool   // some entry has no numeric reading
+	nonASCII   bool   // some key leaves ASCII
+	keyBuf     []byte // scratch for rendering keys
+	probes     int
+	err        error
+}
+
+// errTextOverflow reports a column whose dictionary has outgrown its
+// 32-bit offsets.
+var errTextOverflow = errors.New("more than 4 GiB of distinct cell text")
+
+// reserve makes room for n records.
+func (cd *columnData) reserve(n int) {
+	cd.kinds = slices.Grow(cd.kinds, n)
+	cd.nums = slices.Grow(cd.nums, n)
+	cd.isNum = slices.Grow(cd.isNum, n)
+	cd.codes = slices.Grow(cd.codes, n)
+}
+
+// extend starts a column holding pd's records, with room for extra
+// more. Everything flat is copied; nothing of pd is hashed or parsed.
+func (pd *columnData) extend(extra int) columnBuilder {
+	n0 := len(pd.codes)
+	var b columnBuilder
+	cd := &b.cd
+	cd.reserve(n0 + extra)
+	cd.kinds = append(cd.kinds, pd.kinds...)
+	cd.nums = append(cd.nums, pd.nums...)
+	cd.isNum = append(cd.isNum, pd.isNum...)
+	cd.codes = append(cd.codes, pd.codes...)
+	cd.dict.ends = slices.Clone(pd.dict.ends)
+	cd.dictIx.slots = slices.Clone(pd.dictIx.slots)
+	b.text = []byte(pd.dict.text)
+	if pd.ownKeys {
+		cd.ownKeys = true
+		cd.keys.ends = slices.Clone(pd.keys.ends)
+		cd.keyIx.slots = slices.Clone(pd.keyIx.slots)
+		b.keyText = []byte(pd.keys.text)
+	}
+	cd.entryGroup = slices.Clone(pd.entryGroup)
+	cd.hasNaN = pd.hasNaN
+	b.nonNumeric, b.nonASCII = n0 > 0 && !pd.allNum, !pd.asciiKeys
+	b.ekinds = make([]uint8, pd.dict.Len())
+	b.enums = make([]float64, pd.dict.Len())
+	for r, code := range pd.codes {
+		b.ekinds[code] = pd.kinds[r]
+		b.enums[code] = pd.nums[r]
+	}
+	return b
+}
+
+// addCell appends a cell by its text.
+func addCell[T string | []byte](b *columnBuilder, s T) uint32 {
+	code := intern(b, s)
+	b.put(code)
+	return code
+}
+
+// put appends a cell holding dictionary entry code.
+func (b *columnBuilder) put(code uint32) {
+	if b.err != nil {
+		return
+	}
+	cd := &b.cd
+	kind := b.ekinds[code]
+	cd.codes = append(cd.codes, code)
+	cd.kinds = append(cd.kinds, kind)
+	cd.nums = append(cd.nums, b.enums[code])
+	cd.isNum = append(cd.isNum, Kind(kind) != String)
+}
+
+// intern returns the dictionary entry spelled s, adding it when the
+// column has not held that spelling yet: the one place a cell is
+// parsed, keyed and put into its key group.
+func intern[T string | []byte](b *columnBuilder, s T) uint32 {
+	if b.err != nil {
+		return 0
+	}
+	cd := &b.cd
+	h := hashText(s)
+	b.probes++
+	if e, ok := findText(&cd.dictIx, b.text, cd.dict.ends, s, h); ok {
+		return e
+	}
+	if len(b.text)+len(s) > math.MaxUint32 {
+		b.err = errTextOverflow
+		return 0
+	}
+	e := uint32(len(cd.dict.ends))
+
+	v := ParseValue(string(s))
+	f, numeric := v.Float()
+	b.ekinds = append(b.ekinds, uint8(v.Kind))
+	b.enums = append(b.enums, f)
+	if !numeric {
+		b.nonNumeric = true
+	} else if math.IsNaN(f) {
+		cd.hasNaN = true
+	}
+	b.keyBuf = appendKey(b.keyBuf[:0], v)
+	key := b.keyBuf
+	// While every spelling so far is its own canonical key, the key
+	// dictionary is the dictionary; the first that is not splits them.
+	if !cd.ownKeys && string(key) != string(s) {
+		cd.ownKeys = true
+		cd.keys.ends = slices.Clone(cd.dict.ends)
+		cd.keyIx.slots = slices.Clone(cd.dictIx.slots)
+		b.keyText = slices.Clone(b.text)
+	}
+	b.text = append(b.text, s...)
+	cd.dict.ends = append(cd.dict.ends, uint32(len(b.text)))
+	b.probes += insertText(&cd.dictIx, b.text, cd.dict.ends, e, h)
+	if !cd.ownKeys {
+		b.nonASCII = b.nonASCII || !isASCII(key)
+		return e
+	}
+
+	kh := hashText(key)
+	b.probes++
+	g, ok := findText(&cd.keyIx, b.keyText, cd.keys.ends, key, kh)
+	if !ok {
+		if len(b.keyText)+len(key) > math.MaxUint32 {
+			b.err = errTextOverflow
+			return 0
+		}
+		g = uint32(len(cd.keys.ends))
+		b.keyText = append(b.keyText, key...)
+		cd.keys.ends = append(cd.keys.ends, uint32(len(b.keyText)))
+		b.probes += insertText(&cd.keyIx, b.keyText, cd.keys.ends, g, kh)
+		b.nonASCII = b.nonASCII || !isASCII(key)
+	} else if cd.entryGroup == nil {
+		// The first second spelling of a key: until now entry i was
+		// group i.
+		cd.entryGroup = make([]uint32, e, e+1)
+		for i := range cd.entryGroup {
+			cd.entryGroup[i] = uint32(i)
+		}
+	}
+	if cd.entryGroup != nil {
+		cd.entryGroup = append(cd.entryGroup, g)
+	}
+	return e
+}
+
+// seal finishes the column: the dictionaries' text becomes immutable,
+// every record gets its key group, and the groups are laid out as
+// postings.
+func (b *columnBuilder) seal() columnData {
+	cd := b.cd
+	cd.dict.text = string(b.text)
+	if cd.ownKeys {
+		cd.keys.text = string(b.keyText)
+	} else {
+		cd.keys, cd.keyIx = cd.dict, cd.dictIx
+	}
+	if cd.entryGroup == nil {
+		cd.groups = cd.codes
+	} else {
+		cd.groups = make([]uint32, len(cd.codes))
+		for r, code := range cd.codes {
+			cd.groups[r] = cd.entryGroup[code]
+		}
+	}
+	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
+	cd.asciiKeys = !b.nonASCII
+	cd.emptyGroup = noGroup
+	if g, ok := findText(&cd.keyIx, cd.keys.text, cd.keys.ends, "", hashText("")); ok {
+		cd.emptyGroup = g
+	}
+	cd.kb = groupPostings(cd.groups, cd.keys.Len())
+	return cd
+}

@@ -2,16 +2,16 @@ package table
 
 import (
 	"math"
-	"sort"
-	"strings"
+	"slices"
 	"sync/atomic"
 )
 
-// columnData is the typed storage of one column: the kind, numeric
-// reading and canonical key of every cell as flat vectors, and the KB
-// index over the keys. Together with the cell's raw text these vectors
-// are the cell — Table.Value reads them back — and executors scan them
-// directly. They are built once, in New or Append, and never mutated.
+// columnData is the storage of one column. A cell is a code into the
+// column's dictionary of distinct spellings plus its typed reading —
+// kind, number, validity — in flat vectors; its canonical key is the
+// key of its dictionary entry's group. Executors scan the vectors and
+// the key codes directly. Everything here is built once, by a
+// columnBuilder, and never mutated.
 //
 // That immutability is what makes the morsel-parallel executor safe:
 // worker goroutines read disjoint [lo,hi) windows of these vectors with
@@ -22,10 +22,34 @@ import (
 // never a partial one.
 type columnData struct {
 	kinds []uint8   // Kind per record
-	keys  []string  // Value.Key() per record; equal keys share one string
 	nums  []float64 // Value.Float() per record (0 when !isNum[r])
 	isNum []bool    // whether the cell has a numeric interpretation
-	kb    postings
+
+	// dict holds the distinct spellings of the column's cells in order
+	// of first appearance, codes the entry each record is spelled as,
+	// dictIx finds an entry by its text.
+	dict   Dictionary
+	codes  []uint32
+	dictIx textIndex
+
+	// keys holds the canonical key (Value.Key) of each group of the KB
+	// view, groups the group of each record — its key code — and keyIx
+	// finds a group by its key. Groups are numbered in order of first
+	// appearance, like dictionary entries, so where no key has a
+	// second spelling groups is codes, the same slice; and where every
+	// spelling moreover is its own key ("1896", "athens"), keys and
+	// keyIx are dict and dictIx (ownKeys is false).
+	keys    Dictionary
+	groups  []uint32
+	keyIx   textIndex
+	ownKeys bool
+	// entryGroup is the group of each dictionary entry; nil while
+	// entry i is group i.
+	entryGroup []uint32
+	// emptyGroup is the group whose key is "", or noGroup.
+	emptyGroup uint32
+
+	kb postings
 	// allNum reports that every cell of the column is numeric (numbers
 	// or dates), so ordering by nums agrees with Value.Compare and the
 	// sorted index can answer superlatives.
@@ -42,18 +66,21 @@ type columnData struct {
 	asciiKeys bool
 }
 
-// postings is the KB view of one column (Section 3.1): the binary
-// relation from a cell value's canonical key to the records holding
-// it, stored flat. Records with one key form a group; groups are
-// numbered in order of first appearance, so walking them visits the
-// column's distinct values in table order.
-type postings struct {
-	rows    []int             // record ids, group after group, ascending inside a group
-	offsets []uint32          // group g is rows[offsets[g]:offsets[g+1]]; 2^32 rows of cells do not fit in memory
-	group   map[string]uint32 // canonical key -> group
+// noGroup stands for a key no record of the column holds.
+const noGroup = ^uint32(0)
+
+// group looks a canonical key up among the column's groups.
+func (cd *columnData) group(key string) (uint32, bool) {
+	return findText(&cd.keyIx, cd.keys.text, cd.keys.ends, key, hashText(key))
 }
 
-func (p *postings) numGroups() int { return len(p.offsets) - 1 }
+// postings is the KB view of one column (Section 3.1): the binary
+// relation from a cell value's canonical key to the records holding
+// it, stored flat, group after group.
+type postings struct {
+	rows    []int    // record ids, group after group, ascending inside a group
+	offsets []uint32 // group g is rows[offsets[g]:offsets[g+1]]; 2^32 rows of cells do not fit in memory
+}
 
 // groupRows returns the records of group g, capped so that appending
 // to the window cannot reach the next group.
@@ -62,58 +89,23 @@ func (p *postings) groupRows(g int) []int {
 	return p.rows[lo:hi:hi]
 }
 
-// kbBuilder groups the records of one column by canonical key as the
-// keys arrive in record order. The per-record and per-group scratch is
-// reused from column to column.
-type kbBuilder struct {
-	group map[string]uint32
-	first []uint32 // first record of each group
-	size  []uint32 // records in each group
-	gids  []uint32 // group of each record
-}
-
-// start readies the builder for a column of n records expected to form
-// about groups groups.
-func (b *kbBuilder) start(n, groups int) {
-	b.group = make(map[string]uint32, groups)
-	b.first, b.size = b.first[:0], b.size[:0]
-	if cap(b.gids) < n {
-		b.gids = make([]uint32, n)
+// groupPostings lays records out by group: a counting sort over their
+// group codes, which keeps record order inside each group.
+func groupPostings(groups []uint32, ngroups int) postings {
+	offsets := make([]uint32, ngroups+1)
+	for _, g := range groups {
+		offsets[g+1]++
 	}
-	b.gids = b.gids[:n]
-}
-
-// open starts a new group under key with record r, which the caller
-// then puts into it.
-func (b *kbBuilder) open(r int, key string) uint32 {
-	g := uint32(len(b.first))
-	b.group[key] = g
-	b.first = append(b.first, uint32(r))
-	b.size = append(b.size, 0)
-	return g
-}
-
-// put adds record r, the next in order, to group g.
-func (b *kbBuilder) put(r int, g uint32) {
-	b.size[g]++
-	b.gids[r] = g
-}
-
-// finish lays the groups out as postings: a counting sort of the
-// records by group, which keeps record order inside each group.
-func (b *kbBuilder) finish() postings {
-	offsets := make([]uint32, len(b.size)+1)
-	for g, n := range b.size {
-		offsets[g+1] = offsets[g] + n
+	for g := 0; g < ngroups; g++ {
+		offsets[g+1] += offsets[g]
 	}
-	rows := make([]int, len(b.gids))
-	next := b.size // each group's write cursor; the sizes are spent
-	copy(next, offsets)
-	for r, g := range b.gids {
+	rows := make([]int, len(groups))
+	next := slices.Clone(offsets[:ngroups]) // each group's write cursor
+	for r, g := range groups {
 		rows[next[g]] = r
 		next[g]++
 	}
-	return postings{rows: rows, offsets: offsets, group: b.group}
+	return postings{rows: rows, offsets: offsets}
 }
 
 // numericIndex is the lazily built sorted index of one column: the
@@ -131,105 +123,41 @@ type numericIndex struct {
 // consistent with what is resident.
 type atomicIndex = atomic.Pointer[numericIndex]
 
-// buildColumns builds the typed vectors and KB index of every column
-// over t.raw and seals the byte account. With a parent (Append) the
-// leading records are the parent's: their vectors are copied and their
-// keys regrouped, and only the cells beyond them are parsed.
-//
-// Strings are shared as the cells are grouped: every record of a group
-// carries the key string of the group's first record, that key string
-// is the cell's own text when the text already is canonical ("1896",
-// "athens"), and a cell spelled like the first of its group drops its
-// own string for that one.
-func (t *Table) buildColumns(parent *Table) {
-	n, n0 := len(t.raw), 0
-	if parent != nil {
-		n0 = len(parent.raw)
-		t.mem.text, t.mem.dict = parent.mem.text, parent.mem.dict
+// ColumnKeyCodes returns the key code of every cell in column c, in
+// record order: the number of its canonical key (Value.Key) among the
+// column's distinct keys in order of first appearance, below
+// NumKeys(c). Two cells share a code exactly when they share a key, so
+// executors group and compare codes where they would compare keys.
+// The slice is shared with the table and must not be modified.
+func (t *Table) ColumnKeyCodes(c int) []uint32 { return t.cols[c].groups }
+
+// NumKeys returns the number of distinct canonical keys in column c.
+func (t *Table) NumKeys(c int) int { return t.cols[c].keys.Len() }
+
+// KeyCode resolves a canonical key to its code in column c; false
+// when no cell of the column holds it.
+func (t *Table) KeyCode(c int, key string) (uint32, bool) { return t.cols[c].group(key) }
+
+// ColumnKeys materialises the canonical key (Value.Key) of every cell
+// in column c, in record order: a fresh slice of windows of the key
+// dictionary. Tests read it; executors read ColumnKeyCodes.
+func (t *Table) ColumnKeys(c int) []string {
+	cd := &t.cols[c]
+	out := make([]string, len(cd.groups))
+	for r, g := range cd.groups {
+		out[r] = cd.keys.Entry(int(g))
 	}
-	t.cols = make([]columnData, len(t.columns))
-	t.numIdx = make([]atomicIndex, len(t.columns))
-	t.zones = make([]atomicZones, len(t.columns))
-	var b kbBuilder
-	var buf []byte
-	for c := range t.columns {
-		cd := &t.cols[c]
-		cd.kinds = make([]uint8, n)
-		cd.keys = make([]string, n)
-		cd.nums = make([]float64, n)
-		cd.isNum = make([]bool, n)
-		cd.allNum = n > 0
-		cd.asciiKeys = true
-		if n0 > 0 {
-			pd := &parent.cols[c]
-			copy(cd.kinds, pd.kinds)
-			copy(cd.keys, pd.keys)
-			copy(cd.nums, pd.nums)
-			copy(cd.isNum, pd.isNum)
-			cd.allNum, cd.hasNaN, cd.asciiKeys = pd.allNum, pd.hasNaN, pd.asciiKeys
-			b.start(n, pd.kb.numGroups())
-		} else {
-			b.start(n, 0)
-		}
-		for r, key := range cd.keys[:n0] {
-			g, ok := b.group[key]
-			if !ok {
-				g = b.open(r, key)
-			}
-			b.put(r, g)
-		}
-		for r := n0; r < n; r++ {
-			cell := t.raw[r][c]
-			v := ParseValue(cell)
-			cd.set(r, v)
-			buf = appendKey(buf[:0], v)
-			g, ok := b.group[string(buf)]
-			if ok {
-				first := b.first[g]
-				cd.keys[r] = cd.keys[first]
-				if shared := t.raw[first][c]; shared == cell {
-					t.raw[r][c] = shared
-				} else {
-					t.mem.addText(cell)
-				}
-			} else {
-				t.mem.addText(cell)
-				if s := strings.TrimSpace(cell); s == string(buf) {
-					cd.keys[r] = s
-				} else {
-					cd.keys[r] = string(buf)
-					t.mem.addText(cd.keys[r])
-				}
-				if !isASCII(cd.keys[r]) {
-					cd.asciiKeys = false
-				}
-				g = b.open(r, cd.keys[r])
-			}
-			b.put(r, g)
-		}
-		cd.kb = b.finish()
-	}
-	t.sealBaseBytes()
+	return out
 }
 
-// set stores the typed reading of record r; its key is the caller's.
-func (cd *columnData) set(r int, v Value) {
-	cd.kinds[r] = uint8(v.Kind)
-	if f, ok := v.Float(); ok {
-		cd.nums[r] = f
-		cd.isNum[r] = true
-		if math.IsNaN(f) {
-			cd.hasNaN = true
-		}
-	} else {
-		cd.allNum = false
-	}
+// ColumnDictionary returns the dictionary of column c — the distinct
+// spellings of its cells in order of first appearance — and the
+// dictionary code of every record: the column exactly as a segment
+// stores it. The slice is shared with the table and must not be
+// modified.
+func (t *Table) ColumnDictionary(c int) (Dictionary, []uint32) {
+	return t.cols[c].dict, t.cols[c].codes
 }
-
-// ColumnKeys returns the canonical keys (Value.Key) of every cell in
-// column c, in record order. The slice is shared with the table and
-// must not be modified.
-func (t *Table) ColumnKeys(c int) []string { return t.cols[c].keys }
 
 // ColumnNums returns the numeric interpretation (Value.Float) of every
 // cell in column c in record order, plus a parallel validity vector.
@@ -265,7 +193,7 @@ func (t *Table) KeyEqualConsistent(c int, v Value) bool {
 	return isASCII(v.Key())
 }
 
-func isASCII(s string) bool {
+func isASCII[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {
 			return false
@@ -293,12 +221,15 @@ func (t *Table) NumericSortedRows(c int) []int {
 			rows = append(rows, r)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if cd.nums[a] != cd.nums[b] {
-			return cd.nums[a] < cd.nums[b]
+	nums := cd.nums
+	slices.SortFunc(rows, func(a, b int) int {
+		switch {
+		case nums[a] < nums[b]:
+			return -1
+		case nums[a] > nums[b]:
+			return 1
 		}
-		return a < b
+		return a - b
 	})
 	if t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
 		sz := indexBytes(len(rows))

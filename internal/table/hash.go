@@ -43,9 +43,9 @@ func HashByte(h uint64, b byte) uint64 {
 	return h
 }
 
-// HashString folds an already-canonical string (e.g. a ColumnKeys
-// entry) into h without case folding.
-func HashString(h uint64, s string) uint64 {
+// HashString folds an already-canonical string into h without case
+// folding.
+func HashString[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime

@@ -59,16 +59,17 @@ func bigFixture() []*Table {
 }
 
 // TestTableHeapPerCell is the footprint gate that does not read the
-// clock: the big table costs at most 110 live heap bytes per cell. One
-// text copy, the typed vectors and flat postings measure 87; a second
-// copy of the cells in any form (boxed values were 56 bytes a cell, a
-// map entry and slice per distinct key 60) does not fit under the gate.
+// clock: the big table costs at most 48 live heap bytes per cell.
+// Codes, typed vectors, flat postings and the dictionaries with their
+// slot tables measure 33; a string header per cell (16), a key string
+// per cell (16) or a Go map per column (25 a key) does not fit under
+// the gate on top of them.
 func TestTableHeapPerCell(t *testing.T) {
 	tabs, heap := liveHeap(bigFixture)
 	perCell := float64(heap) / float64(tabs[0].NumRows()*tabs[0].NumCols())
 	t.Logf("%d live heap bytes, %.1f per cell", heap, perCell)
-	if perCell > 110 {
-		t.Errorf("big table keeps %.1f heap bytes per cell, want at most 110", perCell)
+	if perCell > 48 {
+		t.Errorf("big table keeps %.1f heap bytes per cell, want at most 48", perCell)
 	}
 	runtime.KeepAlive(tabs)
 }
@@ -100,28 +101,40 @@ func TestBaseBytesTracksHeap(t *testing.T) {
 }
 
 // TestAppendParsesOnlyNewCells bounds Append's work on the rows it
-// inherits: their cells are not parsed again. Parsing a cell with a
-// capital letter or a date allocates its key, so an Append that parsed
-// the parent would allocate in proportion to it; one that copies the
-// typed vectors allocates the same few slices whatever the parent's
-// size.
+// inherits: they are neither parsed nor hashed again. Parsing a cell
+// with a capital letter or a date allocates its key, so an Append that
+// parsed the parent would allocate in proportion to it; one that copies
+// the vectors and dictionaries allocates the same few slices whatever
+// the parent's size. And the builder counts its dictionary and key
+// lookups, entries rehashed by a growing index included: an Append
+// looks up its new cells — and the distinct spellings of a column
+// whose index they outgrow — however many rows came before them.
 func TestAppendParsesOnlyNewCells(t *testing.T) {
 	extra := [][]string{{"Nation3", "June 8, 2013", "12"}, {"Atlantis", "n/a", "1e3"}}
-	allocs := func(parentRows int) float64 {
+	measure := func(parentRows int) (allocs float64, probes int) {
 		rows := make([][]string, parentRows)
 		for i := range rows {
 			rows[i] = []string{"Nation" + strconv.Itoa(i%8), "June " + strconv.Itoa(1+i%28) + ", 2013", strconv.Itoa(i % 16)}
 		}
 		parent := MustNew("t", []string{"Nation", "Opened", "Games"}, rows)
-		return testing.AllocsPerRun(5, func() {
+		allocs = testing.AllocsPerRun(5, func() {
 			if _, err := parent.Append(extra); err != nil {
 				t.Fatal(err)
 			}
 		})
+		b, err := parent.appendBuilder(extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, b.probes()
 	}
-	small, large := allocs(1_000), allocs(64_000)
-	t.Logf("Append allocations: %v onto 1000 rows, %v onto 64000", small, large)
+	small, smallProbes := measure(1_000)
+	large, largeProbes := measure(64_000)
+	t.Logf("Append onto 1000 rows: %v allocations, %d lookups; onto 64000: %v, %d", small, smallProbes, large, largeProbes)
 	if large > small+8 {
 		t.Errorf("Append onto 64000 rows made %v allocations against %v onto 1000: it scales with the parent", large, small)
+	}
+	if largeProbes > smallProbes {
+		t.Errorf("Append onto 64000 rows made %d dictionary lookups against %d onto 1000: it hashes the parent", largeProbes, smallProbes)
 	}
 }

@@ -2,88 +2,83 @@ package table
 
 import "sync/atomic"
 
-// Byte-cost constants for the resident-memory estimate. They follow the
-// storage layout term by term; what they leave out is the allocator's
-// rounding. TestBaseBytesTracksHeap holds the sum to the measured heap.
+// Byte-cost constants for the resident-memory estimate: what a column
+// and a table cost before their first cell. Everything else is read
+// off the storage itself, vector by vector. What the estimate leaves
+// out is the allocator's rounding; TestBaseBytesTracksHeap holds the
+// sum to the measured heap.
 const (
-	strHeaderBytes   = 16 // string header (ptr + len)
 	sliceHeaderBytes = 24 // slice header (ptr + len + cap)
-	// perCellFixedBytes covers one cell's share of every per-cell
-	// structure besides the string bytes themselves: the raw and
-	// canonical-key string headers, the numeric, validity and kind
-	// vector entries, and the KB posting entry.
-	perCellFixedBytes = 2*strHeaderBytes + 8 + 1 + 1 + 8
-	// mapSlotBytes is one slot of a column's key -> group map: a string
-	// header, a padded uint32 and a control byte. groupMapBytes counts
-	// the slots.
-	mapSlotBytes = 25
-	// perColumnFixedBytes is what a column costs before its first cell:
-	// the columnData struct, its index and zone-map slots, the header
-	// string and its colIndex entry, and the header of the group map.
-	// tableFixedBytes is the Table struct and the colIndex map header.
-	// Both only matter for the small tables the paper is about.
-	perColumnFixedBytes = 320
+	// perColumnFixedBytes is the columnData struct, the column's index
+	// and zone-map slots, the header string and its two colIndex
+	// entries. tableFixedBytes is the Table struct and the colIndex map
+	// header. Both only matter for the small tables the paper is about.
+	perColumnFixedBytes = 480
 	tableFixedBytes     = 256
 )
 
-// memAccount tracks a table's byte footprint: text and dict grow while
-// the columns are built, base is sealed from them at the end of the
-// build, derived moves as sorted indexes are built and dropped, and
-// hook (owned by at most one store) observes every derived delta.
+// memAccount tracks a table's byte footprint: base is sealed at the
+// end of the build, derived moves as sorted indexes and zone maps are
+// built and dropped, and hook (owned by at most one store) observes
+// every derived delta.
 type memAccount struct {
 	base    int64
-	text    int64 // bytes of the distinct strings held: cell text, and keys that differ from it
-	dict    int   // how many such strings
 	derived atomic.Int64
 	hook    atomic.Pointer[func(delta int64)]
 }
 
-// addText books a string the build keeps rather than shares.
-func (m *memAccount) addText(s string) {
-	m.text += int64(len(s))
-	m.dict++
-}
+// bytes is what a dictionary keeps: its text and an offset per entry.
+func (d Dictionary) bytes() int64 { return int64(len(d.text)) + 4*int64(cap(d.ends)) }
 
-// groupMapBytes is the size of a key -> group map of n entries. Go's
-// map keeps a power of two of slots, at least 8, and grows past 7/8
-// full, so a map is anywhere between 7/16 and 7/8 full and a cost per
-// entry would be off by up to a third either way.
-func groupMapBytes(n int) int64 {
-	slots := 8
-	for slots*7/8 < n {
-		slots *= 2
+// baseBytes sums the column's storage term by term, at the capacity
+// each vector was allocated with. Structures the column shares with
+// itself — groups that are codes, keys that are the dictionary — count
+// once.
+func (cd *columnData) baseBytes() int64 {
+	n := int64(cap(cd.kinds)) + int64(cap(cd.isNum)) + 8*int64(cap(cd.nums)) + 4*int64(cap(cd.codes)) +
+		cd.dict.bytes() + 4*int64(len(cd.dictIx.slots)) +
+		8*int64(cap(cd.kb.rows)) + 4*int64(cap(cd.kb.offsets))
+	if cd.ownKeys {
+		n += cd.keys.bytes() + 4*int64(len(cd.keyIx.slots))
 	}
-	return int64(slots) * mapSlotBytes
+	if cd.entryGroup != nil {
+		n += 4*int64(cap(cd.entryGroup)) + 4*int64(cap(cd.groups))
+	}
+	return n
 }
 
 // sealBaseBytes fixes the base (non-evictable) footprint estimate: the
-// held string bytes, the fixed per-cell and per-row structure costs,
-// each column's KB offsets and group map, and the fixed cost of the
-// table and its columns.
+// storage of every column plus the fixed cost of the table and its
+// columns.
 func (t *Table) sealBaseBytes() {
-	rows := int64(len(t.raw))
-	cells := rows * int64(len(t.columns))
-	t.mem.base = t.mem.text + cells*perCellFixedBytes + rows*sliceHeaderBytes +
-		int64(len(t.columns))*perColumnFixedBytes + tableFixedBytes
+	t.mem.base = tableFixedBytes + int64(len(t.columns))*perColumnFixedBytes
 	for c := range t.cols {
-		groups := t.cols[c].kb.numGroups()
-		t.mem.base += int64(groups)*4 + groupMapBytes(groups)
+		t.mem.base += t.cols[c].baseBytes()
 	}
 }
 
 // BaseBytes estimates the table's non-evictable resident footprint:
-// the cell strings (each shared string counted once), the typed column
-// vectors and the KB index. It is fixed at build time.
+// the dictionaries, the code and typed column vectors and the KB
+// index. It is fixed at build time.
 func (t *Table) BaseBytes() int64 { return t.mem.base }
 
 // DerivedBytes reports the bytes currently held by lazily built,
 // droppable derived structures (the per-column sorted numeric indexes).
 func (t *Table) DerivedBytes() int64 { return t.mem.derived.Load() }
 
-// DictEntries reports how many distinct strings the table holds: cells
-// that share a string, and keys that are their cell's own text, count
-// once.
-func (t *Table) DictEntries() int { return t.mem.dict }
+// DictEntries reports how many distinct texts the table holds: the
+// spellings of every column's dictionary, and the keys of the columns
+// whose keys are not those spellings themselves.
+func (t *Table) DictEntries() int {
+	n := 0
+	for c := range t.cols {
+		n += t.cols[c].dict.Len()
+		if t.cols[c].ownKeys {
+			n += t.cols[c].keys.Len()
+		}
+	}
+	return n
+}
 
 // SetMemHook registers fn to observe every change to the table's
 // derived-index footprint (positive deltas on index builds, negative on

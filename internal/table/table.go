@@ -33,20 +33,19 @@ func (c CellRef) Less(o CellRef) bool {
 // new table rather than mutating in place, which is what lets the
 // versioned store hand out consistent snapshots while mutations land.
 //
-// Every cell is held once: its original text in raw, its typed reading
-// (kind, number, canonical key) in the column vectors of cols. A Value
-// is not stored; Value and CellValue put one together from those two on
-// the way out.
+// The storage is columnar and every cell is held once: a code into its
+// column's dictionary of distinct spellings, and its typed reading
+// (kind, number) in flat vectors; the canonical key belongs to the
+// dictionary entry's key group. Neither a Value nor a row is stored;
+// Value, Raw and RawRows put them together on the way out.
 type Table struct {
 	name    string
 	columns []string
-	// raw is the original text of every cell, row-major.
-	raw [][]string
-	// colIndex resolves a (case-insensitive) header to a column index.
+	rows    int
+	// colIndex resolves a header to a column index: under its
+	// case-folded, trimmed form, and under its own spelling too.
 	colIndex map[string]int
-	// cols is the typed, columnar half of the storage, built eagerly:
-	// per column the kind, numeric reading and canonical key of every
-	// cell, and the KB index over those keys.
+	// cols is the storage, one columnData per column.
 	cols []columnData
 	// numIdx holds the lazily built per-column sorted numeric indexes.
 	// Entries are droppable under memory pressure (DropDerivedIndexes)
@@ -61,71 +60,98 @@ type Table struct {
 	mem memAccount
 }
 
-// New builds a table from a name, header row and raw cell text. Every row
-// must have exactly len(columns) cells. The rows are copied; the cell
-// strings themselves are kept, and a cell that repeats the text of the
-// first cell with its key in the column shares that cell's string.
-func New(name string, columns []string, rows [][]string) (*Table, error) {
+// newTable makes the shell of a table: its name and header, no records.
+func newTable(name string, columns []string) (*Table, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("table %q: no columns", name)
 	}
 	t := &Table{
 		name:     name,
 		columns:  append([]string(nil), columns...),
-		colIndex: make(map[string]int, len(columns)),
+		colIndex: make(map[string]int, 2*len(columns)),
 	}
 	for i, c := range columns {
-		key := strings.ToLower(strings.TrimSpace(c))
+		key := foldHeader(c)
 		if _, dup := t.colIndex[key]; dup {
 			return nil, fmt.Errorf("table %q: duplicate column %q", name, c)
 		}
 		t.colIndex[key] = i
 	}
-	for r, row := range rows {
-		if len(row) != len(columns) {
-			return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, r, len(row), len(columns))
+	// A header asked for as it is spelled — the usual case — is found
+	// without folding it. No spelling can shadow another column: one
+	// that is some column's folded form resolves to that column either
+	// way.
+	for i, c := range columns {
+		if _, taken := t.colIndex[c]; !taken {
+			t.colIndex[c] = i
 		}
 	}
-	t.raw = appendRows(nil, rows, len(columns))
-	t.buildColumns(nil)
 	return t, nil
 }
 
+func foldHeader(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+
+// New builds a table from a name, header row and raw cell text. Every row
+// must have exactly len(columns) cells. Nothing of rows is kept: each
+// distinct spelling of a column is copied once into its dictionary.
+func New(name string, columns []string, rows [][]string) (*Table, error) {
+	if len(columns) > 0 {
+		for r, row := range rows {
+			if len(row) != len(columns) {
+				return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, r, len(row), len(columns))
+			}
+		}
+	}
+	b, err := NewBuilder(name, columns, len(rows))
+	if err != nil {
+		return nil, err
+	}
+	for c := range columns {
+		for _, row := range rows {
+			b.Cell(c, row[c])
+		}
+	}
+	return b.Table()
+}
+
 // Append returns a new table holding this table's records followed by
-// extra — copy-on-write: the receiver's row slices and cell strings are
-// shared, its typed vectors are copied rather than parsed again, only
-// the cells of extra are parsed, and the KB index is regrouped over the
-// combined keys. The receiver is not modified, so snapshots pinned on it
-// stay consistent.
+// extra — copy-on-write: the receiver's vectors, dictionaries and
+// indexes are copied flat, only the cells of extra are looked up (and,
+// where their spelling is new to the column, parsed), and the postings
+// are laid out again by a counting sort over the key codes. The
+// receiver is not modified, so snapshots pinned on it stay consistent.
 func (t *Table) Append(extra [][]string) (*Table, error) {
+	b, err := t.appendBuilder(extra)
+	if err != nil {
+		return nil, err
+	}
+	nt, err := b.Table()
+	if err != nil {
+		return nil, err
+	}
+	nt.inheritZones(t)
+	return nt, nil
+}
+
+// appendBuilder is the build half of Append: a builder seeded with the
+// receiver's columns and fed the cells of extra.
+func (t *Table) appendBuilder(extra [][]string) (*Builder, error) {
 	for i, row := range extra {
 		if len(row) != len(t.columns) {
 			return nil, fmt.Errorf("table %q: appended row %d has %d cells, want %d", t.name, i, len(row), len(t.columns))
 		}
 	}
-	nt := &Table{
-		name:     t.name,
-		columns:  t.columns, // immutable, shared
-		colIndex: t.colIndex,
-		raw:      appendRows(t.raw, extra, len(t.columns)),
+	b := &Builder{
+		t:    &Table{name: t.name, columns: t.columns, colIndex: t.colIndex}, // immutable, shared
+		cols: make([]columnBuilder, len(t.columns)),
 	}
-	nt.buildColumns(t)
-	nt.inheritZones(t)
-	return nt, nil
-}
-
-// appendRows returns a fresh outer slice holding the row slices of old
-// followed by copies of extra, the copies cut from one block of cells.
-func appendRows(old, extra [][]string, width int) [][]string {
-	out := make([][]string, len(old), len(old)+len(extra))
-	copy(out, old)
-	cells := make([]string, len(extra)*width)
-	for _, row := range extra {
-		out = append(out, cells[:width:width])
-		copy(cells, row)
-		cells = cells[width:]
+	for c := range b.cols {
+		b.cols[c] = t.cols[c].extend(len(extra))
+		for _, row := range extra {
+			addCell(&b.cols[c], row[c])
+		}
 	}
-	return out
+	return b, nil
 }
 
 // MustNew is New, panicking on error; intended for fixtures and examples.
@@ -140,33 +166,47 @@ func MustNew(name string, columns []string, rows [][]string) *Table {
 // FromCSV reads a table from CSV: the first record is the header. A
 // UTF-8 byte-order mark on the first header cell (the Excel export
 // convention) is stripped; a header-only document yields an empty but
-// valid table.
+// valid table. Records stream from the reader into the columns; the
+// document is never held whole.
 func FromCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	recs, err := cr.ReadAll()
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("table %q: empty csv", name)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table %q: reading csv: %w", name, err)
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("table %q: empty csv", name)
-	}
-	header := recs[0]
 	header[0] = strings.TrimPrefix(header[0], "\ufeff")
-	body := recs[1:]
-	for i, row := range body {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("table %q: csv row %d has %d fields, want %d", name, i+1, len(row), len(header))
+	b, err := NewBuilder(name, header, 0)
+	if err != nil {
+		return nil, err
+	}
+	width := len(header) // header itself is the reader's to reuse
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return b.Table()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("table %q: reading csv: %w", name, err)
+		}
+		if len(rec) != width {
+			return nil, fmt.Errorf("table %q: csv row %d has %d fields, want %d", name, row, len(rec), width)
+		}
+		for c, cell := range rec {
+			b.Cell(c, cell)
 		}
 	}
-	return New(name, header, body)
 }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
 // NumRows returns the number of records.
-func (t *Table) NumRows() int { return len(t.raw) }
+func (t *Table) NumRows() int { return t.rows }
 
 // NumCols returns the number of columns.
 func (t *Table) NumCols() int { return len(t.columns) }
@@ -179,7 +219,10 @@ func (t *Table) Column(c int) string { return t.columns[c] }
 
 // ColumnIndex resolves a header name case-insensitively.
 func (t *Table) ColumnIndex(name string) (int, bool) {
-	i, ok := t.colIndex[strings.ToLower(strings.TrimSpace(name))]
+	if i, ok := t.colIndex[name]; ok {
+		return i, true
+	}
+	i, ok := t.colIndex[foldHeader(name)]
 	return i, ok
 }
 
@@ -195,25 +238,42 @@ func (t *Table) Value(row, col int) Value {
 	case Date:
 		return Value{Kind: Date, Time: time.Unix(int64(cd.nums[row]*86400), 0).UTC()}
 	default:
-		return Value{Kind: String, Str: strings.TrimSpace(t.raw[row][col])}
+		return Value{Kind: String, Str: strings.TrimSpace(t.Raw(row, col))}
 	}
 }
 
-// Raw returns the original cell text at (row, col).
-func (t *Table) Raw(row, col int) string { return t.raw[row][col] }
+// Raw returns the original cell text at (row, col): a window of the
+// column's dictionary.
+func (t *Table) Raw(row, col int) string {
+	cd := &t.cols[col]
+	return cd.dict.Entry(int(cd.codes[row]))
+}
 
-// RawRows returns every record's original cell text, row-major. The
-// slices are shared with the table and must not be modified; the
-// durability layer reads them in place when framing WAL records and
-// segment files.
-func (t *Table) RawRows() [][]string { return t.raw }
+// RawRows materialises every record's original cell text, row-major:
+// fresh slices over windows of the dictionaries. The table keeps no
+// rows; this is for tests and measurement harnesses that want them.
+func (t *Table) RawRows() [][]string {
+	width := len(t.columns)
+	out := make([][]string, t.rows)
+	cells := make([]string, t.rows*width)
+	for r := range out {
+		out[r] = cells[r*width : (r+1)*width : (r+1)*width]
+	}
+	for c := range t.cols {
+		cd := &t.cols[c]
+		for r, code := range cd.codes {
+			out[r][c] = cd.dict.Entry(int(code))
+		}
+	}
+	return out
+}
 
 // CellValue returns the typed value a CellRef points at.
 func (t *Table) CellValue(c CellRef) Value { return t.Value(c.Row, c.Col) }
 
 // Records returns all record indices, in table order.
 func (t *Table) Records() []int {
-	out := make([]int, len(t.raw))
+	out := make([]int, t.rows)
 	for i := range out {
 		out[i] = i
 	}
@@ -232,18 +292,18 @@ func (t *Table) RecordsWhere(col int, v Value) []int {
 // the slice is a window of the column's postings and must not be
 // modified.
 func (t *Table) RowsForKey(col int, key string) []int {
-	kb := &t.cols[col].kb
-	g, ok := kb.group[key]
+	cd := &t.cols[col]
+	g, ok := cd.group(key)
 	if !ok {
 		return nil
 	}
-	return kb.groupRows(int(g))
+	return cd.kb.groupRows(int(g))
 }
 
 // ColumnCells returns the cell references of every cell in column col,
 // in record order. This is the PC provenance primitive.
 func (t *Table) ColumnCells(col int) []CellRef {
-	out := make([]CellRef, len(t.raw))
+	out := make([]CellRef, t.rows)
 	for r := range out {
 		out[r] = CellRef{Row: r, Col: col}
 	}
@@ -255,9 +315,9 @@ func (t *Table) ColumnCells(col int) []CellRef {
 // operator.
 func (t *Table) DistinctColumnValues(col int) []Value {
 	kb := &t.cols[col].kb
-	out := make([]Value, kb.numGroups())
+	out := make([]Value, t.cols[col].keys.Len())
 	for g := range out {
-		out[g] = t.Value(kb.groupRows(g)[0], col)
+		out[g] = t.Value(kb.rows[kb.offsets[g]], col)
 	}
 	return out
 }
@@ -309,7 +369,8 @@ func (t *Table) String() string {
 	for c, h := range t.columns {
 		widths[c] = len(h)
 	}
-	for _, row := range t.raw {
+	rows := t.RawRows()
+	for _, row := range rows {
 		for c, cell := range row {
 			if n := len(cell); n > widths[c] {
 				widths[c] = n
@@ -326,7 +387,7 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.columns)
-	for _, row := range t.raw {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	return b.String()

@@ -18,8 +18,8 @@ const ZoneRows = 32768
 //
 // Min/Max are meaningful only when NumCount > 0 (both are 0 otherwise).
 // KeyMin/KeyMax range over all cells — including empty ones, whose
-// canonical key is "" — and share the table's interned strings, so a
-// zone slice costs a fixed ~64 bytes per zone.
+// canonical key is "" — and are windows of the column's key
+// dictionary, so a zone slice costs a fixed ~64 bytes per zone.
 type Zone struct {
 	Min, Max       float64 // over numeric non-NaN cells; zero-valued when NumCount == 0
 	KeyMin, KeyMax string  // lexicographic bounds over all canonical keys
@@ -44,24 +44,31 @@ type atomicZones = atomic.Pointer[zoneMap]
 func ZoneCount(n int) int { return (n + ZoneRows - 1) / ZoneRows }
 
 // zoneBytes estimates the resident cost of a zone slice. Key strings
-// are interned shares of the table dictionary, so only the fixed struct
+// are windows of the column's key dictionary, so only the fixed struct
 // cost is charged.
 func zoneBytes(nz int) int64 { return int64(nz)*64 + sliceHeaderBytes }
 
-// computeZone summarises rows [lo,hi) of one column.
+// computeZone summarises rows [lo,hi) of one column. Keys are compared
+// by code first: a record in the group of the running minimum or
+// maximum cannot move either.
 func computeZone(cd *columnData, lo, hi int) Zone {
 	var z Zone
+	var minG, maxG uint32
 	for r := lo; r < hi; r++ {
-		k := cd.keys[r]
-		if r == lo {
-			z.KeyMin, z.KeyMax = k, k
-		} else if k < z.KeyMin {
-			z.KeyMin = k
-		} else if k > z.KeyMax {
-			z.KeyMax = k
-		}
-		if k == "" {
+		g := cd.groups[r]
+		if g == cd.emptyGroup {
 			z.EmptyCount++
+		}
+		if r == lo {
+			minG, maxG = g, g
+			z.KeyMin = cd.keys.Entry(int(g))
+			z.KeyMax = z.KeyMin
+		} else if g != minG && g != maxG {
+			if k := cd.keys.Entry(int(g)); k < z.KeyMin {
+				minG, z.KeyMin = g, k
+			} else if k > z.KeyMax {
+				maxG, z.KeyMax = g, k
+			}
 		}
 		if !cd.isNum[r] {
 			continue
@@ -136,7 +143,7 @@ func (t *Table) ColumnZones(c int) []Zone {
 	if zm := t.zones[c].Load(); zm != nil {
 		return zm.zones
 	}
-	return t.publishZones(c, computeZones(&t.cols[c], len(t.raw)))
+	return t.publishZones(c, computeZones(&t.cols[c], t.rows))
 }
 
 // ZonesBuilt reports whether column c currently has a published zone
@@ -145,26 +152,43 @@ func (t *Table) ZonesBuilt(c int) bool { return t.zones[c].Load() != nil }
 
 // inheritZones maintains zone maps incrementally under copy-on-write
 // Append: for every column whose parent published a zone map, the
-// zones covering full parent blocks are copied verbatim (the shared
-// prefix rows are bitwise identical) and only the trailing, partially
+// zones covering full parent blocks are copied (the shared prefix rows
+// are bitwise identical) and only the trailing, partially
 // filled or new blocks are recomputed. Columns the parent never
 // summarised stay lazy in the child too.
 func (nt *Table) inheritZones(t *Table) {
-	full := len(t.raw) / ZoneRows // parent zones below this index cover full blocks
-	n := len(nt.raw)
+	full := t.rows / ZoneRows // parent zones below this index cover full blocks
+	n := nt.rows
 	for c := range nt.columns {
 		pz := t.zones[c].Load()
 		if pz == nil {
 			continue
 		}
 		zones := make([]Zone, ZoneCount(n))
-		copy(zones, pz.zones[:min(full, len(zones))])
+		cd := &nt.cols[c]
+		for z := range min(full, len(zones)) {
+			// The parent's key bounds are windows of its dictionary;
+			// cut the same keys from this table's, or every zone would
+			// keep alive the text of the table version that built it.
+			zones[z] = pz.zones[z]
+			zones[z].KeyMin = cd.ownKey(zones[z].KeyMin)
+			zones[z].KeyMax = cd.ownKey(zones[z].KeyMax)
+		}
 		for z := full; z < len(zones); z++ {
 			lo := z * ZoneRows
 			zones[z] = computeZone(&nt.cols[c], lo, min(lo+ZoneRows, n))
 		}
 		nt.publishZones(c, zones)
 	}
+}
+
+// ownKey returns the column's own copy of a canonical key: the window
+// of its key dictionary, or key itself when no record holds it.
+func (cd *columnData) ownKey(key string) string {
+	if g, ok := cd.group(key); ok {
+		return cd.keys.Entry(int(g))
+	}
+	return key
 }
 
 // ZoneSnapshot returns every column's zone maps for persistence: the
@@ -178,7 +202,7 @@ func (t *Table) ZoneSnapshot() [][]Zone {
 		if zm := t.zones[c].Load(); zm != nil {
 			out[c] = zm.zones
 		} else {
-			out[c] = computeZones(&t.cols[c], len(t.raw))
+			out[c] = computeZones(&t.cols[c], t.rows)
 		}
 	}
 	return out
@@ -193,7 +217,7 @@ func (t *Table) InstallZoneMaps(zones [][]Zone) {
 	if len(zones) != len(t.columns) {
 		return
 	}
-	want := ZoneCount(len(t.raw))
+	want := ZoneCount(t.rows)
 	for _, zs := range zones {
 		if len(zs) != want {
 			return

@@ -183,3 +183,30 @@ func TestZoneContents(t *testing.T) {
 		t.Errorf("KeyMax = %q, want %q", z.KeyMax, "text")
 	}
 }
+
+// TestZoneInheritedKeysAreOwnWindows: the key bounds of the zones an
+// appended table inherits are cut from its own key dictionary, so a
+// chain of appends does not keep every ancestor's text alive through
+// its zone maps.
+func TestZoneInheritedKeysAreOwnWindows(t *testing.T) {
+	rows := zoneFixtureRows(ZoneRows + 10)
+	parent := MustNew("zones", zoneFixtureCols, rows)
+	for c := range zoneFixtureCols {
+		parent.ColumnZones(c)
+	}
+	child, err := parent.Append(rows[:5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range zoneFixtureCols {
+		if !child.ZonesBuilt(c) {
+			t.Fatalf("col %d: zones not inherited", c)
+		}
+		for z, zone := range child.ColumnZones(c) {
+			text := child.cols[c].keys.text
+			if !within(zone.KeyMin, text) || !within(zone.KeyMax, text) {
+				t.Errorf("col %d zone %d: key bounds %q..%q are not windows of the table's own key text", c, z, zone.KeyMin, zone.KeyMax)
+			}
+		}
+	}
+}
