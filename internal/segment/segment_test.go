@@ -194,12 +194,8 @@ func TestSegmentSchema1BackwardCompat(t *testing.T) {
 	body = binary.AppendUvarint(body, 0) // row 0 -> dict[0]
 	body = binary.AppendUvarint(body, 0) // row 1 -> dict[0]
 
-	buf := make([]byte, 0, len(magic)+4+len(body))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-	buf = append(buf, body...)
 	path := filepath.Join(t.TempDir(), "v1.seg")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := os.WriteFile(path, frame(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, rows, zones, err := Read(path)

@@ -26,11 +26,15 @@ func NewBuilder(name string, columns []string, rows int) (*Builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Builder{t: t, cols: make([]columnBuilder, len(columns))}
+	return newBuilder(t, rows), nil
+}
+
+func newBuilder(t *Table, rows int) *Builder {
+	b := &Builder{t: t, cols: make([]columnBuilder, len(t.columns))}
 	for c := range b.cols {
 		b.cols[c].cd.reserve(rows)
 	}
-	return b, nil
+	return b
 }
 
 // Cell appends the next cell of column col and returns its code: the
@@ -259,7 +263,7 @@ func (b *columnBuilder) seal() columnData {
 	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
 	cd.asciiKeys = !b.nonASCII
 	cd.emptyGroup = noGroup
-	if g, ok := findText(&cd.keyIx, cd.keys.text, cd.keys.ends, "", hashText("")); ok {
+	if g, ok := cd.group(""); ok {
 		cd.emptyGroup = g
 	}
 	cd.kb = groupPostings(cd.groups, cd.keys.Len())

@@ -95,17 +95,16 @@ func foldHeader(name string) string { return strings.ToLower(strings.TrimSpace(n
 // must have exactly len(columns) cells. Nothing of rows is kept: each
 // distinct spelling of a column is copied once into its dictionary.
 func New(name string, columns []string, rows [][]string) (*Table, error) {
-	if len(columns) > 0 {
-		for r, row := range rows {
-			if len(row) != len(columns) {
-				return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, r, len(row), len(columns))
-			}
-		}
-	}
-	b, err := NewBuilder(name, columns, len(rows))
+	t, err := newTable(name, columns)
 	if err != nil {
 		return nil, err
 	}
+	for r, row := range rows {
+		if len(row) != len(columns) {
+			return nil, fmt.Errorf("table %q: row %d has %d cells, want %d", name, r, len(row), len(columns))
+		}
+	}
+	b := newBuilder(t, len(rows))
 	for c := range columns {
 		for _, row := range rows {
 			b.Cell(c, row[c])
