@@ -109,26 +109,32 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 
 // TestWorkloadHTTPMatchesInProc pins the two targets to the same
 // generated op stream and requires identical deterministic outcome
-// classes (ok vs client error) op for op.
+// classes (ok vs client error) op for op: the explain mix, where every
+// op is ok, and the mixed mix with its malformed, batch, sql, parse
+// and churn families.
 func TestWorkloadHTTPMatchesInProc(t *testing.T) {
-	ts, _ := newTestServer(t)
-	mix, _ := workload.MixByName("explain")
-	corpus, ops := workload.Generate(3, mix, 48)
+	for _, name := range []string{"explain", "mixed"} {
+		t.Run(name, func(t *testing.T) {
+			ts, _ := newTestServer(t)
+			mix, _ := workload.MixByName(name)
+			corpus, ops := workload.Generate(3, mix, 48)
 
-	httpTgt := workload.NewHTTPTarget(ts.URL)
-	defer httpTgt.Close()
-	inproc := workload.NewInProc(nlexplain.EngineOptions{Workers: 2})
-	if err := httpTgt.RegisterTables(corpus.Tables); err != nil {
-		t.Fatal(err)
-	}
-	if err := inproc.RegisterTables(corpus.Tables); err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range ops {
-		a := inproc.Do(context.Background(), op)
-		b := httpTgt.Do(context.Background(), op)
-		if a.Class != b.Class {
-			t.Fatalf("op %d (%s %q): inproc=%s http=%s", i, op.Family, op.Query, a.Class, b.Class)
-		}
+			httpTgt := workload.NewHTTPTarget(ts.URL)
+			defer httpTgt.Close()
+			inproc := workload.NewInProc(nlexplain.EngineOptions{Workers: 2})
+			if err := httpTgt.RegisterTables(corpus.Tables); err != nil {
+				t.Fatal(err)
+			}
+			if err := inproc.RegisterTables(corpus.Tables); err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range ops {
+				a := inproc.Do(context.Background(), op)
+				b := httpTgt.Do(context.Background(), op)
+				if a.Class != b.Class {
+					t.Fatalf("op %d (%s %q): inproc=%s http=%s", i, op.Family, op.Query, a.Class, b.Class)
+				}
+			}
+		})
 	}
 }

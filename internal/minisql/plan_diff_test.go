@@ -1,6 +1,8 @@
 package minisql
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"nlexplain/internal/plan"
@@ -71,41 +73,97 @@ func TestSQLPlanDifferential(t *testing.T) {
 	}
 }
 
-// TestSQLPlanDifferentialParallel runs the corpus through the plan
-// path twice — serial and with the morsel-parallel executor forced on
-// (8 workers, threshold 1) — and requires identical rows, columns and
-// source bookkeeping. GROUP BY, DISTINCT and projection merges must be
-// order-identical, not just set-identical.
+// seqTable is three morsels of one monotone numeric column, so every
+// zone holds a disjoint range and a range predicate over Seq can prove
+// whole morsels row-free or all-match.
+func seqTable(t testing.TB) *table.Table {
+	t.Helper()
+	rows := make([][]string, 3*table.ZoneRows)
+	for r := range rows {
+		rows[r] = []string{strconv.Itoa(r)}
+	}
+	return table.MustNew("T", []string{"Seq"}, rows)
+}
+
+// seqRangeCount is the fused range count the rewriter keeps as
+// Filter(Scan, And) over the scan — the shape zone maps answer.
+func seqRangeCount(lo, hi int) string {
+	return fmt.Sprintf("SELECT COUNT(Index) FROM T WHERE Seq >= %d AND Seq <= %d", lo, hi)
+}
+
+// TestSQLPlanDifferentialParallel runs statements through the plan
+// path twice per executor configuration — the reference setting, then
+// the strategy forced on — and requires identical rows, columns and
+// source bookkeeping. Forked: one worker vs the morsel-parallel
+// executor (8 workers, threshold 1); GROUP BY, DISTINCT and projection
+// merges must be order-identical, not just set-identical. Zones: zone
+// maps off vs consulted on every table (threshold 0), over the corpus
+// and over narrow / point / wide range counts on a monotone column,
+// where the narrow and point probes must also move the skipped-morsel
+// counter.
 func TestSQLPlanDifferentialParallel(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
+	prevW := plan.SetExecWorkers(1)
 	prevT := plan.SetParallelThreshold(1)
+	prevZ := plan.SetZoneSkipping(true)
+	prevZT := plan.SetZoneSkipThreshold(0)
 	defer func() {
 		plan.SetExecWorkers(prevW)
 		plan.SetParallelThreshold(prevT)
+		plan.SetZoneSkipping(prevZ)
+		plan.SetZoneSkipThreshold(prevZT)
 	}()
-	tab := olympics(t)
-	for _, src := range sqlDiffCorpus {
-		src := src
-		t.Run(src, func(t *testing.T) {
-			q, err := Parse(src)
-			if err != nil {
-				t.Fatalf("Parse(%q): %v", src, err)
-			}
-			plan.SetExecWorkers(1)
-			want, werr := Exec(q, tab)
+	forked := func(on bool) {
+		if on {
 			plan.SetExecWorkers(8)
-			got, gerr := Exec(q, tab)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)
-			}
-			if werr != nil {
-				if werr.Error() != gerr.Error() {
-					t.Fatalf("error text diverged:\nserial:   %v\nparallel: %v", werr, gerr)
+		} else {
+			plan.SetExecWorkers(1)
+		}
+	}
+	zones := func(on bool) { plan.SetZoneSkipping(on) }
+	n := 3 * table.ZoneRows
+	for _, leg := range []struct {
+		prefix   string // of the subtest names; the forked leg keeps the bare statement
+		set      func(on bool)
+		tab      *table.Table
+		stmts    []string
+		mustSkip int // this many leading statements must skip morsels when on
+	}{
+		{"", forked, olympics(t), sqlDiffCorpus, 0},
+		{"zones/", zones, olympics(t), sqlDiffCorpus, 0},
+		{"zones-seq/", zones, seqTable(t), []string{
+			seqRangeCount(n/2, n/2+n/100), // narrow: 1% of the rows
+			seqRangeCount(n/2, n/2),       // point
+			seqRangeCount(0, n-n/100),     // wide: no morsel is row-free
+		}, 2},
+	} {
+		for i, src := range leg.stmts {
+			t.Run(leg.prefix+src, func(t *testing.T) {
+				q, err := Parse(src)
+				if err != nil {
+					t.Fatalf("Parse(%q): %v", src, err)
 				}
-				return
-			}
-			assertSameRows(t, want, got)
-		})
+				leg.set(false)
+				want, werr := Exec(q, leg.tab)
+				leg.set(true)
+				skipBefore, _ := plan.SkipStats()
+				got, gerr := Exec(q, leg.tab)
+				skipAfter, _ := plan.SkipStats()
+				leg.set(false)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("error divergence: off=%v on=%v", werr, gerr)
+				}
+				if werr != nil {
+					if werr.Error() != gerr.Error() {
+						t.Fatalf("error text diverged:\noff: %v\non:  %v", werr, gerr)
+					}
+					return
+				}
+				assertSameRows(t, want, got)
+				if i < leg.mustSkip && skipAfter == skipBefore {
+					t.Fatalf("zone skipping never engaged (skipped-morsel counter did not move)")
+				}
+			})
+		}
 	}
 }
 
