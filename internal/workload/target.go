@@ -391,6 +391,24 @@ func classifyStatus(status int) string {
 	}
 }
 
+// classifyCode maps a failed batch item's error_code (wtq-server's
+// envelope vocabulary) to an outcome class, as classifyStatus does for
+// whole responses.
+func classifyCode(code string) string {
+	switch code {
+	case "deadline_exceeded":
+		return ClassTimeout
+	case "canceled":
+		return ClassCanceled
+	case "overloaded", "unavailable":
+		return ClassOverloaded
+	case "internal":
+		return ClassInternal
+	default:
+		return ClassClientError
+	}
+}
+
 type cachedBody struct {
 	Cached bool `json:"cached"`
 }
@@ -423,8 +441,9 @@ func (h *HTTPTarget) Do(ctx context.Context, op Op) Outcome {
 		}
 		var resp struct {
 			Results []struct {
-				Cached bool   `json:"cached"`
-				Error  string `json:"error"`
+				Cached    bool   `json:"cached"`
+				Error     string `json:"error"`
+				ErrorCode string `json:"error_code"`
 			} `json:"results"`
 			Errors int `json:"errors"`
 		}
@@ -436,9 +455,7 @@ func (h *HTTPTarget) Do(ctx context.Context, op Op) Outcome {
 		okCount, cachedOK := 0, 0
 		for _, r := range resp.Results {
 			if r.Error != "" {
-				// The wire form loses the error type; count sub-errors
-				// as client errors, the dominant class.
-				out.Class = worseClass(out.Class, ClassClientError)
+				out.Class = worseClass(out.Class, classifyCode(r.ErrorCode))
 			} else {
 				okCount++
 				if r.Cached {

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -433,6 +436,39 @@ func TestBatchAllFailuresNotCached(t *testing.T) {
 	}
 	if out.Class != ClassClientError {
 		t.Fatalf("all-failure batch class = %s, want client_error", out.Class)
+	}
+}
+
+// TestHTTPBatchItemClasses pins how the HTTP target books failed batch
+// items: by each item's error_code, worst class winning, exactly as
+// the in-process target classifies the typed errors. The canned
+// handler fails every query of the batch, the i-th with codes[i].
+func TestHTTPBatchItemClasses(t *testing.T) {
+	codes := []string{"bad_request", "deadline_exceeded", "overloaded", "internal"}
+	wants := []string{ClassClientError, ClassTimeout, ClassOverloaded, ClassInternal}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Queries []json.RawMessage `json:"queries"`
+		}
+		if r.URL.Path != "/v1/explain/batch" || json.NewDecoder(r.Body).Decode(&req) != nil {
+			http.NotFound(w, r)
+			return
+		}
+		items := make([]map[string]any, len(req.Queries))
+		for i := range items {
+			items[i] = map[string]any{"cached": false, "error": "canned", "error_code": codes[i]}
+		}
+		json.NewEncoder(w).Encode(map[string]any{"results": items, "errors": len(items)})
+	}))
+	defer srv.Close()
+	h := NewHTTPTarget(srv.URL)
+	defer h.Close()
+	op := Op{Kind: OpBatch, Family: "batch"}
+	for n, want := range wants {
+		op.Batch = append(op.Batch, BatchEntry{Table: TableSmall, Query: "count(Record)"})
+		if out := h.Do(context.Background(), op); out.Class != want || out.Cached {
+			t.Fatalf("batch failing with %v: class = %s cached = %v, want %s uncached", codes[:n+1], out.Class, out.Cached, want)
+		}
 	}
 }
 
