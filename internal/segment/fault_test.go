@@ -84,18 +84,18 @@ func TestManifestTornRenameKeepsPrevious(t *testing.T) {
 	prev := &Manifest{Gen: 7, WALSeq: 3, Tables: []TableRef{
 		{Name: "olympics", File: "seg-0000000000000007-0000.seg", Gen: 7, Version: "aa", Rows: 4, Cols: 3},
 	}}
-	if err := WriteManifest(dir, prev); err != nil {
+	if err := WriteManifest(nil, dir, prev); err != nil {
 		t.Fatal(err)
 	}
 
 	fs := fault.NewInject(fault.OS, 1,
 		&fault.Rule{Op: fault.OpRename, Path: ManifestName, Count: fault.Sticky, Err: syscall.EIO})
 	next := &Manifest{Gen: 8, WALSeq: 9}
-	if err := WriteManifestFS(fs, dir, next); !errors.Is(err, syscall.EIO) {
+	if err := WriteManifest(fs, dir, next); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("torn rename err = %v, want EIO", err)
 	}
 
-	got, ok, err := LoadManifest(dir)
+	got, ok, err := LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("previous manifest unreadable after torn rename: %v %v", ok, err)
 	}
@@ -113,10 +113,10 @@ func TestManifestTornRenameKeepsPrevious(t *testing.T) {
 
 	// Heal: the retried install replaces atomically.
 	fs.Heal()
-	if err := WriteManifestFS(fs, dir, next); err != nil {
+	if err := WriteManifest(fs, dir, next); err != nil {
 		t.Fatalf("healed install: %v", err)
 	}
-	got, _, err = LoadManifest(dir)
+	got, _, err = LoadManifest(nil, dir)
 	if err != nil || got.Gen != 8 || got.WALSeq != 9 {
 		t.Fatalf("healed manifest: %+v %v", got, err)
 	}

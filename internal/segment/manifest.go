@@ -39,17 +39,10 @@ type Manifest struct {
 }
 
 // WriteManifest persists m atomically into dir (tmp + fsync + rename
-// + dir fsync): a crash leaves either the previous manifest or the
-// new one, never a torn mix.
-func WriteManifest(dir string, m *Manifest) error {
-	return WriteManifestFS(fault.OS, dir, m)
-}
-
-// WriteManifestFS is WriteManifest performing all I/O through fsys
-// (nil means the OS passthrough). A fault injected on the rename
-// leaves the previous manifest intact — the property the torn-replace
-// tests pin.
-func WriteManifestFS(fsys fault.FS, dir string, m *Manifest) error {
+// + dir fsync), all I/O through fsys (nil means the OS passthrough): a
+// crash, or a fault injected on the rename, leaves either the previous
+// manifest or the new one, never a torn mix.
+func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
 	fsys = fault.Or(fsys)
 	m.Schema = schemaManifest
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -79,15 +72,10 @@ func WriteManifestFS(fsys fault.FS, dir string, m *Manifest) error {
 	return fsys.SyncDir(dir)
 }
 
-// LoadManifest reads dir's manifest. ok is false when none exists yet
-// (a fresh data directory).
-func LoadManifest(dir string) (m *Manifest, ok bool, err error) {
-	return LoadManifestFS(fault.OS, dir)
-}
-
-// LoadManifestFS is LoadManifest reading through fsys (nil means the
-// OS passthrough).
-func LoadManifestFS(fsys fault.FS, dir string) (m *Manifest, ok bool, err error) {
+// LoadManifest reads dir's manifest through fsys (nil means the OS
+// passthrough). ok is false when none exists yet (a fresh data
+// directory).
+func LoadManifest(fsys fault.FS, dir string) (m *Manifest, ok bool, err error) {
 	data, err := fault.Or(fsys).ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil

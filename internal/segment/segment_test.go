@@ -212,7 +212,7 @@ func TestSegmentSchema1BackwardCompat(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m, ok, err := LoadManifest(dir)
+	m, ok, err := LoadManifest(nil, dir)
 	if err != nil || ok || m != nil {
 		t.Fatalf("fresh dir: %v %v %v", m, ok, err)
 	}
@@ -223,10 +223,10 @@ func TestManifestRoundTrip(t *testing.T) {
 			{Name: "olympics", File: "seg-0000000000000063-0000.seg", Gen: 98, Version: "ab", Rows: 4, Cols: 3},
 		},
 	}
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(nil, dir, want); err != nil {
 		t.Fatalf("WriteManifest: %v", err)
 	}
-	got, ok, err := LoadManifest(dir)
+	got, ok, err := LoadManifest(nil, dir)
 	if err != nil || !ok {
 		t.Fatalf("LoadManifest: %v %v", ok, err)
 	}
@@ -236,10 +236,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	// Overwrite is atomic-replace, old content fully gone.
 	want.Gen = 100
 	want.Tables = nil
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(nil, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = LoadManifest(dir)
+	got, _, err = LoadManifest(nil, dir)
 	if err != nil || got.Gen != 100 || len(got.Tables) != 0 {
 		t.Fatalf("manifest rewrite: %+v %v", got, err)
 	}
@@ -247,7 +247,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{\"schema\":1,"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadManifest(dir); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadManifest(nil, dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn manifest: err=%v, want ErrCorrupt", err)
 	}
 }

@@ -340,7 +340,7 @@ func (d *durability) listWALSeqs() ([]uint64, error) {
 // segments → WAL tail, in that order, gen-gated so records whose
 // effect is already compacted into a segment replay as no-ops.
 func (d *durability) recover() error {
-	man, ok, err := segment.LoadManifestFS(d.fs, d.dir)
+	man, ok, err := segment.LoadManifest(d.fs, d.dir)
 	if err != nil {
 		return err
 	}
@@ -533,7 +533,7 @@ func (d *durability) checkpointLocked() error {
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
 	man := &segment.Manifest{Gen: d.st.gen.Load(), WALSeq: newSeq, Tables: refs}
-	if err := segment.WriteManifestFS(d.fs, d.dir, man); err != nil {
+	if err := segment.WriteManifest(d.fs, d.dir, man); err != nil {
 		return err
 	}
 	d.lastManifest = man
