@@ -1,5 +1,7 @@
 # CI and humans invoke the same targets: .github/workflows/ci.yml runs
-# build, vet, fmt, test, cover, bench and perf-gate through this file.
+# build, vet, fmt, cover, bench, bench-compile, the stress shards and
+# the fuzz targets through this file. Speed is measured by
+# benchmark/run.sh (BENCHMARK.json), not here.
 
 GO ?= go
 
@@ -8,33 +10,7 @@ GO ?= go
 # never lower it to make a PR pass.
 COVERAGE_FLOOR = 65
 
-# Perf-gate knobs: the checked-in baseline and the tolerances CI
-# compares with. Wall-clock tolerances are deliberately generous (CI
-# machines are noisy): they catch step-change regressions, not jitter.
-# Allocation counts are near-deterministic for the pinned op multiset,
-# so allocs/op gets a tight 1.5x gate, and compare writes a
-# benchstat-style old-vs-new summary CI uploads on every PR.
-PERF_BASELINE = bench_baseline.json
-PERF_REPORT   = bench_report.json
-PERF_SUMMARY  = perf_summary.txt
-PERF_FLAGS    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -max-allocs-ratio 1.5 -summary $(PERF_SUMMARY)
-
-# The bigtable leg of the perf gate: scan-heavy traffic over a pinned
-# 100K-row table, gated on rows/sec (scan throughput) in addition to
-# the usual latency/throughput tolerances. The rows/sec floor is a
-# generous 0.5x for the same noisy-runner reasons as above.
-# -min-morsels-skipped 1 additionally requires the run to prove
-# zone-map data skipping engaged (the mix's big_selective family must
-# book skipped morsels); SKIP_MIN_GAIN is the wall-clock floor the
-# skipgain step enforces on the high-selectivity probes.
-PERF_BASELINE_BIG = bench_baseline_big.json
-PERF_REPORT_BIG   = bench_report_big.json
-PERF_SUMMARY_BIG  = perf_summary_big.txt
-BIG_ROWS          = 100000
-SKIP_MIN_GAIN     = 3
-PERF_FLAGS_BIG    = -max-p50-ratio 4 -max-p99-ratio 4 -min-throughput-ratio 0.2 -min-rows-ratio 0.5 -min-morsels-skipped 1 -summary $(PERF_SUMMARY_BIG)
-
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile baseline baseline-big perf-gate metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment speedup skipgain serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment serve ci
 
 all: build
 
@@ -107,7 +83,8 @@ store-stress:
 	$(GO) test -race -run 'Store|Zone|Segment' -count=2 ./internal/store/... ./internal/engine/... ./internal/table/... ./internal/segment/...
 
 # bigtable-stress is the data-race gate for the morsel driver: the
-# forced-parallel differential suites, the NaN/tie and cancellation
+# forced-parallel differential suites (the SQL one with its forced-zone
+# legs, range counts over a monotone column), the NaN/tie and cancellation
 # tests, the worker-count-flip hammer (executions racing SetExecWorkers)
 # and the engine-level hammer (8 query goroutines racing a store
 # mutator over a pinned snapshot) all rerun under the race detector.
@@ -177,55 +154,6 @@ fuzz-segment:
 # runs them.
 fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment
 
-# baseline regenerates the checked-in perf-gate baseline with the
-# CI-canonical workload (seed 1, mixed traffic, op-count bound).
-baseline:
-	$(GO) run ./cmd/wtq-bench baseline -out $(PERF_BASELINE)
-
-# baseline-big regenerates the bigtable-leg baseline: scan-heavy
-# answer-only traffic over the pinned $(BIG_ROWS)-row table.
-baseline-big:
-	$(GO) run ./cmd/wtq-bench baseline -mix bigtable -big-rows $(BIG_ROWS) -ops 200 -out $(PERF_BASELINE_BIG)
-
-# perf-gate reproduces the CI job locally: run the canonical workload,
-# then diff the fresh report against the checked-in baseline.
-# -require-metrics makes the run fail unless the target's /metrics
-# scrape succeeds and is non-empty, so the observability surface is
-# load-tested on every gate run. The second leg reruns the gate with
-# the bigtable mix, whose compare additionally enforces the rows/sec
-# scan-throughput floor, and the speedup step appends the measured
-# serial-vs-parallel ratios (with GOMAXPROCS disclosed) to the summary
-# artifact — it hard-fails if parallel answers ever diverge from
-# serial, so result identity is load-tested on every gate run too.
-# The skipgain step then proves the zone-map layer earns its keep:
-# high-selectivity range counts must run >= $(SKIP_MIN_GAIN)x faster
-# with skipping on than off, with identical answers and a moving
-# skipped-morsel counter.
-# Both run legs execute with -data-dir, so the gate measures the
-# pipeline with durability on: the baselines' tolerances double as the
-# budget for WAL group commit staying off the query hot path.
-perf-gate:
-	rm -rf perf_data && mkdir -p perf_data
-	$(GO) run ./cmd/wtq-bench run -seed 1 -mix mixed -ops 600 -workers 4 -require-metrics -data-dir perf_data/mixed -out $(PERF_REPORT)
-	$(GO) run ./cmd/wtq-bench compare $(PERF_FLAGS) $(PERF_BASELINE) $(PERF_REPORT)
-	$(GO) run ./cmd/wtq-bench run -seed 1 -mix bigtable -big-rows $(BIG_ROWS) -ops 200 -workers 4 -data-dir perf_data/big -out $(PERF_REPORT_BIG)
-	$(GO) run ./cmd/wtq-bench compare $(PERF_FLAGS_BIG) $(PERF_BASELINE_BIG) $(PERF_REPORT_BIG)
-	$(GO) run ./cmd/wtq-bench speedup -rows 1000000 -summary $(PERF_SUMMARY)
-	$(GO) run ./cmd/wtq-bench skipgain -rows 1000000 -min-gain $(SKIP_MIN_GAIN) -summary $(PERF_SUMMARY_BIG)
-	rm -rf perf_data
-
-# speedup runs the big-table query families serial and morsel-parallel
-# back to back, verifies bitwise-identical results, and prints the
-# per-family speedup with GOMAXPROCS disclosed.
-speedup:
-	$(GO) run ./cmd/wtq-bench speedup -rows 1000000
-
-# skipgain runs selective range counts over the big table with
-# zone-map skipping off vs on, verifies identical answers, and
-# enforces the $(SKIP_MIN_GAIN)x floor on the high-selectivity probes.
-skipgain:
-	$(GO) run ./cmd/wtq-bench skipgain -rows 1000000 -min-gain $(SKIP_MIN_GAIN)
-
 # metrics-lint verifies the metric namespace: every registered series
 # name well-formed, collision-free and matching the canonical list in
 # internal/metric/registry_test.go. Registration panics make collisions
@@ -237,4 +165,4 @@ metrics-lint:
 serve:
 	$(GO) run ./cmd/wtq-server -demo
 
-ci: build vet fmt cover bench bench-compile bigtable-stress perf-gate
+ci: build vet fmt cover bench bench-compile bigtable-stress

@@ -359,9 +359,9 @@ func sharedWorkloadBenchTable() *table.Table {
 
 // BenchmarkPlanExec times answer-only execution of precompiled plans
 // (the warm-plan-cache steady state of the serving path) on the
-// 2048-row workload table. allocs/op here is the metric the CI
-// perf-gate watches: with the pooled executor arena it stays O(1)
-// per query regardless of table size.
+// 2048-row workload table. allocs/op here is the metric
+// TestPlanWarmAllocs gates: with the pooled executor arena it stays
+// O(1) per query regardless of table size.
 func BenchmarkPlanExec(b *testing.B) {
 	tab := sharedWorkloadBenchTable()
 	for _, c := range planWarmCases {

@@ -62,9 +62,9 @@ func TestAnswerEndpoint(t *testing.T) {
 }
 
 // TestWorkloadHTTPTarget drives the full workload harness against a
-// live httptest wtq-server: the same mixed traffic CI drives in-process
-// must flow over the wire, and /v1/stats must round-trip the engine
-// stats schema the report embeds.
+// live httptest wtq-server: the mixed traffic must flow over the wire,
+// and /v1/stats must round-trip the engine stats schema the report
+// embeds.
 func TestWorkloadHTTPTarget(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -77,7 +77,7 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 	defer tgt.Close()
 
 	rep, err := workload.Run(context.Background(), tgt, corpus, ops, workload.Options{
-		Workers: 4, MaxOps: 128, Seed: 1, MixName: "mixed",
+		Workers: 4, MaxOps: 128,
 	})
 	if err != nil {
 		t.Fatalf("Run over HTTP: %v", err)
@@ -101,9 +101,6 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 	}
 	if rep.CacheHitRatio <= 0 {
 		t.Fatalf("cache hit ratio not derived over HTTP: %v", rep.CacheHitRatio)
-	}
-	if rep.Target != ts.URL {
-		t.Fatalf("report target = %q, want %q", rep.Target, ts.URL)
 	}
 }
 

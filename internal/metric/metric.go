@@ -12,14 +12,15 @@
 //   - Prometheus text exposition (WritePrometheus), where dotted names
 //     become underscore-separated series and histograms expand into
 //     cumulative _bucket/_sum/_count series — what wtq-server serves on
-//     GET /metrics and wtq-bench scrapes from live targets;
+//     GET /metrics and the benchmark scrapes from its servers;
 //   - a JSON-ready Snapshot (map keyed by dotted name), the shape
 //     behind the GET /v1/stats compatibility shim.
 //
 // Recording is allocation-free and safe for concurrent use: counters
 // and gauges are single atomics, histogram observations are one atomic
 // add into a fixed bucket array, so hot-path instrumentation survives
-// the repository's allocs/op perf gate.
+// the repository's allocs/op gates (TestPlanWarmAllocs,
+// TestEngineHitAllocs).
 package metric
 
 import (

@@ -26,39 +26,27 @@ type ChaosOptions struct {
 	Cycles int
 	// Dir is the engine's data directory. Required.
 	Dir string
-	// RecoveryBound fails an episode whose recovery takes longer
-	// (default 30s).
-	RecoveryBound time.Duration
-	// MutationsPerCycle is the churn between faults (default 6).
-	MutationsPerCycle int
 }
 
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Cycles <= 0 {
-		o.Cycles = 10
-	}
-	if o.RecoveryBound <= 0 {
-		o.RecoveryBound = 30 * time.Second
-	}
-	if o.MutationsPerCycle <= 0 {
-		o.MutationsPerCycle = 6
-	}
-	return o
-}
+const (
+	// chaosRecoveryBound fails an episode whose recovery takes longer.
+	chaosRecoveryBound = 30 * time.Second
+	// chaosMutationsPerCycle is the churn between faults.
+	chaosMutationsPerCycle = 6
+)
 
 // ChaosReport is the outcome of a RunChaos run. A clean run has every
 // episode recovered and an empty Violations list.
 type ChaosReport struct {
-	Seed        int64           `json:"seed"`
-	Cycles      int             `json:"cycles"`
-	AckedMuts   int             `json:"acked_mutations"`
-	Rejected    int             `json:"rejected_mutations"`
-	Episodes    int             `json:"episodes"`
-	Recovered   int             `json:"recovered"`
-	MaxRecovery time.Duration   `json:"max_recovery_ns"`
-	Faults      uint64          `json:"faults_injected"`
-	Violations  []string        `json:"violations,omitempty"`
-	Durations   []time.Duration `json:"-"`
+	Seed        int64
+	Cycles      int
+	AckedMuts   int
+	Rejected    int
+	Episodes    int
+	Recovered   int
+	MaxRecovery time.Duration
+	Faults      uint64
+	Violations  []string
 }
 
 func (r *ChaosReport) violatef(format string, args ...any) {
@@ -99,14 +87,16 @@ func chaosFaultRule(rng *rand.Rand) *fault.Rule {
 //   - after the first fault the engine reports degraded health, reads
 //     keep serving, and further mutations fail fast as unavailable
 //   - once the filesystem heals, the episode recovers within
-//     RecoveryBound and the acked tables' content-hash versions are
+//     chaosRecoveryBound and the acked tables' content-hash versions are
 //     exactly what the acks promised
 //   - after the final cycle the directory reopens on the clean OS
 //     filesystem and every acked table is intact end to end
 //
 // The process never crashing is implicit: any panic fails the caller.
 func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
-	opts = opts.withDefaults()
+	if opts.Cycles <= 0 {
+		opts.Cycles = 10
+	}
 	if opts.Dir == "" {
 		return nil, errors.New("workload: chaos needs a data dir")
 	}
@@ -173,7 +163,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	for cycle := 0; cycle < opts.Cycles; cycle++ {
 		tag := strconv.Itoa(cycle)
 		// Churn while healthy.
-		for i := 0; i < opts.MutationsPerCycle; i++ {
+		for i := 0; i < chaosMutationsPerCycle; i++ {
 			if err := mutate(); err != nil {
 				rep.violatef("cycle %s: healthy mutation failed: %v", tag, err)
 			}
@@ -183,7 +173,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		fs.SetRules(chaosFaultRule(rng))
 		rep.Episodes++
 		tripped := false
-		for i := 0; i < opts.MutationsPerCycle+4; i++ {
+		for i := 0; i < chaosMutationsPerCycle+4; i++ {
 			if err := mutate(); err != nil {
 				if !errors.Is(err, engine.ErrUnavailable) {
 					rep.violatef("cycle %s: faulted mutation class = %v, want ErrUnavailable", tag, err)
@@ -210,7 +200,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		// Heal and time the recovery.
 		fs.Heal()
 		start := time.Now()
-		deadline := start.Add(opts.RecoveryBound)
+		deadline := start.Add(chaosRecoveryBound)
 		for e.Health().Status != "ok" {
 			if time.Now().After(deadline) {
 				break
@@ -219,11 +209,10 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		}
 		d := time.Since(start)
 		if e.Health().Status != "ok" {
-			rep.violatef("cycle %s: not recovered within %v", tag, opts.RecoveryBound)
+			rep.violatef("cycle %s: not recovered within %v", tag, chaosRecoveryBound)
 			continue
 		}
 		rep.Recovered++
-		rep.Durations = append(rep.Durations, d)
 		if d > rep.MaxRecovery {
 			rep.MaxRecovery = d
 		}
@@ -271,7 +260,7 @@ func pickAcked(rng *rand.Rand, acked map[string]ackState) string {
 	return names[rng.Intn(len(names))]
 }
 
-// String renders the report for logs and the wtq-bench chaos command.
+// String renders the report for test logs.
 func (r *ChaosReport) String() string {
 	s := fmt.Sprintf("chaos seed=%d cycles=%d acked=%d rejected=%d episodes=%d recovered=%d max_recovery=%v faults=%d",
 		r.Seed, r.Cycles, r.AckedMuts, r.Rejected, r.Episodes, r.Recovered, r.MaxRecovery.Round(time.Microsecond), r.Faults)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,24 +11,14 @@ import (
 
 // Options configures a driver run.
 type Options struct {
-	// Workers is the closed-loop concurrency (and the cap on in-flight
-	// ops in open-loop mode). Default 8.
+	// Workers is the closed-loop concurrency. Default 8.
 	Workers int
-	// Duration bounds the run by wall clock; 0 means MaxOps governs.
-	Duration time.Duration
-	// MaxOps bounds the run by op count; 0 means Duration governs. CI
-	// uses MaxOps so two runs execute the identical op multiset.
+	// MaxOps is how many ops the run executes. Required: an op-count
+	// bound makes two runs execute the identical op multiset.
 	MaxOps int
-	// QPS switches to an open-loop (constant arrival rate) driver when
-	// positive; 0 is the closed loop.
-	QPS float64
 	// OpTimeout is the driver-side deadline per op (ops may carry their
 	// own tighter TimeoutMs). Default 30s.
 	OpTimeout time.Duration
-
-	// Seed and MixName are recorded in the report for provenance.
-	Seed    int64
-	MixName string
 }
 
 func (o Options) withDefaults() Options {
@@ -42,175 +31,66 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// sample is one measured op execution.
-type sample struct {
-	kind    OpKind
-	class   string
-	cached  bool
-	latency time.Duration
-	// rows is the op's declared scan size, booked only for successful
-	// executions so failed or shed ops don't inflate rows/sec.
-	rows int
-}
-
-// recorder accumulates samples for one worker (merged after the run,
-// so the hot path takes no locks).
-type recorder struct {
-	samples []sample
-}
-
-func (r *recorder) record(op Op, out Outcome, lat time.Duration) {
-	s := sample{kind: op.Kind, class: out.Class, cached: out.Cached, latency: lat}
-	if out.Class == ClassOK {
-		s.rows = op.ScanRows
-	}
-	r.samples = append(r.samples, s)
-}
-
-// Run registers the corpus at the target, drives the op stream
-// (cycling when the stream is shorter than the run) and builds a
-// Report. The op stream itself is never mutated, so the generated
-// query set is exactly ops regardless of duration.
+// Run registers the corpus at the target, keeps Workers goroutines
+// issuing ops back to back until MaxOps have been drawn (cycling when
+// the stream is shorter) and tallies the outcomes. The op stream itself
+// is never mutated.
 func Run(ctx context.Context, tgt Target, corpus *Corpus, ops []Op, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if len(ops) == 0 {
 		return nil, errors.New("workload: empty op stream")
 	}
-	if opts.Duration <= 0 && opts.MaxOps <= 0 {
-		return nil, errors.New("workload: need Duration or MaxOps")
+	if opts.MaxOps <= 0 {
+		return nil, errors.New("workload: need MaxOps")
 	}
 	if err := tgt.RegisterTables(corpus.Tables); err != nil {
 		return nil, fmt.Errorf("workload: registering corpus: %w", err)
 	}
 	before, errBefore := tgt.EngineStats()
 
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if opts.Duration > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, opts.Duration)
-		defer cancel()
+	rep := &Report{Counts: make(map[string]int), PerKind: make(map[string]map[string]int)}
+	var mu sync.Mutex // guards rep while workers run
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range opts.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := next.Add(1) - 1
+				if i >= int64(opts.MaxOps) {
+					return
+				}
+				op := ops[i%int64(len(ops))]
+				if out, ok := doOne(ctx, tgt, op, opts.OpTimeout); ok {
+					mu.Lock()
+					rep.record(op.Kind, out)
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-
-	var memBefore, memAfter runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	var recs []*recorder
-	if opts.QPS > 0 {
-		recs = runOpenLoop(runCtx, tgt, ops, opts)
-	} else {
-		recs = runClosedLoop(runCtx, tgt, ops, opts)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&memAfter)
+	wg.Wait()
 
 	after, errAfter := tgt.EngineStats()
-	rep := buildReport(tgt.Name(), ops, recs, elapsed, opts)
-	rep.attachAllocStats(memBefore, memAfter)
 	if errBefore == nil && errAfter == nil {
 		rep.attachEngineStats(before, after)
-	}
-	// A failed scrape leaves Server nil rather than failing the run;
-	// wtq-bench's -require-metrics flag turns that into a hard error
-	// where CI wants one.
-	if snap, err := tgt.Metrics(); err == nil {
-		rep.Server = snap
 	}
 	return rep, nil
 }
 
-// doOne executes one op under the driver deadline and records it. An
-// op cut short because the run itself ended (Duration expiry cancels
-// every in-flight op context) is not a measurement: recording it
-// would book run-shutdown as timeouts and fail regression gates on
-// perfectly healthy targets.
-func doOne(ctx context.Context, tgt Target, op Op, opts Options, rec *recorder) {
-	opCtx, cancel := context.WithTimeout(ctx, opts.OpTimeout)
-	start := time.Now()
-	out := tgt.Do(opCtx, op)
+// doOne executes one op under the driver deadline. ok is false for an
+// op cut short because the caller's ctx ended: booking it would count
+// run shutdown as timeouts on a perfectly healthy target.
+func doOne(ctx context.Context, tgt Target, op Op, timeout time.Duration) (out Outcome, ok bool) {
+	opCtx, cancel := context.WithTimeout(ctx, timeout)
+	out = tgt.Do(opCtx, op)
 	cancel()
-	lat := time.Since(start)
 	if out.Class == ClassCanceled {
-		return // only the driver cancels ops; never run-signal
+		return out, false // only the driver cancels ops
 	}
 	if ctx.Err() != nil && (out.Class == ClassTimeout || out.Class == ClassTransport) {
-		return // truncated by run shutdown, not by the op's own budget
+		return out, false // truncated by run shutdown, not by the op's own budget
 	}
-	rec.record(op, out, lat)
-}
-
-// runClosedLoop keeps Workers goroutines issuing ops back to back:
-// offered load tracks service rate, so it measures capacity.
-func runClosedLoop(ctx context.Context, tgt Target, ops []Op, opts Options) []*recorder {
-	var next atomic.Int64
-	recs := make([]*recorder, opts.Workers)
-	var wg sync.WaitGroup
-	for w := range opts.Workers {
-		recs[w] = &recorder{}
-		wg.Add(1)
-		go func(rec *recorder) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := next.Add(1) - 1
-				if opts.MaxOps > 0 && i >= int64(opts.MaxOps) {
-					return
-				}
-				doOne(ctx, tgt, ops[i%int64(len(ops))], opts, rec)
-			}
-		}(recs[w])
-	}
-	wg.Wait()
-	return recs
-}
-
-// runOpenLoop fires ops at a constant arrival rate regardless of
-// completions (in-flight capped at 8x Workers so a stalled target
-// degrades to a closed loop instead of unbounded goroutines): it
-// measures latency under a fixed offered load, the paper-standard way
-// to see queueing effects.
-func runOpenLoop(ctx context.Context, tgt Target, ops []Op, opts Options) []*recorder {
-	interval := time.Duration(float64(time.Second) / opts.QPS)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	sem := make(chan struct{}, 8*opts.Workers)
-	var mu sync.Mutex
-	rec := &recorder{}
-	var wg sync.WaitGroup
-	var fired int64
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		if opts.MaxOps > 0 && fired >= int64(opts.MaxOps) {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-ticker.C:
-			op := ops[fired%int64(len(ops))]
-			fired++
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				local := &recorder{}
-				doOne(ctx, tgt, op, opts, local)
-				mu.Lock()
-				rec.samples = append(rec.samples, local.samples...)
-				mu.Unlock()
-			}()
-		}
-	}
-	wg.Wait()
-	return []*recorder{rec}
+	return out, true
 }

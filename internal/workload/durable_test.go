@@ -41,8 +41,6 @@ func TestDurableMixSurvivesRestart(t *testing.T) {
 	rep, err := Run(context.Background(), p, corpus, ops, Options{
 		Workers: 4,
 		MaxOps:  120,
-		Seed:    1,
-		MixName: mix.Name,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

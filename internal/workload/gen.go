@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -40,8 +39,8 @@ type BatchEntry struct {
 	Query string `json:"query"`
 }
 
-// Op is one generated unit of traffic. The JSON form is stable — the
-// op-set hash in reports is computed over it.
+// Op is one generated unit of traffic. The JSON form is stable —
+// HashOps is computed over it.
 type Op struct {
 	Kind     OpKind `json:"kind"`
 	Family   string `json:"family"`
@@ -59,10 +58,6 @@ type Op struct {
 	// TimeoutMs overrides the per-op deadline when positive (the
 	// adversarial mix uses tiny values to exercise deadline handling).
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// ScanRows is how many table rows one execution of this op scans
-	// (the bigtable families set it to the big table's row count).
-	// Reports aggregate it into rows/sec scan throughput.
-	ScanRows int `json:"scan_rows,omitempty"`
 }
 
 // familyWeight is one weighted query family of a mix.
@@ -74,66 +69,38 @@ type familyWeight struct {
 // Mix is a named distribution over query families.
 type Mix struct {
 	Name    string
-	About   string
 	weights []familyWeight // ordered, so generation is deterministic
 }
 
-// Mixes are the built-in traffic mixes, selectable by name in
-// wtq-bench. Families: lookup, comparative, superlative, aggregate
-// (explain ops over the corresponding paper query family), answer
-// (answer-only fast path), parse (NL questions), batch, sql (mini-SQL
-// fragment), malformed (parse/type errors), unknown_table, hog
-// (expensive deep queries over the large table) and tiny_timeout
-// (hogs under a 1ms deadline).
+// Mixes are the built-in traffic mixes. Families: lookup, comparative,
+// superlative, aggregate (explain ops over the corresponding paper
+// query family), answer (answer-only fast path), parse (NL questions),
+// batch, sql (mini-SQL fragment), churn (table lifecycle), malformed
+// (parse/type errors), unknown_table, hog (expensive deep queries over
+// the huge table) and tiny_timeout (hogs under a 1ms deadline).
 var Mixes = []Mix{
-	{Name: "mixed", About: "a bit of everything; the CI gate mix", weights: []familyWeight{
+	// a bit of everything
+	{Name: "mixed", weights: []familyWeight{
 		{"lookup", 20}, {"comparative", 10}, {"superlative", 10}, {"aggregate", 10},
 		{"answer", 15}, {"parse", 10}, {"batch", 10}, {"sql", 10}, {"malformed", 5}, {"churn", 5}}},
-	{Name: "explain", About: "full-pipeline explains across all query families", weights: []familyWeight{
+	// full-pipeline explains across all query families
+	{Name: "explain", weights: []familyWeight{
 		{"lookup", 30}, {"comparative", 25}, {"aggregate", 25}, {"superlative", 20}}},
-	{Name: "answer", About: "answer-only fast path across all query families", weights: []familyWeight{
-		{"answer", 100}}},
-	{Name: "parse", About: "NL question parsing only", weights: []familyWeight{
-		{"parse", 100}}},
-	{Name: "batch", About: "batched explain requests", weights: []familyWeight{
-		{"batch", 100}}},
-	{Name: "sql", About: "mini-SQL fragment queries", weights: []familyWeight{
-		{"sql", 100}}},
-	{Name: "superlative", About: "superlative/comparative-heavy explains", weights: []familyWeight{
+	{Name: "answer", weights: []familyWeight{{"answer", 100}}},
+	{Name: "parse", weights: []familyWeight{{"parse", 100}}},
+	{Name: "batch", weights: []familyWeight{{"batch", 100}}},
+	{Name: "sql", weights: []familyWeight{{"sql", 100}}},
+	{Name: "superlative", weights: []familyWeight{
 		{"superlative", 60}, {"comparative", 40}}},
-	{Name: "adversarial", About: "malformed, unknown-table, expensive and tiny-deadline traffic", weights: []familyWeight{
+	// malformed, unknown-table, expensive and tiny-deadline traffic
+	{Name: "adversarial", weights: []familyWeight{
 		{"malformed", 25}, {"unknown_table", 10}, {"hog", 35}, {"tiny_timeout", 20}, {"lookup", 10}}},
-	{Name: "churn", About: "table lifecycle churn (register/append/drop) interleaved with queries", weights: []familyWeight{
+	// table lifecycle churn (register/append/drop) interleaved with queries
+	{Name: "churn", weights: []familyWeight{
 		{"churn", 40}, {"lookup", 25}, {"answer", 20}, {"aggregate", 15}}},
-	{Name: "durable", About: "mutation-heavy churn for durability runs (every churn op crosses the WAL)", weights: []familyWeight{
+	// mutation-heavy churn for durability runs (every churn op crosses the WAL)
+	{Name: "durable", weights: []familyWeight{
 		{"churn", 50}, {"lookup", 20}, {"answer", 20}, {"aggregate", 10}}},
-	{Name: "bigtable", About: "scan-heavy answer-only traffic over the generated big table (needs a sized corpus)", weights: []familyWeight{
-		{"big_filter", 30}, {"big_superlative", 25}, {"big_aggregate", 25}, {"big_selective", 20}}},
-	{Name: "selective", About: "zone-map skipping probe: fused range and point predicates over the big table's monotone Seq column", weights: []familyWeight{
-		{"big_selective", 100}}},
-}
-
-// DefaultSelectivity is the match fraction of the big_selective
-// family's high-selectivity range predicates: 1% of the big table,
-// narrow enough that zone maps prove almost every 32768-row block
-// row-free. Generator.SetSelectivity (wtq-bench -selectivity)
-// overrides it.
-const DefaultSelectivity = 0.01
-
-// DefaultBigRows is the TableBig row count Generate falls back to for
-// mixes that reference the bigtable families; GenerateSized (and
-// wtq-bench's -big-rows flag) overrides it.
-const DefaultBigRows = 100_000
-
-// NeedsBig reports whether the mix draws any bigtable family, i.e.
-// requires a corpus with TableBig.
-func (m Mix) NeedsBig() bool {
-	for _, fw := range m.weights {
-		if strings.HasPrefix(fw.family, "big_") {
-			return true
-		}
-	}
-	return false
 }
 
 // MixByName resolves a built-in mix.
@@ -146,26 +113,6 @@ func MixByName(name string) (Mix, bool) {
 	return Mix{}, false
 }
 
-// MixNames lists the built-in mixes for CLI help.
-func MixNames() []string {
-	names := make([]string, len(Mixes))
-	for i, m := range Mixes {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// MixSummaries renders one "name: about" line per built-in mix, in
-// declaration order — the -mix flag's usage text.
-func MixSummaries() string {
-	var b strings.Builder
-	for _, m := range Mixes {
-		fmt.Fprintf(&b, "\n    %-12s %s", m.Name, m.About)
-	}
-	return b.String()
-}
-
 // Generator deterministically synthesizes ops for one (seed, mix)
 // pair over a corpus.
 type Generator struct {
@@ -173,21 +120,6 @@ type Generator struct {
 	corpus *Corpus
 	mix    Mix
 	total  int
-	// sel is the big_selective family's high-selectivity match
-	// fraction (DefaultSelectivity unless overridden).
-	sel float64
-}
-
-// SetSelectivity overrides the big_selective match fraction, clamped
-// to (0, 1], and returns the previous value. Different selectivities
-// draw different literals, so the op-set hash changes with it —
-// reports from different knob settings never diff silently.
-func (g *Generator) SetSelectivity(f float64) float64 {
-	prev := g.sel
-	if f > 0 && f <= 1 {
-		g.sel = f
-	}
-	return prev
 }
 
 // NewGenerator seeds a generator. The op stream depends only on
@@ -200,25 +132,13 @@ func NewGenerator(seed int64, mix Mix, corpus *Corpus) *Generator {
 	}
 	// Offset the stream seed so table content and query choices come
 	// from independent sequences even though both derive from one seed.
-	return &Generator{rng: rand.New(rand.NewSource(seed ^ 0x5e3779b97f4a7c15)), corpus: corpus, mix: mix, total: total, sel: DefaultSelectivity}
+	return &Generator{rng: rand.New(rand.NewSource(seed ^ 0x5e3779b97f4a7c15)), corpus: corpus, mix: mix, total: total}
 }
 
 // Generate is the one-shot convenience: corpus + n ops from a seed.
-// Mixes drawing bigtable families get a TableBig of DefaultBigRows.
 func Generate(seed int64, mix Mix, n int) (*Corpus, []Op) {
-	bigRows := 0
-	if mix.NeedsBig() {
-		bigRows = DefaultBigRows
-	}
-	return GenerateSized(seed, mix, n, bigRows)
-}
-
-// GenerateSized is Generate over a sized corpus (bigRows > 0 adds
-// TableBig), for mixes with bigtable families.
-func GenerateSized(seed int64, mix Mix, n, bigRows int) (*Corpus, []Op) {
-	corpus := NewCorpusSized(seed, bigRows)
-	g := NewGenerator(seed, mix, corpus)
-	return corpus, g.Ops(n)
+	corpus := NewCorpus(seed)
+	return corpus, NewGenerator(seed, mix, corpus).Ops(n)
 }
 
 // Ops generates the next n ops of the stream.
@@ -243,8 +163,8 @@ func (g *Generator) Next() Op {
 }
 
 // HashOps fingerprints an op stream (FNV-64a over the stable JSON
-// encoding); reports carry it so "same seed -> same queries" is
-// checkable across runs and machines.
+// encoding), so "same seed -> same queries" is checkable across runs
+// and machines.
 func HashOps(ops []Op) string {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
@@ -295,96 +215,9 @@ func (g *Generator) genFamily(family string) Op {
 		return Op{Kind: OpExplain, Family: family, Table: t.Name(), Query: g.hogExpr(t).String(), TimeoutMs: 1}
 	case "churn":
 		return g.churnOp()
-	case "big_filter":
-		t := g.bigTable()
-		return Op{Kind: OpAnswer, Family: family, Table: t.Name(), Query: g.bigFilterExpr(t).String(), ScanRows: t.NumRows()}
-	case "big_superlative":
-		t := g.bigTable()
-		return Op{Kind: OpAnswer, Family: family, Table: t.Name(), Query: g.bigSuperlativeExpr(t).String(), ScanRows: t.NumRows()}
-	case "big_aggregate":
-		t := g.bigTable()
-		return Op{Kind: OpAnswer, Family: family, Table: t.Name(), Query: g.bigAggregateExpr(t).String(), ScanRows: t.NumRows()}
-	case "big_selective":
-		return g.bigSelectiveOp(g.bigTable())
 	default:
 		panic(fmt.Sprintf("unknown workload family %q", family))
 	}
-}
-
-// bigTable resolves the sized corpus's scan-throughput table; the
-// bigtable families are only reachable through a sized corpus.
-func (g *Generator) bigTable() *table.Table {
-	t, ok := g.corpus.Table(TableBig)
-	if !ok {
-		panic("workload: bigtable mix requires a sized corpus (NewCorpusSized with bigRows > 0)")
-	}
-	return t
-}
-
-// bigFilterExpr counts a numeric comparison's matches: a full-column
-// scan with a scalar answer, so answer payloads stay tiny no matter
-// the table size. The literal is drawn from the wide Games range, so
-// most queries are distinct cache keys and every execution scans.
-func (g *Generator) bigFilterExpr(t *table.Table) dcs.Expr {
-	op := pick(g.rng, []dcs.CmpOp{dcs.Lt, dcs.Le, dcs.Gt, dcs.Ge, dcs.Ne})
-	v := table.NumberValue(float64(g.rng.Intn(1_000_000)))
-	return &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Compare{Column: "Games", Op: op, V: v}}
-}
-
-// bigSuperlativeExpr projects a column of the argmax/argmin rows —
-// the superlative scan plus a deduplicating projection, still a small
-// answer. Half the draws restrict the record set with a comparison so
-// the filter and superlative kernels compose.
-func (g *Generator) bigSuperlativeExpr(t *table.Table) dcs.Expr {
-	var records dcs.Expr = &dcs.AllRecords{}
-	if g.rng.Intn(2) == 0 {
-		records = g.nonEmptyCompare(t)
-	}
-	return &dcs.ColumnValues{
-		Column:  pick(g.rng, textColumns),
-		Records: &dcs.ArgRecords{Max: g.rng.Intn(2) == 0, Records: records, Column: pick(g.rng, numericColumns)},
-	}
-}
-
-// bigSelectiveOp emits one predicate over the big table's monotone Seq
-// column as a fused mini-SQL range count — the shape the rewriter keeps
-// as Filter(Scan, And) over the scan, where the executor answers it
-// with zone-map data skipping. Half the draws are high-selectivity
-// ranges spanning sel·n rows (zones prove nearly every block row-free),
-// a quarter are the complementary low-selectivity wide ranges (zones
-// prove blocks all-match and bulk-fill them), and a quarter are
-// equality probes phrased as degenerate one-row ranges so they ride the
-// zone path rather than the KB posting-list pushdown. The HTTP fallback
-// Query is the equivalent DCS intersection of comparisons.
-func (g *Generator) bigSelectiveOp(t *table.Table) Op {
-	n := t.NumRows()
-	span := max(1, int(g.sel*float64(n)))
-	var lo, hi int
-	switch g.rng.Intn(4) {
-	case 0: // low-selectivity control: the complementary wide range
-		wide := max(1, n-span)
-		lo = g.rng.Intn(n - wide + 1)
-		hi = lo + wide - 1
-	case 1: // equality probe, as a point range
-		lo = g.rng.Intn(n)
-		hi = lo
-	default: // high-selectivity narrow range
-		lo = g.rng.Intn(n - span + 1)
-		hi = lo + span - 1
-	}
-	sql := fmt.Sprintf("SELECT COUNT(Index) FROM T WHERE Seq >= %d AND Seq <= %d", lo, hi)
-	q := &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.Intersect{
-		L: &dcs.Compare{Column: "Seq", Op: dcs.Ge, V: table.NumberValue(float64(lo))},
-		R: &dcs.Compare{Column: "Seq", Op: dcs.Le, V: table.NumberValue(float64(hi))},
-	}}
-	return Op{Kind: OpSQL, Family: "big_selective", Table: t.Name(), Query: q.String(), SQL: sql, ScanRows: n}
-}
-
-// bigAggregateExpr folds min/max/sum/avg/count over a projected
-// numeric column of the whole table.
-func (g *Generator) bigAggregateExpr(t *table.Table) dcs.Expr {
-	fn := pick(g.rng, []dcs.AggrFn{dcs.Count, dcs.Min, dcs.Max, dcs.Sum, dcs.Avg})
-	return &dcs.Aggregate{Fn: fn, Arg: &dcs.ColumnValues{Column: pick(g.rng, numericColumns), Records: &dcs.AllRecords{}}}
 }
 
 // anyTable picks one of the ordinary mix tables (never the huge

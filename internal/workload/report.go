@@ -1,199 +1,56 @@
 package workload
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"os"
-	"runtime"
-	"sort"
-	"strings"
-	"time"
+import "nlexplain/internal/engine"
 
-	"nlexplain/internal/engine"
-	"nlexplain/internal/table"
-)
-
-// ReportSchemaVersion gates Compare: reports with different schema
-// versions never diff silently.
-const ReportSchemaVersion = 1
-
-// LatencyStats summarizes a latency distribution. Quantiles are exact
-// (nearest-rank over every recorded sample), not histogram
-// approximations.
-type LatencyStats struct {
-	Count  int     `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P90Ms  float64 `json:"p90_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// KindReport is the per-op-kind slice of a report.
-type KindReport struct {
-	Latency LatencyStats   `json:"latency"`
-	Counts  map[string]int `json:"counts"`
-}
-
-// Report is the stable JSON output of one workload run — the artifact
-// wtq-bench writes, CI uploads, and Compare diffs.
+// Report is the outcome tally of one workload run: what the tests
+// assert on. It times nothing — benchmark/ is where speed is measured.
 type Report struct {
-	Schema    int     `json:"schema"`
-	Target    string  `json:"target"`
-	Mix       string  `json:"mix"`
-	Seed      int64   `json:"seed"`
-	Workers   int     `json:"workers"`
-	QPS       float64 `json:"qps,omitempty"`
-	OpSetSize int     `json:"op_set_size"`
-	// OpSetHash fingerprints the generated op stream: equal seeds and
-	// mixes must produce equal hashes on any machine.
-	OpSetHash string `json:"op_set_hash"`
-
-	DurationS  float64 `json:"duration_s"`
-	TotalOps   int     `json:"total_ops"`
-	Throughput float64 `json:"throughput_ops_s"`
-
-	// ScannedRows totals the declared scan sizes of successful ops
-	// (bigtable-family ops carry one; ordinary ops count 0), and
-	// RowsPerSec is that total over the run's wall clock — the scan
-	// throughput the bigtable perf gate tracks.
-	ScannedRows int64   `json:"scanned_rows,omitempty"`
-	RowsPerSec  float64 `json:"rows_per_sec,omitempty"`
-
-	// MorselsSkipped / MorselsShortcut are the run's zone-map outcomes
-	// (deltas of the engine's counters across the run): 32768-row blocks
-	// proven row-free and skipped, and blocks proven all-match and
-	// bulk-filled. A bigtable run with selective traffic must move
-	// MorselsSkipped — the perf gate checks it.
-	MorselsSkipped  uint64 `json:"morsels_skipped,omitempty"`
-	MorselsShortcut uint64 `json:"morsels_shortcut,omitempty"`
-
+	TotalOps int
 	// Counts maps outcome class (ok, client_error, timeout, overloaded,
 	// internal, transport) to op count; convenience totals below.
-	Counts   map[string]int `json:"counts"`
-	Errors   int            `json:"errors"`
-	Sheds    int            `json:"sheds"`
-	Timeouts int            `json:"timeouts"`
-	Cached   int            `json:"cached"`
-
-	Latency LatencyStats          `json:"latency"`
-	PerKind map[string]KindReport `json:"per_kind"`
-
-	// AllocsPerOp / BytesPerOp are heap allocation objects and bytes
-	// per executed op, from runtime.MemStats deltas bracketing the run.
-	// They cover the whole process (driver included), so they gate the
-	// end-to-end allocation budget rather than one function; for HTTP
-	// targets they measure the client side only.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	Counts   map[string]int
+	Errors   int
+	Sheds    int
+	Timeouts int
+	Cached   int
+	// PerKind is Counts split by op kind.
+	PerKind map[string]map[string]int
 
 	// CacheHitRatio is hits/(hits+misses) over the engine's result,
 	// answer and parse caches, deltas across the run.
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
+	CacheHitRatio float64
 	// Engine is the target engine's post-run counter snapshot — the
 	// exact schema wtq-server serves on GET /v1/stats.
-	Engine *engine.Stats `json:"engine,omitempty"`
-
-	// Server is the post-run /metrics scrape: series count plus
-	// server-side latency histograms. Unlike Latency above (measured at
-	// the client, exact quantiles over this run's ops), these come from
-	// the target's own log-linear histograms and cover every request the
-	// process has served.
-	Server *MetricsSnapshot `json:"server_metrics,omitempty"`
+	Engine *engine.Stats
 }
 
-// summarize computes exact quantiles from a sample of durations.
-func summarize(durs []time.Duration) LatencyStats {
-	s := LatencyStats{Count: len(durs)}
-	if len(durs) == 0 {
-		return s
+// record books one executed op.
+func (r *Report) record(kind OpKind, out Outcome) {
+	r.TotalOps++
+	r.Counts[out.Class]++
+	switch out.Class {
+	case ClassClientError, ClassInternal, ClassTransport:
+		r.Errors++
+	case ClassOverloaded:
+		r.Sheds++
+	case ClassTimeout:
+		r.Timeouts++
 	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	var total time.Duration
-	for _, d := range durs {
-		total += d
+	if out.Cached {
+		r.Cached++
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	quant := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(durs)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return ms(durs[idx])
+	byClass := r.PerKind[string(kind)]
+	if byClass == nil {
+		byClass = make(map[string]int)
+		r.PerKind[string(kind)] = byClass
 	}
-	s.MeanMs = ms(total) / float64(len(durs))
-	s.P50Ms = quant(0.50)
-	s.P90Ms = quant(0.90)
-	s.P99Ms = quant(0.99)
-	s.MaxMs = ms(durs[len(durs)-1])
-	return s
-}
-
-// buildReport merges worker recorders into the final report.
-func buildReport(target string, ops []Op, recs []*recorder, elapsed time.Duration, opts Options) *Report {
-	rep := &Report{
-		Schema:    ReportSchemaVersion,
-		Target:    target,
-		Mix:       opts.MixName,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		QPS:       opts.QPS,
-		OpSetSize: len(ops),
-		OpSetHash: HashOps(ops),
-		DurationS: elapsed.Seconds(),
-		Counts:    make(map[string]int),
-		PerKind:   make(map[string]KindReport),
-	}
-	var all []time.Duration
-	perKindDurs := make(map[OpKind][]time.Duration)
-	perKindCounts := make(map[OpKind]map[string]int)
-	for _, rec := range recs {
-		for _, s := range rec.samples {
-			rep.TotalOps++
-			rep.Counts[s.class]++
-			if s.cached {
-				rep.Cached++
-			}
-			rep.ScannedRows += int64(s.rows)
-			all = append(all, s.latency)
-			perKindDurs[s.kind] = append(perKindDurs[s.kind], s.latency)
-			if perKindCounts[s.kind] == nil {
-				perKindCounts[s.kind] = make(map[string]int)
-			}
-			perKindCounts[s.kind][s.class]++
-		}
-	}
-	rep.Errors = rep.Counts[ClassClientError] + rep.Counts[ClassInternal] + rep.Counts[ClassTransport]
-	rep.Sheds = rep.Counts[ClassOverloaded]
-	rep.Timeouts = rep.Counts[ClassTimeout]
-	rep.Latency = summarize(all)
-	for kind, durs := range perKindDurs {
-		rep.PerKind[string(kind)] = KindReport{Latency: summarize(durs), Counts: perKindCounts[kind]}
-	}
-	if rep.DurationS > 0 {
-		rep.Throughput = float64(rep.TotalOps) / rep.DurationS
-		rep.RowsPerSec = float64(rep.ScannedRows) / rep.DurationS
-	}
-	return rep
-}
-
-// attachAllocStats derives per-op allocation metrics from the MemStats
-// snapshots bracketing the run.
-func (r *Report) attachAllocStats(before, after runtime.MemStats) {
-	if r.TotalOps == 0 {
-		return
-	}
-	r.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(r.TotalOps)
-	r.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(r.TotalOps)
+	byClass[out.Class]++
 }
 
 // attachEngineStats records the post-run engine snapshot and derives
 // the run's cache hit ratio from before/after counter deltas.
 func (r *Report) attachEngineStats(before, after engine.Stats) {
 	r.Engine = &after
-	r.MorselsSkipped = after.MorselsSkipped - before.MorselsSkipped
-	r.MorselsShortcut = after.MorselsShortcut - before.MorselsShortcut
 	hits := float64((after.ResultHits - before.ResultHits) +
 		(after.AnswerHits - before.AnswerHits) +
 		(after.ParseHits - before.ParseHits))
@@ -203,66 +60,4 @@ func (r *Report) attachEngineStats(before, after engine.Stats) {
 	if hits+misses > 0 {
 		r.CacheHitRatio = hits / (hits + misses)
 	}
-}
-
-// WriteFile serializes the report as indented JSON.
-func (r *Report) WriteFile(path string) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// ReadReport loads and version-checks a report file.
-func ReadReport(path string) (*Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil, fmt.Errorf("parsing report %s: %w", path, err)
-	}
-	if r.Schema != ReportSchemaVersion {
-		return nil, fmt.Errorf("report %s has schema %d, want %d", path, r.Schema, ReportSchemaVersion)
-	}
-	return &r, nil
-}
-
-// Summary renders the human-readable one-screen digest wtq-bench
-// prints after a run.
-func (r *Report) Summary() string {
-	s := fmt.Sprintf(
-		"target=%s mix=%s seed=%d workers=%d ops=%d (%.1f ops/s over %.2fs)\n"+
-			"  latency ms: p50=%.3f p90=%.3f p99=%.3f max=%.3f mean=%.3f\n"+
-			"  ok=%d errors=%d sheds=%d timeouts=%d cached=%d cache_hit_ratio=%.3f\n"+
-			"  allocs/op=%.0f bytes/op=%.0f\n"+
-			"  op_set=%d hash=%s",
-		r.Target, r.Mix, r.Seed, r.Workers, r.TotalOps, r.Throughput, r.DurationS,
-		r.Latency.P50Ms, r.Latency.P90Ms, r.Latency.P99Ms, r.Latency.MaxMs, r.Latency.MeanMs,
-		r.Counts[ClassOK], r.Errors, r.Sheds, r.Timeouts, r.Cached, r.CacheHitRatio,
-		r.AllocsPerOp, r.BytesPerOp,
-		r.OpSetSize, r.OpSetHash)
-	if r.ScannedRows > 0 {
-		s += fmt.Sprintf("\n  scan: %d rows at %.0f rows/sec", r.ScannedRows, r.RowsPerSec)
-		if r.MorselsSkipped > 0 || r.MorselsShortcut > 0 {
-			// Skip ratio: the fraction of the declared scan rows that zone
-			// maps proved row-free without touching.
-			ratio := float64(r.MorselsSkipped) * float64(table.ZoneRows) / float64(r.ScannedRows)
-			s += fmt.Sprintf("\n  zone-skip: %d morsels skipped (%.1f%% of scan), %d bulk-filled",
-				r.MorselsSkipped, 100*ratio, r.MorselsShortcut)
-		}
-	}
-	if r.Server != nil {
-		s += fmt.Sprintf("\n  server: %d series", r.Server.Series)
-		for _, name := range []string{"engine_explain_latency_seconds", "engine_answer_latency_seconds"} {
-			if h, ok := r.Server.Histograms[name]; ok && h.Count > 0 {
-				s += fmt.Sprintf("\n  %s ms: p50=%.3f p90=%.3f p99=%.3f max=%.3f n=%d",
-					strings.TrimSuffix(strings.TrimPrefix(name, "engine_"), "_latency_seconds"),
-					h.P50*1e3, h.P90*1e3, h.P99*1e3, h.Max*1e3, h.Count)
-			}
-		}
-	}
-	return s
 }

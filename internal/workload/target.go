@@ -19,7 +19,7 @@ import (
 // Outcome classes, ordered by severity (aggregation keeps the worst).
 const (
 	ClassOK          = "ok"
-	ClassCanceled    = "canceled"     // driver shutdown; never recorded in reports
+	ClassCanceled    = "canceled"     // driver shutdown; never booked
 	ClassClientError = "client_error" // bad query / unknown table / type error
 	ClassTimeout     = "timeout"      // deadline exceeded
 	ClassOverloaded  = "overloaded"   // shed by the admission queue
@@ -48,8 +48,6 @@ type Outcome struct {
 
 // Target is anything the driver can aim a workload at.
 type Target interface {
-	// Name labels the target in reports ("inproc" or the base URL).
-	Name() string
 	// RegisterTables installs the corpus before the run.
 	RegisterTables(ts []*table.Table) error
 	// Do executes one op, honoring ctx.
@@ -57,10 +55,6 @@ type Target interface {
 	// EngineStats snapshots the target engine's counters (the same
 	// schema wtq-server serves on /v1/stats).
 	EngineStats() (engine.Stats, error)
-	// Metrics scrapes the target's full metric registry (the Prometheus
-	// exposition wtq-server serves on GET /metrics) and summarizes it —
-	// series count plus server-side latency histograms.
-	Metrics() (*MetricsSnapshot, error)
 	// Close releases target resources.
 	Close() error
 }
@@ -95,9 +89,8 @@ func opCtx(ctx context.Context, op Op) (context.Context, context.CancelFunc) {
 	return ctx, func() {}
 }
 
-// InProc drives an in-process engine.Engine — the zero-network
-// configuration CI uses, so the perf gate measures the pipeline, not
-// the HTTP stack.
+// InProc drives an in-process engine.Engine: no network, and errors
+// arrive typed rather than as status codes.
 type InProc struct {
 	Engine *engine.Engine
 	tables map[string]*table.Table
@@ -111,15 +104,11 @@ func NewInProc(opts engine.Options) *InProc {
 	return NewInProcEngine(engine.New(opts))
 }
 
-// NewInProcEngine wraps an already-built engine — the path wtq-bench
-// takes when -data-dir asks for a durable store, where construction
-// can fail and the caller owns error handling.
+// NewInProcEngine wraps an already-built engine — a durable one, say,
+// where construction can fail and the caller owns error handling.
 func NewInProcEngine(e *engine.Engine) *InProc {
 	return &InProc{Engine: e, tables: make(map[string]*table.Table)}
 }
-
-// Name implements Target.
-func (p *InProc) Name() string { return "inproc" }
 
 // RegisterTables implements Target.
 func (p *InProc) RegisterTables(ts []*table.Table) error {
@@ -134,18 +123,6 @@ func (p *InProc) RegisterTables(ts []*table.Table) error {
 
 // EngineStats implements Target.
 func (p *InProc) EngineStats() (engine.Stats, error) { return p.Engine.Stats(), nil }
-
-// Metrics implements Target: it renders the engine's registry through
-// the same Prometheus writer wtq-server uses for GET /metrics and
-// parses that, so in-process and HTTP runs report through one code
-// path and CI exercises the exposition format on every perf-gate run.
-func (p *InProc) Metrics() (*MetricsSnapshot, error) {
-	var buf bytes.Buffer
-	if err := p.Engine.Metrics().WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return ParsePrometheus(&buf)
-}
 
 // Close implements Target: it closes the engine, which on a durable
 // store flushes and fsyncs the WAL tail (a no-op in-memory).
@@ -191,8 +168,7 @@ func (p *InProc) Do(ctx context.Context, op Op) Outcome {
 		return p.doChurn(ctx, op)
 	case OpSQL:
 		// Mini-SQL runs directly against the registered table: the SQL
-		// fragment has no provenance pipeline, so this measures the
-		// relational plan core alone.
+		// fragment has no provenance pipeline.
 		t, ok := p.tables[op.Table]
 		if !ok {
 			err := fmt.Errorf("%w: %q", engine.ErrUnknownTable, op.Table)
@@ -216,7 +192,7 @@ func (p *InProc) Do(ctx context.Context, op Op) Outcome {
 // verifies snapshot isolation on the wire contract: the explanation
 // must carry the registered snapshot's version and the post-append
 // answer the appended snapshot's version — a torn or stale read
-// classifies as internal so regression gates catch it.
+// classifies as internal so the tests reading the tally catch it.
 func (p *InProc) doChurn(ctx context.Context, op Op) Outcome {
 	name := fmt.Sprintf("%s_%d", op.Table, p.churnSeq.Add(1))
 	info, err := p.Engine.RegisterRaw(name, op.Columns, op.Rows)
@@ -263,9 +239,6 @@ type HTTPTarget struct {
 func NewHTTPTarget(base string) *HTTPTarget {
 	return &HTTPTarget{Base: base, Client: &http.Client{}}
 }
-
-// Name implements Target.
-func (h *HTTPTarget) Name() string { return h.Base }
 
 // Close implements Target.
 func (h *HTTPTarget) Close() error {
@@ -352,26 +325,6 @@ func (h *HTTPTarget) EngineStats() (engine.Stats, error) {
 	return s, json.NewDecoder(resp.Body).Decode(&s)
 }
 
-// Metrics implements Target: it scrapes GET /metrics and parses the
-// Prometheus text exposition into a summary.
-func (h *HTTPTarget) Metrics() (*MetricsSnapshot, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.Base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := h.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	return ParsePrometheus(resp.Body)
-}
-
 // classifyStatus maps an HTTP status to an outcome class, inverting
 // wtq-server's errStatus mapping (499 is its client-went-away code).
 func classifyStatus(status int) string {
@@ -424,7 +377,7 @@ func (h *HTTPTarget) Do(ctx context.Context, op Op) Outcome {
 		return h.simplePost(ctx, "/v1/answer", map[string]string{"table": op.Table, "query": op.Query})
 	case OpSQL:
 		// No SQL endpoint on the wire; the answer-only fast path over
-		// the equivalent DCS form is the closest measurement.
+		// the equivalent DCS form is the closest thing.
 		return h.simplePost(ctx, "/v1/answer", map[string]string{"table": op.Table, "query": op.Query})
 	case OpParse:
 		return h.simplePost(ctx, "/v1/parse", map[string]string{"table": op.Table, "question": op.Question})

@@ -1,26 +1,27 @@
 // Package workload synthesizes reproducible query traffic for the
 // explanation engine and drives it against a target — either an
-// in-process engine.Engine or a live wtq-server over HTTP — measuring
-// throughput, latency quantiles, error/shed counts and cache hit
-// ratios into a stable JSON report.
+// in-process engine.Engine or a live wtq-server over HTTP — tallying
+// each op's outcome class (ok, client error, timeout, shed, internal,
+// transport), cache hits and the engine's counters. It checks
+// behaviour under load — snapshot isolation, shedding, deadlines,
+// durability, HTTP and in-process agreement — and times nothing:
+// speed is measured by benchmark/ (BENCHMARK.json).
 //
 // The pieces compose as:
 //
-//	corpus := workload.NewCorpus(seed)          // deterministic tables
-//	ops := workload.Generate(seed, mix, n)      // deterministic op stream
-//	tgt := workload.NewInProc(engineOpts)       // or NewHTTPTarget(url)
+//	corpus, ops := workload.Generate(seed, mix, n) // deterministic tables + op stream
+//	tgt := workload.NewInProc(engineOpts)          // or NewHTTPTarget(url)
 //	report, err := workload.Run(ctx, tgt, corpus, ops, driverOpts)
 //
 // Generated traffic covers the paper's query families (lookups,
 // comparatives, superlatives, aggregates), the mini-SQL fragment, NL
-// parsing, batch requests, and an adversarial mix of malformed and
-// overload-inducing queries. Everything downstream of a seed is
-// deterministic: same seed + mix + count -> byte-identical op stream,
-// which is what lets CI diff two reports meaningfully.
+// parsing, batch requests, table churn, and an adversarial mix of
+// malformed and overload-inducing queries. Everything downstream of a
+// seed is deterministic: same seed + mix + count -> byte-identical op
+// stream, so a failing run replays.
 //
-// cmd/wtq-bench wraps this package in a CLI (run / compare / baseline)
-// and .github/workflows/ci.yml gates merges on Compare against a
-// checked-in baseline report.
+// RunChaos drives seeded fault/recovery episodes against a durable
+// engine over a fault-injecting filesystem.
 package workload
 
 import (
@@ -42,11 +43,6 @@ const (
 	TableMid   = "wl_mid"
 	TableLarge = "wl_large"
 	TableHuge  = "wl_huge"
-	// TableBig is the opt-in scan-throughput table of the bigtable mix:
-	// 10^5-10^7 generated rows, present only in corpora built with
-	// NewCorpusSized(seed, bigRows > 0). It is the table the
-	// morsel-parallel executor path is gated on.
-	TableBig = "wl_big"
 )
 
 // corpusSizes fixes the row count per table.
@@ -59,13 +55,6 @@ var mixTables = []string{TableSmall, TableMid, TableLarge}
 // low-cardinality category column (same shape qrand uses for its
 // property tests, so every operator class has something to chew on).
 var corpusColumns = []string{"Nation", "City", "Year", "Games", "Result"}
-
-// bigColumns is the TableBig schema: the shared schema plus a monotone
-// numeric Seq column (Seq = row index). Because Seq is sorted, every
-// 32768-row zone holds a disjoint numeric range, which is what lets
-// the big_selective family's fused range predicates prove most zones
-// row-free — the workload the zone-map skipping gate measures.
-var bigColumns = append(append([]string{}, corpusColumns...), "Seq")
 
 var (
 	nations = []string{"Greece", "France", "China", "UK", "Brazil", "Fiji", "Tonga", "Samoa", "Nauru", "Tahiti"}
@@ -90,17 +79,6 @@ type Corpus struct {
 // identical engine table versions), so cache-hit ratios are comparable
 // between two runs of the same seed.
 func NewCorpus(seed int64) *Corpus {
-	return NewCorpusSized(seed, 0)
-}
-
-// NewCorpusSized is NewCorpus plus an optional TableBig of bigRows
-// generated rows (bigRows <= 0 omits it). The standard tables are
-// generated first from the same stream, so a sized corpus leaves them
-// byte-identical to NewCorpus's — existing mixes and their op-set
-// hashes are unaffected; the big table draws from an independent
-// seed-derived stream so its content is pinned by (seed, bigRows)
-// alone.
-func NewCorpusSized(seed int64, bigRows int) *Corpus {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Corpus{byName: make(map[string]*table.Table)}
 	for _, name := range []string{TableSmall, TableMid, TableLarge, TableHuge} {
@@ -120,26 +98,6 @@ func NewCorpusSized(seed int64, bigRows int) *Corpus {
 		}
 		c.Tables = append(c.Tables, t)
 		c.byName[name] = t
-	}
-	if bigRows > 0 {
-		brng := rand.New(rand.NewSource(seed ^ 0x2545f4914f6cdd1d))
-		rows := make([][]string, bigRows)
-		for r := range rows {
-			rows[r] = []string{
-				nations[brng.Intn(len(nations))],
-				cities[brng.Intn(len(cities))],
-				strconv.Itoa(1896 + brng.Intn(40)*4),
-				strconv.Itoa(brng.Intn(1_000_000)),
-				results[brng.Intn(len(results))],
-				strconv.Itoa(r), // Seq: monotone, so zones are disjoint ranges
-			}
-		}
-		t, err := table.New(TableBig, bigColumns, rows)
-		if err != nil {
-			panic(fmt.Sprintf("building corpus table %s: %v", TableBig, err))
-		}
-		c.Tables = append(c.Tables, t)
-		c.byName[TableBig] = t
 	}
 	return c
 }

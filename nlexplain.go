@@ -53,11 +53,12 @@
 // endpoints POST /v1/tables, PATCH/DELETE /v1/tables/{name},
 // /v1/explain, /v1/explain/batch,
 // /v1/answer, /v1/parse and GET /v1/healthz, /v1/stats; see
-// examples/server for a curl transcript. cmd/wtq-bench generates
-// seeded, reproducible query workloads (internal/workload) and drives
-// them at the engine or a live server, producing the JSON perf
-// reports CI gates on. Build and run everything through the Makefile:
-// `make build test vet fmt cover bench perf-gate serve`, mirrored
+// examples/server for a curl transcript. internal/workload generates
+// seeded, reproducible query traffic for the tests that check the
+// engine and the server under load; speed is measured by benchmark/
+// (bash benchmark/run.sh, declared in BENCHMARK.json).
+// Build and run everything through the Makefile:
+// `make build test vet fmt cover bench serve`, mirrored
 // one-to-one by the GitHub Actions workflow in
 // .github/workflows/ci.yml.
 package nlexplain
