@@ -48,8 +48,8 @@ func TestTableLifecycleEndpoints(t *testing.T) {
 	if info.Rows != 7 || info.Version == v1 || info.Generation == 0 {
 		t.Fatalf("patch info = %+v (old version %s)", info, v1)
 	}
-	if s := e.Stats(); s.ResultCache != 0 {
-		t.Fatalf("result cache holds %d entries after PATCH, want 0 (stale purge)", s.ResultCache)
+	if n := counter(t, e, "engine.cache.result.size"); n != 0 {
+		t.Fatalf("result cache holds %d entries after PATCH, want 0 (stale purge)", n)
 	}
 	v2, res := explain()
 	if res != "7" || v2 != info.Version {

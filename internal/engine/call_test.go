@@ -22,9 +22,20 @@ type callOp struct {
 	// never touches its ctx, and nothing else a test can reach makes it
 	// panic.
 	readsCtx bool
-	hits     func(Stats) uint64
-	misses   func(Stats) uint64
-	size     func(Stats) int
+	// cache names the op's engine.cache.<cache>.{hits,misses,size} series.
+	cache string
+}
+
+func (op callOp) hits(t *testing.T, e *Engine) uint64 {
+	return counter(t, e, "engine.cache."+op.cache+".hits")
+}
+
+func (op callOp) misses(t *testing.T, e *Engine) uint64 {
+	return counter(t, e, "engine.cache."+op.cache+".misses")
+}
+
+func (op callOp) size(t *testing.T, e *Engine) uint64 {
+	return counter(t, e, "engine.cache."+op.cache+".size")
 }
 
 var callOps = []callOp{
@@ -35,9 +46,7 @@ var callOps = []callOp{
 			return err
 		},
 		good: "max(R[Year].Country.Greece)", bad: "max((((", readsCtx: true,
-		hits:   func(s Stats) uint64 { return s.ResultHits },
-		misses: func(s Stats) uint64 { return s.ResultMisses },
-		size:   func(s Stats) int { return s.ResultCache },
+		cache: "result",
 	},
 	{
 		name: "answer",
@@ -46,9 +55,7 @@ var callOps = []callOp{
 			return err
 		},
 		good: "sum(R[Nations].Record)", bad: "max(R[Year].NoSuchColumn.x)", readsCtx: true,
-		hits:   func(s Stats) uint64 { return s.AnswerHits },
-		misses: func(s Stats) uint64 { return s.AnswerMisses },
-		size:   func(s Stats) int { return s.AnswerCacheSize },
+		cache: "answer",
 	},
 	{
 		name: "parse",
@@ -56,10 +63,8 @@ var callOps = []callOp{
 			_, err := e.ParseQuestion(ctx, "olympics", q, 3)
 			return err
 		},
-		good:   "which country had the most nations",
-		hits:   func(s Stats) uint64 { return s.ParseHits },
-		misses: func(s Stats) uint64 { return s.ParseMisses },
-		size:   func(s Stats) int { return s.ParseCacheSize },
+		good:  "which country had the most nations",
+		cache: "parse",
 	},
 }
 
@@ -84,19 +89,18 @@ func newCallEngine(t *testing.T, workers, maxPending int) *Engine {
 // released and nothing had been published under it.
 func wantComputed(t *testing.T, e *Engine, op callOp) {
 	t.Helper()
-	before := e.Stats()
-	if n := op.size(before); n != 0 {
+	hits, misses := op.hits(t, e), op.misses(t, e)
+	if n := op.size(t, e); n != 0 {
 		t.Fatalf("%s cache holds %d entries, want 0", op.name, n)
 	}
 	if err := op.run(context.Background(), e, op.good); err != nil {
 		t.Fatalf("%s after the failure: %v", op.name, err)
 	}
-	after := e.Stats()
-	if op.hits(after) != op.hits(before) || op.misses(after) != op.misses(before)+1 {
+	if h, m := op.hits(t, e), op.misses(t, e); h != hits || m != misses+1 {
 		t.Errorf("%s after the failure: hits %d -> %d, misses %d -> %d, want a miss",
-			op.name, op.hits(before), op.hits(after), op.misses(before), op.misses(after))
+			op.name, hits, h, misses, m)
 	}
-	if n := op.size(after); n != 1 {
+	if n := op.size(t, e); n != 1 {
 		t.Errorf("%s cache holds %d entries after a good computation, want 1", op.name, n)
 	}
 }
@@ -118,7 +122,7 @@ func TestCallPathContract(t *testing.T) {
 			}
 			follower := make(chan error, 1)
 			go func() { follower <- op.run(context.Background(), e, op.good) }()
-			for deadline := time.Now().Add(5 * time.Second); op.misses(e.Stats()) < 2; {
+			for deadline := time.Now().Add(5 * time.Second); op.misses(t, e) < 2; {
 				if time.Now().After(deadline) {
 					t.Fatal("follower never probed the cache")
 				}
@@ -132,12 +136,11 @@ func TestCallPathContract(t *testing.T) {
 			if err := <-follower; err != nil {
 				t.Fatalf("follower err = %v, want success", err)
 			}
-			s := e.Stats()
-			if op.size(s) != 1 {
-				t.Errorf("cache holds %d entries, want 1", op.size(s))
+			if n := op.size(t, e); n != 1 {
+				t.Errorf("cache holds %d entries, want 1", n)
 			}
-			if s.Timeouts != 1 {
-				t.Errorf("Timeouts = %d, want 1 (the leader's)", s.Timeouts)
+			if n := counter(t, e, "engine.timeouts"); n != 1 {
+				t.Errorf("engine.timeouts = %d, want 1 (the leader's)", n)
 			}
 		})
 
@@ -148,8 +151,8 @@ func TestCallPathContract(t *testing.T) {
 			if err := op.run(context.Background(), e, op.good); !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("err = %v, want ErrOverloaded", err)
 			}
-			if s := e.Stats(); s.Sheds != 1 || s.Errors != 1 {
-				t.Errorf("Sheds = %d, Errors = %d, want 1 and 1", s.Sheds, s.Errors)
+			if sheds, errs := counter(t, e, "engine.sheds"), counter(t, e, "engine.errors"); sheds != 1 || errs != 1 {
+				t.Errorf("engine.sheds = %d, engine.errors = %d, want 1 and 1", sheds, errs)
 			}
 			<-e.admit
 			<-e.sem
@@ -166,8 +169,8 @@ func TestCallPathContract(t *testing.T) {
 			if err := op.run(ctx, e, op.good); err != nil {
 				t.Fatalf("warm key under an expired ctx: %v", err)
 			}
-			if s := e.Stats(); op.hits(s) != 1 || s.Timeouts != 0 {
-				t.Errorf("hits = %d, Timeouts = %d, want 1 and 0", op.hits(s), s.Timeouts)
+			if h, timeouts := op.hits(t, e), counter(t, e, "engine.timeouts"); h != 1 || timeouts != 0 {
+				t.Errorf("hits = %d, engine.timeouts = %d, want 1 and 0", h, timeouts)
 			}
 		})
 
@@ -178,8 +181,8 @@ func TestCallPathContract(t *testing.T) {
 				if !errors.Is(err, ErrInternal) {
 					t.Fatalf("err = %v, want ErrInternal", err)
 				}
-				if s := e.Stats(); s.Errors != 1 {
-					t.Errorf("Errors = %d, want 1", s.Errors)
+				if n := counter(t, e, "engine.errors"); n != 1 {
+					t.Errorf("engine.errors = %d, want 1", n)
 				}
 				wantComputed(t, e, op)
 			})
@@ -194,8 +197,8 @@ func TestCallPathContract(t *testing.T) {
 						t.Fatalf("run %d: err = %v, want the query's own error", i, err)
 					}
 				}
-				if s := e.Stats(); op.misses(s) != 2 || op.hits(s) != 0 || s.Errors != 2 {
-					t.Errorf("misses = %d, hits = %d, Errors = %d, want 2, 0, 2", op.misses(s), op.hits(s), s.Errors)
+				if m, h, errs := op.misses(t, e), op.hits(t, e), counter(t, e, "engine.errors"); m != 2 || h != 0 || errs != 2 {
+					t.Errorf("misses = %d, hits = %d, engine.errors = %d, want 2, 0, 2", m, h, errs)
 				}
 				wantComputed(t, e, op)
 			})

@@ -38,6 +38,20 @@ func newTestEngine(t *testing.T) *Engine {
 	return e
 }
 
+// counter reads one counter or gauge off the engine's registry by its
+// canonical dotted name, the way GET /metrics carries it.
+func counter(t testing.TB, e *Engine, name string) uint64 {
+	t.Helper()
+	switch v := e.Metrics().Snapshot()[name].(type) {
+	case uint64:
+		return v
+	case int64:
+		return uint64(v)
+	}
+	t.Fatalf("registry has no counter or gauge %q", name)
+	return 0
+}
+
 func TestExplainPipeline(t *testing.T) {
 	e := newTestEngine(t)
 	ex, err := e.Explain(context.Background(), "olympics", "max(R[Year].Country.Greece)")
@@ -83,24 +97,22 @@ func TestCacheHitMiss(t *testing.T) {
 	if _, err := e.Explain(ctx, "olympics", q); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Stats()
-	if s.ResultMisses != 1 || s.ResultHits != 0 {
-		t.Fatalf("after first explain: hits=%d misses=%d, want 0/1", s.ResultHits, s.ResultMisses)
+	if h, m := counter(t, e, "engine.cache.result.hits"), counter(t, e, "engine.cache.result.misses"); m != 1 || h != 0 {
+		t.Fatalf("after first explain: hits=%d misses=%d, want 0/1", h, m)
 	}
-	if s.Executions != 1 {
-		t.Fatalf("Executions = %d, want 1", s.Executions)
+	if n := counter(t, e, "engine.executions"); n != 1 {
+		t.Fatalf("engine.executions = %d, want 1", n)
 	}
 
 	ex1, err := e.Explain(ctx, "olympics", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = e.Stats()
-	if s.ResultHits != 1 {
-		t.Errorf("ResultHits = %d, want 1", s.ResultHits)
+	if n := counter(t, e, "engine.cache.result.hits"); n != 1 {
+		t.Errorf("engine.cache.result.hits = %d, want 1", n)
 	}
-	if s.Executions != 1 {
-		t.Errorf("Executions = %d, want 1 (cached result must not re-execute)", s.Executions)
+	if n := counter(t, e, "engine.executions"); n != 1 {
+		t.Errorf("engine.executions = %d, want 1 (cached result must not re-execute)", n)
 	}
 	ex2, _, _ := e.ExplainCached(ctx, "olympics", q)
 	if ex1 != ex2 {
@@ -159,8 +171,8 @@ func TestExplainErrors(t *testing.T) {
 	if _, err := e.Explain(ctx, "olympics", "max(R[Year].NoSuchColumn.x)"); err == nil {
 		t.Error("expected typecheck/exec error")
 	}
-	if s := e.Stats(); s.Errors != 3 {
-		t.Errorf("Errors = %d, want 3", s.Errors)
+	if n := counter(t, e, "engine.errors"); n != 3 {
+		t.Errorf("engine.errors = %d, want 3", n)
 	}
 }
 
@@ -177,8 +189,8 @@ func TestContextCancellation(t *testing.T) {
 	}
 	// Client cancellations are not deadline pressure: the timeout
 	// counter must stay clean for alerting.
-	if s := e.Stats(); s.Timeouts != 0 {
-		t.Errorf("Timeouts = %d after cancellations, want 0", s.Timeouts)
+	if n := counter(t, e, "engine.timeouts"); n != 0 {
+		t.Errorf("engine.timeouts = %d after cancellations, want 0", n)
 	}
 
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -186,8 +198,8 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := e.Explain(dctx, "olympics", "count(City.Athens)"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if s := e.Stats(); s.Timeouts != 1 {
-		t.Errorf("Timeouts = %d after deadline expiry, want 1", s.Timeouts)
+	if n := counter(t, e, "engine.timeouts"); n != 1 {
+		t.Errorf("engine.timeouts = %d after deadline expiry, want 1", n)
 	}
 }
 
@@ -226,8 +238,8 @@ func TestLoadShedding(t *testing.T) {
 	if _, err := e.Explain(context.Background(), "olympics", "max(R[Year].Record)"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	if s := e.Stats(); s.Sheds != 1 {
-		t.Errorf("Sheds = %d, want 1", s.Sheds)
+	if n := counter(t, e, "engine.sheds"); n != 1 {
+		t.Errorf("engine.sheds = %d, want 1", n)
 	}
 
 	// Freeing the worker slot lets the parked leader drain and release
@@ -310,13 +322,12 @@ func TestExplainBatchConcurrent(t *testing.T) {
 			t.Fatalf("request %d: empty query echo", i)
 		}
 	}
-	s := e.Stats()
-	if s.Executions > uint64(len(queries)) {
-		t.Errorf("Executions = %d, want <= %d (each unique query computes at most once... modulo racing duplicates)", s.Executions, len(queries))
+	before := counter(t, e, "engine.executions")
+	if before > uint64(len(queries)) {
+		t.Errorf("engine.executions = %d, want <= %d (each unique query computes at most once... modulo racing duplicates)", before, len(queries))
 	}
 
 	// A second identical batch must be answered fully from cache.
-	before := e.Stats().Executions
 	res2 := e.ExplainBatch(context.Background(), reqs)
 	for i, r := range res2 {
 		if r.Err != nil {
@@ -326,10 +337,10 @@ func TestExplainBatchConcurrent(t *testing.T) {
 			t.Errorf("repeat request %d not served from cache", i)
 		}
 	}
-	if after := e.Stats().Executions; after != before {
+	if after := counter(t, e, "engine.executions"); after != before {
 		t.Errorf("repeat batch executed %d new queries, want 0", after-before)
 	}
-	if e.Stats().ResultHits == 0 {
+	if counter(t, e, "engine.cache.result.hits") == 0 {
 		t.Error("expected cache hits > 0 on repeated batch")
 	}
 }
@@ -389,8 +400,8 @@ func TestParseQuestion(t *testing.T) {
 			t.Errorf("candidate %d incomplete: %+v", i, c)
 		}
 	}
-	if s := e.Stats(); s.Parses != 1 {
-		t.Errorf("Parses = %d, want 1", s.Parses)
+	if n := counter(t, e, "engine.parses"); n != 1 {
+		t.Errorf("engine.parses = %d, want 1", n)
 	}
 }
 
@@ -491,11 +502,11 @@ func TestEngineExplainResultCacheEviction(t *testing.T) {
 	}
 	// max(Year) was evicted by the third insert: re-explaining must
 	// miss and recompute.
-	before := e.Stats().Executions
+	before := counter(t, e, "engine.executions")
 	if _, err := e.Explain(ctx, "olympics", "max(R[Year].Record)"); err != nil {
 		t.Fatal(err)
 	}
-	if after := e.Stats().Executions; after != before+1 {
+	if after := counter(t, e, "engine.executions"); after != before+1 {
 		t.Errorf("evicted query did not recompute: executions %d -> %d", before, after)
 	}
 }

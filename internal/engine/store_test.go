@@ -29,9 +29,10 @@ func TestStoreReplacePurgesStaleEntries(t *testing.T) {
 	if _, err := e.ParseQuestion(ctx, "olympics", "which year did greece host", 0); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Stats()
-	if s.ResultCache != 1 || s.AnswerCacheSize != 1 || s.ParseCacheSize != 1 {
-		t.Fatalf("unexpected warm cache sizes: %+v", s)
+	for _, cache := range []string{"result", "answer", "parse"} {
+		if n := counter(t, e, "engine.cache."+cache+".size"); n != 1 {
+			t.Fatalf("warm %s cache holds %d entries, want 1", cache, n)
+		}
 	}
 
 	// Replace the table under the same name: every version-scoped
@@ -44,15 +45,10 @@ func TestStoreReplacePurgesStaleEntries(t *testing.T) {
 	}
 	e.RegisterTable(updated)
 
-	s = e.Stats()
-	if s.ResultCache != 0 {
-		t.Errorf("result cache holds %d stale entries after replace, want 0", s.ResultCache)
-	}
-	if s.AnswerCacheSize != 0 {
-		t.Errorf("answer cache holds %d stale entries after replace, want 0", s.AnswerCacheSize)
-	}
-	if s.ParseCacheSize != 0 {
-		t.Errorf("parse cache holds %d stale entries after replace, want 0", s.ParseCacheSize)
+	for _, cache := range []string{"result", "answer", "parse"} {
+		if n := counter(t, e, "engine.cache."+cache+".size"); n != 0 {
+			t.Errorf("%s cache holds %d stale entries after replace, want 0", cache, n)
+		}
 	}
 }
 
@@ -71,9 +67,8 @@ func TestStoreIdempotentReRegisterKeepsCaches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RegisterTable: %v", err)
 	}
-	s := e.Stats()
-	if s.ResultCache != 1 {
-		t.Fatalf("idempotent re-register purged caches: %+v", s)
+	if n := counter(t, e, "engine.cache.result.size"); n != 1 {
+		t.Fatalf("idempotent re-register purged caches: result cache holds %d entries, want 1", n)
 	}
 	_, cached, err := e.ExplainCached(ctx, "olympics", q)
 	if err != nil {
@@ -113,8 +108,8 @@ func TestStoreMutationLifecycle(t *testing.T) {
 	if info.Version == ex.Version {
 		t.Fatal("append did not change the version")
 	}
-	if s := e.Stats(); s.ResultCache != 0 {
-		t.Fatalf("result cache holds %d entries after append, want 0", s.ResultCache)
+	if n := counter(t, e, "engine.cache.result.size"); n != 0 {
+		t.Fatalf("result cache holds %d entries after append, want 0", n)
 	}
 
 	ex2, err := e.Explain(ctx, "olympics", q)
@@ -139,8 +134,8 @@ func TestStoreMutationLifecycle(t *testing.T) {
 	if err != nil || !ok || dropped.Name != "olympics" {
 		t.Fatalf("DropTable = %+v, %v", dropped, ok)
 	}
-	if s := e.Stats(); s.ResultCache != 0 || s.Tables != 0 {
-		t.Fatalf("caches/tables not empty after drop: %+v", s)
+	if size, tables := counter(t, e, "engine.cache.result.size"), counter(t, e, "store.tables"); size != 0 || tables != 0 {
+		t.Fatalf("after drop: engine.cache.result.size = %d, store.tables = %d, want 0 and 0", size, tables)
 	}
 	if _, err := e.Explain(ctx, "olympics", q); !errors.Is(err, ErrUnknownTable) {
 		t.Errorf("explain after drop: err = %v, want ErrUnknownTable", err)
@@ -150,26 +145,25 @@ func TestStoreMutationLifecycle(t *testing.T) {
 	}
 }
 
-// TestStoreStatsSurfaced checks the store gauges ride along on the
-// engine's stats snapshot (and therefore on GET /v1/stats).
+// TestStoreStatsSurfaced checks the store's series ride along on the
+// engine's registry (and therefore on GET /metrics).
 func TestStoreStatsSurfaced(t *testing.T) {
 	e := newTestEngine(t)
-	s := e.Stats()
-	if s.Tables != 1 {
-		t.Errorf("Tables = %d, want 1 (store catalog size)", s.Tables)
+	if n := counter(t, e, "store.tables"); n != 1 {
+		t.Errorf("store.tables = %d, want 1 (store catalog size)", n)
 	}
-	if s.StoreBytes <= 0 {
-		t.Errorf("StoreBytes = %d, want > 0", s.StoreBytes)
+	if n := counter(t, e, "store.bytes"); n == 0 {
+		t.Error("store.bytes = 0, want > 0")
 	}
-	if s.StoreGen == 0 {
-		t.Error("StoreGen = 0, want the registration's generation")
+	gen := counter(t, e, "store.generation")
+	if gen == 0 {
+		t.Error("store.generation = 0, want the registration's generation")
 	}
-	gen := s.StoreGen
 	if _, err := e.AppendRows("olympics", [][]string{{"2016", "Rio", "Brazil", "207"}}); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.StoreGen <= gen {
-		t.Errorf("StoreGen = %d after append, want > %d", s.StoreGen, gen)
+	if n := counter(t, e, "store.generation"); n <= gen {
+		t.Errorf("store.generation = %d after append, want > %d", n, gen)
 	}
 }
 
@@ -260,7 +254,7 @@ func TestStoreChurnSnapshotIsolation(t *testing.T) {
 	if want := fmt.Sprintf("%d", len(rows)); ex.Result != want {
 		t.Errorf("post-churn result %q, want %q", ex.Result, want)
 	}
-	if s := e.Stats(); s.StoreGen < uint64(mutations) {
-		t.Errorf("StoreGen = %d after %d mutations", s.StoreGen, mutations)
+	if n := counter(t, e, "store.generation"); n < uint64(mutations) {
+		t.Errorf("store.generation = %d after %d mutations", n, mutations)
 	}
 }

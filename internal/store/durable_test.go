@@ -80,7 +80,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 		t.Fatalf("Drop(b) = %v, %v", ok, err)
 	}
 	want := captureState(st)
-	wantGen := st.Stats().Gen
+	wantGen := uint64(series(t, st, "store.generation"))
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	st2 := openDurable(t, dir)
 	defer st2.Close()
 	checkRecovered(t, st2, want)
-	if g := st2.Stats().Gen; g < wantGen {
+	if g := uint64(series(t, st2, "store.generation")); g < wantGen {
 		t.Fatalf("recovered generation %d regressed below %d", g, wantGen)
 	}
 	// Post-recovery mutations must continue strictly past everything
@@ -385,7 +385,7 @@ func TestDurableStoreGenerationPersistsAcrossEmptyCatalog(t *testing.T) {
 	if _, ok, err := st.Drop("a"); err != nil || !ok {
 		t.Fatalf("Drop = %v, %v", ok, err)
 	}
-	gen := st.Stats().Gen
+	gen := uint64(series(t, st, "store.generation"))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

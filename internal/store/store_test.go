@@ -9,8 +9,26 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nlexplain/internal/metric"
 	"nlexplain/internal/table"
 )
+
+// series reads one of the store's counters or gauges by its canonical
+// dotted name, off a registry the store just registered itself on the
+// way the engine's root carries it.
+func series(t testing.TB, st *Store, name string) int64 {
+	t.Helper()
+	root := metric.NewRegistry()
+	st.RegisterMetrics(root.Sub("store"))
+	switch v := root.Snapshot()[name].(type) {
+	case int64:
+		return v
+	case uint64:
+		return int64(v)
+	}
+	t.Fatalf("store registers no counter or gauge %q", name)
+	return 0
+}
 
 func mustTable(t *testing.T, name string, n int) *table.Table {
 	t.Helper()
@@ -75,8 +93,8 @@ func TestStoreGenerationMonotonic(t *testing.T) {
 		}
 		last = snap.Gen()
 	}
-	if g := st.Stats().Gen; g != last {
-		t.Fatalf("Stats().Gen = %d, want %d", g, last)
+	if g := series(t, st, "store.generation"); uint64(g) != last {
+		t.Fatalf("store.generation = %d, want %d", g, last)
 	}
 }
 
@@ -183,7 +201,7 @@ func TestStoreMemoryAccounting(t *testing.T) {
 	st := New(Options{})
 	tab := mustTable(t, "a", 32)
 	st.Register(tab)
-	base := st.Stats().Bytes
+	base := series(t, st, "store.bytes")
 	if base <= 0 {
 		t.Fatal("no base bytes accounted after register")
 	}
@@ -194,19 +212,19 @@ func TestStoreMemoryAccounting(t *testing.T) {
 	// Building a sorted index grows the estimate through the hook.
 	col, _ := tab.ColumnIndex("Year")
 	tab.NumericSortedRows(col)
-	if got := st.Stats().Bytes; got != base+tab.DerivedBytes() || tab.DerivedBytes() <= 0 {
+	if got := series(t, st, "store.bytes"); got != base+tab.DerivedBytes() || tab.DerivedBytes() <= 0 {
 		t.Fatalf("store bytes %d after index build, want base %d + derived %d", got, base, tab.DerivedBytes())
 	}
 
 	// Dropping the table releases everything.
 	st.Drop("a")
-	if got := st.Stats().Bytes; got != 0 {
+	if got := series(t, st, "store.bytes"); got != 0 {
 		t.Fatalf("store bytes %d after drop, want 0", got)
 	}
 	// A dropped table's later index builds must not be charged.
 	tab.DropDerivedIndexes()
 	tab.NumericSortedRows(col)
-	if got := st.Stats().Bytes; got != 0 {
+	if got := series(t, st, "store.bytes"); got != 0 {
 		t.Fatalf("dropped table's index build charged %d bytes to the store", got)
 	}
 }
@@ -244,8 +262,8 @@ func TestStoreEvictionOrdering(t *testing.T) {
 	tabs[2].DropDerivedIndexes()
 	tabs[2].NumericSortedRows(yearOf(tabs[2]))
 
-	if ev := st.Stats().Evictions; ev == 0 {
-		t.Fatalf("no evictions under budget %d with bytes %d", st.opts.ByteBudget, st.Stats().Bytes)
+	if ev := series(t, st, "store.evictions"); ev == 0 {
+		t.Fatalf("no evictions under budget %d with bytes %d", st.opts.ByteBudget, series(t, st, "store.bytes"))
 	}
 	if tabs[0].DerivedBytes() != 0 {
 		t.Fatalf("coldest table kept %d derived bytes", tabs[0].DerivedBytes())
@@ -276,7 +294,7 @@ func TestStoreUnattainableBudgetDoesNotThrash(t *testing.T) {
 	if tab.DerivedBytes() == 0 {
 		t.Fatal("index evicted under an unattainable budget (thrash)")
 	}
-	if ev := st.Stats().Evictions; ev != 0 {
+	if ev := series(t, st, "store.evictions"); ev != 0 {
 		t.Fatalf("%d evictions under an unattainable budget", ev)
 	}
 }

@@ -55,7 +55,7 @@ func TestDurableMixSurvivesRestart(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("no tables registered after the run")
 	}
-	beforeGen := p.Engine.Stats().StoreGen
+	beforeGen := counter(t, p.Engine, "store.generation")
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestDurableMixSurvivesRestart(t *testing.T) {
 				b.Name, a.Generation, a.Version, a.Rows, b.Generation, b.Version, b.Rows)
 		}
 	}
-	if g := p2.Engine.Stats().StoreGen; g < beforeGen {
+	if g := counter(t, p2.Engine, "store.generation"); g < beforeGen {
 		t.Fatalf("recovered store generation %d below pre-restart %d", g, beforeGen)
 	}
 	info, err := p2.Engine.RegisterRaw("post_restart", []string{"A", "B"}, [][]string{{"1", "2"}})

@@ -25,6 +25,20 @@ func mustMix(t *testing.T, name string) Mix {
 	return m
 }
 
+// counter reads one counter or gauge off an in-process engine's
+// registry by its canonical dotted name.
+func counter(t testing.TB, e *engine.Engine, name string) uint64 {
+	t.Helper()
+	switch v := e.Metrics().Snapshot()[name].(type) {
+	case uint64:
+		return v
+	case int64:
+		return uint64(v)
+	}
+	t.Fatalf("registry has no counter or gauge %q", name)
+	return 0
+}
+
 func TestCorpusDeterministic(t *testing.T) {
 	a, b := NewCorpus(7), NewCorpus(7)
 	if len(a.Tables) != 4 {
@@ -178,13 +192,12 @@ func TestChurnMixSnapshotIsolation(t *testing.T) {
 	if _, ok := rep.PerKind[string(OpChurn)]; !ok {
 		t.Fatalf("per-kind breakdown missing churn: %v", rep.PerKind)
 	}
-	stats := rep.Engine
-	if stats == nil || stats.StoreGen == 0 {
-		t.Fatalf("store generation not recorded in engine stats: %+v", stats)
+	if counter(t, tgt.Engine, "store.generation") == 0 {
+		t.Fatal("store.generation = 0 after a churn run")
 	}
 	// Churn tables are dropped on completion: only the corpus remains.
-	if stats.Tables != len(corpus.Tables) {
-		t.Fatalf("Tables = %d after churn, want %d (leaked churn tables)", stats.Tables, len(corpus.Tables))
+	if n := counter(t, tgt.Engine, "store.tables"); n != uint64(len(corpus.Tables)) {
+		t.Fatalf("store.tables = %d after churn, want %d (leaked churn tables)", n, len(corpus.Tables))
 	}
 }
 
@@ -205,11 +218,11 @@ func TestRunInProcClosedLoop(t *testing.T) {
 	}
 	// 256 ops over a 64-op cycle: at least three quarters repeat, so
 	// the result cache must serve a healthy share.
-	if rep.CacheHitRatio < 0.5 {
-		t.Fatalf("cache hit ratio = %v, want >= 0.5 on a cycled op set", rep.CacheHitRatio)
+	if 2*rep.Cached < rep.TotalOps {
+		t.Fatalf("%d of %d ops served from cache, want >= half on a cycled op set", rep.Cached, rep.TotalOps)
 	}
-	if rep.Engine == nil || rep.Engine.Executions == 0 {
-		t.Fatalf("engine stats missing from report: %+v", rep.Engine)
+	if counter(t, tgt.Engine, "engine.executions") == 0 {
+		t.Fatal("engine.executions = 0 after an explain run")
 	}
 	if _, ok := rep.PerKind[string(OpExplain)]; !ok {
 		t.Fatalf("per-kind breakdown missing explain: %v", rep.PerKind)
@@ -258,8 +271,8 @@ func TestAdversarialOverload(t *testing.T) {
 	if rep.Counts[ClassInternal] != 0 {
 		t.Fatalf("adversarial run hit internal errors: %v", rep.Counts)
 	}
-	if rep.Engine.Sheds == 0 {
-		t.Fatalf("engine counters did not record sheds: %+v", rep.Engine)
+	if counter(t, tgt.Engine, "engine.sheds") == 0 {
+		t.Fatal("engine.sheds did not record the sheds")
 	}
 	// Deadlines bounded every op, so the whole storm must finish in
 	// wall time far below ops x QueryTimeout.
