@@ -15,7 +15,6 @@
 //	POST   /v1/answer        {table, query} -> denotation only (answer-only fast path)
 //	POST   /v1/parse         {table, question, top_k} -> ranked candidate queries
 //	GET    /v1/healthz       liveness + table count; 503 {"status":"degraded"} while read-only
-//	GET    /v1/stats         flat engine counters (compatibility shim over the registry)
 //	GET    /metrics          Prometheus text exposition of the full metric registry
 //	GET    /debug/pprof/*    net/http/pprof profiles (only with -pprof)
 //
@@ -31,10 +30,8 @@
 // Observability: every endpoint is instrumented with
 // server.http.<endpoint>.{requests,errors,latency.seconds} series on
 // the engine's metric registry, which GET /metrics serves alongside
-// the engine.* pipeline counters/histograms and store.* gauges.
-// GET /v1/stats remains as a flat JSON shim rendered from the same
-// registry (note: its former duplicate "store_tables" field collapsed
-// into "tables").
+// the engine.* pipeline counters/histograms and store.* series: the
+// registry is the one way counters leave the process.
 //
 // Table mutations (register over an existing name, PATCH, DELETE) bump
 // the store generation and synchronously invalidate every cached
@@ -139,7 +136,6 @@ func newMux(e *nlexplain.Engine, cfg muxConfig) *http.ServeMux {
 	s.route(mux, "POST /v1/answer", "answer", s.handleAnswer)
 	s.route(mux, "POST /v1/parse", "parse", s.handleParse)
 	s.route(mux, "GET /v1/healthz", "healthz", s.handleHealthz)
-	s.route(mux, "GET /v1/stats", "stats", s.handleStats)
 	s.route(mux, "GET /metrics", "metrics", s.handleMetrics)
 	if cfg.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -555,12 +551,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "tables": len(s.engine.Tables())})
-}
-
-// handleStats serves the flat counter shim, rendered from the same
-// metric registry GET /metrics exposes.
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Stats())
 }
 
 // handleMetrics serves the full hierarchical registry (engine.*,

@@ -9,9 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -37,54 +34,6 @@ func driveTraffic(t *testing.T, ts *httptest.Server) {
 	}
 	// One guaranteed error, so the error counters are live too.
 	postJSON(t, ts.URL+"/v1/explain", map[string]string{"table": "nope", "query": "count(Country.Greece)"})
-}
-
-// TestStatsShimKeys locks GET /v1/stats to the PR-5 wire shape modulo
-// the documented changes: store_tables collapsed into tables (they
-// always carried the same value), the six ast_*/plan_* keys went with
-// the AST and plan caches they counted, plus the additive zone-map
-// skipping counters morsels_skipped/morsels_shortcut.
-// testdata/stats_pr5.json is a real response captured from the
-// pre-registry server.
-func TestStatsShimKeys(t *testing.T) {
-	recorded, err := os.ReadFile(filepath.Join("testdata", "stats_pr5.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old map[string]any
-	if err := json.Unmarshal(recorded, &old); err != nil {
-		t.Fatal(err)
-	}
-	ts, _ := newTestServer(t)
-	driveTraffic(t, ts)
-	resp, body := getJSON(t, ts.URL+"/v1/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var cur map[string]any
-	if err := json.Unmarshal(body, &cur); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, 0, len(old))
-	for k := range old {
-		if k != "store_tables" && !strings.HasPrefix(k, "ast_") && !strings.HasPrefix(k, "plan_") {
-			want = append(want, k)
-		}
-	}
-	want = append(want, "morsels_skipped", "morsels_shortcut")
-	got := make([]string, 0, len(cur))
-	for k := range cur {
-		got = append(got, k)
-	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("stats keys drifted:\n got: %v\nwant: %v", got, want)
-	}
-	// The shim must still serve live values, not zeros.
-	if cur["executions"].(float64) < 1 || cur["errors"].(float64) < 1 || cur["tables"].(float64) != 1 {
-		t.Errorf("stats values not live: %s", body)
-	}
 }
 
 // TestMetricsExposition checks the acceptance floor for GET /metrics:

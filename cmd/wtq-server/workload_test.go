@@ -62,9 +62,8 @@ func TestAnswerEndpoint(t *testing.T) {
 }
 
 // TestWorkloadHTTPTarget drives the full workload harness against a
-// live httptest wtq-server: the mixed traffic must flow over the wire,
-// and /v1/stats must round-trip the engine stats schema the report
-// embeds.
+// live httptest wtq-server: the mixed traffic must flow over the wire
+// and move the engine's counters.
 func TestWorkloadHTTPTarget(t *testing.T) {
 	ts, e := newTestServer(t)
 
@@ -95,9 +94,6 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 	// everything else must succeed.
 	if rep.Counts[workload.ClassOK] == 0 || rep.Counts[workload.ClassOK]+rep.Errors != rep.TotalOps {
 		t.Fatalf("unexpected class distribution: %v", rep.Counts)
-	}
-	if rep.Engine == nil {
-		t.Fatalf("engine stats not scraped over /v1/stats: %+v", rep.Engine)
 	}
 	if counter(t, e, "engine.executions") == 0 {
 		t.Fatal("engine.executions = 0 after a mixed run over HTTP")

@@ -245,8 +245,8 @@ func (e *Engine) Close() error { return e.store.Close() }
 // Checkpoint forces a durability checkpoint now (no-op in-memory).
 func (e *Engine) Checkpoint() error { return e.store.Checkpoint() }
 
-// Store exposes the engine's versioned table store (stats, direct
-// snapshot access for tests and embedders).
+// Store exposes the engine's versioned table store (direct snapshot
+// access for embedders).
 func (e *Engine) Store() *store.Store { return e.store }
 
 // TableInfo describes one registered table.

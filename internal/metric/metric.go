@@ -13,8 +13,8 @@
 //     become underscore-separated series and histograms expand into
 //     cumulative _bucket/_sum/_count series — what wtq-server serves on
 //     GET /metrics and the benchmark scrapes from its servers;
-//   - a JSON-ready Snapshot (map keyed by dotted name), the shape
-//     behind the GET /v1/stats compatibility shim.
+//   - a Snapshot (map keyed by dotted name), which tests read a
+//     counter out of by its canonical name.
 //
 // Recording is allocation-free and safe for concurrent use: counters
 // and gauges are single atomics, histogram observations are one atomic

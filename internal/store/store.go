@@ -285,7 +285,7 @@ func (st *Store) install(sh *shard, name string, snap *Snapshot) *Snapshot {
 // future index builds no longer count, and its current footprint is
 // subtracted. A build racing the detach may land uncounted in either
 // direction; the estimate tolerates that, and the floor clamp in
-// Stats keeps the gauge sane.
+// the store.bytes gauge keeps it sane.
 func (st *Store) release(old *Snapshot) {
 	old.t.SetMemHook(nil)
 	st.bytes.Add(-(old.t.BaseBytes() + old.t.DerivedBytes()))
@@ -434,10 +434,10 @@ func (st *Store) maybeEvict() {
 	}
 }
 
-// RegisterMetrics rehomes the store's gauges onto a metric registry
+// RegisterMetrics puts the store's series on a metric registry
 // (conventionally the "store." sub-registry of the engine's root):
-// scrape-time functional gauges reading the same atomics Stats
-// snapshots, so GET /metrics and the /v1/stats shim can never drift.
+// scrape-time functional gauges and counters over the store's atomics,
+// the only way those values leave the package.
 func (st *Store) RegisterMetrics(r *metric.Registry) {
 	r.GaugeFunc("bytes", "resident-byte estimate (base data + derived indexes, all tables)", func() int64 {
 		b := st.bytes.Load()
@@ -571,32 +571,6 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 		}
 		return bytes
 	})
-}
-
-// Stats is a scrape-ready snapshot of the store's gauges.
-type Stats struct {
-	// Tables is the catalog size.
-	Tables int `json:"store_tables"`
-	// Bytes is the resident estimate (base + derived, all tables).
-	Bytes int64 `json:"store_bytes"`
-	// Evictions counts derived-index evictions under budget pressure.
-	Evictions uint64 `json:"store_evictions"`
-	// Gen is the current value of the monotonic generation counter.
-	Gen uint64 `json:"store_generation"`
-}
-
-// Stats snapshots the store's counters.
-func (st *Store) Stats() Stats {
-	b := st.bytes.Load()
-	if b < 0 {
-		b = 0
-	}
-	return Stats{
-		Tables:    st.Len(),
-		Bytes:     b,
-		Evictions: st.evictions.Load(),
-		Gen:       st.gen.Load(),
-	}
 }
 
 // contentVersion fingerprints a table's full content; cache keys embed

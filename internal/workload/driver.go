@@ -46,7 +46,6 @@ func Run(ctx context.Context, tgt Target, corpus *Corpus, ops []Op, opts Options
 	if err := tgt.RegisterTables(corpus.Tables); err != nil {
 		return nil, fmt.Errorf("workload: registering corpus: %w", err)
 	}
-	before, errBefore := tgt.EngineStats()
 
 	rep := &Report{Counts: make(map[string]int), PerKind: make(map[string]map[string]int)}
 	var mu sync.Mutex // guards rep while workers run
@@ -71,11 +70,6 @@ func Run(ctx context.Context, tgt Target, corpus *Corpus, ops []Op, opts Options
 		}()
 	}
 	wg.Wait()
-
-	after, errAfter := tgt.EngineStats()
-	if errBefore == nil && errAfter == nil {
-		rep.attachEngineStats(before, after)
-	}
 	return rep, nil
 }
 

@@ -1,7 +1,5 @@
 package workload
 
-import "nlexplain/internal/engine"
-
 // Report is the outcome tally of one workload run: what the tests
 // assert on. It times nothing — benchmark/ is where speed is measured.
 type Report struct {
@@ -12,16 +10,11 @@ type Report struct {
 	Errors   int
 	Sheds    int
 	Timeouts int
-	Cached   int
+	// Cached counts ops whose response carried cached=true: the run's
+	// cache share is Cached / TotalOps.
+	Cached int
 	// PerKind is Counts split by op kind.
 	PerKind map[string]map[string]int
-
-	// CacheHitRatio is hits/(hits+misses) over the engine's result,
-	// answer and parse caches, deltas across the run.
-	CacheHitRatio float64
-	// Engine is the target engine's post-run counter snapshot — the
-	// exact schema wtq-server serves on GET /v1/stats.
-	Engine *engine.Stats
 }
 
 // record books one executed op.
@@ -45,19 +38,4 @@ func (r *Report) record(kind OpKind, out Outcome) {
 		r.PerKind[string(kind)] = byClass
 	}
 	byClass[out.Class]++
-}
-
-// attachEngineStats records the post-run engine snapshot and derives
-// the run's cache hit ratio from before/after counter deltas.
-func (r *Report) attachEngineStats(before, after engine.Stats) {
-	r.Engine = &after
-	hits := float64((after.ResultHits - before.ResultHits) +
-		(after.AnswerHits - before.AnswerHits) +
-		(after.ParseHits - before.ParseHits))
-	misses := float64((after.ResultMisses - before.ResultMisses) +
-		(after.AnswerMisses - before.AnswerMisses) +
-		(after.ParseMisses - before.ParseMisses))
-	if hits+misses > 0 {
-		r.CacheHitRatio = hits / (hits + misses)
-	}
 }

@@ -52,9 +52,6 @@ type Target interface {
 	RegisterTables(ts []*table.Table) error
 	// Do executes one op, honoring ctx.
 	Do(ctx context.Context, op Op) Outcome
-	// EngineStats snapshots the target engine's counters (the same
-	// schema wtq-server serves on /v1/stats).
-	EngineStats() (engine.Stats, error)
 	// Close releases target resources.
 	Close() error
 }
@@ -120,9 +117,6 @@ func (p *InProc) RegisterTables(ts []*table.Table) error {
 	}
 	return nil
 }
-
-// EngineStats implements Target.
-func (p *InProc) EngineStats() (engine.Stats, error) { return p.Engine.Stats(), nil }
 
 // Close implements Target: it closes the engine, which on a durable
 // store flushes and fsyncs the WAL tail (a no-op in-memory).
@@ -301,28 +295,6 @@ func (h *HTTPTarget) RegisterTables(ts []*table.Table) error {
 		}
 	}
 	return nil
-}
-
-// EngineStats implements Target: it scrapes GET /v1/stats, which
-// serves exactly the engine.Stats schema. Bounded by its own deadline
-// so a wedged server fails the run fast instead of hanging it.
-func (h *HTTPTarget) EngineStats() (engine.Stats, error) {
-	var s engine.Stats
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.Base+"/v1/stats", nil)
-	if err != nil {
-		return s, err
-	}
-	resp, err := h.Client.Do(req)
-	if err != nil {
-		return s, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s, fmt.Errorf("GET /v1/stats: status %d", resp.StatusCode)
-	}
-	return s, json.NewDecoder(resp.Body).Decode(&s)
 }
 
 // classifyStatus maps an HTTP status to an outcome class, inverting

@@ -47,12 +47,12 @@
 //	out, err := eng.Explain(ctx, "olympics", "max(R[Year].Country.Greece)")
 //	info, err := eng.AppendRows("olympics", [][]string{{"2016", "Rio", "Brazil", "207"}})
 //	results := eng.ExplainBatch(ctx, []nlexplain.ExplainRequest{...})
-//	stats := eng.Stats() // hits, misses, executions, latency, store bytes
+//	eng.Metrics().WritePrometheus(w) // hits, misses, executions, latency, store bytes
 //
 // cmd/wtq-server wraps the engine in an HTTP/JSON service with
 // endpoints POST /v1/tables, PATCH/DELETE /v1/tables/{name},
 // /v1/explain, /v1/explain/batch,
-// /v1/answer, /v1/parse and GET /v1/healthz, /v1/stats; see
+// /v1/answer, /v1/parse and GET /v1/healthz, /metrics; see
 // examples/server for a curl transcript. internal/workload generates
 // seeded, reproducible query traffic for the tests that check the
 // engine and the server under load; speed is measured by benchmark/
@@ -196,8 +196,6 @@ type (
 	// defaults (GOMAXPROCS workers, 1024-entry caches, 10s timeout,
 	// 16 store shards, unlimited store byte budget).
 	EngineOptions = engine.Options
-	// EngineStats is a scrape-ready snapshot of engine counters.
-	EngineStats = engine.Stats
 	// EngineExplanation is the engine's JSON-ready pipeline output.
 	EngineExplanation = engine.Explanation
 	// EngineAnswer is the engine's answer-only fast-path output.
