@@ -84,6 +84,9 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("series %q missing from /metrics", want)
 		}
 	}
+	if !bytes.Contains(body, []byte("# TYPE store_evictions counter\n")) {
+		t.Error("store_evictions is not declared a counter on /metrics")
+	}
 }
 
 // TestErrorEnvelope locks the error shape: a stable machine code plus

@@ -446,9 +446,7 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 		}
 		return b
 	})
-	r.GaugeFunc("evictions", "derived-index evictions under byte-budget pressure", func() int64 {
-		return int64(st.evictions.Load())
-	})
+	r.CounterFunc("evictions", "derived-index evictions under byte-budget pressure", st.evictions.Load)
 	r.GaugeFunc("tables", "catalog size", func() int64 { return int64(st.Len()) })
 	r.GaugeFunc("generation", "monotonic snapshot-install counter", func() int64 {
 		return int64(st.gen.Load())
