@@ -8,8 +8,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"nlexplain/internal/metric"
 )
 
 func TestOSPassthrough(t *testing.T) {
@@ -241,52 +239,5 @@ func TestInjectLatency(t *testing.T) {
 	fs.Stat(filepath.Join(t.TempDir(), "x"))
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("latency rule injected only %v", d)
-	}
-}
-
-func TestParsePlan(t *testing.T) {
-	rules, err := ParsePlan("wal-*.log:write:after=3:err=ENOSPC:short; sync:p=0.05:sticky:err=EIO; MANIFEST:rename:count=2; meta:latency=5ms; sync:lie")
-	if err != nil {
-		t.Fatalf("ParsePlan: %v", err)
-	}
-	if len(rules) != 5 {
-		t.Fatalf("got %d rules, want 5", len(rules))
-	}
-	r := rules[0]
-	if r.Path != "wal-*.log" || r.Op != OpWrite || r.AfterN != 3 || !errors.Is(r.errOr(), syscall.ENOSPC) || !r.ShortWrite || r.Count != 0 {
-		t.Fatalf("rule 0 = %+v (%s)", r, r)
-	}
-	r = rules[1]
-	if r.Op != OpSync || r.Prob != 0.05 || r.Count != Sticky || !errors.Is(r.errOr(), syscall.EIO) {
-		t.Fatalf("rule 1 = %+v", r)
-	}
-	if rules[2].Count != 1 { // count=2 → one fire past the first
-		t.Fatalf("rule 2 count = %d", rules[2].Count)
-	}
-	if rules[3].Latency != 5*time.Millisecond {
-		t.Fatalf("rule 3 latency = %v", rules[3].Latency)
-	}
-	if !rules[4].SilentSync {
-		t.Fatalf("rule 4 = %+v", rules[4])
-	}
-
-	for _, bad := range []string{
-		"", "bogus", "write:after=x", "write:p=2", "write:count=0",
-		"write:err=EPERM", "write:lie", "read:latency=-1s", "x:y:z",
-	} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) accepted", bad)
-		}
-	}
-}
-
-func TestInjectMetrics(t *testing.T) {
-	fs := NewInject(OS, 1, MustParsePlan("meta:sticky")...)
-	r := metric.NewRegistry()
-	fs.RegisterMetrics(r.Sub("fault"))
-	fs.Stat("x")
-	snap := r.Snapshot()
-	if snap["fault.ops.meta"] != uint64(1) || snap["fault.injected.meta"] != uint64(1) {
-		t.Fatalf("metric snapshot = %v", snap)
 	}
 }

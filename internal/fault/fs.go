@@ -10,10 +10,9 @@
 //
 // Production code paths always run against OS (a zero-cost passthrough
 // to the os package); tests and the chaos workload swap in an InjectFS
-// built from a Plan. Plans are either constructed directly from Rule
-// values or parsed from the compact textual grammar (see ParsePlan):
+// whose plan is a list of Rule values:
 //
-//	wal-*.log:write:after=3:err=ENOSPC:short; sync:p=0.05:sticky:err=EIO
+//	&Rule{Path: "wal-*.log", Op: OpWrite, AfterN: 3, Err: syscall.ENOSPC, ShortWrite: true}
 package fault
 
 import (

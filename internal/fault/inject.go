@@ -1,16 +1,12 @@
 package fault
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
-
-	"nlexplain/internal/metric"
 )
 
 // Op classifies filesystem operations for rule matching and counting.
@@ -27,10 +23,6 @@ const (
 	OpMeta   Op = "meta"   // ReadDir, Stat, MkdirAll
 	OpAny    Op = "any"
 )
-
-// Ops lists every concrete op class, in stable order (for stats and
-// metric registration).
-var Ops = []Op{OpOpen, OpRead, OpWrite, OpSync, OpRename, OpRemove, OpMeta}
 
 // Sticky marks a Rule that keeps firing until the plan is replaced or
 // healed (a persistently failed disk, not a transient hiccup).
@@ -175,25 +167,6 @@ func (f *InjectFS) Stats() Stats {
 		s.Faults[k] = v
 	}
 	return s
-}
-
-// RegisterMetrics hangs the injector's per-op-class counters off a
-// metric registry: ops.<class> operations observed and
-// injected.<class> faults delivered.
-func (f *InjectFS) RegisterMetrics(r *metric.Registry) {
-	for _, op := range Ops {
-		op := op
-		r.CounterFunc("ops."+string(op), fmt.Sprintf("%s operations observed by the fault injector", op), func() uint64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return f.ops[op]
-		})
-		r.CounterFunc("injected."+string(op), fmt.Sprintf("%s faults injected", op), func() uint64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return f.faults[op]
-		})
-	}
 }
 
 // decision is the outcome of evaluating the plan for one operation.
@@ -372,65 +345,4 @@ func (g *injectFile) Sync() error {
 		return &os.PathError{Op: "sync", Path: g.Name(), Err: d.err}
 	}
 	return g.File.Sync()
-}
-
-// String renders the plan's rule list, for logs and test failures.
-func (f *InjectFS) String() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.rules) == 0 {
-		return "fault: no rules (passthrough)"
-	}
-	parts := make([]string, 0, len(f.rules))
-	for _, r := range f.rules {
-		parts = append(parts, r.String())
-	}
-	sort.Strings(parts)
-	return "fault: " + fmt.Sprint(parts)
-}
-
-// String renders one rule in (approximately) the plan grammar.
-func (r *Rule) String() string {
-	s := string(r.Op)
-	if r.Op == "" {
-		s = string(OpAny)
-	}
-	if r.Path != "" {
-		s = r.Path + ":" + s
-	}
-	if r.AfterN > 0 {
-		s += fmt.Sprintf(":after=%d", r.AfterN)
-	}
-	if r.Prob > 0 {
-		s += fmt.Sprintf(":p=%g", r.Prob)
-	}
-	if r.Count == Sticky {
-		s += ":sticky"
-	} else if r.Count > 0 {
-		s += fmt.Sprintf(":count=%d", r.Count)
-	}
-	if r.Err != nil {
-		s += ":err=" + errName(r.Err)
-	}
-	if r.ShortWrite {
-		s += ":short"
-	}
-	if r.SilentSync {
-		s += ":lie"
-	}
-	if r.Latency > 0 {
-		s += ":latency=" + r.Latency.String()
-	}
-	return s
-}
-
-func errName(err error) string {
-	switch err {
-	case syscall.EIO:
-		return "EIO"
-	case syscall.ENOSPC:
-		return "ENOSPC"
-	default:
-		return err.Error()
-	}
 }

@@ -16,14 +16,17 @@ import (
 // the final path — the tmp + rename protocol means readers can never
 // observe a half-written segment.
 func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
-	for _, plan := range []string{
-		"write:err=ENOSPC",
-		"write:err=ENOSPC:short",
-		"sync:err=EIO",
+	for _, tc := range []struct {
+		name string
+		rule *fault.Rule
+	}{
+		{"write:err=ENOSPC", &fault.Rule{Op: fault.OpWrite, Err: syscall.ENOSPC}},
+		{"write:err=ENOSPC:short", &fault.Rule{Op: fault.OpWrite, Err: syscall.ENOSPC, ShortWrite: true}},
+		{"sync:err=EIO", &fault.Rule{Op: fault.OpSync, Err: syscall.EIO}},
 	} {
-		t.Run(plan, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan(plan)...)
+			fs := fault.NewInject(fault.OS, 1, tc.rule)
 			path := filepath.Join(dir, "seg-001.seg")
 			tb := table.MustNew(testMeta.Name, testMeta.Columns, testRows)
 			err := WriteTable(fs, path, testMeta, tb, nil)
@@ -61,7 +64,7 @@ func TestSegmentZonesSurviveFaultRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	zones := tb.ZoneSnapshot()
-	fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan("write:err=EIO:short")...)
+	fs := fault.NewInject(fault.OS, 1, &fault.Rule{Op: fault.OpWrite, Err: syscall.EIO, ShortWrite: true})
 	path := filepath.Join(t.TempDir(), "seg-002.seg")
 	if err := WriteTable(fs, path, testMeta, tb, zones); err == nil {
 		t.Fatal("faulted zone write succeeded")

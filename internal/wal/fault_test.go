@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"testing"
 
 	"nlexplain/internal/fault"
@@ -17,18 +18,22 @@ import (
 // front of the log after a clean reopen — fault schedules can lose
 // unacked tails, never acked records.
 func TestWALFaultSchedules(t *testing.T) {
-	schedules := []string{
-		"wal-*.log:write:after=2:err=EIO:sticky",
-		"wal-*.log:write:after=1:err=ENOSPC:sticky",
-		"wal-*.log:write:after=1:err=ENOSPC:short:sticky",
-		"wal-*.log:write:err=EIO:short:sticky",
-		"wal-*.log:sync:after=2:err=EIO:sticky",
-		"wal-*.log:sync:err=ENOSPC:sticky",
+	const logs = "wal-*.log"
+	schedules := []struct {
+		name string
+		rule *fault.Rule
+	}{
+		{"wal-*.log:write:after=2:err=EIO:sticky", &fault.Rule{Path: logs, Op: fault.OpWrite, AfterN: 2, Err: syscall.EIO, Count: fault.Sticky}},
+		{"wal-*.log:write:after=1:err=ENOSPC:sticky", &fault.Rule{Path: logs, Op: fault.OpWrite, AfterN: 1, Err: syscall.ENOSPC, Count: fault.Sticky}},
+		{"wal-*.log:write:after=1:err=ENOSPC:short:sticky", &fault.Rule{Path: logs, Op: fault.OpWrite, AfterN: 1, Err: syscall.ENOSPC, ShortWrite: true, Count: fault.Sticky}},
+		{"wal-*.log:write:err=EIO:short:sticky", &fault.Rule{Path: logs, Op: fault.OpWrite, Err: syscall.EIO, ShortWrite: true, Count: fault.Sticky}},
+		{"wal-*.log:sync:after=2:err=EIO:sticky", &fault.Rule{Path: logs, Op: fault.OpSync, AfterN: 2, Err: syscall.EIO, Count: fault.Sticky}},
+		{"wal-*.log:sync:err=ENOSPC:sticky", &fault.Rule{Path: logs, Op: fault.OpSync, Err: syscall.ENOSPC, Count: fault.Sticky}},
 	}
-	for _, plan := range schedules {
-		t.Run(plan, func(t *testing.T) {
+	for _, tc := range schedules {
+		t.Run(tc.name, func(t *testing.T) {
 			path := tmpLog(t)
-			fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan(plan)...)
+			fs := fault.NewInject(fault.OS, 1, tc.rule)
 			w, res, err := OpenFS(fs, path, 0)
 			if err != nil {
 				t.Fatalf("OpenFS: %v", err)
@@ -83,7 +88,7 @@ func TestWALFaultSchedules(t *testing.T) {
 // never sees a corrupt image, only (at worst) a shorter one.
 func TestWALLyingSyncStaysConsistent(t *testing.T) {
 	path := tmpLog(t)
-	fs := fault.NewInject(fault.OS, 1, fault.MustParsePlan("wal-*.log:sync:lie:sticky")...)
+	fs := fault.NewInject(fault.OS, 1, &fault.Rule{Path: "wal-*.log", Op: fault.OpSync, SilentSync: true, Count: fault.Sticky})
 	w, _, err := OpenFS(fs, path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +120,7 @@ func tornWALImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "wal-0000000000000001.log")
 	fs := fault.NewInject(fault.OS, 1,
-		fault.MustParsePlan("wal-*.log:write:after=2:err=ENOSPC:short:sticky")...)
+		&fault.Rule{Path: "wal-*.log", Op: fault.OpWrite, AfterN: 2, Err: syscall.ENOSPC, ShortWrite: true, Count: fault.Sticky})
 	w, _, err := OpenFS(fs, path, 0)
 	if err != nil {
 		tb.Fatal(err)
