@@ -72,18 +72,6 @@ func (c *Compiled) ExecuteWithCtx(ctx context.Context, t *table.Table, tr plan.T
 	return resultFromVal(&v), nil
 }
 
-// ExecuteSource is ExecuteWith through a snapshot handle: the table is
-// pinned from src once, at execution start, so a run never observes a
-// store mutation that lands mid-flight.
-func (c *Compiled) ExecuteSource(src plan.Source, tr plan.Tracer) (*Result, error) {
-	return c.ExecuteWith(src.PlanTable(), tr)
-}
-
-// ExecuteSourceCtx is ExecuteWithCtx through a snapshot handle.
-func (c *Compiled) ExecuteSourceCtx(ctx context.Context, src plan.Source, tr plan.Tracer) (*Result, error) {
-	return c.ExecuteWithCtx(ctx, src.PlanTable(), tr)
-}
-
 // Lower translates a checked expression into an unoptimized plan tree.
 // Column names are resolved against t; call Check first — Lower
 // assumes references are valid.

@@ -9,11 +9,6 @@ import (
 	"nlexplain/internal/table"
 )
 
-// fixedSource pins one table, standing in for a store snapshot.
-type fixedSource struct{ t *table.Table }
-
-func (s fixedSource) PlanTable() *table.Table { return s.t }
-
 // expectation is a deep copy of a serial reference execution.
 type expectation struct {
 	src      string
@@ -85,8 +80,8 @@ func TestPlanExecutorArenaRace(t *testing.T) {
 			t.Fatalf("Compile(%q): %v", tc.src, err)
 		}
 		exp := expectation{src: tc.src, compiled: c}
-		traced, terr := c.ExecuteSource(fixedSource{tab}, plan.Capture{})
-		answer, aerr := c.ExecuteSource(fixedSource{tab}, plan.Noop{})
+		traced, terr := c.ExecuteWith(tab, plan.Capture{})
+		answer, aerr := c.ExecuteWith(tab, plan.Noop{})
 		if (terr == nil) != (aerr == nil) {
 			t.Fatalf("%s: tracer-dependent error: %v vs %v", tc.src, terr, aerr)
 		}
@@ -101,9 +96,9 @@ func TestPlanExecutorArenaRace(t *testing.T) {
 		exp.compiled = c
 		exps = append(exps, exp)
 	}
-	srcFor := make([]plan.Source, len(exps))
+	tabFor := make([]*table.Table, len(exps))
 	for i, tc := range diffCorpus {
-		srcFor[i] = fixedSource{tables[tc.table]}
+		tabFor[i] = tables[tc.table]
 	}
 
 	const goroutines = 8
@@ -116,14 +111,14 @@ func TestPlanExecutorArenaRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				e := &exps[(g+i)%len(exps)]
-				src := srcFor[(g+i)%len(exps)]
+				tab := tabFor[(g+i)%len(exps)]
 				tr := plan.Tracer(plan.Noop{})
 				want := e.answer
 				if (g+i)%2 == 0 {
 					tr = plan.Capture{}
 					want = e.traced
 				}
-				got, err := e.compiled.ExecuteSource(src, tr)
+				got, err := e.compiled.ExecuteWith(tab, tr)
 				if e.err != "" {
 					if err == nil || err.Error() != e.err {
 						errs <- fmt.Errorf("%s: error = %v, want %q", e.src, err, e.err)

@@ -595,7 +595,7 @@ func (e *Engine) computeAnswer(ctx context.Context, snap *store.Snapshot, tableN
 	}
 	var res *dcs.Result
 	pprof.Do(ctx, labels, func(ctx context.Context) {
-		res, err = c.ExecuteSourceCtx(ctx, snap, plan.Noop{})
+		res, err = c.ExecuteWithCtx(ctx, snap.Table(), plan.Noop{})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("answering %s on %s: %w", c.Expr, tableName, err)

@@ -15,7 +15,8 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 		L: &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}},
 		R: &IndexLookup{Col: 1, Keys: []table.Value{lit("China")}},
 	}
-	first, err := Run(n, tab, Capture{})
+	var first, second Val
+	err := RunInto(&first, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 	for i := range first.Cells {
 		first.Cells[i] = table.CellRef{Row: -7, Col: -7}
 	}
-	second, err := Run(n, tab, Capture{})
+	err = RunInto(&second, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,8 @@ func TestLimitDataDoesNotShareWiderBacking(t *testing.T) {
 			Items: []ProjItem{{Label: "City", Col: 2}, {Label: "Year", Col: 0}},
 		},
 	}
-	v, err := Run(n, tab, Noop{})
+	var v Val
+	err := RunInto(&v, n, tab, Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +79,6 @@ func TestLimitDataDoesNotShareWiderBacking(t *testing.T) {
 		if cap(row) != len(row) {
 			t.Errorf("Data[%d] cap = %d, want %d", i, cap(row), len(row))
 		}
-	}
-}
-
-// TestRunSourcePinsTable exercises the snapshot-handle entry point.
-type pinned struct{ t *table.Table }
-
-func (p pinned) PlanTable() *table.Table { return p.t }
-
-func TestRunSourcePinsTable(t *testing.T) {
-	tab := testTable(t)
-	v, err := RunSource(&IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}}, pinned{tab}, Noop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Rows) != 2 || v.Rows[0] != 0 || v.Rows[1] != 2 {
-		t.Fatalf("rows = %v, want [0 2]", v.Rows)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // active Tracer; with an inactive tracer it is always nil.
 //
 // During execution Vals and their slices live in a pooled per-run
-// arena; the Val a Run variant returns is detached (deep-copied) into
+// arena; the Val RunInto fills is detached (deep-copied) into
 // ordinary heap memory, so callers and caches may hold it forever.
 type Val struct {
 	Kind   Kind
@@ -35,27 +35,11 @@ type Val struct {
 	Cells  []table.CellRef
 }
 
-// Run executes a plan over a table under the given tracer. A nil
-// tracer is treated as Noop (answer-only execution).
-func Run(n Node, t *table.Table, tr Tracer) (*Val, error) {
-	out := new(Val)
-	if err := RunInto(out, n, t, tr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunSource is Run through a snapshot handle: the table is pinned from
-// src exactly once, at execution start, so a run never observes a
-// store mutation landing mid-flight.
-func RunSource(n Node, src Source, tr Tracer) (*Val, error) {
-	return Run(n, src.PlanTable(), tr)
-}
-
-// RunInto executes the plan and deposits the detached result in *out,
-// saving the result-Val allocation for callers that already own one
-// (the query front-ends put it on the stack and copy the fields into
-// their own result types). *out is overwritten entirely.
+// RunInto executes the plan over a table under the given tracer (nil
+// is treated as Noop: answer-only execution) and deposits the detached
+// result in *out, which callers own (the query front-ends put it on the
+// stack and copy the fields into their own result types). *out is
+// overwritten entirely.
 func RunInto(out *Val, n Node, t *table.Table, tr Tracer) error {
 	return RunIntoCtx(nil, out, n, t, tr)
 }
@@ -120,19 +104,6 @@ func detachInto(out, v *Val) {
 	if len(v.Src) > 0 {
 		out.Src = append(make([]int, 0, len(v.Src)), v.Src...)
 	}
-}
-
-// Source is a snapshot handle: anything that pins one immutable table
-// for the duration of a plan execution. The versioned table store's
-// snapshots implement it, so scans read through the snapshot a request
-// acquired rather than through a mutable registry — concurrent table
-// mutations install new snapshots without ever being observed by an
-// execution already in flight. Executors resolve the table from the
-// source exactly once, at execution start (see dcs.ExecuteSource).
-type Source interface {
-	// PlanTable returns the pinned immutable table. Implementations
-	// must return the same table for the handle's whole lifetime.
-	PlanTable() *table.Table
 }
 
 type executor struct {

@@ -103,8 +103,8 @@ func bigTestPlans() map[string]Node {
 // paths must agree on errors too).
 func runPlan(tb testing.TB, n Node, t *table.Table) (*Val, string) {
 	tb.Helper()
-	v, err := Run(n, t, Capture{})
-	if err != nil {
+	v := new(Val)
+	if err := RunInto(v, n, t, Capture{}); err != nil {
 		return nil, err.Error()
 	}
 	return v, ""
@@ -325,10 +325,9 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 	tab := bigTestTable(t, 70_000)
 	plans := []Node{bigTestPlans()["project_wide"], bigTestPlans()["group_by"]}
 	forceSerial(t)
-	want := make([]*Val, len(plans))
+	want := make([]Val, len(plans))
 	for i, n := range plans {
-		var err error
-		if want[i], err = Run(n, tab, Noop{}); err != nil {
+		if err := RunInto(&want[i], n, tab, Noop{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,8 +353,8 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 			defer runners.Done()
 			for i := 0; i < 16; i++ {
 				p := (g + i) % len(plans)
-				got, err := Run(plans[p], tab, Noop{})
-				if err != nil {
+				var got Val
+				if err := RunInto(&got, plans[p], tab, Noop{}); err != nil {
 					t.Error(err)
 				} else if !reflect.DeepEqual(want[p], got) {
 					t.Errorf("plan %d differs from the one-worker result", p)

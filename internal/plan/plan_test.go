@@ -80,7 +80,8 @@ func TestRewriteFoldsConstants(t *testing.T) {
 
 	// count over a literal set folds to a scalar constant.
 	c := Optimize(&Aggregate{Fn: "count", Input: &Const{Values: []table.Value{lit("a"), lit("b"), lit("a")}}})
-	v, err := Run(c, testTable(t), Noop{})
+	var v Val
+	err := RunInto(&v, c, testTable(t), Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,8 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 	tab := testTable(t)
 	n := &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}}
 
-	v, err := Run(n, tab, Noop{})
+	var v Val
+	err := RunInto(&v, n, tab, Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 		t.Errorf("untraced execution computed cells: %v", v.Cells)
 	}
 
-	v, err = Run(n, tab, Capture{})
+	err = RunInto(&v, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,8 @@ func TestTracerSeesEveryOperatorBoundary(t *testing.T) {
 		Input: &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}},
 	}}
 	tr := &opTracer{}
-	v, err := Run(n, tab, tr)
+	var v Val
+	err := RunInto(&v, n, tab, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +184,14 @@ func TestCompareUsesIndexAndMatchesScan(t *testing.T) {
 	tab := testTable(t)
 	for _, op := range []string{"<", "<=", ">", ">="} {
 		n := &Compare{Col: 0, Cmp: op, V: lit("2004")}
-		v, err := Run(n, tab, Noop{})
+		var v, scan Val
+		err := RunInto(&v, n, tab, Noop{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Cross-check against a straight scan with an opaque predicate,
 		// which neither the index nor the zone maps can shortcut.
-		scan, err := Run(&Filter{Input: &Scan{}, Pred: &FuncPred{Fn: func(r int) (bool, error) {
+		err = RunInto(&scan, &Filter{Input: &Scan{}, Pred: &FuncPred{Fn: func(r int) (bool, error) {
 			// "<" and "<=" accept c < 0, ">" and ">=" accept c > 0, and
 			// the two-character operators accept equality.
 			c := tab.Value(r, 0).Compare(lit("2004"))
@@ -215,7 +219,8 @@ func TestSuperlativeTies(t *testing.T) {
 		[][]string{
 			{"a", "5"}, {"b", "9"}, {"c", "9"}, {"d", "1"},
 		})
-	v, err := Run(&Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
+	var v Val
+	err := RunInto(&v, &Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}

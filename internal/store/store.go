@@ -99,8 +99,8 @@ type Event struct {
 }
 
 // Snapshot is one immutable table state: acquired O(1) by readers,
-// never modified after install. It implements plan.Source, so plan
-// executions read through the snapshot they pinned.
+// never modified after install, so a plan execution handed its Table
+// never observes a mutation landing mid-flight.
 type Snapshot struct {
 	t       *table.Table
 	version string
@@ -113,9 +113,6 @@ type Snapshot struct {
 
 // Table returns the snapshot's immutable table.
 func (s *Snapshot) Table() *table.Table { return s.t }
-
-// PlanTable implements plan.Source.
-func (s *Snapshot) PlanTable() *table.Table { return s.t }
 
 // Version is the content-hash fingerprint of the snapshot's table:
 // cache keys embed it, so two snapshots with identical content share
