@@ -53,12 +53,6 @@ type Options struct {
 	// new work is shed with ErrOverloaded instead of parking
 	// goroutines without limit. Default 16x Workers.
 	MaxPending int
-	// SampleThreshold is the row count above which explanation grids
-	// switch to Section 5.3 record sampling. Default 40.
-	SampleThreshold int
-	// StoreShards is the lock-stripe count of the versioned table
-	// store. Default 16 (store default).
-	StoreShards int
 	// StoreByteBudget bounds the table store's resident-byte estimate;
 	// over it, cold tables' derived indexes are evicted (base data
 	// never is). 0 means unlimited.
@@ -109,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = 16 * o.Workers
-	}
-	if o.SampleThreshold <= 0 {
-		o.SampleThreshold = 40
 	}
 	return o
 }
@@ -186,10 +177,7 @@ func Open(opts Options) (*Engine, error) {
 	if opts.ExecWorkers > 0 {
 		plan.SetExecWorkers(opts.ExecWorkers)
 	}
-	sopts := store.Options{
-		Shards:     opts.StoreShards,
-		ByteBudget: opts.StoreByteBudget,
-	}
+	sopts := store.Options{ByteBudget: opts.StoreByteBudget}
 	var st *store.Store
 	if opts.DataDir != "" {
 		var err error
@@ -503,7 +491,9 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 		h   *provenance.Highlights
 	)
 	pprof.Do(ctx, labels, func(ctx context.Context) {
-		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, e.opts.SampleThreshold)
+		// Threshold 0: grids over export's default of 40 rows switch to
+		// Section 5.3 record sampling.
+		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("explaining %s on %s: %w", c.Expr, tableName, err)
