@@ -78,7 +78,7 @@ bench-compile:
 # store-stress reruns the versioned-store concurrency suite (snapshot
 # isolation, churn, eviction) plus the zone-map property tests and the
 # segment footer round-trips under the race detector, twice, exactly
-# as the dedicated CI shard does.
+# as its row of the CI stress matrix does.
 store-stress:
 	$(GO) test -race -run 'Store|Zone|Segment' -count=2 ./internal/store/... ./internal/engine/... ./internal/table/... ./internal/segment/...
 
