@@ -194,7 +194,7 @@ type (
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine; the zero value picks
 	// defaults (GOMAXPROCS workers, 1024-entry caches, 10s timeout,
-	// 16 store shards, unlimited store byte budget).
+	// unlimited store byte budget).
 	EngineOptions = engine.Options
 	// EngineExplanation is the engine's JSON-ready pipeline output.
 	EngineExplanation = engine.Explanation
