@@ -2,11 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"nlexplain/internal/fault"
 )
@@ -158,5 +162,156 @@ func TestWALTornImageRecovery(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Fatalf("torn image parsed %d records, want the 2 acked", len(recs))
+	}
+}
+
+// gateFS hands out files whose Sync first runs hook with the 1-based
+// count of file fsyncs issued through the FS so far; the hook may park
+// the fsync or fail it.
+type gateFS struct {
+	fault.FS
+	syncs atomic.Int32
+	hook  func(n int) error
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, fs: g}, nil
+}
+
+type gateFile struct {
+	fault.File
+	fs *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if err := f.fs.hook(int(f.fs.syncs.Add(1))); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// parkedLeader opens a log whose first fsync parks until the returned
+// gate is closed and whose second fsync returns secondErr, starts
+// appender 0 and waits until it is parked in that first fsync, then
+// starts appenders 1..7 and waits until all of them have buffered
+// behind it. errs[i] receives appender i's result.
+func parkedLeader(t *testing.T, path string, secondErr error) (w *WAL, fs *gateFS, gate chan struct{}, errs []chan error) {
+	t.Helper()
+	gate = make(chan struct{})
+	entered := make(chan struct{})
+	fs = &gateFS{FS: fault.OS, hook: func(n int) error {
+		switch n {
+		case 1:
+			close(entered)
+			<-gate
+		case 2:
+			return secondErr
+		}
+		return nil
+	}}
+	w, _, err := OpenFS(fs, path, 0)
+	if err != nil {
+		t.Fatalf("OpenFS: %v", err)
+	}
+	const appenders = 8
+	errs = make([]chan error, appenders)
+	start := func(i int) {
+		errs[i] = make(chan error, 1)
+		go func() { errs[i] <- w.Append(1, []byte{'r', byte('0' + i)}) }()
+	}
+	start(0)
+	<-entered
+	for i := 1; i < appenders; i++ {
+		start(i)
+	}
+	const framed = headerBytes + 1 + 2
+	for deadline := time.Now().Add(10 * time.Second); w.Size() < appenders*framed; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("followers never buffered: size=%d", w.Size())
+		}
+	}
+	return w, fs, gate, errs
+}
+
+// TestWALFaultFollowersShareOneSync: seven appends that buffer while
+// the leader's fsync is in flight are covered by one more fsync, not
+// seven.
+func TestWALFaultFollowersShareOneSync(t *testing.T) {
+	path := tmpLog(t)
+	w, _, gate, errs := parkedLeader(t, path, nil)
+	close(gate)
+	for i, c := range errs {
+		if err := <-c; err != nil {
+			t.Errorf("appender %d: %v", i, err)
+		}
+	}
+	if st := w.Stats(); st.Syncs != 2 || st.Appends != 8 {
+		t.Fatalf("stats %+v, want 8 appends in 2 syncs", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 8 {
+		t.Fatalf("scan found %d records, want 8", len(res.Records))
+	}
+}
+
+// TestWALFaultFailedSyncFailsItsBatch: the fsync that would have
+// covered the seven followers fails. The leader, already covered, is
+// acked; every follower gets the error; the error is sticky; and the
+// acked record is there after a reopen.
+func TestWALFaultFailedSyncFailsItsBatch(t *testing.T) {
+	path := tmpLog(t)
+	w, fs, gate, errs := parkedLeader(t, path, syscall.EIO)
+	close(gate)
+	if err := <-errs[0]; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	for i, c := range errs[1:] {
+		if err := <-c; !errors.Is(err, syscall.EIO) {
+			t.Errorf("follower %d: err=%v, want EIO", i+1, err)
+		}
+	}
+	if err := w.Append(1, []byte("r8")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after failed fsync: err=%v, want the sticky EIO", err)
+	}
+	if n := fs.syncs.Load(); n != 2 {
+		t.Fatalf("%d fsyncs issued, want 2: the sticky error must fail fast", n)
+	}
+	w.Close() // sticky error: close may fail, must not panic
+
+	w2, res, err := OpenFS(nil, path, 0)
+	if err != nil {
+		t.Fatalf("clean reopen: %v", err)
+	}
+	defer w2.Close()
+	if len(res.Records) < 1 || string(res.Records[0].Data) != "r0" {
+		t.Fatalf("recovered %d records, want the leader's r0 first", len(res.Records))
+	}
+}
+
+// TestWALFaultLoneAppenderSyncsEveryAppend: with nobody to share with,
+// each append pays exactly one fsync.
+func TestWALFaultLoneAppenderSyncsEveryAppend(t *testing.T) {
+	w, _, err := OpenFS(nil, tmpLog(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 100; i++ {
+		if err := w.Append(1, []byte("solo")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := w.Stats(); st.Syncs != 100 {
+		t.Fatalf("syncs=%d after 100 lone appends, want 100", st.Syncs)
 	}
 }
