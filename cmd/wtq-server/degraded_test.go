@@ -22,7 +22,6 @@ func newDegradableServer(t *testing.T) (*httptest.Server, *fault.InjectFS) {
 	e, err := nlexplain.OpenEngine(nlexplain.EngineOptions{
 		Workers:            2,
 		DataDir:            t.TempDir(),
-		WALSyncWindow:      -1,
 		CheckpointInterval: -1,
 		FS:                 fs,
 		RecoveryBackoff:    retry.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},

@@ -586,7 +586,6 @@ func main() {
 	storeBudget := flag.Int64("store-budget", 0, "table store byte budget; over it cold tables' derived indexes are evicted (0 = unlimited)")
 	maxTableBytes := flag.Int64("max-table-bytes", defaultMaxTableBytes, "max table payload body size in bytes (413 beyond it)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + checkpointed segments); empty = in-memory only")
-	walSyncWindow := flag.Duration("wal-sync-window", 0, "WAL group-commit window (0 = default 2ms, negative = fsync every mutation)")
 	checkpointInterval := flag.Duration("checkpoint-interval", 0, "checkpoint cadence (0 = default 30s, negative = size-triggered only)")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "active WAL bytes that force an early checkpoint (0 = default 8 MiB, negative = off)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -600,7 +599,6 @@ func main() {
 		StoreByteBudget:    *storeBudget,
 		ExecWorkers:        *execWorkers,
 		DataDir:            *dataDir,
-		WALSyncWindow:      *walSyncWindow,
 		CheckpointInterval: *checkpointInterval,
 		CheckpointBytes:    *checkpointBytes,
 	})

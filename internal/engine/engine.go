@@ -69,11 +69,6 @@ type Options struct {
 	// tables survive restarts (Open recovers them). Empty means
 	// in-memory only.
 	DataDir string
-	// WALSyncWindow is the WAL group-commit window: mutations landing
-	// within it share one fsync. 0 selects the store default (2ms);
-	// negative syncs every mutation individually. Ignored without
-	// DataDir.
-	WALSyncWindow time.Duration
 	// CheckpointInterval is the periodic checkpoint cadence (0 = store
 	// default of 30s; negative disables the timer). Ignored without
 	// DataDir.
@@ -183,7 +178,6 @@ func Open(opts Options) (*Engine, error) {
 		var err error
 		st, err = store.Open(sopts, store.DurableOptions{
 			Dir:                opts.DataDir,
-			SyncWindow:         opts.WALSyncWindow,
 			CheckpointInterval: opts.CheckpointInterval,
 			CheckpointBytes:    opts.CheckpointBytes,
 			FS:                 opts.FS,

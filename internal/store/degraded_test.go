@@ -11,13 +11,11 @@ import (
 )
 
 // openInjected opens a durable store over an InjectFS with a fast
-// deterministic recovery backoff, synchronous WAL writes and automatic
-// checkpoints disabled.
+// deterministic recovery backoff and automatic checkpoints disabled.
 func openInjected(t *testing.T, dir string, fs *fault.InjectFS) *Store {
 	t.Helper()
 	st, err := Open(Options{}, DurableOptions{
 		Dir:                dir,
-		SyncWindow:         -1,
 		CheckpointInterval: -1,
 		CheckpointBytes:    -1,
 		FS:                 fs,

@@ -41,10 +41,6 @@ var ErrDegraded = errors.New("store: degraded read-only mode")
 type DurableOptions struct {
 	// Dir is the data directory, created if absent. Required.
 	Dir string
-	// SyncWindow is the WAL group-commit window: mutations landing
-	// within it share one fsync. 0 selects the 2ms default; negative
-	// means fsync before every mutation returns.
-	SyncWindow time.Duration
 	// CheckpointInterval is the periodic checkpoint cadence. 0 selects
 	// the 30s default; negative disables the timer (checkpoints then
 	// run only on the size trigger, Checkpoint calls and Close).
@@ -63,9 +59,6 @@ type DurableOptions struct {
 }
 
 func (o DurableOptions) withDefaults() DurableOptions {
-	if o.SyncWindow == 0 {
-		o.SyncWindow = 2 * time.Millisecond
-	}
 	if o.CheckpointInterval == 0 {
 		o.CheckpointInterval = 30 * time.Second
 	}
@@ -73,15 +66,6 @@ func (o DurableOptions) withDefaults() DurableOptions {
 		o.CheckpointBytes = 8 << 20
 	}
 	return o
-}
-
-// syncWindow is the window actually handed to the WAL (negative
-// configured values mean synchronous, i.e. zero).
-func (o DurableOptions) syncWindow() time.Duration {
-	if o.SyncWindow < 0 {
-		return 0
-	}
-	return o.SyncWindow
 }
 
 // Open builds a Store backed by the data directory in dopts: it loads
@@ -399,7 +383,7 @@ func (d *durability) recover() error {
 			}
 		}
 	}
-	w, res, err := wal.OpenFS(d.fs, d.walPath(active), d.opts.syncWindow())
+	w, res, err := wal.OpenFS(d.fs, d.walPath(active))
 	if err != nil {
 		return err
 	}
@@ -469,7 +453,7 @@ func (d *durability) checkpointLocked() error {
 	d.logMu.Lock()
 	old := d.w
 	newSeq := d.walSeq + 1
-	neww, _, err := wal.OpenFS(d.fs, d.walPath(newSeq), d.opts.syncWindow())
+	neww, _, err := wal.OpenFS(d.fs, d.walPath(newSeq))
 	if err != nil {
 		d.logMu.Unlock()
 		return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -12,14 +13,12 @@ import (
 	"nlexplain/internal/wal"
 )
 
-// openDurable opens a durable store with synchronous WAL writes and
-// every automatic checkpoint trigger disabled, so tests control
-// exactly when records hit the log and when they compact.
+// openDurable opens a durable store with every automatic checkpoint
+// trigger disabled, so tests control exactly when the log compacts.
 func openDurable(t *testing.T, dir string) *Store {
 	t.Helper()
 	st, err := Open(Options{}, DurableOptions{
 		Dir:                dir,
-		SyncWindow:         -1,
 		CheckpointInterval: -1,
 		CheckpointBytes:    -1,
 	})
@@ -235,7 +234,7 @@ func TestDurableMidLogCorruptionFailsOpen(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{}, DurableOptions{Dir: dir, SyncWindow: -1, CheckpointInterval: -1, CheckpointBytes: -1}); err == nil {
+	if _, err := Open(Options{}, DurableOptions{Dir: dir, CheckpointInterval: -1, CheckpointBytes: -1}); err == nil {
 		t.Fatal("Open succeeded over mid-log corruption")
 	} else if !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("Open error %v, want wal.ErrCorrupt", err)
@@ -272,7 +271,7 @@ func TestDurableSegmentCorruptionFailsOpen(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{}, DurableOptions{Dir: dir, SyncWindow: -1, CheckpointInterval: -1, CheckpointBytes: -1}); err == nil {
+	if _, err := Open(Options{}, DurableOptions{Dir: dir, CheckpointInterval: -1, CheckpointBytes: -1}); err == nil {
 		t.Fatal("Open succeeded over a corrupt segment")
 	} else if !errors.Is(err, segment.ErrCorrupt) {
 		t.Fatalf("Open error %v, want segment.ErrCorrupt", err)
@@ -400,5 +399,41 @@ func TestDurableStoreGenerationPersistsAcrossEmptyCatalog(t *testing.T) {
 	}
 	if snap.Gen() <= gen {
 		t.Fatalf("generation %d reused after restart of an empty catalog (last was %d)", snap.Gen(), gen)
+	}
+}
+
+// walGoroutines returns the stacks of every goroutine running or
+// created by internal/wal code.
+func walGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "nlexplain/internal/wal.") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestDurableStoreOwnsNoWALGoroutine: with the zero-value options the
+// log commits on its appenders' goroutines — none of its own while the
+// store is open and idle, none left behind by the rotation in Close.
+func TestDurableStoreOwnsNoWALGoroutine(t *testing.T) {
+	st, err := Open(Options{}, DurableOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Register(mustTable(t, "a", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if gs := walGoroutines(); len(gs) != 0 {
+		t.Errorf("open, idle store has %d wal goroutines:\n%s", len(gs), strings.Join(gs, "\n\n"))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if gs := walGoroutines(); len(gs) != 0 {
+		t.Errorf("closed store left %d wal goroutines:\n%s", len(gs), strings.Join(gs, "\n\n"))
 	}
 }

@@ -38,7 +38,7 @@ func TestWALFaultSchedules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := tmpLog(t)
 			fs := fault.NewInject(fault.OS, 1, tc.rule)
-			w, res, err := OpenFS(fs, path, 0)
+			w, res, err := OpenFS(fs, path)
 			if err != nil {
 				t.Fatalf("OpenFS: %v", err)
 			}
@@ -65,7 +65,7 @@ func TestWALFaultSchedules(t *testing.T) {
 
 			// Recover on the clean OS filesystem: acked records must be
 			// the front of the valid prefix, byte for byte.
-			w2, res2, err := Open(path, 0)
+			w2, res2, err := OpenFS(nil, path)
 			if err != nil {
 				t.Fatalf("clean reopen: %v", err)
 			}
@@ -93,7 +93,7 @@ func TestWALFaultSchedules(t *testing.T) {
 func TestWALLyingSyncStaysConsistent(t *testing.T) {
 	path := tmpLog(t)
 	fs := fault.NewInject(fault.OS, 1, &fault.Rule{Path: "wal-*.log", Op: fault.OpSync, SilentSync: true, Count: fault.Sticky})
-	w, _, err := OpenFS(fs, path, 0)
+	w, _, err := OpenFS(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func tornWALImage(tb testing.TB) []byte {
 	path := filepath.Join(tb.TempDir(), "wal-0000000000000001.log")
 	fs := fault.NewInject(fault.OS, 1,
 		&fault.Rule{Path: "wal-*.log", Op: fault.OpWrite, AfterN: 2, Err: syscall.ENOSPC, ShortWrite: true, Count: fault.Sticky})
-	w, _, err := OpenFS(fs, path, 0)
+	w, _, err := OpenFS(fs, path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func parkedLeader(t *testing.T, path string, secondErr error) (w *WAL, fs *gateF
 		}
 		return nil
 	}}
-	w, _, err := OpenFS(fs, path, 0)
+	w, _, err := OpenFS(fs, path)
 	if err != nil {
 		t.Fatalf("OpenFS: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestWALFaultFailedSyncFailsItsBatch(t *testing.T) {
 	}
 	w.Close() // sticky error: close may fail, must not panic
 
-	w2, res, err := OpenFS(nil, path, 0)
+	w2, res, err := OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("clean reopen: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestWALFaultFailedSyncFailsItsBatch(t *testing.T) {
 // TestWALFaultLoneAppenderSyncsEveryAppend: with nobody to share with,
 // each append pays exactly one fsync.
 func TestWALFaultLoneAppenderSyncsEveryAppend(t *testing.T) {
-	w, _, err := OpenFS(nil, tmpLog(t), 0)
+	w, _, err := OpenFS(nil, tmpLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}

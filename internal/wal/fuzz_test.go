@@ -21,7 +21,7 @@ func FuzzWALReplay(f *testing.F) {
 	// Build a small well-formed log image to seed from.
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.log")
-	w, _, err := Open(seedPath, 0)
+	w, _, err := OpenFS(nil, seedPath)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 			if werr := os.WriteFile(path, data, 0o644); werr != nil {
 				t.Fatal(werr)
 			}
-			if _, _, oerr := Open(path, 0); oerr == nil {
+			if _, _, oerr := OpenFS(nil, path); oerr == nil {
 				t.Fatalf("parse rejected (%v) but Open accepted", err)
 			}
 			return
@@ -90,7 +90,7 @@ func FuzzWALReplay(f *testing.F) {
 		if werr := os.WriteFile(path, data, 0o644); werr != nil {
 			t.Fatal(werr)
 		}
-		wl, res, oerr := Open(path, 0)
+		wl, res, oerr := OpenFS(nil, path)
 		if oerr != nil {
 			t.Fatalf("parse accepted but Open failed: %v", oerr)
 		}

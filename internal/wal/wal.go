@@ -16,10 +16,12 @@
 // be a torn write and is reported as ErrCorrupt.
 //
 // Appends are durable when they return: each Append blocks until an
-// fsync covering its record has completed. A group-commit window
-// batches those fsyncs — appends landing within the window ride one
-// sync — without ever holding the buffer lock across the disk flush,
-// so concurrent appenders keep buffering while a sync is in flight.
+// fsync covering its record has completed. An appender that finds no
+// fsync in flight issues one at once; appends that buffer while one is
+// in flight are all covered by the next, issued the moment the first
+// returns — group commit with the first waiter as leader, so fsyncs
+// are shared exactly when appenders overlap. The buffer lock is never
+// held across the disk flush.
 package wal
 
 import (
@@ -144,21 +146,19 @@ func parse(data []byte) (recs []Record, valid int64, err error) {
 type Stats struct {
 	Appends       uint64 // records appended
 	AppendedBytes uint64 // framed bytes appended (headers included)
-	Syncs         uint64 // fsync batches issued
+	Syncs         uint64 // fsyncs issued; < Appends when appenders overlapped
 	Size          int64  // current file size in bytes, buffered included
 }
 
 // WAL is an open, appendable log file with group-commit fsync.
 type WAL struct {
-	path   string
-	window time.Duration
+	path string
 
-	// mu guards the buffered writer and sequencing state. It is never
-	// held across an fsync: syncTo flushes under mu, then releases it
-	// for the disk flush (serialized by syncMu), so appenders keep
+	// mu guards the record buffer and sequencing state. It is never
+	// held across disk I/O: syncTo takes the buffer under mu, then
+	// writes and fsyncs it with only syncMu held, so appenders keep
 	// buffering while a sync is in flight.
 	mu        sync.Mutex
-	cond      *sync.Cond // signals syncedSeq advance or sticky error
 	fs        fault.FS
 	f         fault.File
 	buf       []byte // pending framed records not yet written to f
@@ -168,11 +168,9 @@ type WAL struct {
 	err       error  // sticky first failure
 	closed    bool
 
-	syncMu sync.Mutex // serializes flush+fsync passes
-
-	kick chan struct{} // wakes the group-commit loop
-	quit chan struct{}
-	done chan struct{}
+	// syncMu admits one flush+fsync pass at a time. Appenders queued
+	// on it are the next batch: the first one through covers them all.
+	syncMu sync.Mutex
 
 	appends       atomic.Uint64
 	appendedBytes atomic.Uint64
@@ -182,17 +180,19 @@ type WAL struct {
 // Open opens path for appending, creating it if absent. Any existing
 // records are scanned and returned; a torn tail is truncated off the
 // file (and fsynced) before the WAL accepts appends, so the file never
-// grows past damage. window is the group-commit window: appends
-// arriving within it share one fsync. A non-positive window syncs
-// every append before it returns.
-func Open(path string, window time.Duration) (*WAL, *ScanResult, error) {
-	return OpenFS(fault.OS, path, window)
+// grows past damage.
+//
+// The second parameter is ignored. It was a group-commit window; its
+// one remaining caller is benchmark/trace.go, which this repository's
+// feature PRs may not edit. It goes when Open and OpenFS collapse.
+func Open(path string, _ time.Duration) (*WAL, *ScanResult, error) {
+	return OpenFS(fault.OS, path)
 }
 
 // OpenFS is Open performing all I/O through fsys (nil means the OS
 // passthrough). The durability layer threads its fault-injection
 // filesystem through here.
-func OpenFS(fsys fault.FS, path string, window time.Duration) (*WAL, *ScanResult, error) {
+func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
 	fsys = fault.Or(fsys)
 	res := &ScanResult{}
 	if data, err := fsys.ReadFile(path); err == nil {
@@ -228,24 +228,12 @@ func OpenFS(fsys fault.FS, path string, window time.Duration) (*WAL, *ScanResult
 		f.Close()
 		return nil, nil, err
 	}
-	w := &WAL{
-		path:   path,
-		window: window,
-		fs:     fsys,
-		f:      f,
-		size:   res.Valid,
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	w.cond = sync.NewCond(&w.mu)
-	go w.commitLoop()
-	return w, res, nil
+	return &WAL{path: path, fs: fsys, f: f, size: res.Valid}, res, nil
 }
 
 // Append frames tag+data, appends the record, and blocks until an
-// fsync covers it. Safe for concurrent use; concurrent appends within
-// the group-commit window share one fsync.
+// fsync covers it. Safe for concurrent use; appends that buffer while
+// an fsync is in flight share the next one.
 func (w *WAL) Append(tag byte, data []byte) error {
 	n := 1 + len(data)
 	if n > maxRecordBytes {
@@ -277,34 +265,13 @@ func (w *WAL) Append(tag byte, data []byte) error {
 	w.appends.Add(1)
 	w.appendedBytes.Add(uint64(headerBytes + n))
 
-	if w.window <= 0 {
-		return w.syncTo(seq)
-	}
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-	w.mu.Lock()
-	for w.err == nil && w.syncedSeq < seq {
-		w.cond.Wait()
-	}
-	err := w.err
-	w.mu.Unlock()
-	return err
-}
-
-// Sync flushes and fsyncs everything appended so far.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	seq := w.writeSeq
-	w.mu.Unlock()
 	return w.syncTo(seq)
 }
 
-// syncTo makes the fsync horizon reach at least seq. The buffered
-// bytes are written under mu, but the fsync itself runs with mu
-// released (only syncMu held), so appenders are never blocked on the
-// disk.
+// syncTo makes the fsync horizon reach at least seq. Whoever holds
+// syncMu is the leader: it writes and fsyncs everything buffered so
+// far, with mu released, so the appenders queued behind it find
+// themselves covered (or failed) and return without touching the disk.
 func (w *WAL) syncTo(seq uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -336,54 +303,14 @@ func (w *WAL) syncTo(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {
-		w.fail(err)
+		// Sticky: this batch's appenders, queued on syncMu, and every
+		// later Append find it and fail.
+		w.err = err
 		return err
 	}
-	if target > w.syncedSeq {
-		w.syncedSeq = target
-	}
+	w.syncedSeq = target
 	w.syncs.Add(1)
-	w.cond.Broadcast()
 	return nil
-}
-
-// fail records the sticky error and wakes every waiter. Caller holds mu.
-func (w *WAL) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-	w.cond.Broadcast()
-}
-
-// commitLoop is the group-commit scheduler: a kick from the first
-// append of a batch starts the window timer; when it fires, one fsync
-// covers every append that landed in the meantime.
-func (w *WAL) commitLoop() {
-	defer close(w.done)
-	if w.window <= 0 {
-		// Synchronous mode: Append syncs inline.
-		<-w.quit
-		return
-	}
-	t := time.NewTimer(w.window)
-	if !t.Stop() {
-		<-t.C
-	}
-	for {
-		select {
-		case <-w.quit:
-			return
-		case <-w.kick:
-		}
-		t.Reset(w.window)
-		select {
-		case <-w.quit:
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		w.Sync()
-	}
 }
 
 // Close flushes and fsyncs all pending records, then closes the file.
@@ -397,9 +324,6 @@ func (w *WAL) Close() error {
 	w.closed = true
 	seq := w.writeSeq
 	w.mu.Unlock()
-
-	close(w.quit)
-	<-w.done
 
 	err := w.syncTo(seq)
 	w.mu.Lock()

@@ -5,11 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"nlexplain/internal/fault"
 )
 
 func tmpLog(t *testing.T) string {
@@ -17,18 +21,18 @@ func tmpLog(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "wal-0000000000000001.log")
 }
 
-func mustOpen(t *testing.T, path string, window time.Duration) (*WAL, *ScanResult) {
+func mustOpen(t *testing.T, path string) (*WAL, *ScanResult) {
 	t.Helper()
-	w, res, err := Open(path, window)
+	w, res, err := OpenFS(nil, path)
 	if err != nil {
-		t.Fatalf("Open(%s): %v", path, err)
+		t.Fatalf("OpenFS(%s): %v", path, err)
 	}
 	return w, res
 }
 
 func TestWALAppendScanRoundTrip(t *testing.T) {
 	path := tmpLog(t)
-	w, res := mustOpen(t, path, 0)
+	w, res := mustOpen(t, path)
 	if len(res.Records) != 0 || res.Truncated != 0 {
 		t.Fatalf("fresh log scanned as %+v", res)
 	}
@@ -64,14 +68,14 @@ func TestWALAppendScanRoundTrip(t *testing.T) {
 
 func TestWALReopenAppends(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := mustOpen(t, path, 0)
+	w, _ := mustOpen(t, path)
 	if err := w.Append(1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, res := mustOpen(t, path, 0)
+	w2, res := mustOpen(t, path)
 	if len(res.Records) != 1 || string(res.Records[0].Data) != "first" {
 		t.Fatalf("reopen scanned %+v", res)
 	}
@@ -94,7 +98,7 @@ func TestWALReopenAppends(t *testing.T) {
 func buildLog(t *testing.T, dir string, n int) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(dir, "wal-0000000000000001.log")
-	w, _ := mustOpen(t, path, 0)
+	w, _ := mustOpen(t, path)
 	for i := 0; i < n; i++ {
 		if err := w.Append(byte(i%3+1), []byte(fmt.Sprintf("record-%d-payload", i))); err != nil {
 			t.Fatal(err)
@@ -126,7 +130,7 @@ func TestWALTornTailTruncatedOnOpen(t *testing.T) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, got, err := Open(path, 0)
+		w, got, err := OpenFS(nil, path)
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
 		}
@@ -171,7 +175,7 @@ func TestWALMidLogCorruptionIsHardError(t *testing.T) {
 	if _, err := Scan(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Scan of mid-log damage: err=%v, want ErrCorrupt", err)
 	}
-	if _, _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := OpenFS(nil, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open of mid-log damage: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -207,7 +211,16 @@ func TestWALZeroFillTailTruncated(t *testing.T) {
 
 func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := mustOpen(t, path, 2*time.Millisecond)
+	// A slow device: every fsync of the log takes an extra millisecond,
+	// so appenders overlap whatever this box's own fsync costs. Prob is
+	// as near to never as a Rule gets: the rule delays, it does not
+	// fault.
+	slow := fault.NewInject(nil, 1, &fault.Rule{Path: "wal-*.log", Op: fault.OpSync,
+		Latency: time.Millisecond, Prob: math.SmallestNonzeroFloat64, Count: fault.Sticky})
+	w, _, err := OpenFS(slow, path)
+	if err != nil {
+		t.Fatalf("OpenFS: %v", err)
+	}
 	const goroutines, each = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -243,9 +256,20 @@ func TestWALGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestWALOpenStartsNoGoroutine: a log is a file and two mutexes; the
+// appenders do the committing.
+func TestWALOpenStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w, _ := mustOpen(t, tmpLog(t))
+	defer w.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("OpenFS left %d goroutines running, %d before it", after, before)
+	}
+}
+
 func TestWALClosedAppendFails(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := mustOpen(t, path, 0)
+	w, _ := mustOpen(t, path)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +284,7 @@ func TestWALClosedAppendFails(t *testing.T) {
 
 func TestWALSizeTracksAppends(t *testing.T) {
 	path := tmpLog(t)
-	w, _ := mustOpen(t, path, 0)
+	w, _ := mustOpen(t, path)
 	if w.Size() != 0 {
 		t.Fatalf("fresh size=%d", w.Size())
 	}

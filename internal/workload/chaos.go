@@ -105,7 +105,6 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	e, err := engine.Open(engine.Options{
 		Workers:            2,
 		DataDir:            opts.Dir,
-		WALSyncWindow:      -1, // synchronous acks: every 2xx is fsynced
 		CheckpointInterval: -1,
 		FS:                 fs,
 		RecoveryBackoff:    retry.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
