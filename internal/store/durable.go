@@ -121,6 +121,10 @@ type durability struct {
 	logMu  sync.RWMutex
 	w      *wal.WAL
 	walSeq uint64
+	// sealed sums the counters of the logs rotated away (a log's own
+	// start at zero). Guarded by logMu with w, so sealed + w.Stats() is
+	// one consistent reading and never moves backwards.
+	sealed wal.Stats
 
 	ckptMu       sync.Mutex // serializes checkpoints
 	lastManifest *segment.Manifest
@@ -147,12 +151,6 @@ type durability struct {
 	episodes     atomic.Uint64 // degraded episodes entered
 	recAttempts  atomic.Uint64
 	recSuccesses atomic.Uint64
-
-	// Cumulative WAL counters carried across rotations (the active
-	// WAL's own counters reset with each new file).
-	accAppends       atomic.Uint64
-	accAppendedBytes atomic.Uint64
-	accSyncs         atomic.Uint64
 
 	replayedRecords atomic.Uint64
 	truncatedBytes  atomic.Uint64
@@ -256,9 +254,8 @@ func (d *durability) degradedState() (bool, string) {
 // before degraded mode lifts.
 func (d *durability) probe() error {
 	d.logMu.RLock()
-	w := d.w
-	d.logMu.RUnlock()
-	return w.Append(tagNoop, nil)
+	defer d.logMu.RUnlock()
+	return d.w.Append(tagNoop, nil)
 }
 
 // recoveryLoop waits out degraded episodes: woken by enterDegraded, it
@@ -449,7 +446,9 @@ func (d *durability) checkpointLocked() error {
 	// Rotate. Taking the write side of logMu waits out every mutation
 	// between its log append and its install, so once we hold it, the
 	// sealed logs' records all have their effects visible to the
-	// capture below.
+	// capture below — and no append is in flight on the old log, so its
+	// counters are final and move to sealed in the same step that
+	// publishes the new log.
 	d.logMu.Lock()
 	old := d.w
 	newSeq := d.walSeq + 1
@@ -458,15 +457,14 @@ func (d *durability) checkpointLocked() error {
 		d.logMu.Unlock()
 		return err
 	}
+	st := old.Stats()
+	d.sealed.Appends += st.Appends
+	d.sealed.AppendedBytes += st.AppendedBytes
+	d.sealed.Syncs += st.Syncs
 	d.w = neww
 	d.walSeq = newSeq
 	d.logMu.Unlock()
-	cerr := old.Close()
-	st := old.Stats()
-	d.accAppends.Add(st.Appends)
-	d.accAppendedBytes.Add(st.AppendedBytes)
-	d.accSyncs.Add(st.Syncs)
-	if cerr != nil {
+	if old.Close() != nil {
 		// A sealed log that fails its final flush is exactly what a
 		// degraded episode leaves behind. It does not poison the
 		// checkpoint: every acknowledged record was fsync-durable
@@ -573,17 +571,15 @@ func (d *durability) close() error {
 	return err
 }
 
-// walStats sums the retired logs' counters with the active one's.
+// walStats sums the sealed logs' counters with the active one's.
 func (d *durability) walStats() wal.Stats {
 	d.logMu.RLock()
-	cur := d.w.Stats()
-	d.logMu.RUnlock()
-	return wal.Stats{
-		Appends:       d.accAppends.Load() + cur.Appends,
-		AppendedBytes: d.accAppendedBytes.Load() + cur.AppendedBytes,
-		Syncs:         d.accSyncs.Load() + cur.Syncs,
-		Size:          cur.Size,
-	}
+	defer d.logMu.RUnlock()
+	st := d.w.Stats()
+	st.Appends += d.sealed.Appends
+	st.AppendedBytes += d.sealed.AppendedBytes
+	st.Syncs += d.sealed.Syncs
+	return st
 }
 
 // restore installs a recovered table as a snapshot under an explicit

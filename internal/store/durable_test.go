@@ -7,8 +7,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"nlexplain/internal/fault"
+	"nlexplain/internal/metric"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/wal"
 )
@@ -435,5 +438,88 @@ func TestDurableStoreOwnsNoWALGoroutine(t *testing.T) {
 	}
 	if gs := walGoroutines(); len(gs) != 0 {
 		t.Errorf("closed store left %d wal goroutines:\n%s", len(gs), strings.Join(gs, "\n\n"))
+	}
+}
+
+// parkCloseFS parks the first Close of a wal-*.log file — the sealed
+// log's, during a rotation — until gate is closed.
+type parkCloseFS struct {
+	fault.FS
+	once    sync.Once
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (p *parkCloseFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := p.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return &parkCloseFile{File: f, fs: p}, nil
+}
+
+type parkCloseFile struct {
+	fault.File
+	fs *parkCloseFS
+}
+
+func (f *parkCloseFile) Close() error {
+	f.fs.once.Do(func() {
+		close(f.fs.entered)
+		<-f.fs.gate
+	})
+	return f.File.Close()
+}
+
+// TestStoreWALCountersMonotoneAcrossRotation: a scrape that lands
+// between a rotation publishing the new log and the sealed log's file
+// closing must not read any store.wal.* counter lower than the scrape
+// before it.
+func TestStoreWALCountersMonotoneAcrossRotation(t *testing.T) {
+	fs := &parkCloseFS{FS: fault.OS, entered: make(chan struct{}), gate: make(chan struct{})}
+	st, err := Open(Options{}, DurableOptions{Dir: t.TempDir(), CheckpointInterval: -1, CheckpointBytes: -1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walCounters := func() map[string]uint64 {
+		root := metric.NewRegistry()
+		st.RegisterMetrics(root.Sub("store"))
+		out := make(map[string]uint64)
+		for name, v := range root.Snapshot() {
+			if c, ok := v.(uint64); ok && strings.HasPrefix(name, "store.wal.") {
+				out[name] = c
+			}
+		}
+		return out
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := st.Register(mustTable(t, name, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := walCounters()
+	if before["store.wal.appends"] != 3 || before["store.wal.syncs"] != 3 || before["store.wal.appended.bytes"] == 0 {
+		t.Fatalf("three registrations read as %v", before)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- st.Checkpoint() }()
+	<-fs.entered // the new log is published, the sealed one not yet closed
+	for name, got := range walCounters() {
+		if got < before[name] {
+			t.Errorf("%s went backwards across the rotation: %d, then %d", name, before[name], got)
+		}
+	}
+	close(fs.gate)
+	if err := <-done; err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	for name, got := range walCounters() {
+		if got < before[name] {
+			t.Errorf("%s went backwards after the rotation: %d, then %d", name, before[name], got)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
