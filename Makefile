@@ -109,13 +109,16 @@ crash-stress:
 # fault-stress is the degraded-mode gate: the seeded chaos workload
 # (50 cycles x -count=2 = 100 fault/recovery episodes under the race
 # detector), the store's degraded-lifecycle suite, the HTTP 503
-# envelope test, and the WAL/segment fault-schedule tests. Every
+# envelope test, the WAL/segment fault-schedule tests, the WAL commit
+# contract on a gated fsync (TestWALFault{FollowersShareOneSync,
+# FailedSyncFailsItsBatch,LoneAppenderSyncsEveryAppend}) and the
+# store.wal.* counters' monotonicity across a log rotation. Every
 # episode must lose zero acked mutations, fail fast while degraded,
 # and recover in bound. Set WTQ_CHAOS_CYCLES to change the episode
 # count.
 fault-stress:
 	WTQ_CHAOS_CYCLES=$${WTQ_CHAOS_CYCLES:-50} $(GO) test -race -count=2 -timeout 10m \
-		-run 'TestChaos|TestStoreDegraded|TestStoreClose|TestServerDegraded|TestWALFault|TestWALTorn|TestWALLying|TestSegmentWriteFault|TestSegmentZonesSurvive|TestManifestTorn' \
+		-run 'TestChaos|TestStoreDegraded|TestStoreClose|TestStoreWALCounters|TestServerDegraded|TestWALFault|TestWALTorn|TestWALLying|TestSegmentWriteFault|TestSegmentZonesSurvive|TestManifestTorn' \
 		./internal/workload/ ./internal/store/ ./internal/wal/ ./internal/segment/ ./cmd/wtq-server/
 
 # fuzz-wal runs the WAL replay fuzzer for a bounded window: any input

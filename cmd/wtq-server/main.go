@@ -40,14 +40,16 @@
 // (default 8 MiB) and reply 413 with code "too_large" beyond it.
 //
 // Durability: with -data-dir the store writes every catalog mutation
-// to a CRC-checked write-ahead log (group-committed within
-// -wal-sync-window) and periodically checkpoints tables into immutable
-// columnar segment files (-checkpoint-interval / -checkpoint-bytes).
-// On restart the server loads the last checkpoint, replays the WAL
-// tail, and resumes at the recovered generation; kill -9 loses at most
-// the unsynced group-commit window. SIGINT/SIGTERM shut down
-// gracefully, flushing and fsyncing the log. Without -data-dir the
-// store is purely in-memory, as before.
+// to a CRC-checked write-ahead log, fsynced before the mutation is
+// acknowledged (mutations that overlap share an fsync), and
+// periodically checkpoints tables into immutable columnar segment
+// files (-checkpoint-interval / -checkpoint-bytes). On restart the
+// server loads the last checkpoint, replays the WAL tail, and resumes
+// at the recovered generation. After kill -9 every acknowledged
+// mutation is on disk; one that was in flight and never acknowledged
+// may or may not be. SIGINT/SIGTERM shut down gracefully, flushing and
+// fsyncing the log. Without -data-dir the store is purely in-memory,
+// as before.
 //
 // Fault tolerance: a durability fault (failed WAL write or fsync) does
 // not take the node down. The store seals the damaged log and enters

@@ -465,7 +465,7 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 		}
 		return d.walStats().AppendedBytes
 	})
-	r.CounterFunc("wal.syncs", "wal fsync batches (group commits)", func() uint64 {
+	r.CounterFunc("wal.syncs", "wal fsyncs issued; < appends when appenders overlapped", func() uint64 {
 		if d == nil {
 			return 0
 		}
