@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"nlexplain/internal/fault"
-	"nlexplain/internal/metric"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/wal"
 )
@@ -481,44 +480,38 @@ func TestStoreWALCountersMonotoneAcrossRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walCounters := func() map[string]uint64 {
-		root := metric.NewRegistry()
-		st.RegisterMetrics(root.Sub("store"))
-		out := make(map[string]uint64)
-		for name, v := range root.Snapshot() {
-			if c, ok := v.(uint64); ok && strings.HasPrefix(name, "store.wal.") {
-				out[name] = c
-			}
-		}
-		return out
-	}
 	for _, name := range []string{"a", "b", "c"} {
 		if _, err := st.Register(mustTable(t, name, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := walCounters()
+	counters := []string{"store.wal.appends", "store.wal.appended.bytes", "store.wal.syncs",
+		"store.wal.replayed.records", "store.wal.truncated.bytes"}
+	before := make(map[string]int64)
+	for _, name := range counters {
+		before[name] = series(t, st, name)
+	}
 	if before["store.wal.appends"] != 3 || before["store.wal.syncs"] != 3 || before["store.wal.appended.bytes"] == 0 {
 		t.Fatalf("three registrations read as %v", before)
+	}
+	checkMonotone := func(when string) {
+		t.Helper()
+		for _, name := range counters {
+			if got := series(t, st, name); got < before[name] {
+				t.Errorf("%s went backwards %s the rotation: %d, then %d", name, when, before[name], got)
+			}
+		}
 	}
 
 	done := make(chan error, 1)
 	go func() { done <- st.Checkpoint() }()
 	<-fs.entered // the new log is published, the sealed one not yet closed
-	for name, got := range walCounters() {
-		if got < before[name] {
-			t.Errorf("%s went backwards across the rotation: %d, then %d", name, before[name], got)
-		}
-	}
+	checkMonotone("across")
 	close(fs.gate)
 	if err := <-done; err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	for name, got := range walCounters() {
-		if got < before[name] {
-			t.Errorf("%s went backwards after the rotation: %d, then %d", name, before[name], got)
-		}
-	}
+	checkMonotone("after")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -229,10 +229,12 @@ func parkedLeader(t *testing.T, path string, secondErr error) (w *WAL, fs *gateF
 		start(i)
 	}
 	const framed = headerBytes + 1 + 2
-	for deadline := time.Now().Add(10 * time.Second); w.Size() < appenders*framed; time.Sleep(100 * time.Microsecond) {
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Size() < appenders*framed {
 		if time.Now().After(deadline) {
 			t.Fatalf("followers never buffered: size=%d", w.Size())
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	return w, fs, gate, errs
 }

@@ -308,7 +308,9 @@ func (w *WAL) syncTo(seq uint64) error {
 		w.err = err
 		return err
 	}
-	w.syncedSeq = target
+	if target > w.syncedSeq {
+		w.syncedSeq = target
+	}
 	w.syncs.Add(1)
 	return nil
 }
