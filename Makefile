@@ -20,14 +20,16 @@ build:
 test: parse-footprint
 	$(GO) test -race ./...
 
-# parse-footprint runs the two gates on the NL-parse path that do not
-# read the clock — live heap per published parse-cache entry and
+# parse-footprint runs the engine's gates that do not read the clock:
+# on the NL-parse path, live heap per published parse-cache entry and
 # allocations per parsed question, over the corpus semparse's golden
-# hashes pin. They are measurements, which the race detector distorts
-# (the tests skip themselves under it), so test and cover, both -race,
-# run them first without it.
+# hashes pin; on the explain path, allocations and bytes per cache miss
+# for each of the benchmark's four query families. They are
+# measurements, which the race detector distorts (the tests skip
+# themselves under it), so test and cover, both -race, run them first
+# without it.
 parse-footprint:
-	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion' -count=1 ./internal/engine/
+	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs' -count=1 ./internal/engine/
 
 vet:
 	$(GO) vet ./...

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -114,5 +115,57 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 	t.Logf("%d questions, %.0f allocations per question", len(corpus), perQuestion)
 	if perQuestion > bound {
 		t.Errorf("a parse makes %.0f allocations, want at most %d", perQuestion, bound)
+	}
+}
+
+// TestExplainMissAllocs bounds the garbage of an explanation-cache
+// miss, family by family of the benchmark's four, on a 120-row table
+// Section 5.3 sampling applies to: heap allocations and bytes of one
+// uncached ExplainCached, from the cache probe to the published
+// explanation, hand-off to the pipeline goroutine included. The bounds
+// are the counts as measured; they repeat to the byte.
+func TestExplainMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	bounds := map[string]struct{ allocs, bytes float64 }{
+		"lookup":      {197, 84_280},
+		"comparative": {231, 103_288},
+		"superlative": {214, 91_000},
+		"aggregate":   {230, 78_784},
+	}
+	// One cache entry: every query of a family evicts the one before
+	// it, so each call of a pass over the family misses.
+	e := New(Options{CacheSize: 1, Workers: 1})
+	if _, err := e.RegisterTable(gamesTable()); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range gamesFamilies {
+		pass := func() {
+			for _, q := range fam.queries {
+				if _, cached, err := e.ExplainCached(context.Background(), "games", q); err != nil || cached {
+					t.Fatalf("%s: cached=%v err=%v, want an uncached explanation", q, cached, err)
+				}
+			}
+		}
+		pass() // warm the executor's pools and the table's lazy indexes
+		// A collection between two reads empties the executor's pools and
+		// so adds to a pass; nothing subtracts. The least of five passes
+		// is the pipeline's own count.
+		allocs, bytes := math.Inf(1), math.Inf(1)
+		n := float64(len(fam.queries))
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pass()
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/n)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
+		}
+		t.Logf("%-11s %4.0f allocations, %6.0f bytes per miss", fam.name, allocs, bytes)
+		if b := bounds[fam.name]; allocs > b.allocs || bytes > b.bytes {
+			t.Errorf("%s: a miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
+				fam.name, allocs, bytes, b.allocs, b.bytes)
+		}
 	}
 }
