@@ -177,7 +177,8 @@ func TestPlanPooledReuseStaysDifferential(t *testing.T) {
 // so every scan the plan path runs goes through the zone verdict
 // layer. Any parseable, checkable query must produce identical
 // denotations and witness cells on the plan path and the legacy
-// interpreter, and error exactly when the interpreter errors.
+// interpreter, error exactly when the interpreter errors, and report
+// every operator's cells to the tracer in ascending order.
 func FuzzPlanDifferential(f *testing.F) {
 	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
@@ -211,7 +212,7 @@ func FuzzPlanDifferential(f *testing.F) {
 			return
 		}
 		want, werr := ExecuteInterpreted(e, tab)
-		got, gerr := Execute(e, tab)
+		got, gerr := executeOrdered(t, e, tab)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%q: error divergence: interpreter=%v plan=%v", src, werr, gerr)
 		}

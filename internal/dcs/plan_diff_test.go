@@ -218,6 +218,41 @@ func assertSameResult(t *testing.T, want, got *Result, cells bool) {
 	}
 }
 
+// orderTracer checks the promise plan.Tracer.Operator makes and the
+// provenance tracer leans on: every operator hands over its witness
+// cells strictly ascending row-major — sorted and duplicate-free.
+type orderTracer struct {
+	t   testing.TB
+	src string
+}
+
+func (orderTracer) Active() bool { return true }
+
+func (o orderTracer) Operator(op string, cells []table.CellRef) {
+	for i := 1; i < len(cells); i++ {
+		if !cells[i-1].Less(cells[i]) {
+			o.t.Errorf("%s: operator %s reports %v before %v (cell %d of %d)", o.src, op, cells[i-1], cells[i], i, len(cells))
+			return
+		}
+	}
+}
+
+// executeOrdered is Execute under an orderTracer, the root's detached
+// Result.Cells held to the same promise.
+func executeOrdered(t testing.TB, e Expr, tab *table.Table) (*Result, error) {
+	t.Helper()
+	c, err := Compile(e, tab)
+	if err != nil {
+		return nil, err
+	}
+	tr := orderTracer{t, e.String()}
+	res, err := c.ExecuteWith(tab, tr)
+	if err == nil {
+		tr.Operator("result", res.Cells)
+	}
+	return res, err
+}
+
 // TestPlanDifferentialNaN pins the interpreter's NaN behaviour on the
 // plan path: range comparisons against a NaN literal (where binary
 // search on the sorted index would invert partitions) and entity
@@ -322,7 +357,8 @@ func TestResultRowsDoNotAliasTableIndex(t *testing.T) {
 // skipping enabled). The reference run is serial with zone skipping
 // disabled, so a verdict bug in either the parallel kernels or the
 // zone layer diverges. Answers, witness cells and error texts must
-// match exactly.
+// match exactly, and on both legs every operator's cells must arrive in
+// the order plan.Tracer promises.
 func TestPlanDifferentialParallel(t *testing.T) {
 	prevW := plan.SetExecWorkers(8)
 	prevT := plan.SetParallelThreshold(1)
@@ -344,10 +380,10 @@ func TestPlanDifferentialParallel(t *testing.T) {
 			}
 			plan.SetExecWorkers(1)
 			plan.SetZoneSkipping(false)
-			want, werr := Execute(e, tab)
+			want, werr := executeOrdered(t, e, tab)
 			plan.SetExecWorkers(8)
 			plan.SetZoneSkipping(true)
-			got, gerr := Execute(e, tab)
+			got, gerr := executeOrdered(t, e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)
 			}
@@ -379,7 +415,7 @@ func TestPlanDifferentialParallelFractions(t *testing.T) {
 		}
 		for _, workers := range []int{1, 8} {
 			plan.SetExecWorkers(workers)
-			got, err := Execute(e, tab)
+			got, err := executeOrdered(t, e, tab)
 			if err != nil {
 				t.Fatal(err)
 			}
