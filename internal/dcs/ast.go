@@ -466,19 +466,3 @@ func Subqueries(e Expr) []Expr {
 // Size returns the number of AST nodes, a simple complexity measure (the
 // semantic parser's size feature counts the same nodes).
 func Size(e Expr) int { return len(Subqueries(e)) }
-
-// Aggregates returns the aggregate functions appearing anywhere in e,
-// outermost first, for the header markers of Algorithm 1.
-func Aggregates(e Expr) []AggrFn {
-	var out []AggrFn
-	for _, q := range Subqueries(e) {
-		if a, ok := q.(*Aggregate); ok {
-			out = append(out, a.Fn)
-		}
-		if m, ok := q.(*MostFrequent); ok {
-			_ = m
-			out = append(out, Count)
-		}
-	}
-	return out
-}

@@ -273,7 +273,7 @@ func execIntersect(x *Intersect, t *table.Table) (*Result, error) {
 		}
 	}
 	// Table 10: PO(records1 ⊓ records2) = PO(records1) ∩ PO(records2).
-	lset := table.NewCellSet(l.Cells...)
+	lset := table.CellSet(l.Cells)
 	var cells []table.CellRef
 	for _, c := range r.Cells {
 		if lset.Contains(c) {

@@ -201,15 +201,3 @@ func TestSubqueriesAndSize(t *testing.T) {
 		t.Errorf("Size = %d", Size(e))
 	}
 }
-
-func TestAggregatesHelper(t *testing.T) {
-	e := MustParse("sub(count(City.Athens), count(City.London))")
-	ags := Aggregates(e)
-	if len(ags) != 2 || ags[0] != Count || ags[1] != Count {
-		t.Errorf("Aggregates = %v", ags)
-	}
-	e = MustParse("argmax(Values[City], R[λx.count(City.x)])")
-	if ags := Aggregates(e); len(ags) != 1 || ags[0] != Count {
-		t.Errorf("Aggregates of most-frequent = %v", ags)
-	}
-}

@@ -393,32 +393,19 @@ func (e *Engine) TableDetails() []TableDetail {
 	return out
 }
 
-// ProvCell is one provenance cell reference on the wire.
-type ProvCell struct {
-	Row int `json:"row"`
-	Col int `json:"col"`
-}
-
 // ProvJSON is the multilevel provenance Prov(Q,T) = (PO, PE, PC) in
-// wire form, with cells sorted row-major per level.
+// wire form: the levels as the pipeline holds them, each cell a
+// {"row", "col"} object, sorted row-major per level.
 type ProvJSON struct {
-	Output      []ProvCell        `json:"output"`
-	Execution   []ProvCell        `json:"execution"`
-	Columns     []ProvCell        `json:"columns"`
+	Output      table.CellSet     `json:"output"`
+	Execution   table.CellSet     `json:"execution"`
+	Columns     table.CellSet     `json:"columns"`
 	Aggrs       []string          `json:"aggrs,omitempty"`
 	HeaderAggrs map[string]string `json:"header_aggrs,omitempty"` // column name -> fn
 }
 
 func provJSON(t *table.Table, p *provenance.Prov) ProvJSON {
-	conv := func(cells []table.CellRef) []ProvCell {
-		out := make([]ProvCell, len(cells))
-		for i, c := range cells {
-			out[i] = ProvCell{Row: c.Row, Col: c.Col}
-		}
-		return out
-	}
-	po, pe, pc := p.Levels()
-	j := ProvJSON{Output: conv(po), Execution: conv(pe), Columns: conv(pc)}
+	j := ProvJSON{Output: p.Output, Execution: p.Execution, Columns: p.Columns}
 	for _, fn := range p.Aggrs {
 		j.Aggrs = append(j.Aggrs, string(fn))
 	}

@@ -18,7 +18,7 @@ import (
 // source record index, or the computed-row sentinel -1).
 //
 // Cells carries the node's PO witness cells (sorted row-major,
-// duplicate-free — the table.SortedCells form), computed only under an
+// duplicate-free — the table.CellSet form), computed only under an
 // active Tracer; with an inactive tracer it is always nil.
 //
 // During execution Vals and their slices live in a pooled per-run

@@ -2,7 +2,8 @@ package provenance
 
 import (
 	"context"
-	"sort"
+	"iter"
+	"slices"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
@@ -39,13 +40,10 @@ func (m Marking) String() string {
 	}
 }
 
-// Highlights is the result of Algorithm 1: the provenance sets plus the
-// strongest marking of every involved cell.
+// Highlights is the result of Algorithm 1: the provenance sets, read as
+// the strongest marking of every involved cell.
 type Highlights struct {
 	Prov *Prov
-	// marks holds the strongest marking per cell; cells absent from the
-	// map are unrelated to the query.
-	marks map[table.CellRef]Marking
 }
 
 // Highlight implements Algorithm 1 (Highlight(Q, T, output=true)): it
@@ -57,7 +55,7 @@ func Highlight(q dcs.Expr, t *table.Table) (*Highlights, error) {
 	if err != nil {
 		return nil, err
 	}
-	return markProv(p), nil
+	return &Highlights{Prov: p}, nil
 }
 
 // HighlightCompiledCtx is Highlight for an already-compiled query, with
@@ -70,29 +68,29 @@ func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return markProv(p), res, nil
+	return &Highlights{Prov: p}, res, nil
 }
 
-func markProv(p *Prov) *Highlights {
-	h := &Highlights{Prov: p, marks: make(map[table.CellRef]Marking, len(p.Columns))}
-	for c := range p.Columns {
-		h.marks[c] = Lit
+// Marking returns the marking of a cell: the innermost level of the
+// chain PO ⊆ PE ⊆ PC that holds it, found by binary search from the
+// widest level in, so a cell outside every mentioned column — most of a
+// table — costs one search.
+func (h *Highlights) Marking(c table.CellRef) Marking {
+	p := h.Prov
+	switch {
+	case !p.Columns.Contains(c):
+		return None
+	case !p.Execution.Contains(c):
+		return Lit
+	case !p.Output.Contains(c):
+		return Framed
 	}
-	for c := range p.Execution {
-		h.marks[c] = Framed
-	}
-	for c := range p.Output {
-		h.marks[c] = Colored
-	}
-	return h
+	return Colored
 }
-
-// Marking returns the marking of a cell.
-func (h *Highlights) Marking(c table.CellRef) Marking { return h.marks[c] }
 
 // MarkingAt returns the marking of the cell at (row, col).
 func (h *Highlights) MarkingAt(row, col int) Marking {
-	return h.marks[table.CellRef{Row: row, Col: col}]
+	return h.Marking(table.CellRef{Row: row, Col: col})
 }
 
 // HeaderAggr returns the aggregate function marked on a column header,
@@ -103,13 +101,14 @@ func (h *Highlights) HeaderAggr(col int) (dcs.AggrFn, bool) {
 }
 
 // CountByMarking tallies cells per marking, a convenience for tests and
-// experiment reports.
+// experiment reports: each level's cells less the level inside it.
 func (h *Highlights) CountByMarking() map[Marking]int {
-	out := make(map[Marking]int)
-	for _, m := range h.marks {
-		out[m]++
+	p := h.Prov
+	return map[Marking]int{
+		Colored: len(p.Output),
+		Framed:  len(p.Execution) - len(p.Output),
+		Lit:     len(p.Columns) - len(p.Execution),
 	}
-	return out
 }
 
 // Sample implements the record sampling of Section 5.3 for scaling
@@ -117,51 +116,43 @@ func (h *Highlights) CountByMarking() map[Marking]int {
 // one from RC∖RE, each the earliest such record; queries containing an
 // arithmetic difference contribute one record per subtracted operand
 // (Figure 7 shows the resulting three-row rendering). Records are
-// returned in table order.
+// returned in table order, and as an empty list — not nil, which
+// renderers read as "every record" — when nothing is highlighted.
 func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
-	chosen := make(map[int]bool)
-	add := func(rows []int) {
-		if len(rows) > 0 {
-			chosen[rows[0]] = true
+	p := h.Prov
+	// Two operands or one output record, then one per stratum.
+	chosen := make([]int, 0, 4)
+	// Row-major order puts a set's earliest record in its first cell.
+	addFirst := func(cells []table.CellRef) {
+		if len(cells) > 0 && !slices.Contains(chosen, cells[0].Row) {
+			chosen = append(chosen, cells[0].Row)
 		}
 	}
-
-	ro := table.NewCellSet(h.Prov.Output.Sorted()...)
-	re := h.Prov.Execution.Minus(h.Prov.Output)
-	rc := h.Prov.Columns.Minus(h.Prov.Execution)
+	// A stratum is a difference of levels, cell by cell; it contributes
+	// its earliest record not chosen yet, a fresh representative.
+	addFresh := func(stratum iter.Seq[table.CellRef]) {
+		for c := range stratum {
+			if !slices.Contains(chosen, c.Row) {
+				chosen = append(chosen, c.Row)
+				return
+			}
+		}
+	}
 
 	// Difference queries contribute one output record per operand.
 	if sub := findSub(q); sub != nil {
 		for _, side := range []dcs.Expr{sub.L, sub.R} {
 			if r, err := dcs.Execute(side, t); err == nil {
-				set := table.NewCellSet(r.Cells...)
-				add(set.Rows())
+				addFirst(r.Cells)
 			}
 		}
 	} else {
-		add(ro.Rows())
+		addFirst(p.Output)
 	}
-	add(stratumRows(re, chosen))
-	add(stratumRows(rc, chosen))
-
-	out := make([]int, 0, len(chosen))
-	for r := range chosen {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// stratumRows returns the rows of a stratum excluding already-chosen
-// records, so each stratum contributes a fresh representative.
-func stratumRows(s table.CellSet, chosen map[int]bool) []int {
-	var out []int
-	for _, r := range s.Rows() {
-		if !chosen[r] {
-			out = append(out, r)
-		}
-	}
-	return out
+	addFresh(table.DiffSortedCells(p.Execution, p.Output))
+	addFresh(table.DiffSortedCells(p.Columns, p.Execution))
+	slices.Sort(chosen)
+	return chosen
 }
 
 // findSub locates the outermost arithmetic difference in q, if any.

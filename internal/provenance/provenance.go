@@ -20,6 +20,7 @@ package provenance
 
 import (
 	"context"
+	"slices"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
@@ -27,7 +28,9 @@ import (
 
 // Prov is the multilevel cell-based provenance Prov(Q,T) =
 // (PO, PE, PC) of Definition 4.2, together with the aggregate functions
-// involved in the execution and their header positions.
+// involved in the execution and their header positions. Each level is a
+// table.CellSet — row-major sorted, duplicate-free, never nil — from
+// the executor that produced its cells to the wire that lists them.
 type Prov struct {
 	// Output is PO(Q,T): output/witness cells.
 	Output table.CellSet
@@ -41,7 +44,7 @@ type Prov struct {
 	Aggrs []dcs.AggrFn
 	// HeaderAggrs maps a column index to the aggregate function marked
 	// on its header by MarkColumnHeader (Algorithm 1, line 5) — e.g.
-	// MAX(Year) in Figure 1.
+	// MAX(Year) in Figure 1. Nil for a query without aggregates.
 	HeaderAggrs map[int]dcs.AggrFn
 }
 
@@ -69,51 +72,59 @@ func Compute(q dcs.Expr, t *table.Table) (*Prov, error) {
 // for exactly one execution.
 func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*Prov, *dcs.Result, error) {
 	q := c.Expr
-	p := &Prov{
-		Output:      make(table.CellSet),
-		Execution:   make(table.CellSet),
-		Columns:     make(table.CellSet),
-		HeaderAggrs: make(map[int]dcs.AggrFn),
-	}
-
 	tr := NewCellTracer()
 	top, err := c.ExecuteWithCtx(ctx, t, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Output.AddAll(top.Cells)
-	p.Execution.Union(tr.Cells)
+	p := &Prov{}
+
+	// PO is the root's witness cells as the executor returns them, PE
+	// the tracer's union. The root reports to the tracer like every
+	// operator and every witness cell lives in a mentioned column, so
+	// the chain PO ⊆ PE ⊆ PC holds already; handing PO to the tracer
+	// once more and merging PE into PC make it structural. A level is
+	// never nil: an empty one lists as [] on the wire, not as null.
+	p.Output = top.Cells
+	if p.Output == nil {
+		p.Output = table.CellSet{}
+	}
+	tr.Operator("output", p.Output)
+	p.Execution = tr.Cells()
 
 	// PC: all cells of every projected or aggregated column (Equation 3).
+	var cols []int
 	for _, colName := range dcs.Columns(q) {
-		col, ok := t.ColumnIndex(colName)
-		if !ok {
-			continue // unreachable after Check
+		if col, ok := t.ColumnIndex(colName); ok { // always, after Check
+			cols = append(cols, col)
 		}
-		p.Columns.AddAll(t.ColumnCells(col))
 	}
+	slices.Sort(cols)
+	pc := t.ColumnCells(slices.Compact(cols)...)
+	p.Columns = table.MergeSortedCells(make(table.CellSet, 0, len(pc)), pc, p.Execution)
 
-	// The chain property PO ⊆ PE ⊆ PC holds by construction for PO/PE;
-	// for PC it holds because every witness cell lives in a mentioned
-	// column. Union PE into PC defensively so the invariant is structural.
-	p.Execution.Union(p.Output)
-	p.Columns.Union(p.Execution)
-
-	// Aggregate functions and their header markers (Algorithm 1, l. 4-5).
-	p.Aggrs = dcs.Aggregates(q)
+	// Aggregate functions, outermost first, and their header markers
+	// (Algorithm 1, l. 4-5): a header keeps the first function marked
+	// on it.
+	mark := func(col int, fn dcs.AggrFn) {
+		if p.HeaderAggrs == nil {
+			p.HeaderAggrs = make(map[int]dcs.AggrFn)
+		}
+		if _, taken := p.HeaderAggrs[col]; !taken {
+			p.HeaderAggrs[col] = fn
+		}
+	}
 	for _, sub := range dcs.Subqueries(q) {
 		switch x := sub.(type) {
 		case *dcs.Aggregate:
+			p.Aggrs = append(p.Aggrs, x.Fn)
 			if col, ok := aggregateHeaderColumn(x, t); ok {
-				if _, taken := p.HeaderAggrs[col]; !taken {
-					p.HeaderAggrs[col] = x.Fn
-				}
+				mark(col, x.Fn)
 			}
 		case *dcs.MostFrequent:
+			p.Aggrs = append(p.Aggrs, dcs.Count)
 			if col, ok := t.ColumnIndex(x.Column); ok {
-				if _, taken := p.HeaderAggrs[col]; !taken {
-					p.HeaderAggrs[col] = dcs.Count
-				}
+				mark(col, dcs.Count)
 			}
 		}
 	}
@@ -147,10 +158,3 @@ func (p *Prov) ExecutionRows() []int { return p.Execution.Rows() }
 
 // ColumnRows returns the sorted records touched by PC.
 func (p *Prov) ColumnRows() []int { return p.Columns.Rows() }
-
-// Levels returns the three provenance sets as row-major sorted cell
-// lists (PO, PE, PC) — the deterministic form serializers and the
-// wtq-server wire format use.
-func (p *Prov) Levels() (po, pe, pc []table.CellRef) {
-	return p.Output.Sorted(), p.Execution.Sorted(), p.Columns.Sorted()
-}

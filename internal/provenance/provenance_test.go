@@ -47,12 +47,13 @@ func compute(t testing.TB, tab *table.Table, src string) *Prov {
 	return p
 }
 
+// cells brings (row, col) pairs, in any order, into the sorted form.
 func cells(refs ...[2]int) table.CellSet {
-	s := make(table.CellSet)
+	var s []table.CellRef
 	for _, r := range refs {
-		s.Add(table.CellRef{Row: r[0], Col: r[1]})
+		s = append(s, table.CellRef{Row: r[0], Col: r[1]})
 	}
-	return s
+	return table.DedupCells(s)
 }
 
 func wantSet(t testing.TB, name string, got, want table.CellSet) {
@@ -76,12 +77,11 @@ func TestExample43(t *testing.T) {
 		cells([2]int{0, 0}, [2]int{2, 0}, [2]int{0, 2}, [2]int{2, 2}))
 
 	// PC: every cell of columns Year and City.
-	want := make(table.CellSet)
+	var want [][2]int
 	for r := 0; r < tab.NumRows(); r++ {
-		want.Add(table.CellRef{Row: r, Col: 0})
-		want.Add(table.CellRef{Row: r, Col: 2})
+		want = append(want, [2]int{r, 2}, [2]int{r, 0})
 	}
-	wantSet(t, "PC", p.Columns, want)
+	wantSet(t, "PC", p.Columns, cells(want...))
 }
 
 // TestExample52 reproduces Example 5.2 / Figure 6: the difference query
@@ -172,6 +172,19 @@ func TestCountHeaderMarker(t *testing.T) {
 	if fn, ok := h.HeaderAggr(cityCol); !ok || fn != dcs.Count {
 		t.Errorf("HeaderAggr(City) = %v,%v, want count", fn, ok)
 	}
+	// Both counts of a difference are members of the provenance, and
+	// the one header carries the one marker.
+	p := compute(t, tab, "sub(count(City.Athens), count(City.London))")
+	if len(p.Aggrs) != 2 || p.Aggrs[0] != dcs.Count || p.Aggrs[1] != dcs.Count {
+		t.Errorf("Aggrs = %v, want two counts", p.Aggrs)
+	}
+	if len(p.HeaderAggrs) != 1 || p.HeaderAggrs[cityCol] != dcs.Count {
+		t.Errorf("HeaderAggrs = %v, want count on City alone", p.HeaderAggrs)
+	}
+	// A query without aggregates marks none.
+	if p := compute(t, tab, "City.Athens"); len(p.Aggrs) != 0 || len(p.HeaderAggrs) != 0 {
+		t.Errorf("Aggrs = %v, HeaderAggrs = %v, want none", p.Aggrs, p.HeaderAggrs)
+	}
 }
 
 func TestMostFrequentHeaderMarker(t *testing.T) {
@@ -183,6 +196,10 @@ func TestMostFrequentHeaderMarker(t *testing.T) {
 	cityCol, _ := tab.ColumnIndex("City")
 	if fn, ok := h.HeaderAggr(cityCol); !ok || fn != dcs.Count {
 		t.Errorf("HeaderAggr(City) = %v,%v, want count", fn, ok)
+	}
+	// The most-frequent superlative counts occurrences: one count.
+	if len(h.Prov.Aggrs) != 1 || h.Prov.Aggrs[0] != dcs.Count {
+		t.Errorf("Aggrs of most-frequent = %v, want one count", h.Prov.Aggrs)
 	}
 }
 

@@ -17,26 +17,37 @@ type Tracer = plan.Tracer
 // cell bookkeeping, the fast path for answer-only traffic.
 type NoopTracer = plan.Noop
 
-// CellTracer accumulates the union of every operator's PO witness
-// cells during one plan execution. Because plan operators correspond
-// one-to-one to query sub-expressions (and the rewriter only applies
-// PO-preserving rules), the accumulated union equals PE(Q,T) — the
-// union of PO over QSUB (Equation 2) — without re-executing each
-// sub-query.
+// CellTracer accumulates every operator's PO witness cells during one
+// plan execution. Because plan operators correspond one-to-one to
+// query sub-expressions (and the rewriter only applies PO-preserving
+// rules), their union equals PE(Q,T) — the union of PO over QSUB
+// (Equation 2) — without re-executing each sub-query.
 type CellTracer struct {
-	// Cells is the accumulated union; allocate with NewCellTracer.
-	Cells table.CellSet
+	// cells is the operators' reports end to end: sorted runs, not yet
+	// one sorted set.
+	cells []table.CellRef
 }
 
-// NewCellTracer returns a CellTracer with an empty accumulator.
+// NewCellTracer returns a CellTracer that has seen no operator, with
+// room for the reports of a selective query before it has to grow.
 func NewCellTracer() *CellTracer {
-	return &CellTracer{Cells: make(table.CellSet)}
+	return &CellTracer{cells: make([]table.CellRef, 0, 32)}
 }
 
 // Active reports true: every operator computes its witness cells.
 func (c *CellTracer) Active() bool { return true }
 
-// Operator folds one operator's witness cells into the union.
+// Operator keeps one operator's witness cells. They live in the
+// execution's arena, so they are copied; bringing the runs into one
+// set waits for Cells.
 func (c *CellTracer) Operator(_ string, cells []table.CellRef) {
-	c.Cells.AddAll(cells)
+	c.cells = append(c.cells, cells...)
+}
+
+// Cells returns the union of every report so far — sorted,
+// duplicate-free, never nil — normalising the accumulated runs in
+// place.
+func (c *CellTracer) Cells() table.CellSet {
+	c.cells = table.DedupCells(c.cells)
+	return c.cells
 }

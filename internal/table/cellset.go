@@ -1,125 +1,22 @@
 package table
 
 import (
-	"sort"
+	"iter"
 	"strings"
 )
 
 // CellSet is a set of cell references, the codomain of the provenance
-// functions P∗(Q,T) of Definition 4.1.
-type CellSet map[CellRef]struct{}
-
-// NewCellSet builds a set from the given references.
-func NewCellSet(cells ...CellRef) CellSet {
-	s := make(CellSet, len(cells))
-	for _, c := range cells {
-		s[c] = struct{}{}
-	}
-	return s
-}
-
-// Add inserts a reference.
-func (s CellSet) Add(c CellRef) { s[c] = struct{}{} }
-
-// AddAll inserts every reference in cells.
-func (s CellSet) AddAll(cells []CellRef) {
-	for _, c := range cells {
-		s[c] = struct{}{}
-	}
-}
-
-// Union inserts every member of o into s.
-func (s CellSet) Union(o CellSet) {
-	for c := range o {
-		s[c] = struct{}{}
-	}
-}
-
-// Contains reports membership.
-func (s CellSet) Contains(c CellRef) bool {
-	_, ok := s[c]
-	return ok
-}
-
-// SubsetOf reports whether every member of s is in o. The provenance
-// chain PO ⊆ PE ⊆ PC of Definition 4.1 is verified with this.
-func (s CellSet) SubsetOf(o CellSet) bool {
-	for c := range s {
-		if !o.Contains(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersect returns a new set holding the members common to s and o.
-func (s CellSet) Intersect(o CellSet) CellSet {
-	out := make(CellSet)
-	for c := range s {
-		if o.Contains(c) {
-			out.Add(c)
-		}
-	}
-	return out
-}
-
-// Minus returns a new set holding the members of s not in o.
-func (s CellSet) Minus(o CellSet) CellSet {
-	out := make(CellSet)
-	for c := range s {
-		if !o.Contains(c) {
-			out.Add(c)
-		}
-	}
-	return out
-}
-
-// Clone returns an independent copy.
-func (s CellSet) Clone() CellSet {
-	out := make(CellSet, len(s))
-	for c := range s {
-		out[c] = struct{}{}
-	}
-	return out
-}
-
-// Sorted returns the members in row-major order.
-func (s CellSet) Sorted() []CellRef {
-	out := make([]CellRef, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Rows returns the sorted distinct record indices touched by the set —
-// the record-set projection R∗(Q,T) used for sampling in Section 5.3.
-func (s CellSet) Rows() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for c := range s {
-		if !seen[c.Row] {
-			seen[c.Row] = true
-			out = append(out, c.Row)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// SortedCells is the small sorted-slice representation of a cell set:
-// a row-major sorted, duplicate-free []CellRef viewed as a set. The
-// plan executor keeps every witness-cell set in this form (its Val
-// invariant), so set algebra on the execution hot path — intersection,
-// union, membership — runs as merge walks and binary searches over
-// slices instead of through CellSet maps, allocating nothing beyond
-// the output slice. Convert to the map form with NewCellSet when
-// incremental mutation is needed (the provenance accumulators).
-type SortedCells []CellRef
+// functions P∗(Q,T) of Definition 4.1, held in its one canonical form:
+// a row-major sorted, duplicate-free []CellRef. The plan executor
+// produces every witness-cell set in this form (its Val invariant) and
+// a provenance level stays in it up to the wire, so set algebra —
+// intersection, union, difference, inclusion, membership — runs as
+// merge walks and binary searches, allocating nothing beyond an output
+// slice. DedupCells brings an arbitrary []CellRef into the form.
+type CellSet []CellRef
 
 // Contains reports membership by binary search.
-func (s SortedCells) Contains(c CellRef) bool {
+func (s CellSet) Contains(c CellRef) bool {
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -132,10 +29,40 @@ func (s SortedCells) Contains(c CellRef) bool {
 	return lo < len(s) && s[lo] == c
 }
 
-// IntersectSortedCells appends the cells common to a and b — both
-// row-major sorted and duplicate-free — onto dst (usually dst = a
-// scratch slice with len 0) and returns it, sorted and duplicate-free.
-func IntersectSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
+// SubsetOf reports whether every member of s is in o, in one merge
+// walk. The provenance chain PO ⊆ PE ⊆ PC of Definition 4.1 is
+// verified with this.
+func (s CellSet) SubsetOf(o CellSet) bool {
+	j := 0
+	for _, c := range s {
+		for j < len(o) && o[j].Less(c) {
+			j++
+		}
+		if j == len(o) || o[j] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// Rows returns the sorted distinct record indices touched by the set —
+// the record-set projection R∗(Q,T) used for sampling in Section 5.3.
+// Row-major order puts a record's cells side by side, so one pass
+// suffices.
+func (s CellSet) Rows() []int {
+	var out []int
+	for _, c := range s {
+		if len(out) == 0 || out[len(out)-1] != c.Row {
+			out = append(out, c.Row)
+		}
+	}
+	return out
+}
+
+// IntersectSortedCells appends the cells common to a and b onto dst
+// (usually a scratch slice with len 0) and returns it, sorted and
+// duplicate-free.
+func IntersectSortedCells(dst []CellRef, a, b CellSet) []CellRef {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -152,10 +79,9 @@ func IntersectSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
 	return dst
 }
 
-// MergeSortedCells appends the union of a and b — both row-major
-// sorted and duplicate-free — onto dst and returns it, sorted and
-// duplicate-free.
-func MergeSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
+// MergeSortedCells appends the union of a and b onto dst and returns
+// it, sorted and duplicate-free.
+func MergeSortedCells(dst []CellRef, a, b CellSet) []CellRef {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -175,11 +101,32 @@ func MergeSortedCells(dst []CellRef, a, b SortedCells) []CellRef {
 	return append(dst, b[j:]...)
 }
 
-// String renders the set as a sorted list, for test failure messages.
+// DiffSortedCells walks the cells of a that are not in b, in order. It
+// is an iterator where its siblings append: record sampling stops at
+// the first cell of a stratum PE∖PO or PC∖PE that lies on a fresh
+// record, and never needs the difference whole.
+func DiffSortedCells(a, b CellSet) iter.Seq[CellRef] {
+	return func(yield func(CellRef) bool) {
+		j := 0
+		for _, c := range a {
+			for j < len(b) && b[j].Less(c) {
+				j++
+			}
+			if j < len(b) && b[j] == c {
+				continue
+			}
+			if !yield(c) {
+				return
+			}
+		}
+	}
+}
+
+// String renders the set as a list, for test failure messages.
 func (s CellSet) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, c := range s.Sorted() {
+	for i, c := range s {
 		if i > 0 {
 			b.WriteByte(' ')
 		}

@@ -10,10 +10,11 @@ import (
 )
 
 // CellRef identifies one cell by record index (row) and column index.
-// It is the unit of the cell-based provenance model of Section 4.
+// It is the unit of the cell-based provenance model of Section 4; its
+// JSON form is how a provenance level lists its cells on the wire.
 type CellRef struct {
-	Row int
-	Col int
+	Row int `json:"row"`
+	Col int `json:"col"`
 }
 
 // String renders the reference as "(row,col)".
@@ -299,12 +300,16 @@ func (t *Table) RowsForKey(col int, key string) []int {
 	return cd.kb.groupRows(int(g))
 }
 
-// ColumnCells returns the cell references of every cell in column col,
-// in record order. This is the PC provenance primitive.
-func (t *Table) ColumnCells(col int) []CellRef {
-	out := make([]CellRef, t.rows)
-	for r := range out {
-		out[r] = CellRef{Row: r, Col: col}
+// ColumnCells returns the cell references of every cell in the given
+// columns, row-major — the column provenance PC of Definition 4.1 for
+// the columns a query mentions. With cols ascending and distinct the
+// result is a CellSet.
+func (t *Table) ColumnCells(cols ...int) []CellRef {
+	out := make([]CellRef, 0, t.rows*len(cols))
+	for r := 0; r < t.rows; r++ {
+		for _, col := range cols {
+			out = append(out, CellRef{Row: r, Col: col})
+		}
 	}
 	return out
 }
@@ -335,8 +340,8 @@ func compareCells(a, b CellRef) int {
 }
 
 // DedupCells returns the distinct cells of the slice, sorted
-// row-major — the canonical witness-cell form shared by the plan
-// executor and the legacy interpreters. The input is sorted and
+// row-major — the CellSet form, shared by the plan executor, the
+// provenance levels and the legacy interpreters. The input is sorted and
 // compacted in place (callers pass freshly built concatenations), so
 // the whole operation is map- and allocation-free.
 func DedupCells(cells []CellRef) []CellRef {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,32 +141,53 @@ func TestTableString(t *testing.T) {
 	}
 }
 
+// cellSet brings refs, in any order and with repeats, into the
+// canonical form.
+func cellSet(refs ...CellRef) CellSet { return DedupCells(refs) }
+
 func TestCellSetOperations(t *testing.T) {
-	a := NewCellSet(CellRef{0, 0}, CellRef{1, 1})
-	b := NewCellSet(CellRef{1, 1}, CellRef{2, 2})
+	a := cellSet(CellRef{0, 0}, CellRef{1, 1})
+	b := cellSet(CellRef{2, 2}, CellRef{1, 1})
 	if !a.Contains(CellRef{0, 0}) || a.Contains(CellRef{2, 2}) {
 		t.Error("Contains broken")
 	}
-	u := a.Clone()
-	u.Union(b)
+	u := CellSet(MergeSortedCells(nil, a, b))
 	if len(u) != 3 {
 		t.Errorf("union size = %d, want 3", len(u))
 	}
-	i := a.Intersect(b)
+	i := CellSet(IntersectSortedCells(nil, a, b))
 	if len(i) != 1 || !i.Contains(CellRef{1, 1}) {
 		t.Errorf("intersect = %v", i)
 	}
-	m := a.Minus(b)
+	m := CellSet(slices.Collect(DiffSortedCells(a, b)))
 	if len(m) != 1 || !m.Contains(CellRef{0, 0}) {
 		t.Errorf("minus = %v", m)
 	}
 	if !a.SubsetOf(u) || u.SubsetOf(a) {
 		t.Error("SubsetOf broken")
 	}
+	// The walks at their ends: nothing minus anything, anything minus
+	// nothing, a set minus itself, the empty set inside every set.
+	var none CellSet
+	if got := slices.Collect(DiffSortedCells(none, a)); len(got) != 0 {
+		t.Errorf("empty minus a = %v", got)
+	}
+	if got := slices.Collect(DiffSortedCells(u, none)); !slices.Equal(got, u) {
+		t.Errorf("u minus empty = %v, want %v", got, u)
+	}
+	if got := slices.Collect(DiffSortedCells(u, u)); len(got) != 0 {
+		t.Errorf("u minus u = %v", got)
+	}
+	if !none.SubsetOf(a) || !none.SubsetOf(none) || a.SubsetOf(none) || !a.SubsetOf(a) {
+		t.Error("SubsetOf broken on the empty set")
+	}
+	if b.SubsetOf(a) || cellSet(CellRef{3, 0}).SubsetOf(u) {
+		t.Error("SubsetOf accepts a stranger")
+	}
 }
 
 func TestCellSetRows(t *testing.T) {
-	s := NewCellSet(CellRef{3, 0}, CellRef{1, 2}, CellRef{3, 1})
+	s := cellSet(CellRef{3, 0}, CellRef{1, 2}, CellRef{3, 1})
 	rows := s.Rows()
 	if len(rows) != 2 || rows[0] != 1 || rows[1] != 3 {
 		t.Errorf("Rows = %v, want [1 3]", rows)
@@ -173,15 +195,17 @@ func TestCellSetRows(t *testing.T) {
 }
 
 func TestCellSetSortedDeterministic(t *testing.T) {
-	s := NewCellSet(CellRef{2, 1}, CellRef{0, 5}, CellRef{2, 0})
-	got := s.Sorted()
+	got := cellSet(CellRef{2, 1}, CellRef{0, 5}, CellRef{2, 0}, CellRef{0, 5})
 	want := []CellRef{{0, 5}, {2, 0}, {2, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("set = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
+			t.Fatalf("set = %v, want %v", got, want)
 		}
 	}
-	if s.String() != "{(0,5) (2,0) (2,1)}" {
-		t.Errorf("String = %q", s.String())
+	if got.String() != "{(0,5) (2,0) (2,1)}" {
+		t.Errorf("String = %q", got.String())
 	}
 }
