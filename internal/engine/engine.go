@@ -472,7 +472,7 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 		h   *provenance.Highlights
 	)
 	pprof.Do(ctx, labels, func(ctx context.Context) {
-		// Threshold 0: grids over export's default of 40 rows switch to
+		// Threshold 0: grids over provenance.SampleThreshold rows switch to
 		// Section 5.3 record sampling.
 		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, 0)
 	})

@@ -131,7 +131,7 @@ func explainBytes(t *testing.T, h hash.Hash, tab *table.Table, q dcs.Expr) strin
 		fmt.Fprintf(h, "highlight error: %v\n", err)
 	} else {
 		var rows []int
-		if tab.NumRows() > 40 {
+		if tab.NumRows() > provenance.SampleThreshold {
 			rows = provenance.Sample(q, tab, hl)
 		}
 		fmt.Fprintf(h, "rows %v\n", rows)

@@ -33,16 +33,12 @@ type ExplanationJSON struct {
 	Table     TableJSON `json:"table"`
 }
 
-// maxInlineRows is the row budget before switching to Section 5.3
-// sampling.
-const maxInlineRows = 40
-
 // Build computes the explanation document for a query over a table and
 // also returns the highlights it derived, so callers (the engine, the
 // server wire format) can project extra views such as the raw
 // provenance sets without re-running the pipeline. threshold is the
 // row budget before Section 5.3 sampling kicks in; <= 0 selects the
-// default (40).
+// default, provenance.SampleThreshold.
 func Build(q dcs.Expr, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
 	c, err := dcs.Compile(q, t)
 	if err != nil {
@@ -60,7 +56,7 @@ func Build(q dcs.Expr, t *table.Table, threshold int) (*ExplanationJSON, *proven
 func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
 	q := c.Expr
 	if threshold <= 0 {
-		threshold = maxInlineRows
+		threshold = provenance.SampleThreshold
 	}
 	h, res, err := provenance.HighlightCompiledCtx(ctx, c, t)
 	if err != nil {

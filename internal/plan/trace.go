@@ -20,10 +20,12 @@ type Tracer interface {
 	// When false, Operator is never called.
 	Active() bool
 	// Operator is called after an operator finishes, with its name and
-	// its PO witness cells (sorted row-major, deduplicated). The slice
-	// lives in the execution's pooled arena and is valid only for the
-	// duration of the call: implementations that keep cells must copy
-	// them (the provenance CellTracer folds them into its own set).
+	// its PO witness cells (sorted row-major, deduplicated — a
+	// table.CellSet). The slice lives in the execution's pooled arena
+	// and is valid only for the duration of the call: implementations
+	// that keep cells must copy them (the provenance CellTracer appends
+	// each run to one slice and sorts that once; the root's cells become
+	// the PO level exactly as the executor ordered them).
 	Operator(op string, cells []table.CellRef)
 }
 

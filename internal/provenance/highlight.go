@@ -111,6 +111,11 @@ func (h *Highlights) CountByMarking() map[Marking]int {
 	}
 }
 
+// SampleThreshold is the row count past which a table counts as large:
+// every renderer and the wire format draw a table with more records
+// through its Section 5.3 Sample instead of whole.
+const SampleThreshold = 40
+
 // Sample implements the record sampling of Section 5.3 for scaling
 // highlights to large tables: one record from RO, one from RE∖RO and
 // one from RC∖RE, each the earliest such record; queries containing an

@@ -44,8 +44,10 @@ func markText(s string, m provenance.Marking) string {
 	}
 }
 
-// header renders a column header, wrapping it in its aggregate marker
-// when Algorithm 1 marked one (e.g. MAX(Year) in Figure 1).
+// header renders a column header for Text, ANSI and HTML, wrapping it
+// in its aggregate marker when Algorithm 1 marked one, the function in
+// upper case as Figure 1 prints it: "MAX(Year)". JSONGrid keeps the
+// function as the query spells it: "max(Year)".
 func header(t *table.Table, h *provenance.Highlights, col int) string {
 	name := t.Column(col)
 	if fn, ok := h.HeaderAggr(col); ok {
@@ -231,8 +233,9 @@ type Cell struct {
 
 // Grid is a highlighted table in JSON-friendly form — the wire format
 // shared by the export package and the wtq-server HTTP service. Headers
-// carry aggregate markers (e.g. "max(Year)") exactly as Algorithm 1
-// places them; Rows holds the source record index of each cell row so
+// carry aggregate markers where Algorithm 1 places them, the function
+// as the query spells it ("max(Year)"; Text, ANSI and HTML upper-case
+// it, "MAX(Year)"); Rows holds the source record index of each cell row so
 // front-ends can show original positions for sampled tables.
 type Grid struct {
 	Name    string   `json:"name"`

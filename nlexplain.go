@@ -29,11 +29,11 @@
 // # Serving explanations at scale
 //
 // For serving many concurrent requests, the package re-exports the
-// explanation pipeline engine (package internal/engine): LRU caches
-// for parsed ASTs and full explanation results keyed on (table
-// version, query), an in-flight deduplicator, a bounded worker pool
-// for batches with per-query context deadlines, and scrape-ready
-// counters. Table state lives in a sharded versioned store
+// explanation pipeline engine (package internal/engine): three result
+// LRU caches — explanations, answers, candidate pools — keyed on
+// (table version, request text), an in-flight deduplicator, a bounded
+// worker pool for batches with per-query context deadlines, and
+// scrape-ready counters. Table state lives in a sharded versioned store
 // (internal/store): every query pins an immutable snapshot, live
 // mutations (RegisterTable over an existing name, AppendRows,
 // DropTable) install a new snapshot under a monotonic generation and
@@ -87,7 +87,7 @@ type (
 	// CellRef identifies one cell by (row, column).
 	CellRef = table.CellRef
 	// CellSet is a set of cells — the codomain of the provenance
-	// functions.
+	// functions — as a row-major sorted, duplicate-free slice.
 	CellSet = table.CellSet
 )
 
@@ -284,8 +284,7 @@ func Explain(q Query, t *Table) (*Explanation, error) {
 // displayRows returns all rows for small tables and the provenance
 // sample for large ones.
 func (e *Explanation) displayRows() []int {
-	const largeTable = 40
-	if e.Table.NumRows() > largeTable {
+	if e.Table.NumRows() > provenance.SampleThreshold {
 		return e.SampleRows
 	}
 	return nil
