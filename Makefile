@@ -10,7 +10,7 @@ GO ?= go
 # never lower it to make a PR pass.
 COVERAGE_FLOOR = 65
 
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance serve ci
 
 all: build
 
@@ -155,9 +155,16 @@ fuzz-table:
 fuzz-segment:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentRead -fuzztime 30s -fuzzminimizetime 5s ./internal/segment/
 
+# fuzz-provenance runs the highlighting fuzzer for a bounded window:
+# any query text that parses has an utterance, and either fails with an
+# error or is highlighted into levels that are strictly ascending,
+# nested PO ⊆ PE ⊆ PC and in agreement with every cell's marking.
+fuzz-provenance:
+	$(GO) test -run '^$$' -fuzz FuzzHighlight -fuzztime 30s ./internal/provenance/
+
 # fuzz is every time-boxed fuzz target in turn, as the CI fuzz job
 # runs them.
-fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment
+fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance
 
 # metrics-lint verifies the metric namespace: every registered series
 # name well-formed, collision-free and matching the canonical list in

@@ -2,11 +2,13 @@ package provenance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/qrand"
 	"nlexplain/internal/table"
+	"nlexplain/internal/utterance"
 )
 
 func olympics(t testing.TB) *table.Table {
@@ -266,6 +268,12 @@ func TestChainProperty(t *testing.T) {
 			t.Fatalf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v",
 				q, p.Output, p.Execution, p.Columns)
 		}
+		// The merge walks behind Chain read each level as strictly
+		// ascending; a level that is not makes them meaningless.
+		if !ascending(p.Output) || !ascending(p.Execution) || !ascending(p.Columns) {
+			t.Fatalf("a level of %s is not strictly ascending\nPO=%v\nPE=%v\nPC=%v",
+				q, p.Output, p.Execution, p.Columns)
+		}
 	}
 }
 
@@ -407,4 +415,185 @@ func TestCountByMarking(t *testing.T) {
 	if counts[Lit] != 4 { // 6 Country cells minus the 2 colored
 		t.Errorf("lit = %d, want 4", counts[Lit])
 	}
+}
+
+// ascending reports whether a level is in the one form it may take:
+// strictly ascending row-major, so sorted and duplicate-free.
+func ascending(s table.CellSet) bool {
+	for i := 1; i < len(s); i++ {
+		if !s[i-1].Less(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkLevels holds one highlighting to everything the sorted form
+// promises: each level non-nil and ascending, the chain, and a marking
+// per cell that agrees with membership in the levels.
+func checkLevels(t testing.TB, tab *table.Table, q dcs.Expr, h *Highlights) {
+	t.Helper()
+	p := h.Prov
+	for _, l := range []struct {
+		name  string
+		cells table.CellSet
+	}{{"PO", p.Output}, {"PE", p.Execution}, {"PC", p.Columns}} {
+		if l.cells == nil {
+			t.Errorf("%s: %s is nil, want an empty set", q, l.name)
+		}
+		if !ascending(l.cells) {
+			t.Errorf("%s: %s is not strictly ascending: %v", q, l.name, l.cells)
+		}
+	}
+	if !p.Chain() {
+		t.Errorf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v", q, p.Output, p.Execution, p.Columns)
+	}
+	counts := make(map[Marking]int)
+	for r := 0; r < tab.NumRows(); r++ {
+		for c := 0; c < tab.NumCols(); c++ {
+			ref := table.CellRef{Row: r, Col: c}
+			var want Marking
+			switch {
+			case p.Output.Contains(ref):
+				want = Colored
+			case p.Execution.Contains(ref):
+				want = Framed
+			case p.Columns.Contains(ref):
+				want = Lit
+			}
+			if m := h.MarkingAt(r, c); m != want {
+				t.Errorf("%s: marking at %v = %v, membership says %v", q, ref, m, want)
+			}
+			counts[want]++
+		}
+	}
+	got := h.CountByMarking()
+	for _, m := range []Marking{Colored, Framed, Lit} {
+		if got[m] != counts[m] {
+			t.Errorf("%s: CountByMarking[%v] = %d, the grid holds %d", q, m, got[m], counts[m])
+		}
+	}
+}
+
+// TestLevelsAcrossSampleThreshold runs random queries over tables on
+// both sides of the Section 5.3 threshold: the levels keep their form
+// at any size, and the sample is a short ascending list of records
+// that, whenever something is highlighted, shows a highlighted record
+// of the innermost non-empty level.
+func TestLevelsAcrossSampleThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, rows := range []int{SampleThreshold - 1, SampleThreshold, SampleThreshold + 1, 3 * SampleThreshold} {
+		tab := qrand.Table(rng)
+		for tab.NumRows() < rows {
+			more := qrand.Table(rng).RawRows()
+			if need := rows - tab.NumRows(); len(more) > need {
+				more = more[:need]
+			}
+			var err error
+			if tab, err = tab.Append(more); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 150; i++ {
+			q := qrand.Query(rng, tab, 1+rng.Intn(3))
+			h, err := Highlight(q, tab)
+			if err != nil {
+				continue // dynamic type errors are legal
+			}
+			checkLevels(t, tab, q, h)
+
+			sample := Sample(q, tab, h)
+			if sample == nil {
+				t.Fatalf("%s on %d rows: nil sample, which renders as every record", q, rows)
+			}
+			if len(sample) > 4 {
+				t.Errorf("%s on %d rows: sample %v, want at most 4 records", q, rows, sample)
+			}
+			for j, r := range sample {
+				if r < 0 || r >= tab.NumRows() || (j > 0 && r <= sample[j-1]) {
+					t.Errorf("%s on %d rows: sample %v is not an ascending list of records", q, rows, sample)
+				}
+			}
+			if (len(sample) == 0) != (len(h.Prov.Columns) == 0) {
+				t.Errorf("%s on %d rows: sample %v with %d highlighted cells", q, rows, sample, len(h.Prov.Columns))
+			}
+			for _, level := range []table.CellSet{h.Prov.Output, h.Prov.Execution, h.Prov.Columns} {
+				if len(level) == 0 {
+					continue
+				}
+				if !slices.ContainsFunc(sample, func(r int) bool {
+					return slices.Contains(level.Rows(), r)
+				}) {
+					t.Errorf("%s on %d rows: sample %v shows no record of its innermost level %v", q, rows, sample, level.Rows())
+				}
+				break
+			}
+		}
+	}
+}
+
+// hostileTable is FuzzPlanDifferential's table: a NaN cell, Unicode
+// case folds, fractions that do not add up in any order but one, and a
+// record of empty cells.
+func hostileTable() *table.Table {
+	return table.MustNew("olympics",
+		[]string{"Year", "Country", "City", "Score"},
+		[][]string{
+			{"1896", "Greece", "Athens", "0.1"},
+			{"1900", "France", "Paris", "0.2"},
+			{"2004", "Greece", "Athens", "0.3"},
+			{"2008", "China", "Beijing", "1e16"},
+			{"2012", "UK", "London", "-1e16"},
+			{"nan", "ſ", "Straße", "0.7"},
+			{"", "", "", ""},
+		})
+}
+
+// FuzzHighlight fuzzes query strings through the explanation's two
+// halves. Any text either fails to parse, fails to check or execute
+// with an error, or is highlighted — without a panic, into levels that
+// are ascending, nested and in agreement with every cell's marking —
+// and any parsed query has an utterance.
+func FuzzHighlight(f *testing.F) {
+	for _, src := range []string{
+		"Country.Greece",
+		"City.Nowhere",
+		"(Country.Greece or Country.China)",
+		"(City.London u Country.UK)",
+		"R[City].Country.(China or Greece)",
+		"R[City].Prev.City.London",
+		"R[City].R[Prev].City.Athens",
+		"count(City.Athens)",
+		"max(R[Year].Country.Greece)",
+		"avg(R[Score].Year>1896)",
+		"sum(R[City].Country.Greece)",
+		"max(R[Year].Country.Atlantis)",
+		"sub(R[Year].City.London, R[Year].City.Beijing)",
+		"sub(count(City.Athens), count(City.London))",
+		"argmax(Record, Year)",
+		"R[Year].argmin(City.Athens, Index)",
+		"argmax(Values[City], R[λx.count(City.x)])",
+		"argmin((London or Beijing), R[λx.R[Year].City.x])",
+		"(Year>1896 u Year<=2008)",
+		"Score!=0.2",
+		`"nan"`,
+		`""`, // the empty value still has a name in the utterance
+	} {
+		f.Add(src)
+	}
+	tab := hostileTable()
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := dcs.Parse(src)
+		if err != nil {
+			return
+		}
+		if utterance.Utter(q) == "" {
+			t.Errorf("%q: empty utterance", src)
+		}
+		h, err := Highlight(q, tab)
+		if err != nil {
+			return
+		}
+		checkLevels(t, tab, q, h)
+	})
 }

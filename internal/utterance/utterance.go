@@ -25,7 +25,7 @@ func Utter(e dcs.Expr) string { return utter(e) }
 func utter(e dcs.Expr) string {
 	switch x := e.(type) {
 	case *dcs.ValueLit:
-		return x.V.String()
+		return literal(x.V)
 
 	case *dcs.AllRecords:
 		return "rows"
@@ -35,7 +35,7 @@ func utter(e dcs.Expr) string {
 
 	case *dcs.Compare:
 		return fmt.Sprintf("rows where values of column %s are %s %s",
-			x.Column, cmpPhrase(x.Op), x.V.String())
+			x.Column, cmpPhrase(x.Op), literal(x.V))
 
 	case *dcs.ColumnValues:
 		return fmt.Sprintf("values in column %s in %s", x.Column, utter(x.Records))
@@ -93,12 +93,23 @@ func utter(e dcs.Expr) string {
 func valuePhrase(e dcs.Expr) string {
 	switch x := e.(type) {
 	case *dcs.ValueLit:
-		return x.V.String()
+		return literal(x.V)
 	case *dcs.Union:
 		return valuePhrase(x.L) + " or " + valuePhrase(x.R)
 	default:
 		return utter(e)
 	}
+}
+
+// literal names a value in a sentence: its text, or — for the empty
+// value, which would leave "rows where value of column City is" without
+// an object and a bare literal without an utterance — the "" the query
+// language spells it with.
+func literal(v table.Value) string {
+	if s := v.String(); s != "" {
+		return s
+	}
+	return `""`
 }
 
 // stripRows removes a leading "rows " so conjunctions read "rows where …

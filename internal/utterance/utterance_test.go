@@ -125,6 +125,17 @@ func TestTotalityProperty(t *testing.T) {
 			t.Fatalf("Validate(%s): %v", q, err)
 		}
 	}
+	// The empty value, which qrand never draws, still has a name: the
+	// sentence keeps its object and a bare literal its utterance.
+	for src, want := range map[string]string{
+		`""`:        `""`,
+		`City.""`:   `rows where value of column City is ""`,
+		`Games!=""`: `rows where values of column Games are different from ""`,
+	} {
+		if got := utterOf(t, src); got != want {
+			t.Errorf("Utter(%s) = %q, want %q", src, got, want)
+		}
+	}
 }
 
 // TestDistinctQueriesDistinctUtterances: the Figure 4 ambiguity pair has
