@@ -278,7 +278,8 @@ func TestChainProperty(t *testing.T) {
 }
 
 // TestMarkingsMatchChain: every colored cell is in PO, framed in PE∖PO,
-// lit in PC∖PE.
+// lit in PC∖PE (checkLevels compares each cell's marking with its
+// membership in the levels).
 func TestMarkingsMatchChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
@@ -288,24 +289,9 @@ func TestMarkingsMatchChain(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		p := h.Prov
-		for r := 0; r < tab.NumRows(); r++ {
-			for c := 0; c < tab.NumCols(); c++ {
-				ref := table.CellRef{Row: r, Col: c}
-				m := h.Marking(ref)
-				var want Marking
-				switch {
-				case p.Output.Contains(ref):
-					want = Colored
-				case p.Execution.Contains(ref):
-					want = Framed
-				case p.Columns.Contains(ref):
-					want = Lit
-				}
-				if m != want {
-					t.Fatalf("marking mismatch at %v for %s: got %v want %v", ref, q, m, want)
-				}
-			}
+		checkLevels(t, tab, q, h)
+		if t.Failed() {
+			t.FailNow()
 		}
 	}
 }

@@ -45,8 +45,8 @@ func (c *CellTracer) Operator(_ string, cells []table.CellRef) {
 }
 
 // Cells returns the union of every report so far — sorted,
-// duplicate-free, never nil — normalising the accumulated runs in
-// place.
+// duplicate-free and, the slice being NewCellTracer's, never nil —
+// normalising the accumulated runs in place.
 func (c *CellTracer) Cells() table.CellSet {
 	c.cells = table.DedupCells(c.cells)
 	return c.cells
