@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,8 +23,10 @@ type callOp struct {
 	// never touches its ctx, and nothing else a test can reach makes it
 	// panic.
 	readsCtx bool
-	// cache names the op's engine.cache.<cache>.{hits,misses,size} series.
-	cache string
+	// cache names the op's engine.cache.<cache>.{hits,misses,size} series,
+	// latency its engine.<latency>.latency.seconds histogram, which takes
+	// one sample per finished computation.
+	cache, latency string
 }
 
 func (op callOp) hits(t *testing.T, e *Engine) uint64 {
@@ -38,6 +41,16 @@ func (op callOp) size(t *testing.T, e *Engine) uint64 {
 	return counter(t, e, "engine.cache."+op.cache+".size")
 }
 
+// computed counts the op's finished computations.
+func (op callOp) computed(t *testing.T, e *Engine) uint64 {
+	t.Helper()
+	h, ok := e.Metrics().Snapshot()["engine."+op.latency+".latency.seconds"].(map[string]any)
+	if !ok {
+		t.Fatalf("registry has no %s latency histogram", op.latency)
+	}
+	return h["count"].(uint64)
+}
+
 var callOps = []callOp{
 	{
 		name: "explain",
@@ -46,7 +59,7 @@ var callOps = []callOp{
 			return err
 		},
 		good: "max(R[Year].Country.Greece)", bad: "max((((", readsCtx: true,
-		cache: "result",
+		cache: "result", latency: "explain",
 	},
 	{
 		name: "answer",
@@ -55,7 +68,7 @@ var callOps = []callOp{
 			return err
 		},
 		good: "sum(R[Nations].Record)", bad: "max(R[Year].NoSuchColumn.x)", readsCtx: true,
-		cache: "answer",
+		cache: "answer", latency: "answer",
 	},
 	{
 		name: "parse",
@@ -64,7 +77,7 @@ var callOps = []callOp{
 			return err
 		},
 		good:  "which country had the most nations",
-		cache: "parse",
+		cache: "parse", latency: "parse",
 	},
 }
 
@@ -74,6 +87,86 @@ var callOps = []callOp{
 type poisonCtx struct{ context.Context }
 
 func (poisonCtx) Value(any) any { panic("poisoned context") }
+
+// gateCtx parks whoever looks a value up in it until open is closed,
+// and says so on entered. The one lookup a request makes is pprof.Do's,
+// inside an explain or answer computation: a request under a gateCtx is
+// a real computation that holds its worker slot for as long as a test
+// needs.
+type gateCtx struct {
+	context.Context
+	enter         sync.Once
+	entered, open chan struct{}
+}
+
+func (g *gateCtx) Value(any) any {
+	g.enter.Do(func() { close(g.entered) })
+	<-g.open
+	return nil
+}
+
+// otherOp is an op whose computation reads its context, on another
+// cache than op's: what a test runs beside op without touching op's
+// counters.
+func otherOp(op callOp) callOp {
+	if op.cache == callOps[0].cache {
+		return callOps[1]
+	}
+	return callOps[0]
+}
+
+// holdSlot takes one of e's worker slots with a blocked real request
+// (of otherOp(op)) and returns once its computation is running. release
+// lets it finish and waits for its caller to return.
+func holdSlot(t *testing.T, e *Engine, op callOp) (release func()) {
+	t.Helper()
+	holder := otherOp(op)
+	g := &gateCtx{Context: context.Background(), entered: make(chan struct{}), open: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- holder.run(g, e, holder.good) }()
+	select {
+	case <-g.entered:
+	case err := <-done:
+		t.Fatalf("the slot holder returned before computing: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slot holder never started computing")
+	}
+	return func() {
+		t.Helper()
+		close(g.open)
+		if err := <-done; err != nil {
+			t.Fatalf("the slot holder: %v", err)
+		}
+	}
+}
+
+// waitAccepting returns once e admits computations again: a request of
+// otherOp(op) that fails on its own merits instead of being shed. What
+// a finished computation held may be given back a moment after its
+// caller returned.
+func waitAccepting(t *testing.T, e *Engine, op callOp) {
+	t.Helper()
+	probe := otherOp(op)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := probe.run(context.Background(), e, probe.bad); !errors.Is(err, ErrOverloaded) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("engine still sheds after its only computation finished")
+		}
+	}
+}
+
+// waitMisses returns once op's cache has counted n misses: the n-th
+// request is past its probe.
+func waitMisses(t *testing.T, e *Engine, op callOp, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); op.misses(t, e) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s cache counted %d misses, want %d", op.name, op.misses(t, e), n)
+		}
+	}
+}
 
 func newCallEngine(t *testing.T, workers, maxPending int) *Engine {
 	t.Helper()
@@ -109,35 +202,34 @@ func wantComputed(t *testing.T, e *Engine, op callOp) {
 // around their caches, whichever code serves them.
 func TestCallPathContract(t *testing.T) {
 	for _, op := range callOps {
-		// A follower whose budget is live gets an answer although the
-		// leader it joined gave up: the computation runs under the
-		// leader's context, so when that died the follower retakes the key.
+		// A leader that waits for a worker slot gives up at its deadline,
+		// and a follower whose budget is live gets an answer although the
+		// leader it joined is gone: the key is computed once, by whoever
+		// retakes it.
 		t.Run(op.name+"/follower outlives leader", func(t *testing.T) {
 			e := newCallEngine(t, 1, 4)
-			e.sem <- struct{}{} // the leader's computation parks behind this
-			lctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			release := holdSlot(t, e, op)
+			lctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
-			if err := op.run(lctx, e, op.good); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("leader err = %v, want deadline exceeded", err)
-			}
-			follower := make(chan error, 1)
+			leader, follower := make(chan error, 1), make(chan error, 1)
+			go func() { leader <- op.run(lctx, e, op.good) }()
+			waitMisses(t, e, op, 1)
 			go func() { follower <- op.run(context.Background(), e, op.good) }()
-			for deadline := time.Now().Add(5 * time.Second); op.misses(t, e) < 2; {
-				if time.Now().After(deadline) {
-					t.Fatal("follower never probed the cache")
+			waitMisses(t, e, op, 2)
+			select { // the slot is still held
+			case err := <-leader:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("leader err = %v, want deadline exceeded", err)
 				}
-				time.Sleep(time.Millisecond)
+			case <-time.After(5 * time.Second):
+				t.Fatal("a leader waiting for a worker slot outlived its deadline")
 			}
-			time.Sleep(10 * time.Millisecond) // from the probe to the join
-			if n := len(e.admit); n != 1 {
-				t.Fatalf("%d computations admitted, want 1 (the follower joins the parked one)", n)
-			}
-			<-e.sem
+			release()
 			if err := <-follower; err != nil {
 				t.Fatalf("follower err = %v, want success", err)
 			}
-			if n := op.size(t, e); n != 1 {
-				t.Errorf("cache holds %d entries, want 1", n)
+			if n, c := op.size(t, e), op.computed(t, e); n != 1 || c != 1 {
+				t.Errorf("cache holds %d entries after %d computations, want 1 and 1", n, c)
 			}
 			if n := counter(t, e, "engine.timeouts"); n != 1 {
 				t.Errorf("engine.timeouts = %d, want 1 (the leader's)", n)
@@ -146,16 +238,15 @@ func TestCallPathContract(t *testing.T) {
 
 		t.Run(op.name+"/shed", func(t *testing.T) {
 			e := newCallEngine(t, 1, 1)
-			e.sem <- struct{}{}
-			e.admit <- struct{}{}
+			release := holdSlot(t, e, op) // the pending set is full
 			if err := op.run(context.Background(), e, op.good); !errors.Is(err, ErrOverloaded) {
 				t.Fatalf("err = %v, want ErrOverloaded", err)
 			}
 			if sheds, errs := counter(t, e, "engine.sheds"), counter(t, e, "engine.errors"); sheds != 1 || errs != 1 {
 				t.Errorf("engine.sheds = %d, engine.errors = %d, want 1 and 1", sheds, errs)
 			}
-			<-e.admit
-			<-e.sem
+			release()
+			waitAccepting(t, e, op)
 			wantComputed(t, e, op)
 		})
 

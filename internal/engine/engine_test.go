@@ -221,20 +221,22 @@ func TestBatchTimeout(t *testing.T) {
 }
 
 func TestLoadShedding(t *testing.T) {
-	e := New(Options{CacheSize: 16, Workers: 1, MaxPending: 1, QueryTimeout: 50 * time.Millisecond})
+	e := New(Options{CacheSize: 16, Workers: 1, MaxPending: 2})
 	e.RegisterTable(olympics(t))
+	explain := callOps[0]
 
-	// Saturate the single worker slot so the first leader parks in
-	// the admission queue, filling it.
-	e.sem <- struct{}{}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := e.Explain(ctx, "olympics", "count(City.Athens)"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("parked query err = %v, want deadline exceeded", err)
-	}
+	// One computation runs and a second waits for the slot it holds:
+	// the pending set (capacity 2) is full.
+	release := holdSlot(t, e, explain)
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := e.Explain(context.Background(), "olympics", "count(City.Athens)")
+		waiter <- err
+	}()
+	waitMisses(t, e, explain, 1)
+	time.Sleep(10 * time.Millisecond) // from the probe to the pending set
 
-	// The admission queue (capacity 1) is now full: a second distinct
-	// query must be shed immediately, not parked.
+	// A third distinct query must be shed immediately, not parked.
 	if _, err := e.Explain(context.Background(), "olympics", "max(R[Year].Record)"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -242,10 +244,12 @@ func TestLoadShedding(t *testing.T) {
 		t.Errorf("engine.sheds = %d, want 1", n)
 	}
 
-	// Freeing the worker slot lets the parked leader drain and release
-	// its admission token (asynchronously); the engine then recovers
+	// Freeing the slot lets the waiter compute; the engine then recovers
 	// and serves new queries.
-	<-e.sem
+	release()
+	if err := <-waiter; err != nil {
+		t.Fatalf("the waiting query: %v", err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err := e.Explain(context.Background(), "olympics", "count(Country.Greece)")
