@@ -80,9 +80,14 @@ bench-compile:
 # store-stress reruns the versioned-store concurrency suite (snapshot
 # isolation, churn, eviction) plus the zone-map property tests and the
 # segment footer round-trips under the race detector, twice, exactly
-# as its row of the CI stress matrix does.
+# as its row of the CI stress matrix does. The second line reruns the
+# engine's call-path contract 500 times: one key computes once while
+# its value stays cached (the probe and the join are one critical
+# section), and shed, slot-wait and follower-retake hold on every
+# interleaving the detector's scheduler finds.
 store-stress:
 	$(GO) test -race -run 'Store|Zone|Segment' -count=2 ./internal/store/... ./internal/engine/... ./internal/table/... ./internal/segment/...
+	$(GO) test -race -count=500 -run 'TestExplainBatchConcurrent|TestCallPathContract|TestLoadShedding' ./internal/engine/
 
 # bigtable-stress is the data-race gate for the morsel driver: the
 # forced-parallel differential suites (the SQL one with its forced-zone

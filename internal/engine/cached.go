@@ -20,17 +20,19 @@ type cached[T any] struct {
 	e *Engine
 	// compute is the uncached work, run over the snapshot call pinned.
 	compute func(ctx context.Context, snap *store.Snapshot, tableName, text string) (T, error)
-	lru     *lru[T]
 	hits    *metric.Counter
 	misses  *metric.Counter
 
-	// inflight deduplicates concurrent computations of one key
-	// (singleflight): duplicate queries in one batch execute once.
+	// mu guards the finished values and the computations in flight
+	// together: a key is in at most one of them, so one critical section
+	// says what a request is (join) and one ends a computation (finish).
 	mu       sync.Mutex
+	lru      *lru[T]
 	inflight map[cacheKey]*inflightCall[T]
 }
 
-// inflightCall is one deduplicated computation; followers block on done.
+// inflightCall is one deduplicated computation (singleflight): its
+// leader computes, followers block on done and then read val and err.
 type inflightCall[T any] struct {
 	done chan struct{}
 	val  T
@@ -49,8 +51,19 @@ func newCached[T any](e *Engine, r *metric.Registry, name, what string, compute 
 		misses:   r.Counter("cache."+name+".misses", what+" cache misses"),
 		inflight: make(map[cacheKey]*inflightCall[T]),
 	}
-	r.GaugeFunc("cache."+name+".size", what+" cache entries", func() int64 { return int64(c.lru.len()) })
+	r.GaugeFunc("cache."+name+".size", what+" cache entries", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(c.lru.len())
+	})
 	return c
+}
+
+// purgeVersion drops every finished value of one table version.
+func (c *cached[T]) purgeVersion(version string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lru.purgeVersion(version)
 }
 
 // call resolves text over the named table through the cache, reporting
@@ -60,116 +73,125 @@ func newCached[T any](e *Engine, r *metric.Registry, name, what string, compute 
 // meanwhile. A hit is served before any deadline check, so a warm key
 // succeeds under any budget.
 //
-// A miss computes in a goroutine of its own under the leader's request
-// context: the executor polls it, so an abandoned scan stops at the
-// next morsel boundary instead of running to completion. Concurrent
-// requests for the same key join that one computation; a follower
+// A miss computes on the goroutine that asked, under its request
+// context: the executor polls it, so a scan whose budget ran out stops
+// at the next morsel boundary and its caller returns then. Concurrent
+// requests for the same key follow that one computation; a follower
 // whose own budget is still live when the leader's context dies
-// retakes the key and becomes the new leader. Only successful values
-// are published to the LRU.
+// retakes the key. Only successful values are published to the LRU.
 func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store.Snapshot, bool, error) {
-	var zero T
 	e := c.e
 	snap, ok := e.store.Get(tableName)
 	if !ok {
-		e.met.errors.Inc()
-		return zero, nil, false, fmt.Errorf("%w: %q", ErrUnknownTable, tableName)
+		var zero T
+		return c.outcome(zero, nil, fmt.Errorf("%w: %q", ErrUnknownTable, tableName))
 	}
 	key := cacheKey{snap.Version(), text}
-	if v, ok := c.lru.get(key); ok {
+	val, hit, fl, leader := c.join(key)
+	if hit {
 		c.hits.Inc()
-		return v, snap, true, nil
+		return val, snap, true, nil
 	}
 	c.misses.Inc()
 	ctx, cancel := e.withDefaultDeadline(ctx)
 	defer cancel()
-	if err := ctx.Err(); err != nil {
-		e.countCtxErr(err)
-		return zero, nil, false, err
-	}
-	for {
-		fl, leader := c.joinInflight(key)
-		if leader {
-			c.startPipeline(ctx, key, fl, snap, tableName)
-		}
+	for !leader {
 		select {
 		case <-ctx.Done():
-			e.countCtxErr(ctx.Err())
-			return zero, nil, false, ctx.Err()
+			return c.outcome(val, nil, ctx.Err())
 		case <-fl.done:
-			if fl.err == nil {
-				return fl.val, snap, false, nil
-			}
-			// A ctx-class failure means the leader's caller gave up, not
-			// that the request is bad.
-			if !leader && isCtxErr(fl.err) && ctx.Err() == nil {
-				continue
-			}
-			e.met.errors.Inc()
-			e.countCtxErr(fl.err)
-			return zero, nil, false, fl.err
+		}
+		if !isCtxErr(fl.err) {
+			return c.outcome(fl.val, snap, fl.err)
+		}
+		// The leader's caller gave up, which says nothing about the
+		// request: retake the key if this caller's budget is live.
+		if err := ctx.Err(); err != nil {
+			return c.outcome(val, nil, err)
+		}
+		if val, hit, fl, leader = c.join(key); hit {
+			return val, snap, false, nil
 		}
 	}
+	val, err := c.lead(ctx, key, fl, snap, tableName)
+	return c.outcome(val, snap, err)
 }
 
-// joinInflight returns the in-flight call for key, creating it (and
-// reporting leadership) when absent.
-func (c *cached[T]) joinInflight(key cacheKey) (*inflightCall[T], bool) {
+// outcome is the return of a call that missed, a failure booked.
+func (c *cached[T]) outcome(val T, snap *store.Snapshot, err error) (T, *store.Snapshot, bool, error) {
+	if err != nil {
+		var zero T
+		c.e.countFailure(err)
+		return zero, nil, false, err
+	}
+	return val, snap, false, nil
+}
+
+// join says, in one critical section, what a request for key is: a hit
+// (val is the finished value), a follower of the computation in flight
+// fl, or the leader of a new one.
+func (c *cached[T]) join(key cacheKey) (val T, hit bool, fl *inflightCall[T], leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if call, ok := c.inflight[key]; ok {
-		return call, false
+	if val, hit = c.lru.get(key); hit {
+		return val, true, nil, false
 	}
-	call := &inflightCall[T]{done: make(chan struct{})}
-	c.inflight[key] = call
-	return call, true
+	if fl = c.inflight[key]; fl != nil {
+		return val, false, fl, false
+	}
+	fl = &inflightCall[T]{done: make(chan struct{})}
+	c.inflight[key] = fl
+	return val, false, fl, true
 }
 
-// finishInflight publishes a completed call's outcome and releases its
-// key for future computations.
-func (c *cached[T]) finishInflight(key cacheKey, call *inflightCall[T], err error) {
-	call.err = err
+// finish ends the computation fl of key: in one critical section a
+// successful value enters the LRU and the key leaves the in-flight set,
+// so no request can find the key in neither; then followers are
+// released.
+func (c *cached[T]) finish(key cacheKey, fl *inflightCall[T], val T, err error) {
+	fl.val, fl.err = val, err
 	c.mu.Lock()
+	if err == nil {
+		c.lru.put(key, val)
+	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
-	close(call.done)
+	close(fl.done)
 }
 
-// startPipeline launches a leader's computation: bounded by the
-// engine's admission queue (a full queue sheds the call with
-// ErrOverloaded instead of parking yet another goroutine), and taking
-// a worker-pool slot while it runs. A panic in compute is contained as
-// ErrInternal; a successful value is stored before waiters are
-// released.
-func (c *cached[T]) startPipeline(ctx context.Context, key cacheKey, call *inflightCall[T], snap *store.Snapshot, tableName string) {
+// lead computes key's value on the calling goroutine and finishes fl
+// with the outcome. The computation counts against MaxPending from
+// here on (a full pending set sheds it with ErrOverloaded instead of
+// letting yet another caller wait), waits for a worker slot no longer
+// than ctx allows, and holds the slot while it runs. A panic in compute
+// is contained as ErrInternal. Slot and pending count are given back
+// before fl's followers, and the caller, go on.
+func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (val T, err error) {
 	e := c.e
-	select {
-	case e.admit <- struct{}{}:
-	default:
-		e.met.sheds.Inc()
-		c.finishInflight(key, call, ErrOverloaded)
-		return
-	}
-	admitted := time.Now()
-	go func() {
-		defer func() { <-e.admit }()
-		e.sem <- struct{}{}
-		// Queue wait: admitted past the shed check, parked until a
-		// worker slot freed up — the depth signal admission tuning needs.
-		e.met.admitWait.RecordDuration(time.Since(admitted))
-		var val T
-		var err error
-		defer func() {
-			<-e.sem
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: pipeline panic: %v", ErrInternal, r)
-			}
-			if err == nil {
-				call.val = val
-				c.lru.put(key, val)
-			}
-			c.finishInflight(key, call, err)
-		}()
-		val, err = c.compute(ctx, snap, tableName, key.text)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: pipeline panic: %v", ErrInternal, r)
+		}
+		c.finish(key, fl, val, err)
 	}()
+	if err := ctx.Err(); err != nil {
+		return val, err
+	}
+	if e.pending.Add(1) > int64(e.opts.MaxPending) {
+		e.pending.Add(-1)
+		e.met.sheds.Inc()
+		return val, ErrOverloaded
+	}
+	defer e.pending.Add(-1)
+	admitted := time.Now()
+	select {
+	case e.sem <- struct{}{}:
+	case <-ctx.Done():
+		return val, ctx.Err()
+	}
+	defer func() { <-e.sem }()
+	// Queue wait: admitted past the shed check, waiting until a worker
+	// slot freed up — the depth signal admission tuning needs.
+	e.met.admitWait.RecordDuration(time.Since(admitted))
+	return c.compute(ctx, snap, tableName, key.text)
 }

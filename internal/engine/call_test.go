@@ -3,9 +3,16 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nlexplain/internal/metric"
+	"nlexplain/internal/store"
 )
 
 // callOp is one cached entry point of the engine, reduced to what the
@@ -117,7 +124,8 @@ func otherOp(op callOp) callOp {
 
 // holdSlot takes one of e's worker slots with a blocked real request
 // (of otherOp(op)) and returns once its computation is running. release
-// lets it finish and waits for its caller to return.
+// lets it finish and waits for its caller to return, by when the slot
+// and its place in the pending set are free again.
 func holdSlot(t *testing.T, e *Engine, op callOp) (release func()) {
 	t.Helper()
 	holder := otherOp(op)
@@ -136,23 +144,6 @@ func holdSlot(t *testing.T, e *Engine, op callOp) (release func()) {
 		close(g.open)
 		if err := <-done; err != nil {
 			t.Fatalf("the slot holder: %v", err)
-		}
-	}
-}
-
-// waitAccepting returns once e admits computations again: a request of
-// otherOp(op) that fails on its own merits instead of being shed. What
-// a finished computation held may be given back a moment after its
-// caller returned.
-func waitAccepting(t *testing.T, e *Engine, op callOp) {
-	t.Helper()
-	probe := otherOp(op)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := probe.run(context.Background(), e, probe.bad); !errors.Is(err, ErrOverloaded) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("engine still sheds after its only computation finished")
 		}
 	}
 }
@@ -231,8 +222,8 @@ func TestCallPathContract(t *testing.T) {
 			if n, c := op.size(t, e), op.computed(t, e); n != 1 || c != 1 {
 				t.Errorf("cache holds %d entries after %d computations, want 1 and 1", n, c)
 			}
-			if n := counter(t, e, "engine.timeouts"); n != 1 {
-				t.Errorf("engine.timeouts = %d, want 1 (the leader's)", n)
+			if timeouts, errs := counter(t, e, "engine.timeouts"), counter(t, e, "engine.errors"); timeouts != 1 || errs != 0 {
+				t.Errorf("engine.timeouts = %d, engine.errors = %d, want 1 (the leader's) and 0", timeouts, errs)
 			}
 		})
 
@@ -245,8 +236,7 @@ func TestCallPathContract(t *testing.T) {
 			if sheds, errs := counter(t, e, "engine.sheds"), counter(t, e, "engine.errors"); sheds != 1 || errs != 1 {
 				t.Errorf("engine.sheds = %d, engine.errors = %d, want 1 and 1", sheds, errs)
 			}
-			release()
-			waitAccepting(t, e, op)
+			release() // what the holder held is given back before its caller returns
 			wantComputed(t, e, op)
 		})
 
@@ -294,5 +284,174 @@ func TestCallPathContract(t *testing.T) {
 				wantComputed(t, e, op)
 			})
 		}
+	}
+}
+
+// goroutineHeader is the calling goroutine's identity: the first line
+// of its stack dump up to the state ("goroutine 18").
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	header, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), " [")
+	return header
+}
+
+// computeRecord is what a recording computation saw: the goroutine it
+// ran on and how many goroutines existed while it did.
+type computeRecord struct {
+	goroutine  string
+	goroutines int
+}
+
+// recordingEngine is an engine whose explanation cache notes, per query,
+// where its computation ran before running it.
+func recordingEngine(t *testing.T, workers int) (*Engine, func(query string) computeRecord) {
+	t.Helper()
+	e := newCallEngine(t, workers, 0)
+	var mu sync.Mutex
+	seen := map[string]computeRecord{}
+	e.results = newCached(e, metric.NewRegistry(), "recorded", "recorded explanation",
+		func(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
+			mu.Lock()
+			seen[query] = computeRecord{goroutineHeader(), runtime.NumGoroutine()}
+			mu.Unlock()
+			return e.compute(ctx, snap, tableName, query)
+		})
+	return e, func(query string) computeRecord {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[query]
+	}
+}
+
+// TestLeaderComputesOnCaller pins that no request is handed to another
+// goroutine to be computed: a miss runs on the goroutine that asked, a
+// batch's caller is one of its workers, and a batch that needs no
+// second worker starts none.
+func TestLeaderComputesOnCaller(t *testing.T) {
+	queries := []string{
+		"max(R[Year].Country.Greece)", "min(R[Year].Record)", "count(Country.Greece)", "sum(R[Nations].Record)",
+		"avg(R[Nations].Record)", "max(R[Year].Record)", "count(City.Athens)", "min(R[Nations].Country.USA)",
+	}
+	batch := func(qs []string) []Request {
+		reqs := make([]Request, len(qs))
+		for i, q := range qs {
+			reqs[i] = Request{Table: "olympics", Query: q}
+		}
+		return reqs
+	}
+	t.Run("single call", func(t *testing.T) {
+		e, where := recordingEngine(t, 4)
+		if _, err := e.Explain(context.Background(), "olympics", queries[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := where(queries[0]).goroutine, goroutineHeader(); got != want {
+			t.Errorf("computed on %s, want the caller's %s", got, want)
+		}
+	})
+
+	// One item, or one worker: the caller computes everything and the
+	// process is no goroutine larger while it does.
+	for name, tc := range map[string]struct {
+		workers int
+		queries []string
+	}{
+		"one-item batch":   {4, queries[:1]},
+		"Workers: 1 batch": {1, queries},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, where := recordingEngine(t, tc.workers)
+			before := runtime.NumGoroutine()
+			for i, r := range e.ExplainBatch(context.Background(), batch(tc.queries)) {
+				if r.Err != nil {
+					t.Fatalf("item %d: %v", i, r.Err)
+				}
+				rec := where(tc.queries[i])
+				if want := goroutineHeader(); rec.goroutine != want {
+					t.Errorf("item %d computed on %s, want the caller's %s", i, rec.goroutine, want)
+				}
+				if rec.goroutines > before {
+					t.Errorf("item %d computed among %d goroutines, %d before the batch", i, rec.goroutines, before)
+				}
+			}
+		})
+	}
+
+	t.Run("batch starts Workers - 1 goroutines", func(t *testing.T) {
+		const workers = 3
+		e, where := recordingEngine(t, workers)
+		if res := e.ExplainBatch(context.Background(), batch(queries)); len(res) != len(queries) {
+			t.Fatalf("%d results, want %d", len(res), len(queries))
+		}
+		others := map[string]bool{}
+		for _, q := range queries {
+			if g := where(q).goroutine; g != goroutineHeader() {
+				others[g] = true
+			}
+		}
+		if len(others) > workers-1 {
+			t.Errorf("%d goroutines beside the caller computed, want at most %d", len(others), workers-1)
+		}
+	})
+
+	t.Run("1000 misses", func(t *testing.T) {
+		e := newCallEngine(t, 2, 0)
+		before := runtime.NumGoroutine()
+		for i := range 1000 {
+			if _, cached, err := e.ExplainCached(context.Background(), "olympics", "count(Year>"+strconv.Itoa(i)+")"); err != nil || cached {
+				t.Fatalf("miss %d: cached=%v err=%v", i, cached, err)
+			}
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%d goroutines after 1000 misses, %d before", after, before)
+		}
+	})
+}
+
+// TestContextFailureIsNotAnError pins how a computation that dies of
+// its caller's context is booked, whichever of the leader and its
+// followers notices first: a deadline as one engine.timeouts each, a
+// cancellation as nothing, and never as engine.errors — that series is
+// bad queries, unknown tables and contained panics.
+func TestContextFailureIsNotAnError(t *testing.T) {
+	for name, tc := range map[string]struct {
+		ctx      func() (context.Context, context.CancelFunc)
+		want     error
+		timeouts uint64
+	}{
+		"deadline": {func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 5*time.Millisecond)
+		}, context.DeadlineExceeded, 3},
+		"cancel": {func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(5*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newCallEngine(t, 2, 0)
+			// A scan that notices its context at the next morsel boundary.
+			c := newCached(e, metric.NewRegistry(), "scan", "scan",
+				func(ctx context.Context, _ *store.Snapshot, _, _ string) (int, error) {
+					<-ctx.Done()
+					return 0, fmt.Errorf("scanning: %w", ctx.Err())
+				})
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			errs := make(chan error, 3)
+			for range cap(errs) { // one leader, two followers, one budget
+				go func() {
+					_, _, _, err := c.call(ctx, "olympics", "q")
+					errs <- err
+				}()
+			}
+			for range cap(errs) {
+				if err := <-errs; !errors.Is(err, tc.want) {
+					t.Errorf("err = %v, want %v", err, tc.want)
+				}
+			}
+			if timeouts, errs := counter(t, e, "engine.timeouts"), counter(t, e, "engine.errors"); timeouts != tc.timeouts || errs != 0 {
+				t.Errorf("engine.timeouts = %d, engine.errors = %d, want %d and 0", timeouts, errs, tc.timeouts)
+			}
+		})
 	}
 }

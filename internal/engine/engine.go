@@ -3,8 +3,9 @@
 // provenance → highlight → utterance behind one Engine type with a
 // named-table registry, three result-level LRU caches (explanations,
 // answers, candidate pools, keyed on table version + request text)
-// behind one cached-call path, a bounded worker pool for concurrent
-// batch execution with per-query timeouts, and scrape-ready counters.
+// behind one cached-call path that computes a miss on the goroutine
+// that asked, worker slots bounding every such computation, batches
+// with per-query timeouts, and scrape-ready counters.
 //
 // The pipeline itself reproduces the deployment flow of Section 6.3 of
 // "Explaining Queries over Web Tables to Non-Experts" (ICDE 2019); the
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nlexplain/internal/dcs"
@@ -41,17 +43,19 @@ type Options struct {
 	// CacheSize caps each LRU cache (explanations, answers, candidate
 	// pools). Default 1024 entries.
 	CacheSize int
-	// Workers bounds the concurrent pipeline executions of batch
-	// requests. Default GOMAXPROCS.
+	// Workers bounds every running uncached computation — explain,
+	// answer and candidate generation, single or of a batch, each on the
+	// goroutine of its caller — and a batch's fan-out: its caller plus
+	// at most Workers - 1 goroutines. Default GOMAXPROCS.
 	Workers int
 	// QueryTimeout is the per-query deadline applied when a request
 	// carries none of its own; request-supplied timeouts are clamped
 	// to it, so it is the operator's hard per-query cap. Default 10s.
 	QueryTimeout time.Duration
-	// MaxPending bounds how many uncached pipeline computations may
-	// exist at once (running + queued for a worker slot); beyond it
-	// new work is shed with ErrOverloaded instead of parking
-	// goroutines without limit. Default 16x Workers.
+	// MaxPending bounds the live leaders: uncached computations running
+	// plus callers waiting for a worker slot to start theirs. Beyond it
+	// new work is shed with ErrOverloaded instead of letting callers
+	// wait without limit. Default 16x Workers.
 	MaxPending int
 	// StoreByteBudget bounds the table store's resident-byte estimate;
 	// over it, cold tables' derived indexes are evicted (base data
@@ -112,8 +116,9 @@ var ErrUnknownTable = errors.New("unknown table")
 var ErrInternal = errors.New("internal pipeline failure")
 
 // ErrOverloaded reports that the engine shed a request because
-// MaxPending uncached computations are already running or queued;
-// clients should back off and retry. Match it with errors.Is.
+// MaxPending uncached computations are already running or waiting for
+// a worker slot; clients should back off and retry. Match it with
+// errors.Is.
 var ErrOverloaded = errors.New("engine overloaded")
 
 // ErrUnavailable reports a mutation rejected because the durable store
@@ -142,8 +147,8 @@ type Engine struct {
 	answers *cached[*Answer]
 	parses  *cached[[]rankedQuery] // whole ranked pools, cut to topK per request
 
-	sem   chan struct{} // worker pool: bounds running pipeline computations
-	admit chan struct{} // admission queue: bounds running + queued computations
+	sem     chan struct{} // worker slots: bounds running pipeline computations
+	pending atomic.Int64  // live leaders, running + waiting for a slot; MaxPending bounds it
 
 	// met is the registry-backed instrumentation ("engine." and
 	// "store." namespaces); see metrics.go and internal/metric.
@@ -193,7 +198,6 @@ func Open(opts Options) (*Engine, error) {
 		opts:  opts,
 		store: st,
 		sem:   make(chan struct{}, opts.Workers),
-		admit: make(chan struct{}, opts.MaxPending),
 	}
 	r := e.initMetrics()
 	e.results = newCached(e, r, "result", "explanation result", e.compute)
@@ -211,9 +215,9 @@ func Open(opts Options) (*Engine, error) {
 		if ev.Old == nil || (ev.New != nil && ev.New.Version() == ev.Old.Version()) {
 			return
 		}
-		e.results.lru.purgeVersion(ev.Old.Version())
-		e.answers.lru.purgeVersion(ev.Old.Version())
-		e.parses.lru.purgeVersion(ev.Old.Version())
+		e.results.purgeVersion(ev.Old.Version())
+		e.answers.purgeVersion(ev.Old.Version())
+		e.parses.purgeVersion(ev.Old.Version())
 	})
 	return e, nil
 }
@@ -512,11 +516,16 @@ func (e *Engine) withDefaultDeadline(ctx context.Context) (context.Context, cont
 	return context.WithDeadline(ctx, hardCap)
 }
 
-// countCtxErr books a context failure: only genuine deadline expiry
-// counts as a timeout; client cancellations are not pipeline signal.
-func (e *Engine) countCtxErr(err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// countFailure books a failed request under exactly one heading:
+// deadline expiry is a timeout, a client's cancellation is not pipeline
+// signal, and everything else is an error.
+func (e *Engine) countFailure(err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		e.met.timeouts.Inc()
+	case errors.Is(err, context.Canceled):
+	default:
+		e.met.errors.Inc()
 	}
 }
 
@@ -547,9 +556,10 @@ type Answer struct {
 
 // ExplainAnswer runs the answer-only fast path for one query over a
 // registered table: execution under an inactive tracer, skipping every
-// witness-cell, provenance and utterance computation. It shares the
-// engine's worker pool and admission queue (ErrOverloaded applies)
-// with Explain and has a cache of its own. The second return reports
+// witness-cell, provenance and utterance computation. It takes the same
+// call path as Explain — the caller computes a miss, under the engine's
+// worker slots and MaxPending (ErrOverloaded applies) — and has a cache
+// of its own. The second return reports
 // whether the answer came from that cache.
 func (e *Engine) ExplainAnswer(ctx context.Context, tableName, query string) (*Answer, bool, error) {
 	ans, _, hit, err := e.answers.call(ctx, tableName, query)
@@ -593,12 +603,13 @@ type BatchResult struct {
 	Err         error        `json:"-"`
 }
 
-// ExplainBatch executes every request concurrently, each under its own
-// per-query deadline, and returns results in request order. At most
-// Workers goroutines run per batch (requests are fed to a fixed worker
-// loop, so a huge batch never spawns a goroutine per entry); the
-// actual pipeline computations additionally go through the engine-wide
-// worker pool and admission queue shared with all other traffic. A
+// ExplainBatch executes every request, each under its own per-query
+// deadline, and returns results in request order. The caller is the
+// batch's first worker and up to Workers - 1 goroutines beside it claim
+// the remaining requests one at a time, so a one-request batch starts
+// no goroutine and a huge one never more than Workers - 1. Every
+// computation takes the same road as a single Explain: the engine-wide
+// worker slots and pending bound shared with all other traffic. A
 // canceled ctx fails every query that has not completed, including
 // those in flight.
 func (e *Engine) ExplainBatch(ctx context.Context, reqs []Request) []BatchResult {
@@ -606,43 +617,39 @@ func (e *Engine) ExplainBatch(ctx context.Context, reqs []Request) []BatchResult
 	start := time.Now()
 	defer func() { e.met.batchLatency.RecordDuration(time.Since(start)) }()
 	out := make([]BatchResult, len(reqs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := e.opts.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(reqs); i = int(next.Add(1)) - 1 {
+			out[i] = e.runBatchRequest(ctx, reqs[i])
+		}
 	}
-	for range workers {
+	var wg sync.WaitGroup
+	for w := 1; w < min(e.opts.Workers, len(reqs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				out[i] = e.runBatchRequest(ctx, reqs[i])
-			}
+			work()
 		}()
 	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	return out
 }
 
 // runBatchRequest executes one batch entry under its per-query
-// deadline (the request's own, clamped to the engine cap). The
-// deadline starts immediately, so time a computation spends queued for
+// deadline: the request's own when it names one, and in any case the
+// engine's default and cap, which the call path applies. The request's
+// deadline starts immediately, so time a computation spends waiting for
 // a worker slot counts against the query's budget; cache hits are
 // served before any deadline check, so a warmed batch succeeds even
 // with a tiny budget.
 func (e *Engine) runBatchRequest(ctx context.Context, r Request) BatchResult {
-	timeout := r.Timeout
-	if timeout <= 0 || timeout > e.opts.QueryTimeout {
-		timeout = e.opts.QueryTimeout
+	if r.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
+		defer cancel()
 	}
-	qctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	ex, cached, err := e.ExplainCached(qctx, r.Table, r.Query)
+	ex, cached, err := e.ExplainCached(ctx, r.Table, r.Query)
 	return BatchResult{Explanation: ex, Cached: cached, Err: err}
 }
 

@@ -1,16 +1,14 @@
 package engine
 
-import "sync"
-
 // cacheKey scopes a cached value to one table version: the snapshot's
 // content-hash version plus the request text (a query or a question).
 type cacheKey struct {
 	version, text string
 }
 
-// lru is a synchronized fixed-capacity LRU map from cacheKey to V.
+// lru is a fixed-capacity LRU map from cacheKey to V. It does not
+// lock: its owner (cached) guards it.
 type lru[V any] struct {
-	mu    sync.Mutex
 	cap   int
 	items map[cacheKey]*lruEntry[V]
 	// ring is the sentinel of the recency ring: ring.next is the most
@@ -41,8 +39,6 @@ func (c *lru[V]) pushFront(e *lruEntry[V]) {
 
 // get returns the cached value and refreshes its recency.
 func (c *lru[V]) get(key cacheKey) (val V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
 		return val, false
@@ -55,8 +51,6 @@ func (c *lru[V]) get(key cacheKey) (val V, ok bool) {
 // put inserts or refreshes a value, evicting the least recently used
 // entry when over capacity.
 func (c *lru[V]) put(key cacheKey, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
 		e.val = val
 		c.unlink(e)
@@ -77,8 +71,6 @@ func (c *lru[V]) put(key cacheKey, val V) {
 // version-scoped invalidation primitive. O(n) over the cache, which is
 // bounded by cap.
 func (c *lru[V]) purgeVersion(version string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for key, e := range c.items {
 		if key.version == version {
 			c.unlink(e)
@@ -89,7 +81,5 @@ func (c *lru[V]) purgeVersion(version string) {
 
 // len reports the current number of entries.
 func (c *lru[V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.items)
 }

@@ -122,8 +122,8 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 // miss, family by family of the benchmark's four, on a 120-row table
 // Section 5.3 sampling applies to: heap allocations and bytes of one
 // uncached ExplainCached, from the cache probe to the published
-// explanation, hand-off to the pipeline goroutine included. The counts
-// repeat to the byte; the bounds are the measured counts + 10 %. A
+// explanation, on the one goroutine that asked. The counts repeat to
+// the byte; the bounds are the measured counts + 10 %. A
 // provenance level held a second way — a map, a copy for the wire —
 // does not fit under them.
 func TestExplainMissAllocs(t *testing.T) {
@@ -131,10 +131,10 @@ func TestExplainMissAllocs(t *testing.T) {
 		t.Skip("allocation counts under the race detector")
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
-		"lookup":      {103, 13_600}, // measured 94 / 12 376; 197 / 84 280 with the levels as hash maps
-		"comparative": {118, 17_800}, // measured 108 / 16 187; 231 / 103 288
-		"superlative": {114, 16_900}, // measured 104 / 15 366; 214 / 91 000
-		"aggregate":   {124, 18_100}, // measured 113 / 16 445; 230 / 78 784
+		"lookup":      {102, 13_450}, // measured 93 / 12 232; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
+		"comparative": {117, 17_600}, // measured 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {113, 16_700}, // measured 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"aggregate":   {123, 17_900}, // measured 112 / 16 301; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
 	// it, so each call of a pass over the family misses.
