@@ -1,7 +1,7 @@
 // Command wtq-server serves query explanations over HTTP/JSON — the
 // deployment interface of Section 6.3 as a service, backed by the
 // concurrent explanation engine (table registry, result caches,
-// bounded worker pool).
+// bounded worker slots).
 //
 // Endpoints:
 //
@@ -581,7 +581,7 @@ func demoTable(e *nlexplain.Engine) error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker slots: concurrent uncached computations, and a batch's fan-out (0 = GOMAXPROCS)")
 	execWorkers := flag.Int("exec-workers", 0, "morsel-parallel executor workers per query (0 = GOMAXPROCS, 1 = serial)")
 	cacheSize := flag.Int("cache", 0, "LRU cache entries per cache (0 = default)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = default 10s)")

@@ -12,8 +12,7 @@ import (
 // Compiled is a checked lambda DCS expression lowered into the shared
 // relational plan IR and optimized, bound to the table it was compiled
 // against (column references are resolved to indices). Compiled plans
-// are immutable and safe for concurrent execution; the engine caches
-// them in its LRU keyed by table version + query.
+// are immutable and safe for concurrent execution.
 type Compiled struct {
 	// Expr is the source expression, kept for error reporting.
 	Expr Expr

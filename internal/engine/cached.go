@@ -23,16 +23,15 @@ type cached[T any] struct {
 	hits    *metric.Counter
 	misses  *metric.Counter
 
-	// mu guards the finished values and the computations in flight
-	// together: a key is in at most one of them, so one critical section
-	// says what a request is (join) and one ends a computation (finish).
+	// mu guards lru and inflight together: one critical section says
+	// what a request is (join), one ends a computation (finish).
 	mu       sync.Mutex
 	lru      *lru[T]
 	inflight map[cacheKey]*inflightCall[T]
 }
 
 // inflightCall is one deduplicated computation (singleflight): its
-// leader computes, followers block on done and then read val and err.
+// leader computes, followers block on done, then read val and err.
 type inflightCall[T any] struct {
 	done chan struct{}
 	val  T
@@ -82,9 +81,9 @@ func (c *cached[T]) purgeVersion(version string) {
 func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store.Snapshot, bool, error) {
 	e := c.e
 	snap, ok := e.store.Get(tableName)
+	var val T
 	if !ok {
-		var zero T
-		return c.outcome(zero, nil, fmt.Errorf("%w: %q", ErrUnknownTable, tableName))
+		return c.outcome(val, nil, fmt.Errorf("%w: %q", ErrUnknownTable, tableName))
 	}
 	key := cacheKey{snap.Version(), text}
 	val, hit, fl, leader := c.join(key)
@@ -98,7 +97,7 @@ func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store
 	for !leader {
 		select {
 		case <-ctx.Done():
-			return c.outcome(val, nil, ctx.Err())
+			return c.outcome(val, snap, ctx.Err())
 		case <-fl.done:
 		}
 		if !isCtxErr(fl.err) {
@@ -107,7 +106,7 @@ func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store
 		// The leader's caller gave up, which says nothing about the
 		// request: retake the key if this caller's budget is live.
 		if err := ctx.Err(); err != nil {
-			return c.outcome(val, nil, err)
+			return c.outcome(val, snap, err)
 		}
 		if val, hit, fl, leader = c.join(key); hit {
 			return val, snap, false, nil
@@ -117,14 +116,12 @@ func (c *cached[T]) call(ctx context.Context, tableName, text string) (T, *store
 	return c.outcome(val, snap, err)
 }
 
-// outcome is the return of a call that missed, a failure booked.
+// outcome is how a call that missed returns, a failure booked.
 func (c *cached[T]) outcome(val T, snap *store.Snapshot, err error) (T, *store.Snapshot, bool, error) {
 	if err != nil {
-		var zero T
 		c.e.countFailure(err)
-		return zero, nil, false, err
 	}
-	return val, snap, false, nil
+	return val, snap, false, err
 }
 
 // join says, in one critical section, what a request for key is: a hit
@@ -144,10 +141,9 @@ func (c *cached[T]) join(key cacheKey) (val T, hit bool, fl *inflightCall[T], le
 	return val, false, fl, true
 }
 
-// finish ends the computation fl of key: in one critical section a
-// successful value enters the LRU and the key leaves the in-flight set,
-// so no request can find the key in neither; then followers are
-// released.
+// finish ends the computation fl of key: a successful value enters the
+// LRU as the key leaves the in-flight set, so no request finds the key
+// in neither; then followers are released.
 func (c *cached[T]) finish(key cacheKey, fl *inflightCall[T], val T, err error) {
 	fl.val, fl.err = val, err
 	c.mu.Lock()
@@ -160,12 +156,11 @@ func (c *cached[T]) finish(key cacheKey, fl *inflightCall[T], val T, err error) 
 }
 
 // lead computes key's value on the calling goroutine and finishes fl
-// with the outcome. The computation counts against MaxPending from
-// here on (a full pending set sheds it with ErrOverloaded instead of
-// letting yet another caller wait), waits for a worker slot no longer
-// than ctx allows, and holds the slot while it runs. A panic in compute
-// is contained as ErrInternal. Slot and pending count are given back
-// before fl's followers, and the caller, go on.
+// with the outcome. A full pending set sheds the computation with
+// ErrOverloaded instead of letting yet another caller wait; an admitted
+// one waits for a worker slot no longer than ctx allows and holds it
+// while it runs. A panic in compute is contained as ErrInternal. Slot
+// and pending count are given back before anyone reads the outcome.
 func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (val T, err error) {
 	e := c.e
 	defer func() {
@@ -177,12 +172,11 @@ func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T],
 	if err := ctx.Err(); err != nil {
 		return val, err
 	}
+	defer e.pending.Add(-1)
 	if e.pending.Add(1) > int64(e.opts.MaxPending) {
-		e.pending.Add(-1)
 		e.met.sheds.Inc()
 		return val, ErrOverloaded
 	}
-	defer e.pending.Add(-1)
 	admitted := time.Now()
 	select {
 	case e.sem <- struct{}{}:
@@ -190,8 +184,7 @@ func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T],
 		return val, ctx.Err()
 	}
 	defer func() { <-e.sem }()
-	// Queue wait: admitted past the shed check, waiting until a worker
-	// slot freed up — the depth signal admission tuning needs.
+	// The depth signal admission tuning needs.
 	e.met.admitWait.RecordDuration(time.Since(admitted))
 	return c.compute(ctx, snap, tableName, key.text)
 }

@@ -3,9 +3,8 @@
 // provenance → highlight → utterance behind one Engine type with a
 // named-table registry, three result-level LRU caches (explanations,
 // answers, candidate pools, keyed on table version + request text)
-// behind one cached-call path that computes a miss on the goroutine
-// that asked, worker slots bounding every such computation, batches
-// with per-query timeouts, and scrape-ready counters.
+// behind one cached-call path, worker slots bounding the computations
+// callers run on it, per-query timeouts, and scrape-ready counters.
 //
 // The pipeline itself reproduces the deployment flow of Section 6.3 of
 // "Explaining Queries over Web Tables to Non-Experts" (ICDE 2019); the
@@ -43,10 +42,9 @@ type Options struct {
 	// CacheSize caps each LRU cache (explanations, answers, candidate
 	// pools). Default 1024 entries.
 	CacheSize int
-	// Workers bounds every running uncached computation — explain,
-	// answer and candidate generation, single or of a batch, each on the
-	// goroutine of its caller — and a batch's fan-out: its caller plus
-	// at most Workers - 1 goroutines. Default GOMAXPROCS.
+	// Workers bounds every running uncached computation (explain,
+	// answer, candidate generation; single or of a batch) and a batch's
+	// fan-out: its caller plus Workers - 1 goroutines. Default GOMAXPROCS.
 	Workers int
 	// QueryTimeout is the per-query deadline applied when a request
 	// carries none of its own; request-supplied timeouts are clamped
@@ -116,9 +114,8 @@ var ErrUnknownTable = errors.New("unknown table")
 var ErrInternal = errors.New("internal pipeline failure")
 
 // ErrOverloaded reports that the engine shed a request because
-// MaxPending uncached computations are already running or waiting for
-// a worker slot; clients should back off and retry. Match it with
-// errors.Is.
+// MaxPending uncached computations already run or wait for a worker
+// slot; clients should back off and retry. Match it with errors.Is.
 var ErrOverloaded = errors.New("engine overloaded")
 
 // ErrUnavailable reports a mutation rejected because the durable store
@@ -516,9 +513,8 @@ func (e *Engine) withDefaultDeadline(ctx context.Context) (context.Context, cont
 	return context.WithDeadline(ctx, hardCap)
 }
 
-// countFailure books a failed request under exactly one heading:
-// deadline expiry is a timeout, a client's cancellation is not pipeline
-// signal, and everything else is an error.
+// countFailure books a failed request once: deadline expiry as a timeout,
+// a client's cancellation not at all, anything else as an error.
 func (e *Engine) countFailure(err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -556,11 +552,9 @@ type Answer struct {
 
 // ExplainAnswer runs the answer-only fast path for one query over a
 // registered table: execution under an inactive tracer, skipping every
-// witness-cell, provenance and utterance computation. It takes the same
-// call path as Explain — the caller computes a miss, under the engine's
-// worker slots and MaxPending (ErrOverloaded applies) — and has a cache
-// of its own. The second return reports
-// whether the answer came from that cache.
+// witness-cell, provenance and utterance computation. It takes Explain's
+// call path (worker slots and MaxPending shared, ErrOverloaded applies)
+// with a cache of its own; the second return reports a hit in it.
 func (e *Engine) ExplainAnswer(ctx context.Context, tableName, query string) (*Answer, bool, error) {
 	ans, _, hit, err := e.answers.call(ctx, tableName, query)
 	return ans, hit, err
@@ -604,14 +598,12 @@ type BatchResult struct {
 }
 
 // ExplainBatch executes every request, each under its own per-query
-// deadline, and returns results in request order. The caller is the
-// batch's first worker and up to Workers - 1 goroutines beside it claim
-// the remaining requests one at a time, so a one-request batch starts
-// no goroutine and a huge one never more than Workers - 1. Every
-// computation takes the same road as a single Explain: the engine-wide
-// worker slots and pending bound shared with all other traffic. A
-// canceled ctx fails every query that has not completed, including
-// those in flight.
+// deadline, and returns results in request order. The caller and up to
+// Workers - 1 goroutines beside it claim requests one at a time, so a
+// one-request batch starts no goroutine and a huge one Workers - 1.
+// Each computation takes a single Explain's road: the worker slots and
+// pending bound shared with all other traffic. A canceled ctx fails
+// every query that has not completed, including those in flight.
 func (e *Engine) ExplainBatch(ctx context.Context, reqs []Request) []BatchResult {
 	e.met.batches.Inc()
 	start := time.Now()
@@ -637,12 +629,11 @@ func (e *Engine) ExplainBatch(ctx context.Context, reqs []Request) []BatchResult
 }
 
 // runBatchRequest executes one batch entry under its per-query
-// deadline: the request's own when it names one, and in any case the
-// engine's default and cap, which the call path applies. The request's
-// deadline starts immediately, so time a computation spends waiting for
-// a worker slot counts against the query's budget; cache hits are
-// served before any deadline check, so a warmed batch succeeds even
-// with a tiny budget.
+// deadline: the request's own if it names one; the engine's default
+// and cap are the call path's to apply. The deadline starts
+// immediately, so time spent waiting for a worker slot counts against
+// the query's budget; cache hits are served before any deadline check,
+// so a warmed batch succeeds even with a tiny budget.
 func (e *Engine) runBatchRequest(ctx context.Context, r Request) BatchResult {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc

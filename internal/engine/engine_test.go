@@ -233,8 +233,11 @@ func TestLoadShedding(t *testing.T) {
 		_, err := e.Explain(context.Background(), "olympics", "count(City.Athens)")
 		waiter <- err
 	}()
-	waitMisses(t, e, explain, 1)
-	time.Sleep(10 * time.Millisecond) // from the probe to the pending set
+	for deadline := time.Now().Add(5 * time.Second); e.pending.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second query never joined the pending set")
+		}
+	}
 
 	// A third distinct query must be shed immediately, not parked.
 	if _, err := e.Explain(context.Background(), "olympics", "max(R[Year].Record)"); !errors.Is(err, ErrOverloaded) {
@@ -249,6 +252,9 @@ func TestLoadShedding(t *testing.T) {
 	release()
 	if err := <-waiter; err != nil {
 		t.Fatalf("the waiting query: %v", err)
+	}
+	if n := e.pending.Load(); n != 0 {
+		t.Errorf("%d computations pending with every caller back, want 0", n)
 	}
 	if _, err := e.Explain(context.Background(), "olympics", "count(Country.Greece)"); err != nil {
 		t.Fatalf("after recovery: %v", err)

@@ -80,6 +80,4 @@ func (c *lru[V]) purgeVersion(version string) {
 }
 
 // len reports the current number of entries.
-func (c *lru[V]) len() int {
-	return len(c.items)
-}
+func (c *lru[V]) len() int { return len(c.items) }

@@ -7,8 +7,7 @@ import (
 	"nlexplain/internal/plan"
 )
 
-// metrics is the engine's registry-backed instrumentation, replacing
-// the flat counters struct that predated internal/metric. Every field
+// metrics is the engine's registry-backed instrumentation. Every field
 // is registered under the "engine." namespace of the engine's root
 // registry (the store's gauges land under "store."); wtq-server adds
 // its "server.http." series to the same root and serves the whole tree
@@ -30,7 +29,7 @@ type metrics struct {
 	answerLatency  *metric.Histogram // uncached answer-only computations
 	parseLatency   *metric.Histogram // uncached semantic-parse candidate generations
 	batchLatency   *metric.Histogram // whole ExplainBatch calls, wall clock
-	admitWait      *metric.Histogram // admission-to-worker-slot queue wait
+	admitWait      *metric.Histogram // an admitted leader's wait for a worker slot
 }
 
 // initMetrics wires the engine's namespace into a fresh root registry
@@ -46,7 +45,7 @@ func (e *Engine) initMetrics() *metric.Registry {
 		answersComputed: r.Counter("answers", "uncached answer-only computations"),
 		errors:          r.Counter("errors", "failed requests (bad query, unknown table, contained panic)"),
 		timeouts:        r.Counter("timeouts", "requests killed by deadline expiry"),
-		sheds:           r.Counter("sheds", "requests shed by the full admission queue"),
+		sheds:           r.Counter("sheds", "requests shed by the full pending set (MaxPending)"),
 		batches:         r.Counter("batches", "ExplainBatch calls"),
 		parses:          r.Counter("parses", "ParseQuestion calls"),
 

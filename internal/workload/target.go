@@ -22,7 +22,7 @@ const (
 	ClassCanceled    = "canceled"     // driver shutdown; never booked
 	ClassClientError = "client_error" // bad query / unknown table / type error
 	ClassTimeout     = "timeout"      // deadline exceeded
-	ClassOverloaded  = "overloaded"   // shed by the admission queue
+	ClassOverloaded  = "overloaded"   // shed: MaxPending computations pending
 	ClassInternal    = "internal"     // contained panic / 5xx
 	ClassTransport   = "transport"    // HTTP connection failure
 )

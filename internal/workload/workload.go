@@ -37,7 +37,7 @@ import (
 // exercise both the sampling path (large grids) and the dense path.
 // TableHuge exists for the adversarial hog family only: it is big
 // enough that one uncached hog computation takes real CPU time, which
-// is what lets overload tests fill the engine's admission queue.
+// is what lets overload tests fill the engine's pending set.
 const (
 	TableSmall = "wl_small"
 	TableMid   = "wl_mid"

@@ -31,9 +31,9 @@
 // For serving many concurrent requests, the package re-exports the
 // explanation pipeline engine (package internal/engine): three result
 // LRU caches — explanations, answers, candidate pools — keyed on
-// (table version, request text), an in-flight deduplicator, a bounded
-// worker pool for batches with per-query context deadlines, and
-// scrape-ready counters. Table state lives in a sharded versioned store
+// (table version, request text), an in-flight deduplicator, worker
+// slots bounding every uncached computation and a batch's fan-out,
+// per-query context deadlines, and scrape-ready counters. Table state lives in a sharded versioned store
 // (internal/store): every query pins an immutable snapshot, live
 // mutations (RegisterTable over an existing name, AppendRows,
 // DropTable) install a new snapshot under a monotonic generation and
@@ -190,7 +190,7 @@ func NewParser() *Parser { return semparse.NewParser() }
 // services embed the same machinery wtq-server runs on.
 type (
 	// Engine is the concurrent explanation pipeline: versioned table
-	// store, three result LRU caches, bounded worker pool and counters.
+	// store, three result LRU caches, bounded worker slots and counters.
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine; the zero value picks
 	// defaults (GOMAXPROCS workers, 1024-entry caches, 10s timeout,
@@ -238,8 +238,8 @@ var ErrUnknownTable = engine.ErrUnknownTable
 // panic); match it with errors.Is.
 var ErrInternal = engine.ErrInternal
 
-// ErrOverloaded reports that the engine shed a request because its
-// admission queue is full; match it with errors.Is.
+// ErrOverloaded reports that the engine shed a request because
+// MaxPending computations already run or wait; match it with errors.Is.
 var ErrOverloaded = engine.ErrOverloaded
 
 // ErrUnavailable reports a mutation rejected because the durable store
