@@ -223,21 +223,16 @@ func TestBatchTimeout(t *testing.T) {
 func TestLoadShedding(t *testing.T) {
 	e := New(Options{CacheSize: 16, Workers: 1, MaxPending: 2})
 	e.RegisterTable(olympics(t))
-	explain := callOps[0]
 
 	// One computation runs and a second waits for the slot it holds:
 	// the pending set (capacity 2) is full.
-	release := holdSlot(t, e, explain)
+	release := holdSlot(t, e, callOps[0])
 	waiter := make(chan error, 1)
 	go func() {
 		_, err := e.Explain(context.Background(), "olympics", "count(City.Athens)")
 		waiter <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); e.pending.Load() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second query never joined the pending set")
-		}
-	}
+	waitFor(t, "the second query to join the pending set", func() bool { return e.pending.Load() == 2 })
 
 	// A third distinct query must be shed immediately, not parked.
 	if _, err := e.Explain(context.Background(), "olympics", "max(R[Year].Record)"); !errors.Is(err, ErrOverloaded) {
@@ -299,18 +294,21 @@ func TestBatchTimeoutClampedToEngineCap(t *testing.T) {
 	wantTimeoutOnly(t, e)
 }
 
+// olympicsQueries are eight distinct queries over the olympics table.
+var olympicsQueries = []string{
+	"max(R[Year].Country.Greece)",
+	"min(R[Year].Record)",
+	"count(Country.Greece)",
+	"sum(R[Nations].Record)",
+	"avg(R[Nations].Record)",
+	"max(R[Year].Record)",
+	"count(City.Athens)",
+	"min(R[Nations].Country.USA)",
+}
+
 func TestExplainBatchConcurrent(t *testing.T) {
 	e := newTestEngine(t)
-	queries := []string{
-		"max(R[Year].Country.Greece)",
-		"min(R[Year].Record)",
-		"count(Country.Greece)",
-		"sum(R[Nations].Record)",
-		"avg(R[Nations].Record)",
-		"max(R[Year].Record)",
-		"count(City.Athens)",
-		"min(R[Nations].Country.USA)",
-	}
+	queries := olympicsQueries
 	reqs := make([]Request, 0, 2*len(queries))
 	for range 2 { // duplicates within one batch exercise cache + pool
 		for _, q := range queries {
