@@ -140,6 +140,51 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestDynamicQueryError pins what a query that parses, checks and then
+// fails while it runs looks like from outside: status 400, code
+// bad_request, and a message — compared byte for byte — that names the
+// failing sub-expression, through /v1/explain, /v1/answer and as one
+// item of a /v1/explain/batch.
+func TestDynamicQueryError(t *testing.T) {
+	ts, _ := newTestServer(t)
+	registerOlympics(t, ts)
+	cases := []struct{ query, failure string }{
+		{"sum(R[City].Country.Greece)", `executing sum(R[City].Country.Greece): sum over non-numeric value "Athens"`},
+		{"sub(max(R[Year].Country.Atlantis), 1)", "executing max(R[Year].Country.Atlantis): max over an empty set"},
+		{"sub(R[Year].Country.Greece, 1)", "executing sub(R[Year].Country.Greece, 1): left operand of sub must be a single value, got 2"},
+	}
+	var batch []map[string]string
+	for _, tc := range cases {
+		req := map[string]string{"table": "olympics", "query": tc.query}
+		batch = append(batch, req)
+		for path, verb := range map[string]string{"/v1/explain": "explaining", "/v1/answer": "answering"} {
+			resp, body := postJSON(t, ts.URL+path, req)
+			var env errorBody
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("%s %s: %v: %s", path, tc.query, err, body)
+			}
+			want := verb + " " + tc.query + " on olympics: " + tc.failure
+			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" || env.Error.Message != want {
+				t.Errorf("%s %s: status %d code %q message %q, want 400 bad_request %q", path, tc.query, resp.StatusCode, env.Error.Code, env.Error.Message, want)
+			}
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/explain/batch", map[string]any{"queries": batch})
+	var out batchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("batch: %v: %s", err, body)
+	}
+	if resp.StatusCode != http.StatusOK || out.Errors != len(cases) || len(out.Results) != len(cases) {
+		t.Fatalf("batch: status %d, %d errors in %d results, want 200 and %d of %d: %s", resp.StatusCode, out.Errors, len(out.Results), len(cases), len(cases), body)
+	}
+	for i, tc := range cases {
+		want := "explaining " + tc.query + " on olympics: " + tc.failure
+		if got := out.Results[i]; got.ErrorCode != "bad_request" || got.Error != want || got.Explanation != nil {
+			t.Errorf("batch item %d: code %q error %q, want bad_request %q and no explanation", i, got.ErrorCode, got.Error, want)
+		}
+	}
+}
+
 // TestPipelineErrorClasses drives every pipeline error class through
 // writePipelineError: one status and one stable code per class, and a
 // Retry-After on both 503s — a shed request is told to back off just

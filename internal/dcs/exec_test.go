@@ -1,9 +1,10 @@
-package dcs
+package dcs_test
 
 import (
 	"strings"
 	"testing"
 
+	. "nlexplain/internal/dcs"
 	"nlexplain/internal/table"
 )
 

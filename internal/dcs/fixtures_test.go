@@ -1,4 +1,4 @@
-package dcs
+package dcs_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	. "nlexplain/internal/dcs"
 	"nlexplain/internal/table"
 )
 

@@ -1,8 +1,9 @@
-package dcs
+package dcs_test
 
 import (
 	"testing"
 
+	. "nlexplain/internal/dcs"
 	"nlexplain/internal/table"
 )
 

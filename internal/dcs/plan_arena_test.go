@@ -1,10 +1,11 @@
-package dcs
+package dcs_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
+	. "nlexplain/internal/dcs"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
@@ -177,8 +178,9 @@ func TestPlanPooledReuseStaysDifferential(t *testing.T) {
 // so every scan the plan path runs goes through the zone verdict
 // layer. Any parseable, checkable query must produce identical
 // denotations and witness cells on the plan path and the legacy
-// interpreter, error exactly when the interpreter errors, and report
-// every operator's cells to the tracer in ascending order.
+// interpreter, fail exactly when the interpreter fails and in the
+// interpreter's words, and report every operator's cells to the tracer
+// in ascending order.
 func FuzzPlanDifferential(f *testing.F) {
 	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
@@ -195,6 +197,10 @@ func FuzzPlanDifferential(f *testing.F) {
 	f.Add("(Year>1896 u Year<=2008)")
 	f.Add("avg(R[Score].Year>1896)")
 	f.Add(`"nan"`) // a NaN answer: equal on both paths, unequal to itself
+	f.Add("sub(R[Year].Country.Greece, 1900)")
+	f.Add("sub(R[City].Country.China, 1)")
+	f.Add("sub(max(R[Year].Country.Atlantis), min(R[City].Record))")
+	f.Add("sub(R[City].Country.China, sum(R[Score].Year>2004))")
 	tab := table.MustNew("olympics",
 		[]string{"Year", "Country", "City", "Score"},
 		[][]string{
@@ -216,11 +222,14 @@ func FuzzPlanDifferential(f *testing.F) {
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%q: error divergence: interpreter=%v plan=%v", src, werr, gerr)
 		}
+		fast, ferr := ExecuteAnswer(e, tab)
 		if werr != nil {
+			if ferr == nil || gerr.Error() != werr.Error() || ferr.Error() != werr.Error() {
+				t.Fatalf("%q: error text diverged:\ninterpreter: %v\nplan:        %v\nanswer-only: %v", src, werr, gerr, ferr)
+			}
 			return
 		}
 		assertSameResult(t, want, got, true)
-		fast, ferr := ExecuteAnswer(e, tab)
 		if ferr != nil {
 			t.Fatalf("%q: ExecuteAnswer: %v", src, ferr)
 		}

@@ -1,13 +1,16 @@
-package dcs
+package dcs_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	. "nlexplain/internal/dcs"
 	"nlexplain/internal/plan"
+	"nlexplain/internal/qrand"
 	"nlexplain/internal/table"
 )
 
@@ -136,26 +139,263 @@ func TestPlanDifferential(t *testing.T) {
 	}
 }
 
-// TestPlanDifferentialErrors checks that dynamic errors surface on
-// both paths for the same queries.
+// TestPlanDifferentialErrors holds the plan path to the reference's
+// refusals: a query the interpreter fails at run time fails on the plan
+// path with the same words about the same sub-expression — under either
+// tracer, and whichever way the morsel driver runs the kernels. The
+// fixture queries come first; then, over qrand tables and one table past
+// two morsels, generated queries of every failing family (failingQueries).
 func TestPlanDifferentialErrors(t *testing.T) {
+	olympics := olympicsTable(t)
 	for _, src := range []string{
 		"sum(R[City].Country.Greece)",            // aggregating text
 		"max(R[Year].Country.Atlantis)",          // aggregate over empty set
-		"sub(R[Year].Country.Greece, Year.1900)", // non-singleton operand
+		"sub(R[Year].Country.Greece, Year.1900)", // refused statically: records operand
+		"sub(R[Year].Country.Greece, 1900)",      // non-singleton operand
+		"sub(R[City].Country.China, 1)",          // text operand
 	} {
-		tab := olympicsTable(t)
 		e := MustParse(src)
-		_, werr := ExecuteInterpreted(e, tab)
-		_, gerr := Execute(e, tab)
-		if werr == nil || gerr == nil {
-			t.Errorf("%s: expected both paths to fail, got interpreter=%v plan=%v", src, werr, gerr)
-			continue
+		_, werr := ExecuteInterpreted(e, olympics)
+		assertSameFailure(t, e, olympics, werr)
+	}
+
+	tables := []*table.Table{bigErrorTable()}
+	for seed := int64(0); seed < 12; seed++ {
+		tables = append(tables, qrand.Table(rand.New(rand.NewSource(seed))))
+	}
+	counts := map[string]int{}
+	for i, tab := range tables {
+		// The reference walks maps: on the big table nest one scalar in
+		// six, which still puts every family under a sub.
+		nest := 1
+		if tab.NumRows() > 1000 {
+			nest = 6
 		}
-		if werr.Error() != gerr.Error() {
-			t.Errorf("%s: error text diverged:\ninterpreter: %v\nplan:        %v", src, werr, gerr)
+		for family, qs := range failingQueries(rand.New(rand.NewSource(int64(i))), tab, nest) {
+			for _, e := range qs {
+				_, werr := ExecuteInterpreted(e, tab)
+				if werr == nil {
+					continue // a draw that happens to denote one number
+				}
+				counts[family]++
+				assertSameFailure(t, e, tab, werr)
+				if family == "both" {
+					assertLeftWins(t, e.(*Sub), tab)
+				}
+			}
 		}
 	}
+	// Every family really failed, and often: a generator that drifts into
+	// queries that succeed would leave this test comparing nothing.
+	t.Logf("failing queries by family: %v", counts)
+	for family, atLeast := range map[string]int{
+		"text": 150, "empty": 150, "mixed": 150, "multi": 70, "text-operand": 80, "nested": 1100, "both": 700,
+	} {
+		if counts[family] < atLeast {
+			t.Errorf("family %s: %d failing queries generated, want at least %d", family, counts[family], atLeast)
+		}
+	}
+}
+
+// execModes are the ways the morsel driver can run a kernel: inline,
+// forked across workers however small the input, and through the zone
+// verdicts on every table.
+var execModes = []struct {
+	name    string
+	workers int
+	forkAt  int // plan.SetParallelThreshold; 0 is the default
+	zones   bool
+}{
+	{"serial", 1, 0, false},
+	{"forced-fork", 8, 1, false},
+	{"forced-zone", 1, 0, true},
+}
+
+// setExecMode configures the process-wide executor knobs for one
+// mode and returns the function that puts them back.
+func setExecMode(workers, forkAt int, zones bool) (restore func()) {
+	prevW := plan.SetExecWorkers(workers)
+	prevT := plan.SetParallelThreshold(forkAt)
+	prevZOn := plan.SetZoneSkipping(zones)
+	prevZT := plan.SetZoneSkipThreshold(0)
+	return func() {
+		plan.SetExecWorkers(prevW)
+		plan.SetParallelThreshold(prevT)
+		plan.SetZoneSkipping(prevZOn)
+		plan.SetZoneSkipThreshold(prevZT)
+	}
+}
+
+// assertSameFailure takes the reference's refusal of e and requires, in
+// every execution mode and under both tracers, the plan path to fail
+// with the same text about the very node of e the reference names.
+func assertSameFailure(t *testing.T, e Expr, tab *table.Table, werr error) {
+	t.Helper()
+	where := tab.Name()
+	if werr == nil {
+		t.Errorf("%s: %s: the reference does not fail", where, e)
+		return
+	}
+	for _, mode := range execModes {
+		restore := setExecMode(mode.workers, mode.forkAt, mode.zones)
+		_, traced := Execute(e, tab)
+		_, answer := ExecuteAnswer(e, tab)
+		restore()
+		for tracer, gerr := range map[string]error{"traced": traced, "answer-only": answer} {
+			if gerr == nil {
+				t.Errorf("%s: %s (%s, %s): plan path succeeds, reference fails: %v", where, e, mode.name, tracer, werr)
+				continue
+			}
+			if gerr.Error() != werr.Error() {
+				t.Errorf("%s: %s (%s, %s): error text diverged:\nreference: %v\nplan:      %v", where, e, mode.name, tracer, werr, gerr)
+			}
+			var we, ge *ExecError
+			if errors.As(werr, &we) && (!errors.As(gerr, &ge) || ge.Expr != we.Expr) {
+				t.Errorf("%s: %s (%s, %s): plan error %v does not name the reference's node %s", where, e, mode.name, tracer, gerr, we.Expr)
+			}
+		}
+	}
+}
+
+// assertLeftWins spells out the order a sub reports in, against the
+// plan path alone: an operand that fails to evaluate is named, the left
+// before the right; only when both evaluate is the sub itself named,
+// for its left operand if that is unfit, for its right one otherwise.
+func assertLeftWins(t *testing.T, sub *Sub, tab *table.Table) {
+	t.Helper()
+	_, err := Execute(sub, tab)
+	var got *ExecError
+	if !errors.As(err, &got) {
+		t.Errorf("%s: %s: error %v is not an ExecError", tab.Name(), sub, err)
+		return
+	}
+	unfit := ""
+	for i, operand := range []Expr{sub.L, sub.R} {
+		res, err := Execute(operand, tab)
+		var inner *ExecError
+		if errors.As(err, &inner) {
+			if got.Expr != inner.Expr {
+				t.Errorf("%s: %s: names %s, want the failing operand's %s", tab.Name(), sub, got.Expr, inner.Expr)
+			}
+			return
+		}
+		if fit := len(res.Values) == 1 && res.Values[0].IsNumeric(); !fit && unfit == "" {
+			unfit = [...]string{"left", "right"}[i]
+		}
+	}
+	if got.Expr != Expr(sub) || !strings.HasPrefix(got.Msg, unfit+" operand") {
+		t.Errorf("%s: %s: both operands evaluate; error = %v, want the sub's %s operand named", tab.Name(), sub, err, unfit)
+	}
+}
+
+// bigErrorTable has qrand's five columns over 70 000 rows — past two
+// morsels, so a forced fork really splits the fold — and a sixth,
+// Mixed, of distinct numbers with a text cell in the second morsel and
+// another in the third: an aggregate over it must name the earlier.
+func bigErrorTable() *table.Table {
+	rng := rand.New(rand.NewSource(5))
+	small := make([]*table.Table, 16)
+	for i := range small {
+		small[i] = qrand.Table(rng)
+	}
+	rows := make([][]string, 70_000)
+	for i := range rows {
+		src := small[rng.Intn(len(small))]
+		r := rng.Intn(src.NumRows())
+		row := make([]string, 0, 6)
+		for c := 0; c < src.NumCols(); c++ {
+			row = append(row, src.Value(r, c).String())
+		}
+		mixed := strconv.Itoa(i) + ".5"
+		switch i {
+		case 40_000:
+			mixed = "n/a"
+		case 69_000:
+			mixed = "withdrawn"
+		}
+		rows[i] = append(row, mixed)
+	}
+	return table.MustNew("big", []string{"Nation", "City", "Year", "Games", "Result", "Mixed"}, rows)
+}
+
+// failingQueries draws, over a table with qrand's columns, queries the
+// reference refuses at run time, by family. The language admits a
+// scalar only under sub, so "nested" means two things: the failing
+// operator's input is built through each operator that can hold a
+// record set — a bare qrand draw, argmax / argmin, union, intersection,
+// always under the R[...] that turns it into values — and the failing
+// scalar itself sits on either side of an outer sub.
+//
+//	text          min / max / sum / avg over a text column
+//	empty         … over a numeric column of no records
+//	mixed         … over a union of a numeric and a text projection (and,
+//	              where the table has one, the Mixed column)
+//	multi         sub with a projection of several (or no) values
+//	text-operand  sub with the one text value an index superlative picks
+//	nested        any of the above as the left or right operand of a sub
+//	both          sub of two failing operands: the left one must be named
+//
+// A draw may, rarely, denote a single number and succeed (a one-row
+// record set under "multi"); the caller skips those. Every nest-th
+// scalar goes under an outer sub.
+func failingQueries(rng *rand.Rand, tab *table.Table, nest int) map[string][]Expr {
+	textCols := []string{"Nation", "City", "Result"}
+	numCols := []string{"Year", "Games"}
+	fns := []AggrFn{Min, Max, Sum, Avg}
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	one := &ValueLit{V: table.NumberValue(1)}
+	recs := func() Expr { return qrand.Records(rng, tab, 1) }
+	nowhere := func() Expr {
+		return &Join{Column: pick(textCols), Arg: &ValueLit{V: table.StringValue("Atlantis")}}
+	}
+	// shapes nests a record-set draw under each operator that holds one.
+	shapes := func(draw func() Expr) []Expr {
+		return []Expr{
+			draw(),
+			&ArgRecords{Max: rng.Intn(2) == 0, Records: draw(), Column: pick(numCols)},
+			&Union{L: draw(), R: draw()},
+			&Intersect{L: draw(), R: draw()},
+		}
+	}
+	out := map[string][]Expr{}
+	for _, fn := range fns {
+		for _, rs := range shapes(recs) {
+			out["text"] = append(out["text"], &Aggregate{Fn: fn, Arg: &ColumnValues{Column: pick(textCols), Records: rs}})
+		}
+		for _, rs := range shapes(nowhere) {
+			out["empty"] = append(out["empty"], &Aggregate{Fn: fn, Arg: &ColumnValues{Column: pick(numCols), Records: rs}})
+		}
+		for _, rs := range shapes(recs) {
+			out["mixed"] = append(out["mixed"], &Aggregate{Fn: fn, Arg: &Union{
+				L: &ColumnValues{Column: pick(numCols), Records: rs},
+				R: &ColumnValues{Column: pick(textCols), Records: rs},
+			}})
+		}
+		if _, ok := tab.ColumnIndex("Mixed"); ok {
+			out["mixed"] = append(out["mixed"], &Aggregate{Fn: fn, Arg: &ColumnValues{Column: "Mixed", Records: &AllRecords{}}})
+		}
+	}
+	for _, rs := range shapes(recs) {
+		many := &ColumnValues{Column: pick(append(numCols, textCols...)), Records: rs}
+		out["multi"] = append(out["multi"], &Sub{L: many, R: one}, &Sub{L: one, R: many})
+		word := &IndexSuperlative{Column: pick(textCols), Records: rs, First: rng.Intn(2) == 0}
+		out["text-operand"] = append(out["text-operand"], &Sub{L: word, R: one}, &Sub{L: one, R: word})
+		// Both operands unfit: the left one is reported. And a right
+		// operand that fails to evaluate is reported before a left one
+		// that evaluates but is unfit.
+		out["both"] = append(out["both"], &Sub{L: many, R: word}, &Sub{L: word, R: many},
+			&Sub{L: word, R: &Aggregate{Fn: Max, Arg: &ColumnValues{Column: pick(numCols), Records: nowhere()}}})
+	}
+	var scalars []Expr
+	for _, family := range []string{"text", "empty", "mixed", "multi", "text-operand"} {
+		scalars = append(scalars, out[family]...)
+	}
+	for i := 0; i < len(scalars); i += nest {
+		s := scalars[i]
+		out["nested"] = append(out["nested"], &Sub{L: s, R: one}, &Sub{L: one, R: s})
+		out["both"] = append(out["both"], &Sub{L: s, R: scalars[rng.Intn(len(scalars))]})
+	}
+	return out
 }
 
 // TestPlanErrorNamesSubexpression pins the legacy error contract: a
