@@ -8,6 +8,7 @@ package nlexplain
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/experiments"
 	"nlexplain/internal/minisql"
+	"nlexplain/internal/oracle"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/provenance"
 	"nlexplain/internal/semparse"
@@ -442,6 +444,54 @@ func TestEngineHitAllocs(t *testing.T) {
 	}
 }
 
+// TestFailingQueryRunsOnce pins, without the clock, that a query which
+// fails while it runs costs what the plan costs and no more: on a
+// 131072-row table the failing form of each shape allocates within a
+// small constant (the error and its message) of the same shape
+// succeeding. A second evaluation to find out what to say — the
+// tree-walking reference builds a map entry per selected record — is
+// thousands of allocations and does not fit.
+func TestFailingQueryRunsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	nations := []string{"Greece", "France", "China", "UK", "Brazil", "Fiji"}
+	rows := make([][]string, 1<<17)
+	for i := range rows {
+		rows[i] = []string{nations[rng.Intn(len(nations))], strconv.Itoa(rng.Intn(10)), strconv.Itoa(rng.Intn(5000))}
+	}
+	tab := table.MustNew("games", []string{"Nation", "Games", "Score"}, rows)
+	allocs := func(query string, wantErr string) float64 {
+		compiled, err := dcs.Compile(dcs.MustParse(query), tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() error {
+			_, err := compiled.ExecuteWithCtx(context.Background(), tab, plan.Noop{})
+			return err
+		}
+		if err := run(); (err == nil) != (wantErr == "") || (err != nil && err.Error() != wantErr) {
+			t.Fatalf("%s: error = %v, want %q", query, err, wantErr)
+		}
+		return testing.AllocsPerRun(5, func() { _ = run() })
+	}
+	for _, tc := range []struct{ ok, failing, failure string }{
+		{"max(R[Score].Games>5)", "max(R[Score].Games>99)",
+			"executing max(R[Score].Games>99): max over an empty set"},
+		{"sum(R[Score].Games!=3)", "sum(R[Nation].Games!=3)",
+			`executing sum(R[Nation].Games!=3): sum over non-numeric value "` + rows[0][0] + `"`},
+		{"sub(max(R[Score].Games>=0), 1)", "sub(R[Score].Games>=0, 1)",
+			"executing sub(R[Score].Games>=0, 1): left operand of sub must be a single value, got 5000"},
+	} {
+		ok, failing := allocs(tc.ok, ""), allocs(tc.failing, tc.failure)
+		t.Logf("%s: %.0f allocs; %s: %.0f allocs", tc.ok, ok, tc.failing, failing)
+		if failing > ok+5 {
+			t.Errorf("%s fails in %.0f allocations, %s succeeds in %.0f: a failing query runs once, want at most 5 more", tc.failing, failing, tc.ok, ok)
+		}
+	}
+}
+
 // BenchmarkPlanExecCold times compile + answer-only execution (a plan
 // cache miss) on the Figure 7 growth table — the shape the pre-arena
 // BenchmarkPlanExec measured.
@@ -468,7 +518,7 @@ func BenchmarkInterpExec(b *testing.B) {
 		q := dcs.MustParse(c.query)
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dcs.ExecuteInterpreted(q, tab); err != nil {
+				if _, err := oracle.Execute(q, tab); err != nil {
 					b.Fatal(err)
 				}
 			}

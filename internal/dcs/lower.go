@@ -14,7 +14,9 @@ import (
 // against (column references are resolved to indices). Compiled plans
 // are immutable and safe for concurrent execution.
 type Compiled struct {
-	// Expr is the source expression, kept for error reporting.
+	// Expr is the source expression. Callers read it to say what they
+	// ran; a failing execution names the sub-expression that failed off
+	// the plan node itself (plan.Aggregate.Src, plan.Arith.Src).
 	Expr Expr
 	// Root is the optimized plan tree.
 	Root plan.Node
@@ -43,30 +45,22 @@ func (c *Compiled) ExecuteWith(t *table.Table, tr plan.Tracer) (*Result, error) 
 // ExecuteWithCtx is ExecuteWith with cooperative cancellation: the
 // executor polls ctx at every morsel boundary, so a caller that gave up
 // does not pay for a full million-row scan. A nil ctx disables the
-// checks.
+// checks. The plan runs once: an operator that fails on the data names
+// the expression it was lowered from (plan.Error), which comes back as
+// the *ExecError about that sub-expression; a context error comes back
+// as it is.
 func (c *Compiled) ExecuteWithCtx(ctx context.Context, t *table.Table, tr plan.Tracer) (*Result, error) {
 	// The plan value lives on the stack; RunIntoCtx detaches the
 	// execution arena's buffers into it, and resultFromVal moves the
 	// slices into the caller-owned Result — one allocation end to end.
 	var v plan.Val
-	err := plan.RunIntoCtx(ctx, &v, c.Root, t, tr)
-	if err != nil {
-		// Cancellation is the caller abandoning the run, not a query
-		// error: surface it as-is, before the interpreter fallback —
-		// re-running a scan the caller already gave up on would defeat
-		// the point of polling ctx in the first place.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
+	if err := plan.RunIntoCtx(ctx, &v, c.Root, t, tr); err != nil {
+		var pe *plan.Error
+		if errors.As(err, &pe) {
+			src, _ := pe.Src.(Expr) // Lower sets it on both nodes that can fail
+			err = &ExecError{Expr: src, Msg: pe.Msg}
 		}
-		// The plan error names the operation ("min over an empty set")
-		// but not the failing sub-expression. Dynamic errors are rare
-		// and terminal, so off the hot path re-run the reference
-		// interpreter, which pinpoints the sub-expression exactly as
-		// the legacy error contract did.
-		if _, ierr := exec(c.Expr, t); ierr != nil {
-			return nil, ierr
-		}
-		return nil, &ExecError{Expr: c.Expr, Msg: err.Error()}
+		return nil, err
 	}
 	return resultFromVal(&v), nil
 }
@@ -144,7 +138,7 @@ func Lower(e Expr, t *table.Table) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Aggregate{Fn: string(x.Fn), Input: in}, nil
+		return &plan.Aggregate{Fn: string(x.Fn), Input: in, Src: x}, nil
 	case *Sub:
 		l, err := Lower(x.L, t)
 		if err != nil {
@@ -154,7 +148,7 @@ func Lower(e Expr, t *table.Table) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Arith{Op2: "-", L: l, R: r}, nil
+		return &plan.Arith{Op2: "-", L: l, R: r, Src: x}, nil
 	case *ArgRecords:
 		c, err := col(x.Column)
 		if err != nil {

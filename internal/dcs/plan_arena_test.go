@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	. "nlexplain/internal/dcs"
+	"nlexplain/internal/oracle"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
@@ -155,7 +156,7 @@ func TestPlanPooledReuseStaysDifferential(t *testing.T) {
 		for _, tc := range diffCorpus {
 			tab := fixtureByName(t, tc.table)
 			e := MustParse(tc.src)
-			want, werr := ExecuteInterpreted(e, tab)
+			want, werr := oracle.Execute(e, tab)
 			got, gerr := Execute(e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("pass %d %s: error divergence: %v vs %v", pass, tc.src, werr, gerr)
@@ -217,7 +218,7 @@ func FuzzPlanDifferential(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, werr := ExecuteInterpreted(e, tab)
+		want, werr := oracle.Execute(e, tab)
 		got, gerr := executeOrdered(t, e, tab)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%q: error divergence: interpreter=%v plan=%v", src, werr, gerr)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	. "nlexplain/internal/dcs"
+	"nlexplain/internal/oracle"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/qrand"
 	"nlexplain/internal/table"
@@ -117,7 +118,7 @@ func TestPlanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", tc.src, err)
 			}
-			want, werr := ExecuteInterpreted(e, tab)
+			want, werr := oracle.Execute(e, tab)
 			got, gerr := Execute(e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("error divergence: interpreter=%v plan=%v", werr, gerr)
@@ -155,7 +156,7 @@ func TestPlanDifferentialErrors(t *testing.T) {
 		"sub(R[City].Country.China, 1)",          // text operand
 	} {
 		e := MustParse(src)
-		_, werr := ExecuteInterpreted(e, olympics)
+		_, werr := oracle.Execute(e, olympics)
 		assertSameFailure(t, e, olympics, werr)
 	}
 
@@ -173,7 +174,7 @@ func TestPlanDifferentialErrors(t *testing.T) {
 		}
 		for family, qs := range failingQueries(rand.New(rand.NewSource(int64(i))), tab, nest) {
 			for _, e := range qs {
-				_, werr := ExecuteInterpreted(e, tab)
+				_, werr := oracle.Execute(e, tab)
 				if werr == nil {
 					continue // a draw that happens to denote one number
 				}
@@ -530,7 +531,7 @@ func TestPlanDifferentialNaN(t *testing.T) {
 		cases = append(cases, &ArgRecords{Max: true, Records: &AllRecords{}, Column: col})
 	}
 	for _, e := range cases {
-		want, werr := ExecuteInterpreted(e, tab)
+		want, werr := oracle.Execute(e, tab)
 		got, gerr := Execute(e, tab)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s: error divergence: interpreter=%v plan=%v", e, werr, gerr)
@@ -559,7 +560,7 @@ func TestPlanDifferentialUnicodeFold(t *testing.T) {
 		&Compare{Column: "Mark", Op: Ne, V: table.StringValue("S")},
 		&Compare{Column: "Mark", Op: Ne, V: table.StringValue("ſ")},
 	} {
-		want, werr := ExecuteInterpreted(e, tab)
+		want, werr := oracle.Execute(e, tab)
 		got, gerr := Execute(e, tab)
 		if werr != nil || gerr != nil {
 			t.Fatalf("%s: interpreter=%v plan=%v", e, werr, gerr)
@@ -649,7 +650,7 @@ func TestPlanDifferentialParallelFractions(t *testing.T) {
 	defer plan.SetExecWorkers(plan.SetExecWorkers(1))
 	for _, src := range []string{"sum(R[Score].Record)", "avg(R[Score].Record)"} {
 		e := MustParse(src)
-		want, err := ExecuteInterpreted(e, tab)
+		want, err := oracle.Execute(e, tab)
 		if err != nil {
 			t.Fatal(err)
 		}

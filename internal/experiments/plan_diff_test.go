@@ -5,6 +5,7 @@ import (
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/minisql"
+	"nlexplain/internal/oracle"
 	"nlexplain/internal/sqlgen"
 )
 
@@ -22,7 +23,7 @@ func TestFixturePlanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("figure %d: Parse(%q): %v", n, src, err)
 			}
-			want, werr := dcs.ExecuteInterpreted(e, tab)
+			want, werr := oracle.Execute(e, tab)
 			got, gerr := dcs.Execute(e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("figure %d %s: error divergence: interpreter=%v plan=%v", n, src, werr, gerr)

@@ -868,9 +868,9 @@ func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
 		return v, nil
 	}
 	if len(in.Values) == 0 {
-		return nil, fmt.Errorf("%s over an empty set", x.Fn)
+		return nil, errorf(x.Src, "%s over an empty set", x.Fn)
 	}
-	out, err := ex.foldValues(x.Fn, in.Values)
+	out, err := ex.foldValues(x, in.Values)
 	if err != nil {
 		return nil, err
 	}
@@ -890,11 +890,11 @@ func (ex *executor) arith(x *Arith) (*Val, error) {
 	if err != nil {
 		return nil, err
 	}
-	lf, err := arithOperand(l, "left")
+	lf, err := arithOperand(x, l, "left")
 	if err != nil {
 		return nil, err
 	}
-	rf, err := arithOperand(r, "right")
+	rf, err := arithOperand(x, r, "right")
 	if err != nil {
 		return nil, err
 	}
@@ -905,7 +905,7 @@ func (ex *executor) arith(x *Arith) (*Val, error) {
 	case "+":
 		out = lf + rf
 	default:
-		return nil, fmt.Errorf("unknown arithmetic operator %q", x.Op2)
+		return nil, errorf(x.Src, "unknown arithmetic operator %q", x.Op2)
 	}
 	v := ex.ar.val(ScalarKind)
 	v.Values = append(ex.ar.vals.get(1), table.NumberValue(out))
@@ -916,13 +916,13 @@ func (ex *executor) arith(x *Arith) (*Val, error) {
 	return v, nil
 }
 
-func arithOperand(v *Val, side string) (float64, error) {
+func arithOperand(x *Arith, v *Val, side string) (float64, error) {
 	if len(v.Values) != 1 {
-		return 0, fmt.Errorf("%s operand of sub must be a single value, got %d", side, len(v.Values))
+		return 0, errorf(x.Src, "%s operand of sub must be a single value, got %d", side, len(v.Values))
 	}
 	f, ok := v.Values[0].Float()
 	if !ok {
-		return 0, fmt.Errorf("%s operand of sub is not numeric: %q", side, v.Values[0])
+		return 0, errorf(x.Src, "%s operand of sub is not numeric: %q", side, v.Values[0])
 	}
 	return f, nil
 }

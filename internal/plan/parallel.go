@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -589,7 +588,8 @@ func displaces(sign int, v, cur table.Value) bool {
 // interpreter at any worker count: min/max partials recombine exactly,
 // and the additions of sum/avg happen here, once, left to right in
 // input order — per-morsel partial sums would round differently.
-func (ex *executor) foldValues(fn string, vals []table.Value) (table.Value, error) {
+func (ex *executor) foldValues(x *Aggregate, vals []table.Value) (table.Value, error) {
+	fn := x.Fn
 	nm := morselCount(len(vals))
 	k := &ex.agg
 	*k = aggFold{vals: vals, ext: ex.ar.vals.get(nm)[:nm], bad: ex.ar.ints.get(nm)[:nm]}
@@ -604,7 +604,7 @@ func (ex *executor) foldValues(fn string, vals []table.Value) (table.Value, erro
 	}
 	for _, i := range k.bad {
 		if i >= 0 {
-			return table.Value{}, fmt.Errorf("%s over non-numeric value %q", fn, vals[i])
+			return table.Value{}, errorf(x.Src, "%s over non-numeric value %q", fn, vals[i])
 		}
 	}
 	switch fn {
@@ -630,5 +630,5 @@ func (ex *executor) foldValues(fn string, vals []table.Value) (table.Value, erro
 		}
 		return table.NumberValue(sum), nil
 	}
-	return table.Value{}, fmt.Errorf("unknown aggregate %q", fn)
+	return table.Value{}, errorf(x.Src, "unknown aggregate %q", fn)
 }

@@ -342,10 +342,14 @@ func (c *CompareVals) Children() []Node { return []Node{c.Input} }
 
 // Aggregate applies Fn (count, min, max, sum, avg) to Input and
 // denotes a scalar. Count accepts rows or values; the rest need
-// numeric values.
+// numeric values, and at least one — Aggregate and Arith are the two
+// operators that can fail on what the table holds. Src is the front
+// end's expression the node was lowered from; the executor never reads
+// it, only hands it back in the Error it returns.
 type Aggregate struct {
 	Fn    string
 	Input Node
+	Src   any
 }
 
 // Kind of an aggregate is scalar.
@@ -358,10 +362,13 @@ func (*Aggregate) Op() string { return "Aggregate" }
 func (a *Aggregate) Children() []Node { return []Node{a.Input} }
 
 // Arith denotes the arithmetic combination of two scalar-ish inputs
-// (singleton value sets or scalars); Op is "-" or "+".
+// (singleton value sets or scalars); Op is "-" or "+". It fails on an
+// operand that is not exactly one numeric value; Src is as on
+// Aggregate.
 type Arith struct {
 	Op2  string
 	L, R Node
+	Src  any
 }
 
 // Kind of an arithmetic node is scalar.
@@ -372,6 +379,23 @@ func (*Arith) Op() string { return "Arith" }
 
 // Children returns both operands.
 func (a *Arith) Children() []Node { return []Node{a.L, a.R} }
+
+// Error is the failure of an operator on the data it met — an
+// aggregate over no values or over text, a difference of something that
+// is not one number — as opposed to a cancelled run. Src is the failing
+// node's Src, so a front end can name the sub-expression in its own
+// syntax; Msg names the operation ("max over an empty set").
+type Error struct {
+	Src any
+	Msg string
+}
+
+// Error returns Msg.
+func (e *Error) Error() string { return e.Msg }
+
+func errorf(src any, format string, args ...any) error {
+	return &Error{Src: src, Msg: fmt.Sprintf(format, args...)}
+}
 
 // ---- SQL (table-producing) operators ----
 

@@ -98,7 +98,7 @@ func rewrite(n Node) (Node, bool) {
 			return &constScalar{Const{Values: []table.Value{table.NumberValue(n)}}, "count"}, true
 		}
 		if in != x.Input {
-			return &Aggregate{Fn: x.Fn, Input: in}, changed
+			return &Aggregate{Fn: x.Fn, Input: in, Src: x.Src}, changed
 		}
 	case *Arith:
 		l, r := opt(x.L), opt(x.R)
@@ -108,7 +108,7 @@ func rewrite(n Node) (Node, bool) {
 			return &constScalar{Const{Values: []table.Value{table.NumberValue(lf - rf)}}, ""}, true
 		}
 		if l != x.L || r != x.R {
-			return &Arith{Op2: x.Op2, L: l, R: r}, changed
+			return &Arith{Op2: x.Op2, L: l, R: r, Src: x.Src}, changed
 		}
 	case *Distinct:
 		in := opt(x.Input)
