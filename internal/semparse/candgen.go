@@ -174,15 +174,12 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 			continue
 		}
 		seen[n.text] = struct{}{}
-		if dcs.Check(e, t) != nil {
-			continue
-		}
 		// Answer-only fast path: candidate results feed ranking and
 		// gold-answer comparison, never highlights, so witness-cell
 		// capture would be pure overhead on this hot loop.
 		res, err := dcs.ExecuteAnswer(e, t)
 		if err != nil {
-			continue // dynamic type errors: not a viable candidate
+			continue // ill-typed, or a dynamic type error: not a viable candidate
 		}
 		pool = append(pool, Candidate{Query: e, Result: res, Features: f.features(n, res), text: n.text})
 		out = append(out, &pool[len(pool)-1])
