@@ -31,8 +31,11 @@ test: parse-footprint
 parse-footprint:
 	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs' -count=1 ./internal/engine/
 
+# vet also holds the reference interpreter (internal/oracle) out of
+# everything that ships: only _test.go files may import it.
 vet:
 	$(GO) vet ./...
+	@if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/internal/oracle; then echo "a shipped package links the reference interpreter"; exit 1; fi
 
 # fmt fails when any file needs reformatting (including -s
 # simplifications), listing the offenders.
@@ -136,10 +139,11 @@ fault-stress:
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal/
 
-# fuzz-plan runs the plan-vs-interpreter differential fuzzer for a
+# fuzz-plan runs the plan-vs-reference differential fuzzer for a
 # bounded window: any parseable query must denote the same answer and
-# witness cells on the plan path as on the reference interpreter, with
-# zone-map consultation forced.
+# witness cells on the plan path (dcs.Execute) as on the reference
+# interpreter (internal/oracle, which only tests link), or fail with the
+# same error text, with zone-map consultation forced.
 fuzz-plan:
 	$(GO) test -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 30s ./internal/dcs/
 

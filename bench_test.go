@@ -510,8 +510,9 @@ func BenchmarkPlanExecCold(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpExec times the legacy tree-walking interpreter on the
-// same workload as BenchmarkPlanExec.
+// BenchmarkInterpExec times the reference tree-walking interpreter
+// (internal/oracle) on the same workload as BenchmarkPlanExecCold, so
+// plan-vs-reference stays on record in bench.out.
 func BenchmarkInterpExec(b *testing.B) {
 	tab := sharedPlanBenchTable()
 	for _, c := range planBenchCases {
