@@ -471,8 +471,13 @@ func TestFailingQueryRunsOnce(t *testing.T) {
 			_, err := compiled.ExecuteWithCtx(context.Background(), tab, plan.Noop{})
 			return err
 		}
-		if err := run(); (err == nil) != (wantErr == "") || (err != nil && err.Error() != wantErr) {
-			t.Fatalf("%s: error = %v, want %q", query, err, wantErr)
+		// Rendered here, outside the count: Error() formats the query.
+		got := ""
+		if err := run(); err != nil {
+			got = err.Error()
+		}
+		if got != wantErr {
+			t.Fatalf("%s: error = %q, want %q", query, got, wantErr)
 		}
 		return testing.AllocsPerRun(5, func() { _ = run() })
 	}

@@ -198,26 +198,28 @@ func TestPlanDifferentialErrors(t *testing.T) {
 	}
 }
 
-// execModes are the ways the morsel driver can run a kernel: inline,
-// forked across workers however small the input, and through the zone
-// verdicts on every table.
-var execModes = []struct {
+// execMode is one way the morsel driver can run a kernel.
+type execMode struct {
 	name    string
 	workers int
 	forkAt  int // plan.SetParallelThreshold; 0 is the default
 	zones   bool
-}{
+}
+
+// execModes: inline, forked across workers however small the input,
+// and through the zone verdicts on every table.
+var execModes = []execMode{
 	{"serial", 1, 0, false},
 	{"forced-fork", 8, 1, false},
 	{"forced-zone", 1, 0, true},
 }
 
-// setExecMode configures the process-wide executor knobs for one
-// mode and returns the function that puts them back.
-func setExecMode(workers, forkAt int, zones bool) (restore func()) {
-	prevW := plan.SetExecWorkers(workers)
-	prevT := plan.SetParallelThreshold(forkAt)
-	prevZOn := plan.SetZoneSkipping(zones)
+// set configures the process-wide executor knobs for the mode and
+// returns the function that puts them back.
+func (m execMode) set() (restore func()) {
+	prevW := plan.SetExecWorkers(m.workers)
+	prevT := plan.SetParallelThreshold(m.forkAt)
+	prevZOn := plan.SetZoneSkipping(m.zones)
 	prevZT := plan.SetZoneSkipThreshold(0)
 	return func() {
 		plan.SetExecWorkers(prevW)
@@ -238,7 +240,7 @@ func assertSameFailure(t *testing.T, e Expr, tab *table.Table, werr error) {
 		return
 	}
 	for _, mode := range execModes {
-		restore := setExecMode(mode.workers, mode.forkAt, mode.zones)
+		restore := mode.set()
 		_, traced := Execute(e, tab)
 		_, answer := ExecuteAnswer(e, tab)
 		restore()
