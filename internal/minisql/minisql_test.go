@@ -214,6 +214,35 @@ func TestStringEscaping(t *testing.T) {
 	wantCol(t, r, "1")
 }
 
+// TestSourceRowsMixedComputed covers the -1 computed-row sentinel on a
+// result mixing source-backed and computed rows: a UNION of a plain
+// selection with an aggregate keeps the selection's record indices and
+// marks the aggregate row computed, and SourceRows must skip only the
+// sentinel rows.
+func TestSourceRowsMixedComputed(t *testing.T) {
+	tab := table.MustNew("nums",
+		[]string{"Label", "N"},
+		[][]string{
+			{"a", "3"},
+			{"b", "1896"},
+			{"c", "3"},
+		})
+	r, err := Run("SELECT N FROM T WHERE Label = 'b' UNION SELECT COUNT(*) FROM T", tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Data) != 2 {
+		t.Fatalf("rows = %v", r.Data)
+	}
+	if r.Src[0] != 1 || r.Src[1] != -1 {
+		t.Fatalf("Src = %v, want [1 -1] (source row then computed sentinel)", r.Src)
+	}
+	rows := r.SourceRows()
+	if len(rows) != 1 || rows[0] != 1 {
+		t.Fatalf("SourceRows = %v, want [1]", rows)
+	}
+}
+
 func TestScalarSubqueryShapeError(t *testing.T) {
 	_, err := Run("SELECT City FROM T WHERE Year = (SELECT Year FROM T)", olympics(t))
 	if err == nil || !strings.Contains(err.Error(), "scalar subquery") {
