@@ -32,10 +32,12 @@ parse-footprint:
 	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs' -count=1 ./internal/engine/
 
 # vet also holds the reference interpreter (internal/oracle) out of
-# everything that ships: only _test.go files may import it.
+# everything that ships — only _test.go files may import it — and keeps
+# mini-SQL off the plan core, which serves lambda DCS alone.
 vet:
 	$(GO) vet ./...
 	@if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/internal/oracle; then echo "a shipped package links the reference interpreter"; exit 1; fi
+	@if $(GO) list -deps ./internal/minisql | grep -x nlexplain/internal/plan; then echo "internal/minisql links the plan core"; exit 1; fi
 
 # fmt fails when any file needs reformatting (including -s
 # simplifications), listing the offenders.
@@ -59,7 +61,7 @@ cover: parse-footprint
 # bench smoke-runs every benchmark once; -benchtime=1x keeps it cheap
 # enough for CI while still executing each pipeline end to end, and
 # -benchmem records B/op + allocs/op for every benchmark (the
-# allocation columns of BenchmarkPlanExec/BenchmarkPlanExecSQL/
+# allocation columns of BenchmarkPlanExec/BenchmarkExecSQL/
 # BenchmarkStoreSnapshot are the hot-path budget). The morsel-executor
 # benchmarks then rerun at -cpu 1,4 so the serial-vs-parallel cost of
 # the plan kernels is on record for both a starved and a multicore
@@ -93,8 +95,7 @@ store-stress:
 	$(GO) test -race -count=500 -run 'TestExplainBatchConcurrent|TestCallPathContract|TestLoadShedding' ./internal/engine/
 
 # bigtable-stress is the data-race gate for the morsel driver: the
-# forced-parallel differential suites (the SQL one with its forced-zone
-# legs, range counts over a monotone column), the NaN/tie and cancellation
+# forced-parallel differential suites, the NaN/tie and cancellation
 # tests, the worker-count-flip hammer (executions racing SetExecWorkers)
 # and the engine-level hammer (8 query goroutines racing a store
 # mutator over a pinned snapshot) all rerun under the race detector.
@@ -103,7 +104,7 @@ store-stress:
 # which a second copy of the cells in any form does not fit under.
 bigtable-stress:
 	$(GO) test -race -run BigTable -count=1 ./internal/plan/... ./internal/engine/...
-	$(GO) test -race -run 'TestPlanDifferentialParallel|TestSQLPlanDifferentialParallel' -count=1 ./internal/dcs/... ./internal/minisql/...
+	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
 	$(GO) test -run TestTableHeapPerCell -count=1 ./internal/table/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)

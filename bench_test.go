@@ -532,29 +532,20 @@ func BenchmarkInterpExec(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanExecSQL times mini-SQL execution through the plan core
-// (with predicate pushdown) against the interpreted evaluator.
-func BenchmarkPlanExecSQL(b *testing.B) {
+// BenchmarkExecSQL times one mini-SQL execution on the Figure 7
+// growth table: what checking a Table 10 translation costs there.
+func BenchmarkExecSQL(b *testing.B) {
 	tab := sharedPlanBenchTable()
 	const src = `SELECT Country FROM T WHERE "Growth Rate" > 2 AND Year >= 2000`
 	q, err := minisql.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := minisql.Exec(q, tab); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := minisql.Exec(q, tab); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := minisql.ExecInterpreted(q, tab); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkCoreExecute times raw lambda DCS execution of the running

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -64,21 +63,15 @@ func (r *Rows) key(i int) string {
 	return b.String()
 }
 
-// Exec evaluates a query against a table by lowering it into the
-// shared relational plan IR (internal/plan), optimizing it (predicate
-// pushdown into KB index lookups, Filter+Scan fusion, Distinct
-// elimination) and running the vectorized executor. The FROM clause
+// Exec evaluates a query against a table by walking it: WHERE row by
+// row, then projection or grouping with ORDER BY, then DISTINCT and
+// LIMIT, each subquery run once per execution. It is mini-SQL's only executor —
+// the system runs SQL only to check Table 10's translations (the
+// experiments harness, the sqlgen tests and the in-process workload's
+// small tables); explanations carry the SQL as text. The FROM clause
 // may name the table or use any placeholder (the paper writes FROM T
 // throughout).
 func Exec(q Query, t *table.Table) (*Rows, error) {
-	e := &evaluator{t: t, memo: make(map[Query]*Rows), usePlan: true}
-	return e.query(q)
-}
-
-// ExecInterpreted evaluates the query with the legacy tree-walking
-// interpreter, retained as the reference semantics for differential
-// tests and benchmarks against the plan path.
-func ExecInterpreted(q Query, t *table.Table) (*Rows, error) {
 	e := &evaluator{t: t, memo: make(map[Query]*Rows)}
 	return e.query(q)
 }
@@ -95,11 +88,6 @@ func Run(src string, t *table.Table) (*Rows, error) {
 type evaluator struct {
 	t    *table.Table
 	memo map[Query]*Rows
-	// usePlan routes query execution through the plan compiler; the
-	// expression evaluators (evalExpr/evalBool/evalGroupExpr) are shared
-	// by both paths, and subqueries reached from predicate closures run
-	// through query again, so they follow the same route.
-	usePlan bool
 }
 
 func (e *evaluator) query(q Query) (*Rows, error) {
@@ -108,40 +96,21 @@ func (e *evaluator) query(q Query) (*Rows, error) {
 	}
 	var r *Rows
 	var err error
-	if e.usePlan {
-		r, err = e.planQuery(q)
-	} else {
-		switch x := q.(type) {
-		case *Select:
-			r, err = e.selectQuery(x)
-		case *UnionQuery:
-			r, err = e.unionQuery(x)
-		case *DiffQuery:
-			r, err = e.diffQuery(x)
-		default:
-			err = fmt.Errorf("sql exec: unknown query type %T", q)
-		}
+	switch x := q.(type) {
+	case *Select:
+		r, err = e.selectQuery(x)
+	case *UnionQuery:
+		r, err = e.unionQuery(x)
+	case *DiffQuery:
+		r, err = e.diffQuery(x)
+	default:
+		err = fmt.Errorf("sql exec: unknown query type %T", q)
 	}
 	if err != nil {
 		return nil, err
 	}
 	e.memo[q] = r
 	return r, nil
-}
-
-// planQuery lowers, optimizes and runs one statement on the shared
-// plan core, under the inactive tracer (SQL results carry no witness
-// cells; provenance consumers use SourceRows).
-func (e *evaluator) planQuery(q Query) (*Rows, error) {
-	n, err := e.lowerQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	var v plan.Val
-	if err := plan.RunInto(&v, plan.Optimize(n), e.t, plan.Noop{}); err != nil {
-		return nil, err
-	}
-	return &Rows{Cols: v.Cols, Data: v.Data, Src: v.Src}, nil
 }
 
 func (e *evaluator) unionQuery(q *UnionQuery) (*Rows, error) {

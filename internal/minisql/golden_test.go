@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -153,38 +152,25 @@ func nanTable() *table.Table {
 	return table.MustNew("nums", []string{"Label", "N"}, [][]string{{"a", "1"}, {"b", "nan"}, {"c", "3"}})
 }
 
-// executors are the entry points every golden must hold through.
-var executors = []struct {
-	name string
-	exec func(Query, *table.Table) (*Rows, error)
-}{{"Exec", Exec}, {"ExecInterpreted", ExecInterpreted}}
-
-// checkGolden runs g on tab through every executor. It reports with
-// t.Errorf, so goroutines may call it.
+// checkGolden runs g on tab. It reports with t.Errorf, so goroutines
+// may call it.
 func checkGolden(t *testing.T, tab *table.Table, g golden) {
 	t.Helper()
-	q, err := Parse(g.stmt)
-	if err != nil {
-		t.Errorf("Parse(%q): %v", g.stmt, err)
+	r, err := Run(g.stmt, tab)
+	if g.err != "" || err != nil {
+		if err == nil || err.Error() != g.err {
+			t.Errorf("%s: error %v, want %q", g.stmt, err, g.err)
+		}
 		return
 	}
-	for _, x := range executors {
-		r, err := x.exec(q, tab)
-		if g.err != "" || err != nil {
-			if err == nil || err.Error() != g.err {
-				t.Errorf("%s: %s: error %v, want %q", x.name, g.stmt, err, g.err)
-			}
-			continue
-		}
-		if got := fmt.Sprint(r.Cols); got != fmt.Sprint(g.cols) {
-			t.Errorf("%s: %s: cols %s, want %v", x.name, g.stmt, got, g.cols)
-		}
-		if got := fmt.Sprint(r.Src); got != fmt.Sprint(g.src) {
-			t.Errorf("%s: %s: src %s, want %v", x.name, g.stmt, got, g.src)
-		}
-		if !sameCells(r.Data, g.data) {
-			t.Errorf("%s: %s: data %v, want %v", x.name, g.stmt, r.Data, g.data)
-		}
+	if got := fmt.Sprint(r.Cols); got != fmt.Sprint(g.cols) {
+		t.Errorf("%s: cols %s, want %v", g.stmt, got, g.cols)
+	}
+	if got := fmt.Sprint(r.Src); got != fmt.Sprint(g.src) {
+		t.Errorf("%s: src %s, want %v", g.stmt, got, g.src)
+	}
+	if !sameCells(r.Data, g.data) {
+		t.Errorf("%s: data %v, want %v", g.stmt, r.Data, g.data)
 	}
 }
 
@@ -240,16 +226,6 @@ func TestSQLPlanDifferentialNaN(t *testing.T) {
 // table SQL is reading). Under -race this is the check that nothing the
 // executor reads is written by another execution.
 func TestSQLPlanDifferentialParallel(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1)
-	prevZ := plan.SetZoneSkipping(true)
-	prevZT := plan.SetZoneSkipThreshold(0)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-		plan.SetZoneSkipping(prevZ)
-		plan.SetZoneSkipThreshold(prevZT)
-	}()
 	for _, leg := range []struct {
 		prefix string
 		tab    *table.Table

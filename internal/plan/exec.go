@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"nlexplain/internal/table"
@@ -14,41 +13,31 @@ import (
 // its Kind are meaningful: Rows for RowsKind (ascending record
 // indices), Values for ValuesKind and ScalarKind (ScalarKind holds the
 // single scalar in Values[0] and the producing aggregate, if any, in
-// Aggr), and Cols/Data/Src for TableKind (Src holds each output row's
-// source record index, or the computed-row sentinel -1).
+// Aggr).
 //
 // Cells carries the node's PO witness cells (sorted row-major,
 // duplicate-free — the table.CellSet form), computed only under an
 // active Tracer; with an inactive tracer it is always nil.
 //
 // During execution Vals and their slices live in a pooled per-run
-// arena; the Val RunInto fills is detached (deep-copied) into
+// arena; the Val RunIntoCtx fills is detached (deep-copied) into
 // ordinary heap memory, so callers and caches may hold it forever.
 type Val struct {
 	Kind   Kind
 	Rows   []int
 	Values []table.Value
-	Cols   []string
-	Data   [][]table.Value
-	Src    []int
 	Aggr   string
 	Cells  []table.CellRef
 }
 
-// RunInto executes the plan over a table under the given tracer (nil
-// is treated as Noop: answer-only execution) and deposits the detached
-// result in *out, which callers own (the query front-ends put it on the
-// stack and copy the fields into their own result types). *out is
-// overwritten entirely.
-func RunInto(out *Val, n Node, t *table.Table, tr Tracer) error {
-	return RunIntoCtx(nil, out, n, t, tr)
-}
-
-// RunIntoCtx is RunInto with cooperative cancellation: the morsel
-// driver polls ctx at every morsel boundary, forked or inline,
-// returning ctx.Err() once it fires — so a caller whose deadline
-// expired never burns a full million-row scan. A nil ctx disables the
-// checks.
+// RunIntoCtx executes the plan over a table under the given tracer
+// (nil is treated as Noop: answer-only execution) and deposits the
+// detached result in *out, which callers own (dcs puts it on the stack
+// and copies the fields into its own result type); *out is overwritten
+// entirely. Cancellation is cooperative: the morsel driver polls ctx at
+// every morsel boundary, forked or inline, returning ctx.Err() once it
+// fires — so a caller whose deadline expired never burns a full
+// million-row scan. A nil ctx disables the checks.
 func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer) error {
 	if tr == nil {
 		tr = Noop{}
@@ -72,9 +61,8 @@ func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer
 }
 
 // detachInto deep-copies v — whose slices live in arena scratch — into
-// ordinary heap memory in *out. Empty slices normalize to nil, and
-// table data rows are packed into one flat backing array, so the copy
-// costs O(result) bytes but O(1) allocations.
+// ordinary heap memory in *out. Empty slices normalize to nil, so the
+// copy costs O(result) bytes but O(1) allocations.
 func detachInto(out, v *Val) {
 	*out = Val{Kind: v.Kind, Aggr: v.Aggr}
 	if len(v.Rows) > 0 {
@@ -83,26 +71,8 @@ func detachInto(out, v *Val) {
 	if len(v.Values) > 0 {
 		out.Values = append(make([]table.Value, 0, len(v.Values)), v.Values...)
 	}
-	if len(v.Cols) > 0 {
-		out.Cols = append(make([]string, 0, len(v.Cols)), v.Cols...)
-	}
 	if len(v.Cells) > 0 {
 		out.Cells = append(make([]table.CellRef, 0, len(v.Cells)), v.Cells...)
-	}
-	if len(v.Data) > 0 {
-		w := 0
-		for _, row := range v.Data {
-			w += len(row)
-		}
-		flat := make([]table.Value, 0, w)
-		out.Data = make([][]table.Value, len(v.Data))
-		for i, row := range v.Data {
-			flat = append(flat, row...)
-			out.Data[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-		}
-	}
-	if len(v.Src) > 0 {
-		out.Src = append(make([]int, 0, len(v.Src)), v.Src...)
 	}
 }
 
@@ -124,7 +94,7 @@ type executor struct {
 	// closures: a kernel handed to a driver that can start goroutines
 	// escapes at the call site whichever way the driver then runs it.
 	// One of each suffices — an operator finishes its drive before the
-	// next one starts, and nested executions own another arena.
+	// next one starts.
 	filt rowFilter
 	ext  extremeScan
 	grp  groupScan
@@ -158,8 +128,6 @@ func (ex *executor) eval(n Node) (*Val, error) {
 		return ex.lookupValues(x.Col, in.Values)
 	case *Compare:
 		return ex.compare(x)
-	case *Filter:
-		return ex.filter(x)
 	case *Shift:
 		return ex.shift(x)
 	case *Intersect:
@@ -189,18 +157,6 @@ func (ex *executor) eval(n Node) (*Val, error) {
 		return ex.aggregate(x)
 	case *Arith:
 		return ex.arith(x)
-	case *SQLProject:
-		return ex.sqlProject(x)
-	case *SQLAggregate:
-		return ex.sqlAggregate(x)
-	case *Distinct:
-		return ex.distinct(x)
-	case *Limit:
-		return ex.limit(x)
-	case *SQLUnion:
-		return ex.sqlUnion(x)
-	case *SQLDiff:
-		return ex.sqlDiff(x)
 	}
 	return nil, fmt.Errorf("plan: unknown node type %T", n)
 }
@@ -277,7 +233,8 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			// Key identity and Value.Equal disagree here (NaN literal,
 			// or Unicode case folds outside ASCII): scan with the
 			// interpreter's Equal semantics.
-			rows, err = ex.scanPred(x.pred(), nil)
+			col, v, want := x.Col, x.V, x.Cmp == "="
+			rows, err = ex.scan(func(r int) bool { return t.Value(r, col).Equal(v) == want }, nil)
 		case x.Cmp == "=":
 			rows = t.RowsForKey(x.Col, x.canonicalKey())
 		default:
@@ -286,9 +243,9 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			rows, err = ex.filterRows(rowFilter{
 				rows:   ex.ar.identity(t.NumRows()),
 				except: t.RowsForKey(x.Col, x.canonicalKey()),
-			}, true)
+			})
 		}
-	default:
+	case "<", "<=", ">", ">=":
 		lit, ok := x.V.Float()
 		if !ok {
 			// Range operators apply only between numeric values: a text
@@ -300,11 +257,11 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 		// reproduces the interpreter's NaN behaviour.
 		useIndex := t.ColumnIndexable(x.Col) && !math.IsNaN(lit)
 		var zs *zoneScan
-		if !useIndex || !t.NumericIndexBuilt(x.Col) {
+		if ex.cfg.zones && (!useIndex || !t.NumericIndexBuilt(x.Col)) {
 			// Zone maps can beat the sorted index only before the index
 			// exists (they cost one column walk vs an O(n log n) sort);
 			// once the index is resident its sublinear search always wins.
-			zs = ex.zonePred(x.pred())
+			zs = ex.materializeZones(ex.zoneRangeFn(x.Col, x.Cmp, lit))
 		}
 		if useIndex && (zs == nil || 2*zs.none < len(zs.verdicts)) {
 			// Binary search on the cached sorted index + bitset replay is
@@ -314,8 +271,10 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			// otherwise building the index amortises better across queries.
 			rows = ex.rangeFromIndex(x.Col, x.Cmp, lit)
 		} else {
-			rows, err = ex.scanPred(x.pred(), zs)
+			rows, err = ex.scan(ex.rangeMatcher(x, lit, useIndex), zs)
 		}
+	default:
+		return nil, fmt.Errorf("plan: unknown comparison operator %q", x.Cmp)
 	}
 	if err != nil {
 		return nil, err
@@ -328,19 +287,50 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 	return v, nil
 }
 
-// pred is the comparison as a predicate leaf, built only on the paths
-// that evaluate it per row or per zone (the index paths allocate
-// nothing).
-func (x *Compare) pred() *CmpPred { return &CmpPred{Col: x.Col, Op: x.Cmp, V: x.V} }
+// scan keeps the rows of the whole row space that keep accepts, under
+// the zone verdicts zs when there are any.
+func (ex *executor) scan(keep func(row int) bool, zs *zoneScan) ([]int, error) {
+	return ex.filterRows(rowFilter{rows: ex.ar.identity(ex.t.NumRows()), zones: zs, keep: keep})
+}
 
-// scanPred evaluates a predicate without FuncPreds over the whole row
-// space, under the zone verdicts zs when there are any.
-func (ex *executor) scanPred(p Pred, zs *zoneScan) ([]int, error) {
-	keep, err := ex.compilePred(p)
-	if err != nil {
-		return nil, err
+// rangeMatcher is a range comparison's per-row test, with the literal's
+// conversion hoisted out of the loop. Over an indexable column with a
+// non-NaN literal it reads the float column; otherwise it keeps
+// Value.Compare's semantics, under which a NaN compares equal to
+// everything.
+func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(row int) bool {
+	t, col := ex.t, x.Col
+	if !indexable {
+		op, v := x.Cmp, x.V
+		return func(r int) bool {
+			c := t.Value(r, col)
+			if !c.IsNumeric() {
+				return false
+			}
+			cmp := c.Compare(v)
+			switch op {
+			case "<":
+				return cmp < 0
+			case "<=":
+				return cmp <= 0
+			case ">":
+				return cmp > 0
+			default:
+				return cmp >= 0
+			}
+		}
 	}
-	return ex.filterRows(rowFilter{rows: ex.ar.identity(ex.t.NumRows()), zones: zs, keep: keep}, true)
+	nums, isNum := t.ColumnNums(col)
+	switch x.Cmp {
+	case "<":
+		return func(r int) bool { return isNum[r] && nums[r] < lit }
+	case "<=":
+		return func(r int) bool { return isNum[r] && nums[r] <= lit }
+	case ">":
+		return func(r int) bool { return isNum[r] && nums[r] > lit }
+	default:
+		return func(r int) bool { return isNum[r] && nums[r] >= lit }
+	}
 }
 
 // rangeFromIndex answers a numeric range predicate from the sorted
@@ -366,154 +356,6 @@ func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int {
 	set := ex.ar.rowSet(ex.t.NumRows())
 	set.AddRows(part)
 	return set.AppendRows(ex.ar.ints.get(len(part)))
-}
-
-func (ex *executor) filter(x *Filter) (*Val, error) {
-	in, err := ex.run(x.Input)
-	if err != nil {
-		return nil, err
-	}
-	keep, err := ex.compilePred(x.Pred)
-	if err != nil {
-		return nil, err
-	}
-	var zs *zoneScan
-	if _, isScan := x.Input.(*Scan); isScan {
-		// A filter directly over the scan covers the whole row space, so
-		// its morsels line up with the zone maps: consult them before
-		// evaluating a single row.
-		zs = ex.zonePred(x.Pred)
-	}
-	// Compiled non-FuncPred closures are pure column reads, safe to
-	// evaluate from worker goroutines; opaque FuncPreds may run nested
-	// executions and never fork.
-	rows, err := ex.filterRows(rowFilter{rows: in.Rows, zones: zs, keep: keep}, !predHasFunc(x.Pred))
-	if err != nil {
-		return nil, err
-	}
-	v := ex.ar.val(RowsKind)
-	v.Rows = rows
-	if ex.trace {
-		if cp, ok := x.Pred.(*CmpPred); ok {
-			v.Cells = ex.cellsAt(rows, cp.Col)
-		}
-	}
-	return v, nil
-}
-
-// compilePred lowers a predicate tree into one closure, hoisting the
-// literal key / numeric conversions out of the per-row loop.
-func (ex *executor) compilePred(p Pred) (func(row int) (bool, error), error) {
-	t := ex.t
-	switch x := p.(type) {
-	case *CmpPred:
-		switch x.Op {
-		case "=", "!=":
-			if !t.KeyEqualConsistent(x.Col, x.V) {
-				// Key identity and Value.Equal disagree here (NaN, or
-				// Unicode case folds outside ASCII): keep the
-				// interpreter's Equal semantics.
-				col, v, want := x.Col, x.V, x.Op == "="
-				return func(r int) (bool, error) { return t.Value(r, col).Equal(v) == want, nil }, nil
-			}
-			// Resolve the literal to its key code once: the per-row test
-			// is then one integer comparison, and a key no cell of the
-			// column holds makes the predicate a constant.
-			codes := t.ColumnKeyCodes(x.Col)
-			code, ok := t.KeyCode(x.Col, x.V.Key())
-			switch {
-			case !ok:
-				absent := x.Op == "!="
-				return func(int) (bool, error) { return absent, nil }, nil
-			case x.Op == "=":
-				return func(r int) (bool, error) { return codes[r] == code, nil }, nil
-			}
-			return func(r int) (bool, error) { return codes[r] != code, nil }, nil
-		case "<", "<=", ">", ">=":
-			lit, ok := x.V.Float()
-			if !ok {
-				return func(int) (bool, error) { return false, nil }, nil
-			}
-			if !t.ColumnIndexable(x.Col) || math.IsNaN(lit) {
-				op, v := x.Op, x.V
-				col := x.Col
-				return func(r int) (bool, error) {
-					c := t.Value(r, col)
-					if !c.IsNumeric() {
-						return false, nil
-					}
-					cmp := c.Compare(v)
-					switch op {
-					case "<":
-						return cmp < 0, nil
-					case "<=":
-						return cmp <= 0, nil
-					case ">":
-						return cmp > 0, nil
-					default:
-						return cmp >= 0, nil
-					}
-				}, nil
-			}
-			nums, isNum := t.ColumnNums(x.Col)
-			switch x.Op {
-			case "<":
-				return func(r int) (bool, error) { return isNum[r] && nums[r] < lit, nil }, nil
-			case "<=":
-				return func(r int) (bool, error) { return isNum[r] && nums[r] <= lit, nil }, nil
-			case ">":
-				return func(r int) (bool, error) { return isNum[r] && nums[r] > lit, nil }, nil
-			default:
-				return func(r int) (bool, error) { return isNum[r] && nums[r] >= lit, nil }, nil
-			}
-		default:
-			return nil, fmt.Errorf("plan: unknown comparison operator %q", x.Op)
-		}
-	case *AndPred:
-		l, err := ex.compilePred(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.compilePred(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) (bool, error) {
-			ok, err := l(row)
-			if err != nil || !ok {
-				return false, err
-			}
-			return r(row)
-		}, nil
-	case *OrPred:
-		l, err := ex.compilePred(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.compilePred(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) (bool, error) {
-			ok, err := l(row)
-			if err != nil || ok {
-				return ok, err
-			}
-			return r(row)
-		}, nil
-	case *NotPred:
-		f, err := ex.compilePred(x.P)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) (bool, error) {
-			ok, err := f(row)
-			return !ok, err
-		}, nil
-	case *FuncPred:
-		return x.Fn, nil
-	}
-	return nil, fmt.Errorf("plan: unknown predicate type %T", p)
 }
 
 func (ex *executor) shift(x *Shift) (*Val, error) {
@@ -550,9 +392,7 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 	// The bitset is written before the drive and only read inside it.
 	inR := ex.ar.rowSet(ex.t.NumRows())
 	inR.AddRows(r.Rows)
-	rows, err := ex.filterRows(rowFilter{rows: l.Rows, keep: func(rec int) (bool, error) {
-		return inR.Contains(rec), nil
-	}}, true)
+	rows, err := ex.filterRows(rowFilter{rows: l.Rows, keep: inR.Contains})
 	if err != nil {
 		return nil, err
 	}
@@ -670,32 +510,37 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) (bool, error) {
-				return nums[r] == best, nil
-			}}, true)
+			out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) bool {
+				return nums[r] == best
+			}})
 			if err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		// Value.Compare is not guaranteed transitive across mixed-kind
-		// or NaN cells, so this fold is order-sensitive and never forks.
+		// or NaN cells, so this fold is order-sensitive and never forks;
+		// the rows tying with its result are collected on the caller too.
 		best := t.Value(rows[0], x.Col)
-		err := ex.eachMorsel(len(rows), func(_, lo, hi int) error {
+		err := ex.eachMorsel(len(rows), func(_, lo, hi int) {
 			for _, r := range rows[lo:hi] {
 				v := t.Value(r, x.Col)
 				if (x.Max && v.Compare(best) > 0) || (!x.Max && v.Compare(best) < 0) {
 					best = v
 				}
 			}
-			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) (bool, error) {
-			return t.Value(r, x.Col).Compare(best) == 0, nil
-		}}, false)
+		out = ex.ar.ints.get(len(rows))
+		err = ex.eachMorsel(len(rows), func(_, lo, hi int) {
+			for _, r := range rows[lo:hi] {
+				if t.Value(r, x.Col).Compare(best) == 0 {
+					out = append(out, r)
+				}
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -717,7 +562,7 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 	}
 	// The distinct values, in first-appearance order, are the values at
 	// the first row of each key group.
-	reps, _, err := ex.groupByKey(in.Rows, x.Col, false)
+	reps, err := ex.groupByKey(in.Rows, x.Col)
 	if err != nil {
 		return nil, err
 	}
@@ -813,14 +658,13 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 		return ex.ar.val(ValuesKind), nil
 	}
 	best := t.Value(pool[0], x.KeyCol)
-	err = ex.eachMorsel(len(pool), func(_, lo, hi int) error {
+	err = ex.eachMorsel(len(pool), func(_, lo, hi int) {
 		for _, r := range pool[lo:hi] {
 			k := t.Value(r, x.KeyCol)
 			if (x.Max && k.Compare(best) > 0) || (!x.Max && k.Compare(best) < 0) {
 				best = k
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -925,351 +769,4 @@ func arithOperand(x *Arith, v *Val, side string) (float64, error) {
 		return 0, errorf(x.Src, "%s operand of sub is not numeric: %q", side, v.Values[0])
 	}
 	return f, nil
-}
-
-// ---- SQL operators ----
-
-func (ex *executor) sqlProject(x *SQLProject) (*Val, error) {
-	in, err := ex.run(x.Input)
-	if err != nil {
-		return nil, err
-	}
-	t := ex.t
-	out := ex.ar.val(TableKind)
-	cols := ex.ar.strs.get(len(x.Items))
-	for _, it := range x.Items {
-		cols = append(cols, it.Label)
-	}
-	out.Cols = cols
-
-	nrows, ncols := len(in.Rows), len(x.Items)
-	// Output rows are subslices of one flat arena chunk; the chunk is
-	// sized exactly, so it never reallocates under the rows.
-	flat := ex.ar.vals.get(nrows * ncols)
-	data := ex.ar.data.get(nrows)
-	src := ex.ar.ints.get(nrows)
-	var sortKeys []table.Value
-	if x.Order != nil {
-		sortKeys = ex.ar.vals.get(nrows)
-	}
-	err = ex.eachMorsel(nrows, func(_, lo, hi int) error {
-		for _, r := range in.Rows[lo:hi] {
-			base := len(flat)
-			for i := range x.Items {
-				it := &x.Items[i]
-				switch {
-				case it.Col >= 0:
-					flat = append(flat, t.Value(r, it.Col))
-				case it.Index:
-					flat = append(flat, table.NumberValue(float64(r)))
-				default:
-					v, err := it.Fn(r)
-					if err != nil {
-						return err
-					}
-					flat = append(flat, v)
-				}
-			}
-			data = append(data, flat[base:len(flat):len(flat)])
-			src = append(src, r)
-			if x.Order != nil {
-				var k table.Value
-				switch {
-				case x.Order.Col >= 0:
-					k = t.Value(r, x.Order.Col)
-				case x.Order.Index:
-					k = table.NumberValue(float64(r))
-				default:
-					v, err := x.Order.Fn(r)
-					if err != nil {
-						return err
-					}
-					k = v
-				}
-				sortKeys = append(sortKeys, k)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if x.Order != nil {
-		data, src = ex.sortTable(data, src, sortKeys, x.Order.Desc)
-	}
-	out.Data = data
-	out.Src = src
-	return out, nil
-}
-
-// sortTable stable-sorts a projected table by per-row sort keys via an
-// arena permutation (matching sort.SliceStable semantics) and returns
-// the reordered data/src buffers.
-func (ex *executor) sortTable(data [][]table.Value, src []int, keys []table.Value, desc bool) ([][]table.Value, []int) {
-	perm := ex.ar.ints.get(len(data))
-	for i := range data {
-		perm = append(perm, i)
-	}
-	slices.SortStableFunc(perm, func(a, b int) int {
-		c := keys[a].Compare(keys[b])
-		if desc {
-			return -c
-		}
-		return c
-	})
-	outData := ex.ar.data.get(len(data))
-	outSrc := ex.ar.ints.get(len(src))
-	for _, p := range perm {
-		outData = append(outData, data[p])
-		outSrc = append(outSrc, src[p])
-	}
-	return outData, outSrc
-}
-
-func (ex *executor) sqlAggregate(x *SQLAggregate) (*Val, error) {
-	in, err := ex.run(x.Input)
-	if err != nil {
-		return nil, err
-	}
-	// Group the input rows in first-appearance order. Each group's rows
-	// land in a contiguous segment of one flat arena buffer (a stable
-	// counting sort), so grouping allocates nothing and builds no
-	// per-group key strings.
-	var groupRows func(g int) []int
-	var ngroups int
-	if x.GroupCol < 0 {
-		ngroups = 1
-		groupRows = func(int) []int { return in.Rows }
-	} else {
-		reps, gids, err := ex.groupByKey(in.Rows, x.GroupCol, true)
-		if err != nil {
-			return nil, err
-		}
-		ngroups = len(reps)
-		counts := ex.ar.ints.get(ngroups)[:ngroups] // rows per group
-		clear(counts)
-		for _, g := range gids {
-			counts[g]++
-		}
-		flat := ex.ar.ints.get(len(in.Rows))[:len(in.Rows)]
-		starts := ex.ar.ints.get(ngroups)
-		cursor := ex.ar.ints.get(ngroups)
-		off := 0
-		for _, c := range counts {
-			starts = append(starts, off)
-			cursor = append(cursor, off)
-			off += c
-		}
-		for i, r := range in.Rows {
-			g := gids[i]
-			flat[cursor[g]] = r
-			cursor[g]++
-		}
-		groupRows = func(g int) []int { return flat[starts[g] : starts[g]+counts[g]] }
-	}
-
-	out := ex.ar.val(TableKind)
-	cols := ex.ar.strs.get(len(x.Items))
-	for _, it := range x.Items {
-		cols = append(cols, it.Label)
-	}
-	out.Cols = cols
-
-	flatVals := ex.ar.vals.get(ngroups * len(x.Items))
-	data := ex.ar.data.get(ngroups)
-	var sortKeys []table.Value
-	if x.Order != nil {
-		sortKeys = ex.ar.vals.get(ngroups)
-	}
-	for g := 0; g < ngroups; g++ {
-		rows := groupRows(g)
-		base := len(flatVals)
-		for i := range x.Items {
-			v, err := x.Items[i].Fn(rows)
-			if err != nil {
-				return nil, err
-			}
-			flatVals = append(flatVals, v)
-		}
-		data = append(data, flatVals[base:len(flatVals):len(flatVals)])
-		if x.Order != nil {
-			v, err := x.Order(rows)
-			if err != nil {
-				return nil, err
-			}
-			sortKeys = append(sortKeys, v)
-		}
-	}
-	src := ex.ar.ints.get(ngroups)
-	for range data {
-		src = append(src, -1)
-	}
-	if x.Order != nil {
-		data, src = ex.sortTable(data, src, sortKeys, x.Desc)
-	}
-	out.Data = data
-	out.Src = src
-	return out, nil
-}
-
-// hashTableRow chains the FNV-1a key hash of every cell with a field
-// separator — the allocation-free replacement for the legacy \x1f
-// string row keys.
-func hashTableRow(row []table.Value) uint64 {
-	h := table.FNVOffset
-	for j, v := range row {
-		if j > 0 {
-			h = table.HashByte(h, 0x1f)
-		}
-		h = v.HashKey(h)
-	}
-	return h
-}
-
-// rowsKeyEqual is the collision-safe confirmation behind the row hash:
-// two rows are duplicates exactly when every cell pair shares a
-// canonical key (the legacy row-key string equality).
-func rowsKeyEqual(a, b []table.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !table.KeyEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ex *executor) distinct(x *Distinct) (*Val, error) {
-	in, err := ex.run(x.Input)
-	if err != nil {
-		return nil, err
-	}
-	out := ex.ar.val(TableKind)
-	out.Cols = in.Cols
-	d := &ex.ar.ded
-	d.init(len(in.Data))
-	data := ex.ar.data.get(len(in.Data))
-	src := ex.ar.ints.get(len(in.Data))
-	var cur []table.Value
-	eq := func(j int32) bool { return rowsKeyEqual(in.Data[j], cur) }
-	err = ex.eachMorsel(len(in.Data), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			cur = in.Data[i]
-			h := hashTableRow(cur)
-			if _, found := d.lookup(h, eq); found {
-				continue
-			}
-			d.insert(h, int32(i))
-			data = append(data, in.Data[i])
-			src = append(src, in.Src[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Data = data
-	out.Src = src
-	return out, nil
-}
-
-func (ex *executor) limit(x *Limit) (*Val, error) {
-	in, err := ex.run(x.Input)
-	if err != nil {
-		return nil, err
-	}
-	if x.N >= 0 && len(in.Data) > x.N {
-		// Copy the Data/Src headers instead of aliasing in.Data[:N]: a
-		// truncated result must never share a backing array wider than
-		// itself with its input (the boundary detach would otherwise be
-		// the only thing standing between a cached result and a reused
-		// pooled buffer).
-		out := ex.ar.val(TableKind)
-		out.Cols = in.Cols
-		out.Data = append(ex.ar.data.get(x.N), in.Data[:x.N]...)
-		out.Src = append(ex.ar.ints.get(x.N), in.Src[:x.N]...)
-		return out, nil
-	}
-	return in, nil
-}
-
-func (ex *executor) sqlUnion(x *SQLUnion) (*Val, error) {
-	l, err := ex.run(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.run(x.R)
-	if err != nil {
-		return nil, err
-	}
-	if len(l.Cols) != len(r.Cols) {
-		return nil, fmt.Errorf("sql exec: UNION of incompatible widths %d and %d", len(l.Cols), len(r.Cols))
-	}
-	out := ex.ar.val(TableKind)
-	out.Cols = l.Cols
-	d := &ex.ar.ded
-	d.init(len(l.Data) + len(r.Data))
-	data := ex.ar.data.get(len(l.Data) + len(r.Data))
-	src := ex.ar.ints.get(len(l.Data) + len(r.Data))
-	var cur []table.Value
-	// Payloads index the deduplicated output, which spans both inputs.
-	eq := func(j int32) bool { return rowsKeyEqual(data[j], cur) }
-	for _, side := range [2]*Val{l, r} {
-		err := ex.eachMorsel(len(side.Data), func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				cur = side.Data[i]
-				h := hashTableRow(cur)
-				if _, found := d.lookup(h, eq); found {
-					continue
-				}
-				d.insert(h, int32(len(data)))
-				data = append(data, side.Data[i])
-				src = append(src, side.Src[i])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	out.Data = data
-	out.Src = src
-	return out, nil
-}
-
-func (ex *executor) sqlDiff(x *SQLDiff) (*Val, error) {
-	l, err := ex.scalarTable(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ex.scalarTable(x.R)
-	if err != nil {
-		return nil, err
-	}
-	lf, lok := l.Float()
-	rf, rok := r.Float()
-	if !lok || !rok {
-		return nil, fmt.Errorf("sql exec: difference of non-numeric values %q and %q", l, r)
-	}
-	out := ex.ar.val(TableKind)
-	out.Cols = append(ex.ar.strs.get(1), "diff")
-	row := append(ex.ar.vals.get(1), table.NumberValue(lf-rf))
-	out.Data = append(ex.ar.data.get(1), row)
-	out.Src = append(ex.ar.ints.get(1), -1)
-	return out, nil
-}
-
-// scalarTable executes a table-kind child that must produce exactly
-// one row and column, and returns that value.
-func (ex *executor) scalarTable(n Node) (table.Value, error) {
-	v, err := ex.run(n)
-	if err != nil {
-		return table.Value{}, err
-	}
-	if len(v.Data) != 1 || len(v.Data[0]) != 1 {
-		return table.Value{}, fmt.Errorf("sql exec: scalar subquery returned %dx%d result", len(v.Data), len(v.Cols))
-	}
-	return v.Data[0][0], nil
 }

@@ -31,9 +31,8 @@ import (
 // order after the driver returns. Because input row sets are ascending
 // (the Val invariant) and morsels tile them in order, concatenating
 // per-morsel row matches yields one ascending row set whichever worker
-// ran which morsel, and first-appearance dedup orders (value
-// projection, GROUP BY) are preserved by merging locally-first
-// representatives morsel by morsel.
+// ran which morsel, and value projection's first-appearance order is
+// preserved by merging locally-first representatives morsel by morsel.
 //
 // Partials live in arena buffers the operator draws before the driver
 // starts and slices into disjoint per-morsel windows (morsel m writes
@@ -142,39 +141,19 @@ func SetMorselObserver(fn func(time.Duration)) {
 }
 
 // FamilyOf classifies a plan root into a coarse query family for
-// profiling labels: lookup, comparative, superlative, aggregate, sql.
+// profiling labels: lookup, comparative, superlative, aggregate.
 func FamilyOf(n Node) string {
 	switch x := n.(type) {
 	case *ProjectCol:
 		return FamilyOf(x.Input)
-	case *SQLProject, *SQLAggregate, *Distinct, *Limit, *SQLUnion, *SQLDiff:
-		return "sql"
 	case *Aggregate, *Arith, *MostFrequent, *CompareVals:
 		return "aggregate"
 	case *Superlative, *IndexSuper:
 		return "superlative"
-	case *Compare, *Filter:
+	case *Compare:
 		return "comparative"
 	}
 	return "lookup"
-}
-
-// predHasFunc reports whether a predicate tree contains an opaque
-// FuncPred closure. Such closures may run nested executions and are
-// not required to be goroutine-safe, so filters containing one never
-// take the parallel path.
-func predHasFunc(p Pred) bool {
-	switch x := p.(type) {
-	case *FuncPred:
-		return true
-	case *AndPred:
-		return predHasFunc(x.L) || predHasFunc(x.R)
-	case *OrPred:
-		return predHasFunc(x.L) || predHasFunc(x.R)
-	case *NotPred:
-		return predHasFunc(x.P)
-	}
-	return false
 }
 
 // execConfig is the process-wide executor configuration as one
@@ -207,9 +186,10 @@ func morselBounds(m, n int) (lo, hi int) {
 // positions [lo, hi), morsel index m, running on worker w. A kernel
 // writes only morsel m's slot of its partials and worker w's slot of
 // any per-worker scratch, and otherwise reads shared inputs; it must
-// not touch the arena.
+// not touch the arena. A kernel cannot fail: what the data makes of an
+// operator is recorded in its partials and judged by the merge.
 type kernel interface {
-	morsel(w, m, lo, hi int) error
+	morsel(w, m, lo, hi int)
 }
 
 // goParallel is the fork gate: true when the input is past the
@@ -219,29 +199,27 @@ func (ex *executor) goParallel(n int) bool {
 }
 
 // drive runs k over every morsel of an n-element input — forked when
-// mayFork and goParallel(n) hold, inline on the caller otherwise. It
-// returns once every morsel it handed out has finished; the kernel's
-// partials are then the operator's to merge.
-func (ex *executor) drive(n int, k kernel, mayFork bool) error {
-	if mayFork && ex.goParallel(n) {
+// goParallel(n) holds, inline on the caller otherwise. It returns once
+// every morsel it handed out has finished, with nil or the context's
+// error; the kernel's partials are then the operator's to merge.
+func (ex *executor) drive(n int, k kernel) error {
+	if ex.goParallel(n) {
 		return ex.forkJoin(n, k)
 	}
-	return ex.eachMorsel(n, func(m, lo, hi int) error { return k.morsel(0, m, lo, hi) })
+	return ex.eachMorsel(n, func(m, lo, hi int) { k.morsel(0, m, lo, hi) })
 }
 
 // eachMorsel is the inline driver: body runs on the caller for every
 // morsel of [0, n) in order, with the context polled at each boundary.
 // Order-sensitive folds that can never fork call it directly; body does
 // not escape, so their closures stay on the stack.
-func (ex *executor) eachMorsel(n int, body func(m, lo, hi int) error) error {
+func (ex *executor) eachMorsel(n int, body func(m, lo, hi int)) error {
 	for m, nm := 0, morselCount(n); m < nm; m++ {
 		if err := ex.ctxErr(); err != nil {
 			return err
 		}
 		lo, hi := morselBounds(m, n)
-		if err := body(m, lo, hi); err != nil {
-			return err
-		}
+		body(m, lo, hi)
 	}
 	return nil
 }
@@ -256,7 +234,8 @@ func (ex *executor) ctxErr() error {
 // forkJoin is the forked driver: k runs for every morsel of [0, n)
 // from the calling goroutine (worker 0) plus up to workers-1 extra
 // goroutines admitted by extraSem. It returns after every claimed
-// morsel finished. The context is polled at morsel boundaries; worker
+// morsel finished, with nil or the context's error, which every worker
+// polls at morsel boundaries and the first to see it records; worker
 // panics are captured and re-raised on the caller after the join, so
 // the engine's panic containment sees them exactly as inline panics.
 // Every morsel handed out is booked in the morsel counter and timed
@@ -266,7 +245,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 	workers := min(ex.cfg.workers, nm)
 	var (
 		next     atomic.Int64
-		bodyErr  atomic.Pointer[error]
+		canceled atomic.Pointer[error]
 		panicked atomic.Pointer[any]
 	)
 	obs := morselObs.Load()
@@ -278,7 +257,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 			}
 		}()
 		for {
-			if panicked.Load() != nil || bodyErr.Load() != nil {
+			if panicked.Load() != nil || canceled.Load() != nil {
 				return
 			}
 			m := int(next.Add(1)) - 1
@@ -286,7 +265,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 				return
 			}
 			if err := ex.ctxErr(); err != nil {
-				bodyErr.CompareAndSwap(nil, &err)
+				canceled.CompareAndSwap(nil, &err)
 				return
 			}
 			var start time.Time
@@ -294,10 +273,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 				start = time.Now()
 			}
 			lo, hi := morselBounds(m, n)
-			if err := k.morsel(w, m, lo, hi); err != nil {
-				bodyErr.CompareAndSwap(nil, &err)
-				return
-			}
+			k.morsel(w, m, lo, hi)
 			if obs != nil {
 				(*obs)(time.Since(start))
 			}
@@ -327,7 +303,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 	if p := panicked.Load(); p != nil {
 		panic(*p)
 	}
-	if e := bodyErr.Load(); e != nil {
+	if e := canceled.Load(); e != nil {
 		return *e
 	}
 	return nil
@@ -346,18 +322,17 @@ type rowFilter struct {
 	rows  []int     // ascending input row set
 	zones *zoneScan // per-morsel verdicts; nil when nothing is provable
 
-	// keep decides one row; compiled predicates and the operators' own
-	// matchers never error, opaque FuncPreds may. When keep is nil the
-	// kernel keeps the rows absent from except (ascending) instead,
-	// walking both lists with two pointers.
-	keep   func(row int) (bool, error)
+	// keep decides one row. When keep is nil the kernel keeps the rows
+	// absent from except (ascending) instead, walking both lists with
+	// two pointers.
+	keep   func(row int) bool
 	except []int
 
 	out  []int // morsel m appends its matches to out[lo:lo:hi]
 	lens []int // matches per morsel
 }
 
-func (k *rowFilter) morsel(_, m, lo, hi int) error {
+func (k *rowFilter) morsel(_, m, lo, hi int) {
 	rows, dst := k.rows[lo:hi], k.out[lo:lo:hi]
 	verdict := zoneMaybe
 	if k.zones != nil {
@@ -379,29 +354,24 @@ func (k *rowFilter) morsel(_, m, lo, hi int) error {
 		}
 	default:
 		for _, r := range rows {
-			ok, err := k.keep(r)
-			if err != nil {
-				return err
-			}
-			if ok {
+			if k.keep(r) {
 				dst = append(dst, r)
 			}
 		}
 	}
 	k.lens[m] = len(dst)
-	return nil
 }
 
 // filterRows runs a rowFilter and merges it: the per-morsel windows
 // compact, in morsel order, to the front of the output buffer — one
 // ascending row set. Decided morsels are booked in the skip counters.
-func (ex *executor) filterRows(k rowFilter, mayFork bool) ([]int, error) {
+func (ex *executor) filterRows(k rowFilter) ([]int, error) {
 	n := len(k.rows)
 	nm := morselCount(n)
 	k.out = ex.ar.ints.get(n)
 	k.lens = ex.ar.ints.get(nm)[:nm]
 	ex.filt = k
-	if err := ex.drive(n, &ex.filt, mayFork); err != nil {
+	if err := ex.drive(n, &ex.filt); err != nil {
 		return nil, err
 	}
 	if k.zones != nil {
@@ -427,7 +397,7 @@ type extremeScan struct {
 	bests []float64 // per-morsel extreme
 }
 
-func (k *extremeScan) morsel(_, m, lo, hi int) error {
+func (k *extremeScan) morsel(_, m, lo, hi int) {
 	best := k.nums[k.rows[lo]]
 	for _, r := range k.rows[lo+1 : hi] {
 		if v := k.nums[r]; (k.max && v > best) || (!k.max && v < best) {
@@ -435,14 +405,13 @@ func (k *extremeScan) morsel(_, m, lo, hi int) error {
 		}
 	}
 	k.bests[m] = best
-	return nil
 }
 
 // extreme returns the max (or min) of nums over a non-empty row set.
 func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, error) {
 	nm := morselCount(len(rows))
 	ex.ext = extremeScan{rows: rows, nums: nums, max: wantMax, bests: ex.ar.floats.get(nm)[:nm]}
-	if err := ex.drive(len(rows), &ex.ext, true); err != nil {
+	if err := ex.drive(len(rows), &ex.ext); err != nil {
 		return 0, err
 	}
 	best := ex.ext.bests[0]
@@ -454,10 +423,9 @@ func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, 
 	return best, nil
 }
 
-// groupScan is the kernel behind value projection and GROUP BY: each
-// morsel groups its rows by the column's key codes, collecting one
-// representative row per locally-distinct key in local first-appearance
-// order and, for GROUP BY, every position's local group id. Codes are
+// groupScan is the kernel behind value projection: each morsel groups
+// its rows by the column's key codes, collecting one representative row
+// per locally-distinct key in local first-appearance order. Codes are
 // dense, so the key -> group map is an array indexed by code.
 type groupScan struct {
 	rows  []int
@@ -466,79 +434,57 @@ type groupScan struct {
 
 	reps  []int // morsel m's representatives land in reps[lo:lo+nreps[m]]
 	nreps []int
-	gids  []int // local group id per input position; nil for projections
 }
 
-func (k *groupScan) morsel(w, m, lo, hi int) error {
+func (k *groupScan) morsel(w, m, lo, hi int) {
 	local := k.local[w]
 	reps := k.reps[lo:lo:hi]
-	for i := lo; i < hi; i++ {
-		r := k.rows[i]
-		g := local[k.codes[r]]
-		if g < 0 {
-			g = int32(len(reps))
-			local[k.codes[r]] = g
+	for _, r := range k.rows[lo:hi] {
+		if local[k.codes[r]] < 0 {
+			local[k.codes[r]] = int32(len(reps))
 			reps = append(reps, r)
-		}
-		if k.gids != nil {
-			k.gids[i] = int(g)
 		}
 	}
 	local.forget(k.codes, reps)
 	k.nreps[m] = len(reps)
-	return nil
 }
 
 // groupByKey groups an ascending row set by the canonical keys of
-// column col. It returns one representative row per distinct key in
-// global first-appearance order and, when wantIDs is set, the global
-// group id of every input position. The merge walks the morsels in
-// order, deduplicating their local representatives into global groups
-// — the earliest morsel holding a key is the one holding its first row
-// — and remaps local ids to global ones; a lone morsel's local groups
-// are global already.
-func (ex *executor) groupByKey(rows []int, col int, wantIDs bool) (reps, gids []int, err error) {
+// column col, returning one representative row per distinct key in
+// first-appearance order. The merge walks the morsels in order,
+// deduplicating their local representatives — the earliest morsel
+// holding a key is the one holding its first row; a lone morsel's
+// representatives are the answer already.
+func (ex *executor) groupByKey(rows []int, col int) ([]int, error) {
 	n := len(rows)
 	nm := morselCount(n)
 	codes, nkeys := ex.t.ColumnKeyCodes(col), ex.t.NumKeys(col)
 	k := &ex.grp
 	*k = groupScan{rows: rows, codes: codes, local: ex.ar.locals(ex.cfg.workers, nkeys),
 		reps: ex.ar.ints.get(n), nreps: ex.ar.ints.get(nm)[:nm]}
-	if wantIDs {
-		k.gids = ex.ar.ints.get(n)[:n]
-	}
-	if err := ex.drive(n, k, true); err != nil {
-		return nil, nil, err
+	if err := ex.drive(n, k); err != nil {
+		return nil, err
 	}
 	if nm == 1 {
-		return k.reps[:k.nreps[0]], k.gids, nil
+		return k.reps[:k.nreps[0]], nil
 	}
 	total := 0
 	for _, c := range k.nreps {
 		total += c
 	}
 	global := ex.ar.global.sized(nkeys)
-	reps = ex.ar.ints.get(total)
+	reps := ex.ar.ints.get(total)
 	for m, c := range k.nreps {
-		lo, hi := morselBounds(m, n)
-		local := k.reps[lo : lo+c] // representative rows in, global ids out
-		for j, rep := range local {
-			g := global[codes[rep]]
-			if g < 0 {
-				g = int32(len(reps))
-				global[codes[rep]] = g
+		lo := m * morselRows
+		for _, rep := range k.reps[lo : lo+c] {
+			if global[codes[rep]] < 0 {
+				global[codes[rep]] = int32(len(reps))
 				reps = append(reps, rep)
-			}
-			local[j] = int(g)
-		}
-		if wantIDs {
-			for i := lo; i < hi; i++ {
-				k.gids[i] = local[k.gids[i]]
 			}
 		}
 	}
 	global.forget(codes, reps)
-	return reps, k.gids, nil
+	return reps, nil
 }
 
 // aggFold is the kernel behind sum/avg/min/max over a value set: each
@@ -555,23 +501,22 @@ type aggFold struct {
 	bad  []int         // per-morsel position of the first non-numeric value, or -1
 }
 
-func (k *aggFold) morsel(_, m, lo, hi int) error {
+func (k *aggFold) morsel(_, m, lo, hi int) {
 	k.bad[m] = -1
 	best := k.vals[lo]
 	for i := lo; i < hi; i++ {
 		v := k.vals[i]
 		if _, ok := v.Float(); !ok {
-			// Recorded, not returned: the merge reports the earliest
-			// morsel's, which is the first in input order.
+			// Recorded for the merge, which reports the earliest
+			// morsel's: the first in input order.
 			k.bad[m] = i
-			return nil
+			return
 		}
 		if k.sign != 0 && displaces(k.sign, v, best) {
 			best = v
 		}
 	}
 	k.ext[m] = best
-	return nil
 }
 
 // displaces reports whether v takes over from cur as the running
@@ -599,7 +544,7 @@ func (ex *executor) foldValues(x *Aggregate, vals []table.Value) (table.Value, e
 	case "max":
 		k.sign = 1
 	}
-	if err := ex.drive(len(vals), k, true); err != nil {
+	if err := ex.drive(len(vals), k); err != nil {
 		return table.Value{}, err
 	}
 	for _, i := range k.bad {

@@ -64,17 +64,16 @@ func forceSerial(tb testing.TB) {
 // bigTestPlans enumerates one plan per parallel kernel (and a few
 // compositions), all against bigTestTable's schema.
 func bigTestPlans() map[string]Node {
-	countGroup := GroupItem{Label: "COUNT(*)", Fn: func(rows []int) (table.Value, error) {
-		return table.NumberValue(float64(len(rows))), nil
-	}}
 	return map[string]Node{
 		"compare_ne_entity":  &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Greece")},
 		"compare_eq_fold":    &Compare{Col: 0, Cmp: "=", V: table.ParseValue("greece")},
 		"compare_range_text": &Compare{Col: 3, Cmp: ">", V: table.ParseValue("500")},
-		"filter_and": &Filter{Input: &Scan{}, Pred: &AndPred{
-			L: &CmpPred{Col: 1, Op: ">", V: table.ParseValue("250000")},
-			R: &NotPred{P: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("Fiji")}},
-		}},
+		// A range and an entity inequality, conjoined as lambda DCS
+		// conjoins them.
+		"filter_and": &Intersect{
+			L: &Compare{Col: 1, Cmp: ">", V: table.ParseValue("250000")},
+			R: &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Fiji")},
+		},
 		"superlative_max": &Superlative{Col: 1, Max: true,
 			Input: &Compare{Col: 1, Cmp: "<", V: table.ParseValue("900000")}},
 		"superlative_min": &Superlative{Col: 1, Max: false,
@@ -91,10 +90,10 @@ func bigTestPlans() map[string]Node {
 		"aggregate_min": &Aggregate{Fn: "min", Input: &ProjectCol{Col: 1, Input: &Scan{}}},
 		"aggregate_max": &Aggregate{Fn: "max", Input: &ProjectCol{Col: 1, Input: &Scan{}}},
 		"aggregate_err": &Aggregate{Fn: "sum", Input: &ProjectCol{Col: 3, Input: &Scan{}}},
-		"group_by": &SQLAggregate{Input: &Scan{}, GroupCol: 0,
-			Items: []GroupItem{countGroup}},
-		"group_by_year": &SQLAggregate{Input: &Scan{}, GroupCol: 2,
-			Items: []GroupItem{countGroup}},
+		// Value projection groups its input by key: over a scattered row
+		// set, and over a low-cardinality numeric column.
+		"group_by":      &ProjectCol{Col: 0, Input: &Compare{Col: 1, Cmp: ">", V: table.ParseValue("250000")}},
+		"group_by_year": &ProjectCol{Col: 2, Input: &Scan{}},
 	}
 }
 
@@ -104,7 +103,7 @@ func bigTestPlans() map[string]Node {
 func runPlan(tb testing.TB, n Node, t *table.Table) (*Val, string) {
 	tb.Helper()
 	v := new(Val)
-	if err := RunInto(v, n, t, Capture{}); err != nil {
+	if err := RunIntoCtx(nil, v, n, t, Capture{}); err != nil {
 		return nil, err.Error()
 	}
 	return v, ""
@@ -131,12 +130,13 @@ func TestBigTableParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBigTableKeyCodesGroupSpellings runs the kernels that read key
-// codes — value projection, GROUP BY and the entity predicates — over a
-// column whose keys each have several spellings ("Fiji", "fiji",
-// " FIJI "), so that the key codes are not the dictionary codes, and a
-// column of as many spellings as rows: serial and forced-parallel must
-// agree, and both must agree with grouping the cells by Value.Key.
+// TestBigTableKeyCodesGroupSpellings runs value projection — the kernel
+// that reads key codes — and the entity comparisons, which read the
+// posting lists of the same keys, over a column whose keys each have
+// several spellings ("Fiji", "fiji", " FIJI "), so that the key codes
+// are not the dictionary codes, and a column of as many spellings as
+// rows: serial and forced-parallel must agree, and both must agree with
+// grouping the cells by Value.Key.
 func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 	const n = 70_000
 	rng := rand.New(rand.NewSource(11))
@@ -163,16 +163,16 @@ func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 	if tab.NumKeys(0) != len(nations) || tab.NumKeys(1) != n {
 		t.Fatalf("NumKeys = %d and %d, want %d and %d", tab.NumKeys(0), tab.NumKeys(1), len(nations), n)
 	}
-	countGroup := GroupItem{Label: "COUNT(*)", Fn: func(rows []int) (table.Value, error) {
-		return table.NumberValue(float64(len(rows))), nil
-	}}
 	plans := map[string]Node{
 		"project":      &ProjectCol{Col: 0, Input: &Scan{}},
 		"project_wide": &ProjectCol{Col: 1, Input: &Scan{}},
-		"group_by":     &SQLAggregate{Input: &Scan{}, GroupCol: 0, Items: []GroupItem{countGroup}},
-		"filter_eq":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("FIJI")}},
-		"filter_ne":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "!=", V: table.ParseValue("fiji")}},
-		"filter_none":  &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("Samoa")}},
+		"filter_eq":    &Compare{Col: 0, Cmp: "=", V: table.ParseValue("FIJI")},
+		"filter_ne":    &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("fiji")},
+		"filter_none":  &Compare{Col: 0, Cmp: "=", V: table.ParseValue("Samoa")},
+	}
+	for _, nation := range nations {
+		plans["count_"+nation] = &Aggregate{Fn: "count",
+			Input: &Compare{Col: 0, Cmp: "=", V: table.ParseValue(strings.ToUpper(nation))}}
 	}
 	results := map[string]*Val{}
 	for name, plan := range plans {
@@ -198,13 +198,10 @@ func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 	if got := len(results["project_wide"].Values); got != n {
 		t.Fatalf("projection of the all-distinct column has %d values, want %d", got, n)
 	}
-	grouped := results["group_by"]
-	if len(grouped.Data) != len(firstSeen) {
-		t.Fatalf("GROUP BY made %d groups, want %d", len(grouped.Data), len(firstSeen))
-	}
-	for g, key := range firstSeen {
-		if c := grouped.Data[g][0]; c.Num != float64(counts[key]) {
-			t.Fatalf("group %d (%s) counts %v, want %d", g, key, c.Num, counts[key])
+	for _, nation := range nations {
+		key := table.ParseValue(nation).Key()
+		if c := results["count_"+nation].Values[0]; c.Num != float64(counts[key]) {
+			t.Fatalf("count of %s = %v, want %d", key, c.Num, counts[key])
 		}
 	}
 	if eq, ne := len(results["filter_eq"].Rows), len(results["filter_ne"].Rows); eq != counts["fiji"] || ne != n-counts["fiji"] {
@@ -327,7 +324,7 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 	forceSerial(t)
 	want := make([]Val, len(plans))
 	for i, n := range plans {
-		if err := RunInto(&want[i], n, tab, Noop{}); err != nil {
+		if err := RunIntoCtx(nil, &want[i], n, tab, Noop{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +351,7 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				p := (g + i) % len(plans)
 				var got Val
-				if err := RunInto(&got, plans[p], tab, Noop{}); err != nil {
+				if err := RunIntoCtx(nil, &got, plans[p], tab, Noop{}); err != nil {
 					t.Error(err)
 				} else if !reflect.DeepEqual(want[p], got) {
 					t.Errorf("plan %d differs from the one-worker result", p)
@@ -476,17 +473,14 @@ func benchPlans() []struct {
 		n    Node
 	}{
 		{"compare_ne", &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Greece")}},
-		{"filter", &Filter{Input: &Scan{}, Pred: &AndPred{
-			L: &CmpPred{Col: 1, Op: ">", V: table.ParseValue("250000")},
-			R: &NotPred{P: &CmpPred{Col: 0, Op: "=", V: table.ParseValue("Fiji")}},
-		}}},
+		{"filter_and", &Intersect{
+			L: &Compare{Col: 1, Cmp: ">", V: table.ParseValue("250000")},
+			R: &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Fiji")},
+		}},
 		{"superlative", &Superlative{Col: 1, Max: true,
 			Input: &Compare{Col: 1, Cmp: "<", V: table.ParseValue("900000")}}},
 		{"aggregate_sum", &Aggregate{Fn: "sum", Input: &ProjectCol{Col: 1, Input: &Scan{}}}},
-		{"group_by", &SQLAggregate{Input: &Scan{}, GroupCol: 0,
-			Items: []GroupItem{{Label: "COUNT(*)", Fn: func(rows []int) (table.Value, error) {
-				return table.NumberValue(float64(len(rows))), nil
-			}}}}},
+		{"project_col", &ProjectCol{Col: 0, Input: &Scan{}}},
 	}
 }
 
@@ -503,7 +497,7 @@ func BenchmarkBigTableSerial(b *testing.B) {
 			var out Val
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := RunInto(&out, bp.n, tab, Noop{}); err != nil {
+				if err := RunIntoCtx(nil, &out, bp.n, tab, Noop{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -524,7 +518,7 @@ func BenchmarkBigTableParallel(b *testing.B) {
 			var out Val
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := RunInto(&out, bp.n, tab, Noop{}); err != nil {
+				if err := RunIntoCtx(nil, &out, bp.n, tab, Noop{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,19 +1,17 @@
-// Package plan is the shared relational plan core both query
-// front-ends of the system lower into: lambda DCS expressions
-// (internal/dcs) and mini-SQL statements (internal/minisql) compile to
-// the same small operator IR, which is then rewritten by rule
+// Package plan is the relational plan core lambda DCS expressions
+// (internal/dcs) lower into: a small operator IR, folded by rule
 // (internal/plan/rewrite.go) and executed by one vectorized executor
 // (internal/plan/exec.go) walking the typed column vectors of
-// internal/table instead of boxed [][]Value rows.
+// internal/table instead of boxed [][]Value rows. Mini-SQL
+// (internal/minisql) does not run here; its interpreter is its only
+// executor.
 //
-// A plan node denotes one of four result kinds:
+// A plan node denotes one of three result kinds:
 //
 //	RowsKind   — a set of base-table record indices, always ascending;
 //	ValuesKind — an ordered set of distinct cell values (lambda DCS
 //	             unaries are sets; first-appearance order is kept);
-//	ScalarKind — a single number (aggregate or arithmetic output);
-//	TableKind  — a SQL result: labeled columns, data rows and per-row
-//	             source record indices.
+//	ScalarKind — a single number (aggregate or arithmetic output).
 //
 // Provenance capture is factored behind the Tracer interface
 // (trace.go): with an inactive tracer the executor skips every witness
@@ -41,8 +39,6 @@ const (
 	ValuesKind
 	// ScalarKind denotes a single number.
 	ScalarKind
-	// TableKind denotes a SQL result table.
-	TableKind
 )
 
 // String names the kind.
@@ -54,8 +50,6 @@ func (k Kind) String() string {
 		return "values"
 	case ScalarKind:
 		return "scalar"
-	case TableKind:
-		return "table"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -87,8 +81,7 @@ func (*Scan) Op() string { return "Scan" }
 func (*Scan) Children() []Node { return nil }
 
 // IndexLookup denotes the records whose value in Col equals any of the
-// literal Keys — the predicate-pushdown form of Filter(Scan, Col=v)
-// answered directly from the table's KB index.
+// literal Keys, answered directly from the table's KB index.
 type IndexLookup struct {
 	Col  int
 	Keys []table.Value
@@ -171,23 +164,6 @@ func (*Compare) Op() string { return "Compare" }
 
 // Children is empty.
 func (*Compare) Children() []Node { return nil }
-
-// Filter denotes the records of Input that satisfy Pred, preserving
-// order. Native predicates (CmpPred) are pushed into IndexLookup or
-// Compare by the rewriter; opaque FuncPred closures evaluate per row.
-type Filter struct {
-	Input Node // RowsKind
-	Pred  Pred
-}
-
-// Kind of a filter is rows.
-func (*Filter) Kind() Kind { return RowsKind }
-
-// Op names the operator.
-func (*Filter) Op() string { return "Filter" }
-
-// Children returns the row input.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
 
 // Shift denotes the records Delta positions away from Input's records
 // (Prev is -1, Next is +1), clipped to the table.
@@ -397,166 +373,6 @@ func errorf(src any, format string, args ...any) error {
 	return &Error{Src: src, Msg: fmt.Sprintf(format, args...)}
 }
 
-// ---- SQL (table-producing) operators ----
-
-// ProjItem is one SELECT projection: a plain column (Col >= 0), the
-// Index pseudo-column, or an opaque per-row expression closure.
-type ProjItem struct {
-	Label string
-	Col   int // base-table column fast path; -1 when Fn or Index is used
-	Index bool
-	Fn    func(row int) (table.Value, error)
-}
-
-// OrderBy is a per-row sort specification for SQLProject.
-type OrderBy struct {
-	Col   int // base-table column fast path; -1 when Fn or Index is used
-	Index bool
-	Fn    func(row int) (table.Value, error)
-	Desc  bool
-}
-
-// SQLProject denotes the row-wise projection of Input's records with
-// an optional stable ORDER BY; each output row remembers its source
-// record index.
-type SQLProject struct {
-	Input Node // RowsKind
-	Items []ProjItem
-	Order *OrderBy
-}
-
-// Kind of a projection is a SQL table.
-func (*SQLProject) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*SQLProject) Op() string { return "SQLProject" }
-
-// Children returns the row input.
-func (p *SQLProject) Children() []Node { return []Node{p.Input} }
-
-// GroupItem is one aggregate-query projection, evaluated per group.
-// Fn receives the group's record indices in executor-owned scratch
-// memory: read them during the call, never retain the slice.
-type GroupItem struct {
-	Label string
-	Fn    func(rows []int) (table.Value, error)
-}
-
-// SQLAggregate denotes grouping (first-appearance order) and aggregate
-// projection over Input's records. GroupCol < 0 means one global
-// group; output rows are computed, so their source index is the
-// computed-row sentinel -1.
-type SQLAggregate struct {
-	Input    Node // RowsKind
-	GroupCol int
-	Items    []GroupItem
-	Order    func(rows []int) (table.Value, error)
-	Desc     bool
-}
-
-// Kind of an aggregate query is a SQL table.
-func (*SQLAggregate) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*SQLAggregate) Op() string { return "SQLAggregate" }
-
-// Children returns the row input.
-func (a *SQLAggregate) Children() []Node { return []Node{a.Input} }
-
-// Distinct deduplicates a SQL table's rows by full-row key, keeping
-// first appearances. The rewriter eliminates it over provably distinct
-// inputs.
-type Distinct struct{ Input Node }
-
-// Kind of a distinct is its input's table kind.
-func (*Distinct) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*Distinct) Op() string { return "Distinct" }
-
-// Children returns the table input.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
-
-// Limit truncates a SQL table to its first N rows.
-type Limit struct {
-	Input Node
-	N     int
-}
-
-// Kind of a limit is a SQL table.
-func (*Limit) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*Limit) Op() string { return "Limit" }
-
-// Children returns the table input.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-
-// SQLUnion is the deduplicating union of two SQL tables of equal
-// width.
-type SQLUnion struct{ L, R Node }
-
-// Kind of a union is a SQL table.
-func (*SQLUnion) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*SQLUnion) Op() string { return "SQLUnion" }
-
-// Children returns both inputs.
-func (u *SQLUnion) Children() []Node { return []Node{u.L, u.R} }
-
-// SQLDiff is the arithmetic difference of two scalar (1x1) SQL
-// queries, producing a single computed row labeled "diff".
-type SQLDiff struct{ L, R Node }
-
-// Kind of a difference is a SQL table.
-func (*SQLDiff) Kind() Kind { return TableKind }
-
-// Op names the operator.
-func (*SQLDiff) Op() string { return "SQLDiff" }
-
-// Children returns both inputs.
-func (d *SQLDiff) Children() []Node { return []Node{d.L, d.R} }
-
-// ---- Predicates ----
-
-// Pred is a row predicate usable in Filter.
-type Pred interface{ predNode() }
-
-// CmpPred compares column Col's value against the literal V with Op
-// (= != < <= > >=): equality is entity equality, range operators apply
-// only between numeric values. The rewriter pushes CmpPred over Scan
-// into IndexLookup (=) or Compare (range, !=).
-type CmpPred struct {
-	Col int
-	Op  string
-	V   table.Value
-}
-
-func (*CmpPred) predNode() {}
-
-// AndPred is the short-circuit conjunction of two predicates.
-type AndPred struct{ L, R Pred }
-
-func (*AndPred) predNode() {}
-
-// OrPred is the short-circuit disjunction of two predicates.
-type OrPred struct{ L, R Pred }
-
-func (*OrPred) predNode() {}
-
-// NotPred negates a predicate.
-type NotPred struct{ P Pred }
-
-func (*NotPred) predNode() {}
-
-// FuncPred is an opaque per-row predicate closure, the fallback for
-// predicates the front-end cannot express natively (subqueries,
-// arithmetic, pseudo-columns).
-type FuncPred struct{ Fn func(row int) (bool, error) }
-
-func (*FuncPred) predNode() {}
-
 // Format renders a plan tree as an indented outline, for debugging,
 // tests and documentation.
 func Format(n Node) string {
@@ -586,8 +402,6 @@ func describe(n Node) string {
 		return fmt.Sprintf("Lookup(col=%d)", x.Col)
 	case *Compare:
 		return fmt.Sprintf("Compare(col=%d %s %s)", x.Col, x.Cmp, x.V)
-	case *Filter:
-		return "Filter(" + describePred(x.Pred) + ")"
 	case *Shift:
 		return fmt.Sprintf("Shift(%+d)", x.Delta)
 	case *Superlative:
@@ -610,28 +424,7 @@ func describe(n Node) string {
 		return "Aggregate(" + x.Fn + ")"
 	case *Arith:
 		return "Arith(" + x.Op2 + ")"
-	case *SQLAggregate:
-		return fmt.Sprintf("SQLAggregate(group=%d)", x.GroupCol)
-	case *Limit:
-		return fmt.Sprintf("Limit(%d)", x.N)
 	default:
 		return n.Op()
-	}
-}
-
-func describePred(p Pred) string {
-	switch x := p.(type) {
-	case *CmpPred:
-		return fmt.Sprintf("col=%d %s %s", x.Col, x.Op, x.V)
-	case *AndPred:
-		return describePred(x.L) + " AND " + describePred(x.R)
-	case *OrPred:
-		return describePred(x.L) + " OR " + describePred(x.R)
-	case *NotPred:
-		return "NOT " + describePred(x.P)
-	case *FuncPred:
-		return "fn"
-	default:
-		return fmt.Sprintf("%T", p)
 	}
 }

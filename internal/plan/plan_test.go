@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"nlexplain/internal/table"
@@ -22,47 +23,6 @@ func testTable(t *testing.T) *table.Table {
 
 func lit(s string) table.Value { return table.ParseValue(s) }
 
-func TestRewritePushesEqualityIntoIndexLookup(t *testing.T) {
-	n := Optimize(&Filter{
-		Input: &Scan{},
-		Pred:  &CmpPred{Col: 1, Op: "=", V: lit("Greece")},
-	})
-	il, ok := n.(*IndexLookup)
-	if !ok {
-		t.Fatalf("optimized to %T, want *IndexLookup:\n%s", n, Format(n))
-	}
-	if il.Col != 1 || len(il.Keys) != 1 {
-		t.Errorf("IndexLookup = %+v", il)
-	}
-}
-
-func TestRewriteFusesRangeFilterIntoCompare(t *testing.T) {
-	n := Optimize(&Filter{
-		Input: &Scan{},
-		Pred:  &CmpPred{Col: 0, Op: ">", V: lit("2000")},
-	})
-	if _, ok := n.(*Compare); !ok {
-		t.Fatalf("optimized to %T, want *Compare:\n%s", n, Format(n))
-	}
-}
-
-func TestRewriteSplitsConjunctionAndPushes(t *testing.T) {
-	n := Optimize(&Filter{
-		Input: &Scan{},
-		Pred: &AndPred{
-			L: &CmpPred{Col: 1, Op: "=", V: lit("Greece")},
-			R: &FuncPred{Fn: func(int) (bool, error) { return true, nil }},
-		},
-	})
-	f, ok := n.(*Filter)
-	if !ok {
-		t.Fatalf("optimized to %T, want Filter over IndexLookup:\n%s", n, Format(n))
-	}
-	if _, ok := f.Input.(*IndexLookup); !ok {
-		t.Fatalf("conjunct did not sink into an IndexLookup:\n%s", Format(n))
-	}
-}
-
 func TestRewriteFoldsConstants(t *testing.T) {
 	// Lookup over a folded union of literals becomes a multi-key
 	// IndexLookup.
@@ -81,7 +41,7 @@ func TestRewriteFoldsConstants(t *testing.T) {
 	// count over a literal set folds to a scalar constant.
 	c := Optimize(&Aggregate{Fn: "count", Input: &Const{Values: []table.Value{lit("a"), lit("b"), lit("a")}}})
 	var v Val
-	err := RunInto(&v, c, testTable(t), Noop{})
+	err := RunIntoCtx(nil, &v, c, testTable(t), Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,38 +50,12 @@ func TestRewriteFoldsConstants(t *testing.T) {
 	}
 }
 
-func TestRewriteEliminatesDistinct(t *testing.T) {
-	agg := &SQLAggregate{Input: &Scan{}, GroupCol: -1,
-		Items: []GroupItem{{Label: "COUNT(*)", Fn: func(rows []int) (table.Value, error) {
-			return table.NumberValue(float64(len(rows))), nil
-		}}}}
-	n := Optimize(&Distinct{Input: agg})
-	if _, ok := n.(*SQLAggregate); !ok {
-		t.Fatalf("Distinct over a single-row aggregate not eliminated: %T", n)
-	}
-	// Distinct over Distinct collapses to one.
-	proj := &SQLProject{Input: &Scan{}, Items: []ProjItem{{Label: "City", Col: 2}}}
-	n = Optimize(&Distinct{Input: &Distinct{Input: proj}})
-	d, ok := n.(*Distinct)
-	if !ok {
-		t.Fatalf("outer node = %T, want *Distinct", n)
-	}
-	if _, ok := d.Input.(*Distinct); ok {
-		t.Fatal("nested Distinct not collapsed")
-	}
-	// A grouped aggregate's Distinct must survive.
-	grouped := &SQLAggregate{Input: &Scan{}, GroupCol: 1, Items: agg.Items}
-	if _, ok := Optimize(&Distinct{Input: grouped}).(*Distinct); !ok {
-		t.Fatal("Distinct over a grouped aggregate was wrongly eliminated")
-	}
-}
-
 func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 	tab := testTable(t)
 	n := &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}}
 
 	var v Val
-	err := RunInto(&v, n, tab, Noop{})
+	err := RunIntoCtx(nil, &v, n, tab, Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +66,7 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 		t.Errorf("untraced execution computed cells: %v", v.Cells)
 	}
 
-	err = RunInto(&v, n, tab, Capture{})
+	err = RunIntoCtx(nil, &v, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +97,7 @@ func TestTracerSeesEveryOperatorBoundary(t *testing.T) {
 	}}
 	tr := &opTracer{}
 	var v Val
-	err := RunInto(&v, n, tab, tr)
+	err := RunIntoCtx(nil, &v, n, tab, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,31 +118,24 @@ func TestCompareUsesIndexAndMatchesScan(t *testing.T) {
 	tab := testTable(t)
 	for _, op := range []string{"<", "<=", ">", ">="} {
 		n := &Compare{Col: 0, Cmp: op, V: lit("2004")}
-		var v, scan Val
-		err := RunInto(&v, n, tab, Noop{})
+		var v Val
+		err := RunIntoCtx(nil, &v, n, tab, Noop{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Cross-check against a straight scan with an opaque predicate,
-		// which neither the index nor the zone maps can shortcut.
-		err = RunInto(&scan, &Filter{Input: &Scan{}, Pred: &FuncPred{Fn: func(r int) (bool, error) {
-			// "<" and "<=" accept c < 0, ">" and ">=" accept c > 0, and
-			// the two-character operators accept equality.
+		// Cross-check against a straight loop over the rows: "<" and "<="
+		// accept c < 0, ">" and ">=" accept c > 0, and the two-character
+		// operators accept equality.
+		var want []int
+		for r := range tab.NumRows() {
 			c := tab.Value(r, 0).Compare(lit("2004"))
-			return tab.Value(r, 0).IsNumeric() &&
-				(c < 0 && op[0] == '<' || c > 0 && op[0] == '>' || c == 0 && len(op) == 2), nil
-		}}}, tab, Noop{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := scan.Rows
-		if len(v.Rows) != len(want) {
-			t.Fatalf("%s: rows = %v, want %v", op, v.Rows, want)
-		}
-		for i := range want {
-			if v.Rows[i] != want[i] {
-				t.Fatalf("%s: rows = %v, want %v", op, v.Rows, want)
+			if tab.Value(r, 0).IsNumeric() &&
+				(c < 0 && op[0] == '<' || c > 0 && op[0] == '>' || c == 0 && len(op) == 2) {
+				want = append(want, r)
 			}
+		}
+		if !slices.Equal(v.Rows, want) {
+			t.Fatalf("%s: rows = %v, want %v", op, v.Rows, want)
 		}
 	}
 }
@@ -220,7 +147,7 @@ func TestSuperlativeTies(t *testing.T) {
 			{"a", "5"}, {"b", "9"}, {"c", "9"}, {"d", "1"},
 		})
 	var v Val
-	err := RunInto(&v, &Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
+	err := RunIntoCtx(nil, &v, &Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,22 +99,6 @@ type zoneScan struct {
 	none, all int
 }
 
-// zonePred compiles a predicate tree into a materialized zone verdict
-// vector over the executor's table. It returns nil when consultation
-// is gated off, when the tree contains an opaque FuncPred (skipping
-// rows would change which rows the closure observes), or when no zone
-// can be proven either way — the scan then runs under no verdicts.
-func (ex *executor) zonePred(p Pred) *zoneScan {
-	if !ex.cfg.zones || predHasFunc(p) {
-		return nil
-	}
-	f, useful := ex.compileZonePred(p)
-	if !useful {
-		return nil
-	}
-	return ex.materializeZones(f)
-}
-
 // materializeZones evaluates a verdict function over every zone once,
 // so the kernel does a single slice load per morsel. It returns nil
 // when no zone is decided.
@@ -137,110 +121,14 @@ func (ex *executor) materializeZones(f func(z int) zoneVerdict) *zoneScan {
 	return zs
 }
 
-func zoneMaybeFn(int) zoneVerdict { return zoneMaybe }
-
 // zoneLen is the number of rows zone z covers in a table of n rows.
 func zoneLen(z, n int) int { return min(morselRows, n-z*morselRows) }
 
-// compileZonePred lowers a predicate tree into a per-zone verdict
-// function, mirroring compilePred leaf for leaf. The second result
-// reports whether any leaf can ever prove a zone (a tree of only
-// unprovable leaves returns false so callers skip consultation).
-func (ex *executor) compileZonePred(p Pred) (func(z int) zoneVerdict, bool) {
-	t := ex.t
-	switch x := p.(type) {
-	case *CmpPred:
-		switch x.Op {
-		case "=", "!=":
-			if !t.KeyEqualConsistent(x.Col, x.V) {
-				// The row kernel uses Value.Equal here; key bounds prove
-				// nothing about fold-insensitive equality.
-				return zoneMaybeFn, false
-			}
-			zones := t.ColumnZones(x.Col)
-			lit := x.V.Key()
-			want := x.Op == "="
-			return func(z int) zoneVerdict {
-				zn := &zones[z]
-				switch {
-				case lit < zn.KeyMin || lit > zn.KeyMax:
-					if want {
-						return zoneNone
-					}
-					return zoneAll
-				case zn.KeyMin == lit && zn.KeyMax == lit:
-					if want {
-						return zoneAll
-					}
-					return zoneNone
-				}
-				return zoneMaybe
-			}, true
-		case "<", "<=", ">", ">=":
-			lit, ok := x.V.Float()
-			if !ok {
-				// Range operators apply only between numeric values: a
-				// text literal matches nothing anywhere.
-				return func(int) zoneVerdict { return zoneNone }, true
-			}
-			return ex.zoneRangeFn(x.Col, x.Op, lit), true
-		}
-		return zoneMaybeFn, false
-	case *AndPred:
-		l, lok := ex.compileZonePred(x.L)
-		r, rok := ex.compileZonePred(x.R)
-		if !lok && !rok {
-			return zoneMaybeFn, false
-		}
-		return func(z int) zoneVerdict {
-			a, b := l(z), r(z)
-			switch {
-			case a == zoneNone || b == zoneNone:
-				return zoneNone
-			case a == zoneAll && b == zoneAll:
-				return zoneAll
-			}
-			return zoneMaybe
-		}, true
-	case *OrPred:
-		l, lok := ex.compileZonePred(x.L)
-		r, rok := ex.compileZonePred(x.R)
-		if !lok && !rok {
-			return zoneMaybeFn, false
-		}
-		return func(z int) zoneVerdict {
-			a, b := l(z), r(z)
-			switch {
-			case a == zoneAll || b == zoneAll:
-				return zoneAll
-			case a == zoneNone && b == zoneNone:
-				return zoneNone
-			}
-			return zoneMaybe
-		}, true
-	case *NotPred:
-		f, ok := ex.compileZonePred(x.P)
-		if !ok {
-			return zoneMaybeFn, false
-		}
-		return func(z int) zoneVerdict {
-			switch f(z) {
-			case zoneNone:
-				return zoneAll
-			case zoneAll:
-				return zoneNone
-			}
-			return zoneMaybe
-		}, true
-	}
-	return zoneMaybeFn, false
-}
-
-// zoneRangeFn builds the verdict function of one numeric range leaf.
-// The row kernel it mirrors is "IsNumeric() && cmpMatch(op,
-// Compare(lit))": plain-numeric cells decide on their float ordering,
-// NaN cells compare equal to everything (so they match <= and >= but
-// never < or >), and non-numeric cells never match.
+// zoneRangeFn builds the verdict function of a range Compare against a
+// number literal. It mirrors rangeMatcher: plain-numeric cells decide
+// on their float ordering, NaN cells compare equal to everything (so
+// they match <= and >= but never < or >), and non-numeric cells never
+// match.
 func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zoneVerdict {
 	zones := ex.t.ColumnZones(col)
 	n := ex.t.NumRows()
@@ -329,8 +217,6 @@ func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]in
 		}
 		return zoneMaybe
 	})
-	rows, err := ex.filterRows(rowFilter{rows: ex.ar.identity(t.NumRows()), zones: zs, keep: func(r int) (bool, error) {
-		return nums[r] == best, nil
-	}}, true)
+	rows, err := ex.scan(func(r int) bool { return nums[r] == best }, zs)
 	return rows, err == nil, err
 }

@@ -32,8 +32,10 @@ func zonesOff(tb testing.TB) {
 // clusteredZoneTable builds an n-row table whose columns actually give
 // zone maps something to prove: Seq is monotone (every zone a disjoint
 // numeric range), Band is clustered low-cardinality text (most zones
-// hold one key), and Mixed is numeric data with NaN, empty and text
-// stragglers so verdicts must honour the NaN/empty tallies.
+// hold one key), Mixed is numeric data with NaN, empty and text
+// stragglers so verdicts must honour the NaN/empty tallies, and SeqNaN
+// is Seq with a NaN last cell — not indexable, so every range over it
+// is a scan under zone verdicts, and its clean zones can be all-match.
 func clusteredZoneTable(tb testing.TB, n int) *table.Table {
 	tb.Helper()
 	rows := make([][]string, n)
@@ -47,41 +49,51 @@ func clusteredZoneTable(tb testing.TB, n int) *table.Table {
 		case i%1021 == 0:
 			mixed = "n/a"
 		}
+		seqNaN := strconv.Itoa(i)
+		if i == n-1 {
+			seqNaN = "nan"
+		}
 		rows[i] = []string{
 			strconv.Itoa(i),
 			"band" + strconv.Itoa(i/40_000),
 			mixed,
+			seqNaN,
 		}
 	}
-	return table.MustNew("clustered", []string{"Seq", "Band", "Mixed"}, rows)
+	return table.MustNew("clustered", []string{"Seq", "Band", "Mixed", "SeqNaN"}, rows)
 }
 
-// zoneTestPlans enumerates the scan shapes the zone layer rewires:
-// fused range conjunctions, equality and inequality over interned
-// keys, Or/Not composition, ranges over the dirty Mixed column
-// (NaN/empty/text cells), NaN literals, and full-table superlatives.
+// zoneTestPlans enumerates the scan shapes the zone layer decides:
+// ranges over SeqNaN (narrow, wide, empty, and an intersection of two),
+// ranges over the indexable Seq where the zones or the sorted index may
+// answer, equality and inequality over interned keys (answered from the
+// posting lists, never from zones), ranges over the dirty Mixed column
+// (NaN/empty/text cells), NaN literals, and a full-table superlative.
 func zoneTestPlans() map[string]Node {
 	num := func(v float64) table.Value { return table.NumberValue(v) }
 	return map[string]Node{
-		"range_narrow": &Filter{Input: &Scan{}, Pred: &AndPred{
-			L: &CmpPred{Col: 0, Op: ">=", V: num(50_000)},
-			R: &CmpPred{Col: 0, Op: "<", V: num(51_000)},
-		}},
-		"range_wide": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: ">=", V: num(10)}},
-		"range_none": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: "<", V: num(-5)}},
-		"eq_band":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 1, Op: "=", V: table.ParseValue("band1")}},
-		"ne_band":    &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 1, Op: "!=", V: table.ParseValue("band0")}},
-		"eq_missing": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 1, Op: "=", V: table.ParseValue("nowhere")}},
-		"or_bands": &Filter{Input: &Scan{}, Pred: &OrPred{
-			L: &CmpPred{Col: 1, Op: "=", V: table.ParseValue("band0")},
-			R: &CmpPred{Col: 0, Op: ">=", V: num(110_000)},
-		}},
-		"not_range": &Filter{Input: &Scan{}, Pred: &NotPred{
-			P: &CmpPred{Col: 0, Op: "<", V: num(100_000)},
-		}},
-		"mixed_range":  &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 2, Op: ">", V: num(500)}},
-		"mixed_nan_le": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 2, Op: "<=", V: num(math.NaN())}},
-		"mixed_nan_lt": &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 2, Op: "<", V: num(math.NaN())}},
+		"range_narrow": &Intersect{
+			L: &Compare{Col: 3, Cmp: ">=", V: num(50_000)},
+			R: &Compare{Col: 3, Cmp: "<", V: num(51_000)},
+		},
+		"range_wide": &Compare{Col: 3, Cmp: ">=", V: num(10)},
+		"range_none": &Compare{Col: 3, Cmp: "<", V: num(-5)},
+		// not(SeqNaN < 100000): the complement of a range is a range,
+		// the NaN cell included (it compares equal to everything).
+		"not_range":  &Compare{Col: 3, Cmp: ">=", V: num(100_000)},
+		"eq_band":    &Compare{Col: 1, Cmp: "=", V: table.ParseValue("band1")},
+		"ne_band":    &Compare{Col: 1, Cmp: "!=", V: table.ParseValue("band0")},
+		"eq_missing": &Compare{Col: 1, Cmp: "=", V: table.ParseValue("nowhere")},
+		"or_bands": &Union{
+			L: &Compare{Col: 1, Cmp: "=", V: table.ParseValue("band0")},
+			R: &Compare{Col: 0, Cmp: ">=", V: num(110_000)},
+		},
+		"mixed_range": &Intersect{
+			L: &Compare{Col: 2, Cmp: ">=", V: num(100)},
+			R: &Compare{Col: 2, Cmp: "<", V: num(200)},
+		},
+		"mixed_nan_le": &Compare{Col: 2, Cmp: "<=", V: num(math.NaN())},
+		"mixed_nan_lt": &Compare{Col: 2, Cmp: "<", V: num(math.NaN())},
 		"compare_ge":   &Compare{Col: 0, Cmp: ">=", V: num(117_000)},
 		// Mixed holds NaN cells, so it has no sorted index: the range
 		// scans rows. A NaN literal makes key identity and Value.Equal
@@ -122,7 +134,7 @@ func TestZoneForcedMatchesFullScan(t *testing.T) {
 }
 
 // TestZoneScanSkipsAndShortcuts proves the counters move: a narrow
-// fused range over the monotone column must skip morsels, and an
+// range over the monotone, unindexable column must skip morsels, and an
 // always-true range must short-circuit morsels into bulk fills, while
 // both keep the result identical to the full scan.
 func TestZoneScanSkipsAndShortcuts(t *testing.T) {
@@ -131,10 +143,7 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	forceSerial(t)
 	num := func(v float64) table.Value { return table.NumberValue(v) }
 
-	narrow := &Filter{Input: &Scan{}, Pred: &AndPred{
-		L: &CmpPred{Col: 0, Op: ">=", V: num(50_000)},
-		R: &CmpPred{Col: 0, Op: "<", V: num(51_000)},
-	}}
+	narrow := zoneTestPlans()["range_narrow"]
 	skipBefore, _ := SkipStats()
 	got, errs := runPlan(t, narrow, tab)
 	if errs != "" {
@@ -147,7 +156,7 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 		t.Fatalf("narrow range rows = %d starting %v, want 1000 starting 50000", len(got.Rows), got.Rows[:min(3, len(got.Rows))])
 	}
 
-	all := &Filter{Input: &Scan{}, Pred: &CmpPred{Col: 0, Op: ">=", V: num(0)}}
+	all := &Compare{Col: 3, Cmp: ">=", V: num(0)}
 	_, cutBefore := SkipStats()
 	got, errs = runPlan(t, all, tab)
 	if errs != "" {

@@ -5,7 +5,7 @@ import (
 	"nlexplain/internal/table"
 )
 
-// Tracer is the provenance hook the shared plan executor calls at
+// Tracer is the provenance hook the plan executor calls at
 // every operator boundary. The interface itself is declared in
 // internal/plan (the executor cannot import this package without a
 // cycle through dcs); this package owns its provenance-facing

@@ -127,16 +127,12 @@ type atomicIndex = atomic.Pointer[numericIndex]
 // record order: the number of its canonical key (Value.Key) among the
 // column's distinct keys in order of first appearance, below
 // NumKeys(c). Two cells share a code exactly when they share a key, so
-// executors group and compare codes where they would compare keys.
+// the executor groups codes where it would group keys.
 // The slice is shared with the table and must not be modified.
 func (t *Table) ColumnKeyCodes(c int) []uint32 { return t.cols[c].groups }
 
 // NumKeys returns the number of distinct canonical keys in column c.
 func (t *Table) NumKeys(c int) int { return t.cols[c].keys.Len() }
-
-// KeyCode resolves a canonical key to its code in column c; false
-// when no cell of the column holds it.
-func (t *Table) KeyCode(c int, key string) (uint32, bool) { return t.cols[c].group(key) }
 
 // ColumnKeys materialises the canonical key (Value.Key) of every cell
 // in column c, in record order: a fresh slice of windows of the key

@@ -35,14 +35,6 @@ func (v Value) HashKey(h uint64) uint64 {
 	}
 }
 
-// HashByte folds one literal byte into h — used as a field separator
-// when hashing multi-cell rows.
-func HashByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fnvPrime
-	return h
-}
-
 // HashString folds an already-canonical string into h without case
 // folding.
 func HashString[T string | []byte](h uint64, s T) uint64 {

@@ -149,7 +149,7 @@ func TableFromCSV(name string, r io.Reader) (*Table, error) {
 func ParseQuery(src string) (Query, error) { return dcs.Parse(src) }
 
 // ExecuteQuery checks and evaluates a query against a table. The
-// query compiles into the shared relational plan core (internal/plan)
+// query compiles into the relational plan core (internal/plan)
 // and runs with witness-cell capture on, so the Result carries the PO
 // provenance cells.
 func ExecuteQuery(q Query, t *Table) (*Result, error) { return dcs.Execute(q, t) }
