@@ -65,12 +65,12 @@ func (r *Rows) key(i int) string {
 
 // Exec evaluates a query against a table by walking it: WHERE row by
 // row, then projection or grouping with ORDER BY, then DISTINCT and
-// LIMIT, each subquery run once per execution. It is mini-SQL's only executor —
-// the system runs SQL only to check Table 10's translations (the
-// experiments harness, the sqlgen tests and the in-process workload's
-// small tables); explanations carry the SQL as text. The FROM clause
-// may name the table or use any placeholder (the paper writes FROM T
-// throughout).
+// LIMIT, each subquery run once per execution. It is mini-SQL's only
+// executor: the system runs SQL only to check Table 10's translations
+// (the experiments harness, the sqlgen tests and the in-process
+// workload's small tables), and explanations carry the SQL as text. The
+// FROM clause may name the table or use any placeholder (the paper
+// writes FROM T throughout).
 func Exec(q Query, t *table.Table) (*Rows, error) {
 	e := &evaluator{t: t, memo: make(map[Query]*Rows)}
 	return e.query(q)

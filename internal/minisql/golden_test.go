@@ -129,13 +129,12 @@ var nanGolden = []golden{
 // seqGolden is narrow (1 % of the rows), point and wide range counts on
 // seqTable.
 var seqGolden = []golden{
-	{stmt: seqRangeCount(49152, 50135), cols: []string{"COUNT(Index)"}, data: [][]string{{"984"}}, src: []int{-1}},
-	{stmt: seqRangeCount(49152, 49152), cols: []string{"COUNT(Index)"}, data: [][]string{{"1"}}, src: []int{-1}},
-	{stmt: seqRangeCount(0, 97321), cols: []string{"COUNT(Index)"}, data: [][]string{{"97322"}}, src: []int{-1}},
-}
-
-func seqRangeCount(lo, hi int) string {
-	return fmt.Sprintf("SELECT COUNT(Index) FROM T WHERE Seq >= %d AND Seq <= %d", lo, hi)
+	{stmt: "SELECT COUNT(Index) FROM T WHERE Seq >= 49152 AND Seq <= 50135", cols: []string{"COUNT(Index)"},
+		data: [][]string{{"984"}}, src: []int{-1}},
+	{stmt: "SELECT COUNT(Index) FROM T WHERE Seq >= 49152 AND Seq <= 49152", cols: []string{"COUNT(Index)"},
+		data: [][]string{{"1"}}, src: []int{-1}},
+	{stmt: "SELECT COUNT(Index) FROM T WHERE Seq >= 0 AND Seq <= 97321", cols: []string{"COUNT(Index)"},
+		data: [][]string{{"97322"}}, src: []int{-1}},
 }
 
 // seqTable is three zones of one monotone numeric column.
