@@ -189,6 +189,8 @@ func FuzzPlanDifferential(f *testing.F) {
 		plan.SetZoneSkipping(prevZOn)
 		plan.SetZoneSkipThreshold(prevZT)
 	})
+	// Every corpus query is a seed, the counts and differences of literal
+	// sets among them.
 	for _, tc := range diffCorpus {
 		f.Add(tc.src)
 	}
