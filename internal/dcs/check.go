@@ -24,116 +24,9 @@ func checkErr(e Expr, format string, args ...any) error {
 // Check validates an expression against a table: every referenced column
 // must exist and every operator must receive operands of the right type.
 // Execution of a checked expression can still fail only on dynamic type
-// errors (e.g. summing a text column).
+// errors (e.g. summing a text column). It is Compile's walk with the
+// plan thrown away.
 func Check(e Expr, t *table.Table) error {
-	col := func(name string) error {
-		if _, ok := t.ColumnIndex(name); !ok {
-			return checkErr(e, "unknown column %q in table %q", name, t.Name())
-		}
-		return nil
-	}
-	switch x := e.(type) {
-	case *ValueLit, *AllRecords:
-		return nil
-	case *Join:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		if x.Arg.Type() != ValuesType {
-			return checkErr(e, "join argument must denote values, got %s", x.Arg.Type())
-		}
-	case *ColumnValues:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		if x.Records.Type() != RecordsType {
-			return checkErr(e, "reverse join argument must denote records, got %s", x.Records.Type())
-		}
-	case *Prev:
-		if x.Records.Type() != RecordsType {
-			return checkErr(e, "Prev argument must denote records, got %s", x.Records.Type())
-		}
-	case *Next:
-		if x.Records.Type() != RecordsType {
-			return checkErr(e, "R[Prev] argument must denote records, got %s", x.Records.Type())
-		}
-	case *Intersect:
-		if x.L.Type() != RecordsType || x.R.Type() != RecordsType {
-			return checkErr(e, "intersection operands must denote records")
-		}
-	case *Union:
-		if x.L.Type() != x.R.Type() {
-			return checkErr(e, "union operands must have the same type, got %s and %s", x.L.Type(), x.R.Type())
-		}
-		if x.L.Type() == ScalarType {
-			return checkErr(e, "union of scalars is not part of the language")
-		}
-	case *Aggregate:
-		switch x.Fn {
-		case Count, Min, Max, Sum, Avg:
-		default:
-			return checkErr(e, "unknown aggregate %q", x.Fn)
-		}
-		if x.Fn == Count {
-			if x.Arg.Type() == ScalarType {
-				return checkErr(e, "count argument must be a unary")
-			}
-		} else if x.Arg.Type() != ValuesType {
-			return checkErr(e, "%s argument must denote values, got %s", x.Fn, x.Arg.Type())
-		}
-	case *Sub:
-		for _, side := range []Expr{x.L, x.R} {
-			if side.Type() == RecordsType {
-				return checkErr(e, "sub operands must denote values or scalars")
-			}
-		}
-	case *ArgRecords:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		if x.Records.Type() != RecordsType {
-			return checkErr(e, "argmax/argmin candidate must denote records, got %s", x.Records.Type())
-		}
-	case *IndexSuperlative:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		if x.Records.Type() != RecordsType {
-			return checkErr(e, "index superlative candidate must denote records")
-		}
-	case *MostFrequent:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		if x.Vals != nil && x.Vals.Type() != ValuesType {
-			return checkErr(e, "most-frequent candidates must denote values")
-		}
-	case *CompareValues:
-		if err := col(x.KeyCol); err != nil {
-			return err
-		}
-		if err := col(x.ValCol); err != nil {
-			return err
-		}
-		if x.Vals.Type() != ValuesType {
-			return checkErr(e, "comparing-superlative candidates must denote values")
-		}
-	case *Compare:
-		if err := col(x.Column); err != nil {
-			return err
-		}
-		switch x.Op {
-		case Lt, Le, Gt, Ge, Ne:
-		default:
-			return checkErr(e, "unknown comparison operator %q", x.Op)
-		}
-	default:
-		return checkErr(e, "unknown expression type %T", e)
-	}
-	for _, c := range e.Children() {
-		if err := Check(c, t); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := compile(e, t)
+	return err
 }

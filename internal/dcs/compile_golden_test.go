@@ -20,8 +20,9 @@ import (
 	"nlexplain/internal/wikitables"
 )
 
-// alien is an expression type the language does not know.
-type alien struct{ id int }
+// alien is an expression type the language does not know. It is not
+// zero-sized, so that every one is a pointer of its own.
+type alien struct{ _ byte }
 
 func (*alien) String() string   { return "alien" }
 func (*alien) Type() Type       { return ValuesType }
@@ -34,7 +35,6 @@ type hostile struct {
 	rng  *rand.Rand
 	cols []string
 	lits []table.Value
-	n    int
 }
 
 var (
@@ -62,8 +62,7 @@ func (h *hostile) leaf() Expr {
 	case 6, 7:
 		return &MostFrequent{Column: h.col()}
 	default:
-		h.n++
-		return &alien{id: h.n}
+		return &alien{}
 	}
 }
 

@@ -97,11 +97,11 @@ var diffCorpus = []struct {
 	{"olympics", "Year.(2004 or R[Year].City.Paris)"},
 }
 
-// scalarFolds are the corpus queries whose plans hold a count of a
-// literal set or a sub of two constants: the shapes a change to
-// constant folding moves. TestPlanShapeGolden pins the plans of the
-// rest; the differential tests hold these to the reference, Aggr
-// included.
+// scalarFolds are the corpus queries that count a literal set or
+// subtract constants. Whether Compile folds them into a constant is a
+// plan choice with no visible result (Aggregate and Arith compute the
+// same value, Aggr and cells), so TestPlanShapeGolden leaves them out
+// and the differential tests hold their results to the reference.
 var scalarFolds = map[string]bool{
 	"count(Athens)":             true,
 	"count((Athens or London))": true,
@@ -132,8 +132,8 @@ func fixtureByName(t testing.TB, name string) *table.Table {
 
 // TestPlanDifferential executes every corpus query through the legacy
 // interpreter and through the plan path (both traced and answer-only)
-// and requires identical denotations and witness cells — the guard
-// against semantic drift in the lowering, the rewriter and the
+// and requires identical denotations, witness cells and error texts —
+// the guard against semantic drift in the compile walk and the
 // vectorized executor.
 func TestPlanDifferential(t *testing.T) {
 	for _, tc := range diffCorpus {
@@ -733,27 +733,39 @@ func BenchmarkCompiledBigNe(b *testing.B) {
 	}
 }
 
-// TestPlanRewritesFixtureQueries sanity-checks that the compiled form
-// of the running example actually contains the expected rewritten
-// operators (the KB index lookup folded from the join literal).
+// TestPlanRewritesFixtureQueries sanity-checks that Compile folds a join
+// over literals into a KB index lookup: the running example's one key,
+// and both keys of a join over a union of two literals.
 func TestPlanRewritesFixtureQueries(t *testing.T) {
 	tab := olympicsTable(t)
-	c, err := Compile(MustParse("max(R[Year].Country.Greece)"), tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendered := plan.Format(c.Root)
-	if !strings.Contains(rendered, "IndexLookup") {
-		t.Errorf("optimized plan missing IndexLookup:\n%s", rendered)
-	}
-	var walk func(plan.Node)
-	walk = func(n plan.Node) {
-		if _, isDyn := n.(*plan.Lookup); isDyn {
-			t.Errorf("constant join argument was not folded into an index lookup:\n%s", rendered)
+	for src, keys := range map[string]int{
+		"max(R[Year].Country.Greece)":     1,
+		"R[Year].City.(Athens or London)": 2,
+	} {
+		c, err := Compile(MustParse(src), tab)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ch := range n.Children() {
-			walk(ch)
+		rendered := plan.Format(c.Root)
+		lookups := 0
+		var walk func(plan.Node)
+		walk = func(n plan.Node) {
+			switch x := n.(type) {
+			case *plan.Lookup:
+				t.Errorf("%s: constant join argument was not folded into an index lookup:\n%s", src, rendered)
+			case *plan.IndexLookup:
+				lookups++
+				if len(x.Keys) != keys {
+					t.Errorf("%s: index lookup keys = %v, want %d literals", src, x.Keys, keys)
+				}
+			}
+			for _, ch := range n.Children() {
+				walk(ch)
+			}
+		}
+		walk(c.Root)
+		if lookups != 1 {
+			t.Errorf("%s: compiled plan holds %d IndexLookups, want 1:\n%s", src, lookups, rendered)
 		}
 	}
-	walk(c.Root)
 }

@@ -140,11 +140,6 @@ func (ex *executor) eval(n Node) (*Val, error) {
 		v := ex.ar.val(ValuesKind)
 		v.Values = x.Values
 		return v, nil
-	case *constScalar:
-		v := ex.ar.val(ScalarKind)
-		v.Values = x.Values
-		v.Aggr = x.aggr
-		return v, nil
 	case *ProjectCol:
 		return ex.projectCol(x)
 	case *IndexSuper:

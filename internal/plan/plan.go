@@ -1,6 +1,6 @@
 // Package plan is the relational plan core lambda DCS expressions
-// (internal/dcs) lower into: a small operator IR, folded by rule
-// (internal/plan/rewrite.go) and executed by one vectorized executor
+// (internal/dcs) compile into: a small operator IR, built and folded in
+// dcs's one compile walk and executed by one vectorized executor
 // (internal/plan/exec.go) walking the typed column vectors of
 // internal/table instead of boxed [][]Value rows. Mini-SQL
 // (internal/minisql) does not run here; its interpreter is its only
@@ -56,7 +56,7 @@ func (k Kind) String() string {
 }
 
 // Node is one relational plan operator. Nodes are immutable once
-// built; the rewriter returns new trees rather than mutating.
+// built.
 type Node interface {
 	// Kind is the node's result kind.
 	Kind() Kind
@@ -117,7 +117,7 @@ func (*IndexLookup) Children() []Node { return nil }
 
 // Lookup denotes the records whose value in Col is a member of the
 // value set denoted by Input (the lambda DCS join C.v with a computed
-// argument). The rewriter folds Lookup over constants to IndexLookup.
+// argument). A join over constants is built as an IndexLookup instead.
 type Lookup struct {
 	Col   int
 	Input Node // ValuesKind
@@ -320,7 +320,7 @@ func (c *CompareVals) Children() []Node { return []Node{c.Input} }
 // denotes a scalar. Count accepts rows or values; the rest need
 // numeric values, and at least one — Aggregate and Arith are the two
 // operators that can fail on what the table holds. Src is the front
-// end's expression the node was lowered from; the executor never reads
+// end's expression the node was built from; the executor never reads
 // it, only hands it back in the Error it returns.
 type Aggregate struct {
 	Fn    string

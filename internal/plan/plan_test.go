@@ -23,33 +23,6 @@ func testTable(t *testing.T) *table.Table {
 
 func lit(s string) table.Value { return table.ParseValue(s) }
 
-func TestRewriteFoldsConstants(t *testing.T) {
-	// Lookup over a folded union of literals becomes a multi-key
-	// IndexLookup.
-	n := Optimize(&Lookup{Col: 2, Input: &Union{
-		L: &Const{Values: []table.Value{lit("Athens")}},
-		R: &Const{Values: []table.Value{lit("London")}},
-	}})
-	il, ok := n.(*IndexLookup)
-	if !ok {
-		t.Fatalf("optimized to %T, want *IndexLookup:\n%s", n, Format(n))
-	}
-	if len(il.Keys) != 2 {
-		t.Errorf("keys = %v, want 2 literals", il.Keys)
-	}
-
-	// count over a literal set folds to a scalar constant.
-	c := Optimize(&Aggregate{Fn: "count", Input: &Const{Values: []table.Value{lit("a"), lit("b"), lit("a")}}})
-	var v Val
-	err := RunIntoCtx(nil, &v, c, testTable(t), Noop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Kind != ScalarKind || v.Values[0].Num != 2 || v.Aggr != "count" {
-		t.Errorf("folded count = %+v", v)
-	}
-}
-
 func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 	tab := testTable(t)
 	n := &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}}

@@ -19,8 +19,8 @@ type NoopTracer = plan.Noop
 
 // CellTracer accumulates every operator's PO witness cells during one
 // plan execution. Because plan operators correspond one-to-one to
-// query sub-expressions (and the rewriter only applies PO-preserving
-// rules), their union equals PE(Q,T) — the union of PO over QSUB
+// query sub-expressions (and the only folds Compile applies, joins and
+// unions over literal sets, preserve PO), their union equals PE(Q,T) — the union of PO over QSUB
 // (Equation 2) — without re-executing each sub-query.
 type CellTracer struct {
 	// cells is the operators' reports end to end: sorted runs, not yet
