@@ -107,7 +107,7 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	const bound = 2_251 // measured 1 958, + 15 %; 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
+	const bound = 1_786 // measured 1 553, + 15 %; 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	publishAll(t, e, corpus) // warm the executor's pools and the tables' lazy indexes
@@ -131,10 +131,10 @@ func TestExplainMissAllocs(t *testing.T) {
 		t.Skip("allocation counts under the race detector")
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
-		"lookup":      {102, 13_450}, // measured 93 / 12 232; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
-		"comparative": {117, 17_600}, // measured 107 / 16 043; 108 / 16 187; 231 / 103 288
-		"superlative": {113, 16_700}, // measured 103 / 15 222; 104 / 15 366; 214 / 91 000
-		"aggregate":   {123, 17_900}, // measured 112 / 16 301; 113 / 16 445; 230 / 78 784
+		"lookup":      {98, 13_350},  // measured 89 / 12 144; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
+		"comparative": {114, 17_550}, // measured 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {110, 16_600}, // measured 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"aggregate":   {117, 17_800}, // measured 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
 	// it, so each call of a pass over the family misses.
