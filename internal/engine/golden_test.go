@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -221,6 +222,44 @@ func TestExplainBytesGolden(t *testing.T) {
 			t.Errorf("200 qrand pairs hash to %s, golden %s", got, want)
 		}
 	})
+}
+
+// TestParseQuestionGolden pins every field ParseQuestion returns —
+// rank, query, utterance, score bits and result preview — for every
+// question of the default generated dataset, by one SHA-256 per depth:
+// the paper's display depth k = 7, and 1 000, past every pool, so the
+// leg reaches each candidate's last rank. The pools are computed by the
+// first leg and served from the parse cache to the second.
+func TestParseQuestionGolden(t *testing.T) {
+	e := New(Options{CacheSize: 2048, Workers: 2})
+	corpus := parseCorpus(t, e)
+	ctx := context.Background()
+	for _, depth := range []int{7, 1000} {
+		h := sha256.New()
+		candidates := 0
+		for i, ex := range corpus {
+			cands, err := e.ParseQuestion(ctx, ex.Table.Name(), ex.Question, depth)
+			if err != nil {
+				t.Fatalf("%q on %s: %v", ex.Question, ex.Table.Name(), err)
+			}
+			fmt.Fprintf(h, "question %d: %d\n", i, len(cands))
+			for _, c := range cands {
+				fmt.Fprintf(h, "%d\x00%s\x00%s\x00%016x\x00%s\n", c.Rank, c.Query, c.Utterance, math.Float64bits(c.Score), c.Result)
+			}
+			candidates += len(cands)
+		}
+		t.Logf("top_k %d: %d questions, %d candidates", depth, len(corpus), candidates)
+		name := "top_k " + strconv.Itoa(depth)
+		if got := hex.EncodeToString(h.Sum(nil)); got != parseGolden[name] {
+			t.Errorf("%s: candidates hash to %s, golden %s", name, got, parseGolden[name])
+		}
+	}
+}
+
+// parseGolden holds the SHA-256 of ParseQuestion's output per depth.
+var parseGolden = map[string]string{
+	"top_k 7":    "62d7ef10a582068d12bbd75a438470c45da4defa7e30d4a430a3a789cf7a77e0",
+	"top_k 1000": "ed0dbff1481af828f0ed3d080f379702a850cc88462dc71b024d4f85a2e6360a",
 }
 
 // explainGolden holds the SHA-256 of every case's bytes.
