@@ -114,11 +114,7 @@ func (e *ExecError) Error() string {
 // is tested against, result by result and error by error, is
 // internal/oracle, which only tests import.
 func Execute(e Expr, t *table.Table) (*Result, error) {
-	c, err := Compile(e, t)
-	if err != nil {
-		return nil, err
-	}
-	return c.ExecuteWith(t, plan.Capture{})
+	return executeOnce(e, t, plan.Capture{})
 }
 
 // ExecuteAnswer is the answer-only fast path: the compiled plan runs
@@ -128,9 +124,16 @@ func Execute(e Expr, t *table.Table) (*Result, error) {
 // matters — candidate generation, gold-answer comparison (Eq. 5) and
 // batch serving.
 func ExecuteAnswer(e Expr, t *table.Table) (*Result, error) {
-	c, err := Compile(e, t)
+	return executeOnce(e, t, plan.Noop{})
+}
+
+// executeOnce compiles e and runs the plan once under tr. The Compiled
+// lives on the stack: a plan nobody keeps needs no heap wrapper.
+func executeOnce(e Expr, t *table.Table, tr plan.Tracer) (*Result, error) {
+	root, _, err := compile(e, t)
 	if err != nil {
 		return nil, err
 	}
-	return c.ExecuteWith(t, plan.Noop{})
+	c := Compiled{Expr: e, Root: root}
+	return c.ExecuteWith(t, tr)
 }

@@ -142,7 +142,7 @@ type Engine struct {
 	// request text; see cached.go.
 	results *cached[*Explanation]
 	answers *cached[*Answer]
-	parses  *cached[[]rankedQuery] // whole ranked pools, cut to topK per request
+	parses  *cached[parsedPool] // whole ranked pools, cut to topK per request; previews of the default depth only
 
 	sem     chan struct{} // worker slots: bounds running pipeline computations
 	pending atomic.Int64  // live leaders, running + waiting for a slot; MaxPending bounds it
@@ -659,13 +659,14 @@ type RankedCandidate struct {
 // deployment flow). topK <= 0 uses the parser's default (7).
 func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, topK int) ([]RankedCandidate, error) {
 	e.met.parses.Inc()
-	cands, snap, _, err := e.parses.call(ctx, tableName, question)
+	pool, snap, _, err := e.parses.call(ctx, tableName, question)
 	if err != nil {
 		return nil, err
 	}
 	if topK <= 0 {
 		topK = snap.Parser().TopK
 	}
+	cands := pool.ranked
 	if topK > 0 && len(cands) > topK {
 		cands = cands[:topK]
 	}
@@ -677,22 +678,34 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 			Utterance: utterance.Utter(c.query),
 			Score:     c.score,
 		}
-		if c.result != nil {
-			rc.Result = c.result.String()
+		if i < len(pool.previews) {
+			rc.Result = pool.previews[i]
+		} else if res, err := dcs.ExecuteAnswer(c.query, snap.Table()); err == nil {
+			// Below the default depth the preview is recomputed: the call
+			// candidate generation made, on a snapshot of the version the
+			// pool is keyed by, so it renders the same bytes.
+			rc.Result = res.String()
 		}
 		out[i] = rc
 	}
 	return out, nil
 }
 
-// rankedQuery is what the parse cache keeps of a candidate: the three
-// things ParseQuestion reads. The feature vectors and query texts, half
-// the bytes of the parser's pool, have done their work once it is
-// ranked.
+// parsedPool is what the parse cache keeps of a question: every
+// candidate ranked, and the result previews of the ranks a default
+// response shows. The feature vectors and query texts, half the bytes
+// of the parser's pool, have done their work once it is ranked; the
+// denotations, most of the rest, once the previews are rendered.
+type parsedPool struct {
+	ranked   []rankedQuery
+	previews []string // of ranked[:len(previews)], rendered when the pool was ranked
+}
+
+// rankedQuery is what the parse cache keeps of every candidate: its
+// query and its score.
 type rankedQuery struct {
-	query  dcs.Expr
-	score  float64
-	result *dcs.Result
+	query dcs.Expr
+	score float64
 }
 
 // computeParse generates a question's candidate pool — the service's
@@ -701,13 +714,20 @@ type rankedQuery struct {
 // ParseAll (not Parse) so a topK above the parser's display default is
 // honored; the pool is read-only once published, safe to share across
 // waiters. Generation does not poll a context.
-func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) ([]rankedQuery, error) {
+func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) (parsedPool, error) {
 	start := time.Now()
 	cands := snap.Parser().ParseAll(question, snap.Table())
-	ranked := make([]rankedQuery, len(cands))
+	shown := len(cands)
+	if k := snap.Parser().TopK; k > 0 {
+		shown = min(shown, k)
+	}
+	pool := parsedPool{ranked: make([]rankedQuery, len(cands)), previews: make([]string, shown)}
 	for i, c := range cands {
-		ranked[i] = rankedQuery{query: c.Query, score: c.Score, result: c.Result}
+		pool.ranked[i] = rankedQuery{query: c.Query, score: c.Score}
+		if i < shown {
+			pool.previews[i] = c.Result.String()
+		}
 	}
 	e.met.parseLatency.RecordDuration(time.Since(start))
-	return ranked, nil
+	return pool, nil
 }

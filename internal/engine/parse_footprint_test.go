@@ -28,9 +28,9 @@ func parseCorpus(t *testing.T, e *Engine) []*semparse.Example {
 
 // publishAll computes what the parse cache would publish for every
 // question of the corpus.
-func publishAll(t *testing.T, e *Engine, corpus []*semparse.Example) [][]rankedQuery {
+func publishAll(t *testing.T, e *Engine, corpus []*semparse.Example) []parsedPool {
 	t.Helper()
-	entries := make([][]rankedQuery, len(corpus))
+	entries := make([]parsedPool, len(corpus))
 	for i, ex := range corpus {
 		snap, ok := e.store.Get(ex.Table.Name())
 		if !ok {
@@ -55,17 +55,19 @@ func liveHeap() int64 {
 }
 
 // TestParseHeapPerQuestion is the parse cache's footprint gate, and it
-// does not read the clock: what one cached question keeps alive. A
-// ranked pool of queries, scores and results measures 29 KB on this
-// corpus (104 candidates a question); with a name-keyed feature map per
-// candidate it was 139 KB, and per-candidate feature data in any form
-// does not fit under the bound. The log splits the entry into its parts
-// and sets beside it what the feature vectors would add.
+// does not read the clock: what one cached question keeps alive. Ranked
+// queries and scores, with the result previews of the top 7, measure
+// 7.2 KB on this corpus (104 candidates a question); with every
+// candidate's denotation beside its query it was 29 KB, and with a
+// name-keyed feature map per candidate 139 KB. Denotations or
+// per-candidate feature data in any form do not fit under the bound.
+// The log splits the entry into its parts and sets beside it what the
+// parser's pool would add.
 func TestParseHeapPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurement under the race detector")
 	}
-	const bound = 33_000 // measured 28 916, + 15 %
+	const bound = 8_350 // measured 7 247, + 15 %; 28 916 with every candidate's denotation
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	n := int64(len(corpus))
@@ -78,11 +80,9 @@ func TestParseHeapPerQuestion(t *testing.T) {
 	}
 
 	candidates := 0
-	for _, entry := range entries {
-		candidates += len(entry)
-		for i := range entry {
-			entry[i].result = nil
-		}
+	for i := range entries {
+		candidates += len(entries[i].ranked)
+		entries[i].previews = nil
 	}
 	queries := (liveHeap() - base) / n
 	runtime.KeepAlive(entries)
@@ -96,8 +96,8 @@ func TestParseHeapPerQuestion(t *testing.T) {
 	}
 	pool := (liveHeap() - base) / n
 	runtime.KeepAlive(pools)
-	t.Logf("%d questions, %d candidates: a published entry keeps %d heap bytes — results %d, queries and scores %d; "+
-		"the pool as the parser returns it keeps %d, the %d more being feature vectors and query texts",
+	t.Logf("%d questions, %d candidates: a published entry keeps %d heap bytes — previews %d, queries and scores %d; "+
+		"the pool as the parser returns it keeps %d, the %d more being denotations, feature vectors and query texts",
 		n, candidates, entry, entry-queries, queries, pool, pool-entry)
 }
 
@@ -107,7 +107,7 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	const bound = 1_786 // measured 1 553, + 15 %; 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
+	const bound = 1_685 // measured 1 465, + 15 %; 1 553 while every executed candidate's Compiled went to the heap (and no preview was rendered), 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	publishAll(t, e, corpus) // warm the executor's pools and the tables' lazy indexes

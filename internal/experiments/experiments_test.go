@@ -71,8 +71,18 @@ func TestTable6Shape(t *testing.T) {
 	}
 }
 
+// TestTable7Shape checks the shape on each stage's least time over three
+// runs: a pause (a collection, a descheduling) only ever adds time, and
+// one landing in the few utterances of a run must not invert it.
 func TestTable7Shape(t *testing.T) {
-	r := env(t).RunTable7()
+	e := env(t)
+	r := e.RunTable7()
+	for i := 1; i < 3; i++ {
+		next := e.RunTable7()
+		r.CandidateSec = min(r.CandidateSec, next.CandidateSec)
+		r.UtteranceSec = min(r.UtteranceSec, next.UtteranceSec)
+		r.HighlightsSec = min(r.HighlightsSec, next.HighlightsSec)
+	}
 	if r.UtteranceSec >= r.CandidateSec {
 		t.Errorf("utterance generation (%.5fs) should be cheaper than candidate generation (%.5fs)",
 			r.UtteranceSec, r.CandidateSec)
