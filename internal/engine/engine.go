@@ -682,8 +682,9 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 			rc.Result = pool.previews[i]
 		} else if res, err := dcs.ExecuteAnswer(c.query, snap.Table()); err == nil {
 			// Below the default depth the preview is recomputed: the call
-			// candidate generation made, on a snapshot of the version the
-			// pool is keyed by, so it renders the same bytes.
+			// candidate generation made and saw succeed, on a snapshot of
+			// the version the pool is keyed by, so it renders the same
+			// bytes.
 			rc.Result = res.String()
 		}
 		out[i] = rc
