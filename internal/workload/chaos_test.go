@@ -45,6 +45,16 @@ func TestChaosRecovery(t *testing.T) {
 	if rep.AckedMuts == 0 || rep.Faults == 0 {
 		t.Fatalf("degenerate run: %s", rep)
 	}
+	// The run is seeded end to end, so at the default and at the
+	// fault-stress cycle count its tallies are exact.
+	want, pinned := map[int][5]int{
+		8:  {68, 16, 8, 8, 8},
+		50: {402, 100, 50, 50, 50},
+	}[rep.Cycles]
+	got := [5]int{rep.AckedMuts, rep.Rejected, rep.Episodes, rep.Recovered, int(rep.Faults)}
+	if pinned && got != want {
+		t.Fatalf("acked/rejected/episodes/recovered/faults = %v, want %v", got, want)
+	}
 }
 
 // TestChaosDeterministicMutations: same seed, same mutation/ack/fault

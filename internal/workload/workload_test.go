@@ -2,6 +2,8 @@ package workload
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -72,6 +74,37 @@ func TestGenerateDeterministic(t *testing.T) {
 		_, opsC := Generate(2, mix, 300)
 		if HashOps(opsA) == HashOps(opsC) {
 			t.Fatalf("mix %s: different seeds produced identical op streams", mix.Name)
+		}
+	}
+}
+
+// TestGenerateGolden pins the op streams the tests below run: a
+// SHA-256 over the JSON encoding of Generate(seed, mix, n) for every
+// (mix, seed, n) they use. A changed generator changes what every
+// assertion on a run means, so it must show up here first.
+func TestGenerateGolden(t *testing.T) {
+	for _, c := range []struct {
+		mix  string
+		seed int64
+		n    int
+		want string
+	}{
+		{"explain", 1, 64, "72aabbcb8026820552363b1d3a0397335d09fe580455c288102cf843516cebde"},
+		{"explain", 3, 48, "f4bbdcd282ab8c11918b136fba6343b4075a5fa33c21b5f1482a43cdeb693ae1"},
+		{"adversarial", 3, 200, "4a27eb01a104e6ebc6e2a555bb0cce30555348319098861c5ccc28390849c7a0"},
+		{"adversarial", 11, 256, "9d80badaa64172a472713a17472173ff06bbf41b0624e213f2f7b7bbd44b456e"},
+		{"adversarial", 13, 64, "2d393ac83324728868766ceaa2ac19bcb09133d6d8de0105c10e1f49facc0acd"},
+		{"churn", 17, 96, "542471c00f4a72a3b720e5073963f195597f9d40ca0a98538c561181051a30fb"},
+		{"durable", 1, 64, "6b54a352b82a64fe708ace0d9723b7beeb2646868dd6fe102d0d38aedc4065a5"},
+	} {
+		_, ops := Generate(c.seed, mustMix(t, c.mix), c.n)
+		b, err := json.Marshal(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("Generate(%d, %s, %d) hashes to %s, want %s", c.seed, c.mix, c.n, got, c.want)
 		}
 	}
 }
