@@ -119,9 +119,9 @@ bigtable-stress:
 crash-stress:
 	WTQ_CRASH=1 $(GO) test -race -run TestCrashRecovery -count=1 -timeout 10m -v ./cmd/wtq-server/
 
-# fault-stress is the degraded-mode gate: the seeded chaos workload
-# (50 cycles x -count=2 = 100 fault/recovery episodes under the race
-# detector), the store's degraded-lifecycle suite, the HTTP 503
+# fault-stress is the degraded-mode gate: the engine's seeded chaos
+# episodes (internal/engine/chaos_test.go; 50 cycles x -count=2 = 100
+# fault/recovery episodes under the race detector), the store's degraded-lifecycle suite, the HTTP 503
 # envelope test, the WAL/segment fault-schedule tests, the WAL commit
 # contract on a gated fsync (TestWALFault{FollowersShareOneSync,
 # FailedSyncFailsItsBatch,LoneAppenderSyncsEveryAppend}) and the
@@ -132,7 +132,7 @@ crash-stress:
 fault-stress:
 	WTQ_CHAOS_CYCLES=$${WTQ_CHAOS_CYCLES:-50} $(GO) test -race -count=2 -timeout 10m \
 		-run 'TestChaos|TestStoreDegraded|TestStoreClose|TestStoreWALCounters|TestServerDegraded|TestWALFault|TestWALTorn|TestWALLying|TestSegmentWriteFault|TestSegmentZonesSurvive|TestManifestTorn' \
-		./internal/workload/ ./internal/store/ ./internal/wal/ ./internal/segment/ ./cmd/wtq-server/
+		./internal/engine/ ./internal/store/ ./internal/wal/ ./internal/segment/ ./cmd/wtq-server/
 
 # fuzz-wal runs the WAL replay fuzzer for a bounded window: any input
 # must either recover (torn tails truncated) or be rejected as corrupt

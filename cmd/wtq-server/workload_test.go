@@ -92,7 +92,7 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 	}
 	// The mixed stream carries deliberate malformed/unknown queries;
 	// everything else must succeed.
-	if rep.Counts[workload.ClassOK] == 0 || rep.Counts[workload.ClassOK]+rep.Errors != rep.TotalOps {
+	if rep.Counts[workload.ClassOK] == 0 || rep.Counts[workload.ClassOK]+rep.Counts[workload.ClassClientError] != rep.TotalOps {
 		t.Fatalf("unexpected class distribution: %v", rep.Counts)
 	}
 	if counter(t, e, "engine.executions") == 0 {
@@ -106,8 +106,8 @@ func TestWorkloadHTTPTarget(t *testing.T) {
 // TestWorkloadHTTPMatchesInProc pins the two targets to the same
 // generated op stream and requires identical deterministic outcome
 // classes (ok vs client error) op for op: the explain mix, where every
-// op is ok, and the mixed mix with its malformed, batch, sql, parse
-// and churn families.
+// op is ok, and the mixed mix with its malformed, batch, parse and
+// churn families.
 func TestWorkloadHTTPMatchesInProc(t *testing.T) {
 	for _, name := range []string{"explain", "mixed"} {
 		t.Run(name, func(t *testing.T) {
@@ -117,7 +117,7 @@ func TestWorkloadHTTPMatchesInProc(t *testing.T) {
 
 			httpTgt := workload.NewHTTPTarget(ts.URL)
 			defer httpTgt.Close()
-			inproc := workload.NewInProc(nlexplain.EngineOptions{Workers: 2})
+			inproc := workload.NewInProc(nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2}))
 			if err := httpTgt.RegisterTables(corpus.Tables); err != nil {
 				t.Fatal(err)
 			}

@@ -14,9 +14,9 @@ import (
 	"nlexplain/internal/table"
 )
 
-// bigTable builds a deterministic n-row table shaped like the workload
-// corpus's scan-throughput table. Built inline rather than through
-// internal/workload (which imports this package).
+// bigTable builds a deterministic n-row table over three of the
+// workload corpus's columns (Nation, Games, Year). Built inline rather than through internal/workload (which
+// imports this package).
 func bigTable(tb testing.TB, n int) *table.Table {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(3))

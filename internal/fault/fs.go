@@ -9,8 +9,8 @@
 // graceful degradation.
 //
 // Production code paths always run against OS (a zero-cost passthrough
-// to the os package); tests and the chaos workload swap in an InjectFS
-// whose plan is a list of Rule values:
+// to the os package); tests, the engine's chaos episodes among them,
+// swap in an InjectFS whose plan is a list of Rule values:
 //
 //	&Rule{Path: "wal-*.log", Op: OpWrite, AfterN: 3, Err: syscall.ENOSPC, ShortWrite: true}
 package fault

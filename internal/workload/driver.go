@@ -11,7 +11,7 @@ import (
 
 // Options configures a driver run.
 type Options struct {
-	// Workers is the closed-loop concurrency. Default 8.
+	// Workers is the closed-loop concurrency. Required.
 	Workers int
 	// MaxOps is how many ops the run executes. Required: an op-count
 	// bound makes two runs execute the identical op multiset.
@@ -21,33 +21,25 @@ type Options struct {
 	OpTimeout time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = 30 * time.Second
-	}
-	return o
-}
-
 // Run registers the corpus at the target, keeps Workers goroutines
 // issuing ops back to back until MaxOps have been drawn (cycling when
 // the stream is shorter) and tallies the outcomes. The op stream itself
 // is never mutated.
 func Run(ctx context.Context, tgt Target, corpus *Corpus, ops []Op, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	if len(ops) == 0 {
 		return nil, errors.New("workload: empty op stream")
 	}
-	if opts.MaxOps <= 0 {
-		return nil, errors.New("workload: need MaxOps")
+	if opts.Workers <= 0 || opts.MaxOps <= 0 {
+		return nil, errors.New("workload: need Workers and MaxOps")
+	}
+	if opts.OpTimeout <= 0 {
+		opts.OpTimeout = 30 * time.Second
 	}
 	if err := tgt.RegisterTables(corpus.Tables); err != nil {
 		return nil, fmt.Errorf("workload: registering corpus: %w", err)
 	}
 
-	rep := &Report{Counts: make(map[string]int), PerKind: make(map[string]map[string]int)}
+	rep := &Report{Counts: make(map[string]int)}
 	var mu sync.Mutex // guards rep while workers run
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -63,7 +55,7 @@ func Run(ctx context.Context, tgt Target, corpus *Corpus, ops []Op, opts Options
 				op := ops[i%int64(len(ops))]
 				if out, ok := doOne(ctx, tgt, op, opts.OpTimeout); ok {
 					mu.Lock()
-					rep.record(op.Kind, out)
+					rep.record(out)
 					mu.Unlock()
 				}
 			}

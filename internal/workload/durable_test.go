@@ -26,7 +26,7 @@ func TestDurableMixSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		return NewInProcEngine(e)
+		return NewInProc(e)
 	}
 
 	mix, ok := MixByName("durable")

@@ -1,15 +1,12 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strconv"
 	"strings"
 
 	"nlexplain/internal/dcs"
-	"nlexplain/internal/sqlgen"
 	"nlexplain/internal/table"
 )
 
@@ -22,7 +19,6 @@ const (
 	OpAnswer  OpKind = "answer"  // answer-only fast path: POST /v1/answer
 	OpParse   OpKind = "parse"   // NL -> ranked candidates: POST /v1/parse
 	OpBatch   OpKind = "batch"   // POST /v1/explain/batch
-	OpSQL     OpKind = "sql"     // mini-SQL execution (in-process) / explain fallback (HTTP)
 	// OpChurn is one full table lifecycle: register a fresh table,
 	// explain a query on it, append rows (PATCH), answer the same query
 	// on the grown snapshot, then drop the table (DELETE). The target
@@ -40,13 +36,12 @@ type BatchEntry struct {
 }
 
 // Op is one generated unit of traffic. The JSON form is stable —
-// HashOps is computed over it.
+// TestGenerateGolden hashes it.
 type Op struct {
 	Kind     OpKind `json:"kind"`
 	Family   string `json:"family"`
 	Table    string `json:"table,omitempty"`
 	Query    string `json:"query,omitempty"`
-	SQL      string `json:"sql,omitempty"`
 	Question string `json:"question,omitempty"`
 	// Batch entries, for Kind == OpBatch.
 	Batch []BatchEntry `json:"batch,omitempty"`
@@ -72,26 +67,21 @@ type Mix struct {
 	weights []familyWeight // ordered, so generation is deterministic
 }
 
-// Mixes are the built-in traffic mixes. Families: lookup, comparative,
-// superlative, aggregate (explain ops over the corresponding paper
-// query family), answer (answer-only fast path), parse (NL questions),
-// batch, sql (mini-SQL fragment), churn (table lifecycle), malformed
-// (parse/type errors), unknown_table, hog (expensive deep queries over
-// the huge table) and tiny_timeout (hogs under a 1ms deadline).
+// Mixes are the built-in traffic mixes, one per test that asserts on
+// a run. Families: lookup, comparative, superlative, aggregate
+// (explain ops over the corresponding paper query family), answer
+// (answer-only fast path), parse (NL questions), batch, churn (table
+// lifecycle), malformed (parse/type errors), unknown_table, hog
+// (expensive deep queries over the huge table) and tiny_timeout (hogs
+// under a 1ms deadline).
 var Mixes = []Mix{
 	// a bit of everything
 	{Name: "mixed", weights: []familyWeight{
 		{"lookup", 20}, {"comparative", 10}, {"superlative", 10}, {"aggregate", 10},
-		{"answer", 15}, {"parse", 10}, {"batch", 10}, {"sql", 10}, {"malformed", 5}, {"churn", 5}}},
+		{"answer", 15}, {"parse", 10}, {"batch", 10}, {"malformed", 5}, {"churn", 5}}},
 	// full-pipeline explains across all query families
 	{Name: "explain", weights: []familyWeight{
 		{"lookup", 30}, {"comparative", 25}, {"aggregate", 25}, {"superlative", 20}}},
-	{Name: "answer", weights: []familyWeight{{"answer", 100}}},
-	{Name: "parse", weights: []familyWeight{{"parse", 100}}},
-	{Name: "batch", weights: []familyWeight{{"batch", 100}}},
-	{Name: "sql", weights: []familyWeight{{"sql", 100}}},
-	{Name: "superlative", weights: []familyWeight{
-		{"superlative", 60}, {"comparative", 40}}},
 	// malformed, unknown-table, expensive and tiny-deadline traffic
 	{Name: "adversarial", weights: []familyWeight{
 		{"malformed", 25}, {"unknown_table", 10}, {"hog", 35}, {"tiny_timeout", 20}, {"lookup", 10}}},
@@ -113,70 +103,40 @@ func MixByName(name string) (Mix, bool) {
 	return Mix{}, false
 }
 
-// Generator deterministically synthesizes ops for one (seed, mix)
+// generator deterministically synthesizes ops for one (seed, mix)
 // pair over a corpus.
-type Generator struct {
+type generator struct {
 	rng    *rand.Rand
 	corpus *Corpus
-	mix    Mix
-	total  int
 }
 
-// NewGenerator seeds a generator. The op stream depends only on
-// (seed, mix, corpus content); the corpus itself is seed-derived, so
-// one seed pins the whole workload.
-func NewGenerator(seed int64, mix Mix, corpus *Corpus) *Generator {
+// Generate builds the seed's corpus and the first n ops of the (seed,
+// mix) stream. The stream depends only on (seed, mix, corpus content),
+// and the corpus is seed-derived, so one seed pins the whole workload.
+func Generate(seed int64, mix Mix, n int) (*Corpus, []Op) {
 	total := 0
 	for _, fw := range mix.weights {
 		total += fw.weight
 	}
 	// Offset the stream seed so table content and query choices come
 	// from independent sequences even though both derive from one seed.
-	return &Generator{rng: rand.New(rand.NewSource(seed ^ 0x5e3779b97f4a7c15)), corpus: corpus, mix: mix, total: total}
-}
-
-// Generate is the one-shot convenience: corpus + n ops from a seed.
-func Generate(seed int64, mix Mix, n int) (*Corpus, []Op) {
-	corpus := NewCorpus(seed)
-	return corpus, NewGenerator(seed, mix, corpus).Ops(n)
-}
-
-// Ops generates the next n ops of the stream.
-func (g *Generator) Ops(n int) []Op {
-	out := make([]Op, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// Next generates one op by drawing a family from the mix weights.
-func (g *Generator) Next() Op {
-	k := g.rng.Intn(g.total)
-	for _, fw := range g.mix.weights {
-		if k < fw.weight {
-			return g.genFamily(fw.family)
-		}
-		k -= fw.weight
-	}
-	panic("unreachable: weights sum to total")
-}
-
-// HashOps fingerprints an op stream (FNV-64a over the stable JSON
-// encoding), so "same seed -> same queries" is checkable across runs
-// and machines.
-func HashOps(ops []Op) string {
-	h := fnv.New64a()
-	enc := json.NewEncoder(h)
+	g := &generator{rng: rand.New(rand.NewSource(seed ^ 0x5e3779b97f4a7c15)), corpus: NewCorpus(seed)}
+	ops := make([]Op, n)
 	for i := range ops {
-		if err := enc.Encode(&ops[i]); err != nil {
-			panic(err) // unreachable: Op has no unencodable fields
+		// Draw a family from the mix weights.
+		k := g.rng.Intn(total)
+		for _, fw := range mix.weights {
+			if k < fw.weight {
+				ops[i] = g.genFamily(fw.family)
+				break
+			}
+			k -= fw.weight
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return g.corpus, ops
 }
 
-func (g *Generator) genFamily(family string) Op {
+func (g *generator) genFamily(family string) Op {
 	switch family {
 	case "lookup":
 		t := g.anyTable()
@@ -198,10 +158,6 @@ func (g *Generator) genFamily(family string) Op {
 		return Op{Kind: OpParse, Family: family, Table: t.Name(), Question: g.question(t)}
 	case "batch":
 		return g.batchOp()
-	case "sql":
-		t := g.anyTable()
-		q, sql := g.sqlExpr(t)
-		return Op{Kind: OpSQL, Family: family, Table: t.Name(), Query: q.String(), SQL: sql}
 	case "malformed":
 		t := g.anyTable()
 		return Op{Kind: OpExplain, Family: family, Table: t.Name(), Query: g.malformedQuery()}
@@ -222,7 +178,7 @@ func (g *Generator) genFamily(family string) Op {
 
 // anyTable picks one of the ordinary mix tables (never the huge
 // hog-only table, whose per-query cost would swamp a latency mix).
-func (g *Generator) anyTable() *table.Table {
+func (g *generator) anyTable() *table.Table {
 	t, _ := g.corpus.Table(mixTables[g.rng.Intn(len(mixTables))])
 	return t
 }
@@ -231,28 +187,28 @@ func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
 
 // presentValue draws a value that occurs in the column, so
 // denotations built on it are never empty.
-func (g *Generator) presentValue(t *table.Table, colName string) table.Value {
+func (g *generator) presentValue(t *table.Table, colName string) table.Value {
 	col, _ := t.ColumnIndex(colName)
 	return t.Value(g.rng.Intn(t.NumRows()), col)
 }
 
 // missyValue is presentValue with an occasional guaranteed miss, so
 // empty denotations stay covered where they are legal (lookups).
-func (g *Generator) missyValue(t *table.Table, colName string) table.Value {
+func (g *generator) missyValue(t *table.Table, colName string) table.Value {
 	if g.rng.Intn(10) == 0 {
 		return table.StringValue("Atlantis")
 	}
 	return g.presentValue(t, colName)
 }
 
-func (g *Generator) join(t *table.Table, colName string) dcs.Expr {
+func (g *generator) join(t *table.Table, colName string) dcs.Expr {
 	return &dcs.Join{Column: colName, Arg: &dcs.ValueLit{V: g.presentValue(t, colName)}}
 }
 
 // compare builds a numeric comparison anchored on an existing cell
 // value; Ge/Le match at least the anchoring row, the strict forms may
 // legally denote empty record sets.
-func (g *Generator) compare(t *table.Table) dcs.Expr {
+func (g *generator) compare(t *table.Table) dcs.Expr {
 	col := pick(g.rng, numericColumns)
 	op := pick(g.rng, []dcs.CmpOp{dcs.Lt, dcs.Le, dcs.Gt, dcs.Ge, dcs.Ne})
 	return &dcs.Compare{Column: col, Op: op, V: g.presentValue(t, col)}
@@ -260,7 +216,7 @@ func (g *Generator) compare(t *table.Table) dcs.Expr {
 
 // nonEmptyCompare restricts to operators guaranteed to match the
 // anchor row.
-func (g *Generator) nonEmptyCompare(t *table.Table) dcs.Expr {
+func (g *generator) nonEmptyCompare(t *table.Table) dcs.Expr {
 	col := pick(g.rng, numericColumns)
 	op := pick(g.rng, []dcs.CmpOp{dcs.Le, dcs.Ge})
 	return &dcs.Compare{Column: col, Op: op, V: g.presentValue(t, col)}
@@ -269,7 +225,7 @@ func (g *Generator) nonEmptyCompare(t *table.Table) dcs.Expr {
 // lookupExpr: point lookups and projections — the "who/what/where"
 // family of Table 1. Lookups occasionally probe values absent from
 // the table (missyValue), so empty denotations stay covered.
-func (g *Generator) lookupExpr(t *table.Table) dcs.Expr {
+func (g *generator) lookupExpr(t *table.Table) dcs.Expr {
 	col := pick(g.rng, anyColumns)
 	base := &dcs.Join{Column: col, Arg: &dcs.ValueLit{V: g.missyValue(t, col)}}
 	switch g.rng.Intn(3) {
@@ -283,7 +239,7 @@ func (g *Generator) lookupExpr(t *table.Table) dcs.Expr {
 }
 
 // comparativeExpr: numeric comparisons plus positional Prev/Next.
-func (g *Generator) comparativeExpr(t *table.Table) dcs.Expr {
+func (g *generator) comparativeExpr(t *table.Table) dcs.Expr {
 	base := g.compare(t)
 	switch g.rng.Intn(4) {
 	case 0:
@@ -302,7 +258,7 @@ func (g *Generator) comparativeExpr(t *table.Table) dcs.Expr {
 
 // superlativeExpr: argmax/argmin over records, index superlatives,
 // most-frequent and binary value comparisons.
-func (g *Generator) superlativeExpr(t *table.Table) dcs.Expr {
+func (g *generator) superlativeExpr(t *table.Table) dcs.Expr {
 	max := g.rng.Intn(2) == 0
 	switch g.rng.Intn(4) {
 	case 0:
@@ -327,7 +283,7 @@ func (g *Generator) superlativeExpr(t *table.Table) dcs.Expr {
 
 // aggregateExpr: count / min / max / sum / avg and difference
 // arithmetic.
-func (g *Generator) aggregateExpr(t *table.Table) dcs.Expr {
+func (g *generator) aggregateExpr(t *table.Table) dcs.Expr {
 	switch g.rng.Intn(3) {
 	case 0:
 		var records dcs.Expr = &dcs.AllRecords{}
@@ -351,7 +307,7 @@ func (g *Generator) aggregateExpr(t *table.Table) dcs.Expr {
 
 // records draws a small record-set expression used as an aggregate or
 // batch building block.
-func (g *Generator) records(t *table.Table) dcs.Expr {
+func (g *generator) records(t *table.Table) dcs.Expr {
 	switch g.rng.Intn(3) {
 	case 0:
 		return &dcs.AllRecords{}
@@ -364,7 +320,7 @@ func (g *Generator) records(t *table.Table) dcs.Expr {
 
 // nonEmptyRecords is records restricted to expressions that denote at
 // least one row.
-func (g *Generator) nonEmptyRecords(t *table.Table) dcs.Expr {
+func (g *generator) nonEmptyRecords(t *table.Table) dcs.Expr {
 	switch g.rng.Intn(3) {
 	case 0:
 		return &dcs.AllRecords{}
@@ -376,7 +332,7 @@ func (g *Generator) nonEmptyRecords(t *table.Table) dcs.Expr {
 }
 
 // valueUnion builds a union of two literals drawn from a column.
-func (g *Generator) valueUnion(t *table.Table, colName string) dcs.Expr {
+func (g *generator) valueUnion(t *table.Table, colName string) dcs.Expr {
 	return &dcs.Union{
 		L: &dcs.ValueLit{V: g.presentValue(t, colName)},
 		R: &dcs.ValueLit{V: g.presentValue(t, colName)},
@@ -384,7 +340,7 @@ func (g *Generator) valueUnion(t *table.Table, colName string) dcs.Expr {
 }
 
 // validExpr draws uniformly across the four well-formed families.
-func (g *Generator) validExpr(t *table.Table) dcs.Expr {
+func (g *generator) validExpr(t *table.Table) dcs.Expr {
 	switch g.rng.Intn(4) {
 	case 0:
 		return g.lookupExpr(t)
@@ -397,36 +353,12 @@ func (g *Generator) validExpr(t *table.Table) dcs.Expr {
 	}
 }
 
-// sqlExpr draws expressions until one lands in the Table 10 SQL
-// fragment (lookups and aggregates always do; a bounded number of
-// redraws keeps the stream deterministic), returning the DCS form and
-// its SQL translation.
-func (g *Generator) sqlExpr(t *table.Table) (dcs.Expr, string) {
-	for range 8 {
-		var q dcs.Expr
-		if g.rng.Intn(2) == 0 {
-			q = g.lookupExpr(t)
-		} else {
-			q = g.aggregateExpr(t)
-		}
-		if sql, err := sqlgen.TranslateSQL(q); err == nil {
-			return q, sql
-		}
-	}
-	q := &dcs.Aggregate{Fn: dcs.Count, Arg: &dcs.AllRecords{}}
-	sql, err := sqlgen.TranslateSQL(q)
-	if err != nil {
-		panic(fmt.Sprintf("count(Record) must be in the SQL fragment: %v", err))
-	}
-	return q, sql
-}
-
 // hogExpr builds a deliberately expensive but well-formed query over
 // the huge table: a tall union/argmax tower whose every level scans
 // thousands of rows, so one uncached computation costs real CPU time.
 // A unique Ne literal keeps each hog a distinct cache key, so a hog
 // storm cannot be served from the result LRU.
-func (g *Generator) hogExpr(t *table.Table) dcs.Expr {
+func (g *generator) hogExpr(t *table.Table) dcs.Expr {
 	var u dcs.Expr = g.join(t, pick(g.rng, textColumns))
 	for range 12 {
 		u = &dcs.Union{L: u, R: &dcs.ArgRecords{
@@ -459,7 +391,7 @@ var malformedQueries = []string{
 	"min(R[Nation].Record)", // aggregating text: dynamic exec error
 }
 
-func (g *Generator) malformedQuery() string {
+func (g *generator) malformedQuery() string {
 	return pick(g.rng, malformedQueries)
 }
 
@@ -467,7 +399,7 @@ func (g *Generator) malformedQuery() string {
 // the corpus schema, 1-4 rows to append, and a query valid on both the
 // registered and the appended state (count always is; the lookup is
 // anchored on a registered row, which appends cannot remove).
-func (g *Generator) churnOp() Op {
+func (g *generator) churnOp() Op {
 	n := 4 + g.rng.Intn(5)
 	rows := make([][]string, n)
 	for r := range rows {
@@ -486,7 +418,7 @@ func (g *Generator) churnOp() Op {
 }
 
 // corpusRow draws one row in the shared corpus schema.
-func (g *Generator) corpusRow() []string {
+func (g *generator) corpusRow() []string {
 	return []string{
 		nations[g.rng.Intn(len(nations))],
 		cities[g.rng.Intn(len(cities))],
@@ -497,7 +429,7 @@ func (g *Generator) corpusRow() []string {
 }
 
 // batchOp bundles 4-16 valid queries over random corpus tables.
-func (g *Generator) batchOp() Op {
+func (g *generator) batchOp() Op {
 	n := 4 + g.rng.Intn(13)
 	entries := make([]BatchEntry, n)
 	for i := range entries {
@@ -522,7 +454,7 @@ var questionTemplates = []string{
 	"which year had more than 100 games",
 }
 
-func (g *Generator) question(t *table.Table) string {
+func (g *generator) question(t *table.Table) string {
 	q := pick(g.rng, questionTemplates)
 	q = strings.ReplaceAll(q, "{N}", g.presentValue(t, "Nation").String())
 	q = strings.ReplaceAll(q, "{C}", g.presentValue(t, "City").String())

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"nlexplain/internal/engine"
-	"nlexplain/internal/minisql"
 	"nlexplain/internal/table"
 )
 
@@ -90,21 +89,16 @@ func opCtx(ctx context.Context, op Op) (context.Context, context.CancelFunc) {
 // arrive typed rather than as status codes.
 type InProc struct {
 	Engine *engine.Engine
-	tables map[string]*table.Table
 	// churnSeq suffixes churn-op table names so concurrent executions
 	// of one op never collide on a name.
 	churnSeq atomic.Uint64
 }
 
-// NewInProc wraps a fresh engine with the given options.
-func NewInProc(opts engine.Options) *InProc {
-	return NewInProcEngine(engine.New(opts))
-}
-
-// NewInProcEngine wraps an already-built engine — a durable one, say,
-// where construction can fail and the caller owns error handling.
-func NewInProcEngine(e *engine.Engine) *InProc {
-	return &InProc{Engine: e, tables: make(map[string]*table.Table)}
+// NewInProc wraps an engine: engine.New's, or a durable one from
+// engine.Open, where construction can fail and the caller owns error
+// handling.
+func NewInProc(e *engine.Engine) *InProc {
+	return &InProc{Engine: e}
 }
 
 // RegisterTables implements Target.
@@ -113,7 +107,6 @@ func (p *InProc) RegisterTables(ts []*table.Table) error {
 		if _, err := p.Engine.RegisterTable(t); err != nil {
 			return err
 		}
-		p.tables[t.Name()] = t
 	}
 	return nil
 }
@@ -160,22 +153,6 @@ func (p *InProc) Do(ctx context.Context, op Op) Outcome {
 		return out
 	case OpChurn:
 		return p.doChurn(ctx, op)
-	case OpSQL:
-		// Mini-SQL runs directly against the registered table: the SQL
-		// fragment has no provenance pipeline.
-		t, ok := p.tables[op.Table]
-		if !ok {
-			err := fmt.Errorf("%w: %q", engine.ErrUnknownTable, op.Table)
-			return Outcome{Class: ClassClientError, Err: err}
-		}
-		q, err := minisql.Parse(op.SQL)
-		if err != nil {
-			return Outcome{Class: ClassClientError, Err: err}
-		}
-		if _, err := minisql.Exec(q, t); err != nil {
-			return Outcome{Class: ClassClientError, Err: err}
-		}
-		return Outcome{Class: ClassOK}
 	default:
 		return Outcome{Class: ClassClientError, Err: fmt.Errorf("unknown op kind %q", op.Kind)}
 	}
@@ -346,10 +323,6 @@ func (h *HTTPTarget) Do(ctx context.Context, op Op) Outcome {
 	case OpExplain:
 		return h.simplePost(ctx, "/v1/explain", map[string]string{"table": op.Table, "query": op.Query})
 	case OpAnswer:
-		return h.simplePost(ctx, "/v1/answer", map[string]string{"table": op.Table, "query": op.Query})
-	case OpSQL:
-		// No SQL endpoint on the wire; the answer-only fast path over
-		// the equivalent DCS form is the closest thing.
 		return h.simplePost(ctx, "/v1/answer", map[string]string{"table": op.Table, "query": op.Query})
 	case OpParse:
 		return h.simplePost(ctx, "/v1/parse", map[string]string{"table": op.Table, "question": op.Question})

@@ -9,19 +9,19 @@
 //
 // The pieces compose as:
 //
-//	corpus, ops := workload.Generate(seed, mix, n) // deterministic tables + op stream
-//	tgt := workload.NewInProc(engineOpts)          // or NewHTTPTarget(url)
+//	corpus, ops := workload.Generate(seed, mix, n)     // deterministic tables + op stream
+//	tgt := workload.NewInProc(engine.New(engineOpts)) // or NewHTTPTarget(url)
 //	report, err := workload.Run(ctx, tgt, corpus, ops, driverOpts)
 //
 // Generated traffic covers the paper's query families (lookups,
-// comparatives, superlatives, aggregates), the mini-SQL fragment, NL
-// parsing, batch requests, table churn, and an adversarial mix of
-// malformed and overload-inducing queries. Everything downstream of a
-// seed is deterministic: same seed + mix + count -> byte-identical op
-// stream, so a failing run replays.
+// comparatives, superlatives, aggregates), NL parsing, batch requests,
+// table churn, and an adversarial mix of malformed and
+// overload-inducing queries. Everything downstream of a seed is
+// deterministic: same seed + mix + count -> byte-identical op stream,
+// so a failing run replays.
 //
-// RunChaos drives seeded fault/recovery episodes against a durable
-// engine over a fault-injecting filesystem.
+// Only tests link the package; make vet fails if a command, an
+// example or the library does.
 package workload
 
 import (
