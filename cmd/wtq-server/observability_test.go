@@ -6,9 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,6 +90,51 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("# TYPE store_evictions counter\n")) {
 		t.Error("store_evictions is not declared a counter on /metrics")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMetricsExpositionGolden pins what a fresh server's GET /metrics
+// declares: every "# HELP" and "# TYPE" line, in order, plus the
+// service-wide and per-endpoint request counts after one table
+// registration and one explain. Timings and sizes vary run to run, so
+// no other sample is compared. Regenerate with -update.
+func TestMetricsExpositionGolden(t *testing.T) {
+	ts, _ := newTestServer(t)
+	registerOlympics(t, ts)
+	req := map[string]string{"table": "olympics", "query": "max(R[Year].Country.Greece)"}
+	if resp, body := postJSON(t, ts.URL+"/v1/explain", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body := getJSON(t, ts.URL+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	requests := regexp.MustCompile(`^server_http_([a-z_]+_)?requests `)
+	var got bytes.Buffer
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, "# ") || requests.MatchString(line) {
+			got.WriteString(line)
+			got.WriteByte('\n')
+		}
+	}
+	golden := filepath.Join("testdata", "metrics_exposition.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metrics drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got.Bytes(), want)
 	}
 }
 
