@@ -1,7 +1,9 @@
 # CI and humans invoke the same targets: .github/workflows/ci.yml runs
 # build, vet, fmt, cover, bench, bench-compile, the stress shards and
 # the fuzz targets through this file. Speed is measured by
-# benchmark/run.sh (BENCHMARK.json), not here.
+# benchmark/run.sh (BENCHMARK.json), not here. Size is `make lines`:
+# non-test Go lines, and the lines the shipped binaries link (no CI job
+# runs it).
 
 GO ?= go
 
@@ -10,7 +12,7 @@ GO ?= go
 # never lower it to make a PR pass.
 COVERAGE_FLOOR = 65
 
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint lines store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance serve ci
 
 all: build
 
@@ -185,6 +187,18 @@ fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance
 # has no job for it: `make cover` in the build job runs the same test.
 metrics-lint:
 	$(GO) test -run TestRegistryNames -count=1 ./internal/metric/
+
+# lines prints the repository's size two ways: every non-test Go line
+# outside benchmark/ (what `find` sees), and the non-test lines of the
+# module's packages a build links (`go list -deps`), for wtq-server
+# alone and for every command, example and the library together. The
+# gap between the two is code in production packages only tests reach.
+lines:
+	@echo "non-test Go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@for pkgs in ./cmd/wtq-server "./cmd/... ./examples/... ."; do \
+		n=$$($(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}' $$pkgs | sort -u | xargs cat | wc -l); \
+		echo "linked by $$pkgs: $$n"; \
+	done
 
 serve:
 	$(GO) run ./cmd/wtq-server -demo

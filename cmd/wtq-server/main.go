@@ -102,8 +102,8 @@ type server struct {
 	// httpReg is the "server.http" sub-registry of the engine's metric
 	// root; route() hangs per-endpoint series off it.
 	httpReg *metric.Registry
-	// requests is the service-wide request rate across all endpoints.
-	requests *metric.Rate
+	// requests counts requests across all endpoints.
+	requests *metric.Counter
 }
 
 // muxConfig configures newMux beyond the engine itself.
@@ -125,7 +125,7 @@ func newMux(e *nlexplain.Engine, cfg muxConfig) *http.ServeMux {
 		engine:        e,
 		maxTableBytes: cfg.maxTableBytes,
 		httpReg:       httpReg,
-		requests:      httpReg.Rate("requests", "HTTP requests across all endpoints"),
+		requests:      httpReg.Counter("requests", "HTTP requests across all endpoints"),
 	}
 	mux := http.NewServeMux()
 	s.route(mux, "POST /v1/tables", "tables_register", s.handleRegisterTable)
@@ -162,7 +162,7 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // route mounts a handler with per-endpoint observability: a request
 // counter, an error counter (non-2xx responses) and a latency
-// histogram under server.http.<name>.*, plus the service-wide rate.
+// histogram under server.http.<name>.*, plus the service-wide count.
 func (s *server) route(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 	r := s.httpReg.Sub(name)
 	reqs := r.Counter("requests", "requests to "+pattern)
@@ -170,7 +170,7 @@ func (s *server) route(mux *http.ServeMux, pattern, name string, h http.HandlerF
 	lat := r.LatencyHistogram("latency.seconds", "response latency of "+pattern)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
-		s.requests.Mark()
+		s.requests.Inc()
 		reqs.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, req)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nlexplain"
+	"nlexplain/internal/metric"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *nlexplain.Engine) {
@@ -32,11 +33,14 @@ func newTestServerCapped(t *testing.T, maxTableBytes int64) (*httptest.Server, *
 // name with underscores.
 func counter(t testing.TB, e *nlexplain.Engine, name string) uint64 {
 	t.Helper()
-	switch v := e.Metrics().Snapshot()[name].(type) {
-	case uint64:
-		return v
-	case int64:
-		return uint64(v)
+	m, _ := e.Metrics().Get(name)
+	switch v := m.(type) {
+	case *metric.Counter:
+		return v.Count()
+	case *metric.CounterFunc:
+		return v.Count()
+	case *metric.GaugeFunc:
+		return uint64(v.Value())
 	}
 	t.Fatalf("registry has no counter or gauge %q", name)
 	return 0

@@ -34,14 +34,6 @@ func (r *Result) Empty() bool {
 	}
 }
 
-// Scalar returns the numeric value of a ScalarType result.
-func (r *Result) Scalar() (float64, bool) {
-	if r.Type != ScalarType || len(r.Values) == 0 {
-		return 0, false
-	}
-	return r.Values[0].Float()
-}
-
 // AnswerKey returns a canonical, order-independent rendering of the
 // denotation, used to compare a query's result with a gold answer
 // (the r(z|T,y) indicator of Eq. 5).

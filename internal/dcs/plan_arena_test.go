@@ -183,12 +183,8 @@ func TestPlanPooledReuseStaysDifferential(t *testing.T) {
 // interpreter's words, and report every operator's cells to the tracer
 // in ascending order.
 func FuzzPlanDifferential(f *testing.F) {
-	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
-	f.Cleanup(func() {
-		plan.SetZoneSkipping(prevZOn)
-		plan.SetZoneSkipThreshold(prevZT)
-	})
+	f.Cleanup(func() { plan.SetZoneSkipThreshold(prevZT) })
 	// Every corpus query is a seed, the counts and differences of literal
 	// sets among them.
 	for _, tc := range diffCorpus {

@@ -235,6 +235,10 @@ type execMode struct {
 	zones   bool
 }
 
+// zonesOff is a zone-consultation floor above every table: scans never
+// consult zone maps.
+const zonesOff = math.MaxInt32
+
 // execModes: inline, forked across workers however small the input,
 // and through the zone verdicts on every table.
 var execModes = []execMode{
@@ -248,12 +252,14 @@ var execModes = []execMode{
 func (m execMode) set() (restore func()) {
 	prevW := plan.SetExecWorkers(m.workers)
 	prevT := plan.SetParallelThreshold(m.forkAt)
-	prevZOn := plan.SetZoneSkipping(m.zones)
-	prevZT := plan.SetZoneSkipThreshold(0)
+	zoneFloor := zonesOff
+	if m.zones {
+		zoneFloor = 0
+	}
+	prevZT := plan.SetZoneSkipThreshold(zoneFloor)
 	return func() {
 		plan.SetExecWorkers(prevW)
 		plan.SetParallelThreshold(prevT)
-		plan.SetZoneSkipping(prevZOn)
 		plan.SetZoneSkipThreshold(prevZT)
 	}
 }
@@ -532,12 +538,8 @@ func executeOrdered(t testing.TB, e Expr, tab *table.Table) (*Result, error) {
 // Value.Equal disagree). Zone-map consultation is forced so the zone
 // verdicts' NaN and empty-cell tallies are differentially checked too.
 func TestPlanDifferentialNaN(t *testing.T) {
-	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
-	defer func() {
-		plan.SetZoneSkipping(prevZOn)
-		plan.SetZoneSkipThreshold(prevZT)
-	}()
+	defer plan.SetZoneSkipThreshold(prevZT)
 	// N holds a NaN cell (non-indexable column); M is a clean numeric
 	// column, so a NaN literal against M exercises the sorted-index
 	// guard rather than the non-indexable fallback. The empty cell in N
@@ -634,12 +636,10 @@ func TestResultRowsDoNotAliasTableIndex(t *testing.T) {
 func TestPlanDifferentialParallel(t *testing.T) {
 	prevW := plan.SetExecWorkers(8)
 	prevT := plan.SetParallelThreshold(1)
-	prevZOn := plan.SetZoneSkipping(true)
 	prevZT := plan.SetZoneSkipThreshold(0)
 	defer func() {
 		plan.SetExecWorkers(prevW)
 		plan.SetParallelThreshold(prevT)
-		plan.SetZoneSkipping(prevZOn)
 		plan.SetZoneSkipThreshold(prevZT)
 	}()
 	for _, tc := range diffCorpus {
@@ -651,10 +651,10 @@ func TestPlanDifferentialParallel(t *testing.T) {
 				t.Fatalf("Parse(%q): %v", tc.src, err)
 			}
 			plan.SetExecWorkers(1)
-			plan.SetZoneSkipping(false)
+			plan.SetZoneSkipThreshold(zonesOff)
 			want, werr := executeOrdered(t, e, tab)
 			plan.SetExecWorkers(8)
-			plan.SetZoneSkipping(true)
+			plan.SetZoneSkipThreshold(0)
 			got, gerr := executeOrdered(t, e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)

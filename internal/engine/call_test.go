@@ -51,11 +51,12 @@ func (op callOp) size(t *testing.T, e *Engine) uint64 {
 // computed counts the op's finished computations.
 func (op callOp) computed(t *testing.T, e *Engine) uint64 {
 	t.Helper()
-	h, ok := e.Metrics().Snapshot()["engine."+op.latency+".latency.seconds"].(map[string]any)
+	m, _ := e.Metrics().Get("engine." + op.latency + ".latency.seconds")
+	h, ok := m.(*metric.Histogram)
 	if !ok {
 		t.Fatalf("registry has no %s latency histogram", op.latency)
 	}
-	return h["count"].(uint64)
+	return h.Snapshot().Count()
 }
 
 var callOps = []callOp{

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nlexplain/internal/metric"
 	"nlexplain/internal/table"
 )
 
@@ -42,11 +43,14 @@ func newTestEngine(t *testing.T) *Engine {
 // canonical dotted name, the way GET /metrics carries it.
 func counter(t testing.TB, e *Engine, name string) uint64 {
 	t.Helper()
-	switch v := e.Metrics().Snapshot()[name].(type) {
-	case uint64:
-		return v
-	case int64:
-		return uint64(v)
+	m, _ := e.Metrics().Get(name)
+	switch v := m.(type) {
+	case *metric.Counter:
+		return v.Count()
+	case *metric.CounterFunc:
+		return v.Count()
+	case *metric.GaugeFunc:
+		return uint64(v.Value())
 	}
 	t.Fatalf("registry has no counter or gauge %q", name)
 	return 0

@@ -16,21 +16,15 @@ import (
 	"nlexplain/internal/utterance"
 )
 
-// CellJSON is one rendered cell with its provenance marking.
-type CellJSON = render.Cell
-
-// TableJSON is a highlighted table: headers (with aggregate markers
-// applied) and marked cells, restricted to the sampled rows for large
-// tables. It is the render package's JSON-friendly Grid.
-type TableJSON = render.Grid
-
-// ExplanationJSON is the full explanation of one candidate query.
+// ExplanationJSON is the full explanation of one candidate query. Table
+// is the highlighted table: headers (with aggregate markers applied)
+// and marked cells, restricted to the sampled rows for large tables.
 type ExplanationJSON struct {
-	Query     string    `json:"query"`
-	Utterance string    `json:"utterance"`
-	SQL       string    `json:"sql,omitempty"`
-	Result    string    `json:"result"`
-	Table     TableJSON `json:"table"`
+	Query     string      `json:"query"`
+	Utterance string      `json:"utterance"`
+	SQL       string      `json:"sql,omitempty"`
+	Result    string      `json:"result"`
+	Table     render.Grid `json:"table"`
 }
 
 // Build computes the explanation document for a query over a table and

@@ -10,9 +10,9 @@ import (
 // histSubCount land in exact unit buckets; above that, each power-of-2
 // magnitude is split into histSubCount linear sub-buckets, so the
 // relative bucket width — and therefore the worst-case error of a
-// bucket-derived quantile — is bounded by 1/histSubCount (12.5%).
-// Every recorded value is one atomic add into a fixed array: no
-// sampling, no locks, no allocation.
+// quantile a scraper derives from the buckets — is bounded by
+// 1/histSubCount (12.5%). Every recorded value is one atomic add into
+// a fixed array: no sampling, no locks, no allocation.
 const (
 	histSubBits  = 3
 	histSubCount = 1 << histSubBits // linear sub-buckets per magnitude
@@ -33,8 +33,9 @@ func bucketIndex(v uint64) int {
 	return int(uint(histSubCount) + (exp-histSubBits)*histSubCount + uint(sub))
 }
 
-// bucketUpper is the inclusive upper bound of bucket i — the value a
-// bucket-derived quantile reports, so quantiles never under-report.
+// bucketUpper is the inclusive upper bound of bucket i — the "le" label
+// of its _bucket series, so a bucket-derived quantile never
+// under-reports.
 func bucketUpper(i int) uint64 {
 	if i < histSubCount {
 		return uint64(i)
@@ -47,128 +48,64 @@ func bucketUpper(i int) uint64 {
 	return lower + width - 1
 }
 
-// Histogram is a lock-free log-linear histogram of non-negative int64
-// observations. Latency histograms record nanoseconds and expose
-// seconds (scale 1e9); generic histograms use scale 1.
+// latencyScale divides recorded nanoseconds at exposition time, so a
+// histogram's buckets and sum read in Prometheus-conventional seconds.
+const latencyScale = 1e9
+
+// Histogram is a lock-free log-linear histogram of latencies: it
+// records nanoseconds and exposes seconds.
 type Histogram struct {
 	meta
-	// scale divides recorded values at exposition time (1e9 renders
-	// nanoseconds as Prometheus-conventional seconds).
-	scale   float64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // of raw recorded values
-	max     atomic.Uint64
+	sum     atomic.Uint64 // of recorded nanoseconds
 	buckets [histNumBuckets]atomic.Uint64
 }
 
-// NewHistogram builds an unregistered histogram whose exposition unit
-// equals its recording unit (scale 1).
-func NewHistogram(help string) *Histogram {
-	return &Histogram{meta: meta{help: help, kind: KindHistogram}, scale: 1}
-}
-
-// NewLatencyHistogram builds an unregistered histogram that records
-// nanoseconds (RecordDuration) and exposes seconds, the Prometheus
-// convention for latency series. Name it "<path>.latency.seconds" so
-// the exposed series reads "<path>_latency_seconds".
+// NewLatencyHistogram builds an unregistered latency histogram. Name it
+// "<path>.latency.seconds" so the exposed series reads
+// "<path>_latency_seconds".
 func NewLatencyHistogram(help string) *Histogram {
-	return &Histogram{meta: meta{help: help, kind: KindHistogram}, scale: 1e9}
+	return &Histogram{meta: meta{help: help, kind: KindHistogram}}
 }
 
-// Scale is the exposition divisor (1 for unit-less, 1e9 for
-// nanosecond-recorded latency histograms).
-func (h *Histogram) Scale() float64 { return h.scale }
-
-// RecordValue books one observation. Negative values clamp to zero.
-// One bucket add, one count add, one sum add, one max CAS loop: no
-// allocation, safe for concurrent use.
-func (h *Histogram) RecordValue(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	u := uint64(v)
+// RecordDuration books one observation; a negative duration counts as
+// zero. One bucket add and one sum add: no allocation, safe for
+// concurrent use.
+func (h *Histogram) RecordDuration(d time.Duration) {
+	u := uint64(max(d.Nanoseconds(), 0))
 	h.buckets[bucketIndex(u)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(u)
-	for {
-		cur := h.max.Load()
-		if u <= cur || h.max.CompareAndSwap(cur, u) {
-			return
-		}
-	}
-}
-
-// RecordDuration books one latency observation in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.RecordValue(d.Nanoseconds()) }
-
-// Count is the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum is the total of raw recorded values (nanoseconds for latency
-// histograms).
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Max is the largest raw recorded value.
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
-// Quantile reports the q-quantile (0 < q <= 1) in raw recording units,
-// derived from bucket counts: the inclusive upper bound of the bucket
-// holding the nearest-rank sample. Exact for values < histSubCount,
-// within 1/histSubCount relative error above. Returns 0 on an empty
-// histogram.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if float64(rank) < q*float64(total) || rank == 0 {
-		rank++ // ceil, nearest-rank convention
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return h.max.Load()
 }
 
 // HistogramBucket is one non-empty bucket of a snapshot, with its
 // cumulative count (Prometheus _bucket semantics).
 type HistogramBucket struct {
-	// Upper is the bucket's inclusive upper bound in scaled units
-	// (seconds for latency histograms).
+	// Upper is the bucket's inclusive upper bound in seconds.
 	Upper float64
 	// CumCount counts observations at or below Upper.
 	CumCount uint64
 }
 
-// HistogramSnapshot is a point-in-time read of a histogram in scaled
-// exposition units. Concurrent recording may tear count vs. buckets by
-// a few in-flight observations; scrapers tolerate that.
+// HistogramSnapshot is a point-in-time read of a histogram in seconds.
+// Concurrent recording may tear the sum against the buckets by a few
+// in-flight observations; scrapers tolerate that.
 type HistogramSnapshot struct {
-	Count   uint64
-	Sum     float64 // scaled (seconds for latency histograms)
-	Max     float64 // scaled
-	P50     float64 // scaled, bucket-derived
-	P90     float64
-	P99     float64
+	Sum     float64           // seconds
 	Buckets []HistogramBucket // non-empty buckets only, ascending
 }
 
-// Snapshot reads the histogram once: cumulative non-empty buckets plus
-// bucket-derived quantiles, all in scaled units.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   float64(h.sum.Load()) / h.scale,
-		Max:   float64(h.max.Load()) / h.scale,
+// Count is the number of observations: the last bucket's cumulative
+// count.
+func (s HistogramSnapshot) Count() uint64 {
+	if n := len(s.Buckets); n > 0 {
+		return s.Buckets[n-1].CumCount
 	}
+	return 0
+}
+
+// Snapshot reads the histogram once: its sum and cumulative non-empty
+// buckets, in seconds.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{Sum: float64(h.sum.Load()) / latencyScale}
 	var cum uint64
 	for i := range h.buckets {
 		n := h.buckets[i].Load()
@@ -177,28 +114,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 		cum += n
 		s.Buckets = append(s.Buckets, HistogramBucket{
-			Upper:    float64(bucketUpper(i)) / h.scale,
+			Upper:    float64(bucketUpper(i)) / latencyScale,
 			CumCount: cum,
 		})
 	}
-	quant := func(q float64) float64 {
-		if cum == 0 {
-			return 0
-		}
-		rank := uint64(q * float64(cum))
-		if float64(rank) < q*float64(cum) || rank == 0 {
-			rank++
-		}
-		if rank > cum {
-			rank = cum
-		}
-		for _, b := range s.Buckets {
-			if b.CumCount >= rank {
-				return b.Upper
-			}
-		}
-		return s.Max
-	}
-	s.P50, s.P90, s.P99 = quant(0.50), quant(0.90), quant(0.99)
 	return s
 }

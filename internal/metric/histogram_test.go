@@ -2,13 +2,12 @@ package metric
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
 
-// TestBucketLayout checks the structural invariants the quantile error
-// bound rests on: every value maps into a bucket whose inclusive upper
+// TestBucketLayout checks the structural invariants the error bound of
+// a bucket-derived quantile rests on: every value maps into a bucket whose inclusive upper
 // bound is at least the value and overshoots it by at most
 // 1/histSubCount relative error; bucket upper bounds are strictly
 // increasing.
@@ -41,61 +40,29 @@ func TestBucketLayout(t *testing.T) {
 	}
 }
 
-// TestQuantileProperty records seeded random samples and checks every
-// histogram quantile against the exact nearest-rank quantile of the
-// same samples: the histogram may over-report by at most the relative
-// bucket width, and never under-reports.
-func TestQuantileProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		h := NewHistogram("t")
-		n := 1 + rng.Intn(5000)
-		samples := make([]uint64, n)
-		shift := uint(rng.Intn(50))
-		for i := range samples {
-			samples[i] = rng.Uint64() >> shift
-			h.RecordValue(int64(samples[i] & (1<<62 - 1)))
-			samples[i] &= 1<<62 - 1
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1.0} {
-			rank := int(float64(n) * q)
-			if float64(rank) < q*float64(n) || rank == 0 {
-				rank++
-			}
-			if rank > n {
-				rank = n
-			}
-			exact := samples[rank-1]
-			got := h.Quantile(q)
-			if got < exact {
-				t.Fatalf("trial %d q=%.2f: histogram %d under-reports exact %d", trial, q, got, exact)
-			}
-			if got > exact+exact/histSubCount {
-				t.Fatalf("trial %d q=%.2f: histogram %d overshoots exact %d beyond bucket width", trial, q, got, exact)
-			}
-		}
-	}
-}
-
+// TestHistogramBasics: an empty histogram reads zero, a negative
+// duration books as zero, the sum is exact, and nanosecond values below
+// histSubCount land in exact buckets.
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram("t")
-	if h.Quantile(0.5) != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram not zero")
+	h := NewLatencyHistogram("t")
+	if s := h.Snapshot(); s.Sum != 0 || len(s.Buckets) != 0 {
+		t.Fatalf("empty histogram not zero: %+v", s)
 	}
-	h.RecordValue(-5) // clamps to 0
-	h.RecordValue(3)
-	h.RecordValue(7)
-	if h.Count() != 3 || h.Sum() != 10 || h.Max() != 7 {
-		t.Fatalf("count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	h.RecordDuration(-5) // clamps to 0
+	h.RecordDuration(3)
+	h.RecordDuration(7)
+	s := h.Snapshot()
+	if s.Sum != 10/1e9 {
+		t.Errorf("sum = %g, want 1e-08", s.Sum)
 	}
-	// Values < histSubCount land in exact buckets, so small-value
-	// quantiles are exact.
-	if got := h.Quantile(0.5); got != 3 {
-		t.Errorf("p50 = %d, want 3", got)
+	want := []HistogramBucket{{0, 1}, {3 / 1e9, 2}, {7 / 1e9, 3}}
+	if len(s.Buckets) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", s.Buckets, want)
 	}
-	if got := h.Quantile(1.0); got != 7 {
-		t.Errorf("p100 = %d, want 7", got)
+	for i, b := range s.Buckets {
+		if b != want[i] {
+			t.Errorf("bucket %d = %+v, want %+v", i, b, want[i])
+		}
 	}
 }
 
@@ -103,30 +70,24 @@ func TestLatencyHistogramScale(t *testing.T) {
 	h := NewLatencyHistogram("t")
 	h.RecordDuration(2 * time.Second)
 	s := h.Snapshot()
-	if s.Count != 1 {
-		t.Fatalf("count = %d", s.Count)
+	if len(s.Buckets) != 1 || s.Buckets[0].CumCount != 1 {
+		t.Fatalf("buckets = %+v, want one holding one observation", s.Buckets)
 	}
 	// 2s recorded as 2e9ns must expose ~2 seconds (within bucket width).
-	if s.P50 < 2.0 || s.P50 > 2.0*1.125 {
-		t.Errorf("p50 = %f, want ~2s", s.P50)
+	if up := s.Buckets[0].Upper; up < 2.0 || up > 2.0*1.125 {
+		t.Errorf("bucket upper = %f, want ~2s", up)
 	}
 	if s.Sum != 2.0 {
 		t.Errorf("sum = %f, want 2", s.Sum)
 	}
-	if s.Max < 2.0 || s.Max > 2.0*1.125 {
-		t.Errorf("max = %f, want ~2s", s.Max)
-	}
 }
 
 func TestSnapshotCumulativeBuckets(t *testing.T) {
-	h := NewHistogram("t")
+	h := NewLatencyHistogram("t")
 	for v := 0; v < 100; v++ {
-		h.RecordValue(int64(v))
+		h.RecordDuration(time.Duration(v))
 	}
 	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
 	var prev uint64
 	for i, b := range s.Buckets {
 		if b.CumCount <= prev && i > 0 {

@@ -3,10 +3,14 @@ package metric
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// TestCounterGaugeRate reads back the scalar kinds: a Counter, a
+// GaugeFunc and a CounterFunc, the cumulative count a scraper derives
+// a rate from.
 func TestCounterGaugeRate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs", "requests")
@@ -15,25 +19,24 @@ func TestCounterGaugeRate(t *testing.T) {
 	if got := c.Count(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
-	}
 	var backing int64 = 42
 	gf := r.GaugeFunc("size", "backing size", func() int64 { return backing })
 	if got := gf.Value(); got != 42 {
 		t.Errorf("gauge func = %d, want 42", got)
 	}
-	rate := r.Rate("events", "event rate")
-	rate.Mark()
-	rate.Add(9)
-	if got := rate.Count(); got != 10 {
-		t.Errorf("rate count = %d, want 10", got)
+	backing = -3
+	if got := gf.Value(); got != -3 {
+		t.Errorf("gauge func after change = %d, want -3", got)
 	}
-	if rate.PerSec() <= 0 {
-		t.Errorf("rate per-sec = %f, want > 0", rate.PerSec())
+	var events uint64 = 10
+	cf := r.CounterFunc("events", "events seen", func() uint64 { return events })
+	if got := cf.Count(); got != 10 {
+		t.Errorf("counter func = %d, want 10", got)
+	}
+	for name, want := range map[string]Kind{"reqs": KindCounter, "size": KindGauge, "events": KindCounter} {
+		if m, ok := r.Get(name); !ok || m.Kind() != want {
+			t.Errorf("Get(%s) = %v, %v; want kind %v", name, m, ok, want)
+		}
 	}
 }
 
@@ -44,7 +47,8 @@ func TestSubRegistriesShareNamespace(t *testing.T) {
 	cache.Counter("hits", "h")
 	root.Sub("engine.cache").Counter("misses", "m")
 	want := []string{"engine.cache.hits", "engine.cache.misses"}
-	got := root.Names()
+	var got []string
+	root.Visit(func(m Metric) { got = append(got, m.Name()) })
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("names = %v, want %v", got, want)
 	}
@@ -67,39 +71,17 @@ func TestInvalidNamesPanic(t *testing.T) {
 	}
 }
 
-func TestSnapshotShapes(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "h").Add(3)
-	r.Gauge("g", "h").Set(-2)
-	r.Rate("r", "h").Add(5)
-	h := r.Histogram("h", "h")
-	h.RecordValue(100)
-	snap := r.Snapshot()
-	if snap["c"] != uint64(3) {
-		t.Errorf("snapshot c = %v", snap["c"])
-	}
-	if snap["g"] != int64(-2) {
-		t.Errorf("snapshot g = %v", snap["g"])
-	}
-	rm, ok := snap["r"].(map[string]any)
-	if !ok || rm["count"] != uint64(5) {
-		t.Errorf("snapshot r = %v", snap["r"])
-	}
-	hm, ok := snap["h"].(map[string]any)
-	if !ok || hm["count"] != uint64(1) {
-		t.Errorf("snapshot h = %v", snap["h"])
-	}
-}
-
 // TestConcurrentRecordAndScrape hammers one registry from 8 goroutines
-// that register fresh metrics and record on shared ones while two more
-// continuously render the Prometheus exposition and visit the tree.
+// that register fresh metrics and record on shared ones while the test
+// goroutine continuously renders the Prometheus exposition and visits
+// the tree.
 // Run under -race this is the package's thread-safety gate.
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("shared.count", "h")
 	h := r.LatencyHistogram("shared.latency.seconds", "h")
-	g := r.Gauge("shared.depth", "h")
+	var depth atomic.Int64
+	r.GaugeFunc("shared.depth", "h", depth.Load)
 
 	const workers = 8
 	stop := make(chan struct{})
@@ -118,9 +100,9 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 				}
 				c.Inc()
 				own.Inc()
-				g.Add(1)
+				depth.Add(1)
 				h.RecordDuration(time.Duration(j%1000) * time.Microsecond)
-				g.Add(-1)
+				depth.Add(-1)
 			}
 		}(i)
 	}
@@ -131,7 +113,9 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		r.Visit(func(m Metric) { _ = m.Name() })
-		_ = r.Snapshot()
+		if _, ok := r.Get("shared.depth"); !ok {
+			t.Fatal("shared.depth not registered")
+		}
 		select {
 		case <-deadline:
 			done = true
@@ -140,10 +124,10 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if c.Count() == 0 || h.Count() == 0 {
-		t.Fatalf("no recordings landed: count=%d hist=%d", c.Count(), h.Count())
+	if c.Count() == 0 || h.Snapshot().Count() == 0 {
+		t.Fatalf("no recordings landed: count=%d hist=%d", c.Count(), h.Snapshot().Count())
 	}
-	if got := h.Count(); got != c.Count() {
+	if got := h.Snapshot().Count(); got != c.Count() {
 		t.Fatalf("count mismatch: counter=%d hist=%d", c.Count(), got)
 	}
 }

@@ -23,9 +23,9 @@ func formatFloat(v float64) string {
 
 // WritePrometheus renders the registry's full namespace as Prometheus
 // text exposition (version 0.0.4): one "# HELP"/"# TYPE" header per
-// metric, counters/gauges/rates as single samples, histograms as
+// metric, counters and gauges as single samples, histograms as
 // cumulative _bucket series (non-empty buckets plus +Inf) with _sum
-// and _count, in scaled units (latency histograms expose seconds).
+// and _count, in seconds.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	r.Visit(func(m Metric) {
@@ -42,13 +42,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch v := m.(type) {
 		case *Counter:
 			writeSample(bw, name, "", strconv.FormatUint(v.Count(), 10))
-		case *Gauge:
-			writeSample(bw, name, "", strconv.FormatInt(v.Value(), 10))
 		case *GaugeFunc:
 			writeSample(bw, name, "", strconv.FormatInt(v.Value(), 10))
 		case *CounterFunc:
-			writeSample(bw, name, "", strconv.FormatUint(v.Count(), 10))
-		case *Rate:
 			writeSample(bw, name, "", strconv.FormatUint(v.Count(), 10))
 		case *Histogram:
 			s := v.Snapshot()
@@ -56,13 +52,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, name+"_bucket", `{le="`+formatFloat(b.Upper)+`"}`,
 					strconv.FormatUint(b.CumCount, 10))
 			}
-			var total uint64
-			if n := len(s.Buckets); n > 0 {
-				total = s.Buckets[n-1].CumCount
-			}
-			writeSample(bw, name+"_bucket", `{le="+Inf"}`, strconv.FormatUint(total, 10))
+			total := strconv.FormatUint(s.Count(), 10)
+			writeSample(bw, name+"_bucket", `{le="+Inf"}`, total)
 			writeSample(bw, name+"_sum", "", formatFloat(s.Sum))
-			writeSample(bw, name+"_count", "", strconv.FormatUint(total, 10))
+			writeSample(bw, name+"_count", "", total)
 		}
 	})
 	return bw.Flush()

@@ -88,13 +88,9 @@ func (r *Registry) Register(name string, m Metric) {
 	switch v := m.(type) {
 	case *Counter:
 		v.meta.name = full
-	case *Gauge:
-		v.meta.name = full
 	case *GaugeFunc:
 		v.meta.name = full
 	case *CounterFunc:
-		v.meta.name = full
-	case *Rate:
 		v.meta.name = full
 	case *Histogram:
 		v.meta.name = full
@@ -115,13 +111,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := NewGauge(help)
-	r.Register(name, g)
-	return g
-}
-
 // GaugeFunc registers a scrape-time functional gauge.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) *GaugeFunc {
 	g := NewGaugeFunc(help, fn)
@@ -134,20 +123,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) *CounterFunc
 	c := NewCounterFunc(help, fn)
 	r.Register(name, c)
 	return c
-}
-
-// Rate registers and returns a new rate.
-func (r *Registry) Rate(name, help string) *Rate {
-	x := NewRate(help)
-	r.Register(name, x)
-	return x
-}
-
-// Histogram registers and returns a new unit-less histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	h := NewHistogram(help)
-	r.Register(name, h)
-	return h
 }
 
 // LatencyHistogram registers and returns a histogram recording
@@ -178,16 +153,6 @@ func (r *Registry) Visit(fn func(Metric)) {
 	}
 }
 
-// Names lists every registered full dotted name, sorted.
-func (r *Registry) Names() []string {
-	root := r.rootOf()
-	root.mu.RLock()
-	defer root.mu.RUnlock()
-	out := make([]string, len(root.names))
-	copy(out, root.names)
-	return out
-}
-
 // Get resolves a full dotted name to its metric.
 func (r *Registry) Get(name string) (Metric, bool) {
 	root := r.rootOf()
@@ -195,40 +160,4 @@ func (r *Registry) Get(name string) (Metric, bool) {
 	defer root.mu.RUnlock()
 	m, ok := root.metrics[name]
 	return m, ok
-}
-
-// Len reports the number of registered metrics.
-func (r *Registry) Len() int {
-	root := r.rootOf()
-	root.mu.RLock()
-	defer root.mu.RUnlock()
-	return len(root.metrics)
-}
-
-// Snapshot renders every metric to a JSON-ready map keyed by dotted
-// name: counters and gauges as numbers, rates as {count, per_sec},
-// histograms as {count, sum, max, p50, p90, p99} in scaled units.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any, r.Len())
-	r.Visit(func(m Metric) {
-		switch v := m.(type) {
-		case *Counter:
-			out[m.Name()] = v.Count()
-		case *Gauge:
-			out[m.Name()] = v.Value()
-		case *GaugeFunc:
-			out[m.Name()] = v.Value()
-		case *CounterFunc:
-			out[m.Name()] = v.Count()
-		case *Rate:
-			out[m.Name()] = map[string]any{"count": v.Count(), "per_sec": v.PerSec()}
-		case *Histogram:
-			s := v.Snapshot()
-			out[m.Name()] = map[string]any{
-				"count": s.Count, "sum": s.Sum, "max": s.Max,
-				"p50": s.P50, "p90": s.P90, "p99": s.P99,
-			}
-		}
-	})
-	return out
 }

@@ -98,7 +98,7 @@ func (a *arena) rowSet(n int) RowSet {
 	nw := rowSetWords(n)
 	w := a.words.get(nw)[:nw]
 	clear(w)
-	return RowSet{words: w, n: n}
+	return RowSet{words: w}
 }
 
 // locals returns the per-worker code maps for a drive with up to the

@@ -170,7 +170,7 @@ func resolveConfig(tableRows int) execConfig {
 	return execConfig{
 		workers:   ExecWorkers(),
 		threshold: ParallelThreshold(),
-		zones:     ZoneSkipping() && tableRows > 0 && tableRows >= ZoneSkipThreshold(),
+		zones:     tableRows > 0 && tableRows >= ZoneSkipThreshold(),
 	}
 }
 

@@ -3,34 +3,23 @@ package plan
 import "math/bits"
 
 // RowSet is a dense word-packed bitmap over the record indices of one
-// pinned table — the executor's working representation for row-set
-// algebra. A RowSet sized to the snapshot's row count replaces the
-// map[int]bool sets the operators used to build per execution: adding
-// n rows is n bit sets, intersection/union/difference are word-wise
-// loops, and converting back to the executor's ascending []int form
-// (AppendRows) walks set bits with trailing-zero counts — already in
-// record order, so no sort is ever needed.
+// pinned table — the executor's working representation for a row set it
+// builds from unordered rows. Adding n rows is n bit sets, and
+// converting back to the executor's ascending []int form (AppendRows)
+// walks set bits with trailing-zero counts — already in record order,
+// so no sort is ever needed.
 //
-// The zero RowSet is empty with a zero universe; size one with
-// NewRowSet or the executor arena's rowSet, which recycles the word
-// buffer across executions.
+// The executor arena's rowSet sizes one to the snapshot's row count and
+// recycles the word buffer across executions.
 type RowSet struct {
 	words []uint64
-	n     int
 }
 
 // rowSetWords is the backing-array length for an n-row universe.
 func rowSetWords(n int) int { return (n + 63) / 64 }
 
-// NewRowSet returns an empty set over the universe [0, n).
-func NewRowSet(n int) RowSet {
-	return RowSet{words: make([]uint64, rowSetWords(n)), n: n}
-}
-
-// Universe returns the exclusive upper bound of representable rows.
-func (s RowSet) Universe() int { return s.n }
-
-// Add inserts row i (0 <= i < Universe).
+// Add inserts row i, which must lie inside the universe the set was
+// sized to.
 func (s RowSet) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // AddRows inserts every row of the slice — the []int -> RowSet
@@ -46,27 +35,6 @@ func (s RowSet) Contains(i int) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// And keeps only the rows also in o (same universe).
-func (s RowSet) And(o RowSet) {
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// Or adds every row of o (same universe).
-func (s RowSet) Or(o RowSet) {
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// AndNot removes every row of o (same universe).
-func (s RowSet) AndNot(o RowSet) {
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
 // Count returns the number of set rows.
 func (s RowSet) Count() int {
 	c := 0
@@ -74,20 +42,6 @@ func (s RowSet) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Iterate calls fn on each set row in ascending order until fn
-// returns false.
-func (s RowSet) Iterate(fn func(row int) bool) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for w != 0 {
-			if !fn(base + bits.TrailingZeros64(w)) {
-				return
-			}
-			w &= w - 1
-		}
-	}
 }
 
 // AppendRows appends the set rows onto dst in ascending order and
@@ -101,9 +55,4 @@ func (s RowSet) AppendRows(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Clear empties the set, keeping its universe and backing array.
-func (s RowSet) Clear() {
-	clear(s.words)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// refSet mirrors RowSet operations on a map for differential checking.
+// refRows lists a map-backed reference set in ascending order.
 func refRows(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for r := range m {
@@ -28,17 +28,17 @@ func sameRows(a, b []int) bool {
 	return true
 }
 
-// TestRowSetAgainstMapReference drives random set algebra through
-// RowSet and a map side by side across awkward universe sizes (word
-// boundaries, sub-word, empty).
+// TestRowSetAgainstMapReference drives random inserts and membership
+// probes through RowSet and a map side by side across awkward universe
+// sizes (word boundaries, sub-word, empty).
 func TestRowSetAgainstMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
-		s := NewRowSet(n)
+		s := RowSet{words: make([]uint64, rowSetWords(n))}
 		ref := make(map[int]bool)
 		for iter := 0; iter < 200; iter++ {
 			if n > 0 {
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					r := rng.Intn(n)
 					s.Add(r)
@@ -51,33 +51,6 @@ func TestRowSetAgainstMapReference(t *testing.T) {
 					}
 					s.AddRows(rows)
 				case 2:
-					o := NewRowSet(n)
-					oref := make(map[int]bool)
-					for i := 0; i < rng.Intn(n+1); i++ {
-						r := rng.Intn(n)
-						o.Add(r)
-						oref[r] = true
-					}
-					switch rng.Intn(3) {
-					case 0:
-						s.Or(o)
-						for r := range oref {
-							ref[r] = true
-						}
-					case 1:
-						s.And(o)
-						for r := range ref {
-							if !oref[r] {
-								delete(ref, r)
-							}
-						}
-					default:
-						s.AndNot(o)
-						for r := range oref {
-							delete(ref, r)
-						}
-					}
-				case 3:
 					r := rng.Intn(n)
 					if s.Contains(r) != ref[r] {
 						t.Fatalf("n=%d Contains(%d) = %t, want %t", n, r, s.Contains(r), ref[r])
@@ -90,23 +63,6 @@ func TestRowSetAgainstMapReference(t *testing.T) {
 			if got, want := s.AppendRows(nil), refRows(ref); !sameRows(got, want) {
 				t.Fatalf("n=%d AppendRows = %v, want %v", n, got, want)
 			}
-		}
-		// Iterate agrees with AppendRows and honors early exit.
-		var it []int
-		s.Iterate(func(r int) bool { it = append(it, r); return true })
-		if !sameRows(it, s.AppendRows(nil)) {
-			t.Fatalf("n=%d Iterate = %v, AppendRows = %v", n, it, s.AppendRows(nil))
-		}
-		if s.Count() > 1 {
-			seen := 0
-			s.Iterate(func(int) bool { seen++; return false })
-			if seen != 1 {
-				t.Fatalf("n=%d Iterate ignored early exit: saw %d rows", n, seen)
-			}
-		}
-		s.Clear()
-		if s.Count() != 0 || s.Universe() != n {
-			t.Fatalf("n=%d Clear left Count=%d Universe=%d", n, s.Count(), s.Universe())
 		}
 	}
 }

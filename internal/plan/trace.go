@@ -12,9 +12,8 @@ import "nlexplain/internal/table"
 // the execution provenance PE (the union over all boundaries).
 //
 // The interface lives in this package only to break the import cycle
-// plan → provenance → dcs → plan; internal/provenance re-exports it
-// (provenance.Tracer) and provides the full PO-cell tracer used for
-// explanations.
+// plan → provenance → dcs → plan; internal/provenance provides the full
+// PO-cell tracer used for explanations (provenance.CellTracer).
 type Tracer interface {
 	// Active reports whether operators must compute witness cells.
 	// When false, Operator is never called.

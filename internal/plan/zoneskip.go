@@ -39,9 +39,6 @@ const (
 )
 
 var (
-	// cfgZoneSkipOff disables zone consultation when set (zero value =
-	// skipping enabled).
-	cfgZoneSkipOff atomic.Bool
 	// cfgZoneThreshold holds the configured consultation floor plus one;
 	// 0 means "default" (table.ZoneRows), so an explicit floor of 0 —
 	// used by the forced-skip differential suites — is representable.
@@ -51,21 +48,12 @@ var (
 	statMorselsShortcut atomic.Uint64
 )
 
-// SetZoneSkipping enables or disables zone-map data skipping
-// process-wide and returns the previous setting. Intended for
-// benchmarks measuring the skip gain and for differential tests.
-func SetZoneSkipping(on bool) bool {
-	return !cfgZoneSkipOff.Swap(!on)
-}
-
-// ZoneSkipping reports whether zone-map data skipping is enabled
-// (default true).
-func ZoneSkipping() bool { return !cfgZoneSkipOff.Load() }
-
 // SetZoneSkipThreshold sets the table-size floor (in rows) below which
 // scans never consult zone maps, returning the previous resolved
 // value. 0 forces consultation on every table (the forced-skip test
-// configuration); n < 0 restores the default (table.ZoneRows).
+// configuration); a floor above every table, math.MaxInt32, turns
+// consultation off (math.MaxInt would overflow the stored floor plus
+// one); n < 0 restores the default (table.ZoneRows).
 func SetZoneSkipThreshold(n int) int {
 	prev := ZoneSkipThreshold()
 	if n < 0 {

@@ -13,20 +13,17 @@ import (
 // size (threshold 0), restoring the previous configuration after.
 func forceZones(tb testing.TB) {
 	tb.Helper()
-	prevOn := SetZoneSkipping(true)
-	prevT := SetZoneSkipThreshold(0)
-	tb.Cleanup(func() {
-		SetZoneSkipping(prevOn)
-		SetZoneSkipThreshold(prevT)
-	})
+	prev := SetZoneSkipThreshold(0)
+	tb.Cleanup(func() { SetZoneSkipThreshold(prev) })
 }
 
 // zonesOff disables zone consultation entirely — the full-scan
-// reference configuration of the differential tests.
+// reference configuration of the differential tests — with a floor
+// above every table.
 func zonesOff(tb testing.TB) {
 	tb.Helper()
-	prev := SetZoneSkipping(false)
-	tb.Cleanup(func() { SetZoneSkipping(prev) })
+	prev := SetZoneSkipThreshold(math.MaxInt32)
+	tb.Cleanup(func() { SetZoneSkipThreshold(prev) })
 }
 
 // clusteredZoneTable builds an n-row table whose columns actually give
@@ -170,23 +167,28 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	}
 }
 
-// TestZoneConfigRoundTrip pins the configuration API: setters return
-// the previous value, an explicit threshold of 0 forces consultation,
-// and a negative threshold restores the default floor.
+// TestZoneConfigRoundTrip pins the configuration API: the setter
+// returns the previous value, an explicit threshold of 0 forces
+// consultation, math.MaxInt32 turns it off, and a negative threshold
+// restores the default floor.
 func TestZoneConfigRoundTrip(t *testing.T) {
-	prevOn := SetZoneSkipping(false)
-	defer SetZoneSkipping(prevOn)
-	if ZoneSkipping() {
-		t.Fatal("ZoneSkipping still on after disabling")
-	}
-	if got := SetZoneSkipping(true); got {
-		t.Fatal("SetZoneSkipping(true) did not report the disabled state")
-	}
-
 	prevT := SetZoneSkipThreshold(0)
 	defer SetZoneSkipThreshold(prevT)
 	if ZoneSkipThreshold() != 0 {
 		t.Fatalf("forced threshold = %d, want 0", ZoneSkipThreshold())
+	}
+	if !resolveConfig(1).zones {
+		t.Fatal("threshold 0 does not force consultation on a one-row table")
+	}
+	SetZoneSkipThreshold(math.MaxInt32)
+	if ZoneSkipThreshold() != math.MaxInt32 {
+		t.Fatalf("off threshold = %d, want %d", ZoneSkipThreshold(), math.MaxInt32)
+	}
+	if resolveConfig(math.MaxInt32 - 1).zones {
+		t.Fatal("threshold math.MaxInt32 still consults zone maps")
+	}
+	if got := SetZoneSkipThreshold(0); got != math.MaxInt32 {
+		t.Fatalf("SetZoneSkipThreshold returned %d, want %d", got, math.MaxInt32)
 	}
 	if got := SetZoneSkipThreshold(99); got != 0 {
 		t.Fatalf("SetZoneSkipThreshold returned %d, want 0", got)

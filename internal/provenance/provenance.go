@@ -148,13 +148,3 @@ func aggregateHeaderColumn(a *dcs.Aggregate, t *table.Table) (int, bool) {
 func (p *Prov) Chain() bool {
 	return p.Output.SubsetOf(p.Execution) && p.Execution.SubsetOf(p.Columns)
 }
-
-// OutputRows, ExecutionRows and ColumnRows are the record-set projections
-// RO, RE, RC of Section 5.3, used for sampling.
-func (p *Prov) OutputRows() []int { return p.Output.Rows() }
-
-// ExecutionRows returns the sorted records touched by PE.
-func (p *Prov) ExecutionRows() []int { return p.Execution.Rows() }
-
-// ColumnRows returns the sorted records touched by PC.
-func (p *Prov) ColumnRows() []int { return p.Columns.Rows() }

@@ -309,8 +309,8 @@ func TestSampleStrata(t *testing.T) {
 	}
 	// The first stratum representative must be an output record.
 	ro := map[int]bool{}
-	for _, r := range h.Prov.OutputRows() {
-		ro[r] = true
+	for _, c := range h.Prov.Output {
+		ro[c.Row] = true
 	}
 	found := false
 	for _, r := range sample {
@@ -319,7 +319,7 @@ func TestSampleStrata(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("sample %v contains no output record (RO=%v)", sample, h.Prov.OutputRows())
+		t.Errorf("sample %v contains no output record (RO=%v)", sample, ro)
 	}
 	// Records come back sorted.
 	for i := 1; i < len(sample); i++ {
@@ -507,10 +507,10 @@ func TestLevelsAcrossSampleThreshold(t *testing.T) {
 				if len(level) == 0 {
 					continue
 				}
-				if !slices.ContainsFunc(sample, func(r int) bool {
-					return slices.Contains(level.Rows(), r)
+				if !slices.ContainsFunc(level, func(c table.CellRef) bool {
+					return slices.Contains(sample, c.Row)
 				}) {
-					t.Errorf("%s on %d rows: sample %v shows no record of its innermost level %v", q, rows, sample, level.Rows())
+					t.Errorf("%s on %d rows: sample %v shows no record of its innermost level %v", q, rows, sample, level)
 				}
 				break
 			}

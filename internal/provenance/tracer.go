@@ -5,17 +5,12 @@ import (
 	"nlexplain/internal/table"
 )
 
-// Tracer is the provenance hook the plan executor calls at
-// every operator boundary. The interface itself is declared in
-// internal/plan (the executor cannot import this package without a
-// cycle through dcs); this package owns its provenance-facing
-// implementations: NoopTracer for answer-only execution and
-// CellTracer, the full PO-cell tracer used for explanations.
-type Tracer = plan.Tracer
-
-// NoopTracer is the inactive tracer: the executor skips all witness
-// cell bookkeeping, the fast path for answer-only traffic.
-type NoopTracer = plan.Noop
+// The provenance hook the plan executor calls at every operator
+// boundary is plan.Tracer: the interface lives in internal/plan, which
+// cannot import this package without a cycle through dcs. plan.Noop is
+// its inactive form, the answer-only fast path; CellTracer, the full
+// PO-cell tracer used for explanations, is this package's.
+var _ plan.Tracer = (*CellTracer)(nil)
 
 // CellTracer accumulates every operator's PO witness cells during one
 // plan execution. Because plan operators correspond one-to-one to

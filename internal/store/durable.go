@@ -735,15 +735,6 @@ func (st *Store) Close() error {
 	return st.dur.close()
 }
 
-// DataDir returns the data directory path, or "" for an in-memory
-// store.
-func (st *Store) DataDir() string {
-	if st.dur == nil {
-		return ""
-	}
-	return st.dur.dir
-}
-
 // Degraded reports whether the store is in degraded read-only mode
 // and, if so, the durability fault that started the episode. Purely
 // in-memory stores are never degraded.

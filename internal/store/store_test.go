@@ -20,11 +20,12 @@ func series(t testing.TB, st *Store, name string) int64 {
 	t.Helper()
 	root := metric.NewRegistry()
 	st.RegisterMetrics(root.Sub("store"))
-	switch v := root.Snapshot()[name].(type) {
-	case int64:
-		return v
-	case uint64:
-		return int64(v)
+	m, _ := root.Get(name)
+	switch v := m.(type) {
+	case *metric.GaugeFunc:
+		return v.Value()
+	case *metric.CounterFunc:
+		return int64(v.Count())
 	}
 	t.Fatalf("store registers no counter or gauge %q", name)
 	return 0

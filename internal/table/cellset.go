@@ -45,20 +45,6 @@ func (s CellSet) SubsetOf(o CellSet) bool {
 	return true
 }
 
-// Rows returns the sorted distinct record indices touched by the set —
-// the record-set projection R∗(Q,T) used for sampling in Section 5.3.
-// Row-major order puts a record's cells side by side, so one pass
-// suffices.
-func (s CellSet) Rows() []int {
-	var out []int
-	for _, c := range s {
-		if len(out) == 0 || out[len(out)-1] != c.Row {
-			out = append(out, c.Row)
-		}
-	}
-	return out
-}
-
 // IntersectSortedCells appends the cells common to a and b onto dst
 // (usually a scratch slice with len 0) and returns it, sorted and
 // duplicate-free.

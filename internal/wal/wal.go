@@ -152,8 +152,6 @@ type Stats struct {
 
 // WAL is an open, appendable log file with group-commit fsync.
 type WAL struct {
-	path string
-
 	// mu guards the record buffer and sequencing state. It is never
 	// held across disk I/O: syncTo takes the buffer under mu, then
 	// writes and fsyncs it with only syncMu held, so appenders keep
@@ -228,7 +226,7 @@ func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &WAL{path: path, fs: fsys, f: f, size: res.Valid}, res, nil
+	return &WAL{fs: fsys, f: f, size: res.Valid}, res, nil
 }
 
 // Append frames tag+data, appends the record, and blocks until an
@@ -336,9 +334,6 @@ func (w *WAL) Close() error {
 	}
 	return err
 }
-
-// Path returns the log file's path.
-func (w *WAL) Path() string { return w.path }
 
 // Size returns the current log size in bytes, buffered appends
 // included.

@@ -461,12 +461,3 @@ var templates = []questionTemplate{
 		return q, &dcs.CompareValues{Max: maxSide, Vals: vals, KeyCol: t.Column(nc), ValCol: t.Column(jc)}, true
 	}},
 }
-
-// TemplateNames lists the operator classes covered by the generator.
-func TemplateNames() []string {
-	out := make([]string, len(templates))
-	for i, t := range templates {
-		out[i] = t.name
-	}
-	return out
-}

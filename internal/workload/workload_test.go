@@ -15,6 +15,7 @@ import (
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/engine"
+	"nlexplain/internal/metric"
 	"nlexplain/internal/table"
 )
 
@@ -31,11 +32,14 @@ func mustMix(t *testing.T, name string) Mix {
 // registry by its canonical dotted name.
 func counter(t testing.TB, e *engine.Engine, name string) uint64 {
 	t.Helper()
-	switch v := e.Metrics().Snapshot()[name].(type) {
-	case uint64:
-		return v
-	case int64:
-		return uint64(v)
+	m, _ := e.Metrics().Get(name)
+	switch v := m.(type) {
+	case *metric.Counter:
+		return v.Count()
+	case *metric.CounterFunc:
+		return v.Count()
+	case *metric.GaugeFunc:
+		return uint64(v.Value())
 	}
 	t.Fatalf("registry has no counter or gauge %q", name)
 	return 0
