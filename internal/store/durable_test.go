@@ -216,6 +216,78 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestReplaySkipsCompactedRegister: a register record whose generation
+// the restored segments already hold replays as a no-op — the table
+// recovers as its segment holds it, content hash included, not as the
+// older record spells it — and replay goes on to the records after it.
+func TestReplaySkipsCompactedRegister(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	defer st.Close()
+	if _, err := st.Register(mustTable(t, "t", 4)); err != nil {
+		t.Fatal(err)
+	}
+	registered, err := os.ReadFile(activeWAL(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append("t", [][]string{{"nation5", "2040", "9"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Register(mustTable(t, "u", 2)); err != nil {
+		t.Fatal(err)
+	}
+	want := captureState(st)
+
+	// Crash: copy the directory without Close, then put the saved
+	// register record back at the head of the active log.
+	crashed := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active := activeWAL(t, crashed)
+	tail, err := os.ReadFile(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(active, append(registered, tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openDurable(t, crashed)
+	defer st2.Close()
+	checkRecovered(t, st2, want)
+	if n := st2.dur.replayedRecords.Load(); n != 2 {
+		t.Fatalf("replayed %d records, want 2", n)
+	}
+	man, ok, err := segment.LoadManifest(nil, crashed)
+	if err != nil || !ok || len(man.Tables) != 1 {
+		t.Fatalf("LoadManifest: %+v %v %v", man, ok, err)
+	}
+	meta, seg, _, err := segment.ReadTable(nil, filepath.Join(crashed, man.Tables[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := st2.Get("t")
+	if got.Gen() != meta.Gen || got.Version() != meta.Version {
+		t.Fatalf("t recovered as (gen %d, %s), its segment holds (gen %d, %s)", got.Gen(), got.Version(), meta.Gen, meta.Version)
+	}
+	assertSameRelation(t, "t after a compacted register record", got.Table(), seg)
+}
+
 func TestDurableMidLogCorruptionFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)
