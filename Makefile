@@ -160,8 +160,9 @@ fuzz-table:
 	$(GO) test -run '^$$' -fuzz FuzzParseValue -fuzztime 30s ./internal/table/
 
 # fuzz-segment runs the segment decoder fuzzer for a bounded window:
-# restore builds tables straight from segment bodies, so any body the
-# checksum lets through must come back as a table or as ErrCorrupt —
+# segment restore and WAL register replay build tables straight from
+# segment bodies, so any body a checksum lets through must come back as
+# a table or as ErrCorrupt —
 # never a panic, never an allocation out of proportion to its length.
 # The target reads the allocator's counters around every decode, which
 # makes minimising a find slow; that is capped so the window goes to

@@ -43,33 +43,12 @@ type Manifest struct {
 // crash, or a fault injected on the rename, leaves either the previous
 // manifest or the new one, never a torn mix.
 func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
-	fsys = fault.Or(fsys)
 	m.Schema = schemaManifest
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp, err := fsys.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return writeAtomic(fsys, dir, ManifestName, append(data, '\n'))
 }
 
 // LoadManifest reads dir's manifest through fsys (nil means the OS

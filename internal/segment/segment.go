@@ -7,6 +7,11 @@
 // feeds them to the table builder, which parses a spelling once
 // however many records hold it.
 //
+// The body is the one table codec: it is also the payload of the
+// store's WAL register record (AppendTable / DecodeTable, with an
+// empty zone footer), so a registered table and a checkpointed one are
+// written and read by the same code.
+//
 // Layout:
 //
 //	"WTQSEG1\n" <crc32c uint32 LE over body> <body>
@@ -46,8 +51,9 @@ import (
 )
 
 // ErrCorrupt reports a segment file whose magic, checksum or framing
-// is damaged. Recovery treats it as fatal: a checkpointed table that
-// cannot be read back intact must not be silently dropped.
+// is damaged, or a table body that does not decode. Recovery treats it
+// as fatal: a persisted table that cannot be read back intact must not
+// be silently dropped.
 var ErrCorrupt = errors.New("segment: corrupt file")
 
 const (
@@ -88,19 +94,24 @@ func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]ta
 	if len(m.Columns) != t.NumCols() {
 		return fmt.Errorf("segment: %s: meta names %d columns, table has %d", path, len(m.Columns), t.NumCols())
 	}
-	fsys = fault.Or(fsys)
-	buf := make([]byte, len(magic)+4, len(magic)+4+bodyBound(m, t))
+	buf := AppendTable(make([]byte, len(magic)+4), m, t, zones)
 	copy(buf, magic)
-	buf = appendBody(buf, m, t, zones)
 	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.Checksum(buf[len(magic)+4:], castagnoli))
+	return writeAtomic(fsys, filepath.Dir(path), filepath.Base(path), buf)
+}
 
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// writeAtomic installs data as dir/name through fsys (nil means the OS
+// passthrough): tmp + fsync + rename + dir fsync, so a crash or a
+// fault on any step leaves the previous file or the new one, never a
+// torn mix, and no tmp file behind.
+func writeAtomic(fsys fault.FS, dir, name string, data []byte) error {
+	fsys = fault.Or(fsys)
+	tmp, err := fsys.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer fsys.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -111,14 +122,14 @@ func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]ta
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
+	if err := fsys.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return fsys.SyncDir(dir)
 }
 
 // bodyBound is an upper bound on the encoded body up to the zone
-// footer, so that the buffer of a big table is allocated once.
+// footer.
 func bodyBound(m Meta, t *table.Table) int {
 	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
@@ -130,7 +141,15 @@ func bodyBound(m Meta, t *table.Table) int {
 	return n
 }
 
-func appendBody(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
+// AppendTable appends the body of one table snapshot to b and returns
+// the extended slice. b grows once, up front, to hold everything but
+// the zones, so the body of a big table is not copied as it grows.
+// m.Columns must be t's columns; zones, when non-nil, is the
+// snapshot's per-column zone maps, and nil writes an empty footer.
+func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
+	if n := bodyBound(m, t); cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
 	b = binary.AppendUvarint(b, schemaSeg)
 	b = appendString(b, m.Name)
 	b = binary.AppendUvarint(b, m.Gen)
@@ -197,22 +216,23 @@ func ReadTable(fsys fault.FS, path string) (Meta, *table.Table, [][]table.Zone, 
 	if crc32.Checksum(body, castagnoli) != sum {
 		return Meta{}, nil, nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
 	}
-	return decodeBody(body, path)
+	return DecodeTable(body, path)
 }
 
-// decodeBody decodes a checksummed body. A file the writer did not
-// produce is still read for what it says: dictionary entries that
-// repeat or that no record refers to, and codes out of first-appearance
-// order, build the same table as the canonical file — the builder
-// numbers spellings as the records bring them — at one dictionary
-// lookup per entry, not per record. What it allocates is bounded by
-// the length of the body.
-func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, error) {
+// DecodeTable decodes a checksummed body — a segment file's, or a WAL
+// register record's payload — naming what in its errors, which all
+// wrap ErrCorrupt. A body the writer did not produce is still read for
+// what it says: dictionary entries that repeat or that no record
+// refers to, and codes out of first-appearance order, build the same
+// table as the canonical body — the builder numbers spellings as the
+// records bring them — at one dictionary lookup per entry, not per
+// record. What it allocates is bounded by the length of the body.
+func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, error) {
 	var m Meta
-	d := decoder{buf: body, path: path}
+	d := decoder{buf: body, what: what}
 	schema := d.uvarint()
 	if d.err == nil && schema != schemaV1 && schema != schemaSeg {
-		return m, nil, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, path, schema)
+		return m, nil, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, what, schema)
 	}
 	m.Name = d.string()
 	m.Gen = d.uvarint()
@@ -229,7 +249,7 @@ func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, e
 	}
 	b, err := table.NewBuilder(m.Name, m.Columns, nrows)
 	if err != nil {
-		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
 	var entries [][]byte // the file's dictionary of the column being read
 	var codes []uint32   // what the builder calls each entry, once a record has held it
@@ -246,7 +266,7 @@ func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, e
 				break
 			}
 			if di >= uint64(len(entries)) {
-				return m, nil, nil, fmt.Errorf("%w: %s: dictionary index %d out of range", ErrCorrupt, path, di)
+				return m, nil, nil, fmt.Errorf("%w: %s: dictionary index %d out of range", ErrCorrupt, what, di)
 			}
 			if codes[di] == unseen {
 				codes[di] = b.CellBytes(c, entries[di])
@@ -262,7 +282,7 @@ func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, e
 	if schema >= schemaSeg {
 		nzcols := int(d.count(1))
 		if d.err == nil && nzcols != 0 && nzcols != ncols {
-			return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, path, nzcols, ncols)
+			return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, what, nzcols, ncols)
 		}
 		if nzcols != 0 {
 			zones = make([][]table.Zone, nzcols)
@@ -288,11 +308,11 @@ func decodeBody(body []byte, path string) (Meta, *table.Table, [][]table.Zone, e
 		return m, nil, nil, d.fail()
 	}
 	if len(d.buf) != 0 {
-		return m, nil, nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, path, len(d.buf))
+		return m, nil, nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, what, len(d.buf))
 	}
 	t, err := b.Table()
 	if err != nil {
-		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
 	return m, t, zones, nil
 }
@@ -307,12 +327,12 @@ const minZoneBytes = 8 + 8 + 1 + 1 + 3
 // decoder walks a segment body, latching the first framing error.
 type decoder struct {
 	buf  []byte
-	path string
+	what string
 	err  error
 }
 
 func (d *decoder) fail() error {
-	return fmt.Errorf("%w: %s: %v", ErrCorrupt, d.path, d.err)
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, d.what, d.err)
 }
 
 func (d *decoder) uvarint() uint64 {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"nlexplain/internal/table"
@@ -346,6 +348,34 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	}
 }
 
+// TestAppendTableSizedOnce pins the body a WAL register record carries:
+// it decodes back to what went in, and is built in the one allocation
+// its bound sized — cells of every length-prefix width included.
+func TestAppendTableSizedOnce(t *testing.T) {
+	columns := []string{"A", "B", "C"}
+	rows := [][]string{
+		{"", "x", strings.Repeat("y", 127)},
+		{strings.Repeat("z", 128), strings.Repeat("w", 16384), "\x00\xff"},
+	}
+	tab := table.MustNew("name", columns, rows)
+	m := Meta{Name: "name", Gen: 1 << 40, Version: "00ff", Columns: columns, Rows: len(rows)}
+	var body []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		body = AppendTable(nil, m, tab, nil)
+	})
+	if allocs != 1 {
+		t.Errorf("AppendTable made %v allocations, want 1", allocs)
+	}
+	got, gotTab, zones, err := DecodeTable(body, "body")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != m.Name || got.Gen != m.Gen || got.Version != m.Version || got.Rows != m.Rows ||
+		!slices.Equal(got.Columns, columns) || zones != nil || !slices.EqualFunc(gotTab.RawRows(), rows, slices.Equal[[]string]) {
+		t.Fatalf("round trip changed the body: %+v %q %v", got, gotTab.RawRows(), zones)
+	}
+}
+
 // fuzzSeedTables are the relations FuzzSegmentRead starts from: the
 // shapes of the store's golden fixtures — several spellings of one key,
 // dates, NaN, blanks, non-ASCII folds, a header-only table — plus one
@@ -377,13 +407,13 @@ func fuzzSeedTables() []*table.Table {
 func FuzzSegmentRead(f *testing.F) {
 	for i, tab := range fuzzSeedTables() {
 		m := Meta{Name: tab.Name(), Gen: uint64(i + 1), Version: "v", Columns: tab.Columns(), Rows: tab.NumRows()}
-		f.Add(appendBody(nil, m, tab, nil))
-		f.Add(appendBody(nil, m, tab, tab.ZoneSnapshot()))
+		f.Add(AppendTable(nil, m, tab, nil))
+		f.Add(AppendTable(nil, m, tab, tab.ZoneSnapshot()))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, tab, zones, err := decodeBody(body, "fuzz")
+		m, tab, zones, err := DecodeTable(body, "fuzz")
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(body)); grew > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(body), grew, bound)
@@ -397,7 +427,7 @@ func FuzzSegmentRead(f *testing.F) {
 		if tab.NumRows() != m.Rows || tab.NumCols() != len(m.Columns) {
 			t.Fatalf("decoded a %dx%d table under a %dx%d header", tab.NumRows(), tab.NumCols(), m.Rows, len(m.Columns))
 		}
-		_, again, _, err := decodeBody(appendBody(nil, m, tab, zones), "fuzz")
+		_, again, _, err := DecodeTable(AppendTable(nil, m, tab, zones), "fuzz")
 		if err != nil {
 			t.Fatalf("re-encoded body does not decode: %v", err)
 		}

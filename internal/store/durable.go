@@ -530,16 +530,16 @@ func (d *durability) checkpointLocked() error {
 			segBytes += fi.Size()
 		}
 	}
+	if seqs, err := d.listWALSeqs(); err == nil {
+		for _, seq := range seqs {
+			if seq < newSeq {
+				d.fs.Remove(d.walPath(seq))
+			}
+		}
+	}
 	if ents, err := d.fs.ReadDir(d.dir); err == nil {
 		for _, e := range ents {
-			name := e.Name()
-			switch {
-			case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-				seq, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64)
-				if perr == nil && seq < newSeq {
-					d.fs.Remove(filepath.Join(d.dir, name))
-				}
-			case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") && !live[name]:
+			if name := e.Name(); strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") && !live[name] {
 				d.fs.Remove(filepath.Join(d.dir, name))
 			}
 		}
@@ -656,35 +656,24 @@ func (st *Store) peek(name string) (*Snapshot, bool) {
 func (st *Store) applyWALRecord(rec wal.Record) error {
 	switch rec.Tag {
 	case tagRegister:
-		r, err := decodeRegister(rec.Data)
+		m, t, zones, err := segment.DecodeTable(rec.Data, "wal register record")
 		if err != nil {
 			return err
 		}
-		if cur, ok := st.peek(r.name); ok && cur.gen >= r.gen {
-			st.raiseGen(r.gen)
+		if cur, ok := st.peek(m.Name); ok && cur.gen >= m.Gen {
+			st.raiseGen(m.Gen)
 			return nil
 		}
-		t, err := r.buildTable()
-		if err != nil {
-			return fmt.Errorf("rebuilding table %q: %w", r.name, err)
-		}
-		// WAL records carry no zone footer; replayed tables rebuild
-		// their zone maps lazily.
-		return st.restore(t, nil, r.gen, r.version)
+		return st.restore(t, zones, m.Gen, m.Version)
 	case tagAppend:
 		r, err := decodeAppend(rec.Data)
 		if err != nil {
 			return err
 		}
+		// A table that is not resident was dropped before the checkpoint
+		// captured it; the drop record follows later in this log.
 		cur, ok := st.peek(r.name)
-		if !ok {
-			// The table was dropped before the checkpoint captured it;
-			// the drop record follows later in this log. Nothing to
-			// apply to.
-			st.raiseGen(r.gen)
-			return nil
-		}
-		if cur.gen >= r.gen {
+		if !ok || cur.gen >= r.gen {
 			st.raiseGen(r.gen)
 			return nil
 		}
@@ -692,16 +681,7 @@ func (st *Store) applyWALRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("replaying append to %q: %w", r.name, err)
 		}
-		if v := contentVersion(nt); v != r.version {
-			return fmt.Errorf("replayed append to %q content hash %s does not match recorded version %s", r.name, v, r.version)
-		}
-		snap := snapshotOf(nt, r.version, r.gen)
-		sh := st.shardFor(r.name)
-		sh.mutMu.Lock()
-		st.install(sh, r.name, snap)
-		sh.mutMu.Unlock()
-		st.raiseGen(r.gen)
-		return nil
+		return st.restore(nt, nil, r.gen, r.version)
 	case tagDrop:
 		r, err := decodeDrop(rec.Data)
 		if err != nil {

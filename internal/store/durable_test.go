@@ -288,6 +288,27 @@ func TestReplaySkipsCompactedRegister(t *testing.T) {
 	assertSameRelation(t, "t after a compacted register record", got.Table(), seg)
 }
 
+// TestReplayRefusesUnknownRegisterTag: a log holding a record under
+// 0x01, the retired row-major register tag, fails recovery naming the
+// tag instead of being read as something else.
+func TestReplayRefusesUnknownRegisterTag(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := wal.OpenFS(nil, filepath.Join(dir, "wal-0000000000000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0x01, []byte("\x01t\x01\x0200")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Options{}, DurableOptions{Dir: dir, CheckpointInterval: -1, CheckpointBytes: -1})
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "unknown wal record tag 0x01") {
+		t.Fatalf("Open over a 0x01 record: err = %v, want wal.ErrCorrupt naming tag 0x01", err)
+	}
+}
+
 func TestDurableMidLogCorruptionFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir)

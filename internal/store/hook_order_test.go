@@ -14,7 +14,7 @@ import (
 // the snapshot it displaced. Eight goroutines hammer four names (two
 // writers per name) through register/append/drop lifecycles.
 func TestStoreHookOrderUnderChurn(t *testing.T) {
-	st := New(Options{Shards: 4})
+	st := New(Options{})
 	type evrec struct {
 		kind EventKind
 		gen  uint64

@@ -174,10 +174,10 @@ func csvOf(t *testing.T, columns []string, rows [][]string) *bytes.Reader {
 	return bytes.NewReader(buf.Bytes())
 }
 
-// registerRecords registers tab in a fresh durable store under dir and
+// loggedRegisters registers tab in a fresh durable store under dir and
 // returns the store with the payloads of the register records its log
 // now holds.
-func registerRecords(t *testing.T, dir string, tab *table.Table) (*Store, [][]byte) {
+func loggedRegisters(t *testing.T, dir string, tab *table.Table) (*Store, [][]byte) {
 	t.Helper()
 	st := openDurable(t, dir)
 	if _, err := st.Register(tab); err != nil {
@@ -205,7 +205,7 @@ func registerRecords(t *testing.T, dir string, tab *table.Table) (*Store, [][]by
 func throughWAL(t *testing.T, tab *table.Table) *table.Table {
 	t.Helper()
 	dir := t.TempDir()
-	st, _ := registerRecords(t, dir, tab)
+	st, _ := loggedRegisters(t, dir, tab)
 	defer st.Close()
 	replayDir := t.TempDir()
 	logs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
@@ -310,7 +310,7 @@ var goldenFixtures = []struct {
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
 		},
-		register: "782ae6ad03c1b90128ef1b1e3a16481a15a3799a975c852c7c0e9bfd89782ff0",
+		register: "375c0f3c7cfc0694e6d02dd1f38fad7db83ccc4ca75d8e95520b7ed742fd4367",
 		segment:  "ffed462182842f1f712b3e7165a9e965dd6e993486fbbec46ac8a0b411e64749",
 	},
 	{
@@ -318,7 +318,7 @@ var goldenFixtures = []struct {
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
 		},
-		register: "718609a8c3c646604f2a0291bddc07b8309f0bca4cf1e9ef2a00577f699340a9",
+		register: "4b0c0a4e645f67a9b5c4745f4c840e7748a446aed2aa8e31257e13fdcff88b1b",
 		segment:  "f4f35be91523349eea5ba1e125f58b60c06ec0698afb116212404ab0906d1afe",
 	},
 	{
@@ -326,7 +326,7 @@ var goldenFixtures = []struct {
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "empty", reprColumns, nil), nil
 		},
-		register: "2ec500a34778505ea137d6f6591289bb6ea1cef482c70455202650a25776af9c",
+		register: "d2cba52ae557c5aa91664e6066943e78ccfade693c1750c209033a679743a01b",
 		segment:  "6695ea48db74d48df1dde8960944fd1b42f0f5cbbd793506435ed9ac9d7a0e7d",
 	},
 	{
@@ -336,7 +336,7 @@ var goldenFixtures = []struct {
 			columns, rows := bigReprRows()
 			return mustNew(t, "big", columns, rows), nil
 		},
-		register: "2e1594f40140acd366a29f18270f70f02b8e413d6e2841dfd12d80a909ff9626",
+		register: "5fdb462a4e6f3ab5f8c5d9d7e1744d1253a90c0c099deec70cd59f4228d5bf8d",
 		segment:  "2f36ae6a12dae32a2375c843430d13aa6dd8a058a1f0e8130644f1d19321b2bb",
 	},
 }
@@ -348,7 +348,8 @@ func sha256Hex(b []byte) string {
 
 // TestRegisterRecordBytesGolden pins the WAL register record byte for
 // byte: the payload a registration logs hashes to the recorded value,
-// whatever form the table holds its cells in.
+// whatever form the table holds its cells in, and is the snapshot's
+// segment body with an empty zone footer.
 func TestRegisterRecordBytesGolden(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -356,13 +357,18 @@ func TestRegisterRecordBytesGolden(t *testing.T) {
 				t.Skip("131072-row fixture")
 			}
 			base, _ := fx.build(t)
-			st, payloads := registerRecords(t, t.TempDir(), base)
+			st, payloads := loggedRegisters(t, t.TempDir(), base)
 			defer st.Close()
 			if len(payloads) != 1 {
 				t.Fatalf("%d register records, want 1", len(payloads))
 			}
 			if got := sha256Hex(payloads[0]); got != fx.register {
 				t.Errorf("register record of %s hashes to %s, want %s", fx.name, got, fx.register)
+			}
+			snap, _ := st.Get(base.Name())
+			meta := segment.Meta{Name: base.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: base.Columns(), Rows: base.NumRows()}
+			if !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table(), nil)) {
+				t.Errorf("register record of %s is not the snapshot's segment body", fx.name)
 			}
 		})
 	}

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"nlexplain/internal/metric"
+	"nlexplain/internal/segment"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/table"
 )
@@ -45,8 +46,6 @@ var ErrUnknownTable = errors.New("store: unknown table")
 
 // Options configures a Store. The zero value selects defaults.
 type Options struct {
-	// Shards is the number of lock stripes. Default 16.
-	Shards int
 	// ByteBudget bounds the store's resident-byte estimate (base data
 	// plus derived indexes across all tables). When the estimate
 	// exceeds it, cold tables' derived indexes are evicted. 0 means no
@@ -54,12 +53,8 @@ type Options struct {
 	ByteBudget int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	return o
-}
+// numShards is the number of lock stripes.
+const numShards = 16
 
 // EventKind classifies a catalog mutation.
 type EventKind int
@@ -141,7 +136,7 @@ type shard struct {
 // use.
 type Store struct {
 	opts   Options
-	shards []*shard
+	shards [numShards]*shard
 
 	gen       atomic.Uint64 // monotonic generation counter
 	clock     atomic.Uint64 // logical access clock for recency
@@ -161,8 +156,7 @@ type Store struct {
 
 // New builds a Store (zero Options = defaults).
 func New(opts Options) *Store {
-	opts = opts.withDefaults()
-	st := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
+	st := &Store{opts: opts}
 	for i := range st.shards {
 		st.shards[i] = &shard{tables: make(map[string]*Snapshot)}
 	}
@@ -192,7 +186,7 @@ func (st *Store) fire(ev Event) {
 func (st *Store) shardFor(name string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return st.shards[h.Sum32()%uint32(len(st.shards))]
+	return st.shards[h.Sum32()%numShards]
 }
 
 // Get acquires the current snapshot of a table: one shard read-lock,
@@ -301,8 +295,8 @@ func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 	defer sh.mutMu.Unlock()
 	snap := st.newSnapshot(t)
 	if st.dur != nil {
-		payload := encodeRegister(name, snap.gen, snap.version, t)
-		release, err := st.dur.log(tagRegister, payload)
+		m := segment.Meta{Name: name, Gen: snap.gen, Version: snap.version, Columns: t.Columns(), Rows: t.NumRows()}
+		release, err := st.dur.log(tagRegister, segment.AppendTable(nil, m, t, nil))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)
 		}
@@ -453,66 +447,26 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 	// is identical for memory-only and durable stores; without a data
 	// dir they scrape as zeros.
 	d := st.dur
-	r.CounterFunc("wal.appends", "wal records appended (catalog mutations logged)", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.walStats().Appends
-	})
-	r.CounterFunc("wal.appended.bytes", "framed bytes appended to the wal", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.walStats().AppendedBytes
-	})
-	r.CounterFunc("wal.syncs", "wal fsyncs issued; < appends when appenders overlapped", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.walStats().Syncs
-	})
-	r.GaugeFunc("wal.size.bytes", "active wal file size", func() int64 {
-		if d == nil {
-			return 0
-		}
-		return d.walStats().Size
-	})
-	r.CounterFunc("wal.replayed.records", "wal records replayed at recovery", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.replayedRecords.Load()
-	})
-	r.CounterFunc("wal.truncated.bytes", "torn-tail bytes truncated at recovery", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.truncatedBytes.Load()
-	})
-	r.CounterFunc("checkpoint.count", "checkpoints completed", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.ckptCount.Load()
-	})
-	r.CounterFunc("checkpoint.errors", "checkpoints failed (wal stays authoritative)", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.ckptErrors.Load()
-	})
-	r.GaugeFunc("checkpoint.bytes", "live segment bytes at the last checkpoint", func() int64 {
-		if d == nil {
-			return 0
-		}
-		return d.ckptBytes.Load()
-	})
-	r.GaugeFunc("checkpoint.generation", "store generation captured by the last checkpoint", func() int64 {
-		if d == nil {
-			return 0
-		}
-		return int64(d.ckptGen.Load())
-	})
+	r.CounterFunc("wal.appends", "wal records appended (catalog mutations logged)",
+		durSeries(d, func(d *durability) uint64 { return d.walStats().Appends }))
+	r.CounterFunc("wal.appended.bytes", "framed bytes appended to the wal",
+		durSeries(d, func(d *durability) uint64 { return d.walStats().AppendedBytes }))
+	r.CounterFunc("wal.syncs", "wal fsyncs issued; < appends when appenders overlapped",
+		durSeries(d, func(d *durability) uint64 { return d.walStats().Syncs }))
+	r.GaugeFunc("wal.size.bytes", "active wal file size",
+		durSeries(d, func(d *durability) int64 { return d.walStats().Size }))
+	r.CounterFunc("wal.replayed.records", "wal records replayed at recovery",
+		durSeries(d, func(d *durability) uint64 { return d.replayedRecords.Load() }))
+	r.CounterFunc("wal.truncated.bytes", "torn-tail bytes truncated at recovery",
+		durSeries(d, func(d *durability) uint64 { return d.truncatedBytes.Load() }))
+	r.CounterFunc("checkpoint.count", "checkpoints completed",
+		durSeries(d, func(d *durability) uint64 { return d.ckptCount.Load() }))
+	r.CounterFunc("checkpoint.errors", "checkpoints failed (wal stays authoritative)",
+		durSeries(d, func(d *durability) uint64 { return d.ckptErrors.Load() }))
+	r.GaugeFunc("checkpoint.bytes", "live segment bytes at the last checkpoint",
+		durSeries(d, func(d *durability) int64 { return d.ckptBytes.Load() }))
+	r.GaugeFunc("checkpoint.generation", "store generation captured by the last checkpoint",
+		durSeries(d, func(d *durability) int64 { return int64(d.ckptGen.Load()) }))
 	h := r.LatencyHistogram("checkpoint.latency.seconds", "checkpoint wall time (rotate, capture, manifest, gc)")
 	if d != nil {
 		d.ckptLat.Store(h)
@@ -521,36 +475,20 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 	// Degraded-mode series: the 0/1 degraded gauge is what dashboards
 	// alert on; faults counts every durability fault observed and the
 	// recovery pair tracks the backoff loop's work.
-	r.GaugeFunc("degraded", "1 while in degraded read-only mode, else 0", func() int64 {
-		if d == nil || !d.degraded.Load() {
-			return 0
+	r.GaugeFunc("degraded", "1 while in degraded read-only mode, else 0", durSeries(d, func(d *durability) int64 {
+		if d.degraded.Load() {
+			return 1
 		}
-		return 1
-	})
-	r.CounterFunc("degraded.episodes", "degraded read-only episodes entered", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.episodes.Load()
-	})
-	r.CounterFunc("faults.durability", "durability faults observed (wal append/sync/seal failures)", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.faults.Load()
-	})
-	r.CounterFunc("recovery.attempts", "degraded-mode recovery attempts (checkpoint + probe)", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.recAttempts.Load()
-	})
-	r.CounterFunc("recovery.successes", "degraded-mode recoveries that lifted read-only mode", func() uint64 {
-		if d == nil {
-			return 0
-		}
-		return d.recSuccesses.Load()
-	})
+		return 0
+	}))
+	r.CounterFunc("degraded.episodes", "degraded read-only episodes entered",
+		durSeries(d, func(d *durability) uint64 { return d.episodes.Load() }))
+	r.CounterFunc("faults.durability", "durability faults observed (wal append/sync/seal failures)",
+		durSeries(d, func(d *durability) uint64 { return d.faults.Load() }))
+	r.CounterFunc("recovery.attempts", "degraded-mode recovery attempts (checkpoint + probe)",
+		durSeries(d, func(d *durability) uint64 { return d.recAttempts.Load() }))
+	r.CounterFunc("recovery.successes", "degraded-mode recoveries that lifted read-only mode",
+		durSeries(d, func(d *durability) uint64 { return d.recSuccesses.Load() }))
 
 	// Zone-map series, process-wide across all tables: builds is a
 	// monotonic counter of per-column constructions, bytes the resident
@@ -566,6 +504,17 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 		}
 		return bytes
 	})
+}
+
+// durSeries is the scrape function of one durability series: read on
+// the durability layer, zero on a store without one.
+func durSeries[T int64 | uint64](d *durability, read func(*durability) T) func() T {
+	return func() T {
+		if d == nil {
+			return 0
+		}
+		return read(d)
+	}
 }
 
 // contentVersion fingerprints a table's full content; cache keys embed

@@ -2,9 +2,7 @@ package store
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +80,7 @@ func TestStoreRegisterGetDrop(t *testing.T) {
 }
 
 func TestStoreGenerationMonotonic(t *testing.T) {
-	st := New(Options{Shards: 4})
+	st := New(Options{})
 	var last uint64
 	for i := range 20 {
 		snap, err := st.Register(mustTable(t, fmt.Sprintf("t%d", i%5), 3))
@@ -305,7 +303,7 @@ func TestStoreUnattainableBudgetDoesNotThrash(t *testing.T) {
 // proves readers never observe a torn state: a pinned snapshot's row
 // count and version stay coherent regardless of mutations around it.
 func TestStoreConcurrentChurn(t *testing.T) {
-	st := New(Options{Shards: 4})
+	st := New(Options{})
 	var fired atomic.Uint64
 	st.OnEvent(func(Event) { fired.Add(1) })
 	names := []string{"a", "b", "c", "d", "e"}
@@ -403,39 +401,5 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestEncodeRegisterSizedOnce pins the register payload: it decodes
-// back to what went in, and is built in the one allocation its length
-// pass sized — cells of every prefix width included.
-func TestEncodeRegisterSizedOnce(t *testing.T) {
-	columns := []string{"A", "B", "C"}
-	rows := [][]string{
-		{"", "x", strings.Repeat("y", 127)},
-		{strings.Repeat("z", 128), strings.Repeat("w", 16384), "\x00\xff"},
-	}
-	tab, err := table.New("name", columns, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload []byte
-	allocs := testing.AllocsPerRun(10, func() {
-		payload = encodeRegister("name", 1<<40, "00ff", tab)
-	})
-	if allocs != 1 {
-		t.Errorf("encodeRegister made %v allocations, want 1", allocs)
-	}
-	rec, err := decodeRegister(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rec.buildTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.name != "name" || rec.gen != 1<<40 || rec.version != "00ff" ||
-		!slices.Equal(rec.columns, columns) || !slices.EqualFunc(got.RawRows(), rows, slices.Equal[[]string]) {
-		t.Fatalf("round trip changed the record: %+v", rec)
 	}
 }

@@ -4,21 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
-
-	"nlexplain/internal/table"
 )
 
 // WAL record tags. The write-ahead log frames every catalog mutation
-// as one tagged record (see internal/wal for the framing); these
-// payload codecs are the store's own schema on top of it, all
-// integers uvarint and all strings length-prefixed so cells may
-// legally contain any byte.
+// as one tagged record (see internal/wal for the framing). A register
+// record's payload is a segment body; the other payload codecs below
+// are the store's own schema on top of the framing, all integers
+// uvarint and all strings length-prefixed so cells may legally contain
+// any byte.
 const (
-	// tagRegister carries a whole table: name, the assigned
-	// generation, the content-hash version, the header and every raw
-	// cell row.
-	tagRegister = 0x01
 	// tagAppend carries only the appended rows plus the successor
 	// snapshot's generation and content-hash version (the base rows
 	// are already durable via earlier records or a segment).
@@ -31,21 +25,15 @@ const (
 	// appends one to a freshly rotated log as proof the log accepts
 	// durable writes before lifting read-only mode. Replay skips it.
 	tagNoop = 0x04
+	// tagRegister carries a whole table as segment.AppendTable writes
+	// it — name, the assigned generation, the content-hash version, the
+	// header, each column's dictionary and codes — with an empty zone
+	// footer. 0x01 was a row-major register record; nothing reads it,
+	// so a log holding one fails recovery naming the tag.
+	tagRegister = 0x05
 )
 
 var errRecTruncated = errors.New("store: truncated wal record payload")
-
-// registerRec is the decoded head of a tagRegister payload: everything
-// but the cells, which buildTable streams into a table once replay has
-// decided, from the head, that the record still applies.
-type registerRec struct {
-	name    string
-	gen     uint64
-	version string
-	columns []string
-	nrows   int
-	cells   recDecoder // positioned at the first cell
-}
 
 // appendRec is the decoded form of a tagAppend payload.
 type appendRec struct {
@@ -60,77 +48,6 @@ type appendRec struct {
 type dropRec struct {
 	name string
 	gen  uint64
-}
-
-// encodeRegister frames a whole table, its cells row-major as the
-// table spells them. The payload of a big table runs to megabytes and
-// is built at the peak-memory moment of a registration, so its length
-// is worked out first and the buffer made once.
-func encodeRegister(name string, gen uint64, version string, t *table.Table) []byte {
-	nrows, ncols := t.NumRows(), t.NumCols()
-	size := recStringLen(name) + recStringLen(version) + 3*binary.MaxVarintLen64 // gen and the two counts
-	for c := 0; c < ncols; c++ {
-		size += recStringLen(t.Column(c))
-		dict, codes := t.ColumnDictionary(c)
-		for _, code := range codes {
-			size += recStringLen(dict.Entry(int(code)))
-		}
-	}
-	b := recString(make([]byte, 0, size), name)
-	b = binary.AppendUvarint(b, gen)
-	b = recString(b, version)
-	b = binary.AppendUvarint(b, uint64(ncols))
-	for c := 0; c < ncols; c++ {
-		b = recString(b, t.Column(c))
-	}
-	b = binary.AppendUvarint(b, uint64(nrows))
-	for r := 0; r < nrows; r++ {
-		for c := 0; c < ncols; c++ {
-			b = recString(b, t.Raw(r, c))
-		}
-	}
-	return b
-}
-
-func decodeRegister(data []byte) (registerRec, error) {
-	var r registerRec
-	d := recDecoder{buf: data}
-	r.name = d.string()
-	r.gen = d.uvarint()
-	r.version = d.string()
-	ncols := int(d.count())
-	if d.err != nil {
-		return r, d.err
-	}
-	r.columns = make([]string, 0, ncols)
-	for i := 0; i < ncols && d.err == nil; i++ {
-		r.columns = append(r.columns, d.string())
-	}
-	r.nrows = int(d.count())
-	if d.err == nil && r.nrows > 0 {
-		d.checkCells(r.nrows, ncols)
-	}
-	r.cells = d
-	return r, d.err
-}
-
-// buildTable streams the record's cells into a table: no row is
-// materialised, and a spelling a column has seen is not parsed again.
-func (r *registerRec) buildTable() (*table.Table, error) {
-	b, err := table.NewBuilder(r.name, r.columns, r.nrows)
-	if err != nil {
-		return nil, err
-	}
-	d := r.cells
-	for row := 0; row < r.nrows && d.err == nil; row++ {
-		for c := range r.columns {
-			b.CellBytes(c, d.bytes())
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return b.Table()
 }
 
 func encodeAppend(name string, gen uint64, version string, width int, rows [][]string) []byte {
@@ -155,10 +72,22 @@ func decodeAppend(data []byte) (appendRec, error) {
 	r.version = d.string()
 	r.width = int(d.count())
 	nrows := int(d.count())
-	if d.err != nil {
-		return r, d.err
+	if d.err != nil || nrows == 0 {
+		return r, d.finish()
 	}
-	r.rows = decodeRows(&d, nrows, r.width)
+	// Every encoded cell costs at least one byte, so a cell count
+	// beyond the remaining payload is framing damage, not a big batch.
+	if r.width <= 0 || int64(nrows)*int64(r.width) > int64(len(d.buf)) {
+		return r, fmt.Errorf("store: implausible %dx%d cell block in wal record", nrows, r.width)
+	}
+	cells := make([]string, nrows*r.width)
+	r.rows = make([][]string, nrows)
+	for i := range r.rows {
+		r.rows[i] = cells[i*r.width : (i+1)*r.width : (i+1)*r.width]
+		for c := range r.rows[i] {
+			r.rows[i][c] = d.string()
+		}
+	}
 	return r, d.finish()
 }
 
@@ -175,45 +104,10 @@ func decodeDrop(data []byte) (dropRec, error) {
 	return r, d.finish()
 }
 
-func decodeRows(d *recDecoder, nrows, ncols int) [][]string {
-	if d.err != nil || nrows == 0 {
-		return nil
-	}
-	if d.checkCells(nrows, ncols); d.err != nil {
-		return nil
-	}
-	rows := make([][]string, nrows)
-	cells := make([]string, nrows*ncols)
-	for r := range rows {
-		rows[r] = cells[r*ncols : (r+1)*ncols : (r+1)*ncols]
-		for c := 0; c < ncols; c++ {
-			rows[r][c] = d.string()
-		}
-		if d.err != nil {
-			return nil
-		}
-	}
-	return rows
-}
-
 // recDecoder walks a record payload, latching the first framing error.
 type recDecoder struct {
 	buf []byte
 	err error
-}
-
-// checkCells refuses a block of nrows x ncols cells, nrows > 0, that
-// the rest of the payload could not hold.
-func (d *recDecoder) checkCells(nrows, ncols int) {
-	if ncols <= 0 {
-		d.err = fmt.Errorf("store: wal record with %d rows but %d columns", nrows, ncols)
-		return
-	}
-	// Every encoded cell costs at least one byte, so a cell count
-	// beyond the remaining payload is framing damage, not a big table.
-	if int64(nrows)*int64(ncols) > int64(len(d.buf)) {
-		d.err = fmt.Errorf("store: implausible %dx%d cell block in wal record", nrows, ncols)
-	}
 }
 
 func (d *recDecoder) finish() error {
@@ -250,27 +144,18 @@ func (d *recDecoder) count() uint64 {
 	return v
 }
 
-// bytes reads a length-prefixed string as a window of the payload.
-func (d *recDecoder) bytes() []byte {
+func (d *recDecoder) string() string {
 	n := d.uvarint()
 	if d.err != nil {
-		return nil
+		return ""
 	}
 	if n > uint64(len(d.buf)) {
 		d.err = errRecTruncated
-		return nil
+		return ""
 	}
-	s := d.buf[:n:n]
+	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
-}
-
-func (d *recDecoder) string() string { return string(d.bytes()) }
-
-// recStringLen is the encoded size of s: its uvarint length prefix and
-// its bytes.
-func recStringLen(s string) int {
-	return (bits.Len64(uint64(len(s))|1)+6)/7 + len(s)
 }
 
 func recString(b []byte, s string) []byte {

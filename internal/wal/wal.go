@@ -192,16 +192,11 @@ func Open(path string, _ time.Duration) (*WAL, *ScanResult, error) {
 // filesystem through here.
 func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
 	fsys = fault.Or(fsys)
-	res := &ScanResult{}
-	if data, err := fsys.ReadFile(path); err == nil {
-		recs, valid, perr := parse(data)
-		if perr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, perr)
-		}
-		res.Records = recs
-		res.Valid = valid
-		res.Truncated = int64(len(data)) - valid
-	} else if !errors.Is(err, os.ErrNotExist) {
+	res, err := ScanFS(fsys, path)
+	if errors.Is(err, os.ErrNotExist) {
+		res, err = &ScanResult{}, nil
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
