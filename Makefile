@@ -100,14 +100,17 @@ store-stress:
 
 # bigtable-stress is the data-race gate for the morsel driver: the
 # forced-parallel differential suites, the NaN/tie and cancellation
-# tests, the worker-count-flip hammer (executions racing SetExecWorkers)
-# and the engine-level hammer (8 query goroutines racing a store
-# mutator over a pinned snapshot) all rerun under the race detector.
-# The last line is the big table's footprint gate, a measurement and so
-# run without the detector: live heap per cell of a 131072 x 6 table,
-# which a second copy of the cells in any form does not fit under.
+# tests, the worker-count-flip hammer (executions under the default
+# executor racing SetExecWorkers), the executor counter pins, the zone
+# layer's tests, the engine-level hammer (8 query goroutines racing a
+# store mutator over a pinned snapshot) and the engine executor tests
+# (one engine's counts, two engines' separation) all rerun under the
+# race detector. The last line is the big table's footprint gate, a
+# measurement and so run without the detector: live heap per cell of a
+# 131072 x 6 table, which a second copy of the cells in any form does
+# not fit under.
 bigtable-stress:
-	$(GO) test -race -run BigTable -count=1 ./internal/plan/... ./internal/engine/...
+	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
 	$(GO) test -run TestTableHeapPerCell -count=1 ./internal/table/
 

@@ -92,7 +92,7 @@ func BenchmarkTable7CandidateGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex := questions[i%len(questions)]
 		q := semparse.Analyze(ex.Question, ex.Table)
-		_ = semparse.GenerateCandidates(q, ex.Table)
+		_ = semparse.GenerateCandidates(q, ex.Table, nil)
 	}
 }
 

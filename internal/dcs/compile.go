@@ -20,6 +20,8 @@ type Compiled struct {
 	Expr Expr
 	// Root is the plan tree.
 	Root plan.Node
+	// Exec is the executor the plan runs in; nil is the package default.
+	Exec *plan.Exec
 }
 
 // Compile type-checks e against t and builds its plan in the same one
@@ -51,7 +53,7 @@ func (c *Compiled) ExecuteWithCtx(ctx context.Context, t *table.Table, tr plan.T
 	// execution arena's buffers into it, and resultFromVal moves the
 	// slices into the caller-owned Result — one allocation end to end.
 	var v plan.Val
-	if err := plan.RunIntoCtx(ctx, &v, c.Root, t, tr); err != nil {
+	if err := plan.RunIntoCtx(ctx, c.Exec, &v, c.Root, t, tr); err != nil {
 		var pe *plan.Error
 		if errors.As(err, &pe) {
 			src, _ := pe.Src.(Expr) // compile sets it on both nodes that can fail

@@ -221,7 +221,7 @@ func TestPlanShapeGolden(t *testing.T) {
 	}
 	ds := wikitables.Generate(wikitables.DefaultOptions())
 	for _, ex := range append(ds.Train, ds.Test...) {
-		for _, c := range semparse.GenerateCandidates(semparse.Analyze(ex.Question, ex.Table), ex.Table) {
+		for _, c := range semparse.GenerateCandidates(semparse.Analyze(ex.Question, ex.Table), ex.Table, nil) {
 			shape("candidates", c.Query, ex.Table)
 		}
 	}

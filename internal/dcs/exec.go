@@ -106,7 +106,7 @@ func (e *ExecError) Error() string {
 // is tested against, result by result and error by error, is
 // internal/oracle, which only tests import.
 func Execute(e Expr, t *table.Table) (*Result, error) {
-	return executeOnce(e, t, plan.Capture{})
+	return ExecuteIn(nil, e, t, plan.Capture{})
 }
 
 // ExecuteAnswer is the answer-only fast path: the compiled plan runs
@@ -116,16 +116,17 @@ func Execute(e Expr, t *table.Table) (*Result, error) {
 // matters — candidate generation, gold-answer comparison (Eq. 5) and
 // batch serving.
 func ExecuteAnswer(e Expr, t *table.Table) (*Result, error) {
-	return executeOnce(e, t, plan.Noop{})
+	return ExecuteIn(nil, e, t, plan.Noop{})
 }
 
-// executeOnce compiles e and runs the plan once under tr. The Compiled
-// lives on the stack: a plan nobody keeps needs no heap wrapper.
-func executeOnce(e Expr, t *table.Table, tr plan.Tracer) (*Result, error) {
+// ExecuteIn compiles e and runs the plan once in executor x (nil: the
+// package default) under tr. The Compiled lives on the stack: a plan
+// nobody keeps needs no heap wrapper.
+func ExecuteIn(x *plan.Exec, e Expr, t *table.Table, tr plan.Tracer) (*Result, error) {
 	root, _, err := compile(e, t)
 	if err != nil {
 		return nil, err
 	}
-	c := Compiled{Expr: e, Root: root}
+	c := Compiled{Expr: e, Root: root, Exec: x}
 	return c.ExecuteWith(t, tr)
 }

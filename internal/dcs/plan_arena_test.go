@@ -175,16 +175,14 @@ func TestPlanPooledReuseStaysDifferential(t *testing.T) {
 }
 
 // FuzzPlanDifferential fuzzes query strings through both executors
-// under both tracers, with zone-map consultation forced (threshold 0)
-// so every scan the plan path runs goes through the zone verdict
+// under both tracers, with zone-map consultation forced (zoneExec) so
+// every scan the plan path runs goes through the zone verdict
 // layer. Any parseable, checkable query must produce identical
 // denotations and witness cells on the plan path and the legacy
 // interpreter, fail exactly when the interpreter fails and in the
 // interpreter's words, and report every operator's cells to the tracer
 // in ascending order.
 func FuzzPlanDifferential(f *testing.F) {
-	prevZT := plan.SetZoneSkipThreshold(0)
-	f.Cleanup(func() { plan.SetZoneSkipThreshold(prevZT) })
 	// Every corpus query is a seed, the counts and differences of literal
 	// sets among them.
 	for _, tc := range diffCorpus {
@@ -217,11 +215,11 @@ func FuzzPlanDifferential(f *testing.F) {
 			return
 		}
 		want, werr := oracle.Execute(e, tab)
-		got, gerr := executeOrdered(t, e, tab)
+		got, gerr := executeOrdered(t, zoneExec, e, tab)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%q: error divergence: interpreter=%v plan=%v", src, werr, gerr)
 		}
-		fast, ferr := ExecuteAnswer(e, tab)
+		fast, ferr := ExecuteIn(zoneExec, e, tab, plan.Noop{})
 		if werr != nil {
 			if ferr == nil || gerr.Error() != werr.Error() || ferr.Error() != werr.Error() {
 				t.Fatalf("%q: error text diverged:\ninterpreter: %v\nplan:        %v\nanswer-only: %v", src, werr, gerr, ferr)

@@ -176,6 +176,7 @@ func TestPlanDifferential(t *testing.T) {
 // fixture queries come first; then, over qrand tables and one table past
 // two morsels, generated queries of every failing family (failingQueries).
 func TestPlanDifferentialErrors(t *testing.T) {
+	t.Parallel()
 	olympics := olympicsTable(t)
 	for _, src := range []string{
 		"sum(R[City].Country.Greece)",            // aggregating text
@@ -227,42 +228,19 @@ func TestPlanDifferentialErrors(t *testing.T) {
 	}
 }
 
-// execMode is one way the morsel driver can run a kernel.
-type execMode struct {
-	name    string
-	workers int
-	forkAt  int // plan.SetParallelThreshold; 0 is the default
-	zones   bool
-}
+// The executors the differential tests run the plan path in: inline
+// with no zone maps (the reference), forked across workers however small
+// the input, and through the zone verdicts on every table.
+var (
+	serialExec = &plan.Exec{Workers: 1, ZoneFloor: math.MaxInt}
+	forkExec   = &plan.Exec{Workers: 8, ForkAt: 1, ZoneFloor: math.MaxInt}
+	zoneExec   = &plan.Exec{Workers: 1, ZoneFloor: 1}
+)
 
-// zonesOff is a zone-consultation floor above every table: scans never
-// consult zone maps.
-const zonesOff = math.MaxInt32
-
-// execModes: inline, forked across workers however small the input,
-// and through the zone verdicts on every table.
-var execModes = []execMode{
-	{"serial", 1, 0, false},
-	{"forced-fork", 8, 1, false},
-	{"forced-zone", 1, 0, true},
-}
-
-// set configures the process-wide executor knobs for the mode and
-// returns the function that puts them back.
-func (m execMode) set() (restore func()) {
-	prevW := plan.SetExecWorkers(m.workers)
-	prevT := plan.SetParallelThreshold(m.forkAt)
-	zoneFloor := zonesOff
-	if m.zones {
-		zoneFloor = 0
-	}
-	prevZT := plan.SetZoneSkipThreshold(zoneFloor)
-	return func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-		plan.SetZoneSkipThreshold(prevZT)
-	}
-}
+var execModes = []struct {
+	name string
+	x    *plan.Exec
+}{{"serial", serialExec}, {"forced-fork", forkExec}, {"forced-zone", zoneExec}}
 
 // assertSameFailure takes the reference's refusal of e and requires, in
 // every execution mode and under both tracers, the plan path to fail
@@ -275,10 +253,8 @@ func assertSameFailure(t *testing.T, e Expr, tab *table.Table, werr error) {
 		return
 	}
 	for _, mode := range execModes {
-		restore := mode.set()
-		_, traced := Execute(e, tab)
-		_, answer := ExecuteAnswer(e, tab)
-		restore()
+		_, traced := ExecuteIn(mode.x, e, tab, plan.Capture{})
+		_, answer := ExecuteIn(mode.x, e, tab, plan.Noop{})
 		for tracer, gerr := range map[string]error{"traced": traced, "answer-only": answer} {
 			if gerr == nil {
 				t.Errorf("%s: %s (%s, %s): plan path succeeds, reference fails: %v", where, e, mode.name, tracer, werr)
@@ -515,14 +491,15 @@ func (o orderTracer) Operator(op string, cells []table.CellRef) {
 	}
 }
 
-// executeOrdered is Execute under an orderTracer, the root's detached
-// Result.Cells held to the same promise.
-func executeOrdered(t testing.TB, e Expr, tab *table.Table) (*Result, error) {
+// executeOrdered is Execute in x under an orderTracer, the root's
+// detached Result.Cells held to the same promise.
+func executeOrdered(t testing.TB, x *plan.Exec, e Expr, tab *table.Table) (*Result, error) {
 	t.Helper()
 	c, err := Compile(e, tab)
 	if err != nil {
 		return nil, err
 	}
+	c.Exec = x
 	tr := orderTracer{t, e.String()}
 	res, err := c.ExecuteWith(tab, tr)
 	if err == nil {
@@ -538,8 +515,7 @@ func executeOrdered(t testing.TB, e Expr, tab *table.Table) (*Result, error) {
 // Value.Equal disagree). Zone-map consultation is forced so the zone
 // verdicts' NaN and empty-cell tallies are differentially checked too.
 func TestPlanDifferentialNaN(t *testing.T) {
-	prevZT := plan.SetZoneSkipThreshold(0)
-	defer plan.SetZoneSkipThreshold(prevZT)
+	t.Parallel()
 	// N holds a NaN cell (non-indexable column); M is a clean numeric
 	// column, so a NaN literal against M exercises the sorted-index
 	// guard rather than the non-indexable fallback. The empty cell in N
@@ -565,7 +541,7 @@ func TestPlanDifferentialNaN(t *testing.T) {
 	}
 	for _, e := range cases {
 		want, werr := oracle.Execute(e, tab)
-		got, gerr := Execute(e, tab)
+		got, gerr := ExecuteIn(zoneExec, e, tab, plan.Capture{})
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s: error divergence: interpreter=%v plan=%v", e, werr, gerr)
 		}
@@ -627,35 +603,24 @@ func TestResultRowsDoNotAliasTableIndex(t *testing.T) {
 // TestPlanDifferentialParallel runs the whole differential corpus a
 // third way: through the plan path with the morsel-parallel executor
 // forced on (8 workers, threshold 1, so even fixture-sized inputs take
-// the parallel kernels) and zone-map consultation forced (threshold 0,
+// the parallel kernels) and zone-map consultation forced (floor 1,
 // skipping enabled). The reference run is serial with zone skipping
 // disabled, so a verdict bug in either the parallel kernels or the
 // zone layer diverges. Answers, witness cells and error texts must
 // match exactly, and on both legs every operator's cells must arrive in
 // the order plan.Tracer promises.
 func TestPlanDifferentialParallel(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1)
-	prevZT := plan.SetZoneSkipThreshold(0)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-		plan.SetZoneSkipThreshold(prevZT)
-	}()
+	t.Parallel()
+	forkZone := &plan.Exec{Workers: 8, ForkAt: 1, ZoneFloor: 1}
 	for _, tc := range diffCorpus {
-		tc := tc
 		t.Run(tc.table+"/"+tc.src, func(t *testing.T) {
 			tab := fixtureByName(t, tc.table)
 			e, err := Parse(tc.src)
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", tc.src, err)
 			}
-			plan.SetExecWorkers(1)
-			plan.SetZoneSkipThreshold(zonesOff)
-			want, werr := executeOrdered(t, e, tab)
-			plan.SetExecWorkers(8)
-			plan.SetZoneSkipThreshold(0)
-			got, gerr := executeOrdered(t, e, tab)
+			want, werr := executeOrdered(t, serialExec, e, tab)
+			got, gerr := executeOrdered(t, forkZone, e, tab)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("error divergence: serial=%v parallel=%v", werr, gerr)
 			}
@@ -677,8 +642,8 @@ func TestPlanDifferentialParallel(t *testing.T) {
 // same float64 with one worker, with eight, and from the reference
 // interpreter.
 func TestPlanDifferentialParallelFractions(t *testing.T) {
+	t.Parallel()
 	tab := fractionsTable(200_000)
-	defer plan.SetExecWorkers(plan.SetExecWorkers(1))
 	for _, src := range []string{"sum(R[Score].Record)", "avg(R[Score].Record)"} {
 		e := MustParse(src)
 		want, err := oracle.Execute(e, tab)
@@ -686,8 +651,7 @@ func TestPlanDifferentialParallelFractions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 8} {
-			plan.SetExecWorkers(workers)
-			got, err := executeOrdered(t, e, tab)
+			got, err := executeOrdered(t, &plan.Exec{Workers: workers}, e, tab)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -721,8 +685,7 @@ func BenchmarkCompiledBigNe(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 8}} {
 		b.Run(mode.name, func(b *testing.B) {
-			prev := plan.SetExecWorkers(mode.workers)
-			defer plan.SetExecWorkers(prev)
+			c.Exec = &plan.Exec{Workers: mode.workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.ExecuteWith(tab, plan.Capture{}); err != nil {

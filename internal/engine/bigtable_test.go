@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -43,13 +42,7 @@ func bigTable(tb testing.TB, n int) *table.Table {
 // mutation path. Run under -race this is the data-race gate for the
 // parallel executor.
 func TestBigTableParallelHammer(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1 << 14)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-	}()
-	e := New(Options{CacheSize: 8, Workers: 4, QueryTimeout: time.Minute})
+	e := New(Options{CacheSize: 8, Workers: 4, QueryTimeout: time.Minute, ExecWorkers: 8})
 	e.RegisterTable(bigTable(t, 1<<16))
 
 	// One synchronous append so the run always sees at least one store
@@ -115,13 +108,7 @@ func TestBigTableParallelHammer(t *testing.T) {
 // engine's query deadline: with a nanosecond budget the executor's
 // context polling must abort the scan and surface the timeout.
 func TestBigTableDeadline(t *testing.T) {
-	prevW := plan.SetExecWorkers(8)
-	prevT := plan.SetParallelThreshold(1 << 14)
-	defer func() {
-		plan.SetExecWorkers(prevW)
-		plan.SetParallelThreshold(prevT)
-	}()
-	e := New(Options{CacheSize: 8, Workers: 2, QueryTimeout: time.Nanosecond})
+	e := New(Options{CacheSize: 8, Workers: 2, QueryTimeout: time.Nanosecond, ExecWorkers: 8})
 	e.RegisterTable(bigTable(t, 1<<16))
 	_, _, err := e.ExplainAnswer(context.Background(), "big", "count(Games!=7)")
 	if !errors.Is(err, context.DeadlineExceeded) {

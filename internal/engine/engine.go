@@ -31,6 +31,7 @@ import (
 	"nlexplain/internal/provenance"
 	"nlexplain/internal/render"
 	"nlexplain/internal/retry"
+	"nlexplain/internal/semparse"
 	"nlexplain/internal/store"
 	"nlexplain/internal/table"
 	"nlexplain/internal/utterance"
@@ -59,11 +60,9 @@ type Options struct {
 	// over it, cold tables' derived indexes are evicted (base data
 	// never is). 0 means unlimited.
 	StoreByteBudget int64
-	// ExecWorkers caps the morsel-parallel executor's workers per
-	// query (see internal/plan). The setting is process-global — the
-	// executor's worker pool is shared across engines. 0 leaves the
-	// current setting untouched (default GOMAXPROCS); 1 forces serial
-	// execution.
+	// ExecWorkers caps the morsel-parallel workers of each plan execution
+	// this engine runs (see internal/plan); other engines keep their own.
+	// Default GOMAXPROCS; 1 forces serial execution.
 	ExecWorkers int
 	// DataDir enables durable storage: the table store writes every
 	// catalog mutation to a write-ahead log under this directory and
@@ -100,6 +99,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = 16 * o.Workers
+	}
+	if o.ExecWorkers <= 0 {
+		o.ExecWorkers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -147,6 +149,12 @@ type Engine struct {
 	sem     chan struct{} // worker slots: bounds running pipeline computations
 	pending atomic.Int64  // live leaders, running + waiting for a slot; MaxPending bounds it
 
+	// exec is the executor every plan execution of the engine runs in:
+	// explanations, answers, their samples, candidate generation by
+	// parser and the previews of a deep top_k.
+	exec   plan.Exec
+	parser *semparse.Parser
+
 	// met is the registry-backed instrumentation ("engine." and
 	// "store." namespaces); see metrics.go and internal/metric.
 	met *metrics
@@ -171,9 +179,6 @@ func New(opts Options) *Engine {
 // durable startup failures (recovery refuses corrupt logs/segments).
 func Open(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	if opts.ExecWorkers > 0 {
-		plan.SetExecWorkers(opts.ExecWorkers)
-	}
 	sopts := store.Options{ByteBudget: opts.StoreByteBudget}
 	var st *store.Store
 	if opts.DataDir != "" {
@@ -192,10 +197,13 @@ func Open(opts Options) (*Engine, error) {
 		st = store.New(sopts)
 	}
 	e := &Engine{
-		opts:  opts,
-		store: st,
-		sem:   make(chan struct{}, opts.Workers),
+		opts:   opts,
+		store:  st,
+		sem:    make(chan struct{}, opts.Workers),
+		exec:   plan.Exec{Workers: opts.ExecWorkers},
+		parser: semparse.NewUncachedParser(),
 	}
+	e.parser.Exec = &e.exec
 	r := e.initMetrics()
 	e.results = newCached(e, r, "result", "explanation result", e.compute)
 	e.answers = newCached(e, r, "answer", "answer-only result", e.computeAnswer)
@@ -434,12 +442,12 @@ type Explanation struct {
 }
 
 // prepare is the front of every uncached query computation: parse,
-// compile against the pinned snapshot, and the pprof labels execution
-// runs under. Nothing is cached on the way: a plan is bound to the
+// compile against the pinned snapshot into the engine's executor, and
+// the pprof labels execution runs under. Nothing is cached on the way: a plan is bound to the
 // same (version, query) pair the result and answer caches key on, so
 // a request that gets here has already missed the only cache that
 // could have saved this work.
-func prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
+func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
 	q, err := dcs.Parse(query)
 	if err != nil {
 		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %q: %w", query, err)
@@ -448,10 +456,11 @@ func prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, ppro
 	if err != nil {
 		return nil, pprof.LabelSet{}, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
 	}
+	c.Exec = &e.exec
 	return c, pprof.Labels(
 		"query_family", plan.FamilyOf(c.Root),
 		"table", tableName,
-		"parallel", strconv.FormatBool(plan.ParallelEligible(snap.Table().NumRows())),
+		"parallel", strconv.FormatBool(e.exec.Forks(snap.Table().NumRows())),
 	), nil
 }
 
@@ -463,7 +472,7 @@ func prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, ppro
 // profiles attribute CPU to query families even for fanned-out scans.
 func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
 	start := time.Now()
-	c, labels, err := prepare(snap, tableName, query)
+	c, labels, err := e.prepare(snap, tableName, query)
 	if err != nil {
 		return nil, err
 	}
@@ -564,7 +573,7 @@ func (e *Engine) ExplainAnswer(ctx context.Context, tableName, query string) (*A
 // execution with witness capture off under the leader's request ctx.
 func (e *Engine) computeAnswer(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Answer, error) {
 	start := time.Now()
-	c, labels, err := prepare(snap, tableName, query)
+	c, labels, err := e.prepare(snap, tableName, query)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +673,7 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 		return nil, err
 	}
 	if topK <= 0 {
-		topK = snap.Parser().TopK
+		topK = e.parser.TopK
 	}
 	cands := pool.ranked
 	if topK > 0 && len(cands) > topK {
@@ -680,7 +689,7 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 		}
 		if i < len(pool.previews) {
 			rc.Result = pool.previews[i]
-		} else if res, err := dcs.ExecuteAnswer(c.query, snap.Table()); err == nil {
+		} else if res, err := dcs.ExecuteIn(&e.exec, c.query, snap.Table(), plan.Noop{}); err == nil {
 			// Below the default depth the preview is recomputed: the call
 			// candidate generation made and saw succeed, on a snapshot of
 			// the version the pool is keyed by, so it renders the same
@@ -717,9 +726,9 @@ type rankedQuery struct {
 // waiters. Generation does not poll a context.
 func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) (parsedPool, error) {
 	start := time.Now()
-	cands := snap.Parser().ParseAll(question, snap.Table())
+	cands := e.parser.ParseAll(question, snap.Table())
 	shown := len(cands)
-	if k := snap.Parser().TopK; k > 0 {
+	if k := e.parser.TopK; k > 0 {
 		shown = min(shown, k)
 	}
 	pool := parsedPool{ranked: make([]rankedQuery, len(cands)), previews: make([]string, shown)}

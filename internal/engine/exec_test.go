@@ -4,18 +4,21 @@ import (
 	"context"
 	"testing"
 
-	"nlexplain/internal/plan"
+	"nlexplain/internal/metric"
 )
 
 // execCounts reads the engine's morsel-executor series: parallel runs,
-// serial runs, morsels handed out and morsels skipped from zone maps.
-func execCounts(t *testing.T, e *Engine) [4]uint64 {
+// serial runs, morsels handed out, morsels skipped from zone maps, and
+// the morsels its latency histogram timed.
+func execCounts(t *testing.T, e *Engine) [5]uint64 {
 	t.Helper()
-	return [4]uint64{
+	h, _ := e.Metrics().Get("engine.exec.morsel.latency.seconds")
+	return [5]uint64{
 		counter(t, e, "engine.exec.parallel.runs"),
 		counter(t, e, "engine.exec.serial.runs"),
 		counter(t, e, "engine.exec.parallel.morsels"),
 		counter(t, e, "engine.exec.morsels.skipped"),
+		h.(*metric.Histogram).Snapshot().Count(),
 	}
 }
 
@@ -27,14 +30,14 @@ func execCounts(t *testing.T, e *Engine) [4]uint64 {
 // re-executes. An execution that ran outside the engine's executor
 // would move these numbers. With one worker nothing may fork.
 func TestEngineExecCounts(t *testing.T) {
-	defer plan.SetExecWorkers(plan.SetExecWorkers(0))
+	t.Parallel()
 	ctx := context.Background()
 	for _, tc := range []struct {
 		workers int
-		want    [4]uint64
+		want    [5]uint64
 	}{
-		{8, [4]uint64{14, 132, 42, 11}},
-		{1, [4]uint64{0, 146, 0, 11}},
+		{8, [5]uint64{14, 132, 42, 11, 42}},
+		{1, [5]uint64{0, 146, 0, 11, 0}},
 	} {
 		e := New(Options{ExecWorkers: tc.workers})
 		e.RegisterTable(bigTable(t, 70_000))
@@ -55,7 +58,39 @@ func TestEngineExecCounts(t *testing.T) {
 			got[i] -= before[i]
 		}
 		if got != tc.want {
-			t.Errorf("ExecWorkers %d: parallel, serial, morsels, skipped = %v, want %v", tc.workers, got, tc.want)
+			t.Errorf("ExecWorkers %d: parallel, serial, morsels, skipped, timed = %v, want %v", tc.workers, got, tc.want)
+		}
+	}
+}
+
+// TestEnginesDoNotShareExecutor builds a one-worker and an eight-worker
+// engine over the same big table, in both orders: each reports its own
+// worker cap, only the second forks, and neither engine's exec series
+// move on the other's requests.
+func TestEnginesDoNotShareExecutor(t *testing.T) {
+	t.Parallel()
+	tab := bigTable(t, 70_000)
+	for _, order := range [][2]int{{1, 8}, {8, 1}} {
+		engines := map[int]*Engine{}
+		for _, w := range order {
+			engines[w] = New(Options{ExecWorkers: w})
+			engines[w].RegisterTable(tab)
+		}
+		for i, w := range order {
+			e, other := engines[w], engines[order[1-i]]
+			if got := counter(t, e, "engine.exec.workers"); got != uint64(w) {
+				t.Errorf("engine with ExecWorkers %d reports %d workers", w, got)
+			}
+			still := execCounts(t, other)
+			if _, _, err := e.ExplainAnswer(context.Background(), "big", "count(Nation!=Greece)"); err != nil {
+				t.Fatal(err)
+			}
+			if got := execCounts(t, other); got != still {
+				t.Errorf("order %v: a request to the %d-worker engine moved the other's series from %v to %v", order, w, still, got)
+			}
+		}
+		if a, b := execCounts(t, engines[1]), execCounts(t, engines[8]); a[0] != 0 || a[1] != 1 || b[0] != 1 || b[2] != 3 || b[4] != 3 {
+			t.Errorf("order %v: one-worker engine %v, eight-worker engine %v; want one serial run and one forked run of 3 timed morsels", order, a, b)
 		}
 	}
 }

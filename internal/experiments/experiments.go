@@ -206,7 +206,7 @@ func (e *Env) RunTable7() Table7Result {
 	for _, ex := range questions {
 		start := time.Now()
 		q := semparse.Analyze(ex.Question, ex.Table)
-		cands := semparse.GenerateCandidates(q, ex.Table)
+		cands := semparse.GenerateCandidates(q, ex.Table, nil)
 		candTotal += time.Since(start)
 		if len(cands) > 7 {
 			cands = cands[:7]

@@ -113,10 +113,10 @@ func NewGaugeFunc(help string, fn func() int64) *GaugeFunc {
 func (g *GaugeFunc) Value() int64 { return g.fn() }
 
 // CounterFunc is a counter whose value is read at scrape time — for
-// monotonic counts owned elsewhere (the plan executor's process-global
-// run and morsel counters, the store's WAL, checkpoint, eviction and
-// recovery counts). The function must be safe for concurrent use,
-// cheap, and monotonically non-decreasing.
+// monotonic counts owned elsewhere (an engine executor's run and morsel
+// counters, the store's WAL, checkpoint, eviction and recovery counts).
+// The function must be safe for concurrent use, cheap, and
+// monotonically non-decreasing.
 type CounterFunc struct {
 	meta
 	fn func() uint64

@@ -16,7 +16,7 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 		R: &IndexLookup{Col: 1, Keys: []table.Value{lit("China")}},
 	}
 	var first, second Val
-	err := RunIntoCtx(nil, &first, n, tab, Capture{})
+	err := RunIntoCtx(nil, nil, &first, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 	for i := range first.Cells {
 		first.Cells[i] = table.CellRef{Row: -7, Col: -7}
 	}
-	err = RunIntoCtx(nil, &second, n, tab, Capture{})
+	err = RunIntoCtx(nil, nil, &second, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,29 +7,18 @@ import (
 	"nlexplain/internal/table"
 )
 
-// counterDelta is what one execution added to the process-wide exec
-// and zone-skip counters.
+// counterDelta is what one execution added to its Exec's counters.
 type counterDelta struct {
 	parallelRuns, serialRuns, morsels, skipped, shortcut uint64
 }
 
-func readCounters() counterDelta {
-	var c counterDelta
-	c.parallelRuns, c.serialRuns, c.morsels = ExecStats()
-	c.skipped, c.shortcut = SkipStats()
-	return c
-}
-
-func (c counterDelta) since(b counterDelta) counterDelta {
-	return counterDelta{
-		c.parallelRuns - b.parallelRuns, c.serialRuns - b.serialRuns,
-		c.morsels - b.morsels, c.skipped - b.skipped, c.shortcut - b.shortcut,
-	}
+func countersOf(x *Exec) counterDelta {
+	return counterDelta{x.ParallelRuns.Load(), x.SerialRuns.Load(), x.Morsels.Load(), x.Skipped.Load(), x.Shortcut.Load()}
 }
 
 // TestExecCountersPinned pins which strategy every scan operator takes,
 // as seen through the counters the engine exports and the benchmark
-// asserts floors on: per plan and forced configuration, the number of
+// asserts floors on: per plan and executor configuration, the number of
 // parallel / serial runs, morsels handed out, and morsels skipped or
 // bulk-filled from zone verdicts. Each configuration starts from a
 // fresh table and runs its plans in name order, so index residency —
@@ -39,22 +28,18 @@ func (c counterDelta) since(b counterDelta) counterDelta {
 func TestExecCountersPinned(t *testing.T) {
 	type config struct {
 		name  string
-		force func(testing.TB)
+		exec  func() *Exec
 		table func(testing.TB) *table.Table
 		plans map[string]Node
 		want  map[string]counterDelta
 	}
 	big := func(tb testing.TB) *table.Table { return bigTestTable(tb, 70_000) }
 	clustered := func(tb testing.TB) *table.Table { return clusteredZoneTable(tb, 120_000) }
-	both := func(fs ...func(testing.TB)) func(testing.TB) {
-		return func(tb testing.TB) {
-			for _, f := range fs {
-				f(tb)
-			}
-		}
-	}
+	zonedSerial := func() *Exec { return zoned(serial()) }
+	zonedParallel := func() *Exec { return zoned(parallel()) }
+	unzonedSerial := func() *Exec { return unzoned(serial()) }
 	configs := []config{
-		{"big/serial", forceSerial, big, bigTestPlans(), map[string]counterDelta{
+		{"big/serial", serial, big, bigTestPlans(), map[string]counterDelta{
 			"aggregate_avg":            {0, 1, 0, 0, 0},
 			"aggregate_err":            {0, 1, 0, 0, 0},
 			"aggregate_max":            {0, 1, 0, 0, 0},
@@ -73,7 +58,7 @@ func TestExecCountersPinned(t *testing.T) {
 			"superlative_min":          {0, 1, 0, 0, 0},
 			"superlative_mixed_serial": {0, 1, 0, 0, 0},
 		}},
-		{"big/parallel", forceParallel, big, bigTestPlans(), map[string]counterDelta{
+		{"big/parallel", parallel, big, bigTestPlans(), map[string]counterDelta{
 			"aggregate_avg":            {1, 0, 6, 0, 0},
 			"aggregate_err":            {1, 0, 3, 0, 0},
 			"aggregate_max":            {1, 0, 6, 0, 0},
@@ -92,7 +77,7 @@ func TestExecCountersPinned(t *testing.T) {
 			"superlative_min":          {1, 0, 4, 0, 0},
 			"superlative_mixed_serial": {0, 1, 0, 0, 0},
 		}},
-		{"zone/serial", both(forceZones, forceSerial), clustered, zoneTestPlans(), map[string]counterDelta{
+		{"zone/serial", zonedSerial, clustered, zoneTestPlans(), map[string]counterDelta{
 			"compare_ge":     {0, 1, 0, 3, 0},
 			"compare_mixed":  {0, 1, 0, 0, 0},
 			"compare_ne_nan": {0, 1, 0, 0, 0},
@@ -109,7 +94,7 @@ func TestExecCountersPinned(t *testing.T) {
 			"range_wide":     {0, 1, 0, 0, 3},
 			"superlative":    {0, 1, 0, 3, 0},
 		}},
-		{"zone/parallel", both(forceZones, forceParallel), clustered, zoneTestPlans(), map[string]counterDelta{
+		{"zone/parallel", zonedParallel, clustered, zoneTestPlans(), map[string]counterDelta{
 			"compare_ge":     {1, 0, 4, 3, 0},
 			"compare_mixed":  {1, 0, 4, 0, 0},
 			"compare_ne_nan": {1, 0, 4, 0, 0},
@@ -126,7 +111,7 @@ func TestExecCountersPinned(t *testing.T) {
 			"range_wide":     {1, 0, 4, 0, 3},
 			"superlative":    {1, 0, 4, 3, 0},
 		}},
-		{"zone/off", both(zonesOff, forceSerial), clustered, zoneTestPlans(), map[string]counterDelta{
+		{"zone/off", unzonedSerial, clustered, zoneTestPlans(), map[string]counterDelta{
 			"compare_ge":     {0, 1, 0, 0, 0},
 			"compare_mixed":  {0, 1, 0, 0, 0},
 			"compare_ne_nan": {0, 1, 0, 0, 0},
@@ -146,7 +131,7 @@ func TestExecCountersPinned(t *testing.T) {
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			c.force(t)
+			t.Parallel()
 			tab := c.table(t)
 			names := make([]string, 0, len(c.plans))
 			for name := range c.plans {
@@ -154,9 +139,9 @@ func TestExecCountersPinned(t *testing.T) {
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				before := readCounters()
-				runPlan(t, c.plans[name], tab)
-				got := readCounters().since(before)
+				x := c.exec()
+				runPlan(t, x, c.plans[name], tab)
+				got := countersOf(x)
 				want, ok := c.want[name]
 				if !ok {
 					t.Errorf("%s: no pinned counters; got %+v", name, got)

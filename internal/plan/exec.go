@@ -30,28 +30,32 @@ type Val struct {
 	Cells  []table.CellRef
 }
 
-// RunIntoCtx executes the plan over a table under the given tracer
-// (nil is treated as Noop: answer-only execution) and deposits the
+// RunIntoCtx executes the plan over a table in executor x (nil: the
+// package default) under the given tracer (nil is treated as Noop:
+// answer-only execution) and deposits the
 // detached result in *out, which callers own (dcs puts it on the stack
 // and copies the fields into its own result type); *out is overwritten
 // entirely. Cancellation is cooperative: the morsel driver polls ctx at
 // every morsel boundary, forked or inline, returning ctx.Err() once it
 // fires — so a caller whose deadline expired never burns a full
 // million-row scan. A nil ctx disables the checks.
-func RunIntoCtx(ctx context.Context, out *Val, n Node, t *table.Table, tr Tracer) error {
+func RunIntoCtx(ctx context.Context, x *Exec, out *Val, n Node, t *table.Table, tr Tracer) error {
 	if tr == nil {
 		tr = Noop{}
+	}
+	if x == nil {
+		x = &defaultExec
 	}
 	ar := getArena(t.NumRows())
 	defer ar.release()
 	ex := &ar.ex
-	ex.t, ex.tr, ex.trace, ex.ar, ex.ctx = t, tr, tr.Active(), ar, ctx
-	ex.cfg = resolveConfig(t.NumRows())
+	ex.t, ex.tr, ex.trace, ex.ar, ex.ctx, ex.x = t, tr, tr.Active(), ar, ctx, x
+	ex.cfg = x.config(t.NumRows())
 	v, err := ex.run(n)
 	if ex.usedParallel {
-		statParallelRuns.Add(1)
+		x.ParallelRuns.Add(1)
 	} else {
-		statSerialRuns.Add(1)
+		x.SerialRuns.Add(1)
 	}
 	if err != nil {
 		return err
@@ -85,6 +89,9 @@ type executor struct {
 	// ctx, when non-nil, is polled at morsel boundaries so abandoned
 	// executions stop early.
 	ctx context.Context
+	// x is the Exec the run counts in, cfg its settings as resolved at
+	// the start.
+	x   *Exec
 	cfg execConfig
 	// usedParallel records whether the driver forked for any kernel,
 	// feeding the parallel/serial run counters.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"sort"
@@ -52,93 +53,58 @@ const (
 	DefaultParallelThreshold = 1 << 16
 )
 
-var (
-	// cfgWorkers is the configured worker count; 0 means "resolve
-	// runtime.GOMAXPROCS(0) at execution time".
-	cfgWorkers atomic.Int64
-	// cfgThreshold is the configured parallel threshold; 0 means
+// Exec is an executor: the settings each plan execution under it reads
+// once, when it starts, and the counters the execution adds to. Every
+// execution runs under exactly one Exec — an engine owns one, and an
+// execution that names none runs under the package default. Set the
+// settings before an Exec runs anything; the counters may be read at
+// any time.
+type Exec struct {
+	// Workers caps the morsel workers of one execution: 0 means
+	// runtime.GOMAXPROCS at execution time, 1 never forks.
+	Workers int
+	// ForkAt is the input size from which the driver forks; 0 means
 	// DefaultParallelThreshold.
-	cfgThreshold atomic.Int64
+	ForkAt int
+	// ZoneFloor is the table size, in rows, from which scans consult zone
+	// maps: 0 means table.ZoneRows, 1 every table, math.MaxInt none.
+	ZoneFloor int
+	// Morsel, when set, receives the wall-clock duration of every morsel
+	// a forked kernel runs, from every worker goroutine at once.
+	Morsel func(time.Duration)
 
-	statParallelRuns atomic.Uint64
-	statSerialRuns   atomic.Uint64
-	statMorsels      atomic.Uint64
+	// ParallelRuns counts executions that forked at least one kernel and
+	// SerialRuns the rest; Morsels counts the morsels forked kernels
+	// handed out, Skipped and Shortcut those zone verdicts proved empty
+	// and full.
+	ParallelRuns, SerialRuns, Morsels, Skipped, Shortcut atomic.Uint64
+}
 
-	// morselObs, when set, receives every morsel's wall-clock duration
-	// (the engine feeds its exec.morsel latency histogram from it).
-	morselObs atomic.Pointer[func(time.Duration)]
+// defaultExec runs every execution that names no Exec. Its worker count
+// lives apart, in defaultWorkers, because SetExecWorkers may change it
+// while executions run.
+var (
+	defaultExec    Exec
+	defaultWorkers atomic.Int64
 )
 
+// SetExecWorkers sets the default Exec's worker count and returns the
+// previous setting; n <= 0 restores runtime.GOMAXPROCS.
+func SetExecWorkers(n int) int {
+	return int(defaultWorkers.Swap(int64(max(n, 0))))
+}
+
+// SkipStats returns the default Exec's zone-skipping counters: morsels
+// skipped as provably empty and morsels bulk-filled as provably full.
+func SkipStats() (skipped, shortcut uint64) {
+	return defaultExec.Skipped.Load(), defaultExec.Shortcut.Load()
+}
+
 // extraSem bounds the extra worker goroutines the whole process may
-// run at once, across all concurrent executions. Sized at least 8 so
-// tests forcing SetExecWorkers(8) exercise real cross-goroutine
+// run at once, across every execution of every Exec. Sized at least 8
+// so tests forcing eight workers exercise real cross-goroutine
 // interleavings even on small machines.
 var extraSem = make(chan struct{}, max(8, 2*runtime.GOMAXPROCS(0)))
-
-// SetExecWorkers sets the per-query worker count used by the parallel
-// execution path and returns the previous setting. n <= 0 restores the
-// default (runtime.GOMAXPROCS at execution time). The setting is
-// process-wide: workers are a shared resource, not a per-engine one.
-func SetExecWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(cfgWorkers.Swap(int64(n)))
-}
-
-// ExecWorkers returns the resolved per-query worker count (>= 1).
-func ExecWorkers() int {
-	if n := int(cfgWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetParallelThreshold sets the input-size floor for the parallel path
-// and returns the previous resolved value. n <= 0 restores
-// DefaultParallelThreshold. Intended for tests and benchmarks that
-// force small inputs onto the parallel path.
-func SetParallelThreshold(n int) int {
-	prev := ParallelThreshold()
-	if n < 0 {
-		n = 0
-	}
-	cfgThreshold.Store(int64(n))
-	return prev
-}
-
-// ParallelThreshold returns the resolved parallel threshold.
-func ParallelThreshold() int {
-	if n := int(cfgThreshold.Load()); n > 0 {
-		return n
-	}
-	return DefaultParallelThreshold
-}
-
-// ParallelEligible reports whether an input of n rows would take the
-// morsel-parallel path under the current configuration.
-func ParallelEligible(n int) bool {
-	return n >= ParallelThreshold() && ExecWorkers() > 1
-}
-
-// ExecStats returns the process-wide execution counters: completed
-// runs that used at least one parallel kernel, fully serial runs, and
-// total morsels executed.
-func ExecStats() (parallelRuns, serialRuns, morsels uint64) {
-	return statParallelRuns.Load(), statSerialRuns.Load(), statMorsels.Load()
-}
-
-// SetMorselObserver installs fn to receive each morsel's execution
-// duration (nil uninstalls). One observer is active at a time; the
-// last registration wins, so a process with several engines reports
-// morsel latency to the engine wired most recently.
-func SetMorselObserver(fn func(time.Duration)) {
-	if fn == nil {
-		morselObs.Store(nil)
-		return
-	}
-	morselObs.Store(&fn)
-}
 
 // FamilyOf classifies a plan root into a coarse query family for
 // profiling labels: lookup, comparative, superlative, aggregate.
@@ -156,23 +122,38 @@ func FamilyOf(n Node) string {
 	return "lookup"
 }
 
-// execConfig is the process-wide executor configuration as one
-// execution sees it: resolved once, when the run starts, and carried
-// on the executor, so a setter landing mid-run never leaves per-worker
-// state sized for one worker count and goroutines spawned for another.
+// execConfig is an Exec's settings as one execution sees them: resolved
+// once, when the run starts, and carried on the executor, so a setting
+// changing mid-run never leaves per-worker state sized for one worker
+// count and goroutines spawned for another.
 type execConfig struct {
 	workers   int  // morsel workers a forked kernel may use (>= 1)
 	threshold int  // input size from which the driver forks
 	zones     bool // whether scans over this table consult zone maps
 }
 
-func resolveConfig(tableRows int) execConfig {
+func (x *Exec) config(tableRows int) execConfig {
+	workers := x.Workers
+	if x == &defaultExec {
+		workers = int(defaultWorkers.Load())
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return execConfig{
-		workers:   ExecWorkers(),
-		threshold: ParallelThreshold(),
-		zones:     tableRows > 0 && tableRows >= ZoneSkipThreshold(),
+		workers:   workers,
+		threshold: cmp.Or(x.ForkAt, DefaultParallelThreshold),
+		zones:     tableRows >= cmp.Or(x.ZoneFloor, table.ZoneRows),
 	}
 }
+
+// forks is the fork gate: true when the input is past the threshold and
+// more than one worker is configured.
+func (c execConfig) forks(n int) bool { return n >= c.threshold && c.workers > 1 }
+
+// Forks reports whether an input of n rows takes the morsel-parallel
+// path under x.
+func (x *Exec) Forks(n int) bool { return x.config(0).forks(n) }
 
 func morselCount(n int) int { return (n + morselRows - 1) / morselRows }
 
@@ -192,18 +173,12 @@ type kernel interface {
 	morsel(w, m, lo, hi int)
 }
 
-// goParallel is the fork gate: true when the input is past the
-// threshold and more than one worker is configured.
-func (ex *executor) goParallel(n int) bool {
-	return n >= ex.cfg.threshold && ex.cfg.workers > 1
-}
-
 // drive runs k over every morsel of an n-element input — forked when
-// goParallel(n) holds, inline on the caller otherwise. It returns once
+// the configuration forks at n, inline on the caller otherwise. It returns once
 // every morsel it handed out has finished, with nil or the context's
 // error; the kernel's partials are then the operator's to merge.
 func (ex *executor) drive(n int, k kernel) error {
-	if ex.goParallel(n) {
+	if ex.cfg.forks(n) {
 		return ex.forkJoin(n, k)
 	}
 	return ex.eachMorsel(n, func(m, lo, hi int) { k.morsel(0, m, lo, hi) })
@@ -238,8 +213,8 @@ func (ex *executor) ctxErr() error {
 // polls at morsel boundaries and the first to see it records; worker
 // panics are captured and re-raised on the caller after the join, so
 // the engine's panic containment sees them exactly as inline panics.
-// Every morsel handed out is booked in the morsel counter and timed
-// for the observer, whatever the kernel decided to do with it.
+// Every morsel handed out is booked in the Exec's Morsels counter and
+// timed for its Morsel hook, whatever the kernel decided to do with it.
 func (ex *executor) forkJoin(n int, k kernel) error {
 	nm := morselCount(n)
 	workers := min(ex.cfg.workers, nm)
@@ -248,7 +223,7 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 		canceled atomic.Pointer[error]
 		panicked atomic.Pointer[any]
 	)
-	obs := morselObs.Load()
+	obs := ex.x.Morsel
 	loop := func(w int) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -275,9 +250,9 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 			lo, hi := morselBounds(m, n)
 			k.morsel(w, m, lo, hi)
 			if obs != nil {
-				(*obs)(time.Since(start))
+				obs(time.Since(start))
 			}
-			statMorsels.Add(1)
+			ex.x.Morsels.Add(1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -375,8 +350,8 @@ func (ex *executor) filterRows(k rowFilter) ([]int, error) {
 		return nil, err
 	}
 	if k.zones != nil {
-		statMorselsSkipped.Add(uint64(k.zones.none))
-		statMorselsShortcut.Add(uint64(k.zones.all))
+		ex.x.Skipped.Add(uint64(k.zones.none))
+		ex.x.Shortcut.Add(uint64(k.zones.all))
 	}
 	out := k.out
 	for m, c := range k.lens {

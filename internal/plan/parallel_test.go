@@ -41,25 +41,11 @@ func bigTestTable(tb testing.TB, n int) *table.Table {
 	return table.MustNew("big", []string{"Nation", "Games", "Year", "Mixed"}, rows)
 }
 
-// forceParallel pins the executor to 8 workers with a low threshold
-// for the duration of a test, restoring the previous configuration
-// after. Tests using it must not run in parallel with each other (the
-// settings are process-wide), which is the default for Go tests.
-func forceParallel(tb testing.TB) {
-	tb.Helper()
-	prevW := SetExecWorkers(8)
-	prevT := SetParallelThreshold(1024)
-	tb.Cleanup(func() {
-		SetExecWorkers(prevW)
-		SetParallelThreshold(prevT)
-	})
-}
-
-func forceSerial(tb testing.TB) {
-	tb.Helper()
-	prevW := SetExecWorkers(1)
-	tb.Cleanup(func() { SetExecWorkers(prevW) })
-}
+// serial and parallel build the two executors the differential tests
+// compare: one that never forks, and one with eight workers that forks
+// from 1024 rows. Each test runs under executors of its own.
+func serial() *Exec   { return &Exec{Workers: 1} }
+func parallel() *Exec { return &Exec{Workers: 8, ForkAt: 1024} }
 
 // bigTestPlans enumerates one plan per parallel kernel (and a few
 // compositions), all against bigTestTable's schema.
@@ -97,13 +83,13 @@ func bigTestPlans() map[string]Node {
 	}
 }
 
-// runPlan executes a plan with the Capture tracer so witness cells are
-// computed, normalizing the error to its message (parallel and serial
-// paths must agree on errors too).
-func runPlan(tb testing.TB, n Node, t *table.Table) (*Val, string) {
+// runPlan executes a plan in x with the Capture tracer so witness cells
+// are computed, normalizing the error to its message (parallel and
+// serial paths must agree on errors too).
+func runPlan(tb testing.TB, x *Exec, n Node, t *table.Table) (*Val, string) {
 	tb.Helper()
 	v := new(Val)
-	if err := RunIntoCtx(nil, v, n, t, Capture{}); err != nil {
+	if err := RunIntoCtx(nil, x, v, n, t, Capture{}); err != nil {
 		return nil, err.Error()
 	}
 	return v, ""
@@ -113,13 +99,12 @@ func runPlan(tb testing.TB, n Node, t *table.Table) (*Val, string) {
 // check: every parallel kernel must reproduce the serial path exactly —
 // answers, row order, value order, witness cells, and errors.
 func TestBigTableParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 100_000)
 	for name, n := range bigTestPlans() {
 		t.Run(name, func(t *testing.T) {
-			forceSerial(t)
-			want, wantErr := runPlan(t, n, tab)
-			forceParallel(t)
-			got, gotErr := runPlan(t, n, tab)
+			want, wantErr := runPlan(t, serial(), n, tab)
+			got, gotErr := runPlan(t, parallel(), n, tab)
 			if wantErr != gotErr {
 				t.Fatalf("error mismatch: serial=%q parallel=%q", wantErr, gotErr)
 			}
@@ -138,6 +123,7 @@ func TestBigTableParallelMatchesSerial(t *testing.T) {
 // rows: serial and forced-parallel must agree, and both must agree with
 // grouping the cells by Value.Key.
 func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
+	t.Parallel()
 	const n = 70_000
 	rng := rand.New(rand.NewSource(11))
 	nations := []string{"Greece", "France", "China", "Fiji", "Tonga"}
@@ -176,10 +162,8 @@ func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 	}
 	results := map[string]*Val{}
 	for name, plan := range plans {
-		forceSerial(t)
-		want, wantErr := runPlan(t, plan, tab)
-		forceParallel(t)
-		got, gotErr := runPlan(t, plan, tab)
+		want, wantErr := runPlan(t, serial(), plan, tab)
+		got, gotErr := runPlan(t, parallel(), plan, tab)
 		if wantErr != "" || gotErr != "" {
 			t.Fatalf("%s: serial error %q, parallel error %q", name, wantErr, gotErr)
 		}
@@ -216,12 +200,13 @@ func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 // under forced parallelism: morsel scheduling is nondeterministic, the
 // merged output must not be.
 func TestBigTableParallelDeterministic(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 80_000)
-	forceParallel(t)
+	x := parallel()
 	for name, n := range bigTestPlans() {
-		first, firstErr := runPlan(t, n, tab)
+		first, firstErr := runPlan(t, x, n, tab)
 		for i := 0; i < 4; i++ {
-			got, gotErr := runPlan(t, n, tab)
+			got, gotErr := runPlan(t, x, n, tab)
 			if firstErr != gotErr || !reflect.DeepEqual(first, got) {
 				t.Fatalf("%s: run %d differs from run 0", name, i+1)
 			}
@@ -233,13 +218,13 @@ func TestBigTableParallelDeterministic(t *testing.T) {
 // silently regressing to serial: forced-parallel runs over a big table
 // must claim morsels.
 func TestBigTableParallelUsesMorsels(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 70_000)
-	forceParallel(t)
-	_, _, before := ExecStats()
-	if _, errs := runPlan(t, &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Greece")}, tab); errs != "" {
+	x := parallel()
+	if _, errs := runPlan(t, x, &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Greece")}, tab); errs != "" {
 		t.Fatal(errs)
 	}
-	if _, _, after := ExecStats(); after == before {
+	if x.Morsels.Load() == 0 {
 		t.Fatal("forced-parallel run claimed no morsels")
 	}
 }
@@ -248,6 +233,7 @@ func TestBigTableParallelUsesMorsels(t *testing.T) {
 // (range semantics: always false), and superlatives whose extreme is
 // achieved by many rows across morsel boundaries.
 func TestBigTableNaNAndTies(t *testing.T) {
+	t.Parallel()
 	n := 90_000
 	rows := make([][]string, n)
 	for i := range rows {
@@ -256,20 +242,17 @@ func TestBigTableNaNAndTies(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i % 7), strconv.Itoa(i)}
 	}
 	tab := table.MustNew("ties", []string{"K", "Seq"}, rows)
-	forceParallel(t)
 
-	sup, errs := runPlan(t, &Superlative{Col: 0, Max: true, Input: &Compare{Col: 1, Cmp: ">=", V: table.ParseValue("0")}}, tab)
+	sup, errs := runPlan(t, parallel(), &Superlative{Col: 0, Max: true, Input: &Compare{Col: 1, Cmp: ">=", V: table.ParseValue("0")}}, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
-	forceSerial(t)
-	want, _ := runPlan(t, &Superlative{Col: 0, Max: true, Input: &Compare{Col: 1, Cmp: ">=", V: table.ParseValue("0")}}, tab)
+	want, _ := runPlan(t, serial(), &Superlative{Col: 0, Max: true, Input: &Compare{Col: 1, Cmp: ">=", V: table.ParseValue("0")}}, tab)
 	if !reflect.DeepEqual(sup, want) {
 		t.Fatalf("tie-group superlative differs: parallel %d rows, serial %d rows", len(sup.Rows), len(want.Rows))
 	}
 
-	forceParallel(t)
-	nan, errs := runPlan(t, &Compare{Col: 1, Cmp: "<", V: table.NumberValue(math.NaN())}, tab)
+	nan, errs := runPlan(t, parallel(), &Compare{Col: 1, Cmp: "<", V: table.NumberValue(math.NaN())}, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
@@ -284,6 +267,7 @@ func TestBigTableNaNAndTies(t *testing.T) {
 // must not mask that morsel's real extreme, and one in first position
 // is the answer.
 func TestBigTableAggregateNaN(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 8)
 	nan := table.NumberValue(math.NaN())
 	mid := make([]table.Value, 70_000)
@@ -292,8 +276,7 @@ func TestBigTableAggregateNaN(t *testing.T) {
 	}
 	mid[morselRows], mid[morselRows+1], mid[morselRows+2] = nan, table.NumberValue(1), table.NumberValue(1e9)
 	first := append([]table.Value{nan}, mid...)
-	for _, force := range []func(testing.TB){forceSerial, forceParallel} {
-		force(t)
+	for _, x := range []*Exec{serial(), parallel()} {
 		for _, tc := range []struct {
 			fn   string
 			vals []table.Value
@@ -302,33 +285,34 @@ func TestBigTableAggregateNaN(t *testing.T) {
 			{"min", mid, 1}, {"max", mid, 1e9},
 			{"min", first, math.NaN()}, {"max", first, math.NaN()},
 		} {
-			got, errs := runPlan(t, &Aggregate{Fn: tc.fn, Input: &Const{Values: tc.vals}}, tab)
+			got, errs := runPlan(t, x, &Aggregate{Fn: tc.fn, Input: &Const{Values: tc.vals}}, tab)
 			if errs != "" {
 				t.Fatal(errs)
 			}
 			if g := got.Values[0].Num; g != tc.want && !(math.IsNaN(g) && math.IsNaN(tc.want)) {
-				t.Errorf("%s with %d workers = %v, want %v", tc.fn, ExecWorkers(), g, tc.want)
+				t.Errorf("%s with %d workers = %v, want %v", tc.fn, x.Workers, g, tc.want)
 			}
 		}
 	}
 }
 
-// TestBigTableWorkerCountFlips races executions against a goroutine
-// flipping the process-wide worker count. Each execution resolves the
-// count once and sizes its per-worker state from the value its driver
-// spawns with, so a flip landing mid-run can neither index that state
-// out of range nor change the result.
+// TestBigTableWorkerCountFlips races executions under the default Exec
+// against a goroutine flipping its worker count. Each execution
+// resolves the count once and sizes its per-worker state from the value
+// its driver spawns with, so a flip landing mid-run can neither index
+// that state out of range nor change the result.
 func TestBigTableWorkerCountFlips(t *testing.T) {
 	tab := bigTestTable(t, 70_000)
-	plans := []Node{bigTestPlans()["project_wide"], bigTestPlans()["group_by"]}
-	forceSerial(t)
+	// Both group by key codes with per-worker scratch, and both fork at
+	// the default threshold.
+	plans := []Node{bigTestPlans()["project_wide"], bigTestPlans()["group_by_year"]}
 	want := make([]Val, len(plans))
 	for i, n := range plans {
-		if err := RunIntoCtx(nil, &want[i], n, tab, Noop{}); err != nil {
+		if err := RunIntoCtx(nil, serial(), &want[i], n, tab, Noop{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	forceParallel(t)
+	defer SetExecWorkers(SetExecWorkers(8))
 	stop := make(chan struct{})
 	var flipper, runners sync.WaitGroup
 	flipper.Add(1)
@@ -351,7 +335,7 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				p := (g + i) % len(plans)
 				var got Val
-				if err := RunIntoCtx(nil, &got, plans[p], tab, Noop{}); err != nil {
+				if err := RunIntoCtx(nil, nil, &got, plans[p], tab, Noop{}); err != nil {
 					t.Error(err)
 				} else if !reflect.DeepEqual(want[p], got) {
 					t.Errorf("plan %d differs from the one-worker result", p)
@@ -368,20 +352,16 @@ func TestBigTableWorkerCountFlips(t *testing.T) {
 // pre-canceled context fails fast, and a deadline firing mid-scan
 // aborts the run with the context error.
 func TestBigTableCtxCancel(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 120_000)
 	n := &Aggregate{Fn: "sum", Input: &ProjectCol{Col: 1, Input: &Scan{}}}
 
-	for _, mode := range []string{"serial", "parallel"} {
+	for mode, x := range map[string]*Exec{"serial": serial(), "parallel": parallel()} {
 		t.Run(mode, func(t *testing.T) {
-			if mode == "parallel" {
-				forceParallel(t)
-			} else {
-				forceSerial(t)
-			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			var out Val
-			if err := RunIntoCtx(ctx, &out, n, tab, Noop{}); err != context.Canceled {
+			if err := RunIntoCtx(ctx, x, &out, n, tab, Noop{}); err != context.Canceled {
 				t.Fatalf("pre-canceled run: err = %v, want context.Canceled", err)
 			}
 
@@ -390,7 +370,7 @@ func TestBigTableCtxCancel(t *testing.T) {
 			deadline := time.Now().Add(2 * time.Second)
 			for time.Now().Before(deadline) {
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Microsecond)
-				err := RunIntoCtx(ctx, &out, n, tab, Noop{})
+				err := RunIntoCtx(ctx, x, &out, n, tab, Noop{})
 				cancel()
 				if err == context.DeadlineExceeded {
 					return
@@ -404,61 +384,47 @@ func TestBigTableCtxCancel(t *testing.T) {
 	}
 }
 
-// TestBigTableConfigRoundTrip pins the configuration API contract:
-// setters return the previous value, zero restores defaults, and
-// eligibility composes threshold and workers.
+// TestBigTableConfigRoundTrip pins how an Exec's settings resolve:
+// zero fields take the defaults, the fork gate composes threshold and
+// workers, and SetExecWorkers acts on the default Exec alone.
 func TestBigTableConfigRoundTrip(t *testing.T) {
-	prev := SetExecWorkers(3)
-	defer SetExecWorkers(prev)
+	if c := new(Exec).config(0); c.workers != runtime.GOMAXPROCS(0) || c.threshold != DefaultParallelThreshold {
+		t.Fatalf("zero Exec resolves to %+v", c)
+	}
+	if x := (&Exec{Workers: 8, ForkAt: 1000}); !x.Forks(1000) || x.Forks(999) {
+		t.Fatal("Forks threshold boundary wrong")
+	}
+	if (&Exec{Workers: 1}).Forks(1 << 30) {
+		t.Fatal("Forks with 1 worker should be false")
+	}
+	defer SetExecWorkers(SetExecWorkers(3))
 	if got := SetExecWorkers(5); got != 3 {
 		t.Fatalf("SetExecWorkers returned %d, want 3", got)
 	}
-	if ExecWorkers() != 5 {
-		t.Fatalf("ExecWorkers = %d, want 5", ExecWorkers())
+	if w := defaultExec.config(0).workers; w != 5 {
+		t.Fatalf("default Exec resolves %d workers, want 5", w)
 	}
-	SetExecWorkers(0)
-	if ExecWorkers() < 1 {
-		t.Fatalf("default ExecWorkers = %d, want >= 1", ExecWorkers())
-	}
-
-	prevT := SetParallelThreshold(2048)
-	defer SetParallelThreshold(prevT)
-	if ParallelThreshold() != 2048 {
-		t.Fatalf("ParallelThreshold = %d, want 2048", ParallelThreshold())
-	}
-	SetParallelThreshold(0)
-	if ParallelThreshold() != DefaultParallelThreshold {
-		t.Fatalf("default ParallelThreshold = %d, want %d", ParallelThreshold(), DefaultParallelThreshold)
-	}
-
-	SetExecWorkers(8)
-	SetParallelThreshold(1000)
-	if !ParallelEligible(1000) || ParallelEligible(999) {
-		t.Fatal("ParallelEligible threshold boundary wrong")
-	}
-	SetExecWorkers(1)
-	if ParallelEligible(1 << 30) {
-		t.Fatal("ParallelEligible with 1 worker should be false")
+	if w := new(Exec).config(0).workers; w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("SetExecWorkers reached another Exec: %d workers", w)
 	}
 }
 
 // TestBigTableMorselObserver verifies morsel durations reach the
-// installed observer and uninstalling stops delivery.
+// Exec's Morsel hook, one per morsel it counts.
 func TestBigTableMorselObserver(t *testing.T) {
+	t.Parallel()
 	tab := bigTestTable(t, 70_000)
-	forceParallel(t)
-	// The observer fires from every worker goroutine concurrently, so
-	// the counter must be atomic (this is the contract real observers
-	// like the engine's latency histogram already satisfy).
+	// The hook fires from every worker goroutine concurrently, so the
+	// counter must be atomic (this is the contract real hooks like the
+	// engine's latency histogram already satisfy).
 	var n atomic.Uint64
-	SetMorselObserver(func(time.Duration) { n.Add(1) })
-	defer SetMorselObserver(nil)
-	if _, errs := runPlan(t, &ProjectCol{Col: 0, Input: &Scan{}}, tab); errs != "" {
+	x := parallel()
+	x.Morsel = func(time.Duration) { n.Add(1) }
+	if _, errs := runPlan(t, x, &ProjectCol{Col: 0, Input: &Scan{}}, tab); errs != "" {
 		t.Fatal(errs)
 	}
-	SetMorselObserver(nil)
-	if n.Load() == 0 {
-		t.Fatal("observer saw no morsels")
+	if n.Load() == 0 || n.Load() != x.Morsels.Load() {
+		t.Fatalf("hook saw %d morsels, the Exec counted %d", n.Load(), x.Morsels.Load())
 	}
 }
 
@@ -488,37 +454,18 @@ func benchPlans() []struct {
 // table; BenchmarkBigTableParallel the morsel path with 8 workers.
 // Comparing the two at -cpu 4 shows the parallel win; at -cpu 1 it
 // bounds the morsel overhead.
-func BenchmarkBigTableSerial(b *testing.B) {
-	tab := bigTestTable(b, 1<<18)
-	prev := SetExecWorkers(1)
-	defer SetExecWorkers(prev)
-	for _, bp := range benchPlans() {
-		b.Run(bp.name, func(b *testing.B) {
-			var out Val
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := RunIntoCtx(nil, &out, bp.n, tab, Noop{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkBigTableSerial(b *testing.B) { benchBigTable(b, serial()) }
 
-func BenchmarkBigTableParallel(b *testing.B) {
+func BenchmarkBigTableParallel(b *testing.B) { benchBigTable(b, parallel()) }
+
+func benchBigTable(b *testing.B, x *Exec) {
 	tab := bigTestTable(b, 1<<18)
-	prevW := SetExecWorkers(8)
-	prevT := SetParallelThreshold(1024)
-	defer func() {
-		SetExecWorkers(prevW)
-		SetParallelThreshold(prevT)
-	}()
 	for _, bp := range benchPlans() {
 		b.Run(bp.name, func(b *testing.B) {
 			var out Val
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := RunIntoCtx(nil, &out, bp.n, tab, Noop{}); err != nil {
+				if err := RunIntoCtx(nil, x, &out, bp.n, tab, Noop{}); err != nil {
 					b.Fatal(err)
 				}
 			}

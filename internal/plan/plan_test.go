@@ -28,7 +28,7 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 	n := &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}}
 
 	var v Val
-	err := RunIntoCtx(nil, &v, n, tab, Noop{})
+	err := RunIntoCtx(nil, nil, &v, n, tab, Noop{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 		t.Errorf("untraced execution computed cells: %v", v.Cells)
 	}
 
-	err = RunIntoCtx(nil, &v, n, tab, Capture{})
+	err = RunIntoCtx(nil, nil, &v, n, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTracerSeesEveryOperatorBoundary(t *testing.T) {
 	}}
 	tr := &opTracer{}
 	var v Val
-	err := RunIntoCtx(nil, &v, n, tab, tr)
+	err := RunIntoCtx(nil, nil, &v, n, tab, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCompareUsesIndexAndMatchesScan(t *testing.T) {
 	for _, op := range []string{"<", "<=", ">", ">="} {
 		n := &Compare{Col: 0, Cmp: op, V: lit("2004")}
 		var v Val
-		err := RunIntoCtx(nil, &v, n, tab, Noop{})
+		err := RunIntoCtx(nil, nil, &v, n, tab, Noop{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestSuperlativeTies(t *testing.T) {
 			{"a", "5"}, {"b", "9"}, {"c", "9"}, {"d", "1"},
 		})
 	var v Val
-	err := RunIntoCtx(nil, &v, &Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
+	err := RunIntoCtx(nil, nil, &v, &Superlative{Input: &Scan{}, Col: 1, Max: true}, tab, Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"sync/atomic"
 
 	"nlexplain/internal/table"
 )
@@ -18,10 +17,10 @@ import (
 // with no per-row evaluation; zoneMaybe runs the matcher. Verdicts are
 // conservative by construction, so the produced row sets are bitwise
 // identical to a scan under no verdicts at all — skipping is invisible
-// except in the exec counters.
+// except in the Exec's Skipped and Shortcut counters.
 //
 // Zone maps only pay off past a size floor (building them walks the
-// column once), so consultation is gated on ZoneSkipThreshold; the
+// column once), so consultation is gated on the Exec's ZoneFloor; the
 // default floor of one zone keeps the warm small-table path exactly as
 // allocation-free as before.
 
@@ -37,47 +36,6 @@ const (
 	zoneNone                     // provably no row matches
 	zoneAll                      // provably every row matches
 )
-
-var (
-	// cfgZoneThreshold holds the configured consultation floor plus one;
-	// 0 means "default" (table.ZoneRows), so an explicit floor of 0 —
-	// used by the forced-skip differential suites — is representable.
-	cfgZoneThreshold atomic.Int64
-
-	statMorselsSkipped  atomic.Uint64
-	statMorselsShortcut atomic.Uint64
-)
-
-// SetZoneSkipThreshold sets the table-size floor (in rows) below which
-// scans never consult zone maps, returning the previous resolved
-// value. 0 forces consultation on every table (the forced-skip test
-// configuration); a floor above every table, math.MaxInt32, turns
-// consultation off (math.MaxInt would overflow the stored floor plus
-// one); n < 0 restores the default (table.ZoneRows).
-func SetZoneSkipThreshold(n int) int {
-	prev := ZoneSkipThreshold()
-	if n < 0 {
-		cfgZoneThreshold.Store(0)
-	} else {
-		cfgZoneThreshold.Store(int64(n) + 1)
-	}
-	return prev
-}
-
-// ZoneSkipThreshold returns the resolved zone-consultation floor.
-func ZoneSkipThreshold() int {
-	if v := cfgZoneThreshold.Load(); v > 0 {
-		return int(v - 1)
-	}
-	return table.ZoneRows
-}
-
-// SkipStats returns the process-wide zone-skipping counters: morsels
-// skipped as provably empty and morsels short-circuited as provably
-// full.
-func SkipStats() (skipped, shortcut uint64) {
-	return statMorselsSkipped.Load(), statMorselsShortcut.Load()
-}
 
 // zoneScan is one scan's materialized verdict vector: verdicts[m] is
 // the predicate's answer for morsel m, with none/all tallies so

@@ -9,22 +9,11 @@ import (
 	"nlexplain/internal/table"
 )
 
-// forceZones forces zone-map consultation on every table regardless of
-// size (threshold 0), restoring the previous configuration after.
-func forceZones(tb testing.TB) {
-	tb.Helper()
-	prev := SetZoneSkipThreshold(0)
-	tb.Cleanup(func() { SetZoneSkipThreshold(prev) })
-}
-
-// zonesOff disables zone consultation entirely — the full-scan
-// reference configuration of the differential tests — with a floor
-// above every table.
-func zonesOff(tb testing.TB) {
-	tb.Helper()
-	prev := SetZoneSkipThreshold(math.MaxInt32)
-	tb.Cleanup(func() { SetZoneSkipThreshold(prev) })
-}
+// zoned returns x with zone-map consultation forced on every table
+// regardless of size; unzoned returns x with it off — the full-scan
+// reference configuration of the differential tests.
+func zoned(x *Exec) *Exec   { x.ZoneFloor = 1; return x }
+func unzoned(x *Exec) *Exec { x.ZoneFloor = math.MaxInt; return x }
 
 // clusteredZoneTable builds an n-row table whose columns actually give
 // zone maps something to prove: Seq is monotone (every zone a disjoint
@@ -106,17 +95,13 @@ func zoneTestPlans() map[string]Node {
 // scans must reproduce the zones-disabled full scan bitwise — rows,
 // values, witness cells and errors.
 func TestZoneForcedMatchesFullScan(t *testing.T) {
+	t.Parallel()
 	tab := clusteredZoneTable(t, 120_000)
 	for name, n := range zoneTestPlans() {
 		t.Run(name, func(t *testing.T) {
-			forceZones(t)
-			forceSerial(t)
-			gotS, errS := runPlan(t, n, tab)
-			forceParallel(t)
-			gotP, errP := runPlan(t, n, tab)
-			zonesOff(t)
-			forceSerial(t)
-			want, wantErr := runPlan(t, n, tab)
+			gotS, errS := runPlan(t, zoned(serial()), n, tab)
+			gotP, errP := runPlan(t, zoned(parallel()), n, tab)
+			want, wantErr := runPlan(t, unzoned(serial()), n, tab)
 			if wantErr != errS || wantErr != errP {
 				t.Fatalf("error mismatch: full-scan=%q zone-serial=%q zone-parallel=%q", wantErr, errS, errP)
 			}
@@ -135,18 +120,17 @@ func TestZoneForcedMatchesFullScan(t *testing.T) {
 // always-true range must short-circuit morsels into bulk fills, while
 // both keep the result identical to the full scan.
 func TestZoneScanSkipsAndShortcuts(t *testing.T) {
+	t.Parallel()
 	tab := clusteredZoneTable(t, 120_000)
-	forceZones(t)
-	forceSerial(t)
 	num := func(v float64) table.Value { return table.NumberValue(v) }
 
 	narrow := zoneTestPlans()["range_narrow"]
-	skipBefore, _ := SkipStats()
-	got, errs := runPlan(t, narrow, tab)
+	x := zoned(serial())
+	got, errs := runPlan(t, x, narrow, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
-	if skipAfter, _ := SkipStats(); skipAfter == skipBefore {
+	if x.Skipped.Load() == 0 {
 		t.Fatal("narrow range over a monotone column skipped no morsels")
 	}
 	if len(got.Rows) != 1000 || got.Rows[0] != 50_000 {
@@ -154,12 +138,11 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	}
 
 	all := &Compare{Col: 3, Cmp: ">=", V: num(0)}
-	_, cutBefore := SkipStats()
-	got, errs = runPlan(t, all, tab)
+	got, errs = runPlan(t, x, all, tab)
 	if errs != "" {
 		t.Fatal(errs)
 	}
-	if _, cutAfter := SkipStats(); cutAfter == cutBefore {
+	if x.Shortcut.Load() == 0 {
 		t.Fatal("always-true range short-circuited no morsels")
 	}
 	if len(got.Rows) != tab.NumRows() {
@@ -167,38 +150,22 @@ func TestZoneScanSkipsAndShortcuts(t *testing.T) {
 	}
 }
 
-// TestZoneConfigRoundTrip pins the configuration API: the setter
-// returns the previous value, an explicit threshold of 0 forces
-// consultation, math.MaxInt32 turns it off, and a negative threshold
-// restores the default floor.
+// TestZoneConfigRoundTrip pins the zone floor's encoding: 0 is the
+// default floor, one zone; 1 consults zone maps on every table and
+// math.MaxInt on none.
 func TestZoneConfigRoundTrip(t *testing.T) {
-	prevT := SetZoneSkipThreshold(0)
-	defer SetZoneSkipThreshold(prevT)
-	if ZoneSkipThreshold() != 0 {
-		t.Fatalf("forced threshold = %d, want 0", ZoneSkipThreshold())
-	}
-	if !resolveConfig(1).zones {
-		t.Fatal("threshold 0 does not force consultation on a one-row table")
-	}
-	SetZoneSkipThreshold(math.MaxInt32)
-	if ZoneSkipThreshold() != math.MaxInt32 {
-		t.Fatalf("off threshold = %d, want %d", ZoneSkipThreshold(), math.MaxInt32)
-	}
-	if resolveConfig(math.MaxInt32 - 1).zones {
-		t.Fatal("threshold math.MaxInt32 still consults zone maps")
-	}
-	if got := SetZoneSkipThreshold(0); got != math.MaxInt32 {
-		t.Fatalf("SetZoneSkipThreshold returned %d, want %d", got, math.MaxInt32)
-	}
-	if got := SetZoneSkipThreshold(99); got != 0 {
-		t.Fatalf("SetZoneSkipThreshold returned %d, want 0", got)
-	}
-	if ZoneSkipThreshold() != 99 {
-		t.Fatalf("threshold = %d, want 99", ZoneSkipThreshold())
-	}
-	SetZoneSkipThreshold(-1)
-	if ZoneSkipThreshold() != table.ZoneRows {
-		t.Fatalf("default threshold = %d, want %d", ZoneSkipThreshold(), table.ZoneRows)
+	t.Parallel()
+	for _, tc := range []struct {
+		floor, rows int
+		want        bool
+	}{
+		{0, table.ZoneRows - 1, false}, {0, table.ZoneRows, true},
+		{1, 0, false}, {1, 1, true},
+		{math.MaxInt, math.MaxInt - 1, false},
+	} {
+		if got := (&Exec{ZoneFloor: tc.floor}).config(tc.rows).zones; got != tc.want {
+			t.Errorf("floor %d over %d rows consults zones: %v, want %v", tc.floor, tc.rows, got, tc.want)
+		}
 	}
 }
 
@@ -206,9 +173,9 @@ func TestZoneConfigRoundTrip(t *testing.T) {
 // the default floor, fixture-sized tables never consult zone maps (so
 // their allocation profile is untouched by the zone layer).
 func TestZoneDisabledBelowThreshold(t *testing.T) {
+	t.Parallel()
 	tab := table.MustNew("small", []string{"A"}, [][]string{{"1"}, {"2"}, {"3"}})
-	if resolveConfig(tab.NumRows()).zones {
-		t.Fatalf("zone consultation enabled for a %d-row table at default threshold %d",
-			tab.NumRows(), ZoneSkipThreshold())
+	if defaultExec.config(tab.NumRows()).zones {
+		t.Fatalf("zone consultation enabled for a %d-row table at the default floor", tab.NumRows())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"nlexplain/internal/dcs"
+	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -44,6 +45,9 @@ func (m Marking) String() string {
 // the strongest marking of every involved cell.
 type Highlights struct {
 	Prov *Prov
+	// exec is the executor of the run that built the highlights, which
+	// Sample's operand runs take too.
+	exec *plan.Exec
 }
 
 // Highlight implements Algorithm 1 (Highlight(Q, T, output=true)): it
@@ -68,7 +72,7 @@ func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Highlights{Prov: p}, res, nil
+	return &Highlights{Prov: p, exec: c.Exec}, res, nil
 }
 
 // Marking returns the marking of a cell: the innermost level of the
@@ -144,10 +148,11 @@ func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
 		}
 	}
 
-	// Difference queries contribute one output record per operand.
+	// Difference queries contribute one output record per operand, each
+	// run in the executor of the run that built h.
 	if sub := findSub(q); sub != nil {
 		for _, side := range []dcs.Expr{sub.L, sub.R} {
-			if r, err := dcs.Execute(side, t); err == nil {
+			if r, err := dcs.ExecuteIn(h.exec, side, t, plan.Capture{}); err == nil {
 				addFirst(r.Cells)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"nlexplain/internal/fault"
 )
@@ -53,7 +54,9 @@ func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
 
 // LoadManifest reads dir's manifest through fsys (nil means the OS
 // passthrough). ok is false when none exists yet (a fresh data
-// directory).
+// directory). A table whose File is not one name inside dir makes the
+// manifest corrupt: recovery reads a segment file whole, so such a name
+// could have it read anything, without bound.
 func LoadManifest(fsys fault.FS, dir string) (m *Manifest, ok bool, err error) {
 	data, err := fault.Or(fsys).ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -68,6 +71,11 @@ func LoadManifest(fsys fault.FS, dir string) (m *Manifest, ok bool, err error) {
 	}
 	if m.Schema != schemaManifest {
 		return nil, false, fmt.Errorf("%w: manifest schema %d", ErrCorrupt, m.Schema)
+	}
+	for _, ref := range m.Tables {
+		if f := ref.File; f == "" || f == "." || f == ".." || strings.ContainsAny(f, `/\`) {
+			return nil, false, fmt.Errorf("%w: manifest names segment file %q outside the data directory", ErrCorrupt, f)
+		}
 	}
 	return m, true, nil
 }

@@ -254,6 +254,21 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsFileOutsideDir: a segment file must be one name
+// inside the data directory, or the manifest is corrupt.
+func TestManifestRejectsFileOutsideDir(t *testing.T) {
+	for _, file := range []string{"", ".", "..", "../../dev/zero", "/dev/zero", "sub/seg.seg", `..\seg.seg`} {
+		dir := t.TempDir()
+		m := &Manifest{Tables: []TableRef{{Name: "t", File: file}}}
+		if err := WriteManifest(nil, dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadManifest(nil, dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("file %q: err = %v, want ErrCorrupt", file, err)
+		}
+	}
+}
+
 // frame wraps a body in the magic and its checksum.
 func frame(body []byte) []byte {
 	buf := append([]byte(magic), 0, 0, 0, 0)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"nlexplain/internal/dcs"
+	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -37,15 +38,16 @@ const (
 )
 
 // GenerateCandidates enumerates well-typed lambda DCS queries grounded
-// in the question's anchors, executes each, and returns the deduplicated
-// pool. This is the "floating" part of the parser: compositions are
-// driven by the table and anchors, triggers only add features (the model
-// learns to use them), so mis-triggered compositions exist in the pool —
-// exactly the realistic error profile the paper's user study corrects.
+// in the question's anchors, executes each in x (nil: the package
+// default), and returns the deduplicated pool. This is the "floating"
+// part of the parser: compositions are driven by the table and anchors,
+// triggers only add features (the model learns to use them), so
+// mis-triggered compositions exist in the pool — exactly the realistic
+// error profile the paper's user study corrects.
 //
 // A sub-expression that several queries are built on is one node under
 // all of them, so that what the features ask of it is worked out once.
-func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
+func GenerateCandidates(q *Question, t *table.Table, x *plan.Exec) []*Candidate {
 	numCols := numericColumns(t)
 	recs, joins := recordsCandidates(q, t, numCols)
 	projCols := projectionColumns(q, t)
@@ -177,7 +179,7 @@ func GenerateCandidates(q *Question, t *table.Table) []*Candidate {
 		// Answer-only fast path: candidate results feed ranking and
 		// gold-answer comparison, never highlights, so witness-cell
 		// capture would be pure overhead on this hot loop.
-		res, err := dcs.ExecuteAnswer(e, t)
+		res, err := dcs.ExecuteIn(x, e, t, plan.Noop{})
 		if err != nil {
 			continue // ill-typed, or a dynamic type error: not a viable candidate
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
 )
 
@@ -22,6 +23,9 @@ type Parser struct {
 	// TopK is how many ranked candidates Parse returns (the paper
 	// displays k=7 to users; Parse itself returns up to TopK).
 	TopK int
+	// Exec is the executor candidate generation runs each candidate in;
+	// nil is the package default.
+	Exec *plan.Exec
 	// adagrad accumulator (sum of squared gradients per feature).
 	sumSq map[string]float64
 	// candCache memoizes candidate generation per (table, question):
@@ -89,12 +93,12 @@ func (p *Parser) ShareCandidateCache(o *Parser) {
 // an unsynchronized write, breaking the type's concurrency guarantee).
 func (p *Parser) candidates(question string, t *table.Table) []*Candidate {
 	if p.candCache == nil {
-		return GenerateCandidates(Analyze(question, t), t)
+		return GenerateCandidates(Analyze(question, t), t, p.Exec)
 	}
 	key := poolKey{t, question}
 	pool, ok := p.candCache.get(key)
 	if !ok {
-		pool = p.candCache.putIfAbsent(key, GenerateCandidates(Analyze(question, t), t))
+		pool = p.candCache.putIfAbsent(key, GenerateCandidates(Analyze(question, t), t, p.Exec))
 	}
 	copies := make([]Candidate, len(pool))
 	cands := make([]*Candidate, len(pool))
@@ -140,7 +144,7 @@ func NewUncachedParser() *Parser {
 // do not depend on θ, and sharing lets experiment variants reuse
 // generation work.
 func (p *Parser) Clone() *Parser {
-	q := &Parser{Weights: make(map[string]float64, len(p.Weights)), TopK: p.TopK, sumSq: make(map[string]float64, len(p.sumSq)), candCache: p.candCache}
+	q := &Parser{Weights: make(map[string]float64, len(p.Weights)), TopK: p.TopK, Exec: p.Exec, sumSq: make(map[string]float64, len(p.sumSq)), candCache: p.candCache}
 	for k, v := range p.Weights {
 		q.Weights[k] = v
 	}

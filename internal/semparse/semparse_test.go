@@ -151,7 +151,7 @@ func TestGenerateCandidatesContainsGold(t *testing.T) {
 	}
 	for _, c := range cases {
 		q := Analyze(c.question, tab)
-		cands := GenerateCandidates(q, tab)
+		cands := GenerateCandidates(q, tab, nil)
 		found := false
 		for _, cand := range cands {
 			if cand.Key() == c.gold {
@@ -168,7 +168,7 @@ func TestGenerateCandidatesContainsGold(t *testing.T) {
 func TestCandidatesAreDeduplicated(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("what year did Greece host in Athens?", tab)
-	cands := GenerateCandidates(q, tab)
+	cands := GenerateCandidates(q, tab, nil)
 	seen := make(map[string]bool)
 	for _, c := range cands {
 		if seen[c.Key()] {
@@ -184,7 +184,7 @@ func TestCandidatesAreDeduplicated(t *testing.T) {
 func TestCandidatesAllExecutable(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("what is the difference in year between Athens and Paris?", tab)
-	for _, c := range GenerateCandidates(q, tab) {
+	for _, c := range GenerateCandidates(q, tab, nil) {
 		if c.Result == nil {
 			t.Errorf("candidate %q has no result", c.Key())
 		}

@@ -101,10 +101,11 @@ func computeZones(cd *columnData, n int) []Zone {
 	return zones
 }
 
-// Process-wide zone-map observability, mirroring the style of
-// plan.ExecStats: builds counts every published zone-map build (initial,
-// incremental under Append, and rebuilds after eviction); bytes tracks
-// the currently resident zone-map footprint across all tables.
+// Process-wide zone-map observability — zone maps belong to tables,
+// which engines may share, not to any one executor: builds counts every
+// published zone-map build (initial, incremental under Append, and
+// rebuilds after eviction); bytes tracks the currently resident zone-map
+// footprint across all tables.
 var (
 	zoneBuilds        atomic.Uint64
 	zoneResidentBytes atomic.Int64
