@@ -151,7 +151,8 @@ type Engine struct {
 
 	// exec is the executor every plan execution of the engine runs in:
 	// explanations, answers, their samples, candidate generation by
-	// parser and the previews of a deep top_k.
+	// parser (the one the engine ranks with) and the previews of a deep
+	// top_k.
 	exec   plan.Exec
 	parser *semparse.Parser
 
@@ -443,10 +444,10 @@ type Explanation struct {
 
 // prepare is the front of every uncached query computation: parse,
 // compile against the pinned snapshot into the engine's executor, and
-// the pprof labels execution runs under. Nothing is cached on the way: a plan is bound to the
-// same (version, query) pair the result and answer caches key on, so
-// a request that gets here has already missed the only cache that
-// could have saved this work.
+// the pprof labels execution runs under. Nothing is cached on the way:
+// a plan is bound to the same (version, query) pair the result and
+// answer caches key on, so a request that gets here has already missed
+// the only cache that could have saved this work.
 func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
 	q, err := dcs.Parse(query)
 	if err != nil {

@@ -32,10 +32,9 @@ type Val struct {
 
 // RunIntoCtx executes the plan over a table in executor x (nil: the
 // package default) under the given tracer (nil is treated as Noop:
-// answer-only execution) and deposits the
-// detached result in *out, which callers own (dcs puts it on the stack
-// and copies the fields into its own result type); *out is overwritten
-// entirely. Cancellation is cooperative: the morsel driver polls ctx at
+// answer-only execution) and deposits the detached result in *out,
+// which callers own (dcs puts it on the stack and copies the fields
+// into its own result type); *out is overwritten entirely. Cancellation is cooperative: the morsel driver polls ctx at
 // every morsel boundary, forked or inline, returning ctx.Err() once it
 // fires — so a caller whose deadline expired never burns a full
 // million-row scan. A nil ctx disables the checks.
