@@ -105,14 +105,16 @@ store-stress:
 # layer's tests, the engine-level hammer (8 query goroutines racing a
 # store mutator over a pinned snapshot) and the engine executor tests
 # (one engine's counts, two engines' separation) all rerun under the
-# race detector. The last line is the big table's footprint gate, a
-# measurement and so run without the detector: live heap per cell of a
-# 131072 x 6 table, which a second copy of the cells in any form does
-# not fit under.
+# race detector. The last line is the big table's footprint, measured
+# and so run without the detector: live heap per cell of a 131072 x 6
+# table, which a second copy of the cells in any form or 64-bit row
+# ids do not fit under, and the byte estimate the store's
+# -store-budget eviction trusts, held to that measured heap for the
+# big table and for web tables.
 bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
-	$(GO) test -run TestTableHeapPerCell -count=1 ./internal/table/
+	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap' -count=1 ./internal/table/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data

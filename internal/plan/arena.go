@@ -2,12 +2,13 @@ package plan
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"nlexplain/internal/table"
 )
 
 // arena is the per-execution scratch store behind the allocation-free
-// hot path: every intermediate Val, row buffer, bitset word block,
+// hot path: every intermediate val, row buffer, bitset word block,
 // value/cell buffer and dedup hash table an execution needs is drawn
 // from here, and the whole arena returns to a sync.Pool when the run
 // finishes. Repeated queries therefore allocate O(1): after the
@@ -20,29 +21,29 @@ import (
 //   - An arena belongs to exactly one execution at a time, and
 //     executions never nest, so reuse never crosses runs.
 //   - Arena-backed memory must never survive release: RunIntoCtx detaches
-//     (deep-copies) the root Val before releasing, and tracers must
+//     (deep-copies) the root val before releasing, and tracers must
 //     copy any cell slice they want to keep (see Tracer.Operator).
 //   - Buffers are handed out empty (len 0) and never handed back
 //     individually; release simply rewinds the high-water marks.
 //     Stale contents past a buffer's returned length are never read.
 //   - Pooled buffers may pin table values (dictionary windows) until the
-//     next GC empties the pool; used Vals are zeroed on release so the
+//     next GC empties the pool; used vals are zeroed on release so the
 //     pool itself never keeps a dropped snapshot alive through them.
+//   - No arena holds the identity row set: every execution shares one
+//     (identity).
 type arena struct {
 	// ex is the executor itself, embedded so a run allocates nothing.
 	ex executor
 
-	// n is the row count of the pinned table, sizing ident and the
-	// bitset word blocks.
-	n int
-
-	ints   bufs[int]
+	rows   bufs[int32]   // row sets
+	ints   bufs[int]     // per-morsel counts and positions
+	wins   bufs[[]int32] // posting windows, cleared after use
 	floats bufs[float64]
 	words  bufs[uint64]
 	vals   bufs[table.Value]
 	cells  bufs[table.CellRef]
 
-	valNodes []*Val
+	valNodes []*val
 	valUsed  int
 
 	ded dedup
@@ -51,29 +52,23 @@ type arena struct {
 	// and global the one its merge uses.
 	local  []codeMap
 	global codeMap
-
-	// ident is the cached identity row set 0..cap-1 every Scan shares.
-	ident []int
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
-// getArena checks an arena out of the pool for one execution over an
-// n-row table.
-func getArena(n int) *arena {
-	a := arenaPool.Get().(*arena)
-	a.n = n
-	return a
-}
+// getArena checks an arena out of the pool for one execution.
+func getArena() *arena { return arenaPool.Get().(*arena) }
 
-// release rewinds the arena and returns it to the pool. Used Vals are
+// release rewinds the arena and returns it to the pool. Used vals are
 // zeroed so pooled arenas drop their references into table data.
 func (a *arena) release() {
 	for i := 0; i < a.valUsed; i++ {
-		*a.valNodes[i] = Val{}
+		*a.valNodes[i] = val{}
 	}
 	a.valUsed = 0
+	a.rows.reset()
 	a.ints.reset()
+	a.wins.reset()
 	a.floats.reset()
 	a.words.reset()
 	a.vals.reset()
@@ -82,14 +77,14 @@ func (a *arena) release() {
 	arenaPool.Put(a)
 }
 
-// val hands out a zeroed Val with the given kind.
-func (a *arena) val(k Kind) *Val {
+// val hands out a zeroed val with the given kind.
+func (a *arena) val(k Kind) *val {
 	if a.valUsed == len(a.valNodes) {
-		a.valNodes = append(a.valNodes, new(Val))
+		a.valNodes = append(a.valNodes, new(val))
 	}
 	v := a.valNodes[a.valUsed]
 	a.valUsed++
-	*v = Val{Kind: k}
+	*v = val{Kind: k}
 	return v
 }
 
@@ -131,19 +126,36 @@ func (m *codeMap) sized(n int) codeMap {
 }
 
 // forget resets the slots of the codes at rows.
-func (m codeMap) forget(codes []uint32, rows []int) {
+func (m codeMap) forget(codes []uint32, rows []int32) {
 	for _, r := range rows {
 		m[codes[r]] = -1
 	}
 }
 
-// identity returns the shared ascending row set 0..n-1. Callers treat
-// it as immutable (executors never mutate input row slices).
-func (a *arena) identity(n int) []int {
-	for len(a.ident) < n {
-		a.ident = append(a.ident, len(a.ident))
+// identRows holds the identity row set 0..n-1 for the largest table
+// any execution has scanned, shared by every execution of every Exec:
+// immutable once published, and replaced — never grown in place — when
+// a larger table needs a longer one. It costs 4 bytes per row of that
+// table, once per process.
+var identRows atomic.Pointer[[]int32]
+
+// identity returns the ascending row set 0..n-1. It is shared, so
+// callers treat it as immutable (executors never mutate input row
+// slices).
+func identity(n int) []int32 {
+	for {
+		p := identRows.Load()
+		if p != nil && len(*p) >= n {
+			return (*p)[:n:n]
+		}
+		rows := make([]int32, n)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		if identRows.CompareAndSwap(p, &rows) {
+			return rows
+		}
 	}
-	return a.ident[:n]
 }
 
 // bufs is a freelist of reusable []T scratch buffers. get hands out

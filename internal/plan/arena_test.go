@@ -71,3 +71,27 @@ func TestArenaDedupAgainstMap(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentityIsShared pins the one identity row set: every request
+// for 0..n-1 is a window of the same array, capped so that no executor
+// can append into it, and a table longer than the array replaces it
+// with a longer one, which later requests share in turn.
+func TestIdentityIsShared(t *testing.T) {
+	n := 3 * morselRows
+	rows := identity(n)
+	if len(rows) != n || cap(rows) != n {
+		t.Fatalf("identity(%d) has len %d, cap %d", n, len(rows), cap(rows))
+	}
+	for i, r := range rows {
+		if int(r) != i {
+			t.Fatalf("identity(%d)[%d] = %d", n, i, r)
+		}
+	}
+	if small := identity(5); &small[0] != &rows[0] {
+		t.Fatal("identity(5) is not a window of the shared row set")
+	}
+	longer := identity(len(*identRows.Load()) + 1)
+	if again := identity(n); &again[0] != &longer[0] {
+		t.Fatal("a longer identity was built but not shared")
+	}
+}

@@ -9,22 +9,32 @@ import (
 	"nlexplain/internal/table"
 )
 
-// Val is the runtime denotation of a plan node. Exactly the fields of
-// its Kind are meaningful: Rows for RowsKind (ascending record
-// indices), Values for ValuesKind and ScalarKind (ScalarKind holds the
-// single scalar in Values[0] and the producing aggregate, if any, in
-// Aggr).
+// Val is the denotation of a plan execution's root, as RunIntoCtx
+// hands it to the caller. Exactly the fields of its Kind are
+// meaningful: Rows for RowsKind (ascending record indices), Values for
+// ValuesKind and ScalarKind (ScalarKind holds the single scalar in
+// Values[0] and the producing aggregate, if any, in Aggr).
 //
-// Cells carries the node's PO witness cells (sorted row-major,
+// Cells carries the root's PO witness cells (sorted row-major,
 // duplicate-free — the table.CellSet form), computed only under an
 // active Tracer; with an inactive tracer it is always nil.
 //
-// During execution Vals and their slices live in a pooled per-run
-// arena; the Val RunIntoCtx fills is detached (deep-copied) into
-// ordinary heap memory, so callers and caches may hold it forever.
+// A Val is ordinary heap memory, detached from the execution, so
+// callers and caches may hold it forever.
 type Val struct {
 	Kind   Kind
 	Rows   []int
+	Values []table.Value
+	Aggr   string
+	Cells  []table.CellRef
+}
+
+// val is the runtime denotation of a plan node inside one execution:
+// Val's fields, with row ids 32 bits wide, as the table stores them.
+// A val and its slices live in the execution's pooled arena.
+type val struct {
+	Kind   Kind
+	Rows   []int32
 	Values []table.Value
 	Aggr   string
 	Cells  []table.CellRef
@@ -45,7 +55,7 @@ func RunIntoCtx(ctx context.Context, x *Exec, out *Val, n Node, t *table.Table, 
 	if x == nil {
 		x = &defaultExec
 	}
-	ar := getArena(t.NumRows())
+	ar := getArena()
 	defer ar.release()
 	ex := &ar.ex
 	ex.t, ex.tr, ex.trace, ex.ar, ex.ctx, ex.x = t, tr, tr.Active(), ar, ctx, x
@@ -64,12 +74,16 @@ func RunIntoCtx(ctx context.Context, x *Exec, out *Val, n Node, t *table.Table, 
 }
 
 // detachInto deep-copies v — whose slices live in arena scratch — into
-// ordinary heap memory in *out. Empty slices normalize to nil, so the
-// copy costs O(result) bytes but O(1) allocations.
-func detachInto(out, v *Val) {
+// ordinary heap memory in *out, widening its rows to int. Empty slices
+// normalize to nil, so the copy costs O(result) bytes but O(1)
+// allocations.
+func detachInto(out *Val, v *val) {
 	*out = Val{Kind: v.Kind, Aggr: v.Aggr}
 	if len(v.Rows) > 0 {
-		out.Rows = append(make([]int, 0, len(v.Rows)), v.Rows...)
+		out.Rows = make([]int, len(v.Rows))
+		for i, r := range v.Rows {
+			out.Rows[i] = int(r)
+		}
 	}
 	if len(v.Values) > 0 {
 		out.Values = append(make([]table.Value, 0, len(v.Values)), v.Values...)
@@ -107,7 +121,7 @@ type executor struct {
 	agg  aggFold
 }
 
-func (ex *executor) run(n Node) (*Val, error) {
+func (ex *executor) run(n Node) (*val, error) {
 	v, err := ex.eval(n)
 	if err != nil {
 		return nil, err
@@ -118,11 +132,11 @@ func (ex *executor) run(n Node) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) eval(n Node) (*Val, error) {
+func (ex *executor) eval(n Node) (*val, error) {
 	switch x := n.(type) {
 	case *Scan:
 		v := ex.ar.val(RowsKind)
-		v.Rows = ex.ar.identity(ex.t.NumRows())
+		v.Rows = identity(ex.t.NumRows())
 		return v, nil
 	case *IndexLookup:
 		return ex.indexLookup(x.Col, x.canonicalKeys())
@@ -166,10 +180,10 @@ func (ex *executor) eval(n Node) (*Val, error) {
 
 // cellsAt builds the witness cells (r, col) for a sorted, duplicate-
 // free row set — already row-major sorted by construction.
-func (ex *executor) cellsAt(rows []int, col int) []table.CellRef {
+func (ex *executor) cellsAt(rows []int32, col int) []table.CellRef {
 	out := ex.ar.cells.get(len(rows))[:len(rows)]
 	for i, r := range rows {
-		out[i] = table.CellRef{Row: r, Col: col}
+		out[i] = table.CellRef{Row: int(r), Col: col}
 	}
 	return out
 }
@@ -177,9 +191,9 @@ func (ex *executor) cellsAt(rows []int, col int) []table.CellRef {
 // ---- row operators ----
 
 // indexLookup answers a KB lookup on pre-canonicalized keys.
-func (ex *executor) indexLookup(col int, keys []string) (*Val, error) {
+func (ex *executor) indexLookup(col int, keys []string) (*val, error) {
 	t := ex.t
-	var rows []int
+	var rows []int32
 	if len(keys) == 1 {
 		// Posting lists are ascending and duplicate-free, and shared
 		// with the table's KB index. Sharing is safe: executors never
@@ -191,7 +205,7 @@ func (ex *executor) indexLookup(col int, keys []string) (*Val, error) {
 		for _, k := range keys {
 			set.AddRows(t.RowsForKey(col, k))
 		}
-		rows = set.AppendRows(ex.ar.ints.get(t.NumRows()))
+		rows = set.AppendRows(ex.ar.rows.get(set.Count()))
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
@@ -203,9 +217,9 @@ func (ex *executor) indexLookup(col int, keys []string) (*Val, error) {
 
 // lookupValues is indexLookup over a computed value set (the dynamic
 // lambda DCS join); keys are canonicalized per execution.
-func (ex *executor) lookupValues(col int, vals []table.Value) (*Val, error) {
+func (ex *executor) lookupValues(col int, vals []table.Value) (*val, error) {
 	t := ex.t
-	var rows []int
+	var rows []int32
 	if len(vals) == 1 {
 		rows = t.RowsForKey(col, vals[0].Key())
 	} else {
@@ -213,7 +227,7 @@ func (ex *executor) lookupValues(col int, vals []table.Value) (*Val, error) {
 		for _, v := range vals {
 			set.AddRows(t.RowsForKey(col, v.Key()))
 		}
-		rows = set.AppendRows(ex.ar.ints.get(t.NumRows()))
+		rows = set.AppendRows(ex.ar.rows.get(set.Count()))
 	}
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
@@ -223,9 +237,9 @@ func (ex *executor) lookupValues(col int, vals []table.Value) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) compare(x *Compare) (*Val, error) {
+func (ex *executor) compare(x *Compare) (*val, error) {
 	t := ex.t
-	var rows []int
+	var rows []int32
 	var err error
 	switch x.Cmp {
 	case "=", "!=":
@@ -235,14 +249,14 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 			// or Unicode case folds outside ASCII): scan with the
 			// interpreter's Equal semantics.
 			col, v, want := x.Col, x.V, x.Cmp == "="
-			rows, err = ex.scan(func(r int) bool { return t.Value(r, col).Equal(v) == want }, nil)
+			rows, err = ex.scan(func(r int32) bool { return t.Value(int(r), col).Equal(v) == want }, nil)
 		case x.Cmp == "=":
 			rows = t.RowsForKey(x.Col, x.canonicalKey())
 		default:
 			// Entity inequality: complement of the KB posting list, walked
 			// with two pointers so no per-row string comparison happens.
 			rows, err = ex.filterRows(rowFilter{
-				rows:   ex.ar.identity(t.NumRows()),
+				rows:   identity(t.NumRows()),
 				except: t.RowsForKey(x.Col, x.canonicalKey()),
 			})
 		}
@@ -290,21 +304,22 @@ func (ex *executor) compare(x *Compare) (*Val, error) {
 
 // scan keeps the rows of the whole row space that keep accepts, under
 // the zone verdicts zs when there are any.
-func (ex *executor) scan(keep func(row int) bool, zs *zoneScan) ([]int, error) {
-	return ex.filterRows(rowFilter{rows: ex.ar.identity(ex.t.NumRows()), zones: zs, keep: keep})
+func (ex *executor) scan(keep func(row int32) bool, zs *zoneScan) ([]int32, error) {
+	return ex.filterRows(rowFilter{rows: identity(ex.t.NumRows()), zones: zs, keep: keep})
 }
 
 // rangeMatcher is a range comparison's per-row test, with the literal's
 // conversion hoisted out of the loop. Over an indexable column with a
-// non-NaN literal it reads the float column; otherwise it keeps
+// non-NaN literal it reads the float column, where a cell with no
+// numeric reading is a NaN and so matches no range; otherwise it keeps
 // Value.Compare's semantics, under which a NaN compares equal to
 // everything.
-func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(row int) bool {
+func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(row int32) bool {
 	t, col := ex.t, x.Col
 	if !indexable {
 		op, v := x.Cmp, x.V
-		return func(r int) bool {
-			c := t.Value(r, col)
+		return func(r int32) bool {
+			c := t.Value(int(r), col)
 			if !c.IsNumeric() {
 				return false
 			}
@@ -321,16 +336,19 @@ func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(r
 			}
 		}
 	}
-	nums, isNum := t.ColumnNums(col)
+	nums := t.ColumnNums(col)
+	if nums == nil {
+		return func(int32) bool { return false }
+	}
 	switch x.Cmp {
 	case "<":
-		return func(r int) bool { return isNum[r] && nums[r] < lit }
+		return func(r int32) bool { return nums[r] < lit }
 	case "<=":
-		return func(r int) bool { return isNum[r] && nums[r] <= lit }
+		return func(r int32) bool { return nums[r] <= lit }
 	case ">":
-		return func(r int) bool { return isNum[r] && nums[r] > lit }
+		return func(r int32) bool { return nums[r] > lit }
 	default:
-		return func(r int) bool { return isNum[r] && nums[r] >= lit }
+		return func(r int32) bool { return nums[r] >= lit }
 	}
 }
 
@@ -338,12 +356,12 @@ func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(r
 // numeric index in O(log n) plus output size. The matching rows arrive
 // in value order; replaying them through a bitset re-emits them in
 // ascending record order without a sort.
-func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int {
+func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int32 {
 	idx := ex.t.NumericSortedRows(col)
-	nums, _ := ex.t.ColumnNums(col)
+	nums := ex.t.ColumnNums(col)
 	ge := func(i int) bool { return nums[idx[i]] >= lit }
 	gt := func(i int) bool { return nums[idx[i]] > lit }
-	var part []int
+	var part []int32
 	switch op {
 	case "<":
 		part = idx[:sort.Search(len(idx), ge)]
@@ -356,19 +374,19 @@ func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int {
 	}
 	set := ex.ar.rowSet(ex.t.NumRows())
 	set.AddRows(part)
-	return set.AppendRows(ex.ar.ints.get(len(part)))
+	return set.AppendRows(ex.ar.rows.get(len(part)))
 }
 
-func (ex *executor) shift(x *Shift) (*Val, error) {
+func (ex *executor) shift(x *Shift) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
 	}
 	n := ex.t.NumRows()
-	rows := ex.ar.ints.get(len(in.Rows))
+	rows := ex.ar.rows.get(len(in.Rows))
 	for _, r := range in.Rows {
-		if s := r + x.Delta; s >= 0 && s < n {
-			rows = append(rows, s)
+		if s := int(r) + x.Delta; s >= 0 && s < n {
+			rows = append(rows, int32(s))
 		}
 	}
 	// Input rows are ascending and duplicate-free, so a constant shift
@@ -381,7 +399,7 @@ func (ex *executor) shift(x *Shift) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) intersect(x *Intersect) (*Val, error) {
+func (ex *executor) intersect(x *Intersect) (*val, error) {
 	l, err := ex.run(x.L)
 	if err != nil {
 		return nil, err
@@ -401,7 +419,7 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 	v.Rows = rows
 	if ex.trace {
 		// Table 10: PO(records1 ⊓ records2) = PO(records1) ∩ PO(records2).
-		// Both cell sets are sorted and duplicate-free (the Val
+		// Both cell sets are sorted and duplicate-free (the val
 		// invariant), so the intersection is one merge walk.
 		v.Cells = table.IntersectSortedCells(
 			ex.ar.cells.get(min(len(l.Cells), len(r.Cells))), l.Cells, r.Cells)
@@ -409,7 +427,7 @@ func (ex *executor) intersect(x *Intersect) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) union(x *Union) (*Val, error) {
+func (ex *executor) union(x *Union) (*val, error) {
 	l, err := ex.run(x.L)
 	if err != nil {
 		return nil, err
@@ -423,7 +441,7 @@ func (ex *executor) union(x *Union) (*Val, error) {
 		set := ex.ar.rowSet(ex.t.NumRows())
 		set.AddRows(l.Rows)
 		set.AddRows(r.Rows)
-		v.Rows = set.AppendRows(ex.ar.ints.get(len(l.Rows) + len(r.Rows)))
+		v.Rows = set.AppendRows(ex.ar.rows.get(set.Count()))
 	} else {
 		v.Values = ex.dedupValues(l.Values, r.Values)
 	}
@@ -457,7 +475,7 @@ func (ex *executor) dedupValues(a, b []table.Value) []table.Value {
 	return out
 }
 
-func (ex *executor) superlative(x *Superlative) (*Val, error) {
+func (ex *executor) superlative(x *Superlative) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
@@ -467,9 +485,9 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 		return ex.ar.val(RowsKind), nil
 	}
 	t := ex.t
-	var out []int
+	var out []int32
 	if t.ColumnAllNumeric(x.Col) && t.ColumnIndexable(x.Col) {
-		nums, _ := t.ColumnNums(x.Col)
+		nums := t.ColumnNums(x.Col)
 		if len(rows) == t.NumRows() {
 			// Full-table superlative. If the sorted index is not resident
 			// yet, the zone maps answer cheaper: the global extreme folds
@@ -511,7 +529,7 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int) bool {
+			out, err = ex.filterRows(rowFilter{rows: rows, keep: func(r int32) bool {
 				return nums[r] == best
 			}})
 			if err != nil {
@@ -522,10 +540,10 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 		// Value.Compare is not guaranteed transitive across mixed-kind
 		// or NaN cells, so this fold is order-sensitive and never forks;
 		// the rows tying with its result are collected on the caller too.
-		best := t.Value(rows[0], x.Col)
+		best := t.Value(int(rows[0]), x.Col)
 		err := ex.eachMorsel(len(rows), func(_, lo, hi int) {
 			for _, r := range rows[lo:hi] {
-				v := t.Value(r, x.Col)
+				v := t.Value(int(r), x.Col)
 				if (x.Max && v.Compare(best) > 0) || (!x.Max && v.Compare(best) < 0) {
 					best = v
 				}
@@ -534,10 +552,10 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = ex.ar.ints.get(len(rows))
+		out = ex.ar.rows.get(len(rows))
 		err = ex.eachMorsel(len(rows), func(_, lo, hi int) {
 			for _, r := range rows[lo:hi] {
-				if t.Value(r, x.Col).Compare(best) == 0 {
+				if t.Value(int(r), x.Col).Compare(best) == 0 {
 					out = append(out, r)
 				}
 			}
@@ -556,7 +574,7 @@ func (ex *executor) superlative(x *Superlative) (*Val, error) {
 
 // ---- value operators ----
 
-func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
+func (ex *executor) projectCol(x *ProjectCol) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
@@ -569,7 +587,7 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 	}
 	vals := ex.ar.vals.get(len(reps))
 	for _, r := range reps {
-		vals = append(vals, ex.t.Value(r, x.Col))
+		vals = append(vals, ex.t.Value(int(r), x.Col))
 	}
 	v := ex.ar.val(ValuesKind)
 	v.Values = vals
@@ -579,7 +597,7 @@ func (ex *executor) projectCol(x *ProjectCol) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) indexSuper(x *IndexSuper) (*Val, error) {
+func (ex *executor) indexSuper(x *IndexSuper) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
@@ -587,9 +605,9 @@ func (ex *executor) indexSuper(x *IndexSuper) (*Val, error) {
 	if len(in.Rows) == 0 {
 		return ex.ar.val(ValuesKind), nil
 	}
-	r := in.Rows[len(in.Rows)-1]
+	r := int(in.Rows[len(in.Rows)-1])
 	if x.First {
-		r = in.Rows[0]
+		r = int(in.Rows[0])
 	}
 	v := ex.ar.val(ValuesKind)
 	v.Values = append(ex.ar.vals.get(1), ex.t.Value(r, x.Col))
@@ -599,7 +617,7 @@ func (ex *executor) indexSuper(x *IndexSuper) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) mostFrequent(x *MostFrequent) (*Val, error) {
+func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 	t := ex.t
 	var candidates []table.Value
 	if x.Input == nil {
@@ -618,7 +636,7 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*Val, error) {
 	// matching the SQL translation's GROUP BY (groups form in row order)
 	// with a stable ORDER BY COUNT(Index) DESC LIMIT 1 (Table 10).
 	bestCount := 0
-	bestFirst := 0
+	bestFirst := int32(0)
 	var winner table.Value
 	for _, v := range candidates {
 		occ := t.RowsForKey(x.Col, v.Key())
@@ -642,7 +660,7 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
+func (ex *executor) compareVals(x *CompareVals) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
@@ -651,17 +669,26 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 	// SQL semantics (Table 10, Comparing Values): the extreme key value
 	// over all records whose ValCol value is a candidate, then the
 	// DISTINCT ValCol values of records achieving that key.
-	pool := ex.ar.ints.get(t.NumRows())
+	// The posting windows are gathered first, so the pool is drawn at
+	// the size it will hold.
+	wins, total := ex.ar.wins.get(len(in.Values)), 0
 	for _, v := range in.Values {
-		pool = append(pool, t.RowsForKey(x.ValCol, v.Key())...)
+		w := t.RowsForKey(x.ValCol, v.Key())
+		wins = append(wins, w)
+		total += len(w)
 	}
+	pool := ex.ar.rows.get(total)
+	for _, w := range wins {
+		pool = append(pool, w...)
+	}
+	clear(wins) // the arena pins no table through its windows
 	if len(pool) == 0 {
 		return ex.ar.val(ValuesKind), nil
 	}
-	best := t.Value(pool[0], x.KeyCol)
+	best := t.Value(int(pool[0]), x.KeyCol)
 	err = ex.eachMorsel(len(pool), func(_, lo, hi int) {
 		for _, r := range pool[lo:hi] {
-			k := t.Value(r, x.KeyCol)
+			k := t.Value(int(r), x.KeyCol)
 			if (x.Max && k.Compare(best) > 0) || (!x.Max && k.Compare(best) < 0) {
 				best = k
 			}
@@ -676,8 +703,8 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 		achieved = ex.ar.rowSet(t.NumRows())
 	}
 	for _, r := range pool {
-		if t.Value(r, x.KeyCol).Compare(best) == 0 {
-			out = append(out, t.Value(r, x.ValCol))
+		if t.Value(int(r), x.KeyCol).Compare(best) == 0 {
+			out = append(out, t.Value(int(r), x.ValCol))
 			if ex.trace {
 				achieved.Add(r)
 			}
@@ -688,7 +715,7 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 	if ex.trace {
 		// The bitset replays the achieving rows in ascending record
 		// order, giving the sorted duplicate-free witness cells directly.
-		rows := achieved.AppendRows(ex.ar.ints.get(achieved.Count()))
+		rows := achieved.AppendRows(ex.ar.rows.get(achieved.Count()))
 		v.Cells = ex.cellsAt(rows, x.ValCol)
 	}
 	return v, nil
@@ -696,7 +723,7 @@ func (ex *executor) compareVals(x *CompareVals) (*Val, error) {
 
 // ---- scalar operators ----
 
-func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
+func (ex *executor) aggregate(x *Aggregate) (*val, error) {
 	in, err := ex.run(x.Input)
 	if err != nil {
 		return nil, err
@@ -726,7 +753,7 @@ func (ex *executor) aggregate(x *Aggregate) (*Val, error) {
 	return v, nil
 }
 
-func (ex *executor) arith(x *Arith) (*Val, error) {
+func (ex *executor) arith(x *Arith) (*val, error) {
 	l, err := ex.run(x.L)
 	if err != nil {
 		return nil, err
@@ -761,7 +788,7 @@ func (ex *executor) arith(x *Arith) (*Val, error) {
 	return v, nil
 }
 
-func arithOperand(x *Arith, v *Val, side string) (float64, error) {
+func arithOperand(x *Arith, v *val, side string) (float64, error) {
 	if len(v.Values) != 1 {
 		return 0, errorf(x.Src, "%s operand of sub must be a single value, got %d", side, len(v.Values))
 	}

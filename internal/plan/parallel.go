@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +30,7 @@ import (
 // Merging is deterministic: a kernel writes morsel m's output only to
 // slot m of its partials, and the operator folds the slots in morsel
 // order after the driver returns. Because input row sets are ascending
-// (the Val invariant) and morsels tile them in order, concatenating
+// (the val invariant) and morsels tile them in order, concatenating
 // per-morsel row matches yields one ascending row set whichever worker
 // ran which morsel, and value projection's first-appearance order is
 // preserved by merging locally-first representatives morsel by morsel.
@@ -294,17 +294,17 @@ func (ex *executor) forkJoin(n int, k kernel) error {
 // bulk-fills its row range, maybe runs the matcher. With no verdicts
 // every morsel is a maybe.
 type rowFilter struct {
-	rows  []int     // ascending input row set
+	rows  []int32   // ascending input row set
 	zones *zoneScan // per-morsel verdicts; nil when nothing is provable
 
 	// keep decides one row. When keep is nil the kernel keeps the rows
 	// absent from except (ascending) instead, walking both lists with
 	// two pointers.
-	keep   func(row int) bool
-	except []int
+	keep   func(row int32) bool
+	except []int32
 
-	out  []int // morsel m appends its matches to out[lo:lo:hi]
-	lens []int // matches per morsel
+	out  []int32 // morsel m appends its matches to out[lo:lo:hi]
+	lens []int   // matches per morsel
 }
 
 func (k *rowFilter) morsel(_, m, lo, hi int) {
@@ -318,7 +318,7 @@ func (k *rowFilter) morsel(_, m, lo, hi int) {
 	case verdict == zoneAll:
 		dst = append(dst, rows...)
 	case k.keep == nil:
-		j := sort.SearchInts(k.except, rows[0])
+		j, _ := slices.BinarySearch(k.except, rows[0])
 		for _, r := range rows {
 			for j < len(k.except) && k.except[j] < r {
 				j++
@@ -340,10 +340,10 @@ func (k *rowFilter) morsel(_, m, lo, hi int) {
 // filterRows runs a rowFilter and merges it: the per-morsel windows
 // compact, in morsel order, to the front of the output buffer — one
 // ascending row set. Decided morsels are booked in the skip counters.
-func (ex *executor) filterRows(k rowFilter) ([]int, error) {
+func (ex *executor) filterRows(k rowFilter) ([]int32, error) {
 	n := len(k.rows)
 	nm := morselCount(n)
-	k.out = ex.ar.ints.get(n)
+	k.out = ex.ar.rows.get(n)
 	k.lens = ex.ar.ints.get(nm)[:nm]
 	ex.filt = k
 	if err := ex.drive(n, &ex.filt); err != nil {
@@ -366,7 +366,7 @@ func (ex *executor) filterRows(k rowFilter) ([]int, error) {
 // column is indexable and all-numeric, so it holds no NaN and float
 // max/min recombine exactly.
 type extremeScan struct {
-	rows  []int
+	rows  []int32
 	nums  []float64
 	max   bool
 	bests []float64 // per-morsel extreme
@@ -383,7 +383,7 @@ func (k *extremeScan) morsel(_, m, lo, hi int) {
 }
 
 // extreme returns the max (or min) of nums over a non-empty row set.
-func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, error) {
+func (ex *executor) extreme(rows []int32, nums []float64, wantMax bool) (float64, error) {
 	nm := morselCount(len(rows))
 	ex.ext = extremeScan{rows: rows, nums: nums, max: wantMax, bests: ex.ar.floats.get(nm)[:nm]}
 	if err := ex.drive(len(rows), &ex.ext); err != nil {
@@ -403,11 +403,11 @@ func (ex *executor) extreme(rows []int, nums []float64, wantMax bool) (float64, 
 // per locally-distinct key in local first-appearance order. Codes are
 // dense, so the key -> group map is an array indexed by code.
 type groupScan struct {
-	rows  []int
+	rows  []int32
 	codes []uint32  // the column's key codes, by row
 	local []codeMap // per-worker code -> local group scratch
 
-	reps  []int // morsel m's representatives land in reps[lo:lo+nreps[m]]
+	reps  []int32 // morsel m's representatives land in reps[lo:lo+nreps[m]]
 	nreps []int
 }
 
@@ -430,13 +430,13 @@ func (k *groupScan) morsel(w, m, lo, hi int) {
 // deduplicating their local representatives — the earliest morsel
 // holding a key is the one holding its first row; a lone morsel's
 // representatives are the answer already.
-func (ex *executor) groupByKey(rows []int, col int) ([]int, error) {
+func (ex *executor) groupByKey(rows []int32, col int) ([]int32, error) {
 	n := len(rows)
 	nm := morselCount(n)
 	codes, nkeys := ex.t.ColumnKeyCodes(col), ex.t.NumKeys(col)
 	k := &ex.grp
 	*k = groupScan{rows: rows, codes: codes, local: ex.ar.locals(ex.cfg.workers, nkeys),
-		reps: ex.ar.ints.get(n), nreps: ex.ar.ints.get(nm)[:nm]}
+		reps: ex.ar.rows.get(n), nreps: ex.ar.ints.get(nm)[:nm]}
 	if err := ex.drive(n, k); err != nil {
 		return nil, err
 	}
@@ -448,7 +448,7 @@ func (ex *executor) groupByKey(rows []int, col int) ([]int, error) {
 		total += c
 	}
 	global := ex.ar.global.sized(nkeys)
-	reps := ex.ar.ints.get(total)
+	reps := ex.ar.rows.get(total)
 	for m, c := range k.nreps {
 		lo := m * morselRows
 		for _, rep := range k.reps[lo : lo+c] {

@@ -5,7 +5,7 @@ import "math/bits"
 // RowSet is a dense word-packed bitmap over the record indices of one
 // pinned table — the executor's working representation for a row set it
 // builds from unordered rows. Adding n rows is n bit sets, and
-// converting back to the executor's ascending []int form (AppendRows)
+// converting back to the executor's ascending []int32 form (AppendRows)
 // walks set bits with trailing-zero counts — already in record order,
 // so no sort is ever needed.
 //
@@ -20,18 +20,18 @@ func rowSetWords(n int) int { return (n + 63) / 64 }
 
 // Add inserts row i, which must lie inside the universe the set was
 // sized to.
-func (s RowSet) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
+func (s RowSet) Add(i int32) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// AddRows inserts every row of the slice — the []int -> RowSet
+// AddRows inserts every row of the slice — the []int32 -> RowSet
 // conversion. The input need not be sorted or duplicate-free.
-func (s RowSet) AddRows(rows []int) {
+func (s RowSet) AddRows(rows []int32) {
 	for _, r := range rows {
 		s.Add(r)
 	}
 }
 
 // Contains reports membership of row i.
-func (s RowSet) Contains(i int) bool {
+func (s RowSet) Contains(i int32) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
@@ -45,12 +45,13 @@ func (s RowSet) Count() int {
 }
 
 // AppendRows appends the set rows onto dst in ascending order and
-// returns it — the RowSet -> []int conversion at operator boundaries.
-func (s RowSet) AppendRows(dst []int) []int {
+// returns it — the RowSet -> []int32 conversion at operator boundaries.
+// Count rows fit in dst without growing it.
+func (s RowSet) AppendRows(dst []int32) []int32 {
 	for wi, w := range s.words {
-		base := wi << 6
+		base := int32(wi << 6)
 		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
+			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}

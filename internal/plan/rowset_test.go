@@ -2,30 +2,18 @@ package plan
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // refRows lists a map-backed reference set in ascending order.
-func refRows(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
+func refRows(m map[int32]bool) []int32 {
+	out := make([]int32, 0, len(m))
 	for r := range m {
 		out = append(out, r)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
-}
-
-func sameRows(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestRowSetAgainstMapReference drives random inserts and membership
@@ -35,23 +23,23 @@ func TestRowSetAgainstMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
 		s := RowSet{words: make([]uint64, rowSetWords(n))}
-		ref := make(map[int]bool)
+		ref := make(map[int32]bool)
 		for iter := 0; iter < 200; iter++ {
 			if n > 0 {
 				switch rng.Intn(3) {
 				case 0:
-					r := rng.Intn(n)
+					r := rng.Int31n(int32(n))
 					s.Add(r)
 					ref[r] = true
 				case 1:
-					rows := make([]int, rng.Intn(5))
+					rows := make([]int32, rng.Intn(5))
 					for i := range rows {
-						rows[i] = rng.Intn(n)
+						rows[i] = rng.Int31n(int32(n))
 						ref[rows[i]] = true
 					}
 					s.AddRows(rows)
 				case 2:
-					r := rng.Intn(n)
+					r := rng.Int31n(int32(n))
 					if s.Contains(r) != ref[r] {
 						t.Fatalf("n=%d Contains(%d) = %t, want %t", n, r, s.Contains(r), ref[r])
 					}
@@ -60,7 +48,7 @@ func TestRowSetAgainstMapReference(t *testing.T) {
 			if got, want := s.Count(), len(ref); got != want {
 				t.Fatalf("n=%d Count = %d, want %d", n, got, want)
 			}
-			if got, want := s.AppendRows(nil), refRows(ref); !sameRows(got, want) {
+			if got, want := s.AppendRows(nil), refRows(ref); !slices.Equal(got, want) {
 				t.Fatalf("n=%d AppendRows = %v, want %v", n, got, want)
 			}
 		}

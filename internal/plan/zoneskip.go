@@ -129,7 +129,7 @@ func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zon
 // exactly the index path's output). Returns ok=false when consultation
 // is gated off or the sorted index is already resident (then the
 // sublinear index path wins).
-func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]int, bool, error) {
+func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]int32, bool, error) {
 	t := ex.t
 	if !ex.cfg.zones || t.NumericIndexBuilt(col) {
 		return nil, false, nil
@@ -163,6 +163,6 @@ func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]in
 		}
 		return zoneMaybe
 	})
-	rows, err := ex.scan(func(r int) bool { return nums[r] == best }, zs)
+	rows, err := ex.scan(func(r int32) bool { return nums[r] == best }, zs)
 	return rows, err == nil, err
 }

@@ -275,10 +275,9 @@ func projectionColumns(q *Question, t *table.Table) []int {
 func numericColumns(t *table.Table) []int {
 	var out []int
 	for c := 0; c < t.NumCols(); c++ {
-		_, isNum := t.ColumnNums(c)
 		numeric := 0
-		for _, ok := range isNum {
-			if ok {
+		for r := range t.NumRows() {
+			if t.CellKind(r, c) != table.String {
 				numeric++
 			}
 		}

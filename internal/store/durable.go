@@ -319,8 +319,12 @@ func (d *durability) listWALSeqs() ([]uint64, error) {
 
 // recover rebuilds the catalog from the data directory: manifest →
 // segments → WAL tail, in that order, gen-gated so records whose
-// effect is already compacted into a segment replay as no-ops.
+// effect is already compacted into a segment replay as no-ops. First
+// it sweeps the temp files of atomic writes a crash cut short.
 func (d *durability) recover() error {
+	if err := d.sweepTemps(); err != nil {
+		return err
+	}
 	man, ok, err := segment.LoadManifest(d.fs, d.dir)
 	if err != nil {
 		return err
@@ -392,6 +396,31 @@ func (d *durability) recover() error {
 	d.w = w
 	d.walSeq = active
 	return nil
+}
+
+// sweepTemps deletes the temp files of atomic writes into the data
+// dir: a segment or the manifest is written to its name plus ".tmp"
+// and a random suffix, then renamed into place, so a process killed
+// between the two leaves the temp file, and no checkpoint ever names
+// it. Recovery runs it before anything else, while no write is in
+// flight; names of no other shape are left alone.
+func (d *durability) sweepTemps() error {
+	ents, err := d.fs.ReadDir(d.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		target, _, ok := strings.Cut(e.Name(), ".tmp")
+		if ok && (target == segment.ManifestName || isSegName(target)) {
+			d.fs.Remove(filepath.Join(d.dir, e.Name()))
+		}
+	}
+	return nil
+}
+
+// isSegName reports whether name has the shape of a segment file.
+func isSegName(name string) bool {
+	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg")
 }
 
 // apply replays decoded WAL records into the store, gen-gated.
@@ -539,7 +568,7 @@ func (d *durability) checkpointLocked() error {
 	}
 	if ents, err := d.fs.ReadDir(d.dir); err == nil {
 		for _, e := range ents {
-			if name := e.Name(); strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") && !live[name] {
+			if name := e.Name(); isSegName(name) && !live[name] {
 				d.fs.Remove(filepath.Join(d.dir, name))
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -467,6 +468,57 @@ func TestDurableCheckpointReusesAndGCs(t *testing.T) {
 		if ref.Name == "cold" && ref.File != coldFile {
 			t.Fatalf("cold's manifest entry moved to %s, want reuse of %s", ref.File, coldFile)
 		}
+	}
+}
+
+// TestRecoverySweepsTempFiles plants what a process killed inside an
+// atomic write leaves behind — a segment's and the manifest's temp
+// files, with content — plus one file recovery does not own. Recovery
+// removes the temp files, keeps the other, and brings back the same
+// relation at the same version.
+func TestRecoverySweepsTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurable(t, dir)
+	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append("a", [][]string{{"nation9", "2024", "99"}}); err != nil {
+		t.Fatal(err)
+	}
+	rowsOf := func(st *Store) [][]string {
+		s, ok := st.Get("a")
+		if !ok {
+			t.Fatal(`table "a" missing`)
+		}
+		return s.Table().RawRows()
+	}
+	want, wantRows := captureState(st), rowsOf(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	temps := []string{"seg-00000000000002bd.seg.tmp1234567", segment.ManifestName + ".tmp89"}
+	keep := "notes.tmp"
+	for _, name := range append(temps, keep) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("left by a crash"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = openDurable(t, dir)
+	defer st.Close()
+	checkRecovered(t, st, want)
+	if got := rowsOf(st); !slices.EqualFunc(got, wantRows, slices.Equal) {
+		t.Fatalf("recovered rows %v, want %v", got, wantRows)
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("temp file %s survived recovery (stat: %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, keep)); err != nil {
+		t.Errorf("recovery removed %s, which no atomic write makes: %v", keep, err)
 	}
 }
 

@@ -62,6 +62,10 @@ func (b *Builder) Table() (*Table, error) {
 			return nil, fmt.Errorf("table %q: column %q has %d cells, want %d", t.name, t.columns[c], got, n)
 		}
 	}
+	if n > math.MaxInt32 {
+		// Row ids are 32 bits, from the postings to the executor.
+		return nil, fmt.Errorf("table %q: %d records, at most %d", t.name, n, math.MaxInt32)
+	}
 	t.rows = n
 	t.cols = make([]columnData, len(b.cols))
 	for c := range b.cols {
@@ -92,10 +96,9 @@ type columnBuilder struct {
 	text    []byte // the dictionary's text
 	keyText []byte // the key dictionary's, once cd.ownKeys
 
-	// The typed reading of each dictionary entry, which put copies to
-	// the records that hold it.
-	ekinds []uint8
-	enums  []float64
+	// enums is the number of each dictionary entry, NaN for one with
+	// none; put copies it to the records that hold the entry.
+	enums []float64
 
 	nonNumeric bool   // some entry has no numeric reading
 	nonASCII   bool   // some key leaves ASCII
@@ -110,10 +113,10 @@ var errTextOverflow = errors.New("more than 4 GiB of distinct cell text")
 
 // reserve makes room for n records.
 func (cd *columnData) reserve(n int) {
-	cd.kinds = slices.Grow(cd.kinds, n)
-	cd.nums = slices.Grow(cd.nums, n)
-	cd.isNum = slices.Grow(cd.isNum, n)
 	cd.codes = slices.Grow(cd.codes, n)
+	if cd.nums != nil {
+		cd.nums = slices.Grow(cd.nums, n)
+	}
 }
 
 // extend starts a column holding pd's records, with room for extra
@@ -122,11 +125,11 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	n0 := len(pd.codes)
 	var b columnBuilder
 	cd := &b.cd
-	cd.reserve(n0 + extra)
-	cd.kinds = append(cd.kinds, pd.kinds...)
-	cd.nums = append(cd.nums, pd.nums...)
-	cd.isNum = append(cd.isNum, pd.isNum...)
-	cd.codes = append(cd.codes, pd.codes...)
+	cd.codes = append(make([]uint32, 0, n0+extra), pd.codes...)
+	if pd.nums != nil {
+		cd.nums = append(make([]float64, 0, n0+extra), pd.nums...)
+	}
+	cd.kinds = slices.Clone(pd.kinds)
 	cd.dict.ends = slices.Clone(pd.dict.ends)
 	cd.dictIx.slots = slices.Clone(pd.dictIx.slots)
 	b.text = []byte(pd.dict.text)
@@ -139,11 +142,14 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	cd.entryGroup = slices.Clone(pd.entryGroup)
 	cd.hasNaN = pd.hasNaN
 	b.nonNumeric, b.nonASCII = n0 > 0 && !pd.allNum, !pd.asciiKeys
-	b.ekinds = make([]uint8, pd.dict.Len())
 	b.enums = make([]float64, pd.dict.Len())
-	for r, code := range pd.codes {
-		b.ekinds[code] = pd.kinds[r]
-		b.enums[code] = pd.nums[r]
+	for e := range b.enums {
+		b.enums[e] = math.NaN()
+	}
+	if pd.nums != nil {
+		for r, code := range pd.codes {
+			b.enums[code] = pd.nums[r]
+		}
 	}
 	return b
 }
@@ -161,11 +167,10 @@ func (b *columnBuilder) put(code uint32) {
 		return
 	}
 	cd := &b.cd
-	kind := b.ekinds[code]
 	cd.codes = append(cd.codes, code)
-	cd.kinds = append(cd.kinds, kind)
-	cd.nums = append(cd.nums, b.enums[code])
-	cd.isNum = append(cd.isNum, Kind(kind) != String)
+	if cd.nums != nil {
+		cd.nums = append(cd.nums, b.enums[code])
+	}
 }
 
 // intern returns the dictionary entry spelled s, adding it when the
@@ -189,13 +194,22 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 
 	v := ParseValue(string(s))
 	f, numeric := v.Float()
-	b.ekinds = append(b.ekinds, uint8(v.Kind))
-	b.enums = append(b.enums, f)
-	if !numeric {
+	cd.kinds = append(cd.kinds, uint8(v.Kind))
+	switch {
+	case !numeric:
 		b.nonNumeric = true
-	} else if math.IsNaN(f) {
+		f = math.NaN()
+	case cd.nums == nil:
+		// The column's first numeric entry: every cell so far is text.
+		cd.nums = make([]float64, len(cd.codes), cap(cd.codes))
+		for r := range cd.nums {
+			cd.nums[r] = math.NaN()
+		}
+	}
+	if numeric && math.IsNaN(f) {
 		cd.hasNaN = true
 	}
+	b.enums = append(b.enums, f)
 	b.keyBuf = appendKey(b.keyBuf[:0], v)
 	key := b.keyBuf
 	// While every spelling so far is its own canonical key, the key

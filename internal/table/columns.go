@@ -1,17 +1,18 @@
 package table
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync/atomic"
 )
 
 // columnData is the storage of one column. A cell is a code into the
-// column's dictionary of distinct spellings plus its typed reading —
-// kind, number, validity — in flat vectors; its canonical key is the
-// key of its dictionary entry's group. Executors scan the vectors and
-// the key codes directly. Everything here is built once, by a
-// columnBuilder, and never mutated.
+// column's dictionary of distinct spellings; its kind is its entry's,
+// its number sits in a flat vector, and its canonical key is the key of
+// its entry's group. Executors scan the vectors and the key codes
+// directly. Everything here is built once, by a columnBuilder, and
+// never mutated.
 //
 // That immutability is what makes the morsel-parallel executor safe:
 // worker goroutines read disjoint [lo,hi) windows of these vectors with
@@ -21,9 +22,10 @@ import (
 // but always observe either nil or a fully built, immutable index,
 // never a partial one.
 type columnData struct {
-	kinds []uint8   // Kind per record
-	nums  []float64 // Value.Float() per record (0 when !isNum[r])
-	isNum []bool    // whether the cell has a numeric interpretation
+	// nums is Value.Float of each record, NaN for a cell with no numeric
+	// reading; nil while no cell of the column has one. A NaN is a text
+	// cell unless hasNaN says a cell spells one.
+	nums []float64
 
 	// dict holds the distinct spellings of the column's cells in order
 	// of first appearance, codes the entry each record is spelled as,
@@ -31,6 +33,9 @@ type columnData struct {
 	dict   Dictionary
 	codes  []uint32
 	dictIx textIndex
+	// kinds is the Kind of each dictionary entry: a cell's is
+	// kinds[codes[r]].
+	kinds []uint8
 
 	// keys holds the canonical key (Value.Key) of each group of the KB
 	// view, groups the group of each record — its key code — and keyIx
@@ -78,13 +83,13 @@ func (cd *columnData) group(key string) (uint32, bool) {
 // relation from a cell value's canonical key to the records holding
 // it, stored flat, group after group.
 type postings struct {
-	rows    []int    // record ids, group after group, ascending inside a group
-	offsets []uint32 // group g is rows[offsets[g]:offsets[g+1]]; 2^32 rows of cells do not fit in memory
+	rows    []int32  // record ids, group after group, ascending inside a group
+	offsets []uint32 // group g is rows[offsets[g]:offsets[g+1]]
 }
 
 // groupRows returns the records of group g, capped so that appending
 // to the window cannot reach the next group.
-func (p *postings) groupRows(g int) []int {
+func (p *postings) groupRows(g int) []int32 {
 	lo, hi := p.offsets[g], p.offsets[g+1]
 	return p.rows[lo:hi:hi]
 }
@@ -99,10 +104,10 @@ func groupPostings(groups []uint32, ngroups int) postings {
 	for g := 0; g < ngroups; g++ {
 		offsets[g+1] += offsets[g]
 	}
-	rows := make([]int, len(groups))
+	rows := make([]int32, len(groups))
 	next := slices.Clone(offsets[:ngroups]) // each group's write cursor
 	for r, g := range groups {
-		rows[next[g]] = r
+		rows[next[g]] = int32(r)
 		next[g]++
 	}
 	return postings{rows: rows, offsets: offsets}
@@ -113,7 +118,7 @@ func groupPostings(groups []uint32, ngroups int) postings {
 // interpretation (ties by record index). It is immutable once
 // published.
 type numericIndex struct {
-	rows []int
+	rows []int32
 }
 
 // atomicIndex is the publication slot of one column's numeric index.
@@ -156,10 +161,17 @@ func (t *Table) ColumnDictionary(c int) (Dictionary, []uint32) {
 }
 
 // ColumnNums returns the numeric interpretation (Value.Float) of every
-// cell in column c in record order, plus a parallel validity vector.
-// Both slices are shared with the table and must not be modified.
-func (t *Table) ColumnNums(c int) (nums []float64, isNum []bool) {
-	return t.cols[c].nums, t.cols[c].isNum
+// cell in column c in record order, NaN for a cell with none — nil
+// when no cell of the column has one. A NaN is a cell spelled "nan"
+// only where ColumnIndexable(c) is false; CellKind tells the two
+// apart. The slice is shared with the table and must not be modified.
+func (t *Table) ColumnNums(c int) []float64 { return t.cols[c].nums }
+
+// CellKind returns the kind of the cell at (row, col): its dictionary
+// entry's.
+func (t *Table) CellKind(row, col int) Kind {
+	cd := &t.cols[col]
+	return Kind(cd.kinds[cd.codes[row]])
 }
 
 // ColumnAllNumeric reports whether every cell of column c is numeric
@@ -206,26 +218,27 @@ func isASCII[T string | []byte](s T) bool {
 // but produce identical results, and only the published build is
 // charged to the table's derived-byte account. The returned slice is
 // shared and must not be modified.
-func (t *Table) NumericSortedRows(c int) []int {
+func (t *Table) NumericSortedRows(c int) []int32 {
 	if idx := t.numIdx[c].Load(); idx != nil {
 		return idx.rows
 	}
 	cd := &t.cols[c]
-	rows := make([]int, 0, len(cd.isNum))
-	for r := range cd.isNum {
-		if cd.isNum[r] {
-			rows = append(rows, r)
+	nums := cd.nums
+	rows := make([]int32, 0, len(nums))
+	for r, f := range nums {
+		// A NaN is a text cell, unless the column spells one.
+		if f == f || cd.hasNaN && Kind(cd.kinds[cd.codes[r]]) != String {
+			rows = append(rows, int32(r))
 		}
 	}
-	nums := cd.nums
-	slices.SortFunc(rows, func(a, b int) int {
+	slices.SortFunc(rows, func(a, b int32) int {
 		switch {
 		case nums[a] < nums[b]:
 			return -1
 		case nums[a] > nums[b]:
 			return 1
 		}
-		return a - b
+		return cmp.Compare(a, b)
 	})
 	if t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
 		sz := indexBytes(len(rows))

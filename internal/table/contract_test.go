@@ -84,6 +84,7 @@ func TestValueMatchesParse(t *testing.T) {
 			cols = 2
 		}
 		tab := MustNew("t", contractColumns(cols), rows)
+		numeric := make([]bool, cols)
 		for r := range rows {
 			for c := 0; c < cols; c++ {
 				raw := tab.Raw(r, c)
@@ -108,10 +109,24 @@ func TestValueMatchesParse(t *testing.T) {
 				if gok != wok || math.Float64bits(gf) != math.Float64bits(wf) {
 					t.Fatalf("Float of %q = %v,%v, want %v,%v", raw, gf, gok, wf, wok)
 				}
-				nums, isNum := tab.ColumnNums(c)
-				if isNum[r] != wok || math.Float64bits(nums[r]) != math.Float64bits(wf) {
-					t.Fatalf("ColumnNums of %q = %v,%v, want %v,%v", raw, nums[r], isNum[r], wf, wok)
+				if k := tab.CellKind(r, c); k != want.Kind {
+					t.Fatalf("CellKind of %q = %v, want %v", raw, k, want.Kind)
 				}
+				// A number where the cell has one, NaN where it has none,
+				// and no vector where no cell of the column has one.
+				nums := tab.ColumnNums(c)
+				switch {
+				case wok && (nums == nil || math.Float64bits(nums[r]) != math.Float64bits(wf)):
+					t.Fatalf("ColumnNums of %q = %v, want %v", raw, nums, wf)
+				case !wok && nums != nil && !math.IsNaN(nums[r]):
+					t.Fatalf("ColumnNums of %q = %v, want NaN", raw, nums[r])
+				}
+				numeric[c] = numeric[c] || wok
+			}
+		}
+		for c, any := range numeric {
+			if (tab.ColumnNums(c) != nil) != any {
+				t.Fatalf("column %d: ColumnNums nil = %v with a numeric cell %v", c, tab.ColumnNums(c) == nil, any)
 			}
 		}
 	}
@@ -141,6 +156,9 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 			if !sameValue(got.Value(r, c), v) {
 				t.Fatalf("%s: Value(%d,%d) = %#v, want %#v", label, r, c, got.Value(r, c), v)
 			}
+			if got.CellKind(r, c) != want.CellKind(r, c) {
+				t.Fatalf("%s: CellKind(%d,%d) = %v, want %v", label, r, c, got.CellKind(r, c), want.CellKind(r, c))
+			}
 			if g, w := got.RecordsWhere(c, v), want.RecordsWhere(c, v); !slices.Equal(g, w) || !slices.Contains(g, r) {
 				t.Fatalf("%s: RecordsWhere(%d, %v) = %v, want %v containing %d", label, c, v, g, w, r)
 			}
@@ -151,9 +169,7 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 		if !slices.Equal(got.ColumnKeys(c), want.ColumnKeys(c)) {
 			t.Fatalf("%s: ColumnKeys(%d) diverge", label, c)
 		}
-		gn, gi := got.ColumnNums(c)
-		wn, wi := want.ColumnNums(c)
-		if !sameFloats(gn, wn) || !slices.Equal(gi, wi) {
+		if !sameFloats(got.ColumnNums(c), want.ColumnNums(c)) {
 			t.Fatalf("%s: ColumnNums(%d) diverge", label, c)
 		}
 		if got.ColumnAllNumeric(c) != want.ColumnAllNumeric(c) || got.ColumnIndexable(c) != want.ColumnIndexable(c) {

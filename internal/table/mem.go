@@ -35,9 +35,9 @@ func (d Dictionary) bytes() int64 { return int64(len(d.text)) + 4*int64(cap(d.en
 // itself — groups that are codes, keys that are the dictionary — count
 // once.
 func (cd *columnData) baseBytes() int64 {
-	n := int64(cap(cd.kinds)) + int64(cap(cd.isNum)) + 8*int64(cap(cd.nums)) + 4*int64(cap(cd.codes)) +
-		cd.dict.bytes() + 4*int64(len(cd.dictIx.slots)) +
-		8*int64(cap(cd.kb.rows)) + 4*int64(cap(cd.kb.offsets))
+	n := 8*int64(cap(cd.nums)) + 4*int64(cap(cd.codes)) +
+		cd.dict.bytes() + 4*int64(len(cd.dictIx.slots)) + int64(cap(cd.kinds)) +
+		4*int64(cap(cd.kb.rows)) + 4*int64(cap(cd.kb.offsets))
 	if cd.ownKeys {
 		n += cd.keys.bytes() + 4*int64(len(cd.keyIx.slots))
 	}
@@ -129,4 +129,4 @@ func (t *Table) DropDerivedIndexes() int64 {
 
 // indexBytes is the byte estimate of one sorted numeric index over n
 // records.
-func indexBytes(n int) int64 { return int64(n)*8 + sliceHeaderBytes }
+func indexBytes(n int) int64 { return int64(n)*4 + sliceHeaderBytes }

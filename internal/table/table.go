@@ -35,9 +35,9 @@ func (c CellRef) Less(o CellRef) bool {
 // versioned store hand out consistent snapshots while mutations land.
 //
 // The storage is columnar and every cell is held once: a code into its
-// column's dictionary of distinct spellings, and its typed reading
-// (kind, number) in flat vectors; the canonical key belongs to the
-// dictionary entry's key group. Neither a Value nor a row is stored;
+// column's dictionary of distinct spellings, and its number in a flat
+// vector; its kind belongs to the dictionary entry, and its canonical
+// key to the entry's key group. Neither a Value nor a row is stored;
 // Value, Raw and RawRows put them together on the way out.
 type Table struct {
 	name    string
@@ -227,12 +227,12 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 }
 
 // Value returns the typed value at (row, col) — what ParseValue makes of
-// the cell's text, put together from the stored kind and number. The
+// the cell's text, put together from its entry's kind and its number. The
 // six date layouts are date-only, so a date is a whole number of days
 // and converts back exactly.
 func (t *Table) Value(row, col int) Value {
 	cd := &t.cols[col]
-	switch Kind(cd.kinds[row]) {
+	switch Kind(cd.kinds[cd.codes[row]]) {
 	case Number:
 		return Value{Kind: Number, Num: cd.nums[row]}
 	case Date:
@@ -284,14 +284,22 @@ func (t *Table) Records() []int {
 // col holds a value equal to v — the binary-relation lookup C.v of the KB
 // view (e.g. Country.Greece).
 func (t *Table) RecordsWhere(col int, v Value) []int {
-	return append([]int(nil), t.RowsForKey(col, v.Key())...)
+	rows := t.RowsForKey(col, v.Key())
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = int(r)
+	}
+	return out
 }
 
 // RowsForKey returns the KB posting list of a canonical key (Value.Key)
 // in column col, in record order. Unlike RecordsWhere it does not copy:
 // the slice is a window of the column's postings and must not be
 // modified.
-func (t *Table) RowsForKey(col int, key string) []int {
+func (t *Table) RowsForKey(col int, key string) []int32 {
 	cd := &t.cols[col]
 	g, ok := cd.group(key)
 	if !ok {
@@ -321,7 +329,7 @@ func (t *Table) DistinctColumnValues(col int) []Value {
 	kb := &t.cols[col].kb
 	out := make([]Value, t.cols[col].keys.Len())
 	for g := range out {
-		out[g] = t.Value(kb.rows[kb.offsets[g]], col)
+		out[g] = t.Value(int(kb.rows[kb.offsets[g]]), col)
 	}
 	return out
 }

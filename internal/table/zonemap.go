@@ -70,12 +70,15 @@ func computeZone(cd *columnData, lo, hi int) Zone {
 				maxG, z.KeyMax = g, k
 			}
 		}
-		if !cd.isNum[r] {
+		if cd.nums == nil {
 			continue
 		}
 		f := cd.nums[r]
 		if math.IsNaN(f) {
-			z.NaNCount++
+			// A text cell, unless the column spells a NaN.
+			if cd.hasNaN && Kind(cd.kinds[cd.codes[r]]) != String {
+				z.NaNCount++
+			}
 			continue
 		}
 		if z.NumCount == 0 {
