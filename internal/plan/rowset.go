@@ -46,7 +46,7 @@ func (s RowSet) Count() int {
 
 // AppendRows appends the set rows onto dst in ascending order and
 // returns it — the RowSet -> []int32 conversion at operator boundaries.
-// Count rows fit in dst without growing it.
+// A dst with room for Count more rows is never grown.
 func (s RowSet) AppendRows(dst []int32) []int32 {
 	for wi, w := range s.words {
 		base := int32(wi << 6)

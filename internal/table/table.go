@@ -285,9 +285,6 @@ func (t *Table) Records() []int {
 // view (e.g. Country.Greece).
 func (t *Table) RecordsWhere(col int, v Value) []int {
 	rows := t.RowsForKey(col, v.Key())
-	if len(rows) == 0 {
-		return nil
-	}
 	out := make([]int, len(rows))
 	for i, r := range rows {
 		out[i] = int(r)
