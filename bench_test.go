@@ -346,6 +346,11 @@ var (
 	workloadBenchTable     *table.Table
 )
 
+// workloadBenchTableVersion is the content version of the 2048-row
+// allocation-gate table: TestEngineHitAllocs fails if the table the
+// gates measure changes.
+const workloadBenchTableVersion = "8eba29b313a7e6d1"
+
 // sharedWorkloadBenchTable is the 2048-row table of the seeded
 // workload corpus (seed 1) — the allocation-gate reference table.
 func sharedWorkloadBenchTable() *table.Table {
@@ -414,8 +419,12 @@ func TestPlanWarmAllocs(t *testing.T) {
 // (the figure on record as engine.hit_allocs_per_op).
 func TestEngineHitAllocs(t *testing.T) {
 	e := NewEngine(EngineOptions{})
-	if _, err := e.RegisterTable(sharedWorkloadBenchTable()); err != nil {
+	info, err := e.RegisterTable(sharedWorkloadBenchTable())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if info.Version != workloadBenchTableVersion {
+		t.Fatalf("allocation-gate table has version %s, want %s", info.Version, workloadBenchTableVersion)
 	}
 	ctx := context.Background()
 	query := planWarmCases[0].query
