@@ -33,14 +33,18 @@ test: parse-footprint
 parse-footprint:
 	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs' -count=1 ./internal/engine/
 
-# vet also holds the reference interpreter (internal/oracle) and the
-# load-test harness (internal/workload) out of everything that ships —
-# only _test.go files may import them — and keeps mini-SQL off the plan
-# core, which serves lambda DCS alone.
+# TEST_ONLY are the packages only _test.go files may import: the
+# reference interpreter (internal/oracle) and the random query and table
+# generator (internal/qrand). vet fails if a command, an example or the
+# library links one, and keeps mini-SQL off the plan core, which serves
+# lambda DCS alone.
+TEST_ONLY = internal/oracle internal/qrand
+
 vet:
 	$(GO) vet ./...
-	@if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/internal/oracle; then echo "a shipped package links the reference interpreter"; exit 1; fi
-	@if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/internal/workload; then echo "a shipped package links the load-test harness"; exit 1; fi
+	@for p in $(TEST_ONLY); do \
+		if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/$$p; then echo "a shipped package links $$p, which only tests may import"; exit 1; fi; \
+	done
 	@if $(GO) list -deps ./internal/minisql | grep -x nlexplain/internal/plan; then echo "internal/minisql links the plan core"; exit 1; fi
 
 # fmt fails when any file needs reformatting (including -s

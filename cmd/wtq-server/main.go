@@ -74,6 +74,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -450,7 +451,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 type batchRequest struct {
 	Queries []explainRequest `json:"queries"`
-	// TimeoutMs bounds each query; 0 uses the engine default.
+	// TimeoutMs bounds each query, up to the engine's cap; 0 or less uses
+	// the engine default.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
@@ -477,13 +479,13 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
 		return
 	}
+	// A budget past the engine's cap is the cap, which the engine
+	// applies, and a negative one is the default; both are clamped
+	// before the product, whose nanoseconds could otherwise wrap.
+	timeout := min(max(time.Duration(req.TimeoutMs), 0), math.MaxInt64/time.Millisecond) * time.Millisecond
 	reqs := make([]nlexplain.ExplainRequest, len(req.Queries))
 	for i, q := range req.Queries {
-		reqs[i] = nlexplain.ExplainRequest{
-			Table:   q.Table,
-			Query:   q.Query,
-			Timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
-		}
+		reqs[i] = nlexplain.ExplainRequest{Table: q.Table, Query: q.Query, Timeout: timeout}
 	}
 	results := s.engine.ExplainBatch(r.Context(), reqs)
 	resp := batchResponse{Results: make([]batchItem, len(results))}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -251,6 +253,81 @@ func TestExplainEndpoint(t *testing.T) {
 	// error on an existing table: 400, not 404.
 	if resp, _ = postJSON(t, ts.URL+"/v1/explain", map[string]any{"table": "olympics", "query": "unknown table"}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("query containing 'unknown table': status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestAnswerEndpoint covers the answer-only fast path on the wire:
+// denotation without provenance, cache marking on repeat, and error
+// mapping.
+func TestAnswerEndpoint(t *testing.T) {
+	ts, _ := newTestServer(t)
+	registerOlympics(t, ts)
+
+	req := map[string]string{"table": "olympics", "query": "max(R[Year].Country.Greece)"}
+	resp, body := postJSON(t, ts.URL+"/v1/answer", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got struct {
+		Table  string `json:"table"`
+		Query  string `json:"query"`
+		Result string `json:"result"`
+		Cached bool   `json:"cached"`
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if got.Result != "2004" {
+		t.Fatalf("answer = %q, want 2004 (body %s)", got.Result, body)
+	}
+	if got.Cached {
+		t.Fatal("first answer must not be marked cached")
+	}
+	if strings.Contains(string(body), "provenance") {
+		t.Fatalf("answer endpoint must not carry provenance: %s", body)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/answer", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat status %d", resp.StatusCode)
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Fatal("repeat answer must be served from the answer cache")
+	}
+
+	if resp, _ := postJSON(t, ts.URL+"/v1/answer", map[string]string{"table": "nope", "query": "count(Record)"}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown table status %d, want 404", resp.StatusCode)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/answer", map[string]string{"table": "olympics", "query": "max("}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed query status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestBatchHugeTimeoutIsTheCap: a timeout_ms whose nanoseconds
+// overflow a time.Duration is a budget past the engine's cap, or for a
+// negative one the default, not the 64 ns the wrapped product reads as,
+// so a cold scan of a 70 000-row table completes.
+func TestBatchHugeTimeoutIsTheCap(t *testing.T) {
+	ts, e := newTestServer(t)
+	rows := make([][]string, 70000)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), strconv.Itoa(i % 97)}
+	}
+	if _, err := e.RegisterRaw("big", []string{"Id", "Games"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, ms := range []int64{76480200929599801, 76480200929599801 - 1<<58} {
+		resp, body := postJSON(t, ts.URL+"/v1/explain/batch", map[string]any{
+			"queries":    []map[string]string{{"table": "big", "query": fmt.Sprintf("count(Games>%d)", 95-i)}},
+			"timeout_ms": ms,
+		})
+		var out struct{ Errors int }
+		if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK || out.Errors != 0 {
+			t.Fatalf("timeout_ms %d: status %d: %.300s", ms, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -7,47 +7,55 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nlexplain"
-	"nlexplain/internal/workload"
 )
 
 // opsFile holds three seed-3 tables, then the 48 ops of the explain
 // stream and the 48 of the mixed stream, one JSON object a line, each
-// op with the outcome class an in-process engine returns for it.
+// op with the outcome class an in-process engine returns for it. The
+// seeded generator that wrote it is gone; the two hashes pin it.
 const (
 	opsFile       = "testdata/ops.jsonl"
 	opsFileSHA256 = "c9ce5d1b3ae3a5719e7744015ef821cecdd2378d852940b96dc60cac42dea9af"
 	// explainOpsSHA256 is the SHA-256 of the explain stream's ops, as a
-	// JSON array without their classes.
+	// JSON array without their classes: the generator's golden value.
 	explainOpsSHA256 = "f4bbdcd282ab8c11918b136fba6343b4075a5fa33c21b5f1482a43cdeb693ae1"
 	streamLen        = 48
 )
 
 // replayOp is one line of opsFile. Kind "table" is a table to
-// register (Table, Columns, Rows); every other kind is an op.
+// register (Table, Columns, Rows); every other kind is an op. The
+// replay also builds the steps of a churn op as ops of kinds register,
+// append and drop.
 type replayOp struct {
-	Kind     string `json:"kind"`
-	Family   string `json:"family"`
-	Table    string `json:"table,omitempty"`
-	Query    string `json:"query,omitempty"`
-	Question string `json:"question,omitempty"`
-	Batch    []struct {
-		Table string `json:"table"`
-		Query string `json:"query"`
-	} `json:"batch,omitempty"`
-	Columns    []string   `json:"columns,omitempty"`
-	Rows       [][]string `json:"rows,omitempty"`
-	AppendRows [][]string `json:"append_rows,omitempty"`
-	TimeoutMs  int        `json:"timeout_ms,omitempty"`
-	Class      string     `json:"class,omitempty"`
+	Kind       string       `json:"kind"`
+	Family     string       `json:"family"`
+	Table      string       `json:"table,omitempty"`
+	Query      string       `json:"query,omitempty"`
+	Question   string       `json:"question,omitempty"`
+	Batch      []batchEntry `json:"batch,omitempty"`
+	Columns    []string     `json:"columns,omitempty"`
+	Rows       [][]string   `json:"rows,omitempty"`
+	AppendRows [][]string   `json:"append_rows,omitempty"`
+	TimeoutMs  int          `json:"timeout_ms,omitempty"`
+	Class      string       `json:"class,omitempty"`
 }
 
-// readOps reads opsFile, checks its hash and splits it into tables
+type batchEntry struct {
+	Table string `json:"table"`
+	Query string `json:"query"`
+}
+
+// readOps reads opsFile, checks both hashes and splits it into tables
 // and ops.
-func readOps(t *testing.T) (raw []byte, tables, ops []replayOp) {
+func readOps(t *testing.T) (tables, ops []replayOp) {
 	t.Helper()
 	raw, err := os.ReadFile(opsFile)
 	if err != nil {
@@ -84,77 +92,209 @@ func readOps(t *testing.T) (raw []byte, tables, ops []replayOp) {
 	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != explainOpsSHA256 {
 		t.Fatalf("explain stream hashes to %x, want %s", sum, explainOpsSHA256)
 	}
-	return raw, tables, ops
+	return tables, ops
 }
 
-// generatedOps renders opsFile from the seeded generator: corpus
-// seed 3's three mix tables, then Generate(3, explain|mixed, 48), each
-// op classed by an in-process engine.
-func generatedOps(t *testing.T) []byte {
+// result is what the replay reads of one call: its outcome class and
+// the table version and generation a response carries.
+type result struct {
+	class      string
+	Version    string `json:"version"`
+	Generation uint64 `json:"generation"`
+}
+
+type target func(ctx context.Context, op replayOp) result
+
+// outcomeClass maps the server's error code vocabulary onto opsFile's
+// outcome classes: ok and client_error. Any other code stays itself,
+// which no recorded class matches.
+func outcomeClass(code string) string {
+	switch code {
+	case "":
+		return "ok"
+	case codeBadRequest, codeUnknownTable:
+		return "client_error"
+	}
+	return code
+}
+
+// inProcess calls e's API directly; errors are classed by the code the
+// server would send for them.
+func inProcess(e *nlexplain.Engine) target {
+	return func(ctx context.Context, op replayOp) (r result) {
+		var err error
+		switch op.Kind {
+		case "explain":
+			var ex *nlexplain.EngineExplanation
+			if ex, _, err = e.ExplainCached(ctx, op.Table, op.Query); err == nil {
+				r.Version = ex.Version
+			}
+		case "answer":
+			var ans *nlexplain.EngineAnswer
+			if ans, _, err = e.ExplainAnswer(ctx, op.Table, op.Query); err == nil {
+				r.Version = ans.Version
+			}
+		case "parse":
+			_, err = e.ParseQuestion(ctx, op.Table, op.Question, 0)
+		case "batch":
+			reqs := make([]nlexplain.ExplainRequest, len(op.Batch))
+			for i, q := range op.Batch {
+				reqs[i] = nlexplain.ExplainRequest{Table: q.Table, Query: q.Query}
+			}
+			for _, res := range e.ExplainBatch(ctx, reqs) {
+				if err == nil {
+					err = res.Err
+				}
+			}
+		case "register", "append":
+			var info nlexplain.TableInfo
+			if op.Kind == "register" {
+				info, err = e.RegisterRaw(op.Table, op.Columns, op.Rows)
+			} else {
+				info, err = e.AppendRows(op.Table, op.AppendRows)
+			}
+			r.Version, r.Generation = info.Version, info.Generation
+		case "drop":
+			_, _, err = e.DropTable(op.Table)
+		}
+		code := ""
+		if err != nil {
+			_, code = classify(err)
+		}
+		r.class = outcomeClass(code)
+		return r
+	}
+}
+
+// overHTTP sends each op to a wtq-server at base; a failed response is
+// classed by its envelope's code, a batch by its first failed item's.
+func overHTTP(base string) target {
+	return func(ctx context.Context, op replayOp) result {
+		method, path := http.MethodPost, "/v1/"+op.Kind
+		var body any = map[string]string{"table": op.Table, "query": op.Query}
+		switch op.Kind {
+		case "parse":
+			body = map[string]string{"table": op.Table, "question": op.Question}
+		case "batch":
+			path, body = "/v1/explain/batch", map[string]any{"queries": op.Batch}
+		case "register":
+			path, body = "/v1/tables", map[string]any{"name": op.Table, "columns": op.Columns, "rows": op.Rows}
+		case "append":
+			method, path, body = http.MethodPatch, "/v1/tables/"+op.Table, map[string]any{"rows": op.AppendRows}
+		case "drop":
+			method, path, body = http.MethodDelete, "/v1/tables/"+op.Table, nil
+		}
+		raw, _ := json.Marshal(body) // maps of strings and string slices always encode
+		req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(raw))
+		if err != nil {
+			return result{class: "transport"}
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return result{class: "transport"}
+		}
+		defer resp.Body.Close()
+		var r struct {
+			result
+			Error   struct{ Code string }
+			Results []struct {
+				ErrorCode string `json:"error_code"`
+			}
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			return result{class: "transport"}
+		}
+		code := r.Error.Code
+		for _, item := range r.Results {
+			if code == "" {
+				code = item.ErrorCode
+			}
+		}
+		r.class = outcomeClass(code)
+		return r.result
+	}
+}
+
+// churn runs a churn op's table lifecycle under name: register,
+// explain, append, answer, drop. Each read must serve the version its
+// preceding mutation installed, and the append must advance the
+// generation; otherwise the op is classed internal.
+func churn(ctx context.Context, do target, op replayOp, name string) string {
+	reg := do(ctx, replayOp{Kind: "register", Table: name, Columns: op.Columns, Rows: op.Rows})
+	if reg.class != "ok" {
+		return reg.class
+	}
+	defer do(ctx, replayOp{Kind: "drop", Table: name})
+	ex := do(ctx, replayOp{Kind: "explain", Table: name, Query: op.Query})
+	grown := do(ctx, replayOp{Kind: "append", Table: name, AppendRows: op.AppendRows})
+	ans := do(ctx, replayOp{Kind: "answer", Table: name, Query: op.Query})
+	for _, r := range []result{ex, grown, ans} {
+		if r.class != "ok" {
+			return r.class
+		}
+	}
+	if ex.Version != reg.Version || grown.Generation <= reg.Generation || ans.Version != grown.Version {
+		return "internal"
+	}
+	return "ok"
+}
+
+// replay runs every op once from the given number of clients and
+// requires each to get its recorded class.
+func replay(t *testing.T, do target, ops []replayOp, clients int) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	line := func(v any) {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corpus := workload.NewCorpus(3)
-	for _, tab := range corpus.Tables[:3] {
-		rows := make([][]string, tab.NumRows())
-		for r := range rows {
-			for c := 0; c < tab.NumCols(); c++ {
-				rows[r] = append(rows[r], tab.Raw(r, c))
+	ctx := context.Background()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(ops); i = int(next.Add(1)) - 1 {
+				op := ops[i]
+				var got string
+				if op.Kind == "churn" {
+					got = churn(ctx, do, op, fmt.Sprintf("%s_%d", op.Table, i))
+				} else {
+					got = do(ctx, op).class
+				}
+				if got != op.Class {
+					t.Errorf("%d clients, op %d (%s %s): class %s, recorded %s", clients, i, op.Kind, op.Family, got, op.Class)
+				}
 			}
-		}
-		line(replayOp{Kind: "table", Table: tab.Name(), Columns: tab.Columns(), Rows: rows})
+		}()
 	}
-	for _, name := range []string{"explain", "mixed"} {
-		mix, _ := workload.MixByName(name)
-		corpus, ops := workload.Generate(3, mix, streamLen)
-		inproc := workload.NewInProc(nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2}))
-		if err := inproc.RegisterTables(corpus.Tables); err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range ops {
-			b, err := json.Marshal(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rop replayOp
-			if err := json.Unmarshal(b, &rop); err != nil {
-				t.Fatal(err)
-			}
-			rop.Class = inproc.Do(context.Background(), op).Class
-			line(rop)
-		}
-	}
-	return buf.Bytes()
+	wg.Wait()
 }
 
-// TestReplayDifferential pins opsFile: it is the generator's output,
-// its explain stream hashes to TestGenerateGolden's, and every op's
-// recorded class is the class it gets in process and over HTTP.
+// TestReplayDifferential replays opsFile in process and over HTTP,
+// first serially and then from 4 concurrent clients: every op must get
+// the class recorded for it each time. Afterwards each engine holds
+// only the three tables (no churn table leaked) and has served cache
+// hits.
 func TestReplayDifferential(t *testing.T) {
-	raw, _, ops := readOps(t)
-	if !bytes.Equal(raw, generatedOps(t)) {
-		t.Fatalf("%s differs from the generator's output", opsFile)
-	}
-	for s, name := range []string{"explain", "mixed"} {
-		ts, _ := newTestServer(t)
-		mix, _ := workload.MixByName(name)
-		corpus, gen := workload.Generate(3, mix, streamLen)
-		httpTgt := workload.NewHTTPTarget(ts.URL)
-		defer httpTgt.Close()
-		if err := httpTgt.RegisterTables(corpus.Tables); err != nil {
-			t.Fatal(err)
-		}
-		for i, op := range gen {
-			want := ops[s*streamLen+i].Class
-			if got := httpTgt.Do(context.Background(), op).Class; got != want {
-				t.Errorf("%s op %d (%s): http class %s, recorded %s", name, i, op.Family, got, want)
+	tables, ops := readOps(t)
+	ts, served := newTestServer(t)
+	inproc := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2})
+	for _, tgt := range []struct {
+		name string
+		e    *nlexplain.Engine
+		do   target
+	}{{"in process", inproc, inProcess(inproc)}, {"http", served, overHTTP(ts.URL)}} {
+		t.Run(tgt.name, func(t *testing.T) {
+			for _, tab := range tables {
+				if _, err := tgt.e.RegisterRaw(tab.Table, tab.Columns, tab.Rows); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
+			replay(t, tgt.do, ops, 1)
+			replay(t, tgt.do, ops, 4)
+			if n := counter(t, tgt.e, "store.tables"); n != uint64(len(tables)) {
+				t.Errorf("store.tables = %d after the replay, want %d", n, len(tables))
+			}
+			if counter(t, tgt.e, "engine.cache.result.hits") == 0 {
+				t.Error("no explanation served from cache on the second pass")
+			}
+		})
 	}
 }

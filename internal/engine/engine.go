@@ -666,7 +666,9 @@ type RankedCandidate struct {
 
 // ParseQuestion maps an NL question over a registered table to ranked
 // candidate queries via the log-linear semantic parser (Figure 2's
-// deployment flow). topK <= 0 uses the parser's default (7).
+// deployment flow). topK <= 0 uses the parser's default (7). Ranks past
+// the cached previews re-execute under ctx, bounded by QueryTimeout;
+// their first context error fails the call.
 func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, topK int) ([]RankedCandidate, error) {
 	e.met.parses.Inc()
 	pool, snap, _, err := e.parses.call(ctx, tableName, question)
@@ -680,6 +682,11 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 	if topK > 0 && len(cands) > topK {
 		cands = cands[:topK]
 	}
+	if len(cands) > len(pool.previews) {
+		var cancel context.CancelFunc
+		ctx, cancel = e.withDefaultDeadline(ctx)
+		defer cancel()
+	}
 	out := make([]RankedCandidate, len(cands))
 	for i, c := range cands {
 		rc := RankedCandidate{
@@ -690,16 +697,37 @@ func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, 
 		}
 		if i < len(pool.previews) {
 			rc.Result = pool.previews[i]
-		} else if res, err := dcs.ExecuteIn(&e.exec, c.query, snap.Table(), plan.Noop{}); err == nil {
-			// Below the default depth the preview is recomputed: the call
-			// candidate generation made and saw succeed, on a snapshot of
-			// the version the pool is keyed by, so it renders the same
-			// bytes.
-			rc.Result = res.String()
+		} else {
+			res, err := e.preview(ctx, c.query, snap.Table())
+			if isCtxErr(err) {
+				e.countFailure(err)
+				return nil, err
+			}
+			if err == nil {
+				rc.Result = res.String()
+			}
 		}
 		out[i] = rc
 	}
 	return out, nil
+}
+
+// preview recomputes a candidate's result below the default depth:
+// the call candidate generation made and saw succeed, on a snapshot of
+// the version the pool is keyed by, so it renders the same bytes. It
+// runs answer-only in the engine's executor, which polls ctx at morsel
+// boundaries; ctx is checked first because a plan that reads no morsel
+// never polls it.
+func (e *Engine) preview(ctx context.Context, q dcs.Expr, tab *table.Table) (*dcs.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c, err := dcs.Compile(q, tab)
+	if err != nil {
+		return nil, err
+	}
+	c.Exec = &e.exec
+	return c.ExecuteWithCtx(ctx, tab, plan.Noop{})
 }
 
 // parsedPool is what the parse cache keeps of a question: every

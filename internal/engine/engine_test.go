@@ -438,6 +438,27 @@ func TestParseQuestionTopKAboveParserDefault(t *testing.T) {
 	}
 }
 
+// TestParseQuestionDeepRanksHonorDeadline: the ranks past the cached
+// previews re-execute under the request's deadline. With the pool
+// cached, an expired deadline still serves the default depth, and a
+// deeper top_k fails as one timeout instead of executing them.
+func TestParseQuestionDeepRanksHonorDeadline(t *testing.T) {
+	e := newTestEngine(t)
+	const question = "which country had the most nations"
+	if _, err := e.ParseQuestion(context.Background(), "olympics", question, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if cands, err := e.ParseQuestion(ctx, "olympics", question, 0); err != nil || len(cands) != 7 {
+		t.Fatalf("default depth on an expired deadline: %d candidates, err = %v", len(cands), err)
+	}
+	if _, err := e.ParseQuestion(ctx, "olympics", question, 1000); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("top_k 1000 on an expired deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	wantTimeoutOnly(t, e)
+}
+
 func TestParseQuestionInvalidatedByReRegister(t *testing.T) {
 	e := newTestEngine(t)
 	ctx := context.Background()

@@ -16,11 +16,11 @@ import (
 	"nlexplain/internal/table"
 )
 
-// bigTestTable builds a deterministic n-row table shaped like the
-// workload corpus: a low-cardinality text column, a wide-range numeric
-// column, a low-cardinality numeric column, and a text column with a
-// few non-numeric stragglers mixed into otherwise numeric data (so the
-// non-indexable fallbacks are reachable).
+// bigTestTable builds a deterministic n-row table: a low-cardinality
+// text column, a wide-range numeric column, a low-cardinality numeric
+// column, and a text column with a few non-numeric stragglers mixed
+// into otherwise numeric data (so the non-indexable fallbacks are
+// reachable).
 func bigTestTable(tb testing.TB, n int) *table.Table {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))

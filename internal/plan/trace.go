@@ -40,8 +40,8 @@ func (Noop) Operator(string, []table.CellRef) {}
 
 // Capture enables witness-cell computation without accumulating
 // anything: the caller reads the root cells off the execution result.
-// This is what compatibility shims use to preserve the legacy
-// executor's Result.Cells contract.
+// dcs.Execute runs under it, and so do the Section 5.3 sample's runs of
+// a difference query's two operands.
 type Capture struct{}
 
 // Active reports true: operators compute witness cells.

@@ -53,10 +53,8 @@
 // endpoints POST /v1/tables, PATCH/DELETE /v1/tables/{name},
 // /v1/explain, /v1/explain/batch,
 // /v1/answer, /v1/parse and GET /v1/healthz, /metrics; see
-// examples/server for a curl transcript. internal/workload (tests only)
-// generates seeded, reproducible query traffic for the tests that check
-// the engine and the server under load; speed is measured by benchmark/
-// (bash benchmark/run.sh, declared in BENCHMARK.json).
+// examples/server for a curl transcript. Speed is measured by
+// benchmark/ (bash benchmark/run.sh, declared in BENCHMARK.json).
 // Build and run everything through the Makefile:
 // `make build test vet fmt cover bench serve`, mirrored
 // one-to-one by the GitHub Actions workflow in
