@@ -114,11 +114,12 @@ store-stress:
 # table, which a second copy of the cells in any form or 64-bit row
 # ids do not fit under, and the byte estimate the store's
 # -store-budget eviction trusts, held to that measured heap for the
-# big table and for web tables.
+# big table and for web tables, and the bytes a durable registration
+# of the big table allocates on the way to the log.
 bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
-	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap' -count=1 ./internal/table/
+	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap|TestRegisterAllocBytes' -count=1 ./internal/table/ ./internal/store/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data
