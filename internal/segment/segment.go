@@ -8,9 +8,13 @@
 // however many records hold it.
 //
 // The body is the one table codec: it is also the payload of the
-// store's WAL register record (AppendTable / DecodeTable, with an
+// store's WAL register record (EncodeTable / DecodeTable, with an
 // empty zone footer), so a registered table and a checkpointed one are
-// written and read by the same code.
+// written and read by the same code. One encoder writes it, into one
+// of two sinks: AppendTable's buffer, grown once up front to hold the
+// whole body and never flushed, for a segment file; or EncodeTable's
+// pieces of at most pieceBytes each, handed over as they fill, so a
+// register record of a big table is never held whole.
 //
 // Layout:
 //
@@ -128,63 +132,136 @@ func writeAtomic(fsys fault.FS, dir, name string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// bodyBound is an upper bound on the encoded body up to the zone
-// footer.
-func bodyBound(m Meta, t *table.Table) int {
+// bodyBound is an upper bound on the encoded body.
+func bodyBound(m Meta, t *table.Table, zones [][]table.Zone) int {
 	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
 	for c, name := range m.Columns {
 		dict, codes := t.ColumnDictionary(c)
-		codeLen := (bits.Len(uint(dict.Len())|1) + 6) / 7
+		codeLen := uvarintLen(uint64(dict.Len()))
 		n += lenPrefix + len(name) + lenPrefix + dict.TextLen() + lenPrefix*dict.Len() + codeLen*len(codes)
+	}
+	for _, zs := range zones {
+		n += lenPrefix
+		for i := range zs {
+			n += 8 + 8 + 5*lenPrefix + len(zs[i].KeyMin) + len(zs[i].KeyMax)
+		}
 	}
 	return n
 }
 
 // AppendTable appends the body of one table snapshot to b and returns
-// the extended slice. b grows once, up front, to hold everything but
-// the zones, so the body of a big table is not copied as it grows.
-// m.Columns must be t's columns; zones, when non-nil, is the
-// snapshot's per-column zone maps, and nil writes an empty footer.
+// the extended slice. b grows once, up front, to hold the whole body,
+// so the body of a big table is not copied as it grows. m.Columns must
+// be t's columns; zones, when non-nil, is the snapshot's per-column
+// zone maps, and nil writes an empty footer.
 func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
-	if n := bodyBound(m, t); cap(b)-len(b) < n {
+	if n := bodyBound(m, t, zones); cap(b)-len(b) < n {
 		b = append(make([]byte, 0, len(b)+n), b...)
 	}
-	b = binary.AppendUvarint(b, schemaSeg)
-	b = appendString(b, m.Name)
-	b = binary.AppendUvarint(b, m.Gen)
-	b = appendString(b, m.Version)
-	b = binary.AppendUvarint(b, uint64(len(m.Columns)))
-	for _, c := range m.Columns {
-		b = appendString(b, c)
+	e := encoder{b: b}
+	e.body(m, t, zones)
+	return e.b
+}
+
+// pieceBytes is the most EncodeTable hands put at once, unless one
+// dictionary entry is longer.
+const pieceBytes = 64 << 10
+
+// EncodeTable emits the body AppendTable appends to put, in pieces of
+// at most pieceBytes, and returns put's first error. A piece is reused
+// once put returns; the last one is left as it is. A body that fits
+// in one piece is emitted as one, from a buffer sized to it.
+func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) error) error {
+	e := encoder{b: make([]byte, 0, min(bodyBound(m, t, zones), pieceBytes)), put: put}
+	e.body(m, t, zones)
+	if len(e.b) > 0 {
+		e.flush()
 	}
-	b = binary.AppendUvarint(b, uint64(t.NumRows()))
+	return e.err
+}
+
+// encoder writes a table body into b. With put set, bytes that would
+// take b past its capacity first send what b holds to put, and b
+// starts over; without, b just grows.
+type encoder struct {
+	b   []byte
+	put func([]byte) error
+	err error // put's first error; nothing is put after it
+}
+
+func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
+	e.uvarint(schemaSeg)
+	e.string(m.Name)
+	e.uvarint(m.Gen)
+	e.string(m.Version)
+	e.uvarint(uint64(len(m.Columns)))
+	for _, c := range m.Columns {
+		e.string(c)
+	}
+	e.uvarint(uint64(t.NumRows()))
 	for c := range m.Columns {
+		if e.err != nil {
+			return
+		}
 		dict, codes := t.ColumnDictionary(c)
-		b = binary.AppendUvarint(b, uint64(dict.Len()))
+		e.uvarint(uint64(dict.Len()))
 		for i := 0; i < dict.Len(); i++ {
-			b = appendString(b, dict.Entry(i))
+			e.string(dict.Entry(i))
 		}
 		for _, code := range codes {
-			b = binary.AppendUvarint(b, uint64(code))
+			e.uvarint(uint64(code))
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(zones)))
+	e.uvarint(uint64(len(zones)))
 	for _, zs := range zones {
-		b = binary.AppendUvarint(b, uint64(len(zs)))
+		e.uvarint(uint64(len(zs)))
 		for i := range zs {
 			z := &zs[i]
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(z.Min))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(z.Max))
-			b = appendString(b, z.KeyMin)
-			b = appendString(b, z.KeyMax)
-			b = binary.AppendUvarint(b, uint64(z.NumCount))
-			b = binary.AppendUvarint(b, uint64(z.NaNCount))
-			b = binary.AppendUvarint(b, uint64(z.EmptyCount))
+			e.float64(z.Min)
+			e.float64(z.Max)
+			e.string(z.KeyMin)
+			e.string(z.KeyMax)
+			e.uvarint(uint64(z.NumCount))
+			e.uvarint(uint64(z.NaNCount))
+			e.uvarint(uint64(z.EmptyCount))
 		}
 	}
-	return b
 }
+
+// room makes way for n more bytes: with a sink, the bytes b holds go
+// to it first when n more would not fit.
+func (e *encoder) room(n int) {
+	if e.put != nil && len(e.b)+n > cap(e.b) && len(e.b) > 0 {
+		e.flush()
+	}
+}
+
+func (e *encoder) flush() {
+	if e.err == nil {
+		e.err = e.put(e.b)
+	}
+	e.b = e.b[:0]
+}
+
+func (e *encoder) uvarint(v uint64) {
+	e.room(uvarintLen(v))
+	e.b = binary.AppendUvarint(e.b, v)
+}
+
+func (e *encoder) string(s string) {
+	e.room(uvarintLen(uint64(len(s))) + len(s))
+	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
+	e.b = append(e.b, s...)
+}
+
+func (e *encoder) float64(f float64) {
+	e.room(8)
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Read decodes the segment file at path into row-major raw cell text:
 // ReadTable, and the rows of the table it returns.
@@ -390,8 +467,3 @@ func (d *decoder) bytes() []byte {
 }
 
 func (d *decoder) string() string { return string(d.bytes()) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -156,7 +158,7 @@ func TestSegmentZoneFooterRoundTrip(t *testing.T) {
 	}
 	tb2.InstallZoneMaps(got)
 	for c := range testMeta.Columns {
-		if !tb2.ZonesBuilt(c) {
+		if &tb2.ColumnZones(c)[0] != &got[c][0] {
 			t.Fatalf("col %d zones not installed from decoded footer", c)
 		}
 	}
@@ -177,6 +179,13 @@ func TestSegmentZoneFooterColumnMismatch(t *testing.T) {
 	if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("partial zone footer: err=%v, want ErrCorrupt", err)
 	}
+}
+
+// appendString appends s as a body spells a string: its length, then
+// its bytes.
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 func TestSegmentSchema1BackwardCompat(t *testing.T) {
@@ -360,6 +369,54 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	}
 	if _, _, _, err := ReadTable(nil, odd); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("code past the dictionary: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestEncodeTablePieces holds EncodeTable to AppendTable: its pieces,
+// joined, are the body, none is over pieceBytes, a body that fits in
+// one piece is emitted as one, and put's first error stops the
+// encoder and is returned.
+func TestEncodeTablePieces(t *testing.T) {
+	small := table.MustNew("small", testMeta.Columns, testRows)
+	rows := make([][]string, 40000)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), "n" + strconv.Itoa(i%50), strconv.Itoa(i * 7)}
+	}
+	big := table.MustNew("big", []string{"Seq", "Nation", "Games"}, rows)
+	for _, tc := range []struct {
+		tab    *table.Table
+		pieces int // 0: more than one
+	}{{small, 1}, {big, 0}} {
+		m := Meta{Name: tc.tab.Name(), Gen: 3, Version: "v", Columns: tc.tab.Columns(), Rows: tc.tab.NumRows()}
+		want := AppendTable(nil, m, tc.tab, tc.tab.ZoneSnapshot())
+		var got []byte
+		n := 0
+		err := EncodeTable(m, tc.tab, tc.tab.ZoneSnapshot(), func(p []byte) error {
+			if len(p) > pieceBytes {
+				t.Fatalf("%s: piece of %d bytes", m.Name, len(p))
+			}
+			got = append(got, p...)
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d pieces join to %d bytes, not the %d-byte body", m.Name, n, len(got), len(want))
+		}
+		if tc.pieces == 1 && n != 1 || tc.pieces == 0 && n < 2 {
+			t.Fatalf("%s: %d-byte body in %d pieces", m.Name, len(want), n)
+		}
+		full := errors.New("full")
+		calls := 0
+		err = EncodeTable(m, tc.tab, nil, func([]byte) error {
+			calls++
+			return full
+		})
+		if err != full || calls != 1 {
+			t.Fatalf("%s: failing put called %d times, EncodeTable returned %v", m.Name, calls, err)
+		}
 	}
 }
 

@@ -107,6 +107,50 @@ func TestStoreDegradedRecovery(t *testing.T) {
 	checkRecovered(t, st2, want)
 }
 
+// TestStoreDegradedStreamedRegister tears a register record that
+// streams into the log in pieces: the write of its second piece fails
+// once. The registration is not acked, the store degrades with the
+// acked tables readable, recovers on its own, takes the table on a
+// second try, and a clean reopen holds exactly what was acked.
+func TestStoreDegradedStreamedRegister(t *testing.T) {
+	dir := t.TempDir()
+	fs := fault.NewInject(fault.OS, 13)
+	st := openInjected(t, dir, fs)
+	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
+		t.Fatal(err)
+	}
+	acked := captureState(st)
+	big := mustTable(t, "big", 30000) // a register record of several pieces
+
+	// The record's writes are its header, then one per piece.
+	fs.SetRules(&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", AfterN: 2, Err: syscall.EIO, ShortWrite: true})
+	if _, err := st.Register(big); !errors.Is(err, ErrDurability) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("torn register err = %v, want ErrDurability wrapping EIO", err)
+	}
+	if fs.Stats().Faults[fault.OpWrite] != 1 {
+		t.Fatal("the write fault did not fire")
+	}
+	if _, ok := st.Get("big"); ok {
+		t.Fatal("a register that failed is installed")
+	}
+	for name, ws := range acked {
+		if s, ok := st.Get(name); !ok || s.Version() != ws.version {
+			t.Fatalf("acked table %q lost after the torn register", name)
+		}
+	}
+	waitHealthy(t, st, 5*time.Second)
+	if _, err := st.Register(big); err != nil {
+		t.Fatalf("register after recovery: %v", err)
+	}
+	want := captureState(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openDurable(t, dir)
+	defer st2.Close()
+	checkRecovered(t, st2, want)
+}
+
 // TestStoreDegradedSyncFault covers the other seal shape: appends
 // whose fsync fails. The mutation must not be acked and the store must
 // recover once syncs work again.

@@ -166,20 +166,20 @@ func (d *durability) walPath(seq uint64) string {
 	return filepath.Join(d.dir, fmt.Sprintf("wal-%016x.log", seq))
 }
 
-// log appends one mutation record and blocks until it is
-// fsync-durable. On success it returns a release closure the caller
+// log appends one mutation record, its payload emitted by payload, and
+// blocks until it is fsync-durable. On success it returns a release closure the caller
 // must invoke after installing the mutation's effect: the read lock
 // held in between is what lets checkpoint rotation wait for in-flight
 // installs (see logMu). While degraded, mutations fail fast without
 // touching the sealed log; an append failure flips the store into
 // degraded mode.
-func (d *durability) log(tag byte, payload []byte) (release func(), err error) {
+func (d *durability) log(tag byte, payload wal.Payload) (release func(), err error) {
 	if d.degraded.Load() {
 		return nil, d.degradedErr()
 	}
 	d.logMu.RLock()
 	w := d.w
-	if err := w.Append(tag, payload); err != nil {
+	if err := w.AppendPayload(tag, payload); err != nil {
 		d.logMu.RUnlock()
 		d.enterDegraded(err)
 		return nil, err

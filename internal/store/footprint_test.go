@@ -6,10 +6,11 @@ import (
 )
 
 // registerAllocBound is the most a durable registration of the big
-// golden fixture may allocate. Encoding its 4.16 MB register record
-// into one buffer and copying that into the log's buffer reads
-// 9 962 736 bytes.
-const registerAllocBound = 12 << 20
+// golden fixture may allocate. Its 4.16 MB register record streams
+// into the log in pieces of at most 64 KiB, one buffer for each of the
+// WAL's two passes: 132 480 bytes. Encoding the record into one buffer
+// and copying that into the log's buffer read 9 962 736.
+const registerAllocBound = 1 << 20
 
 // TestRegisterAllocBytes pins what a durable registration of the
 // 131072 x 6 golden fixture allocates, the table itself built

@@ -38,6 +38,7 @@ import (
 	"nlexplain/internal/segment"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/table"
+	"nlexplain/internal/wal"
 )
 
 // ErrUnknownTable reports a mutation against a name not in the
@@ -296,7 +297,9 @@ func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 	snap := st.newSnapshot(t)
 	if st.dur != nil {
 		m := segment.Meta{Name: name, Gen: snap.gen, Version: snap.version, Columns: t.Columns(), Rows: t.NumRows()}
-		release, err := st.dur.log(tagRegister, segment.AppendTable(nil, m, t, nil))
+		release, err := st.dur.log(tagRegister, func(put func([]byte) error) error {
+			return segment.EncodeTable(m, t, nil, put)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)
 		}
@@ -332,7 +335,7 @@ func (st *Store) Append(name string, rows [][]string) (*Snapshot, error) {
 	snap := st.newSnapshot(nt)
 	if st.dur != nil {
 		payload := encodeAppend(name, snap.gen, snap.version, nt.NumCols(), rows)
-		release, err := st.dur.log(tagAppend, payload)
+		release, err := st.dur.log(tagAppend, wal.Bytes(payload))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)
 		}
@@ -358,7 +361,7 @@ func (st *Store) Drop(name string) (*Snapshot, bool, error) {
 		return nil, false, nil
 	}
 	if st.dur != nil {
-		release, err := st.dur.log(tagDrop, encodeDrop(name, old.gen))
+		release, err := st.dur.log(tagDrop, wal.Bytes(encodeDrop(name, old.gen)))
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: %w", ErrDurability, err)
 		}

@@ -25,11 +25,12 @@ const (
 	// appends one to a freshly rotated log as proof the log accepts
 	// durable writes before lifting read-only mode. Replay skips it.
 	tagNoop = 0x04
-	// tagRegister carries a whole table as segment.AppendTable writes
-	// it — name, the assigned generation, the content-hash version, the
-	// header, each column's dictionary and codes — with an empty zone
-	// footer. 0x01 was a row-major register record; nothing reads it,
-	// so a log holding one fails recovery naming the tag.
+	// tagRegister carries a whole table as a segment body — name, the
+	// assigned generation, the content-hash version, the header, each
+	// column's dictionary and codes — with an empty zone footer,
+	// streamed into the log as segment.EncodeTable emits it. 0x01 was
+	// a row-major register record; nothing reads it, so a log holding
+	// one fails recovery naming the tag.
 	tagRegister = 0x05
 )
 

@@ -97,9 +97,10 @@ type columnBuilder struct {
 	keyText []byte // the key dictionary's, once cd.ownKeys
 
 	// enums is the number of each dictionary entry, NaN for one with
-	// none; put copies it to the records that hold the entry.
+	// none; seal copies it to the records that hold the entry.
 	enums []float64
 
+	numeric    bool   // some entry has a numeric reading
 	nonNumeric bool   // some entry has no numeric reading
 	nonASCII   bool   // some key leaves ASCII
 	keyBuf     []byte // scratch for rendering keys
@@ -114,9 +115,6 @@ var errTextOverflow = errors.New("more than 4 GiB of distinct cell text")
 // reserve makes room for n records.
 func (cd *columnData) reserve(n int) {
 	cd.codes = slices.Grow(cd.codes, n)
-	if cd.nums != nil {
-		cd.nums = slices.Grow(cd.nums, n)
-	}
 }
 
 // extend starts a column holding pd's records, with room for extra
@@ -126,9 +124,6 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	var b columnBuilder
 	cd := &b.cd
 	cd.codes = append(make([]uint32, 0, n0+extra), pd.codes...)
-	if pd.nums != nil {
-		cd.nums = append(make([]float64, 0, n0+extra), pd.nums...)
-	}
 	cd.kinds = slices.Clone(pd.kinds)
 	cd.dict.ends = slices.Clone(pd.dict.ends)
 	cd.dictIx.slots = slices.Clone(pd.dictIx.slots)
@@ -141,7 +136,7 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	}
 	cd.entryGroup = slices.Clone(pd.entryGroup)
 	cd.hasNaN = pd.hasNaN
-	b.nonNumeric, b.nonASCII = n0 > 0 && !pd.allNum, !pd.asciiKeys
+	b.numeric, b.nonNumeric, b.nonASCII = pd.nums != nil, n0 > 0 && !pd.allNum, !pd.asciiKeys
 	b.enums = make([]float64, pd.dict.Len())
 	for e := range b.enums {
 		b.enums[e] = math.NaN()
@@ -166,11 +161,7 @@ func (b *columnBuilder) put(code uint32) {
 	if b.err != nil {
 		return
 	}
-	cd := &b.cd
-	cd.codes = append(cd.codes, code)
-	if cd.nums != nil {
-		cd.nums = append(cd.nums, b.enums[code])
-	}
+	b.cd.codes = append(b.cd.codes, code)
 }
 
 // intern returns the dictionary entry spelled s, adding it when the
@@ -195,19 +186,12 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	v := ParseValue(string(s))
 	f, numeric := v.Float()
 	cd.kinds = append(cd.kinds, uint8(v.Kind))
-	switch {
-	case !numeric:
+	if numeric {
+		b.numeric = true
+		cd.hasNaN = cd.hasNaN || math.IsNaN(f)
+	} else {
 		b.nonNumeric = true
 		f = math.NaN()
-	case cd.nums == nil:
-		// The column's first numeric entry: every cell so far is text.
-		cd.nums = make([]float64, len(cd.codes), cap(cd.codes))
-		for r := range cd.nums {
-			cd.nums[r] = math.NaN()
-		}
-	}
-	if numeric && math.IsNaN(f) {
-		cd.hasNaN = true
 	}
 	b.enums = append(b.enums, f)
 	b.keyBuf = appendKey(b.keyBuf[:0], v)
@@ -256,10 +240,16 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 }
 
 // seal finishes the column: the dictionaries' text becomes immutable,
-// every record gets its key group, and the groups are laid out as
-// postings.
+// every record gets its key group and, in a column with a number, its
+// number, and the groups are laid out as postings.
 func (b *columnBuilder) seal() columnData {
 	cd := b.cd
+	if b.numeric {
+		cd.nums = make([]float64, len(cd.codes))
+		for r, code := range cd.codes {
+			cd.nums[r] = b.enums[code]
+		}
+	}
 	cd.dict.text = string(b.text)
 	if cd.ownKeys {
 		cd.keys.text = string(b.keyText)

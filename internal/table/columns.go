@@ -139,18 +139,6 @@ func (t *Table) ColumnKeyCodes(c int) []uint32 { return t.cols[c].groups }
 // NumKeys returns the number of distinct canonical keys in column c.
 func (t *Table) NumKeys(c int) int { return t.cols[c].keys.Len() }
 
-// ColumnKeys materialises the canonical key (Value.Key) of every cell
-// in column c, in record order: a fresh slice of windows of the key
-// dictionary. Tests read it; executors read ColumnKeyCodes.
-func (t *Table) ColumnKeys(c int) []string {
-	cd := &t.cols[c]
-	out := make([]string, len(cd.groups))
-	for r, g := range cd.groups {
-		out[r] = cd.keys.Entry(int(g))
-	}
-	return out
-}
-
 // ColumnDictionary returns the dictionary of column c — the distinct
 // spellings of its cells in order of first appearance — and the
 // dictionary code of every record: the column exactly as a segment

@@ -33,8 +33,8 @@ func hashCorpus() []Value {
 		NumberValue(math.NaN()),
 		NumberValue(math.Inf(1)),
 		NumberValue(math.Inf(-1)),
-		DateValue(2004, time.August, 13),
-		DateValue(1896, time.April, 6),
+		dateValue(2004, time.August, 13),
+		dateValue(1896, time.April, 6),
 		StringValue("2004-08-13"),
 	}
 }

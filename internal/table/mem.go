@@ -66,20 +66,6 @@ func (t *Table) BaseBytes() int64 { return t.mem.base }
 // droppable derived structures (the per-column sorted numeric indexes).
 func (t *Table) DerivedBytes() int64 { return t.mem.derived.Load() }
 
-// DictEntries reports how many distinct texts the table holds: the
-// spellings of every column's dictionary, and the keys of the columns
-// whose keys are not those spellings themselves.
-func (t *Table) DictEntries() int {
-	n := 0
-	for c := range t.cols {
-		n += t.cols[c].dict.Len()
-		if t.cols[c].ownKeys {
-			n += t.cols[c].keys.Len()
-		}
-	}
-	return n
-}
-
 // SetMemHook registers fn to observe every change to the table's
 // derived-index footprint (positive deltas on index builds, negative on
 // drops). At most one hook is active; the versioned store owns it. A

@@ -97,8 +97,8 @@ func TestInterningDeduplicatesStrings(t *testing.T) {
 	}
 	tab := MustNew("t", []string{"Nation", "Games"}, rows)
 	// 200 cells but only a handful of distinct strings (plus keys).
-	if tab.DictEntries() > 10 {
-		t.Fatalf("DictEntries = %d, want few (interned)", tab.DictEntries())
+	if dictEntries(tab) > 10 {
+		t.Fatalf("%d dictionary entries, want few (interned)", dictEntries(tab))
 	}
 	if tab.BaseBytes() <= 0 {
 		t.Fatal("BaseBytes not sealed")

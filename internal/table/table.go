@@ -268,9 +268,6 @@ func (t *Table) RawRows() [][]string {
 	return out
 }
 
-// CellValue returns the typed value a CellRef points at.
-func (t *Table) CellValue(c CellRef) Value { return t.Value(c.Row, c.Col) }
-
 // Records returns all record indices, in table order.
 func (t *Table) Records() []int {
 	out := make([]int, t.rows)

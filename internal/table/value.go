@@ -53,11 +53,6 @@ func StringValue(s string) Value { return Value{Kind: String, Str: s} }
 // NumberValue returns a Value of kind Number.
 func NumberValue(f float64) Value { return Value{Kind: Number, Num: f} }
 
-// DateValue returns a Value of kind Date at midnight UTC.
-func DateValue(year int, month time.Month, day int) Value {
-	return Value{Kind: Date, Time: time.Date(year, month, day, 0, 0, 0, 0, time.UTC)}
-}
-
 var dateLayouts = []string{
 	"2006-01-02",
 	"January 2, 2006",

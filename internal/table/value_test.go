@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// dateValue is the Value of kind Date at midnight UTC.
+func dateValue(year int, month time.Month, day int) Value {
+	return Value{Kind: Date, Time: time.Date(year, month, day, 0, 0, 0, 0, time.UTC)}
+}
+
 func TestParseValueNumbers(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -90,8 +95,8 @@ func TestValueCompare(t *testing.T) {
 		{NumberValue(3), NumberValue(2), 1},
 		{StringValue("a"), StringValue("b"), -1},
 		{StringValue("B"), StringValue("a"), 1},
-		{DateValue(2004, 1, 1), DateValue(2008, 1, 1), -1},
-		{DateValue(2004, 1, 1), DateValue(2004, 1, 1), 0},
+		{dateValue(2004, 1, 1), dateValue(2008, 1, 1), -1},
+		{dateValue(2004, 1, 1), dateValue(2004, 1, 1), 0},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
@@ -107,8 +112,8 @@ func TestValueFloat(t *testing.T) {
 	if _, ok := StringValue("x").Float(); ok {
 		t.Error("StringValue.Float() should report false")
 	}
-	a, _ := DateValue(2004, 1, 2).Float()
-	b, _ := DateValue(2004, 1, 1).Float()
+	a, _ := dateValue(2004, 1, 2).Float()
+	b, _ := dateValue(2004, 1, 1).Float()
 	if a-b != 1 {
 		t.Errorf("consecutive dates should differ by 1 day, got %v", a-b)
 	}
@@ -121,8 +126,8 @@ func TestValueStringRoundTrip(t *testing.T) {
 	if got := NumberValue(2.5).String(); got != "2.5" {
 		t.Errorf("NumberValue(2.5).String() = %q", got)
 	}
-	if got := DateValue(2013, 6, 8).String(); got != "2013-06-08" {
-		t.Errorf("DateValue.String() = %q", got)
+	if got := dateValue(2013, 6, 8).String(); got != "2013-06-08" {
+		t.Errorf("date String() = %q", got)
 	}
 }
 

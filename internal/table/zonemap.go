@@ -150,10 +150,6 @@ func (t *Table) ColumnZones(c int) []Zone {
 	return t.publishZones(c, computeZones(&t.cols[c], t.rows))
 }
 
-// ZonesBuilt reports whether column c currently has a published zone
-// map (without building one).
-func (t *Table) ZonesBuilt(c int) bool { return t.zones[c].Load() != nil }
-
 // inheritZones maintains zone maps incrementally under copy-on-write
 // Append: for every column whose parent published a zone map, the
 // zones covering full parent blocks are copied (the shared prefix rows

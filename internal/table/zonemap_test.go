@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// zonesBuilt reports whether column c has a published zone map,
+// without building one.
+func zonesBuilt(t *Table, c int) bool { return t.zones[c].Load() != nil }
+
 // zoneFixtureRows builds n rows over columns {Seq, Band, Mixed}: a
 // monotone numeric column, clustered low-cardinality text, and numeric
 // data with NaN, empty and text stragglers.
@@ -69,7 +73,7 @@ func TestZoneBuildMatchesAppend(t *testing.T) {
 
 	fresh := MustNew("fresh", zoneFixtureCols, rows)
 	for c := range zoneFixtureCols {
-		if !cur.ZonesBuilt(c) {
+		if !zonesBuilt(cur, c) {
 			t.Fatalf("col %d: appended table lost its inherited zones", c)
 		}
 		got, want := cur.ColumnZones(c), fresh.ColumnZones(c)
@@ -98,7 +102,7 @@ func TestZoneEvictionRebuildRoundTrip(t *testing.T) {
 		t.Fatalf("DropDerivedIndexes freed %d bytes with zones resident", freed)
 	}
 	for c := range zoneFixtureCols {
-		if tab.ZonesBuilt(c) {
+		if zonesBuilt(tab, c) {
 			t.Fatalf("col %d: zones survived eviction", c)
 		}
 	}
@@ -130,7 +134,7 @@ func TestZoneSnapshotInstallRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot covers %d of %d columns", len(snap), len(zoneFixtureCols))
 	}
 	for c := range zoneFixtureCols {
-		if cold.ZonesBuilt(c) {
+		if zonesBuilt(cold, c) {
 			t.Fatalf("col %d: ZoneSnapshot published zones on a cold table", c)
 		}
 	}
@@ -138,7 +142,7 @@ func TestZoneSnapshotInstallRoundTrip(t *testing.T) {
 	warm := MustNew("warm", zoneFixtureCols, rows)
 	warm.InstallZoneMaps(snap)
 	for c := range zoneFixtureCols {
-		if !warm.ZonesBuilt(c) {
+		if !zonesBuilt(warm, c) {
 			t.Fatalf("col %d: snapshot did not install", c)
 		}
 		if !sameZones(snap[c], warm.ColumnZones(c)) {
@@ -151,7 +155,7 @@ func TestZoneSnapshotInstallRoundTrip(t *testing.T) {
 	reject.InstallZoneMaps(snap[:1])
 	reject.InstallZoneMaps([][]Zone{snap[0][:1], snap[1], snap[2]})
 	for c := range zoneFixtureCols {
-		if reject.ZonesBuilt(c) {
+		if zonesBuilt(reject, c) {
 			t.Fatalf("col %d: shape-mismatched snapshot was installed", c)
 		}
 	}
@@ -199,7 +203,7 @@ func TestZoneInheritedKeysAreOwnWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := range zoneFixtureCols {
-		if !child.ZonesBuilt(c) {
+		if !zonesBuilt(child, c) {
 			t.Fatalf("col %d: zones not inherited", c)
 		}
 		for z, zone := range child.ColumnZones(c) {

@@ -317,3 +317,109 @@ func TestWALFaultLoneAppenderSyncsEveryAppend(t *testing.T) {
 		t.Fatalf("syncs=%d after 100 lone appends, want 100", st.Syncs)
 	}
 }
+
+// piecesOf is the payload that emits pieces in order.
+func piecesOf(pieces ...[]byte) Payload {
+	return func(put func([]byte) error) error {
+		for _, p := range pieces {
+			if err := put(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// streamPieces is a four-piece payload, each piece its own byte.
+func streamPieces() [][]byte {
+	out := make([][]byte, 4)
+	for i := range out {
+		out[i] = bytes.Repeat([]byte{byte('a' + i)}, 1000)
+	}
+	return out
+}
+
+// TestWALTornStreamedRecord fails the log's Write at each write of a
+// streamed record in turn — its header, then each piece — tearing it
+// halfway. The append returns the error, the WAL stays failed once the
+// disk heals, and a clean reopen truncates the record as a torn tail,
+// keeping every record acked before it. A payload that emits other
+// bytes on its second pass fails the same way, and never writes past
+// the length its header gave.
+func TestWALTornStreamedRecord(t *testing.T) {
+	acked := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
+	pieces := streamPieces()
+	check := func(t *testing.T, path string, w *WAL, fs *fault.InjectFS, appendErr, want error) {
+		t.Helper()
+		if !errors.Is(appendErr, want) {
+			t.Fatalf("streamed append: %v, want %v", appendErr, want)
+		}
+		fs.Heal()
+		if err := w.Append(9, []byte("after")); !errors.Is(err, want) {
+			t.Fatalf("append after the failed stream: %v, want the sticky %v", err, want)
+		}
+		w.Close()
+		w2, res, err := OpenFS(nil, path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer w2.Close()
+		if res.Truncated == 0 {
+			t.Fatal("reopen found no torn tail")
+		}
+		if len(res.Records) != len(acked) {
+			t.Fatalf("reopen kept %d records, want the %d acked", len(res.Records), len(acked))
+		}
+		for i, rec := range res.Records {
+			if !bytes.Equal(rec.Data, acked[i]) {
+				t.Fatalf("record %d = %q, want %q", i, rec.Data, acked[i])
+			}
+		}
+	}
+	open := func(t *testing.T, rules ...*fault.Rule) (string, *WAL, *fault.InjectFS) {
+		t.Helper()
+		path := tmpLog(t)
+		fs := fault.NewInject(fault.OS, 1, rules...)
+		w, _, err := OpenFS(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range acked {
+			if err := w.Append(1, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path, w, fs
+	}
+	for k := 0; k <= len(pieces); k++ {
+		t.Run(fmt.Sprintf("write-%d", k), func(t *testing.T) {
+			// One Write per acked record, then the header, then the
+			// pieces.
+			path, w, fs := open(t, &fault.Rule{Path: "wal-*.log", Op: fault.OpWrite, AfterN: len(acked) + k,
+				Err: syscall.EIO, ShortWrite: true, Count: fault.Sticky})
+			err := w.AppendPayload(2, piecesOf(pieces...))
+			if n := fs.Stats().Faults[fault.OpWrite]; n != 1 {
+				t.Fatalf("%d write faults, want 1", n)
+			}
+			check(t, path, w, fs, err, syscall.EIO)
+		})
+	}
+	for name, second := range map[string][][]byte{
+		"changed": {pieces[0], pieces[1], pieces[3], pieces[2]},
+		"longer":  {pieces[0], pieces[1], pieces[2], pieces[0], pieces[3]},
+		"shorter": {pieces[0], pieces[1]},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path, w, fs := open(t)
+			passes := 0
+			err := w.AppendPayload(2, func(put func([]byte) error) error {
+				passes++
+				if passes == 1 {
+					return piecesOf(pieces...)(put)
+				}
+				return piecesOf(second...)(put)
+			})
+			check(t, path, w, fs, err, errPayloadChanged)
+		})
+	}
+}

@@ -15,13 +15,24 @@
 // truncated away; a checksum failure with intact bytes after it cannot
 // be a torn write and is reported as ErrCorrupt.
 //
-// Appends are durable when they return: each Append blocks until an
+// Appends are durable when they return: each append blocks until an
 // fsync covering its record has completed. An appender that finds no
 // fsync in flight issues one at once; appends that buffer while one is
 // in flight are all covered by the next, issued the moment the first
 // returns — group commit with the first waiter as leader, so fsyncs
 // are shared exactly when appenders overlap. The buffer lock is never
 // held across the disk flush.
+//
+// A payload reaches the log as a Payload, which emits it in pieces.
+// One piece is copied into the buffer above and written with the
+// records around it. A payload of several pieces — a big table's
+// register record — is never held whole: a first pass over its pieces
+// computes the length and the CRC32C that head it, then its appender
+// waits to be leader and writes the buffered records, the header and
+// the pieces one by one, running the payload a second time, and one
+// fsync covers them all. Records that arrive meanwhile buffer for the
+// next leader. The bytes on disk are the ones a one-piece append of
+// the same payload writes.
 package wal
 
 import (
@@ -46,6 +57,10 @@ var ErrCorrupt = errors.New("wal: corrupt record before end of log")
 
 // ErrClosed is returned by appends against a closed WAL.
 var ErrClosed = errors.New("wal: closed")
+
+// errPayloadChanged fails a streamed record whose payload emitted other
+// bytes the second time than the first.
+var errPayloadChanged = errors.New("wal: payload changed between its two passes")
 
 const (
 	headerBytes = 8 // uint32 length + uint32 crc32c
@@ -224,41 +239,146 @@ func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
 	return &WAL{fs: fsys, f: f, size: res.Valid}, res, nil
 }
 
+// Payload emits a record's payload: it calls put with each piece in
+// order and returns put's first error. A payload of more than one
+// piece is emitted twice, and must emit the same bytes both times. A
+// piece may be reused once put has returned, but the last must stay
+// as it is after the payload returns: a payload of one piece is
+// copied into the log's buffer then.
+type Payload func(put func([]byte) error) error
+
+// Bytes is the payload of one piece, data.
+func Bytes(data []byte) Payload {
+	return func(put func([]byte) error) error { return put(data) }
+}
+
 // Append frames tag+data, appends the record, and blocks until an
-// fsync covers it. Safe for concurrent use; appends that buffer while
-// an fsync is in flight share the next one.
+// fsync covers it: AppendPayload of the one piece data.
 func (w *WAL) Append(tag byte, data []byte) error {
-	n := 1 + len(data)
-	if n > maxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", n)
+	return w.AppendPayload(tag, Bytes(data))
+}
+
+// AppendPayload frames tag and the payload p emits, appends the
+// record, and blocks until an fsync covers it. Safe for concurrent
+// use; appends that buffer while an fsync is in flight share the next
+// one. A payload of one piece is buffered like any small record; one
+// of several is written piece by piece by its appender as leader.
+func (w *WAL) AppendPayload(tag byte, p Payload) error {
+	fr := framer{n: 1, sum: crc32.Checksum([]byte{tag}, castagnoli)}
+	if err := p(fr.add); err != nil {
+		return err
+	}
+	if fr.n > maxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes exceeds limit", fr.n)
 	}
 	var hdr [headerBytes + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(fr.n))
+	binary.LittleEndian.PutUint32(hdr[4:], fr.sum)
 	hdr[8] = tag
-	sum := crc32.Update(crc32.Checksum(hdr[8:9], castagnoli), castagnoli, data)
-	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	if fr.pieces > 1 {
+		return w.stream(hdr[:], fr, p)
+	}
 
 	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
+	if err := w.usable(); err != nil {
 		w.mu.Unlock()
 		return err
 	}
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
 	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, data...)
-	w.writeSeq++
-	seq := w.writeSeq
-	w.size += int64(headerBytes + n)
+	w.buf = append(w.buf, fr.last...)
+	seq := w.accept(fr.n)
 	w.mu.Unlock()
 
+	return w.syncTo(seq)
+}
+
+// framer measures and checksums a payload as it is emitted.
+type framer struct {
+	n      int    // tag byte plus the payload so far
+	sum    uint32 // CRC32C of the same span
+	pieces int
+	last   []byte // the latest piece
+}
+
+func (fr *framer) add(p []byte) error {
+	fr.n += len(p)
+	fr.sum = crc32.Update(fr.sum, castagnoli, p)
+	fr.pieces++
+	fr.last = p
+	return nil
+}
+
+// usable reports why the WAL takes no more records, if it does not.
+// Called with mu held.
+func (w *WAL) usable() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// accept sequences a record whose length field is n and counts it,
+// returning its sequence number. Called with mu held.
+func (w *WAL) accept(n int) uint64 {
+	w.writeSeq++
+	w.size += int64(headerBytes + n)
 	w.appends.Add(1)
 	w.appendedBytes.Add(uint64(headerBytes + n))
+	return w.writeSeq
+}
 
-	return w.syncTo(seq)
+// stream appends a record of several pieces, framed by hdr and
+// measured by fr, as group-commit leader: behind whatever was
+// buffered before it, it writes the header and then the pieces as p
+// emits them again, and one fsync covers the lot. A write that fails,
+// or a second pass that emits other bytes than the first, leaves a
+// torn tail and fails the WAL for good.
+func (w *WAL) stream(hdr []byte, fr framer, p Payload) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+
+	w.mu.Lock()
+	if err := w.usable(); err != nil {
+		w.mu.Unlock()
+		return err
+	}
+	pending := w.buf
+	w.buf = nil
+	target := w.accept(fr.n)
+	f := w.f
+	w.mu.Unlock()
+
+	var err error
+	if len(pending) > 0 {
+		_, err = f.Write(pending)
+	}
+	if err == nil {
+		_, err = f.Write(hdr)
+	}
+	if err == nil {
+		again := framer{n: 1, sum: crc32.Checksum(hdr[8:], castagnoli)}
+		err = p(func(piece []byte) error {
+			if again.n+len(piece) > fr.n {
+				// Never past the length in the header: what was
+				// written stays one torn record, not a record with
+				// bytes after it.
+				return errPayloadChanged
+			}
+			again.add(piece)
+			_, err := f.Write(piece)
+			return err
+		})
+		if err == nil && (again.n != fr.n || again.sum != fr.sum) {
+			err = errPayloadChanged
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	return w.synced(target, err)
 }
 
 // syncTo makes the fsync horizon reach at least seq. Whoever holds
@@ -292,12 +412,17 @@ func (w *WAL) syncTo(seq uint64) error {
 	if err == nil {
 		err = f.Sync()
 	}
+	return w.synced(target, err)
+}
 
+// synced ends a leader's pass that wrote records through target: it
+// moves the fsync horizon there, or makes err the WAL's sticky
+// failure, which this batch's appenders, queued on syncMu, and every
+// later append find and return.
+func (w *WAL) synced(target uint64, err error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {
-		// Sticky: this batch's appenders, queued on syncMu, and every
-		// later Append find it and fail.
 		w.err = err
 		return err
 	}

@@ -307,3 +307,69 @@ func TestWALSizeTracksAppends(t *testing.T) {
 		t.Fatalf("on-disk size=%d, want %d", fi.Size(), want)
 	}
 }
+
+// TestWALStreamedRecordAmongAppenders streams multi-piece records while
+// other goroutines append small ones: every record comes back whole
+// from a scan, and the file holds exactly the bytes one-piece appends
+// of the same records frame.
+func TestWALStreamedRecordAmongAppenders(t *testing.T) {
+	path := tmpLog(t)
+	w, _ := mustOpen(t, path)
+	pieces := streamPieces()
+	whole := bytes.Join(pieces, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if err := w.Append(1, []byte(fmt.Sprintf("small-%d-%d", g, i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2; i++ {
+				if err := w.AppendPayload(2, piecesOf(pieces...)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := w.Stats()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 40 || res.Truncated != 0 || st.Appends != 40 {
+		t.Fatalf("%d records, %d torn bytes, %+v; want 40 whole records", len(res.Records), res.Truncated, st)
+	}
+	again := tmpLog(t)
+	w2, _ := mustOpen(t, again)
+	streamed := 0
+	for _, rec := range res.Records {
+		if rec.Tag == 2 {
+			streamed++
+			if !bytes.Equal(rec.Data, whole) {
+				t.Fatalf("streamed record of %d bytes is not its pieces", len(rec.Data))
+			}
+		}
+		if err := w2.Append(rec.Tag, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2.Close()
+	if streamed != 8 {
+		t.Fatalf("%d streamed records, want 8", streamed)
+	}
+	got, _ := os.ReadFile(path)
+	want, _ := os.ReadFile(again)
+	if !bytes.Equal(got, want) {
+		t.Fatal("streamed records framed other bytes than one-piece appends of them")
+	}
+}
