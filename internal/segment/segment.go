@@ -132,8 +132,9 @@ func writeAtomic(fsys fault.FS, dir, name string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// bodyBound is an upper bound on the encoded body.
-func bodyBound(m Meta, t *table.Table, zones [][]table.Zone) int {
+// bodyBound is an upper bound on the encoded body up to the zone
+// footer.
+func bodyBound(m Meta, t *table.Table) int {
 	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
 	for c, name := range m.Columns {
@@ -141,22 +142,16 @@ func bodyBound(m Meta, t *table.Table, zones [][]table.Zone) int {
 		codeLen := uvarintLen(uint64(dict.Len()))
 		n += lenPrefix + len(name) + lenPrefix + dict.TextLen() + lenPrefix*dict.Len() + codeLen*len(codes)
 	}
-	for _, zs := range zones {
-		n += lenPrefix
-		for i := range zs {
-			n += 8 + 8 + 5*lenPrefix + len(zs[i].KeyMin) + len(zs[i].KeyMax)
-		}
-	}
 	return n
 }
 
 // AppendTable appends the body of one table snapshot to b and returns
-// the extended slice. b grows once, up front, to hold the whole body,
-// so the body of a big table is not copied as it grows. m.Columns must
-// be t's columns; zones, when non-nil, is the snapshot's per-column
-// zone maps, and nil writes an empty footer.
+// the extended slice. b grows once, up front, to hold everything but
+// the zones, so the body of a big table is not copied as it grows.
+// m.Columns must be t's columns; zones, when non-nil, is the
+// snapshot's per-column zone maps, and nil writes an empty footer.
 func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
-	if n := bodyBound(m, t, zones); cap(b)-len(b) < n {
+	if n := bodyBound(m, t); cap(b)-len(b) < n {
 		b = append(make([]byte, 0, len(b)+n), b...)
 	}
 	e := encoder{b: b}
@@ -171,9 +166,9 @@ const pieceBytes = 64 << 10
 // EncodeTable emits the body AppendTable appends to put, in pieces of
 // at most pieceBytes, and returns put's first error. A piece is reused
 // once put returns; the last one is left as it is. A body that fits
-// in one piece is emitted as one, from a buffer sized to it.
+// in one piece is emitted as one.
 func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) error) error {
-	e := encoder{b: make([]byte, 0, min(bodyBound(m, t, zones), pieceBytes)), put: put}
+	e := encoder{b: make([]byte, 0, min(bodyBound(m, t), pieceBytes)), put: put}
 	e.body(m, t, zones)
 	if len(e.b) > 0 {
 		e.flush()
@@ -182,8 +177,8 @@ func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) 
 }
 
 // encoder writes a table body into b. With put set, bytes that would
-// take b past its capacity first send what b holds to put, and b
-// starts over; without, b just grows.
+// take b past pieceBytes first send what b holds to put, and b starts
+// over; without, b just grows.
 type encoder struct {
 	b   []byte
 	put func([]byte) error
@@ -209,9 +204,7 @@ func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
 		for i := 0; i < dict.Len(); i++ {
 			e.string(dict.Entry(i))
 		}
-		for _, code := range codes {
-			e.uvarint(uint64(code))
-		}
+		e.codes(codes, uvarintLen(uint64(dict.Len())))
 	}
 	e.uvarint(uint64(len(zones)))
 	for _, zs := range zones {
@@ -230,9 +223,9 @@ func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
 }
 
 // room makes way for n more bytes: with a sink, the bytes b holds go
-// to it first when n more would not fit.
+// to it first when n more would make a piece too long.
 func (e *encoder) room(n int) {
-	if e.put != nil && len(e.b)+n > cap(e.b) && len(e.b) > 0 {
+	if e.put != nil && len(e.b)+n > pieceBytes && len(e.b) > 0 {
 		e.flush()
 	}
 }
@@ -242,6 +235,26 @@ func (e *encoder) flush() {
 		e.err = e.put(e.b)
 	}
 	e.b = e.b[:0]
+}
+
+// codes writes a column's codes, each at most codeLen bytes long:
+// with a sink, as many at a time as surely fit in the piece, and one
+// by one where a piece ends.
+func (e *encoder) codes(codes []uint32, codeLen int) {
+	for len(codes) > 0 {
+		n := len(codes)
+		if e.put != nil {
+			if n = min(n, (pieceBytes-len(e.b))/codeLen); n == 0 {
+				e.uvarint(uint64(codes[0]))
+				codes = codes[1:]
+				continue
+			}
+		}
+		for _, code := range codes[:n] {
+			e.b = binary.AppendUvarint(e.b, uint64(code))
+		}
+		codes = codes[n:]
+	}
 }
 
 func (e *encoder) uvarint(v uint64) {

@@ -167,10 +167,10 @@ func (d *durability) walPath(seq uint64) string {
 }
 
 // log appends one mutation record, its payload emitted by payload, and
-// blocks until it is fsync-durable. On success it returns a release closure the caller
-// must invoke after installing the mutation's effect: the read lock
-// held in between is what lets checkpoint rotation wait for in-flight
-// installs (see logMu). While degraded, mutations fail fast without
+// blocks until it is fsync-durable. On success it returns a release
+// closure the caller must invoke after installing the mutation's
+// effect: the read lock held in between is what lets checkpoint
+// rotation wait for in-flight installs (see logMu). While degraded, mutations fail fast without
 // touching the sealed log; an append failure flips the store into
 // degraded mode.
 func (d *durability) log(tag byte, payload wal.Payload) (release func(), err error) {

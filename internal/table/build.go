@@ -32,7 +32,7 @@ func NewBuilder(name string, columns []string, rows int) (*Builder, error) {
 func newBuilder(t *Table, rows int) *Builder {
 	b := &Builder{t: t, cols: make([]columnBuilder, len(t.columns))}
 	for c := range b.cols {
-		b.cols[c].cd.reserve(rows)
+		b.cols[c].cd.codes = make([]uint32, 0, rows)
 	}
 	return b
 }
@@ -111,11 +111,6 @@ type columnBuilder struct {
 // errTextOverflow reports a column whose dictionary has outgrown its
 // 32-bit offsets.
 var errTextOverflow = errors.New("more than 4 GiB of distinct cell text")
-
-// reserve makes room for n records.
-func (cd *columnData) reserve(n int) {
-	cd.codes = slices.Grow(cd.codes, n)
-}
 
 // extend starts a column holding pd's records, with room for extra
 // more. Everything flat is copied; nothing of pd is hashed or parsed.

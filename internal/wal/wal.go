@@ -241,10 +241,11 @@ func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
 
 // Payload emits a record's payload: it calls put with each piece in
 // order and returns put's first error. A payload of more than one
-// piece is emitted twice, and must emit the same bytes both times. A
-// piece may be reused once put has returned, but the last must stay
-// as it is after the payload returns: a payload of one piece is
-// copied into the log's buffer then.
+// piece is emitted twice, and must emit the same bytes both times; the
+// second time it holds the log's write turn, so it must not append to
+// the same WAL. A piece may be reused once put has returned, but the
+// last must stay as it is after the payload returns: a payload of one
+// piece is copied into the log's buffer then.
 type Payload func(put func([]byte) error) error
 
 // Bytes is the payload of one piece, data.
