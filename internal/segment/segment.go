@@ -13,8 +13,9 @@
 // written and read by the same code. One encoder writes it, into one
 // of two sinks: AppendTable's buffer, grown once up front to hold the
 // whole body and never flushed, for a segment file; or EncodeTable's
-// pieces of at most pieceBytes each, handed over as they fill, so a
-// register record of a big table is never held whole.
+// pieces of at most pieceBytes each (a longer dictionary entry is a
+// piece of its own), handed over as they fill, so a register record
+// of a big table is never held whole.
 //
 // Layout:
 //
@@ -164,7 +165,8 @@ func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte 
 const pieceBytes = 64 << 10
 
 // EncodeTable emits the body AppendTable appends to put, in pieces of
-// at most pieceBytes, and returns put's first error. A piece is reused
+// at most pieceBytes, and returns put's first error. A dictionary
+// entry longer than that is a piece of its own. A piece is reused
 // once put returns; the last one is left as it is. A body that fits
 // in one piece is emitted as one.
 func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) error) error {
@@ -239,12 +241,13 @@ func (e *encoder) flush() {
 
 // codes writes a column's codes, each at most codeLen bytes long:
 // with a sink, as many at a time as surely fit in the piece, and one
-// by one where a piece ends.
+// by one where a piece ends or has already overrun, as it does after
+// a dictionary entry longer than a piece.
 func (e *encoder) codes(codes []uint32, codeLen int) {
 	for len(codes) > 0 {
 		n := len(codes)
 		if e.put != nil {
-			if n = min(n, (pieceBytes-len(e.b))/codeLen); n == 0 {
+			if n = min(n, max(0, (pieceBytes-len(e.b))/codeLen)); n == 0 {
 				e.uvarint(uint64(codes[0]))
 				codes = codes[1:]
 				continue

@@ -373,9 +373,10 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 }
 
 // TestEncodeTablePieces holds EncodeTable to AppendTable: its pieces,
-// joined, are the body, none is over pieceBytes, a body that fits in
-// one piece is emitted as one, and put's first error stops the
-// encoder and is returned.
+// joined, are the body, none is over pieceBytes but one holding a
+// single longer dictionary entry, a body that fits in one piece is
+// emitted as one, and put's first error stops the encoder and is
+// returned.
 func TestEncodeTablePieces(t *testing.T) {
 	small := table.MustNew("small", testMeta.Columns, testRows)
 	rows := make([][]string, 40000)
@@ -383,16 +384,29 @@ func TestEncodeTablePieces(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i), "n" + strconv.Itoa(i%50), strconv.Itoa(i * 7)}
 	}
 	big := table.MustNew("big", []string{"Seq", "Nation", "Games"}, rows)
+	// A dictionary entry longer than a piece is put as one piece of its
+	// own, and the codes after it start the next.
+	long := strings.Repeat("x", 70000)
+	oneCell := table.MustNew("onecell", []string{"Cell"}, [][]string{{long}})
+	lastLong := table.MustNew("lastlong", []string{"Key", "Note", "N"}, [][]string{
+		{"a", "p", "1"}, {"b", "q", "2"}, {"a", "p", "3"}, {"c", long, "4"},
+	})
 	for _, tc := range []struct {
 		tab    *table.Table
 		pieces int // 0: more than one
-	}{{small, 1}, {big, 0}} {
+		most   int // the longest piece allowed
+	}{
+		{small, 1, pieceBytes},
+		{big, 0, pieceBytes},
+		{oneCell, 0, uvarintLen(uint64(len(long))) + len(long)},
+		{lastLong, 0, uvarintLen(uint64(len(long))) + len(long)},
+	} {
 		m := Meta{Name: tc.tab.Name(), Gen: 3, Version: "v", Columns: tc.tab.Columns(), Rows: tc.tab.NumRows()}
 		want := AppendTable(nil, m, tc.tab, tc.tab.ZoneSnapshot())
 		var got []byte
 		n := 0
 		err := EncodeTable(m, tc.tab, tc.tab.ZoneSnapshot(), func(p []byte) error {
-			if len(p) > pieceBytes {
+			if len(p) > tc.most {
 				t.Fatalf("%s: piece of %d bytes", m.Name, len(p))
 			}
 			got = append(got, p...)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nlexplain/internal/segment"
@@ -369,6 +370,46 @@ func TestRegisterRecordBytesGolden(t *testing.T) {
 				t.Errorf("register record of %s is not the snapshot's segment body", fx.name)
 			}
 		})
+	}
+}
+
+// TestRegisterLongCell registers, on a durable store, tables whose
+// last new dictionary entry is longer than a piece of a streamed
+// register record: a one-cell table and one with such an entry ahead
+// of its codes and of another column. The record is the snapshot's
+// segment body, the relation comes back from the log alone and from a
+// checkpoint, and the checkpoint, which waits for every mutation still
+// logging, runs.
+func TestRegisterLongCell(t *testing.T) {
+	long := strings.Repeat("x", 70000)
+	for _, tab := range []*table.Table{
+		mustNew(t, "onecell", []string{"Cell"}, [][]string{{long}}),
+		mustNew(t, "lastlong", []string{"Key", "Note", "N"}, [][]string{
+			{"a", "p", "1"}, {"b", "q", "2"}, {"a", "p", "3"}, {"c", long, "4"},
+		}),
+	} {
+		dir := t.TempDir()
+		st, payloads := loggedRegisters(t, dir, tab)
+		snap, _ := st.Get(tab.Name())
+		meta := segment.Meta{Name: tab.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: tab.Columns(), Rows: tab.NumRows()}
+		if len(payloads) != 1 || !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table(), nil)) {
+			t.Fatalf("%s: %d register records, not the snapshot's segment body", tab.Name(), len(payloads))
+		}
+		assertSameRelation(t, tab.Name()+" register record round trip", throughWAL(t, tab), tab)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		want := captureState(st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2 := openDurable(t, dir)
+		checkRecovered(t, st2, want)
+		got, _ := st2.Get(tab.Name())
+		assertSameRelation(t, tab.Name()+" checkpointed", got.Table(), tab)
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
