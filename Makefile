@@ -114,12 +114,13 @@ store-stress:
 # table, which a second copy of the cells in any form or 64-bit row
 # ids do not fit under, and the byte estimate the store's
 # -store-budget eviction trusts, held to that measured heap for the
-# big table and for web tables, and the bytes a durable registration
-# of the big table allocates on the way to the log.
+# big table and for web tables, the bytes a durable registration
+# of the big table allocates on the way to the log, and the bytes its
+# register record and its segment file take per byte of it as CSV.
 bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
-	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap|TestRegisterAllocBytes' -count=1 ./internal/table/ ./internal/store/
+	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data

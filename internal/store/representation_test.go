@@ -297,36 +297,42 @@ func TestTableRepresentationIndependentOfStorePath(t *testing.T) {
 // representation fixture built whole, the same relation grown by two
 // appends (generation 3), a header-only table, and the 131072 x 6 scan
 // table (skipped with -short). register is the SHA-256 of the register
-// record's payload, segment that of the checkpointed segment file.
+// record's payload, segment that of the checkpointed segment file;
+// registerPerByte and segmentPerByte bound their lengths per byte of
+// the relation they hold as CSV (TestSegmentBytesPerUserByte).
 var goldenFixtures = []struct {
-	name              string
-	build             func(t *testing.T) (base *table.Table, appends [][][]string)
-	big               bool
-	register, segment string
+	name                            string
+	build                           func(t *testing.T) (base *table.Table, appends [][][]string)
+	big                             bool
+	register, segment               string
+	registerPerByte, segmentPerByte float64
 }{
 	{
 		name: "repr",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
 		},
-		register: "375c0f3c7cfc0694e6d02dd1f38fad7db83ccc4ca75d8e95520b7ed742fd4367",
-		segment:  "ffed462182842f1f712b3e7165a9e965dd6e993486fbbec46ac8a0b411e64749",
+		register:        "375c0f3c7cfc0694e6d02dd1f38fad7db83ccc4ca75d8e95520b7ed742fd4367",
+		segment:         "ffed462182842f1f712b3e7165a9e965dd6e993486fbbec46ac8a0b411e64749",
+		registerPerByte: 1.2094, segmentPerByte: 1.6080,
 	},
 	{
 		name: "repr-appended",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
 		},
-		register: "4b0c0a4e645f67a9b5c4745f4c840e7748a446aed2aa8e31257e13fdcff88b1b",
-		segment:  "f4f35be91523349eea5ba1e125f58b60c06ec0698afb116212404ab0906d1afe",
+		register:        "4b0c0a4e645f67a9b5c4745f4c840e7748a446aed2aa8e31257e13fdcff88b1b",
+		segment:         "f4f35be91523349eea5ba1e125f58b60c06ec0698afb116212404ab0906d1afe",
+		registerPerByte: 1.3618, segmentPerByte: 1.6080,
 	},
 	{
 		name: "header-only",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "empty", reprColumns, nil), nil
 		},
-		register: "d2cba52ae557c5aa91664e6066943e78ccfade693c1750c209033a679743a01b",
-		segment:  "6695ea48db74d48df1dde8960944fd1b42f0f5cbbd793506435ed9ac9d7a0e7d",
+		register:        "d2cba52ae557c5aa91664e6066943e78ccfade693c1750c209033a679743a01b",
+		segment:         "6695ea48db74d48df1dde8960944fd1b42f0f5cbbd793506435ed9ac9d7a0e7d",
+		registerPerByte: 2.3914, segmentPerByte: 3.0870,
 	},
 	{
 		name: "big",
@@ -335,8 +341,9 @@ var goldenFixtures = []struct {
 			columns, rows := bigReprRows()
 			return mustNew(t, "big", columns, rows), nil
 		},
-		register: "5fdb462a4e6f3ab5f8c5d9d7e1744d1253a90c0c099deec70cd59f4228d5bf8d",
-		segment:  "2f36ae6a12dae32a2375c843430d13aa6dd8a058a1f0e8130644f1d19321b2bb",
+		register:        "5fdb462a4e6f3ab5f8c5d9d7e1744d1253a90c0c099deec70cd59f4228d5bf8d",
+		segment:         "2f36ae6a12dae32a2375c843430d13aa6dd8a058a1f0e8130644f1d19321b2bb",
+		registerPerByte: 0.8050, segmentPerByte: 0.8051,
 	},
 }
 
