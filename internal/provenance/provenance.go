@@ -141,10 +141,3 @@ func aggregateHeaderColumn(a *dcs.Aggregate, t *table.Table) (int, bool) {
 	}
 	return t.ColumnIndex(cols[0])
 }
-
-// Chain reports whether the provenance chain PO ⊆ PE ⊆ PC of
-// Definition 4.1 holds (it always should; exported for tests and
-// assertions).
-func (p *Prov) Chain() bool {
-	return p.Output.SubsetOf(p.Execution) && p.Execution.SubsetOf(p.Columns)
-}

@@ -1,11 +1,13 @@
 // Package segment implements the immutable columnar segment files and
 // the manifest that the store's checkpointer compacts its write-ahead
-// log into. One segment file holds one table snapshot in the form the
-// table itself holds its cells: per column a dictionary of the distinct
-// raw spellings in first-appearance order, then one dictionary code per
-// record. The writer copies both straight out of the table; the reader
-// feeds them to the table builder, which parses a spelling once
-// however many records hold it.
+// log into. One segment file holds one table snapshot, column by
+// column and record by record. A cell is spelled out where its
+// spelling first appears in its column, and after that is the number
+// of that first appearance, so each distinct spelling is stored once.
+// The numbers are the table's own dictionary codes, which count first
+// appearances: the writer reads the cells straight out of the table's
+// dictionary and codes, and the reader feeds them to the table
+// builder, which parses a spelling once however many records hold it.
 //
 // The body is the one table codec: it is also the payload of the
 // store's WAL register record (EncodeTable / DecodeTable, with an
@@ -13,9 +15,9 @@
 // written and read by the same code. One encoder writes it, into one
 // of two sinks: AppendTable's buffer, grown once up front to hold the
 // whole body and never flushed, for a segment file; or EncodeTable's
-// pieces of at most pieceBytes each (a longer dictionary entry is a
-// piece of its own), handed over as they fill, so a register record
-// of a big table is never held whole.
+// pieces of at most pieceBytes each (a longer spelling is a piece of
+// its own), handed over as they fill, so a register record of a big
+// table is never held whole.
 //
 // Layout:
 //
@@ -23,18 +25,21 @@
 //
 // body, all integers uvarint, strings length-prefixed:
 //
-//	schema(=2) name gen version
+//	schema(=3) name gen version
 //	ncols col... nrows
-//	per column: dictLen dict... then nrows dictionary indexes
+//	per column, per record: v, and when v is odd v>>1 bytes of text
 //	zone footer: nzcols (0, or = ncols), then per column nzones and
 //	per zone: min max (float64 bits, 8 bytes LE each) keyMin keyMax
 //	numCount nanCount emptyCount
 //
-// The zone footer (schema 2) carries the per-column zone maps of the
-// snapshot so recovery installs them without rescanning the columns.
-// It lives under the same checksum as the rest of the body. Schema-1
-// segments (no footer) remain readable — they decode with nil zones
-// and the table rebuilds its maps lazily.
+// An odd v spells the column's next dictionary entry; an even v
+// repeats entry v>>1, which must be one the column has already spelled.
+// The zone footer carries the per-column zone maps of the snapshot so
+// recovery installs them without rescanning the columns. It lives
+// under the same checksum as the rest of the body. Bodies of schema 1
+// and 2, which stored each column as its dictionary and then its
+// codes, are refused: a table persisted in them is registered again
+// from its CSV.
 //
 // Files are written atomically (tmp + fsync + rename + dir fsync) and
 // never modified after that, so a reader either sees a whole valid
@@ -63,8 +68,7 @@ var ErrCorrupt = errors.New("segment: corrupt file")
 
 const (
 	magic      = "WTQSEG1\n"
-	schemaV1   = 1       // rows only, no zone footer
-	schemaSeg  = 2       // rows + zone-map footer
+	schemaSeg  = 3       // cells spelled where they first appear + zone-map footer
 	maxStrings = 1 << 30 // sanity bound on any length field
 )
 
@@ -92,7 +96,7 @@ func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
 
 // WriteTable encodes one table snapshot into path atomically, all I/O
 // through fsys (nil means the OS passthrough). A column goes out as the
-// table holds it: its dictionary, then its codes. zones, when non-nil,
+// table holds it, each spelling once. zones, when non-nil,
 // is the snapshot's per-column zone maps (len(m.Columns) columns wide)
 // persisted in the checksummed footer. Nothing is retained.
 func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]table.Zone) error {
@@ -134,14 +138,14 @@ func writeAtomic(fsys fault.FS, dir, name string, data []byte) error {
 }
 
 // bodyBound is an upper bound on the encoded body up to the zone
-// footer.
+// footer: every entry's text and a full length prefix, and for every
+// record the longest repeat the column can have.
 func bodyBound(m Meta, t *table.Table) int {
 	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
 	for c, name := range m.Columns {
 		dict, codes := t.ColumnDictionary(c)
-		codeLen := uvarintLen(uint64(dict.Len()))
-		n += lenPrefix + len(name) + lenPrefix + dict.TextLen() + lenPrefix*dict.Len() + codeLen*len(codes)
+		n += lenPrefix + len(name) + dict.TextLen() + lenPrefix*dict.Len() + uvarintLen(uint64(dict.Len())<<1)*len(codes)
 	}
 	return n
 }
@@ -161,12 +165,12 @@ func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte 
 }
 
 // pieceBytes is the most EncodeTable hands put at once, unless one
-// dictionary entry is longer.
+// spelling is longer.
 const pieceBytes = 64 << 10
 
 // EncodeTable emits the body AppendTable appends to put, in pieces of
-// at most pieceBytes, and returns put's first error. A dictionary
-// entry longer than that is a piece of its own. A piece is reused
+// at most pieceBytes, and returns put's first error. A spelling longer
+// than that is a piece of its own. A piece is reused
 // once put returns; the last one is left as it is. A body that fits
 // in one piece is emitted as one.
 func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) error) error {
@@ -201,12 +205,23 @@ func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
 		if e.err != nil {
 			return
 		}
+		// The dictionary numbers its entries in first-appearance order,
+		// so a record whose code is the count spelled so far is the
+		// entry's first.
 		dict, codes := t.ColumnDictionary(c)
-		e.uvarint(uint64(dict.Len()))
-		for i := 0; i < dict.Len(); i++ {
-			e.string(dict.Entry(i))
+		spelled := uint32(0)
+		for _, code := range codes {
+			if code < spelled {
+				e.uvarint(uint64(code) << 1)
+				continue
+			}
+			s := dict.Entry(int(code))
+			v := uint64(len(s))<<1 | 1
+			e.room(uvarintLen(v) + len(s))
+			e.b = binary.AppendUvarint(e.b, v)
+			e.b = append(e.b, s...)
+			spelled++
 		}
-		e.codes(codes, uvarintLen(uint64(dict.Len())))
 	}
 	e.uvarint(uint64(len(zones)))
 	for _, zs := range zones {
@@ -237,27 +252,6 @@ func (e *encoder) flush() {
 		e.err = e.put(e.b)
 	}
 	e.b = e.b[:0]
-}
-
-// codes writes a column's codes, each at most codeLen bytes long:
-// with a sink, as many at a time as surely fit in the piece, and one
-// by one where a piece ends or has already overrun, as it does after
-// a dictionary entry longer than a piece.
-func (e *encoder) codes(codes []uint32, codeLen int) {
-	for len(codes) > 0 {
-		n := len(codes)
-		if e.put != nil {
-			if n = min(n, max(0, (pieceBytes-len(e.b))/codeLen)); n == 0 {
-				e.uvarint(uint64(codes[0]))
-				codes = codes[1:]
-				continue
-			}
-		}
-		for _, code := range codes[:n] {
-			e.b = binary.AppendUvarint(e.b, uint64(code))
-		}
-		codes = codes[n:]
-	}
 }
 
 func (e *encoder) uvarint(v uint64) {
@@ -291,11 +285,10 @@ func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
 
 // ReadTable decodes the segment file at path, all I/O through fsys
 // (nil means the OS passthrough), verifying the checksum, and builds
-// the table it holds: each column's dictionary and codes go to the
-// table builder as they are read, so a spelling is parsed once however
-// many records hold it. zones is the decoded per-column zone footer —
-// nil for schema-1 segments or a schema-2 footer written without
-// zones.
+// the table it holds: each cell goes to the table builder as it is
+// read, a repeat by the code its spelling got, so a spelling is parsed
+// once however many records hold it. zones is the decoded per-column
+// zone footer — nil for a footer written without zones.
 func ReadTable(fsys fault.FS, path string) (Meta, *table.Table, [][]table.Zone, error) {
 	data, err := fault.Or(fsys).ReadFile(path)
 	if err != nil {
@@ -315,16 +308,19 @@ func ReadTable(fsys fault.FS, path string) (Meta, *table.Table, [][]table.Zone, 
 // DecodeTable decodes a checksummed body — a segment file's, or a WAL
 // register record's payload — naming what in its errors, which all
 // wrap ErrCorrupt. A body the writer did not produce is still read for
-// what it says: dictionary entries that repeat or that no record
-// refers to, and codes out of first-appearance order, build the same
-// table as the canonical body — the builder numbers spellings as the
-// records bring them — at one dictionary lookup per entry, not per
-// record. What it allocates is bounded by the length of the body.
+// what it says: a spelling spelled out twice, and repeats of either
+// copy, build the same table as the canonical body — the builder
+// numbers spellings as the records bring them — at one dictionary
+// lookup per spelling, not per record. What it allocates is bounded by
+// the length of the body.
 func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, error) {
 	var m Meta
 	d := decoder{buf: body, what: what}
 	schema := d.uvarint()
-	if d.err == nil && schema != schemaV1 && schema != schemaSeg {
+	if d.err == nil && (schema == 1 || schema == 2) {
+		return m, nil, nil, fmt.Errorf("%w: %s: schema %d, each column's dictionary then its codes, is no longer read; register the table again from its CSV", ErrCorrupt, what, schema)
+	}
+	if d.err == nil && schema != schemaSeg {
 		return m, nil, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, what, schema)
 	}
 	m.Name = d.string()
@@ -335,7 +331,7 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	for i := 0; i < ncols && d.err == nil; i++ {
 		m.Columns = append(m.Columns, d.string())
 	}
-	nrows := int(d.count(ncols)) // every cell costs a byte at least: its code
+	nrows := int(d.count(ncols)) // every cell costs a byte at least: its v
 	m.Rows = nrows
 	if d.err != nil {
 		return m, nil, nil, d.fail()
@@ -344,57 +340,49 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	if err != nil {
 		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
-	var entries [][]byte // the file's dictionary of the column being read
-	var codes []uint32   // what the builder calls each entry, once a record has held it
+	var codes []uint32 // the builder's code for each spelling the column has spelled out so far
 	for c := 0; c < ncols; c++ {
-		dictLen := int(d.count(1))
-		entries, codes = entries[:0], codes[:0]
-		for i := 0; i < dictLen && d.err == nil; i++ {
-			entries = append(entries, d.bytes())
-			codes = append(codes, unseen)
-		}
+		codes = codes[:0]
 		for r := 0; r < nrows; r++ {
-			di := d.uvarint()
+			v := d.uvarint()
 			if d.err != nil {
-				break
+				return m, nil, nil, d.fail()
 			}
-			if di >= uint64(len(entries)) {
-				return m, nil, nil, fmt.Errorf("%w: %s: dictionary index %d out of range", ErrCorrupt, what, di)
+			if v&1 == 1 {
+				codes = append(codes, b.CellBytes(c, d.take(v>>1)))
+				continue
 			}
-			if codes[di] == unseen {
-				codes[di] = b.CellBytes(c, entries[di])
-			} else {
-				b.Repeat(c, codes[di])
+			if v>>1 >= uint64(len(codes)) {
+				return m, nil, nil, fmt.Errorf("%w: %s: column %d repeats entry %d of %d", ErrCorrupt, what, c, v>>1, len(codes))
 			}
+			b.Repeat(c, codes[v>>1])
 		}
 		if d.err != nil {
 			return m, nil, nil, d.fail()
 		}
 	}
 	var zones [][]table.Zone
-	if schema >= schemaSeg {
-		nzcols := int(d.count(1))
-		if d.err == nil && nzcols != 0 && nzcols != ncols {
-			return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, what, nzcols, ncols)
-		}
-		if nzcols != 0 {
-			zones = make([][]table.Zone, nzcols)
-			for c := 0; c < nzcols && d.err == nil; c++ {
-				nz := int(d.count(minZoneBytes))
-				zs := make([]table.Zone, 0, nz)
-				for i := 0; i < nz && d.err == nil; i++ {
-					var z table.Zone
-					z.Min = d.float64()
-					z.Max = d.float64()
-					z.KeyMin = d.string()
-					z.KeyMax = d.string()
-					z.NumCount = int32(d.count(0))
-					z.NaNCount = int32(d.count(0))
-					z.EmptyCount = int32(d.count(0))
-					zs = append(zs, z)
-				}
-				zones[c] = zs
+	nzcols := int(d.count(1))
+	if d.err == nil && nzcols != 0 && nzcols != ncols {
+		return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, what, nzcols, ncols)
+	}
+	if nzcols != 0 {
+		zones = make([][]table.Zone, nzcols)
+		for c := 0; c < nzcols && d.err == nil; c++ {
+			nz := int(d.count(minZoneBytes))
+			zs := make([]table.Zone, 0, nz)
+			for i := 0; i < nz && d.err == nil; i++ {
+				var z table.Zone
+				z.Min = d.float64()
+				z.Max = d.float64()
+				z.KeyMin = d.string()
+				z.KeyMax = d.string()
+				z.NumCount = int32(d.count(0))
+				z.NaNCount = int32(d.count(0))
+				z.EmptyCount = int32(d.count(0))
+				zs = append(zs, z)
 			}
+			zones[c] = zs
 		}
 	}
 	if d.err != nil {
@@ -409,9 +397,6 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	}
 	return m, t, zones, nil
 }
-
-// unseen marks a file dictionary entry no record has referred to yet.
-const unseen = ^uint32(0)
 
 // minZoneBytes is the least an encoded zone takes: two float64s, two
 // empty strings and three counts.
@@ -467,9 +452,8 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-// bytes reads a length-prefixed string as a window of the body.
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
+// take reads the next n bytes as a window of the body.
+func (d *decoder) take(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
@@ -482,4 +466,5 @@ func (d *decoder) bytes() []byte {
 	return s
 }
 
-func (d *decoder) string() string { return string(d.bytes()) }
+// string reads a length-prefixed string.
+func (d *decoder) string() string { return string(d.take(d.uvarint())) }

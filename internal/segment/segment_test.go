@@ -188,36 +188,58 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func TestSegmentSchema1BackwardCompat(t *testing.T) {
-	// Hand-encode a schema-1 body (rows only, no zone footer): old
-	// segments written before the footer existed must still decode,
-	// with nil zones.
-	var body []byte
-	body = binary.AppendUvarint(body, schemaV1)
-	body = appendString(body, "legacy")
-	body = binary.AppendUvarint(body, 7)
-	body = appendString(body, "vv")
-	body = binary.AppendUvarint(body, 1) // ncols
-	body = appendString(body, "A")
-	body = binary.AppendUvarint(body, 2) // nrows
-	body = binary.AppendUvarint(body, 1) // dictLen
-	body = appendString(body, "x")
-	body = binary.AppendUvarint(body, 0) // row 0 -> dict[0]
-	body = binary.AppendUvarint(body, 0) // row 1 -> dict[0]
+// appendHeader appends a body's header under schema: m's name,
+// generation, version and columns, and its number of records.
+func appendHeader(b []byte, schema uint64, m Meta) []byte {
+	b = binary.AppendUvarint(b, schema)
+	b = appendString(b, m.Name)
+	b = binary.AppendUvarint(b, m.Gen)
+	b = appendString(b, m.Version)
+	b = binary.AppendUvarint(b, uint64(len(m.Columns)))
+	for _, c := range m.Columns {
+		b = appendString(b, c)
+	}
+	return binary.AppendUvarint(b, uint64(m.Rows))
+}
 
-	path := filepath.Join(t.TempDir(), "v1.seg")
-	if err := os.WriteFile(path, frame(body), 0o644); err != nil {
-		t.Fatal(err)
+// appendCells appends a column's records as a body holds them: a
+// string is spelled out as the column's next entry, an int repeats the
+// entry of that number.
+func appendCells(b []byte, cells ...any) []byte {
+	for _, c := range cells {
+		switch c := c.(type) {
+		case string:
+			b = binary.AppendUvarint(b, uint64(len(c))<<1|1)
+			b = append(b, c...)
+		case int:
+			b = binary.AppendUvarint(b, uint64(c)<<1)
+		}
 	}
-	m, rows, zones, err := Read(path)
-	if err != nil {
-		t.Fatalf("schema-1 segment: %v", err)
-	}
-	if m.Name != "legacy" || m.Gen != 7 || m.Rows != 2 || len(rows) != 2 || rows[1][0] != "x" {
-		t.Fatalf("schema-1 decode: %+v, rows %v", m, rows)
-	}
-	if zones != nil {
-		t.Fatalf("schema-1 segment decoded zones: %v", zones)
+	return b
+}
+
+// TestSegmentOldSchemasRefused: bodies of schema 1 (no zone footer)
+// and schema 2, which stored a column as its dictionary and then its
+// codes, are corrupt to this reader, and the error names the schema.
+func TestSegmentOldSchemasRefused(t *testing.T) {
+	m := Meta{Name: "legacy", Gen: 7, Version: "vv", Columns: []string{"A"}, Rows: 2}
+	for _, schema := range []uint64{1, 2} {
+		body := appendHeader(nil, schema, m)
+		body = binary.AppendUvarint(body, 1) // dictLen
+		body = appendString(body, "x")
+		body = binary.AppendUvarint(body, 0) // row 0 -> dict[0]
+		body = binary.AppendUvarint(body, 0) // row 1 -> dict[0]
+		if schema == 2 {
+			body = binary.AppendUvarint(body, 0) // no zone footer columns
+		}
+		path := filepath.Join(t.TempDir(), "old.seg")
+		if err := os.WriteFile(path, frame(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := Read(path)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "schema "+strconv.FormatUint(schema, 10)+",") {
+			t.Errorf("schema-%d segment: err = %v, want ErrCorrupt naming the schema", schema, err)
+		}
 	}
 }
 
@@ -285,14 +307,36 @@ func frame(body []byte) []byte {
 	return append(buf, body...)
 }
 
-// TestSegmentNonCanonicalDictionaryRestoresCanonical: a dictionary the
-// writer would not have produced — an entry twice, an entry no record
-// refers to, entries numbered out of first-appearance order — restores
-// to the very table the canonical file holds, and checkpoints back out
-// as the canonical bytes.
+// nonCanonical is a relation and a body for it the writer would not
+// have produced: column K spells "b" out twice, and repeats the second
+// copy as well as the first.
+var nonCanonical = struct {
+	meta Meta
+	rows [][]string
+	k, n []any // the two columns' records, for appendCells
+}{
+	meta: Meta{Name: "t", Gen: 3, Version: "v", Columns: []string{"K", "N"}, Rows: 7},
+	rows: [][]string{{"b", "1"}, {"a", "2"}, {"b", "1"}, {"c", "3"}, {"a", "2"}, {"b", "1"}, {"b", "1"}},
+	k:    []any{"b", "a", "b", "c", 1, 2, 0},
+	n:    []any{"1", "2", 0, "3", 1, 0, 0},
+}
+
+// nonCanonicalBody encodes nonCanonical with columns k and n.
+func nonCanonicalBody(k, n []any) []byte {
+	body := appendHeader(nil, schemaSeg, nonCanonical.meta)
+	body = appendCells(body, k...)
+	body = appendCells(body, n...)
+	return binary.AppendUvarint(body, 0) // no zone footer columns
+}
+
+// TestSegmentNonCanonicalDictionaryRestoresCanonical: a body the
+// writer would not have produced — a spelling spelled out twice,
+// repeats of either copy — restores to the very table the canonical
+// file holds, and checkpoints back out as the canonical bytes. A
+// repeat of an entry not yet spelled, and a spelling longer than the
+// body, stay corruption.
 func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
-	rows := [][]string{{"b", "1"}, {"a", "2"}, {"b", "1"}, {"c", "3"}, {"a", "2"}}
-	meta := Meta{Name: "t", Gen: 3, Version: "v", Columns: []string{"K", "N"}, Rows: len(rows)}
+	meta, rows := nonCanonical.meta, nonCanonical.rows
 	dir := t.TempDir()
 	canonical := filepath.Join(dir, "canonical.seg")
 	if err := Write(canonical, meta, rows, nil); err != nil {
@@ -303,41 +347,13 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var body []byte
-	body = binary.AppendUvarint(body, schemaSeg)
-	body = appendString(body, meta.Name)
-	body = binary.AppendUvarint(body, meta.Gen)
-	body = appendString(body, meta.Version)
-	body = binary.AppendUvarint(body, 2)
-	body = appendString(body, "K")
-	body = appendString(body, "N")
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-	// K: "a" before "b" though "b" appears first, "b" a second time,
-	// "zzz" never referred to.
-	body = binary.AppendUvarint(body, 5)
-	for _, s := range []string{"a", "b", "zzz", "c", "b"} {
-		body = appendString(body, s)
-	}
-	for _, di := range []uint64{1, 0, 4, 3, 0} {
-		body = binary.AppendUvarint(body, di)
-	}
-	// N: canonical.
-	body = binary.AppendUvarint(body, 3)
-	for _, s := range []string{"1", "2", "3"} {
-		body = appendString(body, s)
-	}
-	for _, di := range []uint64{0, 1, 0, 2, 1} {
-		body = binary.AppendUvarint(body, di)
-	}
-	body = binary.AppendUvarint(body, 0) // no zone footer columns
 	odd := filepath.Join(dir, "odd.seg")
-	if err := os.WriteFile(odd, frame(body), 0o644); err != nil {
+	if err := os.WriteFile(odd, frame(nonCanonicalBody(nonCanonical.k, nonCanonical.n)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	m, tab, _, err := ReadTable(nil, odd)
 	if err != nil {
-		t.Fatalf("non-canonical dictionary: %v", err)
+		t.Fatalf("non-canonical body: %v", err)
 	}
 	for r := range rows {
 		for c := range rows[r] {
@@ -361,14 +377,16 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 		t.Fatalf("the restored table checkpoints to %d bytes that differ from the canonical %d", len(got), len(want))
 	}
 
-	// A code past the dictionary stays corruption.
-	bad := append([]byte(nil), body...)
-	bad[len(bad)-2] = 3 // N's last code: 1 -> 3, dictionary of 3
-	if err := os.WriteFile(odd, frame(bad), 0o644); err != nil {
-		t.Fatal(err)
+	// N's third record repeats entry 2 with two entries spelled.
+	past := nonCanonicalBody(nonCanonical.k, []any{"1", "2", 2, "3", 1, 0, 0})
+	if _, _, _, err := DecodeTable(past, "bad"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("repeat past the entries spelled: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, _, err := ReadTable(nil, odd); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("code past the dictionary: err=%v, want ErrCorrupt", err)
+	// K's last record spells 1000 bytes the body does not hold.
+	over := appendCells(appendHeader(nil, schemaSeg, meta), nonCanonical.k[:6]...)
+	over = append(binary.AppendUvarint(over, 1000<<1|1), "b"...)
+	if _, _, _, err := DecodeTable(over, "bad"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("spelling past the body: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -384,8 +402,8 @@ func TestEncodeTablePieces(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i), "n" + strconv.Itoa(i%50), strconv.Itoa(i * 7)}
 	}
 	big := table.MustNew("big", []string{"Seq", "Nation", "Games"}, rows)
-	// A dictionary entry longer than a piece is put as one piece of its
-	// own, and the codes after it start the next.
+	// A spelling longer than a piece is put as one piece of its own, and
+	// the records after it start the next.
 	long := strings.Repeat("x", 70000)
 	oneCell := table.MustNew("onecell", []string{"Cell"}, [][]string{{long}})
 	lastLong := table.MustNew("lastlong", []string{"Key", "Note", "N"}, [][]string{
@@ -398,8 +416,8 @@ func TestEncodeTablePieces(t *testing.T) {
 	}{
 		{small, 1, pieceBytes},
 		{big, 0, pieceBytes},
-		{oneCell, 0, uvarintLen(uint64(len(long))) + len(long)},
-		{lastLong, 0, uvarintLen(uint64(len(long))) + len(long)},
+		{oneCell, 0, uvarintLen(uint64(len(long))<<1|1) + len(long)},
+		{lastLong, 0, uvarintLen(uint64(len(long))<<1|1) + len(long)},
 	} {
 		m := Meta{Name: tc.tab.Name(), Gen: 3, Version: "v", Columns: tc.tab.Columns(), Rows: tc.tab.NumRows()}
 		want := AppendTable(nil, m, tc.tab, tc.tab.ZoneSnapshot())
@@ -489,13 +507,15 @@ func fuzzSeedTables() []*table.Table {
 // through — the fuzzer mutates the body, the frame is implied — and
 // holds it to the recovery contract: a table or ErrCorrupt, never a
 // panic, never memory out of proportion to the input; and a table that
-// decodes re-encodes to a body that decodes to the same table.
+// decodes re-encodes to a body that decodes to the same table, and
+// encodes from there to the very same bytes.
 func FuzzSegmentRead(f *testing.F) {
 	for i, tab := range fuzzSeedTables() {
 		m := Meta{Name: tab.Name(), Gen: uint64(i + 1), Version: "v", Columns: tab.Columns(), Rows: tab.NumRows()}
 		f.Add(AppendTable(nil, m, tab, nil))
 		f.Add(AppendTable(nil, m, tab, tab.ZoneSnapshot()))
 	}
+	f.Add(nonCanonicalBody(nonCanonical.k, nonCanonical.n))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -513,9 +533,13 @@ func FuzzSegmentRead(f *testing.F) {
 		if tab.NumRows() != m.Rows || tab.NumCols() != len(m.Columns) {
 			t.Fatalf("decoded a %dx%d table under a %dx%d header", tab.NumRows(), tab.NumCols(), m.Rows, len(m.Columns))
 		}
-		_, again, _, err := DecodeTable(AppendTable(nil, m, tab, zones), "fuzz")
+		body = AppendTable(nil, m, tab, zones)
+		m2, again, zones2, err := DecodeTable(body, "fuzz")
 		if err != nil {
 			t.Fatalf("re-encoded body does not decode: %v", err)
+		}
+		if twice := AppendTable(nil, m2, again, zones2); !bytes.Equal(twice, body) {
+			t.Fatalf("a re-encoded body of %d bytes encodes again to %d different ones", len(body), len(twice))
 		}
 		for c := 0; c < tab.NumCols(); c++ {
 			for r := 0; r < tab.NumRows(); r++ {

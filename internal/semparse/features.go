@@ -308,15 +308,6 @@ func carve[T any](slab *[]T, n, chunk int) []T {
 	return (*slab)[lo : lo+n : lo+n]
 }
 
-// Featurize extracts the feature vector φ(x, T, z) of Eq. 4: indicator
-// and density features relating the question's lexical cues to the
-// query's operators, columns, entities and result. A root operator or
-// wh-word outside the closed feature set contributes no feature.
-func Featurize(q *Question, z dcs.Expr, res *dcs.Result) Features {
-	f := newFeaturizer(q, 0)
-	return f.features(f.describe(z), res)
-}
-
 func (f *featurizer) set(id int, v float64) {
 	f.vals[id] = v
 	f.present[id>>6] |= 1 << (id & 63)

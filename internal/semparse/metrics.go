@@ -26,15 +26,6 @@ func (m *Metrics) Correctness() float64 {
 	return float64(m.Correct) / float64(m.Examples)
 }
 
-// AnswerAccuracy is the fraction answering correctly (regardless of the
-// query being right).
-func (m *Metrics) AnswerAccuracy() float64 {
-	if m.Examples == 0 {
-		return 0
-	}
-	return float64(m.AnswerCorrect) / float64(m.Examples)
-}
-
 // MRR is the mean reciprocal rank of the first correct query.
 func (m *Metrics) MRR() float64 {
 	if m.Examples == 0 {

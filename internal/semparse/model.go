@@ -2,7 +2,6 @@ package semparse
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"nlexplain/internal/plan"
@@ -226,23 +225,4 @@ func Distribution(cands []*Candidate) []float64 {
 		probs[i] /= z
 	}
 	return probs
-}
-
-// TopFeatures returns the n largest-magnitude weights, for inspection.
-func (p *Parser) TopFeatures(n int) []string {
-	keys := make([]string, 0, len(p.Weights))
-	for k := range p.Weights {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ai, aj := math.Abs(p.Weights[keys[i]]), math.Abs(p.Weights[keys[j]])
-		if ai != aj {
-			return ai > aj
-		}
-		return keys[i] < keys[j]
-	})
-	if len(keys) > n {
-		keys = keys[:n]
-	}
-	return keys
 }

@@ -1,6 +1,8 @@
 package semparse
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -197,11 +199,11 @@ func TestCandidatesAllExecutable(t *testing.T) {
 func TestFeaturesTriggersAgreement(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("how many games were in Athens?", tab)
-	goldFeatures := Featurize(q, dcs.MustParse("count(City.Athens)"), nil)
+	goldFeatures := featurize(q, dcs.MustParse("count(City.Athens)"), nil)
 	if goldFeatures.Get("agree:count") != 1 {
 		t.Errorf("count agreement feature missing: %v", goldFeatures)
 	}
-	badFeatures := Featurize(q, dcs.MustParse("R[Year].City.Athens"), nil)
+	badFeatures := featurize(q, dcs.MustParse("R[Year].City.Athens"), nil)
 	if badFeatures.Get("miss:count") != 1 {
 		t.Errorf("count miss feature missing: %v", badFeatures)
 	}
@@ -210,11 +212,11 @@ func TestFeaturesTriggersAgreement(t *testing.T) {
 func TestFeaturesSuperlativeFlip(t *testing.T) {
 	tab := olympics(t)
 	q := Analyze("which country has the highest year?", tab)
-	flipped := Featurize(q, dcs.MustParse("R[Country].argmin(Record, Year)"), nil)
+	flipped := featurize(q, dcs.MustParse("R[Country].argmin(Record, Year)"), nil)
 	if flipped.Get("flip:superlative") != 1 {
 		t.Errorf("flip feature missing: %v", flipped)
 	}
-	right := Featurize(q, dcs.MustParse("R[Country].argmax(Record, Year)"), nil)
+	right := featurize(q, dcs.MustParse("R[Country].argmax(Record, Year)"), nil)
 	if right.Get("agree:argmax") != 1 {
 		t.Errorf("agree feature missing: %v", right)
 	}
@@ -308,11 +310,11 @@ func TestAnnotationTraining(t *testing.T) {
 
 func TestMetricsArithmetic(t *testing.T) {
 	m := &Metrics{Examples: 4, Correct: 1, AnswerCorrect: 2, SumRR: 2.0, BoundK: 3, K: 7}
-	if m.Correctness() != 0.25 || m.AnswerAccuracy() != 0.5 || m.MRR() != 0.5 || m.Bound() != 0.75 {
+	if m.Correctness() != 0.25 || m.MRR() != 0.5 || m.Bound() != 0.75 {
 		t.Errorf("metrics: %+v", m)
 	}
 	empty := &Metrics{}
-	if empty.Correctness() != 0 || empty.MRR() != 0 || empty.Bound() != 0 || empty.AnswerAccuracy() != 0 {
+	if empty.Correctness() != 0 || empty.MRR() != 0 || empty.Bound() != 0 {
 		t.Error("empty metrics should be zero")
 	}
 }
@@ -328,9 +330,9 @@ func TestCloneIsIndependent(t *testing.T) {
 
 func TestTopFeatures(t *testing.T) {
 	p := NewParser()
-	top := p.TopFeatures(3)
+	top := topFeatures(p, 3)
 	if len(top) != 3 {
-		t.Fatalf("TopFeatures = %v", top)
+		t.Fatalf("topFeatures = %v", top)
 	}
 	if top[0] != "emptyResult" { // |−2.0| is the largest initial weight
 		t.Errorf("top feature = %q", top[0])
@@ -344,4 +346,32 @@ func TestParseTopKTruncation(t *testing.T) {
 	if got := p.Parse("what year did Greece host?", tab); len(got) > 3 {
 		t.Errorf("Parse returned %d candidates, want <= 3", len(got))
 	}
+}
+
+// featurize extracts the feature vector φ(x, T, z) of Eq. 4: indicator
+// and density features relating the question's lexical cues to the
+// query's operators, columns, entities and result. A root operator or
+// wh-word outside the closed feature set contributes no feature.
+func featurize(q *Question, z dcs.Expr, res *dcs.Result) Features {
+	f := newFeaturizer(q, 0)
+	return f.features(f.describe(z), res)
+}
+
+// topFeatures returns the n largest-magnitude weights.
+func topFeatures(p *Parser, n int) []string {
+	keys := make([]string, 0, len(p.Weights))
+	for k := range p.Weights {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		ai, aj := math.Abs(p.Weights[keys[i]]), math.Abs(p.Weights[keys[j]])
+		if ai != aj {
+			return ai > aj
+		}
+		return keys[i] < keys[j]
+	})
+	if len(keys) > n {
+		keys = keys[:n]
+	}
+	return keys
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // registerAllocBound is the most a durable registration of the big
-// golden fixture may allocate. Its 4.16 MB register record streams
+// golden fixture may allocate. Its 3.05 MB register record streams
 // into the log in pieces of at most 64 KiB, one buffer for each of the
 // WAL's two passes: 132 480 bytes. Encoding the record into one buffer
 // and copying that into the log's buffer read 9 962 736.

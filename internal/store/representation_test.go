@@ -312,27 +312,27 @@ var goldenFixtures = []struct {
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
 		},
-		register:        "375c0f3c7cfc0694e6d02dd1f38fad7db83ccc4ca75d8e95520b7ed742fd4367",
-		segment:         "ffed462182842f1f712b3e7165a9e965dd6e993486fbbec46ac8a0b411e64749",
-		registerPerByte: 1.2094, segmentPerByte: 1.6080,
+		register:        "5d85d540fbcc4d73d4b861d0617182460399c6fafa2f6b667ecd6d8db86a64fe",
+		segment:         "27a3ed4342e7cd4838466aa61440509cc02ce2f1052b924077508861900bffde",
+		registerPerByte: 1.0599, segmentPerByte: 1.4585,
 	},
 	{
 		name: "repr-appended",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
 		},
-		register:        "4b0c0a4e645f67a9b5c4745f4c840e7748a446aed2aa8e31257e13fdcff88b1b",
-		segment:         "f4f35be91523349eea5ba1e125f58b60c06ec0698afb116212404ab0906d1afe",
-		registerPerByte: 1.3618, segmentPerByte: 1.6080,
+		register:        "6656c8abde0e51282b7d1999dc6b91a1f5ad014aeb1b779c077a4d6a38ef9fc8",
+		segment:         "22a630c6bfd0cc965a97e1ce3364ea45e247e44218ea68b80e4220365e53abb7",
+		registerPerByte: 1.1915, segmentPerByte: 1.4585,
 	},
 	{
 		name: "header-only",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "empty", reprColumns, nil), nil
 		},
-		register:        "d2cba52ae557c5aa91664e6066943e78ccfade693c1750c209033a679743a01b",
-		segment:         "6695ea48db74d48df1dde8960944fd1b42f0f5cbbd793506435ed9ac9d7a0e7d",
-		registerPerByte: 2.3914, segmentPerByte: 3.0870,
+		register:        "6c53007d7b19bc8b2d2546090a94447a84917c39ae7f208a661e5d7242f62c4f",
+		segment:         "40a9819d97c3d3c3dc7842d1b237e45936048abb3a55c716103014c06692aa8d",
+		registerPerByte: 2.2174, segmentPerByte: 2.9131,
 	},
 	{
 		name: "big",
@@ -341,9 +341,9 @@ var goldenFixtures = []struct {
 			columns, rows := bigReprRows()
 			return mustNew(t, "big", columns, rows), nil
 		},
-		register:        "5fdb462a4e6f3ab5f8c5d9d7e1744d1253a90c0c099deec70cd59f4228d5bf8d",
-		segment:         "2f36ae6a12dae32a2375c843430d13aa6dd8a058a1f0e8130644f1d19321b2bb",
-		registerPerByte: 0.8050, segmentPerByte: 0.8051,
+		register:        "0e32760fede32be8a0a11800582d651739cf54c39edcfed1a01abd89d7ba5c25",
+		segment:         "c152fdeae4f22643fb13f7875d7255851c0c98be735562af880196d53c379393",
+		registerPerByte: 0.5912, segmentPerByte: 0.5914,
 	},
 }
 

@@ -17,7 +17,9 @@ type Node struct {
 	Category string
 	// Formal is the sub-query in lambda DCS surface syntax.
 	Formal string
-	// Utterance is the NL phrase derived for the sub-query.
+	// Utterance is the NL phrase derived for the sub-query. At the root
+	// it is the whole query's: "the full query utterance can be read as
+	// the yield of the parse tree" (Section 5.1).
 	Utterance string
 	// Children are the sub-derivations, left to right.
 	Children []*Node
@@ -105,10 +107,6 @@ func (n *Node) write(b *strings.Builder, depth int) {
 		c.write(b, depth+1)
 	}
 }
-
-// Yield returns the utterance at the root — "the full query utterance
-// can be read as the yield of the parse tree" (Section 5.1).
-func (n *Node) Yield() string { return n.Utterance }
 
 // Size counts the nodes of the derivation tree.
 func (n *Node) Size() int {

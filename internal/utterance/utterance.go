@@ -194,22 +194,3 @@ func countOfJoin(e dcs.Expr) (*dcs.Join, bool) {
 	j, ok := a.Arg.(*dcs.Join)
 	return j, ok
 }
-
-// Validate reports whether an utterance can be generated for e against
-// t: it checks the query and confirms the utterance mentions every
-// referenced column, the totality property the user study relies on.
-func Validate(e dcs.Expr, t *table.Table) error {
-	if err := dcs.Check(e, t); err != nil {
-		return err
-	}
-	u := Utter(e)
-	if strings.TrimSpace(u) == "" {
-		return fmt.Errorf("empty utterance for %s", e)
-	}
-	for _, col := range dcs.Columns(e) {
-		if !strings.Contains(strings.ToLower(u), strings.ToLower(col)) {
-			return fmt.Errorf("utterance %q does not mention column %q", u, col)
-		}
-	}
-	return nil
-}

