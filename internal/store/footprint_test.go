@@ -78,6 +78,7 @@ func TestSegmentBytesPerUserByte(t *testing.T) {
 				t.Fatalf("%d register records, want 1", len(payloads))
 			}
 			rows := base.RawRows()
+			baseBytes := csvBytes(base.Columns(), rows)
 			for _, more := range appends {
 				if _, err := st.Append(base.Name(), more); err != nil {
 					t.Fatal(err)
@@ -95,7 +96,7 @@ func TestSegmentBytesPerUserByte(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := float64(len(payloads[0])) / float64(csvBytes(base.Columns(), base.RawRows()))
+			reg := float64(len(payloads[0])) / float64(baseBytes)
 			seg := float64(fi.Size()) / float64(csvBytes(base.Columns(), rows))
 			t.Logf("%s: register record %d bytes, %.5f per CSV byte; segment %d bytes, %.5f per CSV byte",
 				fx.name, len(payloads[0]), reg, fi.Size(), seg)
