@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,13 +34,15 @@ func main() {
 	format := flag.String("format", "ansi", "output format: text, ansi or html")
 	flag.Parse()
 
-	if err := run(*tablePath, *querySrc, *format); err != nil {
+	if err := run(os.Stdout, *tablePath, *querySrc, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "wtq-explain:", err)
 		os.Exit(1)
 	}
 }
 
-func run(tablePath, querySrc, format string) error {
+// run explains querySrc over the table at tablePath (the built-in
+// Olympics table when empty) and writes the explanation to w.
+func run(w io.Writer, tablePath, querySrc, format string) error {
 	var t *nlexplain.Table
 	var err error
 	if tablePath == "" {
@@ -69,20 +72,20 @@ func run(tablePath, querySrc, format string) error {
 		return err
 	}
 
-	fmt.Printf("query:     %s\n", q)
-	fmt.Printf("utterance: %s\n", ex.Utterance)
+	fmt.Fprintf(w, "query:     %s\n", q)
+	fmt.Fprintf(w, "utterance: %s\n", ex.Utterance)
 	if ex.SQL != "" {
-		fmt.Printf("sql:       %s\n", ex.SQL)
+		fmt.Fprintf(w, "sql:       %s\n", ex.SQL)
 	}
-	fmt.Printf("result:    %s\n\n", res)
+	fmt.Fprintf(w, "result:    %s\n\n", res)
 	switch format {
 	case "text":
-		fmt.Print(ex.Text())
-		fmt.Println("\n" + nlexplain.HighlightLegend())
+		fmt.Fprint(w, ex.Text())
+		fmt.Fprintln(w, "\n"+nlexplain.HighlightLegend())
 	case "ansi":
-		fmt.Print(ex.ANSI())
+		fmt.Fprint(w, ex.ANSI())
 	case "html":
-		fmt.Printf("<style>\n%s\n</style>\n%s\n", nlexplain.HighlightCSS(), ex.HTML())
+		fmt.Fprintf(w, "<style>\n%s\n</style>\n%s\n", nlexplain.HighlightCSS(), ex.HTML())
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}

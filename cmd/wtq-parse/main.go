@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,13 +35,16 @@ func main() {
 	ansi := flag.Bool("ansi", true, "use terminal colors")
 	flag.Parse()
 
-	if err := run(*tablePath, *question, *k, *ansi); err != nil {
+	if err := run(os.Stdout, *tablePath, *question, *k, *ansi); err != nil {
 		fmt.Fprintln(os.Stderr, "wtq-parse:", err)
 		os.Exit(1)
 	}
 }
 
-func run(tablePath, question string, k int, ansi bool) error {
+// run parses question over the table at tablePath (the built-in
+// Olympics table when empty), explains its top k candidates and writes
+// them to w.
+func run(w io.Writer, tablePath, question string, k int, ansi bool) error {
 	var t *nlexplain.Table
 	var err error
 	if tablePath == "" {
@@ -64,27 +68,27 @@ func run(tablePath, question string, k int, ansi bool) error {
 		return err
 	}
 
-	fmt.Printf("question: %s\n", question)
-	fmt.Printf("showing top-%d candidate queries; pick the one matching your intent,\n", len(out))
-	fmt.Printf("or None if no candidate is a correct translation.\n")
+	fmt.Fprintf(w, "question: %s\n", question)
+	fmt.Fprintf(w, "showing top-%d candidate queries; pick the one matching your intent,\n", len(out))
+	fmt.Fprintf(w, "or None if no candidate is a correct translation.\n")
 	for _, ce := range out {
 		res, err := nlexplain.ExecuteQuery(ce.Candidate.Query, t)
 		result := "error"
 		if err == nil {
 			result = res.String()
 		}
-		fmt.Printf("\n--- candidate %d (score %.2f) ---\n", ce.Rank, ce.Candidate.Score)
-		fmt.Printf("query:     %s\n", ce.Candidate.Query)
-		fmt.Printf("utterance: %s\n", ce.Explanation.Utterance)
-		fmt.Printf("result:    %s\n", result)
+		fmt.Fprintf(w, "\n--- candidate %d (score %.2f) ---\n", ce.Rank, ce.Candidate.Score)
+		fmt.Fprintf(w, "query:     %s\n", ce.Candidate.Query)
+		fmt.Fprintf(w, "utterance: %s\n", ce.Explanation.Utterance)
+		fmt.Fprintf(w, "result:    %s\n", result)
 		if ansi {
-			fmt.Print(ce.Explanation.ANSI())
+			fmt.Fprint(w, ce.Explanation.ANSI())
 		} else {
-			fmt.Print(ce.Explanation.Text())
+			fmt.Fprint(w, ce.Explanation.Text())
 		}
 	}
 	if !ansi {
-		fmt.Println("\n" + nlexplain.HighlightLegend())
+		fmt.Fprintln(w, "\n"+nlexplain.HighlightLegend())
 	}
 	return nil
 }

@@ -108,53 +108,53 @@ var gamesFamilies = []struct {
 	}},
 }
 
-// explainBytes writes every rendering of one explanation into h: the
-// engine's wire form, the text, ANSI and HTML tables over the rows the
-// Section 5.3 threshold selects, and export's indented document. A
-// failing pipeline contributes its error text.
-func explainBytes(t *testing.T, h hash.Hash, tab *table.Table, q dcs.Expr) string {
+// explainBytes writes every rendering of one explanation: into wire,
+// the engine's wire form and the text, ANSI and HTML tables over the
+// rows the Section 5.3 threshold selects; into doc, the library's
+// indented document. A failing pipeline contributes its error text.
+func explainBytes(t *testing.T, wire, doc hash.Hash, tab *table.Table, q dcs.Expr) string {
 	t.Helper()
 	e := New(Options{CacheSize: 4, Workers: 1})
 	if _, err := e.RegisterTable(tab); err != nil {
 		t.Fatal(err)
 	}
-	var wire []byte
+	var body []byte
 	ex, err := e.Explain(context.Background(), tab.Name(), q.String())
 	if err != nil {
-		fmt.Fprintf(h, "explain error: %v\n", err)
-	} else if wire, err = json.Marshal(ex); err != nil {
+		fmt.Fprintf(wire, "explain error: %v\n", err)
+	} else if body, err = json.Marshal(ex); err != nil {
 		t.Fatal(err)
 	}
-	h.Write(wire)
+	wire.Write(body)
 
 	hl, err := provenance.Highlight(q, tab)
 	if err != nil {
-		fmt.Fprintf(h, "highlight error: %v\n", err)
+		fmt.Fprintf(wire, "highlight error: %v\n", err)
 	} else {
 		var rows []int
 		if tab.NumRows() > provenance.SampleThreshold {
 			rows = provenance.Sample(q, tab, hl)
 		}
-		fmt.Fprintf(h, "rows %v\n", rows)
-		h.Write([]byte(render.Text(tab, hl, rows)))
-		h.Write([]byte(render.ANSI(tab, hl, rows)))
-		h.Write([]byte(render.HTML(tab, hl, rows)))
+		fmt.Fprintf(wire, "rows %v\n", rows)
+		wire.Write([]byte(render.Text(tab, hl, rows)))
+		wire.Write([]byte(render.ANSI(tab, hl, rows)))
+		wire.Write([]byte(render.HTML(tab, hl, rows)))
 	}
 
-	doc, err := export.Marshal(q, tab)
+	lib, err := export.Marshal(q, tab)
 	if err != nil {
-		fmt.Fprintf(h, "export error: %v\n", err)
+		fmt.Fprintf(doc, "export error: %v\n", err)
 	}
-	h.Write(doc)
-	return string(wire)
+	doc.Write(lib)
+	return string(body)
 }
 
 // TestExplainBytesGolden pins every byte an explanation leaves the
-// process as — the /v1/explain body, the text and HTML renderings and
-// export's document — by SHA-256 per case. A representation change
-// under the pipeline must leave every hash alone; a deliberate change
-// to an output regenerates them (the failure message prints the new
-// value).
+// process as by two SHA-256 per case: wire, the /v1/explain body and
+// the text, ANSI and HTML renderings; doc, the library's document. A
+// representation change under the pipeline must leave every hash
+// alone; a deliberate change to an output regenerates the hashes of
+// that output alone (the failure message prints the new value).
 func TestExplainBytesGolden(t *testing.T) {
 	olympics := olympics(t)
 	games := gamesTable()
@@ -195,33 +195,42 @@ func TestExplainBytesGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := sha256.New()
-			wire := explainBytes(t, h, tc.tab, dcs.MustParse(tc.query))
+			wire, doc := sha256.New(), sha256.New()
+			body := explainBytes(t, wire, doc, tc.tab, dcs.MustParse(tc.query))
 			for _, frag := range tc.contains {
-				if !strings.Contains(wire, frag) {
-					t.Errorf("%s: wire form lacks %s:\n%s", tc.query, frag, wire)
+				if !strings.Contains(body, frag) {
+					t.Errorf("%s: wire form lacks %s:\n%s", tc.query, frag, body)
 				}
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != explainGolden[tc.name] {
-				t.Errorf("%s on %s: bytes hash to %s, golden %s", tc.query, tc.tab.Name(), got, explainGolden[tc.name])
-			}
+			checkExplainGolden(t, tc.name, wire, doc)
 		})
 	}
 
 	// (b) 200 seeded random (table, query) pairs under one hash.
 	t.Run("qrand", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2019))
-		h := sha256.New()
+		wire, doc := sha256.New(), sha256.New()
 		for i := 0; i < 200; i++ {
 			tab := qrand.Table(rng)
 			q := qrand.Query(rng, tab, 1+rng.Intn(3))
-			fmt.Fprintf(h, "pair %d\n", i)
-			explainBytes(t, h, tab, q)
+			fmt.Fprintf(wire, "pair %d\n", i)
+			fmt.Fprintf(doc, "pair %d\n", i)
+			explainBytes(t, wire, doc, tab, q)
 		}
-		if got, want := hex.EncodeToString(h.Sum(nil)), explainGolden["qrand"]; got != want {
-			t.Errorf("200 qrand pairs hash to %s, golden %s", got, want)
-		}
+		checkExplainGolden(t, "qrand", wire, doc)
 	})
+}
+
+// checkExplainGolden compares one case's two hashes with its golden.
+func checkExplainGolden(t *testing.T, name string, wire, doc hash.Hash) {
+	t.Helper()
+	want := explainGolden[name]
+	if got := hex.EncodeToString(wire.Sum(nil)); got != want.wire {
+		t.Errorf("%s: wire bytes hash to %s, golden %s", name, got, want.wire)
+	}
+	if got := hex.EncodeToString(doc.Sum(nil)); got != want.doc {
+		t.Errorf("%s: doc bytes hash to %s, golden %s", name, got, want.doc)
+	}
 }
 
 // TestParseQuestionGolden pins every field ParseQuestion returns —
@@ -262,34 +271,34 @@ var parseGolden = map[string]string{
 	"top_k 1000": "ed0dbff1481af828f0ed3d080f379702a850cc88462dc71b024d4f85a2e6360a",
 }
 
-// explainGolden holds the SHA-256 of every case's bytes.
-var explainGolden = map[string]string{
-	"figure1":            "533d180bb2490107d4c37b93ab033dca00fcdcf8a66cef2ea3bc69f6548fd3bb",
-	"example4.3":         "37468eb41c2818230b9dcf56d73d304d66f1a17f6b2e7e1f8919963891585f7d",
-	"example5.2":         "4fab836c2c6e16aa3a19ea617b45b6dba081f7753451903f9d4d49c0088f3724",
-	"figure7-difference": "e4af77565c69e79ced72e070e070fef221beffab74f4e658a6de1567f05d050c",
-	"atlantis":           "7256ae66b270c1fcb2b6aeb8b939132b64d565f99019e9a21cc70156a6fae16b",
-	"zero-rows":          "479cf41f4cbb965fc70a8295279ed9a85b80549d73a01c6c4759c0897d46925a",
-	"union":              "b262e9b335d74e37633f388c3957c85f5124e07cfe8dbe61582d6e129bdb0ea4",
-	"union-sampled":      "095f1b700b2ea8d165cbfb973495f1ebaf3282778cd2dc21108552e4e49eae22",
-	"prev":               "3d59f0de14e1d7c036615d2f36bbfc09dd30d5fe6b310317391361d64cfe8d5b",
-	"next":               "22809a967e3ab6cc5060b6414346046d3fce6426a93bc369f51b1cb1736a8cfc",
-	"lookup-0":           "9b2a6af5bef7634ac746d849b2250120d39f7bd8a21d117b1f3fd5d2721f4fa5",
-	"lookup-1":           "e29358660fe525a4c644265f55951b956bd253a327802af924d453f7f73fe68b",
-	"lookup-2":           "53c7272573809813cdc829858e9ed8e033fcf1ba5b9aa092312ca7968ca381eb",
-	"comparative-0":      "b7fa5aa58a52238cbd5ce83776184d46e55380632ab6f56c66dc19b52a5d30cd",
-	"comparative-1":      "becd0be795f4db2a6fe8ac23465c93fb0094b0fa9ec85adecc66e592aec69341",
-	"comparative-2":      "d3b1ebf24e4ed5a11070595cde1d33b847be1776cc9ab7948e41c897606dc887",
-	"comparative-3":      "d4dd21ed1a4a343ecc2d3d3672369f872c21482ea485ad673184ca0c338c7a32",
-	"comparative-4":      "f1a0fbca009777d31821ed81fb7f5a87c3d55e3d18f17765821d24b22c66c263",
-	"superlative-0":      "a9bd38c8c8c5e6792bdbba3045e620bda46ef8f1f6cc7d39971c131f969c3ce8",
-	"superlative-1":      "f7dc26af5a52c0780293f268da878495b0e303955af9d9bf119c87416138a158",
-	"superlative-2":      "4e71c3f32270ce1b7a34f0b8d32c67c51c1b37c22da07603bb59eb0878bebcb5",
-	"superlative-3":      "ebc13f5639b54870247f1decf5f5271fe2e65728bd512cd153b5ef590ef29657",
-	"aggregate-0":        "16837bfce78e38169beca9a47238e39d3ed29b097ae74b5e608dc88aadb4244a",
-	"aggregate-1":        "3a4b887825766408c34947e3c3dd62ab9bc95bb0b04389c30ea1ec1c34da6091",
-	"aggregate-2":        "8c7f43b3682a052a1f6a1b5da83dbc07d7765863b5c0e4b8146f90fc564ba511",
-	"aggregate-3":        "11da0b679c2854291bdb1342f08bdfa4e3f0f67d40f37e2aef27262ffd70fe54",
-	"aggregate-4":        "ff097d4530619ac76d3b637e22e93b469e5c793c3c602df96790300e0d6736f4",
-	"qrand":              "f58879f945fb096ed79d0f29c30c26c768dd520e1bab03446cdcc4b52194d925",
+// explainGolden holds the SHA-256 of every case's wire and doc bytes.
+var explainGolden = map[string]struct{ wire, doc string }{
+	"figure1":            {"2919f370704bf3fa757d04d1d243e197b36e90cd61cfb1beb033c39f13531f44", "5b7c6c2cb055c317bae824d97a1c5ac14f27114cafaef0c5bdd34f994037f186"},
+	"example4.3":         {"17bdbdb8da6cde2ce974f39450a7d982179b076c97590de652132243ec79e178", "adc3af392b2386eed0515afcbf138e01eceaa67431b15e07d139e811efaccc2d"},
+	"example5.2":         {"54714c9f7aeeb2c4943161f550df056829bb854f92f7a4d97b34adac9b2c1879", "1946319db5c3d79bb745e851f4d92a865b27eba6f9d62d92a15d2a155a00368d"},
+	"figure7-difference": {"033964a179d99fe4f776e65be677aa2d5d6f5d3f44cd54ce4db245323982c198", "b4024341d73527c6ab811accd89b27b314e5cd91c8513d7ed45e704623a60c4d"},
+	"atlantis":           {"c44a948bc706789c4925d62e9f1c56d4b353196893ab2decb6c944e2fee1145d", "847a2ea4ab1db570da260b107055d6615087483810e28edf899db7198e33b382"},
+	"zero-rows":          {"41b926a7d68b026741097ccc233c8cea27f3b65d00abed4a4bd40236b326fcab", "5c93bb2f4eb43362be7e172d9c92bda657e88ecd75217ebb3ccfd0436fa9d392"},
+	"union":              {"5149fc7c4a07268852444ecc9014d6fa19b015d56ac89a9910dce37919eb65a3", "a5438ae03799a6618b6cf395047e9cd0efc25ce0c2d8235a97a3195eb11037f4"},
+	"union-sampled":      {"cbf8045ee4282f1150ce77b50a14e8c9fa2881ed2a5588abe69a62399c6ed645", "1f0ca8b663e597ec74f93df3ffda31c070051e4744af65cdf1c2ac8e2a1878cb"},
+	"prev":               {"7fb96bcefd7b3a2d94e6cc53922600948513160b62ced72bdbcca68e5708f422", "2e6f961f1763b0ae63d532f9b947cad43e194a93e554aa35dee67bb1d15aa828"},
+	"next":               {"4fcef772b64cae6d99af4468d15353b9d8865bce921e515aee0db21ba1ec98b2", "13b1de4228c2b8cd36343ae40f712006b7f5595cb09213da82bea417cfa42145"},
+	"lookup-0":           {"180c11454eebe1847b5eb1c0b2d345ebdd4a166d92ebc3c39c4b92523731ffee", "49bd492427ccd5b21e41423720072c344fd001fd2d967db18b033c638d64de54"},
+	"lookup-1":           {"69bb2ec1b790bd5b2c6e88e1511171713a63c2334fa439deaeecf07a03384f53", "f58454c708bdd000e7ada8e5f6ac42be8b51947a91c7f217554553926498be54"},
+	"lookup-2":           {"426c7ee2d52e3bb3a15058351c0e4d02b2dd10af30fc193abdc361da1cccace2", "c9a9575e06a87452fe3802332b876df5c8bb6f7eb470d3ae4b831928a0f7cbc6"},
+	"comparative-0":      {"92f2e8ca5374c8b4b0d98fbbb42c3e9166efc14b309571745c9bb228cc1f3394", "fabde23e354716005a48c2a91122de952ed3e063fe77878612774978eda01bb2"},
+	"comparative-1":      {"cc2dcfa70169ab4b75b2b6fcfac55ee826ab34aeba6fce371b1348092172e9cf", "c0f5342e481b184994b67ccddd531555631604d6999299be1648b010f9213d25"},
+	"comparative-2":      {"2de651d34cc8b77eefff04d740b14677dd816742cbd8825e35a3199cb212bce5", "cae42c95315eaa09362595c5700767c9155227fe7ab6326759d8a6be4a9ca0cc"},
+	"comparative-3":      {"bbdfbafe90bcbb54782d4676942238b17024f6781321f840a4662b774e031ff0", "2cb59fbd2264fe53c3a928c475ee568c34886d2d091a526e5413788566fd7b4f"},
+	"comparative-4":      {"b2af34d0b7130c726527be1fafeec5d669f75c9eb2680bc6cdc7002b6ff7adc1", "bc593dc51553ac20f16616384edba7aeeaa0f1fc5edfeb6a910be3c78912b6f4"},
+	"superlative-0":      {"247f96abfb535d8d6c9eeae85c4a6a2d8e0ceaaec97caf7613cf9aebcf54f3d2", "57516479e20dd870b4126b0d8f8e56f14b120a67b3467df6a955ed06ef3a9eb6"},
+	"superlative-1":      {"fec628b02798e5a20c5a9224d1f6f5bd020f11a5442a46c70b00ba233a1cb9cd", "5919824e10caa4f9ab22dd1dbc6be8203b17b73b90abd09c8fd77a58c7f1b97d"},
+	"superlative-2":      {"787cdb2dc3443ec9abcbd64f7eb8f85d0f4b4ccb7ee707af19f3f7209d0ca008", "b31295e68261d91cb69f1a4bf9111061c013f75b88f058b9bdd502aa33d497de"},
+	"superlative-3":      {"1e770c9e54bfd92df86b92a81bfebcab0e6efd12a3181aa7c74cbdfcdf9058c2", "be069699f5a57a7d34827d09af692f023c0828af2a53e821fc612bd3a631fc66"},
+	"aggregate-0":        {"662c8bc39ecd148734b5a09ea1d78fdd91bdab4031544eb5b5c8a1f14bf3d863", "e18aca44d3827f2145744f04b8810abc8f0162955fae7baa097b2cf0c64ca3e1"},
+	"aggregate-1":        {"603bad5c689ae3e9d58863d75218cc9016b7c450c18147ad334068156df3a039", "481bd2def59549fab83e98a5f36399841a4d8e3b7dbfb873be742918b1426007"},
+	"aggregate-2":        {"abe6e713d0752602ce7bc672b60d0272884762da5749deff25e27792d5398072", "1752201868f0913675ebd5017bf85d9ea6d996c73d25e894a48bd45d3ff78a25"},
+	"aggregate-3":        {"389b28f4cbea9323670e765f1b29446fe50adb49e7fa17fcc23e89e1793a7ff8", "b73bab7ad0201c6bc274c753bf935ef7fa54c5fdf44252e4b5e8467567a5b9e6"},
+	"aggregate-4":        {"2af6c875aceef64f6323d6fe7ac57d14d60270388b08ae91f7a3ea516e01f3af", "66a8412d208de239893b044c755d38ba43b4cb85d25305b14053c8d531aa0f4b"},
+	"qrand":              {"5490a054e329d5d417f795d0f01e5bd14615c06e243b6f17c853966bf8c60700", "ce7bea09cec3cd0b041fd70464c1b217a75aa2cc8c27b6e2085e6babf77ef04e"},
 }

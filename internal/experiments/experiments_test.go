@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -189,12 +191,18 @@ func TestTable10AllEquivalent(t *testing.T) {
 	}
 }
 
+// TestFiguresRender renders every figure of the gallery and pins each
+// rendering by SHA-256; the failure message prints the new value.
 func TestFiguresRender(t *testing.T) {
 	for _, n := range FigureNumbers() {
 		s, err := RenderFigure(n)
 		if err != nil {
 			t.Errorf("figure %d: %v", n, err)
 			continue
+		}
+		sum := sha256.Sum256([]byte(s))
+		if got := hex.EncodeToString(sum[:]); got != figureGolden[n] {
+			t.Errorf("figure %d renders to %s, golden %s", n, got, figureGolden[n])
 		}
 		if !strings.Contains(s, "Figure") {
 			t.Errorf("figure %d output malformed:\n%s", n, s)
@@ -203,6 +211,30 @@ func TestFiguresRender(t *testing.T) {
 			t.Errorf("figure %d missing utterance:\n%s", n, s)
 		}
 	}
+}
+
+// figureGolden holds the SHA-256 of each RenderFigure(n).
+var figureGolden = map[int]string{
+	1:  "167fca2c916eed873cca46ddc24392efa1a7a7081b8df7625f6a8e4199b7d9bd",
+	3:  "6434153332d18cc15435512a453ad8b2004993b625a4eaa38c04c6f3404ff9ef",
+	4:  "574eafcb3016dda497256419ec5ca1f5d1e795b05bc5c2e8df4423cec0b72779",
+	5:  "0ff271c4b91a84063b41036738c045540dfc3556baf862e356d66060efe24101",
+	6:  "eec1d8006cb52b20d0c0b4abf0dfdcefd1c6735e2889943acc41efdaf5bba696",
+	7:  "7e554b9545136c0f74e0f01b63917b18a851d94ff3fae3dfc16dd0135f9973cc",
+	8:  "9fff820cf4693de748da7cc38c2a121e9cefc0c581371c1813fb01233fd6908c",
+	9:  "b73a50d3ec0f74b5f83c81db04684e31562ba26d714063a83437130b35320e26",
+	11: "95a0809be89c15ac923c66494ba3951c0b12d9e423423ec92541bccafad05d04",
+	12: "f846728486eca7b2fe56107646c9550bf0098692a57a218e9bf4ddfe37cdf40d",
+	13: "2dddf1e994e9bf5aad84b8cfcabef99b49cddeb5907bbd0931c6d6a87e1735c4",
+	14: "056baf97d48c91216d5b87bca721b26c088a55440d4b6cf883cb904322271af8",
+	15: "98f8ba4f5f1c5aca10b1c298ad0bfc5f02248b5dfb17e4328b2f320aba5926b6",
+	16: "298f881dc76b305a22a3a6c39f09796d043586a9f70f8d331948ac9da6df58fc",
+	17: "59ff35df49970dad984065b205a08166d3a547963c4771f020e0c9505726a302",
+	18: "6ee10fddff13dffa1caf9b479ae30e3f567c302455b26a7251eb9dadf6eb4dc2",
+	19: "cc76190538246e39e0671a313694ecaef0e777e7f389049ac1fb22a772496ee0",
+	20: "a93cde3b9e92346f9c2157a88efe93d6f86a53da62037bb8d9eaea58880d4135",
+	21: "9edb776991dea63b302ed52cedf9387a76147655ebe79d039c7b72a12b6f289e",
+	22: "3b890ed30485d74b968b155358f33dc5690374dba30d5efaa84e9dacfdefdcf1",
 }
 
 func TestFigure7Samples(t *testing.T) {
