@@ -63,10 +63,6 @@ func run(w io.Writer, tablePath, querySrc, format string) error {
 	if err != nil {
 		return err
 	}
-	res, err := nlexplain.ExecuteQuery(q, t)
-	if err != nil {
-		return err
-	}
 	ex, err := nlexplain.Explain(q, t)
 	if err != nil {
 		return err
@@ -77,7 +73,7 @@ func run(w io.Writer, tablePath, querySrc, format string) error {
 	if ex.SQL != "" {
 		fmt.Fprintf(w, "sql:       %s\n", ex.SQL)
 	}
-	fmt.Fprintf(w, "result:    %s\n\n", res)
+	fmt.Fprintf(w, "result:    %s\n\n", ex.Result)
 	switch format {
 	case "text":
 		fmt.Fprint(w, ex.Text())

@@ -72,15 +72,10 @@ func run(w io.Writer, tablePath, question string, k int, ansi bool) error {
 	fmt.Fprintf(w, "showing top-%d candidate queries; pick the one matching your intent,\n", len(out))
 	fmt.Fprintf(w, "or None if no candidate is a correct translation.\n")
 	for _, ce := range out {
-		res, err := nlexplain.ExecuteQuery(ce.Candidate.Query, t)
-		result := "error"
-		if err == nil {
-			result = res.String()
-		}
 		fmt.Fprintf(w, "\n--- candidate %d (score %.2f) ---\n", ce.Rank, ce.Candidate.Score)
 		fmt.Fprintf(w, "query:     %s\n", ce.Candidate.Query)
 		fmt.Fprintf(w, "utterance: %s\n", ce.Explanation.Utterance)
-		fmt.Fprintf(w, "result:    %s\n", result)
+		fmt.Fprintf(w, "result:    %s\n", ce.Explanation.Result)
 		if ansi {
 			fmt.Fprint(w, ce.Explanation.ANSI())
 		} else {

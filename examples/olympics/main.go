@@ -38,13 +38,9 @@ func main() {
 
 	fmt.Printf("question: %s\n\n", question)
 	for _, ce := range candidates {
-		res, err := nlexplain.ExecuteQuery(ce.Candidate.Query, t)
-		if err != nil {
-			continue
-		}
 		fmt.Printf("candidate %d: %s\n", ce.Rank, ce.Candidate.Query)
 		fmt.Printf("  utterance: %s\n", ce.Explanation.Utterance)
-		fmt.Printf("  result:    %s\n", res)
+		fmt.Printf("  result:    %s\n", ce.Explanation.Result)
 	}
 
 	// The user recognizes the correct translation from its utterance:

@@ -45,13 +45,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := nlexplain.ExecuteQuery(q, t)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("\n--- candidate %d ---\n", i+1)
 		fmt.Printf("utterance: %s\n", ex.Utterance)
-		fmt.Printf("result:    %s\n", res)
+		fmt.Printf("result:    %s\n", ex.Result)
 		fmt.Print(ex.Text())
 	}
 	fmt.Println("\n" + nlexplain.HighlightLegend())

@@ -28,8 +28,6 @@ import (
 	"nlexplain/internal/export"
 	"nlexplain/internal/fault"
 	"nlexplain/internal/plan"
-	"nlexplain/internal/provenance"
-	"nlexplain/internal/render"
 	"nlexplain/internal/retry"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/store"
@@ -403,44 +401,11 @@ func (e *Engine) TableDetails() []TableDetail {
 	return out
 }
 
-// ProvJSON is the multilevel provenance Prov(Q,T) = (PO, PE, PC) in
-// wire form: the levels as the pipeline holds them, each cell a
-// {"row", "col"} object, sorted row-major per level.
-type ProvJSON struct {
-	Output      table.CellSet     `json:"output"`
-	Execution   table.CellSet     `json:"execution"`
-	Columns     table.CellSet     `json:"columns"`
-	Aggrs       []string          `json:"aggrs,omitempty"`
-	HeaderAggrs map[string]string `json:"header_aggrs,omitempty"` // column name -> fn
-}
-
-func provJSON(t *table.Table, p *provenance.Prov) ProvJSON {
-	j := ProvJSON{Output: p.Output, Execution: p.Execution, Columns: p.Columns}
-	for _, fn := range p.Aggrs {
-		j.Aggrs = append(j.Aggrs, string(fn))
-	}
-	if len(p.HeaderAggrs) > 0 {
-		j.HeaderAggrs = make(map[string]string, len(p.HeaderAggrs))
-		for col, fn := range p.HeaderAggrs {
-			j.HeaderAggrs[t.Column(col)] = string(fn)
-		}
-	}
-	return j
-}
-
 // Explanation is the full pipeline output for one query on one
-// registered table, ready for JSON encoding. Cached instances are
-// shared across requests: treat as immutable.
-type Explanation struct {
-	Table      string      `json:"table"`
-	Version    string      `json:"version"`
-	Query      string      `json:"query"`
-	Utterance  string      `json:"utterance"`
-	SQL        string      `json:"sql,omitempty"` // empty outside the SQL fragment
-	Result     string      `json:"result"`
-	Grid       render.Grid `json:"grid"`
-	Provenance ProvJSON    `json:"provenance"`
-}
+// registered table, ready for JSON encoding: the one explanation
+// document export builds, with Version set from the snapshot it read.
+// Cached instances are shared across requests: treat as immutable.
+type Explanation = export.ExplanationJSON
 
 // prepare is the front of every uncached query computation: parse,
 // compile against the pinned snapshot into the engine's executor, and
@@ -465,10 +430,10 @@ func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Co
 	), nil
 }
 
-// compute is the uncached explain pipeline: prepare, then the shared
-// export pipeline (execute, provenance+highlight, sample, utter,
-// translate), then the engine's extra provenance projection. The whole
-// of it reads the one pinned snapshot. Morsel workers inherit the
+// compute is the uncached explain pipeline: prepare, then export's
+// build (execute, provenance+highlight, sample, utter, translate,
+// grid, levels), stamped with the snapshot's version. The whole of it
+// reads the one pinned snapshot. Morsel workers inherit the
 // pprof labels (goroutines inherit their creator's), so -pprof
 // profiles attribute CPU to query families even for fanned-out scans.
 func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
@@ -477,29 +442,16 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 	if err != nil {
 		return nil, err
 	}
-	tab := snap.Table()
-	var (
-		doc *export.ExplanationJSON
-		h   *provenance.Highlights
-	)
+	var ex *Explanation
 	pprof.Do(ctx, labels, func(ctx context.Context) {
 		// Threshold 0: grids over provenance.SampleThreshold rows switch to
 		// Section 5.3 record sampling.
-		doc, h, err = export.BuildCompiledCtx(ctx, c, tab, 0)
+		ex, _, err = export.BuildCompiledCtx(ctx, c, snap.Table(), 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("explaining %s on %s: %w", c.Expr, tableName, err)
 	}
-	ex := &Explanation{
-		Table:      tableName,
-		Version:    snap.Version(),
-		Query:      doc.Query,
-		Utterance:  doc.Utterance,
-		SQL:        doc.SQL,
-		Result:     doc.Result,
-		Grid:       doc.Table,
-		Provenance: provJSON(tab, h.Prov),
-	}
+	ex.Version = snap.Version()
 	e.met.executions.Inc()
 	e.met.explainLatency.RecordDuration(time.Since(start))
 	return ex, nil

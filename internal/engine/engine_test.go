@@ -74,11 +74,11 @@ func TestExplainPipeline(t *testing.T) {
 	if got := ex.Provenance.HeaderAggrs["Year"]; got != "max" {
 		t.Errorf("HeaderAggrs[Year] = %q, want max", got)
 	}
-	if !strings.Contains(ex.Grid.Headers[0], "Year") {
-		t.Errorf("Grid headers = %v", ex.Grid.Headers)
+	if !strings.Contains(ex.Table.Headers[0], "Year") {
+		t.Errorf("Grid headers = %v", ex.Table.Headers)
 	}
 	marked := 0
-	for _, row := range ex.Grid.Cells {
+	for _, row := range ex.Table.Cells {
 		for _, c := range row {
 			if c.Marking != "" {
 				marked++

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -111,7 +112,8 @@ var gamesFamilies = []struct {
 // explainBytes writes every rendering of one explanation: into wire,
 // the engine's wire form and the text, ANSI and HTML tables over the
 // rows the Section 5.3 threshold selects; into doc, the library's
-// indented document. A failing pipeline contributes its error text.
+// indented document, which must be the engine's explanation without
+// its version. A failing pipeline contributes its error text.
 func explainBytes(t *testing.T, wire, doc hash.Hash, tab *table.Table, q dcs.Expr) string {
 	t.Helper()
 	e := New(Options{CacheSize: 4, Workers: 1})
@@ -146,6 +148,13 @@ func explainBytes(t *testing.T, wire, doc hash.Hash, tab *table.Table, q dcs.Exp
 		fmt.Fprintf(doc, "export error: %v\n", err)
 	}
 	doc.Write(lib)
+	if ex != nil {
+		unversioned := *ex
+		unversioned.Version = ""
+		if want, err := json.MarshalIndent(&unversioned, "", "  "); err != nil || !bytes.Equal(lib, want) {
+			t.Errorf("%s on %s: library document differs from the engine's explanation (%v):\n%s\nwant:\n%s", q, tab.Name(), err, lib, want)
+		}
+	}
 	return string(body)
 }
 
@@ -273,32 +282,32 @@ var parseGolden = map[string]string{
 
 // explainGolden holds the SHA-256 of every case's wire and doc bytes.
 var explainGolden = map[string]struct{ wire, doc string }{
-	"figure1":            {"2919f370704bf3fa757d04d1d243e197b36e90cd61cfb1beb033c39f13531f44", "5b7c6c2cb055c317bae824d97a1c5ac14f27114cafaef0c5bdd34f994037f186"},
-	"example4.3":         {"17bdbdb8da6cde2ce974f39450a7d982179b076c97590de652132243ec79e178", "adc3af392b2386eed0515afcbf138e01eceaa67431b15e07d139e811efaccc2d"},
-	"example5.2":         {"54714c9f7aeeb2c4943161f550df056829bb854f92f7a4d97b34adac9b2c1879", "1946319db5c3d79bb745e851f4d92a865b27eba6f9d62d92a15d2a155a00368d"},
-	"figure7-difference": {"033964a179d99fe4f776e65be677aa2d5d6f5d3f44cd54ce4db245323982c198", "b4024341d73527c6ab811accd89b27b314e5cd91c8513d7ed45e704623a60c4d"},
-	"atlantis":           {"c44a948bc706789c4925d62e9f1c56d4b353196893ab2decb6c944e2fee1145d", "847a2ea4ab1db570da260b107055d6615087483810e28edf899db7198e33b382"},
-	"zero-rows":          {"41b926a7d68b026741097ccc233c8cea27f3b65d00abed4a4bd40236b326fcab", "5c93bb2f4eb43362be7e172d9c92bda657e88ecd75217ebb3ccfd0436fa9d392"},
-	"union":              {"5149fc7c4a07268852444ecc9014d6fa19b015d56ac89a9910dce37919eb65a3", "a5438ae03799a6618b6cf395047e9cd0efc25ce0c2d8235a97a3195eb11037f4"},
-	"union-sampled":      {"cbf8045ee4282f1150ce77b50a14e8c9fa2881ed2a5588abe69a62399c6ed645", "1f0ca8b663e597ec74f93df3ffda31c070051e4744af65cdf1c2ac8e2a1878cb"},
-	"prev":               {"7fb96bcefd7b3a2d94e6cc53922600948513160b62ced72bdbcca68e5708f422", "2e6f961f1763b0ae63d532f9b947cad43e194a93e554aa35dee67bb1d15aa828"},
-	"next":               {"4fcef772b64cae6d99af4468d15353b9d8865bce921e515aee0db21ba1ec98b2", "13b1de4228c2b8cd36343ae40f712006b7f5595cb09213da82bea417cfa42145"},
-	"lookup-0":           {"180c11454eebe1847b5eb1c0b2d345ebdd4a166d92ebc3c39c4b92523731ffee", "49bd492427ccd5b21e41423720072c344fd001fd2d967db18b033c638d64de54"},
-	"lookup-1":           {"69bb2ec1b790bd5b2c6e88e1511171713a63c2334fa439deaeecf07a03384f53", "f58454c708bdd000e7ada8e5f6ac42be8b51947a91c7f217554553926498be54"},
-	"lookup-2":           {"426c7ee2d52e3bb3a15058351c0e4d02b2dd10af30fc193abdc361da1cccace2", "c9a9575e06a87452fe3802332b876df5c8bb6f7eb470d3ae4b831928a0f7cbc6"},
-	"comparative-0":      {"92f2e8ca5374c8b4b0d98fbbb42c3e9166efc14b309571745c9bb228cc1f3394", "fabde23e354716005a48c2a91122de952ed3e063fe77878612774978eda01bb2"},
-	"comparative-1":      {"cc2dcfa70169ab4b75b2b6fcfac55ee826ab34aeba6fce371b1348092172e9cf", "c0f5342e481b184994b67ccddd531555631604d6999299be1648b010f9213d25"},
-	"comparative-2":      {"2de651d34cc8b77eefff04d740b14677dd816742cbd8825e35a3199cb212bce5", "cae42c95315eaa09362595c5700767c9155227fe7ab6326759d8a6be4a9ca0cc"},
-	"comparative-3":      {"bbdfbafe90bcbb54782d4676942238b17024f6781321f840a4662b774e031ff0", "2cb59fbd2264fe53c3a928c475ee568c34886d2d091a526e5413788566fd7b4f"},
-	"comparative-4":      {"b2af34d0b7130c726527be1fafeec5d669f75c9eb2680bc6cdc7002b6ff7adc1", "bc593dc51553ac20f16616384edba7aeeaa0f1fc5edfeb6a910be3c78912b6f4"},
-	"superlative-0":      {"247f96abfb535d8d6c9eeae85c4a6a2d8e0ceaaec97caf7613cf9aebcf54f3d2", "57516479e20dd870b4126b0d8f8e56f14b120a67b3467df6a955ed06ef3a9eb6"},
-	"superlative-1":      {"fec628b02798e5a20c5a9224d1f6f5bd020f11a5442a46c70b00ba233a1cb9cd", "5919824e10caa4f9ab22dd1dbc6be8203b17b73b90abd09c8fd77a58c7f1b97d"},
-	"superlative-2":      {"787cdb2dc3443ec9abcbd64f7eb8f85d0f4b4ccb7ee707af19f3f7209d0ca008", "b31295e68261d91cb69f1a4bf9111061c013f75b88f058b9bdd502aa33d497de"},
-	"superlative-3":      {"1e770c9e54bfd92df86b92a81bfebcab0e6efd12a3181aa7c74cbdfcdf9058c2", "be069699f5a57a7d34827d09af692f023c0828af2a53e821fc612bd3a631fc66"},
-	"aggregate-0":        {"662c8bc39ecd148734b5a09ea1d78fdd91bdab4031544eb5b5c8a1f14bf3d863", "e18aca44d3827f2145744f04b8810abc8f0162955fae7baa097b2cf0c64ca3e1"},
-	"aggregate-1":        {"603bad5c689ae3e9d58863d75218cc9016b7c450c18147ad334068156df3a039", "481bd2def59549fab83e98a5f36399841a4d8e3b7dbfb873be742918b1426007"},
-	"aggregate-2":        {"abe6e713d0752602ce7bc672b60d0272884762da5749deff25e27792d5398072", "1752201868f0913675ebd5017bf85d9ea6d996c73d25e894a48bd45d3ff78a25"},
-	"aggregate-3":        {"389b28f4cbea9323670e765f1b29446fe50adb49e7fa17fcc23e89e1793a7ff8", "b73bab7ad0201c6bc274c753bf935ef7fa54c5fdf44252e4b5e8467567a5b9e6"},
-	"aggregate-4":        {"2af6c875aceef64f6323d6fe7ac57d14d60270388b08ae91f7a3ea516e01f3af", "66a8412d208de239893b044c755d38ba43b4cb85d25305b14053c8d531aa0f4b"},
-	"qrand":              {"5490a054e329d5d417f795d0f01e5bd14615c06e243b6f17c853966bf8c60700", "ce7bea09cec3cd0b041fd70464c1b217a75aa2cc8c27b6e2085e6babf77ef04e"},
+	"figure1":            {"2919f370704bf3fa757d04d1d243e197b36e90cd61cfb1beb033c39f13531f44", "787e7c91952c9bcb77524243c7c60ac6d4ea65d70ba06bc980ff18a2d3036a26"},
+	"example4.3":         {"17bdbdb8da6cde2ce974f39450a7d982179b076c97590de652132243ec79e178", "b2359d178b68e4b94f4da10b2f993470024e83f25fe28cd37a70944d91c815f6"},
+	"example5.2":         {"54714c9f7aeeb2c4943161f550df056829bb854f92f7a4d97b34adac9b2c1879", "ff9c53b7bf7ef1ce73fae1b72b2af219d58b87824ec392c475ec7c3e022a099d"},
+	"figure7-difference": {"033964a179d99fe4f776e65be677aa2d5d6f5d3f44cd54ce4db245323982c198", "540b3fb24a34dd45b3571d192c97285ae9654444cc424bc3fa5d915f66cebc3e"},
+	"atlantis":           {"c44a948bc706789c4925d62e9f1c56d4b353196893ab2decb6c944e2fee1145d", "cd4ffefe4f79504d6d291116df76e6a56b7cf143552b0d904a6d7ac815b25024"},
+	"zero-rows":          {"41b926a7d68b026741097ccc233c8cea27f3b65d00abed4a4bd40236b326fcab", "a177b6a0e33e4632a6b90c07ab34d6012d04faa17d4db20e085fad658c993919"},
+	"union":              {"5149fc7c4a07268852444ecc9014d6fa19b015d56ac89a9910dce37919eb65a3", "7ebd3dafc3b27389034591af82cbdcded03d5990b55b2c9bd930d0eb0460a62d"},
+	"union-sampled":      {"cbf8045ee4282f1150ce77b50a14e8c9fa2881ed2a5588abe69a62399c6ed645", "af2b4623d118dfbf1f6833736274057daa42958aa1d6ede43cf6f77c0613f391"},
+	"prev":               {"7fb96bcefd7b3a2d94e6cc53922600948513160b62ced72bdbcca68e5708f422", "a056168fb7854eb0709f5563644c31d25fc214dc09d6f2ab70fb9976c7cca003"},
+	"next":               {"4fcef772b64cae6d99af4468d15353b9d8865bce921e515aee0db21ba1ec98b2", "fb58e341ae95cceee591cd97b1d6668c1172f7483416c17968de2fc1babb43bf"},
+	"lookup-0":           {"180c11454eebe1847b5eb1c0b2d345ebdd4a166d92ebc3c39c4b92523731ffee", "9d71e2799ebeaaa70e3df444c2d03531f82ef0e3af50c69411b748c2ab4734c2"},
+	"lookup-1":           {"69bb2ec1b790bd5b2c6e88e1511171713a63c2334fa439deaeecf07a03384f53", "d8997d9e1aa417db49069967d8e972269bcfa0f93b2187a6f187181b3d1f5d78"},
+	"lookup-2":           {"426c7ee2d52e3bb3a15058351c0e4d02b2dd10af30fc193abdc361da1cccace2", "41114d08dd6e8a37f2ee4e006f20d05bad7424aaef7fed0ee8c820e71589008d"},
+	"comparative-0":      {"92f2e8ca5374c8b4b0d98fbbb42c3e9166efc14b309571745c9bb228cc1f3394", "49c2234dfe9430e28fa26f5b04406592eec5b3c6997ec129a73dcdfebae72124"},
+	"comparative-1":      {"cc2dcfa70169ab4b75b2b6fcfac55ee826ab34aeba6fce371b1348092172e9cf", "cda2907dfb8efd8b01e9d2e3ed2f6f4bce71dc26da47e361bf49edc540e0d804"},
+	"comparative-2":      {"2de651d34cc8b77eefff04d740b14677dd816742cbd8825e35a3199cb212bce5", "fcefce533f7ce95475ce010163f638c24c57ba96e1030e4787eb0143affa976a"},
+	"comparative-3":      {"bbdfbafe90bcbb54782d4676942238b17024f6781321f840a4662b774e031ff0", "9167e9dc04f92faf690ccac2bbe6dccf0b8ee88e72ee9a268ffb80e5ec97b62e"},
+	"comparative-4":      {"b2af34d0b7130c726527be1fafeec5d669f75c9eb2680bc6cdc7002b6ff7adc1", "c9fcdd1fa77b171088eb2f45b4bfe093731e4a0f5a16b81347f3b481ff97439b"},
+	"superlative-0":      {"247f96abfb535d8d6c9eeae85c4a6a2d8e0ceaaec97caf7613cf9aebcf54f3d2", "0858e7047df67a2546e93bd7f52b712733d5b5d940501d2900d7dd21bda557fa"},
+	"superlative-1":      {"fec628b02798e5a20c5a9224d1f6f5bd020f11a5442a46c70b00ba233a1cb9cd", "1f41cfe5fa2eac5fa8337f64b1b12975d1ad21f43aeced4b069ba003a36b48be"},
+	"superlative-2":      {"787cdb2dc3443ec9abcbd64f7eb8f85d0f4b4ccb7ee707af19f3f7209d0ca008", "ea07a9ff762af2ee87d05252e66646e61d7f648c3b27ff468909d02c689c5055"},
+	"superlative-3":      {"1e770c9e54bfd92df86b92a81bfebcab0e6efd12a3181aa7c74cbdfcdf9058c2", "5adbf5f3f6be5b43f3f9af85a16d24d185f9eef58056dcdba726a5dec7f10c94"},
+	"aggregate-0":        {"662c8bc39ecd148734b5a09ea1d78fdd91bdab4031544eb5b5c8a1f14bf3d863", "02dc8a75aa3ecef878545e02a087a7c9959751166699864b1ba571970bc6e98a"},
+	"aggregate-1":        {"603bad5c689ae3e9d58863d75218cc9016b7c450c18147ad334068156df3a039", "57d297907da3d88ed243026ec38285b65545bbd37e5e153122d2d8c5d86096ee"},
+	"aggregate-2":        {"abe6e713d0752602ce7bc672b60d0272884762da5749deff25e27792d5398072", "5583776a516f6eb7fc79824eb51a05e0f99d7dc2f2be6935b07fc483169fabe8"},
+	"aggregate-3":        {"389b28f4cbea9323670e765f1b29446fe50adb49e7fa17fcc23e89e1793a7ff8", "29c8f513ff7cb49f5382edd1a8c374da8bd85201f9a79d58872244ad4eb9086e"},
+	"aggregate-4":        {"2af6c875aceef64f6323d6fe7ac57d14d60270388b08ae91f7a3ea516e01f3af", "aa1797ed7922266c5b4499ef6839dbb3580e5db56c5443a0db03cc113ce44e96"},
+	"qrand":              {"5490a054e329d5d417f795d0f01e5bd14615c06e243b6f17c853966bf8c60700", "7c2a7894c54f955c5abcfeecfd071ec6dec147e28a258163bcf3005de50cdaf9"},
 }

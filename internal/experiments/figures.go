@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"nlexplain/internal/dcs"
+	"nlexplain/internal/export"
 	"nlexplain/internal/minisql"
-	"nlexplain/internal/provenance"
 	"nlexplain/internal/render"
 	"nlexplain/internal/table"
 	"nlexplain/internal/utterance"
@@ -122,11 +122,12 @@ func growthTable() *table.Table {
 	return table.MustNew("growth", []string{"Country", "Year", "Growth Rate"}, rows)
 }
 
-// figureSpec describes one figure: its query (or queries) and table.
+// figureSpec describes one figure: its caption and its query (or
+// queries). A figure over a table past the Section 5.3 threshold draws
+// the sampled records alone, as the explanation document does.
 type figureSpec struct {
 	caption string
 	queries []string
-	sample  bool // render only the Section 5.3 record sample
 }
 
 var figureSpecs = map[int]figureSpec{
@@ -138,7 +139,7 @@ var figureSpecs = map[int]figureSpec{
 	6: {caption: "Difference (values)",
 		queries: []string{"sub(R[Total].Nation.Fiji, R[Total].Nation.Tonga)"}},
 	7: {caption: "Scaling highlights to a large table (record sampling)",
-		queries: []string{`max(R["Growth Rate"].Country.Madagascar)`}, sample: true},
+		queries: []string{`max(R["Growth Rate"].Country.Madagascar)`}},
 	8: {caption: "Correct & incorrect query both returning the same answer",
 		queries: []string{
 			`max(R[Year].League."USL A-League")`,
@@ -179,7 +180,8 @@ func FigureNumbers() []int {
 }
 
 // RenderFigure reproduces a numbered figure as text: for each candidate
-// query its utterance and the highlighted table (sampled for Figure 7).
+// query its utterance and the highlighted table, both from the query's
+// explanation document (sampled, as for Figure 7, on a large table).
 func RenderFigure(n int) (string, error) {
 	if n == 3 {
 		return renderFigure3(), nil
@@ -196,14 +198,14 @@ func RenderFigure(n int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		h, err := provenance.Highlight(e, tab)
+		doc, h, err := export.Build(e, tab, 0)
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "\nquery:     %s\nutterance: %q\n", src, utterance.Utter(e))
-		rows := tab.Records()
-		if spec.sample {
-			rows = provenance.Sample(e, tab, h)
+		fmt.Fprintf(&b, "\nquery:     %s\nutterance: %q\n", src, doc.Utterance)
+		var rows []int
+		if doc.Table.Sampled {
+			rows = doc.Table.Rows
 			fmt.Fprintf(&b, "(table has %d rows; showing the %d sampled by Section 5.3)\n",
 				tab.NumRows(), len(rows))
 		}

@@ -1,7 +1,11 @@
-// Package export serializes explanations to JSON for web front-ends —
-// the deployment interface of Section 6.3 is a web page showing, per
-// candidate, the utterance and the highlighted table; this package
-// defines that wire format.
+// Package export builds the explanation document: the one place the
+// stages of an explanation — traced execution, highlights, the Section
+// 5.3 sample, utterance, SQL, grid and the PO/PE/PC levels — are put
+// together, and the one type they are held in. The deployment interface
+// of Section 6.3 shows, per candidate, the utterance and the highlighted
+// table; the engine serves this document on /v1/explain, the library
+// returns it from ExplainJSON and renders its highlights as text, ANSI
+// and HTML, and the figure gallery draws through it.
 package export
 
 import (
@@ -16,21 +20,52 @@ import (
 	"nlexplain/internal/utterance"
 )
 
-// ExplanationJSON is the full explanation of one candidate query. Table
-// is the highlighted table: headers (with aggregate markers applied)
-// and marked cells, restricted to the sampled rows for large tables.
+// ExplanationJSON is the full explanation of one candidate query over
+// one table, ready for JSON encoding. Table is the highlighted grid:
+// headers (with aggregate markers applied) and marked cells, restricted
+// to the sampled rows for large tables. Version is the table's content
+// version, which the engine sets from the snapshot it explained; a
+// document built outside the engine leaves it empty and the JSON omits
+// it. Cached instances are shared across requests: treat as immutable.
 type ExplanationJSON struct {
-	Query     string      `json:"query"`
-	Utterance string      `json:"utterance"`
-	SQL       string      `json:"sql,omitempty"`
-	Result    string      `json:"result"`
-	Table     render.Grid `json:"table"`
+	Name       string      `json:"table"`
+	Version    string      `json:"version,omitempty"`
+	Query      string      `json:"query"`
+	Utterance  string      `json:"utterance"`
+	SQL        string      `json:"sql,omitempty"` // empty outside the SQL fragment
+	Result     string      `json:"result"`
+	Table      render.Grid `json:"grid"`
+	Provenance ProvJSON    `json:"provenance"`
+}
+
+// ProvJSON is the multilevel provenance Prov(Q,T) = (PO, PE, PC) in
+// wire form: the levels as the pipeline holds them, each cell a
+// {"row", "col"} object, sorted row-major per level.
+type ProvJSON struct {
+	Output      table.CellSet     `json:"output"`
+	Execution   table.CellSet     `json:"execution"`
+	Columns     table.CellSet     `json:"columns"`
+	Aggrs       []string          `json:"aggrs,omitempty"`
+	HeaderAggrs map[string]string `json:"header_aggrs,omitempty"` // column name -> fn
+}
+
+func provJSON(t *table.Table, p *provenance.Prov) ProvJSON {
+	j := ProvJSON{Output: p.Output, Execution: p.Execution, Columns: p.Columns}
+	for _, fn := range p.Aggrs {
+		j.Aggrs = append(j.Aggrs, string(fn))
+	}
+	if len(p.HeaderAggrs) > 0 {
+		j.HeaderAggrs = make(map[string]string, len(p.HeaderAggrs))
+		for col, fn := range p.HeaderAggrs {
+			j.HeaderAggrs[t.Column(col)] = string(fn)
+		}
+	}
+	return j
 }
 
 // Build computes the explanation document for a query over a table and
-// also returns the highlights it derived, so callers (the engine, the
-// server wire format) can project extra views such as the raw
-// provenance sets without re-running the pipeline. threshold is the
+// also returns the highlights it derived, which the library's text,
+// ANSI and HTML renderings draw. threshold is the
 // row budget before Section 5.3 sampling kicks in; <= 0 selects the
 // default, provenance.SampleThreshold.
 func Build(q dcs.Expr, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
@@ -64,10 +99,12 @@ func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, thre
 	}
 
 	doc := &ExplanationJSON{
-		Query:     q.String(),
-		Utterance: utterance.Utter(q),
-		Result:    res.String(),
-		Table:     render.JSONGrid(t, h, rows, sampled),
+		Name:       t.Name(),
+		Query:      q.String(),
+		Utterance:  utterance.Utter(q),
+		Result:     res.String(),
+		Table:      render.JSONGrid(t, h, rows, sampled),
+		Provenance: provJSON(t, h.Prov),
 	}
 	if sql, err := sqlgen.TranslateSQL(q); err == nil {
 		doc.SQL = sql
@@ -75,15 +112,10 @@ func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, thre
 	return doc, h, nil
 }
 
-// Explanation builds the JSON document for a query over a table.
-func Explanation(q dcs.Expr, t *table.Table) (*ExplanationJSON, error) {
-	doc, _, err := Build(q, t, 0)
-	return doc, err
-}
-
-// Marshal renders the explanation as indented JSON.
+// Marshal builds the explanation of a query over a table and renders
+// it as indented JSON.
 func Marshal(q dcs.Expr, t *table.Table) ([]byte, error) {
-	doc, err := Explanation(q, t)
+	doc, _, err := Build(q, t, 0)
 	if err != nil {
 		return nil, err
 	}

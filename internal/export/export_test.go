@@ -22,7 +22,7 @@ func olympics(t testing.TB) *table.Table {
 
 func TestExplanationJSON(t *testing.T) {
 	tab := olympics(t)
-	doc, err := Explanation(dcs.MustParse("max(R[Year].Country.Greece)"), tab)
+	doc, _, err := Build(dcs.MustParse("max(R[Year].Country.Greece)"), tab, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLargeTableSampledJSON(t *testing.T) {
 		rows = append(rows, []string{c, "2000"})
 	}
 	tab := table.MustNew("big", []string{"Country", "Year"}, rows)
-	doc, err := Explanation(dcs.MustParse("count(Country.Norway)"), tab)
+	doc, _, err := Build(dcs.MustParse("count(Country.Norway)"), tab, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestLargeTableSampledJSON(t *testing.T) {
 
 func TestExplanationErrors(t *testing.T) {
 	tab := olympics(t)
-	if _, err := Explanation(dcs.MustParse("Nope.x"), tab); err == nil {
+	if _, _, err := Build(dcs.MustParse("Nope.x"), tab, 0); err == nil {
 		t.Error("unknown column should fail")
 	}
-	if _, err := Explanation(dcs.MustParse("sum(R[City].Record)"), tab); err == nil {
+	if _, _, err := Build(dcs.MustParse("sum(R[City].Record)"), tab, 0); err == nil {
 		t.Error("summing text should fail")
 	}
 }

@@ -194,7 +194,9 @@ type (
 	// defaults (GOMAXPROCS workers, 1024-entry caches, 10s timeout,
 	// unlimited store byte budget).
 	EngineOptions = engine.Options
-	// EngineExplanation is the engine's JSON-ready pipeline output.
+	// EngineExplanation is the explanation document /v1/explain
+	// serves: what ExplainJSON encodes, plus the table version the
+	// engine explained.
 	EngineExplanation = engine.Explanation
 	// EngineAnswer is the engine's answer-only fast-path output.
 	EngineAnswer = engine.Answer
@@ -246,62 +248,59 @@ var ErrOverloaded = engine.ErrOverloaded
 // with errors.Is.
 var ErrUnavailable = engine.ErrUnavailable
 
-// Explanation is the complete explanation bundle of one query on one
-// table: what the deployment interface shows a non-expert next to each
-// candidate (Section 6.3).
+// Explanation is the complete explanation of one query on one table:
+// what the deployment interface shows a non-expert next to each
+// candidate (Section 6.3). Explain fills it from the one document
+// build the engine serves on /v1/explain (ExplainJSON is that
+// document); it adds the highlights the Text, ANSI and HTML renderings
+// draw.
 type Explanation struct {
 	Query      Query
 	Table      *Table
 	Utterance  string
 	SQL        string // empty if the query is outside the SQL fragment
+	Result     string // the query's denotation, as the document spells it
 	Highlights *Highlights
-	// SampleRows are the Section 5.3 representative records; renderers
-	// use them when the table is large.
+	// SampleRows are the Section 5.3 representative records the
+	// renderings draw when the table is over the sampling threshold,
+	// and nil when they draw every record.
 	SampleRows []int
 }
 
 // Explain builds the full explanation for a query over a table.
 func Explain(q Query, t *Table) (*Explanation, error) {
-	h, err := provenance.Highlight(q, t)
+	doc, h, err := export.Build(q, t, 0)
 	if err != nil {
 		return nil, err
 	}
 	e := &Explanation{
 		Query:      q,
 		Table:      t,
-		Utterance:  utterance.Utter(q),
+		Utterance:  doc.Utterance,
+		SQL:        doc.SQL,
+		Result:     doc.Result,
 		Highlights: h,
-		SampleRows: provenance.Sample(q, t, h),
 	}
-	if sql, err := sqlgen.TranslateSQL(q); err == nil {
-		e.SQL = sql
+	if doc.Table.Sampled {
+		e.SampleRows = doc.Table.Rows
 	}
 	return e, nil
 }
 
-// displayRows returns all rows for small tables and the provenance
-// sample for large ones.
-func (e *Explanation) displayRows() []int {
-	if e.Table.NumRows() > provenance.SampleThreshold {
-		return e.SampleRows
-	}
-	return nil
-}
-
 // Text renders the highlighted table with plain-text markers.
 func (e *Explanation) Text() string {
-	return render.Text(e.Table, e.Highlights, e.displayRows())
+	return render.Text(e.Table, e.Highlights, e.SampleRows)
 }
 
 // ANSI renders the highlighted table with terminal colors.
 func (e *Explanation) ANSI() string {
-	return render.ANSI(e.Table, e.Highlights, e.displayRows())
+	return render.ANSI(e.Table, e.Highlights, e.SampleRows)
 }
 
 // HTML renders the highlighted table as an HTML fragment; pair it with
 // HighlightCSS.
 func (e *Explanation) HTML() string {
-	return render.HTML(e.Table, e.Highlights, e.displayRows())
+	return render.HTML(e.Table, e.Highlights, e.SampleRows)
 }
 
 // HighlightCSS is the stylesheet for Explanation.HTML output.
@@ -311,9 +310,11 @@ func HighlightCSS() string { return render.CSS() }
 func HighlightLegend() string { return render.Legend() }
 
 // ExplainJSON serializes the full explanation of a query over a table
-// as indented JSON — the wire format a web front-end (the paper's
-// deployment interface of Section 6.3) consumes. Large tables are
-// sampled per Section 5.3.
+// as indented JSON — the document a web front-end (the paper's
+// deployment interface of Section 6.3) consumes: table name, query,
+// utterance, SQL, result, the highlighted grid (sampled per Section 5.3
+// on large tables) and the PO/PE/PC levels. It is the EngineExplanation
+// /v1/explain returns, minus the version and the cache flag.
 func ExplainJSON(q Query, t *Table) ([]byte, error) {
 	return export.Marshal(q, t)
 }
@@ -327,7 +328,10 @@ type CandidateExplanation struct {
 }
 
 // ExplainQuestion runs the deployment pipeline of Figure 2: parse the
-// question into ranked candidate queries and explain each of the top-k.
+// question into ranked candidate queries and explain each of the top-k
+// through Explain. It ranks with the caller's Parser, which a feedback
+// loop may train between calls (examples/feedback), so it is not the
+// engine's ParseQuestion, which ranks with a parser of its own.
 func ExplainQuestion(p *Parser, question string, t *Table) ([]CandidateExplanation, error) {
 	cands := p.Parse(question, t)
 	if len(cands) == 0 {

@@ -1,8 +1,14 @@
 package nlexplain
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"nlexplain/internal/qrand"
 )
 
 func exampleTable(t testing.TB) *Table {
@@ -45,6 +51,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(ex.SQL, "MAX(DISTINCT Year)") {
 		t.Errorf("sql = %q", ex.SQL)
+	}
+	if ex.Result != res.String() || ex.SampleRows != nil {
+		t.Errorf("result = %q, sample rows = %v; want %q and no sample on a small table", ex.Result, ex.SampleRows, res)
 	}
 	if !strings.Contains(ex.Text(), "**2004**") {
 		t.Errorf("text rendering missing colored output:\n%s", ex.Text())
@@ -113,6 +122,9 @@ func TestExplainLargeTableSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ex.SampleRows) == 0 {
+		t.Error("a large table's explanation has no sample rows")
+	}
 	if lines := strings.Count(ex.Text(), "\n"); lines > 10 {
 		t.Errorf("large-table rendering has %d lines; sampling not applied", lines)
 	}
@@ -125,9 +137,58 @@ func TestExplainJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{`"utterance"`, `"colored"`, `"count(City.Athens)"`} {
+	for _, frag := range []string{`"table": "olympics"`, `"utterance"`, `"grid"`, `"colored"`, `"count(City.Athens)"`, `"provenance"`} {
 		if !strings.Contains(string(raw), frag) {
 			t.Errorf("JSON missing %s:\n%s", frag, raw)
+		}
+	}
+}
+
+// TestExplainJSONIsTheEngineDocument holds the library's document to
+// the engine's: ExplainJSON must equal the indented encoding of what
+// the engine explains for the same query, version cleared, on the
+// paper's table and on the 200 seeded random pairs the engine's golden
+// test hashes.
+func TestExplainJSONIsTheEngineDocument(t *testing.T) {
+	type pair struct {
+		tab *Table
+		q   Query
+	}
+	var pairs []pair
+	olympics := exampleTable(t)
+	for _, src := range []string{"max(R[Year].Country.Greece)", "R[City].Prev.City.London", "count(City.Athens)", "sum(R[City].Record)"} {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, pair{olympics, q})
+	}
+	rng := rand.New(rand.NewSource(2019))
+	for i := 0; i < 200; i++ {
+		tab := qrand.Table(rng)
+		pairs = append(pairs, pair{tab, qrand.Query(rng, tab, 1+rng.Intn(3))})
+	}
+	for _, p := range pairs {
+		e := NewEngine(EngineOptions{CacheSize: 4, Workers: 1})
+		if _, err := e.RegisterTable(p.tab); err != nil {
+			t.Fatal(err)
+		}
+		lib, libErr := ExplainJSON(p.q, p.tab)
+		ex, err := e.Explain(context.Background(), p.tab.Name(), p.q.String())
+		if err != nil || libErr != nil {
+			if (err == nil) != (libErr == nil) {
+				t.Errorf("%s on %s: engine error %v, library error %v", p.q, p.tab.Name(), err, libErr)
+			}
+			continue
+		}
+		unversioned := *ex
+		unversioned.Version = ""
+		want, err := json.MarshalIndent(&unversioned, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lib, want) {
+			t.Errorf("%s on %s: ExplainJSON\n%s\nwant\n%s", p.q, p.tab.Name(), lib, want)
 		}
 	}
 }
