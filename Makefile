@@ -34,11 +34,12 @@ parse-footprint:
 	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs' -count=1 ./internal/engine/
 
 # TEST_ONLY are the packages only _test.go files may import: the
-# reference interpreter (internal/oracle) and the random query and table
-# generator (internal/qrand). vet fails if a command, an example or the
-# library links one, and keeps mini-SQL off the plan core, which serves
-# lambda DCS alone.
-TEST_ONLY = internal/oracle internal/qrand
+# reference interpreter (internal/oracle), the random query and table
+# generator (internal/qrand) and the filesystem fault injector
+# (internal/fault). vet fails if a command, an example or the library
+# links one, and keeps mini-SQL off the plan core, which serves lambda
+# DCS alone.
+TEST_ONLY = internal/oracle internal/qrand internal/fault
 
 vet:
 	$(GO) vet ./...

@@ -11,6 +11,7 @@ import (
 	"nlexplain"
 	"nlexplain/internal/fault"
 	"nlexplain/internal/retry"
+	"nlexplain/internal/vfs"
 )
 
 // newDegradableServer builds a durable test server over an InjectFS so
@@ -18,7 +19,7 @@ import (
 // degrade and recover.
 func newDegradableServer(t *testing.T) (*httptest.Server, *fault.InjectFS) {
 	t.Helper()
-	fs := fault.NewInject(fault.OS, 1)
+	fs := fault.NewInject(vfs.OS, 1)
 	e, err := nlexplain.OpenEngine(nlexplain.EngineOptions{
 		Workers:            2,
 		DataDir:            t.TempDir(),

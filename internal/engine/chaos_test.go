@@ -12,6 +12,7 @@ import (
 
 	"nlexplain/internal/fault"
 	"nlexplain/internal/retry"
+	"nlexplain/internal/vfs"
 )
 
 const (
@@ -86,7 +87,7 @@ func chaosFaultRule(rng *rand.Rand) *fault.Rule {
 func runChaos(t *testing.T, seed int64, cycles int, dir string) chaosTally {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fs := fault.NewInject(fault.OS, seed+1)
+	fs := fault.NewInject(vfs.OS, seed+1)
 	e, err := Open(Options{
 		Workers:            2,
 		DataDir:            dir,

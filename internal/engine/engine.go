@@ -26,13 +26,13 @@ import (
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/export"
-	"nlexplain/internal/fault"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/retry"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/store"
 	"nlexplain/internal/table"
 	"nlexplain/internal/utterance"
+	"nlexplain/internal/vfs"
 )
 
 // Options configures an Engine. The zero value selects sensible
@@ -77,9 +77,9 @@ type Options struct {
 	// without DataDir.
 	CheckpointBytes int64
 	// FS is the filesystem the durability layer performs all I/O
-	// through. nil means the real OS; tests and chaos runs inject a
-	// fault.InjectFS. Ignored without DataDir.
-	FS fault.FS
+	// through. nil means the real OS (vfs.OS); tests and chaos runs
+	// substitute a fault injector. Ignored without DataDir.
+	FS vfs.FS
 	// RecoveryBackoff paces the store's degraded-mode recovery loop
 	// (zero value = retry package defaults). Ignored without DataDir.
 	RecoveryBackoff retry.Backoff

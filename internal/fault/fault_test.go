@@ -8,75 +8,13 @@ import (
 	"syscall"
 	"testing"
 	"time"
-)
 
-func TestOSPassthrough(t *testing.T) {
-	dir := t.TempDir()
-	if err := OS.MkdirAll(filepath.Join(dir, "a", "b"), 0o755); err != nil {
-		t.Fatalf("MkdirAll: %v", err)
-	}
-	path := filepath.Join(dir, "a", "b", "f.txt")
-	f, err := OS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	if _, err := f.Write([]byte("hello")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if err := f.Truncate(4); err != nil {
-		t.Fatalf("Truncate: %v", err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		t.Fatalf("Seek: %v", err)
-	}
-	buf := make([]byte, 8)
-	n, _ := f.Read(buf)
-	if string(buf[:n]) != "hell" {
-		t.Fatalf("Read = %q, want %q", buf[:n], "hell")
-	}
-	if f.Name() != path {
-		t.Fatalf("Name = %q, want %q", f.Name(), path)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if data, err := OS.ReadFile(path); err != nil || string(data) != "hell" {
-		t.Fatalf("ReadFile = %q, %v", data, err)
-	}
-	if _, err := OS.Stat(path); err != nil {
-		t.Fatalf("Stat: %v", err)
-	}
-	dst := filepath.Join(dir, "a", "b", "g.txt")
-	if err := OS.Rename(path, dst); err != nil {
-		t.Fatalf("Rename: %v", err)
-	}
-	if err := OS.SyncDir(filepath.Join(dir, "a", "b")); err != nil {
-		t.Fatalf("SyncDir: %v", err)
-	}
-	ents, err := OS.ReadDir(filepath.Join(dir, "a", "b"))
-	if err != nil || len(ents) != 1 || ents[0].Name() != "g.txt" {
-		t.Fatalf("ReadDir = %v, %v", ents, err)
-	}
-	if err := OS.Remove(dst); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	tmp, err := OS.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		t.Fatalf("CreateTemp: %v", err)
-	}
-	tmp.Close()
-	os.Remove(tmp.Name())
-	if Or(nil) != OS {
-		t.Fatal("Or(nil) != OS")
-	}
-}
+	"nlexplain/internal/vfs"
+)
 
 func TestInjectFailNthWrite(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1, &Rule{Op: OpWrite, AfterN: 2, Err: syscall.ENOSPC})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpWrite, AfterN: 2, Err: syscall.ENOSPC})
 	f, err := fs.OpenFile(filepath.Join(dir, "w.log"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
@@ -102,7 +40,7 @@ func TestInjectFailNthWrite(t *testing.T) {
 
 func TestInjectStickyAndHeal(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1, &Rule{Op: OpSync, Count: Sticky})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpSync, Count: Sticky})
 	f, err := fs.OpenFile(filepath.Join(dir, "s.log"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
@@ -124,7 +62,7 @@ func TestInjectStickyAndHeal(t *testing.T) {
 
 func TestInjectShortWrite(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1, &Rule{Op: OpWrite, Err: syscall.ENOSPC, ShortWrite: true})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpWrite, Err: syscall.ENOSPC, ShortWrite: true})
 	path := filepath.Join(dir, "torn.log")
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -150,7 +88,7 @@ func TestInjectShortWrite(t *testing.T) {
 
 func TestInjectSilentSync(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1, &Rule{Op: OpSync, SilentSync: true})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpSync, SilentSync: true})
 	f, err := fs.OpenFile(filepath.Join(dir, "lie.log"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
@@ -167,7 +105,7 @@ func TestInjectSilentSync(t *testing.T) {
 
 func TestInjectPathGlob(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1, &Rule{Op: OpWrite, Path: "wal-*.log", Count: Sticky})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpWrite, Path: "wal-*.log", Count: Sticky})
 	w, err := fs.OpenFile(filepath.Join(dir, "wal-0001.log"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatalf("OpenFile wal: %v", err)
@@ -188,7 +126,7 @@ func TestInjectPathGlob(t *testing.T) {
 
 func TestInjectProbabilityDeterministic(t *testing.T) {
 	count := func(seed int64) int {
-		fs := NewInject(OS, seed, &Rule{Op: OpMeta, Prob: 0.5, Count: Sticky})
+		fs := NewInject(vfs.OS, seed, &Rule{Op: OpMeta, Prob: 0.5, Count: Sticky})
 		n := 0
 		for i := 0; i < 200; i++ {
 			if _, err := fs.Stat("nope"); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -211,7 +149,7 @@ func TestInjectProbabilityDeterministic(t *testing.T) {
 
 func TestInjectRenameAndMeta(t *testing.T) {
 	dir := t.TempDir()
-	fs := NewInject(OS, 1,
+	fs := NewInject(vfs.OS, 1,
 		&Rule{Op: OpRename, Path: "MANIFEST"},
 		&Rule{Op: OpMeta, Path: "blocked*"},
 	)
@@ -234,7 +172,7 @@ func TestInjectRenameAndMeta(t *testing.T) {
 }
 
 func TestInjectLatency(t *testing.T) {
-	fs := NewInject(OS, 1, &Rule{Op: OpMeta, Latency: 20 * time.Millisecond, Count: Sticky})
+	fs := NewInject(vfs.OS, 1, &Rule{Op: OpMeta, Latency: 20 * time.Millisecond, Count: Sticky})
 	start := time.Now()
 	fs.Stat(filepath.Join(t.TempDir(), "x"))
 	if d := time.Since(start); d < 15*time.Millisecond {

@@ -1,3 +1,17 @@
+// Package fault is a deterministic, programmable fault injector for the
+// filesystem seam under the durability layer (internal/vfs): an
+// InjectFS executes seeded fault plans — fail-the-Nth-op, per-op-class
+// probability, one-shot and sticky EIO/ENOSPC, short (torn) writes,
+// fsyncs that lie, injected latency — in the spirit of the errorfs
+// harnesses production stores use to validate crash recovery and
+// graceful degradation.
+//
+// Only tests import it (the Makefile's vet target fails if anything
+// that ships links it): they hand an InjectFS, whose plan is a list of
+// Rule values, to the WAL, the segment writer, the store or the engine
+// in place of vfs.OS:
+//
+//	&Rule{Path: "wal-*.log", Op: OpWrite, AfterN: 3, Err: syscall.ENOSPC, ShortWrite: true}
 package fault
 
 import (
@@ -7,6 +21,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"nlexplain/internal/vfs"
 )
 
 // Op classifies filesystem operations for rule matching and counting.
@@ -112,12 +128,12 @@ func (s Stats) Total() uint64 {
 	return n
 }
 
-// InjectFS wraps an inner FS and executes a fault plan against it.
+// InjectFS wraps an inner vfs.FS and executes a fault plan against it.
 // Rule evaluation is deterministic for a fixed seed and operation
 // sequence; the zero plan (no rules) is a pure passthrough. Safe for
 // concurrent use.
 type InjectFS struct {
-	inner FS
+	inner vfs.FS
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -129,9 +145,9 @@ type InjectFS struct {
 // NewInject builds an InjectFS over inner with the given seeded plan.
 // The rules are cloned, so a plan can be re-armed across runs without
 // carrying progress counters over.
-func NewInject(inner FS, seed int64, rules ...*Rule) *InjectFS {
+func NewInject(inner vfs.FS, seed int64, rules ...*Rule) *InjectFS {
 	f := &InjectFS{
-		inner:  Or(inner),
+		inner:  vfs.Or(inner),
 		rng:    rand.New(rand.NewSource(seed)),
 		ops:    make(map[Op]uint64),
 		faults: make(map[Op]uint64),
@@ -221,8 +237,8 @@ func (f *InjectFS) check(op Op, name string) decision {
 	return d
 }
 
-// OpenFile implements FS.
-func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+// OpenFile implements vfs.FS.
+func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	if d := f.check(OpOpen, name); d.err != nil {
 		return nil, &os.PathError{Op: "open", Path: name, Err: d.err}
 	}
@@ -233,8 +249,8 @@ func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	return &injectFile{File: inner, fs: f}, nil
 }
 
-// CreateTemp implements FS.
-func (f *InjectFS) CreateTemp(dir, pattern string) (File, error) {
+// CreateTemp implements vfs.FS.
+func (f *InjectFS) CreateTemp(dir, pattern string) (vfs.File, error) {
 	if d := f.check(OpOpen, filepath.Join(dir, pattern)); d.err != nil {
 		return nil, &os.PathError{Op: "createtemp", Path: pattern, Err: d.err}
 	}
@@ -245,7 +261,7 @@ func (f *InjectFS) CreateTemp(dir, pattern string) (File, error) {
 	return &injectFile{File: inner, fs: f}, nil
 }
 
-// ReadFile implements FS.
+// ReadFile implements vfs.FS.
 func (f *InjectFS) ReadFile(name string) ([]byte, error) {
 	if d := f.check(OpRead, name); d.err != nil {
 		return nil, &os.PathError{Op: "read", Path: name, Err: d.err}
@@ -253,7 +269,7 @@ func (f *InjectFS) ReadFile(name string) ([]byte, error) {
 	return f.inner.ReadFile(name)
 }
 
-// Rename implements FS.
+// Rename implements vfs.FS.
 func (f *InjectFS) Rename(oldpath, newpath string) error {
 	if d := f.check(OpRename, newpath); d.err != nil {
 		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: d.err}
@@ -261,7 +277,7 @@ func (f *InjectFS) Rename(oldpath, newpath string) error {
 	return f.inner.Rename(oldpath, newpath)
 }
 
-// Remove implements FS.
+// Remove implements vfs.FS.
 func (f *InjectFS) Remove(name string) error {
 	if d := f.check(OpRemove, name); d.err != nil {
 		return &os.PathError{Op: "remove", Path: name, Err: d.err}
@@ -269,7 +285,7 @@ func (f *InjectFS) Remove(name string) error {
 	return f.inner.Remove(name)
 }
 
-// MkdirAll implements FS.
+// MkdirAll implements vfs.FS.
 func (f *InjectFS) MkdirAll(path string, perm os.FileMode) error {
 	if d := f.check(OpMeta, path); d.err != nil {
 		return &os.PathError{Op: "mkdir", Path: path, Err: d.err}
@@ -277,7 +293,7 @@ func (f *InjectFS) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
 
-// ReadDir implements FS.
+// ReadDir implements vfs.FS.
 func (f *InjectFS) ReadDir(name string) ([]os.DirEntry, error) {
 	if d := f.check(OpMeta, name); d.err != nil {
 		return nil, &os.PathError{Op: "readdir", Path: name, Err: d.err}
@@ -285,7 +301,7 @@ func (f *InjectFS) ReadDir(name string) ([]os.DirEntry, error) {
 	return f.inner.ReadDir(name)
 }
 
-// Stat implements FS.
+// Stat implements vfs.FS.
 func (f *InjectFS) Stat(name string) (os.FileInfo, error) {
 	if d := f.check(OpMeta, name); d.err != nil {
 		return nil, &os.PathError{Op: "stat", Path: name, Err: d.err}
@@ -293,7 +309,7 @@ func (f *InjectFS) Stat(name string) (os.FileInfo, error) {
 	return f.inner.Stat(name)
 }
 
-// SyncDir implements FS.
+// SyncDir implements vfs.FS.
 func (f *InjectFS) SyncDir(dir string) error {
 	d := f.check(OpSync, dir)
 	if d.silent {
@@ -308,7 +324,7 @@ func (f *InjectFS) SyncDir(dir string) error {
 // injectFile threads per-file reads, writes and syncs back through the
 // owning injector's plan.
 type injectFile struct {
-	File
+	vfs.File
 	fs *InjectFS
 }
 

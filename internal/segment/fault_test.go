@@ -9,6 +9,7 @@ import (
 
 	"nlexplain/internal/fault"
 	"nlexplain/internal/table"
+	"nlexplain/internal/vfs"
 )
 
 // TestSegmentWriteFaultLeavesNoPartial: a segment write that dies
@@ -26,7 +27,7 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			fs := fault.NewInject(fault.OS, 1, tc.rule)
+			fs := fault.NewInject(vfs.OS, 1, tc.rule)
 			path := filepath.Join(dir, "seg-001.seg")
 			tb := table.MustNew(testMeta.Name, testMeta.Columns, testRows)
 			err := WriteTable(fs, path, testMeta, tb, nil)
@@ -64,7 +65,7 @@ func TestSegmentZonesSurviveFaultRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	zones := tb.ZoneSnapshot()
-	fs := fault.NewInject(fault.OS, 1, &fault.Rule{Op: fault.OpWrite, Err: syscall.EIO, ShortWrite: true})
+	fs := fault.NewInject(vfs.OS, 1, &fault.Rule{Op: fault.OpWrite, Err: syscall.EIO, ShortWrite: true})
 	path := filepath.Join(t.TempDir(), "seg-002.seg")
 	if err := WriteTable(fs, path, testMeta, tb, zones); err == nil {
 		t.Fatal("faulted zone write succeeded")
@@ -91,7 +92,7 @@ func TestManifestTornRenameKeepsPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs := fault.NewInject(fault.OS, 1,
+	fs := fault.NewInject(vfs.OS, 1,
 		&fault.Rule{Op: fault.OpRename, Path: ManifestName, Count: fault.Sticky, Err: syscall.EIO})
 	next := &Manifest{Gen: 8, WALSeq: 9}
 	if err := WriteManifest(fs, dir, next); !errors.Is(err, syscall.EIO) {

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"nlexplain/internal/fault"
+	"nlexplain/internal/vfs"
 )
 
 // ManifestName is the manifest's filename inside a data directory.
@@ -43,7 +43,7 @@ type Manifest struct {
 // + dir fsync), all I/O through fsys (nil means the OS passthrough): a
 // crash, or a fault injected on the rename, leaves either the previous
 // manifest or the new one, never a torn mix.
-func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
+func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
 	m.Schema = schemaManifest
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -57,8 +57,8 @@ func WriteManifest(fsys fault.FS, dir string, m *Manifest) error {
 // directory). A table whose File is not one name inside dir makes the
 // manifest corrupt: recovery reads a segment file whole, so such a name
 // could have it read anything, without bound.
-func LoadManifest(fsys fault.FS, dir string) (m *Manifest, ok bool, err error) {
-	data, err := fault.Or(fsys).ReadFile(filepath.Join(dir, ManifestName))
+func LoadManifest(fsys vfs.FS, dir string) (m *Manifest, ok bool, err error) {
+	data, err := vfs.Or(fsys).ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}

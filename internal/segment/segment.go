@@ -56,8 +56,8 @@ import (
 	"math/bits"
 	"path/filepath"
 
-	"nlexplain/internal/fault"
 	"nlexplain/internal/table"
+	"nlexplain/internal/vfs"
 )
 
 // ErrCorrupt reports a segment file whose magic, checksum or framing
@@ -91,7 +91,7 @@ func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
 	if err != nil {
 		return err
 	}
-	return WriteTable(fault.OS, path, m, t, zones)
+	return WriteTable(vfs.OS, path, m, t, zones)
 }
 
 // WriteTable encodes one table snapshot into path atomically, all I/O
@@ -99,7 +99,7 @@ func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
 // table holds it, each spelling once. zones, when non-nil,
 // is the snapshot's per-column zone maps (len(m.Columns) columns wide)
 // persisted in the checksummed footer. Nothing is retained.
-func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]table.Zone) error {
+func WriteTable(fsys vfs.FS, path string, m Meta, t *table.Table, zones [][]table.Zone) error {
 	if len(m.Columns) != t.NumCols() {
 		return fmt.Errorf("segment: %s: meta names %d columns, table has %d", path, len(m.Columns), t.NumCols())
 	}
@@ -113,8 +113,8 @@ func WriteTable(fsys fault.FS, path string, m Meta, t *table.Table, zones [][]ta
 // passthrough): tmp + fsync + rename + dir fsync, so a crash or a
 // fault on any step leaves the previous file or the new one, never a
 // torn mix, and no tmp file behind.
-func writeAtomic(fsys fault.FS, dir, name string, data []byte) error {
-	fsys = fault.Or(fsys)
+func writeAtomic(fsys vfs.FS, dir, name string, data []byte) error {
+	fsys = vfs.Or(fsys)
 	tmp, err := fsys.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
@@ -276,7 +276,7 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // Read decodes the segment file at path into row-major raw cell text:
 // ReadTable, and the rows of the table it returns.
 func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
-	m, t, zones, err := ReadTable(fault.OS, path)
+	m, t, zones, err := ReadTable(vfs.OS, path)
 	if err != nil {
 		return m, nil, nil, err
 	}
@@ -289,8 +289,8 @@ func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
 // read, a repeat by the code its spelling got, so a spelling is parsed
 // once however many records hold it. zones is the decoded per-column
 // zone footer — nil for a footer written without zones.
-func ReadTable(fsys fault.FS, path string) (Meta, *table.Table, [][]table.Zone, error) {
-	data, err := fault.Or(fsys).ReadFile(path)
+func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, [][]table.Zone, error) {
+	data, err := vfs.Or(fsys).ReadFile(path)
 	if err != nil {
 		return Meta{}, nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"nlexplain/internal/fault"
 	"nlexplain/internal/retry"
+	"nlexplain/internal/vfs"
 )
 
 // openInjected opens a durable store over an InjectFS with a fast
@@ -50,7 +51,7 @@ func waitHealthy(t *testing.T, st *Store, bound time.Duration) {
 // mutation.
 func TestStoreDegradedRecovery(t *testing.T) {
 	dir := t.TempDir()
-	fs := fault.NewInject(fault.OS, 7)
+	fs := fault.NewInject(vfs.OS, 7)
 	st := openInjected(t, dir, fs)
 
 	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
@@ -114,7 +115,7 @@ func TestStoreDegradedRecovery(t *testing.T) {
 // second try, and a clean reopen holds exactly what was acked.
 func TestStoreDegradedStreamedRegister(t *testing.T) {
 	dir := t.TempDir()
-	fs := fault.NewInject(fault.OS, 13)
+	fs := fault.NewInject(vfs.OS, 13)
 	st := openInjected(t, dir, fs)
 	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestStoreDegradedStreamedRegister(t *testing.T) {
 // recover once syncs work again.
 func TestStoreDegradedSyncFault(t *testing.T) {
 	dir := t.TempDir()
-	fs := fault.NewInject(fault.OS, 11)
+	fs := fault.NewInject(vfs.OS, 11)
 	st := openInjected(t, dir, fs)
 	defer st.Close()
 
@@ -181,7 +182,7 @@ func TestStoreDegradedSyncFault(t *testing.T) {
 // store.* series scrape.
 func TestStoreDegradedMetricsCounters(t *testing.T) {
 	dir := t.TempDir()
-	fs := fault.NewInject(fault.OS, 3)
+	fs := fault.NewInject(vfs.OS, 3)
 	st := openInjected(t, dir, fs)
 	defer st.Close()
 
@@ -209,7 +210,7 @@ func TestStoreDegradedMetricsCounters(t *testing.T) {
 // or crash, and a clean reopen must see every acked mutation.
 func TestStoreCloseWhileDegraded(t *testing.T) {
 	dir := t.TempDir()
-	fs := fault.NewInject(fault.OS, 5)
+	fs := fault.NewInject(vfs.OS, 5)
 	st := openInjected(t, dir, fs)
 	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
 		t.Fatal(err)

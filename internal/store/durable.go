@@ -12,11 +12,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nlexplain/internal/fault"
 	"nlexplain/internal/metric"
 	"nlexplain/internal/retry"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/table"
+	"nlexplain/internal/vfs"
 	"nlexplain/internal/wal"
 )
 
@@ -50,8 +50,9 @@ type DurableOptions struct {
 	// trigger.
 	CheckpointBytes int64
 	// FS is the filesystem all durability I/O goes through. nil means
-	// the real OS; tests and chaos runs inject a fault.InjectFS.
-	FS fault.FS
+	// the real OS (vfs.OS); tests and chaos runs substitute a fault
+	// injector.
+	FS vfs.FS
 	// RecoveryBackoff paces the degraded-mode recovery loop's attempts
 	// to rotate to a fresh log. The zero value uses the retry package
 	// defaults (50ms base doubling to a 5s cap, ±20% jitter).
@@ -84,7 +85,7 @@ func Open(opts Options, dopts DurableOptions) (*Store, error) {
 	d := &durability{
 		st:      st,
 		dir:     dopts.Dir,
-		fs:      fault.Or(dopts.FS),
+		fs:      vfs.Or(dopts.FS),
 		opts:    dopts.withDefaults(),
 		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
@@ -109,7 +110,7 @@ func Open(opts Options, dopts DurableOptions) (*Store, error) {
 type durability struct {
 	st   *Store
 	dir  string
-	fs   fault.FS
+	fs   vfs.FS
 	opts DurableOptions
 
 	// logMu orders mutations against checkpoint rotation: every

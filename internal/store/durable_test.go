@@ -11,8 +11,8 @@ import (
 	"sync"
 	"testing"
 
-	"nlexplain/internal/fault"
 	"nlexplain/internal/segment"
+	"nlexplain/internal/vfs"
 	"nlexplain/internal/wal"
 )
 
@@ -588,13 +588,13 @@ func TestDurableStoreOwnsNoWALGoroutine(t *testing.T) {
 // parkCloseFS parks the first Close of a wal-*.log file — the sealed
 // log's, during a rotation — until gate is closed.
 type parkCloseFS struct {
-	fault.FS
+	vfs.FS
 	once    sync.Once
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (p *parkCloseFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+func (p *parkCloseFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	f, err := p.FS.OpenFile(name, flag, perm)
 	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
 		return f, err
@@ -603,7 +603,7 @@ func (p *parkCloseFS) OpenFile(name string, flag int, perm os.FileMode) (fault.F
 }
 
 type parkCloseFile struct {
-	fault.File
+	vfs.File
 	fs *parkCloseFS
 }
 
@@ -620,7 +620,7 @@ func (f *parkCloseFile) Close() error {
 // closing must not read any store.wal.* counter lower than the scrape
 // before it.
 func TestStoreWALCountersMonotoneAcrossRotation(t *testing.T) {
-	fs := &parkCloseFS{FS: fault.OS, entered: make(chan struct{}), gate: make(chan struct{})}
+	fs := &parkCloseFS{FS: vfs.OS, entered: make(chan struct{}), gate: make(chan struct{})}
 	st, err := Open(Options{}, DurableOptions{Dir: t.TempDir(), CheckpointInterval: -1, CheckpointBytes: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,9 @@
-// Package fault provides the filesystem seam under the durability
-// layer: an FS interface covering every file operation the WAL,
-// segment and checkpoint code perform, a passthrough OS implementation,
-// and a deterministic programmable fault injector (InjectFS) that
-// executes seeded fault plans — fail-the-Nth-op, per-op-class
-// probability, one-shot and sticky EIO/ENOSPC, short (torn) writes,
-// fsyncs that lie, injected latency — in the spirit of the errorfs
-// harnesses production stores use to validate crash recovery and
-// graceful degradation.
-//
-// Production code paths always run against OS (a zero-cost passthrough
-// to the os package); tests, the engine's chaos episodes among them,
-// swap in an InjectFS whose plan is a list of Rule values:
-//
-//	&Rule{Path: "wal-*.log", Op: OpWrite, AfterN: 3, Err: syscall.ENOSPC, ShortWrite: true}
-package fault
+// Package vfs is the filesystem seam under the durability layer: an FS
+// interface covering every file operation the WAL, segment and
+// checkpoint code perform, and OS, the passthrough to the os package
+// that every production path runs against. Tests hand the same code a
+// fault-injecting FS (internal/fault) instead.
+package vfs
 
 import (
 	"io"
@@ -38,8 +28,8 @@ type File interface {
 }
 
 // FS is the filesystem the durability layer performs all I/O through.
-// OS is the passthrough production implementation; InjectFS executes
-// fault plans for tests and chaos runs.
+// OS is the passthrough production implementation; tests and chaos runs
+// substitute a fault injector.
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)

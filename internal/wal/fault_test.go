@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nlexplain/internal/fault"
+	"nlexplain/internal/vfs"
 )
 
 // TestWALFaultSchedules drives appends into logs whose filesystem
@@ -37,7 +38,7 @@ func TestWALFaultSchedules(t *testing.T) {
 	for _, tc := range schedules {
 		t.Run(tc.name, func(t *testing.T) {
 			path := tmpLog(t)
-			fs := fault.NewInject(fault.OS, 1, tc.rule)
+			fs := fault.NewInject(vfs.OS, 1, tc.rule)
 			w, res, err := OpenFS(fs, path)
 			if err != nil {
 				t.Fatalf("OpenFS: %v", err)
@@ -92,7 +93,7 @@ func TestWALFaultSchedules(t *testing.T) {
 // never sees a corrupt image, only (at worst) a shorter one.
 func TestWALLyingSyncStaysConsistent(t *testing.T) {
 	path := tmpLog(t)
-	fs := fault.NewInject(fault.OS, 1, &fault.Rule{Path: "wal-*.log", Op: fault.OpSync, SilentSync: true, Count: fault.Sticky})
+	fs := fault.NewInject(vfs.OS, 1, &fault.Rule{Path: "wal-*.log", Op: fault.OpSync, SilentSync: true, Count: fault.Sticky})
 	w, _, err := OpenFS(fs, path)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestWALLyingSyncStaysConsistent(t *testing.T) {
 func tornWALImage(tb testing.TB) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "wal-0000000000000001.log")
-	fs := fault.NewInject(fault.OS, 1,
+	fs := fault.NewInject(vfs.OS, 1,
 		&fault.Rule{Path: "wal-*.log", Op: fault.OpWrite, AfterN: 2, Err: syscall.ENOSPC, ShortWrite: true, Count: fault.Sticky})
 	w, _, err := OpenFS(fs, path)
 	if err != nil {
@@ -139,7 +140,7 @@ func tornWALImage(tb testing.TB) []byte {
 		tb.Fatal("short-write rule never fired")
 	}
 	w.Close()
-	data, err := fault.OS.ReadFile(path)
+	data, err := vfs.OS.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestWALTornImageRecovery(t *testing.T) {
 // count of file fsyncs issued through the FS so far; the hook may park
 // the fsync or fail it.
 type gateFS struct {
-	fault.FS
+	vfs.FS
 	syncs atomic.Int32
 	hook  func(n int) error
 }
 
-func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	f, err := g.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -183,7 +184,7 @@ func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, 
 }
 
 type gateFile struct {
-	fault.File
+	vfs.File
 	fs *gateFS
 }
 
@@ -203,7 +204,7 @@ func parkedLeader(t *testing.T, path string, secondErr error) (w *WAL, fs *gateF
 	t.Helper()
 	gate = make(chan struct{})
 	entered := make(chan struct{})
-	fs = &gateFS{FS: fault.OS, hook: func(n int) error {
+	fs = &gateFS{FS: vfs.OS, hook: func(n int) error {
 		switch n {
 		case 1:
 			close(entered)
@@ -379,7 +380,7 @@ func TestWALTornStreamedRecord(t *testing.T) {
 	open := func(t *testing.T, rules ...*fault.Rule) (string, *WAL, *fault.InjectFS) {
 		t.Helper()
 		path := tmpLog(t)
-		fs := fault.NewInject(fault.OS, 1, rules...)
+		fs := fault.NewInject(vfs.OS, 1, rules...)
 		w, _, err := OpenFS(fs, path)
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nlexplain/internal/fault"
+	"nlexplain/internal/vfs"
 )
 
 // ErrCorrupt reports checksum or framing damage before the final
@@ -94,12 +94,12 @@ type ScanResult struct {
 // opening it for writing. Torn tails are reported, not errors;
 // mid-log damage is ErrCorrupt.
 func Scan(path string) (*ScanResult, error) {
-	return ScanFS(fault.OS, path)
+	return ScanFS(vfs.OS, path)
 }
 
 // ScanFS is Scan reading through fsys (nil means the OS passthrough).
-func ScanFS(fsys fault.FS, path string) (*ScanResult, error) {
-	data, err := fault.Or(fsys).ReadFile(path)
+func ScanFS(fsys vfs.FS, path string) (*ScanResult, error) {
+	data, err := vfs.Or(fsys).ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +172,8 @@ type WAL struct {
 	// writes and fsyncs it with only syncMu held, so appenders keep
 	// buffering while a sync is in flight.
 	mu        sync.Mutex
-	fs        fault.FS
-	f         fault.File
+	fs        vfs.FS
+	f         vfs.File
 	buf       []byte // pending framed records not yet written to f
 	writeSeq  uint64 // records accepted into buf
 	syncedSeq uint64 // records covered by a completed fsync
@@ -199,14 +199,14 @@ type WAL struct {
 // one remaining caller is benchmark/trace.go, which this repository's
 // feature PRs may not edit. It goes when Open and OpenFS collapse.
 func Open(path string, _ time.Duration) (*WAL, *ScanResult, error) {
-	return OpenFS(fault.OS, path)
+	return OpenFS(vfs.OS, path)
 }
 
 // OpenFS is Open performing all I/O through fsys (nil means the OS
 // passthrough). The durability layer threads its fault-injection
 // filesystem through here.
-func OpenFS(fsys fault.FS, path string) (*WAL, *ScanResult, error) {
-	fsys = fault.Or(fsys)
+func OpenFS(fsys vfs.FS, path string) (*WAL, *ScanResult, error) {
+	fsys = vfs.Or(fsys)
 	res, err := ScanFS(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
 		res, err = &ScanResult{}, nil
