@@ -231,11 +231,12 @@ type Cell struct {
 	Marking string `json:"marking,omitempty"`
 }
 
-// Grid is a highlighted table in JSON-friendly form — the wire format
-// shared by the export package and the wtq-server HTTP service. Headers
-// carry aggregate markers where Algorithm 1 places them, the function
-// as the query spells it ("max(Year)"; Text, ANSI and HTML upper-case
-// it, "MAX(Year)"); Rows holds the source record index of each cell row so
+// Grid is a highlighted table in JSON-friendly form: the "grid" of the
+// explanation document (export.ExplanationJSON) that /v1/explain serves
+// and the library's ExplainJSON returns. Headers carry aggregate
+// markers where Algorithm 1 places them, the function as the query
+// spells it ("max(Year)"; Text, ANSI and HTML upper-case it,
+// "MAX(Year)"); Rows holds the source record index of each cell row so
 // front-ends can show original positions for sampled tables.
 type Grid struct {
 	Name    string   `json:"name"`
