@@ -12,7 +12,7 @@ GO ?= go
 # never lower it to make a PR pass.
 COVERAGE_FLOOR = 65
 
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint lines store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint lines store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export serve ci
 
 all: build
 
@@ -191,9 +191,16 @@ fuzz-segment:
 fuzz-provenance:
 	$(GO) test -run '^$$' -fuzz FuzzHighlight -fuzztime 30s ./internal/provenance/
 
+# fuzz-export runs the explanation encoder's string fuzzer for a
+# bounded window: for any bytes, the string the hand-written encoder
+# appends must equal json.Marshal's, so /v1/explain's bytes stay
+# encoding/json's without its reflection.
+fuzz-export:
+	$(GO) test -run '^$$' -fuzz FuzzAppendString -fuzztime 30s ./internal/export/
+
 # fuzz is every time-boxed fuzz target in turn, as the CI fuzz job
 # runs them.
-fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance
+fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export
 
 # metrics-lint verifies the metric namespace: every registered series
 # name well-formed, collision-free and matching the canonical list in

@@ -29,8 +29,9 @@ func TestExplainHandlerAllocs(t *testing.T) {
 		name, url, body string
 		bound           float64
 	}{
-		{"explain", "/v1/explain", `{"table":"olympics","query":"max(R[Year].Country.Greece)"}`, 35},
-		{"batch", "/v1/explain/batch", `{"queries":[{"table":"olympics","query":"max(R[Year].Country.Greece)"},{"table":"olympics","query":"count(City.Athens)"}]}`, 53},
+		// measured 31 / 46; 35 / 53 through encoding/json's indenting encoder
+		{"explain", "/v1/explain", `{"table":"olympics","query":"max(R[Year].Country.Greece)"}`, 31},
+		{"batch", "/v1/explain/batch", `{"queries":[{"table":"olympics","query":"max(R[Year].Country.Greece)"},{"table":"olympics","query":"count(City.Athens)"}]}`, 46},
 	} {
 		serve := func() {
 			rec := httptest.NewRecorder()

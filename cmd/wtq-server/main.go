@@ -81,12 +81,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"nlexplain"
+	"nlexplain/internal/export"
 	"nlexplain/internal/metric"
 )
 
@@ -182,9 +184,12 @@ func (s *server) route(mux *http.ServeMux, pattern, name string, h http.HandlerF
 	})
 }
 
-// encBuf pairs a reusable buffer with the encoder bound to it; the
-// pool recycles both across requests, so steady-state responses
-// allocate neither an encoder nor a fresh backing array.
+// encBuf pairs a reusable response buffer with the encoder bound to
+// it; the pool recycles both across requests, so steady-state
+// responses allocate neither an encoder nor a fresh backing array. The
+// explanation responses (/v1/explain and /v1/explain/batch) are
+// appended into the buffer by writeAppended; every other response goes
+// through the encoder, in writeJSON.
 type encBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -201,6 +206,9 @@ var encPool = sync.Pool{New: func() any {
 	return e
 }}
 
+// writeJSON writes v as encoding/json's indented encoder spells it:
+// every response but the two explanation ones, which writeAppended
+// writes in the same bytes without reflection.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	e := encPool.Get().(*encBuf)
 	e.buf.Reset()
@@ -213,6 +221,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, codeInternal, "internal server error")
 		return
 	}
+	send(w, status, e)
+}
+
+// writeAppended writes the body appendJSON appends to a pooled buffer.
+// appendJSON cannot fail: it spells the response out by hand, in the
+// bytes writeJSON would have made of it.
+func writeAppended(w http.ResponseWriter, status int, appendJSON func([]byte) []byte) {
+	e := encPool.Get().(*encBuf)
+	e.buf.Reset()
+	e.buf.Write(appendJSON(e.buf.AvailableBuffer()))
+	send(w, status, e)
+}
+
+// send writes the response in e and returns e to the pool.
+func send(w http.ResponseWriter, status int, e *encBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if _, err := w.Write(e.buf.Bytes()); err != nil {
@@ -431,9 +454,19 @@ type explainRequest struct {
 	Query string `json:"query"`
 }
 
+// explainResponse is the /v1/explain body. Its tags are the spec;
+// appendJSON writes it.
 type explainResponse struct {
 	*nlexplain.EngineExplanation
 	Cached bool `json:"cached"`
+}
+
+// appendJSON appends r as writeJSON would encode it, the explanation's
+// members and the cache flag in one object.
+func (r explainResponse) appendJSON(b []byte) []byte {
+	b = r.EngineExplanation.AppendMembers(append(b, '{'), 1)
+	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), r.Cached)
+	return append(b, "\n}\n"...)
 }
 
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -446,7 +479,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writePipelineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, explainResponse{EngineExplanation: ex, Cached: cached})
+	writeAppended(w, http.StatusOK, explainResponse{EngineExplanation: ex, Cached: cached}.appendJSON)
 }
 
 type batchRequest struct {
@@ -465,9 +498,45 @@ type batchItem struct {
 	ErrorCode string `json:"error_code,omitempty"`
 }
 
+// batchResponse is the /v1/explain/batch body. Its tags and
+// batchItem's are the spec; appendJSON writes it.
 type batchResponse struct {
 	Results []batchItem `json:"results"`
 	Errors  int         `json:"errors"`
+}
+
+// appendJSON appends r as writeJSON would encode it.
+func (r batchResponse) appendJSON(b []byte) []byte {
+	b = append(b, "{\n  \"results\": "...)
+	switch {
+	case r.Results == nil:
+		b = append(b, "null"...)
+	case len(r.Results) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i, item := range r.Results {
+			if i == 0 {
+				b = append(b, "[\n    {"...)
+			} else {
+				b = append(b, ",\n    {"...)
+			}
+			if item.Explanation != nil {
+				b = item.Explanation.AppendIndent(append(b, "\n      \"explanation\": "...), 3)
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(append(b, "\n      \"cached\": "...), item.Cached)
+			if item.Error != "" {
+				b = export.AppendString(append(b, ",\n      \"error\": "...), item.Error)
+			}
+			if item.ErrorCode != "" {
+				b = export.AppendString(append(b, ",\n      \"error_code\": "...), item.ErrorCode)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = strconv.AppendInt(append(b, ",\n  \"errors\": "...), int64(r.Errors), 10)
+	return append(b, "\n}\n"...)
 }
 
 func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
@@ -498,7 +567,7 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = item
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, http.StatusOK, resp.appendJSON)
 }
 
 type answerResponse struct {

@@ -10,7 +10,6 @@ package export
 
 import (
 	"context"
-	"encoding/json"
 
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/provenance"
@@ -113,11 +112,11 @@ func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, thre
 }
 
 // Marshal builds the explanation of a query over a table and renders
-// it as indented JSON.
+// it as indented JSON, through the encoder the server writes it with.
 func Marshal(q dcs.Expr, t *table.Table) ([]byte, error) {
 	doc, _, err := Build(q, t, 0)
 	if err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return doc.AppendIndent(nil, 0), nil
 }
