@@ -73,6 +73,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -330,22 +331,32 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return decodeCapped(w, r, v, 16<<20)
 }
 
-// decodeCapped decodes a JSON body bounded by limit bytes. An
+// errTrailingData refuses a body that goes on after its JSON value.
+var errTrailingData = errors.New("body continues after the JSON value")
+
+// decodeCapped decodes a JSON body bounded by limit bytes. The body is
+// one JSON value: whitespace may follow it, anything else is a 400. An
 // over-limit body maps to 413 with code "too_large", not 400: the
 // request may be well-formed, the server just refuses to buffer it.
 func decodeCapped(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
+		if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errTrailingData
+		}
+	}
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, "request body exceeds %d bytes", maxErr.Limit)
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, codeBadRequest, "decoding request: %v", err)
+	return false
 }
 
 type registerTableRequest struct {

@@ -48,19 +48,25 @@ func counter(t testing.TB, e *nlexplain.Engine, name string) uint64 {
 	return 0
 }
 
+// rawBody is a request body doJSON sends as it is, not marshalled.
+type rawBody string
+
 // doJSON issues a request with an arbitrary method (PATCH, DELETE)
-// and a JSON body.
+// and a JSON body: body marshalled, or sent verbatim if a rawBody.
 func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	var rd *bytes.Reader
-	if body != nil {
+	switch b := body.(type) {
+	case nil:
+		rd = bytes.NewReader(nil)
+	case rawBody:
+		rd = bytes.NewReader([]byte(b))
+	default:
 		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rd = bytes.NewReader(raw)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {

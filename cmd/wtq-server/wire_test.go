@@ -73,6 +73,12 @@ func TestServerWireGolden(t *testing.T) {
 		{"error-unknown-append", http.MethodPatch, ts.URL + "/v1/tables/nope", map[string]any{"rows": [][]string{{"1"}}}},
 		{"error-unknown-drop", http.MethodDelete, ts.URL + "/v1/tables/nope", nil},
 		{"error-too-large", http.MethodPost, capped.URL + "/v1/tables", olympics},
+		// A body is one JSON value: trailing whitespace is accepted,
+		// anything else after the value refused.
+		{"explain-trailing-space", http.MethodPost, ts.URL + "/v1/explain", rawBody(`{"table":"olympics","query":"count(City.Athens)"}` + " \n\t\r\n")},
+		{"error-trailing-garbage", http.MethodPost, ts.URL + "/v1/explain", rawBody(`{"table":"olympics","query":"City.Athens"}xyz`)},
+		{"error-trailing-value", http.MethodPost, ts.URL + "/v1/tables", rawBody(`{"name":"lakes","csv":"Lake\nErie\n"}{"name":"ponds","csv":"Pond\nWalden\n"}`)},
+		{"tables-after-trailing", http.MethodGet, ts.URL + "/v1/tables", nil},
 	}
 	got := make(map[string]string)
 	for _, tc := range cases {
@@ -116,36 +122,40 @@ func wireHash(status int, h http.Header, body []byte) string {
 // serverWireGolden holds the SHA-256 of every response
 // TestServerWireGolden makes.
 var serverWireGolden = map[string]string{
-	"register":              "fdec0280988861b734622ec254eaa4e9b2aab9356ef74c85d85531c2481b3a39",
-	"register-csv":          "3fccede23b282ab77b714331e8dcad22503dfc453e22de3756a050453a6b3e15",
-	"explain-miss":          "abb11f9e525766f78052b9f6c7a97c4b9de1af1bc75616c1abd39e4b959c3fff",
-	"explain-hit":           "35137653af41b1e5dc762c5866b477b63676e7e875a873f7aa1ab12af99c0e70",
-	"explain-prev":          "ac6ffb6165ca1584c9d8fccc8d86a41697dd034b9cd0334e7cdc2746cbbe4455",
-	"batch":                 "fa5b5f11a7cd3884b1f2f6a4d9c364df3966ace09a05e9fbea5a8219c8a56379",
-	"answer":                "62ae6d94ac0bf6b0574cb1cb66f1802e2165a0b326a63c212488abb1db8bc928",
-	"answer-hit":            "e41c5a1553a4c929e4d6e4ecd8b677b6fbfbacb5e4ffc3569a146d83b4bb1852",
-	"parse":                 "b70ee7383d18a133953dda282292fbd740e8cfbe7827fffa495300b1ccec11c8",
-	"append":                "1fcd0f873005b331e95850c059fb4413392c47f36ed50b4421d82069374d30ec",
-	"explain-after-append":  "7fbda1f516bc0b9594252581249055347b4751887dd1ff30a53637cdd50054db",
-	"drop":                  "bd96703897a4fb90a74b2e8295b6da4aca8d345a76838d20b1dbad117d76b5a7",
-	"healthz":               "fb27421f41a2ec93e512078868b604fc9ae97da1ad540cfb2c0e9d1b58473676",
-	"error-bad-query":       "e61e567b07844fc0dc3eb10e61341002816bf6869d47313428869c295b8b466a",
-	"error-runtime":         "7efd1c565ef7f7d0cfe4267d56eeb72ab1dac61e34b2644ab132ab21e9df16b5",
-	"error-answer-runtime":  "9a24b2de887b6d6081b2cbd9d188507d98e4d992ec5ba18bef11f734f7bce67e",
-	"error-malformed":       "93236801a757c0968688fa77e2e2832cf36fb00948ff06606a58c587923fbab4",
-	"error-unknown-field":   "117ab0b8bf452df5d54db8c56f967793d589962ed2452af3244e58c1cf250e3a",
-	"error-empty-batch":     "355c7504a5f4cf7838221ee87bc4dc41e274bfbd5d4ed62a514943f5e50be00d",
-	"error-no-name":         "10d2f9569d4a4b43505676790766c864ca71bcde7caf5290ced95f642458e407",
-	"error-no-rows":         "3150170c69d72f93ae63bb26c929e59eaef8a937f1698379e7a3fc0a9d5a649e",
-	"error-unknown-explain": "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
-	"error-unknown-parse":   "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
-	"error-unknown-get":     "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
-	"error-unknown-append":  "ddaec270cbb325b7abe85f29f4ddd2123b303a722e3480b1e970a81b299d2bd6",
-	"error-unknown-drop":    "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
-	"error-too-large":       "e92878e8d0e76fb29fd7fd73094ca49143e6f5f106295089e1f3cdc4947c548f",
-	"error-deadline":        "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
-	"error-canceled":        "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",
-	"error-overloaded":      "807d4733e61199c59a6609f36da56ac71dcd90053538d2867f8ad1bc8616f67f",
-	"error-unavailable":     "178cc033c9b0c02f60c117c3bd71e90aaf7eb9e288ccedf2618c70589bae39cb",
-	"error-internal":        "17a17e6a5cf364a36060795b74fca59f2a65fee8f1261d0ddcfd505964ea7de7",
+	"register":               "fdec0280988861b734622ec254eaa4e9b2aab9356ef74c85d85531c2481b3a39",
+	"register-csv":           "3fccede23b282ab77b714331e8dcad22503dfc453e22de3756a050453a6b3e15",
+	"explain-miss":           "abb11f9e525766f78052b9f6c7a97c4b9de1af1bc75616c1abd39e4b959c3fff",
+	"explain-hit":            "35137653af41b1e5dc762c5866b477b63676e7e875a873f7aa1ab12af99c0e70",
+	"explain-prev":           "ac6ffb6165ca1584c9d8fccc8d86a41697dd034b9cd0334e7cdc2746cbbe4455",
+	"batch":                  "fa5b5f11a7cd3884b1f2f6a4d9c364df3966ace09a05e9fbea5a8219c8a56379",
+	"answer":                 "62ae6d94ac0bf6b0574cb1cb66f1802e2165a0b326a63c212488abb1db8bc928",
+	"answer-hit":             "e41c5a1553a4c929e4d6e4ecd8b677b6fbfbacb5e4ffc3569a146d83b4bb1852",
+	"parse":                  "b70ee7383d18a133953dda282292fbd740e8cfbe7827fffa495300b1ccec11c8",
+	"append":                 "1fcd0f873005b331e95850c059fb4413392c47f36ed50b4421d82069374d30ec",
+	"explain-after-append":   "7fbda1f516bc0b9594252581249055347b4751887dd1ff30a53637cdd50054db",
+	"drop":                   "bd96703897a4fb90a74b2e8295b6da4aca8d345a76838d20b1dbad117d76b5a7",
+	"healthz":                "fb27421f41a2ec93e512078868b604fc9ae97da1ad540cfb2c0e9d1b58473676",
+	"error-bad-query":        "e61e567b07844fc0dc3eb10e61341002816bf6869d47313428869c295b8b466a",
+	"error-runtime":          "7efd1c565ef7f7d0cfe4267d56eeb72ab1dac61e34b2644ab132ab21e9df16b5",
+	"error-answer-runtime":   "9a24b2de887b6d6081b2cbd9d188507d98e4d992ec5ba18bef11f734f7bce67e",
+	"error-malformed":        "93236801a757c0968688fa77e2e2832cf36fb00948ff06606a58c587923fbab4",
+	"error-unknown-field":    "117ab0b8bf452df5d54db8c56f967793d589962ed2452af3244e58c1cf250e3a",
+	"error-empty-batch":      "355c7504a5f4cf7838221ee87bc4dc41e274bfbd5d4ed62a514943f5e50be00d",
+	"error-no-name":          "10d2f9569d4a4b43505676790766c864ca71bcde7caf5290ced95f642458e407",
+	"error-no-rows":          "3150170c69d72f93ae63bb26c929e59eaef8a937f1698379e7a3fc0a9d5a649e",
+	"error-unknown-explain":  "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
+	"error-unknown-parse":    "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
+	"error-unknown-get":      "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
+	"error-unknown-append":   "ddaec270cbb325b7abe85f29f4ddd2123b303a722e3480b1e970a81b299d2bd6",
+	"error-unknown-drop":     "031463448a2d207c120f3f2bc4ca1cfa6ff056d560e95d7dbac6a3e4cba7f80e",
+	"error-too-large":        "e92878e8d0e76fb29fd7fd73094ca49143e6f5f106295089e1f3cdc4947c548f",
+	"explain-trailing-space": "fd2646a4f2b6e2b252815b71e3a7f4070194d77302f4cbbdaa11f46a406fde46",
+	"error-trailing-garbage": "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
+	"error-trailing-value":   "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
+	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
+	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
+	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",
+	"error-overloaded":       "807d4733e61199c59a6609f36da56ac71dcd90053538d2867f8ad1bc8616f67f",
+	"error-unavailable":      "178cc033c9b0c02f60c117c3bd71e90aaf7eb9e288ccedf2618c70589bae39cb",
+	"error-internal":         "17a17e6a5cf364a36060795b74fca59f2a65fee8f1261d0ddcfd505964ea7de7",
 }
