@@ -472,3 +472,142 @@ func TestSegmentBytesGolden(t *testing.T) {
 		})
 	}
 }
+
+// buildChunkRows is the records a table build hands its columns at a
+// time once the table reaches it: one morsel of the plan executor.
+const buildChunkRows = 32768
+
+// chunkReprRows is an n-record relation shaped for the seams of a
+// build that fills its columns a batch of records at a time: a key
+// group split late ("Athens" after "athens", in the last record), a
+// spelling first seen in the last record, a NaN cell, sequence and
+// repeating numeric columns.
+func chunkReprRows(n int) [][]string {
+	cities := []string{"athens", "paris", "rome", "oslo", "lima"}
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{cities[i%len(cities)], strconv.Itoa(i), strconv.Itoa(i * 7919 % 1000), "note " + strconv.Itoa(i%3)}
+	}
+	if n > 0 {
+		rows[n/2][2] = "NaN"
+		rows[n-1][0] = "Athens"
+		rows[n-1][3] = "first seen last"
+	}
+	return rows
+}
+
+// assertSameColumns compares two tables that should hold one relation
+// column by column: the dictionary and codes a segment stores, the key
+// codes and postings the executors read, the numeric vector, the flags,
+// the zones and the content hash, and every cell's value. It reads each
+// posting list once per key rather than once per cell, which keeps a
+// 131072-record comparison cheap.
+func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
+	t.Helper()
+	if got.Name() != want.Name() || got.NumRows() != want.NumRows() || !slices.Equal(got.Columns(), want.Columns()) {
+		t.Fatalf("%s: %q %dx%v, want %q %dx%v", label, got.Name(), got.NumRows(), got.Columns(), want.Name(), want.NumRows(), want.Columns())
+	}
+	if g, w := contentVersion(got), contentVersion(want); g != w {
+		t.Fatalf("%s: contentVersion %s, want %s", label, g, w)
+	}
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
+	for c := 0; c < want.NumCols(); c++ {
+		gd, gc := got.ColumnDictionary(c)
+		wd, wc := want.ColumnDictionary(c)
+		if gd.Len() != wd.Len() || !slices.Equal(gc, wc) {
+			t.Fatalf("%s: column %d: %d entries, codes differ: %v", label, c, gd.Len(), !slices.Equal(gc, wc))
+		}
+		for e := 0; e < wd.Len(); e++ {
+			if gd.Entry(e) != wd.Entry(e) {
+				t.Fatalf("%s: column %d entry %d = %q, want %q", label, c, e, gd.Entry(e), wd.Entry(e))
+			}
+		}
+		if got.NumKeys(c) != want.NumKeys(c) || !slices.Equal(got.ColumnKeyCodes(c), want.ColumnKeyCodes(c)) {
+			t.Fatalf("%s: column %d key codes differ", label, c)
+		}
+		if gn, wn := got.ColumnNums(c), want.ColumnNums(c); (gn == nil) != (wn == nil) || !slices.EqualFunc(gn, wn, sameBits) {
+			t.Fatalf("%s: ColumnNums(%d) diverge", label, c)
+		}
+		if got.ColumnAllNumeric(c) != want.ColumnAllNumeric(c) || got.ColumnIndexable(c) != want.ColumnIndexable(c) {
+			t.Fatalf("%s: column %d flags diverge", label, c)
+		}
+		distinct := want.DistinctColumnValues(c)
+		if g := got.DistinctColumnValues(c); !slices.EqualFunc(g, distinct, sameCellValue) {
+			t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", label, c, g, distinct)
+		}
+		for _, v := range distinct {
+			if g, w := got.RowsForKey(c, v.Key()), want.RowsForKey(c, v.Key()); !slices.Equal(g, w) {
+				t.Fatalf("%s: RowsForKey(%d, %q) diverges", label, c, v.Key())
+			}
+			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
+				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)
+			}
+		}
+		for r := 0; r < want.NumRows(); r++ {
+			if !sameCellValue(got.Value(r, c), want.Value(r, c)) || got.CellKind(r, c) != want.CellKind(r, c) {
+				t.Fatalf("%s: Value(%d,%d) = %#v, want %#v", label, r, c, got.Value(r, c), want.Value(r, c))
+			}
+		}
+		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
+			t.Fatalf("%s: NumericSortedRows(%d) diverge", label, c)
+		}
+		if !sameZoneMaps(gz[c], wz[c]) {
+			t.Fatalf("%s: zones of column %d diverge", label, c)
+		}
+	}
+}
+
+// TestTableRepresentationAcrossChunks is the one-table property at the
+// sizes where a build changes how it hands records to its columns: a
+// header-only table, one record, a batch less one, a batch, a batch
+// and one, two batches and one, and the 131072-record scan size (-short
+// skips it). The CSV's header carries a byte-order mark. FromCSV, an
+// Append onto a third of the relation, an Append onto the empty table
+// and the register record and segment round trips all build the
+// relation New builds.
+func TestTableRepresentationAcrossChunks(t *testing.T) {
+	columns := []string{"City", "Seq", "Score", "Note"}
+	for _, n := range []int{0, 1, buildChunkRows - 1, buildChunkRows, buildChunkRows + 1, 2*buildChunkRows + 1, 131072} {
+		if n == 131072 && testing.Short() {
+			continue
+		}
+		rows := chunkReprRows(n)
+		want := mustNew(t, "chunks", columns, rows)
+		label := strconv.Itoa(n) + " records"
+
+		bom := slices.Clone(columns)
+		bom[0] = "\ufeff" + bom[0]
+		fromCSV, err := table.FromCSV("chunks", csvOf(t, bom, rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameColumns(t, label+", FromCSV", fromCSV, want)
+		assertSameColumns(t, label+", Append onto a third", mustAppend(t, mustNew(t, "chunks", columns, rows[:n/3]), rows[n/3:]), want)
+		assertSameColumns(t, label+", Append onto the empty table", mustAppend(t, mustNew(t, "chunks", columns, nil), rows), want)
+		assertSameColumns(t, label+", register record round trip", throughWAL(t, fromCSV), want)
+		assertSameColumns(t, label+", segment round trip", throughSegment(t, fromCSV), want)
+	}
+}
+
+// TestFromCSVErrorAcrossChunks pins FromCSV's error text for a ragged
+// record and for a bare quote that sit in the second batch of records.
+func TestFromCSVErrorAcrossChunks(t *testing.T) {
+	columns := []string{"City", "Seq", "Score", "Note"}
+	good := chunkReprRows(buildChunkRows + 5)
+	var doc bytes.Buffer
+	if _, err := csvOf(t, columns, good).WriteTo(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, tail, want string
+	}{
+		{"ragged", "oslo,7\n", `table "chunks": csv row 32774 has 2 fields, want 4`},
+		{"bare quote", "oslo,7,8,a\"b\n", `table "chunks": reading csv: parse error on line 32775, column 11: bare " in non-quoted-field`},
+	} {
+		_, err := table.FromCSV("chunks", strings.NewReader(doc.String()+tc.tail+"rome,1,2,3\n"))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: FromCSV error %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}

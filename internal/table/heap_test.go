@@ -1,6 +1,8 @@
 package table
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -67,14 +69,78 @@ func bigFixture() []*Table {
 // them. Two type bytes per cell or a numeric vector for the two text
 // columns (2.7 a cell) would fit; TestValueMatchesParse holds a text
 // column's vector to nil.
+//
+// The same fixture read from CSV at 100 000 records — a count no
+// vector's growth lands on exactly — is held to 26.8 estimated and
+// 26.9 live bytes per cell: what a build that grows its vectors the
+// way append does keeps. Room a vector was grown into and never
+// filled shows in both.
 func TestTableHeapPerCell(t *testing.T) {
-	tabs, heap := liveHeap(bigFixture)
-	perCell := float64(heap) / float64(tabs[0].NumRows()*tabs[0].NumCols())
-	t.Logf("%d live heap bytes, %.1f per cell", heap, perCell)
-	if perCell > 28 {
-		t.Errorf("big table keeps %.1f heap bytes per cell, want at most 28", perCell)
+	t.Run("New", func(t *testing.T) {
+		tabs, heap := liveHeap(bigFixture)
+		perCell := float64(heap) / float64(tabs[0].NumRows()*tabs[0].NumCols())
+		t.Logf("%d live heap bytes, %.1f per cell", heap, perCell)
+		if perCell > 28 {
+			t.Errorf("big table keeps %.1f heap bytes per cell, want at most 28", perCell)
+		}
+		runtime.KeepAlive(tabs)
+	})
+	t.Run("FromCSV", func(t *testing.T) {
+		doc := bigFixtureCSV(100_000)
+		tabs, heap := liveHeap(func() []*Table {
+			tab, err := FromCSV("big", bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Table{tab}
+		})
+		cells := float64(tabs[0].NumRows() * tabs[0].NumCols())
+		base, live := float64(tabs[0].BaseBytes())/cells, float64(heap)/cells
+		t.Logf("100000 records: BaseBytes %.2f per cell, live heap %.2f", base, live)
+		if base > 26.8 || live > 26.9 {
+			t.Errorf("FromCSV of 100000 records keeps %.2f estimated and %.2f live heap bytes per cell, want at most 26.8 and 26.9", base, live)
+		}
+		runtime.KeepAlive(tabs)
+		runtime.KeepAlive(doc) // live on both sides of the measurement
+	})
+}
+
+// bigFixtureCSV is the big fixture's first n records as a CSV
+// document, header first.
+func bigFixtureCSV(n int) []byte {
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	w.Write(bigFixtureCols)
+	w.WriteAll(bigFixtureRows(n))
+	return buf.Bytes()
+}
+
+// fromCSVAllocBound is the most FromCSV may allocate reading the big
+// fixture's 131072 records (5.2 MB of CSV). Growing every vector the
+// way append does, one cell at a time, read 76 328 392.
+const fromCSVAllocBound = 76_400_000
+
+// TestFromCSVAllocBytes pins the bytes FromCSV allocates reading the
+// big fixture's CSV: the reader's records and every vector the build
+// grows, outgrows and seals.
+func TestFromCSVAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
 	}
-	runtime.KeepAlive(tabs)
+	doc := bigFixtureCSV(131072)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab, err := FromCSV("big", bytes.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("FromCSV of %d bytes, %d cells allocated %d bytes", len(doc), tab.NumRows()*tab.NumCols(), got)
+	if got > fromCSVAllocBound {
+		t.Errorf("FromCSV allocated %d bytes, want at most %d", got, fromCSVAllocBound)
+	}
 }
 
 // TestBaseBytesTracksHeap holds the estimate the store budgets with to
