@@ -112,10 +112,17 @@ store-stress:
 # layer's tests, the engine-level hammer (8 query goroutines racing a
 # store mutator over a pinned snapshot) and the engine executor tests
 # (one engine's counts, two engines' separation) all rerun under the
-# race detector. The last line is the big table's footprint, measured
+# race detector. So does the table build's column fan-out, whose tests
+# set GOMAXPROCS 4 so that it forks on any runner: the fan-out itself,
+# New, FromCSV and Append filled side by side against one after the
+# other, segment decode's columns and the error it reports, and one
+# relation through every way into memory at the sizes around a batch
+# of records. The last line is the big table's footprint, measured
 # and so run without the detector: live heap per cell of a 131072 x 6
 # table, which a second copy of the cells in any form or 64-bit row
-# ids do not fit under, and the byte estimate the store's
+# ids do not fit under, and of the same table read from CSV at 100000
+# records, where room grown into and never filled would show; the
+# bytes FromCSV allocates reading it; the byte estimate the store's
 # -store-budget eviction trusts, held to that measured heap for the
 # big table and for web tables, the bytes a durable registration
 # of the big table allocates on the way to the log, and the bytes its
@@ -123,7 +130,8 @@ store-stress:
 bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
-	$(GO) test -run 'TestTableHeapPerCell|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
+	$(GO) test -race -run 'TestFillColumns|TestParallelBuildMatchesSerial|TestDecodeTableColumnsInParallel|TestTableRepresentationAcrossChunks|TestFromCSVErrorAcrossChunks' -count=1 ./internal/table/ ./internal/segment/ ./internal/store/
+	$(GO) test -run 'TestTableHeapPerCell|TestFromCSVAllocBytes|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data

@@ -377,6 +377,10 @@ func (s *server) handleRegisterTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "missing table name")
 		return
 	}
+	if req.CSV != "" && (req.Columns != nil || req.Rows != nil) {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "a table is csv or columns and rows, not both")
+		return
+	}
 	var (
 		info nlexplain.TableInfo
 		err  error

@@ -78,6 +78,9 @@ func TestServerWireGolden(t *testing.T) {
 		{"explain-trailing-space", http.MethodPost, ts.URL + "/v1/explain", rawBody(`{"table":"olympics","query":"count(City.Athens)"}` + " \n\t\r\n")},
 		{"error-trailing-garbage", http.MethodPost, ts.URL + "/v1/explain", rawBody(`{"table":"olympics","query":"City.Athens"}xyz`)},
 		{"error-trailing-value", http.MethodPost, ts.URL + "/v1/tables", rawBody(`{"name":"lakes","csv":"Lake\nErie\n"}{"name":"ponds","csv":"Pond\nWalden\n"}`)},
+		// A table is registered from csv or from columns and rows; a
+		// request with both is refused, and registers nothing.
+		{"error-csv-and-rows", http.MethodPost, ts.URL + "/v1/tables", map[string]any{"name": "ponds", "csv": "Pond\nWalden\n", "columns": []string{"Pond"}, "rows": [][]string{{"Walden"}}}},
 		{"tables-after-trailing", http.MethodGet, ts.URL + "/v1/tables", nil},
 	}
 	got := make(map[string]string)
@@ -152,6 +155,7 @@ var serverWireGolden = map[string]string{
 	"explain-trailing-space": "fd2646a4f2b6e2b252815b71e3a7f4070194d77302f4cbbdaa11f46a406fde46",
 	"error-trailing-garbage": "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
 	"error-trailing-value":   "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
+	"error-csv-and-rows":     "20bc96a54118f6f3a417addf3afa4468d601b9d1e357db796a91886fa4ab938f",
 	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
 	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
 	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",

@@ -340,25 +340,29 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	if err != nil {
 		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
-	var codes []uint32 // the builder's code for each spelling the column has spelled out so far
-	for c := 0; c < ncols; c++ {
-		codes = codes[:0]
-		for r := 0; r < nrows; r++ {
-			v := d.uvarint()
-			if d.err != nil {
-				return m, nil, nil, d.fail()
+	// A skip pass finds where each column's cells start, so that the
+	// columns can be decoded side by side. It stops after the first
+	// column whose framing is damaged; that column's own decode meets
+	// the damage again, unless it meets an earlier error in it first.
+	starts := make([]int, 0, ncols)
+	for c := 0; c < ncols && d.err == nil; c++ {
+		starts = append(starts, len(body)-len(d.buf))
+		for r := 0; r < nrows && d.err == nil; r++ {
+			if v := d.uvarint(); v&1 == 1 {
+				d.take(v >> 1)
 			}
-			if v&1 == 1 {
-				codes = append(codes, b.CellBytes(c, d.take(v>>1)))
-				continue
-			}
-			if v>>1 >= uint64(len(codes)) {
-				return m, nil, nil, fmt.Errorf("%w: %s: column %d repeats entry %d of %d", ErrCorrupt, what, c, v>>1, len(codes))
-			}
-			b.Repeat(c, codes[v>>1])
 		}
-		if d.err != nil {
-			return m, nil, nil, d.fail()
+	}
+	// Each column is decoded over the rest of the body, as one decoder
+	// walking the columns in turn would, and the lowest column's error
+	// is reported: the one that decoder would have met first.
+	errs := make([]error, len(starts))
+	table.FillColumns(len(starts), nrows, func(c int) {
+		errs[c] = decodeColumn(b, c, nrows, body[starts[c]:], what)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return m, nil, nil, err
 		}
 	}
 	var zones [][]table.Zone
@@ -396,6 +400,31 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
 	return m, t, zones, nil
+}
+
+// decodeColumn hands column c its nrows cells, the first of which
+// starts body, and returns the first error it meets.
+func decodeColumn(b *table.Builder, c, nrows int, body []byte, what string) error {
+	d := decoder{buf: body, what: what}
+	var codes []uint32 // the builder's code for each spelling the column has spelled out so far
+	for r := 0; r < nrows; r++ {
+		v := d.uvarint()
+		if d.err != nil {
+			return d.fail()
+		}
+		if v&1 == 1 {
+			codes = append(codes, b.CellBytes(c, d.take(v>>1)))
+			continue
+		}
+		if v>>1 >= uint64(len(codes)) {
+			return fmt.Errorf("%w: %s: column %d repeats entry %d of %d", ErrCorrupt, what, c, v>>1, len(codes))
+		}
+		b.Repeat(c, codes[v>>1])
+	}
+	if d.err != nil {
+		return d.fail()
+	}
+	return nil
 }
 
 // minZoneBytes is the least an encoded zone takes: two float64s, two

@@ -550,3 +550,78 @@ func FuzzSegmentRead(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeTableColumnsInParallel decodes bodies of a morsel of
+// records and one more, whose columns decode side by side (GOMAXPROCS
+// 4, so they do even on one CPU). A sound body builds the table New
+// builds. A damaged one is refused in the words one decoder walking
+// the columns in turn uses for the first damage it meets: the lowest
+// column's, though a later column's damage sits at an earlier record
+// or breaks the framing.
+func TestDecodeTableColumnsInParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	n := table.ZoneRows + 1
+	m := Meta{Name: "wide", Gen: 1, Version: "v", Columns: []string{"A", "B", "C", "D"}, Rows: n}
+	// column c spells a new entry every 100 records and repeats its
+	// first in between; bad makes record bad[c] repeat an entry the
+	// column has not spelled, and the last record of D is spelled out.
+	body := func(bad map[int]int) []byte {
+		b := appendHeader(nil, schemaSeg, m)
+		for c := range m.Columns {
+			cells := make([]any, n)
+			for r := range cells {
+				cells[r] = 0
+				if r%100 == 0 {
+					cells[r] = m.Columns[c] + strconv.Itoa(r)
+				}
+			}
+			if r, ok := bad[c]; ok {
+				cells[r] = 9999
+			}
+			if c == 3 {
+				cells[n-1] = "tail-spelling"
+			}
+			b = appendCells(b, cells...)
+		}
+		return binary.AppendUvarint(b, 0) // no zone footer columns
+	}
+	rows := make([][]string, n)
+	for r := range rows {
+		rows[r] = make([]string, len(m.Columns))
+		for c, name := range m.Columns {
+			rows[r][c] = name + "0"
+			if r%100 == 0 {
+				rows[r][c] = name + strconv.Itoa(r)
+			}
+		}
+	}
+	rows[n-1][3] = "tail-spelling"
+	want := table.MustNew("wide", m.Columns, rows)
+	_, got, _, err := DecodeTable(body(nil), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range m.Columns {
+		gd, gc := got.ColumnDictionary(c)
+		wd, wc := want.ColumnDictionary(c)
+		if gd.Len() != wd.Len() || gd.Entry(gd.Len()-1) != wd.Entry(wd.Len()-1) || !slices.Equal(gc, wc) {
+			t.Fatalf("column %d decodes to another column than New builds", c)
+		}
+	}
+
+	truncated := func(b []byte) []byte { return b[:len(b)-1-5] } // the footer and 5 bytes of D's last spelling
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"B and C repeat unspelled entries", body(map[int]int{1: 250, 2: 50}), "segment: corrupt file: wide: column 1 repeats entry 9999 of 3"},
+		{"C repeats an unspelled entry, D is cut short", truncated(body(map[int]int{2: 50})), "segment: corrupt file: wide: column 2 repeats entry 9999 of 1"},
+		{"D is cut short", truncated(body(nil)), "segment: corrupt file: wide: string of 13 bytes exceeds remaining 8"},
+		{"D repeats an unspelled entry and is cut short", truncated(body(map[int]int{3: 7})), "segment: corrupt file: wide: column 3 repeats entry 9999 of 1"},
+	} {
+		if _, _, _, err := DecodeTable(tc.body, "wide"); err == nil || err.Error() != tc.want || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}

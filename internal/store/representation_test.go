@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -473,9 +474,9 @@ func TestSegmentBytesGolden(t *testing.T) {
 	}
 }
 
-// buildChunkRows is the records a table build hands its columns at a
-// time once the table reaches it: one morsel of the plan executor.
-const buildChunkRows = 32768
+// buildChunkRows is the records FromCSV hands its columns at a time,
+// and the fewest a build fills its columns side by side for.
+const buildChunkRows = table.ZoneRows
 
 // chunkReprRows is an n-record relation shaped for the seams of a
 // build that fills its columns a batch of records at a time: a key
@@ -567,6 +568,7 @@ func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
 // and the register record and segment round trips all build the
 // relation New builds.
 func TestTableRepresentationAcrossChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // batches fill their columns side by side, even on one CPU
 	columns := []string{"City", "Seq", "Score", "Note"}
 	for _, n := range []int{0, 1, buildChunkRows - 1, buildChunkRows, buildChunkRows + 1, 2*buildChunkRows + 1, 131072} {
 		if n == 131072 && testing.Short() {
@@ -593,6 +595,7 @@ func TestTableRepresentationAcrossChunks(t *testing.T) {
 // TestFromCSVErrorAcrossChunks pins FromCSV's error text for a ragged
 // record and for a bare quote that sit in the second batch of records.
 func TestFromCSVErrorAcrossChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	columns := []string{"City", "Seq", "Score", "Note"}
 	good := chunkReprRows(buildChunkRows + 5)
 	var doc bytes.Buffer

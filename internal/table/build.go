@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Builder assembles a table cell by cell, for the callers that have
@@ -14,6 +17,9 @@ import (
 // the result once every column holds the same number of them. New and
 // Append build through the same columns, so a relation is stored the
 // same way however it arrived.
+//
+// Columns are independent: the cells of different columns may be
+// added from different goroutines at once, as FillColumns does.
 type Builder struct {
 	t    *Table
 	cols []columnBuilder
@@ -68,13 +74,61 @@ func (b *Builder) Table() (*Table, error) {
 	}
 	t.rows = n
 	t.cols = make([]columnData, len(b.cols))
-	for c := range b.cols {
+	FillColumns(len(b.cols), n, func(c int) {
 		t.cols[c] = b.cols[c].seal()
-	}
+		b.cols[c] = columnBuilder{} // its scratch is garbage while the other columns seal
+	})
 	t.numIdx = make([]atomicIndex, len(t.columns))
 	t.zones = make([]atomicZones, len(t.columns))
 	t.sealBaseBytes()
 	return t, nil
+}
+
+// FillColumns runs fill(c) for every column c below ncols, and
+// returns when all have run. A batch of at least one morsel of records
+// (ZoneRows) is spread over up to GOMAXPROCS goroutines, the caller's
+// among them, each taking the next column off a shared counter; a
+// smaller batch, or any batch under GOMAXPROCS 1, runs inline. fill(c)
+// must touch no column but c. Each column still takes its cells in
+// record order, so which goroutine filled it changes nothing in it.
+func FillColumns(ncols, records int, fill func(c int)) {
+	workers := 1
+	if records >= ZoneRows {
+		workers = min(runtime.GOMAXPROCS(0), ncols)
+	}
+	if workers <= 1 {
+		for c := 0; c < ncols; c++ {
+			fill(c)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < ncols; c = int(next.Add(1) - 1) {
+			fill(c)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// grow returns s with room for n more elements. When it has to grow s
+// it at least doubles it, so a vector grown a few elements at a time is
+// copied about once over; append's own steps, a quarter of the length
+// past 256 elements, copy it four times over.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]E, 0, max(2*cap(s), len(s)+n, 8)), s...)
 }
 
 // probes sums the dictionary and key lookups the build has made,
@@ -188,7 +242,7 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		b.nonNumeric = true
 		f = math.NaN()
 	}
-	b.enums = append(b.enums, f)
+	b.enums = append(grow(b.enums, 1), f)
 	b.keyBuf = appendKey(b.keyBuf[:0], v)
 	key := b.keyBuf
 	// While every spelling so far is its own canonical key, the key
@@ -199,7 +253,7 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		cd.keyIx.slots = slices.Clone(cd.dictIx.slots)
 		b.keyText = slices.Clone(b.text)
 	}
-	b.text = append(b.text, s...)
+	b.text = append(grow(b.text, len(s)), s...)
 	cd.dict.ends = append(cd.dict.ends, uint32(len(b.text)))
 	b.probes += insertText(&cd.dictIx, b.text, cd.dict.ends, e, h)
 	if !cd.ownKeys {
@@ -216,7 +270,7 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 			return 0
 		}
 		g = uint32(len(cd.keys.ends))
-		b.keyText = append(b.keyText, key...)
+		b.keyText = append(grow(b.keyText, len(key)), key...)
 		cd.keys.ends = append(cd.keys.ends, uint32(len(b.keyText)))
 		b.probes += insertText(&cd.keyIx, b.keyText, cd.keys.ends, g, kh)
 		b.nonASCII = b.nonASCII || !isASCII(key)
@@ -239,6 +293,10 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 // number, and the groups are laid out as postings.
 func (b *columnBuilder) seal() columnData {
 	cd := b.cd
+	if cap(cd.codes) > len(cd.codes) {
+		// Grown a batch at a time: the table keeps no room to spare.
+		cd.codes = append(make([]uint32, 0, len(cd.codes)), cd.codes...)
+	}
 	if b.numeric {
 		cd.nums = make([]float64, len(cd.codes))
 		for r, code := range cd.codes {

@@ -95,20 +95,24 @@ func (p *postings) groupRows(g int) []int32 {
 }
 
 // groupPostings lays records out by group: a counting sort over their
-// group codes, which keeps record order inside each group.
+// group codes, which keeps record order inside each group. offsets[g]
+// first counts group g, then marks where it ends, and is the cursor
+// the records fill it from, last first, until it marks where it
+// starts.
 func groupPostings(groups []uint32, ngroups int) postings {
 	offsets := make([]uint32, ngroups+1)
 	for _, g := range groups {
-		offsets[g+1]++
+		offsets[g]++
 	}
-	for g := 0; g < ngroups; g++ {
-		offsets[g+1] += offsets[g]
+	for g := 1; g < ngroups; g++ {
+		offsets[g] += offsets[g-1]
 	}
+	offsets[ngroups] = uint32(len(groups))
 	rows := make([]int32, len(groups))
-	next := slices.Clone(offsets[:ngroups]) // each group's write cursor
-	for r, g := range groups {
-		rows[next[g]] = int32(r)
-		next[g]++
+	for r := len(groups) - 1; r >= 0; r-- {
+		g := groups[r]
+		offsets[g]--
+		rows[offsets[g]] = int32(r)
 	}
 	return postings{rows: rows, offsets: offsets}
 }

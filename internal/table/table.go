@@ -4,8 +4,11 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -106,11 +109,11 @@ func New(name string, columns []string, rows [][]string) (*Table, error) {
 		}
 	}
 	b := newBuilder(t, len(rows))
-	for c := range columns {
+	FillColumns(len(columns), len(rows), func(c int) {
 		for _, row := range rows {
 			b.Cell(c, row[c])
 		}
-	}
+	})
 	return b.Table()
 }
 
@@ -145,12 +148,12 @@ func (t *Table) appendBuilder(extra [][]string) (*Builder, error) {
 		t:    &Table{name: t.name, columns: t.columns, colIndex: t.colIndex}, // immutable, shared
 		cols: make([]columnBuilder, len(t.columns)),
 	}
-	for c := range b.cols {
+	FillColumns(len(b.cols), t.rows+len(extra), func(c int) {
 		b.cols[c] = t.cols[c].extend(len(extra))
 		for _, row := range extra {
 			addCell(&b.cols[c], row[c])
 		}
-	}
+	})
 	return b, nil
 }
 
@@ -166,8 +169,11 @@ func MustNew(name string, columns []string, rows [][]string) *Table {
 // FromCSV reads a table from CSV: the first record is the header. A
 // UTF-8 byte-order mark on the first header cell (the Excel export
 // convention) is stripped; a header-only document yields an empty but
-// valid table. Records stream from the reader into the columns; the
-// document is never held whole.
+// valid table. Records stream from the reader into the columns a batch
+// of at most ZoneRows at a time, so the document is never held whole,
+// only the batch being read and the one its columns are taking in:
+// while the reader fills one, FillColumns hands the other's cells to
+// their columns, under GOMAXPROCS 1 one after the other.
 func FromCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -184,22 +190,98 @@ func FromCSV(name string, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := len(header) // header itself is the reader's to reuse
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return b.Table()
+	pipelined := runtime.GOMAXPROCS(0) > 1
+	var (
+		batches [2]csvBatch
+		filling sync.WaitGroup // the columns taking in the batch before
+	)
+	batches[0] = newCSVBatch(len(b.cols), nil)
+	for read, row := 0, 1; ; read++ {
+		if read == 1 {
+			batches[1] = newCSVBatch(len(b.cols), &batches[0])
 		}
+		batch := &batches[read%2]
+		done, err := batch.read(cr, name, &row)
+		filling.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("table %q: reading csv: %w", name, err)
+			return nil, err
 		}
-		if len(rec) != width {
-			return nil, fmt.Errorf("table %q: csv row %d has %d fields, want %d", name, row, len(rec), width)
+		if done || !pipelined {
+			b.fill(batch)
+			if done {
+				return b.Table()
+			}
+			continue
 		}
-		for c, cell := range rec {
-			b.Cell(c, cell)
+		filling.Add(1)
+		go func() {
+			defer filling.Done()
+			b.fill(batch)
+		}()
+	}
+}
+
+// csvBatch is up to ZoneRows records of a CSV document, column by
+// column: the cells of column c back to back in text[c], their lengths
+// in lens[c]. Its buffers are reused from batch to batch.
+type csvBatch struct {
+	text [][]byte
+	lens [][]uint32
+}
+
+// newCSVBatch makes an empty batch of width columns: with room to grow
+// into, or, after a full batch like, with as much room as like has.
+func newCSVBatch(width int, like *csvBatch) csvBatch {
+	bt := csvBatch{text: make([][]byte, width), lens: make([][]uint32, width)}
+	if like != nil {
+		for c := range bt.text {
+			bt.text[c] = make([]byte, 0, cap(like.text[c]))
+			bt.lens[c] = make([]uint32, 0, ZoneRows)
 		}
 	}
+	return bt
+}
+
+// read fills the batch with the next records of cr, up to ZoneRows of
+// them, and reports whether the document ended. row numbers the
+// records, from 1 after the header.
+func (bt *csvBatch) read(cr *csv.Reader, name string, row *int) (done bool, err error) {
+	for c := range bt.text {
+		bt.text[c], bt.lens[c] = bt.text[c][:0], bt.lens[c][:0]
+	}
+	for ; len(bt.lens[0]) < ZoneRows; *row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, fmt.Errorf("table %q: reading csv: %w", name, err)
+		}
+		if len(rec) != len(bt.text) {
+			return false, fmt.Errorf("table %q: csv row %d has %d fields, want %d", name, *row, len(rec), len(bt.text))
+		}
+		for c, cell := range rec {
+			if len(cell) > math.MaxUint32 {
+				return false, fmt.Errorf("table %q: csv row %d: %w", name, *row, errTextOverflow)
+			}
+			bt.text[c] = append(grow(bt.text[c], len(cell)), cell...)
+			bt.lens[c] = append(grow(bt.lens[c], 1), uint32(len(cell)))
+		}
+	}
+	return false, nil
+}
+
+// fill hands a batch's cells to their columns. Each column's cells are
+// cut from one string copy of its text, so no cell allocates.
+func (b *Builder) fill(bt *csvBatch) {
+	FillColumns(len(b.cols), len(bt.lens[0]), func(c int) {
+		cb, text := &b.cols[c], string(bt.text[c])
+		cb.cd.codes = grow(cb.cd.codes, len(bt.lens[c]))
+		for _, n := range bt.lens[c] {
+			addCell(cb, text[:n])
+			text = text[n:]
+		}
+	})
 }
 
 // Name returns the table's name.
