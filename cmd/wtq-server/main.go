@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/tables        register a table {name, columns, rows} or {name, csv}
+//	POST   /v1/tables        register a table {name, columns, rows} or {name, csv}, not both
 //	GET    /v1/tables        list registered tables (full per-table objects)
 //	GET    /v1/tables/{name} one table: schema, rows, version, generation, bytes
 //	PATCH  /v1/tables/{name} append rows {rows} to a registered table
@@ -364,7 +364,8 @@ type registerTableRequest struct {
 	Columns []string   `json:"columns,omitempty"`
 	Rows    [][]string `json:"rows,omitempty"`
 	// CSV is an alternative payload: a full CSV document whose first
-	// record is the header.
+	// record is the header. A request carries it or Columns and Rows,
+	// never both.
 	CSV string `json:"csv,omitempty"`
 }
 

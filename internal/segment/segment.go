@@ -312,7 +312,9 @@ func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, [][]table.Zone, er
 // copy, build the same table as the canonical body — the builder
 // numbers spellings as the records bring them — at one dictionary
 // lookup per spelling, not per record. What it allocates is bounded by
-// the length of the body.
+// the length of the body. A body of a morsel of records or more has
+// its columns decoded side by side (table.FillColumns); a damaged one
+// is refused in the same words either way.
 func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, error) {
 	var m Meta
 	d := decoder{buf: body, what: what}

@@ -74,10 +74,7 @@ func (b *Builder) Table() (*Table, error) {
 	}
 	t.rows = n
 	t.cols = make([]columnData, len(b.cols))
-	FillColumns(len(b.cols), n, func(c int) {
-		t.cols[c] = b.cols[c].seal()
-		b.cols[c] = columnBuilder{} // its scratch is garbage while the other columns seal
-	})
+	FillColumns(len(b.cols), n, func(c int) { t.cols[c] = b.cols[c].seal() })
 	t.numIdx = make([]atomicIndex, len(t.columns))
 	t.zones = make([]atomicZones, len(t.columns))
 	t.sealBaseBytes()
