@@ -231,3 +231,58 @@ func TestPlanShapeGolden(t *testing.T) {
 		t.Errorf("plan shape golden = %s, want %s", got, wantSHA)
 	}
 }
+
+// TestRenderGolden pins Render, through String, and Parse's reading of
+// what it writes: one SHA-256 over each query's rendering and then the
+// rendering Parse gives back (or Parse's error) for the differential
+// corpus, 2 000 seeded qrand queries, every candidate semparse
+// generates over the questions of wikitables.DefaultOptions() and
+// TestCheckErrorGolden's 120 000 hostile trees.
+func TestRenderGolden(t *testing.T) {
+	const wantSHA = "f444f7989aa3532077e4c1f5a523d4658513422d463395370ff29d43ac8dee06"
+	sum := sha256.New()
+	counts := map[string]int{}
+	render := func(set string, e Expr) {
+		counts[set]++
+		src := e.String()
+		back, err := Parse(src)
+		if err != nil {
+			fmt.Fprintf(sum, "%s\nerror %v\n", src, err)
+			return
+		}
+		fmt.Fprintf(sum, "%s\n%s\n", src, back)
+	}
+	for _, tc := range diffCorpus {
+		render("corpus", MustParse(tc.src))
+	}
+	rng := rand.New(rand.NewSource(7))
+	var tab *table.Table
+	for i := 0; i < 2000; i++ {
+		if i%20 == 0 {
+			tab = qrand.Table(rng)
+		}
+		render("qrand", qrand.Query(rng, tab, 1+rng.Intn(3)))
+	}
+	ds := wikitables.Generate(wikitables.DefaultOptions())
+	for _, ex := range append(ds.Train, ds.Test...) {
+		for _, c := range semparse.GenerateCandidates(semparse.Analyze(ex.Question, ex.Table), ex.Table, nil) {
+			render("candidates", c.Query)
+		}
+	}
+	h := &hostile{
+		rng:  rand.New(rand.NewSource(11)),
+		cols: []string{"Year", "Country", "City", "year"},
+		lits: []table.Value{
+			table.StringValue("Athens"), table.StringValue("Greece"),
+			table.NumberValue(2004), table.NumberValue(-1),
+		},
+	}
+	for i := 0; i < 120_000; i++ {
+		render("hostile", h.expr(1+h.rng.Intn(4)))
+	}
+	got := hex.EncodeToString(sum.Sum(nil))
+	t.Logf("queries rendered: %v", counts)
+	if got != wantSHA {
+		t.Errorf("render golden = %s, want %s", got, wantSHA)
+	}
+}

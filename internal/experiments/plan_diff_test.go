@@ -65,3 +65,26 @@ func TestTable10StillEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureQueriesRenderAsWritten pins dcs.Render on the paper's own
+// queries: every figure query and every Table 10 query parses, and
+// renders back to the text it was written as.
+func TestFigureQueriesRenderAsWritten(t *testing.T) {
+	var srcs []string
+	for _, spec := range figureSpecs {
+		srcs = append(srcs, spec.queries...)
+	}
+	for _, row := range RunTable10() {
+		srcs = append(srcs, row.Query)
+	}
+	for _, src := range srcs {
+		e, err := dcs.Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		if got := e.String(); got != src {
+			t.Errorf("Parse(%q).String() = %q", src, got)
+		}
+	}
+}
