@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 )
 
 // TestExplainHandlerAllocs pins the allocations of one cached
@@ -20,7 +20,7 @@ func TestExplainHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	e := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 1})
+	e := engine.New(engine.Options{Workers: 1})
 	if err := demoTable(e); err != nil {
 		t.Fatal(err)
 	}

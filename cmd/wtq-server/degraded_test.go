@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 	"nlexplain/internal/fault"
 	"nlexplain/internal/retry"
 	"nlexplain/internal/vfs"
@@ -20,7 +20,7 @@ import (
 func newDegradableServer(t *testing.T) (*httptest.Server, *fault.InjectFS) {
 	t.Helper()
 	fs := fault.NewInject(vfs.OS, 1)
-	e, err := nlexplain.OpenEngine(nlexplain.EngineOptions{
+	e, err := engine.Open(engine.Options{
 		Workers:            2,
 		DataDir:            t.TempDir(),
 		CheckpointInterval: -1,

@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 	"nlexplain/internal/export"
 	"nlexplain/internal/qrand"
 	"nlexplain/internal/render"
@@ -39,8 +39,8 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("%s:\n%s\nwant:\n%s", what, got, want)
 		}
 	}
-	e := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 1})
-	var docs []*nlexplain.EngineExplanation
+	e := engine.New(engine.Options{Workers: 1})
+	var docs []*engine.Explanation
 	rng := rand.New(rand.NewSource(2019))
 	for i := 0; i < 200; i++ {
 		tab := qrand.Table(rng)
@@ -69,7 +69,7 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 		}
 		docs = append(docs, ex)
 	}
-	docs = append(docs, &nlexplain.EngineExplanation{}, &nlexplain.EngineExplanation{
+	docs = append(docs, &engine.Explanation{}, &engine.Explanation{
 		Name:  "empty",
 		Table: render.Grid{Headers: []string{}, Rows: []int{}, Cells: [][]render.Cell{}},
 		Provenance: export.ProvJSON{Output: table.CellSet{}, Execution: table.CellSet{}, Columns: table.CellSet{},
@@ -80,7 +80,7 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 	}
 
 	for i, ex := range docs {
-		r := explainResponse{EngineExplanation: ex, Cached: i%2 == 0}
+		r := explainResponse{Explanation: ex, Cached: i%2 == 0}
 		check("explain "+ex.Query, r, r.appendJSON(nil))
 	}
 	batches := []batchResponse{

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 )
 
 // TestTableLifecycleEndpoints walks the full table lifecycle on the
@@ -41,7 +41,7 @@ func TestTableLifecycleEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("patch: status %d: %s", resp.StatusCode, body)
 	}
-	var info nlexplain.TableInfo
+	var info engine.TableInfo
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTableLifecycleEndpoints(t *testing.T) {
 		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
 	}
 	var dropped struct {
-		Dropped nlexplain.TableInfo `json:"dropped"`
+		Dropped engine.TableInfo `json:"dropped"`
 	}
 	if err := json.Unmarshal(body, &dropped); err != nil {
 		t.Fatal(err)

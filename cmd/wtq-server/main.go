@@ -88,9 +88,10 @@ import (
 	"syscall"
 	"time"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 	"nlexplain/internal/export"
 	"nlexplain/internal/metric"
+	"nlexplain/internal/table"
 )
 
 // defaultMaxTableBytes caps table payload bodies (POST/PATCH
@@ -99,7 +100,7 @@ const defaultMaxTableBytes = 8 << 20
 
 // server wires the engine to HTTP handlers.
 type server struct {
-	engine *nlexplain.Engine
+	engine *engine.Engine
 	// maxTableBytes bounds table payload request bodies; beyond it the
 	// server replies 413 with a JSON error body.
 	maxTableBytes int64
@@ -119,7 +120,7 @@ type muxConfig struct {
 	pprof bool
 }
 
-func newMux(e *nlexplain.Engine, cfg muxConfig) *http.ServeMux {
+func newMux(e *engine.Engine, cfg muxConfig) *http.ServeMux {
 	if cfg.maxTableBytes <= 0 {
 		cfg.maxTableBytes = defaultMaxTableBytes
 	}
@@ -291,13 +292,13 @@ func classify(err error) (status int, code string) {
 		return http.StatusGatewayTimeout, codeDeadlineExceeded
 	case errors.Is(err, context.Canceled):
 		return 499, codeCanceled
-	case errors.Is(err, nlexplain.ErrUnknownTable):
+	case errors.Is(err, engine.ErrUnknownTable):
 		return http.StatusNotFound, codeUnknownTable
-	case errors.Is(err, nlexplain.ErrUnavailable):
+	case errors.Is(err, engine.ErrUnavailable):
 		return http.StatusServiceUnavailable, codeUnavailable
-	case errors.Is(err, nlexplain.ErrInternal):
+	case errors.Is(err, engine.ErrInternal):
 		return http.StatusInternalServerError, codeInternal
-	case errors.Is(err, nlexplain.ErrOverloaded):
+	case errors.Is(err, engine.ErrOverloaded):
 		return http.StatusServiceUnavailable, codeOverloaded
 	default:
 		return http.StatusBadRequest, codeBadRequest
@@ -308,7 +309,7 @@ func classify(err error) (status int, code string) {
 // panics (ErrInternal) are logged server-side and replaced with a
 // generic message so internal state never reaches the response body.
 func errMessage(err error) string {
-	if errors.Is(err, nlexplain.ErrInternal) {
+	if errors.Is(err, engine.ErrInternal) {
 		log.Printf("internal pipeline error: %v", err)
 		return "internal server error"
 	}
@@ -383,12 +384,12 @@ func (s *server) handleRegisterTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		info nlexplain.TableInfo
+		info engine.TableInfo
 		err  error
 	)
 	if req.CSV != "" {
-		var t *nlexplain.Table
-		t, err = nlexplain.TableFromCSV(req.Name, strings.NewReader(req.CSV))
+		var t *table.Table
+		t, err = table.FromCSV(req.Name, strings.NewReader(req.CSV))
 		if err == nil {
 			info, err = s.engine.RegisterTable(t)
 		}
@@ -473,14 +474,14 @@ type explainRequest struct {
 // explainResponse is the /v1/explain body. Its tags are the spec;
 // appendJSON writes it.
 type explainResponse struct {
-	*nlexplain.EngineExplanation
+	*engine.Explanation
 	Cached bool `json:"cached"`
 }
 
 // appendJSON appends r as writeJSON would encode it, the explanation's
 // members and the cache flag in one object.
 func (r explainResponse) appendJSON(b []byte) []byte {
-	b = r.EngineExplanation.AppendMembers(append(b, '{'), 1)
+	b = r.Explanation.AppendMembers(append(b, '{'), 1)
 	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), r.Cached)
 	return append(b, "\n}\n"...)
 }
@@ -495,7 +496,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writePipelineError(w, err)
 		return
 	}
-	writeAppended(w, http.StatusOK, explainResponse{EngineExplanation: ex, Cached: cached}.appendJSON)
+	writeAppended(w, http.StatusOK, explainResponse{Explanation: ex, Cached: cached}.appendJSON)
 }
 
 type batchRequest struct {
@@ -506,9 +507,9 @@ type batchRequest struct {
 }
 
 type batchItem struct {
-	Explanation *nlexplain.EngineExplanation `json:"explanation,omitempty"`
-	Cached      bool                         `json:"cached"`
-	Error       string                       `json:"error,omitempty"`
+	Explanation *engine.Explanation `json:"explanation,omitempty"`
+	Cached      bool                `json:"cached"`
+	Error       string              `json:"error,omitempty"`
 	// ErrorCode is the stable machine code of Error (same vocabulary as
 	// the top-level error envelope).
 	ErrorCode string `json:"error_code,omitempty"`
@@ -568,9 +569,9 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	// applies, and a negative one is the default; both are clamped
 	// before the product, whose nanoseconds could otherwise wrap.
 	timeout := min(max(time.Duration(req.TimeoutMs), 0), math.MaxInt64/time.Millisecond) * time.Millisecond
-	reqs := make([]nlexplain.ExplainRequest, len(req.Queries))
+	reqs := make([]engine.Request, len(req.Queries))
 	for i, q := range req.Queries {
-		reqs[i] = nlexplain.ExplainRequest{Table: q.Table, Query: q.Query, Timeout: timeout}
+		reqs[i] = engine.Request{Table: q.Table, Query: q.Query, Timeout: timeout}
 	}
 	results := s.engine.ExplainBatch(r.Context(), reqs)
 	resp := batchResponse{Results: make([]batchItem, len(results))}
@@ -587,7 +588,7 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 type answerResponse struct {
-	*nlexplain.EngineAnswer
+	*engine.Answer
 	Cached bool `json:"cached"`
 }
 
@@ -604,7 +605,7 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writePipelineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, answerResponse{EngineAnswer: ans, Cached: cached})
+	writeJSON(w, http.StatusOK, answerResponse{Answer: ans, Cached: cached})
 }
 
 type parseRequest struct {
@@ -652,7 +653,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // demoTable registers the paper's Figure 1 olympics running example.
-func demoTable(e *nlexplain.Engine) error {
+func demoTable(e *engine.Engine) error {
 	_, err := e.RegisterRaw("olympics",
 		[]string{"Year", "City", "Country", "Nations"},
 		[][]string{
@@ -681,7 +682,7 @@ func main() {
 	demo := flag.Bool("demo", false, "pre-register the olympics demo table")
 	flag.Parse()
 
-	e, err := nlexplain.OpenEngine(nlexplain.EngineOptions{
+	e, err := engine.Open(engine.Options{
 		Workers:            *workers,
 		CacheSize:          *cacheSize,
 		QueryTimeout:       *timeout,
@@ -707,7 +708,7 @@ func main() {
 			log.Fatalf("opening %s: %v", path, err)
 		}
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		t, err := nlexplain.TableFromCSV(name, f)
+		t, err := table.FromCSV(name, f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("reading %s: %v", path, err)

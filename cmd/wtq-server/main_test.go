@@ -11,20 +11,20 @@ import (
 	"sync"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 	"nlexplain/internal/metric"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *nlexplain.Engine) {
+func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	return newTestServerCapped(t, 0)
 }
 
 // newTestServerCapped builds a test server with an explicit table
 // payload cap (0 = the default 8 MiB).
-func newTestServerCapped(t *testing.T, maxTableBytes int64) (*httptest.Server, *nlexplain.Engine) {
+func newTestServerCapped(t *testing.T, maxTableBytes int64) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	e := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 4})
+	e := engine.New(engine.Options{Workers: 4})
 	ts := httptest.NewServer(newMux(e, muxConfig{maxTableBytes: maxTableBytes}))
 	t.Cleanup(ts.Close)
 	return ts, e
@@ -33,7 +33,7 @@ func newTestServerCapped(t *testing.T, maxTableBytes int64) (*httptest.Server, *
 // counter reads one counter or gauge off the engine's registry by its
 // canonical dotted name: the value GET /metrics serves under the same
 // name with underscores.
-func counter(t testing.TB, e *nlexplain.Engine, name string) uint64 {
+func counter(t testing.TB, e *engine.Engine, name string) uint64 {
 	t.Helper()
 	m, _ := e.Metrics().Get(name)
 	switch v := m.(type) {
@@ -145,7 +145,7 @@ func TestRegisterTableEndpoint(t *testing.T) {
 		t.Fatalf("list: status %d", resp.StatusCode)
 	}
 	var list struct {
-		Tables []nlexplain.TableInfo `json:"tables"`
+		Tables []engine.TableInfo `json:"tables"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
@@ -427,8 +427,8 @@ func TestParseEndpoint(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var out struct {
-		Question   string                      `json:"question"`
-		Candidates []nlexplain.RankedCandidate `json:"candidates"`
+		Question   string                   `json:"question"`
+		Candidates []engine.RankedCandidate `json:"candidates"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 	"strings"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 )
 
 // driveTraffic sends one of everything so every latency histogram and
@@ -247,10 +247,10 @@ func TestPipelineErrorClasses(t *testing.T) {
 	}{
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded", false},
 		{context.Canceled, 499, "canceled", false},
-		{nlexplain.ErrUnknownTable, http.StatusNotFound, "unknown_table", false},
-		{nlexplain.ErrUnavailable, http.StatusServiceUnavailable, "unavailable", true},
-		{nlexplain.ErrInternal, http.StatusInternalServerError, "internal", false},
-		{nlexplain.ErrOverloaded, http.StatusServiceUnavailable, "overloaded", true},
+		{engine.ErrUnknownTable, http.StatusNotFound, "unknown_table", false},
+		{engine.ErrUnavailable, http.StatusServiceUnavailable, "unavailable", true},
+		{engine.ErrInternal, http.StatusInternalServerError, "internal", false},
+		{engine.ErrOverloaded, http.StatusServiceUnavailable, "overloaded", true},
 		{errors.New("parsing \"max((((\""), http.StatusBadRequest, "bad_request", false},
 	}
 	for _, tc := range cases {
@@ -279,7 +279,7 @@ func TestTableResource(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var det nlexplain.TableDetail
+	var det engine.TableDetail
 	if err := json.Unmarshal(body, &det); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestTableResource(t *testing.T) {
 		t.Fatalf("list status %d", resp.StatusCode)
 	}
 	var list struct {
-		Tables []nlexplain.TableDetail `json:"tables"`
+		Tables []engine.TableDetail `json:"tables"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
@@ -313,13 +313,13 @@ func TestTableResource(t *testing.T) {
 
 // TestPprofGating: the pprof surface only mounts behind -pprof.
 func TestPprofGating(t *testing.T) {
-	e := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2})
+	e := engine.New(engine.Options{Workers: 2})
 	off := httptest.NewServer(newMux(e, muxConfig{}))
 	defer off.Close()
 	if resp, _ := getJSON(t, off.URL+"/debug/pprof/"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("pprof off: status %d, want 404", resp.StatusCode)
 	}
-	e2 := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2})
+	e2 := engine.New(engine.Options{Workers: 2})
 	on := httptest.NewServer(newMux(e2, muxConfig{pprof: true}))
 	defer on.Close()
 	if resp, _ := getJSON(t, on.URL+"/debug/pprof/"); resp.StatusCode != http.StatusOK {

@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 )
 
 // opsFile holds three seed-3 tables, then the 48 ops of the explain
@@ -120,26 +120,26 @@ func outcomeClass(code string) string {
 
 // inProcess calls e's API directly; errors are classed by the code the
 // server would send for them.
-func inProcess(e *nlexplain.Engine) target {
+func inProcess(e *engine.Engine) target {
 	return func(ctx context.Context, op replayOp) (r result) {
 		var err error
 		switch op.Kind {
 		case "explain":
-			var ex *nlexplain.EngineExplanation
+			var ex *engine.Explanation
 			if ex, _, err = e.ExplainCached(ctx, op.Table, op.Query); err == nil {
 				r.Version = ex.Version
 			}
 		case "answer":
-			var ans *nlexplain.EngineAnswer
+			var ans *engine.Answer
 			if ans, _, err = e.ExplainAnswer(ctx, op.Table, op.Query); err == nil {
 				r.Version = ans.Version
 			}
 		case "parse":
 			_, err = e.ParseQuestion(ctx, op.Table, op.Question, 0)
 		case "batch":
-			reqs := make([]nlexplain.ExplainRequest, len(op.Batch))
+			reqs := make([]engine.Request, len(op.Batch))
 			for i, q := range op.Batch {
-				reqs[i] = nlexplain.ExplainRequest{Table: q.Table, Query: q.Query}
+				reqs[i] = engine.Request{Table: q.Table, Query: q.Query}
 			}
 			for _, res := range e.ExplainBatch(ctx, reqs) {
 				if err == nil {
@@ -147,7 +147,7 @@ func inProcess(e *nlexplain.Engine) target {
 				}
 			}
 		case "register", "append":
-			var info nlexplain.TableInfo
+			var info engine.TableInfo
 			if op.Kind == "register" {
 				info, err = e.RegisterRaw(op.Table, op.Columns, op.Rows)
 			} else {
@@ -275,10 +275,10 @@ func replay(t *testing.T, do target, ops []replayOp, clients int) {
 func TestReplayDifferential(t *testing.T) {
 	tables, ops := readOps(t)
 	ts, served := newTestServer(t)
-	inproc := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 2})
+	inproc := engine.New(engine.Options{Workers: 2})
 	for _, tgt := range []struct {
 		name string
-		e    *nlexplain.Engine
+		e    *engine.Engine
 		do   target
 	}{{"in process", inproc, inProcess(inproc)}, {"http", served, overHTTP(ts.URL)}} {
 		t.Run(tgt.name, func(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"nlexplain"
+	"nlexplain/internal/engine"
 )
 
 // TestServerWireGolden pins what the handlers put on the wire: for each
@@ -94,9 +94,9 @@ func TestServerWireGolden(t *testing.T) {
 	}{
 		{"error-deadline", context.DeadlineExceeded},
 		{"error-canceled", context.Canceled},
-		{"error-overloaded", nlexplain.ErrOverloaded},
-		{"error-unavailable", nlexplain.ErrUnavailable},
-		{"error-internal", nlexplain.ErrInternal},
+		{"error-overloaded", engine.ErrOverloaded},
+		{"error-unavailable", engine.ErrUnavailable},
+		{"error-internal", engine.ErrInternal},
 	} {
 		rec := httptest.NewRecorder()
 		writePipelineError(rec, fmt.Errorf("explaining count(City.Athens) on olympics: %w", tc.err))
