@@ -40,13 +40,20 @@ parse-footprint:
 # generator (internal/qrand) and the filesystem fault injector
 # (internal/fault). vet fails if a command, an example or the library
 # links one, and keeps mini-SQL off the plan core, which serves lambda
-# DCS alone.
+# DCS alone. SERVER_NEVER are the packages wtq-server must not link:
+# the library facade (the root package), whose names alias
+# internal/engine's, and the SQL interpreter (internal/minisql), which
+# only checks what the server shows as text (internal/sqlast).
 TEST_ONLY = internal/oracle internal/qrand internal/fault
+SERVER_NEVER = nlexplain nlexplain/internal/minisql
 
 vet:
 	$(GO) vet ./...
 	@for p in $(TEST_ONLY); do \
 		if $(GO) list -deps . ./cmd/... ./examples/... | grep -x nlexplain/$$p; then echo "a shipped package links $$p, which only tests may import"; exit 1; fi; \
+	done
+	@for p in $(SERVER_NEVER); do \
+		if $(GO) list -deps ./cmd/wtq-server | grep -x $$p; then echo "wtq-server links $$p, which it never calls"; exit 1; fi; \
 	done
 	@if $(GO) list -deps ./internal/minisql | grep -x nlexplain/internal/plan; then echo "internal/minisql links the plan core"; exit 1; fi
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"nlexplain/internal/sqlast"
 	"nlexplain/internal/table"
 )
 
@@ -70,8 +71,8 @@ func (r *Rows) key(i int) string {
 // (the experiments harness and the sqlgen tests), and explanations
 // carry the SQL as text. The FROM clause may name the table or use any
 // placeholder (the paper writes FROM T throughout).
-func Exec(q Query, t *table.Table) (*Rows, error) {
-	e := &evaluator{t: t, memo: make(map[Query]*Rows)}
+func Exec(q sqlast.Query, t *table.Table) (*Rows, error) {
+	e := &evaluator{t: t, memo: make(map[sqlast.Query]*Rows)}
 	return e.query(q)
 }
 
@@ -86,21 +87,21 @@ func Run(src string, t *table.Table) (*Rows, error) {
 
 type evaluator struct {
 	t    *table.Table
-	memo map[Query]*Rows
+	memo map[sqlast.Query]*Rows
 }
 
-func (e *evaluator) query(q Query) (*Rows, error) {
+func (e *evaluator) query(q sqlast.Query) (*Rows, error) {
 	if r, ok := e.memo[q]; ok {
 		return r, nil
 	}
 	var r *Rows
 	var err error
 	switch x := q.(type) {
-	case *Select:
+	case *sqlast.Select:
 		r, err = e.selectQuery(x)
-	case *UnionQuery:
+	case *sqlast.UnionQuery:
 		r, err = e.unionQuery(x)
-	case *DiffQuery:
+	case *sqlast.DiffQuery:
 		r, err = e.diffQuery(x)
 	default:
 		err = fmt.Errorf("sql exec: unknown query type %T", q)
@@ -112,7 +113,7 @@ func (e *evaluator) query(q Query) (*Rows, error) {
 	return r, nil
 }
 
-func (e *evaluator) unionQuery(q *UnionQuery) (*Rows, error) {
+func (e *evaluator) unionQuery(q *sqlast.UnionQuery) (*Rows, error) {
 	l, err := e.query(q.L)
 	if err != nil {
 		return nil, err
@@ -142,7 +143,7 @@ func (e *evaluator) unionQuery(q *UnionQuery) (*Rows, error) {
 	return out, nil
 }
 
-func (e *evaluator) diffQuery(q *DiffQuery) (*Rows, error) {
+func (e *evaluator) diffQuery(q *sqlast.DiffQuery) (*Rows, error) {
 	l, err := e.scalar(q.L)
 	if err != nil {
 		return nil, err
@@ -164,7 +165,7 @@ func (e *evaluator) diffQuery(q *DiffQuery) (*Rows, error) {
 }
 
 // scalar executes a query that must produce exactly one row and column.
-func (e *evaluator) scalar(q Query) (table.Value, error) {
+func (e *evaluator) scalar(q sqlast.Query) (table.Value, error) {
 	r, err := e.query(q)
 	if err != nil {
 		return table.Value{}, err
@@ -175,7 +176,7 @@ func (e *evaluator) scalar(q Query) (table.Value, error) {
 	return r.Data[0][0], nil
 }
 
-func (e *evaluator) selectQuery(s *Select) (*Rows, error) {
+func (e *evaluator) selectQuery(s *sqlast.Select) (*Rows, error) {
 	// Filter.
 	var rows []int
 	for i := 0; i < e.t.NumRows(); i++ {
@@ -225,13 +226,13 @@ func (e *evaluator) selectQuery(s *Select) (*Rows, error) {
 	return out, nil
 }
 
-func (e *evaluator) project(s *Select, rows []int) (*Rows, error) {
+func (e *evaluator) project(s *sqlast.Select, rows []int) (*Rows, error) {
 	out := &Rows{}
 	for _, it := range s.Items {
 		if it.Star {
 			out.Cols = append(out.Cols, e.t.Columns()...)
 		} else {
-			out.Cols = append(out.Cols, exprLabel(it.Expr))
+			out.Cols = append(out.Cols, sqlast.FormatExpr(it.Expr))
 		}
 	}
 	type keyed struct {
@@ -281,7 +282,7 @@ func (e *evaluator) project(s *Select, rows []int) (*Rows, error) {
 	return out, nil
 }
 
-func (e *evaluator) aggregate(s *Select, rows []int) (*Rows, error) {
+func (e *evaluator) aggregate(s *sqlast.Select, rows []int) (*Rows, error) {
 	// Build groups preserving first-appearance order.
 	type group struct{ rows []int }
 	var order []string
@@ -311,7 +312,7 @@ func (e *evaluator) aggregate(s *Select, rows []int) (*Rows, error) {
 		if it.Star {
 			return nil, fmt.Errorf("sql exec: SELECT * is not allowed in an aggregate query")
 		}
-		out.Cols = append(out.Cols, exprLabel(it.Expr))
+		out.Cols = append(out.Cols, sqlast.FormatExpr(it.Expr))
 	}
 	type keyed struct {
 		row  []table.Value
@@ -355,13 +356,13 @@ func (e *evaluator) aggregate(s *Select, rows []int) (*Rows, error) {
 }
 
 // evalExpr evaluates an expression in the context of one source row.
-func (e *evaluator) evalExpr(x Expr, row int) (table.Value, error) {
+func (e *evaluator) evalExpr(x sqlast.Expr, row int) (table.Value, error) {
 	switch v := x.(type) {
-	case *Lit:
+	case *sqlast.Lit:
 		return v.V, nil
-	case *ColRef:
+	case *sqlast.ColRef:
 		return e.colValue(v.Name, row)
-	case *BinOp:
+	case *sqlast.BinOp:
 		switch v.Op {
 		case "+", "-":
 			l, err := e.evalExpr(v.L, row)
@@ -391,9 +392,9 @@ func (e *evaluator) evalExpr(x Expr, row int) (table.Value, error) {
 			}
 			return table.NumberValue(0), nil
 		}
-	case *ScalarSubq:
+	case *sqlast.ScalarSubq:
 		return e.scalar(v.Q)
-	case *AggrCall:
+	case *sqlast.AggrCall:
 		return table.Value{}, fmt.Errorf("sql exec: aggregate %s outside an aggregate query", v.Fn)
 	default:
 		return table.Value{}, fmt.Errorf("sql exec: cannot evaluate %T as a row expression", x)
@@ -412,9 +413,9 @@ func (e *evaluator) colValue(name string, row int) (table.Value, error) {
 }
 
 // evalBool evaluates a predicate in the context of one source row.
-func (e *evaluator) evalBool(x Expr, row int) (bool, error) {
+func (e *evaluator) evalBool(x sqlast.Expr, row int) (bool, error) {
 	switch v := x.(type) {
-	case *BinOp:
+	case *sqlast.BinOp:
 		switch v.Op {
 		case "AND":
 			l, err := e.evalBool(v.L, row)
@@ -447,10 +448,10 @@ func (e *evaluator) evalBool(x Expr, row int) (bool, error) {
 		default:
 			return false, fmt.Errorf("sql exec: %q is not a predicate operator", v.Op)
 		}
-	case *NotExpr:
+	case *sqlast.NotExpr:
 		b, err := e.evalBool(v.Arg, row)
 		return !b, err
-	case *InSubq:
+	case *sqlast.InSubq:
 		l, err := e.evalExpr(v.L, row)
 		if err != nil {
 			return false, err
@@ -499,20 +500,20 @@ func compareValues(op string, l, r table.Value) bool {
 }
 
 // evalGroupExpr evaluates an expression in the context of a row group.
-func (e *evaluator) evalGroupExpr(x Expr, rows []int) (table.Value, error) {
+func (e *evaluator) evalGroupExpr(x sqlast.Expr, rows []int) (table.Value, error) {
 	switch v := x.(type) {
-	case *Lit:
+	case *sqlast.Lit:
 		return v.V, nil
-	case *ColRef:
+	case *sqlast.ColRef:
 		if len(rows) == 0 {
 			return table.Value{}, fmt.Errorf("sql exec: column %q over an empty group", v.Name)
 		}
 		return e.colValue(v.Name, rows[0])
-	case *ScalarSubq:
+	case *sqlast.ScalarSubq:
 		return e.scalar(v.Q)
-	case *AggrCall:
+	case *sqlast.AggrCall:
 		return e.evalAggr(v, rows)
-	case *BinOp:
+	case *sqlast.BinOp:
 		if v.Op == "+" || v.Op == "-" {
 			l, err := e.evalGroupExpr(v.L, rows)
 			if err != nil {
@@ -538,7 +539,7 @@ func (e *evaluator) evalGroupExpr(x Expr, rows []int) (table.Value, error) {
 	}
 }
 
-func (e *evaluator) evalAggr(a *AggrCall, rows []int) (table.Value, error) {
+func (e *evaluator) evalAggr(a *sqlast.AggrCall, rows []int) (table.Value, error) {
 	if a.Fn == "COUNT" {
 		if a.Star {
 			return table.NumberValue(float64(len(rows))), nil
@@ -602,7 +603,7 @@ func (e *evaluator) evalAggr(a *AggrCall, rows []int) (table.Value, error) {
 	return table.Value{}, fmt.Errorf("sql exec: unknown aggregate %q", a.Fn)
 }
 
-func itemsHaveAggr(items []SelectItem) bool {
+func itemsHaveAggr(items []sqlast.SelectItem) bool {
 	for _, it := range items {
 		if hasAggr(it.Expr) {
 			return true
@@ -611,23 +612,17 @@ func itemsHaveAggr(items []SelectItem) bool {
 	return false
 }
 
-func hasAggr(e Expr) bool {
+func hasAggr(e sqlast.Expr) bool {
 	switch v := e.(type) {
 	case nil:
 		return false
-	case *AggrCall:
+	case *sqlast.AggrCall:
 		return true
-	case *BinOp:
+	case *sqlast.BinOp:
 		return hasAggr(v.L) || hasAggr(v.R)
-	case *NotExpr:
+	case *sqlast.NotExpr:
 		return hasAggr(v.Arg)
 	default:
 		return false
 	}
-}
-
-func exprLabel(e Expr) string {
-	var b strings.Builder
-	formatExpr(&b, e)
-	return b.String()
 }

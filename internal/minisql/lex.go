@@ -1,10 +1,12 @@
 // Package minisql is a small in-memory SQL engine over a single web
-// table. It executes the SQL fragment that Table 10 of "Explaining
-// Queries over Web Tables to Non-Experts" (ICDE 2019) uses as the
-// semantics of lambda DCS: SELECT with DISTINCT, WHERE predicates,
-// IN/scalar subqueries, UNION, the five aggregate functions, GROUP
-// BY/ORDER BY/LIMIT, arithmetic on the implicit Index attribute, and
-// top-level differences of scalar subqueries. Its purpose in this
+// table. It parses and executes the SQL fragment that Table 10 of
+// "Explaining Queries over Web Tables to Non-Experts" (ICDE 2019) uses
+// as the semantics of lambda DCS: SELECT with DISTINCT, WHERE
+// predicates, IN/scalar subqueries, UNION, the five aggregate
+// functions, GROUP BY/ORDER BY/LIMIT, arithmetic on the implicit Index
+// attribute, and top-level differences of scalar subqueries. The
+// syntax tree and its printer are package sqlast's; this package owns
+// the lexer, the parser and the interpreter. Its purpose in this
 // repository is adversarial: the sqlgen package translates every lambda
 // DCS query into this fragment, and tests assert that both executors
 // agree on every query.
@@ -15,6 +17,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"nlexplain/internal/sqlast"
 )
 
 type tokKind int
@@ -39,14 +43,6 @@ func (t token) String() string {
 		return "end of input"
 	}
 	return fmt.Sprintf("%q", t.text)
-}
-
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "UNION": true,
-	"GROUP": true, "BY": true, "ORDER": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "AS": true, "COUNT": true, "MIN": true, "MAX": true,
-	"SUM": true, "AVG": true,
 }
 
 func lexSQL(src string) ([]token, error) {
@@ -107,7 +103,7 @@ func lexSQL(src string) ([]token, error) {
 				pos += ss
 			}
 			word := src[start:pos]
-			if up := strings.ToUpper(word); keywords[up] {
+			if up := strings.ToUpper(word); sqlast.Keywords[up] {
 				emit(tKeyword, up, start)
 			} else {
 				emit(tIdent, word, start)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlexplain/internal/sqlast"
 	"nlexplain/internal/table"
 )
 
@@ -289,14 +290,14 @@ func TestFormatRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q): %v", src, err)
 			continue
 		}
-		printed := Format(q1)
+		printed := sqlast.Format(q1)
 		q2, err := Parse(printed)
 		if err != nil {
 			t.Errorf("re-Parse(%q): %v", printed, err)
 			continue
 		}
-		if Format(q2) != printed {
-			t.Errorf("format unstable: %q -> %q", printed, Format(q2))
+		if sqlast.Format(q2) != printed {
+			t.Errorf("format unstable: %q -> %q", printed, sqlast.Format(q2))
 		}
 		// Both must execute identically when executable on this table.
 		r1, err1 := Exec(q1, tab)

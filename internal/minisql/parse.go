@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strconv"
 
+	"nlexplain/internal/sqlast"
 	"nlexplain/internal/table"
 )
 
 // Parse reads a SQL statement in the Table 10 fragment.
-func Parse(src string) (Query, error) {
+func Parse(src string) (sqlast.Query, error) {
 	toks, err := lexSQL(src)
 	if err != nil {
 		return nil, err
@@ -25,7 +26,7 @@ func Parse(src string) (Query, error) {
 }
 
 // MustParse is Parse, panicking on error.
-func MustParse(src string) Query {
+func MustParse(src string) sqlast.Query {
 	q, err := Parse(src)
 	if err != nil {
 		panic(err)
@@ -83,7 +84,7 @@ func (p *sqlParser) expectKw(k string) error {
 }
 
 // parseQuery := term (UNION term | '-' term)*
-func (p *sqlParser) parseQuery() (Query, error) {
+func (p *sqlParser) parseQuery() (sqlast.Query, error) {
 	q, err := p.parseQueryTerm()
 	if err != nil {
 		return nil, err
@@ -95,20 +96,20 @@ func (p *sqlParser) parseQuery() (Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q = &UnionQuery{L: q, R: r}
+			q = &sqlast.UnionQuery{L: q, R: r}
 		case p.accept(tSymbol, "-"):
 			r, err := p.parseQueryTerm()
 			if err != nil {
 				return nil, err
 			}
-			q = &DiffQuery{L: q, R: r}
+			q = &sqlast.DiffQuery{L: q, R: r}
 		default:
 			return q, nil
 		}
 	}
 }
 
-func (p *sqlParser) parseQueryTerm() (Query, error) {
+func (p *sqlParser) parseQueryTerm() (sqlast.Query, error) {
 	if p.accept(tSymbol, "(") {
 		q, err := p.parseQuery()
 		if err != nil {
@@ -122,15 +123,15 @@ func (p *sqlParser) parseQueryTerm() (Query, error) {
 	return p.parseSelect()
 }
 
-func (p *sqlParser) parseSelect() (*Select, error) {
+func (p *sqlParser) parseSelect() (*sqlast.Select, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	s := &Select{Limit: -1}
+	s := &sqlast.Select{Limit: -1}
 	s.Distinct = p.accept(tKeyword, "DISTINCT")
 	for {
 		if p.accept(tSymbol, "*") {
-			s.Items = append(s.Items, SelectItem{Star: true})
+			s.Items = append(s.Items, sqlast.SelectItem{Star: true})
 		} else {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -141,7 +142,7 @@ func (p *sqlParser) parseSelect() (*Select, error) {
 					return nil, p.errf("expected alias after AS, got %s", t)
 				}
 			}
-			s.Items = append(s.Items, SelectItem{Expr: e})
+			s.Items = append(s.Items, sqlast.SelectItem{Expr: e})
 		}
 		if !p.accept(tSymbol, ",") {
 			break
@@ -202,9 +203,9 @@ func (p *sqlParser) parseSelect() (*Select, error) {
 }
 
 // Expression precedence: OR < AND < NOT < comparison/IN < additive < primary.
-func (p *sqlParser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *sqlParser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
 
-func (p *sqlParser) parseOr() (Expr, error) {
+func (p *sqlParser) parseOr() (sqlast.Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -214,12 +215,12 @@ func (p *sqlParser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinOp{Op: "OR", L: l, R: r}
+		l = &sqlast.BinOp{Op: "OR", L: l, R: r}
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseAnd() (Expr, error) {
+func (p *sqlParser) parseAnd() (sqlast.Expr, error) {
 	l, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -229,23 +230,23 @@ func (p *sqlParser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinOp{Op: "AND", L: l, R: r}
+		l = &sqlast.BinOp{Op: "AND", L: l, R: r}
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseNot() (Expr, error) {
+func (p *sqlParser) parseNot() (sqlast.Expr, error) {
 	if p.accept(tKeyword, "NOT") {
 		arg, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return &NotExpr{Arg: arg}, nil
+		return &sqlast.NotExpr{Arg: arg}, nil
 	}
 	return p.parseCmp()
 }
 
-func (p *sqlParser) parseCmp() (Expr, error) {
+func (p *sqlParser) parseCmp() (sqlast.Expr, error) {
 	l, err := p.parseAdd()
 	if err != nil {
 		return nil, err
@@ -258,7 +259,7 @@ func (p *sqlParser) parseCmp() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BinOp{Op: t.text, L: l, R: r}, nil
+			return &sqlast.BinOp{Op: t.text, L: l, R: r}, nil
 		}
 	}
 	if p.accept(tKeyword, "IN") {
@@ -272,12 +273,12 @@ func (p *sqlParser) parseCmp() (Expr, error) {
 		if err := p.expectSym(")"); err != nil {
 			return nil, err
 		}
-		return &InSubq{L: l, Q: q}, nil
+		return &sqlast.InSubq{L: l, Q: q}, nil
 	}
 	return l, nil
 }
 
-func (p *sqlParser) parseAdd() (Expr, error) {
+func (p *sqlParser) parseAdd() (sqlast.Expr, error) {
 	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -292,11 +293,11 @@ func (p *sqlParser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinOp{Op: t.text, L: l, R: r}
+		l = &sqlast.BinOp{Op: t.text, L: l, R: r}
 	}
 }
 
-func (p *sqlParser) parsePrimary() (Expr, error) {
+func (p *sqlParser) parsePrimary() (sqlast.Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tNumber:
@@ -305,16 +306,16 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &Lit{V: table.NumberValue(n)}, nil
+		return &sqlast.Lit{V: table.NumberValue(n)}, nil
 	case t.kind == tString:
 		p.next()
-		return &Lit{V: table.ParseValue(t.text)}, nil
+		return &sqlast.Lit{V: table.ParseValue(t.text)}, nil
 	case t.kind == tKeyword && isAggr(t.text):
 		p.next()
 		if err := p.expectSym("("); err != nil {
 			return nil, err
 		}
-		call := &AggrCall{Fn: t.text}
+		call := &sqlast.AggrCall{Fn: t.text}
 		call.Distinct = p.accept(tKeyword, "DISTINCT")
 		if p.accept(tSymbol, "*") {
 			call.Star = true
@@ -331,7 +332,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		return call, nil
 	case t.kind == tIdent:
 		p.next()
-		return &ColRef{Name: t.text}, nil
+		return &sqlast.ColRef{Name: t.text}, nil
 	case t.kind == tSymbol && t.text == "(":
 		// Scalar subquery or grouped expression: decide by peeking for
 		// SELECT (possibly behind further parens).
@@ -344,7 +345,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
-			return &ScalarSubq{Q: q}, nil
+			return &sqlast.ScalarSubq{Q: q}, nil
 		}
 		p.next()
 		e, err := p.parseExpr()

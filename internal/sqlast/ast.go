@@ -1,4 +1,8 @@
-package minisql
+// Package sqlast holds the SQL fragment of Table 10 as a syntax tree,
+// its reserved words and Format, its printer. sqlgen builds the tree
+// and minisql parses and runs it; a program that only shows SQL links
+// this package alone.
+package sqlast
 
 import (
 	"strconv"
@@ -99,11 +103,30 @@ type AggrCall struct {
 
 func (*AggrCall) sqlExpr() {}
 
+// Keywords is the fragment's reserved-word set, upper-cased: the lexer
+// reads these words as keywords, and Format quotes an identifier that
+// spells one.
+var Keywords = map[string]bool{
+	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
+	"AND": true, "OR": true, "NOT": true, "IN": true, "UNION": true,
+	"GROUP": true, "BY": true, "ORDER": true, "ASC": true, "DESC": true,
+	"LIMIT": true, "AS": true, "COUNT": true, "MIN": true, "MAX": true,
+	"SUM": true, "AVG": true,
+}
+
 // Format renders a query back to SQL text (used in error messages and
 // for documenting generated translations).
 func Format(q Query) string {
 	var b strings.Builder
 	formatQuery(&b, q)
+	return b.String()
+}
+
+// FormatExpr renders an expression back to SQL text, as Format writes
+// it inside a query (the column label of a projected expression).
+func FormatExpr(e Expr) string {
+	var b strings.Builder
+	formatExpr(&b, e)
 	return b.String()
 }
 
@@ -159,7 +182,7 @@ func formatQuery(b *strings.Builder, q Query) {
 }
 
 func quoteIdent(name string) string {
-	if strings.ContainsAny(name, " ()-,.*'") || keywords[strings.ToUpper(name)] {
+	if strings.ContainsAny(name, " ()-,.*'") || Keywords[strings.ToUpper(name)] {
 		return `"` + name + `"`
 	}
 	return name

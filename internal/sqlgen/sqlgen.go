@@ -1,9 +1,9 @@
 // Package sqlgen translates lambda DCS queries into the SQL fragment of
 // Table 10 of "Explaining Queries over Web Tables to Non-Experts"
 // (ICDE 2019), positioning lambda DCS as an expressive fragment of SQL
-// (Section 3.2, "Mapping to SQL"). The translation targets the minisql
-// engine; the two executors are kept equivalent by the tests in this
-// package.
+// (Section 3.2, "Mapping to SQL"). It builds package sqlast's tree and
+// prints it; minisql's interpreter runs it in the tests of this package,
+// which keep the two executors equivalent.
 //
 // Two places deliberately tighten Table 10, which is written loosely:
 //
@@ -19,7 +19,7 @@ import (
 	"fmt"
 
 	"nlexplain/internal/dcs"
-	"nlexplain/internal/minisql"
+	"nlexplain/internal/sqlast"
 	"nlexplain/internal/table"
 )
 
@@ -40,15 +40,15 @@ func terr(e dcs.Expr, format string, args ...any) error {
 
 // Translate maps a lambda DCS expression to an executable SQL query over
 // the table named T (the paper's convention).
-func Translate(e dcs.Expr) (minisql.Query, error) {
+func Translate(e dcs.Expr) (sqlast.Query, error) {
 	switch e.Type() {
 	case dcs.RecordsType:
 		pred, err := recordsPred(e)
 		if err != nil {
 			return nil, err
 		}
-		return &minisql.Select{
-			Items: []minisql.SelectItem{{Star: true}},
+		return &sqlast.Select{
+			Items: []sqlast.SelectItem{{Star: true}},
 			From:  "T",
 			Where: pred,
 			Limit: -1,
@@ -67,28 +67,28 @@ func TranslateSQL(e dcs.Expr) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return minisql.Format(q), nil
+	return sqlast.Format(q), nil
 }
 
-func col(name string) *minisql.ColRef   { return &minisql.ColRef{Name: name} }
-func lit(v table.Value) *minisql.Lit    { return &minisql.Lit{V: v} }
-func index() *minisql.ColRef            { return &minisql.ColRef{Name: "Index"} }
-func eq(l, r minisql.Expr) minisql.Expr { return &minisql.BinOp{Op: "=", L: l, R: r} }
+func col(name string) *sqlast.ColRef  { return &sqlast.ColRef{Name: name} }
+func lit(v table.Value) *sqlast.Lit   { return &sqlast.Lit{V: v} }
+func index() *sqlast.ColRef           { return &sqlast.ColRef{Name: "Index"} }
+func eq(l, r sqlast.Expr) sqlast.Expr { return &sqlast.BinOp{Op: "=", L: l, R: r} }
 
-func and(l, r minisql.Expr) minisql.Expr {
+func and(l, r sqlast.Expr) sqlast.Expr {
 	if l == nil {
 		return r
 	}
 	if r == nil {
 		return l
 	}
-	return &minisql.BinOp{Op: "AND", L: l, R: r}
+	return &sqlast.BinOp{Op: "AND", L: l, R: r}
 }
 
 // selectExpr builds SELECT <item> FROM T WHERE <pred>.
-func selectExpr(item minisql.Expr, pred minisql.Expr) *minisql.Select {
-	return &minisql.Select{
-		Items: []minisql.SelectItem{{Expr: item}},
+func selectExpr(item sqlast.Expr, pred sqlast.Expr) *sqlast.Select {
+	return &sqlast.Select{
+		Items: []sqlast.SelectItem{{Expr: item}},
 		From:  "T",
 		Where: pred,
 		Limit: -1,
@@ -97,7 +97,7 @@ func selectExpr(item minisql.Expr, pred minisql.Expr) *minisql.Select {
 
 // recordsPred builds the WHERE predicate characterizing the records
 // denoted by a RecordsType expression.
-func recordsPred(e dcs.Expr) (minisql.Expr, error) {
+func recordsPred(e dcs.Expr) (sqlast.Expr, error) {
 	switch x := e.(type) {
 	case *dcs.AllRecords:
 		return nil, nil
@@ -106,7 +106,7 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 		return membershipPred(col(x.Column), x.Arg)
 
 	case *dcs.Compare:
-		return &minisql.BinOp{Op: string(x.Op), L: col(x.Column), R: lit(x.V)}, nil
+		return &sqlast.BinOp{Op: string(x.Op), L: col(x.Column), R: lit(x.V)}, nil
 
 	case *dcs.Intersect:
 		l, err := recordsPred(x.L)
@@ -124,7 +124,7 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 		if r == nil {
 			return l, nil
 		}
-		return &minisql.BinOp{Op: "AND", L: l, R: r}, nil
+		return &sqlast.BinOp{Op: "AND", L: l, R: r}, nil
 
 	case *dcs.Union:
 		l, err := recordsPred(x.L)
@@ -138,7 +138,7 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 		if l == nil || r == nil {
 			return nil, nil // union with all records is all records
 		}
-		return &minisql.BinOp{Op: "OR", L: l, R: r}, nil
+		return &sqlast.BinOp{Op: "OR", L: l, R: r}, nil
 
 	case *dcs.Prev:
 		// Table 10: Index IN (SELECT Index - 1 FROM T WHERE records).
@@ -146,16 +146,16 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		shift := &minisql.BinOp{Op: "-", L: index(), R: lit(table.NumberValue(1))}
-		return &minisql.InSubq{L: index(), Q: selectExpr(shift, inner)}, nil
+		shift := &sqlast.BinOp{Op: "-", L: index(), R: lit(table.NumberValue(1))}
+		return &sqlast.InSubq{L: index(), Q: selectExpr(shift, inner)}, nil
 
 	case *dcs.Next:
 		inner, err := recordsPred(x.Records)
 		if err != nil {
 			return nil, err
 		}
-		shift := &minisql.BinOp{Op: "+", L: index(), R: lit(table.NumberValue(1))}
-		return &minisql.InSubq{L: index(), Q: selectExpr(shift, inner)}, nil
+		shift := &sqlast.BinOp{Op: "+", L: index(), R: lit(table.NumberValue(1))}
+		return &sqlast.InSubq{L: index(), Q: selectExpr(shift, inner)}, nil
 
 	case *dcs.ArgRecords:
 		// Table 10: C = (SELECT MAX(C) FROM T [WHERE records]), joined
@@ -168,8 +168,8 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 		if x.Max {
 			fn = "MAX"
 		}
-		extreme := selectExpr(&minisql.AggrCall{Fn: fn, Arg: col(x.Column)}, inner)
-		return and(eq(col(x.Column), &minisql.ScalarSubq{Q: extreme}), inner), nil
+		extreme := selectExpr(&sqlast.AggrCall{Fn: fn, Arg: col(x.Column)}, inner)
+		return and(eq(col(x.Column), &sqlast.ScalarSubq{Q: extreme}), inner), nil
 	}
 	return nil, terr(e, "expression does not denote records")
 }
@@ -177,7 +177,7 @@ func recordsPred(e dcs.Expr) (minisql.Expr, error) {
 // membershipPred builds "target ∈ values(arg)": an equality for a
 // literal, a disjunction for a union of literals, and an IN-subquery for
 // table-derived value sets.
-func membershipPred(target minisql.Expr, arg dcs.Expr) (minisql.Expr, error) {
+func membershipPred(target sqlast.Expr, arg dcs.Expr) (sqlast.Expr, error) {
 	switch v := arg.(type) {
 	case *dcs.ValueLit:
 		return eq(target, lit(v.V)), nil
@@ -185,7 +185,7 @@ func membershipPred(target minisql.Expr, arg dcs.Expr) (minisql.Expr, error) {
 		l, err := membershipPred(target, v.L)
 		if err == nil {
 			if r, err2 := membershipPred(target, v.R); err2 == nil {
-				return &minisql.BinOp{Op: "OR", L: l, R: r}, nil
+				return &sqlast.BinOp{Op: "OR", L: l, R: r}, nil
 			}
 		}
 	}
@@ -193,13 +193,13 @@ func membershipPred(target minisql.Expr, arg dcs.Expr) (minisql.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &minisql.InSubq{L: target, Q: q}, nil
+	return &sqlast.InSubq{L: target, Q: q}, nil
 }
 
 // valuesQuery builds the SELECT producing the value set of a ValuesType
 // expression. distinct controls deduplication at the top level (lambda
 // DCS unaries are sets).
-func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
+func valuesQuery(e dcs.Expr, distinct bool) (sqlast.Query, error) {
 	switch x := e.(type) {
 	case *dcs.ValueLit:
 		// A constant single-row relation: SELECT 'v' FROM T LIMIT 1.
@@ -227,7 +227,7 @@ func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &minisql.UnionQuery{L: l, R: r}, nil
+		return &sqlast.UnionQuery{L: l, R: r}, nil
 
 	case *dcs.IndexSuperlative:
 		// Table 10: SELECT C FROM T WHERE Index = (SELECT MAX(Index)
@@ -240,13 +240,13 @@ func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
 		if x.First {
 			fn = "MIN"
 		}
-		extreme := selectExpr(&minisql.AggrCall{Fn: fn, Arg: index()}, pred)
-		return selectExpr(col(x.Column), eq(index(), &minisql.ScalarSubq{Q: extreme})), nil
+		extreme := selectExpr(&sqlast.AggrCall{Fn: fn, Arg: index()}, pred)
+		return selectExpr(col(x.Column), eq(index(), &sqlast.ScalarSubq{Q: extreme})), nil
 
 	case *dcs.MostFrequent:
 		// Table 10: SELECT C FROM T WHERE C IN (vals) GROUP BY C
 		// ORDER BY COUNT(Index) DESC LIMIT 1.
-		var pred minisql.Expr
+		var pred sqlast.Expr
 		if x.Vals != nil {
 			p, err := membershipPred(col(x.Column), x.Vals)
 			if err != nil {
@@ -256,7 +256,7 @@ func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
 		}
 		s := selectExpr(col(x.Column), pred)
 		s.GroupBy = x.Column
-		s.OrderBy = &minisql.AggrCall{Fn: "COUNT", Arg: index()}
+		s.OrderBy = &sqlast.AggrCall{Fn: "COUNT", Arg: index()}
 		s.Desc = true
 		s.Limit = 1
 		return s, nil
@@ -272,8 +272,8 @@ func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
 		if x.Max {
 			fn = "MAX"
 		}
-		extreme := selectExpr(&minisql.AggrCall{Fn: fn, Arg: col(x.KeyCol)}, candidates)
-		s := selectExpr(col(x.ValCol), and(candidates, eq(col(x.KeyCol), &minisql.ScalarSubq{Q: extreme})))
+		extreme := selectExpr(&sqlast.AggrCall{Fn: fn, Arg: col(x.KeyCol)}, candidates)
+		s := selectExpr(col(x.ValCol), and(candidates, eq(col(x.KeyCol), &sqlast.ScalarSubq{Q: extreme})))
 		s.Distinct = true
 		return s, nil
 	}
@@ -281,7 +281,7 @@ func valuesQuery(e dcs.Expr, distinct bool) (minisql.Query, error) {
 }
 
 // scalarQuery builds the SELECT producing a scalar expression.
-func scalarQuery(e dcs.Expr) (minisql.Query, error) {
+func scalarQuery(e dcs.Expr) (sqlast.Query, error) {
 	switch x := e.(type) {
 	case *dcs.Aggregate:
 		return aggregateQuery(x)
@@ -294,19 +294,19 @@ func scalarQuery(e dcs.Expr) (minisql.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &minisql.DiffQuery{L: l, R: r}, nil
+		return &sqlast.DiffQuery{L: l, R: r}, nil
 	}
 	return nil, terr(e, "expression does not denote a scalar")
 }
 
-func subOperandQuery(e dcs.Expr) (minisql.Query, error) {
+func subOperandQuery(e dcs.Expr) (sqlast.Query, error) {
 	if e.Type() == dcs.ScalarType {
 		return scalarQuery(e)
 	}
 	return valuesQuery(e, true)
 }
 
-func aggregateQuery(x *dcs.Aggregate) (minisql.Query, error) {
+func aggregateQuery(x *dcs.Aggregate) (sqlast.Query, error) {
 	fnName := map[dcs.AggrFn]string{
 		dcs.Count: "COUNT", dcs.Min: "MIN", dcs.Max: "MAX", dcs.Sum: "SUM", dcs.Avg: "AVG",
 	}[x.Fn]
@@ -317,7 +317,7 @@ func aggregateQuery(x *dcs.Aggregate) (minisql.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		return selectExpr(&minisql.AggrCall{Fn: "COUNT", Arg: index()}, pred), nil
+		return selectExpr(&sqlast.AggrCall{Fn: "COUNT", Arg: index()}, pred), nil
 	}
 
 	// Aggregates over column values: SELECT FN(DISTINCT C) FROM T WHERE
@@ -327,7 +327,7 @@ func aggregateQuery(x *dcs.Aggregate) (minisql.Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		return selectExpr(&minisql.AggrCall{Fn: fnName, Distinct: true, Arg: col(cv.Column)}, pred), nil
+		return selectExpr(&sqlast.AggrCall{Fn: fnName, Distinct: true, Arg: col(cv.Column)}, pred), nil
 	}
 
 	return nil, terr(x, "aggregate over %T is outside the Table 10 SQL fragment", x.Arg)

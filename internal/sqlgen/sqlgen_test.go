@@ -9,6 +9,7 @@ import (
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/minisql"
 	"nlexplain/internal/qrand"
+	"nlexplain/internal/sqlast"
 	"nlexplain/internal/table"
 )
 
@@ -36,7 +37,7 @@ func equivalent(t *testing.T, tab *table.Table, e dcs.Expr) {
 	if err != nil {
 		t.Fatalf("Translate(%s): %v", e, err)
 	}
-	sql := minisql.Format(q)
+	sql := sqlast.Format(q)
 
 	dres, derr := dcs.Execute(e, tab)
 	sres, serr := minisql.Exec(q, tab)
