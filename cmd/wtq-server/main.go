@@ -87,6 +87,7 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"nlexplain/internal/engine"
 	"nlexplain/internal/export"
@@ -305,15 +306,27 @@ func classify(err error) (status int, code string) {
 	}
 }
 
-// errMessage is the client-facing text for a pipeline error. Contained
-// panics (ErrInternal) are logged server-side and replaced with a
-// generic message so internal state never reaches the response body.
+// maxErrMessage caps an error message on the wire: a message may quote
+// the request's query, which can run to the body cap.
+const maxErrMessage = 1 << 10
+
+// errMessage is the client-facing text for a pipeline error, cut to
+// maxErrMessage bytes and "…". Contained panics (ErrInternal) are
+// logged server-side and replaced with a generic message so internal
+// state never reaches the response body.
 func errMessage(err error) string {
 	if errors.Is(err, engine.ErrInternal) {
 		log.Printf("internal pipeline error: %v", err)
 		return "internal server error"
 	}
-	return err.Error()
+	msg := err.Error()
+	if n := maxErrMessage; len(msg) > n {
+		for !utf8.RuneStart(msg[n]) {
+			n--
+		}
+		msg = msg[:n] + "…"
+	}
+	return msg
 }
 
 // writePipelineError books a pipeline failure onto the wire with its

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"nlexplain/internal/engine"
 	"nlexplain/internal/metric"
@@ -505,5 +506,43 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/explain: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestErrorMessageIsBounded sends queries of a mebibyte that fail to
+// parse: the message quotes the query, a run of '"' at twice its length,
+// and a run of 'λ' would be cut inside a rune. Each error, in the
+// envelope and in a batch item, is a prefix of the message, cut at a
+// rune boundary and marked "…", in a body under 4 KiB.
+func TestErrorMessageIsBounded(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/tables", map[string]any{
+		"name": "olympics", "columns": []string{"Year", "City"}, "rows": [][]string{{"2004", "Athens"}},
+	})
+	for _, q := range []string{
+		strings.Repeat("a", 1<<20) + ")",
+		strings.Repeat(`"`, 1<<20),
+		strings.Repeat("λ", 1<<19) + ")",
+	} {
+		resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", map[string]string{"table": "olympics", "query": q})
+		var env errorBody
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBadRequest || len(body) >= 4<<10 {
+			t.Errorf("%.8s…: status %d, code %q, %d-byte body; want 400, bad_request, under 4 KiB", q, resp.StatusCode, env.Error.Code, len(body))
+		}
+		_, batch := doJSON(t, http.MethodPost, ts.URL+"/v1/explain/batch", map[string]any{"queries": []map[string]string{{"table": "olympics", "query": q}}})
+		var br batchResponse
+		if err := json.Unmarshal(batch, &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) >= 4<<10 || len(br.Results) != 1 || br.Results[0].Error != env.Error.Message {
+			t.Errorf("%.8s…: a %d-byte batch body; want its one item to carry the envelope's message", q, len(batch))
+		}
+		msg := env.Error.Message
+		if !strings.HasPrefix(msg, "parsing ") || !strings.HasSuffix(msg, "…") || !utf8.ValidString(msg) || len(msg) > maxErrMessage+len("…") {
+			t.Errorf("%.8s…: message %.40q… (%d bytes) is not a cut prefix", q, msg, len(msg))
+		}
 	}
 }
