@@ -55,9 +55,6 @@ const (
 	Avg   AggrFn = "avg"
 )
 
-// AggrFns lists every aggregate function.
-var AggrFns = []AggrFn{Count, Min, Max, Sum, Avg}
-
 // CmpOp is a comparison operator used by comparison joins
 // ("values of column Games that are more than 4", Figure 4).
 type CmpOp string
