@@ -5,6 +5,7 @@
 package sqlast
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -117,20 +118,38 @@ var Keywords = map[string]bool{
 // Format renders a query back to SQL text (used in error messages and
 // for documenting generated translations).
 func Format(q Query) string {
-	var b strings.Builder
-	formatQuery(&b, q)
-	return b.String()
+	s, _ := FormatWithin(q, math.MaxInt)
+	return s
+}
+
+// FormatWithin is Format stopping once the text passes limit bytes, and
+// reports whether it did not. A subquery shared by several parents is
+// printed under each, so the text can be far longer than the tree.
+func FormatWithin(q Query, limit int) (string, bool) {
+	b := &printer{limit: limit}
+	formatQuery(b, q)
+	return b.String(), b.Len() <= limit
 }
 
 // FormatExpr renders an expression back to SQL text, as Format writes
 // it inside a query (the column label of a projected expression).
 func FormatExpr(e Expr) string {
-	var b strings.Builder
-	formatExpr(&b, e)
+	b := &printer{limit: math.MaxInt}
+	formatExpr(b, e)
 	return b.String()
 }
 
-func formatQuery(b *strings.Builder, q Query) {
+// printer is the text formatQuery and formatExpr write, which they stop
+// adding to once it holds more than limit bytes.
+type printer struct {
+	strings.Builder
+	limit int
+}
+
+func formatQuery(b *printer, q Query) {
+	if b.Len() > b.limit {
+		return
+	}
 	switch x := q.(type) {
 	case *Select:
 		b.WriteString("SELECT ")
@@ -188,7 +207,10 @@ func quoteIdent(name string) string {
 	return name
 }
 
-func formatExpr(b *strings.Builder, e Expr) {
+func formatExpr(b *printer, e Expr) {
+	if b.Len() > b.limit {
+		return
+	}
 	switch x := e.(type) {
 	case *ColRef:
 		b.WriteString(quoteIdent(x.Name))

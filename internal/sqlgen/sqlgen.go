@@ -61,13 +61,22 @@ func Translate(e dcs.Expr) (sqlast.Query, error) {
 	return nil, terr(e, "unknown type")
 }
 
-// TranslateSQL is Translate rendered to SQL text.
+// maxSQL caps the SQL text TranslateSQL writes. Argmax over records and
+// the comparing superlative print their operand twice, so k of them
+// nested print the innermost 2^k times.
+const maxSQL = 1 << 20
+
+// TranslateSQL is Translate rendered to SQL text of at most maxSQL bytes.
 func TranslateSQL(e dcs.Expr) (string, error) {
 	q, err := Translate(e)
 	if err != nil {
 		return "", err
 	}
-	return sqlast.Format(q), nil
+	sql, ok := sqlast.FormatWithin(q, maxSQL)
+	if !ok {
+		return "", terr(e, "the SQL runs past %d bytes", maxSQL)
+	}
+	return sql, nil
 }
 
 func col(name string) *sqlast.ColRef  { return &sqlast.ColRef{Name: name} }

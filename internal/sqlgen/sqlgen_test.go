@@ -1,6 +1,7 @@
 package sqlgen
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
@@ -260,5 +261,35 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 	if translated < trials/2 {
 		t.Errorf("only %d/%d random queries were translatable; generator too narrow", translated, trials)
+	}
+}
+
+// TestTranslateSQLBounded: argmax over records prints its operand twice,
+// so n of them nested take MAX(Year) 2^n-1 times. At 10 levels the
+// SQL is Format's whole text and runs on minisql; at 60 TranslateSQL
+// stops at maxSQL bytes and refuses, where printing it all would take
+// exabytes.
+func TestTranslateSQLBounded(t *testing.T) {
+	argmaxes := func(n int) dcs.Expr {
+		return dcs.MustParse(strings.Repeat("argmax(", n) + "Record" + strings.Repeat(", Year)", n))
+	}
+	e := argmaxes(10)
+	sql, err := TranslateSQL(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := Translate(e)
+	if n := strings.Count(sql, "MAX(Year)"); sql != sqlast.Format(q) || n != 1<<10-1 {
+		t.Errorf("10 argmaxes: %d bytes of SQL taking MAX(Year) %d times, want Format's text taking it 2^10-1 times", len(sql), n)
+	}
+	equivalent(t, olympics(t), e)
+
+	_, err = TranslateSQL(argmaxes(60))
+	var te *TranslateError
+	if !errors.As(err, &te) || te.Msg != "the SQL runs past 1048576 bytes" {
+		t.Errorf("60 argmaxes: err = %v, want a TranslateError past maxSQL", err)
+	}
+	if s, ok := sqlast.FormatWithin(q, 1000); ok || len(s) <= 1000 || len(s) > 2000 {
+		t.Errorf("FormatWithin(10 argmaxes, 1000) = %d bytes, %v; want it stopped just past 1000", len(s), ok)
 	}
 }
