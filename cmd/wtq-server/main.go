@@ -22,10 +22,10 @@
 //
 //	{"error": {"code": "<machine_code>", "message": "..."}}
 //
-// with stable codes: bad_request, unknown_table, too_large,
-// deadline_exceeded, canceled, overloaded, unavailable, internal. (The
-// deprecated flat "error_string" mirror announced one release ago has
-// been dropped; read error.code/error.message.)
+// with stable codes: bad_request, query_too_deep, unknown_table,
+// too_large, deadline_exceeded, canceled, overloaded, unavailable,
+// internal. (The deprecated flat "error_string" mirror announced one
+// release ago has been dropped; read error.code/error.message.)
 //
 // Observability: every endpoint is instrumented with
 // server.http.<endpoint>.{requests,errors,latency.seconds} series on
@@ -89,6 +89,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"nlexplain/internal/dcs"
 	"nlexplain/internal/engine"
 	"nlexplain/internal/export"
 	"nlexplain/internal/metric"
@@ -261,6 +262,7 @@ const (
 	codeOverloaded       = "overloaded"
 	codeInternal         = "internal"
 	codeUnavailable      = "unavailable"
+	codeQueryTooDeep     = "query_too_deep"
 )
 
 // errorInfo is the structured error of the unified envelope.
@@ -285,8 +287,9 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // classify maps a pipeline error to its HTTP status and its stable
 // envelope code: missing tables are 404, deadline hits are 504, client
 // disconnects are 499 (the nginx convention; the client is gone and
-// will not read it anyway), everything unrecognised is the client's
-// 400 (bad query, bad table payload).
+// will not read it anyway), a query nested past dcs.MaxDepth is 400
+// query_too_deep, everything unrecognised is the client's 400 (bad
+// query, bad table payload).
 func classify(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -301,6 +304,8 @@ func classify(err error) (status int, code string) {
 		return http.StatusInternalServerError, codeInternal
 	case errors.Is(err, engine.ErrOverloaded):
 		return http.StatusServiceUnavailable, codeOverloaded
+	case errors.As(err, new(*dcs.DepthError)):
+		return http.StatusBadRequest, codeQueryTooDeep
 	default:
 		return http.StatusBadRequest, codeBadRequest
 	}

@@ -546,3 +546,55 @@ func TestErrorMessageIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepQueryRefused sends count( nested a million deep (7 MB, inside
+// the body cap) to /v1/explain, where compiling it once overflowed the
+// stack and killed the process, and 10 000 deep to /v1/answer and a
+// batch: each is refused as query_too_deep. argmax nested 40 deep
+// explains in full but for its SQL, whose text would double at every
+// level. The server answers /v1/healthz after both. Lexing the million
+// levels peaks near 450 MB, which the race detector would more than
+// double, so under it the explain is 10 000 deep too.
+func TestDeepQueryRefused(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/tables", map[string]any{
+		"name": "olympics", "columns": []string{"Year", "City"}, "rows": [][]string{{"2004", "Athens"}, {"2008", "Beijing"}},
+	})
+	counts := func(n int) string { return strings.Repeat("count(", n) + "City.Athens" + strings.Repeat(")", n) }
+	explainDepth := 1_000_000
+	if raceEnabled {
+		explainDepth = 10_000
+	}
+	deep := counts(10_000)
+	for path, query := range map[string]string{"/v1/explain": counts(explainDepth), "/v1/answer": deep} {
+		resp, body := doJSON(t, http.MethodPost, ts.URL+path, map[string]string{"table": "olympics", "query": query})
+		var env errorBody
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeQueryTooDeep {
+			t.Errorf("%s: status %d, code %q; want 400, %s", path, resp.StatusCode, env.Error.Code, codeQueryTooDeep)
+		}
+	}
+	_, body := doJSON(t, http.MethodPost, ts.URL+"/v1/explain/batch", map[string]any{"queries": []map[string]string{{"table": "olympics", "query": deep}}})
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 || br.Results[0].ErrorCode != codeQueryTooDeep {
+		t.Errorf("batch: %+v, want one item refused as %s", br.Results, codeQueryTooDeep)
+	}
+
+	argmaxes := strings.Repeat("argmax(", 40) + "Record" + strings.Repeat(", Year)", 40)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", map[string]string{"table": "olympics", "query": argmaxes})
+	var ex map[string]any
+	if err := json.Unmarshal(body, &ex); err != nil {
+		t.Fatal(err)
+	}
+	if _, hasSQL := ex["sql"]; resp.StatusCode != http.StatusOK || ex["result"] != "records[1]" || hasSQL {
+		t.Errorf("40 argmaxes: status %d, result %v, sql present %v; want 200, records[1], no sql", resp.StatusCode, ex["result"], hasSQL)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after: %d", resp.StatusCode)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlexplain/internal/dcs"
 	"nlexplain/internal/engine"
 )
 
@@ -252,6 +253,7 @@ func TestPipelineErrorClasses(t *testing.T) {
 		{engine.ErrInternal, http.StatusInternalServerError, "internal", false},
 		{engine.ErrOverloaded, http.StatusServiceUnavailable, "overloaded", true},
 		{errors.New("parsing \"max((((\""), http.StatusBadRequest, "bad_request", false},
+		{&dcs.DepthError{Limit: dcs.MaxDepth}, http.StatusBadRequest, "query_too_deep", false},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

@@ -237,7 +237,9 @@ func TestPlanShapeGolden(t *testing.T) {
 // rendering Parse gives back (or Parse's error) for the differential
 // corpus, 2 000 seeded qrand queries, every candidate semparse
 // generates over the questions of wikitables.DefaultOptions() and
-// TestCheckErrorGolden's 120 000 hostile trees.
+// TestCheckErrorGolden's 120 000 hostile trees. Every query but the
+// hostile ones also parses under a tenth of MaxDepth: the cap's
+// headroom over what the parser and the generator make.
 func TestRenderGolden(t *testing.T) {
 	const wantSHA = "f444f7989aa3532077e4c1f5a523d4658513422d463395370ff29d43ac8dee06"
 	sum := sha256.New()
@@ -245,6 +247,9 @@ func TestRenderGolden(t *testing.T) {
 	render := func(set string, e Expr) {
 		counts[set]++
 		src := e.String()
+		if _, err := ParseWithin(src, MaxDepth/10); err != nil && set != "hostile" {
+			t.Errorf("%s query %s nests past a tenth of MaxDepth: %v", set, src, err)
+		}
 		back, err := Parse(src)
 		if err != nil {
 			fmt.Fprintf(sum, "%s\nerror %v\n", src, err)

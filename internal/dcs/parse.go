@@ -23,12 +23,29 @@ import (
 //	argmax((Athens or London), R[λx.count(City.x)])
 //	argmax((London or Beijing), R[λx.R[Year].City.x])
 //	Games>4
-func Parse(src string) (Expr, error) {
+func Parse(src string) (Expr, error) { return parse(src, MaxDepth) }
+
+// MaxDepth caps how deeply a query nests: Parse refuses a deeper one
+// before anything walks its tree, so no walk (check, compile, render,
+// utterance, provenance) recurses further. Each operator application,
+// join step and parenthesis is a level; the deepest query semparse or
+// qrand generates is 7 levels deep.
+const MaxDepth = 100
+
+// DepthError is Parse's refusal of a query nested deeper than Limit.
+type DepthError struct{ Limit int }
+
+func (e *DepthError) Error() string {
+	return fmt.Sprintf("lambda DCS parse: query nested deeper than %d levels", e.Limit)
+}
+
+// parse is Parse with the nesting cap given.
+func parse(src string, limit int) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, limit: limit}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -51,6 +68,8 @@ func MustParse(src string) Expr {
 type parser struct {
 	toks []token
 	pos  int
+	// depth is how many levels deep the parse is; limit caps it.
+	depth, limit int
 }
 
 func (p *parser) peek() token  { return p.toks[p.pos] }
@@ -76,18 +95,16 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 	return t, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 var aggrNames = map[string]AggrFn{
 	"count": Count, "min": Min, "max": Max, "sum": Sum, "avg": Avg,
 }
 
+// parseExpr reads one expression, a level deeper than its caller.
 func (p *parser) parseExpr() (Expr, error) {
+	if p.depth++; p.depth > p.limit {
+		return nil, &DepthError{Limit: p.limit}
+	}
+	defer func() { p.depth-- }()
 	t := p.peek()
 	switch {
 	case t.kind == tokLParen:
@@ -103,7 +120,7 @@ func (p *parser) parseExpr() (Expr, error) {
 			}
 		case "argmax", "argmin":
 			if p.peek2().kind == tokLParen {
-				return p.parseSuperlative(t.text == "argmax")
+				return p.parseSuperlative(t.text == "argmax", "")
 			}
 		}
 		return p.parsePath()
@@ -182,7 +199,12 @@ func (p *parser) parseSub() (Expr, error) {
 //	argmax(vals, R[λx.count(C.x)])          most-frequent value
 //	argmax(Values[C], R[λx.count(C.x)])     most-frequent over a whole column
 //	argmax(vals, R[λx.R[C1].C2.x])          comparing values
-func (p *parser) parseSuperlative(max bool) (Expr, error) {
+//
+// After "R[indexCol]." it also reads argmax(records, Index), the index
+// superlative, deciding on the second argument so that the first is
+// read once: trying one form and reading again as the other doubles the
+// work at every level a superlative nests.
+func (p *parser) parseSuperlative(max bool, indexCol string) (Expr, error) {
 	p.next() // argmax / argmin
 	p.next() // '('
 
@@ -209,6 +231,13 @@ func (p *parser) parseSuperlative(max bool) (Expr, error) {
 	}
 	if _, err := p.expect(tokComma, "','"); err != nil {
 		return nil, err
+	}
+	if t := p.peek(); indexCol != "" && first != nil && t.kind == tokIdent && t.text == "Index" {
+		p.next()
+		if _, err := p.expect(tokRParen, "')'"); err != nil {
+			return nil, err
+		}
+		return &IndexSuperlative{Column: indexCol, Records: first, First: !max}, nil
 	}
 
 	// Second argument.
@@ -363,13 +392,11 @@ func (p *parser) parsePath() (Expr, error) {
 		}
 		// R[C].argmax(recs, Index) / argmin — index superlative.
 		if nt := p.peek(); nt.kind == tokIdent && (nt.text == "argmax" || nt.text == "argmin") && p.peek2().kind == tokLParen {
-			save := p.pos
-			if e, ok, err := p.tryIndexSuperlative(col, nt.text == "argmin"); err != nil {
-				return nil, err
-			} else if ok {
-				return e, nil
+			e, err := p.parseSuperlative(nt.text == "argmax", col)
+			if _, ok := e.(*IndexSuperlative); ok || err != nil {
+				return e, err
 			}
-			p.pos = save
+			return &ColumnValues{Column: col, Records: e}, nil
 		}
 		rest, err := p.parseExpr()
 		if err != nil {
@@ -402,7 +429,7 @@ func (p *parser) parsePath() (Expr, error) {
 		case tokDot:
 			p.next()
 			p.next()
-			arg, err := p.parseJoinArg()
+			arg, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
@@ -434,48 +461,6 @@ func (p *parser) parsePath() (Expr, error) {
 	}
 
 	return nil, p.errf("unexpected %s", t)
-}
-
-// parseJoinArg reads the right side of a join: a parenthesized
-// expression (for unions of literals), a function application
-// (aggregate, sub, superlative), or a nested path/literal.
-func (p *parser) parseJoinArg() (Expr, error) {
-	t := p.peek()
-	if t.kind == tokLParen {
-		return p.parseParen()
-	}
-	if t.kind == tokIdent && p.peek2().kind == tokLParen {
-		_, isAggr := aggrNames[t.text]
-		if isAggr || t.text == "sub" || t.text == "argmax" || t.text == "argmin" {
-			return p.parseExpr()
-		}
-	}
-	return p.parsePath()
-}
-
-// tryIndexSuperlative attempts "argmax(records, Index)" after "R[col].".
-// Returns ok=false (with the parser position untouched by the caller) when
-// the second argument is not the Index keyword.
-func (p *parser) tryIndexSuperlative(col string, first bool) (Expr, bool, error) {
-	p.next() // argmax / argmin
-	p.next() // '('
-	recs, err := p.parseExpr()
-	if err != nil {
-		return nil, false, nil // let the caller re-parse as a generic expression
-	}
-	if p.peek().kind != tokComma {
-		return nil, false, nil
-	}
-	p.next()
-	t := p.peek()
-	if t.kind != tokIdent || t.text != "Index" {
-		return nil, false, nil
-	}
-	p.next()
-	if _, err := p.expect(tokRParen, "')'"); err != nil {
-		return nil, false, err
-	}
-	return &IndexSuperlative{Column: col, Records: recs, First: first}, true, nil
 }
 
 // parseLiteral reads a number, quoted string or bare identifier as a Value.

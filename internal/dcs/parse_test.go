@@ -1,6 +1,9 @@
 package dcs_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	. "nlexplain/internal/dcs"
@@ -200,5 +203,66 @@ func TestSubqueriesAndSize(t *testing.T) {
 	}
 	if Size(e) != 4 {
 		t.Errorf("Size = %d", Size(e))
+	}
+}
+
+// nested is a query whose head repeats n times around a leaf, each
+// repetition closed by tail.
+func nested(head, leaf, tail string, n int) string {
+	return strings.Repeat(head, n) + leaf + strings.Repeat(tail, n)
+}
+
+// TestParseRefusesDeepNesting holds the nesting cap to its level: count(
+// n deep around a join is n+2 levels, so MaxDepth-2 of them parse and
+// one more is refused. Every nesting form 10 000 deep, and count( a
+// million deep, are refused too, as a *DepthError.
+func TestParseRefusesDeepNesting(t *testing.T) {
+	if _, err := Parse(nested("count(", "Nation.Greece", ")", MaxDepth-2)); err != nil {
+		t.Errorf("count( %d deep: %v", MaxDepth-2, err)
+	}
+	const deep = 10_000
+	for _, src := range []string{
+		nested("count(", "Nation.Greece", ")", MaxDepth-1),
+		nested("count(", "Nation.Greece", ")", 1_000_000),
+		nested("(", "Nation.Greece", ")", deep),
+		nested("Prev.", "Nation.Greece", "", deep),
+		nested("R[Prev].", "Nation.Greece", "", deep),
+		nested("R[Year].", "Nation.Greece", "", deep),
+		nested("Nation.", "Greece", "", deep),
+		nested("(Nation.Greece or ", "Nation.Fiji", ")", deep),
+		nested("sub(", "count(Record)", ", count(Record))", deep),
+		nested("argmax(", "Record", ", Year)", deep),
+		nested("R[Year].argmax(", "Record", ", Index)", deep),
+		nested("argmax(", "(Greece or Fiji)", ", R[λx.R[Year].Nation.x])", deep),
+	} {
+		_, err := Parse(src)
+		var de *DepthError
+		if !errors.As(err, &de) || de.Limit != MaxDepth {
+			t.Errorf("%.30s…: err = %v, want a *DepthError at %d", src, err, MaxDepth)
+			continue
+		}
+		if want := "lambda DCS parse: query nested deeper than 100 levels"; err.Error() != want {
+			t.Errorf("%.30s…: %q, want %q", src, err, want)
+		}
+	}
+}
+
+// TestParseNestedSuperlativesOnce: after R[C]., argmax(recs, X) is an
+// index superlative if X is Index and a superlative under R[C]
+// otherwise, and recs is read once either way. Reading it as one form
+// and then again as the other would take 2^48 reads here.
+func TestParseNestedSuperlativesOnce(t *testing.T) {
+	for _, tc := range []struct{ tail, want string }{
+		{", Index)", "*dcs.IndexSuperlative"},
+		{", Year)", "*dcs.ColumnValues"},
+	} {
+		src := nested("R[Year].argmax(", "Record", tc.tail, 48)
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%.30s…: %v", src, err)
+		}
+		if got := fmt.Sprintf("%T", e); got != tc.want || e.String() != src {
+			t.Errorf("%.30s…: parsed a %s rendering %.30s…, want a %s rendering the source", src, got, e, tc.want)
+		}
 	}
 }
