@@ -2,8 +2,8 @@
 # build, vet, fmt, cover, bench, bench-compile, the stress shards and
 # the fuzz targets through this file. Speed is measured by
 # benchmark/run.sh (BENCHMARK.json), not here. Size is `make lines`:
-# non-test Go lines, and the lines the shipped binaries link (no CI job
-# runs it).
+# non-test Go lines, and the lines the shipped binaries link (the CI
+# build job prints it, and gates nothing on it).
 
 GO ?= go
 

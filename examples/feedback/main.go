@@ -72,10 +72,3 @@ func main() {
 	after := show("after retraining on the user's annotation (Eq. 8)")
 	fmt.Printf("gold ranked first: before=%v after=%v\n", before, after)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
