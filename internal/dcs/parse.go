@@ -23,6 +23,8 @@ import (
 //	argmax((Athens or London), R[λx.count(City.x)])
 //	argmax((London or Beijing), R[λx.R[Year].City.x])
 //	Games>4
+//
+// A query nested deeper than MaxDepth is refused with a *DepthError.
 func Parse(src string) (Expr, error) { return parse(src, MaxDepth) }
 
 // MaxDepth caps how deeply a query nests: Parse refuses a deeper one
