@@ -60,7 +60,7 @@ func cells(refs ...[2]int) table.CellSet {
 
 func wantSet(t testing.TB, name string, got, want table.CellSet) {
 	t.Helper()
-	if !subsetOf(got, want) || !subsetOf(want, got) {
+	if !got.SubsetOf(want) || !want.SubsetOf(got) {
 		t.Errorf("%s = %v, want %v", name, got, want)
 	}
 }
@@ -233,10 +233,10 @@ func TestIdenticalHighlightsDistinctQueries(t *testing.T) {
 	// cannot tell them apart without the utterance. (The framed layer may
 	// differ — Games<17 examines every Games cell — which is exactly why
 	// the paper pairs highlights with utterances.)
-	if !subsetOf(h1.Prov.Output, h2.Prov.Output) || !subsetOf(h2.Prov.Output, h1.Prov.Output) {
+	if !h1.Prov.Output.SubsetOf(h2.Prov.Output) || !h2.Prov.Output.SubsetOf(h1.Prov.Output) {
 		t.Errorf("PO differs: %v vs %v", h1.Prov.Output, h2.Prov.Output)
 	}
-	if !subsetOf(h1.Prov.Columns, h2.Prov.Columns) || !subsetOf(h2.Prov.Columns, h1.Prov.Columns) {
+	if !h1.Prov.Columns.SubsetOf(h2.Prov.Columns) || !h2.Prov.Columns.SubsetOf(h1.Prov.Columns) {
 		t.Errorf("PC differs: %v vs %v", h1.Prov.Columns, h2.Prov.Columns)
 	}
 	for r := 0; r < players.NumRows(); r++ {
@@ -587,19 +587,5 @@ func FuzzHighlight(f *testing.F) {
 // chain reports whether the provenance chain PO ⊆ PE ⊆ PC of
 // Definition 4.1 holds.
 func chain(p *Prov) bool {
-	return subsetOf(p.Output, p.Execution) && subsetOf(p.Execution, p.Columns)
-}
-
-// subsetOf reports whether every member of s is in o, in one merge walk.
-func subsetOf(s, o table.CellSet) bool {
-	j := 0
-	for _, c := range s {
-		for j < len(o) && o[j].Less(c) {
-			j++
-		}
-		if j == len(o) || o[j] != c {
-			return false
-		}
-	}
-	return true
+	return p.Output.SubsetOf(p.Execution) && p.Execution.SubsetOf(p.Columns)
 }

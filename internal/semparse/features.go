@@ -1,6 +1,7 @@
 package semparse
 
 import (
+	"iter"
 	"math/bits"
 	"slices"
 	"sort"
@@ -33,6 +34,17 @@ func (f Features) Get(name string) float64 {
 		return f[i].Value
 	}
 	return 0
+}
+
+// All iterates the features present, in name order.
+func (f Features) All() iter.Seq2[string, float64] {
+	return func(yield func(string, float64) bool) {
+		for _, e := range f {
+			if !yield(featureNames[e.ID], e.Value) {
+				return
+			}
+		}
+	}
 }
 
 // op is an operator class a query can contain — the ones some feature

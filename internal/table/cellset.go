@@ -29,6 +29,22 @@ func (s CellSet) Contains(c CellRef) bool {
 	return lo < len(s) && s[lo] == c
 }
 
+// SubsetOf reports whether every member of s is in o, in one merge
+// walk. The provenance chain PO ⊆ PE ⊆ PC of Definition 4.1 is
+// verified with this.
+func (s CellSet) SubsetOf(o CellSet) bool {
+	j := 0
+	for _, c := range s {
+		for j < len(o) && o[j].Less(c) {
+			j++
+		}
+		if j == len(o) || o[j] != c {
+			return false
+		}
+	}
+	return true
+}
+
 // IntersectSortedCells appends the cells common to a and b onto dst
 // (usually a scratch slice with len 0) and returns it, sorted and
 // duplicate-free.

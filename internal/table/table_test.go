@@ -163,8 +163,11 @@ func TestCellSetOperations(t *testing.T) {
 	if len(m) != 1 || !m.Contains(CellRef{0, 0}) {
 		t.Errorf("minus = %v", m)
 	}
+	if !a.SubsetOf(u) || u.SubsetOf(a) {
+		t.Error("SubsetOf broken")
+	}
 	// The walks at their ends: nothing minus anything, anything minus
-	// nothing, a set minus itself.
+	// nothing, a set minus itself, the empty set inside every set.
 	var none CellSet
 	if got := slices.Collect(DiffSortedCells(none, a)); len(got) != 0 {
 		t.Errorf("empty minus a = %v", got)
@@ -174,6 +177,12 @@ func TestCellSetOperations(t *testing.T) {
 	}
 	if got := slices.Collect(DiffSortedCells(u, u)); len(got) != 0 {
 		t.Errorf("u minus u = %v", got)
+	}
+	if !none.SubsetOf(a) || !none.SubsetOf(none) || a.SubsetOf(none) || !a.SubsetOf(a) {
+		t.Error("SubsetOf broken on the empty set")
+	}
+	if b.SubsetOf(a) || cellSet(CellRef{3, 0}).SubsetOf(u) {
+		t.Error("SubsetOf accepts a stranger")
 	}
 }
 
