@@ -85,8 +85,9 @@ func TestServerWireGolden(t *testing.T) {
 		{"error-csv-and-rows", http.MethodPost, ts.URL + "/v1/tables", map[string]any{"name": "ponds", "csv": "Pond\nWalden\n", "columns": []string{"Pond"}, "rows": [][]string{{"Walden"}}}},
 		{"tables-after-trailing", http.MethodGet, ts.URL + "/v1/tables", nil},
 		// A query nested past dcs.MaxDepth is refused with a code of its
-		// own, its message cut to a prefix.
-		{"error-too-deep", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": strings.Repeat("count(", dcs.MaxDepth) + "City.Athens" + strings.Repeat(")", dcs.MaxDepth)}},
+		// own. The message quotes the 1.4 KB query, so it is cut to a
+		// 1 KiB prefix and "…".
+		{"error-too-deep", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": strings.Repeat("count(", 2*dcs.MaxDepth) + "City.Athens" + strings.Repeat(")", 2*dcs.MaxDepth)}},
 	}
 	got := make(map[string]string)
 	for _, tc := range cases {
@@ -162,7 +163,7 @@ var serverWireGolden = map[string]string{
 	"error-trailing-value":   "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
 	"error-csv-and-rows":     "20bc96a54118f6f3a417addf3afa4468d601b9d1e357db796a91886fa4ab938f",
 	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
-	"error-too-deep":         "7d4d01b4cebb3dc0965a41191e5d824605228221143eb21aa102f7265350610d",
+	"error-too-deep":         "3cfe62da41db4bb15f9bb62402e28ebd91f45a757e1d268d0f8d855f2238a3bc",
 	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
 	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",
 	"error-overloaded":       "807d4733e61199c59a6609f36da56ac71dcd90053538d2867f8ad1bc8616f67f",

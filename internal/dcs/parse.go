@@ -25,7 +25,21 @@ import (
 //	Games>4
 //
 // A query nested deeper than MaxDepth is refused with a *DepthError.
-func Parse(src string) (Expr, error) { return parse(src, MaxDepth) }
+func Parse(src string) (Expr, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if p.peek().kind != tokEOF {
+		return nil, p.errf("unexpected trailing input %s", p.peek())
+	}
+	return e, nil
+}
 
 // MaxDepth caps how deeply a query nests: Parse refuses a deeper one
 // before anything walks its tree, so no walk (check, compile, render,
@@ -41,23 +55,6 @@ func (e *DepthError) Error() string {
 	return fmt.Sprintf("lambda DCS parse: query nested deeper than %d levels", e.Limit)
 }
 
-// parse is Parse with the nesting cap given.
-func parse(src string, limit int) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, limit: limit}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected trailing input %s", p.peek())
-	}
-	return e, nil
-}
-
 // MustParse is Parse, panicking on error; intended for fixtures and tests.
 func MustParse(src string) Expr {
 	e, err := Parse(src)
@@ -70,8 +67,8 @@ func MustParse(src string) Expr {
 type parser struct {
 	toks []token
 	pos  int
-	// depth is how many levels deep the parse is; limit caps it.
-	depth, limit int
+	// depth is how many levels deep the parse is; MaxDepth caps it.
+	depth int
 }
 
 func (p *parser) peek() token  { return p.toks[p.pos] }
@@ -103,8 +100,8 @@ var aggrNames = map[string]AggrFn{
 
 // parseExpr reads one expression, a level deeper than its caller.
 func (p *parser) parseExpr() (Expr, error) {
-	if p.depth++; p.depth > p.limit {
-		return nil, &DepthError{Limit: p.limit}
+	if p.depth++; p.depth > MaxDepth {
+		return nil, &DepthError{Limit: MaxDepth}
 	}
 	defer func() { p.depth-- }()
 	t := p.peek()
