@@ -10,7 +10,6 @@ import (
 
 	"nlexplain/internal/engine"
 	"nlexplain/internal/fault"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/vfs"
 )
 
@@ -25,7 +24,7 @@ func newDegradableServer(t *testing.T) (*httptest.Server, *fault.InjectFS) {
 		DataDir:            t.TempDir(),
 		CheckpointInterval: -1,
 		FS:                 fs,
-		RecoveryBackoff:    retry.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
+		RecoveryDelay:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
@@ -106,7 +105,7 @@ func TestServerDegradedEnvelope(t *testing.T) {
 		t.Fatalf("degraded read: status %d: %s", resp.StatusCode, body)
 	}
 
-	// Heal and wait for the recovery loop to lift read-only mode.
+	// Heal and wait for the checkpoint loop to lift read-only mode.
 	fs.Heal()
 	deadline := time.Now().Add(5 * time.Second)
 	for {

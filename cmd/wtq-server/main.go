@@ -56,9 +56,10 @@
 // degraded read-only mode — reads keep serving from the in-memory
 // snapshots, mutations fail fast with 503 code "unavailable" and a
 // Retry-After header, /v1/healthz flips to 503 {"status":"degraded",
-// "reason":...} so load balancers drain the node, and a background
-// recovery loop retries with capped exponential backoff until a fresh
-// log verifies durable, at which point everything returns to normal.
+// "reason":...} so load balancers drain the node, and the store's
+// checkpoint loop retries with capped exponential backoff until a
+// fresh log verifies durable, at which point everything returns to
+// normal.
 // Watch store.degraded, store.faults.durability and
 // store.recovery.{attempts,successes} on GET /metrics.
 //
@@ -647,8 +648,8 @@ func (s *server) handleParse(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports serving health. While the durable store is in
 // degraded read-only mode it answers 503 with the episode's reason and
-// a Retry-After, so load balancers drain the node until the background
-// recovery loop lifts the degradation; reads still serve in between.
+// a Retry-After, so load balancers drain the node until the store's
+// checkpoint loop lifts the degradation; reads still serve in between.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := s.engine.Health()
 	if h.Status != "ok" {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nlexplain/internal/fault"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/vfs"
 )
 
@@ -93,7 +92,7 @@ func runChaos(t *testing.T, seed int64, cycles int, dir string) chaosTally {
 		DataDir:            dir,
 		CheckpointInterval: -1,
 		FS:                 fs,
-		RecoveryBackoff:    retry.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
+		RecoveryDelay:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("chaos open: %v", err)

@@ -27,7 +27,6 @@ import (
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/export"
 	"nlexplain/internal/plan"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/store"
 	"nlexplain/internal/table"
@@ -80,9 +79,10 @@ type Options struct {
 	// through. nil means the real OS (vfs.OS); tests and chaos runs
 	// substitute a fault injector. Ignored without DataDir.
 	FS vfs.FS
-	// RecoveryBackoff paces the store's degraded-mode recovery loop
-	// (zero value = retry package defaults). Ignored without DataDir.
-	RecoveryBackoff retry.Backoff
+	// RecoveryDelay is the first wait between the store's degraded-mode
+	// recovery attempts, doubling up to 100x (0 = store default of
+	// 50ms). Ignored without DataDir.
+	RecoveryDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -187,7 +187,7 @@ func Open(opts Options) (*Engine, error) {
 			CheckpointInterval: opts.CheckpointInterval,
 			CheckpointBytes:    opts.CheckpointBytes,
 			FS:                 opts.FS,
-			RecoveryBackoff:    opts.RecoveryBackoff,
+			RecoveryDelay:      opts.RecoveryDelay,
 		})
 		if err != nil {
 			return nil, err

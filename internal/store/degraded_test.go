@@ -2,12 +2,12 @@ package store
 
 import (
 	"errors"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
 
 	"nlexplain/internal/fault"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/vfs"
 )
 
@@ -20,7 +20,7 @@ func openInjected(t *testing.T, dir string, fs *fault.InjectFS) *Store {
 		CheckpointInterval: -1,
 		CheckpointBytes:    -1,
 		FS:                 fs,
-		RecoveryBackoff:    retry.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
+		RecoveryDelay:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
@@ -89,7 +89,7 @@ func TestStoreDegradedRecovery(t *testing.T) {
 		}
 	}
 
-	// Heal: the recovery loop rotates to a fresh log and exits degraded.
+	// Heal: the checkpoint loop rotates to a fresh log and exits degraded.
 	fs.Heal()
 	waitHealthy(t, st, 5*time.Second)
 
@@ -226,4 +226,100 @@ func TestStoreCloseWhileDegraded(t *testing.T) {
 	st2 := openDurable(t, dir)
 	defer st2.Close()
 	checkRecovered(t, st2, acked)
+}
+
+// TestStoreRunsOneGoroutine: a durable store's background work, the
+// checkpoints and a degraded episode's recovery, is one goroutine from
+// Open to Close.
+func TestStoreRunsOneGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settle := func(when string, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine()-base != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines past the baseline, want %d", when, runtime.NumGoroutine()-base, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	fs := fault.NewInject(vfs.OS, 17)
+	st := openInjected(t, t.TempDir(), fs)
+	settle("open", 1)
+
+	fs.SetRules(&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", Count: fault.Sticky, Err: syscall.EIO})
+	if _, err := st.Register(mustTable(t, "a", 2)); err == nil {
+		t.Fatal("faulted register succeeded")
+	}
+	for st.dur.recAttempts.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	settle("degraded", 1)
+	fs.Heal()
+	waitHealthy(t, st, 5*time.Second)
+	settle("recovered", 1)
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settle("closed", 0)
+}
+
+// TestStoreCloseDuringRecoveryWait: Close ends a recovery backoff wait
+// at once, however long the wait, with the fault never healed, and a
+// reopen sees every acked mutation.
+func TestStoreCloseDuringRecoveryWait(t *testing.T) {
+	dir := t.TempDir()
+	fs := fault.NewInject(vfs.OS, 19)
+	st, err := Open(Options{}, DurableOptions{
+		Dir: dir, CheckpointInterval: -1, CheckpointBytes: -1, FS: fs, RecoveryDelay: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Register(mustTable(t, "a", 4)); err != nil {
+		t.Fatal(err)
+	}
+	acked := captureState(st)
+	fs.SetRules(&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", Count: fault.Sticky, Err: syscall.EIO})
+	if _, err := st.Register(mustTable(t, "b", 2)); err == nil {
+		t.Fatal("faulted register succeeded")
+	}
+	for st.dur.recAttempts.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		st.Close() // the final checkpoint may fail on the sealed disk
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked inside an hour-long recovery wait")
+	}
+	st2 := openDurable(t, dir)
+	defer st2.Close()
+	checkRecovered(t, st2, acked)
+}
+
+// TestRecoveryDelay pins the wait between recovery attempts: the first
+// delay, doubled per failed attempt up to 100 times the first, with 0
+// selecting 50ms.
+func TestRecoveryDelay(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		base time.Duration
+		n    int
+		want time.Duration
+	}{
+		{ms, 0, ms}, {ms, 1, 2 * ms}, {ms, 2, 4 * ms}, {ms, 6, 64 * ms},
+		{ms, 7, 100 * ms}, {ms, 1000, 100 * ms},
+		{0, 0, 50 * ms}, {0, 1, 100 * ms}, {0, 6, 3200 * ms}, {0, 7, 5 * time.Second}, {0, 60, 5 * time.Second},
+		{3 * ms, 5, 96 * ms}, {3 * ms, 6, 192 * ms}, {3 * ms, 7, 300 * ms},
+	} {
+		if got := recoveryDelay(tc.base, tc.n); got != tc.want {
+			t.Errorf("recoveryDelay(%v, %d) = %v, want %v", tc.base, tc.n, got, tc.want)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"nlexplain/internal/metric"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/table"
 	"nlexplain/internal/vfs"
@@ -28,8 +26,8 @@ var ErrDurability = errors.New("store: durability failure")
 
 // ErrDegraded marks mutations rejected fast while the store is in
 // degraded read-only mode: a durability fault sealed the write-ahead
-// log, reads keep serving from the in-memory snapshots, and a
-// background recovery loop is retrying with capped backoff. It is
+// log, reads keep serving from the in-memory snapshots, and the
+// checkpoint loop is retrying with capped backoff. It is
 // always wrapped in ErrDurability; match either with errors.Is.
 var ErrDegraded = errors.New("store: degraded read-only mode")
 
@@ -53,10 +51,11 @@ type DurableOptions struct {
 	// the real OS (vfs.OS); tests and chaos runs substitute a fault
 	// injector.
 	FS vfs.FS
-	// RecoveryBackoff paces the degraded-mode recovery loop's attempts
-	// to rotate to a fresh log. The zero value uses the retry package
-	// defaults (50ms base doubling to a 5s cap, ±20% jitter).
-	RecoveryBackoff retry.Backoff
+	// RecoveryDelay is the wait after a degraded store's first failed
+	// attempt to rotate to a fresh log; each further failure doubles
+	// it, up to 100 times the first (see recoveryDelay). 0 selects
+	// 50ms, so the wait caps at 5s.
+	RecoveryDelay time.Duration
 }
 
 func (o DurableOptions) withDefaults() DurableOptions {
@@ -83,15 +82,13 @@ func Open(opts Options, dopts DurableOptions) (*Store, error) {
 	}
 	st := New(opts)
 	d := &durability{
-		st:      st,
-		dir:     dopts.Dir,
-		fs:      vfs.Or(dopts.FS),
-		opts:    dopts.withDefaults(),
-		kick:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		recKick: make(chan struct{}, 1),
-		recDone: make(chan struct{}),
+		st:   st,
+		dir:  dopts.Dir,
+		fs:   vfs.Or(dopts.FS),
+		opts: dopts.withDefaults(),
+		kick: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if err := d.fs.MkdirAll(dopts.Dir, 0o755); err != nil {
 		return nil, err
@@ -101,12 +98,11 @@ func Open(opts Options, dopts DurableOptions) (*Store, error) {
 	}
 	st.dur = d
 	go d.loop()
-	go d.recoveryLoop()
 	return st, nil
 }
 
 // durability is the persistence side of a Store: the active WAL, the
-// checkpointer, and recovery.
+// checkpointer, and recovery. Its one goroutine is loop.
 type durability struct {
 	st   *Store
 	dir  string
@@ -130,23 +126,18 @@ type durability struct {
 	ckptMu       sync.Mutex // serializes checkpoints
 	lastManifest *segment.Manifest
 
-	kick chan struct{}
+	kick chan struct{} // wakes loop: the size trigger, or a new degraded episode
 	quit chan struct{}
 	done chan struct{}
 
-	// Degraded read-only mode. degraded flips on at the first
+	// degraded is the fault that started the current degraded
+	// read-only episode, nil while healthy. It is set at the first
 	// durability fault a mutation observes (the WAL is sealed: its
-	// sticky error rejects everything after) and off when the recovery
-	// loop rotates to a fresh, verified log. closed suppresses the
+	// sticky error rejects everything after) and cleared when loop
+	// rotates to a fresh, verified log. closed suppresses the
 	// transition during clean shutdown, where ErrClosed is expected.
-	degraded   atomic.Bool
-	closed     atomic.Bool
-	degradedMu sync.Mutex // guards reason + since
-	reason     string
-	since      time.Time
-
-	recKick chan struct{} // wakes the recovery loop
-	recDone chan struct{}
+	degraded atomic.Pointer[string]
+	closed   atomic.Bool
 
 	faults       atomic.Uint64 // durability faults observed
 	episodes     atomic.Uint64 // degraded episodes entered
@@ -175,8 +166,8 @@ func (d *durability) walPath(seq uint64) string {
 // touching the sealed log; an append failure flips the store into
 // degraded mode.
 func (d *durability) log(tag byte, payload wal.Payload) (release func(), err error) {
-	if d.degraded.Load() {
-		return nil, d.degradedErr()
+	if reason := d.degraded.Load(); reason != nil {
+		return nil, fmt.Errorf("%w (since fault: %s)", ErrDegraded, *reason)
 	}
 	d.logMu.RLock()
 	w := d.w
@@ -194,60 +185,32 @@ func (d *durability) log(tag byte, payload wal.Payload) (release func(), err err
 	return d.logMu.RUnlock, nil
 }
 
-// degradedErr renders the fail-fast rejection with the episode's
-// trigger as context.
-func (d *durability) degradedErr() error {
-	d.degradedMu.Lock()
-	reason := d.reason
-	d.degradedMu.Unlock()
-	return fmt.Errorf("%w (since fault: %s)", ErrDegraded, reason)
-}
-
 // enterDegraded flips the store into degraded read-only mode and wakes
-// the recovery loop. During clean shutdown the transition is
-// suppressed: ErrClosed from the final WAL is not a fault.
+// loop to recover. During clean shutdown the transition is suppressed:
+// ErrClosed from the final WAL is not a fault.
 func (d *durability) enterDegraded(cause error) {
 	d.faults.Add(1)
 	if d.closed.Load() {
 		return
 	}
-	if !d.degraded.CompareAndSwap(false, true) {
+	reason := cause.Error()
+	if !d.degraded.CompareAndSwap(nil, &reason) {
 		return
 	}
 	d.episodes.Add(1)
-	d.degradedMu.Lock()
-	d.reason = cause.Error()
-	d.since = time.Now()
-	d.degradedMu.Unlock()
 	select {
-	case d.recKick <- struct{}{}:
+	case d.kick <- struct{}{}:
 	default:
 	}
-}
-
-func (d *durability) exitDegraded() {
-	d.degradedMu.Lock()
-	d.reason = ""
-	d.since = time.Time{}
-	d.degradedMu.Unlock()
-	d.degraded.Store(false)
 }
 
 // degradedState reports whether the store is degraded and, if so, the
 // fault that started the episode.
 func (d *durability) degradedState() (bool, string) {
-	if !d.degraded.Load() {
-		return false, ""
+	if reason := d.degraded.Load(); reason != nil {
+		return true, *reason
 	}
-	d.degradedMu.Lock()
-	reason := d.reason
-	d.degradedMu.Unlock()
-	// A racing exitDegraded may have cleared the state between the two
-	// loads; report consistently.
-	if !d.degraded.Load() {
-		return false, ""
-	}
-	return true, reason
+	return false, ""
 }
 
 // probe appends a no-op record to the active WAL and waits for its
@@ -257,42 +220,6 @@ func (d *durability) probe() error {
 	d.logMu.RLock()
 	defer d.logMu.RUnlock()
 	return d.w.Append(tagNoop, nil)
-}
-
-// recoveryLoop waits out degraded episodes: woken by enterDegraded, it
-// retries checkpoint-plus-probe under capped exponential backoff until
-// the store is healthy again (a successful checkpoint rotates to a
-// fresh WAL and supersedes the sealed one) or shutdown cancels it.
-func (d *durability) recoveryLoop() {
-	defer close(d.recDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-d.quit:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	for {
-		select {
-		case <-d.quit:
-			return
-		case <-d.recKick:
-		}
-		err := retry.Do(ctx, d.opts.RecoveryBackoff, func(context.Context) error {
-			d.recAttempts.Add(1)
-			if err := d.checkpoint(); err != nil {
-				return err
-			}
-			return d.probe()
-		})
-		if err != nil {
-			return // shutdown while still degraded
-		}
-		d.recSuccesses.Add(1)
-		d.exitDegraded()
-	}
 }
 
 // listWALSeqs returns the sequence numbers of the wal-*.log files in
@@ -435,7 +362,9 @@ func (d *durability) apply(recs []wal.Record) error {
 	return nil
 }
 
-// loop runs the periodic and size-triggered checkpoints.
+// loop runs the periodic and size-triggered checkpoints, and waits
+// out degraded episodes: woken while degraded, it recovers before it
+// listens for ticks again.
 func (d *durability) loop() {
 	defer close(d.done)
 	var tick <-chan time.Time
@@ -451,8 +380,45 @@ func (d *durability) loop() {
 		case <-tick:
 		case <-d.kick:
 		}
-		d.checkpoint() // failure is counted; the WAL stays authoritative
+		if d.degraded.Load() == nil {
+			d.checkpoint() // failure is counted; the WAL stays authoritative
+		} else if !d.recoverDegraded() {
+			return
+		}
 	}
+}
+
+// recoverDegraded retries checkpoint-plus-probe, at once and then after
+// each recoveryDelay, until the store is healthy again (a successful
+// checkpoint rotates to a fresh WAL and supersedes the sealed one). It
+// reports false if shutdown cut the wait short.
+func (d *durability) recoverDegraded() bool {
+	for attempt := 0; ; attempt++ {
+		d.recAttempts.Add(1)
+		if d.checkpoint() == nil && d.probe() == nil {
+			d.recSuccesses.Add(1)
+			d.degraded.Store(nil)
+			return true
+		}
+		select {
+		case <-d.quit:
+			return false
+		case <-time.After(recoveryDelay(d.opts.RecoveryDelay, attempt)):
+		}
+	}
+}
+
+// recoveryDelay is the wait after failed recovery attempt n (from 0):
+// base, 50ms when 0, doubled per attempt up to 100 times base.
+func recoveryDelay(base time.Duration, n int) time.Duration {
+	if base <= 0 {
+		base = 50 * time.Millisecond
+	}
+	d := base
+	for ; n > 0 && d < 100*base; n-- {
+		d *= 2
+	}
+	return min(d, 100*base)
 }
 
 // checkpoint compacts the WAL into segment files: rotate the log,
@@ -590,7 +556,6 @@ func (d *durability) close() error {
 	d.closed.Store(true)
 	close(d.quit)
 	<-d.done
-	<-d.recDone
 	err := d.checkpoint()
 	d.logMu.Lock()
 	cerr := d.w.Close()

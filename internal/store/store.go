@@ -477,9 +477,9 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 
 	// Degraded-mode series: the 0/1 degraded gauge is what dashboards
 	// alert on; faults counts every durability fault observed and the
-	// recovery pair tracks the backoff loop's work.
+	// recovery pair tracks the checkpoint loop's retries.
 	r.GaugeFunc("degraded", "1 while in degraded read-only mode, else 0", durSeries(d, func(d *durability) int64 {
-		if d.degraded.Load() {
+		if d.degraded.Load() != nil {
 			return 1
 		}
 		return 0

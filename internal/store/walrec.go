@@ -21,7 +21,7 @@ const (
 	// snapshot that was dropped, which is what gen-gated replay
 	// compares against.
 	tagDrop = 0x03
-	// tagNoop carries no payload: the degraded-mode recovery loop
+	// tagNoop carries no payload: degraded-mode recovery
 	// appends one to a freshly rotated log as proof the log accepts
 	// durable writes before lifting read-only mode. Replay skips it.
 	tagNoop = 0x04
