@@ -493,19 +493,16 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 	r.CounterFunc("recovery.successes", "degraded-mode recoveries that lifted read-only mode",
 		durSeries(d, func(d *durability) uint64 { return d.recSuccesses.Load() }))
 
-	// Zone-map series, process-wide across all tables: builds is a
-	// monotonic counter of per-column constructions, bytes the resident
-	// footprint of currently published maps (charged as DerivedBytes).
-	r.CounterFunc("zonemap.builds", "zone maps built (per-column constructions)", func() uint64 {
-		builds, _ := table.ZoneMapStats()
-		return builds
-	})
+	// Zone-map series: builds is a process-wide monotonic counter of
+	// per-column constructions, bytes the footprint of the maps this
+	// store's resident tables hold (charged as DerivedBytes).
+	r.CounterFunc("zonemap.builds", "zone maps built (per-column constructions)", table.ZoneMapBuilds)
 	r.GaugeFunc("zonemap.bytes", "resident bytes of published zone maps", func() int64 {
-		_, bytes := table.ZoneMapStats()
-		if bytes < 0 {
-			bytes = 0
+		var n int64
+		for _, snap := range st.Snapshots() {
+			n += snap.t.ZoneBytes()
 		}
-		return bytes
+		return n
 	})
 }
 

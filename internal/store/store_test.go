@@ -228,6 +228,35 @@ func TestStoreMemoryAccounting(t *testing.T) {
 	}
 }
 
+// TestStoreZoneMapBytes: the zone-map gauge is the bytes of the zone
+// maps the resident tables hold, so a version that an append replaces
+// or a drop releases stops counting.
+func TestStoreZoneMapBytes(t *testing.T) {
+	st := New(Options{})
+	snap, err := st.Register(mustTable(t, "a", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range snap.Table().NumCols() {
+		snap.Table().ColumnZones(c)
+	}
+	if got, want := series(t, st, "store.zonemap.bytes"), snap.Table().ZoneBytes(); got != want || want <= 0 {
+		t.Fatalf("zone-map bytes %d after the build, want the table's %d", got, want)
+	}
+	for i := range 5 {
+		if snap, err = st.Append("a", [][]string{{"nation9", strconv.Itoa(2024 + i), "99"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := series(t, st, "store.zonemap.bytes"), snap.Table().ZoneBytes(); got != want || want <= 0 {
+		t.Fatalf("zone-map bytes %d after 5 appends, want one table's %d", got, want)
+	}
+	st.Drop("a")
+	if got := series(t, st, "store.zonemap.bytes"); got != 0 {
+		t.Fatalf("zone-map bytes %d with no tables left, want 0", got)
+	}
+}
+
 // TestStoreEvictionOrdering pins the eviction policy: over budget, the
 // least recently used table loses its derived indexes first, base data
 // survives, and the indexes rebuild on demand.

@@ -96,15 +96,10 @@ func (t *Table) DropDerivedIndexes() int64 {
 			freed += indexBytes(len(old.rows))
 		}
 	}
-	var zoneFreed int64
 	for c := range t.zones {
 		if old := t.zones[c].Swap(nil); old != nil {
-			zoneFreed += zoneBytes(len(old.zones))
+			freed += zoneBytes(len(old.zones))
 		}
-	}
-	if zoneFreed > 0 {
-		zoneResidentBytes.Add(-zoneFreed)
-		freed += zoneFreed
 	}
 	if freed > 0 {
 		t.mem.derived.Add(-freed)

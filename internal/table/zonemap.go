@@ -104,20 +104,25 @@ func computeZones(cd *columnData, n int) []Zone {
 	return zones
 }
 
-// Process-wide zone-map observability — zone maps belong to tables,
-// which engines may share, not to any one executor: builds counts every
-// published zone-map build (initial, incremental under Append, and
-// rebuilds after eviction); bytes tracks the currently resident zone-map
-// footprint across all tables.
-var (
-	zoneBuilds        atomic.Uint64
-	zoneResidentBytes atomic.Int64
-)
+// zoneBuilds counts every published zone-map build in the process
+// (initial, incremental under Append, and rebuilds after eviction):
+// zone maps belong to tables, which engines may share, not to any one
+// executor.
+var zoneBuilds atomic.Uint64
 
-// ZoneMapStats reports process-wide zone-map counters: total published
-// builds and currently resident zone-map bytes.
-func ZoneMapStats() (builds uint64, bytes int64) {
-	return zoneBuilds.Load(), zoneResidentBytes.Load()
+// ZoneMapBuilds reports how many zone maps the process has published.
+func ZoneMapBuilds() uint64 { return zoneBuilds.Load() }
+
+// ZoneBytes reports the resident bytes of the table's published zone
+// maps (part of DerivedBytes).
+func (t *Table) ZoneBytes() int64 {
+	var n int64
+	for c := range t.zones {
+		if zm := t.zones[c].Load(); zm != nil {
+			n += zoneBytes(len(zm.zones))
+		}
+	}
+	return n
 }
 
 // publishZones CAS-publishes a freshly built zone slice for column c,
@@ -129,7 +134,6 @@ func (t *Table) publishZones(c int, zones []Zone) []Zone {
 		t.mem.derived.Add(sz)
 		t.memNotify(sz)
 		zoneBuilds.Add(1)
-		zoneResidentBytes.Add(sz)
 		return zones
 	}
 	if zm := t.zones[c].Load(); zm != nil {

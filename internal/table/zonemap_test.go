@@ -96,7 +96,7 @@ func TestZoneEvictionRebuildRoundTrip(t *testing.T) {
 	for c := range zoneFixtureCols {
 		before = append(before, tab.ColumnZones(c))
 	}
-	_, residentBuilt := ZoneMapStats()
+	residentBuilt := tab.ZoneBytes()
 
 	if freed := tab.DropDerivedIndexes(); freed <= 0 {
 		t.Fatalf("DropDerivedIndexes freed %d bytes with zones resident", freed)
@@ -106,8 +106,8 @@ func TestZoneEvictionRebuildRoundTrip(t *testing.T) {
 			t.Fatalf("col %d: zones survived eviction", c)
 		}
 	}
-	if _, resident := ZoneMapStats(); resident >= residentBuilt {
-		t.Fatalf("resident zone bytes %d did not drop from %d after eviction", resident, residentBuilt)
+	if resident := tab.ZoneBytes(); resident != 0 || residentBuilt <= 0 {
+		t.Fatalf("resident zone bytes %d after eviction, %d before; want 0 after", resident, residentBuilt)
 	}
 
 	for c := range zoneFixtureCols {
@@ -116,8 +116,8 @@ func TestZoneEvictionRebuildRoundTrip(t *testing.T) {
 			t.Fatalf("col %d: rebuilt zones differ from the evicted ones", c)
 		}
 	}
-	if _, resident := ZoneMapStats(); resident < residentBuilt {
-		t.Fatalf("resident zone bytes %d below pre-eviction %d after rebuild", resident, residentBuilt)
+	if resident := tab.ZoneBytes(); resident != residentBuilt {
+		t.Fatalf("resident zone bytes %d after rebuild, want the pre-eviction %d", resident, residentBuilt)
 	}
 }
 
