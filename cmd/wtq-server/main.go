@@ -22,9 +22,11 @@
 //
 //	{"error": {"code": "<machine_code>", "message": "..."}}
 //
-// with stable codes: bad_request, query_too_deep, unknown_table,
-// too_large, deadline_exceeded, canceled, overloaded, unavailable,
-// internal. (The deprecated flat "error_string" mirror announced one
+// with stable codes: bad_request, query_too_deep, query_too_long,
+// batch_too_large, unknown_table, too_large, deadline_exceeded,
+// canceled, overloaded, unavailable, internal. A query is at most
+// dcs.MaxQueryBytes long and nests at most dcs.MaxDepth levels; a
+// batch holds at most maxBatchQueries queries. (The deprecated flat "error_string" mirror announced one
 // release ago has been dropped; read error.code/error.message.)
 //
 // Observability: every endpoint is instrumented with
@@ -264,6 +266,8 @@ const (
 	codeInternal         = "internal"
 	codeUnavailable      = "unavailable"
 	codeQueryTooDeep     = "query_too_deep"
+	codeQueryTooLong     = "query_too_long"
+	codeBatchTooLarge    = "batch_too_large"
 )
 
 // errorInfo is the structured error of the unified envelope.
@@ -289,8 +293,9 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // envelope code: missing tables are 404, deadline hits are 504, client
 // disconnects are 499 (the nginx convention; the client is gone and
 // will not read it anyway), a query nested past dcs.MaxDepth is 400
-// query_too_deep, everything unrecognised is the client's 400 (bad
-// query, bad table payload).
+// query_too_deep, one longer than dcs.MaxQueryBytes 400 query_too_long,
+// everything unrecognised is the client's 400 (bad query, bad table
+// payload).
 func classify(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -307,6 +312,8 @@ func classify(err error) (status int, code string) {
 		return http.StatusServiceUnavailable, codeOverloaded
 	case errors.As(err, new(*dcs.DepthError)):
 		return http.StatusBadRequest, codeQueryTooDeep
+	case errors.As(err, new(*dcs.LengthError)):
+		return http.StatusBadRequest, codeQueryTooLong
 	default:
 		return http.StatusBadRequest, codeBadRequest
 	}
@@ -518,6 +525,11 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeAppended(w, http.StatusOK, explainResponse{Explanation: ex, Cached: cached}.appendJSON)
 }
 
+// maxBatchQueries caps the queries of one /v1/explain/batch request,
+// which the server answers in one buffer. The largest batch a client
+// here sends is 16 queries.
+const maxBatchQueries = 256
+
 type batchRequest struct {
 	Queries []explainRequest `json:"queries"`
 	// TimeoutMs bounds each query, up to the engine's cap; 0 or less uses
@@ -582,6 +594,10 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Queries) == 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
+		return
+	}
+	if len(req.Queries) > maxBatchQueries {
+		writeError(w, http.StatusBadRequest, codeBatchTooLarge, "batch of %d queries, more than %d", len(req.Queries), maxBatchQueries)
 		return
 	}
 	// A budget past the engine's cap is the cap, which the engine

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -338,6 +340,30 @@ func TestBatchHugeTimeoutIsTheCap(t *testing.T) {
 	}
 }
 
+// TestBatchTooLarge: a batch of maxBatchQueries is answered, and one of
+// a query more is refused as batch_too_large before the engine runs
+// any of it.
+func TestBatchTooLarge(t *testing.T) {
+	ts, e := newTestServer(t)
+	registerOlympics(t, ts)
+	q := map[string]string{"table": "olympics", "query": "count(City.Athens)"}
+	if resp, body := postJSON(t, ts.URL+"/v1/explain/batch", map[string]any{"queries": slices.Repeat([]map[string]string{q}, maxBatchQueries)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("a batch of %d: status %d: %.300s", maxBatchQueries, resp.StatusCode, body)
+	}
+	batches := counter(t, e, "engine.batches")
+	resp, body := postJSON(t, ts.URL+"/v1/explain/batch", map[string]any{"queries": slices.Repeat([]map[string]string{q}, maxBatchQueries+1)})
+	var env errorBody
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBatchTooLarge {
+		t.Errorf("a batch of %d: status %d, code %q; want 400, %s", maxBatchQueries+1, resp.StatusCode, env.Error.Code, codeBatchTooLarge)
+	}
+	if got := counter(t, e, "engine.batches"); got != batches {
+		t.Errorf("engine.batches moved from %d to %d on a refused batch", batches, got)
+	}
+}
+
 func TestExplainBatchEndpoint(t *testing.T) {
 	ts, e := newTestServer(t)
 	registerOlympics(t, ts)
@@ -509,11 +535,12 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestErrorMessageIsBounded sends queries of a mebibyte that fail to
-// parse: the message quotes the query, a run of '"' at twice its length,
-// and a run of 'λ' would be cut inside a rune. Each error, in the
-// envelope and in a batch item, is a prefix of the message, cut at a
-// rune boundary and marked "…", in a body under 4 KiB.
+// TestErrorMessageIsBounded sends queries of a mebibyte, refused as
+// longer than dcs.MaxQueryBytes: the message quotes the query up to the
+// cap, a run of '"' at twice its length, and a run of 'λ' would be cut
+// inside a rune. Each error, in the envelope and in a batch item, is a
+// prefix of the message, cut at a rune boundary and marked "…", in a
+// body under 4 KiB.
 func TestErrorMessageIsBounded(t *testing.T) {
 	ts, _ := newTestServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/v1/tables", map[string]any{
@@ -529,8 +556,8 @@ func TestErrorMessageIsBounded(t *testing.T) {
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBadRequest || len(body) >= 4<<10 {
-			t.Errorf("%.8s…: status %d, code %q, %d-byte body; want 400, bad_request, under 4 KiB", q, resp.StatusCode, env.Error.Code, len(body))
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeQueryTooLong || len(body) >= 4<<10 {
+			t.Errorf("%.8s…: status %d, code %q, %d-byte body; want 400, query_too_long, under 4 KiB", q, resp.StatusCode, env.Error.Code, len(body))
 		}
 		_, batch := doJSON(t, http.MethodPost, ts.URL+"/v1/explain/batch", map[string]any{"queries": []map[string]string{{"table": "olympics", "query": q}}})
 		var br batchResponse
@@ -547,27 +574,85 @@ func TestErrorMessageIsBounded(t *testing.T) {
 	}
 }
 
-// TestDeepQueryRefused sends count( nested a million deep (7 MB, inside
-// the body cap) to /v1/explain, where compiling it once overflowed the
-// stack and killed the process, and 10 000 deep to /v1/answer and a
-// batch: each is refused as query_too_deep. argmax nested 40 deep
+// counts is count( nested n deep around a join: 7n+11 bytes.
+func counts(n int) string {
+	return strings.Repeat("count(", n) + "City.Athens" + strings.Repeat(")", n)
+}
+
+// TestLongQueryRefused sends count( nested a million deep (7 MB, inside
+// the body cap) to /v1/explain, /v1/answer and a batch. The lexer once
+// read all of it before the depth cap refused it, and the server's
+// resident peak reached about 360 MB. Now each is refused as
+// query_too_long before it is read, and a request allocates a small
+// multiple of its body, which the decoder reads into a buffer and a
+// string. No -race: it skips itself.
+func TestLongQueryRefused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bytes under the race detector")
+	}
+	e := engine.New(engine.Options{Workers: 1})
+	if err := demoTable(e); err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(e, muxConfig{})
+	query := map[string]string{"table": "olympics", "query": counts(1_000_000)}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/explain", query},
+		{"/v1/answer", query},
+		{"/v1/explain/batch", map[string]any{"queries": []map[string]string{query}}},
+	} {
+		raw, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(raw))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mux.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes allocated for a %d-byte body", tc.path, allocated, len(raw))
+		code := ""
+		if tc.path == "/v1/explain/batch" {
+			var br batchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Results) != 1 {
+				t.Fatalf("batch: %v: %.200s", err, rec.Body)
+			}
+			code = br.Results[0].ErrorCode
+		} else {
+			var env errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatal(err)
+			}
+			code = env.Error.Code
+		}
+		if code != codeQueryTooLong {
+			t.Errorf("%s: status %d, code %q; want %s", tc.path, rec.Code, code, codeQueryTooLong)
+		}
+		// measured 3.4 times the body; 82 times before the byte cap
+		if bound := 4 * uint64(len(raw)); allocated > bound {
+			t.Errorf("%s: %d bytes allocated, want at most %d, four times the body", tc.path, allocated, bound)
+		}
+	}
+}
+
+// TestDeepQueryRefused sends count( nested 500 deep, five times
+// dcs.MaxDepth and inside dcs.MaxQueryBytes, to /v1/explain, /v1/answer
+// and a batch: each is refused as query_too_deep. argmax nested 40 deep
 // explains in full but for its SQL, whose text would double at every
-// level. The server answers /v1/healthz after both. Lexing the million
-// levels peaks near 450 MB, which the race detector would more than
-// double, so under it the explain is 10 000 deep too.
+// level. The server answers /v1/healthz after both.
 func TestDeepQueryRefused(t *testing.T) {
 	ts, _ := newTestServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/v1/tables", map[string]any{
 		"name": "olympics", "columns": []string{"Year", "City"}, "rows": [][]string{{"2004", "Athens"}, {"2008", "Beijing"}},
 	})
-	counts := func(n int) string { return strings.Repeat("count(", n) + "City.Athens" + strings.Repeat(")", n) }
-	explainDepth := 1_000_000
-	if raceEnabled {
-		explainDepth = 10_000
-	}
-	deep := counts(10_000)
-	for path, query := range map[string]string{"/v1/explain": counts(explainDepth), "/v1/answer": deep} {
-		resp, body := doJSON(t, http.MethodPost, ts.URL+path, map[string]string{"table": "olympics", "query": query})
+	deep := counts(500)
+	for _, path := range []string{"/v1/explain", "/v1/answer"} {
+		resp, body := doJSON(t, http.MethodPost, ts.URL+path, map[string]string{"table": "olympics", "query": deep})
 		var env errorBody
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)

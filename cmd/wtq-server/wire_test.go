@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,11 @@ func TestServerWireGolden(t *testing.T) {
 		// own. The message quotes the 1.4 KB query, so it is cut to a
 		// 1 KiB prefix and "…".
 		{"error-too-deep", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": strings.Repeat("count(", 2*dcs.MaxDepth) + "City.Athens" + strings.Repeat(")", 2*dcs.MaxDepth)}},
+		// A query longer than dcs.MaxQueryBytes, and a batch of more
+		// than maxBatchQueries queries, are refused with codes of their
+		// own.
+		{"error-too-long", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": "City.Athens" + strings.Repeat(" ", dcs.MaxQueryBytes)}},
+		{"error-batch-too-large", http.MethodPost, ts.URL + "/v1/explain/batch", map[string]any{"queries": slices.Repeat([]map[string]string{explain}, maxBatchQueries+1)}},
 	}
 	got := make(map[string]string)
 	for _, tc := range cases {
@@ -164,6 +170,8 @@ var serverWireGolden = map[string]string{
 	"error-csv-and-rows":     "20bc96a54118f6f3a417addf3afa4468d601b9d1e357db796a91886fa4ab938f",
 	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
 	"error-too-deep":         "3cfe62da41db4bb15f9bb62402e28ebd91f45a757e1d268d0f8d855f2238a3bc",
+	"error-too-long":         "f9d08a8092c2cc82d6174a152397c9ceb18cebedb795d7214eed5bdab87ea84b",
+	"error-batch-too-large":  "49544a63cb1cf1fd664df3a2ff6e97cf43711b6b2a21ce2629c80efd670aab08",
 	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
 	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",
 	"error-overloaded":       "807d4733e61199c59a6609f36da56ac71dcd90053538d2867f8ad1bc8616f67f",

@@ -241,7 +241,7 @@ func TestPlanShapeGolden(t *testing.T) {
 // hostile ones also parses under a tenth of MaxDepth, the cap's
 // headroom over what the parser and the generator make: each count(
 // around it is one level, so it still parses inside MaxDepth-MaxDepth/10
-// of them.
+// of them. They are also under a tenth of MaxQueryBytes long.
 func TestRenderGolden(t *testing.T) {
 	const wantSHA = "f444f7989aa3532077e4c1f5a523d4658513422d463395370ff29d43ac8dee06"
 	sum := sha256.New()
@@ -249,6 +249,9 @@ func TestRenderGolden(t *testing.T) {
 	render := func(set string, e Expr) {
 		counts[set]++
 		src := e.String()
+		if len(src) > MaxQueryBytes/10 && set != "hostile" {
+			t.Errorf("%s query %s is longer than a tenth of MaxQueryBytes", set, src)
+		}
 		const wrap = MaxDepth - MaxDepth/10
 		if _, err := Parse(strings.Repeat("count(", wrap) + src + strings.Repeat(")", wrap)); err != nil && set != "hostile" {
 			t.Errorf("%s query %s nests past a tenth of MaxDepth: %v", set, src, err)

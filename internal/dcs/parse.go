@@ -24,8 +24,13 @@ import (
 //	argmax((London or Beijing), R[λx.R[Year].City.x])
 //	Games>4
 //
-// A query nested deeper than MaxDepth is refused with a *DepthError.
+// A query longer than MaxQueryBytes is refused with a *LengthError
+// before it is read, and one nested deeper than MaxDepth with a
+// *DepthError.
 func Parse(src string) (Expr, error) {
+	if len(src) > MaxQueryBytes {
+		return nil, &LengthError{Limit: MaxQueryBytes}
+	}
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -53,6 +58,18 @@ type DepthError struct{ Limit int }
 
 func (e *DepthError) Error() string {
 	return fmt.Sprintf("lambda DCS parse: query nested deeper than %d levels", e.Limit)
+}
+
+// MaxQueryBytes caps a query's text, so what the lexer holds stays
+// small whatever a request carries. The longest query semparse, qrand
+// or a fixture makes is 195 bytes.
+const MaxQueryBytes = 4 << 10
+
+// LengthError is Parse's refusal of a query longer than Limit bytes.
+type LengthError struct{ Limit int }
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("lambda DCS parse: query longer than %d bytes", e.Limit)
 }
 
 // MustParse is Parse, panicking on error; intended for fixtures and tests.

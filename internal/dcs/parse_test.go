@@ -214,26 +214,29 @@ func nested(head, leaf, tail string, n int) string {
 
 // TestParseRefusesDeepNesting holds the nesting cap to its level: count(
 // n deep around a join is n+2 levels, so MaxDepth-2 of them parse and
-// one more is refused. Every nesting form 10 000 deep, and count( a
-// million deep, are refused too, as a *DepthError.
+// one more is refused. Every nesting form, as deep as MaxQueryBytes
+// lets it go (past 120 levels for each), is refused too, as a
+// *DepthError.
 func TestParseRefusesDeepNesting(t *testing.T) {
 	if _, err := Parse(nested("count(", "Nation.Greece", ")", MaxDepth-2)); err != nil {
 		t.Errorf("count( %d deep: %v", MaxDepth-2, err)
 	}
-	const deep = 10_000
+	deepest := func(head, leaf, tail string) string {
+		return nested(head, leaf, tail, (MaxQueryBytes-len(leaf))/(len(head)+len(tail)))
+	}
 	for _, src := range []string{
 		nested("count(", "Nation.Greece", ")", MaxDepth-1),
-		nested("count(", "Nation.Greece", ")", 1_000_000),
-		nested("(", "Nation.Greece", ")", deep),
-		nested("Prev.", "Nation.Greece", "", deep),
-		nested("R[Prev].", "Nation.Greece", "", deep),
-		nested("R[Year].", "Nation.Greece", "", deep),
-		nested("Nation.", "Greece", "", deep),
-		nested("(Nation.Greece or ", "Nation.Fiji", ")", deep),
-		nested("sub(", "count(Record)", ", count(Record))", deep),
-		nested("argmax(", "Record", ", Year)", deep),
-		nested("R[Year].argmax(", "Record", ", Index)", deep),
-		nested("argmax(", "(Greece or Fiji)", ", R[λx.R[Year].Nation.x])", deep),
+		deepest("count(", "Nation.Greece", ")"),
+		deepest("(", "Nation.Greece", ")"),
+		deepest("Prev.", "Nation.Greece", ""),
+		deepest("R[Prev].", "Nation.Greece", ""),
+		deepest("R[Year].", "Nation.Greece", ""),
+		deepest("Nation.", "Greece", ""),
+		deepest("(Nation.Greece or ", "Nation.Fiji", ")"),
+		deepest("sub(", "count(Record)", ", count(Record))"),
+		deepest("argmax(", "Record", ", Year)"),
+		deepest("R[Year].argmax(", "Record", ", Index)"),
+		deepest("argmax(", "(Greece or Fiji)", ", R[λx.R[Year].Nation.x])"),
 	} {
 		_, err := Parse(src)
 		var de *DepthError
@@ -244,6 +247,31 @@ func TestParseRefusesDeepNesting(t *testing.T) {
 		if want := "lambda DCS parse: query nested deeper than 100 levels"; err.Error() != want {
 			t.Errorf("%.30s…: %q, want %q", src, err, want)
 		}
+	}
+}
+
+// TestParseRefusesLongQueries: a query of MaxQueryBytes parses, and one
+// byte more is refused as a *LengthError before it is read, as is
+// count( a million deep (7 MB), with one allocation, the error's.
+func TestParseRefusesLongQueries(t *testing.T) {
+	pad := strings.Repeat(" ", MaxQueryBytes-len("Nation.Greece"))
+	if _, err := Parse("Nation.Greece" + pad); err != nil {
+		t.Errorf("a query of MaxQueryBytes: %v", err)
+	}
+	million := nested("count(", "Nation.Greece", ")", 1_000_000)
+	for _, src := range []string{"Nation.Greece " + pad, million} {
+		_, err := Parse(src)
+		var le *LengthError
+		if !errors.As(err, &le) || le.Limit != MaxQueryBytes {
+			t.Errorf("%.30s… (%d bytes): err = %v, want a *LengthError at %d", src, len(src), err, MaxQueryBytes)
+			continue
+		}
+		if want := "lambda DCS parse: query longer than 4096 bytes"; err.Error() != want {
+			t.Errorf("%.30s…: %q, want %q", src, err, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Parse(million) }); allocs > 1 {
+		t.Errorf("refusing count( a million deep makes %.0f allocations, want 1", allocs)
 	}
 }
 

@@ -416,7 +416,8 @@ type Explanation = export.ExplanationJSON
 func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
 	q, err := dcs.Parse(query)
 	if err != nil {
-		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %q: %w", query, err)
+		// A query past the cap is quoted only up to it.
+		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %.*q: %w", dcs.MaxQueryBytes, query, err)
 	}
 	c, err := dcs.Compile(q, snap.Table())
 	if err != nil {
