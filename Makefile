@@ -12,7 +12,7 @@ GO ?= go
 # never lower it to make a PR pass.
 COVERAGE_FLOOR = 65
 
-.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint lines store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export serve ci
+.PHONY: all build test parse-footprint vet fmt cover bench bench-compile metrics-lint lines store-stress bigtable-stress crash-stress fault-stress fuzz fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export fuzz-server serve ci
 
 all: build
 
@@ -213,9 +213,16 @@ fuzz-provenance:
 fuzz-export:
 	$(GO) test -run '^$$' -fuzz FuzzAppendString -fuzztime 30s ./internal/export/
 
+# fuzz-server runs the HTTP request-body fuzzer for a bounded window:
+# any body, sent to every POST endpoint of a server holding the demo
+# table, gets a 2xx with a JSON body or a 4xx error envelope with a
+# known code — never a 5xx, never a panic.
+fuzz-server:
+	$(GO) test -run '^$$' -fuzz FuzzRequestBodies -fuzztime 30s ./cmd/wtq-server/
+
 # fuzz is every time-boxed fuzz target in turn, as the CI fuzz job
 # runs them.
-fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export
+fuzz: fuzz-wal fuzz-plan fuzz-table fuzz-segment fuzz-provenance fuzz-export fuzz-server
 
 # metrics-lint verifies the metric namespace: every registered series
 # name well-formed, collision-free and matching the canonical list in
