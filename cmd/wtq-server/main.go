@@ -26,8 +26,9 @@
 // batch_too_large, unknown_table, too_large, deadline_exceeded,
 // canceled, overloaded, unavailable, internal. A query is at most
 // dcs.MaxQueryBytes long and nests at most dcs.MaxDepth levels; a
-// batch holds at most maxBatchQueries queries. (The deprecated flat "error_string" mirror announced one
-// release ago has been dropped; read error.code/error.message.)
+// batch holds at most maxBatchQueries queries. (The deprecated flat
+// "error_string" mirror announced one release ago has been dropped;
+// read error.code/error.message.)
 //
 // Observability: every endpoint is instrumented with
 // server.http.<endpoint>.{requests,errors,latency.seconds} series on
