@@ -1,140 +1,51 @@
-// Package retry provides capped exponential backoff with jitter — the
-// pacing the store's degraded-mode recovery loop uses between attempts
-// to reopen its write-ahead log. The clock and randomness are
-// injectable so recovery timing never depends on wall-clock sleeps in
-// tests.
+// Package retry paces the store's degraded-mode recovery: the first
+// attempt at once, then a delay that doubles per failed attempt up to
+// 100 times the first, with no jitter (one store retries its own disk,
+// so there is no crowd of clients to spread out).
 package retry
 
 import (
 	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"time"
 )
 
-// Backoff describes a capped exponential backoff schedule with
-// multiplicative jitter. The zero value is usable and picks the
-// defaults documented on each field.
-type Backoff struct {
-	// Base is the delay before the first retry (default 50ms).
-	Base time.Duration
-	// Max caps the exponential growth (default 5s).
-	Max time.Duration
-	// Factor is the per-attempt growth multiplier (default 2).
-	Factor float64
-	// Jitter spreads each delay uniformly into
-	// [d·(1−Jitter), d·(1+Jitter)] (default 0.2). Zero disables; the
-	// jittered delay is still clamped to Max.
-	Jitter float64
+// DefaultBase is the first delay when none is given; the cap is then
+// 100 times it, 5s.
+const DefaultBase = 50 * time.Millisecond
 
-	// Rand supplies the uniform [0,1) variate for jitter; nil uses the
-	// global math/rand source. Tests inject a fixed sequence.
-	Rand func() float64
-	// Sleep waits for d or until ctx is done; nil uses a real timer.
-	// Tests inject an instant recorder.
-	Sleep func(ctx context.Context, d time.Duration) error
+// Delay is the wait after failed attempt n (from 0): base, or
+// DefaultBase when base is 0, doubled per attempt up to 100 times base.
+func Delay(base time.Duration, n int) time.Duration {
+	if base <= 0 {
+		base = DefaultBase
+	}
+	d := base
+	for ; n > 0 && d < 100*base; n-- {
+		d *= 2
+	}
+	return min(d, 100*base)
 }
 
-// Defaults for the zero Backoff.
-const (
-	DefaultBase   = 50 * time.Millisecond
-	DefaultMax    = 5 * time.Second
-	DefaultFactor = 2.0
-	DefaultJitter = 0.2
-)
-
-func (b Backoff) base() time.Duration {
-	if b.Base > 0 {
-		return b.Base
-	}
-	return DefaultBase
-}
-
-func (b Backoff) max() time.Duration {
-	if b.Max > 0 {
-		return b.Max
-	}
-	return DefaultMax
-}
-
-func (b Backoff) factor() float64 {
-	if b.Factor > 1 {
-		return b.Factor
-	}
-	return DefaultFactor
-}
-
-func (b Backoff) jitter() float64 {
-	switch {
-	case b.Jitter < 0:
-		return 0
-	case b.Jitter == 0:
-		return DefaultJitter
-	case b.Jitter > 1:
-		return 1
-	}
-	return b.Jitter
-}
-
-func (b Backoff) rand() float64 {
-	if b.Rand != nil {
-		return b.Rand()
-	}
-	return rand.Float64()
-}
-
-// Delay returns the jittered delay before retry attempt (0-based):
-// min(Base·Factor^attempt, Max) scaled by the jitter draw and clamped
-// to [0, Max].
-func (b Backoff) Delay(attempt int) time.Duration {
-	base, max := float64(b.base()), float64(b.max())
-	d := base * math.Pow(b.factor(), float64(attempt))
-	if d > max {
-		d = max
-	}
-	if j := b.jitter(); j > 0 {
-		d *= 1 + j*(2*b.rand()-1)
-	}
-	if d > max {
-		d = max
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
-}
-
-func (b Backoff) sleep(ctx context.Context, d time.Duration) error {
-	if b.Sleep != nil {
-		return b.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Do calls fn until it returns nil, sleeping the backoff schedule
-// between attempts, or until ctx is done. On cancellation it returns
-// the context error joined with fn's last error (nil if fn never ran),
-// so callers can both detect the cancellation and report what kept
-// failing.
-func Do(ctx context.Context, b Backoff, fn func(ctx context.Context) error) error {
+// Do calls fn until it returns nil, waiting Delay(base, n) after
+// failed attempt n, or until ctx is done. On cancellation it returns
+// the context error joined with fn's last error (nil if fn never ran).
+// It runs on the caller's goroutine and starts none.
+func Do(ctx context.Context, base time.Duration, fn func() error) error {
 	var last error
-	for attempt := 0; ; attempt++ {
+	for n := 0; ; n++ {
 		if err := ctx.Err(); err != nil {
 			return errors.Join(err, last)
 		}
-		if last = fn(ctx); last == nil {
+		if last = fn(); last == nil {
 			return nil
 		}
-		if err := b.sleep(ctx, b.Delay(attempt)); err != nil {
-			return errors.Join(err, last)
+		t := time.NewTimer(Delay(base, n))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return errors.Join(ctx.Err(), last)
+		case <-t.C:
 		}
 	}
 }

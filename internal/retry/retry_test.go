@@ -7,85 +7,53 @@ import (
 	"time"
 )
 
-// TestDelaySequence pins the deterministic (jitter disabled) backoff
-// curve: Base·Factor^n capped at Max.
+// TestDelaySequence pins the schedule: base doubled per failed
+// attempt, capped at 100 times base.
 func TestDelaySequence(t *testing.T) {
-	b := Backoff{Base: 50 * time.Millisecond, Max: 5 * time.Second, Factor: 2, Jitter: -1}
-	want := []time.Duration{
-		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
-		3200 * time.Millisecond, 5 * time.Second, 5 * time.Second, 5 * time.Second,
+	ms := time.Millisecond
+	want := []time.Duration{ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 64 * ms, 100 * ms, 100 * ms}
+	for n, w := range want {
+		if got := Delay(ms, n); got != w {
+			t.Fatalf("Delay(1ms, %d) = %v, want %v", n, got, w)
+		}
 	}
-	for i, w := range want {
-		if got := b.Delay(i); got != w {
-			t.Fatalf("Delay(%d) = %v, want %v", i, got, w)
+	for n, w := range []time.Duration{96 * ms, 192 * ms, 300 * ms} {
+		if got := Delay(3*ms, n+5); got != w {
+			t.Fatalf("Delay(3ms, %d) = %v, want %v", n+5, got, w)
 		}
 	}
 }
 
-// TestDelayJitterBounds drives the jitter draw through its extremes
-// and checks the delay stays inside [d·(1−J), min(d·(1+J), Max)].
-func TestDelayJitterBounds(t *testing.T) {
-	for _, draw := range []float64{0, 0.25, 0.5, 0.75, 0.999999} {
-		b := Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second, Factor: 2, Jitter: 0.2,
-			Rand: func() float64 { return draw }}
-		for attempt := 0; attempt < 8; attempt++ {
-			nominal := float64(100*time.Millisecond) * pow2(attempt)
-			if nominal > float64(5*time.Second) {
-				nominal = float64(5 * time.Second)
-			}
-			lo, hi := time.Duration(nominal*0.8), time.Duration(nominal*1.2)
-			if hi > 5*time.Second {
-				hi = 5 * time.Second
-			}
-			got := b.Delay(attempt)
-			if got < lo || got > hi {
-				t.Fatalf("draw=%v Delay(%d) = %v outside [%v, %v]", draw, attempt, got, lo, hi)
-			}
-		}
-	}
-}
-
-func pow2(n int) float64 {
-	f := 1.0
-	for i := 0; i < n; i++ {
-		f *= 2
-	}
-	return f
-}
-
-// TestDelayCap checks the jittered delay never exceeds Max even when
-// jitter lands on the high side of an at-cap nominal delay.
+// TestDelayCap checks the delay stays at 100 times base however many
+// attempts have failed.
 func TestDelayCap(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: time.Second, Jitter: 0.5,
-		Rand: func() float64 { return 0.999999 }}
-	if got := b.Delay(3); got > time.Second {
-		t.Fatalf("Delay = %v exceeds Max", got)
+	for _, n := range []int{7, 8, 60, 1000} {
+		if got := Delay(time.Second, n); got != 100*time.Second {
+			t.Fatalf("Delay(1s, %d) = %v, want 100s", n, got)
+		}
 	}
 }
 
+// TestZeroValueDefaults: base 0 selects DefaultBase (50ms), so the
+// schedule is 50ms doubling to 5s.
 func TestZeroValueDefaults(t *testing.T) {
-	var b Backoff
-	b.Rand = func() float64 { return 0.5 } // jitter multiplier exactly 1
-	if got := b.Delay(0); got != DefaultBase {
-		t.Fatalf("zero-value Delay(0) = %v, want %v", got, DefaultBase)
-	}
-	if got := b.Delay(100); got != DefaultMax {
-		t.Fatalf("zero-value Delay(100) = %v, want %v", got, DefaultMax)
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		n    int
+		want time.Duration
+	}{{0, 50 * ms}, {1, 100 * ms}, {6, 3200 * ms}, {7, 5 * time.Second}, {100, 5 * time.Second}} {
+		if got := Delay(0, tc.n); got != tc.want {
+			t.Fatalf("Delay(0, %d) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
 }
 
-// TestDoRetriesUntilSuccess runs Do on a deterministic clock: the
-// injected Sleep records the schedule instead of waiting.
+// TestDoRetriesUntilSuccess runs Do on real timers with a 1ms base: five
+// calls, and at least the 1+2+4+8ms of waits between them.
 func TestDoRetriesUntilSuccess(t *testing.T) {
-	var slept []time.Duration
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: -1,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		}}
 	calls := 0
-	err := Do(context.Background(), b, func(context.Context) error {
+	start := time.Now()
+	err := Do(context.Background(), time.Millisecond, func() error {
 		calls++
 		if calls < 5 {
 			return errors.New("still down")
@@ -98,34 +66,31 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	if calls != 5 {
 		t.Fatalf("fn called %d times, want 5", calls)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
+	if el := time.Since(start); el < 15*time.Millisecond {
+		t.Fatalf("Do took %v, want at least the 15ms of delays", el)
 	}
 }
 
-// TestDoContextCancellation checks Do stops promptly when the context
-// dies mid-sleep and surfaces both the cancellation and the last
+// TestDoContextCancellation checks Do stops when the context dies
+// between attempts and surfaces both the cancellation and the last
 // attempt's error.
 func TestDoContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	attemptErr := errors.New("disk still on fire")
-	b := Backoff{Base: time.Millisecond, Jitter: -1,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			cancel()
-			return ctx.Err()
-		}}
-	err := Do(ctx, b, func(context.Context) error { return attemptErr })
+	calls := 0
+	err := Do(ctx, time.Hour, func() error {
+		calls++
+		cancel()
+		return attemptErr
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !errors.Is(err, attemptErr) {
 		t.Fatalf("err = %v, want joined attempt error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("fn called %d times, want 1", calls)
 	}
 }
 
@@ -135,7 +100,7 @@ func TestDoPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := Do(ctx, Backoff{}, func(context.Context) error { called = true; return nil })
+	err := Do(ctx, 0, func() error { called = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -145,14 +110,22 @@ func TestDoPreCanceled(t *testing.T) {
 }
 
 // TestDoRealSleepCancels exercises the real timer path: cancellation
-// during an actual sleep must not hang.
+// during an hour-long wait must not hang.
 func TestDoRealSleepCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	b := Backoff{Base: time.Hour, Jitter: -1} // would hang if cancel is ignored
+	tried := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- Do(ctx, b, func(context.Context) error { return errors.New("down") })
+		done <- Do(ctx, time.Hour, func() error {
+			select {
+			case <-tried:
+			default:
+				close(tried)
+			}
+			return errors.New("down")
+		})
 	}()
+	<-tried
 	cancel()
 	select {
 	case err := <-done:
@@ -160,6 +133,6 @@ func TestDoRealSleepCancels(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do ignored cancellation during sleep")
+		t.Fatal("Do ignored cancellation during its wait")
 	}
 }

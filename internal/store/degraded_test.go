@@ -302,24 +302,3 @@ func TestStoreCloseDuringRecoveryWait(t *testing.T) {
 	defer st2.Close()
 	checkRecovered(t, st2, acked)
 }
-
-// TestRecoveryDelay pins the wait between recovery attempts: the first
-// delay, doubled per failed attempt up to 100 times the first, with 0
-// selecting 50ms.
-func TestRecoveryDelay(t *testing.T) {
-	ms := time.Millisecond
-	for _, tc := range []struct {
-		base time.Duration
-		n    int
-		want time.Duration
-	}{
-		{ms, 0, ms}, {ms, 1, 2 * ms}, {ms, 2, 4 * ms}, {ms, 6, 64 * ms},
-		{ms, 7, 100 * ms}, {ms, 1000, 100 * ms},
-		{0, 0, 50 * ms}, {0, 1, 100 * ms}, {0, 6, 3200 * ms}, {0, 7, 5 * time.Second}, {0, 60, 5 * time.Second},
-		{3 * ms, 5, 96 * ms}, {3 * ms, 6, 192 * ms}, {3 * ms, 7, 300 * ms},
-	} {
-		if got := recoveryDelay(tc.base, tc.n); got != tc.want {
-			t.Errorf("recoveryDelay(%v, %d) = %v, want %v", tc.base, tc.n, got, tc.want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"nlexplain/internal/metric"
+	"nlexplain/internal/retry"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/table"
 	"nlexplain/internal/vfs"
@@ -53,7 +55,7 @@ type DurableOptions struct {
 	FS vfs.FS
 	// RecoveryDelay is the wait after a degraded store's first failed
 	// attempt to rotate to a fresh log; each further failure doubles
-	// it, up to 100 times the first (see recoveryDelay). 0 selects
+	// it, up to 100 times the first (see retry.Delay). 0 selects
 	// 50ms, so the wait caps at 5s.
 	RecoveryDelay time.Duration
 }
@@ -87,9 +89,9 @@ func Open(opts Options, dopts DurableOptions) (*Store, error) {
 		fs:   vfs.Or(dopts.FS),
 		opts: dopts.withDefaults(),
 		kick: make(chan struct{}, 1),
-		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	d.ctx, d.stop = context.WithCancel(context.Background())
 	if err := d.fs.MkdirAll(dopts.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -126,8 +128,9 @@ type durability struct {
 	ckptMu       sync.Mutex // serializes checkpoints
 	lastManifest *segment.Manifest
 
-	kick chan struct{} // wakes loop: the size trigger, or a new degraded episode
-	quit chan struct{}
+	kick chan struct{}   // wakes loop: the size trigger, or a new degraded episode
+	ctx  context.Context // done once close begins; ends a recovery wait
+	stop context.CancelFunc
 	done chan struct{}
 
 	// degraded is the fault that started the current degraded
@@ -375,7 +378,7 @@ func (d *durability) loop() {
 	}
 	for {
 		select {
-		case <-d.quit:
+		case <-d.ctx.Done():
 			return
 		case <-tick:
 		case <-d.kick:
@@ -388,37 +391,23 @@ func (d *durability) loop() {
 	}
 }
 
-// recoverDegraded retries checkpoint-plus-probe, at once and then after
-// each recoveryDelay, until the store is healthy again (a successful
-// checkpoint rotates to a fresh WAL and supersedes the sealed one). It
-// reports false if shutdown cut the wait short.
+// recoverDegraded retries checkpoint-plus-probe on the retry.Delay
+// schedule until the store is healthy again (a successful checkpoint
+// rotates to a fresh WAL and supersedes the sealed one). It reports
+// false if shutdown cut the wait short.
 func (d *durability) recoverDegraded() bool {
-	for attempt := 0; ; attempt++ {
+	return retry.Do(d.ctx, d.opts.RecoveryDelay, func() error {
 		d.recAttempts.Add(1)
-		if d.checkpoint() == nil && d.probe() == nil {
-			d.recSuccesses.Add(1)
-			d.degraded.Store(nil)
-			return true
+		if err := d.checkpoint(); err != nil {
+			return err
 		}
-		select {
-		case <-d.quit:
-			return false
-		case <-time.After(recoveryDelay(d.opts.RecoveryDelay, attempt)):
+		if err := d.probe(); err != nil {
+			return err
 		}
-	}
-}
-
-// recoveryDelay is the wait after failed recovery attempt n (from 0):
-// base, 50ms when 0, doubled per attempt up to 100 times base.
-func recoveryDelay(base time.Duration, n int) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base
-	for ; n > 0 && d < 100*base; n-- {
-		d *= 2
-	}
-	return min(d, 100*base)
+		d.recSuccesses.Add(1)
+		d.degraded.Store(nil)
+		return nil
+	}) == nil
 }
 
 // checkpoint compacts the WAL into segment files: rotate the log,
@@ -554,7 +543,7 @@ func (d *durability) checkpointLocked() error {
 // the active WAL. Mutations after close fail with ErrDurability.
 func (d *durability) close() error {
 	d.closed.Store(true)
-	close(d.quit)
+	d.stop()
 	<-d.done
 	err := d.checkpoint()
 	d.logMu.Lock()
