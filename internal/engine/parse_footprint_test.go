@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"nlexplain/internal/semparse"
@@ -169,5 +171,89 @@ func TestExplainMissAllocs(t *testing.T) {
 			t.Errorf("%s: a miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
 				fam.name, allocs, bytes, b.allocs, b.bytes)
 		}
+	}
+}
+
+// bigFixture is the 131072 x 6 table the scan traffic runs on: two
+// sequence columns, Nation0..Nation39, City0..City23 and two numeric
+// columns of middling cardinality.
+func bigFixture() *table.Table {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]string, 131072)
+	for i := range rows {
+		rows[i] = []string{
+			strconv.Itoa(i), strconv.Itoa(i),
+			"Nation" + strconv.Itoa(rng.Intn(40)), "City" + strconv.Itoa(rng.Intn(24)),
+			strconv.Itoa(rng.Intn(1_000_000)), strconv.Itoa(rng.Intn(10_000)),
+		}
+	}
+	return table.MustNew("big", []string{"Seq", "Tick", "Nation", "City", "Games", "Score"}, rows)
+}
+
+// cachedBytes explains every query of qs on tab and returns the live
+// heap the result cache keeps per explanation. A first engine runs the
+// queries so the table's lazy indexes and the executor's shared buffers
+// exist before the reading; a second engine, sharing the table, is the
+// one measured. Both live to the last reading.
+func cachedBytes(t *testing.T, tab *table.Table, qs []string) int64 {
+	t.Helper()
+	newEngine := func() *Engine {
+		e := New(Options{CacheSize: 2 * len(qs), Workers: 1})
+		if _, err := e.RegisterTable(tab); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	explainAll := func(e *Engine) {
+		for _, q := range qs {
+			if _, cached, err := e.ExplainCached(context.Background(), tab.Name(), q); err != nil || cached {
+				t.Fatalf("%s: cached=%v err=%v, want an uncached explanation", q, cached, err)
+			}
+		}
+	}
+	warm, e := newEngine(), newEngine()
+	explainAll(warm)
+	base := liveHeap()
+	explainAll(e)
+	per := (liveHeap() - base) / int64(len(qs))
+	runtime.KeepAlive(warm)
+	runtime.KeepAlive(e)
+	return per
+}
+
+// TestCachedExplanationBytes is the result cache's footprint gate, and
+// it does not read the clock: the live heap one cached explanation
+// keeps, the document with its provenance levels and the cache entry
+// around it. The web tables are the benchmark's four query families on
+// a 120-row table; the big table is the 131072-row fixture, counted by
+// nation and read through 1 % Tick ranges, where PC (Definition 4.1) is
+// every row of a column.
+func TestCachedExplanationBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurement under the race detector")
+	}
+	var web []string
+	for _, fam := range gamesFamilies {
+		web = append(web, fam.queries...)
+	}
+	per := cachedBytes(t, gamesTable(), web)
+	t.Logf("web tables: %d explanations, %d heap bytes each", len(web), per)
+	if bound := int64(7_300); per > bound { // measured 6 630, + 10 %
+		t.Errorf("a cached web-table explanation keeps %d heap bytes, want at most %d", per, bound)
+	}
+
+	if testing.Short() {
+		t.Skip("131072-row fixture")
+	}
+	var big []string
+	for i := range 4 {
+		big = append(big, "count(Nation.Nation"+strconv.Itoa(3+i)+")")
+		lo := 10_000 + 25_000*i
+		big = append(big, "(Tick>="+strconv.Itoa(lo)+" u Tick<"+strconv.Itoa(lo+1311)+")")
+	}
+	per = cachedBytes(t, bigFixture(), big)
+	t.Logf("131072-row table: %d explanations, %d heap bytes each", len(big), per)
+	if bound := int64(3_800_000); per > bound { // measured 3 446 794, + 10 %
+		t.Errorf("a cached big-table explanation keeps %d heap bytes, want at most %d", per, bound)
 	}
 }
