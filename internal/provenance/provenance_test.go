@@ -1,11 +1,13 @@
 package provenance
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"nlexplain/internal/dcs"
+	"nlexplain/internal/oracle"
 	"nlexplain/internal/qrand"
 	"nlexplain/internal/table"
 	"nlexplain/internal/utterance"
@@ -538,8 +540,9 @@ func hostileTable() *table.Table {
 // FuzzHighlight fuzzes query strings through the explanation's two
 // halves. Any text either fails to parse, fails to check or execute
 // with an error, or is highlighted — without a panic, into levels that
-// are ascending, nested and in agreement with every cell's marking —
-// and any parsed query has an utterance.
+// are ascending, nested, in agreement with every cell's marking and
+// equal, level by level, to Definition 4.1 evaluated literally
+// (oracle.Provenance) — and any parsed query has an utterance.
 func FuzzHighlight(f *testing.F) {
 	for _, src := range []string{
 		"Country.Greece",
@@ -577,10 +580,26 @@ func FuzzHighlight(f *testing.F) {
 			t.Errorf("%q: empty utterance", src)
 		}
 		h, err := Highlight(q, tab)
+		want, werr := oracle.Provenance(q, tab)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%q: highlight error %v, reference error %v", src, err, werr)
+		}
 		if err != nil {
 			return
 		}
 		checkLevels(t, tab, q, h)
+		p := h.Prov
+		for _, l := range []struct {
+			name      string
+			got, want table.CellSet
+		}{{"PO", p.Output, want.Output}, {"PE", p.Execution, want.Execution}, {"PC", p.Columns, want.Columns}} {
+			if !slices.Equal(l.got, l.want) {
+				t.Errorf("%q: %s = %v, the definition gives %v", src, l.name, l.got, l.want)
+			}
+		}
+		if !slices.Equal(p.Aggrs, want.Aggrs) || !maps.Equal(p.HeaderAggrs, want.HeaderAggrs) {
+			t.Errorf("%q: aggregates %v on headers %v, the definition gives %v on %v", src, p.Aggrs, p.HeaderAggrs, want.Aggrs, want.HeaderAggrs)
+		}
 	})
 }
 
