@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"nlexplain/internal/dcs"
 	"nlexplain/internal/engine"
 	"nlexplain/internal/metric"
 )
@@ -535,42 +537,55 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestErrorMessageIsBounded sends queries of a mebibyte, refused as
-// longer than dcs.MaxQueryBytes: the message quotes the query up to the
-// cap, a run of '"' at twice its length, and a run of 'λ' would be cut
-// inside a rune. Each error, in the envelope and in a batch item, is a
-// prefix of the message, cut at a rune boundary and marked "…", in a
-// body under 4 KiB.
+// TestErrorMessageIsBounded sends queries whose message would quote
+// more than the wire keeps: three of a mebibyte, refused as longer than
+// dcs.MaxQueryBytes (a run of '"' quotes at twice its length, and a run
+// of 'λ' is cut inside a rune), count( nested 200 deep (1.4 KB), a
+// 2 KB query naming an unknown column after a long literal, and one
+// whose right operand denotes nothing. Each message, in the envelope
+// and in its batch item, quotes a prefix of the query cut at a rune
+// boundary and marked "…", then gives the reason it failed, in a body
+// under 1 KiB. A message over maxErrMessage is cut the same way.
 func TestErrorMessageIsBounded(t *testing.T) {
 	ts, _ := newTestServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/v1/tables", map[string]any{
 		"name": "olympics", "columns": []string{"Year", "City"}, "rows": [][]string{{"2004", "Athens"}},
 	})
-	for _, q := range []string{
-		strings.Repeat("a", 1<<20) + ")",
-		strings.Repeat(`"`, 1<<20),
-		strings.Repeat("λ", 1<<19) + ")",
+	long := `"` + strings.Repeat("a", 2000) + `"`
+	for _, tc := range []struct {
+		query, code, reason string
+	}{
+		{strings.Repeat("a", 1<<20) + ")", codeQueryTooLong, "query longer than"},
+		{strings.Repeat(`"`, 1<<20), codeQueryTooLong, "query longer than"},
+		{strings.Repeat("λ", 1<<19) + ")", codeQueryTooLong, "query longer than"},
+		{counts(2 * dcs.MaxDepth), codeQueryTooDeep, "query nested deeper than"},
+		{"(City." + long + " u Nope.Athens)", codeBadRequest, `unknown column "Nope"`},
+		{"sub(R[Year].City.Athens, R[Year].City." + long + ")", codeBadRequest, "operand"},
 	} {
-		resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", map[string]string{"table": "olympics", "query": q})
+		resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", map[string]string{"table": "olympics", "query": tc.query})
 		var env errorBody
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeQueryTooLong || len(body) >= 4<<10 {
-			t.Errorf("%.8s…: status %d, code %q, %d-byte body; want 400, query_too_long, under 4 KiB", q, resp.StatusCode, env.Error.Code, len(body))
+		msg := env.Error.Message
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != tc.code || len(body) >= 1<<10 {
+			t.Errorf("%.8s…: status %d, code %q, %d-byte body; want 400, %s, under 1 KiB", tc.query, resp.StatusCode, env.Error.Code, len(body), tc.code)
 		}
-		_, batch := doJSON(t, http.MethodPost, ts.URL+"/v1/explain/batch", map[string]any{"queries": []map[string]string{{"table": "olympics", "query": q}}})
+		if !strings.Contains(msg, "…") || !strings.Contains(msg, tc.reason) || !utf8.ValidString(msg) {
+			t.Errorf("%.8s…: message %q does not quote a cut prefix and then say %q", tc.query, msg, tc.reason)
+		}
+		_, batch := doJSON(t, http.MethodPost, ts.URL+"/v1/explain/batch", map[string]any{"queries": []map[string]string{{"table": "olympics", "query": tc.query}}})
 		var br batchResponse
 		if err := json.Unmarshal(batch, &br); err != nil {
 			t.Fatal(err)
 		}
-		if len(batch) >= 4<<10 || len(br.Results) != 1 || br.Results[0].Error != env.Error.Message {
-			t.Errorf("%.8s…: a %d-byte batch body; want its one item to carry the envelope's message", q, len(batch))
+		if len(batch) >= 1<<10 || len(br.Results) != 1 || br.Results[0].Error != msg {
+			t.Errorf("%.8s…: a %d-byte batch body; want its one item to carry the envelope's message", tc.query, len(batch))
 		}
-		msg := env.Error.Message
-		if !strings.HasPrefix(msg, "parsing ") || !strings.HasSuffix(msg, "…") || !utf8.ValidString(msg) || len(msg) > maxErrMessage+len("…") {
-			t.Errorf("%.8s…: message %.40q… (%d bytes) is not a cut prefix", q, msg, len(msg))
-		}
+	}
+	msg := errMessage(errors.New(strings.Repeat("λ", maxErrMessage)))
+	if !strings.HasSuffix(msg, "…") || !utf8.ValidString(msg) || len(msg) > maxErrMessage+len("…") {
+		t.Errorf("message %.40q… (%d bytes) is not a cut prefix", msg, len(msg))
 	}
 }
 

@@ -86,8 +86,8 @@ func TestServerWireGolden(t *testing.T) {
 		{"error-csv-and-rows", http.MethodPost, ts.URL + "/v1/tables", map[string]any{"name": "ponds", "csv": "Pond\nWalden\n", "columns": []string{"Pond"}, "rows": [][]string{{"Walden"}}}},
 		{"tables-after-trailing", http.MethodGet, ts.URL + "/v1/tables", nil},
 		// A query nested past dcs.MaxDepth is refused with a code of its
-		// own. The message quotes the 1.4 KB query, so it is cut to a
-		// 1 KiB prefix and "…".
+		// own. The message quotes the 1.4 KB query's first
+		// dcs.MaxQuoted bytes and "…", then the reason.
 		{"error-too-deep", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": strings.Repeat("count(", 2*dcs.MaxDepth) + "City.Athens" + strings.Repeat(")", 2*dcs.MaxDepth)}},
 		// A query longer than dcs.MaxQueryBytes, and a batch of more
 		// than maxBatchQueries queries, are refused with codes of their
@@ -169,8 +169,8 @@ var serverWireGolden = map[string]string{
 	"error-trailing-value":   "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
 	"error-csv-and-rows":     "20bc96a54118f6f3a417addf3afa4468d601b9d1e357db796a91886fa4ab938f",
 	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
-	"error-too-deep":         "3cfe62da41db4bb15f9bb62402e28ebd91f45a757e1d268d0f8d855f2238a3bc",
-	"error-too-long":         "f9d08a8092c2cc82d6174a152397c9ceb18cebedb795d7214eed5bdab87ea84b",
+	"error-too-deep":         "2e1508a2085281c3f9cb57df36c450391e0e9e8266687d592d1101aee9e88e8f",
+	"error-too-long":         "c18fa5ed5e4edf2bba8f969eadc9b4e1b7af61fe8e3a04de3ea81524b5f2701e",
 	"error-batch-too-large":  "49544a63cb1cf1fd664df3a2ff6e97cf43711b6b2a21ce2629c80efd670aab08",
 	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
 	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",

@@ -14,7 +14,7 @@ type CheckError struct {
 
 // Error implements the error interface.
 func (e *CheckError) Error() string {
-	return fmt.Sprintf("query %s: %s", e.Expr, e.Msg)
+	return fmt.Sprintf("query %s: %s", Clip(fmt.Sprint(e.Expr)), e.Msg)
 }
 
 func checkErr(e Expr, format string, args ...any) error {

@@ -94,7 +94,7 @@ type ExecError struct {
 
 // Error implements the error interface.
 func (e *ExecError) Error() string {
-	return fmt.Sprintf("executing %s: %s", e.Expr, e.Msg)
+	return fmt.Sprintf("executing %s: %s", Clip(fmt.Sprint(e.Expr)), e.Msg)
 }
 
 // Execute evaluates an expression against a table by compiling it into

@@ -3,6 +3,7 @@ package dcs
 import (
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"nlexplain/internal/table"
 )
@@ -70,6 +71,24 @@ type LengthError struct{ Limit int }
 
 func (e *LengthError) Error() string {
 	return fmt.Sprintf("lambda DCS parse: query longer than %d bytes", e.Limit)
+}
+
+// MaxQuoted caps how much of a query, or of one of its nodes, an error
+// message quotes: the reason follows the quote, and a caller that cuts
+// long messages (the server keeps 1 KiB) would otherwise cut the reason.
+const MaxQuoted = 128
+
+// Clip cuts s to its first MaxQuoted bytes, on a rune boundary, and
+// marks the cut with "…"; a shorter s is returned as it is.
+func Clip(s string) string {
+	if len(s) <= MaxQuoted {
+		return s
+	}
+	n := MaxQuoted
+	for !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n] + "…"
 }
 
 // MustParse is Parse, panicking on error; intended for fixtures and tests.

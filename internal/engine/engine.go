@@ -416,12 +416,11 @@ type Explanation = export.ExplanationJSON
 func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Compiled, pprof.LabelSet, error) {
 	q, err := dcs.Parse(query)
 	if err != nil {
-		// A query past the cap is quoted only up to it.
-		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %.*q: %w", dcs.MaxQueryBytes, query, err)
+		return nil, pprof.LabelSet{}, fmt.Errorf("parsing %q: %w", dcs.Clip(query), err)
 	}
 	c, err := dcs.Compile(q, snap.Table())
 	if err != nil {
-		return nil, pprof.LabelSet{}, fmt.Errorf("compiling %s on %s: %w", q, tableName, err)
+		return nil, pprof.LabelSet{}, fmt.Errorf("compiling %s on %s: %w", dcs.Clip(q.String()), tableName, err)
 	}
 	c.Exec = &e.exec
 	return c, pprof.Labels(
@@ -450,7 +449,7 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 		ex, _, err = export.BuildCompiledCtx(ctx, c, snap.Table(), 0)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("explaining %s on %s: %w", c.Expr, tableName, err)
+		return nil, fmt.Errorf("explaining %s on %s: %w", dcs.Clip(c.Expr.String()), tableName, err)
 	}
 	ex.Version = snap.Version()
 	e.met.executions.Inc()
@@ -536,7 +535,7 @@ func (e *Engine) computeAnswer(ctx context.Context, snap *store.Snapshot, tableN
 		res, err = c.ExecuteWithCtx(ctx, snap.Table(), plan.Noop{})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("answering %s on %s: %w", c.Expr, tableName, err)
+		return nil, fmt.Errorf("answering %s on %s: %w", dcs.Clip(c.Expr.String()), tableName, err)
 	}
 	ans := &Answer{Table: tableName, Version: snap.Version(), Query: query, Result: res.String()}
 	e.met.answersComputed.Inc()
