@@ -72,7 +72,7 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 	docs = append(docs, &engine.Explanation{}, &engine.Explanation{
 		Name:  "empty",
 		Table: render.Grid{Headers: []string{}, Rows: []int{}, Cells: [][]render.Cell{}},
-		Provenance: export.ProvJSON{Output: table.CellSet{}, Execution: table.CellSet{}, Columns: table.CellSet{},
+		Provenance: export.ProvJSON{Output: table.Level{}, Execution: table.Level{}, Columns: table.Level{},
 			HeaderAggrs: map[string]string{"B": "sum", "A": "max", "<C>": "min"}, Aggrs: []string{"max", "sum"}},
 	})
 	if len(docs) < 100 {

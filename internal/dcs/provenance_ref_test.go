@@ -16,7 +16,7 @@ import (
 )
 
 // levelCells lists a provenance level's cells row-major.
-func levelCells(l table.CellSet) []table.CellRef { return l }
+func levelCells(l table.Level) []table.CellRef { return slices.Collect(l.All()) }
 
 // assertProvenanceMatchesReference computes the provenance of e on tab
 // in every execution mode and holds each level, the aggregate functions

@@ -68,7 +68,7 @@ func TestExplainPipeline(t *testing.T) {
 	if ex.Result != "2004" {
 		t.Errorf("Result = %q, want 2004", ex.Result)
 	}
-	if len(ex.Provenance.Output) == 0 || len(ex.Provenance.Execution) == 0 || len(ex.Provenance.Columns) == 0 {
+	if ex.Provenance.Output.Len() == 0 || ex.Provenance.Execution.Len() == 0 || ex.Provenance.Columns.Len() == 0 {
 		t.Errorf("provenance levels empty: %+v", ex.Provenance)
 	}
 	if got := ex.Provenance.HeaderAggrs["Year"]; got != "max" {

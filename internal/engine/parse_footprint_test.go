@@ -133,10 +133,10 @@ func TestExplainMissAllocs(t *testing.T) {
 		t.Skip("allocation counts under the race detector")
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
-		"lookup":      {98, 13_350},  // measured 89 / 12 144; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
-		"comparative": {114, 17_550}, // measured 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
-		"superlative": {110, 16_600}, // measured 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
-		"aggregate":   {117, 17_800}, // measured 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
+		"lookup":      {98, 5_850},   // measured 89 / 5 320; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
+		"comparative": {114, 9_650},  // measured 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {110, 8_800},  // measured 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"aggregate":   {117, 11_650}, // measured 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
 	// it, so each call of a pass over the family misses.
@@ -227,7 +227,10 @@ func cachedBytes(t *testing.T, tab *table.Table, qs []string) int64 {
 // around it. The web tables are the benchmark's four query families on
 // a 120-row table; the big table is the 131072-row fixture, counted by
 // nation and read through 1 % Tick ranges, where PC (Definition 4.1) is
-// every row of a column.
+// every row of a column and a range's PE is too. With the levels held
+// by column, a whole column costs two words and a big-table entry
+// costs the rows of its PO and PE, 4 bytes each; listed cell by cell,
+// at 16 bytes a cell, the entries measured 6 630 and 3 446 794 bytes.
 func TestCachedExplanationBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurement under the race detector")
@@ -238,7 +241,7 @@ func TestCachedExplanationBytes(t *testing.T) {
 	}
 	per := cachedBytes(t, gamesTable(), web)
 	t.Logf("web tables: %d explanations, %d heap bytes each", len(web), per)
-	if bound := int64(7_300); per > bound { // measured 6 630, + 10 %
+	if bound := int64(1_950); per > bound { // measured 1 756, + 10 %
 		t.Errorf("a cached web-table explanation keeps %d heap bytes, want at most %d", per, bound)
 	}
 
@@ -253,7 +256,7 @@ func TestCachedExplanationBytes(t *testing.T) {
 	}
 	per = cachedBytes(t, bigFixture(), big)
 	t.Logf("131072-row table: %d explanations, %d heap bytes each", len(big), per)
-	if bound := int64(3_800_000); per > bound { // measured 3 446 794, + 10 %
+	if bound := int64(24_000); per > bound { // measured 21 738, + 10 %
 		t.Errorf("a cached big-table explanation keeps %d heap bytes, want at most %d", per, bound)
 	}
 }

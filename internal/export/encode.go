@@ -68,9 +68,9 @@ func appendCell(dst []byte, depth int, c render.Cell) []byte {
 
 func appendProv(dst []byte, depth int, p *ProvJSON) []byte {
 	in := depth + 1
-	dst = appendArray(key(append(dst, '{'), in, "output"), in, p.Output, appendCellRef)
-	dst = appendArray(key(append(dst, ','), in, "execution"), in, p.Execution, appendCellRef)
-	dst = appendArray(key(append(dst, ','), in, "columns"), in, p.Columns, appendCellRef)
+	dst = appendLevel(key(append(dst, '{'), in, "output"), in, p.Output)
+	dst = appendLevel(key(append(dst, ','), in, "execution"), in, p.Execution)
+	dst = appendLevel(key(append(dst, ','), in, "columns"), in, p.Columns)
 	if len(p.Aggrs) > 0 {
 		dst = appendArray(key(append(dst, ','), in, "aggrs"), in, p.Aggrs, appendStringElem)
 	}
@@ -92,6 +92,24 @@ func appendProv(dst []byte, depth int, p *ProvJSON) []byte {
 		dst = append(newline(dst, in), '}')
 	}
 	return append(newline(dst, depth), '}')
+}
+
+// appendLevel lists a level's cells as a JSON array at depth, one per
+// line: the one place a cached level is expanded to its cells, and []
+// when it has none.
+func appendLevel(dst []byte, depth int, l table.Level) []byte {
+	n := len(dst)
+	dst = append(dst, '[')
+	for c := range l.All() {
+		if len(dst) > n+1 {
+			dst = append(dst, ',')
+		}
+		dst = appendCellRef(newline(dst, depth+1), depth+1, c)
+	}
+	if len(dst) == n+1 {
+		return append(dst, ']')
+	}
+	return append(newline(dst, depth), ']')
 }
 
 func appendCellRef(dst []byte, depth int, c table.CellRef) []byte {

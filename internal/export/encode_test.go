@@ -77,7 +77,7 @@ func TestAppendIndentMatchesEncodingJSON(t *testing.T) {
 		d := &ExplanationJSON{Name: s, Version: s, Query: s, Utterance: s, SQL: s, Result: s,
 			Table: render.Grid{Name: s, Headers: []string{s, "b"}, Rows: []int{0, 7},
 				Cells: [][]render.Cell{{{Text: s, Marking: s}, {Text: "x"}}, {}, nil}, Sampled: i%2 == 0},
-			Provenance: ProvJSON{Output: cells, Execution: cells[:1], Columns: cells,
+			Provenance: ProvJSON{Output: table.LevelOf(cells, 3), Execution: table.LevelOf(cells[:1], 3), Columns: table.LevelOf(cells, 3),
 				Aggrs: []string{"max", s}, HeaderAggrs: map[string]string{s: "max", s + "z": s, "Year": "min"}},
 		}
 		checkDocument(t, "hostile "+s, d)
@@ -85,7 +85,7 @@ func TestAppendIndentMatchesEncodingJSON(t *testing.T) {
 	checkDocument(t, "nil slices", &ExplanationJSON{})
 	checkDocument(t, "empty slices", &ExplanationJSON{
 		Table:      render.Grid{Headers: []string{}, Rows: []int{}, Cells: [][]render.Cell{}},
-		Provenance: ProvJSON{Output: table.CellSet{}, Execution: table.CellSet{}, Columns: table.CellSet{}, Aggrs: []string{}, HeaderAggrs: map[string]string{}},
+		Provenance: ProvJSON{Output: table.Level{}, Execution: table.Level{}, Columns: table.Level{}, Aggrs: []string{}, HeaderAggrs: map[string]string{}},
 	})
 }
 

@@ -38,12 +38,14 @@ type ExplanationJSON struct {
 }
 
 // ProvJSON is the multilevel provenance Prov(Q,T) = (PO, PE, PC) in
-// wire form: the levels as the pipeline holds them, each cell a
-// {"row", "col"} object, sorted row-major per level.
+// wire form. It holds the levels as the pipeline does, by column (a
+// cached document keeps PC as its columns, not as every cell of them),
+// and lists each as its cells only when encoded: a {"row", "col"}
+// object per cell, sorted row-major per level.
 type ProvJSON struct {
-	Output      table.CellSet     `json:"output"`
-	Execution   table.CellSet     `json:"execution"`
-	Columns     table.CellSet     `json:"columns"`
+	Output      table.Level       `json:"output"`
+	Execution   table.Level       `json:"execution"`
+	Columns     table.Level       `json:"columns"`
 	Aggrs       []string          `json:"aggrs,omitempty"`
 	HeaderAggrs map[string]string `json:"header_aggrs,omitempty"` // column name -> fn
 }

@@ -76,9 +76,9 @@ func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) 
 }
 
 // Marking returns the marking of a cell: the innermost level of the
-// chain PO ⊆ PE ⊆ PC that holds it, found by binary search from the
-// widest level in, so a cell outside every mentioned column — most of a
-// table — costs one search.
+// chain PO ⊆ PE ⊆ PC that holds it, asked from the widest level in, so
+// a cell outside every mentioned column — most of a table — costs one
+// scan of PC's few columns.
 func (h *Highlights) Marking(c table.CellRef) Marking {
 	p := h.Prov
 	switch {
@@ -108,10 +108,11 @@ func (h *Highlights) HeaderAggr(col int) (dcs.AggrFn, bool) {
 // experiment reports: each level's cells less the level inside it.
 func (h *Highlights) CountByMarking() map[Marking]int {
 	p := h.Prov
+	po, pe := p.Output.Len(), p.Execution.Len()
 	return map[Marking]int{
-		Colored: len(p.Output),
-		Framed:  len(p.Execution) - len(p.Output),
-		Lit:     len(p.Columns) - len(p.Execution),
+		Colored: po,
+		Framed:  pe - po,
+		Lit:     p.Columns.Len() - pe,
 	}
 }
 
@@ -132,16 +133,20 @@ func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
 	// Two operands or one output record, then one per stratum.
 	chosen := make([]int, 0, 4)
 	// Row-major order puts a set's earliest record in its first cell.
-	addFirst := func(cells []table.CellRef) {
-		if len(cells) > 0 && !slices.Contains(chosen, cells[0].Row) {
-			chosen = append(chosen, cells[0].Row)
+	addFirst := func(cells iter.Seq[table.CellRef]) {
+		for c := range cells {
+			if !slices.Contains(chosen, c.Row) {
+				chosen = append(chosen, c.Row)
+			}
+			return
 		}
 	}
-	// A stratum is a difference of levels, cell by cell; it contributes
-	// its earliest record not chosen yet, a fresh representative.
-	addFresh := func(stratum iter.Seq[table.CellRef]) {
-		for c := range stratum {
-			if !slices.Contains(chosen, c.Row) {
+	// A stratum is a level less the level inside it, walked row-major;
+	// it contributes its earliest record not chosen yet, a fresh
+	// representative.
+	addFresh := func(level, inner table.Level) {
+		for c := range level.All() {
+			if !inner.Contains(c) && !slices.Contains(chosen, c.Row) {
 				chosen = append(chosen, c.Row)
 				return
 			}
@@ -153,14 +158,14 @@ func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
 	if sub := findSub(q); sub != nil {
 		for _, side := range []dcs.Expr{sub.L, sub.R} {
 			if r, err := dcs.ExecuteIn(h.exec, side, t, plan.Capture{}); err == nil {
-				addFirst(r.Cells)
+				addFirst(slices.Values(r.Cells))
 			}
 		}
 	} else {
-		addFirst(p.Output)
+		addFirst(p.Output.All())
 	}
-	addFresh(table.DiffSortedCells(p.Execution, p.Output))
-	addFresh(table.DiffSortedCells(p.Columns, p.Execution))
+	addFresh(p.Execution, p.Output)
+	addFresh(p.Columns, p.Execution)
 	slices.Sort(chosen)
 	return chosen
 }

@@ -29,15 +29,17 @@ import (
 // Prov is the multilevel cell-based provenance Prov(Q,T) =
 // (PO, PE, PC) of Definition 4.2, together with the aggregate functions
 // involved in the execution and their header positions. Each level is a
-// table.CellSet — row-major sorted, duplicate-free, never nil — from
-// the executor that produced its cells to the wire that lists them.
+// table.Level, held by column: PC as the columns it covers whole, PO
+// and PE as the rows their cells lie on. The executor's cell sets are
+// brought into that form once, here; the cells are listed again only
+// where they are drawn or encoded.
 type Prov struct {
 	// Output is PO(Q,T): output/witness cells.
-	Output table.CellSet
+	Output table.Level
 	// Execution is PE(Q,T): cells examined during execution.
-	Execution table.CellSet
+	Execution table.Level
 	// Columns is PC(Q,T): all cells of projected/aggregated columns.
-	Columns table.CellSet
+	Columns table.Level
 	// Aggrs lists the aggregate functions that are members of the
 	// provenance sets (Definition 4.1 allows cells and aggregate
 	// functions in the same set), outermost first.
@@ -79,20 +81,17 @@ func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*
 	}
 	p := &Prov{}
 
-	// PO is the root's witness cells as the executor returns them, PE
-	// the tracer's union. The root reports to the tracer like every
-	// operator and every witness cell lives in a mentioned column, so
-	// the chain PO ⊆ PE ⊆ PC holds already; handing PO to the tracer
-	// once more and merging PE into PC make it structural. A level is
-	// never nil: an empty one lists as [] on the wire, not as null.
-	p.Output = top.Cells
-	if p.Output == nil {
-		p.Output = table.CellSet{}
-	}
-	tr.Operator("output", p.Output)
-	p.Execution = tr.Cells()
+	// PO is the root's witness cells, PE the tracer's union. The root
+	// reports to the tracer like every operator and every witness cell
+	// lives in a mentioned column, so the chain PO ⊆ PE ⊆ PC holds
+	// already; handing PO to the tracer once more and keeping PE's
+	// cells in PC make it structural.
+	tr.Operator("output", top.Cells)
+	p.Output = table.LevelOf(top.Cells, t.NumRows())
+	p.Execution = table.LevelOf(tr.Cells(), t.NumRows())
 
-	// PC: all cells of every projected or aggregated column (Equation 3).
+	// PC: all cells of every projected or aggregated column (Equation 3),
+	// each such column held whole.
 	var cols []int
 	for _, colName := range dcs.Columns(q) {
 		if col, ok := t.ColumnIndex(colName); ok { // always, after Check
@@ -100,8 +99,7 @@ func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*
 		}
 	}
 	slices.Sort(cols)
-	pc := t.ColumnCells(slices.Compact(cols)...)
-	p.Columns = table.MergeSortedCells(make(table.CellSet, 0, len(pc)), pc, p.Execution)
+	p.Columns = p.Execution.WithColumns(slices.Compact(cols))
 
 	// Aggregate functions, outermost first, and their header markers
 	// (Algorithm 1, l. 4-5): a header keeps the first function marked

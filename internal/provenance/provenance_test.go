@@ -60,10 +60,13 @@ func cells(refs ...[2]int) table.CellSet {
 	return table.DedupCells(s)
 }
 
-func wantSet(t testing.TB, name string, got, want table.CellSet) {
+// cellsOf lists a level's cells row-major.
+func cellsOf(l table.Level) table.CellSet { return slices.Collect(l.All()) }
+
+func wantSet(t testing.TB, name string, got table.Level, want table.CellSet) {
 	t.Helper()
-	if !got.SubsetOf(want) || !want.SubsetOf(got) {
-		t.Errorf("%s = %v, want %v", name, got, want)
+	if cells := cellsOf(got); !slices.Equal(cells, want) {
+		t.Errorf("%s = %v, want %v", name, cells, want)
 	}
 }
 
@@ -235,11 +238,11 @@ func TestIdenticalHighlightsDistinctQueries(t *testing.T) {
 	// cannot tell them apart without the utterance. (The framed layer may
 	// differ — Games<17 examines every Games cell — which is exactly why
 	// the paper pairs highlights with utterances.)
-	if !h1.Prov.Output.SubsetOf(h2.Prov.Output) || !h2.Prov.Output.SubsetOf(h1.Prov.Output) {
-		t.Errorf("PO differs: %v vs %v", h1.Prov.Output, h2.Prov.Output)
+	if po1, po2 := cellsOf(h1.Prov.Output), cellsOf(h2.Prov.Output); !slices.Equal(po1, po2) {
+		t.Errorf("PO differs: %v vs %v", po1, po2)
 	}
-	if !h1.Prov.Columns.SubsetOf(h2.Prov.Columns) || !h2.Prov.Columns.SubsetOf(h1.Prov.Columns) {
-		t.Errorf("PC differs: %v vs %v", h1.Prov.Columns, h2.Prov.Columns)
+	if pc1, pc2 := cellsOf(h1.Prov.Columns), cellsOf(h2.Prov.Columns); !slices.Equal(pc1, pc2) {
+		t.Errorf("PC differs: %v vs %v", pc1, pc2)
 	}
 	for r := 0; r < players.NumRows(); r++ {
 		for c := 0; c < players.NumCols(); c++ {
@@ -266,15 +269,14 @@ func TestChainProperty(t *testing.T) {
 		if err != nil {
 			continue // dynamic type errors are legal
 		}
+		po, pe, pc := cellsOf(p.Output), cellsOf(p.Execution), cellsOf(p.Columns)
 		if !chain(p) {
-			t.Fatalf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v",
-				q, p.Output, p.Execution, p.Columns)
+			t.Fatalf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v", q, po, pe, pc)
 		}
 		// The merge walks behind chain read each level as strictly
 		// ascending; a level that is not makes them meaningless.
-		if !ascending(p.Output) || !ascending(p.Execution) || !ascending(p.Columns) {
-			t.Fatalf("a level of %s is not strictly ascending\nPO=%v\nPE=%v\nPC=%v",
-				q, p.Output, p.Execution, p.Columns)
+		if !ascending(po) || !ascending(pe) || !ascending(pc) {
+			t.Fatalf("a level of %s is not strictly ascending\nPO=%v\nPE=%v\nPC=%v", q, po, pe, pc)
 		}
 	}
 }
@@ -311,7 +313,7 @@ func TestSampleStrata(t *testing.T) {
 	}
 	// The first stratum representative must be an output record.
 	ro := map[int]bool{}
-	for _, c := range h.Prov.Output {
+	for c := range h.Prov.Output.All() {
 		ro[c.Row] = true
 	}
 	found := false
@@ -416,25 +418,26 @@ func ascending(s table.CellSet) bool {
 	return true
 }
 
-// checkLevels holds one highlighting to everything the sorted form
-// promises: each level non-nil and ascending, the chain, and a marking
-// per cell that agrees with membership in the levels.
+// checkLevels holds one highlighting to everything a level promises:
+// its cells listed ascending, as many as Len says, the chain, and a
+// marking per cell that agrees with membership in the levels.
 func checkLevels(t testing.TB, tab *table.Table, q dcs.Expr, h *Highlights) {
 	t.Helper()
 	p := h.Prov
 	for _, l := range []struct {
 		name  string
-		cells table.CellSet
+		level table.Level
 	}{{"PO", p.Output}, {"PE", p.Execution}, {"PC", p.Columns}} {
-		if l.cells == nil {
-			t.Errorf("%s: %s is nil, want an empty set", q, l.name)
+		cells := cellsOf(l.level)
+		if len(cells) != l.level.Len() {
+			t.Errorf("%s: %s lists %d cells, Len says %d", q, l.name, len(cells), l.level.Len())
 		}
-		if !ascending(l.cells) {
-			t.Errorf("%s: %s is not strictly ascending: %v", q, l.name, l.cells)
+		if !ascending(cells) {
+			t.Errorf("%s: %s is not strictly ascending: %v", q, l.name, cells)
 		}
 	}
 	if !chain(p) {
-		t.Errorf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v", q, p.Output, p.Execution, p.Columns)
+		t.Errorf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v", q, cellsOf(p.Output), cellsOf(p.Execution), cellsOf(p.Columns))
 	}
 	counts := make(map[Marking]int)
 	for r := 0; r < tab.NumRows(); r++ {
@@ -502,10 +505,11 @@ func TestLevelsAcrossSampleThreshold(t *testing.T) {
 					t.Errorf("%s on %d rows: sample %v is not an ascending list of records", q, rows, sample)
 				}
 			}
-			if (len(sample) == 0) != (len(h.Prov.Columns) == 0) {
-				t.Errorf("%s on %d rows: sample %v with %d highlighted cells", q, rows, sample, len(h.Prov.Columns))
+			if (len(sample) == 0) != (h.Prov.Columns.Len() == 0) {
+				t.Errorf("%s on %d rows: sample %v with %d highlighted cells", q, rows, sample, h.Prov.Columns.Len())
 			}
-			for _, level := range []table.CellSet{h.Prov.Output, h.Prov.Execution, h.Prov.Columns} {
+			for _, l := range []table.Level{h.Prov.Output, h.Prov.Execution, h.Prov.Columns} {
+				level := cellsOf(l)
 				if len(level) == 0 {
 					continue
 				}
@@ -592,7 +596,7 @@ func FuzzHighlight(f *testing.F) {
 		for _, l := range []struct {
 			name      string
 			got, want table.CellSet
-		}{{"PO", p.Output, want.Output}, {"PE", p.Execution, want.Execution}, {"PC", p.Columns, want.Columns}} {
+		}{{"PO", cellsOf(p.Output), want.Output}, {"PE", cellsOf(p.Execution), want.Execution}, {"PC", cellsOf(p.Columns), want.Columns}} {
 			if !slices.Equal(l.got, l.want) {
 				t.Errorf("%q: %s = %v, the definition gives %v", src, l.name, l.got, l.want)
 			}
@@ -606,5 +610,6 @@ func FuzzHighlight(f *testing.F) {
 // chain reports whether the provenance chain PO ⊆ PE ⊆ PC of
 // Definition 4.1 holds.
 func chain(p *Prov) bool {
-	return p.Output.SubsetOf(p.Execution) && p.Execution.SubsetOf(p.Columns)
+	po, pe, pc := cellsOf(p.Output), cellsOf(p.Execution), cellsOf(p.Columns)
+	return po.SubsetOf(pe) && pe.SubsetOf(pc)
 }

@@ -15,8 +15,11 @@ var _ plan.Tracer = (*CellTracer)(nil)
 // CellTracer accumulates every operator's PO witness cells during one
 // plan execution. Because plan operators correspond one-to-one to
 // query sub-expressions (and the only folds Compile applies, joins and
-// unions over literal sets, preserve PO), their union equals PE(Q,T) — the union of PO over QSUB
-// (Equation 2) — without re-executing each sub-query.
+// unions over literal sets, preserve PO), their union equals PE(Q,T) —
+// the union of PO over QSUB (Equation 2) — without re-executing each
+// sub-query. Its cells are the execution's transient form, a
+// table.CellSet; Compute keeps PE as a table.Level built from them, and
+// the tracer is garbage once it has.
 type CellTracer struct {
 	// cells is the operators' reports end to end: sorted runs, not yet
 	// one sorted set.

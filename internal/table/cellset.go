@@ -1,18 +1,18 @@
 package table
 
 import (
-	"iter"
 	"strings"
 )
 
 // CellSet is a set of cell references, the codomain of the provenance
-// functions P∗(Q,T) of Definition 4.1, held in its one canonical form:
-// a row-major sorted, duplicate-free []CellRef. The plan executor
-// produces every witness-cell set in this form (its Val invariant) and
-// a provenance level stays in it up to the wire, so set algebra —
-// intersection, union, difference, inclusion, membership — runs as
-// merge walks and binary searches, allocating nothing beyond an output
-// slice. DedupCells brings an arbitrary []CellRef into the form.
+// functions P∗(Q,T) of Definition 4.1, in its one canonical form: a
+// row-major sorted, duplicate-free []CellRef. It is the execution's
+// transient form: the plan executor produces every witness-cell set in
+// it (its Val invariant), so set algebra — intersection, union,
+// inclusion, membership — runs as merge walks and binary searches,
+// allocating nothing beyond an output slice. A provenance level that
+// outlives the execution is a Level, built from a CellSet once.
+// DedupCells brings an arbitrary []CellRef into the form.
 type CellSet []CellRef
 
 // Contains reports membership by binary search.
@@ -85,27 +85,6 @@ func MergeSortedCells(dst []CellRef, a, b CellSet) []CellRef {
 	}
 	dst = append(dst, a[i:]...)
 	return append(dst, b[j:]...)
-}
-
-// DiffSortedCells walks the cells of a that are not in b, in order. It
-// is an iterator where its siblings append: record sampling stops at
-// the first cell of a stratum PE∖PO or PC∖PE that lies on a fresh
-// record, and never needs the difference whole.
-func DiffSortedCells(a, b CellSet) iter.Seq[CellRef] {
-	return func(yield func(CellRef) bool) {
-		j := 0
-		for _, c := range a {
-			for j < len(b) && b[j].Less(c) {
-				j++
-			}
-			if j < len(b) && b[j] == c {
-				continue
-			}
-			if !yield(c) {
-				return
-			}
-		}
-	}
 }
 
 // String renders the set as a list, for test failure messages.

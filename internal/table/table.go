@@ -384,20 +384,6 @@ func (t *Table) RowsForKey(col int, key string) []int32 {
 	return cd.kb.groupRows(int(g))
 }
 
-// ColumnCells returns the cell references of every cell in the given
-// columns, row-major — the column provenance PC of Definition 4.1 for
-// the columns a query mentions. With cols ascending and distinct the
-// result is a CellSet.
-func (t *Table) ColumnCells(cols ...int) []CellRef {
-	out := make([]CellRef, 0, t.rows*len(cols))
-	for r := 0; r < t.rows; r++ {
-		for _, col := range cols {
-			out = append(out, CellRef{Row: r, Col: col})
-		}
-	}
-	return out
-}
-
 // DistinctColumnValues returns the distinct values of a column in first-
 // appearance order; used by candidate generation and the most-frequent
 // operator.

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"slices"
 	"strings"
 	"testing"
 )
@@ -83,19 +82,6 @@ func TestRecordsWhereNumeric(t *testing.T) {
 	}
 }
 
-func TestColumnCells(t *testing.T) {
-	tab := olympics(t)
-	cells := tab.ColumnCells(1)
-	if len(cells) != 6 {
-		t.Fatalf("ColumnCells length = %d", len(cells))
-	}
-	for r, c := range cells {
-		if c.Row != r || c.Col != 1 {
-			t.Errorf("cell %d = %v", r, c)
-		}
-	}
-}
-
 func TestDistinctColumnValues(t *testing.T) {
 	tab := olympics(t)
 	city, _ := tab.ColumnIndex("City")
@@ -159,25 +145,11 @@ func TestCellSetOperations(t *testing.T) {
 	if len(i) != 1 || !i.Contains(CellRef{1, 1}) {
 		t.Errorf("intersect = %v", i)
 	}
-	m := CellSet(slices.Collect(DiffSortedCells(a, b)))
-	if len(m) != 1 || !m.Contains(CellRef{0, 0}) {
-		t.Errorf("minus = %v", m)
-	}
 	if !a.SubsetOf(u) || u.SubsetOf(a) {
 		t.Error("SubsetOf broken")
 	}
-	// The walks at their ends: nothing minus anything, anything minus
-	// nothing, a set minus itself, the empty set inside every set.
+	// The walks at their ends: the empty set inside every set.
 	var none CellSet
-	if got := slices.Collect(DiffSortedCells(none, a)); len(got) != 0 {
-		t.Errorf("empty minus a = %v", got)
-	}
-	if got := slices.Collect(DiffSortedCells(u, none)); !slices.Equal(got, u) {
-		t.Errorf("u minus empty = %v, want %v", got, u)
-	}
-	if got := slices.Collect(DiffSortedCells(u, u)); len(got) != 0 {
-		t.Errorf("u minus u = %v", got)
-	}
 	if !none.SubsetOf(a) || !none.SubsetOf(none) || a.SubsetOf(none) || !a.SubsetOf(a) {
 		t.Error("SubsetOf broken on the empty set")
 	}
