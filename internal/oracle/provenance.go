@@ -35,7 +35,7 @@ func Provenance(e dcs.Expr, t *table.Table) (*Prov, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prov{Output: table.CellSet(table.DedupCells(append([]table.CellRef{}, root.Cells...)))}
+	p := &Prov{Output: root.Cells} // sorted and distinct, as every Result's
 
 	var exec []table.CellRef
 	var walk func(s dcs.Expr) error

@@ -84,8 +84,9 @@ type (
 	Value = table.Value
 	// CellRef identifies one cell by (row, column).
 	CellRef = table.CellRef
-	// CellSet is a set of cells — the codomain of the provenance
-	// functions — as a row-major sorted, duplicate-free slice.
+	// CellSet is a set of cells as a row-major sorted, duplicate-free
+	// slice: the form the executor computes witness cells in. The
+	// levels of a Provenance hold theirs by column (table.Level).
 	CellSet = table.CellSet
 )
 
