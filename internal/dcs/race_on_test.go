@@ -3,5 +3,6 @@
 package dcs_test
 
 // raceEnabled reports that the race detector is on, which slows the
-// reference interpreter tenfold: the exhaustive sweeps sample instead.
+// reference interpreter about sixfold: the exhaustive sweeps sample
+// instead.
 const raceEnabled = true
