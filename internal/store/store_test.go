@@ -432,3 +432,115 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// residentSum is the footprint of the tables a store holds, read off
+// the tables themselves: base plus derived bytes over every current
+// snapshot.
+func residentSum(st *Store) int64 {
+	var n int64
+	for _, snap := range st.Snapshots() {
+		n += snap.Table().BaseBytes() + snap.Table().DerivedBytes()
+	}
+	return n
+}
+
+// checkResident fails the test unless store.bytes equals residentSum.
+func checkResident(t *testing.T, st *Store, step string) {
+	t.Helper()
+	if got, want := series(t, st, "store.bytes"), residentSum(st); got != want {
+		t.Fatalf("%s: store.bytes %d, resident sum %d", step, got, want)
+	}
+}
+
+// buildDerived builds every numeric index and zone map of a table.
+func buildDerived(tab *table.Table) {
+	for c := range tab.NumCols() {
+		tab.NumericSortedRows(c)
+		tab.ColumnZones(c)
+	}
+}
+
+// TestStoreBytesEqualsResidentSum runs a budgeted store through
+// registrations, index builds, an append, a re-registration of the
+// same table, a registration of changed content and a drop. After
+// every Get and every mutation store.bytes is the footprint of the
+// resident snapshots, and the budget has evicted exactly the coldest
+// tables' derived bytes.
+func TestStoreBytesEqualsResidentSum(t *testing.T) {
+	names := []string{"t0", "t1", "t2"}
+	var baseTotal, derived int64
+	for _, n := range names {
+		tab := mustTable(t, n, 64)
+		baseTotal += tab.BaseBytes()
+		buildDerived(tab)
+		derived = tab.DerivedBytes()
+	}
+	// Room for two tables' derived bytes, not three.
+	st := New(Options{ByteBudget: baseTotal + 2*derived + derived/4})
+	for _, n := range names {
+		if _, err := st.Register(mustTable(t, n, 64)); err != nil {
+			t.Fatal(err)
+		}
+		checkResident(t, st, "register "+n)
+	}
+	get := func(name string) *table.Table {
+		t.Helper()
+		snap, ok := st.Get(name)
+		if !ok {
+			t.Fatalf("Get(%q) failed", name)
+		}
+		checkResident(t, st, "get "+name)
+		return snap.Table()
+	}
+	holding := func() string {
+		var out []string
+		for _, n := range names {
+			if snap, ok := st.peek(n); ok && snap.Table().DerivedBytes() > 0 {
+				out = append(out, n)
+			}
+		}
+		return fmt.Sprint(out)
+	}
+	pin := func(step string, evictions int64, hold string) {
+		t.Helper()
+		if got := series(t, st, "store.evictions"); got != evictions {
+			t.Fatalf("%s: %d evictions, want %d", step, got, evictions)
+		}
+		if got := holding(); got != hold {
+			t.Fatalf("%s: tables holding derived bytes %s, want %s", step, got, hold)
+		}
+	}
+	for _, n := range names {
+		buildDerived(get(n))
+		checkResident(t, st, "build "+n)
+		get(n)
+	}
+	pin("builds", 1, "[t1 t2]")
+
+	if _, err := st.Append("t1", [][]string{{"nation9", "2024", "99"}}); err != nil {
+		t.Fatal(err)
+	}
+	checkResident(t, st, "append t1")
+	pin("append", 1, "[t1 t2]")
+
+	same := get("t2")
+	if _, err := st.Register(same); err != nil {
+		t.Fatal(err)
+	}
+	checkResident(t, st, "re-register t2")
+	pin("re-register", 1, "[t1 t2]")
+
+	if _, err := st.Register(mustTable(t, "t2", 32)); err != nil {
+		t.Fatal(err)
+	}
+	checkResident(t, st, "register changed t2")
+	pin("register changed", 1, "[t1]")
+
+	if _, _, err := st.Drop("t0"); err != nil {
+		t.Fatal(err)
+	}
+	checkResident(t, st, "drop t0")
+	buildDerived(get("t2"))
+	get("t2")
+	pin("rebuild t2", 1, "[t1 t2]")
+}
