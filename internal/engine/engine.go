@@ -55,7 +55,8 @@ type Options struct {
 	MaxPending int
 	// StoreByteBudget bounds the table store's resident-byte estimate;
 	// over it, cold tables' derived indexes are evicted (base data
-	// never is). 0 means unlimited.
+	// never is). It is checked at each install and table acquisition
+	// (store.Options.ByteBudget). 0 means unlimited.
 	StoreByteBudget int64
 	// ExecWorkers caps the morsel-parallel workers of each plan execution
 	// this engine runs (see internal/plan); other engines keep their own.

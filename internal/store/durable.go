@@ -599,16 +599,10 @@ func (st *Store) dropRestored(name string, gen uint64) {
 	sh.mutMu.Lock()
 	defer sh.mutMu.Unlock()
 	sh.mu.Lock()
-	old, ok := sh.tables[name]
-	if ok && old.gen <= gen {
+	if old, ok := sh.tables[name]; ok && old.gen <= gen {
 		delete(sh.tables, name)
-	} else {
-		ok = false
 	}
 	sh.mu.Unlock()
-	if ok {
-		st.release(old)
-	}
 	st.raiseGen(gen)
 }
 

@@ -1,8 +1,8 @@
 // Package store is the versioned table storage layer behind the
 // explanation engine: a sharded catalog of immutable table snapshots
 // with a monotonic generation counter, live mutation (append, replace,
-// drop), synchronous invalidation hooks, and per-table memory
-// accounting against a configurable byte budget.
+// drop), synchronous invalidation hooks, and a configurable byte
+// budget over the resident tables' footprint.
 //
 // The catalog is lock-striped: table names hash (FNV-1a) onto a fixed
 // set of shards, each guarded by its own RWMutex, so registration
@@ -11,16 +11,18 @@
 // acquisition is O(1) and copies nothing.
 //
 // Every table state is an immutable Snapshot carrying the table, a
-// content-hash version, a store-wide monotonic generation, and the
-// table's dedicated semantic parser. Mutations never modify a
-// published snapshot: they build a successor (copy-on-write through
+// content-hash version and a store-wide monotonic generation.
+// Mutations never modify a published snapshot: they build a successor (copy-on-write through
 // table.Append, or a whole new table) and swap the catalog pointer, so
 // an execution that acquired a snapshot keeps reading a consistent
 // table while newer generations install around it.
 //
-// Memory accounting tracks, per table, the base footprint (code and
-// typed vectors, dictionaries, KB index) plus the lazily built sorted
-// numeric indexes and zone maps. When the resident estimate exceeds Options.ByteBudget
+// The store keeps no byte counter of its own: a table's footprint is
+// read off the table (BaseBytes for the code and typed vectors,
+// dictionaries and KB index, DerivedBytes for the sorted numeric
+// indexes and zone maps it publishes now), and the resident footprint
+// is their sum over the current snapshots, taken at each budget check
+// and at each scrape of store.bytes. When it exceeds Options.ByteBudget
 // the store evicts cold tables' derived indexes — never base data — in
 // least-recently-used order.
 package store
@@ -48,9 +50,11 @@ var ErrUnknownTable = errors.New("store: unknown table")
 // Options configures a Store. The zero value selects defaults.
 type Options struct {
 	// ByteBudget bounds the store's resident-byte estimate (base data
-	// plus derived indexes across all tables). When the estimate
-	// exceeds it, cold tables' derived indexes are evicted. 0 means no
-	// budget (never evict).
+	// plus derived indexes across all tables). It is checked when a
+	// snapshot is installed and when Get acquires one; over it, cold
+	// tables' derived indexes are evicted, so an index build that
+	// crosses it is evicted at the next acquisition. 0 means no budget
+	// (never evict, and Get sums nothing).
 	ByteBudget int64
 }
 
@@ -101,7 +105,6 @@ type Snapshot struct {
 	t       *table.Table
 	version string
 	gen     uint64
-	parser  *semparse.Parser
 	// lastUsed is the store's logical access clock at the snapshot's
 	// most recent acquisition; the eviction scan orders tables by it.
 	lastUsed atomic.Uint64
@@ -120,8 +123,14 @@ func (s *Snapshot) Version() string { return s.version }
 // mutation order even when content repeats.
 func (s *Snapshot) Gen() uint64 { return s.gen }
 
-// Parser returns the snapshot's dedicated semantic parser.
-func (s *Snapshot) Parser() *semparse.Parser { return s.parser }
+// snapshotParser is the uncached semantic parser every snapshot
+// returns; ParseAll only reads its weights, so it is safe for
+// concurrent use. Candidate pools are memoized outside the store.
+var snapshotParser = semparse.NewUncachedParser()
+
+// Parser returns an uncached semantic parser, shared by every
+// snapshot.
+func (s *Snapshot) Parser() *semparse.Parser { return snapshotParser }
 
 // shard is one lock stripe of the catalog. mu guards the map only;
 // mutMu serializes mutations of the shard's tables so expensive
@@ -141,7 +150,6 @@ type Store struct {
 
 	gen       atomic.Uint64 // monotonic generation counter
 	clock     atomic.Uint64 // logical access clock for recency
-	bytes     atomic.Int64  // resident estimate: base + derived, all tables
 	evictions atomic.Uint64 // derived-index eviction count
 
 	hookMu sync.RWMutex
@@ -193,7 +201,9 @@ func (st *Store) shardFor(name string) *shard {
 // Get acquires the current snapshot of a table: one shard read-lock,
 // one map probe, no copying — O(1) regardless of table size. The
 // snapshot stays fully readable even if the table is mutated or
-// dropped afterwards.
+// dropped afterwards. With a ByteBudget, Get then checks the budget,
+// which is where derived indexes built since the last check are
+// evicted.
 func (st *Store) Get(name string) (*Snapshot, bool) {
 	sh := st.shardFor(name)
 	sh.mu.RLock()
@@ -203,6 +213,9 @@ func (st *Store) Get(name string) (*Snapshot, bool) {
 		return nil, false
 	}
 	s.lastUsed.Store(st.clock.Add(1))
+	if st.opts.ByteBudget > 0 {
+		st.maybeEvict()
+	}
 	return s, true
 }
 
@@ -237,50 +250,20 @@ func (st *Store) newSnapshot(t *table.Table) *Snapshot {
 	return snapshotOf(t, contentVersion(t), st.gen.Add(1))
 }
 
-// snapshotOf builds a snapshot around its own semantic parser, an
-// uncached one: candidate pools are memoized outside the store, keyed
-// by snapshot version.
 func snapshotOf(t *table.Table, version string, gen uint64) *Snapshot {
-	return &Snapshot{t: t, version: version, gen: gen, parser: semparse.NewUncachedParser()}
+	return &Snapshot{t: t, version: version, gen: gen}
 }
 
 // install publishes snap under name, returning the snapshot it
-// displaced (nil if none). Callers hold sh.mutMu, which serializes all
-// mutations of the shard, so the pre-publication read of the displaced
-// snapshot cannot go stale.
+// displaced (nil if none), and checks the byte budget.
 func (st *Store) install(sh *shard, name string, snap *Snapshot) *Snapshot {
 	snap.lastUsed.Store(st.clock.Add(1))
-	sh.mu.RLock()
-	old := sh.tables[name]
-	sh.mu.RUnlock()
-	// Re-registering the very same table object must neither release
-	// its accounting nor double-book it; otherwise account the new
-	// table BEFORE publication — it is unreachable until it lands in
-	// the map, so no concurrent index build can slip between the
-	// footprint booking and the hook attach.
-	fresh := old == nil || old.t != snap.t
-	if fresh {
-		snap.t.SetMemHook(st.derivedDelta)
-		st.bytes.Add(snap.t.BaseBytes() + snap.t.DerivedBytes())
-	}
 	sh.mu.Lock()
+	old := sh.tables[name]
 	sh.tables[name] = snap
 	sh.mu.Unlock()
-	if fresh && old != nil {
-		st.release(old)
-	}
 	st.maybeEvict()
 	return old
-}
-
-// release detaches a displaced snapshot from the accounting: its
-// future index builds no longer count, and its current footprint is
-// subtracted. A build racing the detach may land uncounted in either
-// direction; the estimate tolerates that, and the floor clamp in
-// the store.bytes gauge keeps it sane.
-func (st *Store) release(old *Snapshot) {
-	old.t.SetMemHook(nil)
-	st.bytes.Add(-(old.t.BaseBytes() + old.t.DerivedBytes()))
 }
 
 // Register installs t under its own name, replacing any existing
@@ -370,19 +353,22 @@ func (st *Store) Drop(name string) (*Snapshot, bool, error) {
 	sh.mu.Lock()
 	delete(sh.tables, name)
 	sh.mu.Unlock()
-	st.release(old)
 	st.fire(Event{Kind: Dropped, Name: name, Old: old})
 	return old, true, nil
 }
 
-// derivedDelta is the memory hook installed on every resident table:
-// it books index builds and drops into the store's byte estimate and
-// triggers the budget check on growth.
-func (st *Store) derivedDelta(delta int64) {
-	st.bytes.Add(delta)
-	if delta > 0 {
-		st.maybeEvict()
+// resident is the store's footprint: base plus derived bytes of every
+// current snapshot's table, read off the tables now.
+func (st *Store) resident() int64 {
+	var n int64
+	for _, sh := range st.shards {
+		sh.mu.RLock()
+		for _, s := range sh.tables {
+			n += s.t.BaseBytes() + s.t.DerivedBytes()
+		}
+		sh.mu.RUnlock()
 	}
+	return n
 }
 
 // maybeEvict enforces the byte budget: while the resident estimate
@@ -393,36 +379,38 @@ func (st *Store) derivedDelta(delta int64) {
 // thrashing (dropping every index the moment a query rebuilds it);
 // the store then simply stays over budget.
 func (st *Store) maybeEvict() {
-	if st.opts.ByteBudget <= 0 || st.bytes.Load() <= st.opts.ByteBudget {
+	budget := st.opts.ByteBudget
+	if budget <= 0 || st.resident() <= budget {
 		return
 	}
 	st.evictMu.Lock()
 	defer st.evictMu.Unlock()
-	if st.bytes.Load() <= st.opts.ByteBudget {
-		return // another evictor got here first
-	}
 	type cand struct {
-		snap    *Snapshot
-		used    uint64
-		derived int64
+		t    *table.Table
+		used uint64
 	}
 	var cands []cand
-	var reclaimable int64
+	var bytes, reclaimable int64
 	for _, snap := range st.Snapshots() {
-		if d := snap.t.DerivedBytes(); d > 0 {
-			cands = append(cands, cand{snap: snap, used: snap.lastUsed.Load(), derived: d})
+		d := snap.t.DerivedBytes()
+		bytes += snap.t.BaseBytes() + d
+		if d > 0 {
+			cands = append(cands, cand{t: snap.t, used: snap.lastUsed.Load()})
 			reclaimable += d
 		}
 	}
-	if st.bytes.Load()-reclaimable > st.opts.ByteBudget {
-		return // unattainable: evicting every index still leaves us over
+	if bytes <= budget || bytes-reclaimable > budget {
+		// Another evictor got here first, or the budget is
+		// unattainable: evicting every index still leaves us over.
+		return
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].used < cands[j].used })
 	for _, c := range cands {
-		if st.bytes.Load() <= st.opts.ByteBudget {
+		if bytes <= budget {
 			return
 		}
-		if c.snap.t.DropDerivedIndexes() > 0 {
+		if freed := c.t.DropDerivedIndexes(); freed > 0 {
+			bytes -= freed
 			st.evictions.Add(1)
 		}
 	}
@@ -433,13 +421,7 @@ func (st *Store) maybeEvict() {
 // scrape-time functional gauges and counters over the store's atomics,
 // the only way those values leave the package.
 func (st *Store) RegisterMetrics(r *metric.Registry) {
-	r.GaugeFunc("bytes", "resident-byte estimate (base data + derived indexes, all tables)", func() int64 {
-		b := st.bytes.Load()
-		if b < 0 {
-			b = 0
-		}
-		return b
-	})
+	r.GaugeFunc("bytes", "resident-byte estimate (base data + derived indexes, all tables)", st.resident)
 	r.CounterFunc("evictions", "derived-index evictions under byte-budget pressure", st.evictions.Load)
 	r.GaugeFunc("tables", "catalog size", func() int64 { return int64(st.Len()) })
 	r.GaugeFunc("generation", "monotonic snapshot-install counter", func() int64 {
@@ -495,7 +477,7 @@ func (st *Store) RegisterMetrics(r *metric.Registry) {
 
 	// Zone-map series: builds is a process-wide monotonic counter of
 	// per-column constructions, bytes the footprint of the maps this
-	// store's resident tables hold (charged as DerivedBytes).
+	// store's resident tables hold (part of DerivedBytes).
 	r.CounterFunc("zonemap.builds", "zone maps built (per-column constructions)", table.ZoneMapBuilds)
 	r.GaugeFunc("zonemap.bytes", "resident bytes of published zone maps", func() int64 {
 		var n int64

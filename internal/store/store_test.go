@@ -208,7 +208,7 @@ func TestStoreMemoryAccounting(t *testing.T) {
 		t.Fatalf("store bytes %d != table base %d", base, tab.BaseBytes())
 	}
 
-	// Building a sorted index grows the estimate through the hook.
+	// Building a sorted index grows the footprint read off the table.
 	col, _ := tab.ColumnIndex("Year")
 	tab.NumericSortedRows(col)
 	if got := series(t, st, "store.bytes"); got != base+tab.DerivedBytes() || tab.DerivedBytes() <= 0 {
@@ -283,12 +283,14 @@ func TestStoreEvictionOrdering(t *testing.T) {
 	for _, tab := range tabs {
 		tab.NumericSortedRows(yearOf(tab))
 		tab.NumericSortedRows(gamesOf(tab))
+		st.Get(tab.Name())
 	}
 	st.Get("t1")
 	st.Get("t2")
 	// Trigger the budget check via a fresh build on the hottest table.
 	tabs[2].DropDerivedIndexes()
 	tabs[2].NumericSortedRows(yearOf(tabs[2]))
+	st.Get("t2")
 
 	if ev := series(t, st, "store.evictions"); ev == 0 {
 		t.Fatalf("no evictions under budget %d with bytes %d", st.opts.ByteBudget, series(t, st, "store.bytes"))
@@ -318,6 +320,7 @@ func TestStoreUnattainableBudgetDoesNotThrash(t *testing.T) {
 		if rows := tab.NumericSortedRows(col); len(rows) != 64 {
 			t.Fatalf("index build returned %d rows", len(rows))
 		}
+		st.Get("a")
 	}
 	if tab.DerivedBytes() == 0 {
 		t.Fatal("index evicted under an unattainable budget (thrash)")
@@ -543,4 +546,112 @@ func TestStoreBytesEqualsResidentSum(t *testing.T) {
 	buildDerived(get("t2"))
 	get("t2")
 	pin("rebuild t2", 1, "[t1 t2]")
+}
+
+// TestTableInTwoStores registers one table in two stores: each store
+// reads its footprint off the table, so each one's store.bytes is its
+// own resident sum whatever the other does, and dropping the table
+// from one store leaves the other's budget acting on it.
+func TestTableInTwoStores(t *testing.T) {
+	tab := mustTable(t, "a", 64)
+	first := New(Options{})
+	// Room for one sorted index, not for every derived structure.
+	second := New(Options{ByteBudget: tab.BaseBytes() + 512})
+	check := func(step string) {
+		t.Helper()
+		checkResident(t, first, step+" (first store)")
+		checkResident(t, second, step+" (second store)")
+	}
+	for _, st := range []*Store{first, second} {
+		if _, err := st.Register(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("register")
+	year, _ := tab.ColumnIndex("Year")
+	tab.NumericSortedRows(year)
+	check("index build")
+	buildDerived(tab)
+	check("build")
+	if _, _, err := first.Drop("a"); err != nil {
+		t.Fatal(err)
+	}
+	check("drop from the first store")
+	for i := range 2 {
+		second.Get("a")
+		check("get")
+		if tab.DerivedBytes() != 0 {
+			t.Fatalf("second store left %d derived bytes over its budget", tab.DerivedBytes())
+		}
+		if got := series(t, second, "store.evictions"); got != int64(i+1) {
+			t.Fatalf("second store evicted %d times, want %d", got, i+1)
+		}
+		buildDerived(tab)
+		check("rebuild")
+	}
+}
+
+// TestStoreConcurrentEviction races index builds, index drops, Gets,
+// appends and drops on a budgeted store while store.bytes is scraped:
+// the gauge never reads negative, and once the workers are joined it
+// is the resident sum again.
+func TestStoreConcurrentEviction(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	var base int64
+	for _, n := range names {
+		base += mustTable(t, n, 32).BaseBytes()
+	}
+	st := New(Options{ByteBudget: base + base/8})
+	for _, n := range names {
+		st.Register(mustTable(t, n, 32))
+	}
+	const iters = 200
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := names[w]
+			for i := range iters {
+				snap, ok := st.Get(names[(w+i)%len(names)])
+				switch {
+				case ok && i%2 == 0:
+					buildDerived(snap.Table())
+				case ok && i%5 == 1:
+					snap.Table().DropDerivedIndexes()
+				case i%7 == 3:
+					st.Append(name, [][]string{{"x", "2000", strconv.Itoa(i)}})
+				case i%11 == 5:
+					st.Drop(name)
+					st.Register(mustTable(t, name, 16+i%32))
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	scraped := make(chan int64)
+	go func() {
+		var low int64
+		for {
+			select {
+			case <-stop:
+				scraped <- low
+				return
+			default:
+			}
+			low = min(low, series(t, st, "store.bytes"))
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if low := <-scraped; low < 0 {
+		t.Fatalf("store.bytes read %d during the race", low)
+	}
+	if st.Len() != len(names) {
+		t.Fatalf("Len = %d, want %d", st.Len(), len(names))
+	}
+	checkResident(t, st, "after the join")
+	if series(t, st, "store.evictions") == 0 {
+		t.Fatal("no evictions under the budget")
+	}
 }

@@ -232,12 +232,10 @@ func (t *Table) NumericSortedRows(c int) []int32 {
 		}
 		return cmp.Compare(a, b)
 	})
-	if t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
-		sz := indexBytes(len(rows))
-		t.mem.derived.Add(sz)
-		t.memNotify(sz)
-	} else if idx := t.numIdx[c].Load(); idx != nil {
-		return idx.rows
+	if !t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
+		if idx := t.numIdx[c].Load(); idx != nil {
+			return idx.rows
+		}
 	}
 	return rows
 }

@@ -1,12 +1,13 @@
 package table
 
-import "sync/atomic"
-
 // Byte-cost constants for the resident-memory estimate: what a column
 // and a table cost before their first cell. Everything else is read
-// off the storage itself, vector by vector. What the estimate leaves
-// out is the allocator's rounding; TestBaseBytesTracksHeap holds the
-// sum to the measured heap.
+// off the storage itself, vector by vector: the base once, when the
+// build seals it, the derived indexes and zone maps at every
+// DerivedBytes call. A table tells no one of its builds and drops;
+// whoever budgets its memory asks. What the estimate leaves out is the
+// allocator's rounding; TestBaseBytesTracksHeap holds the sum to the
+// measured heap.
 const (
 	sliceHeaderBytes = 24 // slice header (ptr + len + cap)
 	// perColumnFixedBytes is the columnData struct, the column's index
@@ -17,14 +18,13 @@ const (
 	tableFixedBytes     = 256
 )
 
-// memAccount tracks a table's byte footprint: base is sealed at the
-// end of the build, derived moves as sorted indexes and zone maps are
-// built and dropped, and hook (owned by at most one store) observes
-// every derived delta.
+// memAccount holds what a table's footprint cannot be read off its
+// published structures: base, sealed at the end of the build. The
+// derived part is summed from the indexes and zone maps themselves
+// (DerivedBytes), so nothing outside the table is told of a build or
+// a drop.
 type memAccount struct {
-	base    int64
-	derived atomic.Int64
-	hook    atomic.Pointer[func(delta int64)]
+	base int64
 }
 
 // bytes is what a dictionary keeps: its text and an offset per entry.
@@ -62,26 +62,17 @@ func (t *Table) sealBaseBytes() {
 // index. It is fixed at build time.
 func (t *Table) BaseBytes() int64 { return t.mem.base }
 
-// DerivedBytes reports the bytes currently held by lazily built,
-// droppable derived structures (the per-column sorted numeric indexes).
-func (t *Table) DerivedBytes() int64 { return t.mem.derived.Load() }
-
-// SetMemHook registers fn to observe every change to the table's
-// derived-index footprint (positive deltas on index builds, negative on
-// drops). At most one hook is active; the versioned store owns it. A
-// nil fn detaches the current hook.
-func (t *Table) SetMemHook(fn func(delta int64)) {
-	if fn == nil {
-		t.mem.hook.Store(nil)
-		return
+// DerivedBytes reports the bytes of the lazily built, droppable
+// derived structures the table currently publishes: its sorted numeric
+// indexes and its zone maps, summed at the call.
+func (t *Table) DerivedBytes() int64 {
+	n := t.ZoneBytes()
+	for c := range t.numIdx {
+		if idx := t.numIdx[c].Load(); idx != nil {
+			n += indexBytes(len(idx.rows))
+		}
 	}
-	t.mem.hook.Store(&fn)
-}
-
-func (t *Table) memNotify(delta int64) {
-	if f := t.mem.hook.Load(); f != nil {
-		(*f)(delta)
-	}
+	return n
 }
 
 // DropDerivedIndexes releases every built sorted numeric index and
@@ -100,10 +91,6 @@ func (t *Table) DropDerivedIndexes() int64 {
 		if old := t.zones[c].Swap(nil); old != nil {
 			freed += zoneBytes(len(old.zones))
 		}
-	}
-	if freed > 0 {
-		t.mem.derived.Add(-freed)
-		t.memNotify(-freed)
 	}
 	return freed
 }

@@ -59,8 +59,8 @@ type Table struct {
 	// min/max summaries). Like numIdx they are droppable and rebuilt on
 	// demand; under Append they are maintained incrementally.
 	zones []atomicZones
-	// mem is the table's byte accounting: base footprint, currently
-	// built derived-index bytes, and the store's change hook.
+	// mem is the table's sealed base footprint; the derived part is
+	// read off numIdx and zones (DerivedBytes).
 	mem memAccount
 }
 

@@ -125,14 +125,11 @@ func (t *Table) ZoneBytes() int64 {
 	return n
 }
 
-// publishZones CAS-publishes a freshly built zone slice for column c,
-// charging the derived-byte account on success. Returns the resident
-// slice (the freshly published one, or the concurrent winner).
+// publishZones CAS-publishes a freshly built zone slice for column c.
+// Returns the resident slice (the freshly published one, or the
+// concurrent winner).
 func (t *Table) publishZones(c int, zones []Zone) []Zone {
 	if t.zones[c].CompareAndSwap(nil, &zoneMap{zones: zones}) {
-		sz := zoneBytes(len(zones))
-		t.mem.derived.Add(sz)
-		t.memNotify(sz)
 		zoneBuilds.Add(1)
 		return zones
 	}

@@ -37,10 +37,10 @@
 // (internal/store): every query pins an immutable snapshot, live
 // mutations (RegisterTable over an existing name, AppendRows,
 // DropTable) install a new snapshot under a monotonic generation and
-// synchronously purge the displaced version's cached results, and
-// per-table memory accounting against EngineOptions.StoreByteBudget
-// evicts cold tables' derived indexes (never base data) under
-// pressure:
+// synchronously purge the displaced version's cached results, and a
+// byte budget (EngineOptions.StoreByteBudget) over the footprint read
+// off the resident tables evicts cold tables' derived indexes (never
+// base data) under pressure:
 //
 //	eng := nlexplain.NewEngine(nlexplain.EngineOptions{Workers: 8})
 //	eng.RegisterTable(t)
