@@ -12,10 +12,11 @@
 //
 // Every table state is an immutable Snapshot carrying the table, a
 // content-hash version and a store-wide monotonic generation.
-// Mutations never modify a published snapshot: they build a successor (copy-on-write through
-// table.Append, or a whole new table) and swap the catalog pointer, so
-// an execution that acquired a snapshot keeps reading a consistent
-// table while newer generations install around it.
+// Mutations never modify a published snapshot: they build a successor
+// (copy-on-write through table.Append, or a whole new table) and swap
+// the catalog pointer, so an execution that acquired a snapshot keeps
+// reading a consistent table while newer generations install around
+// it.
 //
 // The store keeps no byte counter of its own: a table's footprint is
 // read off the table (BaseBytes for the code and typed vectors,
@@ -202,8 +203,8 @@ func (st *Store) shardFor(name string) *shard {
 // one map probe, no copying — O(1) regardless of table size. The
 // snapshot stays fully readable even if the table is mutated or
 // dropped afterwards. With a ByteBudget, Get then checks the budget,
-// which is where derived indexes built since the last check are
-// evicted.
+// a sum over the resident tables: derived indexes built since the
+// last check are evicted there.
 func (st *Store) Get(name string) (*Snapshot, bool) {
 	sh := st.shardFor(name)
 	sh.mu.RLock()
@@ -255,7 +256,8 @@ func snapshotOf(t *table.Table, version string, gen uint64) *Snapshot {
 }
 
 // install publishes snap under name, returning the snapshot it
-// displaced (nil if none), and checks the byte budget.
+// displaced (nil if none), and checks the byte budget. Callers hold
+// sh.mutMu.
 func (st *Store) install(sh *shard, name string, snap *Snapshot) *Snapshot {
 	snap.lastUsed.Store(st.clock.Add(1))
 	sh.mu.Lock()

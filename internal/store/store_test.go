@@ -594,14 +594,18 @@ func TestTableInTwoStores(t *testing.T) {
 // TestStoreConcurrentEviction races index builds, index drops, Gets,
 // appends and drops on a budgeted store while store.bytes is scraped:
 // the gauge never reads negative, and once the workers are joined it
-// is the resident sum again.
+// is the resident sum again and the budget still evicts.
 func TestStoreConcurrentEviction(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
-	var base int64
+	var base, derived int64
 	for _, n := range names {
-		base += mustTable(t, n, 32).BaseBytes()
+		tab := mustTable(t, n, 32)
+		base += tab.BaseBytes()
+		buildDerived(tab)
+		derived = tab.DerivedBytes()
 	}
-	st := New(Options{ByteBudget: base + base/8})
+	// Room for two tables' derived bytes, not four.
+	st := New(Options{ByteBudget: base + 2*derived})
 	for _, n := range names {
 		st.Register(mustTable(t, n, 32))
 	}
@@ -651,7 +655,22 @@ func TestStoreConcurrentEviction(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", st.Len(), len(names))
 	}
 	checkResident(t, st, "after the join")
-	if series(t, st, "store.evictions") == 0 {
-		t.Fatal("no evictions under the budget")
+
+	// Back to the starting tables, every index built: the next Get
+	// evicts down to the budget.
+	before := series(t, st, "store.evictions")
+	for _, n := range names {
+		snap, err := st.Register(mustTable(t, n, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildDerived(snap.Table())
+	}
+	st.Get(names[0])
+	if got := series(t, st, "store.bytes"); got > st.opts.ByteBudget {
+		t.Fatalf("store.bytes %d over the budget %d after a Get", got, st.opts.ByteBudget)
+	}
+	if series(t, st, "store.evictions") == before {
+		t.Fatal("no eviction after the join")
 	}
 }

@@ -4,10 +4,9 @@ package table
 // and a table cost before their first cell. Everything else is read
 // off the storage itself, vector by vector: the base once, when the
 // build seals it, the derived indexes and zone maps at every
-// DerivedBytes call. A table tells no one of its builds and drops;
-// whoever budgets its memory asks. What the estimate leaves out is the
-// allocator's rounding; TestBaseBytesTracksHeap holds the sum to the
-// measured heap.
+// DerivedBytes call, so a table reports its builds and drops to no
+// one. What the estimate leaves out is the allocator's rounding;
+// TestBaseBytesTracksHeap holds the sum to the measured heap.
 const (
 	sliceHeaderBytes = 24 // slice header (ptr + len + cap)
 	// perColumnFixedBytes is the columnData struct, the column's index
@@ -18,11 +17,9 @@ const (
 	tableFixedBytes     = 256
 )
 
-// memAccount holds what a table's footprint cannot be read off its
-// published structures: base, sealed at the end of the build. The
-// derived part is summed from the indexes and zone maps themselves
-// (DerivedBytes), so nothing outside the table is told of a build or
-// a drop.
+// memAccount holds the base footprint, sealed at the end of the
+// build; the derived part is read off the published indexes and zone
+// maps (DerivedBytes).
 type memAccount struct {
 	base int64
 }
