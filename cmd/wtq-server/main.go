@@ -456,9 +456,10 @@ type appendRowsRequest struct {
 }
 
 // handleAppendRows is PATCH /v1/tables/{name}: append rows to a live
-// table. The store installs a copy-on-write successor snapshot, bumps
-// the generation and synchronously purges the old version's cached
-// results; queries in flight keep the snapshot they pinned.
+// table. The store installs a copy-on-write successor snapshot and
+// bumps the generation, and the engine purges the old version's cached
+// results before it answers; queries in flight keep the snapshot they
+// pinned.
 func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req appendRowsRequest

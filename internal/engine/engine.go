@@ -132,9 +132,8 @@ var ErrUnavailable = errors.New("store unavailable, retry later")
 //
 // Table state lives in the versioned store (internal/store): every
 // request pins an immutable snapshot, so registrations, appends and
-// drops never tear an execution in flight, and each mutation's
-// invalidation hook synchronously purges the displaced version's
-// entries from the three caches.
+// drops never tear an execution in flight, and each mutation purges
+// the version it displaced from the three caches before it returns.
 type Engine struct {
 	opts  Options
 	store *store.Store
@@ -174,8 +173,7 @@ func New(opts Options) *Engine {
 // Open builds an Engine. With Options.DataDir set, the table store
 // opens its durability layer first — loading the latest checkpoint,
 // replaying the WAL tail and resuming at the recovered generation —
-// so the engine's caches, memory accounting and per-snapshot parsers
-// all build over the recovered catalog. The error is non-nil only for
+// so the engine's caches build over the recovered catalog. The error is non-nil only for
 // durable startup failures (recovery refuses corrupt logs/segments).
 func Open(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
@@ -208,22 +206,6 @@ func Open(opts Options) (*Engine, error) {
 	e.results = newCached(e, r, "result", "explanation result", e.compute)
 	e.answers = newCached(e, r, "answer", "answer-only result", e.computeAnswer)
 	e.parses = newCached(e, r, "parse", "semantic-parse candidate", e.computeParse)
-	// Version-scoped invalidation: the store delivers every replace and
-	// drop synchronously, so by the time a mutation returns, no cache
-	// can serve the displaced version. (A computation already in flight
-	// against the old snapshot may still publish under the old version
-	// afterwards; such entries are unreachable — lookups key on the
-	// current version — and age out of the LRU.) Re-registering
-	// identical content keeps its version, so an idempotent re-POST
-	// must not wipe the still-valid entries.
-	e.store.OnEvent(func(ev store.Event) {
-		if ev.Old == nil || (ev.New != nil && ev.New.Version() == ev.Old.Version()) {
-			return
-		}
-		e.results.purgeVersion(ev.Old.Version())
-		e.answers.purgeVersion(ev.Old.Version())
-		e.parses.purgeVersion(ev.Old.Version())
-	})
 	return e, nil
 }
 
@@ -267,7 +249,25 @@ func (e *Engine) RegisterTable(t *table.Table) (TableInfo, error) {
 	if err != nil {
 		return TableInfo{}, e.mapStoreErr(err)
 	}
+	e.purge(snap.Displaced(), snap.Version())
 	return infoOf(snap), nil
+}
+
+// purge is version-scoped invalidation: it drops every cached result
+// of displaced, the version a mutation replaced or dropped, so by the
+// time the mutation returns no cache can serve it. (A computation
+// already in flight against the old snapshot may still publish under
+// the old version afterwards; such entries are unreachable — lookups
+// key on the current version — and age out of the LRU.) Re-registering
+// identical content keeps its version, so when displaced is current,
+// the still-valid entries stay.
+func (e *Engine) purge(displaced, current string) {
+	if displaced == "" || displaced == current {
+		return
+	}
+	e.results.purgeVersion(displaced)
+	e.answers.purgeVersion(displaced)
+	e.parses.purgeVersion(displaced)
 }
 
 // RegisterRaw builds a table from a header and raw rows (cells are
@@ -322,6 +322,7 @@ func (e *Engine) AppendRows(name string, rows [][]string) (TableInfo, error) {
 		}
 		return TableInfo{}, e.mapStoreErr(err)
 	}
+	e.purge(snap.Displaced(), snap.Version())
 	return infoOf(snap), nil
 }
 
@@ -338,6 +339,7 @@ func (e *Engine) DropTable(name string) (TableInfo, bool, error) {
 	if !ok {
 		return TableInfo{}, false, nil
 	}
+	e.purge(snap.Version(), "")
 	return infoOf(snap), true, nil
 }
 

@@ -572,8 +572,7 @@ func (d *durability) walStats() wal.Stats {
 // rows. zones, when non-nil, is the segment footer's zone maps,
 // installed after the content hash verifies so restored tables skip
 // the lazy rebuild scan (a shape mismatch is ignored and the maps
-// rebuild lazily instead). Recovery-only: no WAL logging, no hooks
-// fire.
+// rebuild lazily instead). Recovery-only: no WAL logging.
 func (st *Store) restore(t *table.Table, zones [][]table.Zone, gen uint64, version string) error {
 	name := t.Name()
 	if v := contentVersion(t); v != version {

@@ -1,8 +1,11 @@
 // Package store is the versioned table storage layer behind the
 // explanation engine: a sharded catalog of immutable table snapshots
 // with a monotonic generation counter, live mutation (append, replace,
-// drop), synchronous invalidation hooks, and a configurable byte
-// budget over the resident tables' footprint.
+// drop), and a configurable byte budget over the resident tables'
+// footprint. A mutation reports the version it displaced (the new
+// snapshot's Displaced, or the dropped snapshot's Version); the store
+// calls nothing outside itself, and its client — the engine — purges
+// that version's cached results.
 //
 // The catalog is lock-striped: table names hash (FNV-1a) onto a fixed
 // set of shards, each guarded by its own RWMutex, so registration
@@ -62,43 +65,6 @@ type Options struct {
 // numShards is the number of lock stripes.
 const numShards = 16
 
-// EventKind classifies a catalog mutation.
-type EventKind int
-
-const (
-	// Registered is a table installed under a previously unused name.
-	Registered EventKind = iota
-	// Replaced is a new snapshot installed over an existing one
-	// (re-registration or AppendRows).
-	Replaced
-	// Dropped is a table removed from the catalog.
-	Dropped
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case Registered:
-		return "registered"
-	case Replaced:
-		return "replaced"
-	case Dropped:
-		return "dropped"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event describes one catalog mutation, delivered synchronously to
-// hooks before the mutating call returns. Old is nil for fresh
-// registrations, New is nil for drops.
-type Event struct {
-	Kind EventKind
-	Name string
-	Old  *Snapshot
-	New  *Snapshot
-}
-
 // Snapshot is one immutable table state: acquired O(1) by readers,
 // never modified after install, so a plan execution handed its Table
 // never observes a mutation landing mid-flight.
@@ -106,6 +72,10 @@ type Snapshot struct {
 	t       *table.Table
 	version string
 	gen     uint64
+	// displaced is the version of the snapshot this one replaced under
+	// its name, "" if the name was free; set by install before the
+	// snapshot is published.
+	displaced string
 	// lastUsed is the store's logical access clock at the snapshot's
 	// most recent acquisition; the eviction scan orders tables by it.
 	lastUsed atomic.Uint64
@@ -123,6 +93,11 @@ func (s *Snapshot) Version() string { return s.version }
 // was installed; unlike Version it is unique per install, so it stamps
 // mutation order even when content repeats.
 func (s *Snapshot) Gen() uint64 { return s.gen }
+
+// Displaced is the version of the snapshot this one replaced when it
+// was installed, "" when its name was free. The engine purges cached
+// results of that version unless it equals Version.
+func (s *Snapshot) Displaced() string { return s.displaced }
 
 // snapshotParser is the uncached semantic parser every snapshot
 // returns; ParseAll only reads its weights, so it is safe for
@@ -153,9 +128,6 @@ type Store struct {
 	clock     atomic.Uint64 // logical access clock for recency
 	evictions atomic.Uint64 // derived-index eviction count
 
-	hookMu sync.RWMutex
-	hooks  []func(Event)
-
 	evictMu sync.Mutex // serializes eviction scans
 
 	// dur is the persistence layer, nil for purely in-memory stores
@@ -171,26 +143,6 @@ func New(opts Options) *Store {
 		st.shards[i] = &shard{tables: make(map[string]*Snapshot)}
 	}
 	return st
-}
-
-// OnEvent registers a hook called synchronously for every catalog
-// mutation, after the new state is installed and before the mutating
-// call returns — which is what lets the engine purge version-scoped
-// cache entries eagerly instead of waiting for LRU eviction. Hooks
-// must not call back into the store's mutation methods.
-func (st *Store) OnEvent(fn func(Event)) {
-	st.hookMu.Lock()
-	st.hooks = append(st.hooks, fn)
-	st.hookMu.Unlock()
-}
-
-func (st *Store) fire(ev Event) {
-	st.hookMu.RLock()
-	hooks := st.hooks
-	st.hookMu.RUnlock()
-	for _, fn := range hooks {
-		fn(ev)
-	}
 }
 
 func (st *Store) shardFor(name string) *shard {
@@ -255,23 +207,22 @@ func snapshotOf(t *table.Table, version string, gen uint64) *Snapshot {
 	return &Snapshot{t: t, version: version, gen: gen}
 }
 
-// install publishes snap under name, returning the snapshot it
-// displaced (nil if none), and checks the byte budget. Callers hold
-// sh.mutMu.
-func (st *Store) install(sh *shard, name string, snap *Snapshot) *Snapshot {
+// install publishes snap under name, recording on it the version it
+// displaced, and checks the byte budget. Callers hold sh.mutMu.
+func (st *Store) install(sh *shard, name string, snap *Snapshot) {
 	snap.lastUsed.Store(st.clock.Add(1))
 	sh.mu.Lock()
-	old := sh.tables[name]
+	if old := sh.tables[name]; old != nil {
+		snap.displaced = old.version
+	}
 	sh.tables[name] = snap
 	sh.mu.Unlock()
 	st.maybeEvict()
-	return old
 }
 
 // Register installs t under its own name, replacing any existing
-// snapshot of that name, and returns the new snapshot. The replaced
-// snapshot (nil if none) is delivered to hooks before Register
-// returns. On a durable store the registration is fsync-durable
+// snapshot of that name, and returns the new snapshot, whose Displaced
+// names the replaced version ("" if none). On a durable store the registration is fsync-durable
 // before it is acknowledged; an ErrDurability error means it was not
 // applied.
 func (st *Store) Register(t *table.Table) (*Snapshot, error) {
@@ -290,12 +241,7 @@ func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 		}
 		defer release()
 	}
-	old := st.install(sh, name, snap)
-	kind := Registered
-	if old != nil {
-		kind = Replaced
-	}
-	st.fire(Event{Kind: kind, Name: name, Old: old, New: snap})
+	st.install(sh, name, snap)
 	return snap, nil
 }
 
@@ -327,13 +273,12 @@ func (st *Store) Append(name string, rows [][]string) (*Snapshot, error) {
 		defer release()
 	}
 	st.install(sh, name, snap)
-	st.fire(Event{Kind: Replaced, Name: name, Old: cur, New: snap})
 	return snap, nil
 }
 
-// Drop removes a table from the catalog, returning its final snapshot.
-// The drop is delivered to hooks before Drop returns; snapshots
-// already acquired stay readable. On a durable store the drop is
+// Drop removes a table from the catalog, returning its final snapshot,
+// whose Version is the one the drop displaced; snapshots already
+// acquired stay readable. On a durable store the drop is
 // fsync-durable before it is acknowledged.
 func (st *Store) Drop(name string) (*Snapshot, bool, error) {
 	sh := st.shardFor(name)
@@ -355,7 +300,6 @@ func (st *Store) Drop(name string) (*Snapshot, bool, error) {
 	sh.mu.Lock()
 	delete(sh.tables, name)
 	sh.mu.Unlock()
-	st.fire(Event{Kind: Dropped, Name: name, Old: old})
 	return old, true, nil
 }
 

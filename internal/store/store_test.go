@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"nlexplain/internal/metric"
@@ -141,39 +140,36 @@ func TestStoreAppendCopyOnWriteIsolation(t *testing.T) {
 	}
 }
 
+// TestStoreEventsFireSynchronously checks what each of four mutations
+// reports displacing: a fresh registration nothing, a replacement and
+// an append the version they replaced, and a drop its own snapshot's.
 func TestStoreEventsFireSynchronously(t *testing.T) {
 	st := New(Options{})
-	var events []Event
-	st.OnEvent(func(ev Event) { events = append(events, ev) })
-
-	st.Register(mustTable(t, "a", 2))
-	st.Register(mustTable(t, "a", 3)) // replace
-	if _, err := st.Append("a", [][]string{{"x", "2000", "1"}}); err != nil {
+	first, _ := st.Register(mustTable(t, "a", 2))
+	if first.Displaced() != "" {
+		t.Fatalf("fresh register displaced %q, want \"\"", first.Displaced())
+	}
+	replaced, _ := st.Register(mustTable(t, "a", 3))
+	if replaced.Displaced() != first.Version() {
+		t.Fatalf("replace displaced %q, want %q", replaced.Displaced(), first.Version())
+	}
+	appended, err := st.Append("a", [][]string{{"x", "2000", "1"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.Drop("a")
-
-	kinds := make([]EventKind, len(events))
-	for i, ev := range events {
-		kinds[i] = ev.Kind
+	if appended.Displaced() != replaced.Version() {
+		t.Fatalf("append displaced %q, want %q", appended.Displaced(), replaced.Version())
 	}
-	want := []EventKind{Registered, Replaced, Replaced, Dropped}
-	if len(kinds) != len(want) {
-		t.Fatalf("got %d events %v, want %v", len(kinds), kinds, want)
+	dropped, ok, err := st.Drop("a")
+	if err != nil || !ok {
+		t.Fatalf("Drop = %v, %v", ok, err)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, kinds[i], want[i])
-		}
+	if dropped != appended {
+		t.Fatal("Drop did not return the snapshot it displaced")
 	}
-	if events[0].Old != nil || events[0].New == nil {
-		t.Fatal("Registered event must carry New only")
-	}
-	if events[1].Old == nil || events[1].New == nil {
-		t.Fatal("Replaced event must carry Old and New")
-	}
-	if events[3].Old == nil || events[3].New != nil {
-		t.Fatal("Dropped event must carry Old only")
+	again, _ := st.Register(mustTable(t, "a", 2))
+	if again.Displaced() != "" {
+		t.Fatalf("register after drop displaced %q, want \"\"", again.Displaced())
 	}
 }
 
@@ -336,8 +332,6 @@ func TestStoreUnattainableBudgetDoesNotThrash(t *testing.T) {
 // count and version stay coherent regardless of mutations around it.
 func TestStoreConcurrentChurn(t *testing.T) {
 	st := New(Options{})
-	var fired atomic.Uint64
-	st.OnEvent(func(Event) { fired.Add(1) })
 	names := []string{"a", "b", "c", "d", "e"}
 	for _, n := range names {
 		st.Register(mustTable(t, n, 8))
@@ -396,8 +390,8 @@ func TestStoreConcurrentChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if fired.Load() == 0 {
-		t.Fatal("no events fired during churn")
+	if st.gen.Load() <= uint64(len(names)) {
+		t.Fatal("no mutation installed during churn")
 	}
 	for _, n := range names {
 		if _, ok := st.Get(n); !ok {
