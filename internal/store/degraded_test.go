@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -228,17 +229,58 @@ func TestStoreCloseWhileDegraded(t *testing.T) {
 	checkRecovered(t, st2, acked)
 }
 
+// storeGoroutines returns the stacks of the goroutines that the store
+// package's own code started from the calling goroutine, or from one of
+// those in turn. Reading them off the stacks, not off
+// runtime.NumGoroutine, leaves out the runtime's, the testing
+// package's and earlier tests' goroutines, which can come and go under
+// a baseline count.
+func storeGoroutines() []string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := strings.Split(string(buf), "\n\n")
+	// Each stack opens "goroutine 7 [running]:", the caller's first.
+	id := func(stack string) string { return strings.Fields(stack)[1] }
+	ours := map[string]bool{id(stacks[0]): true}
+	var out []string
+	for grew := true; grew; {
+		grew = false
+		for _, stack := range stacks {
+			_, created, ok := strings.Cut(stack, "\ncreated by nlexplain/internal/store.")
+			if !ok || strings.HasPrefix(created, "Test") || ours[id(stack)] {
+				continue
+			}
+			if _, creator, _ := strings.Cut(strings.SplitN(created, "\n", 2)[0], " in goroutine "); ours[creator] {
+				ours[id(stack)] = true
+				out = append(out, stack)
+				grew = true
+			}
+		}
+	}
+	return out
+}
+
 // TestStoreRunsOneGoroutine: a durable store's background work, the
 // checkpoints and a degraded episode's recovery, is one goroutine from
-// Open to Close.
+// Open to Close, and it runs the checkpoint loop.
 func TestStoreRunsOneGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
 	settle := func(when string, want int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine()-base != want {
+		for {
+			stacks := storeGoroutines()
+			if len(stacks) == want && (want == 0 || strings.Contains(stacks[0], "store.(*durability).loop(")) {
+				return
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines past the baseline, want %d", when, runtime.NumGoroutine()-base, want)
+				t.Fatalf("%s: the store runs %d goroutines, want %d running its loop:\n%s", when, len(stacks), want, strings.Join(stacks, "\n\n"))
 			}
 			time.Sleep(time.Millisecond)
 		}
