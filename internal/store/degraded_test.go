@@ -308,8 +308,8 @@ func TestStoreRunsOneGoroutine(t *testing.T) {
 }
 
 // TestStoreCloseDuringRecoveryWait: Close ends a recovery backoff wait
-// at once, however long the wait, with the fault never healed, and a
-// reopen sees every acked mutation.
+// at once, however long the wait, with the fault never healed and no
+// further attempt, and a reopen sees every acked mutation.
 func TestStoreCloseDuringRecoveryWait(t *testing.T) {
 	dir := t.TempDir()
 	fs := fault.NewInject(vfs.OS, 19)
@@ -340,7 +340,117 @@ func TestStoreCloseDuringRecoveryWait(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close blocked inside an hour-long recovery wait")
 	}
+	if a := st.dur.recAttempts.Load(); a != 1 {
+		t.Fatalf("%d recovery attempts, want 1: Close cut the first wait short", a)
+	}
 	st2 := openDurable(t, dir)
 	defer st2.Close()
 	checkRecovered(t, st2, acked)
+}
+
+// TestRecoveryDelaySequence pins the recovery schedule: base doubled
+// per failed attempt, capped at 100 times base.
+func TestRecoveryDelaySequence(t *testing.T) {
+	ms := time.Millisecond
+	want := []time.Duration{ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 64 * ms, 100 * ms, 100 * ms}
+	for n, w := range want {
+		if got := recoveryDelay(ms, n); got != w {
+			t.Fatalf("recoveryDelay(1ms, %d) = %v, want %v", n, got, w)
+		}
+	}
+	for n, w := range []time.Duration{96 * ms, 192 * ms, 300 * ms} {
+		if got := recoveryDelay(3*ms, n+5); got != w {
+			t.Fatalf("recoveryDelay(3ms, %d) = %v, want %v", n+5, got, w)
+		}
+	}
+}
+
+// TestRecoveryDelayCap checks the delay stays at 100 times base however
+// many attempts have failed.
+func TestRecoveryDelayCap(t *testing.T) {
+	for _, n := range []int{7, 8, 60, 1000} {
+		if got := recoveryDelay(time.Second, n); got != 100*time.Second {
+			t.Fatalf("recoveryDelay(1s, %d) = %v, want 100s", n, got)
+		}
+	}
+}
+
+// TestRecoveryDelayDefaults: base 0 selects 50ms, so the schedule is
+// 50ms doubling to 5s.
+func TestRecoveryDelayDefaults(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		n    int
+		want time.Duration
+	}{{0, 50 * ms}, {1, 100 * ms}, {6, 3200 * ms}, {7, 5 * time.Second}, {100, 5 * time.Second}} {
+		if got := recoveryDelay(0, tc.n); got != tc.want {
+			t.Fatalf("recoveryDelay(0, %d) = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestStoreDegradedRecoveryRetriesUntilHealed runs recovery on real
+// timers with a 1ms RecoveryDelay: the log rotation fails four times,
+// so the store heals on the fifth attempt, after at least the
+// 1+2+4+8ms of waits between them.
+func TestStoreDegradedRecoveryRetriesUntilHealed(t *testing.T) {
+	fs := fault.NewInject(vfs.OS, 23)
+	st := openInjected(t, t.TempDir(), fs)
+	defer st.Close()
+	fs.SetRules(
+		&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", Err: syscall.EIO},
+		&fault.Rule{Op: fault.OpOpen, Path: "wal-*.log", Count: 3, Err: syscall.EIO}, // fires 4 times
+	)
+	start := time.Now()
+	if _, err := st.Register(mustTable(t, "a", 2)); err == nil {
+		t.Fatal("faulted register succeeded")
+	}
+	waitHealthy(t, st, 5*time.Second)
+	if el := time.Since(start); el < 15*time.Millisecond {
+		t.Fatalf("recovered after %v, want at least the 15ms of waits", el)
+	}
+	if a, s := st.dur.recAttempts.Load(), st.dur.recSuccesses.Load(); a != 5 || s != 1 {
+		t.Fatalf("%d recovery attempts, %d successes; want 5 and 1", a, s)
+	}
+}
+
+// TestStoreDegradedRecoveryCloseMidAttempt: Close during a slow failing
+// recovery attempt ends recovery after that attempt, without a wait or
+// a second attempt, and the store stays degraded.
+func TestStoreDegradedRecoveryCloseMidAttempt(t *testing.T) {
+	fs := fault.NewInject(vfs.OS, 29)
+	st := openInjected(t, t.TempDir(), fs)
+	fs.SetRules(
+		&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", Err: syscall.EIO},
+		&fault.Rule{Op: fault.OpOpen, Path: "wal-*.log", Count: fault.Sticky, Err: syscall.EIO, Latency: 200 * time.Millisecond},
+	)
+	if _, err := st.Register(mustTable(t, "a", 2)); err == nil {
+		t.Fatal("faulted register succeeded")
+	}
+	for st.dur.recAttempts.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	st.Close() // the final checkpoint fails on the faulted disk
+	if a, s := st.dur.recAttempts.Load(), st.dur.recSuccesses.Load(); a != 1 || s != 0 {
+		t.Fatalf("%d recovery attempts, %d successes after Close; want 1 and 0", a, s)
+	}
+	if degraded, _ := st.Degraded(); !degraded {
+		t.Fatal("store left degraded mode without a successful attempt")
+	}
+}
+
+// TestStoreDegradedRecoveryPreCancelled: once shutdown has begun,
+// recovery makes no attempt at all.
+func TestStoreDegradedRecoveryPreCancelled(t *testing.T) {
+	st := openInjected(t, t.TempDir(), fault.NewInject(vfs.OS, 31))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The loop has exited, so calling its recovery here races nothing.
+	if st.dur.recoverDegraded() {
+		t.Fatal("recovery reported success after Close")
+	}
+	if a := st.dur.recAttempts.Load(); a != 0 {
+		t.Fatalf("%d recovery attempts after Close, want 0", a)
+	}
 }

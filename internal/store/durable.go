@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"nlexplain/internal/metric"
-	"nlexplain/internal/retry"
 	"nlexplain/internal/segment"
 	"nlexplain/internal/table"
 	"nlexplain/internal/vfs"
@@ -55,8 +54,9 @@ type DurableOptions struct {
 	FS vfs.FS
 	// RecoveryDelay is the wait after a degraded store's first failed
 	// attempt to rotate to a fresh log; each further failure doubles
-	// it, up to 100 times the first (see retry.Delay). 0 selects
-	// 50ms, so the wait caps at 5s.
+	// it, up to 100 times the first (see recoveryDelay). 0 selects
+	// 50ms, so the wait caps at 5s. The checkpoint loop waits it out
+	// on its own goroutine.
 	RecoveryDelay time.Duration
 }
 
@@ -391,23 +391,41 @@ func (d *durability) loop() {
 	}
 }
 
-// recoverDegraded retries checkpoint-plus-probe on the retry.Delay
-// schedule until the store is healthy again (a successful checkpoint
-// rotates to a fresh WAL and supersedes the sealed one). It reports
-// false if shutdown cut the wait short.
+// recoverDegraded retries checkpoint-plus-probe until the store is
+// healthy again (a successful checkpoint rotates to a fresh WAL and
+// supersedes the sealed one): the first attempt at once, then after
+// recoveryDelay(RecoveryDelay, n) following failed attempt n. It runs
+// on the loop goroutine and reports false if shutdown began before an
+// attempt or cut a wait short.
 func (d *durability) recoverDegraded() bool {
-	return retry.Do(d.ctx, d.opts.RecoveryDelay, func() error {
+	for n := 0; d.ctx.Err() == nil; n++ {
 		d.recAttempts.Add(1)
-		if err := d.checkpoint(); err != nil {
-			return err
+		if d.checkpoint() == nil && d.probe() == nil {
+			d.recSuccesses.Add(1)
+			d.degraded.Store(nil)
+			return true
 		}
-		if err := d.probe(); err != nil {
-			return err
+		select {
+		case <-d.ctx.Done():
+		case <-time.After(recoveryDelay(d.opts.RecoveryDelay, n)):
 		}
-		d.recSuccesses.Add(1)
-		d.degraded.Store(nil)
-		return nil
-	}) == nil
+	}
+	return false
+}
+
+// recoveryDelay is the wait after failed recovery attempt n (from 0):
+// base, or 50ms when base is 0, doubled per attempt up to 100 times
+// base. There is no jitter: one store retries its own disk, so there
+// is no crowd of clients to spread out.
+func recoveryDelay(base time.Duration, n int) time.Duration {
+	if base <= 0 {
+		base = 50 * time.Millisecond
+	}
+	d := base
+	for ; n > 0 && d < 100*base; n-- {
+		d *= 2
+	}
+	return min(d, 100*base)
 }
 
 // checkpoint compacts the WAL into segment files: rotate the log,
