@@ -222,9 +222,9 @@ func (st *Store) install(sh *shard, name string, snap *Snapshot) {
 
 // Register installs t under its own name, replacing any existing
 // snapshot of that name, and returns the new snapshot, whose Displaced
-// names the replaced version ("" if none). On a durable store the registration is fsync-durable
-// before it is acknowledged; an ErrDurability error means it was not
-// applied.
+// names the replaced version ("" if none). On a durable store the
+// registration is fsync-durable before it is acknowledged; an
+// ErrDurability error means it was not applied.
 func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 	name := t.Name()
 	sh := st.shardFor(name)
