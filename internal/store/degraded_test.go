@@ -454,3 +454,37 @@ func TestStoreDegradedRecoveryPreCancelled(t *testing.T) {
 		t.Fatalf("%d recovery attempts after Close, want 0", a)
 	}
 }
+
+// TestStoreDegradedRecoveryCancelDuringWait exercises the real timer
+// path of recovery: cancelling the store's context during an hour-long
+// wait after a failed attempt ends the loop goroutine at once, with no
+// second attempt and the store still degraded.
+func TestStoreDegradedRecoveryCancelDuringWait(t *testing.T) {
+	fs := fault.NewInject(vfs.OS, 37)
+	st, err := Open(Options{}, DurableOptions{
+		Dir: t.TempDir(), CheckpointInterval: -1, CheckpointBytes: -1, FS: fs, RecoveryDelay: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetRules(&fault.Rule{Op: fault.OpWrite, Path: "wal-*.log", Count: fault.Sticky, Err: syscall.EIO})
+	if _, err := st.Register(mustTable(t, "a", 2)); err == nil {
+		t.Fatal("faulted register succeeded")
+	}
+	for st.dur.recAttempts.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	st.dur.stop()
+	select {
+	case <-st.dur.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("recovery ignored cancellation during its wait")
+	}
+	defer st.Close() // the loop has exited; the final checkpoint fails on the sealed disk
+	if a, s := st.dur.recAttempts.Load(), st.dur.recSuccesses.Load(); a != 1 || s != 0 {
+		t.Fatalf("%d recovery attempts, %d successes; want 1 and 0", a, s)
+	}
+	if degraded, _ := st.Degraded(); !degraded {
+		t.Fatal("store left degraded mode without a successful attempt")
+	}
+}
