@@ -131,7 +131,9 @@ store-stress:
 # table, which a second copy of the cells in any form or 64-bit row
 # ids do not fit under, and of the same table read from CSV at 100000
 # records, where room grown into and never filled would show; the
-# bytes FromCSV allocates reading it; the byte estimate the store's
+# bytes FromCSV allocates reading it, and the bytes building each of
+# its sorted numeric indexes allocates (the index and one more row
+# vector of scratch); the byte estimate the store's
 # -store-budget eviction trusts, held to that measured heap for the
 # big table and for web tables, the bytes a durable registration
 # of the big table allocates on the way to the log, and the bytes its
@@ -140,7 +142,7 @@ bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
 	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
 	$(GO) test -race -run 'TestFillColumns|TestParallelBuildMatchesSerial|TestDecodeTableColumnsInParallel|TestTableRepresentationAcrossChunks|TestFromCSVErrorAcrossChunks' -count=1 ./internal/table/ ./internal/segment/ ./internal/store/
-	$(GO) test -run 'TestTableHeapPerCell|TestFromCSVAllocBytes|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
+	$(GO) test -run 'TestTableHeapPerCell|TestFromCSVAllocBytes|TestNumericIndexAllocBytes|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
 
 # crash-stress is the durability gate: a real wtq-server (built -race)
 # is SIGKILLed mid-churn in a loop, restarted on the same data
@@ -186,7 +188,9 @@ fuzz-plan:
 # fuzz-table runs the cell-typing differential fuzzer for a bounded
 # window: ParseValue skips the number and date parsers on text that
 # cannot be either, and must still type every input exactly as the
-# reference that tries them all (CSV / JSON ingest).
+# reference that tries them all (CSV / JSON ingest); and a one-cell
+# column built from the input, which reads plain integers without
+# ParseValue, must read back ParseValue's value and key.
 fuzz-table:
 	$(GO) test -run '^$$' -fuzz FuzzParseValue -fuzztime 30s ./internal/table/
 

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -266,7 +267,8 @@ func parseValueReference(raw string) Value {
 
 // FuzzParseValue is the differential fuzzer of cell typing (CSV / JSON
 // ingest): whatever shortcuts ParseValue takes, it must type every
-// input exactly as the reference does.
+// input exactly as the reference does, and whatever shortcuts the
+// column build takes, a cell must read back as ParseValue types it.
 func FuzzParseValue(f *testing.F) {
 	for _, cell := range contractCells {
 		f.Add(cell)
@@ -275,9 +277,124 @@ func FuzzParseValue(f *testing.F) {
 		"May 5, 2005", "5 May 2005", "Sept 5, 2005", "2005-5-5", "13/01/2005", "February 30, 2005", "١٢٣", "２００４-０１-０２"} {
 		f.Add(cell)
 	}
+	// The edges of a plain integer spelling: leading zeros, signs,
+	// padding, separators and the most digits a float64 renders back
+	// the same way.
+	for _, cell := range []string{"0", "00", "007", "-0", "-7", "+7", " 7", "7 ", "1,000", "$7",
+		"999999999999999", "-999999999999999", "1000000000000000", "-1000000000000000", "NaN", "-", "--7", "7-"} {
+		f.Add(cell)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		if got, want := ParseValue(raw), parseValueReference(raw); !sameValue(got, want) {
 			t.Fatalf("ParseValue(%q) = %#v, reference %#v", raw, got, want)
 		}
+		checkIngest(t, raw)
 	})
+}
+
+// checkIngest builds a one-cell column from raw, from a string and
+// from bytes, and holds what it stores to ParseValue: the cell's value
+// (kind, number, date), its numeric vector entry and its canonical
+// key.
+func checkIngest(t *testing.T, raw string) {
+	t.Helper()
+	want := ParseValue(raw)
+	wf, wok := want.Float()
+	byString, err := New("t", []string{"C"}, [][]string{{raw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuilder("t", []string{"C"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.CellBytes(0, []byte(raw))
+	byBytes, err := b.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{byString, byBytes} {
+		if got := tab.Value(0, 0); !sameValue(got, want) {
+			t.Fatalf("cell %q reads back %#v, ParseValue %#v", raw, got, want)
+		}
+		if k := tab.CellKind(0, 0); k != want.Kind {
+			t.Fatalf("cell %q: CellKind %v, ParseValue %v", raw, k, want.Kind)
+		}
+		switch nums := tab.ColumnNums(0); {
+		case wok && (nums == nil || math.Float64bits(nums[0]) != math.Float64bits(wf)):
+			t.Fatalf("cell %q: ColumnNums %v, want %v", raw, nums, wf)
+		case !wok && nums != nil:
+			t.Fatalf("cell %q: ColumnNums %v, want nil", raw, nums)
+		}
+		if got := columnKeys(tab, 0)[0]; got != want.Key() {
+			t.Fatalf("cell %q: key %q, Value.Key %q", raw, got, want.Key())
+		}
+	}
+}
+
+// indexCells are the numeric spellings the index differential draws
+// from: ties, both zeros, both infinities, subnormals, the extremes of
+// a float64, decimals, dates, and text the index leaves out.
+var indexCells = []string{
+	"0", "-0", "+0", "0.0", "1", "-1", "7", "7", "-7", "3.14", "-3.14", "1e3", "1000", "-1e300", "1e300",
+	"inf", "-inf", "Inf", "+Inf", "5e-324", "-5e-324", "4.9e-324", "2.2250738585072e-308", "-2.2250738585072e-308",
+	"1.7976931348623157e308", "-1.7976931348623157e308", "999999999999999", "-999999999999999", "123456789012345678",
+	"2013-06-08", "1896-04-06", "1969-12-31", "1970-01-01", "June 8, 2013", "0001-01-01",
+	"Greece", "n/a", "4th Round", "",
+}
+
+// indexReference is the order NumericSortedRows promises: the records
+// with a numeric reading (numbers and dates), ascending by it, ties by
+// record.
+func indexReference(tab *Table, c int) []int32 {
+	nums := tab.ColumnNums(c)
+	var rows []int32
+	for r := range nums {
+		if tab.CellKind(r, c) != String {
+			rows = append(rows, int32(r))
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b int32) int { return cmp.Compare(nums[a], nums[b]) })
+	return rows
+}
+
+// TestNumericSortedRowsMatchesComparisonSort is the differential test
+// of the sorted numeric index against the comparison order, value then
+// record, over generated columns: random draws with ties, one value
+// repeated, an ascending and a descending sequence, wide integers and
+// mixed kinds. A column that spells NaN is held to the same records.
+func TestNumericSortedRowsMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	gens := []struct {
+		name string
+		gen  func(i, n int) string
+	}{
+		{"drawn", func(int, int) string { return indexCells[rng.Intn(len(indexCells))] }},
+		{"ties", func(int, int) string { return strconv.Itoa(rng.Intn(4) - 2) }},
+		{"constant", func(int, int) string { return "42" }},
+		{"ascending", func(i, _ int) string { return strconv.Itoa(i) }},
+		{"descending", func(i, n int) string { return strconv.Itoa(n - i) }},
+		{"wide", func(int, int) string { return strconv.FormatInt(rng.Int63()-rng.Int63(), 10) }},
+		{"fractions", func(int, int) string { return strconv.FormatFloat(rng.NormFloat64()*1e-3, 'g', -1, 64) }},
+		{"nan", func(int, int) string { return []string{"NaN", "1", "-1", "inf", "x"}[rng.Intn(5)] }},
+	}
+	for _, g := range gens {
+		for _, n := range []int{0, 1, 2, 3, 17, 256, 1000, 5000} {
+			rows := make([][]string, n)
+			for i := range rows {
+				rows[i] = []string{g.gen(i, n)}
+			}
+			tab := MustNew("t", []string{"C"}, rows)
+			if tab.ColumnNums(0) == nil {
+				continue
+			}
+			got, want := tab.NumericSortedRows(0), indexReference(tab, 0)
+			if !tab.ColumnIndexable(0) {
+				got, want = slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, %d records: NumericSortedRows = %v, want %v", g.name, n, got, want)
+			}
+		}
+	}
 }

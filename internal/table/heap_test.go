@@ -212,3 +212,30 @@ func TestAppendParsesOnlyNewCells(t *testing.T) {
 		t.Errorf("Append onto 64000 rows made %d dictionary lookups against %d onto 1000: it hashes the parent", largeProbes, smallProbes)
 	}
 }
+
+// TestNumericIndexAllocBytes pins what building the sorted numeric
+// index of each numeric column of the big table allocates: the index
+// itself, one more row vector of scratch and 16 KiB, at most.
+func TestNumericIndexAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	tab := bigFixture()[0]
+	n := uint64(tab.NumRows())
+	bound := 2*4*n + 16<<10
+	for c := range tab.NumCols() {
+		if tab.ColumnNums(c) == nil {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rows := tab.NumericSortedRows(c)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d rows indexed, %d bytes allocated", tab.Columns()[c], len(rows), got)
+		if got > bound {
+			t.Errorf("%s: the index build allocated %d bytes, want at most %d", tab.Columns()[c], got, bound)
+		}
+	}
+}
