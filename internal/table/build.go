@@ -139,8 +139,10 @@ func (b *Builder) probes() int {
 }
 
 // columnBuilder grows one column. A cell's text is looked up in the
-// dictionary; only a spelling not seen before is parsed, keyed and
+// dictionary; only a spelling not seen before is read, keyed and
 // grouped, and every later cell spelled that way copies its reading.
+// A plain integer ("1896", "-7") is read directly and is its own key;
+// any other spelling goes through ParseValue and appendKey.
 type columnBuilder struct {
 	cd columnData // under construction; its dictionaries' text is in the buffers below until seal
 
@@ -212,7 +214,9 @@ func (b *columnBuilder) put(code uint32) {
 
 // intern returns the dictionary entry spelled s, adding it when the
 // column has not held that spelling yet: the one place a cell is
-// parsed, keyed and put into its key group.
+// read, keyed and put into its key group. A spelling plainInt takes
+// skips ParseValue and appendKey; it reads back the same value and
+// key (FuzzParseValue holds it to that).
 func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	if b.err != nil {
 		return 0
@@ -229,9 +233,18 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	}
 	e := uint32(len(cd.dict.ends))
 
-	v := ParseValue(string(s))
-	f, numeric := v.Float()
-	cd.kinds = append(cd.kinds, uint8(v.Kind))
+	var kind Kind
+	f, numeric := plainInt(s)
+	if numeric {
+		kind = Number
+		b.keyBuf = append(b.keyBuf[:0], s...)
+	} else {
+		v := ParseValue(string(s))
+		kind = v.Kind
+		f, numeric = v.Float()
+		b.keyBuf = appendKey(b.keyBuf[:0], v)
+	}
+	cd.kinds = append(cd.kinds, uint8(kind))
 	if numeric {
 		b.numeric = true
 		cd.hasNaN = cd.hasNaN || math.IsNaN(f)
@@ -240,7 +253,6 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		f = math.NaN()
 	}
 	b.enums = append(grow(b.enums, 1), f)
-	b.keyBuf = appendKey(b.keyBuf[:0], v)
 	key := b.keyBuf
 	// While every spelling so far is its own canonical key, the key
 	// dictionary is the dictionary; the first that is not splits them.
@@ -283,6 +295,33 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		cd.entryGroup = append(cd.entryGroup, g)
 	}
 	return e
+}
+
+// plainInt reads s when it is an integer spelled the way its key
+// renders it: ASCII digits after an optional '-', no leading zero (nor
+// "-0", whose number is -0 and whose key is "0"), and at most 15
+// digits, so that the number is exact. ParseValue reads such a
+// spelling as that number, and its key is the spelling itself.
+func plainInt[T string | []byte](s T) (float64, bool) {
+	digits := s
+	if len(s) > 0 && s[0] == '-' {
+		digits = s[1:]
+	}
+	if len(digits) == 0 || len(digits) > 15 || digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	if len(digits) < len(s) {
+		n = -n
+	}
+	return float64(n), true
 }
 
 // seal finishes the column: the dictionaries' text becomes immutable,

@@ -1,9 +1,7 @@
 package table
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync/atomic"
 )
 
@@ -119,8 +117,8 @@ func groupPostings(groups []uint32, ngroups int) postings {
 
 // numericIndex is the lazily built sorted index of one column: the
 // records with a numeric interpretation, ordered ascending by that
-// interpretation (ties by record index). It is immutable once
-// published.
+// interpretation (ties by record index), radix-sorted with one row
+// vector of scratch (radixSortRows). It is immutable once published.
 type numericIndex struct {
 	rows []int32
 }
@@ -204,7 +202,9 @@ func isASCII[T string | []byte](s T) bool {
 
 // NumericSortedRows returns the records of column c that carry a
 // numeric interpretation, ordered ascending by that interpretation
-// (ties by record index). The index is built lazily on first use,
+// (ties by record index; -0 ties with +0, and a cell spelling NaN
+// sorts after every number, where no caller that checks
+// ColumnIndexable looks). The index is built lazily on first use,
 // published atomically, and may be dropped again under memory pressure
 // (DropDerivedIndexes) — concurrent builders may duplicate the work
 // but produce identical results, and only the published build is
@@ -223,19 +223,85 @@ func (t *Table) NumericSortedRows(c int) []int32 {
 			rows = append(rows, int32(r))
 		}
 	}
-	slices.SortFunc(rows, func(a, b int32) int {
-		switch {
-		case nums[a] < nums[b]:
-			return -1
-		case nums[a] > nums[b]:
-			return 1
+	rows = radixSortRows(rows, nums)
+	if t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
+		derivedBuilds.Add(1)
+		return rows
+	}
+	if idx := t.numIdx[c].Load(); idx != nil {
+		return idx.rows
+	}
+	return rows
+}
+
+// sortKey maps a number to a key whose unsigned order is the number's:
+// the sign bit set on a non-negative number, every bit flipped on a
+// negative one. -0 folds to +0, and NaN takes the largest key.
+func sortKey(f float64) uint64 {
+	if f != f {
+		return math.MaxUint64
+	}
+	k := math.Float64bits(f + 0) // -0 + 0 is +0
+	return k ^ (uint64(int64(k)>>63) | 1<<63)
+}
+
+// radixShifts are where the digits of a sort key start, lowest first:
+// 11 bits each, aligned to the top of the key, so that the exponent
+// and leading mantissa bits of a column of integers fall in few
+// digits. The lowest digit takes bits 0-10 and shares two with the
+// next, which sorts on them again to the same effect.
+var radixShifts = [...]uint{0, 9, 20, 31, 42, 53}
+
+// radixSortRows orders rows, given in record order, by sortKey of
+// their numbers: a least-significant-digit radix sort, one 11-bit
+// digit of the key a pass. Rows already in order are returned as they
+// are. Otherwise one pass over the rows counts every digit, and a
+// digit that is the same in every key needs no pass. Each pass is
+// stable, so ties keep record order. The keys are recomputed from nums
+// on every pass, so the one scratch is a second row vector; the result
+// is whichever of the two the last pass filled.
+func radixSortRows(rows []int32, nums []float64) []int32 {
+	ordered := true
+	var prev uint64
+	for _, r := range rows {
+		k := sortKey(nums[r])
+		if k < prev {
+			ordered = false
+			break
 		}
-		return cmp.Compare(a, b)
-	})
-	if !t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
-		if idx := t.numIdx[c].Load(); idx != nil {
-			return idx.rows
+		prev = k
+	}
+	if ordered {
+		return rows
+	}
+	var counts [len(radixShifts)][1 << 11]int32
+	for _, r := range rows {
+		k := sortKey(nums[r])
+		for d, shift := range radixShifts {
+			counts[d][k>>shift&(1<<11-1)]++
 		}
+	}
+	first := sortKey(nums[rows[0]])
+	var scratch []int32
+	for d, shift := range radixShifts {
+		cnt := &counts[d]
+		if cnt[first>>shift&(1<<11-1)] == int32(len(rows)) {
+			continue
+		}
+		if scratch == nil {
+			scratch = make([]int32, len(rows))
+		}
+		var at int32
+		for i, n := range cnt {
+			cnt[i] = at
+			at += n
+		}
+		for _, r := range rows {
+			digit := sortKey(nums[r]) >> shift & (1<<11 - 1)
+			scratch[cnt[digit]] = r
+			cnt[digit]++
+		}
+		rows, scratch = scratch, rows
 	}
 	return rows
 }
