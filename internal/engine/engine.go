@@ -55,7 +55,8 @@ type Options struct {
 	MaxPending int
 	// StoreByteBudget bounds the table store's resident-byte estimate;
 	// over it, cold tables' derived indexes are evicted (base data
-	// never is). It is checked at each install and table acquisition
+	// never is). It is checked at each install, and at each table
+	// acquisition that follows an index or zone-map build
 	// (store.Options.ByteBudget). 0 means unlimited.
 	StoreByteBudget int64
 	// ExecWorkers caps the morsel-parallel workers of each plan execution

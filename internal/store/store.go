@@ -55,10 +55,12 @@ var ErrUnknownTable = errors.New("store: unknown table")
 type Options struct {
 	// ByteBudget bounds the store's resident-byte estimate (base data
 	// plus derived indexes across all tables). It is checked when a
-	// snapshot is installed and when Get acquires one; over it, cold
-	// tables' derived indexes are evicted, so an index build that
-	// crosses it is evicted at the next acquisition. 0 means no budget
-	// (never evict, and Get sums nothing).
+	// snapshot is installed, and when Get acquires one after a sorted
+	// numeric index or zone map was published anywhere in the process
+	// (table.DerivedBuilds moved) since the store's last such check;
+	// over it, cold tables' derived indexes are evicted, so an index
+	// build that crosses it is evicted at the next acquisition. 0 means
+	// no budget (never evict, and Get sums nothing).
 	ByteBudget int64
 }
 
@@ -127,6 +129,10 @@ type Store struct {
 	gen       atomic.Uint64 // monotonic generation counter
 	clock     atomic.Uint64 // logical access clock for recency
 	evictions atomic.Uint64 // derived-index eviction count
+	// swept is table.DerivedBuilds as the last budgeted Get read it:
+	// until it moves no table's derived bytes have grown, and Get
+	// sums nothing.
+	swept atomic.Uint64
 
 	evictMu sync.Mutex // serializes eviction scans
 
@@ -155,8 +161,9 @@ func (st *Store) shardFor(name string) *shard {
 // one map probe, no copying — O(1) regardless of table size. The
 // snapshot stays fully readable even if the table is mutated or
 // dropped afterwards. With a ByteBudget, Get then checks the budget,
-// a sum over the resident tables: derived indexes built since the
-// last check are evicted there.
+// a sum over the resident tables, if a derived index was published in
+// the process since its last check: builds that crossed it are
+// evicted there. A Get after no build sums nothing.
 func (st *Store) Get(name string) (*Snapshot, bool) {
 	sh := st.shardFor(name)
 	sh.mu.RLock()
@@ -167,7 +174,9 @@ func (st *Store) Get(name string) (*Snapshot, bool) {
 	}
 	s.lastUsed.Store(st.clock.Add(1))
 	if st.opts.ByteBudget > 0 {
-		st.maybeEvict()
+		if n := table.DerivedBuilds(); st.swept.Swap(n) != n {
+			st.maybeEvict()
+		}
 	}
 	return s, true
 }

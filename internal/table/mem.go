@@ -1,5 +1,7 @@
 package table
 
+import "sync/atomic"
+
 // Byte-cost constants for the resident-memory estimate: what a column
 // and a table cost before their first cell. Everything else is read
 // off the storage itself, vector by vector: the base once, when the
@@ -71,6 +73,16 @@ func (t *Table) DerivedBytes() int64 {
 	}
 	return n
 }
+
+// derivedBuilds counts the derived structures, sorted numeric indexes
+// and zone maps, published in the process.
+var derivedBuilds atomic.Uint64
+
+// DerivedBuilds reports how many sorted numeric indexes and zone maps
+// the process has published. It moves after each publication, so a
+// table's DerivedBytes can have grown only if it moved since it was
+// last read.
+func DerivedBuilds() uint64 { return derivedBuilds.Load() }
 
 // DropDerivedIndexes releases every built sorted numeric index and
 // zone map, returning the bytes freed. Base data (cell text, column

@@ -131,6 +131,7 @@ func (t *Table) ZoneBytes() int64 {
 func (t *Table) publishZones(c int, zones []Zone) []Zone {
 	if t.zones[c].CompareAndSwap(nil, &zoneMap{zones: zones}) {
 		zoneBuilds.Add(1)
+		derivedBuilds.Add(1)
 		return zones
 	}
 	if zm := t.zones[c].Load(); zm != nil {
