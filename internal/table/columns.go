@@ -245,16 +245,21 @@ func sortKey(f float64) uint64 {
 	return k ^ (uint64(int64(k)>>63) | 1<<63)
 }
 
-// radixShifts are where the digits of a sort key start, lowest first:
-// 11 bits each, aligned to the top of the key, so that the exponent
-// and leading mantissa bits of a column of integers fall in few
-// digits. The lowest digit takes bits 0-10 and shares two with the
+// radixShifts are where the radixBits-wide digits of a sort key
+// start, lowest first, aligned to the top of the key so that the
+// exponent and leading mantissa bits of a column of integers fall in
+// few digits. The lowest digit takes bits 0-10 and shares two with the
 // next, which sorts on them again to the same effect.
 var radixShifts = [...]uint{0, 9, 20, 31, 42, 53}
 
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
 // radixSortRows orders rows, given in record order, by sortKey of
-// their numbers: a least-significant-digit radix sort, one 11-bit
-// digit of the key a pass. Rows already in order are returned as they
+// their numbers: a least-significant-digit radix sort, one digit of
+// the key a pass. Rows already in order are returned as they
 // are. Otherwise one pass over the rows counts every digit, and a
 // digit that is the same in every key needs no pass. Each pass is
 // stable, so ties keep record order. The keys are recomputed from nums
@@ -274,18 +279,18 @@ func radixSortRows(rows []int32, nums []float64) []int32 {
 	if ordered {
 		return rows
 	}
-	var counts [len(radixShifts)][1 << 11]int32
+	var counts [len(radixShifts)][1 << radixBits]int32
 	for _, r := range rows {
 		k := sortKey(nums[r])
 		for d, shift := range radixShifts {
-			counts[d][k>>shift&(1<<11-1)]++
+			counts[d][k>>shift&radixMask]++
 		}
 	}
 	first := sortKey(nums[rows[0]])
 	var scratch []int32
 	for d, shift := range radixShifts {
 		cnt := &counts[d]
-		if cnt[first>>shift&(1<<11-1)] == int32(len(rows)) {
+		if cnt[first>>shift&radixMask] == int32(len(rows)) {
 			continue
 		}
 		if scratch == nil {
@@ -297,7 +302,7 @@ func radixSortRows(rows []int32, nums []float64) []int32 {
 			at += n
 		}
 		for _, r := range rows {
-			digit := sortKey(nums[r]) >> shift & (1<<11 - 1)
+			digit := sortKey(nums[r]) >> shift & radixMask
 			scratch[cnt[digit]] = r
 			cnt[digit]++
 		}
