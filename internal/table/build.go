@@ -307,7 +307,7 @@ func plainInt[T string | []byte](s T) (float64, bool) {
 	if len(s) > 0 && s[0] == '-' {
 		digits = s[1:]
 	}
-	if len(digits) == 0 || len(digits) > 15 || digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
+	if len(digits) == 0 || len(digits) > 15 || digits[0] == '0' && len(s) > 1 {
 		return 0, false
 	}
 	var n int64
