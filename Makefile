@@ -26,15 +26,16 @@ test: parse-footprint
 # on the NL-parse path, live heap per published parse-cache entry and
 # allocations per parsed question, over the corpus semparse's golden
 # hashes pin; on the explain path, allocations and bytes per cache miss
-# for each of the benchmark's four query families, and live heap per
-# cached explanation on a web table and on the 131072-row fixture; on
+# for each of the benchmark's four query families and, beside an
+# answer miss, for three queries on the 131072-row fixture, and live
+# heap per cached explanation on a web table and on that fixture; on
 # the HTTP layer, allocations per cached /v1/explain and
 # /v1/explain/batch request through the server's mux. They are
 # measurements, which the race detector distorts (the tests skip
 # themselves under it), so test and cover, both -race, run them first
 # without it.
 parse-footprint:
-	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs|TestCachedExplanationBytes' -count=1 ./internal/engine/
+	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs|TestExplainMissBigTable|TestCachedExplanationBytes' -count=1 ./internal/engine/
 	$(GO) test -run 'TestExplainHandlerAllocs' -count=1 ./cmd/wtq-server/
 
 # TEST_ONLY are the packages only _test.go files may import: the

@@ -174,6 +174,110 @@ func TestExplainMissAllocs(t *testing.T) {
 	}
 }
 
+// TestExplainMissBigTable bounds the garbage of an explain miss on the
+// 131072-row fixture, where the witness rows of one operator number
+// in the hundred thousands, next to an answer miss of the same query:
+// allocations and bytes per miss, each the least of five passes. Two
+// spellings of a query, one with a leading space, alternate on an
+// engine of one cache entry, so every call misses and does the same
+// work. The bounds are the measured counts + 10 %. The test logs the
+// bytes the explanation's three provenance levels keep.
+func TestExplainMissBigTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("131072-row fixture")
+	}
+	type bound struct{ allocs, bytes float64 }
+	cases := []struct {
+		query           string
+		explain, answer bound
+	}{
+		// measured 88 / 16 760 444 and 27 / 1 896
+		{"count(Tick>=1000)", bound{97, 18_440_000}, bound{30, 2_090}},
+		// measured 126 / 4 408 568 and 46 / 3 384
+		{"count((Tick>=10000 u Tick<11311))", bound{139, 4_850_000}, bound{51, 3_730}},
+		// measured 130 196 / 30 579 484 and 130 143 / 13 299 600
+		{"R[Seq].Tick>=1000", bound{143_220, 33_640_000}, bound{143_160, 14_630_000}},
+	}
+	e := New(Options{CacheSize: 1, Workers: 1})
+	tab := bigFixture()
+	if _, err := e.RegisterTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, b := range cases {
+		q := b.query
+		spellings := [2]string{q, " " + q}
+		var doc *Explanation
+		explain := func() {
+			for _, s := range spellings {
+				ex, cached, err := e.ExplainCached(ctx, "big", s)
+				if err != nil || cached {
+					t.Fatalf("%s: cached=%v err=%v, want an uncached explanation", s, cached, err)
+				}
+				doc = ex
+			}
+		}
+		answer := func() {
+			for _, s := range spellings {
+				if _, cached, err := e.ExplainAnswer(ctx, "big", s); err != nil || cached {
+					t.Fatalf("%s: cached=%v err=%v, want an uncached answer", s, cached, err)
+				}
+			}
+		}
+		// miss returns the least allocations and bytes per miss of five
+		// passes after a warm-up, which builds the table's lazy indexes
+		// and fills the executor's pools.
+		miss := func(pass func()) (allocs, bytes float64) {
+			pass()
+			allocs, bytes = math.Inf(1), math.Inf(1)
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				pass()
+				runtime.ReadMemStats(&after)
+				allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/2)
+				bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/2)
+			}
+			return allocs, bytes
+		}
+		ea, eb := miss(explain)
+		aa, ab := miss(answer)
+		p := doc.Provenance
+		kept := levelBytes(p.Output, tab.NumRows()) + levelBytes(p.Execution, tab.NumRows()) + levelBytes(p.Columns, tab.NumRows())
+		t.Logf("%-33s explain miss %5.0f allocations / %9.0f bytes, answer miss %5.0f / %9.0f; the levels keep %d bytes",
+			q, ea, eb, aa, ab, kept)
+		if ea > b.explain.allocs || eb > b.explain.bytes {
+			t.Errorf("%s: an explain miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
+				q, ea, eb, b.explain.allocs, b.explain.bytes)
+		}
+		if aa > b.answer.allocs || ab > b.answer.bytes {
+			t.Errorf("%s: an answer miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
+				q, aa, ab, b.answer.allocs, b.answer.bytes)
+		}
+	}
+}
+
+// levelBytes is what a level held by column keeps of a table of rows
+// records: two words a column, and four bytes a row of a column it
+// does not hold whole.
+func levelBytes(l table.Level, rows int) int {
+	per := map[int]int{}
+	for c := range l.All() {
+		per[c.Col]++
+	}
+	n := 0
+	for _, k := range per {
+		n += 8
+		if k != rows {
+			n += 4 * k
+		}
+	}
+	return n
+}
+
 // bigFixture is the 131072 x 6 table the scan traffic runs on: two
 // sequence columns, Nation0..Nation39, City0..City23 and two numeric
 // columns of middling cardinality.
