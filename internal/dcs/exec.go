@@ -18,10 +18,10 @@ import (
 // scalar.
 type Result struct {
 	Type    Type
-	Records []int           // sorted record indices (RecordsType)
-	Values  []table.Value   // distinct values (ValuesType), or the single scalar (ScalarType)
-	Cells   []table.CellRef // output/witness cells, sorted row-major
-	Aggr    AggrFn          // non-empty when a scalar came from an aggregation
+	Records []int         // sorted record indices (RecordsType)
+	Values  []table.Value // distinct values (ValuesType), or the single scalar (ScalarType)
+	Cells   table.Level   // output/witness cells, held by column
+	Aggr    AggrFn        // non-empty when a scalar came from an aggregation
 }
 
 // Empty reports whether the denotation is the empty set.
@@ -112,7 +112,7 @@ func Execute(e Expr, t *table.Table) (*Result, error) {
 // ExecuteAnswer is the answer-only fast path: the compiled plan runs
 // under an inactive tracer, skipping every witness-cell computation.
 // The Result's denotation (Records/Values/AnswerKey) is identical to
-// Execute's but Cells is always nil. Use it where only the answer
+// Execute's but Cells is always the empty level. Use it where only the answer
 // matters — candidate generation, gold-answer comparison (Eq. 5) and
 // batch serving.
 func ExecuteAnswer(e Expr, t *table.Table) (*Result, error) {

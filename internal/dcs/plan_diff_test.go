@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -162,8 +163,8 @@ func TestPlanDifferential(t *testing.T) {
 				t.Fatalf("ExecuteAnswer: %v", ferr)
 			}
 			assertSameResult(t, want, fast, false)
-			if len(fast.Cells) != 0 {
-				t.Errorf("answer-only execution computed %d witness cells, want 0", len(fast.Cells))
+			if fast.Cells.Len() != 0 {
+				t.Errorf("answer-only execution computed %d witness cells, want 0", fast.Cells.Len())
 			}
 		})
 	}
@@ -462,19 +463,15 @@ func assertSameResult(t *testing.T, want, got *Result, cells bool) {
 	if !cells {
 		return
 	}
-	if len(want.Cells) != len(got.Cells) {
-		t.Fatalf("cells = %v, want %v", got.Cells, want.Cells)
-	}
-	for i := range want.Cells {
-		if want.Cells[i] != got.Cells[i] {
-			t.Fatalf("cells = %v, want %v", got.Cells, want.Cells)
-		}
+	if wc, gc := levelCells(want.Cells), levelCells(got.Cells); !slices.Equal(wc, gc) {
+		t.Fatalf("cells = %v, want %v", gc, wc)
 	}
 }
 
 // orderTracer checks the promise plan.Tracer.Operator makes and the
 // provenance tracer leans on: every operator hands over its witness
-// cells strictly ascending row-major — sorted and duplicate-free.
+// cells as spans strictly ascending by column, none empty, each with
+// its rows strictly ascending — sorted and duplicate-free.
 type orderTracer struct {
 	t   testing.TB
 	src string
@@ -482,17 +479,23 @@ type orderTracer struct {
 
 func (orderTracer) Active() bool { return true }
 
-func (o orderTracer) Operator(op string, cells []table.CellRef) {
-	for i := 1; i < len(cells); i++ {
-		if !cells[i-1].Less(cells[i]) {
-			o.t.Errorf("%s: operator %s reports %v before %v (cell %d of %d)", o.src, op, cells[i-1], cells[i], i, len(cells))
-			return
+func (o orderTracer) Operator(op string, spans []table.Span) {
+	for i, sp := range spans {
+		switch {
+		case len(sp.Rows) == 0:
+			o.t.Errorf("%s: operator %s reports column %d with no rows", o.src, op, sp.Col)
+		case i > 0 && spans[i-1].Col >= sp.Col:
+			o.t.Errorf("%s: operator %s reports column %d after column %d", o.src, op, sp.Col, spans[i-1].Col)
+		case !slices.IsSorted(sp.Rows) || len(slices.Compact(slices.Clone(sp.Rows))) != len(sp.Rows):
+			o.t.Errorf("%s: operator %s reports column %d's rows out of order or twice: %v", o.src, op, sp.Col, sp.Rows)
+		default:
+			continue
 		}
+		return
 	}
 }
 
-// executeOrdered is Execute in x under an orderTracer, the root's
-// detached Result.Cells held to the same promise.
+// executeOrdered is Execute in x under an orderTracer.
 func executeOrdered(t testing.TB, x *plan.Exec, e Expr, tab *table.Table) (*Result, error) {
 	t.Helper()
 	c, err := Compile(e, tab)
@@ -501,11 +504,7 @@ func executeOrdered(t testing.TB, x *plan.Exec, e Expr, tab *table.Table) (*Resu
 	}
 	c.Exec = x
 	tr := orderTracer{t, e.String()}
-	res, err := c.ExecuteWith(tab, tr)
-	if err == nil {
-		tr.Operator("result", res.Cells)
-	}
-	return res, err
+	return c.ExecuteWith(tab, tr)
 }
 
 // TestPlanDifferentialNaN pins the interpreter's NaN behaviour on the

@@ -135,8 +135,8 @@ func sameDenotation(want, got *Result, cells bool) string {
 		return fmt.Sprintf("%d records, want %d (or they differ)", len(got.Records), len(want.Records))
 	case !slices.EqualFunc(want.Values, got.Values, sameValue):
 		return fmt.Sprintf("values = %v, want %v", got.Values, want.Values)
-	case cells && !slices.Equal(want.Cells, got.Cells):
-		return fmt.Sprintf("%d cells, want %d (or they differ)", len(got.Cells), len(want.Cells))
+	case cells && !slices.Equal(levelCells(want.Cells), levelCells(got.Cells)):
+		return fmt.Sprintf("%d cells, want %d (or they differ)", got.Cells.Len(), want.Cells.Len())
 	}
 	return ""
 }

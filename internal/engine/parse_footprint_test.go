@@ -133,10 +133,10 @@ func TestExplainMissAllocs(t *testing.T) {
 		t.Skip("allocation counts under the race detector")
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
-		"lookup":      {98, 5_850},   // measured 89 / 5 320; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
-		"comparative": {114, 9_650},  // measured 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
-		"superlative": {110, 8_800},  // measured 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
-		"aggregate":   {117, 11_650}, // measured 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
+		"lookup":      {95, 5_200},  // measured 86 / 4 725; 89 / 5 320 with the witness cells listed cell by cell between executor and level; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
+		"comparative": {110, 6_440}, // measured 100 / 5 850; 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {106, 6_930}, // measured 96 / 6 298; 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"aggregate":   {111, 6_780}, // measured 101 / 6 155; 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
 	// it, so each call of a pass over the family misses.
@@ -181,7 +181,10 @@ func TestExplainMissAllocs(t *testing.T) {
 // spellings of a query, one with a leading space, alternate on an
 // engine of one cache entry, so every call misses and does the same
 // work. The bounds are the measured counts + 10 %. The test logs the
-// bytes the explanation's three provenance levels keep.
+// bytes the explanation's three provenance levels keep, and holds the
+// explain miss to at most twice those plus the answer miss's bytes: the
+// witness cells take no form on their way to the levels that costs
+// more than the levels themselves.
 func TestExplainMissBigTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
@@ -194,12 +197,16 @@ func TestExplainMissBigTable(t *testing.T) {
 		query           string
 		explain, answer bound
 	}{
-		// measured 88 / 16 760 444 and 27 / 1 896
-		{"count(Tick>=1000)", bound{97, 18_440_000}, bound{30, 2_090}},
-		// measured 126 / 4 408 568 and 46 / 3 384
-		{"count((Tick>=10000 u Tick<11311))", bound{139, 4_850_000}, bound{51, 3_730}},
-		// measured 130 196 / 30 579 484 and 130 143 / 13 299 600
-		{"R[Seq].Tick>=1000", bound{143_220, 33_640_000}, bound{143_160, 14_630_000}},
+		// measured 77 / 1 052 960 and 27 / 1 912; 88 / 16 760 444 and
+		// 27 / 1 896 with the witness cells listed cell by cell on their
+		// way from the executor to the levels
+		{"count(Tick>=1000)", bound{85, 1_160_000}, bound{30, 2_110}},
+		// measured 120 / 11 888 and 45 / 2 952; 126 / 4 408 568 and
+		// 46 / 3 384
+		{"count((Tick>=10000 u Tick<11311))", bound{132, 13_080}, bound{51, 3_730}},
+		// measured 130 191 / 14 875 052 and 130 144 / 13 299 640;
+		// 130 196 / 30 579 484
+		{"R[Seq].Tick>=1000", bound{143_220, 16_370_000}, bound{143_160, 14_630_000}},
 	}
 	e := New(Options{CacheSize: 1, Workers: 1})
 	tab := bigFixture()
@@ -256,6 +263,10 @@ func TestExplainMissBigTable(t *testing.T) {
 		if aa > b.answer.allocs || ab > b.answer.bytes {
 			t.Errorf("%s: an answer miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
 				q, aa, ab, b.answer.allocs, b.answer.bytes)
+		}
+		if eb > float64(2*kept)+ab {
+			t.Errorf("%s: an explain miss allocates %.0f bytes, more than twice the %d its levels keep plus an answer miss's %.0f",
+				q, eb, kept, ab)
 		}
 	}
 }

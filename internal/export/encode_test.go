@@ -72,12 +72,13 @@ func TestAppendIndentMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	cells := []table.CellRef{{Row: 0, Col: 1}, {Row: 2, Col: 0}}
+	// Cells (0,1) and (2,0) of a three-row table, and the first alone.
+	cells := []table.Span{{Col: 0, Rows: []int32{2}}, {Col: 1, Rows: []int32{0}}}
 	for i, s := range hostile {
 		d := &ExplanationJSON{Name: s, Version: s, Query: s, Utterance: s, SQL: s, Result: s,
 			Table: render.Grid{Name: s, Headers: []string{s, "b"}, Rows: []int{0, 7},
 				Cells: [][]render.Cell{{{Text: s, Marking: s}, {Text: "x"}}, {}, nil}, Sampled: i%2 == 0},
-			Provenance: ProvJSON{Output: table.LevelOf(cells, 3), Execution: table.LevelOf(cells[:1], 3), Columns: table.LevelOf(cells, 3),
+			Provenance: ProvJSON{Output: table.NewLevel(3, cells), Execution: table.NewLevel(3, cells[1:]), Columns: table.NewLevel(3, cells),
 				Aggrs: []string{"max", s}, HeaderAggrs: map[string]string{s: "max", s + "z": s, "Year": "min"}},
 		}
 		checkDocument(t, "hostile "+s, d)

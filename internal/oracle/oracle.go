@@ -11,7 +11,9 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nlexplain/internal/dcs"
@@ -37,6 +39,30 @@ func sortedRecords(set map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// distinct sorts cells by order and drops the repeats, in place.
+func distinct(cells []table.CellRef, order func(a, b table.CellRef) int) []table.CellRef {
+	slices.SortFunc(cells, order)
+	return slices.Compact(cells)
+}
+
+func rowMajor(a, b table.CellRef) int { return cmp.Or(a.Row-b.Row, a.Col-b.Col) }
+
+func columnMajor(a, b table.CellRef) int { return cmp.Or(a.Col-b.Col, a.Row-b.Row) }
+
+// level holds cells, in any order and with repeats, as a Result
+// carries them: by column, each column's rows ascending and distinct.
+func level(t *table.Table, cells []table.CellRef) table.Level {
+	var spans []table.Span
+	for i, c := range distinct(cells, columnMajor) {
+		if i == 0 || c.Col != spans[len(spans)-1].Col {
+			spans = append(spans, table.Span{Col: c.Col})
+		}
+		sp := &spans[len(spans)-1]
+		sp.Rows = append(sp.Rows, int32(c.Row))
+	}
+	return table.NewLevel(t.NumRows(), spans)
 }
 
 func exec(e dcs.Expr, t *table.Table) (*dcs.Result, error) {
@@ -103,7 +129,7 @@ func execJoin(x *dcs.Join, t *table.Table) (*dcs.Result, error) {
 			cells = append(cells, table.CellRef{Row: r, Col: col})
 		}
 	}
-	return &dcs.Result{Type: dcs.RecordsType, Records: sortedRecords(recs), Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.RecordsType, Records: sortedRecords(recs), Cells: level(t, cells)}, nil
 }
 
 func execColumnValues(x *dcs.ColumnValues, t *table.Table) (*dcs.Result, error) {
@@ -118,7 +144,7 @@ func execColumnValues(x *dcs.ColumnValues, t *table.Table) (*dcs.Result, error) 
 		vals = append(vals, t.Value(r, col))
 		cells = append(cells, table.CellRef{Row: r, Col: col})
 	}
-	return &dcs.Result{Type: dcs.ValuesType, Values: table.DedupValues(vals), Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.ValuesType, Values: table.DedupValues(vals), Cells: level(t, cells)}, nil
 }
 
 func execShift(arg dcs.Expr, t *table.Table, delta int) (*dcs.Result, error) {
@@ -157,14 +183,13 @@ func execIntersect(x *dcs.Intersect, t *table.Table) (*dcs.Result, error) {
 		}
 	}
 	// Table 10: PO(records1 ⊓ records2) = PO(records1) ∩ PO(records2).
-	lset := table.CellSet(l.Cells)
 	var cells []table.CellRef
-	for _, c := range r.Cells {
-		if lset.Contains(c) {
+	for c := range r.Cells.All() {
+		if l.Cells.Contains(c) {
 			cells = append(cells, c)
 		}
 	}
-	return &dcs.Result{Type: dcs.RecordsType, Records: out, Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.RecordsType, Records: out, Cells: level(t, cells)}, nil
 }
 
 func execUnion(x *dcs.Union, t *table.Table) (*dcs.Result, error) {
@@ -176,7 +201,7 @@ func execUnion(x *dcs.Union, t *table.Table) (*dcs.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := table.DedupCells(append(append([]table.CellRef(nil), l.Cells...), r.Cells...))
+	cells := level(t, slices.AppendSeq(slices.Collect(l.Cells.All()), r.Cells.All()))
 	if l.Type == dcs.RecordsType {
 		set := make(map[int]bool)
 		for _, rec := range l.Records {
@@ -267,7 +292,7 @@ func execSub(x *dcs.Sub, t *table.Table) (*dcs.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := table.DedupCells(append(append([]table.CellRef(nil), l.Cells...), r.Cells...))
+	cells := level(t, slices.AppendSeq(slices.Collect(l.Cells.All()), r.Cells.All()))
 	return &dcs.Result{
 		Type:   dcs.ScalarType,
 		Values: []table.Value{table.NumberValue(lf - rf)},
@@ -310,7 +335,7 @@ func execArgRecords(x *dcs.ArgRecords, t *table.Table) (*dcs.Result, error) {
 			cells = append(cells, table.CellRef{Row: r, Col: col})
 		}
 	}
-	return &dcs.Result{Type: dcs.RecordsType, Records: out, Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.RecordsType, Records: out, Cells: level(t, cells)}, nil
 }
 
 func execIndexSuperlative(x *dcs.IndexSuperlative, t *table.Table) (*dcs.Result, error) {
@@ -326,11 +351,10 @@ func execIndexSuperlative(x *dcs.IndexSuperlative, t *table.Table) (*dcs.Result,
 		r = recs.Records[0]
 	}
 	col, _ := t.ColumnIndex(x.Column)
-	cell := table.CellRef{Row: r, Col: col}
 	return &dcs.Result{
 		Type:   dcs.ValuesType,
 		Values: []table.Value{t.Value(r, col)},
-		Cells:  []table.CellRef{cell},
+		Cells:  level(t, []table.CellRef{{Row: r, Col: col}}),
 	}, nil
 }
 
@@ -373,7 +397,7 @@ func execMostFrequent(x *dcs.MostFrequent, t *table.Table) (*dcs.Result, error) 
 	for _, r := range t.RecordsWhere(col, winner) {
 		cells = append(cells, table.CellRef{Row: r, Col: col})
 	}
-	return &dcs.Result{Type: dcs.ValuesType, Values: []table.Value{winner}, Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.ValuesType, Values: []table.Value{winner}, Cells: level(t, cells)}, nil
 }
 
 func execCompareValues(x *dcs.CompareValues, t *table.Table) (*dcs.Result, error) {
@@ -413,7 +437,7 @@ func execCompareValues(x *dcs.CompareValues, t *table.Table) (*dcs.Result, error
 			cells = append(cells, table.CellRef{Row: p.row, Col: valCol})
 		}
 	}
-	return &dcs.Result{Type: dcs.ValuesType, Values: table.DedupValues(out), Cells: table.DedupCells(cells)}, nil
+	return &dcs.Result{Type: dcs.ValuesType, Values: table.DedupValues(out), Cells: level(t, cells)}, nil
 }
 
 func execCompare(x *dcs.Compare, t *table.Table) (*dcs.Result, error) {
@@ -446,5 +470,5 @@ func execCompare(x *dcs.Compare, t *table.Table) (*dcs.Result, error) {
 			cells = append(cells, table.CellRef{Row: r, Col: col})
 		}
 	}
-	return &dcs.Result{Type: dcs.RecordsType, Records: recs, Cells: cells}, nil
+	return &dcs.Result{Type: dcs.RecordsType, Records: recs, Cells: level(t, cells)}, nil
 }

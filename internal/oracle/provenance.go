@@ -1,15 +1,17 @@
 package oracle
 
 import (
+	"slices"
+
 	"nlexplain/internal/dcs"
 	"nlexplain/internal/table"
 )
 
 // Prov is the reference for the multilevel provenance of Definition 4.1:
-// each level as the cells it lists, sorted row-major, and the aggregate
-// functions with the headers Algorithm 1 marks them on.
+// each level as the cells it lists, sorted row-major and distinct, and
+// the aggregate functions with the headers Algorithm 1 marks them on.
 type Prov struct {
-	Output, Execution, Columns table.CellSet
+	Output, Execution, Columns []table.CellRef
 	// Aggrs are the aggregate functions applied, outermost first.
 	Aggrs []dcs.AggrFn
 	// HeaderAggrs maps a column index to the function marked on its
@@ -35,7 +37,7 @@ func Provenance(e dcs.Expr, t *table.Table) (*Prov, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prov{Output: root.Cells} // sorted and distinct, as every Result's
+	p := &Prov{Output: slices.Collect(root.Cells.All())}
 
 	var exec []table.CellRef
 	var walk func(s dcs.Expr) error
@@ -44,7 +46,7 @@ func Provenance(e dcs.Expr, t *table.Table) (*Prov, error) {
 		if err != nil {
 			return err
 		}
-		exec = append(exec, r.Cells...)
+		exec = slices.AppendSeq(exec, r.Cells.All())
 		switch x := s.(type) {
 		case *dcs.Aggregate:
 			p.Aggrs = append(p.Aggrs, x.Fn)
@@ -65,7 +67,7 @@ func Provenance(e dcs.Expr, t *table.Table) (*Prov, error) {
 	if err := walk(e); err != nil {
 		return nil, err
 	}
-	p.Execution = table.DedupCells(exec)
+	p.Execution = distinct(exec, rowMajor)
 
 	cols := append([]table.CellRef{}, p.Execution...)
 	for _, name := range dcs.Columns(e) {
@@ -74,7 +76,7 @@ func Provenance(e dcs.Expr, t *table.Table) (*Prov, error) {
 			cols = append(cols, table.CellRef{Row: r, Col: col})
 		}
 	}
-	p.Columns = table.DedupCells(cols)
+	p.Columns = distinct(cols, rowMajor)
 	return p, nil
 }
 

@@ -9,7 +9,7 @@ import (
 
 // arena is the per-execution scratch store behind the allocation-free
 // hot path: every intermediate val, row buffer, bitset word block,
-// value/cell buffer and dedup hash table an execution needs is drawn
+// value/span buffer and dedup hash table an execution needs is drawn
 // from here, and the whole arena returns to a sync.Pool when the run
 // finishes. Repeated queries therefore allocate O(1): after the
 // first few executions warm a pooled arena, the only remaining
@@ -22,12 +22,13 @@ import (
 //     executions never nest, so reuse never crosses runs.
 //   - Arena-backed memory must never survive release: RunIntoCtx detaches
 //     (deep-copies) the root val before releasing, and tracers must
-//     copy any cell slice they want to keep (see Tracer.Operator).
+//     copy the rows of any span they want to keep (see Tracer.Operator).
 //   - Buffers are handed out empty (len 0) and never handed back
 //     individually; release simply rewinds the high-water marks.
 //     Stale contents past a buffer's returned length are never read.
-//   - Pooled buffers may pin table values (dictionary windows) until the
-//     next GC empties the pool; used vals are zeroed on release so the
+//   - Pooled buffers may pin table values (dictionary windows) and row
+//     sets (the posting lists a span shares) until the next GC empties
+//     the pool; used vals are zeroed on release so the
 //     pool itself never keeps a dropped snapshot alive through them.
 //   - No arena holds the identity row set: every execution shares one
 //     (identity).
@@ -41,7 +42,7 @@ type arena struct {
 	floats bufs[float64]
 	words  bufs[uint64]
 	vals   bufs[table.Value]
-	cells  bufs[table.CellRef]
+	spans  bufs[table.Span]
 
 	valNodes []*val
 	valUsed  int
@@ -72,7 +73,7 @@ func (a *arena) release() {
 	a.floats.reset()
 	a.words.reset()
 	a.vals.reset()
-	a.cells.reset()
+	a.spans.reset()
 	a.ex = executor{}
 	arenaPool.Put(a)
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"nlexplain/internal/table"
@@ -21,12 +22,9 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRows := append([]int(nil), first.Rows...)
-	wantCells := append([]table.CellRef(nil), first.Cells...)
+	wantCells := slices.Collect(first.Cells.All())
 	for i := range first.Rows {
 		first.Rows[i] = -7
-	}
-	for i := range first.Cells {
-		first.Cells[i] = table.CellRef{Row: -7, Col: -7}
 	}
 	err = RunIntoCtx(nil, nil, &second, n, tab, Capture{})
 	if err != nil {
@@ -40,10 +38,8 @@ func TestDetachedResultsAreIndependent(t *testing.T) {
 			t.Fatalf("rows = %v, want %v (pooled buffer leaked into a result)", second.Rows, wantRows)
 		}
 	}
-	for i := range wantCells {
-		if second.Cells[i] != wantCells[i] {
-			t.Fatalf("cells = %v, want %v", second.Cells, wantCells)
-		}
+	if cells := slices.Collect(second.Cells.All()); len(cells) == 0 || !slices.Equal(cells, wantCells) {
+		t.Fatalf("cells = %v, want %v", cells, wantCells)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // ValuesKind and ScalarKind (ScalarKind holds the single scalar in
 // Values[0] and the producing aggregate, if any, in Aggr).
 //
-// Cells carries the root's PO witness cells (sorted row-major,
-// duplicate-free — the table.CellSet form), computed only under an
-// active Tracer; with an inactive tracer it is always nil.
+// Cells holds the root's PO witness cells by column, computed only
+// under an active Tracer; with an inactive tracer it is the empty
+// level.
 //
 // A Val is ordinary heap memory, detached from the execution, so
 // callers and caches may hold it forever.
@@ -26,18 +26,20 @@ type Val struct {
 	Rows   []int
 	Values []table.Value
 	Aggr   string
-	Cells  []table.CellRef
+	Cells  table.Level
 }
 
 // val is the runtime denotation of a plan node inside one execution:
-// Val's fields, with row ids 32 bits wide, as the table stores them.
-// A val and its slices live in the execution's pooled arena.
+// Val's fields, with row ids 32 bits wide, as the table stores them,
+// and the witness cells as spans, ascending by column, whose rows are
+// the operator's own or its inputs', shared rather than copied. A val
+// and its slices live in the execution's pooled arena.
 type val struct {
 	Kind   Kind
 	Rows   []int32
 	Values []table.Value
 	Aggr   string
-	Cells  []table.CellRef
+	Cells  []table.Span
 }
 
 // RunIntoCtx executes the plan over a table in executor x (nil: the
@@ -69,15 +71,16 @@ func RunIntoCtx(ctx context.Context, x *Exec, out *Val, n Node, t *table.Table, 
 	if err != nil {
 		return err
 	}
-	detachInto(out, v)
+	detachInto(out, v, t.NumRows())
 	return nil
 }
 
 // detachInto deep-copies v — whose slices live in arena scratch — into
-// ordinary heap memory in *out, widening its rows to int. Empty slices
-// normalize to nil, so the copy costs O(result) bytes but O(1)
+// ordinary heap memory in *out, widening its rows to int and holding
+// its witness spans as a level over a table of rows records. Empty
+// slices normalize to nil, so the copy costs O(result) bytes but O(1)
 // allocations.
-func detachInto(out *Val, v *val) {
+func detachInto(out *Val, v *val, rows int) {
 	*out = Val{Kind: v.Kind, Aggr: v.Aggr}
 	if len(v.Rows) > 0 {
 		out.Rows = make([]int, len(v.Rows))
@@ -88,9 +91,7 @@ func detachInto(out *Val, v *val) {
 	if len(v.Values) > 0 {
 		out.Values = append(make([]table.Value, 0, len(v.Values)), v.Values...)
 	}
-	if len(v.Cells) > 0 {
-		out.Cells = append(make([]table.CellRef, 0, len(v.Cells)), v.Cells...)
-	}
+	out.Cells = table.NewLevel(rows, v.Cells)
 }
 
 type executor struct {
@@ -176,14 +177,56 @@ func (ex *executor) eval(n Node) (*val, error) {
 	return nil, fmt.Errorf("plan: unknown node type %T", n)
 }
 
-// ---- cell helpers (active tracer only) ----
+// ---- witness helpers (active tracer only) ----
 
-// cellsAt builds the witness cells (r, col) for a sorted, duplicate-
-// free row set — already row-major sorted by construction.
-func (ex *executor) cellsAt(rows []int32, col int) []table.CellRef {
-	out := ex.ar.cells.get(len(rows))[:len(rows)]
-	for i, r := range rows {
-		out[i] = table.CellRef{Row: int(r), Col: col}
+// span is the witness of an operator that read col at rows, which are
+// ascending and distinct: one span sharing the rows, or none.
+func (ex *executor) span(rows []int32, col int) []table.Span {
+	if len(rows) == 0 {
+		return nil
+	}
+	return append(ex.ar.spans.get(1), table.Span{Col: col, Rows: rows})
+}
+
+// combine merges two witnesses column by column: their union, or with
+// both set their intersection, cell for cell. A column both name keeps
+// the rows either has, or the rows both have; a column one names is
+// kept as it is, or dropped. Table 10's PO(r1 ⊓ r2) = PO(r1) ∩ PO(r2)
+// is the intersection.
+func (ex *executor) combine(a, b []table.Span, both bool) []table.Span {
+	out := ex.ar.spans.get(len(a) + len(b))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].Col < b[0].Col:
+			if !both {
+				out = append(out, a[0])
+			}
+			a = a[1:]
+		case len(a) == 0 || b[0].Col < a[0].Col:
+			if !both {
+				out = append(out, b[0])
+			}
+			b = b[1:]
+		default:
+			set := ex.ar.rowSet(ex.t.NumRows())
+			set.AddRows(b[0].Rows)
+			var rows []int32
+			if both {
+				rows = ex.ar.rows.get(min(len(a[0].Rows), len(b[0].Rows)))
+				for _, r := range a[0].Rows {
+					if set.Contains(r) {
+						rows = append(rows, r)
+					}
+				}
+			} else {
+				set.AddRows(a[0].Rows)
+				rows = set.AppendRows(ex.ar.rows.get(set.Count()))
+			}
+			if len(rows) > 0 {
+				out = append(out, table.Span{Col: a[0].Col, Rows: rows})
+			}
+			a, b = a[1:], b[1:]
+		}
 	}
 	return out
 }
@@ -210,7 +253,7 @@ func (ex *executor) indexLookup(col int, keys []string) (*val, error) {
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
 	if ex.trace {
-		v.Cells = ex.cellsAt(rows, col)
+		v.Cells = ex.span(rows, col)
 	}
 	return v, nil
 }
@@ -232,7 +275,7 @@ func (ex *executor) lookupValues(col int, vals []table.Value) (*val, error) {
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
 	if ex.trace {
-		v.Cells = ex.cellsAt(rows, col)
+		v.Cells = ex.span(rows, col)
 	}
 	return v, nil
 }
@@ -297,7 +340,7 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 	v := ex.ar.val(RowsKind)
 	v.Rows = rows
 	if ex.trace {
-		v.Cells = ex.cellsAt(rows, x.Col)
+		v.Cells = ex.span(rows, x.Col)
 	}
 	return v, nil
 }
@@ -419,10 +462,7 @@ func (ex *executor) intersect(x *Intersect) (*val, error) {
 	v.Rows = rows
 	if ex.trace {
 		// Table 10: PO(records1 ⊓ records2) = PO(records1) ∩ PO(records2).
-		// Both cell sets are sorted and duplicate-free (the val
-		// invariant), so the intersection is one merge walk.
-		v.Cells = table.IntersectSortedCells(
-			ex.ar.cells.get(min(len(l.Cells), len(r.Cells))), l.Cells, r.Cells)
+		v.Cells = ex.combine(l.Cells, r.Cells, true)
 	}
 	return v, nil
 }
@@ -446,8 +486,7 @@ func (ex *executor) union(x *Union) (*val, error) {
 		v.Values = ex.dedupValues(l.Values, r.Values)
 	}
 	if ex.trace {
-		v.Cells = table.MergeSortedCells(
-			ex.ar.cells.get(len(l.Cells)+len(r.Cells)), l.Cells, r.Cells)
+		v.Cells = ex.combine(l.Cells, r.Cells, false)
 	}
 	return v, nil
 }
@@ -498,7 +537,7 @@ func (ex *executor) superlative(x *Superlative) (*val, error) {
 				v := ex.ar.val(RowsKind)
 				v.Rows = zr
 				if ex.trace {
-					v.Cells = ex.cellsAt(zr, x.Col)
+					v.Cells = ex.span(zr, x.Col)
 				}
 				return v, nil
 			}
@@ -567,7 +606,7 @@ func (ex *executor) superlative(x *Superlative) (*val, error) {
 	v := ex.ar.val(RowsKind)
 	v.Rows = out
 	if ex.trace {
-		v.Cells = ex.cellsAt(out, x.Col)
+		v.Cells = ex.span(out, x.Col)
 	}
 	return v, nil
 }
@@ -592,7 +631,7 @@ func (ex *executor) projectCol(x *ProjectCol) (*val, error) {
 	v := ex.ar.val(ValuesKind)
 	v.Values = vals
 	if ex.trace {
-		v.Cells = ex.cellsAt(in.Rows, x.Col)
+		v.Cells = ex.span(in.Rows, x.Col)
 	}
 	return v, nil
 }
@@ -605,14 +644,14 @@ func (ex *executor) indexSuper(x *IndexSuper) (*val, error) {
 	if len(in.Rows) == 0 {
 		return ex.ar.val(ValuesKind), nil
 	}
-	r := int(in.Rows[len(in.Rows)-1])
+	at := in.Rows[len(in.Rows)-1:]
 	if x.First {
-		r = int(in.Rows[0])
+		at = in.Rows[:1]
 	}
 	v := ex.ar.val(ValuesKind)
-	v.Values = append(ex.ar.vals.get(1), ex.t.Value(r, x.Col))
+	v.Values = append(ex.ar.vals.get(1), ex.t.Value(int(at[0]), x.Col))
 	if ex.trace {
-		v.Cells = append(ex.ar.cells.get(1), table.CellRef{Row: r, Col: x.Col})
+		v.Cells = ex.span(at, x.Col)
 	}
 	return v, nil
 }
@@ -655,7 +694,7 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 	v := ex.ar.val(ValuesKind)
 	v.Values = append(ex.ar.vals.get(1), winner)
 	if ex.trace {
-		v.Cells = ex.cellsAt(t.RowsForKey(x.Col, winner.Key()), x.Col)
+		v.Cells = ex.span(t.RowsForKey(x.Col, winner.Key()), x.Col)
 	}
 	return v, nil
 }
@@ -716,7 +755,7 @@ func (ex *executor) compareVals(x *CompareVals) (*val, error) {
 		// The bitset replays the achieving rows in ascending record
 		// order, giving the sorted duplicate-free witness cells directly.
 		rows := achieved.AppendRows(ex.ar.rows.get(achieved.Count()))
-		v.Cells = ex.cellsAt(rows, x.ValCol)
+		v.Cells = ex.span(rows, x.ValCol)
 	}
 	return v, nil
 }
@@ -782,8 +821,7 @@ func (ex *executor) arith(x *Arith) (*val, error) {
 	v := ex.ar.val(ScalarKind)
 	v.Values = append(ex.ar.vals.get(1), table.NumberValue(out))
 	if ex.trace {
-		v.Cells = table.MergeSortedCells(
-			ex.ar.cells.get(len(l.Cells)+len(r.Cells)), l.Cells, r.Cells)
+		v.Cells = ex.combine(l.Cells, r.Cells, false)
 	}
 	return v, nil
 }

@@ -35,8 +35,8 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 	if len(v.Rows) != 2 || v.Rows[0] != 0 || v.Rows[1] != 2 {
 		t.Errorf("rows = %v, want [0 2]", v.Rows)
 	}
-	if v.Cells != nil {
-		t.Errorf("untraced execution computed cells: %v", v.Cells)
+	if v.Cells.Len() != 0 {
+		t.Errorf("untraced execution computed cells: %v", slices.Collect(v.Cells.All()))
 	}
 
 	err = RunIntoCtx(nil, nil, &v, n, tab, Capture{})
@@ -44,8 +44,8 @@ func TestExecutorComputesCellsOnlyWhenTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []table.CellRef{{Row: 0, Col: 1}, {Row: 2, Col: 1}}
-	if len(v.Cells) != len(want) || v.Cells[0] != want[0] || v.Cells[1] != want[1] {
-		t.Errorf("cells = %v, want %v", v.Cells, want)
+	if got := slices.Collect(v.Cells.All()); !slices.Equal(got, want) {
+		t.Errorf("cells = %v, want %v", got, want)
 	}
 }
 
@@ -57,9 +57,11 @@ type opTracer struct {
 }
 
 func (o *opTracer) Active() bool { return true }
-func (o *opTracer) Operator(op string, cells []table.CellRef) {
+func (o *opTracer) Operator(op string, cells []table.Span) {
 	o.ops = append(o.ops, op)
-	o.cells += len(cells)
+	for _, sp := range cells {
+		o.cells += len(sp.Rows)
+	}
 }
 
 func TestTracerSeesEveryOperatorBoundary(t *testing.T) {
@@ -127,7 +129,7 @@ func TestSuperlativeTies(t *testing.T) {
 	if len(v.Rows) != 2 || v.Rows[0] != 1 || v.Rows[1] != 2 {
 		t.Errorf("rows = %v, want the tied records [1 2]", v.Rows)
 	}
-	if len(v.Cells) != 2 {
-		t.Errorf("cells = %v", v.Cells)
+	if v.Cells.Len() != 2 {
+		t.Errorf("cells = %v", slices.Collect(v.Cells.All()))
 	}
 }

@@ -57,3 +57,18 @@ func (s RowSet) AppendRows(dst []int32) []int32 {
 	}
 	return dst
 }
+
+// Or inserts rows, which are ascending, first growing the set to hold
+// the last of them: a set built without knowing its universe.
+func (s *RowSet) Or(rows []int32) {
+	if len(rows) == 0 {
+		return
+	}
+	if n := rowSetWords(int(rows[len(rows)-1]) + 1); n > len(s.words) {
+		s.words = append(s.words, make([]uint64, n-len(s.words))...)
+	}
+	s.AddRows(rows)
+}
+
+// Reset empties a set Or built, keeping its memory for the next.
+func (s *RowSet) Reset() { s.words = s.words[:0] }

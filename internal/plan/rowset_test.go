@@ -54,3 +54,27 @@ func TestRowSetAgainstMapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRowSetOrGrowsAndResets: Or grows a zero set to hold each run it
+// is given, however far past the set's words the run ends, and a set
+// Reset after use starts empty again, stale words and all.
+func TestRowSetOrGrowsAndResets(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var s RowSet
+	for round := 0; round < 50; round++ {
+		ref := make(map[int32]bool)
+		for range rng.Intn(4) {
+			run := make([]int32, rng.Intn(6))
+			for i := range run {
+				run[i] = rng.Int31n(int32(1 + 64*rng.Intn(5)))
+				ref[run[i]] = true
+			}
+			slices.Sort(run)
+			s.Or(slices.Compact(run))
+		}
+		if got, want := s.AppendRows(nil), refRows(ref); !slices.Equal(got, want) || s.Count() != len(want) {
+			t.Fatalf("round %d: rows %v (count %d), want %v", round, got, s.Count(), want)
+		}
+		s.Reset()
+	}
+}

@@ -19,13 +19,13 @@ type Tracer interface {
 	// When false, Operator is never called.
 	Active() bool
 	// Operator is called after an operator finishes, with its name and
-	// its PO witness cells (sorted row-major, deduplicated — a
-	// table.CellSet). The slice lives in the execution's pooled arena
-	// and is valid only for the duration of the call: implementations
-	// that keep cells must copy them (the provenance CellTracer appends
-	// each run to one slice and sorts that once; the root's cells become
-	// the PO level exactly as the executor ordered them).
-	Operator(op string, cells []table.CellRef)
+	// its PO witness cells as spans: ascending by column, each column
+	// once, each with its rows ascending and distinct. The spans and
+	// their rows live in the execution's pooled arena or in the table,
+	// and are valid only for the duration of the call: implementations
+	// that keep cells must copy them (the provenance CellTracer ORs
+	// each column's rows into one bitmap).
+	Operator(op string, cells []table.Span)
 }
 
 // Noop is the inactive tracer: no witness cells are computed anywhere
@@ -36,16 +36,16 @@ type Noop struct{}
 func (Noop) Active() bool { return false }
 
 // Operator is never called on an inactive tracer.
-func (Noop) Operator(string, []table.CellRef) {}
+func (Noop) Operator(string, []table.Span) {}
 
 // Capture enables witness-cell computation without accumulating
-// anything: the caller reads the root cells off the execution result.
-// dcs.Execute runs under it, and so do the Section 5.3 sample's runs of
-// a difference query's two operands.
+// anything: the caller reads the root's cells, a table.Level, off the
+// execution result. dcs.Execute runs under it, and so do the Section
+// 5.3 sample's runs of a difference query's two operands.
 type Capture struct{}
 
 // Active reports true: operators compute witness cells.
 func (Capture) Active() bool { return true }
 
 // Operator ignores boundary reports; only the root cells matter.
-func (Capture) Operator(string, []table.CellRef) {}
+func (Capture) Operator(string, []table.Span) {}

@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"context"
-	"iter"
 	"slices"
 
 	"nlexplain/internal/dcs"
@@ -132,9 +131,9 @@ func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
 	p := h.Prov
 	// Two operands or one output record, then one per stratum.
 	chosen := make([]int, 0, 4)
-	// Row-major order puts a set's earliest record in its first cell.
-	addFirst := func(cells iter.Seq[table.CellRef]) {
-		for c := range cells {
+	// Row-major order puts a level's earliest record in its first cell.
+	addFirst := func(level table.Level) {
+		for c := range level.All() {
 			if !slices.Contains(chosen, c.Row) {
 				chosen = append(chosen, c.Row)
 			}
@@ -158,11 +157,11 @@ func Sample(q dcs.Expr, t *table.Table, h *Highlights) []int {
 	if sub := findSub(q); sub != nil {
 		for _, side := range []dcs.Expr{sub.L, sub.R} {
 			if r, err := dcs.ExecuteIn(h.exec, side, t, plan.Capture{}); err == nil {
-				addFirst(slices.Values(r.Cells))
+				addFirst(r.Cells)
 			}
 		}
 	} else {
-		addFirst(p.Output.All())
+		addFirst(p.Output)
 	}
 	addFresh(p.Execution, p.Output)
 	addFresh(p.Columns, p.Execution)

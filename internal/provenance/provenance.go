@@ -30,9 +30,10 @@ import (
 // (PO, PE, PC) of Definition 4.2, together with the aggregate functions
 // involved in the execution and their header positions. Each level is a
 // table.Level, held by column: PC as the columns it covers whole, PO
-// and PE as the rows their cells lie on. The executor's cell sets are
-// brought into that form once, here; the cells are listed again only
-// where they are drawn or encoded.
+// and PE as the rows their cells lie on. The executor reports witness
+// cells in that form, a column and its rows, so PO arrives as the
+// execution's result holds it and PE is built once, from the tracer;
+// the cells are listed only where they are drawn or encoded.
 type Prov struct {
 	// Output is PO(Q,T): output/witness cells.
 	Output table.Level
@@ -82,13 +83,10 @@ func ComputeCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) (*
 	p := &Prov{}
 
 	// PO is the root's witness cells, PE the tracer's union. The root
-	// reports to the tracer like every operator and every witness cell
-	// lives in a mentioned column, so the chain PO ⊆ PE ⊆ PC holds
-	// already; handing PO to the tracer once more and keeping PE's
-	// cells in PC make it structural.
-	tr.Operator("output", top.Cells)
-	p.Output = table.LevelOf(top.Cells, t.NumRows())
-	p.Execution = table.LevelOf(tr.Cells(), t.NumRows())
+	// reports to the tracer like every operator, so PO ⊆ PE; keeping
+	// PE's cells in PC makes PE ⊆ PC structural.
+	p.Output = top.Cells
+	p.Execution = tr.Level(t.NumRows())
 
 	// PC: all cells of every projected or aggregated column (Equation 3),
 	// each such column held whole.

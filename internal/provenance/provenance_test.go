@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"cmp"
 	"maps"
 	"math/rand"
 	"slices"
@@ -51,19 +52,23 @@ func compute(t testing.TB, tab *table.Table, src string) *Prov {
 	return p
 }
 
-// cells brings (row, col) pairs, in any order, into the sorted form.
-func cells(refs ...[2]int) table.CellSet {
+// cells lists (row, col) pairs, in any order and with repeats, as a
+// level lists its cells: row-major, each once.
+func cells(refs ...[2]int) []table.CellRef {
 	var s []table.CellRef
 	for _, r := range refs {
 		s = append(s, table.CellRef{Row: r[0], Col: r[1]})
 	}
-	return table.DedupCells(s)
+	slices.SortFunc(s, rowMajor)
+	return slices.Compact(s)
 }
 
-// cellsOf lists a level's cells row-major.
-func cellsOf(l table.Level) table.CellSet { return slices.Collect(l.All()) }
+func rowMajor(a, b table.CellRef) int { return cmp.Or(a.Row-b.Row, a.Col-b.Col) }
 
-func wantSet(t testing.TB, name string, got table.Level, want table.CellSet) {
+// cellsOf lists a level's cells row-major.
+func cellsOf(l table.Level) []table.CellRef { return slices.Collect(l.All()) }
+
+func wantSet(t testing.TB, name string, got table.Level, want []table.CellRef) {
 	t.Helper()
 	if cells := cellsOf(got); !slices.Equal(cells, want) {
 		t.Errorf("%s = %v, want %v", name, cells, want)
@@ -273,8 +278,8 @@ func TestChainProperty(t *testing.T) {
 		if !chain(p) {
 			t.Fatalf("chain violated for %s\nPO=%v\nPE=%v\nPC=%v", q, po, pe, pc)
 		}
-		// The merge walks behind chain read each level as strictly
-		// ascending; a level that is not makes them meaningless.
+		// A level lists its cells strictly ascending row-major; the
+		// wire and the Section 5.3 sample read them in that order.
 		if !ascending(po) || !ascending(pe) || !ascending(pc) {
 			t.Fatalf("a level of %s is not strictly ascending\nPO=%v\nPE=%v\nPC=%v", q, po, pe, pc)
 		}
@@ -409,9 +414,9 @@ func TestCountByMarking(t *testing.T) {
 
 // ascending reports whether a level is in the one form it may take:
 // strictly ascending row-major, so sorted and duplicate-free.
-func ascending(s table.CellSet) bool {
+func ascending(s []table.CellRef) bool {
 	for i := 1; i < len(s); i++ {
-		if !s[i-1].Less(s[i]) {
+		if rowMajor(s[i-1], s[i]) >= 0 {
 			return false
 		}
 	}
@@ -595,7 +600,7 @@ func FuzzHighlight(f *testing.F) {
 		p := h.Prov
 		for _, l := range []struct {
 			name      string
-			got, want table.CellSet
+			got, want []table.CellRef
 		}{{"PO", cellsOf(p.Output), want.Output}, {"PE", cellsOf(p.Execution), want.Execution}, {"PC", cellsOf(p.Columns), want.Columns}} {
 			if !slices.Equal(l.got, l.want) {
 				t.Errorf("%q: %s = %v, the definition gives %v", src, l.name, l.got, l.want)
@@ -610,6 +615,13 @@ func FuzzHighlight(f *testing.F) {
 // chain reports whether the provenance chain PO ⊆ PE ⊆ PC of
 // Definition 4.1 holds.
 func chain(p *Prov) bool {
-	po, pe, pc := cellsOf(p.Output), cellsOf(p.Execution), cellsOf(p.Columns)
-	return po.SubsetOf(pe) && pe.SubsetOf(pc)
+	subset := func(inner, outer table.Level) bool {
+		for c := range inner.All() {
+			if !outer.Contains(c) {
+				return false
+			}
+		}
+		return true
+	}
+	return subset(p.Output, p.Execution) && subset(p.Execution, p.Columns)
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"encoding/json"
 	"iter"
 	"math"
@@ -16,8 +17,8 @@ import (
 // table's size; PO and PE are the rows their cells lie on.
 //
 // A level lists its cells only when asked: All walks them row-major,
-// the order of a CellSet and of the wire, and MarshalJSON writes them
-// as the {"row", "col"} list. The zero Level is empty. A Level is
+// the order of the wire, and MarshalJSON writes them as the
+// {"row", "col"} list. The zero Level is empty. A Level is
 // immutable once built and may be shared.
 type Level struct {
 	// rows is the table's row count: the rows of a whole column.
@@ -41,54 +42,42 @@ func (l Level) column(i int) (col int, rows []int32, next int) {
 	return col, l.data[i+2 : i+2+n], i + 2 + n
 }
 
-// LevelOf holds the cells of s, a set over a table of rows records, by
-// column: a column whose cells cover every row is held whole. The
-// level takes one allocation, sized exactly; s is not retained.
-func LevelOf(s CellSet, rows int) Level {
+// Span is one column of a witness: the column's index and the rows its
+// cells lie on, ascending and distinct. The plan executor reports the
+// cells an operator reads as a few spans, ascending by column.
+type Span struct {
+	Col  int
+	Rows []int32
+}
+
+// NewLevel holds the cells of spans, which are ascending by column and
+// name each column once, over a table of rows records: a span that
+// covers every row is held whole and an empty span is dropped. The
+// level takes one allocation, sized exactly; spans is not retained.
+func NewLevel(rows int, spans []Span) Level {
 	l := Level{rows: int32(rows)}
-	if len(s) == 0 {
+	size := 0
+	for _, sp := range spans {
+		switch len(sp.Rows) {
+		case 0:
+		case rows:
+			size += 2
+		default:
+			size += 2 + len(sp.Rows)
+		}
+	}
+	if size == 0 {
 		return l
 	}
-	// A level spans few columns: count their cells on the stack.
-	type span struct{ col, n, at int }
-	var buf [8]span
-	spans := buf[:0]
-	for _, c := range s {
-		k := slices.IndexFunc(spans, func(sp span) bool { return sp.col == c.Col })
-		if k < 0 {
-			k = len(spans)
-			spans = append(spans, span{col: c.Col})
-		}
-		spans[k].n++
-	}
-	slices.SortFunc(spans, func(a, b span) int { return a.col - b.col })
-	size := 0
-	for k := range spans {
-		size += 2
-		if spans[k].n != rows {
-			size += spans[k].n
-		}
-	}
-	l.data = make([]int32, size)
-	at := 0
-	for k := range spans {
-		sp := &spans[k]
-		l.data[at] = int32(sp.col)
-		if sp.n == rows {
-			l.data[at+1] = whole
-			sp.at = -1
-			at += 2
-			continue
-		}
-		l.data[at+1] = int32(sp.n)
-		sp.at = at + 2
-		at += 2 + sp.n
-	}
-	for _, c := range s {
-		k := slices.IndexFunc(spans, func(sp span) bool { return sp.col == c.Col })
-		if sp := &spans[k]; sp.at >= 0 {
-			l.data[sp.at] = int32(c.Row)
-			sp.at++
+	l.data = make([]int32, 0, size)
+	for _, sp := range spans {
+		switch len(sp.Rows) {
+		case 0:
+		case rows:
+			l.data = append(l.data, int32(sp.Col), whole)
+		default:
+			l.data = append(l.data, int32(sp.Col), int32(len(sp.Rows)))
+			l.data = append(l.data, sp.Rows...)
 		}
 	}
 	return l
@@ -161,9 +150,8 @@ func (l Level) Len() int {
 	return n
 }
 
-// All walks the level's cells row-major, each once: the order of a
-// CellSet. It merges the columns' rows, so a step costs the number of
-// columns.
+// All walks the level's cells row-major, each once. It merges the
+// columns' rows, so a step costs the number of columns.
 func (l Level) All() iter.Seq[CellRef] {
 	return func(yield func(CellRef) bool) {
 		// cursor is one column's place in the walk: rows[at], or row at
@@ -213,7 +201,7 @@ func (l Level) All() iter.Seq[CellRef] {
 
 // MarshalJSON writes the level as the list of its cells, row-major,
 // each a {"row", "col"} object: the bytes encoding/json makes of the
-// same cells as a CellSet, and [] when the level is empty.
+// same cells as a []CellRef, and [] when the level is empty.
 func (l Level) MarshalJSON() ([]byte, error) {
 	b := []byte{'['}
 	for c := range l.All() {
@@ -235,6 +223,16 @@ func (l *Level) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &cells); err != nil {
 		return err
 	}
-	*l = LevelOf(DedupCells(cells), 0)
+	slices.SortFunc(cells, func(a, b CellRef) int { return cmp.Or(a.Col-b.Col, a.Row-b.Row) })
+	cells = slices.Compact(cells)
+	var spans []Span
+	for i, c := range cells {
+		if i == 0 || c.Col != cells[i-1].Col {
+			spans = append(spans, Span{Col: c.Col})
+		}
+		sp := &spans[len(spans)-1]
+		sp.Rows = append(sp.Rows, int32(c.Row))
+	}
+	*l = NewLevel(0, spans)
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,14 +21,6 @@ type CellRef struct {
 
 // String renders the reference as "(row,col)".
 func (c CellRef) String() string { return fmt.Sprintf("(%d,%d)", c.Row, c.Col) }
-
-// Less orders cell references row-major, for deterministic output.
-func (c CellRef) Less(o CellRef) bool {
-	if c.Row != o.Row {
-		return c.Row < o.Row
-	}
-	return c.Col < o.Col
-}
 
 // Table is a single web table: an ordered relation whose records carry a
 // unique Index (0,1,2,…) and an implicit Prev pointer to the record above
@@ -394,31 +385,6 @@ func (t *Table) DistinctColumnValues(col int) []Value {
 		out[g] = t.Value(int(kb.rows[kb.offsets[g]]), col)
 	}
 	return out
-}
-
-// SortCells orders a cell slice row-major in place and returns it.
-func SortCells(cells []CellRef) []CellRef {
-	slices.SortFunc(cells, compareCells)
-	return cells
-}
-
-func compareCells(a, b CellRef) int {
-	if a.Row != b.Row {
-		return a.Row - b.Row
-	}
-	return a.Col - b.Col
-}
-
-// DedupCells returns the distinct cells of the slice, sorted
-// row-major — the CellSet form, shared by the plan executor, the
-// provenance levels and the legacy interpreters. The input is sorted and
-// compacted in place (callers pass freshly built concatenations), so
-// the whole operation is map- and allocation-free.
-func DedupCells(cells []CellRef) []CellRef {
-	if len(cells) == 0 {
-		return cells
-	}
-	return slices.Compact(SortCells(cells))
 }
 
 // DedupValues keeps the first occurrence of each distinct value (by

@@ -126,65 +126,3 @@ func TestTableString(t *testing.T) {
 		t.Errorf("String() has %d lines, want 7", lines)
 	}
 }
-
-// cellSet brings refs, in any order and with repeats, into the
-// canonical form.
-func cellSet(refs ...CellRef) CellSet { return DedupCells(refs) }
-
-func TestCellSetOperations(t *testing.T) {
-	a := cellSet(CellRef{0, 0}, CellRef{1, 1})
-	b := cellSet(CellRef{2, 2}, CellRef{1, 1})
-	if !a.Contains(CellRef{0, 0}) || a.Contains(CellRef{2, 2}) {
-		t.Error("Contains broken")
-	}
-	u := CellSet(MergeSortedCells(nil, a, b))
-	if len(u) != 3 {
-		t.Errorf("union size = %d, want 3", len(u))
-	}
-	i := CellSet(IntersectSortedCells(nil, a, b))
-	if len(i) != 1 || !i.Contains(CellRef{1, 1}) {
-		t.Errorf("intersect = %v", i)
-	}
-	if !a.SubsetOf(u) || u.SubsetOf(a) {
-		t.Error("SubsetOf broken")
-	}
-	// The walks at their ends: the empty set inside every set.
-	var none CellSet
-	if !none.SubsetOf(a) || !none.SubsetOf(none) || a.SubsetOf(none) || !a.SubsetOf(a) {
-		t.Error("SubsetOf broken on the empty set")
-	}
-	if b.SubsetOf(a) || cellSet(CellRef{3, 0}).SubsetOf(u) {
-		t.Error("SubsetOf accepts a stranger")
-	}
-}
-
-// TestCellSetRows: row-major order puts a record's cells side by side,
-// so a set's records read off in one pass, ascending and distinct.
-func TestCellSetRows(t *testing.T) {
-	s := cellSet(CellRef{3, 0}, CellRef{1, 2}, CellRef{3, 1})
-	var rows []int
-	for _, c := range s {
-		if len(rows) == 0 || rows[len(rows)-1] != c.Row {
-			rows = append(rows, c.Row)
-		}
-	}
-	if len(rows) != 2 || rows[0] != 1 || rows[1] != 3 {
-		t.Errorf("Rows = %v, want [1 3]", rows)
-	}
-}
-
-func TestCellSetSortedDeterministic(t *testing.T) {
-	got := cellSet(CellRef{2, 1}, CellRef{0, 5}, CellRef{2, 0}, CellRef{0, 5})
-	want := []CellRef{{0, 5}, {2, 0}, {2, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("set = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("set = %v, want %v", got, want)
-		}
-	}
-	if got.String() != "{(0,5) (2,0) (2,1)}" {
-		t.Errorf("String = %q", got.String())
-	}
-}

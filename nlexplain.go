@@ -82,12 +82,11 @@ type (
 	Table = table.Table
 	// Value is a typed cell value (string, number or date).
 	Value = table.Value
-	// CellRef identifies one cell by (row, column).
+	// CellRef identifies one cell by (row, column). A provenance level
+	// holds its cells by column (table.Level), a column and the rows its
+	// cells lie on, and lists them as CellRefs only when walked or
+	// encoded.
 	CellRef = table.CellRef
-	// CellSet is a set of cells as a row-major sorted, duplicate-free
-	// slice: the form the executor computes witness cells in. The
-	// levels of a Provenance hold theirs by column (table.Level).
-	CellSet = table.CellSet
 )
 
 // Query-language types.
