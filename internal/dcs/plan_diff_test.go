@@ -577,6 +577,73 @@ func TestPlanDifferentialUnicodeFold(t *testing.T) {
 	}
 }
 
+// hostileSpellings are cell texts and literals whose canonical keys
+// (Value.Key) are easy to get wrong: ASCII case, the Unicode letters
+// whose lower case is not their fold ('ſ' keeps its key, the Kelvin
+// sign 'K' lowers to ASCII 'k'), numbers spelled with a separator, a
+// leading zero or a sign, NaN in two cases, a date, text past 64 bytes
+// in two cases, and the empty cell.
+var hostileSpellings = []string{
+	"Greece", "GREECE", "gReEcE",
+	"S", "s", "ſ",
+	"K", "k", "K",
+	"1,000", "1000",
+	"007", "7",
+	"-0", "0",
+	"NaN", "nan",
+	"2004-08-13", "August 13, 2004",
+	strings.Repeat("Long text ", 7), strings.Repeat("LONG TEXT ", 7),
+	"",
+}
+
+// TestPlanDifferentialHostileLiterals holds every join over a literal
+// to the reference on a column of hostileSpellings: each spelling as a
+// parsed literal and as text, alone and in a literal set, under count,
+// as most-frequent and comparing-values candidates, and a join over the
+// column's own values. Every query runs serial, forked and zone-forced,
+// traced and answer-only.
+func TestPlanDifferentialHostileLiterals(t *testing.T) {
+	t.Parallel()
+	rows := make([][]string, len(hostileSpellings))
+	for i, s := range hostileSpellings {
+		rows[i] = []string{strconv.Itoa(i), s, strconv.Itoa(i % 5)}
+	}
+	tab := table.MustNew("hostile", []string{"Label", "Mark", "N"}, rows)
+	var lits []Expr
+	for _, s := range hostileSpellings {
+		lits = append(lits, &ValueLit{V: table.ParseValue(s)}, &ValueLit{V: table.StringValue(s)})
+	}
+	cases := []Expr{
+		&Join{Column: "Mark", Arg: &ColumnValues{Column: "Mark", Records: &AllRecords{}}},
+		&MostFrequent{Column: "Mark"},
+	}
+	for i, lit := range lits {
+		pair := &Union{L: lit, R: lits[(i+3)%len(lits)]}
+		cases = append(cases,
+			&Join{Column: "Mark", Arg: lit},
+			&Join{Column: "Mark", Arg: pair},
+			&Aggregate{Fn: Count, Arg: &Join{Column: "Mark", Arg: lit}},
+			&MostFrequent{Vals: pair, Column: "Mark"},
+			&CompareValues{Max: i%2 == 0, Vals: pair, KeyCol: "N", ValCol: "Mark"},
+		)
+	}
+	for _, e := range cases {
+		want, werr := oracle.Execute(e, tab)
+		if werr != nil {
+			t.Fatalf("%s: reference fails: %v", e, werr)
+		}
+		for _, mode := range execModes {
+			got, gerr := executeOrdered(t, mode.x, e, tab)
+			fast, ferr := ExecuteIn(mode.x, e, tab, plan.Noop{})
+			if gerr != nil || ferr != nil {
+				t.Fatalf("%s (%s): traced=%v answer-only=%v", e, mode.name, gerr, ferr)
+			}
+			assertSameResult(t, want, got, true)
+			assertSameResult(t, want, fast, false)
+		}
+	}
+}
+
 // TestResultRowsDoNotAliasTableIndex guards against the executor
 // leaking the table's shared KB posting lists into caller-owned
 // results: mutating a Result must not corrupt later queries.

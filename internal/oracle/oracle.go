@@ -124,12 +124,27 @@ func execJoin(x *dcs.Join, t *table.Table) (*dcs.Result, error) {
 	recs := make(map[int]bool)
 	var cells []table.CellRef
 	for _, v := range arg.Values {
-		for _, r := range t.RecordsWhere(col, v) {
+		for _, r := range recordsWhere(t, col, v) {
 			recs[r] = true
 			cells = append(cells, table.CellRef{Row: r, Col: col})
 		}
 	}
 	return &dcs.Result{Type: dcs.RecordsType, Records: sortedRecords(recs), Cells: level(t, cells)}, nil
+}
+
+// recordsWhere returns, in table order, the records whose value in col
+// has v's canonical key (Value.Key): the join C.v. It reads every cell
+// instead of the table's key index, so the reference shares no lookup
+// code with the plan path it is held against.
+func recordsWhere(t *table.Table, col int, v table.Value) []int {
+	key := v.Key()
+	var out []int
+	for r := 0; r < t.NumRows(); r++ {
+		if t.Value(r, col).Key() == key {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func execColumnValues(x *dcs.ColumnValues, t *table.Table) (*dcs.Result, error) {
@@ -380,7 +395,7 @@ func execMostFrequent(x *dcs.MostFrequent, t *table.Table) (*dcs.Result, error) 
 	bestFirst := 0
 	var winner table.Value
 	for _, v := range candidates {
-		occ := t.RecordsWhere(col, v)
+		occ := recordsWhere(t, col, v)
 		if len(occ) == 0 {
 			continue
 		}
@@ -394,7 +409,7 @@ func execMostFrequent(x *dcs.MostFrequent, t *table.Table) (*dcs.Result, error) 
 		return &dcs.Result{Type: dcs.ValuesType}, nil
 	}
 	var cells []table.CellRef
-	for _, r := range t.RecordsWhere(col, winner) {
+	for _, r := range recordsWhere(t, col, winner) {
 		cells = append(cells, table.CellRef{Row: r, Col: col})
 	}
 	return &dcs.Result{Type: dcs.ValuesType, Values: []table.Value{winner}, Cells: level(t, cells)}, nil
@@ -416,7 +431,7 @@ func execCompareValues(x *dcs.CompareValues, t *table.Table) (*dcs.Result, error
 	}
 	var pool []rec
 	for _, v := range vals.Values {
-		for _, r := range t.RecordsWhere(valCol, v) {
+		for _, r := range recordsWhere(t, valCol, v) {
 			pool = append(pool, rec{row: r, key: t.Value(r, keyCol)})
 		}
 	}
