@@ -90,9 +90,6 @@ func compile(e Expr, t *table.Table) (plan.Node, Type, error) {
 		if err != nil {
 			return nil, RecordsType, err
 		}
-		if k, ok := arg.(*plan.Const); ok {
-			return &plan.IndexLookup{Col: c, Keys: k.Values}, RecordsType, nil
-		}
 		return &plan.Lookup{Col: c, Input: arg}, RecordsType, nil
 	case *ColumnValues:
 		c, err := column(e, x.Column, t)

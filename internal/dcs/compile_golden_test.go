@@ -194,7 +194,7 @@ func TestCheckErrorGolden(t *testing.T) {
 // queries, and every candidate semparse generates over the questions of
 // wikitables.DefaultOptions().
 func TestPlanShapeGolden(t *testing.T) {
-	const wantSHA = "6a227be2f5bcaf983a9be0cae8b8b2c35be8d62bdb390938592da1ecd094886d"
+	const wantSHA = "fb848b9c7d3b637cf8f29af24a933cd8a24638bb39cf63a85b4e0ecaeec85855"
 	sum := sha256.New()
 	counts := map[string]int{}
 	shape := func(set string, e Expr, tab *table.Table) {

@@ -762,12 +762,13 @@ func BenchmarkCompiledBigNe(b *testing.B) {
 	}
 }
 
-// TestPlanRewritesFixtureQueries sanity-checks that Compile folds a join
-// over literals into a KB index lookup: the running example's one key,
-// and both keys of a join over a union of two literals.
+// TestPlanRewritesFixtureQueries checks that Compile turns a join over
+// a literal set into a Lookup over the one Const the set compiled to:
+// the running example's one value, and both values of a join over a
+// union of two literals, folded into one Const.
 func TestPlanRewritesFixtureQueries(t *testing.T) {
 	tab := olympicsTable(t)
-	for src, keys := range map[string]int{
+	for src, values := range map[string]int{
 		"max(R[Year].Country.Greece)":     1,
 		"R[Year].City.(Athens or London)": 2,
 	} {
@@ -779,13 +780,10 @@ func TestPlanRewritesFixtureQueries(t *testing.T) {
 		lookups := 0
 		var walk func(plan.Node)
 		walk = func(n plan.Node) {
-			switch x := n.(type) {
-			case *plan.Lookup:
-				t.Errorf("%s: constant join argument was not folded into an index lookup:\n%s", src, rendered)
-			case *plan.IndexLookup:
+			if x, ok := n.(*plan.Lookup); ok {
 				lookups++
-				if len(x.Keys) != keys {
-					t.Errorf("%s: index lookup keys = %v, want %d literals", src, x.Keys, keys)
+				if k, ok := x.Input.(*plan.Const); !ok || len(k.Values) != values {
+					t.Errorf("%s: lookup input is not one Const of %d literals:\n%s", src, values, rendered)
 				}
 			}
 			for _, ch := range n.Children() {
@@ -794,7 +792,7 @@ func TestPlanRewritesFixtureQueries(t *testing.T) {
 		}
 		walk(c.Root)
 		if lookups != 1 {
-			t.Errorf("%s: compiled plan holds %d IndexLookups, want 1:\n%s", src, lookups, rendered)
+			t.Errorf("%s: compiled plan holds %d Lookups, want 1:\n%s", src, lookups, rendered)
 		}
 	}
 }

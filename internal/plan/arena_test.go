@@ -3,8 +3,6 @@ package plan
 import (
 	"slices"
 	"testing"
-
-	"nlexplain/internal/table"
 )
 
 // TestDetachedResultsAreIndependent scribbles all over a returned Val
@@ -13,8 +11,8 @@ import (
 func TestDetachedResultsAreIndependent(t *testing.T) {
 	tab := testTable(t)
 	n := &Union{
-		L: &IndexLookup{Col: 1, Keys: []table.Value{lit("Greece")}},
-		R: &IndexLookup{Col: 1, Keys: []table.Value{lit("China")}},
+		L: eq(1, lit("Greece")),
+		R: eq(1, lit("China")),
 	}
 	var first, second Val
 	err := RunIntoCtx(nil, nil, &first, n, tab, Capture{})

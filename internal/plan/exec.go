@@ -139,14 +139,12 @@ func (ex *executor) eval(n Node) (*val, error) {
 		v := ex.ar.val(RowsKind)
 		v.Rows = identity(ex.t.NumRows())
 		return v, nil
-	case *IndexLookup:
-		return ex.indexLookup(x.Col, x.canonicalKeys())
 	case *Lookup:
 		in, err := ex.run(x.Input)
 		if err != nil {
 			return nil, err
 		}
-		return ex.lookupValues(x.Col, in.Values)
+		return ex.lookup(x.Col, in.Values)
 	case *Compare:
 		return ex.compare(x)
 	case *Shift:
@@ -233,42 +231,21 @@ func (ex *executor) combine(a, b []table.Span, both bool) []table.Span {
 
 // ---- row operators ----
 
-// indexLookup answers a KB lookup on pre-canonicalized keys.
-func (ex *executor) indexLookup(col int, keys []string) (*val, error) {
+// lookup answers the join C.v from the table's KB index, one value
+// at a time.
+func (ex *executor) lookup(col int, vals []table.Value) (*val, error) {
 	t := ex.t
 	var rows []int32
-	if len(keys) == 1 {
+	if len(vals) == 1 {
 		// Posting lists are ascending and duplicate-free, and shared
 		// with the table's KB index. Sharing is safe: executors never
 		// mutate input row sets, and the boundary detach copies whatever
 		// escapes into caller-owned results.
-		rows = t.RowsForKey(col, keys[0])
-	} else {
-		set := ex.ar.rowSet(t.NumRows())
-		for _, k := range keys {
-			set.AddRows(t.RowsForKey(col, k))
-		}
-		rows = set.AppendRows(ex.ar.rows.get(set.Count()))
-	}
-	v := ex.ar.val(RowsKind)
-	v.Rows = rows
-	if ex.trace {
-		v.Cells = ex.span(rows, col)
-	}
-	return v, nil
-}
-
-// lookupValues is indexLookup over a computed value set (the dynamic
-// lambda DCS join); keys are canonicalized per execution.
-func (ex *executor) lookupValues(col int, vals []table.Value) (*val, error) {
-	t := ex.t
-	var rows []int32
-	if len(vals) == 1 {
-		rows = t.RowsForKey(col, vals[0].Key())
+		rows = t.RowsFor(col, vals[0])
 	} else {
 		set := ex.ar.rowSet(t.NumRows())
 		for _, v := range vals {
-			set.AddRows(t.RowsForKey(col, v.Key()))
+			set.AddRows(t.RowsFor(col, v))
 		}
 		rows = set.AppendRows(ex.ar.rows.get(set.Count()))
 	}
@@ -285,22 +262,19 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 	var rows []int32
 	var err error
 	switch x.Cmp {
-	case "=", "!=":
-		switch {
-		case !t.KeyEqualConsistent(x.Col, x.V):
+	case "!=":
+		if !t.KeyEqualConsistent(x.Col, x.V) {
 			// Key identity and Value.Equal disagree here (NaN literal,
 			// or Unicode case folds outside ASCII): scan with the
 			// interpreter's Equal semantics.
-			col, v, want := x.Col, x.V, x.Cmp == "="
-			rows, err = ex.scan(func(r int32) bool { return t.Value(int(r), col).Equal(v) == want }, nil)
-		case x.Cmp == "=":
-			rows = t.RowsForKey(x.Col, x.canonicalKey())
-		default:
+			col, v := x.Col, x.V
+			rows, err = ex.scan(func(r int32) bool { return !t.Value(int(r), col).Equal(v) }, nil)
+		} else {
 			// Entity inequality: complement of the KB posting list, walked
 			// with two pointers so no per-row string comparison happens.
 			rows, err = ex.filterRows(rowFilter{
 				rows:   identity(t.NumRows()),
-				except: t.RowsForKey(x.Col, x.canonicalKey()),
+				except: t.RowsFor(x.Col, x.V),
 			})
 		}
 	case "<", "<=", ">", ">=":
@@ -678,7 +652,7 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 	bestFirst := int32(0)
 	var winner table.Value
 	for _, v := range candidates {
-		occ := t.RowsForKey(x.Col, v.Key())
+		occ := t.RowsFor(x.Col, v)
 		if len(occ) == 0 {
 			continue
 		}
@@ -694,7 +668,7 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 	v := ex.ar.val(ValuesKind)
 	v.Values = append(ex.ar.vals.get(1), winner)
 	if ex.trace {
-		v.Cells = ex.span(t.RowsForKey(x.Col, winner.Key()), x.Col)
+		v.Cells = ex.span(t.RowsFor(x.Col, winner), x.Col)
 	}
 	return v, nil
 }
@@ -712,7 +686,7 @@ func (ex *executor) compareVals(x *CompareVals) (*val, error) {
 	// the size it will hold.
 	wins, total := ex.ar.wins.get(len(in.Values)), 0
 	for _, v := range in.Values {
-		w := t.RowsForKey(x.ValCol, v.Key())
+		w := t.RowsFor(x.ValCol, v)
 		wins = append(wins, w)
 		total += len(w)
 	}

@@ -52,7 +52,7 @@ func parallel() *Exec { return &Exec{Workers: 8, ForkAt: 1024} }
 func bigTestPlans() map[string]Node {
 	return map[string]Node{
 		"compare_ne_entity":  &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("Greece")},
-		"compare_eq_fold":    &Compare{Col: 0, Cmp: "=", V: table.ParseValue("greece")},
+		"compare_eq_fold":    eq(0, table.ParseValue("greece")),
 		"compare_range_text": &Compare{Col: 3, Cmp: ">", V: table.ParseValue("500")},
 		// A range and an entity inequality, conjoined as lambda DCS
 		// conjoins them.
@@ -152,13 +152,13 @@ func TestBigTableKeyCodesGroupSpellings(t *testing.T) {
 	plans := map[string]Node{
 		"project":      &ProjectCol{Col: 0, Input: &Scan{}},
 		"project_wide": &ProjectCol{Col: 1, Input: &Scan{}},
-		"filter_eq":    &Compare{Col: 0, Cmp: "=", V: table.ParseValue("FIJI")},
+		"filter_eq":    eq(0, table.ParseValue("FIJI")),
 		"filter_ne":    &Compare{Col: 0, Cmp: "!=", V: table.ParseValue("fiji")},
-		"filter_none":  &Compare{Col: 0, Cmp: "=", V: table.ParseValue("Samoa")},
+		"filter_none":  eq(0, table.ParseValue("Samoa")),
 	}
 	for _, nation := range nations {
 		plans["count_"+nation] = &Aggregate{Fn: "count",
-			Input: &Compare{Col: 0, Cmp: "=", V: table.ParseValue(strings.ToUpper(nation))}}
+			Input: eq(0, table.ParseValue(strings.ToUpper(nation)))}
 	}
 	results := map[string]*Val{}
 	for name, plan := range plans {

@@ -24,7 +24,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"nlexplain/internal/table"
 )
@@ -80,44 +79,10 @@ func (*Scan) Op() string { return "Scan" }
 // Children is empty.
 func (*Scan) Children() []Node { return nil }
 
-// IndexLookup denotes the records whose value in Col equals any of the
-// literal Keys, answered directly from the table's KB index.
-type IndexLookup struct {
-	Col  int
-	Keys []table.Value
-
-	// keys caches the canonical map keys (Value.Key) of Keys across
-	// executions, built on first use — cached plans re-execute without
-	// re-lowering each literal. Publication is atomic; racing builders
-	// produce identical slices.
-	keys atomic.Pointer[[]string]
-}
-
-// canonicalKeys returns the memoized Value.Key of every literal.
-func (n *IndexLookup) canonicalKeys() []string {
-	if p := n.keys.Load(); p != nil {
-		return *p
-	}
-	ks := make([]string, len(n.Keys))
-	for i, v := range n.Keys {
-		ks[i] = v.Key()
-	}
-	n.keys.Store(&ks)
-	return ks
-}
-
-// Kind of an index lookup is rows.
-func (*IndexLookup) Kind() Kind { return RowsKind }
-
-// Op names the operator.
-func (*IndexLookup) Op() string { return "IndexLookup" }
-
-// Children is empty: the keys are constants.
-func (*IndexLookup) Children() []Node { return nil }
-
 // Lookup denotes the records whose value in Col is a member of the
-// value set denoted by Input (the lambda DCS join C.v with a computed
-// argument). A join over constants is built as an IndexLookup instead.
+// value set denoted by Input — the lambda DCS join C.v, over a Const
+// when its argument is a literal set — answered from the table's KB
+// index one value at a time (table.RowsFor).
 type Lookup struct {
 	Col   int
 	Input Node // ValuesKind
@@ -136,24 +101,11 @@ func (l *Lookup) Children() []Node { return []Node{l.Input} }
 // the literal V, over the whole table — the comparative of the paper.
 // Range operators (<, <=, >, >=) apply only between numeric values and
 // are answered from the lazily built sorted numeric index in O(log n);
-// "!=" is entity inequality and "=" entity equality.
+// "!=" is entity inequality. Entity equality is a Lookup over a Const.
 type Compare struct {
 	Col int
-	Cmp string // < <= > >= != =
+	Cmp string // < <= > >= !=
 	V   table.Value
-
-	// key caches V.Key() across executions of a cached plan.
-	key atomic.Pointer[string]
-}
-
-// canonicalKey returns the memoized V.Key().
-func (n *Compare) canonicalKey() string {
-	if p := n.key.Load(); p != nil {
-		return *p
-	}
-	k := n.V.Key()
-	n.key.Store(&k)
-	return k
 }
 
 // Kind of a comparison is rows.
@@ -392,12 +344,6 @@ func formatNode(b *strings.Builder, n Node, depth int) {
 
 func describe(n Node) string {
 	switch x := n.(type) {
-	case *IndexLookup:
-		keys := make([]string, len(x.Keys))
-		for i, v := range x.Keys {
-			keys[i] = v.String()
-		}
-		return fmt.Sprintf("IndexLookup(col=%d, keys=[%s])", x.Col, strings.Join(keys, ", "))
 	case *Lookup:
 		return fmt.Sprintf("Lookup(col=%d)", x.Col)
 	case *Compare:

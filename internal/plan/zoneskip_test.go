@@ -67,11 +67,11 @@ func zoneTestPlans() map[string]Node {
 		// not(SeqNaN < 100000): the complement of a range is a range,
 		// the NaN cell included (it compares equal to everything).
 		"not_range":  &Compare{Col: 3, Cmp: ">=", V: num(100_000)},
-		"eq_band":    &Compare{Col: 1, Cmp: "=", V: table.ParseValue("band1")},
+		"eq_band":    eq(1, table.ParseValue("band1")),
 		"ne_band":    &Compare{Col: 1, Cmp: "!=", V: table.ParseValue("band0")},
-		"eq_missing": &Compare{Col: 1, Cmp: "=", V: table.ParseValue("nowhere")},
+		"eq_missing": eq(1, table.ParseValue("nowhere")),
 		"or_bands": &Union{
-			L: &Compare{Col: 1, Cmp: "=", V: table.ParseValue("band0")},
+			L: eq(1, table.ParseValue("band0")),
 			R: &Compare{Col: 0, Cmp: ">=", V: num(110_000)},
 		},
 		"mixed_range": &Intersect{

@@ -131,16 +131,16 @@ func assertSameRelation(t *testing.T, label string, got, want *table.Table) {
 			if !sameCellValue(got.Value(r, c), v) {
 				t.Fatalf("%s: Value(%d,%d) = %#v, want %#v", label, r, c, got.Value(r, c), v)
 			}
-			g, w := got.RowsForKey(c, v.Key()), want.RowsForKey(c, v.Key())
+			g, w := got.RowsFor(c, v), want.RowsFor(c, v)
 			if !slices.Equal(g, w) || !slices.Contains(g, int32(r)) {
-				t.Fatalf("%s: RowsForKey(%d, %q) = %v, want %v holding %d", label, c, v.Key(), g, w, r)
+				t.Fatalf("%s: RowsFor(%d, %v) = %v, want %v holding %d", label, c, v, g, w, r)
 			}
 			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
 				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)
 			}
 		}
-		if g := got.RowsForKey(c, absent.Key()); len(g) != 0 {
-			t.Fatalf("%s: RowsForKey of an absent key = %v", label, g)
+		if g := got.RowsFor(c, absent); len(g) != 0 {
+			t.Fatalf("%s: RowsFor of an absent value = %v", label, g)
 		}
 		if got.KeyEqualConsistent(c, absent) != want.KeyEqualConsistent(c, absent) {
 			t.Fatalf("%s: KeyEqualConsistent(%d, absent) diverges", label, c)
@@ -538,8 +538,8 @@ func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
 			t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", label, c, g, distinct)
 		}
 		for _, v := range distinct {
-			if g, w := got.RowsForKey(c, v.Key()), want.RowsForKey(c, v.Key()); !slices.Equal(g, w) {
-				t.Fatalf("%s: RowsForKey(%d, %q) diverges", label, c, v.Key())
+			if g, w := got.RowsFor(c, v), want.RowsFor(c, v); !slices.Equal(g, w) {
+				t.Fatalf("%s: RowsFor(%d, %v) diverges", label, c, v)
 			}
 			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
 				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)

@@ -168,8 +168,8 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 			if got.CellKind(r, c) != want.CellKind(r, c) {
 				t.Fatalf("%s: CellKind(%d,%d) = %v, want %v", label, r, c, got.CellKind(r, c), want.CellKind(r, c))
 			}
-			if g, w := got.RecordsWhere(c, v), want.RecordsWhere(c, v); !slices.Equal(g, w) || !slices.Contains(g, r) {
-				t.Fatalf("%s: RecordsWhere(%d, %v) = %v, want %v containing %d", label, c, v, g, w, r)
+			if g, w := got.RowsFor(c, v), want.RowsFor(c, v); !slices.Equal(g, w) || !slices.Contains(g, int32(r)) {
+				t.Fatalf("%s: RowsFor(%d, %v) = %v, want %v containing %d", label, c, v, g, w, r)
 			}
 			if got.KeyEqualConsistent(c, v) != want.KeyEqualConsistent(c, v) {
 				t.Fatalf("%s: KeyEqualConsistent(%d, %v) diverges", label, c, v)
@@ -185,16 +185,8 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 			t.Fatalf("%s: column %d flags: allNumeric %v/%v indexable %v/%v", label, c,
 				got.ColumnAllNumeric(c), want.ColumnAllNumeric(c), got.ColumnIndexable(c), want.ColumnIndexable(c))
 		}
-		for _, k := range columnKeys(want, c) {
-			if g, w := got.RowsForKey(c, k), want.RowsForKey(c, k); !slices.Equal(g, w) || len(g) == 0 {
-				t.Fatalf("%s: RowsForKey(%d, %q) = %v, want %v", label, c, k, g, w)
-			}
-		}
-		if g := got.RowsForKey(c, missing.Key()); len(g) != 0 {
-			t.Fatalf("%s: RowsForKey of a missing key = %v", label, g)
-		}
-		if g := got.RecordsWhere(c, missing); len(g) != 0 {
-			t.Fatalf("%s: RecordsWhere of a missing value = %v", label, g)
+		if g := got.RowsFor(c, missing); len(g) != 0 {
+			t.Fatalf("%s: RowsFor of a missing value = %v", label, g)
 		}
 		if g, w := got.DistinctColumnValues(c), want.DistinctColumnValues(c); !slices.EqualFunc(g, w, sameValue) {
 			t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", label, c, g, w)

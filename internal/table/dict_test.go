@@ -64,8 +64,8 @@ func TestColumnLayoutFollowsSpellings(t *testing.T) {
 	if variants.dict.Len() != 4 || variants.keys.Len() != 2 {
 		t.Errorf("column with spelling variants: %d spellings in %d groups, want 4 in 2", variants.dict.Len(), variants.keys.Len())
 	}
-	if rows := tab.RowsForKey(2, "athens"); len(rows) != 3 {
-		t.Errorf("RowsForKey(athens) = %v, want the three spellings' rows", rows)
+	if rows := tab.RowsFor(2, StringValue("athens")); len(rows) != 3 {
+		t.Errorf("RowsFor(athens) = %v, want the three spellings' rows", rows)
 	}
 	if got := dictEntries(tab); got != 3+(3+3)+(4+2) {
 		t.Errorf("%d dictionary entries, want 15", got)

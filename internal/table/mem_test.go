@@ -78,8 +78,8 @@ func TestAppendCopyOnWrite(t *testing.T) {
 	}
 	// Derived structures are rebuilt for the full relation.
 	col, _ := grown.ColumnIndex("Nation")
-	if rows := grown.RecordsWhere(col, StringValue("China")); len(rows) != 1 || rows[0] != 2 {
-		t.Fatalf("RecordsWhere(China) = %v", rows)
+	if rows := grown.RowsFor(col, StringValue("China")); len(rows) != 1 || rows[0] != 2 {
+		t.Fatalf("RowsFor(China) = %v", rows)
 	}
 	yearCol, _ := grown.ColumnIndex("Year")
 	if rows := grown.NumericSortedRows(yearCol); len(rows) != 3 || rows[2] != 2 {

@@ -350,25 +350,16 @@ func (t *Table) Records() []int {
 	return out
 }
 
-// RecordsWhere returns, in table order, the record indices where column
-// col holds a value equal to v — the binary-relation lookup C.v of the KB
-// view (e.g. Country.Greece).
-func (t *Table) RecordsWhere(col int, v Value) []int {
-	rows := t.RowsForKey(col, v.Key())
-	out := make([]int, len(rows))
-	for i, r := range rows {
-		out[i] = int(r)
-	}
-	return out
-}
-
-// RowsForKey returns the KB posting list of a canonical key (Value.Key)
-// in column col, in record order. Unlike RecordsWhere it does not copy:
-// the slice is a window of the column's postings and must not be
-// modified.
-func (t *Table) RowsForKey(col int, key string) []int32 {
+// RowsFor returns the records whose value in column col shares v's
+// canonical key (Value.Key) — the binary-relation lookup C.v of the KB
+// view (e.g. Country.Greece) — in record order. The key is rendered on
+// the stack and probed in the column's key index; the slice is a window
+// of the column's postings, not a copy, and must not be modified.
+func (t *Table) RowsFor(col int, v Value) []int32 {
 	cd := &t.cols[col]
-	g, ok := cd.group(key)
+	var buf [64]byte
+	key := appendKey(buf[:0], v)
+	g, ok := findText(&cd.keyIx, cd.keys.text, cd.keys.ends, key, hashText(key))
 	if !ok {
 		return nil
 	}

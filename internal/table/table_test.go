@@ -57,28 +57,32 @@ func TestColumnIndexCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestRecordsWhere(t *testing.T) {
+func TestRowsFor(t *testing.T) {
 	tab := olympics(t)
 	country, _ := tab.ColumnIndex("Country")
-	got := tab.RecordsWhere(country, StringValue("Greece"))
+	got := tab.RowsFor(country, StringValue("Greece"))
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("RecordsWhere(Country, Greece) = %v, want [0 2]", got)
+		t.Errorf("RowsFor(Country, Greece) = %v, want [0 2]", got)
 	}
-	if got := tab.RecordsWhere(country, StringValue("Atlantis")); len(got) != 0 {
-		t.Errorf("RecordsWhere of absent value = %v, want empty", got)
+	if got := tab.RowsFor(country, StringValue("Atlantis")); len(got) != 0 {
+		t.Errorf("RowsFor of absent value = %v, want empty", got)
 	}
 	// KB lookup must be case-insensitive like entity matching.
-	if got := tab.RecordsWhere(country, StringValue("greece")); len(got) != 2 {
+	if got := tab.RowsFor(country, StringValue("greece")); len(got) != 2 {
 		t.Errorf("case-insensitive lookup failed: %v", got)
 	}
 }
 
-func TestRecordsWhereNumeric(t *testing.T) {
+func TestRowsForNumeric(t *testing.T) {
 	tab := olympics(t)
 	year, _ := tab.ColumnIndex("Year")
-	got := tab.RecordsWhere(year, NumberValue(2004))
+	got := tab.RowsFor(year, NumberValue(2004))
 	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("RecordsWhere(Year, 2004) = %v, want [2]", got)
+		t.Errorf("RowsFor(Year, 2004) = %v, want [2]", got)
+	}
+	// A text literal spelling the number is the same entity.
+	if got := tab.RowsFor(year, StringValue("2004")); len(got) != 1 || got[0] != 2 {
+		t.Errorf("RowsFor(Year, \"2004\") = %v, want [2]", got)
 	}
 }
 

@@ -63,7 +63,7 @@ func anyValue(rng *rand.Rand, t *table.Table, col int) (table.Value, bool) {
 func uniqueValue(rng *rand.Rand, t *table.Table, col int) (table.Value, bool) {
 	var singles []table.Value
 	for _, v := range t.DistinctColumnValues(col) {
-		if len(t.RecordsWhere(col, v)) == 1 {
+		if len(t.RowsFor(col, v)) == 1 {
 			singles = append(singles, v)
 		}
 	}
