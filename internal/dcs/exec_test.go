@@ -1,8 +1,11 @@
 package dcs_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	. "nlexplain/internal/dcs"
 	"nlexplain/internal/table"
@@ -308,5 +311,54 @@ func TestResultString(t *testing.T) {
 	r = mustExec(t, olympicsTable(t), "Country.Greece")
 	if r.String() != "records[0 2]" {
 		t.Errorf("String = %q", r.String())
+	}
+}
+
+// TestResultStringMatchesFormat holds the appended rendering to the
+// one fmt and Value.String give, byte for byte: records (none, one,
+// many), value sets of every kind (fractions, NaN, ±Inf, -0, large
+// numbers, dates, one past year 9999, text past the scratch array, the empty string) and
+// scalars.
+func TestResultStringMatchesFormat(t *testing.T) {
+	vals := []table.Value{
+		table.NumberValue(0), table.NumberValue(-7), table.NumberValue(1e15), table.NumberValue(-1e15 + 1),
+		table.NumberValue(0.1), table.NumberValue(-2.5e-300), table.NumberValue(math.Copysign(0, -1)),
+		table.NumberValue(math.NaN()), table.NumberValue(math.Inf(1)), table.NumberValue(math.Inf(-1)),
+		table.ParseValue("2004-08-13"), {Kind: table.Date, Time: time.Date(12345, 1, 2, 0, 0, 0, 0, time.UTC)},
+		table.StringValue("Greece"), table.StringValue(strings.Repeat("ſtraße ", 10)), table.StringValue(""),
+	}
+	want := func(r *Result) string {
+		if r.Type == RecordsType {
+			return fmt.Sprintf("records%v", r.Records)
+		}
+		if r.Type == ScalarType {
+			if len(r.Values) == 0 {
+				return "scalar{}"
+			}
+			return r.Values[0].String()
+		}
+		parts := make([]string, len(r.Values))
+		for i, v := range r.Values {
+			parts[i] = v.String()
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	}
+	results := []*Result{
+		{Type: RecordsType},
+		{Type: RecordsType, Records: []int{0}},
+		{Type: RecordsType, Records: []int{0, 9, 10, 99, 100, 131071}},
+		{Type: ValuesType},
+		{Type: ValuesType, Values: vals},
+		{Type: ScalarType},
+	}
+	for i := range vals {
+		results = append(results,
+			&Result{Type: ValuesType, Values: vals[i : i+1]},
+			&Result{Type: ScalarType, Values: vals[i : i+1]})
+	}
+	for _, r := range results {
+		if got, w := r.String(), want(r); got != w {
+			t.Errorf("String = %q, want %q", got, w)
+		}
 	}
 }

@@ -197,16 +197,18 @@ func TestExplainMissBigTable(t *testing.T) {
 		query           string
 		explain, answer bound
 	}{
-		// measured 77 / 1 052 960 and 27 / 1 912; 88 / 16 760 444 and
-		// 27 / 1 896 with the witness cells listed cell by cell on their
-		// way from the executor to the levels
-		{"count(Tick>=1000)", bound{85, 1_160_000}, bound{30, 2_110}},
-		// measured 120 / 11 888 and 45 / 2 952; 126 / 4 408 568 and
-		// 46 / 3 384
-		{"count((Tick>=10000 u Tick<11311))", bound{132, 13_080}, bound{51, 3_730}},
-		// measured 130 191 / 14 875 052 and 130 144 / 13 299 640;
-		// 130 196 / 30 579 484
-		{"R[Seq].Tick>=1000", bound{143_220, 16_370_000}, bound{143_160, 14_630_000}},
+		// measured 77 / 1 052 952 and 27 / 1 896; 77 / 1 052 960 and
+		// 27 / 1 912 while plan.Compare held a key memo; 88 /
+		// 16 760 444 and 27 / 1 896 with the witness cells listed cell by
+		// cell on their way from the executor to the levels
+		{"count(Tick>=1000)", bound{85, 1_158_250}, bound{30, 2_090}},
+		// measured 120 / 11 632 and 45 / 2 920; 120 / 11 888 and 45 /
+		// 2 952 with the memo; 126 / 4 408 568 and 46 / 3 384
+		{"count((Tick>=10000 u Tick<11311))", bound{132, 12_800}, bound{50, 3_220}},
+		// measured 84 / 9 802 336 and 40 / 8 227 400; 130 191 /
+		// 14 875 052 and 130 144 / 13 299 640 while Result.String made a
+		// string of every value; 130 196 / 30 579 484
+		{"R[Seq].Tick>=1000", bound{93, 10_782_570}, bound{44, 9_050_140}},
 	}
 	e := New(Options{CacheSize: 1, Workers: 1})
 	tab := bigFixture()

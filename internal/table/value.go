@@ -139,6 +139,18 @@ func (v Value) String() string {
 	}
 }
 
+// AppendTo appends v's String rendering to dst.
+func (v Value) AppendTo(dst []byte) []byte {
+	switch v.Kind {
+	case Number:
+		return appendNumber(dst, v.Num)
+	case Date:
+		return v.Time.AppendFormat(dst, "2006-01-02")
+	default:
+		return append(dst, v.Str...)
+	}
+}
+
 // Equal reports deep value equality. String comparison is case-insensitive,
 // matching the entity-matching convention of NL interfaces over web tables.
 func (v Value) Equal(o Value) bool {
