@@ -109,7 +109,7 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	const bound = 1_685 // measured 1 465, + 15 %; 1 553 while every executed candidate's Compiled went to the heap (and no preview was rendered), 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
+	const bound = 1_367 // measured 1 242, + 10 %; 1 465 while a join over literals lowered each into a key string and the plan memoized them; 1 553 while every executed candidate's Compiled went to the heap (and no preview was rendered), 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	publishAll(t, e, corpus) // warm the executor's pools and the tables' lazy indexes
@@ -133,10 +133,10 @@ func TestExplainMissAllocs(t *testing.T) {
 		t.Skip("allocation counts under the race detector")
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
-		"lookup":      {95, 5_200},  // measured 86 / 4 725; 89 / 5 320 with the witness cells listed cell by cell between executor and level; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
-		"comparative": {110, 6_440}, // measured 100 / 5 850; 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
-		"superlative": {106, 6_930}, // measured 96 / 6 298; 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
-		"aggregate":   {111, 6_780}, // measured 101 / 6 155; 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
+		"lookup":      {83, 5_011},  // measured 75 / 4 555; 86 / 4 725 with key strings in the plan and Result.String making a string per value; 89 / 5 320 with the witness cells listed cell by cell between executor and level; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
+		"comparative": {88, 6_175},  // measured 80 / 5 613; 100 / 5 850; 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {103, 6_886}, // measured 93 / 6 260; 96 / 6 298; 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"aggregate":   {107, 6_669}, // measured 97 / 6 062; 101 / 6 155; 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
 	// it, so each call of a pass over the family misses.
