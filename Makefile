@@ -46,7 +46,11 @@ parse-footprint:
 # DCS alone. SERVER_NEVER are the packages wtq-server must not link:
 # the library facade (the root package), whose names alias
 # internal/engine's, and the SQL interpreter (internal/minisql), which
-# only checks what the server shows as text (internal/sqlast).
+# only checks what the server shows as text (internal/sqlast). The
+# plan core looks values up as values: table.RowsFor renders a canonical
+# key on the stack, so vet fails when non-test internal/plan code calls
+# .Key(), which builds a key string per lookup (the waste the plan once
+# hid behind memos in its nodes).
 TEST_ONLY = internal/oracle internal/qrand internal/fault
 SERVER_NEVER = nlexplain nlexplain/internal/minisql
 
@@ -59,6 +63,7 @@ vet:
 		if $(GO) list -deps ./cmd/wtq-server | grep -x $$p; then echo "wtq-server links $$p, which it never calls"; exit 1; fi; \
 	done
 	@if $(GO) list -deps ./internal/minisql | grep -x nlexplain/internal/plan; then echo "internal/minisql links the plan core"; exit 1; fi
+	@if grep -n '\.Key()' $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/plan); then echo "internal/plan builds key strings; look values up with table.RowsFor"; exit 1; fi
 
 # fmt fails when any file needs reformatting (including -s
 # simplifications), listing the offenders.
