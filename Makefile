@@ -196,7 +196,8 @@ fuzz-plan:
 # cannot be either, and must still type every input exactly as the
 # reference that tries them all (CSV / JSON ingest); and a one-cell
 # column built from the input, which reads plain integers without
-# ParseValue, must read back ParseValue's value and key.
+# ParseValue, must read back ParseValue's value and key, and RowsFor
+# must find its one cell for exactly the values sharing that key.
 fuzz-table:
 	$(GO) test -run '^$$' -fuzz FuzzParseValue -fuzztime 30s ./internal/table/
 

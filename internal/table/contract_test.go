@@ -287,7 +287,9 @@ func FuzzParseValue(f *testing.F) {
 // checkIngest builds a one-cell column from raw, from a string and
 // from bytes, and holds what it stores to ParseValue: the cell's value
 // (kind, number, date), its numeric vector entry and its canonical
-// key.
+// key. RowsFor must find the cell for ParseValue's value, for the value
+// and the text its key reads back as, and for raw upper-cased in ASCII,
+// each exactly when that value's Value.Key is the cell's.
 func checkIngest(t *testing.T, raw string) {
 	t.Helper()
 	want := ParseValue(raw)
@@ -320,6 +322,21 @@ func checkIngest(t *testing.T, raw string) {
 		}
 		if got := columnKeys(tab, 0)[0]; got != want.Key() {
 			t.Fatalf("cell %q: key %q, Value.Key %q", raw, got, want.Key())
+		}
+		upper := []byte(raw)
+		for i, c := range upper {
+			if c >= 'a' && c <= 'z' {
+				upper[i] = c - 'a' + 'A'
+			}
+		}
+		for _, v := range []Value{want, ParseValue(want.Key()), StringValue(want.Key()), ParseValue(string(upper))} {
+			var hit []int32
+			if v.Key() == want.Key() {
+				hit = []int32{0}
+			}
+			if rows := tab.RowsFor(0, v); !slices.Equal(rows, hit) {
+				t.Fatalf("cell %q: RowsFor(%#v) = %v, keys %q and %q", raw, v, rows, v.Key(), want.Key())
+			}
 		}
 	}
 }
