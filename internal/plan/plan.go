@@ -2,7 +2,9 @@
 // (internal/dcs) compile into: a small operator IR, built and folded in
 // dcs's one compile walk and executed by one vectorized executor
 // (internal/plan/exec.go) walking the typed column vectors of
-// internal/table instead of boxed [][]Value rows. Mini-SQL
+// internal/table instead of boxed [][]Value rows. Nodes hold values,
+// never canonical key strings: a join (Lookup, over a Const for a
+// literal set) finds each value's records through table.RowsFor. Mini-SQL
 // (internal/minisql) does not run here; its interpreter is its only
 // executor.
 //

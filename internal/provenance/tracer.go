@@ -17,8 +17,8 @@ var _ plan.Tracer = (*CellTracer)(nil)
 
 // CellTracer accumulates every operator's PO witness cells during one
 // plan execution. Because plan operators correspond one-to-one to
-// query sub-expressions (and the only folds Compile applies, joins and
-// unions over literal sets, preserve PO), their union equals PE(Q,T) —
+// query sub-expressions (and the only fold Compile applies, a union of
+// literal sets into one Const, preserves PO), their union equals PE(Q,T) —
 // the union of PO over QSUB (Equation 2) — without re-executing each
 // sub-query. It holds the union by column, each column's rows in one
 // bitmap, and Level brings it into a table.Level once.
