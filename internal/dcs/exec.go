@@ -66,10 +66,15 @@ func (r *Result) AnswerKey() string {
 // the scalar. Ids and values are appended into one buffer, sized before
 // the first is written, through a scratch array on the stack.
 func (r *Result) String() string {
+	if r.Type == ScalarType {
+		if len(r.Values) == 0 {
+			return "scalar{}"
+		}
+		return r.Values[0].String()
+	}
 	var b strings.Builder
 	var scratch [32]byte
-	switch r.Type {
-	case RecordsType:
+	if r.Type == RecordsType {
 		if n := len(r.Records); n > 0 {
 			// The records ascend: none is longer than the last.
 			b.Grow(len("records[]") + n*(len(strconv.AppendInt(scratch[:0], int64(r.Records[n-1]), 10))+1))
@@ -82,36 +87,31 @@ func (r *Result) String() string {
 			b.Write(strconv.AppendInt(scratch[:0], int64(rec), 10))
 		}
 		b.WriteByte(']')
-	case ScalarType:
-		if len(r.Values) == 0 {
-			return "scalar{}"
-		}
-		return r.Values[0].String()
-	default:
-		// Text is written as it is; numbers and dates are rendered on the
-		// stack, once to size the buffer and once into it.
-		n := len("{}")
-		for _, v := range r.Values {
-			if v.Kind == table.String {
-				n += len(v.Str) + len(", ")
-			} else {
-				n += len(v.AppendTo(scratch[:0])) + len(", ")
-			}
-		}
-		b.Grow(n)
-		b.WriteByte('{')
-		for i, v := range r.Values {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			if v.Kind == table.String {
-				b.WriteString(v.Str)
-			} else {
-				b.Write(v.AppendTo(scratch[:0]))
-			}
-		}
-		b.WriteByte('}')
+		return b.String()
 	}
+	// Text is written as it is; numbers and dates are rendered on the
+	// stack, once to size the buffer and once into it.
+	n := len("{}")
+	for _, v := range r.Values {
+		if v.Kind == table.String {
+			n += len(v.Str) + len(", ")
+		} else {
+			n += len(v.AppendTo(scratch[:0])) + len(", ")
+		}
+	}
+	b.Grow(n)
+	b.WriteByte('{')
+	for i, v := range r.Values {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if v.Kind == table.String {
+			b.WriteString(v.Str)
+		} else {
+			b.Write(v.AppendTo(scratch[:0]))
+		}
+	}
+	b.WriteByte('}')
 	return b.String()
 }
 

@@ -109,7 +109,7 @@ func TestParseAllocsPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	const bound = 1_367 // measured 1 242, + 10 %; 1 465 while a join over literals lowered each into a key string and the plan memoized them; 1 553 while every executed candidate's Compiled went to the heap (and no preview was rendered), 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
+	const bound = 1_356 // measured 1 232, + 10 %; 1 465 while a join over literals lowered each into a key string and the plan memoized them; 1 553 while every executed candidate's Compiled went to the heap (and no preview was rendered), 1 958 while Compile walked each query three times (Check, Lower, then the rewriter's fixpoint), 2 204 while candidate generation checked each query and Compile checked it again, 2 883 while ColumnIndex folded every header it was asked for, 10 668 with feature maps and a walk of every candidate's whole tree
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	publishAll(t, e, corpus) // warm the executor's pools and the tables' lazy indexes
@@ -134,8 +134,8 @@ func TestExplainMissAllocs(t *testing.T) {
 	}
 	bounds := map[string]struct{ allocs, bytes float64 }{
 		"lookup":      {83, 5_011},  // measured 75 / 4 555; 86 / 4 725 with key strings in the plan and Result.String making a string per value; 89 / 5 320 with the witness cells listed cell by cell between executor and level; 89 / 12 144 with PC listed cell by cell; 93 / 12 232 with three walks per compile; 94 / 12 376 with a goroutine per miss; 197 / 84 280 with the levels as hash maps
-		"comparative": {88, 6_175},  // measured 80 / 5 613; 100 / 5 850; 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
-		"superlative": {103, 6_886}, // measured 93 / 6 260; 96 / 6 298; 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
+		"comparative": {88, 6_178},  // measured 80 / 5 616; 100 / 5 850; 104 / 8 782; 104 / 15 971; 107 / 16 043; 108 / 16 187; 231 / 103 288
+		"superlative": {103, 6_882}, // measured 93 / 6 256; 96 / 6 298; 100 / 8 002; 100 / 15 106; 103 / 15 222; 104 / 15 366; 214 / 91 000
 		"aggregate":   {107, 6_669}, // measured 97 / 6 062; 101 / 6 155; 105 / 10 608; 106 / 16 190; 112 / 16 352; 113 / 16 445; 230 / 78 784
 	}
 	// One cache entry: every query of a family evicts the one before
@@ -197,18 +197,18 @@ func TestExplainMissBigTable(t *testing.T) {
 		query           string
 		explain, answer bound
 	}{
-		// measured 77 / 1 052 952 and 27 / 1 896; 77 / 1 052 960 and
+		// measured 76 / 1 052 944 and 27 / 1 896; 77 / 1 052 960 and
 		// 27 / 1 912 while plan.Compare held a key memo; 88 /
 		// 16 760 444 and 27 / 1 896 with the witness cells listed cell by
 		// cell on their way from the executor to the levels
-		{"count(Tick>=1000)", bound{85, 1_158_250}, bound{30, 2_090}},
-		// measured 120 / 11 632 and 45 / 2 920; 120 / 11 888 and 45 /
+		{"count(Tick>=1000)", bound{84, 1_158_239}, bound{30, 2_086}},
+		// measured 118 / 11 624 and 45 / 2 920; 120 / 11 888 and 45 /
 		// 2 952 with the memo; 126 / 4 408 568 and 46 / 3 384
-		{"count((Tick>=10000 u Tick<11311))", bound{132, 12_800}, bound{50, 3_220}},
-		// measured 84 / 9 802 336 and 40 / 8 227 400; 130 191 /
+		{"count((Tick>=10000 u Tick<11311))", bound{130, 12_787}, bound{50, 3_212}},
+		// measured 85 / 9 802 504 and 40 / 8 227 400; 130 191 /
 		// 14 875 052 and 130 144 / 13 299 640 while Result.String made a
 		// string of every value; 130 196 / 30 579 484
-		{"R[Seq].Tick>=1000", bound{93, 10_782_570}, bound{44, 9_050_140}},
+		{"R[Seq].Tick>=1000", bound{94, 10_782_755}, bound{44, 9_050_140}},
 	}
 	e := New(Options{CacheSize: 1, Workers: 1})
 	tab := bigFixture()

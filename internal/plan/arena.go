@@ -36,9 +36,8 @@ type arena struct {
 	// ex is the executor itself, embedded so a run allocates nothing.
 	ex executor
 
-	rows   bufs[int32]   // row sets
-	ints   bufs[int]     // per-morsel counts and positions
-	wins   bufs[[]int32] // posting windows, cleared after use
+	rows   bufs[int32] // row sets
+	ints   bufs[int]   // per-morsel counts and positions
 	floats bufs[float64]
 	words  bufs[uint64]
 	vals   bufs[table.Value]
@@ -69,7 +68,6 @@ func (a *arena) release() {
 	a.valUsed = 0
 	a.rows.reset()
 	a.ints.reset()
-	a.wins.reset()
 	a.floats.reset()
 	a.words.reset()
 	a.vals.reset()

@@ -642,33 +642,24 @@ func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 		}
 		candidates = in.Values
 	}
-	if len(candidates) == 0 {
-		return ex.ar.val(ValuesKind), nil
-	}
 	// Ties break towards the value appearing earliest in the table,
 	// matching the SQL translation's GROUP BY (groups form in row order)
 	// with a stable ORDER BY COUNT(Index) DESC LIMIT 1 (Table 10).
-	bestCount := 0
-	bestFirst := int32(0)
 	var winner table.Value
+	var best []int32 // the winner's records
 	for _, v := range candidates {
 		occ := t.RowsFor(x.Col, v)
-		if len(occ) == 0 {
-			continue
-		}
-		if len(occ) > bestCount || (len(occ) == bestCount && occ[0] < bestFirst) {
-			bestCount = len(occ)
-			bestFirst = occ[0]
-			winner = v
+		if len(occ) > len(best) || len(occ) > 0 && len(occ) == len(best) && occ[0] < best[0] {
+			winner, best = v, occ
 		}
 	}
-	if bestCount == 0 {
+	if len(best) == 0 {
 		return ex.ar.val(ValuesKind), nil
 	}
 	v := ex.ar.val(ValuesKind)
 	v.Values = append(ex.ar.vals.get(1), winner)
 	if ex.trace {
-		v.Cells = ex.span(t.RowsFor(x.Col, winner), x.Col)
+		v.Cells = ex.span(best, x.Col)
 	}
 	return v, nil
 }
@@ -681,20 +672,17 @@ func (ex *executor) compareVals(x *CompareVals) (*val, error) {
 	t := ex.t
 	// SQL semantics (Table 10, Comparing Values): the extreme key value
 	// over all records whose ValCol value is a candidate, then the
-	// DISTINCT ValCol values of records achieving that key.
-	// The posting windows are gathered first, so the pool is drawn at
-	// the size it will hold.
-	wins, total := ex.ar.wins.get(len(in.Values)), 0
+	// DISTINCT ValCol values of records achieving that key. A lookup
+	// allocates nothing, so each candidate is looked up twice: once to
+	// draw the pool at the size it will hold, once to fill it.
+	total := 0
 	for _, v := range in.Values {
-		w := t.RowsFor(x.ValCol, v)
-		wins = append(wins, w)
-		total += len(w)
+		total += len(t.RowsFor(x.ValCol, v))
 	}
 	pool := ex.ar.rows.get(total)
-	for _, w := range wins {
-		pool = append(pool, w...)
+	for _, v := range in.Values {
+		pool = append(pool, t.RowsFor(x.ValCol, v)...)
 	}
-	clear(wins) // the arena pins no table through its windows
 	if len(pool) == 0 {
 		return ex.ar.val(ValuesKind), nil
 	}

@@ -356,7 +356,7 @@ func (b *columnBuilder) seal() columnData {
 	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
 	cd.asciiKeys = !b.nonASCII
 	cd.emptyGroup = noGroup
-	if g, ok := cd.group(""); ok {
+	if g, ok := group(&cd, ""); ok {
 		cd.emptyGroup = g
 	}
 	cd.kb = groupPostings(cd.groups, cd.keys.Len())

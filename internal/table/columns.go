@@ -73,7 +73,7 @@ type columnData struct {
 const noGroup = ^uint32(0)
 
 // group looks a canonical key up among the column's groups.
-func (cd *columnData) group(key string) (uint32, bool) {
+func group[T string | []byte](cd *columnData, key T) (uint32, bool) {
 	return findText(&cd.keyIx, cd.keys.text, cd.keys.ends, key, hashText(key))
 }
 

@@ -21,10 +21,8 @@ const (
 func (v Value) HashKey(h uint64) uint64 {
 	var buf [48]byte
 	switch v.Kind {
-	case Number:
-		return hashFold(h, appendNumber(buf[:0], v.Num))
-	case Date:
-		return hashFold(h, v.Time.AppendFormat(buf[:0], "2006-01-02"))
+	case Number, Date:
+		return hashFold(h, v.AppendTo(buf[:0]))
 	default:
 		if isASCII(v.Str) {
 			return hashFold(h, v.Str)
@@ -72,10 +70,8 @@ func appendNumber(dst []byte, f float64) []byte {
 // appendKey renders the value's canonical key (Value.Key) into dst.
 func appendKey(dst []byte, v Value) []byte {
 	switch v.Kind {
-	case Number:
-		return foldASCII(appendNumber(dst, v.Num), len(dst))
-	case Date:
-		return v.Time.AppendFormat(dst, "2006-01-02")
+	case Number, Date:
+		return foldASCII(v.AppendTo(dst), len(dst))
 	default:
 		if isASCII(v.Str) {
 			n := len(dst)

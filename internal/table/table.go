@@ -358,8 +358,7 @@ func (t *Table) Records() []int {
 func (t *Table) RowsFor(col int, v Value) []int32 {
 	cd := &t.cols[col]
 	var buf [64]byte
-	key := appendKey(buf[:0], v)
-	g, ok := findText(&cd.keyIx, cd.keys.text, cd.keys.ends, key, hashText(key))
+	g, ok := group(cd, appendKey(buf[:0], v))
 	if !ok {
 		return nil
 	}

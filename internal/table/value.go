@@ -7,7 +7,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -126,17 +125,11 @@ func (v Value) Float() (float64, bool) {
 
 // String renders the value the way it would appear in a table cell.
 func (v Value) String() string {
-	switch v.Kind {
-	case Number:
-		if v.Num == math.Trunc(v.Num) && math.Abs(v.Num) < 1e15 {
-			return strconv.FormatInt(int64(v.Num), 10)
-		}
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
-	case Date:
-		return v.Time.Format("2006-01-02")
-	default:
+	if v.Kind == String {
 		return v.Str
 	}
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
 }
 
 // AppendTo appends v's String rendering to dst.

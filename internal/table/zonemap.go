@@ -187,7 +187,7 @@ func (nt *Table) inheritZones(t *Table) {
 // ownKey returns the column's own copy of a canonical key: the window
 // of its key dictionary, or key itself when no record holds it.
 func (cd *columnData) ownKey(key string) string {
-	if g, ok := cd.group(key); ok {
+	if g, ok := group(cd, key); ok {
 		return cd.keys.Entry(int(g))
 	}
 	return key
