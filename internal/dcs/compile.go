@@ -66,12 +66,12 @@ func (c *Compiled) ExecuteWithCtx(ctx context.Context, t *table.Table, tr plan.T
 
 // compile is the one walk from expression to plan. Bottom-up, it checks
 // each node, resolves the node's columns once and builds its plan node,
-// folding as it builds: a union of two literal sets is one deduplicated
-// Const, so a join over a literal set is a Lookup over one Const. A
-// comparison is one of < <= > >= !=. It returns the node's static type even when it
-// fails, so that the parent can check its operands. Of several errors it
-// reports the first in pre-order: a node's own (its columns, then its
-// operands' types) before its operands', left before right.
+// folding a union of two literal sets into one deduplicated Const (a join
+// over a literal set is a Lookup over it; comparisons are < <= > >= !=).
+// It returns the node's static type even when it fails, so that the
+// parent can check its operands. Of several errors it reports the first
+// in pre-order: a node's own (its columns, then its operands' types)
+// before its operands', left before right.
 func compile(e Expr, t *table.Table) (plan.Node, Type, error) {
 	switch x := e.(type) {
 	case *ValueLit:
