@@ -625,3 +625,13 @@ func TestDecodeTableColumnsInParallel(t *testing.T) {
 		}
 	}
 }
+
+// readTableFile reads the segment at path as ReadTable does.
+func readTableFile(t *testing.T, path string) (Meta, *table.Table) {
+	t.Helper()
+	m, tab, _, err := ReadTable(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, tab
+}
