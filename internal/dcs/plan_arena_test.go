@@ -203,7 +203,7 @@ func FuzzPlanDifferential(f *testing.F) {
 			{"2008", "China", "Beijing", "1e16"},
 			{"2012", "UK", "London", "-1e16"},
 			{"nan", "ſ", "Straße", "0.7"}, // NaN + Unicode folds: the fast-path guards
-			{"", "", "", ""},              // empty cells: the zone EmptyCount edge
+			{"", "", "", ""},              // empty cells: text the zones do not count
 		})
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)

@@ -512,13 +512,14 @@ func executeOrdered(t testing.TB, x *plan.Exec, e Expr, tab *table.Table) (*Resu
 // search on the sorted index would invert partitions) and entity
 // inequality involving NaN cells (where canonical-key identity and
 // Value.Equal disagree). Zone-map consultation is forced so the zone
-// verdicts' NaN and empty-cell tallies are differentially checked too.
+// verdicts' NaN tallies are differentially checked too.
 func TestPlanDifferentialNaN(t *testing.T) {
 	t.Parallel()
 	// N holds a NaN cell (non-indexable column); M is a clean numeric
 	// column, so a NaN literal against M exercises the sorted-index
 	// guard rather than the non-indexable fallback. The empty cell in N
-	// exercises the zone layer's EmptyCount accounting.
+	// is a text cell among numbers: the zones count neither it nor any
+	// text as a number.
 	tab := table.MustNew("nums",
 		[]string{"Label", "N", "M"},
 		[][]string{

@@ -30,7 +30,7 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			fs := fault.NewInject(vfs.OS, 1, tc.rule)
 			path := filepath.Join(dir, "seg-001.seg")
 			tb := table.MustNew(testMeta.Name, testMeta.Columns, testRows)
-			err := WriteTable(fs, path, testMeta, tb, nil)
+			err := WriteTable(fs, path, testMeta, tb)
 			if !errors.Is(err, syscall.ENOSPC) && !errors.Is(err, syscall.EIO) {
 				t.Fatalf("faulted write err = %v, want the injected errno", err)
 			}
@@ -46,36 +46,14 @@ func TestSegmentWriteFaultLeavesNoPartial(t *testing.T) {
 			}
 			// The one-shot rule is exhausted: a retry on the same injector
 			// succeeds and reads back intact.
-			if err := WriteTable(fs, path, testMeta, tb, nil); err != nil {
+			if err := WriteTable(fs, path, testMeta, tb); err != nil {
 				t.Fatalf("retry after one-shot fault: %v", err)
 			}
-			_, got, _, rerr := ReadTable(fs, path)
+			_, got, rerr := ReadTable(fs, path)
 			if rerr != nil || got.NumRows() != len(testRows) {
 				t.Fatalf("retried segment: err=%v", rerr)
 			}
 		})
-	}
-}
-
-// TestSegmentZonesSurviveFaultRetry: zone footers ride the same
-// atomic protocol — a faulted first attempt never corrupts the retry.
-func TestSegmentZonesSurviveFaultRetry(t *testing.T) {
-	tb, err := table.New(testMeta.Name, testMeta.Columns, testRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zones := tb.ZoneSnapshot()
-	fs := fault.NewInject(vfs.OS, 1, &fault.Rule{Op: fault.OpWrite, Err: syscall.EIO, ShortWrite: true})
-	path := filepath.Join(t.TempDir(), "seg-002.seg")
-	if err := WriteTable(fs, path, testMeta, tb, zones); err == nil {
-		t.Fatal("faulted zone write succeeded")
-	}
-	if err := WriteTable(fs, path, testMeta, tb, zones); err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	_, _, gotZones, err := ReadTable(fs, path)
-	if err != nil || len(gotZones) != len(zones) {
-		t.Fatalf("zone footer after retry: %d columns, err=%v", len(gotZones), err)
 	}
 }
 

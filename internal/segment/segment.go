@@ -10,9 +10,10 @@
 // builder, which parses a spelling once however many records hold it.
 //
 // The body is the one table codec: it is also the payload of the
-// store's WAL register record (EncodeTable / DecodeTable, with an
-// empty zone footer), so a registered table and a checkpointed one are
-// written and read by the same code. One encoder writes it, into one
+// store's WAL register record (EncodeTable / DecodeTable), so a
+// registered table and a checkpointed one are written and read by the
+// same code, and a segment body is byte for byte the register payload
+// of the same snapshot. One encoder writes it, into one
 // of two sinks: AppendTable's buffer, grown once up front to hold the
 // whole body and never flushed, for a segment file; or EncodeTable's
 // pieces of at most pieceBytes each (a longer spelling is a piece of
@@ -28,18 +29,18 @@
 //	schema(=3) name gen version
 //	ncols col... nrows
 //	per column, per record: v, and when v is odd v>>1 bytes of text
-//	zone footer: nzcols (0, or = ncols), then per column nzones and
-//	per zone: min max (float64 bits, 8 bytes LE each) keyMin keyMax
-//	numCount nanCount emptyCount
+//	footer: nzcols, which the writer always writes as 0
 //
 // An odd v spells the column's next dictionary entry; an even v
 // repeats entry v>>1, which must be one the column has already spelled.
-// The zone footer carries the per-column zone maps of the snapshot so
-// recovery installs them without rescanning the columns. It lives
-// under the same checksum as the rest of the body. Bodies of schema 1
-// and 2, which stored each column as its dictionary and then its
-// codes, are refused: a table persisted in them is registered again
-// from its CSV.
+// Earlier builds wrote the snapshot's zone maps into the footer:
+// nzcols = ncols, then per column nzones and per zone min max (float64
+// bits, 8 bytes LE each), two length-prefixed key bounds and three
+// counts. The reader checks that such a footer is whole and skips it;
+// zone maps are built in memory, on first use. Bodies of schema 1 and
+// 2, which stored each column as its dictionary and then its codes,
+// are refused: a table persisted in them is registered again from its
+// CSV.
 //
 // Files are written atomically (tmp + fsync + rename + dir fsync) and
 // never modified after that, so a reader either sees a whole valid
@@ -52,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/bits"
 	"path/filepath"
 
@@ -68,7 +68,7 @@ var ErrCorrupt = errors.New("segment: corrupt file")
 
 const (
 	magic      = "WTQSEG1\n"
-	schemaSeg  = 3       // cells spelled where they first appear + zone-map footer
+	schemaSeg  = 3       // cells spelled where they first appear, then a footer
 	maxStrings = 1 << 30 // sanity bound on any length field
 )
 
@@ -85,25 +85,24 @@ type Meta struct {
 
 // Write encodes rows — raw cell text, row-major, each row
 // len(m.Columns) wide — as one table snapshot into path: WriteTable
-// over the table the rows build.
+// over the table the rows build. zones is ignored; the parameter is
+// kept only because the benchmark module's trace compiles against it.
 func Write(path string, m Meta, rows [][]string, zones [][]table.Zone) error {
 	t, err := table.New(m.Name, m.Columns, rows)
 	if err != nil {
 		return err
 	}
-	return WriteTable(vfs.OS, path, m, t, zones)
+	return WriteTable(vfs.OS, path, m, t)
 }
 
 // WriteTable encodes one table snapshot into path atomically, all I/O
 // through fsys (nil means the OS passthrough). A column goes out as the
-// table holds it, each spelling once. zones, when non-nil,
-// is the snapshot's per-column zone maps (len(m.Columns) columns wide)
-// persisted in the checksummed footer. Nothing is retained.
-func WriteTable(fsys vfs.FS, path string, m Meta, t *table.Table, zones [][]table.Zone) error {
+// table holds it, each spelling once. Nothing is retained.
+func WriteTable(fsys vfs.FS, path string, m Meta, t *table.Table) error {
 	if len(m.Columns) != t.NumCols() {
 		return fmt.Errorf("segment: %s: meta names %d columns, table has %d", path, len(m.Columns), t.NumCols())
 	}
-	buf := AppendTable(make([]byte, len(magic)+4), m, t, zones)
+	buf := AppendTable(make([]byte, len(magic)+4), m, t)
 	copy(buf, magic)
 	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.Checksum(buf[len(magic)+4:], castagnoli))
 	return writeAtomic(fsys, filepath.Dir(path), filepath.Base(path), buf)
@@ -137,9 +136,9 @@ func writeAtomic(fsys vfs.FS, dir, name string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// bodyBound is an upper bound on the encoded body up to the zone
-// footer: every entry's text and a full length prefix, and for every
-// record the longest repeat the column can have.
+// bodyBound is an upper bound on the encoded body: every entry's text
+// and a full length prefix, and for every record the longest repeat
+// the column can have.
 func bodyBound(m Meta, t *table.Table) int {
 	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
@@ -151,16 +150,15 @@ func bodyBound(m Meta, t *table.Table) int {
 }
 
 // AppendTable appends the body of one table snapshot to b and returns
-// the extended slice. b grows once, up front, to hold everything but
-// the zones, so the body of a big table is not copied as it grows.
-// m.Columns must be t's columns; zones, when non-nil, is the
-// snapshot's per-column zone maps, and nil writes an empty footer.
-func AppendTable(b []byte, m Meta, t *table.Table, zones [][]table.Zone) []byte {
+// the extended slice. b grows once, up front, to hold all of it, so
+// the body of a big table is not copied as it grows. m.Columns must be
+// t's columns.
+func AppendTable(b []byte, m Meta, t *table.Table) []byte {
 	if n := bodyBound(m, t); cap(b)-len(b) < n {
 		b = append(make([]byte, 0, len(b)+n), b...)
 	}
 	e := encoder{b: b}
-	e.body(m, t, zones)
+	e.body(m, t)
 	return e.b
 }
 
@@ -173,9 +171,9 @@ const pieceBytes = 64 << 10
 // than that is a piece of its own. A piece is reused
 // once put returns; the last one is left as it is. A body that fits
 // in one piece is emitted as one.
-func EncodeTable(m Meta, t *table.Table, zones [][]table.Zone, put func([]byte) error) error {
+func EncodeTable(m Meta, t *table.Table, put func([]byte) error) error {
 	e := encoder{b: make([]byte, 0, min(bodyBound(m, t), pieceBytes)), put: put}
-	e.body(m, t, zones)
+	e.body(m, t)
 	if len(e.b) > 0 {
 		e.flush()
 	}
@@ -191,7 +189,7 @@ type encoder struct {
 	err error // put's first error; nothing is put after it
 }
 
-func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
+func (e *encoder) body(m Meta, t *table.Table) {
 	e.uvarint(schemaSeg)
 	e.string(m.Name)
 	e.uvarint(m.Gen)
@@ -223,20 +221,7 @@ func (e *encoder) body(m Meta, t *table.Table, zones [][]table.Zone) {
 			spelled++
 		}
 	}
-	e.uvarint(uint64(len(zones)))
-	for _, zs := range zones {
-		e.uvarint(uint64(len(zs)))
-		for i := range zs {
-			z := &zs[i]
-			e.float64(z.Min)
-			e.float64(z.Max)
-			e.string(z.KeyMin)
-			e.string(z.KeyMax)
-			e.uvarint(uint64(z.NumCount))
-			e.uvarint(uint64(z.NaNCount))
-			e.uvarint(uint64(z.EmptyCount))
-		}
-	}
+	e.uvarint(0) // an empty footer
 }
 
 // room makes way for n more bytes: with a sink, the bytes b holds go
@@ -265,42 +250,38 @@ func (e *encoder) string(s string) {
 	e.b = append(e.b, s...)
 }
 
-func (e *encoder) float64(f float64) {
-	e.room(8)
-	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(f))
-}
-
 // uvarintLen is the length of v's uvarint encoding.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Read decodes the segment file at path into row-major raw cell text:
-// ReadTable, and the rows of the table it returns.
+// ReadTable, and the rows of the table it returns. Its zones result is
+// always nil; it is kept only because the benchmark module's trace
+// compiles against it.
 func Read(path string) (Meta, [][]string, [][]table.Zone, error) {
-	m, t, zones, err := ReadTable(vfs.OS, path)
+	m, t, err := ReadTable(vfs.OS, path)
 	if err != nil {
 		return m, nil, nil, err
 	}
-	return m, t.RawRows(), zones, nil
+	return m, t.RawRows(), nil, nil
 }
 
 // ReadTable decodes the segment file at path, all I/O through fsys
 // (nil means the OS passthrough), verifying the checksum, and builds
 // the table it holds: each cell goes to the table builder as it is
 // read, a repeat by the code its spelling got, so a spelling is parsed
-// once however many records hold it. zones is the decoded per-column
-// zone footer — nil for a footer written without zones.
-func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, [][]table.Zone, error) {
+// once however many records hold it.
+func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, error) {
 	data, err := vfs.Or(fsys).ReadFile(path)
 	if err != nil {
-		return Meta{}, nil, nil, err
+		return Meta{}, nil, err
 	}
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return Meta{}, nil, nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
+		return Meta{}, nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
 	}
 	sum := binary.LittleEndian.Uint32(data[len(magic):])
 	body := data[len(magic)+4:]
 	if crc32.Checksum(body, castagnoli) != sum {
-		return Meta{}, nil, nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
+		return Meta{}, nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
 	}
 	return DecodeTable(body, path)
 }
@@ -314,16 +295,17 @@ func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, [][]table.Zone, er
 // lookup per spelling, not per record. What it allocates is bounded by
 // the length of the body. A body of a morsel of records or more has
 // its columns decoded side by side (table.FillColumns); a damaged one
-// is refused in the same words either way.
-func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, error) {
+// is refused in the same words either way. A zone footer an earlier
+// build wrote is checked for framing and skipped.
+func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {
 	var m Meta
 	d := decoder{buf: body, what: what}
 	schema := d.uvarint()
 	if d.err == nil && (schema == 1 || schema == 2) {
-		return m, nil, nil, fmt.Errorf("%w: %s: schema %d, each column's dictionary then its codes, is no longer read; register the table again from its CSV", ErrCorrupt, what, schema)
+		return m, nil, fmt.Errorf("%w: %s: schema %d, each column's dictionary then its codes, is no longer read; register the table again from its CSV", ErrCorrupt, what, schema)
 	}
 	if d.err == nil && schema != schemaSeg {
-		return m, nil, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, what, schema)
+		return m, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, what, schema)
 	}
 	m.Name = d.string()
 	m.Gen = d.uvarint()
@@ -336,11 +318,11 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	nrows := int(d.count(ncols)) // every cell costs a byte at least: its v
 	m.Rows = nrows
 	if d.err != nil {
-		return m, nil, nil, d.fail()
+		return m, nil, d.fail()
 	}
 	b, err := table.NewBuilder(m.Name, m.Columns, nrows)
 	if err != nil {
-		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+		return m, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
 	// A skip pass finds where each column's cells start, so that the
 	// columns can be decoded side by side. It stops after the first
@@ -364,44 +346,35 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, [][]table.Zone, 
 	})
 	for _, err := range errs {
 		if err != nil {
-			return m, nil, nil, err
+			return m, nil, err
 		}
 	}
-	var zones [][]table.Zone
 	nzcols := int(d.count(1))
 	if d.err == nil && nzcols != 0 && nzcols != ncols {
-		return m, nil, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, what, nzcols, ncols)
+		return m, nil, fmt.Errorf("%w: %s: zone footer covers %d of %d columns", ErrCorrupt, what, nzcols, ncols)
 	}
-	if nzcols != 0 {
-		zones = make([][]table.Zone, nzcols)
-		for c := 0; c < nzcols && d.err == nil; c++ {
-			nz := int(d.count(minZoneBytes))
-			zs := make([]table.Zone, 0, nz)
-			for i := 0; i < nz && d.err == nil; i++ {
-				var z table.Zone
-				z.Min = d.float64()
-				z.Max = d.float64()
-				z.KeyMin = d.string()
-				z.KeyMax = d.string()
-				z.NumCount = int32(d.count(0))
-				z.NaNCount = int32(d.count(0))
-				z.EmptyCount = int32(d.count(0))
-				zs = append(zs, z)
-			}
-			zones[c] = zs
+	for c := 0; c < nzcols && d.err == nil; c++ {
+		nz := int(d.count(minZoneBytes))
+		for i := 0; i < nz && d.err == nil; i++ {
+			d.take(16)          // min, max
+			d.take(d.uvarint()) // key bounds
+			d.take(d.uvarint())
+			d.count(0) // counts
+			d.count(0)
+			d.count(0)
 		}
 	}
 	if d.err != nil {
-		return m, nil, nil, d.fail()
+		return m, nil, d.fail()
 	}
 	if len(d.buf) != 0 {
-		return m, nil, nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, what, len(d.buf))
+		return m, nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, what, len(d.buf))
 	}
 	t, err := b.Table()
 	if err != nil {
-		return m, nil, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+		return m, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
-	return m, t, zones, nil
+	return m, t, nil
 }
 
 // decodeColumn hands column c its nrows cells, the first of which
@@ -429,8 +402,8 @@ func decodeColumn(b *table.Builder, c, nrows int, body []byte, what string) erro
 	return nil
 }
 
-// minZoneBytes is the least an encoded zone takes: two float64s, two
-// empty strings and three counts.
+// minZoneBytes is the least a zone of an earlier build's footer
+// takes: two float64s, two empty strings and three counts.
 const minZoneBytes = 8 + 8 + 1 + 1 + 3
 
 // decoder walks a segment body, latching the first framing error.
@@ -466,20 +439,6 @@ func (d *decoder) count(each int) uint64 {
 		d.err = fmt.Errorf("implausible count %d", v)
 		return 0
 	}
-	return v
-}
-
-// float64 reads fixed 8-byte little-endian IEEE-754 bits.
-func (d *decoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.err = errors.New("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
 	return v
 }
 

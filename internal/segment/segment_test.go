@@ -117,63 +117,24 @@ func TestSegmentChecksumDetectsFlip(t *testing.T) {
 	}
 }
 
-func TestSegmentZoneFooterRoundTrip(t *testing.T) {
-	tb, err := table.New(testMeta.Name, testMeta.Columns, testRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zones := tb.ZoneSnapshot()
-	if len(zones) != len(testMeta.Columns) {
-		t.Fatalf("snapshot covers %d of %d columns", len(zones), len(testMeta.Columns))
-	}
-	path := filepath.Join(t.TempDir(), "zones.seg")
-	if err := Write(path, testMeta, testRows, zones); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	_, _, got, err := Read(path)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if len(got) != len(zones) {
-		t.Fatalf("decoded %d zone columns, want %d", len(got), len(zones))
-	}
-	for c := range zones {
-		if len(got[c]) != len(zones[c]) {
-			t.Fatalf("col %d: %d zones, want %d", c, len(got[c]), len(zones[c]))
-		}
-		for i := range zones[c] {
-			w, g := zones[c][i], got[c][i]
-			sameNum := (g.Min == w.Min || (g.Min != g.Min && w.Min != w.Min)) &&
-				(g.Max == w.Max || (g.Max != g.Max && w.Max != w.Max))
-			if !sameNum || g.KeyMin != w.KeyMin || g.KeyMax != w.KeyMax ||
-				g.NumCount != w.NumCount || g.NaNCount != w.NaNCount || g.EmptyCount != w.EmptyCount {
-				t.Fatalf("col %d zone %d round trip: got %+v want %+v", c, i, g, w)
-			}
-		}
-	}
-	// The decoded footer must install cleanly on a rebuilt table.
-	tb2, err := table.New(testMeta.Name, testMeta.Columns, testRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb2.InstallZoneMaps(got)
-	for c := range testMeta.Columns {
-		if &tb2.ColumnZones(c)[0] != &got[c][0] {
-			t.Fatalf("col %d zones not installed from decoded footer", c)
-		}
-	}
-}
-
 func TestSegmentZoneFooterColumnMismatch(t *testing.T) {
 	// A footer covering a different number of columns than the header is
-	// structural corruption, even when the checksum passes.
-	tb, err := table.New(testMeta.Name, testMeta.Columns, testRows)
-	if err != nil {
-		t.Fatal(err)
+	// structural corruption, even when the checksum passes. This one, as
+	// an earlier build would have written it, covers 2 of 3 columns,
+	// each with one zone: min and max, two empty key bounds, three
+	// counts.
+	m := testMeta
+	m.Rows = 1
+	body := appendHeader(nil, schemaSeg, m)
+	body = appendCells(body, "Greece", "Athens", "1896")
+	body = binary.AppendUvarint(body, 2)
+	for range 2 {
+		body = binary.AppendUvarint(body, 1)
+		body = append(body, make([]byte, 16)...)
+		body = append(body, 0, 0, 0, 0, 0)
 	}
-	zones := tb.ZoneSnapshot()[:2]
 	path := filepath.Join(t.TempDir(), "bad-zones.seg")
-	if err := Write(path, testMeta, testRows, zones); err != nil {
+	if err := os.WriteFile(path, frame(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := Read(path); !errors.Is(err, ErrCorrupt) {
@@ -351,7 +312,7 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	if err := os.WriteFile(odd, frame(nonCanonicalBody(nonCanonical.k, nonCanonical.n)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, tab, _, err := ReadTable(nil, odd)
+	m, tab, err := ReadTable(nil, odd)
 	if err != nil {
 		t.Fatalf("non-canonical body: %v", err)
 	}
@@ -366,7 +327,7 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 		t.Fatalf("restored dictionary has %d entries starting %q: not the canonical b, a, c", dict.Len(), dict.Entry(0))
 	}
 	rewritten := filepath.Join(dir, "rewritten.seg")
-	if err := WriteTable(nil, rewritten, m, tab, nil); err != nil {
+	if err := WriteTable(nil, rewritten, m, tab); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(rewritten)
@@ -379,13 +340,13 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 
 	// N's third record repeats entry 2 with two entries spelled.
 	past := nonCanonicalBody(nonCanonical.k, []any{"1", "2", 2, "3", 1, 0, 0})
-	if _, _, _, err := DecodeTable(past, "bad"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeTable(past, "bad"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("repeat past the entries spelled: err = %v, want ErrCorrupt", err)
 	}
 	// K's last record spells 1000 bytes the body does not hold.
 	over := appendCells(appendHeader(nil, schemaSeg, meta), nonCanonical.k[:6]...)
 	over = append(binary.AppendUvarint(over, 1000<<1|1), "b"...)
-	if _, _, _, err := DecodeTable(over, "bad"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeTable(over, "bad"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("spelling past the body: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -420,10 +381,10 @@ func TestEncodeTablePieces(t *testing.T) {
 		{lastLong, 0, uvarintLen(uint64(len(long))<<1|1) + len(long)},
 	} {
 		m := Meta{Name: tc.tab.Name(), Gen: 3, Version: "v", Columns: tc.tab.Columns(), Rows: tc.tab.NumRows()}
-		want := AppendTable(nil, m, tc.tab, tc.tab.ZoneSnapshot())
+		want := AppendTable(nil, m, tc.tab)
 		var got []byte
 		n := 0
-		err := EncodeTable(m, tc.tab, tc.tab.ZoneSnapshot(), func(p []byte) error {
+		err := EncodeTable(m, tc.tab, func(p []byte) error {
 			if len(p) > tc.most {
 				t.Fatalf("%s: piece of %d bytes", m.Name, len(p))
 			}
@@ -442,7 +403,7 @@ func TestEncodeTablePieces(t *testing.T) {
 		}
 		full := errors.New("full")
 		calls := 0
-		err = EncodeTable(m, tc.tab, nil, func([]byte) error {
+		err = EncodeTable(m, tc.tab, func([]byte) error {
 			calls++
 			return full
 		})
@@ -465,18 +426,18 @@ func TestAppendTableSizedOnce(t *testing.T) {
 	m := Meta{Name: "name", Gen: 1 << 40, Version: "00ff", Columns: columns, Rows: len(rows)}
 	var body []byte
 	allocs := testing.AllocsPerRun(10, func() {
-		body = AppendTable(nil, m, tab, nil)
+		body = AppendTable(nil, m, tab)
 	})
 	if allocs != 1 {
 		t.Errorf("AppendTable made %v allocations, want 1", allocs)
 	}
-	got, gotTab, zones, err := DecodeTable(body, "body")
+	got, gotTab, err := DecodeTable(body, "body")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != m.Name || got.Gen != m.Gen || got.Version != m.Version || got.Rows != m.Rows ||
-		!slices.Equal(got.Columns, columns) || zones != nil || !slices.EqualFunc(gotTab.RawRows(), rows, slices.Equal[[]string]) {
-		t.Fatalf("round trip changed the body: %+v %q %v", got, gotTab.RawRows(), zones)
+		!slices.Equal(got.Columns, columns) || !slices.EqualFunc(gotTab.RawRows(), rows, slices.Equal[[]string]) {
+		t.Fatalf("round trip changed the body: %+v %q", got, gotTab.RawRows())
 	}
 }
 
@@ -512,14 +473,18 @@ func fuzzSeedTables() []*table.Table {
 func FuzzSegmentRead(f *testing.F) {
 	for i, tab := range fuzzSeedTables() {
 		m := Meta{Name: tab.Name(), Gen: uint64(i + 1), Version: "v", Columns: tab.Columns(), Rows: tab.NumRows()}
-		f.Add(AppendTable(nil, m, tab, nil))
-		f.Add(AppendTable(nil, m, tab, tab.ZoneSnapshot()))
+		f.Add(AppendTable(nil, m, tab))
 	}
 	f.Add(nonCanonicalBody(nonCanonical.k, nonCanonical.n))
+	withFooter, err := os.ReadFile(filepath.Join("testdata", "zones_v3.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withFooter[len(magic)+4:]) // a body ending in a full zone footer
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, tab, zones, err := DecodeTable(body, "fuzz")
+		m, tab, err := DecodeTable(body, "fuzz")
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(body)); grew > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(body), grew, bound)
@@ -533,12 +498,12 @@ func FuzzSegmentRead(f *testing.F) {
 		if tab.NumRows() != m.Rows || tab.NumCols() != len(m.Columns) {
 			t.Fatalf("decoded a %dx%d table under a %dx%d header", tab.NumRows(), tab.NumCols(), m.Rows, len(m.Columns))
 		}
-		body = AppendTable(nil, m, tab, zones)
-		m2, again, zones2, err := DecodeTable(body, "fuzz")
+		body = AppendTable(nil, m, tab)
+		m2, again, err := DecodeTable(body, "fuzz")
 		if err != nil {
 			t.Fatalf("re-encoded body does not decode: %v", err)
 		}
-		if twice := AppendTable(nil, m2, again, zones2); !bytes.Equal(twice, body) {
+		if twice := AppendTable(nil, m2, again); !bytes.Equal(twice, body) {
 			t.Fatalf("a re-encoded body of %d bytes encodes again to %d different ones", len(body), len(twice))
 		}
 		for c := 0; c < tab.NumCols(); c++ {
@@ -597,7 +562,7 @@ func TestDecodeTableColumnsInParallel(t *testing.T) {
 	}
 	rows[n-1][3] = "tail-spelling"
 	want := table.MustNew("wide", m.Columns, rows)
-	_, got, _, err := DecodeTable(body(nil), "wide")
+	_, got, err := DecodeTable(body(nil), "wide")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +585,7 @@ func TestDecodeTableColumnsInParallel(t *testing.T) {
 		{"D is cut short", truncated(body(nil)), "segment: corrupt file: wide: string of 13 bytes exceeds remaining 8"},
 		{"D repeats an unspelled entry and is cut short", truncated(body(map[int]int{3: 7})), "segment: corrupt file: wide: column 3 repeats entry 9999 of 1"},
 	} {
-		if _, _, _, err := DecodeTable(tc.body, "wide"); err == nil || err.Error() != tc.want || !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeTable(tc.body, "wide"); err == nil || err.Error() != tc.want || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
 		}
 	}
@@ -629,7 +594,7 @@ func TestDecodeTableColumnsInParallel(t *testing.T) {
 // readTableFile reads the segment at path as ReadTable does.
 func readTableFile(t *testing.T, path string) (Meta, *table.Table) {
 	t.Helper()
-	m, tab, _, err := ReadTable(nil, path)
+	m, tab, err := ReadTable(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

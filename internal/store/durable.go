@@ -263,7 +263,7 @@ func (d *durability) recover() error {
 	startSeq := uint64(1)
 	if ok {
 		for _, ref := range man.Tables {
-			meta, t, zones, err := segment.ReadTable(d.fs, filepath.Join(d.dir, ref.File))
+			meta, t, err := segment.ReadTable(d.fs, filepath.Join(d.dir, ref.File))
 			if err != nil {
 				return err
 			}
@@ -272,7 +272,7 @@ func (d *durability) recover() error {
 				return fmt.Errorf("%w: %s does not match its manifest entry for %q",
 					segment.ErrCorrupt, ref.File, ref.Name)
 			}
-			if err := d.st.restore(t, zones, meta.Gen, meta.Version); err != nil {
+			if err := d.st.restore(t, meta.Gen, meta.Version); err != nil {
 				return err
 			}
 		}
@@ -510,7 +510,7 @@ func (d *durability) checkpointLocked() error {
 				Columns: t.Columns(),
 				Rows:    ref.Rows,
 			}
-			if err := segment.WriteTable(d.fs, filepath.Join(d.dir, ref.File), m, t, t.ZoneSnapshot()); err != nil {
+			if err := segment.WriteTable(d.fs, filepath.Join(d.dir, ref.File), m, t); err != nil {
 				return err
 			}
 		}
@@ -587,17 +587,11 @@ func (d *durability) walStats() wal.Stats {
 // restore installs a recovered table as a snapshot under an explicit
 // generation and version, re-verifying the content hash so a damaged
 // or mismatched segment/record fails recovery instead of serving wrong
-// rows. zones, when non-nil, is the segment footer's zone maps,
-// installed after the content hash verifies so restored tables skip
-// the lazy rebuild scan (a shape mismatch is ignored and the maps
-// rebuild lazily instead). Recovery-only: no WAL logging.
-func (st *Store) restore(t *table.Table, zones [][]table.Zone, gen uint64, version string) error {
+// rows. Recovery-only: no WAL logging.
+func (st *Store) restore(t *table.Table, gen uint64, version string) error {
 	name := t.Name()
 	if v := contentVersion(t); v != version {
 		return fmt.Errorf("recovered table %q content hash %s does not match recorded version %s", name, v, version)
-	}
-	if zones != nil {
-		t.InstallZoneMaps(zones)
 	}
 	snap := snapshotOf(t, version, gen)
 	sh := st.shardFor(name)
@@ -651,7 +645,7 @@ func (st *Store) peek(name string) (*Snapshot, bool) {
 func (st *Store) applyWALRecord(rec wal.Record) error {
 	switch rec.Tag {
 	case tagRegister:
-		m, t, zones, err := segment.DecodeTable(rec.Data, "wal register record")
+		m, t, err := segment.DecodeTable(rec.Data, "wal register record")
 		if err != nil {
 			return err
 		}
@@ -659,7 +653,7 @@ func (st *Store) applyWALRecord(rec wal.Record) error {
 			st.raiseGen(m.Gen)
 			return nil
 		}
-		return st.restore(t, zones, m.Gen, m.Version)
+		return st.restore(t, m.Gen, m.Version)
 	case tagAppend:
 		r, err := decodeAppend(rec.Data)
 		if err != nil {
@@ -676,7 +670,7 @@ func (st *Store) applyWALRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("replaying append to %q: %w", r.name, err)
 		}
-		return st.restore(nt, nil, r.gen, r.version)
+		return st.restore(nt, r.gen, r.version)
 	case tagDrop:
 		r, err := decodeDrop(rec.Data)
 		if err != nil {

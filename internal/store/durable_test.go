@@ -278,7 +278,7 @@ func TestReplaySkipsCompactedRegister(t *testing.T) {
 	if err != nil || !ok || len(man.Tables) != 1 {
 		t.Fatalf("LoadManifest: %+v %v %v", man, ok, err)
 	}
-	meta, seg, _, err := segment.ReadTable(nil, filepath.Join(crashed, man.Tables[0].File))
+	meta, seg, err := segment.ReadTable(nil, filepath.Join(crashed, man.Tables[0].File))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,8 +98,7 @@ func sameCellValue(a, b table.Value) bool {
 func sameZoneMaps(a, b []table.Zone) bool {
 	return slices.EqualFunc(a, b, func(x, y table.Zone) bool {
 		return math.Float64bits(x.Min) == math.Float64bits(y.Min) && math.Float64bits(x.Max) == math.Float64bits(y.Max) &&
-			x.KeyMin == y.KeyMin && x.KeyMax == y.KeyMax &&
-			x.NumCount == y.NumCount && x.NaNCount == y.NaNCount && x.EmptyCount == y.EmptyCount
+			x.NumCount == y.NumCount && x.NaNCount == y.NaNCount
 	})
 }
 
@@ -118,7 +117,6 @@ func assertSameRelation(t *testing.T, label string, got, want *table.Table) {
 		t.Fatalf("%s: contentVersion %s, want %s", label, g, w)
 	}
 	absent := table.StringValue("no such cell anywhere")
-	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
 	for c := 0; c < want.NumCols(); c++ {
 		if i, ok := got.ColumnIndex(want.Column(c)); !ok || i != c {
 			t.Fatalf("%s: ColumnIndex(%q) = %d, %v", label, want.Column(c), i, ok)
@@ -158,8 +156,8 @@ func assertSameRelation(t *testing.T, label string, got, want *table.Table) {
 		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
 			t.Fatalf("%s: NumericSortedRows(%d) = %v, want %v", label, c, g, w)
 		}
-		if !sameZoneMaps(gz[c], wz[c]) {
-			t.Fatalf("%s: zones of column %d\n got %+v\nwant %+v", label, c, gz[c], wz[c])
+		if gz, wz := got.ColumnZones(c), want.ColumnZones(c); !sameZoneMaps(gz, wz) {
+			t.Fatalf("%s: zones of column %d\n got %+v\nwant %+v", label, c, gz, wz)
 		}
 	}
 }
@@ -314,8 +312,8 @@ var goldenFixtures = []struct {
 			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
 		},
 		register:        "5d85d540fbcc4d73d4b861d0617182460399c6fafa2f6b667ecd6d8db86a64fe",
-		segment:         "27a3ed4342e7cd4838466aa61440509cc02ce2f1052b924077508861900bffde",
-		registerPerByte: 1.0599, segmentPerByte: 1.4585,
+		segment:         "caff1dec15b434d4fb5a5c19307718b08a047fad9f67ccabc3e1358a944bc006",
+		registerPerByte: 1.0599, segmentPerByte: 1.1217,
 	},
 	{
 		name: "repr-appended",
@@ -323,8 +321,8 @@ var goldenFixtures = []struct {
 			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
 		},
 		register:        "6656c8abde0e51282b7d1999dc6b91a1f5ad014aeb1b779c077a4d6a38ef9fc8",
-		segment:         "22a630c6bfd0cc965a97e1ce3364ea45e247e44218ea68b80e4220365e53abb7",
-		registerPerByte: 1.1915, segmentPerByte: 1.4585,
+		segment:         "f2e7a58bc4a06e7737d3620f505c4830bab3ffef591f74baa752dcb0cec730bc",
+		registerPerByte: 1.1915, segmentPerByte: 1.1217,
 	},
 	{
 		name: "header-only",
@@ -332,8 +330,8 @@ var goldenFixtures = []struct {
 			return mustNew(t, "empty", reprColumns, nil), nil
 		},
 		register:        "6c53007d7b19bc8b2d2546090a94447a84917c39ae7f208a661e5d7242f62c4f",
-		segment:         "40a9819d97c3d3c3dc7842d1b237e45936048abb3a55c716103014c06692aa8d",
-		registerPerByte: 2.2174, segmentPerByte: 2.9131,
+		segment:         "dcf87b72afa4adbe2b4252319c4ab72b0a0137ab42a8a5d932c93d7bd32764c2",
+		registerPerByte: 2.2174, segmentPerByte: 2.7940,
 	},
 	{
 		name: "big",
@@ -343,7 +341,7 @@ var goldenFixtures = []struct {
 			return mustNew(t, "big", columns, rows), nil
 		},
 		register:        "0e32760fede32be8a0a11800582d651739cf54c39edcfed1a01abd89d7ba5c25",
-		segment:         "c152fdeae4f22643fb13f7875d7255851c0c98be735562af880196d53c379393",
+		segment:         "661185167358666afd0fba611ac95857a81617a0fa77f429f022e4f0eb1d7537",
 		registerPerByte: 0.5912, segmentPerByte: 0.5914,
 	},
 }
@@ -356,7 +354,7 @@ func sha256Hex(b []byte) string {
 // TestRegisterRecordBytesGolden pins the WAL register record byte for
 // byte: the payload a registration logs hashes to the recorded value,
 // whatever form the table holds its cells in, and is the snapshot's
-// segment body with an empty zone footer.
+// segment body.
 func TestRegisterRecordBytesGolden(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -374,7 +372,7 @@ func TestRegisterRecordBytesGolden(t *testing.T) {
 			}
 			snap, _ := st.Get(base.Name())
 			meta := segment.Meta{Name: base.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: base.Columns(), Rows: base.NumRows()}
-			if !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table(), nil)) {
+			if !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table())) {
 				t.Errorf("register record of %s is not the snapshot's segment body", fx.name)
 			}
 		})
@@ -400,7 +398,7 @@ func TestRegisterLongCell(t *testing.T) {
 		st, payloads := loggedRegisters(t, dir, tab)
 		snap, _ := st.Get(tab.Name())
 		meta := segment.Meta{Name: tab.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: tab.Columns(), Rows: tab.NumRows()}
-		if len(payloads) != 1 || !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table(), nil)) {
+		if len(payloads) != 1 || !bytes.Equal(payloads[0], segment.AppendTable(nil, meta, snap.Table())) {
 			t.Fatalf("%s: %d register records, not the snapshot's segment body", tab.Name(), len(payloads))
 		}
 		assertSameRelation(t, tab.Name()+" register record round trip", throughWAL(t, tab), tab)
@@ -422,8 +420,9 @@ func TestRegisterLongCell(t *testing.T) {
 }
 
 // TestSegmentBytesGolden pins the segment file byte for byte: what a
-// checkpoint writes for each fixture hashes to the recorded value, and
-// segment.Write fed the same snapshot's rows writes the same bytes.
+// checkpoint writes for each fixture hashes to the recorded value, its
+// body is the snapshot's register record payload, and segment.Write
+// fed the same snapshot's rows writes the same bytes.
 func TestSegmentBytesGolden(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -459,8 +458,13 @@ func TestSegmentBytesGolden(t *testing.T) {
 			}
 			tab := snap.Table()
 			meta := segment.Meta{Name: tab.Name(), Gen: snap.Gen(), Version: snap.Version(), Columns: tab.Columns(), Rows: tab.NumRows()}
+			// A segment file is its magic and checksum, 12 bytes, then
+			// the body.
+			if body, payload := data[min(12, len(data)):], segment.AppendTable(nil, meta, tab); !bytes.Equal(body, payload) {
+				t.Errorf("segment body of %s (%d bytes) is not the snapshot's register payload (%d bytes)", fx.name, len(body), len(payload))
+			}
 			direct := filepath.Join(t.TempDir(), "direct.seg")
-			if err := segment.Write(direct, meta, tab.RawRows(), tab.ZoneSnapshot()); err != nil {
+			if err := segment.Write(direct, meta, tab.RawRows(), nil); err != nil {
 				t.Fatal(err)
 			}
 			again, err := os.ReadFile(direct)
@@ -512,7 +516,6 @@ func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
 		t.Fatalf("%s: contentVersion %s, want %s", label, g, w)
 	}
 	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
 	for c := 0; c < want.NumCols(); c++ {
 		gd, gc := got.ColumnDictionary(c)
 		wd, wc := want.ColumnDictionary(c)
@@ -553,7 +556,7 @@ func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
 		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
 			t.Fatalf("%s: NumericSortedRows(%d) diverge", label, c)
 		}
-		if !sameZoneMaps(gz[c], wz[c]) {
+		if !sameZoneMaps(got.ColumnZones(c), want.ColumnZones(c)) {
 			t.Fatalf("%s: zones of column %d diverge", label, c)
 		}
 	}

@@ -243,7 +243,7 @@ func (st *Store) Register(t *table.Table) (*Snapshot, error) {
 	if st.dur != nil {
 		m := segment.Meta{Name: name, Gen: snap.gen, Version: snap.version, Columns: t.Columns(), Rows: t.NumRows()}
 		release, err := st.dur.log(tagRegister, func(put func([]byte) error) error {
-			return segment.EncodeTable(m, t, nil, put)
+			return segment.EncodeTable(m, t, put)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)

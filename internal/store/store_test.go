@@ -226,7 +226,8 @@ func TestStoreMemoryAccounting(t *testing.T) {
 
 // TestStoreZoneMapBytes: the zone-map gauge is the bytes of the zone
 // maps the resident tables hold, so a version that an append replaces
-// or a drop releases stops counting.
+// or a drop releases stops counting. An appended version builds its
+// own zone maps on first use.
 func TestStoreZoneMapBytes(t *testing.T) {
 	st := New(Options{})
 	snap, err := st.Register(mustTable(t, "a", 8))
@@ -243,6 +244,12 @@ func TestStoreZoneMapBytes(t *testing.T) {
 		if snap, err = st.Append("a", [][]string{{"nation9", strconv.Itoa(2024 + i), "99"}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := series(t, st, "store.zonemap.bytes"); got != 0 {
+		t.Fatalf("zone-map bytes %d after 5 appends, want 0 before the new version's build", got)
+	}
+	for c := range snap.Table().NumCols() {
+		snap.Table().ColumnZones(c)
 	}
 	if got, want := series(t, st, "store.zonemap.bytes"), snap.Table().ZoneBytes(); got != want || want <= 0 {
 		t.Fatalf("zone-map bytes %d after 5 appends, want one table's %d", got, want)
@@ -518,7 +525,10 @@ func TestStoreBytesEqualsResidentSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkResident(t, st, "append t1")
-	pin("append", 1, "[t1 t2]")
+	pin("append", 1, "[t2]")
+	buildDerived(get("t1"))
+	checkResident(t, st, "build appended t1")
+	pin("build appended", 1, "[t1 t2]")
 
 	same := get("t2")
 	if _, err := st.Register(same); err != nil {

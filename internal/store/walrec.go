@@ -28,7 +28,7 @@ const (
 	// tagRegister carries a whole table as a segment body — name, the
 	// assigned generation, the content-hash version, the header, each
 	// column's cells, a spelling written out where it first appears
-	// and repeated by its number after that — with an empty zone footer,
+	// and repeated by its number after that — and an empty footer,
 	// streamed into the log as segment.EncodeTable emits it. 0x01 was
 	// a row-major register record; nothing reads it, so a log holding
 	// one fails recovery naming the tag.

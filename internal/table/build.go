@@ -355,10 +355,6 @@ func (b *columnBuilder) seal() columnData {
 	}
 	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
 	cd.asciiKeys = !b.nonASCII
-	cd.emptyGroup = noGroup
-	if g, ok := group(&cd, ""); ok {
-		cd.emptyGroup = g
-	}
 	cd.kb = groupPostings(cd.groups, cd.keys.Len())
 	return cd
 }

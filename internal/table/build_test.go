@@ -77,7 +77,7 @@ func sameColumnData(a, b *columnData) string {
 		return "kinds"
 	case a.keys.text != b.keys.text || !slices.Equal(a.keys.ends, b.keys.ends) || a.ownKeys != b.ownKeys:
 		return "keys"
-	case !slices.Equal(a.groups, b.groups) || !slices.Equal(a.entryGroup, b.entryGroup) || a.emptyGroup != b.emptyGroup:
+	case !slices.Equal(a.groups, b.groups) || !slices.Equal(a.entryGroup, b.entryGroup):
 		return "groups"
 	case !slices.Equal(a.keyIx.slots, b.keyIx.slots):
 		return "keyIx"

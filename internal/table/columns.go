@@ -49,8 +49,6 @@ type columnData struct {
 	// entryGroup is the group of each dictionary entry; nil while
 	// entry i is group i.
 	entryGroup []uint32
-	// emptyGroup is the group whose key is "", or noGroup.
-	emptyGroup uint32
 
 	kb postings
 	// allNum reports that every cell of the column is numeric (numbers
@@ -68,9 +66,6 @@ type columnData struct {
 	// paths require this flag.
 	asciiKeys bool
 }
-
-// noGroup stands for a key no record of the column holds.
-const noGroup = ^uint32(0)
 
 // group looks a canonical key up among the column's groups.
 func group[T string | []byte](cd *columnData, key T) (uint32, bool) {

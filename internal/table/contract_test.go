@@ -154,7 +154,6 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 	if !slices.EqualFunc(got.RawRows(), want.RawRows(), func(a, b []string) bool { return slices.Equal(a, b) }) {
 		t.Fatalf("%s: RawRows diverge", label)
 	}
-	gz, wz := got.ZoneSnapshot(), want.ZoneSnapshot()
 	missing := StringValue("no such cell anywhere")
 	for c := 0; c < want.NumCols(); c++ {
 		for r := 0; r < want.NumRows(); r++ {
@@ -194,8 +193,8 @@ func assertSameTable(t *testing.T, label string, got, want *Table) {
 		if g, w := got.NumericSortedRows(c), want.NumericSortedRows(c); !slices.Equal(g, w) {
 			t.Fatalf("%s: NumericSortedRows(%d) = %v, want %v", label, c, g, w)
 		}
-		if !sameZones(gz[c], wz[c]) {
-			t.Fatalf("%s: ZoneSnapshot col %d diverges\ngot:  %+v\nwant: %+v", label, c, gz[c], wz[c])
+		if gz, wz := got.ColumnZones(c), want.ColumnZones(c); !sameZones(gz, wz) {
+			t.Fatalf("%s: ColumnZones(%d) diverges\ngot:  %+v\nwant: %+v", label, c, gz, wz)
 		}
 	}
 }

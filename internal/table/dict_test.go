@@ -20,15 +20,6 @@ func dictEntries(t *Table) int {
 	return n
 }
 
-// within reports whether s is a window of text's bytes, not a copy.
-func within(s, text string) bool {
-	if len(s) == 0 {
-		return true
-	}
-	p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(text)))
-	return p >= base && p+uintptr(len(s)) <= base+uintptr(len(text))
-}
-
 // TestColumnLayoutFollowsSpellings pins what a column shares with
 // itself: while every spelling is its own canonical key the key
 // dictionary and its index are the dictionary and its index; while no

@@ -48,7 +48,7 @@ type Table struct {
 	numIdx []atomicIndex
 	// zones holds the lazily built per-column zone maps (ZoneRows-block
 	// min/max summaries). Like numIdx they are droppable and rebuilt on
-	// demand; under Append they are maintained incrementally.
+	// demand; an appended table builds its own.
 	zones []atomicZones
 	// mem is the table's sealed base footprint; the derived part is
 	// read off numIdx and zones (DerivedBytes).
@@ -119,12 +119,7 @@ func (t *Table) Append(extra [][]string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt, err := b.Table()
-	if err != nil {
-		return nil, err
-	}
-	nt.inheritZones(t)
-	return nt, nil
+	return b.Table()
 }
 
 // appendBuilder is the build half of Append: a builder seeded with the
