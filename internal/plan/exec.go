@@ -632,25 +632,25 @@ func (ex *executor) indexSuper(x *IndexSuper) (*val, error) {
 
 func (ex *executor) mostFrequent(x *MostFrequent) (*val, error) {
 	t := ex.t
-	var candidates []table.Value
-	if x.Input == nil {
-		candidates = t.DistinctColumnValues(x.Col)
-	} else {
-		in, err := ex.run(x.Input)
-		if err != nil {
-			return nil, err
-		}
-		candidates = in.Values
-	}
 	// Ties break towards the value appearing earliest in the table,
 	// matching the SQL translation's GROUP BY (groups form in row order)
 	// with a stable ORDER BY COUNT(Index) DESC LIMIT 1 (Table 10).
 	var winner table.Value
 	var best []int32 // the winner's records
-	for _, v := range candidates {
-		occ := t.RowsFor(x.Col, v)
-		if len(occ) > len(best) || len(occ) > 0 && len(occ) == len(best) && occ[0] < best[0] {
-			winner, best = v, occ
+	if x.Input == nil {
+		if best = t.MostFrequentRows(x.Col); len(best) > 0 {
+			winner = t.Value(int(best[0]), x.Col)
+		}
+	} else {
+		in, err := ex.run(x.Input)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range in.Values {
+			occ := t.RowsFor(x.Col, v)
+			if len(occ) > len(best) || len(occ) > 0 && len(occ) == len(best) && occ[0] < best[0] {
+				winner, best = v, occ
+			}
 		}
 	}
 	if len(best) == 0 {

@@ -360,9 +360,28 @@ func (t *Table) RowsFor(col int, v Value) []int32 {
 	return cd.kb.groupRows(int(g))
 }
 
+// MostFrequentRows returns the records of column col's most frequent
+// canonical key, ascending: the largest group of its postings, and of
+// groups equally large the first in order of first appearance, whose
+// first record is the smallest. It is nil for a column of no records.
+// The slice is shared with the table and must not be modified.
+func (t *Table) MostFrequentRows(col int) []int32 {
+	kb := &t.cols[col].kb
+	best := -1
+	var size uint32
+	for g := range len(kb.offsets) - 1 {
+		if n := kb.offsets[g+1] - kb.offsets[g]; n > size {
+			best, size = g, n
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return kb.groupRows(best)
+}
+
 // DistinctColumnValues returns the distinct values of a column in first-
-// appearance order; used by candidate generation and the most-frequent
-// operator.
+// appearance order; used by candidate generation.
 func (t *Table) DistinctColumnValues(col int) []Value {
 	kb := &t.cols[col].kb
 	out := make([]Value, t.cols[col].keys.Len())
