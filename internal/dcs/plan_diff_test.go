@@ -510,8 +510,9 @@ func executeOrdered(t testing.TB, x *plan.Exec, e Expr, tab *table.Table) (*Resu
 // TestPlanDifferentialNaN pins the interpreter's NaN behaviour on the
 // plan path: range comparisons against a NaN literal (where binary
 // search on the sorted index would invert partitions) and entity
-// inequality involving NaN cells (where canonical-key identity and
-// Value.Equal disagree). Zone-map consultation is forced so the zone
+// inequality involving NaN cells (a NaN literal shares its key with a
+// NaN cell, though NaN != NaN as numbers). Zone-map consultation is
+// forced so the zone
 // verdicts' NaN tallies are differentially checked too.
 func TestPlanDifferentialNaN(t *testing.T) {
 	t.Parallel()
@@ -552,17 +553,16 @@ func TestPlanDifferentialNaN(t *testing.T) {
 	}
 }
 
-// TestPlanDifferentialUnicodeFold pins the second Key/Equal
-// disagreement: Value.Equal uses strings.EqualFold (Unicode simple
-// folds, 'ſ' matches 'S') while canonical keys use strings.ToLower
-// ('ſ' keeps its key). Equality fast paths must detect non-ASCII and
-// fall back to Equal semantics.
+// TestPlanDifferentialUnicodeFold pins inequality where a Unicode
+// simple fold would match and a lowered key does not: 'ſ' folds to 'S'
+// but keeps its own key under strings.ToLower, so it is not equal to
+// 'S'.
 func TestPlanDifferentialUnicodeFold(t *testing.T) {
 	tab := table.MustNew("folds",
 		[]string{"Label", "Mark"},
 		[][]string{
 			{"a", "S"},
-			{"b", "ſ"}, // U+017F LATIN SMALL LETTER LONG S, EqualFold-equal to "S"
+			{"b", "ſ"}, // U+017F LATIN SMALL LETTER LONG S, which folds to "S"
 			{"c", "x"},
 		})
 	for _, e := range []Expr{
@@ -600,9 +600,11 @@ var hostileSpellings = []string{
 // TestPlanDifferentialHostileLiterals holds every join over a literal
 // to the reference on a column of hostileSpellings: each spelling as a
 // parsed literal and as text, alone and in a literal set, under count,
-// as most-frequent and comparing-values candidates, and a join over the
-// column's own values. Every query runs serial, forked and zone-forced,
-// traced and answer-only.
+// as most-frequent and comparing-values candidates, under !=, and a
+// join over the column's own values. Every query runs serial, forked
+// and zone-forced, traced and answer-only. For every literal, C.v and
+// C!=v split the column's records between them: no record is in both,
+// and none is in neither.
 func TestPlanDifferentialHostileLiterals(t *testing.T) {
 	t.Parallel()
 	rows := make([][]string, len(hostileSpellings))
@@ -610,8 +612,10 @@ func TestPlanDifferentialHostileLiterals(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i), s, strconv.Itoa(i % 5)}
 	}
 	tab := table.MustNew("hostile", []string{"Label", "Mark", "N"}, rows)
+	var vals []table.Value
 	var lits []Expr
 	for _, s := range hostileSpellings {
+		vals = append(vals, table.ParseValue(s), table.StringValue(s))
 		lits = append(lits, &ValueLit{V: table.ParseValue(s)}, &ValueLit{V: table.StringValue(s)})
 	}
 	cases := []Expr{
@@ -626,7 +630,24 @@ func TestPlanDifferentialHostileLiterals(t *testing.T) {
 			&Aggregate{Fn: Count, Arg: &Join{Column: "Mark", Arg: lit}},
 			&MostFrequent{Vals: pair, Column: "Mark"},
 			&CompareValues{Max: i%2 == 0, Vals: pair, KeyCol: "N", ValCol: "Mark"},
+			&Compare{Column: "Mark", Op: Ne, V: vals[i]},
 		)
+	}
+	for i, lit := range lits {
+		eq, eqErr := Execute(&Join{Column: "Mark", Arg: lit}, tab)
+		ne, neErr := Execute(&Compare{Column: "Mark", Op: Ne, V: vals[i]}, tab)
+		if eqErr != nil || neErr != nil {
+			t.Fatalf("%s: = %v, != %v", lit, eqErr, neErr)
+		}
+		in := make([]int, tab.NumRows())
+		for _, r := range append(eq.Records, ne.Records...) {
+			in[r]++
+		}
+		for r, n := range in {
+			if n != 1 {
+				t.Errorf("%s: record %d (%q) is in %d of Mark.v %v and Mark!=v %v", lit, r, hostileSpellings[r], n, eq.Records, ne.Records)
+			}
+		}
 	}
 	for _, e := range cases {
 		want, werr := oracle.Execute(e, tab)

@@ -113,11 +113,13 @@ var errorGolden = []golden{
 }
 
 // nanGolden pins Equal semantics for predicates over a NaN cell (on
-// nanTable): Value.Equal never matches NaN, not even a NaN literal.
+// nanTable): Value.Equal is key identity, so a NaN literal matches the
+// NaN cell, as the join N.nan does, and != is its complement.
 var nanGolden = []golden{
-	{stmt: "SELECT Label FROM T WHERE N = 'nan'", cols: []string{"Label"}},
+	{stmt: "SELECT Label FROM T WHERE N = 'nan'", cols: []string{"Label"},
+		data: [][]string{{"b"}}, src: []int{1}},
 	{stmt: "SELECT Label FROM T WHERE N != 'nan'", cols: []string{"Label"},
-		data: [][]string{{"a"}, {"b"}, {"c"}}, src: []int{0, 1, 2}},
+		data: [][]string{{"a"}, {"c"}}, src: []int{0, 2}},
 	{stmt: "SELECT Label FROM T WHERE N != 3", cols: []string{"Label"},
 		data: [][]string{{"a"}, {"b"}}, src: []int{0, 1}},
 	{stmt: "SELECT Label FROM T WHERE N > 0", cols: []string{"Label"},

@@ -263,20 +263,12 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 	var err error
 	switch x.Cmp {
 	case "!=":
-		if !t.KeyEqualConsistent(x.Col, x.V) {
-			// Key identity and Value.Equal disagree here (NaN literal,
-			// or Unicode case folds outside ASCII): scan with the
-			// interpreter's Equal semantics.
-			col, v := x.Col, x.V
-			rows, err = ex.scan(func(r int32) bool { return !t.Value(int(r), col).Equal(v) }, nil)
-		} else {
-			// Entity inequality: complement of the KB posting list, walked
-			// with two pointers so no per-row string comparison happens.
-			rows, err = ex.filterRows(rowFilter{
-				rows:   identity(t.NumRows()),
-				except: t.RowsFor(x.Col, x.V),
-			})
-		}
+		// Entity inequality: complement of the KB posting list, walked
+		// with two pointers so no per-row string comparison happens.
+		rows, err = ex.filterRows(rowFilter{
+			rows:   identity(t.NumRows()),
+			except: t.RowsFor(x.Col, x.V),
+		})
 	case "<", "<=", ">", ">=":
 		lit, ok := x.V.Float()
 		if !ok {

@@ -82,8 +82,8 @@ func zoneTestPlans() map[string]Node {
 		"mixed_nan_lt": &Compare{Col: 2, Cmp: "<", V: num(math.NaN())},
 		"compare_ge":   &Compare{Col: 0, Cmp: ">=", V: num(117_000)},
 		// Mixed holds NaN cells, so it has no sorted index: the range
-		// scans rows. A NaN literal makes key identity and Value.Equal
-		// disagree, so the inequality scans with Equal semantics.
+		// scans rows. A NaN literal is one key like any other, so the
+		// inequality is the complement of its posting list.
 		"compare_mixed":  &Compare{Col: 2, Cmp: ">", V: num(500)},
 		"compare_ne_nan": &Compare{Col: 2, Cmp: "!=", V: num(math.NaN())},
 		"superlative":    &Superlative{Col: 0, Max: true, Input: &Scan{}},

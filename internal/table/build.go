@@ -155,7 +155,6 @@ type columnBuilder struct {
 
 	numeric    bool   // some entry has a numeric reading
 	nonNumeric bool   // some entry has no numeric reading
-	nonASCII   bool   // some key leaves ASCII
 	keyBuf     []byte // scratch for rendering keys
 	probes     int
 	err        error
@@ -184,7 +183,7 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	}
 	cd.entryGroup = slices.Clone(pd.entryGroup)
 	cd.hasNaN = pd.hasNaN
-	b.numeric, b.nonNumeric, b.nonASCII = pd.nums != nil, n0 > 0 && !pd.allNum, !pd.asciiKeys
+	b.numeric, b.nonNumeric = pd.nums != nil, n0 > 0 && !pd.allNum
 	b.enums = make([]float64, pd.dict.Len())
 	for e := range b.enums {
 		b.enums[e] = math.NaN()
@@ -266,7 +265,6 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	cd.dict.ends = append(cd.dict.ends, uint32(len(b.text)))
 	b.probes += insertText(&cd.dictIx, b.text, cd.dict.ends, e, h)
 	if !cd.ownKeys {
-		b.nonASCII = b.nonASCII || !isASCII(key)
 		return e
 	}
 
@@ -282,7 +280,6 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		b.keyText = append(grow(b.keyText, len(key)), key...)
 		cd.keys.ends = append(cd.keys.ends, uint32(len(b.keyText)))
 		b.probes += insertText(&cd.keyIx, b.keyText, cd.keys.ends, g, kh)
-		b.nonASCII = b.nonASCII || !isASCII(key)
 	} else if cd.entryGroup == nil {
 		// The first second spelling of a key: until now entry i was
 		// group i.
@@ -354,7 +351,6 @@ func (b *columnBuilder) seal() columnData {
 		}
 	}
 	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
-	cd.asciiKeys = !b.nonASCII
 	cd.kb = groupPostings(cd.groups, cd.keys.Len())
 	return cd
 }

@@ -83,7 +83,7 @@ func sameColumnData(a, b *columnData) string {
 		return "keyIx"
 	case !slices.Equal(a.kb.rows, b.kb.rows) || !slices.Equal(a.kb.offsets, b.kb.offsets):
 		return "postings"
-	case a.allNum != b.allNum || a.hasNaN != b.hasNaN || a.asciiKeys != b.asciiKeys:
+	case a.allNum != b.allNum || a.hasNaN != b.hasNaN:
 		return "flags"
 	}
 	return ""

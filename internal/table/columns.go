@@ -59,12 +59,6 @@ type columnData struct {
 	// equal to everything, which no sort order can represent, so index
 	// fast paths are disabled for such columns.
 	hasNaN bool
-	// asciiKeys reports that every canonical key of the column is pure
-	// ASCII. Key identity (strings.ToLower) and Value.Equal
-	// (strings.EqualFold) agree exactly on ASCII; outside it, Unicode
-	// simple folds ('ſ' vs 'S') make them diverge, so equality fast
-	// paths require this flag.
-	asciiKeys bool
 }
 
 // group looks a canonical key up among the column's groups.
@@ -169,22 +163,6 @@ func (t *Table) ColumnAllNumeric(c int) bool { return t.cols[c].allNum }
 // cell holds NaN, whose Value.Compare behaviour (equal to everything)
 // no total order can represent.
 func (t *Table) ColumnIndexable(c int) bool { return !t.cols[c].hasNaN }
-
-// KeyEqualConsistent reports whether canonical-key identity on column
-// c is guaranteed to agree with Value.Equal for comparisons against v,
-// which is what the KB-index equality fast paths rely on. It is false
-// when the column or the literal's key leaves ASCII (ToLower-keys and
-// EqualFold diverge on Unicode simple folds) or when the literal is
-// NaN (NaN shares its key with itself but is never Equal to itself).
-func (t *Table) KeyEqualConsistent(c int, v Value) bool {
-	if !t.cols[c].asciiKeys {
-		return false
-	}
-	if f, ok := v.Float(); ok && math.IsNaN(f) {
-		return false
-	}
-	return isASCII(v.Key())
-}
 
 func isASCII[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {

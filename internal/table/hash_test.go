@@ -18,7 +18,7 @@ func hashCorpus() []Value {
 		StringValue("GREECE"),
 		StringValue("4th Round"),
 		StringValue("Did not qualify"),
-		StringValue("ſ"), // U+017F: ToLower keeps it, EqualFold matches "s"
+		StringValue("ſ"), // U+017F: ToLower keeps it, though it folds to "s"
 		StringValue("S"),
 		StringValue("Straße"),
 		StringValue("STRASSE"),

@@ -144,24 +144,15 @@ func (v Value) AppendTo(dst []byte) []byte {
 	}
 }
 
-// Equal reports deep value equality. String comparison is case-insensitive,
-// matching the entity-matching convention of NL interfaces over web tables.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		// A number and a string that parses to that number are the same
-		// entity from the user's point of view ("value 2004" matches the
-		// cell 2004 regardless of extraction typing).
-		return strings.EqualFold(v.String(), o.String())
-	}
-	switch v.Kind {
-	case Number:
-		return v.Num == o.Num
-	case Date:
-		return v.Time.Equal(o.Time)
-	default:
-		return strings.EqualFold(v.Str, o.Str)
-	}
-}
+// Equal reports whether two values are one entity: whether they share
+// a canonical key (KeyEqual), the identity the KB index groups records
+// by, so C.v and C!=v split a column's records between them. Text
+// compares case-insensitively, matching the entity-matching convention
+// of NL interfaces over web tables, and a number and a string that
+// renders as that number are the same entity from the user's point of
+// view ("value 2004" matches the cell 2004 regardless of extraction
+// typing).
+func (v Value) Equal(o Value) bool { return KeyEqual(v, o) }
 
 // Compare orders two values: -1, 0 or +1. Numbers and dates compare on
 // their numeric interpretation. Strings compare naturally: when both
