@@ -50,7 +50,12 @@ parse-footprint:
 # plan core looks values up as values: table.RowsFor renders a canonical
 # key on the stack, so vet fails when non-test internal/plan code calls
 # .Key(), which builds a key string per lookup (the waste the plan once
-# hid behind memos in its nodes).
+# hid behind memos in its nodes). Table.ZoneSnapshot, segment.Write's
+# rows and zones and segment.Read's rows and zones stay only because
+# benchmark/trace.go, a module of its own, compiles against them: zone
+# maps live in memory (ColumnZones) and a segment is written and read as
+# a table (WriteTable / ReadTable), one way each (ROADMAP items 2 and
+# 4), so vet fails when non-test code outside benchmark/ calls them.
 TEST_ONLY = internal/oracle internal/qrand internal/fault
 SERVER_NEVER = nlexplain nlexplain/internal/minisql
 
@@ -64,6 +69,7 @@ vet:
 	done
 	@if $(GO) list -deps ./internal/minisql | grep -x nlexplain/internal/plan; then echo "internal/minisql links the plan core"; exit 1; fi
 	@if grep -n '\.Key()' $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/plan); then echo "internal/plan builds key strings; look values up with table.RowsFor"; exit 1; fi
+	@if grep -nE '\.ZoneSnapshot\(|\bsegment\.(Write|Read)\(' $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./...); then echo "shipped code calls an adapter kept for benchmark/trace.go; use ColumnZones, segment.WriteTable or segment.ReadTable"; exit 1; fi
 
 # fmt fails when any file needs reformatting (including -s
 # simplifications), listing the offenders.
