@@ -100,10 +100,17 @@ func (t *Table) ZoneBytes() int64 {
 	return n
 }
 
-// publishZones CAS-publishes a freshly built zone slice for column c.
-// Returns the resident slice (the freshly published one, or the
-// concurrent winner).
-func (t *Table) publishZones(c int, zones []Zone) []Zone {
+// ColumnZones returns the zone maps of column c — one Zone per
+// ZoneRows-aligned block of records, ZoneCount(NumRows()) in total.
+// The map is built lazily on first use, from this table's records
+// alone, published atomically, and may be dropped again under memory
+// pressure (DropDerivedIndexes); it is never persisted. The returned
+// slice is shared and must not be modified.
+func (t *Table) ColumnZones(c int) []Zone {
+	if zm := t.zones[c].Load(); zm != nil {
+		return zm.zones
+	}
+	zones := computeZones(&t.cols[c], t.rows)
 	if t.zones[c].CompareAndSwap(nil, &zoneMap{zones: zones}) {
 		zoneBuilds.Add(1)
 		derivedBuilds.Add(1)
@@ -113,18 +120,6 @@ func (t *Table) publishZones(c int, zones []Zone) []Zone {
 		return zm.zones
 	}
 	return zones
-}
-
-// ColumnZones returns the zone maps of column c — one Zone per
-// ZoneRows-aligned block of records, ZoneCount(NumRows()) in total.
-// The map is built lazily on first use, published atomically, and may
-// be dropped again under memory pressure (DropDerivedIndexes); the
-// returned slice is shared and must not be modified.
-func (t *Table) ColumnZones(c int) []Zone {
-	if zm := t.zones[c].Load(); zm != nil {
-		return zm.zones
-	}
-	return t.publishZones(c, computeZones(&t.cols[c], t.rows))
 }
 
 // ZoneSnapshot returns ColumnZones of every column, building and
