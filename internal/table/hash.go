@@ -93,9 +93,10 @@ func foldASCII(b []byte, from int) []byte {
 
 // KeyEqual reports whether two values share a canonical key — exactly
 // a.Key() == b.Key(), computed without building either string on the
-// common paths. This is the equality the KB index, DedupValues and the
-// plan executor's hash-dedup paths all share (a number cell and a text
-// cell rendering to the same digits are one entity).
+// common paths. This is the equality the KB index, DedupValues,
+// Value.Equal and the plan executor's hash-dedup paths all share (a
+// number cell and a text cell rendering to the same digits are one
+// entity).
 func KeyEqual(a, b Value) bool {
 	if a.Kind == b.Kind {
 		switch a.Kind {
