@@ -178,7 +178,7 @@ crash-stress:
 # count.
 fault-stress:
 	WTQ_CHAOS_CYCLES=$${WTQ_CHAOS_CYCLES:-50} $(GO) test -race -count=2 -timeout 10m \
-		-run 'TestChaos|TestStoreDegraded|TestStoreClose|TestStoreWALCounters|TestServerDegraded|TestWALFault|TestWALTorn|TestWALLying|TestSegmentWriteFault|TestSegmentZonesSurvive|TestManifestTorn' \
+		-run 'TestChaos|TestStoreDegraded|TestStoreClose|TestStoreWALCounters|TestServerDegraded|TestWALFault|TestWALTorn|TestWALLying|TestSegmentWriteFault|TestManifestTorn' \
 		./internal/engine/ ./internal/store/ ./internal/wal/ ./internal/segment/ ./cmd/wtq-server/
 
 # fuzz-wal runs the WAL replay fuzzer for a bounded window: any input
