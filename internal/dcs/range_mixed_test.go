@@ -58,8 +58,9 @@ func mixedRangeTable() *table.Table {
 
 // TestRangeOverMixedColumns holds range, equality and superlative
 // queries over every storage shape of a column's typed readings to the
-// reference interpreter: against a number literal and a NaN literal,
-// in every execution mode, with the sorted numeric index built before
+// reference interpreter: against a number literal, a NaN literal, a
+// date literal and a number the column stores (so that ties sit on the
+// bound), in every execution mode, with the sorted numeric index built before
 // the run and without it, traced and answer-only. Denotations, witness
 // cells and error texts must equal oracle.Execute's. qrand's tables
 // hold none of these cells.
@@ -69,10 +70,15 @@ func TestRangeOverMixedColumns(t *testing.T) {
 	}
 	t.Parallel()
 	tab := mixedRangeTable()
-	num, nan := table.NumberValue(500), table.ParseValue("nan")
+	num, nan, date := table.NumberValue(500), table.ParseValue("nan"), table.ParseValue("2004-08-15")
 	var cases []Expr
-	for _, col := range tab.Columns() {
-		for _, lit := range []table.Value{num, nan} {
+	for c, col := range tab.Columns() {
+		// The text-only column stores no number; it takes Mixed's.
+		stored := tab.Value(0, 0)
+		if v := tab.Value(0, c); v.IsNumeric() {
+			stored = v
+		}
+		for _, lit := range []table.Value{num, nan, date, stored} {
 			for _, op := range []CmpOp{Lt, Le, Gt, Ge, Ne} {
 				cases = append(cases, &Compare{Column: col, Op: op, V: lit})
 			}
