@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"nlexplain/internal/table"
@@ -276,27 +275,15 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 			// literal matches nothing.
 			break
 		}
-		// A NaN literal breaks binary search (every ordering predicate
-		// is false on NaN); fall back to the Value.Compare scan, which
-		// reproduces the interpreter's NaN behaviour.
-		useIndex := t.ColumnIndexable(x.Col) && !math.IsNaN(lit)
+		if t.ColumnIndexable(x.Col) {
+			rows = ex.rangeFromIndex(x.Col, x.Cmp, lit)
+			break
+		}
 		var zs *zoneScan
-		if ex.cfg.zones && (!useIndex || !t.NumericIndexBuilt(x.Col)) {
-			// Zone maps can beat the sorted index only before the index
-			// exists (they cost one column walk vs an O(n log n) sort);
-			// once the index is resident its sublinear search always wins.
+		if ex.cfg.zones {
 			zs = ex.materializeZones(ex.zoneRangeFn(x.Col, x.Cmp, lit))
 		}
-		if useIndex && (zs == nil || 2*zs.none < len(zs.verdicts)) {
-			// Binary search on the cached sorted index + bitset replay is
-			// sublinear in the table size — it beats any direct scan at
-			// every scale. An indexable column leaves it for the zones
-			// only when at least half the morsels are provably empty;
-			// otherwise building the index amortises better across queries.
-			rows = ex.rangeFromIndex(x.Col, x.Cmp, lit)
-		} else {
-			rows, err = ex.scan(ex.rangeMatcher(x, lit, useIndex), zs)
-		}
+		rows, err = ex.scan(ex.rangeMatcher(x.Col, x.Cmp, lit), zs)
 	default:
 		return nil, fmt.Errorf("plan: unknown comparison operator %q", x.Cmp)
 	}
@@ -317,69 +304,48 @@ func (ex *executor) scan(keep func(row int32) bool, zs *zoneScan) ([]int32, erro
 	return ex.filterRows(rowFilter{rows: identity(ex.t.NumRows()), zones: zs, keep: keep})
 }
 
-// rangeMatcher is a range comparison's per-row test, with the literal's
-// conversion hoisted out of the loop. Over an indexable column with a
-// non-NaN literal it reads the float column, where a cell with no
-// numeric reading is a NaN and so matches no range; otherwise it keeps
-// Value.Compare's semantics, under which a NaN compares equal to
-// everything.
-func (ex *executor) rangeMatcher(x *Compare, lit float64, indexable bool) func(row int32) bool {
-	t, col := ex.t, x.Col
-	if !indexable {
-		op, v := x.Cmp, x.V
-		return func(r int32) bool {
-			c := t.Value(int(r), col)
-			if !c.IsNumeric() {
-				return false
-			}
-			cmp := c.Compare(v)
-			switch op {
-			case "<":
-				return cmp < 0
-			case "<=":
-				return cmp <= 0
-			case ">":
-				return cmp > 0
-			default:
-				return cmp >= 0
-			}
-		}
-	}
-	nums := t.ColumnNums(col)
-	if nums == nil {
-		return func(int32) bool { return false }
-	}
-	switch x.Cmp {
+// rangeMatcher is a range comparison's per-row test over a column that
+// spells a NaN, read from the float vector by the rule zoneRangeFn
+// decides zones by: a number or date decides on its reading, a NaN cell
+// matches <= and >= but never < or >, a text cell matches nothing, and
+// a NaN literal matches every numeric cell. Both a text cell and a NaN
+// cell read NaN; the cell's kind tells them apart.
+func (ex *executor) rangeMatcher(col int, op string, lit float64) func(row int32) bool {
+	t, nums := ex.t, ex.t.ColumnNums(col)
+	numeric := func(r int32, f float64) bool { return f == f || t.CellKind(int(r), col) != table.String }
+	switch op {
 	case "<":
 		return func(r int32) bool { return nums[r] < lit }
 	case "<=":
-		return func(r int32) bool { return nums[r] <= lit }
+		return func(r int32) bool { f := nums[r]; return !(f > lit) && numeric(r, f) }
 	case ">":
 		return func(r int32) bool { return nums[r] > lit }
 	default:
-		return func(r int32) bool { return nums[r] >= lit }
+		return func(r int32) bool { f := nums[r]; return !(f < lit) && numeric(r, f) }
 	}
 }
 
 // rangeFromIndex answers a numeric range predicate from the sorted
-// numeric index in O(log n) plus output size. The matching rows arrive
-// in value order; replaying them through a bitset re-emits them in
-// ascending record order without a sort.
+// numeric index in O(log n) plus output size. `<=` keeps what is not
+// above the literal and `>=` what is not below it, so a NaN literal
+// keeps the whole index for those two and nothing for `<` and `>`. The
+// matching rows arrive in value order; replaying them through a bitset
+// re-emits them in ascending record order without a sort.
 func (ex *executor) rangeFromIndex(col int, op string, lit float64) []int32 {
 	idx := ex.t.NumericSortedRows(col)
 	nums := ex.t.ColumnNums(col)
-	ge := func(i int) bool { return nums[idx[i]] >= lit }
+	notLt := func(i int) bool { return !(nums[idx[i]] < lit) }
 	gt := func(i int) bool { return nums[idx[i]] > lit }
 	var part []int32
 	switch op {
 	case "<":
-		part = idx[:sort.Search(len(idx), ge)]
+		part = idx[:sort.Search(len(idx), notLt)]
 	case "<=":
 		part = idx[:sort.Search(len(idx), gt)]
 	case ">":
 		part = idx[sort.Search(len(idx), gt):]
 	case ">=":
-		part = idx[sort.Search(len(idx), ge):]
+		part = idx[sort.Search(len(idx), notLt):]
 	}
 	set := ex.ar.rowSet(ex.t.NumRows())
 	set.AddRows(part)
@@ -494,20 +460,7 @@ func (ex *executor) superlative(x *Superlative) (*val, error) {
 	if t.ColumnAllNumeric(x.Col) && t.ColumnIndexable(x.Col) {
 		nums := t.ColumnNums(x.Col)
 		if len(rows) == t.NumRows() {
-			// Full-table superlative. If the sorted index is not resident
-			// yet, the zone maps answer cheaper: the global extreme folds
-			// from the zone bounds and only zones achieving it are read.
-			if zr, ok, err := ex.zoneSuperlative(x.Col, x.Max, nums); err != nil {
-				return nil, err
-			} else if ok {
-				v := ex.ar.val(RowsKind)
-				v.Rows = zr
-				if ex.trace {
-					v.Cells = ex.span(zr, x.Col)
-				}
-				return v, nil
-			}
-			// The extreme's tie group is a contiguous run of the sorted
+			// Full-table superlative. The extreme's tie group is a contiguous run of the sorted
 			// numeric index, and within a tie group the index orders by
 			// record — so the group can be shared as a subslice, already
 			// ascending, no sort, no copy.

@@ -9,15 +9,18 @@ import (
 // Zone-map data skipping.
 //
 // Zone maps (table.ColumnZones) summarise each column in morsel-sized
-// blocks. A scan of the whole row space hands the rowFilter kernel a
-// three-valued verdict per morsel, computed from the block summaries
-// before the driver starts: zoneNone proves no row of the morsel can
-// match, so the kernel skips it without reading a row; zoneAll proves
-// every row matches, so the kernel bulk-fills the morsel's row range
-// with no per-row evaluation; zoneMaybe runs the matcher. Verdicts are
-// conservative by construction, so the produced row sets are bitwise
-// identical to a scan under no verdicts at all — skipping is invisible
-// except in the Exec's Skipped and Shortcut counters.
+// blocks. They serve one scan: a range Compare over a column that
+// spells a NaN, which has no sorted index (every other range, and
+// every whole-column superlative, reads the index). The scan hands the
+// rowFilter kernel a three-valued verdict per morsel, computed from
+// the block summaries before the driver starts: zoneNone proves no row
+// of the morsel can match, so the kernel skips it without reading a
+// row; zoneAll proves every row matches, so the kernel bulk-fills the
+// morsel's row range with no per-row evaluation; zoneMaybe runs the
+// matcher. Verdicts are conservative by construction, so the produced
+// row sets are bitwise identical to a scan under no verdicts at all —
+// skipping is invisible except in the Exec's Skipped and Shortcut
+// counters.
 //
 // Zone maps only pay off past a size floor (building them walks the
 // column once), so consultation is gated on the Exec's ZoneFloor; the
@@ -71,10 +74,9 @@ func (ex *executor) materializeZones(f func(z int) zoneVerdict) *zoneScan {
 func zoneLen(z, n int) int { return min(morselRows, n-z*morselRows) }
 
 // zoneRangeFn builds the verdict function of a range Compare against a
-// number literal. It mirrors rangeMatcher: plain-numeric cells decide
-// on their float ordering, NaN cells compare equal to everything (so
-// they match <= and >= but never < or >), and non-numeric cells never
-// match.
+// number literal. It mirrors rangeMatcher: numbers and dates decide on
+// their reading, NaN cells match <= and >= but never < or >, text cells
+// never match, and a NaN literal matches every numeric cell.
 func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zoneVerdict {
 	zones := ex.t.ColumnZones(col)
 	n := ex.t.NumRows()
@@ -118,51 +120,4 @@ func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zon
 		}
 		return zoneMaybe
 	}
-}
-
-// zoneSuperlative answers a full-table superlative over a clean
-// all-numeric column from its zone maps, without building the sorted
-// index: the global extreme is the extreme of the zone bounds, a zone
-// whose bound misses it holds no achieving row, and a constant zone
-// that achieves it holds nothing else — so only the remaining zones
-// are read to collect the tie group (in ascending record order,
-// exactly the index path's output). Returns ok=false when consultation
-// is gated off or the sorted index is already resident (then the
-// sublinear index path wins).
-func (ex *executor) zoneSuperlative(col int, wantMax bool, nums []float64) ([]int32, bool, error) {
-	t := ex.t
-	if !ex.cfg.zones || t.NumericIndexBuilt(col) {
-		return nil, false, nil
-	}
-	zones := t.ColumnZones(col)
-	if len(zones) == 0 {
-		return nil, false, nil
-	}
-	// An indexable all-numeric column has no NaN and no text cells, so
-	// every zone's Min/Max summarise all of its rows.
-	bound := func(z int) float64 {
-		if wantMax {
-			return zones[z].Max
-		}
-		return zones[z].Min
-	}
-	best := bound(0)
-	for z := 1; z < len(zones); z++ {
-		if wantMax {
-			best = max(best, bound(z))
-		} else {
-			best = min(best, bound(z))
-		}
-	}
-	zs := ex.materializeZones(func(z int) zoneVerdict {
-		switch {
-		case bound(z) != best:
-			return zoneNone
-		case zones[z].Min == zones[z].Max:
-			return zoneAll
-		}
-		return zoneMaybe
-	})
-	rows, err := ex.scan(func(r int32) bool { return nums[r] == best }, zs)
-	return rows, err == nil, err
 }

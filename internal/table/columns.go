@@ -283,10 +283,3 @@ func radixSortRows(rows []int32, nums []float64) []int32 {
 	}
 	return rows
 }
-
-// NumericIndexBuilt reports whether column c currently has a published
-// sorted numeric index, without building one. The plan executor uses
-// it to choose between the index superlative path (when the index
-// already exists) and the cheaper zone-map path (when building the
-// index would cost a full sort).
-func (t *Table) NumericIndexBuilt(c int) bool { return t.numIdx[c].Load() != nil }
