@@ -324,7 +324,7 @@ func TestResultStringMatchesFormat(t *testing.T) {
 		table.NumberValue(0), table.NumberValue(-7), table.NumberValue(1e15), table.NumberValue(-1e15 + 1),
 		table.NumberValue(0.1), table.NumberValue(-2.5e-300), table.NumberValue(math.Copysign(0, -1)),
 		table.NumberValue(math.NaN()), table.NumberValue(math.Inf(1)), table.NumberValue(math.Inf(-1)),
-		table.ParseValue("2004-08-13"), {Kind: table.Date, Time: time.Date(12345, 1, 2, 0, 0, 0, 0, time.UTC)},
+		table.ParseValue("2004-08-13"), table.DateValue(time.Date(12345, 1, 2, 0, 0, 0, 0, time.UTC)),
 		table.StringValue("Greece"), table.StringValue(strings.Repeat("ſtraße ", 10)), table.StringValue(""),
 	}
 	want := func(r *Result) string {

@@ -66,11 +66,10 @@ func contractColumns(cols int) []string {
 }
 
 // sameValue is field-for-field identity: Num bitwise (NaN payloads and
-// the sign of zero count), Time both as an instant and as a struct.
+// the sign of zero count).
 func sameValue(a, b Value) bool {
 	return a.Kind == b.Kind && a.Str == b.Str &&
-		math.Float64bits(a.Num) == math.Float64bits(b.Num) &&
-		a.Time.Equal(b.Time) && a.Time == b.Time
+		math.Float64bits(a.Num) == math.Float64bits(b.Num)
 }
 
 func sameFloats(a, b []float64) bool {
@@ -247,7 +246,7 @@ func parseValueReference(raw string) Value {
 	}
 	for _, layout := range dateLayouts {
 		if t, err := time.Parse(layout, s); err == nil {
-			return Value{Kind: Date, Time: t}
+			return DateValue(t)
 		}
 	}
 	return StringValue(s)

@@ -100,15 +100,12 @@ func foldASCII(b []byte, from int) []byte {
 func KeyEqual(a, b Value) bool {
 	if a.Kind == b.Kind {
 		switch a.Kind {
-		case Number:
-			// Distinct floats render distinctly (shortest round-trip), so
-			// key equality is numeric equality — except NaN, which is not
-			// ==-equal to itself but renders as "nan" either way.
+		case Number, Date:
+			// Distinct floats render distinctly (shortest round-trip), and
+			// distinct day counts as distinct days, so key equality is
+			// numeric equality — except NaN, which is not ==-equal to
+			// itself but renders as "nan" either way.
 			return a.Num == b.Num || (math.IsNaN(a.Num) && math.IsNaN(b.Num))
-		case Date:
-			ay, am, ad := a.Time.Date()
-			by, bm, bd := b.Time.Date()
-			return ay == by && am == bm && ad == bd
 		default:
 			if isASCII(a.Str) && isASCII(b.Str) {
 				return asciiFoldEqual(a.Str, b.Str)

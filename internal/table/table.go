@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 )
 
 // CellRef identifies one cell by record index (row) and column index.
@@ -295,19 +294,14 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 }
 
 // Value returns the typed value at (row, col) — what ParseValue makes of
-// the cell's text, put together from its entry's kind and its number. The
-// six date layouts are date-only, so a date is a whole number of days
-// and converts back exactly.
+// the cell's text, put together from its entry's kind and its number (a
+// date's day count).
 func (t *Table) Value(row, col int) Value {
 	cd := &t.cols[col]
-	switch Kind(cd.kinds[cd.codes[row]]) {
-	case Number:
-		return Value{Kind: Number, Num: cd.nums[row]}
-	case Date:
-		return Value{Kind: Date, Time: time.Unix(int64(cd.nums[row]*86400), 0).UTC()}
-	default:
-		return Value{Kind: String, Str: strings.TrimSpace(t.Raw(row, col))}
+	if k := Kind(cd.kinds[cd.codes[row]]); k != String {
+		return Value{Kind: k, Num: cd.nums[row]}
 	}
+	return Value{Kind: String, Str: strings.TrimSpace(t.Raw(row, col))}
 }
 
 // Raw returns the original cell text at (row, col): a window of the

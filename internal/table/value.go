@@ -41,9 +41,8 @@ func (k Kind) String() string {
 // Value is a typed cell value. The zero Value is the empty string.
 type Value struct {
 	Kind Kind
-	Str  string    // set for Kind == String
-	Num  float64   // set for Kind == Number
-	Time time.Time // set for Kind == Date
+	Str  string  // set for Kind == String
+	Num  float64 // the number for Kind == Number, the day count since 1970-01-01 for Kind == Date
 }
 
 // StringValue returns a Value of kind String.
@@ -51,6 +50,10 @@ func StringValue(s string) Value { return Value{Kind: String, Str: s} }
 
 // NumberValue returns a Value of kind Number.
 func NumberValue(f float64) Value { return Value{Kind: Number, Num: f} }
+
+// DateValue returns a Value of kind Date: t's Unix time in days, a
+// whole number for every date ParseValue reads.
+func DateValue(t time.Time) Value { return Value{Kind: Date, Num: float64(t.Unix()) / 86400} }
 
 var dateLayouts = []string{
 	"2006-01-02",
@@ -81,7 +84,7 @@ func ParseValue(raw string) Value {
 	if strings.ContainsAny(s, "0123456789") {
 		for _, layout := range dateLayouts {
 			if t, err := time.Parse(layout, s); err == nil {
-				return Value{Kind: Date, Time: t}
+				return DateValue(t)
 			}
 		}
 	}
@@ -113,14 +116,10 @@ func (v Value) IsNumeric() bool { return v.Kind == Number || v.Kind == Date }
 // and superlative operators: the number itself, or a date's absolute
 // ordering in days. The second result is false for plain strings.
 func (v Value) Float() (float64, bool) {
-	switch v.Kind {
-	case Number:
-		return v.Num, true
-	case Date:
-		return float64(v.Time.Unix()) / 86400, true
-	default:
+	if v.Kind == String {
 		return 0, false
 	}
+	return v.Num, true
 }
 
 // String renders the value the way it would appear in a table cell.
@@ -138,7 +137,7 @@ func (v Value) AppendTo(dst []byte) []byte {
 	case Number:
 		return appendNumber(dst, v.Num)
 	case Date:
-		return v.Time.AppendFormat(dst, "2006-01-02")
+		return time.Unix(int64(v.Num)*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 	default:
 		return append(dst, v.Str...)
 	}

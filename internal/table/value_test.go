@@ -9,7 +9,7 @@ import (
 
 // dateValue is the Value of kind Date at midnight UTC.
 func dateValue(year int, month time.Month, day int) Value {
-	return Value{Kind: Date, Time: time.Date(year, month, day, 0, 0, 0, 0, time.UTC)}
+	return DateValue(time.Date(year, month, day, 0, 0, 0, 0, time.UTC))
 }
 
 func TestParseValueNumbers(t *testing.T) {
@@ -54,8 +54,8 @@ func TestParseValueDates(t *testing.T) {
 			t.Errorf("ParseValue(%q).Kind = %v, want Date", c.in, v.Kind)
 			continue
 		}
-		if !v.Time.Equal(c.want) {
-			t.Errorf("ParseValue(%q).Time = %v, want %v", c.in, v.Time, c.want)
+		if want := float64(c.want.Unix() / 86400); v.Num != want {
+			t.Errorf("ParseValue(%q).Num = %v, want day %v", c.in, v.Num, want)
 		}
 	}
 }
