@@ -127,8 +127,9 @@ store-stress:
 	$(GO) test -race -count=500 -run 'TestExplainBatchConcurrent|TestCallPathContract|TestLoadShedding' ./internal/engine/
 
 # bigtable-stress is the data-race gate for the morsel driver: the
-# forced-parallel differential suites, the NaN/tie and cancellation
-# tests, the worker-count-flip hammer (executions under the default
+# forced-parallel differential suites, ranges and superlatives over
+# every shape of a column's typed readings (the sorted index and the
+# float scan under zone verdicts), the NaN/tie and cancellation tests, the worker-count-flip hammer (executions under the default
 # executor racing SetExecWorkers), the executor counter pins, the zone
 # layer's tests, the engine-level hammer (8 query goroutines racing a
 # store mutator over a pinned snapshot) and the engine executor tests
@@ -152,7 +153,7 @@ store-stress:
 # register record and its segment file take per byte of it as CSV.
 bigtable-stress:
 	$(GO) test -race -run 'BigTable|TestExecCountersPinned|TestZone|TestEngineExecCounts|TestEnginesDoNotShareExecutor' -count=1 ./internal/plan/... ./internal/engine/...
-	$(GO) test -race -run 'TestPlanDifferentialParallel' -count=1 ./internal/dcs/...
+	$(GO) test -race -run 'TestPlanDifferentialParallel|TestRangeOverMixedColumns' -count=1 ./internal/dcs/...
 	$(GO) test -race -run 'TestFillColumns|TestParallelBuildMatchesSerial|TestDecodeTableColumnsInParallel|TestTableRepresentationAcrossChunks|TestFromCSVErrorAcrossChunks' -count=1 ./internal/table/ ./internal/segment/ ./internal/store/
 	$(GO) test -run 'TestTableHeapPerCell|TestFromCSVAllocBytes|TestNumericIndexAllocBytes|TestBaseBytesTracksHeap|TestRegisterAllocBytes|TestSegmentBytesPerUserByte' -count=1 ./internal/table/ ./internal/store/
 

@@ -202,8 +202,9 @@ func FuzzPlanDifferential(f *testing.F) {
 			{"2004", "Greece", "Athens", "0.3"},
 			{"2008", "China", "Beijing", "1e16"},
 			{"2012", "UK", "London", "-1e16"},
-			{"nan", "ſ", "Straße", "0.7"}, // NaN + Unicode folds: the fast-path guards
-			{"", "", "", ""},              // empty cells: text the zones do not count
+			{"nan", "ſ", "Straße", "0.7"},             // NaN + Unicode folds: the fast-path guards
+			{"2004-08-13", "Greece", "Athens", "0.5"}, // a date beside the NaN: one float rule reads both
+			{"", "", "", ""},                          // empty cells: text the zones do not count
 		})
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)

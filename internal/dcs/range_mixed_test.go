@@ -18,9 +18,9 @@ import (
 // each way a table can store the typed reading of its cells:
 //
 //	Mixed     numbers with text, date and empty cells, no NaN: ranges
-//	          run the float kernel over the numeric vector
+//	          read the sorted index of the numeric vector
 //	MixedNaN  the same plus one "nan" cell, in the second morsel: ranges
-//	          fall back to Value.Compare
+//	          scan the numeric vector under zone verdicts
 //	Text      text only: no cell has a numeric reading
 //	Num       numbers only, with ties at both ends
 func mixedRangeTable() *table.Table {

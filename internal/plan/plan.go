@@ -101,9 +101,11 @@ func (l *Lookup) Children() []Node { return []Node{l.Input} }
 
 // Compare denotes the records whose value in Col satisfies Op against
 // the literal V, over the whole table — the comparative of the paper.
-// Range operators (<, <=, >, >=) apply only between numeric values and
-// are answered from the lazily built sorted numeric index in O(log n);
-// "!=" is entity inequality. Entity equality is a Lookup over a Const.
+// Range operators (<, <=, >, >=) apply only between numeric values.
+// The column alone decides how one runs: over a column with no NaN cell
+// it is answered from the lazily built sorted numeric index in
+// O(log n), over a column that spells a NaN by a scan of its float
+// vector under zone verdicts. "!=" is entity inequality. Entity equality is a Lookup over a Const.
 type Compare struct {
 	Col int
 	Cmp string // < <= > >= !=
@@ -162,8 +164,9 @@ func (n *Union) Children() []Node { return []Node{n.L, n.R} }
 
 // Superlative denotes the records of Input achieving the extreme value
 // of column Col (argmax/argmin with ties, Top-1 of the ordering). Over
-// a full Scan of an all-numeric column it is answered from the sorted
-// numeric index instead of a full comparison scan.
+// a full Scan of an all-numeric column with no NaN cell it is answered
+// from the ends of the sorted numeric index, built on first use,
+// instead of a full comparison scan.
 type Superlative struct {
 	Input Node // RowsKind
 	Col   int

@@ -16,12 +16,14 @@ func zoned(x *Exec) *Exec   { x.ZoneFloor = 1; return x }
 func unzoned(x *Exec) *Exec { x.ZoneFloor = math.MaxInt; return x }
 
 // clusteredZoneTable builds an n-row table whose columns actually give
-// zone maps something to prove: Seq is monotone (every zone a disjoint
-// numeric range), Band is clustered low-cardinality text (most zones
-// hold one key), Mixed is numeric data with NaN, empty and text
-// stragglers so verdicts must honour the NaN/empty tallies, and SeqNaN
-// is Seq with a NaN last cell — not indexable, so every range over it
-// is a scan under zone verdicts, and its clean zones can be all-match.
+// zone maps something to prove, beside one they never see: Seq is
+// monotone and clean, so its ranges and its superlative read the sorted
+// index; Band is clustered low-cardinality text (most zones hold one
+// key); Mixed is numeric data with NaN, empty and text stragglers so
+// verdicts must honour the NaN/empty tallies; and SeqNaN is Seq with a
+// NaN last cell — not indexable, so every range over it is a scan under
+// zone verdicts (every zone a disjoint numeric range), and its clean
+// zones can be all-match.
 func clusteredZoneTable(tb testing.TB, n int) *table.Table {
 	tb.Helper()
 	rows := make([][]string, n)
@@ -49,12 +51,13 @@ func clusteredZoneTable(tb testing.TB, n int) *table.Table {
 	return table.MustNew("clustered", []string{"Seq", "Band", "Mixed", "SeqNaN"}, rows)
 }
 
-// zoneTestPlans enumerates the scan shapes the zone layer decides:
-// ranges over SeqNaN (narrow, wide, empty, and an intersection of two),
-// ranges over the indexable Seq where the zones or the sorted index may
-// answer, equality and inequality over interned keys (answered from the
-// posting lists, never from zones), ranges over the dirty Mixed column
-// (NaN/empty/text cells), NaN literals, and a full-table superlative.
+// zoneTestPlans enumerates the scan shapes the zone layer decides and
+// the shapes beside them it must leave alone: ranges over SeqNaN
+// (narrow, wide, empty, and an intersection of two), ranges over the
+// dirty Mixed column (NaN/empty/text cells), NaN literals, ranges and a
+// full-table superlative over the clean Seq (answered from the sorted
+// index, never from zones), and equality and inequality over interned
+// keys (answered from the posting lists).
 func zoneTestPlans() map[string]Node {
 	num := func(v float64) table.Value { return table.NumberValue(v) }
 	return map[string]Node{
