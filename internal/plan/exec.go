@@ -281,9 +281,13 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 		}
 		var zs *zoneScan
 		if ex.cfg.zones {
-			zs = ex.materializeZones(ex.zoneRangeFn(x.Col, x.Cmp, lit))
+			zs = ex.rangeZones(x.Col, x.Cmp, lit)
 		}
-		rows, err = ex.scan(ex.rangeMatcher(x.Col, x.Cmp, lit), zs)
+		rows, err = ex.filterRows(rowFilter{
+			rows:  identity(t.NumRows()),
+			zones: zs,
+			keep:  ex.rangeMatcher(x.Col, x.Cmp, lit),
+		})
 	default:
 		return nil, fmt.Errorf("plan: unknown comparison operator %q", x.Cmp)
 	}
@@ -298,14 +302,8 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 	return v, nil
 }
 
-// scan keeps the rows of the whole row space that keep accepts, under
-// the zone verdicts zs when there are any.
-func (ex *executor) scan(keep func(row int32) bool, zs *zoneScan) ([]int32, error) {
-	return ex.filterRows(rowFilter{rows: identity(ex.t.NumRows()), zones: zs, keep: keep})
-}
-
 // rangeMatcher is a range comparison's per-row test over a column that
-// spells a NaN, read from the float vector by the rule zoneRangeFn
+// spells a NaN, read from the float vector by the rule rangeZones
 // decides zones by: a number or date decides on its reading, a NaN cell
 // matches <= and >= but never < or >, a text cell matches nothing, and
 // a NaN literal matches every numeric cell. Both a text cell and a NaN
@@ -460,10 +458,10 @@ func (ex *executor) superlative(x *Superlative) (*val, error) {
 	if t.ColumnAllNumeric(x.Col) && t.ColumnIndexable(x.Col) {
 		nums := t.ColumnNums(x.Col)
 		if len(rows) == t.NumRows() {
-			// Full-table superlative. The extreme's tie group is a contiguous run of the sorted
-			// numeric index, and within a tie group the index orders by
-			// record — so the group can be shared as a subslice, already
-			// ascending, no sort, no copy.
+			// Full-table superlative. The extreme's tie group is a
+			// contiguous run of the sorted numeric index, and within a tie
+			// group the index orders by record — so the group can be
+			// shared as a subslice, already ascending, no sort, no copy.
 			idx := t.NumericSortedRows(x.Col)
 			if x.Max {
 				best := nums[idx[len(idx)-1]]

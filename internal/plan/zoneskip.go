@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"math"
-
-	"nlexplain/internal/table"
-)
+import "nlexplain/internal/table"
 
 // Zone-map data skipping.
 //
@@ -41,26 +37,45 @@ const (
 )
 
 // zoneScan is one scan's materialized verdict vector: verdicts[m] is
-// the predicate's answer for morsel m, with none/all tallies so
-// callers can tell whether consulting the zones bought anything.
+// the predicate's answer for morsel m, with the none/all tallies the
+// driver adds to the Exec's Skipped and Shortcut counters.
 type zoneScan struct {
 	verdicts  []zoneVerdict
 	none, all int
 }
 
-// materializeZones evaluates a verdict function over every zone once,
-// so the kernel does a single slice load per morsel. It returns nil
-// when no zone is decided.
-func (ex *executor) materializeZones(f func(z int) zoneVerdict) *zoneScan {
-	nz := morselCount(ex.t.NumRows())
-	zs := &zoneScan{verdicts: make([]zoneVerdict, nz)}
-	for z := 0; z < nz; z++ {
-		v := f(z)
-		zs.verdicts[z] = v
-		switch v {
-		case zoneNone:
+// rangeZones decides a range Compare against a number literal over
+// every zone of column col once, so the kernel does a single slice load
+// per morsel. It returns nil when no zone is decided. The verdicts
+// mirror rangeMatcher: numbers and dates decide on their reading, NaN
+// cells match <= and >= but never < or >, text cells never match, and
+// a NaN literal matches every numeric cell — because, as there, <= is
+// "not above" and >= "not below".
+func (ex *executor) rangeZones(col int, op string, lit float64) *zoneScan {
+	zones := ex.t.ColumnZones(col)
+	n := ex.t.NumRows()
+	strict := op == "<" || op == ">"
+	zs := &zoneScan{verdicts: make([]zoneVerdict, len(zones))}
+	for z := range zones {
+		zn := &zones[z]
+		var numNone, numAll bool
+		switch op {
+		case "<":
+			numNone, numAll = !(zn.Min < lit), zn.Max < lit
+		case "<=":
+			numNone, numAll = zn.Min > lit, !(zn.Max > lit)
+		case ">":
+			numNone, numAll = !(zn.Max > lit), zn.Min > lit
+		case ">=":
+			numNone, numAll = zn.Max < lit, !(zn.Min < lit)
+		}
+		switch {
+		case (zn.NumCount == 0 || numNone) && (zn.NaNCount == 0 || strict):
+			zs.verdicts[z] = zoneNone
 			zs.none++
-		case zoneAll:
+		case int(zn.NumCount)+int(zn.NaNCount) == min(morselRows, n-z*morselRows) &&
+			(zn.NumCount == 0 || numAll) && (zn.NaNCount == 0 || !strict):
+			zs.verdicts[z] = zoneAll
 			zs.all++
 		}
 	}
@@ -68,56 +83,4 @@ func (ex *executor) materializeZones(f func(z int) zoneVerdict) *zoneScan {
 		return nil
 	}
 	return zs
-}
-
-// zoneLen is the number of rows zone z covers in a table of n rows.
-func zoneLen(z, n int) int { return min(morselRows, n-z*morselRows) }
-
-// zoneRangeFn builds the verdict function of a range Compare against a
-// number literal. It mirrors rangeMatcher: numbers and dates decide on
-// their reading, NaN cells match <= and >= but never < or >, text cells
-// never match, and a NaN literal matches every numeric cell.
-func (ex *executor) zoneRangeFn(col int, op string, lit float64) func(z int) zoneVerdict {
-	zones := ex.t.ColumnZones(col)
-	n := ex.t.NumRows()
-	if math.IsNaN(lit) {
-		if op == "<" || op == ">" {
-			// Strict comparison against NaN is false for every cell.
-			return func(int) zoneVerdict { return zoneNone }
-		}
-		// <= / >= against NaN match exactly the numeric (incl. NaN) cells.
-		return func(z int) zoneVerdict {
-			zn := &zones[z]
-			switch numeric := int(zn.NumCount) + int(zn.NaNCount); numeric {
-			case 0:
-				return zoneNone
-			case zoneLen(z, n):
-				return zoneAll
-			}
-			return zoneMaybe
-		}
-	}
-	strict := op == "<" || op == ">"
-	return func(z int) zoneVerdict {
-		zn := &zones[z]
-		var numNone, numAll bool
-		switch op {
-		case "<":
-			numNone, numAll = zn.Min >= lit, zn.Max < lit
-		case "<=":
-			numNone, numAll = zn.Min > lit, zn.Max <= lit
-		case ">":
-			numNone, numAll = zn.Max <= lit, zn.Min > lit
-		case ">=":
-			numNone, numAll = zn.Max < lit, zn.Min >= lit
-		}
-		if (zn.NumCount == 0 || numNone) && (zn.NaNCount == 0 || strict) {
-			return zoneNone
-		}
-		if int(zn.NumCount)+int(zn.NaNCount) == zoneLen(z, n) &&
-			(zn.NumCount == 0 || numAll) && (zn.NaNCount == 0 || !strict) {
-			return zoneAll
-		}
-		return zoneMaybe
-	}
 }
