@@ -107,3 +107,29 @@ func readFile(t *testing.T, path string) []byte {
 	}
 	return data
 }
+
+// manifestIndented is the catalog testdata/manifest_indented holds, as
+// WriteManifest spelled it while it indented the JSON: two spaces a
+// level, one field a line.
+var manifestIndented = Manifest{Schema: 1, Gen: 42, WALSeq: 7, Tables: []TableRef{
+	{Name: "olympics", File: "seg-0000000000000003.seg", Gen: 3, Version: "8c1f0a2b4d6e9f01", Rows: 6, Cols: 4},
+	{Name: "Médailles 2004", File: "seg-0000000000000011.seg", Gen: 17, Version: "00ffa3c7e41b9d52", Rows: 131072, Cols: 6},
+	{Name: "empty", File: "seg-0000000000000029.seg", Gen: 41, Version: "5e0d1c2b3a490817", Rows: 0, Cols: 2},
+}}
+
+// TestLoadIndentedManifest: a data directory whose MANIFEST an earlier
+// build wrote indented still opens, to the same catalog.
+func TestLoadIndentedManifest(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), readFile(t, filepath.Join("testdata", "manifest_indented")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := LoadManifest(nil, dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadManifest: ok = %v, err = %v", ok, err)
+	}
+	if got.Schema != manifestIndented.Schema || got.Gen != manifestIndented.Gen || got.WALSeq != manifestIndented.WALSeq ||
+		!slices.Equal(got.Tables, manifestIndented.Tables) {
+		t.Fatalf("loaded %+v, want %+v", *got, manifestIndented)
+	}
+}
