@@ -215,9 +215,12 @@ fuzz-table:
 # never a panic, never an allocation out of proportion to its length.
 # The target reads the allocator's counters around every decode, which
 # makes minimising a find slow; that is capped so the window goes to
-# new inputs.
+# new inputs. The second line fuzzes the MANIFEST loader, the recovery
+# root: any bytes load as a manifest or fail as ErrCorrupt, and a
+# manifest it accepts comes back the same through a rewrite.
 fuzz-segment:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentRead -fuzztime 30s -fuzzminimizetime 5s ./internal/segment/
+	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime 30s ./internal/segment/
 
 # fuzz-provenance runs the highlighting fuzzer for a bounded window:
 # any query text that parses has an utterance, and either fails with an

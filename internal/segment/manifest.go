@@ -42,10 +42,11 @@ type Manifest struct {
 // WriteManifest persists m atomically into dir (tmp + fsync + rename
 // + dir fsync), all I/O through fsys (nil means the OS passthrough): a
 // crash, or a fault injected on the rename, leaves either the previous
-// manifest or the new one, never a torn mix.
+// manifest or the new one, never a torn mix. The JSON is compact, one
+// line; LoadManifest reads the indented form earlier builds wrote too.
 func WriteManifest(fsys vfs.FS, dir string, m *Manifest) error {
 	m.Schema = schemaManifest
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -266,6 +267,62 @@ func TestManifestRejectsFileOutsideDir(t *testing.T) {
 			t.Errorf("file %q: err = %v, want ErrCorrupt", file, err)
 		}
 	}
+}
+
+// sameManifest says whether two manifests name the same catalog.
+func sameManifest(a, b *Manifest) bool {
+	return a.Schema == b.Schema && a.Gen == b.Gen && a.WALSeq == b.WALSeq && slices.Equal(a.Tables, b.Tables)
+}
+
+// FuzzLoadManifest holds the recovery root's loader to its contract on
+// any bytes in MANIFEST: a manifest or ErrCorrupt, never a panic; and a
+// manifest it accepts comes back the same through WriteManifest and
+// LoadManifest again.
+func FuzzLoadManifest(f *testing.F) {
+	indented, err := os.ReadFile(filepath.Join("testdata", "manifest_indented"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(manifestIndented)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented)
+	f.Add(compact)
+	for _, n := range []int{0, 1, len(compact) / 2, len(compact) - 2} {
+		f.Add(compact[:n])
+	}
+	for _, file := range []string{"../seg-0000000000000003.seg", "/dev/zero", "sub/seg.seg", ".."} {
+		f.Add([]byte(`{"schema":1,"gen":1,"wal_seq":1,"tables":[{"name":"t","file":"` + file + `","gen":1}]}`))
+	}
+	f.Add(bytes.Replace(compact, []byte(`"schema":1`), []byte(`"schema":2`), 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := LoadManifest(nil, dir)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("load error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("a MANIFEST that exists loaded as none")
+		}
+		want := *m
+		if err := WriteManifest(nil, dir, m); err != nil {
+			t.Fatal(err)
+		}
+		again, ok, err := LoadManifest(nil, dir)
+		if err != nil || !ok {
+			t.Fatalf("the rewritten manifest does not load: ok = %v, err = %v", ok, err)
+		}
+		if !sameManifest(again, &want) {
+			t.Fatalf("loaded %+v, rewritten and loaded %+v", want, *again)
+		}
+	})
 }
 
 // frame wraps a body in the magic and its checksum.
