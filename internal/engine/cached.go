@@ -155,19 +155,27 @@ func (c *cached[T]) finish(key cacheKey, fl *inflightCall[T], val T, err error) 
 	close(fl.done)
 }
 
-// lead computes key's value on the calling goroutine and finishes fl
-// with the outcome. A full pending set sheds the computation with
-// ErrOverloaded instead of letting yet another caller wait; an admitted
-// one waits for a worker slot no longer than ctx allows and holds it
-// while it runs. A panic in compute is contained as ErrInternal. Slot
-// and pending count are given back before anyone reads the outcome.
-func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (val T, err error) {
-	e := c.e
+// lead computes key's value on the calling goroutine under the
+// engine's admission and finishes fl with the outcome.
+func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (T, error) {
+	val, err := admit(c.e, ctx, snap, tableName, key.text, c.compute)
+	c.finish(key, fl, val, err)
+	return val, err
+}
+
+// admit runs compute on the calling goroutine once the engine admits
+// it: a cache miss's leader, and a parse deeper than the cache keeps.
+// A full pending set sheds the computation with ErrOverloaded instead
+// of letting yet another caller wait; an admitted one waits for a
+// worker slot no longer than ctx allows and holds it while it runs. A
+// panic in compute is contained as ErrInternal. Slot and pending count
+// are given back before admit returns.
+func admit[T any](e *Engine, ctx context.Context, snap *store.Snapshot, tableName, text string,
+	compute func(context.Context, *store.Snapshot, string, string) (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: pipeline panic: %v", ErrInternal, r)
 		}
-		c.finish(key, fl, val, err)
 	}()
 	if err := ctx.Err(); err != nil {
 		return val, err
@@ -186,5 +194,5 @@ func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T],
 	defer func() { <-e.sem }()
 	// The depth signal admission tuning needs.
 	e.met.admitWait.RecordDuration(time.Since(admitted))
-	return c.compute(ctx, snap, tableName, key.text)
+	return compute(ctx, snap, tableName, text)
 }

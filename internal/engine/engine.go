@@ -48,10 +48,11 @@ type Options struct {
 	// carries none of its own; request-supplied timeouts are clamped
 	// to it, so it is the operator's hard per-query cap. Default 10s.
 	QueryTimeout time.Duration
-	// MaxPending bounds the live leaders: uncached computations running
-	// plus callers waiting for a worker slot to start theirs. Beyond it
-	// new work is shed with ErrOverloaded instead of letting callers
-	// wait without limit. Default 16x Workers.
+	// MaxPending bounds the uncached computations (a miss's leader, a
+	// parse deeper than the cache keeps) running plus waiting for a
+	// worker slot to start. Beyond it new work is shed with
+	// ErrOverloaded instead of letting callers wait without limit.
+	// Default 16x Workers.
 	MaxPending int
 	// StoreByteBudget bounds the table store's resident-byte estimate;
 	// over it, cold tables' derived indexes are evicted (base data
@@ -143,15 +144,14 @@ type Engine struct {
 	// request text; see cached.go.
 	results *cached[*Explanation]
 	answers *cached[*Answer]
-	parses  *cached[parsedPool] // whole ranked pools, cut to topK per request; previews of the default depth only
+	parses  *cached[parsedPool] // the ranks a default parse response shows; a deeper one is not cached
 
 	sem     chan struct{} // worker slots: bounds running pipeline computations
-	pending atomic.Int64  // live leaders, running + waiting for a slot; MaxPending bounds it
+	pending atomic.Int64  // admitted computations, running + waiting for a slot; MaxPending bounds it
 
 	// exec is the executor every plan execution of the engine runs in:
-	// explanations, answers, their samples, candidate generation by
-	// parser (the one the engine ranks with) and the previews of a deep
-	// top_k.
+	// explanations, answers, their samples, and candidate generation
+	// by parser (the one the engine ranks with).
 	exec   plan.Exec
 	parser *semparse.Parser
 
@@ -622,107 +622,97 @@ type RankedCandidate struct {
 
 // ParseQuestion maps an NL question over a registered table to ranked
 // candidate queries via the log-linear semantic parser (Figure 2's
-// deployment flow). topK <= 0 uses the parser's default (7). Ranks past
-// the cached previews re-execute under ctx, bounded by QueryTimeout;
-// their first context error fails the call.
+// deployment flow). topK <= 0 uses the parser's default (7), the depth
+// the parse cache keeps. A deeper topK generates the whole pool afresh
+// under the same admission as a cache miss, capped by QueryTimeout,
+// and caches nothing.
 func (e *Engine) ParseQuestion(ctx context.Context, tableName, question string, topK int) ([]RankedCandidate, error) {
 	e.met.parses.Inc()
-	pool, snap, _, err := e.parses.call(ctx, tableName, question)
-	if err != nil {
-		return nil, err
-	}
 	if topK <= 0 {
 		topK = e.parser.TopK
 	}
-	cands := pool.ranked
-	if topK > 0 && len(cands) > topK {
-		cands = cands[:topK]
+	var pool parsedPool
+	var err error
+	if topK > e.parser.TopK {
+		pool, err = e.parseDeep(ctx, tableName, question, topK)
+	} else {
+		pool, _, _, err = e.parses.call(ctx, tableName, question)
 	}
-	if len(cands) > len(pool.previews) {
-		var cancel context.CancelFunc
-		ctx, cancel = e.withDefaultDeadline(ctx)
-		defer cancel()
+	if err != nil {
+		return nil, err
 	}
-	out := make([]RankedCandidate, len(cands))
-	for i, c := range cands {
-		rc := RankedCandidate{
+	pool = pool[:min(topK, len(pool))]
+	out := make([]RankedCandidate, len(pool))
+	for i, r := range pool {
+		out[i] = RankedCandidate{
 			Rank:      i + 1,
-			Query:     c.query.String(),
-			Utterance: utterance.Utter(c.query),
-			Score:     c.score,
+			Query:     r.query.String(),
+			Utterance: utterance.Utter(r.query),
+			Score:     r.score,
+			Result:    r.preview,
 		}
-		if i < len(pool.previews) {
-			rc.Result = pool.previews[i]
-		} else {
-			res, err := e.preview(ctx, c.query, snap.Table())
-			if isCtxErr(err) {
-				e.countFailure(err)
-				return nil, err
-			}
-			if err == nil {
-				rc.Result = res.String()
-			}
-		}
-		out[i] = rc
 	}
 	return out, nil
 }
 
-// preview recomputes a candidate's result below the default depth:
-// the call candidate generation made and saw succeed, on a snapshot of
-// the version the pool is keyed by, so it renders the same bytes. It
-// runs answer-only in the engine's executor, which polls ctx at morsel
-// boundaries; ctx is checked first because a plan that reads no morsel
-// never polls it.
-func (e *Engine) preview(ctx context.Context, q dcs.Expr, tab *table.Table) (*dcs.Result, error) {
-	if err := ctx.Err(); err != nil {
+// parseDeep serves a topK past the depth the parse cache keeps: it
+// generates the question's whole pool, admitted as a cache miss is, and
+// ranks its first topK candidates with previews rendered from their
+// own denotations. Nothing of it is cached.
+func (e *Engine) parseDeep(ctx context.Context, tableName, question string, topK int) (parsedPool, error) {
+	snap, ok := e.store.Get(tableName)
+	if !ok {
+		err := fmt.Errorf("%w: %q", ErrUnknownTable, tableName)
+		e.countFailure(err)
 		return nil, err
 	}
-	c, err := dcs.Compile(q, tab)
+	ctx, cancel := e.withDefaultDeadline(ctx)
+	defer cancel()
+	cands, err := admit(e, ctx, snap, tableName, question, e.generate)
 	if err != nil {
+		e.countFailure(err)
 		return nil, err
 	}
-	c.Exec = &e.exec
-	return c.ExecuteWithCtx(ctx, tab, plan.Noop{})
+	return rank(cands[:min(topK, len(cands))]), nil
 }
 
-// parsedPool is what the parse cache keeps of a question: every
-// candidate ranked, and the result previews of the ranks a default
-// response shows. The feature vectors and query texts, half the bytes
-// of the parser's pool, have done their work once it is ranked; the
-// denotations, most of the rest, once the previews are rendered.
-type parsedPool struct {
-	ranked   []rankedQuery
-	previews []string // of ranked[:len(previews)], rendered when the pool was ranked
-}
+// parsedPool is what the parse cache keeps of a question: the ranks a
+// default response shows, the parser's TopK. The rest of the pool, and
+// the feature vectors, query texts and denotations of the ranks kept,
+// have done their work once it is ranked and the previews rendered.
+type parsedPool []rankedQuery
 
-// rankedQuery is what the parse cache keeps of every candidate: its
-// query and its score.
+// rankedQuery is one rank of a parsedPool: its query, its score and
+// the preview of its result.
 type rankedQuery struct {
-	query dcs.Expr
-	score float64
+	query   dcs.Expr
+	score   float64
+	preview string
 }
 
-// computeParse generates a question's candidate pool — the service's
-// most expensive step, which is why timeout+retry loops on a slow
-// question must join one generation instead of stacking new ones.
-// ParseAll (not Parse) so a topK above the parser's display default is
-// honored; the pool is read-only once published, safe to share across
-// waiters. Generation does not poll a context.
-func (e *Engine) computeParse(_ context.Context, snap *store.Snapshot, _, question string) (parsedPool, error) {
+// rank keeps of ranked candidates what a response shows.
+func rank(cands []*semparse.Candidate) parsedPool {
+	pool := make(parsedPool, len(cands))
+	for i, c := range cands {
+		pool[i] = rankedQuery{query: c.Query, score: c.Score, preview: c.Result.String()}
+	}
+	return pool
+}
+
+// computeParse ranks a question's candidates for the parse cache: the
+// service's most expensive step, which is why timeout+retry loops on a
+// slow question must join one generation instead of stacking new ones.
+// The pool is read-only once published, safe to share across waiters.
+func (e *Engine) computeParse(ctx context.Context, snap *store.Snapshot, tableName, question string) (parsedPool, error) {
+	cands, err := e.generate(ctx, snap, tableName, question)
+	return rank(cands[:min(e.parser.TopK, len(cands))]), err
+}
+
+// generate ranks the whole candidate pool of a question. Generation
+// does not poll a context.
+func (e *Engine) generate(_ context.Context, snap *store.Snapshot, _, question string) ([]*semparse.Candidate, error) {
 	start := time.Now()
 	cands := e.parser.ParseAll(question, snap.Table())
-	shown := len(cands)
-	if k := e.parser.TopK; k > 0 {
-		shown = min(shown, k)
-	}
-	pool := parsedPool{ranked: make([]rankedQuery, len(cands)), previews: make([]string, shown)}
-	for i, c := range cands {
-		pool.ranked[i] = rankedQuery{query: c.Query, score: c.Score}
-		if i < shown {
-			pool.previews[i] = c.Result.String()
-		}
-	}
 	e.met.parseLatency.RecordDuration(time.Since(start))
-	return pool, nil
+	return cands, nil
 }

@@ -438,10 +438,11 @@ func TestParseQuestionTopKAboveParserDefault(t *testing.T) {
 	}
 }
 
-// TestParseQuestionDeepRanksHonorDeadline: the ranks past the cached
-// previews re-execute under the request's deadline. With the pool
-// cached, an expired deadline still serves the default depth, and a
-// deeper top_k fails as one timeout instead of executing them.
+// TestParseQuestionDeepRanksHonorDeadline: the parse cache keeps the
+// default depth only, so a deeper top_k generates the whole pool again,
+// admitted as a cache miss is. With the default depth cached, an
+// expired deadline still serves it, and a deeper top_k fails at
+// admission as one timeout instead of generating the pool.
 func TestParseQuestionDeepRanksHonorDeadline(t *testing.T) {
 	e := newTestEngine(t)
 	const question = "which country had the most nations"
@@ -457,6 +458,44 @@ func TestParseQuestionDeepRanksHonorDeadline(t *testing.T) {
 		t.Fatalf("top_k 1000 on an expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 	wantTimeoutOnly(t, e)
+}
+
+// TestParseQuestionDeepIsShed: a top_k past the cached depth takes the
+// admission a cache miss does. On a full pending set it is shed with
+// ErrOverloaded, booked once, and leaves nothing in the parse cache;
+// once the set drains it is served, and still caches nothing.
+func TestParseQuestionDeepIsShed(t *testing.T) {
+	e := New(Options{CacheSize: 16, Workers: 1, MaxPending: 2})
+	e.RegisterTable(olympics(t))
+	const question = "which country had the most nations"
+
+	release := holdSlot(t, e, callOps[0])
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := e.Explain(context.Background(), "olympics", "count(City.Athens)")
+		waiter <- err
+	}()
+	waitFor(t, "the second query to join the pending set", func() bool { return e.pending.Load() == 2 })
+
+	if _, err := e.ParseQuestion(context.Background(), "olympics", question, 50); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("top_k 50 on a full pending set: err = %v, want ErrOverloaded", err)
+	}
+	if n := counter(t, e, "engine.sheds"); n != 1 {
+		t.Errorf("engine.sheds = %d, want 1", n)
+	}
+	release()
+	if err := <-waiter; err != nil {
+		t.Fatalf("the waiting query: %v", err)
+	}
+	if cands, err := e.ParseQuestion(context.Background(), "olympics", question, 50); err != nil || len(cands) <= 7 {
+		t.Fatalf("top_k 50 on a drained pending set: %d candidates, err = %v", len(cands), err)
+	}
+	if n := counter(t, e, "engine.cache.parse.size"); n != 0 {
+		t.Errorf("deep parses left %d parse-cache entries, want 0", n)
+	}
+	if n := e.pending.Load(); n != 0 {
+		t.Errorf("%d computations pending with every caller back, want 0", n)
+	}
 }
 
 func TestParseQuestionInvalidatedByReRegister(t *testing.T) {

@@ -27,8 +27,9 @@ func execCounts(t *testing.T, e *Engine) [5]uint64 {
 // (a range over a column that spells a NaN, so it scans under zone
 // verdicts, and no zone can hold a match, so every morsel is skipped),
 // an explain whose Section 5.3 sample runs each operand of its
-// difference, a question's candidate generation, and the previews a
-// deeper top_k re-executes. An execution that ran outside the engine's executor
+// difference, a question's candidate generation for the parse cache,
+// and the same generation again for a deeper top_k, which the cache
+// does not keep. An execution that ran outside the engine's executor
 // would move these numbers. With one worker nothing may fork.
 func TestEngineExecCounts(t *testing.T) {
 	t.Parallel()
@@ -37,8 +38,8 @@ func TestEngineExecCounts(t *testing.T) {
 		workers int
 		want    [5]uint64
 	}{
-		{8, [5]uint64{6, 140, 18, 3, 18}},
-		{1, [5]uint64{0, 146, 0, 3, 0}},
+		{8, [5]uint64{9, 269, 27, 3, 27}},
+		{1, [5]uint64{0, 278, 0, 3, 0}},
 	} {
 		e := New(Options{ExecWorkers: tc.workers})
 		e.RegisterTable(bigTable(t, 70_000))

@@ -57,19 +57,21 @@ func liveHeap() int64 {
 }
 
 // TestParseHeapPerQuestion is the parse cache's footprint gate, and it
-// does not read the clock: what one cached question keeps alive. Ranked
-// queries and scores, with the result previews of the top 7, measure
-// 7.2 KB on this corpus (104 candidates a question); with every
-// candidate's denotation beside its query it was 29 KB, and with a
-// name-keyed feature map per candidate 139 KB. Denotations or
-// per-candidate feature data in any form do not fit under the bound.
-// The log splits the entry into its parts and sets beside it what the
-// parser's pool would add.
+// does not read the clock: what one cached question keeps alive. The
+// parser's top 7 ranks — query, score and result preview — measure
+// 0.9 KB on this corpus. While the entry held every candidate's query
+// and score (104 a question) beside the top 7's previews it was 7.2 KB,
+// with every candidate's denotation 29 KB, and with a name-keyed
+// feature map per candidate 139 KB; the ranks below the default depth
+// do not fit under the bound. A top_k of 1 000 on every question,
+// which the cache does not keep, must leave no entry behind and at
+// most 64 heap bytes a question. The log splits the entry into its
+// parts and sets beside it what the parser's pool would add.
 func TestParseHeapPerQuestion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurement under the race detector")
 	}
-	const bound = 8_350 // measured 7 247, + 15 %; 28 916 with every candidate's denotation
+	const bound = 1_022 // measured 889, + 15 %; 7 247 with every candidate's query and score, 28 916 with every candidate's denotation
 	e := New(Options{CacheSize: 64, Workers: 2})
 	corpus := parseCorpus(t, e)
 	n := int64(len(corpus))
@@ -81,26 +83,40 @@ func TestParseHeapPerQuestion(t *testing.T) {
 		t.Errorf("a published parse keeps %d heap bytes, want at most %d", entry, bound)
 	}
 
-	candidates := 0
-	for i := range entries {
-		candidates += len(entries[i].ranked)
-		entries[i].previews = nil
+	for _, pool := range entries {
+		for i := range pool {
+			pool[i].preview = ""
+		}
 	}
 	queries := (liveHeap() - base) / n
 	runtime.KeepAlive(entries)
 	entries = nil
 
 	base = liveHeap()
+	for _, ex := range corpus {
+		if _, err := e.ParseQuestion(context.Background(), ex.Table.Name(), ex.Question, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := (liveHeap() - base) / n
+	if size := counter(t, e, "engine.cache.parse.size"); size != 0 || deep > 64 {
+		t.Errorf("top_k 1000 on every question left %d parse-cache entries and %d heap bytes a question, want none", size, deep)
+	}
+
+	base = liveHeap()
 	pools := make([][]*semparse.Candidate, len(corpus))
+	candidates := 0
 	for i, ex := range corpus {
 		snap, _ := e.store.Get(ex.Table.Name())
 		pools[i] = snap.Parser().ParseAll(ex.Question, snap.Table())
+		candidates += len(pools[i])
 	}
 	pool := (liveHeap() - base) / n
 	runtime.KeepAlive(pools)
 	t.Logf("%d questions, %d candidates: a published entry keeps %d heap bytes — previews %d, queries and scores %d; "+
-		"the pool as the parser returns it keeps %d, the %d more being denotations, feature vectors and query texts",
-		n, candidates, entry, entry-queries, queries, pool, pool-entry)
+		"top_k 1000 on each leaves %d; the pool as the parser returns it keeps %d, the %d more being the ranks below 7, "+
+		"denotations, feature vectors and query texts",
+		n, candidates, entry, entry-queries, queries, deep, pool, pool-entry)
 }
 
 // TestParseAllocsPerQuestion bounds the garbage of a parse-cache miss:
