@@ -100,7 +100,7 @@ func TestParseHeapPerQuestion(t *testing.T) {
 	}
 	deep := (liveHeap() - base) / n
 	if size := counter(t, e, "engine.cache.parse.size"); size != 0 || deep > 64 {
-		t.Errorf("top_k 1000 on every question left %d parse-cache entries and %d heap bytes a question, want none", size, deep)
+		t.Errorf("top_k 1000 on every question left %d parse-cache entries and %d heap bytes a question, want 0 and at most 64", size, deep)
 	}
 
 	base = liveHeap()
