@@ -156,11 +156,11 @@ func (c *cached[T]) finish(key cacheKey, fl *inflightCall[T], val T, err error) 
 }
 
 // lead computes key's value on the calling goroutine under the
-// engine's admission and finishes fl with the outcome.
-func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (T, error) {
-	val, err := admit(c.e, ctx, snap, tableName, key.text, c.compute)
-	c.finish(key, fl, val, err)
-	return val, err
+// engine's admission and finishes fl with the outcome, deferred so that
+// followers are released however the computation ends.
+func (c *cached[T]) lead(ctx context.Context, key cacheKey, fl *inflightCall[T], snap *store.Snapshot, tableName string) (val T, err error) {
+	defer func() { c.finish(key, fl, val, err) }()
+	return admit(c.e, ctx, snap, tableName, key.text, c.compute)
 }
 
 // admit runs compute on the calling goroutine once the engine admits
