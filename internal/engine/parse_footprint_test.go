@@ -325,12 +325,12 @@ func bigFixture() *table.Table {
 	return table.MustNew("big", []string{"Seq", "Tick", "Nation", "City", "Games", "Score"}, rows)
 }
 
-// cachedBytes explains every query of qs on tab and returns the live
-// heap the result cache keeps per explanation. A first engine runs the
-// queries so the table's lazy indexes and the executor's shared buffers
-// exist before the reading; a second engine, sharing the table, is the
-// one measured. Both live to the last reading.
-func cachedBytes(t *testing.T, tab *table.Table, qs []string) int64 {
+// cachedBytes runs every query of qs on tab through call, which must
+// miss, and returns the live heap the cache call fills keeps per entry.
+// A first engine runs the queries so the table's lazy indexes and the
+// executor's shared buffers exist before the reading; a second engine,
+// sharing the table, is the one measured. Both live to the last reading.
+func cachedBytes(t *testing.T, tab *table.Table, qs []string, call func(e *Engine, table, query string) (cached bool, err error)) int64 {
 	t.Helper()
 	newEngine := func() *Engine {
 		e := New(Options{CacheSize: 2 * len(qs), Workers: 1})
@@ -339,33 +339,48 @@ func cachedBytes(t *testing.T, tab *table.Table, qs []string) int64 {
 		}
 		return e
 	}
-	explainAll := func(e *Engine) {
+	runAll := func(e *Engine) {
 		for _, q := range qs {
-			if _, cached, err := e.ExplainCached(context.Background(), tab.Name(), q); err != nil || cached {
-				t.Fatalf("%s: cached=%v err=%v, want an uncached explanation", q, cached, err)
+			if cached, err := call(e, tab.Name(), q); err != nil || cached {
+				t.Fatalf("%s: cached=%v err=%v, want an uncached result", q, cached, err)
 			}
 		}
 	}
 	warm, e := newEngine(), newEngine()
-	explainAll(warm)
+	runAll(warm)
 	base := liveHeap()
-	explainAll(e)
+	runAll(e)
 	per := (liveHeap() - base) / int64(len(qs))
 	runtime.KeepAlive(warm)
 	runtime.KeepAlive(e)
 	return per
 }
 
+// explainCall and answerCall fill the result cache and the answer cache.
+func explainCall(e *Engine, tab, q string) (bool, error) {
+	_, cached, err := e.ExplainCached(context.Background(), tab, q)
+	return cached, err
+}
+
+func answerCall(e *Engine, tab, q string) (bool, error) {
+	_, cached, err := e.ExplainAnswer(context.Background(), tab, q)
+	return cached, err
+}
+
 // TestCachedExplanationBytes is the result cache's footprint gate, and
 // it does not read the clock: the live heap one cached explanation
 // keeps, the document with its provenance levels and the cache entry
 // around it. The web tables are the benchmark's four query families on
-// a 120-row table; the big table is the 131072-row fixture, counted by
-// nation and read through 1 % Tick ranges, where PC (Definition 4.1) is
-// every row of a column and a range's PE is too. With the levels held
-// by column, a whole column costs two words and a big-table entry
+// a 120-row table, which Section 5.3 samples, and on its first 30 rows,
+// which it does not; the big table is the 131072-row fixture, counted
+// by nation and read through 1 % Tick ranges, where PC (Definition 4.1)
+// is every row of a column and a range's PE is too. With the levels
+// held by column, a whole column costs two words and a big-table entry
 // costs the rows of its PO and PE, 4 bytes each; listed cell by cell,
 // at 16 bytes a cell, the entries measured 6 630 and 3 446 794 bytes.
+// The wide family, R[Seq].Tick>=k over 131 040 of the fixture's rows,
+// is measured on the result cache and on the answer cache, which holds
+// its result string again.
 func TestCachedExplanationBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurement under the race detector")
@@ -374,10 +389,17 @@ func TestCachedExplanationBytes(t *testing.T) {
 	for _, fam := range gamesFamilies {
 		web = append(web, fam.queries...)
 	}
-	per := cachedBytes(t, gamesTable(), web)
+	games := gamesTable()
+	per := cachedBytes(t, games, web, explainCall)
 	t.Logf("web tables: %d explanations, %d heap bytes each", len(web), per)
 	if bound := int64(1_950); per > bound { // measured 1 756, + 10 %
 		t.Errorf("a cached web-table explanation keeps %d heap bytes, want at most %d", per, bound)
+	}
+	small := table.MustNew("games", games.Columns(), games.RawRows()[:30])
+	per = cachedBytes(t, small, web, explainCall)
+	t.Logf("30-row table: %d explanations, %d heap bytes each", len(web), per)
+	if bound := int64(8_933); per > bound { // measured 8 121, + 10 %
+		t.Errorf("a cached explanation of a 30-row table keeps %d heap bytes, want at most %d", per, bound)
 	}
 
 	if testing.Short() {
@@ -389,9 +411,25 @@ func TestCachedExplanationBytes(t *testing.T) {
 		lo := 10_000 + 25_000*i
 		big = append(big, "(Tick>="+strconv.Itoa(lo)+" u Tick<"+strconv.Itoa(lo+1311)+")")
 	}
-	per = cachedBytes(t, bigFixture(), big)
+	fixture := bigFixture()
+	per = cachedBytes(t, fixture, big, explainCall)
 	t.Logf("131072-row table: %d explanations, %d heap bytes each", len(big), per)
 	if bound := int64(24_000); per > bound { // measured 21 738, + 10 %
 		t.Errorf("a cached big-table explanation keeps %d heap bytes, want at most %d", per, bound)
+	}
+
+	var wide []string
+	for k := range 4 {
+		wide = append(wide, "R[Seq].Tick>="+strconv.Itoa(32+k))
+	}
+	per = cachedBytes(t, fixture, wide, explainCall)
+	t.Logf("wide family: %d explanations, %d heap bytes each", len(wide), per)
+	if bound := int64(2_768_600); per > bound { // measured 2 516 832, + 10 %
+		t.Errorf("a cached explanation of the wide family keeps %d heap bytes, want at most %d", per, bound)
+	}
+	per = cachedBytes(t, fixture, wide, answerCall)
+	t.Logf("wide family: %d answers, %d heap bytes each", len(wide), per)
+	if bound := int64(1_036_700); per > bound { // measured 942 384, + 10 %
+		t.Errorf("a cached answer of the wide family keeps %d heap bytes, want at most %d", per, bound)
 	}
 }
