@@ -436,7 +436,8 @@ func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Co
 
 // compute is the uncached explain pipeline: prepare, then export's
 // build (execute, provenance+highlight, sample, utter, translate,
-// grid, levels), stamped with the snapshot's version. The whole of it
+// grid, levels), stamped with the snapshot's version. The grid is a
+// view of the snapshot's table: the cached document keeps no cells. The whole of it
 // reads the one pinned snapshot. Morsel workers inherit the
 // pprof labels (goroutines inherit their creator's), so -pprof
 // profiles attribute CPU to query families even for fanned-out scans.
@@ -450,7 +451,7 @@ func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, q
 	pprof.Do(ctx, labels, func(ctx context.Context) {
 		// Threshold 0: grids over provenance.SampleThreshold rows switch to
 		// Section 5.3 record sampling.
-		ex, _, err = export.BuildCompiledCtx(ctx, c, snap.Table(), 0)
+		ex, _, err = export.BuildView(ctx, c, snap.Table(), 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("explaining %s on %s: %w", dcs.Clip(c.Expr.String()), tableName, err)

@@ -77,8 +77,10 @@ func TestExplainPipeline(t *testing.T) {
 	if !strings.Contains(ex.Table.Headers[0], "Year") {
 		t.Errorf("Grid headers = %v", ex.Table.Headers)
 	}
+	// The cached grid is a view of the snapshot; WithCells renders its
+	// cells.
 	marked := 0
-	for _, row := range ex.Table.Cells {
+	for _, row := range ex.Table.WithCells().Cells {
 		for _, c := range row {
 			if c.Marking != "" {
 				marked++

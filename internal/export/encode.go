@@ -1,11 +1,10 @@
 package export
 
 import (
-	"encoding/json"
 	"slices"
 	"strconv"
 
-	"nlexplain/internal/render"
+	"nlexplain/internal/jsonw"
 	"nlexplain/internal/table"
 )
 
@@ -23,56 +22,35 @@ import (
 // json.MarshalIndent(d, "", "  ") returns.
 func (d *ExplanationJSON) AppendIndent(dst []byte, depth int) []byte {
 	dst = d.AppendMembers(append(dst, '{'), depth+1)
-	return append(newline(dst, depth), '}')
+	return append(jsonw.Newline(dst, depth), '}')
 }
 
 // AppendMembers appends d's members as AppendIndent does, each on a line
 // of its own at depth, but not the braces around them, so a caller can
-// add members of its own to the same object.
+// add members of its own to the same object. The grid is written by
+// render.Grid.AppendIndent, from its cells or from its view.
 func (d *ExplanationJSON) AppendMembers(dst []byte, depth int) []byte {
-	dst = AppendString(key(dst, depth, "table"), d.Name)
+	dst = jsonw.String(jsonw.Key(dst, depth, "table"), d.Name)
 	if d.Version != "" {
-		dst = AppendString(key(append(dst, ','), depth, "version"), d.Version)
+		dst = jsonw.String(jsonw.Key(append(dst, ','), depth, "version"), d.Version)
 	}
-	dst = AppendString(key(append(dst, ','), depth, "query"), d.Query)
-	dst = AppendString(key(append(dst, ','), depth, "utterance"), d.Utterance)
+	dst = jsonw.String(jsonw.Key(append(dst, ','), depth, "query"), d.Query)
+	dst = jsonw.String(jsonw.Key(append(dst, ','), depth, "utterance"), d.Utterance)
 	if d.SQL != "" {
-		dst = AppendString(key(append(dst, ','), depth, "sql"), d.SQL)
+		dst = jsonw.String(jsonw.Key(append(dst, ','), depth, "sql"), d.SQL)
 	}
-	dst = AppendString(key(append(dst, ','), depth, "result"), d.Result)
-	dst = appendGrid(key(append(dst, ','), depth, "grid"), depth, &d.Table)
-	return appendProv(key(append(dst, ','), depth, "provenance"), depth, &d.Provenance)
-}
-
-func appendGrid(dst []byte, depth int, g *render.Grid) []byte {
-	in := depth + 1
-	dst = AppendString(key(append(dst, '{'), in, "name"), g.Name)
-	dst = appendArray(key(append(dst, ','), in, "headers"), in, g.Headers, appendStringElem)
-	dst = appendArray(key(append(dst, ','), in, "rows"), in, g.Rows, appendInt)
-	dst = appendArray(key(append(dst, ','), in, "cells"), in, g.Cells, appendCellRow)
-	dst = strconv.AppendBool(key(append(dst, ','), in, "sampled"), g.Sampled)
-	return append(newline(dst, depth), '}')
-}
-
-func appendCellRow(dst []byte, depth int, row []render.Cell) []byte {
-	return appendArray(dst, depth, row, appendCell)
-}
-
-func appendCell(dst []byte, depth int, c render.Cell) []byte {
-	dst = AppendString(key(append(dst, '{'), depth+1, "text"), c.Text)
-	if c.Marking != "" {
-		dst = AppendString(key(append(dst, ','), depth+1, "marking"), c.Marking)
-	}
-	return append(newline(dst, depth), '}')
+	dst = jsonw.String(jsonw.Key(append(dst, ','), depth, "result"), d.Result)
+	dst = d.Table.AppendIndent(jsonw.Key(append(dst, ','), depth, "grid"), depth)
+	return appendProv(jsonw.Key(append(dst, ','), depth, "provenance"), depth, &d.Provenance)
 }
 
 func appendProv(dst []byte, depth int, p *ProvJSON) []byte {
 	in := depth + 1
-	dst = appendLevel(key(append(dst, '{'), in, "output"), in, p.Output)
-	dst = appendLevel(key(append(dst, ','), in, "execution"), in, p.Execution)
-	dst = appendLevel(key(append(dst, ','), in, "columns"), in, p.Columns)
+	dst = appendLevel(jsonw.Key(append(dst, '{'), in, "output"), in, p.Output)
+	dst = appendLevel(jsonw.Key(append(dst, ','), in, "execution"), in, p.Execution)
+	dst = appendLevel(jsonw.Key(append(dst, ','), in, "columns"), in, p.Columns)
 	if len(p.Aggrs) > 0 {
-		dst = appendArray(key(append(dst, ','), in, "aggrs"), in, p.Aggrs, appendStringElem)
+		dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "aggrs"), in, p.Aggrs, jsonw.StringElem)
 	}
 	if len(p.HeaderAggrs) > 0 {
 		var buf [8]string // a document names few columns: sort them on the stack
@@ -81,17 +59,17 @@ func appendProv(dst []byte, depth int, p *ProvJSON) []byte {
 			cols = append(cols, col)
 		}
 		slices.Sort(cols)
-		dst = append(key(append(dst, ','), in, "header_aggrs"), '{')
+		dst = append(jsonw.Key(append(dst, ','), in, "header_aggrs"), '{')
 		for i, col := range cols {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendString(newline(dst, in+1), col)
-			dst = AppendString(append(dst, ": "...), p.HeaderAggrs[col])
+			dst = jsonw.String(jsonw.Newline(dst, in+1), col)
+			dst = jsonw.String(append(dst, ": "...), p.HeaderAggrs[col])
 		}
-		dst = append(newline(dst, in), '}')
+		dst = append(jsonw.Newline(dst, in), '}')
 	}
-	return append(newline(dst, depth), '}')
+	return append(jsonw.Newline(dst, depth), '}')
 }
 
 // appendLevel lists a level's cells as a JSON array at depth, one per
@@ -104,86 +82,21 @@ func appendLevel(dst []byte, depth int, l table.Level) []byte {
 		if len(dst) > n+1 {
 			dst = append(dst, ',')
 		}
-		dst = appendCellRef(newline(dst, depth+1), depth+1, c)
+		dst = appendCellRef(jsonw.Newline(dst, depth+1), depth+1, c)
 	}
 	if len(dst) == n+1 {
 		return append(dst, ']')
 	}
-	return append(newline(dst, depth), ']')
+	return append(jsonw.Newline(dst, depth), ']')
 }
 
 func appendCellRef(dst []byte, depth int, c table.CellRef) []byte {
-	dst = strconv.AppendInt(key(append(dst, '{'), depth+1, "row"), int64(c.Row), 10)
-	dst = strconv.AppendInt(key(append(dst, ','), depth+1, "col"), int64(c.Col), 10)
-	return append(newline(dst, depth), '}')
+	dst = strconv.AppendInt(jsonw.Key(append(dst, '{'), depth+1, "row"), int64(c.Row), 10)
+	dst = strconv.AppendInt(jsonw.Key(append(dst, ','), depth+1, "col"), int64(c.Col), 10)
+	return append(jsonw.Newline(dst, depth), '}')
 }
-
-func appendStringElem(dst []byte, _ int, s string) []byte { return AppendString(dst, s) }
-
-func appendInt(dst []byte, _ int, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
-
-// appendArray appends s as a JSON array at depth, one element per line
-// at depth+1 written by elem: null for a nil slice, [] for an empty one.
-func appendArray[E any](dst []byte, depth int, s []E, elem func(dst []byte, depth int, e E) []byte) []byte {
-	if s == nil {
-		return append(dst, "null"...)
-	}
-	if len(s) == 0 {
-		return append(dst, "[]"...)
-	}
-	dst = append(dst, '[')
-	for i, e := range s {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = elem(newline(dst, depth+1), depth+1, e)
-	}
-	return append(newline(dst, depth), ']')
-}
-
-// key starts a member on a new line at depth: the quoted name, a colon
-// and a space. name must need no escaping; the separating comma, if
-// any, is the caller's.
-func key(dst []byte, depth int, name string) []byte {
-	dst = append(newline(dst, depth), '"')
-	dst = append(dst, name...)
-	return append(dst, `": `...)
-}
-
-func newline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for range depth {
-		dst = append(dst, "  "...)
-	}
-	return dst
-}
-
-// plain marks the bytes a JSON string holds as they are under
-// encoding/json's defaults: printable ASCII other than the quote, the
-// backslash and the three characters HTML escaping rewrites.
-var plain = func() (set [256]bool) {
-	for c := 0x20; c <= 0x7e; c++ {
-		set[c] = true
-	}
-	for _, c := range `"\<>&` {
-		set[c] = false
-	}
-	return set
-}()
 
 // AppendString appends s as a quoted JSON string, byte for byte what
-// json.Marshal makes of it. A string of plain bytes is copied as it is;
-// any other goes through json.Marshal, which owns the rest of the
-// contract: control bytes, HTML escaping, U+FFFD for invalid UTF-8 and
-// the \u2028 / \u2029 escapes.
-func AppendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
+// json.Marshal makes of it: jsonw.String, which the server's own
+// response members share with the document.
+func AppendString(dst []byte, s string) []byte { return jsonw.String(dst, s) }

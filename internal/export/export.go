@@ -82,8 +82,23 @@ func Build(q dcs.Expr, t *table.Table, threshold int) (*ExplanationJSON, *proven
 // ctx disables the checks. The source expression is read off the plan,
 // so the document and the executed plan can never disagree; the result
 // string and the highlights both come from the single traced execution
-// the provenance pipeline performs.
+// the provenance pipeline performs. The document's grid holds its rows
+// and cells.
 func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
+	doc, h, err := BuildView(ctx, c, t, threshold)
+	if err != nil {
+		return nil, nil, err
+	}
+	doc.Table = doc.Table.WithCells()
+	return doc, h, nil
+}
+
+// BuildView is BuildCompiledCtx with the document's grid left a view of
+// t (render.View): the table, the rows shown and the document's own
+// levels, which its encoders render the cells from as they write. The
+// engine caches these documents, so an entry weighs its levels and
+// strings, not a copy of the cells it shows.
+func BuildView(ctx context.Context, c *dcs.Compiled, t *table.Table, threshold int) (*ExplanationJSON, *provenance.Highlights, error) {
 	q := c.Expr
 	if threshold <= 0 {
 		threshold = provenance.SampleThreshold
@@ -104,7 +119,7 @@ func BuildCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table, thre
 		Query:      q.String(),
 		Utterance:  utterance.Utter(q),
 		Result:     res.String(),
-		Table:      render.JSONGrid(t, h, rows, sampled),
+		Table:      render.View(t, h, rows, sampled),
 		Provenance: provJSON(t, h.Prov),
 	}
 	if sql, err := sqlgen.TranslateSQL(q); err == nil {

@@ -74,18 +74,26 @@ func HighlightCompiledCtx(ctx context.Context, c *dcs.Compiled, t *table.Table) 
 	return &Highlights{Prov: p, exec: c.Exec}, res, nil
 }
 
-// Marking returns the marking of a cell: the innermost level of the
-// chain PO ⊆ PE ⊆ PC that holds it, asked from the widest level in, so
-// a cell outside every mentioned column — most of a table — costs one
-// scan of PC's few columns.
+// Marking returns the marking of a cell, asked from the widest level
+// in, so a cell outside every mentioned column — most of a table —
+// costs one scan of PC's few columns.
 func (h *Highlights) Marking(c table.CellRef) Marking {
 	p := h.Prov
+	inPC := p.Columns.Contains(c)
+	inPE := inPC && p.Execution.Contains(c)
+	return Innermost(inPC, inPE, inPE && p.Output.Contains(c))
+}
+
+// Innermost is Algorithm 1's marking rule: a cell takes the innermost
+// level of the chain PO ⊆ PE ⊆ PC that holds it, and None outside PC.
+// inPC, inPE and inPO say which levels hold the cell.
+func Innermost(inPC, inPE, inPO bool) Marking {
 	switch {
-	case !p.Columns.Contains(c):
+	case !inPC:
 		return None
-	case !p.Execution.Contains(c):
+	case !inPE:
 		return Lit
-	case !p.Output.Contains(c):
+	case !inPO:
 		return Framed
 	}
 	return Colored

@@ -8,8 +8,10 @@ package render
 import (
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 
+	"nlexplain/internal/jsonw"
 	"nlexplain/internal/provenance"
 	"nlexplain/internal/table"
 )
@@ -238,27 +240,41 @@ type Cell struct {
 // spells it ("max(Year)"; Text, ANSI and HTML upper-case it,
 // "MAX(Year)"); Rows holds the source record index of each cell row so
 // front-ends can show original positions for sampled tables.
+//
+// Every cell and its marking is a function of the table and the
+// provenance levels, so a grid View builds holds those instead of its
+// cells: a view of the table. Its Cells is nil, and so is its Rows when
+// it shows every record. AppendIndent and MarshalJSON write a view's
+// cells and rows from the table as they go, the bytes they write of the
+// same grid holding them; WithCells returns it holding them. A grid
+// built field by field is written as its fields say.
 type Grid struct {
 	Name    string   `json:"name"`
 	Headers []string `json:"headers"`
 	Rows    []int    `json:"rows"`
 	Cells   [][]Cell `json:"cells"`
 	Sampled bool     `json:"sampled"`
+
+	// t is the table a view shows, nil for a grid built field by field;
+	// levels are the chain of Algorithm 1, widest first: PC, PE, PO.
+	t      *table.Table
+	levels [3]table.Level
 }
 
-// JSONGrid builds the Grid for the given records of t under highlights
-// h. rows selects which records to include (nil = all); sampled flags
-// that rows is a Section 5.3 sample rather than the full table.
-func JSONGrid(t *table.Table, h *provenance.Highlights, rows []int, sampled bool) Grid {
-	if rows == nil {
-		rows = t.Records()
-	}
+// View builds the grid of the given records of t under highlights h
+// as a view of t: headers and rows, but no cells. rows selects which
+// records to include, ascending (nil = all); sampled flags that rows
+// is a Section 5.3 sample rather than the full table. The grid keeps
+// t, rows and h's levels, not h.
+func View(t *table.Table, h *provenance.Highlights, rows []int, sampled bool) Grid {
+	p := h.Prov
 	g := Grid{
 		Name:    t.Name(),
 		Headers: make([]string, t.NumCols()),
 		Rows:    rows,
-		Cells:   make([][]Cell, 0, len(rows)),
 		Sampled: sampled,
+		t:       t,
+		levels:  [3]table.Level{p.Columns, p.Execution, p.Output},
 	}
 	for c := 0; c < t.NumCols(); c++ {
 		name := t.Column(c)
@@ -267,21 +283,185 @@ func JSONGrid(t *table.Table, h *provenance.Highlights, rows []int, sampled bool
 		}
 		g.Headers[c] = name
 	}
+	return g
+}
+
+// JSONGrid builds the Grid for the given records of t under highlights
+// h, holding its rows and cells: View, then WithCells.
+func JSONGrid(t *table.Table, h *provenance.Highlights, rows []int, sampled bool) Grid {
+	return View(t, h, rows, sampled).WithCells()
+}
+
+// WithCells returns g holding its rows and cells: a view's rendered
+// from its table, and any other grid as it is.
+func (g Grid) WithCells() Grid {
+	if g.t == nil || g.Cells != nil {
+		return g
+	}
+	if g.Rows == nil {
+		g.Rows = g.t.Records()
+	}
+	var buf [3 * stackCols]table.Cursor
+	m := g.marker(buf[:0])
 	// All cell rows live in one flat exactly-sized backing array: two
 	// allocations for the whole grid instead of one per row.
-	flat := make([]Cell, 0, len(rows)*t.NumCols())
-	for _, r := range rows {
+	cols := g.t.NumCols()
+	g.Cells = make([][]Cell, 0, len(g.Rows))
+	flat := make([]Cell, 0, len(g.Rows)*cols)
+	for _, r := range g.Rows {
 		base := len(flat)
-		for c := 0; c < t.NumCols(); c++ {
-			cell := Cell{Text: t.Raw(r, c)}
-			if m := h.MarkingAt(r, c); m != provenance.None {
-				cell.Marking = m.String()
-			}
-			flat = append(flat, cell)
+		for c := range cols {
+			flat = append(flat, m.cell(r, c))
 		}
 		g.Cells = append(g.Cells, flat[base:len(flat):len(flat)])
 	}
 	return g
+}
+
+// stackCols is the widest table whose cursors a grid's walk keeps on
+// the stack; a wider one allocates them, once a walk.
+const stackCols = 16
+
+// marker marks a view's cells row by row, the rows ascending: a cursor
+// per column of each level, so a cell costs a step down its column, not
+// a search of it. A row below the last one asked starts the cursors
+// afresh.
+type marker struct {
+	g    *Grid
+	cur  []table.Cursor // column c's PC, PE and PO at 3c, 3c+1, 3c+2
+	last int
+}
+
+// marker returns g's marker, its cursors in buf when they fit.
+func (g *Grid) marker(buf []table.Cursor) marker {
+	n := 3 * g.t.NumCols()
+	if cap(buf) < n {
+		buf = make([]table.Cursor, n)
+	}
+	m := marker{g: g, cur: buf[:n]}
+	m.reset()
+	return m
+}
+
+func (m *marker) reset() {
+	m.last = 0
+	for i := range m.cur {
+		m.cur[i] = m.g.levels[i%3].Cursor(i / 3)
+	}
+}
+
+// cell renders the cell at (r, c).
+func (m *marker) cell(r, c int) Cell {
+	if r < m.last {
+		m.reset()
+	}
+	m.last = r
+	cur := m.cur[3*c : 3*c+3]
+	inPC := cur[0].Holds(r)
+	inPE := inPC && cur[1].Holds(r)
+	cell := Cell{Text: m.g.t.Raw(r, c)}
+	if mk := provenance.Innermost(inPC, inPE, inPE && cur[2].Holds(r)); mk != provenance.None {
+		cell.Marking = mk.String()
+	}
+	return cell
+}
+
+// AppendIndent appends g as two-space-indented JSON, nested depth
+// levels deep, as json.MarshalIndent writes the grid holding its cells:
+// a view's rows (0 to n-1 when it shows every record) and cells are
+// written from its table.
+func (g *Grid) AppendIndent(dst []byte, depth int) []byte {
+	in := depth + 1
+	dst = jsonw.String(jsonw.Key(append(dst, '{'), in, "name"), g.Name)
+	dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "headers"), in, g.Headers, jsonw.StringElem)
+	if g.t == nil || g.Cells != nil {
+		dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "rows"), in, g.Rows, jsonw.IntElem)
+		dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "cells"), in, g.Cells, appendCellRow)
+	} else {
+		dst = g.appendViewRows(jsonw.Key(append(dst, ','), in, "rows"), in)
+		dst = g.appendViewCells(jsonw.Key(append(dst, ','), in, "cells"), in)
+	}
+	dst = strconv.AppendBool(jsonw.Key(append(dst, ','), in, "sampled"), g.Sampled)
+	return append(jsonw.Newline(dst, depth), '}')
+}
+
+// MarshalJSON writes the bytes AppendIndent does, so encoding/json
+// writes a view as it writes the grid holding its cells.
+func (g Grid) MarshalJSON() ([]byte, error) { return g.AppendIndent(nil, 0), nil }
+
+// shown returns the number of rows a view shows and the source record
+// of the i-th.
+func (g *Grid) shown() int {
+	if g.Rows == nil {
+		return g.t.NumRows()
+	}
+	return len(g.Rows)
+}
+
+func (g *Grid) record(i int) int {
+	if g.Rows == nil {
+		return i
+	}
+	return g.Rows[i]
+}
+
+func (g *Grid) appendViewRows(dst []byte, depth int) []byte {
+	n := g.shown()
+	if n == 0 {
+		return append(dst, "[]"...)
+	}
+	dst = append(dst, '[')
+	for i := range n {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(jsonw.Newline(dst, depth+1), int64(g.record(i)), 10)
+	}
+	return append(jsonw.Newline(dst, depth), ']')
+}
+
+// appendViewCells writes a view's cells as jsonw.Array writes held
+// ones, rendering each as it goes: nothing is allocated a cell.
+func (g *Grid) appendViewCells(dst []byte, depth int) []byte {
+	n, cols := g.shown(), g.t.NumCols()
+	if n == 0 {
+		return append(dst, "[]"...)
+	}
+	var buf [3 * stackCols]table.Cursor
+	m := g.marker(buf[:0])
+	dst = append(dst, '[')
+	for i := range n {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonw.Newline(dst, depth+1)
+		if cols == 0 {
+			dst = append(dst, "[]"...)
+			continue
+		}
+		r := g.record(i)
+		dst = append(dst, '[')
+		for c := range cols {
+			if c > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendCell(jsonw.Newline(dst, depth+2), depth+2, m.cell(r, c))
+		}
+		dst = append(jsonw.Newline(dst, depth+1), ']')
+	}
+	return append(jsonw.Newline(dst, depth), ']')
+}
+
+func appendCellRow(dst []byte, depth int, row []Cell) []byte {
+	return jsonw.Array(dst, depth, row, appendCell)
+}
+
+func appendCell(dst []byte, depth int, c Cell) []byte {
+	dst = jsonw.String(jsonw.Key(append(dst, '{'), depth+1, "text"), c.Text)
+	if c.Marking != "" {
+		dst = jsonw.String(jsonw.Key(append(dst, ','), depth+1, "marking"), c.Marking)
+	}
+	return append(jsonw.Newline(dst, depth), '}')
 }
 
 // CSS returns a stylesheet for the HTML rendering, matching the paper's

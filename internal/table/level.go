@@ -135,6 +135,44 @@ func (l Level) Contains(c CellRef) bool {
 	return false
 }
 
+// Cursor answers whether a level holds the cells of one column, asked
+// down the column: a step of a merge over the column's rows, not a
+// search of them. The zero Cursor holds nothing.
+type Cursor struct {
+	// rows are the column's rows not yet passed, nil when it is whole
+	// or absent.
+	rows []int32
+	// whole is the table's row count for a whole column, else 0.
+	whole int32
+}
+
+// Cursor returns a cursor at the top of column col.
+func (l Level) Cursor(col int) Cursor {
+	for i := 0; i < len(l.data); {
+		c, rows, next := l.column(i)
+		if c == col {
+			if rows == nil {
+				return Cursor{whole: l.rows}
+			}
+			return Cursor{rows: rows}
+		}
+		i = next
+	}
+	return Cursor{}
+}
+
+// Holds reports whether the level holds the cell of the cursor's
+// column on row, which must not be below the row asked before.
+func (c *Cursor) Holds(row int) bool {
+	if c.rows == nil {
+		return row >= 0 && row < int(c.whole)
+	}
+	for len(c.rows) > 0 && int(c.rows[0]) < row {
+		c.rows = c.rows[1:]
+	}
+	return len(c.rows) > 0 && int(c.rows[0]) == row
+}
+
 // Len returns the number of cells in the level.
 func (l Level) Len() int {
 	n := 0
