@@ -230,12 +230,17 @@ fuzz-segment:
 fuzz-provenance:
 	$(GO) test -run '^$$' -fuzz FuzzHighlight -fuzztime 30s ./internal/provenance/
 
-# fuzz-export runs the explanation encoder's string fuzzer for a
-# bounded window: for any bytes, the string the hand-written encoder
+# fuzz-export runs the explanation encoder's two fuzzers for a bounded
+# window each: for any bytes, the string the hand-written encoder
 # appends must equal json.Marshal's, so /v1/explain's bytes stay
-# encoding/json's without its reflection.
+# encoding/json's without its reflection; and for a random query over a
+# random table (some over the 40-row sampling threshold, some with a
+# hostile cell), the grid a cached document writes from its view of the
+# table must equal json.MarshalIndent of render.JSONGrid, which holds
+# the cells.
 fuzz-export:
 	$(GO) test -run '^$$' -fuzz FuzzAppendString -fuzztime 30s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzGridView -fuzztime 30s ./internal/export/
 
 # fuzz-server runs the HTTP request-body fuzzer for a bounded window:
 # any body, sent to every POST endpoint of a server holding the demo

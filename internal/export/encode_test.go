@@ -106,3 +106,54 @@ func FuzzAppendString(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGridView holds a view's grid to the grid holding its cells: for a
+// random query over a random table — some over the Section 5.3 sampling
+// threshold of 40 rows, some with a hostile cell — the bytes
+// render.Grid.AppendIndent writes of the document's view equal
+// json.MarshalIndent's of render.JSONGrid for the same highlights, and
+// encoding/json's reflection over that grid's fields.
+func FuzzGridView(f *testing.F) {
+	for i, s := range hostile {
+		f.Add(int64(i), uint8(i), s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, copies uint8, cell string) {
+		rng := rand.New(rand.NewSource(seed))
+		src := qrand.Table(rng)
+		rows := src.RawRows()
+		for range copies % 8 {
+			rows = append(rows, qrand.Table(rng).RawRows()...)
+		}
+		rows[rng.Intn(len(rows))][rng.Intn(len(rows[0]))] = cell
+		tab, err := table.New(src.Name(), src.Columns(), rows)
+		if err != nil {
+			t.Skip(err)
+		}
+		c, err := dcs.Compile(qrand.Query(rng, tab, 1+rng.Intn(3)), tab)
+		if err != nil {
+			t.Skip(err)
+		}
+		doc, h, err := BuildView(nil, c, tab, 0)
+		if err != nil {
+			t.Skip(err)
+		}
+		if doc.Table.Cells != nil {
+			t.Fatal("BuildView's grid holds its cells")
+		}
+		held := render.JSONGrid(tab, h, doc.Table.Rows, doc.Table.Sampled)
+		want, err := json.MarshalIndent(held, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		type fields render.Grid // the grid's fields, without its MarshalJSON
+		reflected, err := json.MarshalIndent(fields(held), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.Table.AppendIndent(nil, 0); !bytes.Equal(got, want) || !bytes.Equal(reflected, want) {
+			t.Fatalf("%s over %d rows: the view writes\n%s\nJSONGrid through MarshalJSON\n%s\nand through reflection\n%s",
+				c.Expr, tab.NumRows(), got, want, reflected)
+		}
+		checkDocument(t, c.Expr.String(), doc)
+	})
+}
