@@ -408,6 +408,8 @@ func (e *Engine) TableDetails() []TableDetail {
 // Explanation is the full pipeline output for one query on one
 // registered table, ready for JSON encoding: the one explanation
 // document export builds, with Version set from the snapshot it read.
+// Its grid is a view of that snapshot's table, so its Cells field is
+// nil: the encoders write the cells, and Table.WithCells returns them.
 // Cached instances are shared across requests: treat as immutable.
 type Explanation = export.ExplanationJSON
 

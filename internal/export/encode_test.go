@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nlexplain/internal/dcs"
+	"nlexplain/internal/provenance"
 	"nlexplain/internal/qrand"
 	"nlexplain/internal/render"
 	"nlexplain/internal/table"
@@ -112,7 +113,9 @@ func FuzzAppendString(f *testing.F) {
 // threshold of 40 rows, some with a hostile cell — the bytes
 // render.Grid.AppendIndent writes of the document's view equal
 // json.MarshalIndent's of render.JSONGrid for the same highlights, and
-// encoding/json's reflection over that grid's fields.
+// encoding/json's reflection over that grid's fields; and a grid of the
+// table's rows in a random order marks each cell as Highlights.Marking
+// does.
 func FuzzGridView(f *testing.F) {
 	for i, s := range hostile {
 		f.Add(int64(i), uint8(i), s)
@@ -155,5 +158,20 @@ func FuzzGridView(f *testing.F) {
 				c.Expr, tab.NumRows(), got, want, reflected)
 		}
 		checkDocument(t, c.Expr.String(), doc)
+
+		// Rows in any order: each cell is marked as Highlights.Marking
+		// marks it, cell by cell.
+		shuffled := rng.Perm(tab.NumRows())
+		for i, row := range render.JSONGrid(tab, h, shuffled, false).Cells {
+			for col, cell := range row {
+				want := ""
+				if m := h.MarkingAt(shuffled[i], col); m != provenance.None {
+					want = m.String()
+				}
+				if cell.Marking != want || cell.Text != tab.Raw(shuffled[i], col) {
+					t.Fatalf("%s: cell (%d, %d) is %+v, want %q marked %q", c.Expr, shuffled[i], col, cell, tab.Raw(shuffled[i], col), want)
+				}
+			}
+		}
 	})
 }

@@ -22,10 +22,14 @@ import (
 // ExplanationJSON is the full explanation of one candidate query over
 // one table, ready for JSON encoding. Table is the highlighted grid:
 // headers (with aggregate markers applied) and marked cells, restricted
-// to the sampled rows for large tables. Version is the table's content
-// version, which the engine sets from the snapshot it explained; a
-// document built outside the engine leaves it empty and the JSON omits
-// it. Cached instances are shared across requests: treat as immutable.
+// to the sampled rows for large tables. In a document BuildView makes,
+// which is what the engine caches and serves, the grid is a view of the
+// table: it holds no cells, and its encoders write them from the table
+// and the levels (render.Grid; Table.WithCells returns them held).
+// Version is the table's content version, which the engine sets from
+// the snapshot it explained; a document built outside the engine leaves
+// it empty and the JSON omits it. Cached instances are shared across
+// requests: treat as immutable.
 type ExplanationJSON struct {
 	Name       string      `json:"table"`
 	Version    string      `json:"version,omitempty"`

@@ -242,12 +242,12 @@ type Cell struct {
 // front-ends can show original positions for sampled tables.
 //
 // Every cell and its marking is a function of the table and the
-// provenance levels, so a grid View builds holds those instead of its
-// cells: a view of the table. Its Cells is nil, and so is its Rows when
+// provenance levels, so the grid View builds keeps those and no cells:
+// it is a view of the table. Its Cells is nil, and so is its Rows when
 // it shows every record. AppendIndent and MarshalJSON write a view's
-// cells and rows from the table as they go, the bytes they write of the
-// same grid holding them; WithCells returns it holding them. A grid
-// built field by field is written as its fields say.
+// rows and cells from the table as they go, the same bytes as for the
+// grid holding them, which WithCells returns. A grid built field by
+// field is written as its fields say.
 type Grid struct {
 	Name    string   `json:"name"`
 	Headers []string `json:"headers"`
@@ -263,9 +263,9 @@ type Grid struct {
 
 // View builds the grid of the given records of t under highlights h
 // as a view of t: headers and rows, but no cells. rows selects which
-// records to include, ascending (nil = all); sampled flags that rows
-// is a Section 5.3 sample rather than the full table. The grid keeps
-// t, rows and h's levels, not h.
+// records to include (nil = all); sampled flags that rows is a Section
+// 5.3 sample rather than the full table. The grid keeps t, rows and
+// h's levels, not h.
 func View(t *table.Table, h *provenance.Highlights, rows []int, sampled bool) Grid {
 	p := h.Prov
 	g := Grid{
@@ -327,8 +327,11 @@ const stackCols = 16
 // a search of it. A row below the last one asked starts the cursors
 // afresh.
 type marker struct {
-	g    *Grid
-	cur  []table.Cursor // column c's PC, PE and PO at 3c, 3c+1, 3c+2
+	g *Grid
+	// cur holds the cursors level by level, in the order of g.levels:
+	// PC's cols columns, then PE's, then PO's.
+	cur  []table.Cursor
+	cols int
 	last int
 }
 
@@ -338,15 +341,15 @@ func (g *Grid) marker(buf []table.Cursor) marker {
 	if cap(buf) < n {
 		buf = make([]table.Cursor, n)
 	}
-	m := marker{g: g, cur: buf[:n]}
+	m := marker{g: g, cur: buf[:n], cols: n / 3}
 	m.reset()
 	return m
 }
 
 func (m *marker) reset() {
 	m.last = 0
-	for i := range m.cur {
-		m.cur[i] = m.g.levels[i%3].Cursor(i / 3)
+	for k, l := range m.g.levels {
+		l.Cursors(m.cur[k*m.cols : (k+1)*m.cols])
 	}
 }
 
@@ -356,11 +359,10 @@ func (m *marker) cell(r, c int) Cell {
 		m.reset()
 	}
 	m.last = r
-	cur := m.cur[3*c : 3*c+3]
-	inPC := cur[0].Holds(r)
-	inPE := inPC && cur[1].Holds(r)
+	inPC := m.cur[c].Holds(r)
+	inPE := inPC && m.cur[m.cols+c].Holds(r)
 	cell := Cell{Text: m.g.t.Raw(r, c)}
-	if mk := provenance.Innermost(inPC, inPE, inPE && cur[2].Holds(r)); mk != provenance.None {
+	if mk := provenance.Innermost(inPC, inPE, inPE && m.cur[2*m.cols+c].Holds(r)); mk != provenance.None {
 		cell.Marking = mk.String()
 	}
 	return cell

@@ -146,19 +146,22 @@ type Cursor struct {
 	whole int32
 }
 
-// Cursor returns a cursor at the top of column col.
-func (l Level) Cursor(col int) Cursor {
+// Cursors sets cur[c] to a cursor at the top of column c, for each
+// column c below len(cur): one pass over the level's columns.
+func (l Level) Cursors(cur []Cursor) {
+	clear(cur)
 	for i := 0; i < len(l.data); {
 		c, rows, next := l.column(i)
-		if c == col {
-			if rows == nil {
-				return Cursor{whole: l.rows}
-			}
-			return Cursor{rows: rows}
+		if c >= len(cur) {
+			return
+		}
+		if rows == nil {
+			cur[c] = Cursor{whole: l.rows}
+		} else {
+			cur[c] = Cursor{rows: rows}
 		}
 		i = next
 	}
-	return Cursor{}
 }
 
 // Holds reports whether the level holds the cell of the cursor's
