@@ -15,15 +15,21 @@ func Array[E any](dst []byte, depth int, s []E, elem func(dst []byte, depth int,
 	if s == nil {
 		return append(dst, "null"...)
 	}
-	if len(s) == 0 {
+	return Elems(dst, depth, len(s), func(dst []byte, depth, i int) []byte { return elem(dst, depth, s[i]) })
+}
+
+// Elems appends a JSON array of n elements at depth, one per line at
+// depth+1, the i-th written by elem: [] when n is 0.
+func Elems(dst []byte, depth, n int, elem func(dst []byte, depth, i int) []byte) []byte {
+	if n == 0 {
 		return append(dst, "[]"...)
 	}
 	dst = append(dst, '[')
-	for i, e := range s {
+	for i := range n {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = elem(Newline(dst, depth+1), depth+1, e)
+		dst = elem(Newline(dst, depth+1), depth+1, i)
 	}
 	return append(Newline(dst, depth), ']')
 }

@@ -380,7 +380,9 @@ func (g *Grid) AppendIndent(dst []byte, depth int) []byte {
 		dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "rows"), in, g.Rows, jsonw.IntElem)
 		dst = jsonw.Array(jsonw.Key(append(dst, ','), in, "cells"), in, g.Cells, appendCellRow)
 	} else {
-		dst = g.appendViewRows(jsonw.Key(append(dst, ','), in, "rows"), in)
+		dst = jsonw.Elems(jsonw.Key(append(dst, ','), in, "rows"), in, g.shown(), func(dst []byte, _, i int) []byte {
+			return strconv.AppendInt(dst, int64(g.record(i)), 10)
+		})
 		dst = g.appendViewCells(jsonw.Key(append(dst, ','), in, "cells"), in)
 	}
 	dst = strconv.AppendBool(jsonw.Key(append(dst, ','), in, "sampled"), g.Sampled)
@@ -407,51 +409,17 @@ func (g *Grid) record(i int) int {
 	return g.Rows[i]
 }
 
-func (g *Grid) appendViewRows(dst []byte, depth int) []byte {
-	n := g.shown()
-	if n == 0 {
-		return append(dst, "[]"...)
-	}
-	dst = append(dst, '[')
-	for i := range n {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(jsonw.Newline(dst, depth+1), int64(g.record(i)), 10)
-	}
-	return append(jsonw.Newline(dst, depth), ']')
-}
-
 // appendViewCells writes a view's cells as jsonw.Array writes held
 // ones, rendering each as it goes: nothing is allocated a cell.
 func (g *Grid) appendViewCells(dst []byte, depth int) []byte {
-	n, cols := g.shown(), g.t.NumCols()
-	if n == 0 {
-		return append(dst, "[]"...)
-	}
 	var buf [3 * stackCols]table.Cursor
 	m := g.marker(buf[:0])
-	dst = append(dst, '[')
-	for i := range n {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = jsonw.Newline(dst, depth+1)
-		if cols == 0 {
-			dst = append(dst, "[]"...)
-			continue
-		}
+	return jsonw.Elems(dst, depth, g.shown(), func(dst []byte, depth, i int) []byte {
 		r := g.record(i)
-		dst = append(dst, '[')
-		for c := range cols {
-			if c > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendCell(jsonw.Newline(dst, depth+2), depth+2, m.cell(r, c))
-		}
-		dst = append(jsonw.Newline(dst, depth+1), ']')
-	}
-	return append(jsonw.Newline(dst, depth), ']')
+		return jsonw.Elems(dst, depth, m.cols, func(dst []byte, depth, c int) []byte {
+			return appendCell(dst, depth, m.cell(r, c))
+		})
+	})
 }
 
 func appendCellRow(dst []byte, depth int, row []Cell) []byte {
