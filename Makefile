@@ -29,7 +29,10 @@ test: parse-footprint
 # hashes pin; on the explain path, allocations and bytes per cache miss
 # for each of the benchmark's four query families and, beside an
 # answer miss, for three queries on the 131072-row fixture, and live
-# heap per cached explanation on a web table and on that fixture; on
+# heap per cached explanation on a 120-row web table, on its first 30
+# rows and on that fixture (whose grids are views of the table, so an
+# entry weighs its levels and strings), and per cached explanation and
+# answer of the fixture's wide R[Seq].Tick>=k family; on
 # the HTTP layer, allocations per cached /v1/explain and
 # /v1/explain/batch request through the server's mux. They are
 # measurements, which the race detector distorts (the tests skip

@@ -439,9 +439,9 @@ func (e *Engine) prepare(snap *store.Snapshot, tableName, query string) (*dcs.Co
 // compute is the uncached explain pipeline: prepare, then export's
 // build (execute, provenance+highlight, sample, utter, translate,
 // grid, levels), stamped with the snapshot's version. The grid is a
-// view of the snapshot's table: the cached document keeps no cells. The whole of it
-// reads the one pinned snapshot. Morsel workers inherit the
-// pprof labels (goroutines inherit their creator's), so -pprof
+// view of the snapshot's table: the cached document keeps no cells.
+// The whole of it reads the one pinned snapshot. Morsel workers inherit
+// the pprof labels (goroutines inherit their creator's), so -pprof
 // profiles attribute CPU to query families even for fanned-out scans.
 func (e *Engine) compute(ctx context.Context, snap *store.Snapshot, tableName, query string) (*Explanation, error) {
 	start := time.Now()

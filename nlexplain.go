@@ -196,7 +196,8 @@ type (
 	EngineOptions = engine.Options
 	// EngineExplanation is the explanation document /v1/explain
 	// serves: what ExplainJSON encodes, plus the table version the
-	// engine explained.
+	// engine explained. Its grid is a view of the table, whose cells
+	// the encoders write; Table.WithCells returns them held.
 	EngineExplanation = engine.Explanation
 	// EngineAnswer is the engine's answer-only fast-path output.
 	EngineAnswer = engine.Answer
