@@ -85,6 +85,21 @@ func TestTableHeapPerCell(t *testing.T) {
 		}
 		runtime.KeepAlive(tabs)
 	})
+	t.Run("NaN", func(t *testing.T) {
+		// The scan fixture's shape: Tick's last record spells NaN, the
+		// one cell of the column that is not its own key.
+		tabs, heap := liveHeap(func() []*Table {
+			rows := bigFixtureRows(131072)
+			rows[len(rows)-1][1] = "NaN"
+			return []*Table{MustNew("big", bigFixtureCols, rows)}
+		})
+		perCell := float64(heap) / float64(tabs[0].NumRows()*tabs[0].NumCols())
+		t.Logf("%d live heap bytes, %.1f per cell", heap, perCell)
+		if perCell > 28 {
+			t.Errorf("big table with a NaN keeps %.1f heap bytes per cell, want at most 28", perCell)
+		}
+		runtime.KeepAlive(tabs)
+	})
 	t.Run("FromCSV", func(t *testing.T) {
 		doc := bigFixtureCSV(100_000)
 		tabs, heap := liveHeap(func() []*Table {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -182,5 +183,72 @@ func TestConcurrentIndexBuildAndDrop(t *testing.T) {
 	}
 	if got := tab.DerivedBytes(); got != resident {
 		t.Fatalf("DerivedBytes = %d, resident = %d", got, resident)
+	}
+}
+
+// TestConcurrentFirstLookups races the first KB lookups of a fresh
+// 131072-record table: 8 goroutines make the first RowsFor,
+// MostFrequentRows and DistinctColumnValues calls on every column, each
+// in its own order, and again after DropDerivedIndexes. Under -race
+// this pins the publication of whatever a lookup reads; every answer
+// must equal a second, independently built table's. Tick spells a NaN
+// in its last record, as the scan fixture does.
+func TestConcurrentFirstLookups(t *testing.T) {
+	rows := bigFixtureRows(131072)
+	rows[len(rows)-1][1] = "NaN"
+	type answers struct {
+		distinct []Value
+		frequent []int32
+		lookups  [][]int32 // RowsFor of every 509th distinct value
+	}
+	const stride = 509
+	ref := MustNew("big", bigFixtureCols, rows)
+	want := make([]answers, ref.NumCols())
+	for c := range want {
+		a := &want[c]
+		a.distinct = ref.DistinctColumnValues(c)
+		a.frequent = slices.Clone(ref.MostFrequentRows(c))
+		for i := 0; i < len(a.distinct); i += stride {
+			a.lookups = append(a.lookups, slices.Clone(ref.RowsFor(c, a.distinct[i])))
+		}
+	}
+	tab := MustNew("big", bigFixtureCols, rows)
+	for round := range 2 {
+		if round == 1 {
+			tab.DropDerivedIndexes()
+		}
+		var wg sync.WaitGroup
+		for w := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range tab.NumCols() {
+					c := (i + w) % tab.NumCols()
+					a := &want[c]
+					for op := range 3 {
+						switch (op + w) % 3 {
+						case 0:
+							if got := tab.DistinctColumnValues(c); !slices.EqualFunc(got, a.distinct, sameValue) {
+								t.Errorf("round %d: DistinctColumnValues(%d) diverges", round, c)
+							}
+						case 1:
+							if got := tab.MostFrequentRows(c); !slices.Equal(got, a.frequent) {
+								t.Errorf("round %d: MostFrequentRows(%d) = %d rows, want %d", round, c, len(got), len(a.frequent))
+							}
+						case 2:
+							for j, rows := range a.lookups {
+								if got := tab.RowsFor(c, a.distinct[j*stride]); !slices.Equal(got, rows) {
+									t.Errorf("round %d: RowsFor(%d, %v) = %d rows, want %d", round, c, a.distinct[j*stride], len(got), len(rows))
+								}
+							}
+							if got := tab.RowsFor(c, StringValue("absent")); got != nil {
+								t.Errorf("round %d: RowsFor(%d, absent) = %v", round, c, got)
+							}
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
