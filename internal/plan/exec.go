@@ -262,11 +262,17 @@ func (ex *executor) compare(x *Compare) (*val, error) {
 	var err error
 	switch x.Cmp {
 	case "!=":
-		// Entity inequality: complement of the KB posting list, walked
-		// with two pointers so no per-row string comparison happens.
+		// Entity inequality: every row whose key code is not the one
+		// of v — a value no cell shares drops nothing — so no
+		// per-row string comparison happens and no postings are read.
+		drop, ok := t.KeyCode(x.Col, x.V)
+		if !ok {
+			drop = uint32(t.NumKeys(x.Col))
+		}
 		rows, err = ex.filterRows(rowFilter{
-			rows:   identity(t.NumRows()),
-			except: t.RowsFor(x.Col, x.V),
+			rows:  identity(t.NumRows()),
+			codes: t.ColumnKeyCodes(x.Col),
+			drop:  drop,
 		})
 	case "<", "<=", ">", ">=":
 		lit, ok := x.V.Float()

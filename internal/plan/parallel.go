@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,10 +297,11 @@ type rowFilter struct {
 	zones *zoneScan // per-morsel verdicts; nil when nothing is provable
 
 	// keep decides one row. When keep is nil the kernel keeps the rows
-	// absent from except (ascending) instead, walking both lists with
-	// two pointers.
-	keep   func(row int32) bool
-	except []int32
+	// whose code is not drop instead: an entity inequality over a
+	// column's key codes.
+	keep  func(row int32) bool
+	codes []uint32
+	drop  uint32
 
 	out  []int32 // morsel m appends its matches to out[lo:lo:hi]
 	lens []int   // matches per morsel
@@ -318,12 +318,8 @@ func (k *rowFilter) morsel(_, m, lo, hi int) {
 	case verdict == zoneAll:
 		dst = append(dst, rows...)
 	case k.keep == nil:
-		j, _ := slices.BinarySearch(k.except, rows[0])
 		for _, r := range rows {
-			for j < len(k.except) && k.except[j] < r {
-				j++
-			}
-			if j == len(k.except) || k.except[j] != r {
+			if k.codes[r] != k.drop {
 				dst = append(dst, r)
 			}
 		}

@@ -293,8 +293,8 @@ func ReadTable(fsys vfs.FS, path string) (Meta, *table.Table, error) {
 // copy, build the same table as the canonical body — the builder
 // numbers spellings as the records bring them — at one dictionary
 // lookup per spelling, not per record. What it allocates is bounded by
-// the length of the body. A body of a morsel of records or more has
-// its columns decoded side by side (table.FillColumns); a damaged one
+// the length of the body. A body of table.BatchRows records or more
+// has its columns decoded side by side (table.FillColumns); a damaged one
 // is refused in the same words either way. A zone footer an earlier
 // build wrote is checked for framing and skipped.
 func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {

@@ -75,22 +75,28 @@ func (b *Builder) Table() (*Table, error) {
 	t.rows = n
 	t.cols = make([]columnData, len(b.cols))
 	FillColumns(len(b.cols), n, func(c int) { t.cols[c] = b.cols[c].seal() })
+	t.kb = make([]atomicPostings, len(t.columns))
 	t.numIdx = make([]atomicIndex, len(t.columns))
 	t.zones = make([]atomicZones, len(t.columns))
 	t.sealBaseBytes()
 	return t, nil
 }
 
+// BatchRows is the size of the batches FromCSV reads its records in,
+// and the fewest records FillColumns spreads over goroutines, so that
+// each batch FromCSV reads still fills its columns side by side.
+const BatchRows = 8192
+
 // FillColumns runs fill(c) for every column c below ncols, and
-// returns when all have run. A batch of at least one morsel of records
-// (ZoneRows) is spread over up to GOMAXPROCS goroutines, the caller's
-// among them, each taking the next column off a shared counter; a
-// smaller batch, or any batch under GOMAXPROCS 1, runs inline. fill(c)
-// must touch no column but c. Each column still takes its cells in
-// record order, so which goroutine filled it changes nothing in it.
+// returns when all have run. A batch of at least BatchRows records is
+// spread over up to GOMAXPROCS goroutines, the caller's among them,
+// each taking the next column off a shared counter; a smaller batch,
+// or any batch under GOMAXPROCS 1, runs inline. fill(c) must touch no
+// column but c. Each column still takes its cells in record order, so
+// which goroutine filled it changes nothing in it.
 func FillColumns(ncols, records int, fill func(c int)) {
 	workers := 1
-	if records >= ZoneRows {
+	if records >= BatchRows {
 		workers = min(runtime.GOMAXPROCS(0), ncols)
 	}
 	if workers <= 1 {
@@ -128,6 +134,15 @@ func grow[E any](s []E, n int) []E {
 	return append(make([]E, 0, max(2*cap(s), len(s)+n, 8)), s...)
 }
 
+// trim returns s without room to spare: s itself when it has none, a
+// copy otherwise.
+func trim[E any](s []E) []E {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]E, 0, len(s)), s...)
+}
+
 // probes sums the dictionary and key lookups the build has made,
 // entries hashed again by a growing index included.
 func (b *Builder) probes() int {
@@ -147,7 +162,7 @@ type columnBuilder struct {
 	cd columnData // under construction; its dictionaries' text is in the buffers below until seal
 
 	text    []byte // the dictionary's text
-	keyText []byte // the key dictionary's, once cd.ownKeys
+	excText []byte // the exceptions'
 
 	// enums is the number of each dictionary entry, NaN for one with
 	// none; seal copies it to the records that hold the entry.
@@ -175,13 +190,12 @@ func (pd *columnData) extend(extra int) columnBuilder {
 	cd.dict.ends = slices.Clone(pd.dict.ends)
 	cd.dictIx.slots = slices.Clone(pd.dictIx.slots)
 	b.text = []byte(pd.dict.text)
-	if pd.ownKeys {
-		cd.ownKeys = true
-		cd.keys.ends = slices.Clone(pd.keys.ends)
-		cd.keyIx.slots = slices.Clone(pd.keyIx.slots)
-		b.keyText = []byte(pd.keys.text)
-	}
+	cd.exc.ends = slices.Clone(pd.exc.ends)
+	cd.excIx.slots = slices.Clone(pd.excIx.slots)
+	cd.excGroup = slices.Clone(pd.excGroup)
+	b.excText = []byte(pd.exc.text)
 	cd.entryGroup = slices.Clone(pd.entryGroup)
+	cd.nkeys = pd.nkeys
 	cd.hasNaN = pd.hasNaN
 	b.numeric, b.nonNumeric = pd.nums != nil, n0 > 0 && !pd.allNum
 	b.enums = make([]float64, pd.dict.Len())
@@ -243,7 +257,6 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		f, numeric = v.Float()
 		b.keyBuf = appendKey(b.keyBuf[:0], v)
 	}
-	cd.kinds = append(cd.kinds, uint8(kind))
 	if numeric {
 		b.numeric = true
 		cd.hasNaN = cd.hasNaN || math.IsNaN(f)
@@ -252,35 +265,44 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		f = math.NaN()
 	}
 	b.enums = append(grow(b.enums, 1), f)
-	key := b.keyBuf
-	// While every spelling so far is its own canonical key, the key
-	// dictionary is the dictionary; the first that is not splits them.
-	if !cd.ownKeys && string(key) != string(s) {
-		cd.ownKeys = true
-		cd.keys.ends = slices.Clone(cd.dict.ends)
-		cd.keyIx.slots = slices.Clone(cd.dictIx.slots)
-		b.keyText = slices.Clone(b.text)
-	}
-	b.text = append(grow(b.text, len(s)), s...)
-	cd.dict.ends = append(cd.dict.ends, uint32(len(b.text)))
-	b.probes += insertText(&cd.dictIx, b.text, cd.dict.ends, e, h)
-	if !cd.ownKeys {
-		return e
-	}
 
-	kh := hashText(key)
-	b.probes++
-	g, ok := findText(&cd.keyIx, b.keyText, cd.keys.ends, key, kh)
-	if !ok {
-		if len(b.keyText)+len(key) > math.MaxUint32 {
-			b.err = errTextOverflow
-			return 0
+	// The key's group, looked up before the spelling joins the
+	// dictionary. A spelling that is its own key is new to it, so only
+	// an exception can hold its key; a column with none has no group
+	// to find.
+	key, kh := b.keyBuf, h
+	own := string(key) == string(s)
+	if !own {
+		kh = hashText(key)
+		kind |= otherKey
+	}
+	var g uint32
+	found := false
+	if !own || len(cd.excGroup) > 0 {
+		b.probes++
+		g, found = findGroup(cd, b.text, b.excText, key, kh)
+	}
+	cd.kinds = append(grow(cd.kinds, 1), uint8(kind))
+	b.text = append(grow(b.text, len(s)), s...)
+	cd.dict.ends = append(grow(cd.dict.ends, 1), uint32(len(b.text)))
+	b.probes += insertText(&cd.dictIx, b.text, cd.dict.ends, e, h)
+
+	switch {
+	case !found:
+		g = uint32(cd.nkeys)
+		cd.nkeys++
+		if !own {
+			if len(b.excText)+len(key) > math.MaxUint32 {
+				b.err = errTextOverflow
+				return 0
+			}
+			x := uint32(len(cd.exc.ends))
+			b.excText = append(grow(b.excText, len(key)), key...)
+			cd.exc.ends = append(grow(cd.exc.ends, 1), uint32(len(b.excText)))
+			cd.excGroup = append(grow(cd.excGroup, 1), g)
+			b.probes += insertText(&cd.excIx, b.excText, cd.exc.ends, x, kh)
 		}
-		g = uint32(len(cd.keys.ends))
-		b.keyText = append(grow(b.keyText, len(key)), key...)
-		cd.keys.ends = append(cd.keys.ends, uint32(len(b.keyText)))
-		b.probes += insertText(&cd.keyIx, b.keyText, cd.keys.ends, g, kh)
-	} else if cd.entryGroup == nil {
+	case cd.entryGroup == nil:
 		// The first second spelling of a key: until now entry i was
 		// group i.
 		cd.entryGroup = make([]uint32, e, e+1)
@@ -289,7 +311,7 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		}
 	}
 	if cd.entryGroup != nil {
-		cd.entryGroup = append(cd.entryGroup, g)
+		cd.entryGroup = append(grow(cd.entryGroup, 1), g)
 	}
 	return e
 }
@@ -322,14 +344,14 @@ func plainInt[T string | []byte](s T) (float64, bool) {
 }
 
 // seal finishes the column: the dictionaries' text becomes immutable,
-// every record gets its key group and, in a column with a number, its
-// number, and the groups are laid out as postings.
+// every vector grown into is trimmed to its length, and every record
+// gets its key group and, in a column with a number, its number.
 func (b *columnBuilder) seal() columnData {
 	cd := b.cd
-	if cap(cd.codes) > len(cd.codes) {
-		// Grown a batch at a time: the table keeps no room to spare.
-		cd.codes = append(make([]uint32, 0, len(cd.codes)), cd.codes...)
-	}
+	// Grown a batch or an entry at a time: the table keeps no room to
+	// spare.
+	cd.codes, cd.kinds, cd.dict.ends = trim(cd.codes), trim(cd.kinds), trim(cd.dict.ends)
+	cd.exc.ends, cd.excGroup, cd.entryGroup = trim(cd.exc.ends), trim(cd.excGroup), trim(cd.entryGroup)
 	if b.numeric {
 		cd.nums = make([]float64, len(cd.codes))
 		for r, code := range cd.codes {
@@ -337,11 +359,7 @@ func (b *columnBuilder) seal() columnData {
 		}
 	}
 	cd.dict.text = string(b.text)
-	if cd.ownKeys {
-		cd.keys.text = string(b.keyText)
-	} else {
-		cd.keys, cd.keyIx = cd.dict, cd.dictIx
-	}
+	cd.exc.text = string(b.excText)
 	if cd.entryGroup == nil {
 		cd.groups = cd.codes
 	} else {
@@ -351,6 +369,5 @@ func (b *columnBuilder) seal() columnData {
 		}
 	}
 	cd.allNum = len(cd.codes) > 0 && !b.nonNumeric
-	cd.kb = groupPostings(cd.groups, cd.keys.Len())
 	return cd
 }

@@ -12,9 +12,11 @@ import (
 )
 
 // TestFillColumns holds the fan-out to its contract: every column is
-// filled exactly once; a batch under one morsel, or any batch under
-// GOMAXPROCS 1, fills its columns one after the other in order on the
-// caller; a morsel or more under GOMAXPROCS 4 fills columns at once.
+// filled exactly once; a batch under BatchRows records, or any batch
+// under GOMAXPROCS 1, fills its columns one after the other in order on
+// the caller; a batch of BatchRows or more under GOMAXPROCS 4 fills
+// columns at once — one batch, one past it, two and one past, and a
+// morsel of records.
 func TestFillColumns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	inline := func(label string, records int) {
@@ -24,37 +26,39 @@ func TestFillColumns(t *testing.T) {
 			t.Errorf("%s: columns filled in order %v", label, order)
 		}
 	}
-	inline("one record short of a morsel", ZoneRows-1)
+	inline("one record short of a batch", BatchRows-1)
 	inline("no records", 0)
 	runtime.GOMAXPROCS(1)
-	inline("GOMAXPROCS 1", 4*ZoneRows)
+	inline("GOMAXPROCS 1", 4*BatchRows)
 	runtime.GOMAXPROCS(4)
 
-	// Columns 0 and 1 each wait for the other to start: only two
-	// goroutines filling at once get past.
-	var met sync.WaitGroup
-	met.Add(2)
-	var filled [6]atomic.Int32
-	var stuck atomic.Bool
-	FillColumns(6, ZoneRows, func(c int) {
-		filled[c].Add(1)
-		if c < 2 {
-			met.Done()
-			done := make(chan struct{})
-			go func() { met.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				stuck.Store(true)
+	for _, records := range []int{BatchRows, BatchRows + 1, 2*BatchRows + 1, ZoneRows} {
+		// Columns 0 and 1 each wait for the other to start: only two
+		// goroutines filling at once get past.
+		var met sync.WaitGroup
+		met.Add(2)
+		var filled [6]atomic.Int32
+		var stuck atomic.Bool
+		FillColumns(6, records, func(c int) {
+			filled[c].Add(1)
+			if c < 2 {
+				met.Done()
+				done := make(chan struct{})
+				go func() { met.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					stuck.Store(true)
+				}
 			}
+		})
+		if stuck.Load() {
+			t.Errorf("%d records under GOMAXPROCS 4 never filled two columns at once", records)
 		}
-	})
-	if stuck.Load() {
-		t.Error("a morsel of records under GOMAXPROCS 4 never filled two columns at once")
-	}
-	for c := range filled {
-		if n := filled[c].Load(); n != 1 {
-			t.Errorf("column %d filled %d times", c, n)
+		for c := range filled {
+			if n := filled[c].Load(); n != 1 {
+				t.Errorf("%d records: column %d filled %d times", records, c, n)
+			}
 		}
 	}
 }
@@ -75,60 +79,62 @@ func sameColumnData(a, b *columnData) string {
 		return "dictIx"
 	case !slices.Equal(a.kinds, b.kinds):
 		return "kinds"
-	case a.keys.text != b.keys.text || !slices.Equal(a.keys.ends, b.keys.ends) || a.ownKeys != b.ownKeys:
-		return "keys"
-	case !slices.Equal(a.groups, b.groups) || !slices.Equal(a.entryGroup, b.entryGroup):
+	case a.exc.text != b.exc.text || !slices.Equal(a.exc.ends, b.exc.ends) || !slices.Equal(a.excGroup, b.excGroup):
+		return "exceptions"
+	case !slices.Equal(a.groups, b.groups) || !slices.Equal(a.entryGroup, b.entryGroup) || a.nkeys != b.nkeys:
 		return "groups"
-	case !slices.Equal(a.keyIx.slots, b.keyIx.slots):
-		return "keyIx"
-	case !slices.Equal(a.kb.rows, b.kb.rows) || !slices.Equal(a.kb.offsets, b.kb.offsets):
-		return "postings"
+	case !slices.Equal(a.excIx.slots, b.excIx.slots):
+		return "excIx"
 	case a.allNum != b.allNum || a.hasNaN != b.hasNaN:
 		return "flags"
 	}
 	return ""
 }
 
-// TestParallelBuildMatchesSerial builds a table of two morsels and one
-// record through New, FromCSV and Append with its columns filled side
-// by side (GOMAXPROCS 4, so they are even on one CPU) and one after the
-// other (GOMAXPROCS 1): every column, and the byte estimate, come out
-// the same. A key group splits in the last record ("Athens" after
-// "athens"), a spelling is first seen there, and a cell spells NaN.
+// TestParallelBuildMatchesSerial builds tables around a batch of
+// records — one short of it, one, one past it, two and one past, and
+// two morsels and one past — through New, FromCSV and Append with
+// their columns filled side by side (GOMAXPROCS 4, so they are even on
+// one CPU) and one after the other (GOMAXPROCS 1): every column, and
+// the byte estimate, come out the same. A key group splits in the last
+// record ("Athens" after "athens"), a spelling is first seen there,
+// and a cell in the second batch spells NaN.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	rows := bigFixtureRows(2*ZoneRows + 1)
-	for i := range rows {
-		rows[i][3] = []string{"athens", "paris", "rome"}[i%3]
-	}
-	rows[ZoneRows][5] = "NaN"
-	rows[len(rows)-1][3] = "Athens"
-	rows[len(rows)-1][2] = "first seen last"
-	doc := csvDocument(bigFixtureCols, rows)
-	builds := map[string]func() (*Table, error){
-		"New":     func() (*Table, error) { return New("big", bigFixtureCols, rows) },
-		"FromCSV": func() (*Table, error) { return FromCSV("big", bytes.NewReader(doc)) },
-		"Append": func() (*Table, error) {
-			return MustNew("big", bigFixtureCols, rows[:len(rows)/3]).Append(rows[len(rows)/3:])
-		},
-	}
-	for name, build := range builds {
-		runtime.GOMAXPROCS(1)
-		serial, err := build()
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{BatchRows - 1, BatchRows, BatchRows + 1, 2*BatchRows + 1, 2*ZoneRows + 1} {
+		rows := bigFixtureRows(n)
+		for i := range rows {
+			rows[i][3] = []string{"athens", "paris", "rome"}[i%3]
 		}
-		runtime.GOMAXPROCS(4)
-		parallel, err := build()
-		if err != nil {
-			t.Fatal(err)
+		rows[min(BatchRows, n-1)][5] = "NaN"
+		rows[n-1][3] = "Athens"
+		rows[n-1][2] = "first seen last"
+		doc := csvDocument(bigFixtureCols, rows)
+		builds := map[string]func() (*Table, error){
+			"New":     func() (*Table, error) { return New("big", bigFixtureCols, rows) },
+			"FromCSV": func() (*Table, error) { return FromCSV("big", bytes.NewReader(doc)) },
+			"Append": func() (*Table, error) {
+				return MustNew("big", bigFixtureCols, rows[:n/3]).Append(rows[n/3:])
+			},
 		}
-		if parallel.NumRows() != len(rows) || parallel.BaseBytes() != serial.BaseBytes() {
-			t.Errorf("%s: %d records and %d base bytes filled side by side, %d and %d one after the other", name, parallel.NumRows(), parallel.BaseBytes(), serial.NumRows(), serial.BaseBytes())
-		}
-		for c := range serial.cols {
-			if part := sameColumnData(&parallel.cols[c], &serial.cols[c]); part != "" {
-				t.Errorf("%s: column %d: %s differ filled side by side", name, c, part)
+		for name, build := range builds {
+			runtime.GOMAXPROCS(1)
+			serial, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GOMAXPROCS(4)
+			parallel, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parallel.NumRows() != n || parallel.BaseBytes() != serial.BaseBytes() {
+				t.Errorf("%d records, %s: %d records and %d base bytes filled side by side, %d and %d one after the other", n, name, parallel.NumRows(), parallel.BaseBytes(), serial.NumRows(), serial.BaseBytes())
+			}
+			for c := range serial.cols {
+				if part := sameColumnData(&parallel.cols[c], &serial.cols[c]); part != "" {
+					t.Errorf("%d records, %s: column %d: %s differ filled side by side", n, name, c, part)
+				}
 			}
 		}
 	}

@@ -10,15 +10,17 @@ import (
 // its number sits in a flat vector, and its canonical key is the key of
 // its entry's group. Executors scan the vectors and the key codes
 // directly. Everything here is built once, by a columnBuilder, and
-// never mutated.
+// never mutated; the KB postings of Section 3.1 are not part of it but
+// derived from the key codes on a column's first lookup (postings on
+// Table).
 //
 // That immutability is what makes the morsel-parallel executor safe:
 // worker goroutines read disjoint [lo,hi) windows of these vectors with
-// no synchronization at all. The only lazily built structure a parallel
-// scan can touch is the sorted numeric index, whose publication is a
-// CAS on atomicIndex below — concurrent builders may do duplicate work
-// but always observe either nil or a fully built, immutable index,
-// never a partial one.
+// no synchronization at all. The lazily built structures a scan or a
+// lookup can touch — the postings, the sorted numeric index and the
+// zone map — are published by a CAS: concurrent builders may do
+// duplicate work but always observe either nil or a fully built,
+// immutable structure, never a partial one.
 type columnData struct {
 	// nums is Value.Float of each record, NaN for a cell with no numeric
 	// reading; nil while no cell of the column has one. A NaN is a text
@@ -31,26 +33,29 @@ type columnData struct {
 	dict   Dictionary
 	codes  []uint32
 	dictIx textIndex
-	// kinds is the Kind of each dictionary entry: a cell's is
-	// kinds[codes[r]].
+	// kinds is the Kind of each dictionary entry, with otherKey set on
+	// an entry that is not its own canonical key ("Athens", "NaN"): a
+	// cell's kind is kindOf(codes[r]).
 	kinds []uint8
 
-	// keys holds the canonical key (Value.Key) of each group of the KB
-	// view, groups the group of each record — its key code — and keyIx
-	// finds a group by its key. Groups are numbered in order of first
-	// appearance, like dictionary entries, so where no key has a
-	// second spelling groups is codes, the same slice; and where every
-	// spelling moreover is its own key ("1896", "athens"), keys and
-	// keyIx are dict and dictIx (ownKeys is false).
-	keys    Dictionary
-	groups  []uint32
-	keyIx   textIndex
-	ownKeys bool
-	// entryGroup is the group of each dictionary entry; nil while
-	// entry i is group i.
+	// groups is the group of each record — its key code — among the
+	// groups of the KB view, nkeys of them, numbered in order of first
+	// appearance like dictionary entries, so where no key has a second
+	// spelling groups is codes, the same slice. entryGroup is the group
+	// of each dictionary entry; nil while entry i is group i.
+	groups     []uint32
 	entryGroup []uint32
+	nkeys      int
+	// A key is held once, where it differs from its spelling: a group
+	// is found by its key as the spelling of an entry that is its own
+	// key ("1896", "athens"), and otherwise in exc, the keys no such
+	// entry spells ("athens" of "Athens", "nan" of "NaN"), excIx finding
+	// them and excGroup naming the group of each. A column whose every
+	// spelling is its own key holds no exception.
+	exc      Dictionary
+	excIx    textIndex
+	excGroup []uint32
 
-	kb postings
 	// allNum reports that every cell of the column is numeric (numbers
 	// or dates), so ordering by nums agrees with Value.Compare and the
 	// sorted index can answer superlatives.
@@ -61,18 +66,47 @@ type columnData struct {
 	hasNaN bool
 }
 
+// otherKey marks the kind byte of a dictionary entry whose canonical
+// key differs from its spelling.
+const otherKey = 0x80
+
+// kindOf returns the kind of dictionary entry e.
+func (cd *columnData) kindOf(e uint32) Kind { return Kind(cd.kinds[e] &^ otherKey) }
+
 // group looks a canonical key up among the column's groups.
 func group[T string | []byte](cd *columnData, key T) (uint32, bool) {
-	return findText(&cd.keyIx, cd.keys.text, cd.keys.ends, key, hashText(key))
+	return findGroup(cd, cd.dict.text, cd.exc.text, key, hashText(key))
+}
+
+// findGroup looks key, whose hash is h, up among the groups of a
+// column whose dictionary and exceptions hold their text in text and
+// excText: first as the spelling of an entry that is its own key, then
+// among the exceptions.
+func findGroup[A, T string | []byte](cd *columnData, text, excText A, key T, h uint64) (uint32, bool) {
+	if e, ok := findText(&cd.dictIx, text, cd.dict.ends, key, h); ok && cd.kinds[e]&otherKey == 0 {
+		if cd.entryGroup == nil {
+			return e, true
+		}
+		return cd.entryGroup[e], true
+	}
+	if x, ok := findText(&cd.excIx, excText, cd.exc.ends, key, h); ok {
+		return cd.excGroup[x], true
+	}
+	return 0, false
 }
 
 // postings is the KB view of one column (Section 3.1): the binary
 // relation from a cell value's canonical key to the records holding
-// it, stored flat, group after group.
+// it, stored flat, group after group. It is derived from the key codes
+// on the column's first lookup, published like the sorted numeric
+// index, and dropped with it.
 type postings struct {
 	rows    []int32  // record ids, group after group, ascending inside a group
 	offsets []uint32 // group g is rows[offsets[g]:offsets[g+1]]
 }
+
+// atomicPostings is the publication slot of one column's postings.
+type atomicPostings = atomic.Pointer[postings]
 
 // groupRows returns the records of group g, capped so that appending
 // to the window cannot reach the next group.
@@ -81,12 +115,17 @@ func (p *postings) groupRows(g int) []int32 {
 	return p.rows[lo:hi:hi]
 }
 
+// bytes is what the postings keep.
+func (p *postings) bytes() int64 {
+	return 4*int64(cap(p.rows)) + 4*int64(cap(p.offsets)) + 2*sliceHeaderBytes
+}
+
 // groupPostings lays records out by group: a counting sort over their
 // group codes, which keeps record order inside each group. offsets[g]
 // first counts group g, then marks where it ends, and is the cursor
 // the records fill it from, last first, until it marks where it
 // starts.
-func groupPostings(groups []uint32, ngroups int) postings {
+func groupPostings(groups []uint32, ngroups int) *postings {
 	offsets := make([]uint32, ngroups+1)
 	for _, g := range groups {
 		offsets[g]++
@@ -101,7 +140,27 @@ func groupPostings(groups []uint32, ngroups int) postings {
 		offsets[g]--
 		rows[offsets[g]] = int32(r)
 	}
-	return postings{rows: rows, offsets: offsets}
+	return &postings{rows: rows, offsets: offsets}
+}
+
+// postings returns the postings of column c, building and publishing
+// them on first use: concurrent first uses may build duplicate
+// (identical) postings, but only the published build is charged to the
+// derived-byte account.
+func (t *Table) postings(c int) *postings {
+	if p := t.kb[c].Load(); p != nil {
+		return p
+	}
+	cd := &t.cols[c]
+	p := groupPostings(cd.groups, cd.nkeys)
+	if t.kb[c].CompareAndSwap(nil, p) {
+		derivedBuilds.Add(1)
+		return p
+	}
+	if q := t.kb[c].Load(); q != nil {
+		return q
+	}
+	return p
 }
 
 // numericIndex is the lazily built sorted index of one column: the
@@ -128,7 +187,7 @@ type atomicIndex = atomic.Pointer[numericIndex]
 func (t *Table) ColumnKeyCodes(c int) []uint32 { return t.cols[c].groups }
 
 // NumKeys returns the number of distinct canonical keys in column c.
-func (t *Table) NumKeys(c int) int { return t.cols[c].keys.Len() }
+func (t *Table) NumKeys(c int) int { return t.cols[c].nkeys }
 
 // ColumnDictionary returns the dictionary of column c — the distinct
 // spellings of its cells in order of first appearance — and the
@@ -150,7 +209,7 @@ func (t *Table) ColumnNums(c int) []float64 { return t.cols[c].nums }
 // entry's.
 func (t *Table) CellKind(row, col int) Kind {
 	cd := &t.cols[col]
-	return Kind(cd.kinds[cd.codes[row]])
+	return cd.kindOf(cd.codes[row])
 }
 
 // ColumnAllNumeric reports whether every cell of column c is numeric
@@ -192,7 +251,7 @@ func (t *Table) NumericSortedRows(c int) []int32 {
 	rows := make([]int32, 0, len(nums))
 	for r, f := range nums {
 		// A NaN is a text cell, unless the column spells one.
-		if f == f || cd.hasNaN && Kind(cd.kinds[cd.codes[r]]) != String {
+		if f == f || cd.hasNaN && cd.kindOf(cd.codes[r]) != String {
 			rows = append(rows, int32(r))
 		}
 	}

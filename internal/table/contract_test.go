@@ -31,12 +31,42 @@ var contractCells = []string{
 }
 
 // columnKeys is the canonical key (Value.Key) of every cell in column
-// c, in record order; executors read ColumnKeyCodes instead.
+// c, in record order, read off the storage: a group's key is the
+// spelling of an entry that is its own key, or its exception. It
+// panics when a group has no key or two groups share one, which would
+// leave a lookup to find the wrong group. Executors read
+// ColumnKeyCodes instead.
 func columnKeys(t *Table, c int) []string {
 	cd := &t.cols[c]
+	keys := make([]string, cd.nkeys)
+	held := make([]bool, cd.nkeys)
+	owner := make(map[string]uint32, cd.nkeys)
+	hold := func(g uint32, key string) {
+		if o, ok := owner[key]; ok && o != g {
+			panic("key " + strconv.Quote(key) + " held by two groups")
+		}
+		owner[key], keys[g], held[g] = g, key, true
+	}
+	for e := range cd.dict.Len() {
+		if cd.kinds[e]&otherKey == 0 {
+			g := uint32(e)
+			if cd.entryGroup != nil {
+				g = cd.entryGroup[e]
+			}
+			hold(g, cd.dict.Entry(e))
+		}
+	}
+	for x := range cd.exc.Len() {
+		hold(cd.excGroup[x], cd.exc.Entry(x))
+	}
+	for g, ok := range held {
+		if !ok {
+			panic("group " + strconv.Itoa(g) + " has no key")
+		}
+	}
 	out := make([]string, len(cd.groups))
 	for r, g := range cd.groups {
-		out[r] = cd.keys.Entry(int(g))
+		out[r] = keys[g]
 	}
 	return out
 }

@@ -11,11 +11,11 @@ import "sync/atomic"
 // TestBaseBytesTracksHeap holds the sum to the measured heap.
 const (
 	sliceHeaderBytes = 24 // slice header (ptr + len + cap)
-	// perColumnFixedBytes is the columnData struct, the column's index
-	// and zone-map slots, the header string and its two colIndex
-	// entries. tableFixedBytes is the Table struct and the colIndex map
+	// perColumnFixedBytes is the columnData struct, the column's
+	// postings, index and zone-map slots, the header string and its two
+	// colIndex entries. tableFixedBytes is the Table struct and the colIndex map
 	// header. Both only matter for the small tables the paper is about.
-	perColumnFixedBytes = 480
+	perColumnFixedBytes = 488
 	tableFixedBytes     = 256
 )
 
@@ -30,16 +30,11 @@ type memAccount struct {
 func (d Dictionary) bytes() int64 { return int64(len(d.text)) + 4*int64(cap(d.ends)) }
 
 // baseBytes sums the column's storage term by term, at the capacity
-// each vector was allocated with. Structures the column shares with
-// itself — groups that are codes, keys that are the dictionary — count
-// once.
+// each vector was allocated with. Groups that are codes count once.
 func (cd *columnData) baseBytes() int64 {
 	n := 8*int64(cap(cd.nums)) + 4*int64(cap(cd.codes)) +
 		cd.dict.bytes() + 4*int64(len(cd.dictIx.slots)) + int64(cap(cd.kinds)) +
-		4*int64(cap(cd.kb.rows)) + 4*int64(cap(cd.kb.offsets))
-	if cd.ownKeys {
-		n += cd.keys.bytes() + 4*int64(len(cd.keyIx.slots))
-	}
+		cd.exc.bytes() + 4*int64(len(cd.excIx.slots)) + 4*int64(cap(cd.excGroup))
 	if cd.entryGroup != nil {
 		n += 4*int64(cap(cd.entryGroup)) + 4*int64(cap(cd.groups))
 	}
@@ -57,15 +52,20 @@ func (t *Table) sealBaseBytes() {
 }
 
 // BaseBytes estimates the table's non-evictable resident footprint:
-// the dictionaries, the code and typed column vectors and the KB
-// index. It is fixed at build time.
+// the dictionaries and their indexes, the code and typed column
+// vectors. It is fixed at build time.
 func (t *Table) BaseBytes() int64 { return t.mem.base }
 
 // DerivedBytes reports the bytes of the lazily built, droppable
-// derived structures the table currently publishes: its sorted numeric
-// indexes and its zone maps, summed at the call.
+// derived structures the table currently publishes: its KB postings,
+// its sorted numeric indexes and its zone maps, summed at the call.
 func (t *Table) DerivedBytes() int64 {
 	n := t.ZoneBytes()
+	for c := range t.kb {
+		if p := t.kb[c].Load(); p != nil {
+			n += p.bytes()
+		}
+	}
 	for c := range t.numIdx {
 		if idx := t.numIdx[c].Load(); idx != nil {
 			n += indexBytes(len(idx.rows))
@@ -74,23 +74,29 @@ func (t *Table) DerivedBytes() int64 {
 	return n
 }
 
-// derivedBuilds counts the derived structures, sorted numeric indexes
-// and zone maps, published in the process.
+// derivedBuilds counts the derived structures, postings, sorted
+// numeric indexes and zone maps, published in the process.
 var derivedBuilds atomic.Uint64
 
-// DerivedBuilds reports how many sorted numeric indexes and zone maps
-// the process has published. It moves after each publication, so a
+// DerivedBuilds reports how many postings, sorted numeric indexes and
+// zone maps the process has published. It moves after each publication, so a
 // table's DerivedBytes can have grown only if it moved since it was
 // last read.
 func DerivedBuilds() uint64 { return derivedBuilds.Load() }
 
-// DropDerivedIndexes releases every built sorted numeric index and
-// zone map, returning the bytes freed. Base data (cell text, column
-// vectors, KB index) is untouched: queries keep answering correctly and any
-// dropped structure is rebuilt lazily on next use. This is the store's
-// eviction primitive for cold tables under memory pressure.
+// DropDerivedIndexes releases every built posting list, sorted
+// numeric index and zone map, returning the bytes freed. Base data
+// (cell text, column vectors, key codes) is untouched: queries keep
+// answering correctly and any dropped structure is rebuilt lazily on
+// next use. This is the store's eviction primitive for cold tables
+// under memory pressure.
 func (t *Table) DropDerivedIndexes() int64 {
 	var freed int64
+	for c := range t.kb {
+		if old := t.kb[c].Swap(nil); old != nil {
+			freed += old.bytes()
+		}
+	}
 	for c := range t.numIdx {
 		if old := t.numIdx[c].Swap(nil); old != nil {
 			freed += indexBytes(len(old.rows))

@@ -30,8 +30,11 @@ func (c CellRef) String() string { return fmt.Sprintf("(%d,%d)", c.Row, c.Col) }
 // The storage is columnar and every cell is held once: a code into its
 // column's dictionary of distinct spellings, and its number in a flat
 // vector; its kind belongs to the dictionary entry, and its canonical
-// key to the entry's key group. Neither a Value nor a row is stored;
-// Value, Raw and RawRows put them together on the way out.
+// key to the entry's key group, whose key text is held only where no
+// spelling is that key. Neither a Value nor a row is stored; Value,
+// Raw and RawRows put them together on the way out. The KB postings, a
+// sorted numeric index and a zone map are derived per column on first
+// use and may be dropped again (DropDerivedIndexes).
 type Table struct {
 	name    string
 	columns []string
@@ -41,6 +44,10 @@ type Table struct {
 	colIndex map[string]int
 	// cols is the storage, one columnData per column.
 	cols []columnData
+	// kb holds the lazily built per-column KB postings, read by
+	// RowsFor, MostFrequentRows and DistinctColumnValues. Like numIdx
+	// and zones they are droppable and rebuilt on demand.
+	kb []atomicPostings
 	// numIdx holds the lazily built per-column sorted numeric indexes.
 	// Entries are droppable under memory pressure (DropDerivedIndexes)
 	// and rebuilt on demand.
@@ -50,7 +57,7 @@ type Table struct {
 	// demand; an appended table builds its own.
 	zones []atomicZones
 	// mem is the table's sealed base footprint; the derived part is
-	// read off numIdx and zones (DerivedBytes).
+	// read off kb, numIdx and zones (DerivedBytes).
 	mem memAccount
 }
 
@@ -109,10 +116,11 @@ func New(name string, columns []string, rows [][]string) (*Table, error) {
 
 // Append returns a new table holding this table's records followed by
 // extra — copy-on-write: the receiver's vectors, dictionaries and
-// indexes are copied flat, only the cells of extra are looked up (and,
-// where their spelling is new to the column, parsed), and the postings
-// are laid out again by a counting sort over the key codes. The
-// receiver is not modified, so snapshots pinned on it stay consistent.
+// indexes are copied flat, and only the cells of extra are looked up
+// (and, where their spelling is new to the column, parsed). The new
+// table derives its own postings, indexes and zone maps on first use.
+// The receiver is not modified, so snapshots pinned on it stay
+// consistent.
 func (t *Table) Append(extra [][]string) (*Table, error) {
 	b, err := t.appendBuilder(extra)
 	if err != nil {
@@ -155,10 +163,12 @@ func MustNew(name string, columns []string, rows [][]string) *Table {
 // UTF-8 byte-order mark on the first header cell (the Excel export
 // convention) is stripped; a header-only document yields an empty but
 // valid table. Records stream from the reader into the columns a batch
-// of at most ZoneRows at a time, so the document is never held whole,
+// of at most BatchRows at a time, so the document is never held whole,
 // only the batch being read and the one its columns are taking in:
 // while the reader fills one, FillColumns hands the other's cells to
-// their columns, under GOMAXPROCS 1 one after the other.
+// their columns, under GOMAXPROCS 1 one after the other. A cell reaches
+// its column as a window of the batch's bytes; only a spelling new to
+// the column is copied, into its dictionary.
 func FromCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -206,7 +216,7 @@ func FromCSV(name string, r io.Reader) (*Table, error) {
 	}
 }
 
-// csvBatch is up to ZoneRows records of a CSV document, column by
+// csvBatch is up to BatchRows records of a CSV document, column by
 // column: the cells of column c back to back in text[c], their lengths
 // in lens[c]. Its buffers are reused from batch to batch.
 type csvBatch struct {
@@ -221,20 +231,20 @@ func newCSVBatch(width int, like *csvBatch) csvBatch {
 	if like != nil {
 		for c := range bt.text {
 			bt.text[c] = make([]byte, 0, cap(like.text[c]))
-			bt.lens[c] = make([]uint32, 0, ZoneRows)
+			bt.lens[c] = make([]uint32, 0, BatchRows)
 		}
 	}
 	return bt
 }
 
-// read fills the batch with the next records of cr, up to ZoneRows of
+// read fills the batch with the next records of cr, up to BatchRows of
 // them, and reports whether the document ended. row numbers the
 // records, from 1 after the header.
 func (bt *csvBatch) read(cr *csv.Reader, name string, row *int) (done bool, err error) {
 	for c := range bt.text {
 		bt.text[c], bt.lens[c] = bt.text[c][:0], bt.lens[c][:0]
 	}
-	for ; len(bt.lens[0]) < ZoneRows; *row++ {
+	for ; len(bt.lens[0]) < BatchRows; *row++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return true, nil
@@ -256,11 +266,11 @@ func (bt *csvBatch) read(cr *csv.Reader, name string, row *int) (done bool, err 
 	return false, nil
 }
 
-// fill hands a batch's cells to their columns. Each column's cells are
-// cut from one string copy of its text, so no cell allocates.
+// fill hands a batch's cells to their columns, each a window of its
+// column's text in the batch.
 func (b *Builder) fill(bt *csvBatch) {
 	FillColumns(len(b.cols), len(bt.lens[0]), func(c int) {
-		cb, text := &b.cols[c], string(bt.text[c])
+		cb, text := &b.cols[c], bt.text[c]
 		cb.cd.codes = grow(cb.cd.codes, len(bt.lens[c]))
 		for _, n := range bt.lens[c] {
 			addCell(cb, text[:n])
@@ -298,7 +308,7 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 // date's day count).
 func (t *Table) Value(row, col int) Value {
 	cd := &t.cols[col]
-	if k := Kind(cd.kinds[cd.codes[row]]); k != String {
+	if k := cd.kindOf(cd.codes[row]); k != String {
 		return Value{Kind: k, Num: cd.nums[row]}
 	}
 	return Value{Kind: String, Str: strings.TrimSpace(t.Raw(row, col))}
@@ -342,16 +352,23 @@ func (t *Table) Records() []int {
 // RowsFor returns the records whose value in column col shares v's
 // canonical key (Value.Key) — the binary-relation lookup C.v of the KB
 // view (e.g. Country.Greece) — in record order. The key is rendered on
-// the stack and probed in the column's key index; the slice is a window
-// of the column's postings, not a copy, and must not be modified.
+// the stack and probed in the column's key index (KeyCode); the slice
+// is a window of the column's postings, built on the column's first
+// lookup, not a copy, and must not be modified.
 func (t *Table) RowsFor(col int, v Value) []int32 {
-	cd := &t.cols[col]
-	var buf [64]byte
-	g, ok := group(cd, appendKey(buf[:0], v))
+	g, ok := t.KeyCode(col, v)
 	if !ok {
 		return nil
 	}
-	return cd.kb.groupRows(int(g))
+	return t.postings(col).groupRows(int(g))
+}
+
+// KeyCode returns the key code in column col of v's canonical key
+// (Value.Key): the code ColumnKeyCodes gives every cell that shares
+// it. It reports false when no cell of the column does.
+func (t *Table) KeyCode(col int, v Value) (uint32, bool) {
+	var buf [64]byte
+	return group(&t.cols[col], appendKey(buf[:0], v))
 }
 
 // MostFrequentRows returns the records of column col's most frequent
@@ -360,7 +377,7 @@ func (t *Table) RowsFor(col int, v Value) []int32 {
 // first record is the smallest. It is nil for a column of no records.
 // The slice is shared with the table and must not be modified.
 func (t *Table) MostFrequentRows(col int) []int32 {
-	kb := &t.cols[col].kb
+	kb := t.postings(col)
 	best := -1
 	var size uint32
 	for g := range len(kb.offsets) - 1 {
@@ -377,8 +394,8 @@ func (t *Table) MostFrequentRows(col int) []int32 {
 // DistinctColumnValues returns the distinct values of a column in first-
 // appearance order; used by candidate generation.
 func (t *Table) DistinctColumnValues(col int) []Value {
-	kb := &t.cols[col].kb
-	out := make([]Value, t.cols[col].keys.Len())
+	kb := t.postings(col)
+	out := make([]Value, t.cols[col].nkeys)
 	for g := range out {
 		out[g] = t.Value(int(kb.rows[kb.offsets[g]]), col)
 	}

@@ -51,7 +51,7 @@ func computeZone(cd *columnData, lo, hi int) Zone {
 		f := cd.nums[r]
 		if math.IsNaN(f) {
 			// A text cell, unless the column spells a NaN.
-			if cd.hasNaN && Kind(cd.kinds[cd.codes[r]]) != String {
+			if cd.hasNaN && cd.kindOf(cd.codes[r]) != String {
 				z.NaNCount++
 			}
 			continue
