@@ -577,16 +577,16 @@ func FuzzSegmentRead(f *testing.F) {
 	})
 }
 
-// TestDecodeTableColumnsInParallel decodes bodies of a morsel of
-// records and one more, whose columns decode side by side (GOMAXPROCS
-// 4, so they do even on one CPU). A sound body builds the table New
-// builds. A damaged one is refused in the words one decoder walking
-// the columns in turn uses for the first damage it meets: the lowest
-// column's, though a later column's damage sits at an earlier record
-// or breaks the framing.
+// TestDecodeTableColumnsInParallel decodes bodies of a batch of
+// records (table.BatchRows) and one more, whose columns decode side by
+// side (GOMAXPROCS 4, so they do even on one CPU). A sound body builds
+// the table New builds. A damaged one is refused in the words one
+// decoder walking the columns in turn uses for the first damage it
+// meets: the lowest column's, though a later column's damage sits at an
+// earlier record or breaks the framing.
 func TestDecodeTableColumnsInParallel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	n := table.ZoneRows + 1
+	n := table.BatchRows + 1
 	m := Meta{Name: "wide", Gen: 1, Version: "v", Columns: []string{"A", "B", "C", "D"}, Rows: n}
 	// column c spells a new entry every 100 records and repeats its
 	// first in between; bad makes record bad[c] repeat an entry the

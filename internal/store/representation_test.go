@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -474,7 +475,7 @@ func TestSegmentBytesGolden(t *testing.T) {
 
 // buildChunkRows is the records FromCSV hands its columns at a time,
 // and the fewest a build fills its columns side by side for.
-const buildChunkRows = table.ZoneRows
+const buildChunkRows = table.BatchRows
 
 // chunkReprRows is an n-record relation shaped for the seams of a
 // build that fills its columns a batch of records at a time: a key
@@ -556,15 +557,17 @@ func assertSameColumns(t *testing.T, label string, got, want *table.Table) {
 // TestTableRepresentationAcrossChunks is the one-table property at the
 // sizes where a build changes how it hands records to its columns: a
 // header-only table, one record, a batch less one, a batch, a batch
-// and one, two batches and one, and the 131072-record scan size (-short
-// skips it). The CSV's header carries a byte-order mark. FromCSV, an
+// and one, two batches and one, the same four around a morsel of
+// records (table.ZoneRows, a zone), and the 131072-record scan size
+// (-short skips it). The CSV's header carries a byte-order mark. FromCSV, an
 // Append onto a third of the relation, an Append onto the empty table
 // and the register record and segment round trips all build the
 // relation New builds.
 func TestTableRepresentationAcrossChunks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // batches fill their columns side by side, even on one CPU
 	columns := []string{"City", "Seq", "Score", "Note"}
-	for _, n := range []int{0, 1, buildChunkRows - 1, buildChunkRows, buildChunkRows + 1, 2*buildChunkRows + 1, 131072} {
+	for _, n := range []int{0, 1, buildChunkRows - 1, buildChunkRows, buildChunkRows + 1, 2*buildChunkRows + 1,
+		table.ZoneRows - 1, table.ZoneRows, table.ZoneRows + 1, 2*table.ZoneRows + 1, 131072} {
 		if n == 131072 && testing.Short() {
 			continue
 		}
@@ -587,24 +590,27 @@ func TestTableRepresentationAcrossChunks(t *testing.T) {
 }
 
 // TestFromCSVErrorAcrossChunks pins FromCSV's error text for a ragged
-// record and for a bare quote that sit in the second batch of records.
+// record and for a bare quote that sit in the second batch of records,
+// and in the second morsel.
 func TestFromCSVErrorAcrossChunks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	columns := []string{"City", "Seq", "Score", "Note"}
-	good := chunkReprRows(buildChunkRows + 5)
-	var doc bytes.Buffer
-	if _, err := csvOf(t, columns, good).WriteTo(&doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name, tail, want string
-	}{
-		{"ragged", "oslo,7\n", `table "chunks": csv row 32774 has 2 fields, want 4`},
-		{"bare quote", "oslo,7,8,a\"b\n", `table "chunks": reading csv: parse error on line 32775, column 11: bare " in non-quoted-field`},
-	} {
-		_, err := table.FromCSV("chunks", strings.NewReader(doc.String()+tc.tail+"rome,1,2,3\n"))
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: FromCSV error %v, want %s", tc.name, err, tc.want)
+	for _, n := range []int{buildChunkRows + 5, table.ZoneRows + 5} {
+		var doc bytes.Buffer
+		if _, err := csvOf(t, columns, chunkReprRows(n)).WriteTo(&doc); err != nil {
+			t.Fatal(err)
+		}
+		// Records are numbered from 1 after the header, lines from 1 at it.
+		for _, tc := range []struct {
+			name, tail, want string
+		}{
+			{"ragged", "oslo,7\n", fmt.Sprintf(`table "chunks": csv row %d has 2 fields, want 4`, n+1)},
+			{"bare quote", "oslo,7,8,a\"b\n", fmt.Sprintf(`table "chunks": reading csv: parse error on line %d, column 11: bare " in non-quoted-field`, n+2)},
+		} {
+			_, err := table.FromCSV("chunks", strings.NewReader(doc.String()+tc.tail+"rome,1,2,3\n"))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%d records, %s: FromCSV error %v, want %s", n, tc.name, err, tc.want)
+			}
 		}
 	}
 }
