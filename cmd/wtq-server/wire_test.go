@@ -168,7 +168,7 @@ var serverWireGolden = map[string]string{
 	"error-trailing-garbage": "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
 	"error-trailing-value":   "2bc8a8e422688de50223349e3d1a116b38991bd3fd9b1a9dfa1cc06979ab160d",
 	"error-csv-and-rows":     "20bc96a54118f6f3a417addf3afa4468d601b9d1e357db796a91886fa4ab938f",
-	"tables-after-trailing":  "b3852c899f85cc5774b6303fb216cf83c511b8f216de4672323cf3c4ef7fd16f",
+	"tables-after-trailing":  "9b38b274045d80699992c0ff0703743300e47911bf17fef710877d09f7bbd464",
 	"error-too-deep":         "2e1508a2085281c3f9cb57df36c450391e0e9e8266687d592d1101aee9e88e8f",
 	"error-too-long":         "c18fa5ed5e4edf2bba8f969eadc9b4e1b7af61fe8e3a04de3ea81524b5f2701e",
 	"error-batch-too-large":  "49544a63cb1cf1fd664df3a2ff6e97cf43711b6b2a21ce2629c80efd670aab08",
