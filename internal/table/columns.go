@@ -73,11 +73,6 @@ const otherKey = 0x80
 // kindOf returns the kind of dictionary entry e.
 func (cd *columnData) kindOf(e uint32) Kind { return Kind(cd.kinds[e] &^ otherKey) }
 
-// group looks a canonical key up among the column's groups.
-func group[T string | []byte](cd *columnData, key T) (uint32, bool) {
-	return findGroup(cd, cd.dict.text, cd.exc.text, key, hashText(key))
-}
-
 // findGroup looks key, whose hash is h, up among the groups of a
 // column whose dictionary and exceptions hold their text in text and
 // excText: first as the spelling of an entry that is its own key, then
@@ -143,24 +138,33 @@ func groupPostings(groups []uint32, ngroups int) *postings {
 	return &postings{rows: rows, offsets: offsets}
 }
 
-// postings returns the postings of column c, building and publishing
-// them on first use: concurrent first uses may build duplicate
-// (identical) postings, but only the published build is charged to the
-// derived-byte account.
+// postings returns the postings of column c, built on first use.
 func (t *Table) postings(c int) *postings {
-	if p := t.kb[c].Load(); p != nil {
-		return p
-	}
-	cd := &t.cols[c]
-	p := groupPostings(cd.groups, cd.nkeys)
-	if t.kb[c].CompareAndSwap(nil, p) {
-		derivedBuilds.Add(1)
-		return p
-	}
-	if q := t.kb[c].Load(); q != nil {
-		return q
-	}
+	p, _ := derive(&t.kb[c], func() *postings {
+		cd := &t.cols[c]
+		return groupPostings(cd.groups, cd.nkeys)
+	})
 	return p
+}
+
+// derive returns the structure published in slot, building and
+// publishing one when there is none, and reports whether it published
+// it. Concurrent first uses may build duplicate (identical)
+// structures, but only the published one is charged to the table's
+// derived-byte account.
+func derive[T any](slot *atomic.Pointer[T], build func() *T) (*T, bool) {
+	if p := slot.Load(); p != nil {
+		return p, false
+	}
+	p := build()
+	if slot.CompareAndSwap(nil, p) {
+		derivedBuilds.Add(1)
+		return p, true
+	}
+	if q := slot.Load(); q != nil {
+		return q, false
+	}
+	return p, false
 }
 
 // numericIndex is the lazily built sorted index of one column: the
@@ -243,27 +247,19 @@ func isASCII[T string | []byte](s T) bool {
 // charged to the table's derived-byte account. The returned slice is
 // shared and must not be modified.
 func (t *Table) NumericSortedRows(c int) []int32 {
-	if idx := t.numIdx[c].Load(); idx != nil {
-		return idx.rows
-	}
-	cd := &t.cols[c]
-	nums := cd.nums
-	rows := make([]int32, 0, len(nums))
-	for r, f := range nums {
-		// A NaN is a text cell, unless the column spells one.
-		if f == f || cd.hasNaN && cd.kindOf(cd.codes[r]) != String {
-			rows = append(rows, int32(r))
+	idx, _ := derive(&t.numIdx[c], func() *numericIndex {
+		cd := &t.cols[c]
+		nums := cd.nums
+		rows := make([]int32, 0, len(nums))
+		for r, f := range nums {
+			// A NaN is a text cell, unless the column spells one.
+			if f == f || cd.hasNaN && cd.kindOf(cd.codes[r]) != String {
+				rows = append(rows, int32(r))
+			}
 		}
-	}
-	rows = radixSortRows(rows, nums)
-	if t.numIdx[c].CompareAndSwap(nil, &numericIndex{rows: rows}) {
-		derivedBuilds.Add(1)
-		return rows
-	}
-	if idx := t.numIdx[c].Load(); idx != nil {
-		return idx.rows
-	}
-	return rows
+		return &numericIndex{rows: radixSortRows(rows, nums)}
+	})
+	return idx.rows
 }
 
 // sortKey maps a number to a key whose unsigned order is the number's:

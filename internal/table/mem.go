@@ -13,8 +13,9 @@ const (
 	sliceHeaderBytes = 24 // slice header (ptr + len + cap)
 	// perColumnFixedBytes is the columnData struct, the column's
 	// postings, index and zone-map slots, the header string and its two
-	// colIndex entries. tableFixedBytes is the Table struct and the colIndex map
-	// header. Both only matter for the small tables the paper is about.
+	// colIndex entries. tableFixedBytes is the Table struct and the
+	// colIndex map header. Both only matter for the small tables the
+	// paper is about.
 	perColumnFixedBytes = 488
 	tableFixedBytes     = 256
 )
@@ -79,9 +80,9 @@ func (t *Table) DerivedBytes() int64 {
 var derivedBuilds atomic.Uint64
 
 // DerivedBuilds reports how many postings, sorted numeric indexes and
-// zone maps the process has published. It moves after each publication, so a
-// table's DerivedBytes can have grown only if it moved since it was
-// last read.
+// zone maps the process has published. It moves after each
+// publication, so a table's DerivedBytes can have grown only if it
+// moved since it was last read.
 func DerivedBuilds() uint64 { return derivedBuilds.Load() }
 
 // DropDerivedIndexes releases every built posting list, sorted

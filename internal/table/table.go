@@ -368,7 +368,9 @@ func (t *Table) RowsFor(col int, v Value) []int32 {
 // it. It reports false when no cell of the column does.
 func (t *Table) KeyCode(col int, v Value) (uint32, bool) {
 	var buf [64]byte
-	return group(&t.cols[col], appendKey(buf[:0], v))
+	cd := &t.cols[col]
+	key := appendKey(buf[:0], v)
+	return findGroup(cd, cd.dict.text, cd.exc.text, key, hashText(key))
 }
 
 // MostFrequentRows returns the records of column col's most frequent

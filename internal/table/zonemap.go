@@ -107,19 +107,13 @@ func (t *Table) ZoneBytes() int64 {
 // pressure (DropDerivedIndexes); it is never persisted. The returned
 // slice is shared and must not be modified.
 func (t *Table) ColumnZones(c int) []Zone {
-	if zm := t.zones[c].Load(); zm != nil {
-		return zm.zones
-	}
-	zones := computeZones(&t.cols[c], t.rows)
-	if t.zones[c].CompareAndSwap(nil, &zoneMap{zones: zones}) {
+	zm, published := derive(&t.zones[c], func() *zoneMap {
+		return &zoneMap{zones: computeZones(&t.cols[c], t.rows)}
+	})
+	if published {
 		zoneBuilds.Add(1)
-		derivedBuilds.Add(1)
-		return zones
 	}
-	if zm := t.zones[c].Load(); zm != nil {
-		return zm.zones
-	}
-	return zones
+	return zm.zones
 }
 
 // ZoneSnapshot returns ColumnZones of every column, building and
