@@ -143,11 +143,15 @@ store-stress:
 # New, FromCSV and Append filled side by side against one after the
 # other, segment decode's columns and the error it reports, and one
 # relation through every way into memory at the sizes around a batch
-# of records. The last line is the big table's footprint, measured
-# and so run without the detector: live heap per cell of a 131072 x 6
-# table, which a second copy of the cells in any form or 64-bit row
-# ids do not fit under, and of the same table read from CSV at 100000
-# records, where room grown into and never filled would show; the
+# (table.BatchRows, 8192) and a morsel of records; and so do the first
+# KB lookups of a fresh 131072-row table racing each other, before and
+# after its postings, built on a column's first lookup, are dropped.
+# The last line is the big table's footprint, measured and so run
+# without the detector: live heap per cell of a 131072 x 6 table, with
+# and without a NaN in Tick, which postings built with the table, a
+# second key dictionary, a second copy of the cells in any form or
+# 64-bit row ids do not fit under, and of the same table read from CSV
+# at 100000 records, where room grown into and never filled would show; the
 # bytes FromCSV allocates reading it, and the bytes building each of
 # its sorted numeric indexes allocates (the index and one more row
 # vector of scratch); the byte estimate the store's
