@@ -30,8 +30,9 @@ func encodeJSON(t *testing.T, v any) []byte {
 // written without reflection, /v1/explain's and /v1/explain/batch's, to
 // the bytes writeJSON's encoder makes of the same values: over the
 // engine's explanations of seeded random queries and of a table of
-// hostile cells, over documents with nil and empty slices, and over
-// batches that mix explanations and errors.
+// hostile cells, over documents with nil and empty slices, over
+// batches that mix explanations and errors, and over the wide batch of
+// TestServerWireGolden, hundreds of kilobytes long.
 func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 	check := func(what string, v any, got []byte) {
 		t.Helper()
@@ -99,4 +100,17 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 	for _, r := range batches {
 		check("batch", r, r.appendJSON(nil))
 	}
+
+	if _, err := e.RegisterRaw("wide", wideColumns, wideRows()); err != nil {
+		t.Fatal(err)
+	}
+	var wide batchResponse
+	for _, q := range wideQueries {
+		ex, _, err := e.ExplainCached(context.Background(), "wide", q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		wide.Results = append(wide.Results, batchItem{Explanation: ex})
+	}
+	check("wide batch", wide, wide.appendJSON(nil))
 }

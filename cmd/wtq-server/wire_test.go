@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -94,6 +95,11 @@ func TestServerWireGolden(t *testing.T) {
 		// own.
 		{"error-too-long", http.MethodPost, ts.URL + "/v1/explain", map[string]string{"table": "olympics", "query": "City.Athens" + strings.Repeat(" ", dcs.MaxQueryBytes)}},
 		{"error-batch-too-large", http.MethodPost, ts.URL + "/v1/explain/batch", map[string]any{"queries": slices.Repeat([]map[string]string{explain}, maxBatchQueries+1)}},
+		// A batch whose body is many times the size at which the server
+		// writes a batch out: seven explanations of a 250-record table,
+		// whose levels list their cells one by one.
+		{"register-wide", http.MethodPost, ts.URL + "/v1/tables", map[string]any{"name": "wide", "columns": wideColumns, "rows": wideRows()}},
+		{"batch-wide", http.MethodPost, ts.URL + "/v1/explain/batch", map[string]any{"queries": wideBatch()}},
 	}
 	got := make(map[string]string)
 	for _, tc := range cases {
@@ -124,6 +130,41 @@ func TestServerWireGolden(t *testing.T) {
 			t.Errorf("%s: wire hashes to %s, no golden", name, sum)
 		}
 	}
+}
+
+// wideColumns, wideRows and wideQueries make a batch of explanations
+// that each run to tens of kilobytes: a 250-record table, and queries
+// whose levels hold most of its cells.
+var wideColumns = []string{"Year", "City", "Country", "Nations"}
+
+func wideRows() [][]string {
+	cities := []string{"Athens", "Paris", "London", "Rome", "Berlin"}
+	countries := []string{"Greece", "France", "UK", "Italy", "Germany", "Spain", "China"}
+	rows := make([][]string, 250)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(1800 + i), cities[i%len(cities)], countries[i%len(countries)], strconv.Itoa(10 + i*37%190)}
+	}
+	return rows
+}
+
+var wideQueries = []string{
+	"R[Year].Nations>=20",
+	"count(Year>=1850)",
+	"max(R[Nations].Year>=1900)",
+	"R[City].Country.Greece",
+	"sum(R[Nations].City.Athens)",
+	"min(R[Year].Country.France)",
+	"R[Country].Nations<100",
+}
+
+// wideBatch is the /v1/explain/batch request of wideQueries over the
+// table "wide".
+func wideBatch() []explainRequest {
+	qs := make([]explainRequest, len(wideQueries))
+	for i, q := range wideQueries {
+		qs[i] = explainRequest{Table: "wide", Query: q}
+	}
+	return qs
 }
 
 // wireHash is the SHA-256 of one response as a client sees it.
@@ -172,6 +213,8 @@ var serverWireGolden = map[string]string{
 	"error-too-deep":         "2e1508a2085281c3f9cb57df36c450391e0e9e8266687d592d1101aee9e88e8f",
 	"error-too-long":         "c18fa5ed5e4edf2bba8f969eadc9b4e1b7af61fe8e3a04de3ea81524b5f2701e",
 	"error-batch-too-large":  "49544a63cb1cf1fd664df3a2ff6e97cf43711b6b2a21ce2629c80efd670aab08",
+	"register-wide":          "168d183cd3b7728ef7428996b52c7441ffee419ee44434e5e812b52359976dc5",
+	"batch-wide":             "0c6d396f83465d1e3c37e30f29b01dd9965fa9654206c9b69cdb45f68aef4aa4",
 	"error-deadline":         "a9a2051e9bfb404f27e3221f7346aa794ad7f4f4d5cd34e85a04810a401e7b06",
 	"error-canceled":         "27dca80ee4e86fb3c756d46a62b9acb9ffc65a2054b12532810b60a118ecfc4d",
 	"error-overloaded":       "807d4733e61199c59a6609f36da56ac71dcd90053538d2867f8ad1bc8616f67f",
