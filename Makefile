@@ -34,13 +34,16 @@ test: parse-footprint
 # entry weighs its levels and strings), and per cached explanation and
 # answer of the fixture's wide R[Seq].Tick>=k family; on
 # the HTTP layer, allocations per cached /v1/explain and
-# /v1/explain/batch request through the server's mux. They are
-# measurements, which the race detector distorts (the tests skip
+# /v1/explain/batch request through the server's mux, and the largest
+# single write of a ~440 KB batch response, which must stay within the
+# server's flush threshold plus the batch's largest item (a count of
+# bytes, which the race detector does not move). The others are
+# measurements, which the race detector distorts (those tests skip
 # themselves under it), so test and cover, both -race, run them first
 # without it.
 parse-footprint:
 	$(GO) test -run 'TestParseHeapPerQuestion|TestParseAllocsPerQuestion|TestExplainMissAllocs|TestExplainMissBigTable|TestCachedExplanationBytes' -count=1 ./internal/engine/
-	$(GO) test -run 'TestExplainHandlerAllocs' -count=1 ./cmd/wtq-server/
+	$(GO) test -run 'TestExplainHandlerAllocs|TestBatchWriteBound' -count=1 ./cmd/wtq-server/
 
 # TEST_ONLY are the packages only _test.go files may import: the
 # reference interpreter (internal/oracle), the random query and table

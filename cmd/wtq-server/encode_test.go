@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"nlexplain/internal/engine"
@@ -26,9 +27,20 @@ func encodeJSON(t *testing.T, v any) []byte {
 	return b.Bytes()
 }
 
+// writeBatch is what the batch handler writes of r: the pieces body
+// hands w, concatenated, and how many there were.
+func writeBatch(r batchResponse) ([]byte, int) {
+	w := new(pieceWriter)
+	out := newBody(w, http.StatusOK)
+	r.writeTo(out)
+	out.close()
+	return w.body, w.writes
+}
+
 // TestAppendedResponsesMatchEncodingJSON holds the two responses
 // written without reflection, /v1/explain's and /v1/explain/batch's, to
-// the bytes writeJSON's encoder makes of the same values: over the
+// the bytes writeJSON's encoder makes of the same values (a batch's as
+// the pieces it is written in, concatenated): over the
 // engine's explanations of seeded random queries and of a table of
 // hostile cells, over documents with nil and empty slices, over
 // batches that mix explanations and errors, and over the wide batch of
@@ -98,7 +110,8 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 		batches = append(batches, batchResponse{Results: []batchItem{{Explanation: docs[i]}, {Explanation: docs[i+1], Cached: true}}})
 	}
 	for _, r := range batches {
-		check("batch", r, r.appendJSON(nil))
+		got, _ := writeBatch(r)
+		check("batch", r, got)
 	}
 
 	if _, err := e.RegisterRaw("wide", wideColumns, wideRows()); err != nil {
@@ -112,5 +125,9 @@ func TestAppendedResponsesMatchEncodingJSON(t *testing.T) {
 		}
 		wide.Results = append(wide.Results, batchItem{Explanation: ex})
 	}
-	check("wide batch", wide, wide.appendJSON(nil))
+	got, writes := writeBatch(wide)
+	check("wide batch", wide, got)
+	if writes < 4 {
+		t.Fatalf("the wide batch's %d bytes went out in %d writes", len(got), writes)
+	}
 }

@@ -71,7 +71,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -192,66 +191,121 @@ func (s *server) route(mux *http.ServeMux, pattern, name string, h http.HandlerF
 	})
 }
 
-// encBuf pairs a reusable response buffer with the encoder bound to
-// it; the pool recycles both across requests, so steady-state
-// responses allocate neither an encoder nor a fresh backing array. The
-// explanation responses (/v1/explain and /v1/explain/batch) are
-// appended into the buffer by writeAppended; every other response goes
-// through the encoder, in writeJSON.
-type encBuf struct {
-	buf bytes.Buffer
+// body is a response on its way out: the pending bytes, in a slice
+// the pool recycles across requests, and the writer they go to. Every
+// response is encoded once, into buf, and buf itself is written, so
+// steady-state responses allocate neither an encoder nor a fresh
+// backing array. The explanation responses (/v1/explain and
+// /v1/explain/batch) append their bytes to buf by hand; every other
+// response goes through enc, in writeJSON. A batch is written as its
+// items are appended (item), so buf holds at most one item past
+// flushBytes, never the whole body.
+type body struct {
+	buf []byte
+	// enc writes into buf through Write, indented as every response is.
 	enc *json.Encoder
+	w   http.ResponseWriter
+	// status is sent, with the Content-Type, before the first byte.
+	status int
+	// err is the first failed write; nothing is written after it.
+	err error
 }
 
-// encBufMaxRetained caps the buffer size the pool keeps: a rare huge
+// bodyMaxRetained caps the capacity the pool keeps: a rare huge
 // response (a full table dump) should not pin megabytes forever.
-const encBufMaxRetained = 1 << 20
+const bodyMaxRetained = 1 << 20
 
-var encPool = sync.Pool{New: func() any {
-	e := new(encBuf)
-	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
-	return e
+// flushBytes is the pending size at which a batch response writes out
+// what it holds; item checks it after each item is appended.
+const flushBytes = 16 << 10
+
+var bodyPool = sync.Pool{New: func() any {
+	b := new(body)
+	b.enc = json.NewEncoder(b)
+	b.enc.SetIndent("", "  ")
+	return b
 }}
 
+// newBody takes a body from the pool for a response of status to w.
+func newBody(w http.ResponseWriter, status int) *body {
+	b := bodyPool.Get().(*body)
+	b.buf, b.w, b.status, b.err = b.buf[:0], w, status, nil
+	return b
+}
+
+// Write appends p to the pending bytes: it is enc's destination, and
+// never fails.
+func (b *body) Write(p []byte) (int, error) {
+	b.buf = append(b.buf, p...)
+	return len(p), nil
+}
+
+// item writes the pending bytes out once they reach flushBytes. A
+// batch calls it after each item it appends.
+func (b *body) item() {
+	if len(b.buf) >= flushBytes {
+		b.flush()
+	}
+}
+
+// flush writes the pending bytes, the header first if nothing has been
+// written yet, and empties buf. A failed write is logged once, and
+// every later one is skipped.
+func (b *body) flush() {
+	if b.err != nil {
+		return
+	}
+	if b.status != 0 {
+		b.w.Header().Set("Content-Type", "application/json")
+		b.w.WriteHeader(b.status)
+		b.status = 0
+	}
+	if _, err := b.w.Write(b.buf); err != nil {
+		log.Printf("writing response: %v", err)
+		b.err = err
+	}
+	b.buf = b.buf[:0]
+}
+
+// close writes what is pending and returns b to the pool.
+func (b *body) close() {
+	b.flush()
+	b.release()
+}
+
+// release returns b to the pool unless its slice outgrew
+// bodyMaxRetained.
+func (b *body) release() {
+	b.w = nil
+	if cap(b.buf) <= bodyMaxRetained {
+		bodyPool.Put(b)
+	}
+}
+
 // writeJSON writes v as encoding/json's indented encoder spells it:
-// every response but the two explanation ones, which writeAppended
-// writes in the same bytes without reflection.
+// every response but the two explanation ones, which writeAppended and
+// the batch handler write in the same bytes without reflection.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encPool.Get().(*encBuf)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
+	b := newBody(w, status)
+	if err := b.enc.Encode(v); err != nil {
 		// Nothing was written yet, so the client still gets a clean
 		// JSON error response instead of a torn body. (errorBody always
 		// marshals, so this cannot recurse.)
-		encPool.Put(e)
+		b.release()
 		log.Printf("encoding response: %v", err)
 		writeError(w, http.StatusInternalServerError, codeInternal, "internal server error")
 		return
 	}
-	send(w, status, e)
+	b.close()
 }
 
-// writeAppended writes the body appendJSON appends to a pooled buffer.
-// appendJSON cannot fail: it spells the response out by hand, in the
-// bytes writeJSON would have made of it.
+// writeAppended writes the body appendJSON appends to a pooled slice,
+// and that slice itself. appendJSON cannot fail: it spells the
+// response out by hand, in the bytes writeJSON would have made of it.
 func writeAppended(w http.ResponseWriter, status int, appendJSON func([]byte) []byte) {
-	e := encPool.Get().(*encBuf)
-	e.buf.Reset()
-	e.buf.Write(appendJSON(e.buf.AvailableBuffer()))
-	send(w, status, e)
-}
-
-// send writes the response in e and returns e to the pool.
-func send(w http.ResponseWriter, status int, e *encBuf) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(e.buf.Bytes()); err != nil {
-		log.Printf("writing response: %v", err)
-	}
-	if e.buf.Cap() <= encBufMaxRetained {
-		encPool.Put(e)
-	}
+	b := newBody(w, status)
+	b.buf = appendJSON(b.buf)
+	b.close()
 }
 
 // Stable machine-readable error codes of the unified error envelope.
@@ -527,9 +581,11 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeAppended(w, http.StatusOK, explainResponse{Explanation: ex, Cached: cached}.appendJSON)
 }
 
-// maxBatchQueries caps the queries of one /v1/explain/batch request,
-// which the server answers in one buffer. The largest batch a client
-// here sends is 16 queries.
+// maxBatchQueries caps the queries of one /v1/explain/batch request.
+// The server writes a batch out item by item, so what the response
+// holds is bounded by its largest item, not by this count; the results
+// and their explanations are all held until the batch is answered. The
+// largest batch a client here sends is 16 queries.
 const maxBatchQueries = 256
 
 type batchRequest struct {
@@ -549,15 +605,18 @@ type batchItem struct {
 }
 
 // batchResponse is the /v1/explain/batch body. Its tags and
-// batchItem's are the spec; appendJSON writes it.
+// batchItem's are the spec; writeTo writes it.
 type batchResponse struct {
 	Results []batchItem `json:"results"`
 	Errors  int         `json:"errors"`
 }
 
-// appendJSON appends r as writeJSON would encode it.
-func (r batchResponse) appendJSON(b []byte) []byte {
-	b = append(b, "{\n  \"results\": "...)
+// writeTo writes r to out in the bytes writeJSON would make of it,
+// handing out each item as it is appended (body.item), so out writes
+// the response a batch of items at a time. After a failed write it
+// stops.
+func (r batchResponse) writeTo(out *body) {
+	b := append(out.buf, "{\n  \"results\": "...)
 	switch {
 	case r.Results == nil:
 		b = append(b, "null"...)
@@ -581,12 +640,16 @@ func (r batchResponse) appendJSON(b []byte) []byte {
 			if item.ErrorCode != "" {
 				b = export.AppendString(append(b, ",\n      \"error_code\": "...), item.ErrorCode)
 			}
-			b = append(b, "\n    }"...)
+			out.buf = append(b, "\n    }"...)
+			if out.item(); out.err != nil {
+				return
+			}
+			b = out.buf
 		}
 		b = append(b, "\n  ]"...)
 	}
 	b = strconv.AppendInt(append(b, ",\n  \"errors\": "...), int64(r.Errors), 10)
-	return append(b, "\n}\n"...)
+	out.buf = append(b, "\n}\n"...)
 }
 
 func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
@@ -621,7 +684,9 @@ func (s *server) handleExplainBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = item
 	}
-	writeAppended(w, http.StatusOK, resp.appendJSON)
+	out := newBody(w, http.StatusOK)
+	resp.writeTo(out)
+	out.close()
 }
 
 type answerResponse struct {

@@ -186,6 +186,47 @@ func TestConcurrentIndexBuildAndDrop(t *testing.T) {
 	}
 }
 
+// TestDistinctColumnValuesBuildsNoPostings holds DistinctColumnValues,
+// one pass over a column's key codes, to the first record of each KB
+// postings group, which it read until it stopped building them: on the
+// olympics, web and 131072-record fixtures (Tick spelling a NaN in its
+// last record), on a column whose keys have several spellings, and on
+// an appended table. The call publishes nothing: DerivedBytes holds.
+func TestDistinctColumnValuesBuildsNoPostings(t *testing.T) {
+	bigRows := bigFixtureRows(131072)
+	bigRows[len(bigRows)-1][1] = "NaN"
+	spellings := MustNew("spellings", []string{"City", "N"}, [][]string{
+		{"Athens", "1"}, {"athens", "1.0"}, {"Paris", "NaN"}, {"ATHENS", "01"}, {"paris", "nan"}, {"Rome", "2"},
+	})
+	appended, err := spellings.Append([][]string{{"rome", "2.0"}, {"Oslo", "3"}, {"Athens", "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{
+		olympics(t),
+		MustNew("web", webFixtureCols, webFixtureRows()),
+		MustNew("big", bigFixtureCols, bigRows),
+		spellings,
+		appended,
+	} {
+		for c := range tab.NumCols() {
+			cd := &tab.cols[c]
+			kb := groupPostings(cd.groups, cd.nkeys)
+			want := make([]Value, cd.nkeys)
+			for g := range want {
+				want[g] = tab.Value(int(kb.rows[kb.offsets[g]]), c)
+			}
+			before := tab.DerivedBytes()
+			if got := tab.DistinctColumnValues(c); !slices.EqualFunc(got, want, sameValue) {
+				t.Fatalf("%s: DistinctColumnValues(%d) = %v, want %v", tab.Name(), c, got, want)
+			}
+			if after := tab.DerivedBytes(); after != before {
+				t.Errorf("%s: DistinctColumnValues(%d) moved DerivedBytes %d -> %d", tab.Name(), c, before, after)
+			}
+		}
+	}
+}
+
 // TestConcurrentFirstLookups races the first KB lookups of a fresh
 // 131072-record table: 8 goroutines make the first RowsFor,
 // MostFrequentRows and DistinctColumnValues calls on every column, each

@@ -45,7 +45,7 @@ type Table struct {
 	// cols is the storage, one columnData per column.
 	cols []columnData
 	// kb holds the lazily built per-column KB postings, read by
-	// RowsFor, MostFrequentRows and DistinctColumnValues. Like numIdx
+	// RowsFor and MostFrequentRows. Like numIdx
 	// and zones they are droppable and rebuilt on demand.
 	kb []atomicPostings
 	// numIdx holds the lazily built per-column sorted numeric indexes.
@@ -394,12 +394,18 @@ func (t *Table) MostFrequentRows(col int) []int32 {
 }
 
 // DistinctColumnValues returns the distinct values of a column in first-
-// appearance order; used by candidate generation.
+// appearance order; used by candidate generation. Groups are numbered
+// in order of first appearance, so one pass over the key codes finds
+// each group's first record, and no postings are built.
 func (t *Table) DistinctColumnValues(col int) []Value {
-	kb := t.postings(col)
-	out := make([]Value, t.cols[col].nkeys)
-	for g := range out {
-		out[g] = t.Value(int(kb.rows[kb.offsets[g]]), col)
+	cd := &t.cols[col]
+	out := make([]Value, 0, cd.nkeys)
+	for r, g := range cd.groups {
+		if int(g) == len(out) {
+			if out = append(out, t.Value(r, col)); len(out) == cd.nkeys {
+				break
+			}
+		}
 	}
 	return out
 }
