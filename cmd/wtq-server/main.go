@@ -267,15 +267,10 @@ func (b *body) flush() {
 	b.buf = b.buf[:0]
 }
 
-// close writes what is pending and returns b to the pool.
+// close writes what is pending and returns b to the pool, unless its
+// slice outgrew bodyMaxRetained.
 func (b *body) close() {
 	b.flush()
-	b.release()
-}
-
-// release returns b to the pool unless its slice outgrew
-// bodyMaxRetained.
-func (b *body) release() {
 	b.w = nil
 	if cap(b.buf) <= bodyMaxRetained {
 		bodyPool.Put(b)
@@ -283,28 +278,18 @@ func (b *body) release() {
 }
 
 // writeJSON writes v as encoding/json's indented encoder spells it:
-// every response but the two explanation ones, which writeAppended and
-// the batch handler write in the same bytes without reflection.
+// every response but the two explanation ones, which their handlers
+// append to a body by hand, in the same bytes, without reflection.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := newBody(w, status)
 	if err := b.enc.Encode(v); err != nil {
 		// Nothing was written yet, so the client still gets a clean
-		// JSON error response instead of a torn body. (errorBody always
-		// marshals, so this cannot recurse.)
-		b.release()
+		// JSON error response instead of a torn body; b is left to the
+		// collector. (errorBody always marshals, so this cannot recurse.)
 		log.Printf("encoding response: %v", err)
 		writeError(w, http.StatusInternalServerError, codeInternal, "internal server error")
 		return
 	}
-	b.close()
-}
-
-// writeAppended writes the body appendJSON appends to a pooled slice,
-// and that slice itself. appendJSON cannot fail: it spells the
-// response out by hand, in the bytes writeJSON would have made of it.
-func writeAppended(w http.ResponseWriter, status int, appendJSON func([]byte) []byte) {
-	b := newBody(w, status)
-	b.buf = appendJSON(b.buf)
 	b.close()
 }
 
@@ -578,13 +563,15 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writePipelineError(w, err)
 		return
 	}
-	writeAppended(w, http.StatusOK, explainResponse{Explanation: ex, Cached: cached}.appendJSON)
+	out := newBody(w, http.StatusOK)
+	out.buf = explainResponse{Explanation: ex, Cached: cached}.appendJSON(out.buf)
+	out.close()
 }
 
 // maxBatchQueries caps the queries of one /v1/explain/batch request.
-// The server writes a batch out item by item, so what the response
-// holds is bounded by its largest item, not by this count; the results
-// and their explanations are all held until the batch is answered. The
+// The response is written item by item (batchResponse.writeTo), so its
+// pending bytes are bounded by the largest item, not by this count;
+// the results themselves are all held until the batch is answered. The
 // largest batch a client here sends is 16 queries.
 const maxBatchQueries = 256
 
@@ -612,9 +599,8 @@ type batchResponse struct {
 }
 
 // writeTo writes r to out in the bytes writeJSON would make of it,
-// handing out each item as it is appended (body.item), so out writes
-// the response a batch of items at a time. After a failed write it
-// stops.
+// handing out each item as it is appended (body.item), so the response
+// goes out a few items at a time. After a failed write it stops.
 func (r batchResponse) writeTo(out *body) {
 	b := append(out.buf, "{\n  \"results\": "...)
 	switch {

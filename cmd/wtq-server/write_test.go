@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -141,6 +143,20 @@ func TestBatchClientGone(t *testing.T) {
 		serve(got, r.url, r.body)
 		if got.status != want[i].status || !bytes.Equal(got.body, want[i].body) {
 			t.Errorf("%s after a failed write: status %d, %d bytes; want %d, %d bytes", r.url, got.status, len(got.body), want[i].status, len(want[i].body))
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure answers a value encoding/json refuses (a
+// NaN) with the internal error envelope, and writes nothing of it.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	for range 2 { // the second time through a body the pool may hand out again
+		w := new(pieceWriter)
+		writeJSON(w, http.StatusOK, math.NaN())
+		if want := "{\n  \"error\": {\n    \"code\": \"internal\",\n    \"message\": \"internal server error\"\n  }\n}\n"; w.status != http.StatusInternalServerError || string(w.body) != want || w.writes != 1 {
+			t.Fatalf("status %d, %d writes:\n%s", w.status, w.writes, w.body)
 		}
 	}
 }

@@ -45,8 +45,8 @@ type Table struct {
 	// cols is the storage, one columnData per column.
 	cols []columnData
 	// kb holds the lazily built per-column KB postings, read by
-	// RowsFor and MostFrequentRows. Like numIdx
-	// and zones they are droppable and rebuilt on demand.
+	// RowsFor and MostFrequentRows. Like numIdx and zones they are
+	// droppable and rebuilt on demand.
 	kb []atomicPostings
 	// numIdx holds the lazily built per-column sorted numeric indexes.
 	// Entries are droppable under memory pressure (DropDerivedIndexes)
