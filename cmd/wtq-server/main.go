@@ -627,7 +627,8 @@ func (r batchResponse) writeTo(out *body) {
 				b = export.AppendString(append(b, ",\n      \"error_code\": "...), item.ErrorCode)
 			}
 			out.buf = append(b, "\n    }"...)
-			if out.item(); out.err != nil {
+			out.item()
+			if out.err != nil {
 				return
 			}
 			b = out.buf

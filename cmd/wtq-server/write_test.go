@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
@@ -63,21 +64,20 @@ func wideMux(t *testing.T) (serve func(w http.ResponseWriter, url, body string))
 }
 
 // batchBody is the /v1/explain/batch request of queries over "wide".
-func batchBody(queries ...string) string {
-	var b strings.Builder
-	b.WriteString(`{"queries":[`)
-	for i, q := range queries {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`{"table":"wide","query":"` + q + `"}`)
+func batchBody(t *testing.T, queries ...string) string {
+	var req batchRequest
+	for _, q := range queries {
+		req.Queries = append(req.Queries, explainRequest{Table: "wide", Query: q})
 	}
-	b.WriteString(`]}`)
-	return b.String()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestBatchWriteBound holds what a batch response keeps to write at
-// once: no single Write of the wide batch (~400 KB) passes flushBytes
+// once: no single Write of the wide batch (~440 KB) passes flushBytes
 // plus the largest of its items, measured as that item's own one-query
 // batch. A response held whole would write the body in one piece.
 // make parse-footprint runs it.
@@ -86,14 +86,14 @@ func TestBatchWriteBound(t *testing.T) {
 	largestItem := 0
 	for _, q := range wideQueries {
 		w := new(pieceWriter)
-		serve(w, "/v1/explain/batch", batchBody(q))
+		serve(w, "/v1/explain/batch", batchBody(t, q))
 		if w.status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", q, w.status, w.body)
 		}
 		largestItem = max(largestItem, len(w.body))
 	}
 	w := new(pieceWriter)
-	serve(w, "/v1/explain/batch", batchBody(wideQueries...))
+	serve(w, "/v1/explain/batch", batchBody(t, wideQueries...))
 	if w.status != http.StatusOK {
 		t.Fatalf("status %d: %s", w.status, w.body)
 	}
@@ -115,7 +115,7 @@ func TestBatchWriteBound(t *testing.T) {
 func TestBatchClientGone(t *testing.T) {
 	serve := wideMux(t)
 	requests := []struct{ url, body string }{
-		{"/v1/explain/batch", batchBody(wideQueries...)},
+		{"/v1/explain/batch", batchBody(t, wideQueries...)},
 		{"/v1/explain", `{"table":"wide","query":"` + wideQueries[0] + `"}`},
 	}
 	want := make([]*pieceWriter, len(requests))
