@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -660,4 +661,60 @@ func readTableFile(t *testing.T, path string) (Meta, *table.Table) {
 		t.Fatal(err)
 	}
 	return m, tab
+}
+
+// bigFixture is the store's 131072 x 6 golden fixture, the shape the
+// scan traffic runs on: two sequence columns, two low-cardinality text
+// columns and two numeric columns of middling cardinality. It returns
+// the table and its size as CSV: the header, then each record's
+// cells, one separator after every name and cell.
+func bigFixture(tb testing.TB) (*table.Table, int) {
+	rng := rand.New(rand.NewSource(7))
+	columns := []string{"Seq", "Tick", "Nation", "City", "Games", "Score"}
+	rows := make([][]string, 131072)
+	n := len(columns)
+	for _, c := range columns {
+		n += len(c)
+	}
+	for i := range rows {
+		rows[i] = []string{
+			strconv.Itoa(i), strconv.Itoa(i),
+			"Nation" + strconv.Itoa(rng.Intn(40)), "City" + strconv.Itoa(rng.Intn(24)),
+			strconv.Itoa(rng.Intn(1_000_000)), strconv.Itoa(rng.Intn(10_000)),
+		}
+		for _, cell := range rows[i] {
+			n += len(cell) + 1
+		}
+	}
+	tab, err := table.New("big", columns, rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tab, n
+}
+
+// BenchmarkSegmentCodec times the table codec itself on the 131072 x 6
+// fixture, per byte of it as CSV: AppendTable into a buffer sized once,
+// and DecodeTable of that body back into a table, its columns side by
+// side.
+func BenchmarkSegmentCodec(b *testing.B) {
+	tab, csvBytes := bigFixture(b)
+	m := Meta{Name: tab.Name(), Gen: 1, Version: "v", Columns: tab.Columns(), Rows: tab.NumRows()}
+	body := AppendTable(nil, m, tab)
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(csvBytes))
+		b.ReportAllocs()
+		for range b.N {
+			AppendTable(nil, m, tab)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(csvBytes))
+		b.ReportAllocs()
+		for range b.N {
+			if _, _, err := DecodeTable(body, "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

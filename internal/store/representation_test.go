@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -469,6 +471,100 @@ func TestSegmentBytesGolden(t *testing.T) {
 			if !bytes.Equal(again, data) {
 				t.Errorf("segment.Write over the snapshot's rows differs from the checkpointed file (%d vs %d bytes)", len(again), len(data))
 			}
+		})
+	}
+}
+
+// schema3Golden reads the segment file an earlier build's checkpoint
+// wrote for fixture fx under segment body schema 3, kept in
+// internal/segment/testdata/golden_v3 (the big one gzipped).
+func schema3Golden(t *testing.T, fx string, big bool) []byte {
+	t.Helper()
+	path := filepath.Join("..", "segment", "testdata", "golden_v3", fx+".seg")
+	if big {
+		path += ".gz"
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !big {
+		return data
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = io.ReadAll(zr); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSchema3GoldenRestores: what an earlier build wrote under segment
+// body schema 3 still comes back as the fixture's relation, with the
+// generation and version it was written with — from the segment file a
+// checkpoint of each golden fixture wrote, named in a manifest, and
+// from a WAL whose one register record carries that file's body.
+func TestSchema3GoldenRestores(t *testing.T) {
+	for _, fx := range goldenFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			if fx.big && testing.Short() {
+				t.Skip("131072-row fixture")
+			}
+			base, appends := fx.build(t)
+			want := base
+			for _, rows := range appends {
+				want = mustAppend(t, want, rows)
+			}
+			data := schema3Golden(t, fx.name, fx.big)
+			body := data[12:] // past the magic and the checksum
+			m, _, err := segment.DecodeTable(body, fx.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Version != contentVersion(want) {
+				t.Fatalf("the schema-3 body of %s names version %s, the relation hashes to %s", fx.name, m.Version, contentVersion(want))
+			}
+			check := func(label, dir string) {
+				t.Helper()
+				st := openDurable(t, dir)
+				defer st.Close()
+				snap, ok := st.Get(m.Name)
+				if !ok {
+					t.Fatalf("%s: table %q not recovered", label, m.Name)
+				}
+				if snap.Gen() != m.Gen || snap.Version() != m.Version {
+					t.Fatalf("%s: recovered as (gen %d, %s), written as (gen %d, %s)", label, snap.Gen(), snap.Version(), m.Gen, m.Version)
+				}
+				assertSameColumns(t, fx.name+", "+label, snap.Table(), want)
+			}
+
+			segDir := t.TempDir()
+			file := "seg-0000000000000001.seg"
+			if err := os.WriteFile(filepath.Join(segDir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			man := &segment.Manifest{Gen: m.Gen, WALSeq: 1, Tables: []segment.TableRef{
+				{Name: m.Name, File: file, Gen: m.Gen, Version: m.Version, Rows: m.Rows, Cols: len(m.Columns)},
+			}}
+			if err := segment.WriteManifest(nil, segDir, man); err != nil {
+				t.Fatal(err)
+			}
+			check("schema-3 segment file", segDir)
+
+			walDir := t.TempDir()
+			w, _, err := wal.OpenFS(nil, filepath.Join(walDir, "wal-0000000000000001.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(tagRegister, body); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check("schema-3 register record", walDir)
 		})
 	}
 }
