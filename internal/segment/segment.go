@@ -4,10 +4,16 @@
 // column and record by record. A cell is spelled out where its
 // spelling first appears in its column, and after that is the number
 // of that first appearance, so each distinct spelling is stored once.
-// The numbers are the table's own dictionary codes, which count first
-// appearances: the writer reads the cells straight out of the table's
-// dictionary and codes, and the reader feeds them to the table
-// builder, which parses a spelling once however many records hold it.
+// A spelling that is a plain integer — the canonical rendering of an
+// integer below 1e15 in magnitude, which strconv.AppendInt rebuilds
+// byte for byte — is stored as that integer, less the column's last
+// one. The numbers are the table's own dictionary codes, which count
+// first appearances: the writer reads the cells straight out of the
+// table's dictionary and codes, and knows a plain integer by the
+// table's typing of its cell (Table.CellInt), never by parsing it
+// again; the reader feeds them to the table builder, which parses a
+// spelling once however many records hold it, and an integer not at
+// all (Builder.IntCell).
 //
 // The body is the one table codec: it is also the payload of the
 // store's WAL register record (EncodeTable / DecodeTable), so a
@@ -26,21 +32,27 @@
 //
 // body, all integers uvarint, strings length-prefixed:
 //
-//	schema(=3) name gen version
+//	schema(=4) name gen version
 //	ncols col... nrows
-//	per column, per record: v, and when v is odd v>>1 bytes of text
+//	per column, per record: v, and when v&3 == 1 v>>2 bytes of text
 //	footer: nzcols, which the writer always writes as 0
 //
-// An odd v spells the column's next dictionary entry; an even v
-// repeats entry v>>1, which must be one the column has already spelled.
-// Earlier builds wrote the snapshot's zone maps into the footer:
-// nzcols = ncols, then per column nzones and per zone min max (float64
-// bits, 8 bytes LE each), two length-prefixed key bounds and three
-// counts. The reader checks that such a footer is whole and skips it;
-// zone maps are built in memory, on first use. Bodies of schema 1 and
-// 2, which stored each column as its dictionary and then its codes,
-// are refused: a table persisted in them is registered again from its
-// CSV.
+// An even v repeats entry v>>1, which must be one the column has
+// already spelled. An odd v spells the column's next dictionary entry:
+// v&3 == 1 as its text, v&3 == 3 as the integer zigzag-decoded from
+// v>>2 plus the column's last integer entry (0 before its first). An
+// integer of 16 digits or more is corrupt.
+//
+// Schema 3, which checkpoints and register records of earlier builds
+// hold, is still read: it is schema 4 with every first appearance
+// spelled as text, an odd v spelling v>>1 bytes. Earlier builds wrote
+// the snapshot's zone maps into the footer: nzcols = ncols, then per
+// column nzones and per zone min max (float64 bits, 8 bytes LE each),
+// two length-prefixed key bounds and three counts. The reader checks
+// that such a footer is whole and skips it; zone maps are built in
+// memory, on first use. Bodies of schema 1 and 2, which stored each
+// column as its dictionary and then its codes, are refused: a table
+// persisted in them is registered again from its CSV.
 //
 // Files are written atomically (tmp + fsync + rename + dir fsync) and
 // never modified after that, so a reader either sees a whole valid
@@ -68,7 +80,8 @@ var ErrCorrupt = errors.New("segment: corrupt file")
 
 const (
 	magic      = "WTQSEG1\n"
-	schemaSeg  = 3       // cells spelled where they first appear, then a footer
+	schemaSeg  = 4       // as schemaText, but a plain integer's first appearance is a delta
+	schemaText = 3       // every first appearance spelled out as text; still read
 	maxStrings = 1 << 30 // sanity bound on any length field
 )
 
@@ -137,17 +150,23 @@ func writeAtomic(fsys vfs.FS, dir, name string, data []byte) error {
 }
 
 // bodyBound is an upper bound on the encoded body: every entry's text
-// and a full length prefix, and for every record the longest repeat
+// and entryPrefix bytes more, and for every record the longest repeat
 // the column can have.
 func bodyBound(m Meta, t *table.Table) int {
-	const lenPrefix = binary.MaxVarintLen32
 	n := 64 + len(m.Name) + len(m.Version)
 	for c, name := range m.Columns {
 		dict, codes := t.ColumnDictionary(c)
-		n += lenPrefix + len(name) + dict.TextLen() + lenPrefix*dict.Len() + uvarintLen(uint64(dict.Len())<<1)*len(codes)
+		n += binary.MaxVarintLen32 + len(name) + dict.TextLen() + entryPrefix*dict.Len() + uvarintLen(uint64(dict.Len())<<1)*len(codes)
 	}
 	return n
 }
+
+// entryPrefix bounds what an entry takes beyond its text: a text
+// entry's v takes at most 5 bytes (a length below 2^32, shifted by 2),
+// and an integer entry's v at most 8 (a delta below 2e15 in magnitude,
+// zigzagged and shifted by 2, is below 2^54) where its text, which it
+// does not spell, is at least 1.
+const entryPrefix = 7
 
 // AppendTable appends the body of one table snapshot to b and returns
 // the extended slice. b grows once, up front, to hold all of it, so
@@ -205,20 +224,27 @@ func (e *encoder) body(m Meta, t *table.Table) {
 		}
 		// The dictionary numbers its entries in first-appearance order,
 		// so a record whose code is the count spelled so far is the
-		// entry's first.
+		// entry's first. A plain integer is known by the table's own
+		// typing of that record, never by parsing its text.
 		dict, codes := t.ColumnDictionary(c)
 		spelled := uint32(0)
-		for _, code := range codes {
+		prev := int64(0) // the column's last integer entry
+		for r, code := range codes {
 			if code < spelled {
 				e.uvarint(uint64(code) << 1)
 				continue
 			}
+			spelled++
+			if n, ok := t.CellInt(r, c); ok {
+				e.uvarint(zigzag(n-prev)<<2 | 3)
+				prev = n
+				continue
+			}
 			s := dict.Entry(int(code))
-			v := uint64(len(s))<<1 | 1
+			v := uint64(len(s))<<2 | 1
 			e.room(uvarintLen(v) + len(s))
 			e.b = binary.AppendUvarint(e.b, v)
 			e.b = append(e.b, s...)
-			spelled++
 		}
 	}
 	e.uvarint(0) // an empty footer
@@ -240,7 +266,9 @@ func (e *encoder) flush() {
 }
 
 func (e *encoder) uvarint(v uint64) {
-	e.room(uvarintLen(v))
+	if e.put != nil && len(e.b)+binary.MaxVarintLen64 > pieceBytes {
+		e.room(uvarintLen(v))
+	}
 	e.b = binary.AppendUvarint(e.b, v)
 }
 
@@ -252,6 +280,13 @@ func (e *encoder) string(s string) {
 
 // uvarintLen is the length of v's uvarint encoding.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps a signed delta onto an unsigned one that is small when
+// the delta is near zero either way: 0, -1, 1, -2 … become 0, 1, 2, 3 ….
+func zigzag(n int64) uint64 { return uint64(n<<1) ^ uint64(n>>63) }
+
+// unzigzag undoes zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Read decodes the segment file at path into row-major raw cell text:
 // ReadTable, and the rows of the table it returns. Its zones result is
@@ -304,9 +339,10 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {
 	if d.err == nil && (schema == 1 || schema == 2) {
 		return m, nil, fmt.Errorf("%w: %s: schema %d, each column's dictionary then its codes, is no longer read; register the table again from its CSV", ErrCorrupt, what, schema)
 	}
-	if d.err == nil && schema != schemaSeg {
+	if d.err == nil && schema != schemaSeg && schema != schemaText {
 		return m, nil, fmt.Errorf("%w: %s: unknown schema %d", ErrCorrupt, what, schema)
 	}
+	cells := cellForm{ints: schema == schemaSeg}
 	m.Name = d.string()
 	m.Gen = d.uvarint()
 	m.Version = d.string()
@@ -332,8 +368,8 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {
 	for c := 0; c < ncols && d.err == nil; c++ {
 		starts = append(starts, len(body)-len(d.buf))
 		for r := 0; r < nrows && d.err == nil; r++ {
-			if v := d.uvarint(); v&1 == 1 {
-				d.take(v >> 1)
+			if n, ok := cells.textLen(d.uvarint()); ok {
+				d.take(n)
 			}
 		}
 	}
@@ -342,7 +378,7 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {
 	// is reported: the one that decoder would have met first.
 	errs := make([]error, len(starts))
 	table.FillColumns(len(starts), nrows, func(c int) {
-		errs[c] = decodeColumn(b, c, nrows, body[starts[c]:], what)
+		errs[c] = decodeColumn(b, c, nrows, body[starts[c]:], what, cells)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -377,24 +413,54 @@ func DecodeTable(body []byte, what string) (Meta, *table.Table, error) {
 	return m, t, nil
 }
 
+// cellForm is how a body spells a column's record v: an even v repeats
+// entry v>>1. Under schema 3 an odd v spells the next entry's text in
+// v>>1 bytes; under schema 4 (ints) v&3 == 1 spells it in v>>2 bytes,
+// and v&3 == 3 makes it the integer unzigzag(v>>2) past the column's
+// last integer entry.
+type cellForm struct{ ints bool }
+
+// textLen reports whether v spells an entry's text, and its length.
+func (f cellForm) textLen(v uint64) (uint64, bool) {
+	if f.ints {
+		return v >> 2, v&3 == 1
+	}
+	return v >> 1, v&1 == 1
+}
+
+// maxInt bounds an integer entry's magnitude: a plain integer spelling
+// has at most 15 digits.
+const maxInt = 1e15
+
 // decodeColumn hands column c its nrows cells, the first of which
 // starts body, and returns the first error it meets.
-func decodeColumn(b *table.Builder, c, nrows int, body []byte, what string) error {
+func decodeColumn(b *table.Builder, c, nrows int, body []byte, what string, f cellForm) error {
 	d := decoder{buf: body, what: what}
 	var codes []uint32 // the builder's code for each spelling the column has spelled out so far
+	var prev int64     // the column's last integer entry
 	for r := 0; r < nrows; r++ {
 		v := d.uvarint()
 		if d.err != nil {
 			return d.fail()
 		}
-		if v&1 == 1 {
-			codes = append(codes, b.CellBytes(c, d.take(v>>1)))
+		if v&1 == 0 {
+			if v>>1 >= uint64(len(codes)) {
+				return fmt.Errorf("%w: %s: column %d repeats entry %d of %d", ErrCorrupt, what, c, v>>1, len(codes))
+			}
+			b.Repeat(c, codes[v>>1])
 			continue
 		}
-		if v>>1 >= uint64(len(codes)) {
-			return fmt.Errorf("%w: %s: column %d repeats entry %d of %d", ErrCorrupt, what, c, v>>1, len(codes))
+		if n, ok := f.textLen(v); ok {
+			codes = append(codes, b.CellBytes(c, d.take(n)))
+			continue
 		}
-		b.Repeat(c, codes[v>>1])
+		// |prev| < maxInt and |delta| < 2^61, so the sum cannot overflow.
+		n := prev + unzigzag(v>>2)
+		if n <= -maxInt || n >= maxInt {
+			return fmt.Errorf("%w: %s: column %d spells integer %d, past 15 digits", ErrCorrupt, what, c, n)
+		}
+		prev = n
+		codes = append(codes, b.IntCell(c, n))
 	}
 	if d.err != nil {
 		return d.fail()

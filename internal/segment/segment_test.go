@@ -125,7 +125,7 @@ func TestSegmentZoneFooterColumnMismatch(t *testing.T) {
 	// covers 2 of 3 columns.
 	m := testMeta
 	m.Rows = 1
-	body := appendCells(appendHeader(nil, schemaSeg, m), "Greece", "Athens", "1896")
+	body := appendCells(appendHeader(nil, schemaSeg, m), schemaSeg, "Greece", "Athens", intEntry(1896))
 	body = withZoneFooter(append(body, 0), 2, 1)
 	path := filepath.Join(t.TempDir(), "bad-zones.seg")
 	if err := os.WriteFile(path, frame(body), 0o644); err != nil {
@@ -172,15 +172,28 @@ func appendHeader(b []byte, schema uint64, m Meta) []byte {
 	return binary.AppendUvarint(b, uint64(m.Rows))
 }
 
-// appendCells appends a column's records as a body holds them: a
-// string is spelled out as the column's next entry, an int repeats the
-// entry of that number.
-func appendCells(b []byte, cells ...any) []byte {
+// intEntry is a record appendCells spells as an integer entry, the
+// delta from the column's last one: schema 4 only.
+type intEntry int64
+
+// appendCells appends a column's records as a body of schema holds
+// them: a string is spelled out as the column's next entry, an
+// intEntry makes that integer the next entry, an int repeats the entry
+// of that number.
+func appendCells(b []byte, schema uint64, cells ...any) []byte {
+	prev := int64(0)
 	for _, c := range cells {
 		switch c := c.(type) {
 		case string:
-			b = binary.AppendUvarint(b, uint64(len(c))<<1|1)
+			if schema == schemaText {
+				b = binary.AppendUvarint(b, uint64(len(c))<<1|1)
+			} else {
+				b = binary.AppendUvarint(b, uint64(len(c))<<2|1)
+			}
 			b = append(b, c...)
+		case intEntry:
+			b = binary.AppendUvarint(b, zigzag(int64(c)-prev)<<2|3)
+			prev = int64(c)
 		case int:
 			b = binary.AppendUvarint(b, uint64(c)<<1)
 		}
@@ -333,35 +346,60 @@ func frame(body []byte) []byte {
 	return append(buf, body...)
 }
 
-// nonCanonical is a relation and a body for it the writer would not
+// nonCanonical is a relation and bodies for it the writer would not
 // have produced: column K spells "b" out twice, and repeats the second
-// copy as well as the first.
+// copy as well as the first. Under schema 4, N4 spells 2 out twice,
+// as text and then as an integer entry.
 var nonCanonical = struct {
-	meta Meta
-	rows [][]string
-	k, n []any // the two columns' records, for appendCells
+	meta     Meta
+	rows     [][]string
+	k, n, n4 []any // the two columns' records, for appendCells
 }{
 	meta: Meta{Name: "t", Gen: 3, Version: "v", Columns: []string{"K", "N"}, Rows: 7},
 	rows: [][]string{{"b", "1"}, {"a", "2"}, {"b", "1"}, {"c", "3"}, {"a", "2"}, {"b", "1"}, {"b", "1"}},
 	k:    []any{"b", "a", "b", "c", 1, 2, 0},
 	n:    []any{"1", "2", 0, "3", 1, 0, 0},
+	n4:   []any{intEntry(1), "2", 0, intEntry(3), intEntry(2), 0, 0},
 }
 
-// nonCanonicalBody encodes nonCanonical with columns k and n.
-func nonCanonicalBody(k, n []any) []byte {
-	body := appendHeader(nil, schemaSeg, nonCanonical.meta)
-	body = appendCells(body, k...)
-	body = appendCells(body, n...)
+// nonCanonicalBody encodes nonCanonical under schema with columns k
+// and n.
+func nonCanonicalBody(schema uint64, k, n []any) []byte {
+	body := appendHeader(nil, schema, nonCanonical.meta)
+	body = appendCells(body, schema, k...)
+	body = appendCells(body, schema, n...)
 	return binary.AppendUvarint(body, 0) // no zone footer columns
 }
 
-// TestSegmentNonCanonicalDictionaryRestoresCanonical: a body the
-// writer would not have produced — a spelling spelled out twice,
+// TestSegmentNonCanonicalDictionaryRestoresCanonical: a schema-3 body
+// the writer would not have produced — a spelling spelled out twice,
 // repeats of either copy — restores to the very table the canonical
 // file holds, and checkpoints back out as the canonical bytes. A
 // repeat of an entry not yet spelled, and a spelling longer than the
 // body, stay corruption.
 func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
+	checkNonCanonical(t, schemaText, nonCanonical.n)
+}
+
+// TestSegmentNonCanonicalDictionaryRestoresCanonicalSchema4 is the
+// same under schema 4, where a plain integer spelled out as text, and
+// the same spelling made again by an integer entry, are non-canonical
+// too. An integer entry of 16 digits is corruption.
+func TestSegmentNonCanonicalDictionaryRestoresCanonicalSchema4(t *testing.T) {
+	checkNonCanonical(t, schemaSeg, nonCanonical.n4)
+	for _, n := range []int64{1e15, -1e15} {
+		body := nonCanonicalBody(schemaSeg, nonCanonical.k, []any{intEntry(1), intEntry(n), 0, 0, 0, 0, 0})
+		_, _, err := DecodeTable(body, "bad")
+		if want := "column 1 spells integer " + strconv.FormatInt(n, 10) + ", past 15 digits"; !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("integer entry %d: err = %v, want ErrCorrupt saying %q", n, err, want)
+		}
+	}
+}
+
+// checkNonCanonical decodes nonCanonical's body under schema, with n
+// its N column.
+func checkNonCanonical(t *testing.T, schema uint64, n []any) {
+	t.Helper()
 	meta, rows := nonCanonical.meta, nonCanonical.rows
 	dir := t.TempDir()
 	canonical := filepath.Join(dir, "canonical.seg")
@@ -374,7 +412,7 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	}
 
 	odd := filepath.Join(dir, "odd.seg")
-	if err := os.WriteFile(odd, frame(nonCanonicalBody(nonCanonical.k, nonCanonical.n)), 0o644); err != nil {
+	if err := os.WriteFile(odd, frame(nonCanonicalBody(schema, nonCanonical.k, n)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, tab, err := ReadTable(nil, odd)
@@ -391,6 +429,9 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	if dict, _ := tab.ColumnDictionary(0); dict.Len() != 3 || dict.Entry(0) != "b" || dict.Entry(1) != "a" || dict.Entry(2) != "c" {
 		t.Fatalf("restored dictionary has %d entries starting %q: not the canonical b, a, c", dict.Len(), dict.Entry(0))
 	}
+	if dict, _ := tab.ColumnDictionary(1); dict.Len() != 3 {
+		t.Fatalf("restored N has %d entries, not the canonical 3", dict.Len())
+	}
 	rewritten := filepath.Join(dir, "rewritten.seg")
 	if err := WriteTable(nil, rewritten, m, tab); err != nil {
 		t.Fatal(err)
@@ -404,13 +445,18 @@ func TestSegmentNonCanonicalDictionaryRestoresCanonical(t *testing.T) {
 	}
 
 	// N's third record repeats entry 2 with two entries spelled.
-	past := nonCanonicalBody(nonCanonical.k, []any{"1", "2", 2, "3", 1, 0, 0})
-	if _, _, err := DecodeTable(past, "bad"); !errors.Is(err, ErrCorrupt) {
+	past := slices.Clone(n)
+	past[2] = 2
+	if _, _, err := DecodeTable(nonCanonicalBody(schema, nonCanonical.k, past), "bad"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("repeat past the entries spelled: err = %v, want ErrCorrupt", err)
 	}
 	// K's last record spells 1000 bytes the body does not hold.
-	over := appendCells(appendHeader(nil, schemaSeg, meta), nonCanonical.k[:6]...)
-	over = append(binary.AppendUvarint(over, 1000<<1|1), "b"...)
+	over := appendCells(appendHeader(nil, schema, meta), schema, nonCanonical.k[:6]...)
+	v := uint64(1000)<<1 | 1
+	if schema == schemaSeg {
+		v = 1000<<2 | 1
+	}
+	over = append(binary.AppendUvarint(over, v), "b"...)
 	if _, _, err := DecodeTable(over, "bad"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("spelling past the body: err = %v, want ErrCorrupt", err)
 	}
@@ -442,8 +488,8 @@ func TestEncodeTablePieces(t *testing.T) {
 	}{
 		{small, 1, pieceBytes},
 		{big, 0, pieceBytes},
-		{oneCell, 0, uvarintLen(uint64(len(long))<<1|1) + len(long)},
-		{lastLong, 0, uvarintLen(uint64(len(long))<<1|1) + len(long)},
+		{oneCell, 0, uvarintLen(uint64(len(long))<<2|1) + len(long)},
+		{lastLong, 0, uvarintLen(uint64(len(long))<<2|1) + len(long)},
 	} {
 		m := Meta{Name: tc.tab.Name(), Gen: 3, Version: "v", Columns: tc.tab.Columns(), Rows: tc.tab.NumRows()}
 		want := AppendTable(nil, m, tc.tab)
@@ -509,7 +555,10 @@ func TestAppendTableSizedOnce(t *testing.T) {
 // fuzzSeedTables are the relations FuzzSegmentRead starts from: the
 // shapes of the store's golden fixtures — several spellings of one key,
 // dates, NaN, blanks, non-ASCII folds, a header-only table — plus one
-// long enough to have a second zone.
+// long enough to have a second zone, and one of integer entries whose
+// deltas change sign and reach ±(1e15−1), between text entries, a NaN
+// and spellings of integers that are not plain: 16 digits, a sign, a
+// leading zero, an exponent.
 func fuzzSeedTables() []*table.Table {
 	long := make([][]string, table.ZoneRows+3)
 	for i := range long {
@@ -525,6 +574,17 @@ func fuzzSeedTables() []*table.Table {
 			{"Ünïcode", "", "-0", "a,b \"c\"\nd"},
 		}),
 		table.MustNew("empty", []string{"A", "B"}, nil),
+		table.MustNew("ints", []string{"N", "Mixed"}, [][]string{
+			{"5", "1"},
+			{"-3", "x"},
+			{"999999999999999", "NaN"},
+			{"-999999999999999", "1234567890123456"},
+			{"0", "-0"},
+			{"7", "007"},
+			{"-7", "+2"},
+			{"12", "1e3"},
+			{"-3", "2"},
+		}),
 		table.MustNew("long", []string{"K", "D"}, long),
 	}
 }
@@ -542,7 +602,8 @@ func FuzzSegmentRead(f *testing.F) {
 		f.Add(body)
 		f.Add(withZoneFooter(body, tab.NumCols(), table.ZoneCount(tab.NumRows())))
 	}
-	f.Add(nonCanonicalBody(nonCanonical.k, nonCanonical.n))
+	f.Add(nonCanonicalBody(schemaText, nonCanonical.k, nonCanonical.n))
+	f.Add(nonCanonicalBody(schemaSeg, nonCanonical.k, nonCanonical.n4))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -578,47 +639,172 @@ func FuzzSegmentRead(f *testing.F) {
 	})
 }
 
-// TestDecodeTableColumnsInParallel decodes bodies of a batch of
-// records (table.BatchRows) and one more, whose columns decode side by
-// side (GOMAXPROCS 4, so they do even on one CPU). A sound body builds
-// the table New builds. A damaged one is refused in the words one
-// decoder walking the columns in turn uses for the first damage it
+// plainIntSpellings are spellings at the edges of a plain integer, as
+// FuzzParseValue seeds them: leading zeros, signs, padding, separators,
+// exponents, other digits and the most digits a float64 renders back
+// the same way.
+var plainIntSpellings = []string{
+	"0", "00", "007", "-0", "+0", "7", "-7", "+7", " 7", "7 ", " 42 ", "1,000", "1,234", "$7", "$1,234",
+	"1000", "1234", "1e3", "1E3", "1e15", "1e16", "3.14", ".5", "-.5e-3", "0x1p-2", "1_000",
+	"999999999999999", "-999999999999999", "1000000000000000", "-1000000000000000", "123456789012345678",
+	"NaN", "nan", "inf", "-Inf", "-", "--7", "7-", "١٢٣", "２００４", "2013-06-08", "",
+}
+
+// plainIntRef says whether s is the canonical rendering of an integer
+// below 1e15 in magnitude, the spellings a schema-4 body makes integer
+// entries of: strconv's reading, not the table's. (The table's
+// checkIngest holds CellInt, which the encoder asks, to plainInt.)
+func plainIntRef(s string) bool {
+	n, err := strconv.ParseInt(s, 10, 64)
+	return err == nil && strconv.FormatInt(n, 10) == s && n > -1e15 && n < 1e15
+}
+
+// firstCell returns the v of the first record of a body's first
+// column.
+func firstCell(t *testing.T, body []byte) uint64 {
+	t.Helper()
+	d := decoder{buf: body, what: "body"}
+	d.uvarint() // schema
+	d.string()  // name
+	d.uvarint() // gen
+	d.string()  // version
+	for range d.uvarint() {
+		d.string()
+	}
+	d.uvarint() // records
+	v := d.uvarint()
+	if d.err != nil {
+		t.Fatal(d.fail())
+	}
+	return v
+}
+
+// TestIntegerEntriesArePlainInts: over the plain-integer edges and
+// every cell of fuzzSeedTables, a spelling's first appearance is an
+// integer entry exactly when it is a plain integer, and it reads back
+// byte for byte, alone in its column and with all the others in one
+// column, where the deltas run both ways.
+func TestIntegerEntriesArePlainInts(t *testing.T) {
+	spellings := slices.Clone(plainIntSpellings)
+	for _, tab := range fuzzSeedTables() {
+		for _, row := range tab.RawRows() {
+			spellings = append(spellings, row...)
+		}
+	}
+	column := make([][]string, len(spellings))
+	for i, s := range spellings {
+		column[i] = []string{s}
+		tab := table.MustNew("one", []string{"C"}, column[i:i+1])
+		body := AppendTable(nil, Meta{Name: "one", Columns: []string{"C"}, Rows: 1}, tab)
+		if v := firstCell(t, body); (v&3 == 3) != plainIntRef(s) {
+			t.Errorf("%q is spelled with v = %d: integer entry %v, plain integer %v", s, v, v&3 == 3, plainIntRef(s))
+		}
+		if _, got, err := DecodeTable(body, "one"); err != nil || got.Raw(0, 0) != s {
+			t.Errorf("%q reads back as %q, %v", s, got.Raw(0, 0), err)
+		}
+	}
+	all := table.MustNew("all", []string{"C"}, column)
+	m := Meta{Name: "all", Columns: []string{"C"}, Rows: len(column)}
+	_, got, err := DecodeTable(AppendTable(nil, m, all), "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got.RawRows(), column, slices.Equal[[]string]) {
+		t.Fatal("a column of every spelling does not read back as written")
+	}
+	sameStorage(t, "a column of every spelling", got, all)
+}
+
+// TestDecodeTableColumnsInParallel decodes schema-3 bodies of a batch
+// of records (table.BatchRows) and one more, whose columns decode side
+// by side (GOMAXPROCS 4, so they do even on one CPU). A sound body
+// builds the table New builds. A damaged one is refused in the words
+// one decoder walking the columns in turn uses for the first damage it
 // meets: the lowest column's, though a later column's damage sits at an
 // earlier record or breaks the framing.
 func TestDecodeTableColumnsInParallel(t *testing.T) {
+	checkColumnsInParallel(t, schemaText, func(c, r int) any { return wideColumns[c] + strconv.Itoa(r) }, nil)
+}
+
+// TestDecodeTableColumnsInParallelSchema4 is the same under schema 4,
+// with B's entries integers that fall and D's integers just below 1e15
+// that rise, and one more damage: an integer entry of 16 digits, which
+// is refused by its column, not by the framing.
+func TestDecodeTableColumnsInParallelSchema4(t *testing.T) {
+	checkColumnsInParallel(t, schemaSeg, func(c, r int) any {
+		switch c {
+		case 1:
+			return intEntry(-3 * r)
+		case 3:
+			return intEntry(999_999_999_990_000 + r)
+		}
+		return wideColumns[c] + strconv.Itoa(r)
+	}, []parallelDamage{
+		{"B spells 16 digits, C repeats an unspelled entry", map[[2]int]any{{1, 300}: intEntry(-1e15), {2, 50}: 9999}, false,
+			"segment: corrupt file: wide: column 1 spells integer -1000000000000000, past 15 digits"},
+		{"C repeats an unspelled entry, D spells 16 digits", map[[2]int]any{{2, 350}: 9999, {3, 100}: intEntry(1e15)}, false,
+			"segment: corrupt file: wide: column 2 repeats entry 9999 of 4"},
+	})
+}
+
+// wideColumns are the columns of checkColumnsInParallel's bodies.
+var wideColumns = []string{"A", "B", "C", "D"}
+
+// parallelDamage is a damaged body for checkColumnsInParallel: the
+// cells it sets, by column and record, whether it loses its footer and
+// 5 bytes of D's last spelling, and the error it is refused with.
+type parallelDamage struct {
+	name  string
+	cells map[[2]int]any
+	cut   bool
+	want  string
+}
+
+// checkColumnsInParallel decodes bodies of schema in which column c
+// spells entry(c, r) as a new entry every 100 records r and repeats its
+// first in between, and the last record of D is spelled out as text;
+// sound, and damaged each way the schema-3 reader has named since it
+// decoded columns side by side, and each way more.
+func checkColumnsInParallel(t *testing.T, schema uint64, entry func(c, r int) any, more []parallelDamage) {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	n := table.BatchRows + 1
-	m := Meta{Name: "wide", Gen: 1, Version: "v", Columns: []string{"A", "B", "C", "D"}, Rows: n}
-	// column c spells a new entry every 100 records and repeats its
-	// first in between; bad makes record bad[c] repeat an entry the
-	// column has not spelled, and the last record of D is spelled out.
-	body := func(bad map[int]int) []byte {
-		b := appendHeader(nil, schemaSeg, m)
+	m := Meta{Name: "wide", Gen: 1, Version: "v", Columns: wideColumns, Rows: n}
+	body := func(damage map[[2]int]any) []byte {
+		b := appendHeader(nil, schema, m)
 		for c := range m.Columns {
 			cells := make([]any, n)
 			for r := range cells {
 				cells[r] = 0
 				if r%100 == 0 {
-					cells[r] = m.Columns[c] + strconv.Itoa(r)
+					cells[r] = entry(c, r)
 				}
-			}
-			if r, ok := bad[c]; ok {
-				cells[r] = 9999
 			}
 			if c == 3 {
 				cells[n-1] = "tail-spelling"
 			}
-			b = appendCells(b, cells...)
+			for at, cell := range damage {
+				if at[0] == c {
+					cells[at[1]] = cell
+				}
+			}
+			b = appendCells(b, schema, cells...)
 		}
 		return binary.AppendUvarint(b, 0) // no zone footer columns
+	}
+	text := func(cell any) string {
+		if n, ok := cell.(intEntry); ok {
+			return strconv.FormatInt(int64(n), 10)
+		}
+		return cell.(string)
 	}
 	rows := make([][]string, n)
 	for r := range rows {
 		rows[r] = make([]string, len(m.Columns))
-		for c, name := range m.Columns {
-			rows[r][c] = name + "0"
+		for c := range m.Columns {
+			rows[r][c] = text(entry(c, 0))
 			if r%100 == 0 {
-				rows[r][c] = name + strconv.Itoa(r)
+				rows[r][c] = text(entry(c, r))
 			}
 		}
 	}
@@ -636,18 +822,18 @@ func TestDecodeTableColumnsInParallel(t *testing.T) {
 		}
 	}
 
-	truncated := func(b []byte) []byte { return b[:len(b)-1-5] } // the footer and 5 bytes of D's last spelling
-	for _, tc := range []struct {
-		name string
-		body []byte
-		want string
-	}{
-		{"B and C repeat unspelled entries", body(map[int]int{1: 250, 2: 50}), "segment: corrupt file: wide: column 1 repeats entry 9999 of 3"},
-		{"C repeats an unspelled entry, D is cut short", truncated(body(map[int]int{2: 50})), "segment: corrupt file: wide: column 2 repeats entry 9999 of 1"},
-		{"D is cut short", truncated(body(nil)), "segment: corrupt file: wide: string of 13 bytes exceeds remaining 8"},
-		{"D repeats an unspelled entry and is cut short", truncated(body(map[int]int{3: 7})), "segment: corrupt file: wide: column 3 repeats entry 9999 of 1"},
-	} {
-		if _, _, err := DecodeTable(tc.body, "wide"); err == nil || err.Error() != tc.want || !errors.Is(err, ErrCorrupt) {
+	unspelled := func(c, r int) map[[2]int]any { return map[[2]int]any{{c, r}: 9999} }
+	for _, tc := range append([]parallelDamage{
+		{"B and C repeat unspelled entries", map[[2]int]any{{1, 250}: 9999, {2, 50}: 9999}, false, "segment: corrupt file: wide: column 1 repeats entry 9999 of 3"},
+		{"C repeats an unspelled entry, D is cut short", unspelled(2, 50), true, "segment: corrupt file: wide: column 2 repeats entry 9999 of 1"},
+		{"D is cut short", nil, true, "segment: corrupt file: wide: string of 13 bytes exceeds remaining 8"},
+		{"D repeats an unspelled entry and is cut short", unspelled(3, 7), true, "segment: corrupt file: wide: column 3 repeats entry 9999 of 1"},
+	}, more...) {
+		b := body(tc.cells)
+		if tc.cut {
+			b = b[:len(b)-1-5]
+		}
+		if _, _, err := DecodeTable(b, "wide"); err == nil || err.Error() != tc.want || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
 		}
 	}

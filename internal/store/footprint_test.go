@@ -8,9 +8,10 @@ import (
 )
 
 // registerAllocBound is the most a durable registration of the big
-// golden fixture may allocate. Its 3.05 MB register record streams
-// into the log in pieces of at most 64 KiB, one buffer for each of the
-// WAL's two passes: 132 480 bytes. Encoding the record into one buffer
+// golden fixture may allocate. Its 1.27 MB register record (3.05 MB
+// while a segment body spelled every integer out) streams into the log
+// in pieces of at most 64 KiB, one buffer for each of the WAL's two
+// passes: 132 072 bytes. Encoding the record into one buffer
 // and copying that into the log's buffer read 9 962 736.
 const registerAllocBound = 1 << 20
 

@@ -308,26 +308,26 @@ var goldenFixtures = []struct {
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, concatRows(reprBase, reprFirst, reprSecond)), nil
 		},
-		register:        "5d85d540fbcc4d73d4b861d0617182460399c6fafa2f6b667ecd6d8db86a64fe",
-		segment:         "caff1dec15b434d4fb5a5c19307718b08a047fad9f67ccabc3e1358a944bc006",
-		registerPerByte: 1.0599, segmentPerByte: 1.1217,
+		register:        "a4f6e03e3042b90a27c3611aa73de9254300be1ce511b37853492a1cb42dff71",
+		segment:         "0a7649207c417f588035d2106821816029d00bddbffe88049cd8a44a9eeec339",
+		registerPerByte: 1.0471, segmentPerByte: 1.0878,
 	},
 	{
 		name: "repr-appended",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "repr", reprColumns, reprBase), [][][]string{reprFirst, reprSecond}
 		},
-		register:        "6656c8abde0e51282b7d1999dc6b91a1f5ad014aeb1b779c077a4d6a38ef9fc8",
-		segment:         "f2e7a58bc4a06e7737d3620f505c4830bab3ffef591f74baa752dcb0cec730bc",
-		registerPerByte: 1.1915, segmentPerByte: 1.1217,
+		register:        "451c8b9ef010c63c52aad3b6aae8cd935a32696f160f95cd164d0a452d4e8e5c",
+		segment:         "d72375abb09cf55ac8c7fde55b8ed8939b43a60ed8ba454e5ae1b26308877d12",
+		registerPerByte: 1.1864, segmentPerByte: 1.0878,
 	},
 	{
 		name: "header-only",
 		build: func(t *testing.T) (*table.Table, [][][]string) {
 			return mustNew(t, "empty", reprColumns, nil), nil
 		},
-		register:        "6c53007d7b19bc8b2d2546090a94447a84917c39ae7f208a661e5d7242f62c4f",
-		segment:         "dcf87b72afa4adbe2b4252319c4ab72b0a0137ab42a8a5d932c93d7bd32764c2",
+		register:        "9b1533e2fb37839c3f265d9755d033dcda108d2baf0f80ff25c926701406da13",
+		segment:         "d13719b5e0190937fd1e5de3bded5592c3435ea6189062a8b0fb025c4f63a4e7",
 		registerPerByte: 2.2174, segmentPerByte: 2.7940,
 	},
 	{
@@ -337,9 +337,9 @@ var goldenFixtures = []struct {
 			columns, rows := bigReprRows()
 			return mustNew(t, "big", columns, rows), nil
 		},
-		register:        "0e32760fede32be8a0a11800582d651739cf54c39edcfed1a01abd89d7ba5c25",
-		segment:         "661185167358666afd0fba611ac95857a81617a0fa77f429f022e4f0eb1d7537",
-		registerPerByte: 0.5912, segmentPerByte: 0.5914,
+		register:        "cff7ead1cb32d254a01a45a06bdef359d2d09340349dc413b1b4e3b6036bc741",
+		segment:         "e34a8aba07be893d2500b02888a9388589751aa82114d9970f584f3ba9dbd97f",
+		registerPerByte: 0.2507, segmentPerByte: 0.2507,
 	},
 }
 

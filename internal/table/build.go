@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -49,6 +50,17 @@ func (b *Builder) Cell(col int, text string) uint32 { return addCell(&b.cols[col
 
 // CellBytes is Cell for text held in a byte slice, which is copied.
 func (b *Builder) CellBytes(col int, text []byte) uint32 { return addCell(&b.cols[col], text) }
+
+// IntCell appends the next cell of column col, spelled as
+// strconv.AppendInt spells n, and returns its code. |n| must be below
+// 1e15: such a spelling is a plain integer, its own key, so the cell is
+// read from n and its text is not parsed.
+func (b *Builder) IntCell(col int, n int64) uint32 {
+	cb := &b.cols[col]
+	code := internInt(cb, n)
+	cb.put(code)
+	return code
+}
 
 // Repeat appends to column col a cell spelled like an earlier one, by
 // the code Cell returned for it; neither hashed nor parsed again.
@@ -226,36 +238,57 @@ func (b *columnBuilder) put(code uint32) {
 }
 
 // intern returns the dictionary entry spelled s, adding it when the
-// column has not held that spelling yet: the one place a cell is
-// read, keyed and put into its key group. A spelling plainInt takes
+// column has not held that spelling yet. A spelling plainInt takes
 // skips ParseValue and appendKey; it reads back the same value and
 // key (FuzzParseValue holds it to that).
 func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	if b.err != nil {
 		return 0
 	}
-	cd := &b.cd
 	h := hashText(s)
 	b.probes++
-	if e, ok := findText(&cd.dictIx, b.text, cd.dict.ends, s, h); ok {
+	if e, ok := findText(&b.cd.dictIx, b.text, b.cd.dict.ends, s, h); ok {
 		return e
 	}
+	f, plain := plainInt(s)
+	return addEntry(b, s, h, f, plain)
+}
+
+// internInt is intern of the plain integer n's spelling, rendered into
+// the key scratch, which addEntry leaves alone for a plain integer.
+func internInt(b *columnBuilder, n int64) uint32 {
+	if b.err != nil {
+		return 0
+	}
+	s := strconv.AppendInt(b.keyBuf[:0], n, 10)
+	b.keyBuf = s
+	h := hashText(s)
+	b.probes++
+	if e, ok := findText(&b.cd.dictIx, b.text, b.cd.dict.ends, s, h); ok {
+		return e
+	}
+	return addEntry(b, s, h, float64(n), true)
+}
+
+// addEntry adds s, whose hash is h and which the column's dictionary
+// does not hold, as its next entry: the one place a cell is read,
+// keyed and put into its key group. plain says s is a plain integer
+// whose number is f; any other spelling is read by ParseValue.
+func addEntry[T string | []byte](b *columnBuilder, s T, h uint64, f float64, plain bool) uint32 {
+	cd := &b.cd
 	if len(b.text)+len(s) > math.MaxUint32 {
 		b.err = errTextOverflow
 		return 0
 	}
 	e := uint32(len(cd.dict.ends))
 
-	var kind Kind
-	f, numeric := plainInt(s)
-	if numeric {
-		kind = Number
-		b.keyBuf = append(b.keyBuf[:0], s...)
-	} else {
+	kind, numeric, own := Number, plain, plain
+	if !plain {
 		v := ParseValue(string(s))
 		kind = v.Kind
 		f, numeric = v.Float()
 		b.keyBuf = appendKey(b.keyBuf[:0], v)
+		own = string(b.keyBuf) == string(s)
 	}
 	if numeric {
 		b.numeric = true
@@ -270,17 +303,18 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 	// dictionary. A spelling that is its own key is new to it, so only
 	// an exception can hold its key; a column with none has no group
 	// to find.
-	key, kh := b.keyBuf, h
-	own := string(key) == string(s)
-	if !own {
-		kh = hashText(key)
-		kind |= otherKey
-	}
 	var g uint32
 	found := false
-	if !own || len(cd.excGroup) > 0 {
+	kh := h // the key's hash
+	switch {
+	case !own:
+		kind |= otherKey
+		kh = hashText(b.keyBuf)
 		b.probes++
-		g, found = findGroup(cd, b.text, b.excText, key, kh)
+		g, found = findGroup(cd, b.text, b.excText, b.keyBuf, kh)
+	case len(cd.excGroup) > 0:
+		b.probes++
+		g, found = findGroup(cd, b.text, b.excText, s, h)
 	}
 	cd.kinds = append(grow(cd.kinds, 1), uint8(kind))
 	b.text = append(grow(b.text, len(s)), s...)
@@ -292,12 +326,12 @@ func intern[T string | []byte](b *columnBuilder, s T) uint32 {
 		g = uint32(cd.nkeys)
 		cd.nkeys++
 		if !own {
-			if len(b.excText)+len(key) > math.MaxUint32 {
+			if len(b.excText)+len(b.keyBuf) > math.MaxUint32 {
 				b.err = errTextOverflow
 				return 0
 			}
 			x := uint32(len(cd.exc.ends))
-			b.excText = append(grow(b.excText, len(key)), key...)
+			b.excText = append(grow(b.excText, len(b.keyBuf)), b.keyBuf...)
 			cd.exc.ends = append(grow(cd.exc.ends, 1), uint32(len(b.excText)))
 			cd.excGroup = append(grow(cd.excGroup, 1), g)
 			b.probes += insertText(&cd.excIx, b.excText, cd.exc.ends, x, kh)

@@ -216,6 +216,24 @@ func (t *Table) CellKind(row, col int) Kind {
 	return cd.kindOf(cd.codes[row])
 }
 
+// CellInt returns the cell at (row, col) as an integer when it is
+// spelled as strconv.AppendInt renders that integer: a number that is
+// its own key, integral and below 1e15 in magnitude — the spellings
+// plainInt reads. It reads the table's typing of the cell and parses
+// nothing.
+func (t *Table) CellInt(row, col int) (int64, bool) {
+	cd := &t.cols[col]
+	if cd.kinds[cd.codes[row]] != uint8(Number) {
+		return 0, false
+	}
+	f := cd.nums[row]
+	n := int64(f) // a NaN, an infinity or past 2^63 converts to no integer that equals f below 1e15
+	if float64(n) != f || n <= -1e15 || n >= 1e15 {
+		return 0, false
+	}
+	return n, true
+}
+
 // ColumnAllNumeric reports whether every cell of column c is numeric
 // (numbers or dates), which makes ordering by ColumnNums equivalent to
 // Value.Compare over the column.

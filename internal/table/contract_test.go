@@ -312,7 +312,7 @@ func FuzzParseValue(f *testing.F) {
 // checkIngest builds a one-cell column from raw, from a string and
 // from bytes, and holds what it stores to ParseValue: the cell's value
 // (kind, number, date), its numeric vector entry and its canonical
-// key. RowsFor must find the cell for ParseValue's value, for the value
+// key; and CellInt to plainInt. RowsFor must find the cell for ParseValue's value, for the value
 // and the text its key reads back as, and for raw upper-cased in ASCII,
 // each exactly when that value's Value.Key is the cell's.
 func checkIngest(t *testing.T, raw string) {
@@ -347,6 +347,12 @@ func checkIngest(t *testing.T, raw string) {
 		}
 		if got := columnKeys(tab, 0)[0]; got != want.Key() {
 			t.Fatalf("cell %q: key %q, Value.Key %q", raw, got, want.Key())
+		}
+		// A segment stores the cell as the integer CellInt reads, and
+		// renders it back with strconv.
+		_, plain := plainInt(raw)
+		if n, ok := tab.CellInt(0, 0); ok != plain || ok && strconv.FormatInt(n, 10) != raw {
+			t.Fatalf("cell %q: CellInt = %d, %v; plainInt takes it: %v", raw, n, ok, plain)
 		}
 		upper := []byte(raw)
 		for i, c := range upper {
