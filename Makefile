@@ -47,8 +47,9 @@ parse-footprint:
 
 # TEST_ONLY are the packages only _test.go files may import: the
 # reference interpreter (internal/oracle), the random query and table
-# generator (internal/qrand) and the filesystem fault injector
-# (internal/fault). vet fails if a command, an example or the library
+# generator (internal/qrand), the filesystem fault injector
+# (internal/fault) and the allocation reader every allocation gate
+# measures through (internal/alloctest). vet fails if a command, an example or the library
 # links one, and keeps mini-SQL off the plan core, which serves lambda
 # DCS alone. SERVER_NEVER are the packages wtq-server must not link:
 # the library facade (the root package), whose names alias
@@ -63,7 +64,7 @@ parse-footprint:
 # maps live in memory (ColumnZones) and a segment is written and read as
 # a table (WriteTable / ReadTable), one way each (ROADMAP items 2 and
 # 4), so vet fails when non-test code outside benchmark/ calls them.
-TEST_ONLY = internal/oracle internal/qrand internal/fault
+TEST_ONLY = internal/oracle internal/qrand internal/fault internal/alloctest
 SERVER_NEVER = nlexplain nlexplain/internal/minisql
 
 vet:
@@ -205,9 +206,14 @@ fuzz-wal:
 # bounded window: any parseable query must denote the same answer and
 # witness cells on the plan path (dcs.Execute) as on the reference
 # interpreter (internal/oracle, which only tests link), or fail with the
-# same error text, with zone-map consultation forced.
+# same error text, with zone-map consultation forced. The second line
+# fuzzes the DCS parser: any text parses or is refused with an error,
+# never panics, allocates no more than linearly in its length (up to
+# dcs.MaxQueryBytes, past which a query is refused unread), and a query
+# that parses re-parses from its rendering to the same tree.
 fuzz-plan:
 	$(GO) test -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 30s ./internal/dcs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/dcs/
 
 # fuzz-table runs the cell-typing differential fuzzer for a bounded
 # window: ParseValue skips the number and date parsers on text that

@@ -1,11 +1,10 @@
 package dcs_test
 
 import (
-	"math"
-	"runtime"
 	"strconv"
 	"testing"
 
+	"nlexplain/internal/alloctest"
 	. "nlexplain/internal/dcs"
 	"nlexplain/internal/plan"
 	"nlexplain/internal/table"
@@ -47,25 +46,11 @@ func TestMostFrequentWholeColumnAllocs(t *testing.T) {
 	if len(v.Values) != 1 || v.Values[0].String() != "0" {
 		t.Fatalf("most frequent = %v, want [0]: every value appears once, and ties go to the first", v.Values)
 	}
-	// The least of a few readings, so that an allocation of the
-	// runtime's own during one of them does not count.
-	allocs, bytes := math.Inf(1), math.Inf(1)
-	for range 5 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		const n = 4
-		for range n {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/n)
-		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
-	}
-	t.Logf("one execution: %.0f allocations, %.0f bytes", allocs, bytes)
+	allocs, bytes := alloctest.Least(t, "one execution", 5, 4, run)
 	// 2 allocations and 130 bytes (the result's one value and its
-	// detached copy) when pinned, + 10 %; 4 and 7 340 306 while the
-	// operator listed every distinct value and looked each one up.
+	// detached copy) when pinned, + 10 %; 1 and 32 since each reading
+	// starts with a warm call; 4 and 7 340 306 while the operator
+	// listed every distinct value and looked each one up.
 	const maxAllocs, maxBytes = 2, 143
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("one execution allocates %.0f times, %.0f bytes; bound %d, %d", allocs, bytes, maxAllocs, maxBytes)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"nlexplain/internal/alloctest"
 	"nlexplain/internal/semparse"
 	"nlexplain/internal/table"
 	"nlexplain/internal/wikitables"
@@ -168,20 +169,10 @@ func TestExplainMissAllocs(t *testing.T) {
 				}
 			}
 		}
-		pass() // warm the executor's pools and the table's lazy indexes
-		// A collection between two reads empties the executor's pools and
-		// so adds to a pass; nothing subtracts. The least of five passes
-		// is the pipeline's own count.
-		allocs, bytes := math.Inf(1), math.Inf(1)
+		// The first pass builds the table's lazy indexes too.
+		allocs, bytes := alloctest.Least(t, fam.name, 5, 1, pass)
 		n := float64(len(fam.queries))
-		for i := 0; i < 5; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			pass()
-			runtime.ReadMemStats(&after)
-			allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/n)
-			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/n)
-		}
+		allocs, bytes = allocs/n, bytes/n
 		t.Logf("%-11s %4.0f allocations, %6.0f bytes per miss", fam.name, allocs, bytes)
 		if b := bounds[fam.name]; allocs > b.allocs || bytes > b.bytes {
 			t.Errorf("%s: a miss makes %.0f allocations / %.0f bytes, want at most %.0f / %.0f",
@@ -263,23 +254,14 @@ func TestExplainMissBigTable(t *testing.T) {
 			}
 		}
 		// miss returns the least allocations and bytes per miss of five
-		// passes after a warm-up, which builds the table's lazy indexes
-		// and fills the executor's pools.
-		miss := func(pass func()) (allocs, bytes float64) {
-			pass()
-			allocs, bytes = math.Inf(1), math.Inf(1)
-			for range 5 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				pass()
-				runtime.ReadMemStats(&after)
-				allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/2)
-				bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/2)
-			}
-			return allocs, bytes
+		// passes, each after a warm one, the first of which builds the
+		// table's lazy indexes.
+		miss := func(label string, pass func()) (allocs, bytes float64) {
+			allocs, bytes = alloctest.Least(t, q+" "+label, 5, 1, pass)
+			return allocs / 2, bytes / 2
 		}
-		ea, eb := miss(explain)
-		aa, ab := miss(answer)
+		ea, eb := miss("explain", explain)
+		aa, ab := miss("answer", answer)
 		p := doc.Provenance
 		kept := levelBytes(p.Output, tab.NumRows()) + levelBytes(p.Execution, tab.NumRows()) + levelBytes(p.Columns, tab.NumRows())
 		t.Logf("%-33s explain miss %5.0f allocations / %9.0f bytes, answer miss %5.0f / %9.0f; the levels keep %d bytes",
