@@ -10,6 +10,7 @@ package dcs
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"nlexplain/internal/table"
 )
@@ -81,13 +82,25 @@ type Expr interface {
 	Children() []Expr
 }
 
-// quoteCol renders a column name for the surface syntax, quoting headers
-// that contain spaces or syntax characters (e.g. "Open Cup").
+// quoteCol renders a column name for the surface syntax, quoting one
+// that would not lex back as itself, as one identifier (e.g. "Open
+// Cup", "2004"), or that the parser reads as a keyword.
 func quoteCol(name string) string {
-	if strings.ContainsAny(name, " .()[],<>=!\"") || name == "Prev" || name == "Index" || name == "Record" {
-		return `"` + name + `"`
+	if bareIdent(name) && name != "Prev" && name != "Index" && name != "Record" {
+		return name
 	}
-	return name
+	return `"` + name + `"`
+}
+
+// bareIdent reports whether s lexes as one identifier spelling s: ident
+// runes only, the first not one that starts a number or a lambda.
+func bareIdent(s string) bool {
+	for i, r := range s {
+		if !isIdentRune(r) || i == 0 && (r == '-' || r == 'λ' || unicode.IsDigit(r)) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // ValueLit is a unary denoting a constant set of one value — the
@@ -100,15 +113,24 @@ type ValueLit struct {
 // characters so parsing round-trips.
 func (e *ValueLit) String() string { return quoteLit(e.V) }
 
+// quoteLit renders v bare where the parser reads the bare text back as
+// v: a string that lexes as one identifier and is not the keyword
+// Record, and a number the lexer reads whole (no exponent, NaN or
+// infinity). Anything else is quoted, and the parser reads a quoted
+// literal with table.ParseValue, as the cell it would be.
 func quoteLit(v table.Value) string {
 	s := v.String()
-	if v.Kind == table.String && strings.ContainsAny(s, " .()[],<>=!\"") {
-		return `"` + s + `"`
+	switch v.Kind {
+	case table.String:
+		if bareIdent(s) && s != "Record" {
+			return s
+		}
+	case table.Number:
+		if !strings.ContainsAny(s, "e+NI") {
+			return s
+		}
 	}
-	if v.Kind == table.Date {
-		return `"` + s + `"`
-	}
-	return s
+	return `"` + s + `"`
 }
 
 // Type of a literal is a value set.

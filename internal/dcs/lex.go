@@ -115,20 +115,17 @@ func (l *lexer) emit(k tokKind, text string, pos int) {
 	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
 }
 
+// lexString reads a quoted string: its bytes as they are up to the
+// next '"', which no multi-byte rune contains, so text that is not
+// UTF-8 reads back as itself.
 func (l *lexer) lexString(start int) error {
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if r == '"' {
-			l.pos++
-			l.emit(tokString, b.String(), start)
-			return nil
-		}
-		b.WriteRune(r)
-		l.pos += size
+	n := strings.IndexByte(l.src[start+1:], '"')
+	if n < 0 {
+		return fmt.Errorf("lambda DCS syntax: unterminated string at offset %d", start)
 	}
-	return fmt.Errorf("lambda DCS syntax: unterminated string at offset %d", start)
+	l.emit(tokString, l.src[start+1:start+1+n], start)
+	l.pos = start + 2 + n
+	return nil
 }
 
 func (l *lexer) lexNumber(start int) {
