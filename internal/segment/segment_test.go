@@ -890,14 +890,14 @@ func BenchmarkSegmentCodec(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(csvBytes))
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			AppendTable(nil, m, tab)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(csvBytes))
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			if _, _, err := DecodeTable(body, "bench"); err != nil {
 				b.Fatal(err)
 			}
